@@ -27,7 +27,8 @@ void AttrStats::MergeFrom(const AttrStats& other) {
       (avg_string_length * static_cast<double>(triple_count) +
        other.avg_string_length * static_cast<double>(other.triple_count)) /
       static_cast<double>(triple_count + other.triple_count);
-  // Counts reported by different peers cover disjoint partitions.
+  // Counts reported for different peer paths cover disjoint partitions
+  // (replicas of one path are merged once: StatsCatalog::MergeContribution).
   triple_count += other.triple_count;
 }
 
@@ -65,6 +66,16 @@ void StatsCatalog::MergeFrom(const StatsCatalog& other) {
                                  other.network_.peer_count);
   network_.trie_depth = std::max(network_.trie_depth,
                                  other.network_.trie_depth);
+}
+
+void StatsCatalog::MergeContribution(const StatsCatalog& contribution) {
+  const auto& paths = contribution.peer_paths_;
+  const bool replica =
+      !paths.empty() &&
+      std::all_of(paths.begin(), paths.end(), [this](const std::string& p) {
+        return std::binary_search(peer_paths_.begin(), peer_paths_.end(), p);
+      });
+  if (!replica) MergeFrom(contribution);
 }
 
 void StatsCatalog::RecordPeerPath(const std::string& path_bits) {

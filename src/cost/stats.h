@@ -58,6 +58,11 @@ class StatsCatalog {
   /// Merges another catalog's attribute map (gossip receive).
   void MergeFrom(const StatsCatalog& other);
 
+  /// Merges one peer's local contribution, at most once per peer path:
+  /// replicas of a path store the same triples, so a contribution whose
+  /// paths are all already in the sample is skipped.
+  void MergeContribution(const StatsCatalog& contribution);
+
   /// Stats of one attribute; zeros if unknown.
   AttrStats Attribute(const std::string& attribute) const;
 

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -46,30 +47,6 @@ struct TripleFanIn {
   }
 };
 
-// Fan-in accumulator for N parallel binding producers.
-struct RowsFanIn {
-  size_t remaining;
-  Status first_error;
-  std::vector<Binding> rows;
-  Executor::RowsCallback done;
-
-  void Arrive(Result<std::vector<Binding>> result) {
-    if (!result.ok()) {
-      if (first_error.ok()) first_error = result.status();
-    } else {
-      rows.insert(rows.end(), std::make_move_iterator(result->begin()),
-                  std::make_move_iterator(result->end()));
-    }
-    if (--remaining == 0) {
-      if (!first_error.ok()) {
-        done(first_error);
-      } else {
-        done(std::move(rows));
-      }
-    }
-  }
-};
-
 std::string JoinKeyOf(const Binding& row,
                       const std::vector<std::string>& vars) {
   std::string key;
@@ -82,7 +59,101 @@ std::string JoinKeyOf(const Binding& row,
   return key;
 }
 
+// Binds one triple to `scan`'s pattern under `base`, appending the row to
+// `rows` when it matches. With mapping expansion (more than one attribute)
+// a triple matches if its attribute is any of them; the pattern's literal
+// attribute is substituted accordingly.
+void BindTriple(const PhysicalOp& scan, const Triple& t, const Binding& base,
+                std::vector<Binding>* rows) {
+  const vql::TriplePattern* pattern = &scan.pattern;
+  vql::TriplePattern rewritten;
+  if (!scan.pattern.predicate.is_variable && scan.attributes.size() > 1) {
+    if (std::find(scan.attributes.begin(), scan.attributes.end(),
+                  t.attribute) == scan.attributes.end()) {
+      return;
+    }
+    rewritten = scan.pattern;
+    rewritten.predicate = vql::Term::Lit(Value::String(t.attribute));
+    pattern = &rewritten;
+  }
+  auto binding = MatchPattern(*pattern, t.oid, t.attribute, t.value, base);
+  if (!binding.has_value()) return;
+  // Residual scan restrictions (covering ranges are post-filtered here;
+  // similarity is verified exactly).
+  if (pattern->object.is_variable) {
+    const Value& v = binding->at(pattern->object.variable);
+    if (!scan.object_lo.is_null() && v < scan.object_lo) return;
+    if (!scan.object_hi.is_null() && v > scan.object_hi) return;
+    if (!scan.sim_target.empty()) {
+      if (!v.is_string()) return;
+      if (BoundedEditDistance(v.AsString(), scan.sim_target,
+                              scan.sim_max_distance) >
+          scan.sim_max_distance) {
+        return;
+      }
+    }
+  }
+  rows->push_back(std::move(*binding));
+}
+
+// Converts triples to pattern bindings (see BindTriple).
+std::vector<Binding> BindTriples(const PhysicalOp& scan,
+                                 const std::vector<Triple>& triples,
+                                 const Binding& base) {
+  std::vector<Binding> rows;
+  rows.reserve(triples.size());
+  for (const Triple& t : triples) BindTriple(scan, t, base, &rows);
+  return rows;
+}
+
+// The pattern position a probe join binds from each left row: the subject
+// (OID lookup) or, under a literal attribute, the object (A#v lookup).
+enum class ProbeBy { kNone, kSubject, kObject };
+
+ProbeBy ProbeSideOf(const PhysicalOp& right, const Binding& row) {
+  if (right.kind != algebra::LogicalOpKind::kPatternScan) {
+    return ProbeBy::kNone;
+  }
+  auto bound = [&row](const vql::Term& term) {
+    return !term.is_variable || row.count(term.variable) > 0;
+  };
+  if (bound(right.pattern.subject)) return ProbeBy::kSubject;
+  if (!right.pattern.predicate.is_variable && bound(right.pattern.object)) {
+    return ProbeBy::kObject;
+  }
+  return ProbeBy::kNone;
+}
+
 }  // namespace
+
+struct Executor::KeyAnswer {
+  bool done = false;
+  Status status;
+  std::vector<Triple> triples;
+  std::vector<std::function<void(KeyAnswer&)>> waiters;
+  // Triple positions by OID and by value index string, built on first use.
+  std::unordered_map<std::string, std::vector<size_t>> by_subject;
+  std::unordered_map<std::string, std::vector<size_t>> by_object;
+
+  // Positions of the triples whose subject (or object) is `probe`.
+  const std::vector<size_t>& Matching(bool subject, const std::string& probe) {
+    auto& index = subject ? by_subject : by_object;
+    if (index.empty()) {
+      for (size_t i = 0; i < triples.size(); ++i) {
+        index[subject ? triples[i].oid : triples[i].value.ToIndexString()]
+            .push_back(i);
+      }
+    }
+    static const std::vector<size_t> kNone;
+    auto it = index.find(probe);
+    return it == index.end() ? kNone : it->second;
+  }
+};
+
+struct Executor::QueryContext {
+  std::vector<std::string> trace;
+  std::map<pgrid::Key, std::shared_ptr<KeyAnswer>> memo;
+};
 
 std::string QueryResult::ToTable() const {
   std::vector<size_t> widths(columns.size());
@@ -143,14 +214,14 @@ void Executor::Execute(const vql::Query& query, ResultCallback callback) {
 void Executor::ExecutePlan(const plan::PhysicalPlan& plan,
                            ResultCallback callback) {
   std::string plan_text = plan->ToString();
-  auto trace = std::make_shared<std::vector<std::string>>();
+  auto ctx = std::make_shared<QueryContext>();
   // The projection is the plan root; its columns name the result schema.
   std::vector<std::string> columns =
       plan->kind == algebra::LogicalOpKind::kProject
           ? plan->columns
           : std::vector<std::string>{};
-  ExecNode(plan, trace,
-           [callback, trace, plan_text = std::move(plan_text),
+  ExecNode(plan, ctx,
+           [callback, ctx, plan_text = std::move(plan_text),
             columns = std::move(columns)](
                Result<std::vector<Binding>> rows) {
     if (!rows.ok()) {
@@ -166,38 +237,36 @@ void Executor::ExecutePlan(const plan::PhysicalPlan& plan,
     }
     result.rows = std::move(*rows);
     result.plan_text = std::move(plan_text);
-    result.trace = std::move(*trace);
+    result.trace = std::move(ctx->trace);
     callback(std::move(result));
   });
 }
 
-void Executor::ExecNode(std::shared_ptr<PhysicalOp> node, Trace trace,
+void Executor::ExecNode(std::shared_ptr<PhysicalOp> node, Context ctx,
                         RowsCallback callback) {
   // Record every operator completion (output cardinality) in the trace.
-  callback = [node, trace, inner = std::move(callback)](
+  callback = [node, ctx, inner = std::move(callback)](
                  Result<std::vector<Binding>> rows) {
-    if (trace) {
-      std::string line(algebra::LogicalOpKindName(node->kind));
-      if (node->kind == algebra::LogicalOpKind::kPatternScan) {
-        line += "[" + std::string(plan::AccessPathName(node->access)) +
-                "] " + node->pattern.ToString();
-      }
-      line += rows.ok() ? " -> " + std::to_string(rows->size()) + " rows"
-                        : " -> " + rows.status().ToString();
-      trace->push_back(std::move(line));
+    std::string line(algebra::LogicalOpKindName(node->kind));
+    if (node->kind == algebra::LogicalOpKind::kPatternScan) {
+      line += "[" + std::string(plan::AccessPathName(node->access)) + "] " +
+              node->pattern.ToString();
     }
+    line += rows.ok() ? " -> " + std::to_string(rows->size()) + " rows"
+                      : " -> " + rows.status().ToString();
+    ctx->trace.push_back(std::move(line));
     inner(std::move(rows));
   };
   switch (node->kind) {
     case algebra::LogicalOpKind::kPatternScan:
-      ExecScan(std::move(node), std::move(trace), std::move(callback));
+      ExecScan(std::move(node), std::move(ctx), std::move(callback));
       return;
     case algebra::LogicalOpKind::kJoin:
-      ExecJoin(std::move(node), std::move(trace), std::move(callback));
+      ExecJoin(std::move(node), std::move(ctx), std::move(callback));
       return;
     case algebra::LogicalOpKind::kFilter: {
       auto predicate = node->predicate;
-      ExecNode(node->children[0], trace,
+      ExecNode(node->children[0], ctx,
                [predicate, callback](Result<std::vector<Binding>> rows) {
                  if (!rows.ok()) {
                    callback(rows.status());
@@ -216,7 +285,7 @@ void Executor::ExecNode(std::shared_ptr<PhysicalOp> node, Trace trace,
     }
     case algebra::LogicalOpKind::kProject: {
       auto columns = node->columns;
-      ExecNode(node->children[0], trace,
+      ExecNode(node->children[0], ctx,
                [columns, callback](Result<std::vector<Binding>> rows) {
                  if (!rows.ok()) {
                    callback(rows.status());
@@ -240,7 +309,7 @@ void Executor::ExecNode(std::shared_ptr<PhysicalOp> node, Trace trace,
     case algebra::LogicalOpKind::kTopN: {
       auto keys = node->order_keys;
       auto limit = node->limit;
-      ExecNode(node->children[0], trace,
+      ExecNode(node->children[0], ctx,
                [keys, limit, callback](Result<std::vector<Binding>> rows) {
                  if (!rows.ok()) {
                    callback(rows.status());
@@ -256,7 +325,7 @@ void Executor::ExecNode(std::shared_ptr<PhysicalOp> node, Trace trace,
     }
     case algebra::LogicalOpKind::kSkyline: {
       auto keys = node->skyline_keys;
-      ExecNode(node->children[0], trace,
+      ExecNode(node->children[0], ctx,
                [keys, callback](Result<std::vector<Binding>> rows) {
                  if (!rows.ok()) {
                    callback(rows.status());
@@ -268,7 +337,7 @@ void Executor::ExecNode(std::shared_ptr<PhysicalOp> node, Trace trace,
     }
     case algebra::LogicalOpKind::kLimit: {
       auto limit = node->limit;
-      ExecNode(node->children[0], trace,
+      ExecNode(node->children[0], ctx,
                [limit, callback](Result<std::vector<Binding>> rows) {
                  if (!rows.ok()) {
                    callback(rows.status());
@@ -285,51 +354,10 @@ void Executor::ExecNode(std::shared_ptr<PhysicalOp> node, Trace trace,
   callback(Status::Internal("unknown physical operator"));
 }
 
-std::vector<Binding> Executor::BindTriples(
-    const PhysicalOp& scan, const std::vector<Triple>& triples,
-    const Binding& base) const {
-  std::vector<Binding> rows;
-  rows.reserve(triples.size());
-  const bool expand =
-      !scan.pattern.predicate.is_variable && scan.attributes.size() > 1;
-  for (const Triple& t : triples) {
-    const vql::TriplePattern* pattern = &scan.pattern;
-    vql::TriplePattern rewritten;
-    if (expand) {
-      if (std::find(scan.attributes.begin(), scan.attributes.end(),
-                    t.attribute) == scan.attributes.end()) {
-        continue;
-      }
-      rewritten = scan.pattern;
-      rewritten.predicate = vql::Term::Lit(Value::String(t.attribute));
-      pattern = &rewritten;
-    }
-    auto binding = MatchPattern(*pattern, t.oid, t.attribute, t.value, base);
-    if (!binding.has_value()) continue;
-    // Residual scan restrictions (covering ranges are post-filtered here;
-    // similarity is verified exactly).
-    if (pattern->object.is_variable) {
-      const Value& v = binding->at(pattern->object.variable);
-      if (!scan.object_lo.is_null() && v < scan.object_lo) continue;
-      if (!scan.object_hi.is_null() && v > scan.object_hi) continue;
-      if (!scan.sim_target.empty()) {
-        if (!v.is_string()) continue;
-        if (BoundedEditDistance(v.AsString(), scan.sim_target,
-                                scan.sim_max_distance) >
-            scan.sim_max_distance) {
-          continue;
-        }
-      }
-    }
-    rows.push_back(std::move(*binding));
-  }
-  return rows;
-}
-
-void Executor::ExecScan(std::shared_ptr<PhysicalOp> node, Trace trace,
+void Executor::ExecScan(std::shared_ptr<PhysicalOp> node, Context ctx,
                         RowsCallback callback) {
   auto bind_and_return =
-      [this, node, callback](Result<std::vector<Triple>> triples) {
+      [node, callback](Result<std::vector<Triple>> triples) {
         if (!triples.ok()) {
           callback(triples.status());
           return;
@@ -402,7 +430,7 @@ void Executor::ExecScan(std::shared_ptr<PhysicalOp> node, Trace trace,
       return;
     }
     case AccessPath::kSimilarityQGram: {
-      ExecSimilarityQGram(std::move(node), std::move(trace),
+      ExecSimilarityQGram(std::move(node), std::move(ctx),
                           std::move(callback));
       return;
     }
@@ -411,7 +439,7 @@ void Executor::ExecScan(std::shared_ptr<PhysicalOp> node, Trace trace,
 }
 
 void Executor::ExecSimilarityQGram(std::shared_ptr<PhysicalOp> node,
-                                   Trace trace, RowsCallback callback) {
+                                   Context ctx, RowsCallback callback) {
   // The count filter can only prune when the threshold is positive; for
   // very lax thresholds every string is a candidate and the posting
   // lookups cannot enumerate them, so fall back to the naive scan. (The
@@ -421,13 +449,11 @@ void Executor::ExecSimilarityQGram(std::shared_ptr<PhysicalOp> node,
   if (qgram::CountFilterThreshold(target.size(), target.size(),
                                   qgram::kDefaultQ,
                                   node->sim_max_distance) <= 0) {
-    if (trace) {
-      trace->push_back("SimilarityQGram: threshold vacuous, falling back "
-                       "to naive scan");
-    }
+    ctx->trace.push_back(
+        "SimilarityQGram: threshold vacuous, falling back to naive scan");
     auto fallback = std::make_shared<PhysicalOp>(*node);
     fallback->access = AccessPath::kSimilarityNaive;
-    ExecScan(fallback, std::move(trace), std::move(callback));
+    ExecScan(fallback, std::move(ctx), std::move(callback));
     return;
   }
 
@@ -468,8 +494,7 @@ void Executor::ExecSimilarityQGram(std::shared_ptr<PhysicalOp> node,
   state->remaining = grams.size() * node->attributes.size();
   state->done = std::move(callback);
 
-  auto self = this;
-  auto arrive = [state, self, node](Result<pgrid::LookupResult> result) {
+  auto arrive = [state, node](Result<pgrid::LookupResult> result) {
     if (result.ok()) {
       triple::VisitTriples(result->entries, [&state](Triple&& t) {
         state->candidates.emplace(t.Identity(), std::move(t));
@@ -481,7 +506,7 @@ void Executor::ExecSimilarityQGram(std::shared_ptr<PhysicalOp> node,
       triples.reserve(state->candidates.size());
       for (auto& [id, t] : state->candidates) triples.push_back(std::move(t));
       // BindTriples verifies each candidate with the banded edit distance.
-      state->done(self->BindTriples(*node, triples, Binding{}));
+      state->done(BindTriples(*node, triples, Binding{}));
     }
   };
 
@@ -493,11 +518,11 @@ void Executor::ExecSimilarityQGram(std::shared_ptr<PhysicalOp> node,
   }
 }
 
-void Executor::ExecJoin(std::shared_ptr<PhysicalOp> node, Trace trace,
+void Executor::ExecJoin(std::shared_ptr<PhysicalOp> node, Context ctx,
                         RowsCallback callback) {
   auto self = this;
-  ExecNode(node->children[0], trace,
-           [self, node, trace, callback](
+  ExecNode(node->children[0], ctx,
+           [self, node, ctx, callback](
                                   Result<std::vector<Binding>> left) {
     if (!left.ok()) {
       callback(left.status());
@@ -513,8 +538,8 @@ void Executor::ExecJoin(std::shared_ptr<PhysicalOp> node, Trace trace,
       // Adaptive re-optimization: now the left cardinality is exact.
       strategy = self->optimizer_->ChooseJoinStrategy(
           static_cast<double>(left->size()), node->children[1]->pattern);
-      if (trace && strategy != node->join_strategy) {
-        trace->push_back(
+      if (strategy != node->join_strategy) {
+        ctx->trace.push_back(
             "Join: adaptive switch " +
             std::string(plan::JoinStrategyName(node->join_strategy)) +
             " -> " + std::string(plan::JoinStrategyName(strategy)) +
@@ -530,97 +555,177 @@ void Executor::ExecJoin(std::shared_ptr<PhysicalOp> node, Trace trace,
     const bool can_migrate =
         right_is_scan && !right.pattern.predicate.is_variable &&
         right.sim_target.empty() && right.attributes.size() <= 1;
-    // Probe needs the right subject variable bound by the left side.
-    bool can_probe = false;
-    if (right_is_scan && right.pattern.subject.is_variable) {
-      const auto& var = right.pattern.subject.variable;
-      can_probe = left->front().find(var) != left->front().end();
-    }
+    // Probe needs the right subject, or the object under a literal
+    // attribute, bound by the left side.
+    const ProbeBy probe_by = ProbeSideOf(right, left->front());
+    const bool can_probe = probe_by != ProbeBy::kNone;
 
     if (strategy == JoinStrategy::kMigrate && !can_migrate) {
       strategy = can_probe ? JoinStrategy::kProbe : JoinStrategy::kLocalHash;
-      if (trace) trace->push_back("Join: migrate infeasible, fallback");
+      ctx->trace.push_back("Join: migrate infeasible, fallback");
     }
     if (strategy == JoinStrategy::kProbe && !can_probe) {
       strategy = JoinStrategy::kLocalHash;
-      if (trace) trace->push_back("Join: probe infeasible, fallback");
+      ctx->trace.push_back("Join: probe infeasible, fallback");
     }
 
     switch (strategy) {
       case JoinStrategy::kProbe:
-        self->ExecProbeJoin(node, std::move(*left), trace, callback);
+        self->ExecProbeJoin(node, std::move(*left),
+                            probe_by == ProbeBy::kSubject, ctx, callback);
         return;
       case JoinStrategy::kMigrate:
         self->service_->RunMigrateJoin(
             right.pattern, /*filter_vql=*/"", std::move(*left),
-            [callback, trace](Result<MigrateResult> migrated) {
+            [callback, ctx](Result<MigrateResult> migrated) {
               if (!migrated.ok()) {
                 callback(migrated.status());
                 return;
               }
-              if (trace) {
-                // Fan-out-accurate accounting: peers_visited sums across
-                // sub-walks (per-branch max over chunks), never
-                // last-walk-wins.
-                trace->push_back(
-                    "Join[Migrate]: branches=" +
-                    std::to_string(migrated->branches) + " chunks=" +
-                    std::to_string(migrated->chunks_per_branch) +
-                    " envelopes=" +
-                    std::to_string(migrated->envelopes_launched) +
-                    " peers_visited=" +
-                    std::to_string(migrated->peers_visited));
-              }
+              // Fan-out-accurate accounting: peers_visited sums across
+              // sub-walks (per-branch max over chunks), never
+              // last-walk-wins.
+              ctx->trace.push_back(
+                  "Join[Migrate]: branches=" +
+                  std::to_string(migrated->branches) + " chunks=" +
+                  std::to_string(migrated->chunks_per_branch) +
+                  " envelopes=" +
+                  std::to_string(migrated->envelopes_launched) +
+                  " peers_visited=" + std::to_string(migrated->peers_visited));
               callback(std::move(migrated->rows));
             });
         return;
       case JoinStrategy::kLocalHash:
-        self->ExecLocalHashJoin(node, std::move(*left), trace, callback);
+        self->ExecLocalHashJoin(node, std::move(*left), ctx, callback);
         return;
     }
     callback(Status::Internal("unknown join strategy"));
   });
 }
 
+void Executor::FetchKey(const Context& ctx, const pgrid::Key& key,
+                        std::function<void(KeyAnswer&)> ready) {
+  auto [it, inserted] = ctx->memo.try_emplace(key);
+  if (!inserted) {
+    KeyAnswer& answer = *it->second;
+    if (answer.done) {
+      ready(answer);
+    } else {
+      answer.waiters.push_back(std::move(ready));
+    }
+    return;
+  }
+  auto answer = std::make_shared<KeyAnswer>();
+  it->second = answer;
+  answer->waiters.push_back(std::move(ready));
+  store_->GetByKey(key, [answer](Result<std::vector<Triple>> triples) {
+    if (triples.ok()) {
+      answer->triples = std::move(*triples);
+    } else {
+      answer->status = triples.status();
+    }
+    answer->done = true;
+    auto waiters = std::move(answer->waiters);
+    for (auto& waiter : waiters) waiter(*answer);
+  });
+}
+
 void Executor::ExecProbeJoin(std::shared_ptr<PhysicalOp> node,
-                             std::vector<Binding> left, Trace trace,
-                             RowsCallback callback) {
-  (void)trace;
+                             std::vector<Binding> left, bool by_subject,
+                             Context ctx, RowsCallback callback) {
   auto right = node->children[1];
-  const std::string subject_var = right->pattern.subject.variable;
+  const vql::Term& term =
+      by_subject ? right->pattern.subject : right->pattern.object;
 
-  auto fan = std::make_shared<RowsFanIn>();
-  fan->remaining = left.size();
-  fan->done = std::move(callback);
+  struct State {
+    std::vector<Binding> left;
+    /// Per left row: its bound value as the answer's hash key (the OID, or
+    /// the value's index string).
+    std::vector<std::string> probe;
+    /// Per left row: its joined rows, concatenated in left order at the end.
+    std::vector<std::vector<Binding>> out;
+    size_t remaining = 0;
+    Status first_error;
+    RowsCallback done;
+  };
+  auto state = std::make_shared<State>();
+  state->probe.resize(left.size());
+  state->out.resize(left.size());
+  state->done = std::move(callback);
 
-  auto self = this;
-  for (auto& row : left) {
-    auto it = row.find(subject_var);
-    if (it == row.end() || !it->second.is_string()) {
-      fan->Arrive(std::vector<Binding>{});
+  // Group the rows by the index keys their bound value probes. Long
+  // attribute names fill the key prefix, so many values share one key.
+  std::map<pgrid::Key, std::vector<size_t>> rows_by_key;
+  for (size_t i = 0; i < left.size(); ++i) {
+    Value value = term.literal;
+    if (term.is_variable) {
+      auto it = left[i].find(term.variable);
+      if (it == left[i].end()) continue;
+      value = it->second;
+    }
+    if (by_subject) {
+      if (!value.is_string()) continue;
+      state->probe[i] = value.AsString();
+      rows_by_key[triple::OidKey(value.AsString())].push_back(i);
       continue;
     }
-    const std::string oid = it->second.AsString();
-    Binding base = row;
-    store_->GetByOid(
-        oid, [self, right, base = std::move(base),
-              fan](Result<std::vector<Triple>> triples) {
-          if (!triples.ok()) {
-            fan->Arrive(triples.status());
-            return;
+    state->probe[i] = value.ToIndexString();
+    std::set<pgrid::Key> keys;
+    for (const auto& attr : right->attributes) {
+      keys.insert(triple::AttrValueKey(attr, value));
+    }
+    for (const auto& key : keys) rows_by_key[key].push_back(i);
+  }
+  state->left = std::move(left);
+  state->remaining = rows_by_key.size();
+
+  size_t memo_hits = 0;
+  for (const auto& [key, rows] : rows_by_key) memo_hits += ctx->memo.count(key);
+  ctx->trace.push_back(
+      "Join[Probe]: by=" + std::string(by_subject ? "subject" : "object") +
+      " rows=" + std::to_string(state->left.size()) +
+      " keys=" + std::to_string(rows_by_key.size()) +
+      " lookups=" + std::to_string(rows_by_key.size() - memo_hits) +
+      " memo_hits=" + std::to_string(memo_hits));
+  if (rows_by_key.empty()) {
+    state->done(std::vector<Binding>{});
+    return;
+  }
+
+  for (auto& [key, rows] : rows_by_key) {
+    FetchKey(ctx, key, [state, right, by_subject,
+                        rows = std::move(rows)](KeyAnswer& answer) {
+      if (!answer.status.ok()) {
+        if (state->first_error.ok()) state->first_error = answer.status;
+      } else {
+        for (size_t i : rows) {
+          for (size_t t : answer.Matching(by_subject, state->probe[i])) {
+            BindTriple(*right, answer.triples[t], state->left[i],
+                       &state->out[i]);
           }
-          fan->Arrive(self->BindTriples(*right, *triples, base));
-        });
+        }
+      }
+      if (--state->remaining > 0) return;
+      if (!state->first_error.ok()) {
+        state->done(state->first_error);
+        return;
+      }
+      std::vector<Binding> joined;
+      for (auto& rows_of : state->out) {
+        joined.insert(joined.end(), std::make_move_iterator(rows_of.begin()),
+                      std::make_move_iterator(rows_of.end()));
+      }
+      state->done(std::move(joined));
+    });
   }
 }
 
 void Executor::ExecLocalHashJoin(std::shared_ptr<PhysicalOp> node,
-                                 std::vector<Binding> left, Trace trace,
+                                 std::vector<Binding> left, Context ctx,
                                  RowsCallback callback) {
   auto right = node->children[1];
-  auto self = this;
-  ExecNode(right, trace,
-           [self, left = std::move(left), right, callback](
+  ExecNode(right, ctx,
+           [left = std::move(left), right, callback](
                       Result<std::vector<Binding>> right_rows) mutable {
     if (!right_rows.ok()) {
       callback(right_rows.status());

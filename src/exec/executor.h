@@ -56,30 +56,35 @@ class Executor {
   void ExecutePlan(const plan::PhysicalPlan& plan, ResultCallback callback);
 
  private:
-  /// Shared per-query trace sink (lives for the duration of one query).
-  using Trace = std::shared_ptr<std::vector<std::string>>;
+  /// Per-query state shared by every operator of one plan execution: the
+  /// trace and the probe joins' index-key memo (executor.cc).
+  struct QueryContext;
+  using Context = std::shared_ptr<QueryContext>;
+  /// One memoized index key: the triples a single lookup of it returned.
+  struct KeyAnswer;
 
-  void ExecNode(std::shared_ptr<plan::PhysicalOp> node, Trace trace,
+  void ExecNode(std::shared_ptr<plan::PhysicalOp> node, Context ctx,
                 RowsCallback callback);
-  void ExecScan(std::shared_ptr<plan::PhysicalOp> node, Trace trace,
+  void ExecScan(std::shared_ptr<plan::PhysicalOp> node, Context ctx,
                 RowsCallback callback);
-  void ExecJoin(std::shared_ptr<plan::PhysicalOp> node, Trace trace,
+  void ExecJoin(std::shared_ptr<plan::PhysicalOp> node, Context ctx,
                 RowsCallback callback);
+  /// Index-probe join: every left row binds the right pattern's subject
+  /// (OID lookup) or, `by_subject` false, its object under a literal
+  /// attribute (A#v lookup); rows sharing an index key share one lookup.
   void ExecProbeJoin(std::shared_ptr<plan::PhysicalOp> node,
-                     std::vector<Binding> left, Trace trace,
+                     std::vector<Binding> left, bool by_subject, Context ctx,
                      RowsCallback callback);
   void ExecLocalHashJoin(std::shared_ptr<plan::PhysicalOp> node,
-                         std::vector<Binding> left, Trace trace,
+                         std::vector<Binding> left, Context ctx,
                          RowsCallback callback);
   void ExecSimilarityQGram(std::shared_ptr<plan::PhysicalOp> node,
-                           Trace trace, RowsCallback callback);
+                           Context ctx, RowsCallback callback);
 
-  /// Converts triples to pattern bindings. When `attributes` is non-empty
-  /// (mapping expansion), a triple matches if its attribute is any of
-  /// them; the pattern's literal attribute is substituted accordingly.
-  std::vector<Binding> BindTriples(const plan::PhysicalOp& scan,
-                                   const std::vector<triple::Triple>& triples,
-                                   const Binding& base) const;
+  /// Hands `ready` the answer for `key`, looking the key up only on its
+  /// first request within the query.
+  void FetchKey(const Context& ctx, const pgrid::Key& key,
+                std::function<void(KeyAnswer&)> ready);
 
   triple::TripleStore* store_;
   QueryService* service_;

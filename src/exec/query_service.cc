@@ -650,7 +650,7 @@ const cost::StatsCatalog& QueryService::catalog() const {
   if (merged_dirty_) {
     merged_ = cost::StatsCatalog();
     for (const auto& [origin, contribution] : contributions_) {
-      merged_.MergeFrom(contribution);
+      merged_.MergeContribution(contribution);
       merged_.network().hop_latency_us =
           contribution.network().hop_latency_us;
     }

@@ -47,7 +47,8 @@ class QueryService {
 
   /// The merged statistics view: this peer's local contribution plus the
   /// latest contribution received from every gossip origin (origin-keyed,
-  /// so repeated gossip rounds never double-count).
+  /// so repeated gossip rounds never double-count), one contribution per
+  /// peer path (replicas of a path hold the same triples).
   const cost::StatsCatalog& catalog() const;
 
   /// \brief Runs a Migrate join: ships `left` through the partition of

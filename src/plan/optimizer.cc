@@ -11,6 +11,14 @@ namespace unistore {
 namespace plan {
 namespace {
 
+// Rows an OID lookup returns: a handful of triples per tuple.
+constexpr double kRowsPerOid = 3;
+// Stand-in count for an attribute when the catalog knows none at all.
+constexpr double kNoStatsAttributeRows = 1e6;
+// Fractions of an attribute a pushed-down restriction keeps.
+constexpr double kSimilaritySelectivity = 0.02;
+constexpr double kRangeSelectivity = 0.3;
+
 using algebra::LogicalOp;
 using algebra::LogicalOpKind;
 using algebra::LogicalPlan;
@@ -103,6 +111,16 @@ bool SharesVariable(const std::vector<std::string>& a,
   return !algebra::SharedVariables(a, b).empty();
 }
 
+// Appends the variables of `vars` not yet in `bound`.
+void AddVariables(const std::vector<std::string>& vars,
+                  std::vector<std::string>* bound) {
+  for (const auto& v : vars) {
+    if (std::find(bound->begin(), bound->end(), v) == bound->end()) {
+      bound->push_back(v);
+    }
+  }
+}
+
 }  // namespace
 
 Optimizer::Optimizer(const cost::StatsCatalog* catalog,
@@ -180,7 +198,9 @@ Result<algebra::LogicalPlan> Optimizer::Translate(
   }
 
   // 2. Greedy join order: cheapest (estimated) pattern first, then always
-  // the cheapest pattern connected to the bound variables.
+  // the cheapest pattern connected to the bound variables, each candidate
+  // scored with those variables bound (a bound subject is an OID lookup, a
+  // bound object under a literal attribute an A#v lookup).
   auto make_scan = [](const AnnotatedPattern& ap) {
     LogicalPlan scan = algebra::MakePatternScan(ap.pattern);
     scan->object_lo = ap.object_lo;
@@ -195,17 +215,16 @@ Result<algebra::LogicalPlan> Optimizer::Translate(
   for (const auto& ap : annotated) scans.push_back(make_scan(ap));
 
   std::vector<bool> used(scans.size(), false);
-  auto cheapest = [this, &scans, &used](
-                      const std::vector<std::string>* bound) -> int {
+  std::vector<std::string> bound;
+  auto cheapest = [this, &scans, &used, &bound](bool connected) -> int {
     int best = -1;
     double best_cost = 0;
     for (size_t i = 0; i < scans.size(); ++i) {
       if (used[i]) continue;
-      if (bound != nullptr &&
-          !SharesVariable(*bound, scans[i]->OutputVariables())) {
+      if (connected && !SharesVariable(bound, scans[i]->OutputVariables())) {
         continue;
       }
-      double cost = EstimateScanCardinality(*scans[i]);
+      double cost = EstimateScanCardinality(*scans[i], bound);
       if (best < 0 || cost < best_cost) {
         best = static_cast<int>(i);
         best_cost = cost;
@@ -214,24 +233,16 @@ Result<algebra::LogicalPlan> Optimizer::Translate(
     return best;
   };
 
-  int first = cheapest(nullptr);
-  UNISTORE_CHECK(first >= 0);
-  used[static_cast<size_t>(first)] = true;
-  LogicalPlan root = scans[static_cast<size_t>(first)];
-  std::vector<std::string> bound = root->OutputVariables();
-
-  for (size_t step = 1; step < scans.size(); ++step) {
-    int next = cheapest(&bound);
-    if (next < 0) next = cheapest(nullptr);  // Cartesian fallback.
+  LogicalPlan root;
+  for (size_t step = 0; step < scans.size(); ++step) {
+    int next = cheapest(/*connected=*/step > 0);
+    if (next < 0) next = cheapest(/*connected=*/false);  // Cartesian.
     UNISTORE_CHECK(next >= 0);
     used[static_cast<size_t>(next)] = true;
-    LogicalPlan right = scans[static_cast<size_t>(next)];
-    for (const auto& v : right->OutputVariables()) {
-      if (std::find(bound.begin(), bound.end(), v) == bound.end()) {
-        bound.push_back(v);
-      }
-    }
-    root = algebra::MakeJoin(std::move(root), std::move(right));
+    LogicalPlan scan = scans[static_cast<size_t>(next)];
+    AddVariables(scan->OutputVariables(), &bound);
+    root = root ? algebra::MakeJoin(std::move(root), std::move(scan))
+                : std::move(scan);
   }
 
   // 3. Residual filters (all of them — see above).
@@ -264,25 +275,45 @@ Result<algebra::LogicalPlan> Optimizer::Translate(
 }
 
 double Optimizer::EstimateScanCardinality(
-    const algebra::LogicalOp& scan) const {
+    const algebra::LogicalOp& scan,
+    const std::vector<std::string>& bound) const {
   const auto& p = scan.pattern;
-  const double total = std::max<double>(1, catalog_->TotalTriples());
-  if (!p.subject.is_variable) return 3;  // A handful of triples per OID.
+  auto is_bound = [&bound](const vql::Term& term) {
+    return !term.is_variable || std::find(bound.begin(), bound.end(),
+                                          term.variable) != bound.end();
+  };
+  const uint64_t known_triples = catalog_->TotalTriples();
+  const double total = std::max<double>(1, known_triples);
+  if (is_bound(p.subject)) return kRowsPerOid;
   if (p.predicate.is_variable) {
-    if (!p.object.is_variable) return std::max(2.0, total / 1000);
+    if (is_bound(p.object)) return std::max(2.0, total / 1000);
     return total;
   }
   const std::string& attr = p.predicate.literal.AsString();
-  cost::AttrStats stats = catalog_->Attribute(attr);
-  double count = std::max<double>(
-      1, stats.triple_count ? stats.triple_count : total / 10);
-  if (!p.object.is_variable) {
+  const cost::AttrStats stats = catalog_->Attribute(attr);
+  const bool known = stats.triple_count > 0;
+  if (is_bound(p.object)) {
+    // An A#v lookup: rows per distinct value, at least one.
+    if (!known) return 1;
     double distinct = std::max<double>(1, stats.distinct_values);
-    return std::max(1.0, count / distinct);
+    return std::max(1.0, static_cast<double>(stats.triple_count) / distinct);
   }
-  if (!scan.sim_target.empty()) return std::max(1.0, 0.02 * count);
+  // An attribute the catalog has not seen counts as the mean known one, at
+  // least an OID lookup; with none known, it ranks after every bound or
+  // restricted pattern.
+  double count = static_cast<double>(stats.triple_count);
+  if (!known) {
+    count = known_triples == 0
+                ? kNoStatsAttributeRows
+                : std::max(kRowsPerOid,
+                           total / static_cast<double>(
+                                       catalog_->attribute_count()));
+  }
+  if (!scan.sim_target.empty()) {
+    return std::max(1.0, kSimilaritySelectivity * count);
+  }
   if (!scan.object_lo.is_null() || !scan.object_hi.is_null()) {
-    if (scan.object_lo.is_number() || scan.object_hi.is_number()) {
+    if (known && (scan.object_lo.is_number() || scan.object_hi.is_number())) {
       double lo = scan.object_lo.is_null() ? -1e300
                                            : scan.object_lo.AsDouble();
       double hi = scan.object_hi.is_null() ? 1e300
@@ -291,9 +322,26 @@ double Optimizer::EstimateScanCardinality(
                       catalog_->EstimateRangeSelectivity(attr, lo, hi) *
                           count);
     }
-    return std::max(1.0, 0.3 * count);
+    return std::max(1.0, kRangeSelectivity * count);
   }
   return count;
+}
+
+double Optimizer::EstimateRows(const algebra::LogicalOp& op,
+                               std::vector<std::string>* bound) const {
+  switch (op.kind) {
+    case LogicalOpKind::kPatternScan: {
+      const double rows = EstimateScanCardinality(op, *bound);
+      AddVariables(op.OutputVariables(), bound);
+      return rows;
+    }
+    case LogicalOpKind::kJoin: {
+      const double left = EstimateRows(*op.children[0], bound);
+      return left * EstimateRows(*op.children[1], bound);
+    }
+    default:
+      return 10;
+  }
 }
 
 double Optimizer::EstimateScanPeers(const algebra::LogicalOp& scan) const {
@@ -431,19 +479,10 @@ PhysicalPlan Optimizer::Physicalize(const algebra::LogicalPlan& logical) const {
   if (op->kind == LogicalOpKind::kJoin) {
     op->adaptive = options_.adaptive &&
                    !options_.force_join_strategy.has_value();
-    double left_card = 10;  // Static default; refined adaptively at runtime.
-    if (op->children[0]->kind == LogicalOpKind::kPatternScan) {
-      // Re-derive the estimate from the physical child's annotations.
-      algebra::LogicalOp tmp;
-      tmp.kind = LogicalOpKind::kPatternScan;
-      tmp.pattern = op->children[0]->pattern;
-      tmp.object_lo = op->children[0]->object_lo;
-      tmp.object_hi = op->children[0]->object_hi;
-      tmp.sim_target = op->children[0]->sim_target;
-      left_card = EstimateScanCardinality(tmp);
-    }
-    op->join_strategy =
-        ChooseJoinStrategy(left_card, op->children[1]->pattern);
+    // A static estimate; the executor re-decides from the actual rows.
+    std::vector<std::string> bound;
+    op->join_strategy = ChooseJoinStrategy(
+        EstimateRows(*logical->children[0], &bound), op->children[1]->pattern);
   }
 
   // Top-N pushdown: ORDER BY ?v ASC LIMIT n directly over an attribute

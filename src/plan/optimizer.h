@@ -3,7 +3,8 @@
 // Responsibilities (paper §2):
 //  * schema-independent translation of triple patterns,
 //  * filter pushdown (ranges and edist similarity into scans),
-//  * greedy selectivity-based join ordering,
+//  * greedy selectivity-based join ordering, each candidate scored with
+//    the variables bound so far (DESIGN.md §12),
 //  * cost-based choice among physical implementations (index access paths,
 //    sequential vs shower ranges, probe vs migrate joins, q-gram vs naive
 //    similarity),
@@ -70,7 +71,15 @@ class Optimizer {
  private:
   PhysicalPlan Physicalize(const algebra::LogicalPlan& logical) const;
   PhysicalPlan PhysicalizeScan(const algebra::LogicalOp& scan) const;
-  double EstimateScanCardinality(const algebra::LogicalOp& scan) const;
+  /// Rows `scan` yields per binding of the `bound` variables (literal
+  /// positions count as bound).
+  double EstimateScanCardinality(
+      const algebra::LogicalOp& scan,
+      const std::vector<std::string>& bound = {}) const;
+  /// Rows of a left-deep join subtree: each scan per binding of the
+  /// variables the scans before it bound (collected in `bound`).
+  double EstimateRows(const algebra::LogicalOp& op,
+                      std::vector<std::string>* bound) const;
   /// Peers hosting the scan's key region (peer-path sample estimate).
   double EstimateScanPeers(const algebra::LogicalOp& scan) const;
 

@@ -91,6 +91,19 @@ void TripleStore::GetByAttrValue(const std::string& attribute,
       });
 }
 
+void TripleStore::GetByKey(const pgrid::Key& key,
+                           TriplesCallback callback) {
+  peer_->Lookup(key, pgrid::LookupMode::kExact,
+                [callback](Result<pgrid::LookupResult> result) {
+                  if (!result.ok()) {
+                    callback(result.status());
+                    return;
+                  }
+                  callback(FilterDedupTriples(
+                      result->entries, [](const Triple&) { return true; }));
+                });
+}
+
 void TripleStore::RunRange(const pgrid::KeyRange& range,
                            RangeStrategy strategy,
                            std::function<bool(const Triple&)> keep,

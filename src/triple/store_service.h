@@ -96,6 +96,12 @@ class TripleStore {
   /// vi as the key for queries on an arbitrary attribute").
   void GetByValue(const Value& value, TriplesCallback callback);
 
+  /// Every triple stored under one DHT key, unfiltered: index strings that
+  /// share their first pgrid::kCharsPerKey characters share the key, so
+  /// the caller picks out the triples it wants (the executor's probe
+  /// joins memoize one answer per key).
+  void GetByKey(const pgrid::Key& key, TriplesCallback callback);
+
   /// Every triple of an attribute (full attribute scan).
   void ScanAttribute(const std::string& attribute, RangeStrategy strategy,
                      TriplesCallback callback);

@@ -193,26 +193,98 @@ TEST(IntegrationTest, TwoPatternJoin) {
 TEST(IntegrationTest, JoinStrategiesAgree) {
   TestCluster tc;
   tc.Load(SmallDataset());
-  const std::string query =
-      "SELECT ?n,?g WHERE { (?a,'name',?n) (?a,'age',?g) FILTER ?g < 60 }";
-  auto parsed = vql::Parse(query);
-  ASSERT_TRUE(parsed.ok());
-  auto expected = RowSet(tc.reference.Eval(*parsed));
-
-  for (plan::JoinStrategy strategy :
-       {plan::JoinStrategy::kProbe, plan::JoinStrategy::kMigrate,
-        plan::JoinStrategy::kLocalHash}) {
-    plan::PlannerOptions options;
-    options.force_join_strategy = strategy;
-    tc.cluster->SetPlannerOptions(options);
-    auto result = tc.cluster->QuerySync(1, query);
-    ASSERT_TRUE(result.ok())
-        << "strategy " << plan::JoinStrategyName(strategy) << ": "
-        << result.status().ToString();
-    EXPECT_EQ(RowSet(result->rows), expected)
-        << "strategy " << plan::JoinStrategyName(strategy) << "\nplan:\n"
-        << result->plan_text;
+  // has_published also appears as has_published_1 (second publications);
+  // the mapping makes mapped plans probe both attributes' keys.
+  ASSERT_TRUE(
+      tc.cluster->InsertMappingSync(0, "has_published", "has_published_1")
+          .ok());
+  for (net::PeerId via = 0; via < tc.cluster->size(); ++via) {
+    ASSERT_TRUE(tc.cluster->LoadMappingsSync(via).ok());
   }
+  const std::vector<std::string> queries = {
+      // Subject-bound right side (OID probes).
+      "SELECT ?n,?g WHERE { (?a,'name',?n) (?a,'age',?g) FILTER ?g < 60 }",
+      // Object-bound right side on attributes whose name fills the key
+      // prefix: every value shares one A#v key.
+      "SELECT ?a,?t WHERE { ('pub-2','title',?t) (?a,'has_published',?t) }",
+      "SELECT ?c,?p WHERE { (?c,'confname',?n) (?p,'published_in',?n) }",
+      "SELECT ?p,?a WHERE { (?p,'title',?t) (?a,'has_published',?t) }",
+  };
+  for (const std::string& query : queries) {
+    auto parsed = vql::Parse(query);
+    ASSERT_TRUE(parsed.ok());
+    const auto unmapped = RowSet(tc.reference.Eval(*parsed));
+    ASSERT_FALSE(unmapped.empty()) << query;
+    std::multiset<std::string> mapped;
+    for (bool apply_mappings : {false, true}) {
+      for (plan::JoinStrategy strategy :
+           {plan::JoinStrategy::kLocalHash, plan::JoinStrategy::kProbe,
+            plan::JoinStrategy::kMigrate}) {
+        plan::PlannerOptions options;
+        options.force_join_strategy = strategy;
+        options.apply_mappings = apply_mappings;
+        tc.cluster->SetPlannerOptions(options);
+        auto result = tc.cluster->QuerySync(1, query);
+        const std::string label =
+            query + " strategy " +
+            std::string(plan::JoinStrategyName(strategy)) +
+            (apply_mappings ? " mapped" : "");
+        ASSERT_TRUE(result.ok())
+            << label << ": " << result.status().ToString();
+        if (!apply_mappings) {
+          EXPECT_EQ(RowSet(result->rows), unmapped)
+              << label << "\nplan:\n" << result->plan_text;
+        } else if (strategy == plan::JoinStrategy::kLocalHash) {
+          mapped = RowSet(result->rows);
+          EXPECT_GE(mapped.size(), unmapped.size()) << label;
+        } else {
+          EXPECT_EQ(RowSet(result->rows), mapped)
+              << label << "\nplan:\n" << result->plan_text;
+        }
+      }
+    }
+  }
+}
+
+TEST(IntegrationTest, ProbeJoinLooksUpASharedKeyOnce) {
+  // "a#has_published#" fills the whole key prefix, so every value the OID
+  // scan binds probes one A#v key: the join must look it up once, not
+  // once per row.
+  TestCluster tc;
+  tc.Load(SmallDataset());
+  plan::PlannerOptions options;
+  options.force_join_strategy = plan::JoinStrategy::kProbe;
+  tc.cluster->SetPlannerOptions(options);
+  auto lookup_walks = [](const net::TrafficStats& traffic) -> uint64_t {
+    auto it = traffic.per_type.find(net::MessageType::kLookupReply);
+    return it == traffic.per_type.end() ? 0 : it->second;
+  };
+  uint64_t probe_walks = 0;
+  for (net::PeerId via = 0; via < tc.cluster->size(); ++via) {
+    auto scan = tc.cluster->QueryMeasured(
+        via, "SELECT ?t WHERE { ('person-3',?attr,?t) }");
+    auto join = tc.cluster->QueryMeasured(
+        via,
+        "SELECT ?a WHERE { ('person-3',?attr,?t) (?a,'has_published',?t) }");
+    ASSERT_TRUE(scan.ok() && join.ok());
+    ASSERT_GT(scan->result.rows.size(), 1u);
+    ASSERT_FALSE(join->result.rows.empty());
+    const std::string expected =
+        "Join[Probe]: by=object rows=" +
+        std::to_string(scan->result.rows.size()) +
+        " keys=1 lookups=1 memo_hits=0";
+    EXPECT_NE(std::find(join->result.trace.begin(), join->result.trace.end(),
+                        expected),
+              join->result.trace.end())
+        << "via " << via;
+    // One walk beyond the scan's own OID lookup (none when the initiator
+    // owns the key).
+    const uint64_t walks =
+        lookup_walks(join->traffic) - lookup_walks(scan->traffic);
+    EXPECT_LE(walks, 1u) << "via " << via;
+    probe_walks += walks;
+  }
+  EXPECT_GT(probe_walks, 0u);
 }
 
 TEST(IntegrationTest, SimilarityPathsAgree) {
@@ -445,6 +517,20 @@ TEST(IntegrationTest, ExecutionTraceRecordsOperators) {
   EXPECT_NE(joined.find("Filter"), std::string::npos) << joined;
   EXPECT_NE(joined.find("Project"), std::string::npos) << joined;
   EXPECT_NE(joined.find("rows"), std::string::npos) << joined;
+  // Probe joins explain their lookups, one line per join: the query_mix
+  // join probes a title by object, then a publication by subject.
+  auto probed = tc.cluster->QuerySync(
+      2,
+      "SELECT ?t,?c WHERE { ('person-3','has_published',?t) "
+      "(?p,'title',?t) (?p,'published_in',?c) }");
+  ASSERT_TRUE(probed.ok());
+  std::string probe_lines;
+  for (const auto& line : probed->trace) {
+    if (line.rfind("Join[Probe]:", 0) == 0) probe_lines += line + "\n";
+  }
+  EXPECT_EQ(probe_lines,
+            "Join[Probe]: by=object rows=1 keys=1 lookups=1 memo_hits=0\n"
+            "Join[Probe]: by=subject rows=1 keys=1 lookups=1 memo_hits=0\n");
   // Traces are repeatable: the same query yields the same trace
   // (deterministic simulation — the paper's "(in limits) repeatable").
   auto again = tc.cluster->QuerySync(

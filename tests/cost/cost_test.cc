@@ -37,6 +37,26 @@ TEST(StatsTest, AttrStatsMerge) {
   EXPECT_DOUBLE_EQ(a.numeric_max, 20);
 }
 
+TEST(StatsTest, ReplicaContributionsMergeOnce) {
+  // Both replicas of path "01" report the same 100 title triples; the
+  // peer on path "10" holds 50 others.
+  auto contribution = [](const std::string& path, uint64_t titles) {
+    StatsCatalog c = MakeCatalog(4, 2);
+    c.RecordPeerPath(path);
+    AttrStats s;
+    s.triple_count = titles;
+    s.distinct_values = titles;
+    c.RecordAttribute("title", s);
+    return c;
+  };
+  StatsCatalog merged;
+  merged.MergeContribution(contribution("01", 100));
+  merged.MergeContribution(contribution("01", 100));
+  merged.MergeContribution(contribution("10", 50));
+  EXPECT_EQ(merged.Attribute("title").triple_count, 150u);
+  EXPECT_EQ(merged.peer_path_sample_size(), 2u);
+}
+
 TEST(StatsTest, MergeIntoEmptyCopies) {
   AttrStats a;
   AttrStats b;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cluster.h"
+#include "core/datagen.h"
 #include "vql/parser.h"
 
 namespace unistore {
@@ -260,6 +262,103 @@ TEST_F(OptimizerTest, PlanPrintingIsStable) {
   EXPECT_NE(text.find("Join"), std::string::npos);
   EXPECT_NE(text.find("PatternScan"), std::string::npos);
   EXPECT_NE(text.find("Filter"), std::string::npos);
+}
+
+// The pattern scans of a left-deep plan, in join order.
+std::vector<const PhysicalOp*> JoinOrder(const PhysicalOp& op) {
+  if (op.kind == algebra::LogicalOpKind::kPatternScan) return {&op};
+  std::vector<const PhysicalOp*> order;
+  for (const auto& child : op.children) {
+    auto sub = JoinOrder(*child);
+    order.insert(order.end(), sub.begin(), sub.end());
+  }
+  return order;
+}
+
+std::string JoinOrderText(const PhysicalOp& op) {
+  std::string text;
+  for (const PhysicalOp* scan : JoinOrder(op)) {
+    text += scan->pattern.ToString() + " ";
+  }
+  return text;
+}
+
+const char* kJoinQuery =
+    "SELECT ?t,?c WHERE { ('person-7','has_published',?t) (?p,'title',?t) "
+    "(?p,'published_in',?c) }";
+
+const char* kSkylineQuery =
+    "SELECT ?name,?age,?cnt WHERE {(?a,'name',?name) (?a,'age',?age) "
+    "(?a,'num_of_pubs',?cnt) (?a,'has_published',?title) "
+    "(?p,'title',?title) (?p,'published_in',?conf) (?c,'confname',?conf) "
+    "(?c,'series',?sr) FILTER edist(?sr,'ICDE')<3} "
+    "ORDER BY SKYLINE OF ?age MIN, ?cnt MAX";
+
+TEST(OptimizerPriorTest, UnknownScanNeverBelowBoundSubject) {
+  // No statistics at all: the unrestricted scans must rank after the OID
+  // lookup, and each later pattern is scored with the variables the
+  // earlier ones bind.
+  cost::StatsCatalog empty;
+  Optimizer optimizer(&empty, {});
+  auto plan = optimizer.Plan(
+      Q("SELECT ?t,?c WHERE { (?p,'title',?t) (?p,'published_in',?c) "
+        "('person-7','has_published',?t) }"));
+  ASSERT_TRUE(plan.ok());
+  auto order = JoinOrder(**plan);
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(order[0]->access, AccessPath::kOidLookup);
+  EXPECT_EQ(order[1]->pattern.predicate.literal.AsString(), "title");
+  EXPECT_EQ(order[2]->pattern.predicate.literal.AsString(), "published_in");
+}
+
+TEST(OptimizerPriorTest, RestrictedUnknownScanPrecedesUnrestricted) {
+  cost::StatsCatalog empty;
+  Optimizer optimizer(&empty, {});
+  auto plan = optimizer.Plan(
+      Q("SELECT ?n WHERE { (?c,'name',?n) (?c,'series',?s) "
+        "FILTER edist(?s,'ICDE') < 3 }"));
+  ASSERT_TRUE(plan.ok());
+  auto order = JoinOrder(**plan);
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0]->pattern.predicate.literal.AsString(), "series");
+}
+
+TEST(OptimizerClusterTest, JoinOrderIsTheSameAtEveryInitiator) {
+  // The query_mix deployment: most initiators' catalogs know no attribute
+  // at all, a few know most of them.
+  core::ClusterOptions options;
+  options.peers = 256;
+  options.replication = 2;
+  options.seed = 2007;
+  core::Cluster cluster(options);
+  core::BibliographyOptions data;
+  data.authors = 500;
+  data.publications_per_author = 2;
+  data.typo_probability = 0.2;
+  data.seed = 7;
+  ASSERT_TRUE(cluster
+                  .BulkLoadTuplesSync(
+                      0, core::GenerateBibliography(data).AllTuples())
+                  .ok());
+  cluster.RefreshStats();
+
+  auto join0 = cluster.node(0).PlanOnly(kJoinQuery);
+  auto sky0 = cluster.node(0).PlanOnly(kSkylineQuery);
+  ASSERT_TRUE(join0.ok() && sky0.ok());
+  const std::string join_text = (*join0)->ToString();
+  const std::string sky_order = JoinOrderText(**sky0);
+  EXPECT_EQ(JoinOrder(**join0)[0]->access, AccessPath::kOidLookup)
+      << join_text;
+  EXPECT_EQ(JoinOrder(**sky0)[0]->pattern.predicate.literal.AsString(),
+            "series")
+      << sky_order;
+  for (net::PeerId via = 1; via < cluster.size(); ++via) {
+    auto join = cluster.node(via).PlanOnly(kJoinQuery);
+    auto sky = cluster.node(via).PlanOnly(kSkylineQuery);
+    ASSERT_TRUE(join.ok() && sky.ok());
+    EXPECT_EQ((*join)->ToString(), join_text) << "via " << via;
+    EXPECT_EQ(JoinOrderText(**sky), sky_order) << "via " << via;
+  }
 }
 
 TEST_F(OptimizerTest, EmptyPatternsRejected) {
