@@ -485,37 +485,27 @@ void Executor::ExecSimilarityQGram(std::shared_ptr<PhysicalOp> node,
     grams.push_back(g);
     covered += multiplicity[g];
   }
-  struct State {
-    size_t remaining;
-    std::map<std::string, Triple> candidates;  // identity -> triple
-    RowsCallback done;
-  };
-  auto state = std::make_shared<State>();
-  state->remaining = grams.size() * node->attributes.size();
-  state->done = std::move(callback);
-
-  auto arrive = [state, node](Result<pgrid::LookupResult> result) {
-    if (result.ok()) {
-      triple::VisitTriples(result->entries, [&state](Triple&& t) {
-        state->candidates.emplace(t.Identity(), std::move(t));
-        return true;
-      });
-    }
-    if (--state->remaining == 0) {
-      std::vector<Triple> triples;
-      triples.reserve(state->candidates.size());
-      for (auto& [id, t] : state->candidates) triples.push_back(std::move(t));
-      // BindTriples verifies each candidate with the banded edit distance.
-      state->done(BindTriples(*node, triples, Binding{}));
-    }
-  };
-
+  std::set<pgrid::Key> keys;
   for (const auto& attr : node->attributes) {
-    for (const auto& gram : grams) {
-      store_->peer()->Lookup(qgram::QGramKey(attr, gram),
-                             pgrid::LookupMode::kExact, arrive);
-    }
+    for (const auto& gram : grams) keys.insert(qgram::QGramKey(attr, gram));
   }
+  store_->GetByKeys(
+      {keys.begin(), keys.end()},
+      [node, callback](const Result<triple::TripleStore::KeyTriples>& found) {
+        if (!found.ok()) {
+          callback(found.status());
+          return;
+        }
+        std::map<std::string, Triple> candidates;  // identity -> triple
+        for (const auto& [key, triples] : *found) {
+          for (const Triple& t : triples) candidates.emplace(t.Identity(), t);
+        }
+        std::vector<Triple> triples;
+        triples.reserve(candidates.size());
+        for (auto& [id, t] : candidates) triples.push_back(std::move(t));
+        // BindTriples verifies each candidate with the banded edit distance.
+        callback(BindTriples(*node, triples, Binding{}));
+      });
 }
 
 void Executor::ExecJoin(std::shared_ptr<PhysicalOp> node, Context ctx,
@@ -603,30 +593,40 @@ void Executor::ExecJoin(std::shared_ptr<PhysicalOp> node, Context ctx,
   });
 }
 
-void Executor::FetchKey(const Context& ctx, const pgrid::Key& key,
-                        std::function<void(KeyAnswer&)> ready) {
-  auto [it, inserted] = ctx->memo.try_emplace(key);
-  if (!inserted) {
-    KeyAnswer& answer = *it->second;
-    if (answer.done) {
-      ready(answer);
-    } else {
-      answer.waiters.push_back(std::move(ready));
+void Executor::FetchKeys(const Context& ctx,
+                         const std::vector<pgrid::Key>& keys,
+                         std::function<void(const pgrid::Key&, KeyAnswer&)>
+                             ready) {
+  std::vector<pgrid::Key> misses;
+  std::vector<std::shared_ptr<KeyAnswer>> fetched;
+  for (const pgrid::Key& key : keys) {
+    std::shared_ptr<KeyAnswer>& answer = ctx->memo[key];
+    if (!answer) {
+      answer = std::make_shared<KeyAnswer>();
+      misses.push_back(key);
+      fetched.push_back(answer);
     }
-    return;
+    if (answer->done) {
+      ready(key, *answer);
+    } else {
+      answer->waiters.push_back(
+          [key, ready](KeyAnswer& done) { ready(key, done); });
+    }
   }
-  auto answer = std::make_shared<KeyAnswer>();
-  it->second = answer;
-  answer->waiters.push_back(std::move(ready));
-  store_->GetByKey(key, [answer](Result<std::vector<Triple>> triples) {
-    if (triples.ok()) {
-      answer->triples = std::move(*triples);
-    } else {
-      answer->status = triples.status();
+  if (misses.empty()) return;
+  store_->GetByKeys(misses, [misses, fetched](
+                                Result<triple::TripleStore::KeyTriples> found) {
+    for (size_t i = 0; i < misses.size(); ++i) {
+      KeyAnswer& answer = *fetched[i];
+      if (!found.ok()) {
+        answer.status = found.status();
+      } else if (auto it = found->find(misses[i]); it != found->end()) {
+        answer.triples = std::move(it->second);
+      }
+      answer.done = true;
+      auto waiters = std::move(answer.waiters);
+      for (auto& waiter : waiters) waiter(answer);
     }
-    answer->done = true;
-    auto waiters = std::move(answer->waiters);
-    for (auto& waiter : waiters) waiter(*answer);
   });
 }
 
@@ -642,6 +642,8 @@ void Executor::ExecProbeJoin(std::shared_ptr<PhysicalOp> node,
     /// Per left row: its bound value as the answer's hash key (the OID, or
     /// the value's index string).
     std::vector<std::string> probe;
+    /// The left rows each index key serves.
+    std::map<pgrid::Key, std::vector<size_t>> rows_by_key;
     /// Per left row: its joined rows, concatenated in left order at the end.
     std::vector<std::vector<Binding>> out;
     size_t remaining = 0;
@@ -655,7 +657,7 @@ void Executor::ExecProbeJoin(std::shared_ptr<PhysicalOp> node,
 
   // Group the rows by the index keys their bound value probes. Long
   // attribute names fill the key prefix, so many values share one key.
-  std::map<pgrid::Key, std::vector<size_t>> rows_by_key;
+  auto& rows_by_key = state->rows_by_key;
   for (size_t i = 0; i < left.size(); ++i) {
     Value value = term.literal;
     if (term.is_variable) {
@@ -679,45 +681,49 @@ void Executor::ExecProbeJoin(std::shared_ptr<PhysicalOp> node,
   state->left = std::move(left);
   state->remaining = rows_by_key.size();
 
+  std::vector<pgrid::Key> keys;
   size_t memo_hits = 0;
-  for (const auto& [key, rows] : rows_by_key) memo_hits += ctx->memo.count(key);
+  for (const auto& [key, rows] : rows_by_key) {
+    keys.push_back(key);
+    memo_hits += ctx->memo.count(key);
+  }
+  const size_t lookups = keys.size() - memo_hits;
   ctx->trace.push_back(
       "Join[Probe]: by=" + std::string(by_subject ? "subject" : "object") +
       " rows=" + std::to_string(state->left.size()) +
-      " keys=" + std::to_string(rows_by_key.size()) +
-      " lookups=" + std::to_string(rows_by_key.size() - memo_hits) +
-      " memo_hits=" + std::to_string(memo_hits));
-  if (rows_by_key.empty()) {
+      " keys=" + std::to_string(keys.size()) +
+      " lookups=" + std::to_string(lookups) +
+      " memo_hits=" + std::to_string(memo_hits) +
+      " batches=" + std::to_string(lookups > 0 ? 1 : 0));
+  if (keys.empty()) {
     state->done(std::vector<Binding>{});
     return;
   }
 
-  for (auto& [key, rows] : rows_by_key) {
-    FetchKey(ctx, key, [state, right, by_subject,
-                        rows = std::move(rows)](KeyAnswer& answer) {
-      if (!answer.status.ok()) {
-        if (state->first_error.ok()) state->first_error = answer.status;
-      } else {
-        for (size_t i : rows) {
-          for (size_t t : answer.Matching(by_subject, state->probe[i])) {
-            BindTriple(*right, answer.triples[t], state->left[i],
-                       &state->out[i]);
-          }
+  FetchKeys(ctx, keys, [state, right, by_subject](const pgrid::Key& key,
+                                                  KeyAnswer& answer) {
+    if (!answer.status.ok()) {
+      if (state->first_error.ok()) state->first_error = answer.status;
+    } else {
+      for (size_t i : state->rows_by_key.at(key)) {
+        for (size_t t : answer.Matching(by_subject, state->probe[i])) {
+          BindTriple(*right, answer.triples[t], state->left[i],
+                     &state->out[i]);
         }
       }
-      if (--state->remaining > 0) return;
-      if (!state->first_error.ok()) {
-        state->done(state->first_error);
-        return;
-      }
-      std::vector<Binding> joined;
-      for (auto& rows_of : state->out) {
-        joined.insert(joined.end(), std::make_move_iterator(rows_of.begin()),
-                      std::make_move_iterator(rows_of.end()));
-      }
-      state->done(std::move(joined));
-    });
-  }
+    }
+    if (--state->remaining > 0) return;
+    if (!state->first_error.ok()) {
+      state->done(state->first_error);
+      return;
+    }
+    std::vector<Binding> joined;
+    for (auto& rows_of : state->out) {
+      joined.insert(joined.end(), std::make_move_iterator(rows_of.begin()),
+                    std::make_move_iterator(rows_of.end()));
+    }
+    state->done(std::move(joined));
+  });
 }
 
 void Executor::ExecLocalHashJoin(std::shared_ptr<PhysicalOp> node,

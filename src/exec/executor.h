@@ -81,10 +81,11 @@ class Executor {
   void ExecSimilarityQGram(std::shared_ptr<plan::PhysicalOp> node,
                            Context ctx, RowsCallback callback);
 
-  /// Hands `ready` the answer for `key`, looking the key up only on its
-  /// first request within the query.
-  void FetchKey(const Context& ctx, const pgrid::Key& key,
-                std::function<void(KeyAnswer&)> ready);
+  /// Hands `ready` the answer for each of `keys`: keys already in the
+  /// query's memo read or wait for it, the rest are looked up together in
+  /// one key-set lookup (TripleStore::GetByKeys).
+  void FetchKeys(const Context& ctx, const std::vector<pgrid::Key>& keys,
+                 std::function<void(const pgrid::Key&, KeyAnswer&)> ready);
 
   triple::TripleStore* store_;
   QueryService* service_;

@@ -29,6 +29,8 @@ enum class MessageType : uint16_t {
   kRemoveReply = 15,
   kBulkInsert = 16,      ///< Routed batch insert (bulk ingest pipeline).
   kBulkInsertReply = 17,
+  kLookupBatch = 18,     ///< Exact lookup of a key set, split per next hop.
+  kLookupBatchReply = 19,
   kRangeSeq = 20,        ///< Sequential range scan (min-first walk).
   kRangeSeqReply = 21,
   kRangeShower = 22,     ///< Parallel "shower" range multicast.

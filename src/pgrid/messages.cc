@@ -1,5 +1,7 @@
 #include "pgrid/messages.h"
 
+#include <algorithm>
+
 namespace unistore {
 namespace pgrid {
 namespace {
@@ -109,6 +111,67 @@ Result<LookupReply> LookupReply::Decode(std::string_view bytes) {
     UNISTORE_ASSIGN_OR_RETURN(PeerId p, r.GetU32());
     reply.replicas.push_back(p);
   }
+  return reply;
+}
+
+namespace {
+
+void EncodeKeys(const std::vector<Key>& keys, BufferWriter* w) {
+  w->PutVarint(keys.size());
+  for (const Key& key : keys) w->PutString(key.bits());
+}
+
+Result<std::vector<Key>> DecodeKeys(BufferReader* r) {
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t n, r->GetVarint());
+  std::vector<Key> keys;
+  keys.reserve(std::min<uint64_t>(n, 4096));  // `n` is wire data.
+  for (uint64_t i = 0; i < n; ++i) {
+    UNISTORE_ASSIGN_OR_RETURN(Key key, DecodeKey(r));
+    keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
+}  // namespace
+
+std::string LookupBatchRequest::Encode() const {
+  BufferWriter w;
+  w.PutU32(initiator);
+  EncodeKeys(keys, &w);
+  return w.Release();
+}
+
+Result<LookupBatchRequest> LookupBatchRequest::Decode(std::string_view bytes) {
+  BufferReader r(bytes);
+  LookupBatchRequest req;
+  UNISTORE_ASSIGN_OR_RETURN(req.initiator, r.GetU32());
+  UNISTORE_ASSIGN_OR_RETURN(req.keys, DecodeKeys(&r));
+  return req;
+}
+
+std::string LookupBatchReply::Encode() const {
+  BufferWriter w;
+  w.PutVarint(answers.size());
+  for (const Answer& answer : answers) {
+    w.PutString(answer.key.bits());
+    EncodeEntries(answer.entries, &w);
+  }
+  EncodeKeys(dead_ends, &w);
+  return w.Release();
+}
+
+Result<LookupBatchReply> LookupBatchReply::Decode(std::string_view bytes) {
+  BufferReader r(bytes);
+  LookupBatchReply reply;
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
+  reply.answers.reserve(std::min<uint64_t>(n, 4096));  // `n` is wire data.
+  for (uint64_t i = 0; i < n; ++i) {
+    Answer answer;
+    UNISTORE_ASSIGN_OR_RETURN(answer.key, DecodeKey(&r));
+    UNISTORE_ASSIGN_OR_RETURN(answer.entries, DecodeEntries(&r));
+    reply.answers.push_back(std::move(answer));
+  }
+  UNISTORE_ASSIGN_OR_RETURN(reply.dead_ends, DecodeKeys(&r));
   return reply;
 }
 

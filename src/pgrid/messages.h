@@ -73,6 +73,33 @@ struct LookupReply {
   static Result<LookupReply> Decode(std::string_view bytes);
 };
 
+/// \brief Exact-mode lookup of a key set (Peer::LookupBatch).
+///
+/// Travels like a BulkInsertRequest: every visited peer serves the keys it
+/// is responsible for, groups the rest by next routing hop and forwards
+/// one request per group under the initiator's request id.
+struct LookupBatchRequest {
+  PeerId initiator = net::kNoPeer;
+  std::vector<Key> keys;
+
+  std::string Encode() const;
+  static Result<LookupBatchRequest> Decode(std::string_view bytes);
+};
+
+/// Sent to the initiator only by a peer that served keys or hit a routing
+/// dead end; pure forwarders stay silent.
+struct LookupBatchReply {
+  struct Answer {
+    Key key;
+    std::vector<Entry> entries;
+  };
+  std::vector<Answer> answers;  ///< Keys served here, with their entries.
+  std::vector<Key> dead_ends;   ///< Keys this peer had no route for.
+
+  std::string Encode() const;
+  static Result<LookupBatchReply> Decode(std::string_view bytes);
+};
+
 struct InsertRequest {
   PeerId initiator = net::kNoPeer;
   Entry entry;

@@ -335,6 +335,18 @@ Result<LookupResult> Overlay::LookupSync(net::PeerId from, const Key& key,
   return std::move(*out);
 }
 
+Result<LookupBatchResult> Overlay::LookupBatchSync(
+    net::PeerId from, const std::vector<Key>& keys) {
+  std::optional<Result<LookupBatchResult>> out;
+  peers_[from]->LookupBatch(
+      keys, [&out](Result<LookupBatchResult> r) { out = std::move(r); });
+  scheduler_->RunUntil([&out] { return out.has_value(); });
+  if (!out.has_value()) {
+    return Status::Internal("simulation drained before lookup completed");
+  }
+  return std::move(*out);
+}
+
 Status Overlay::InsertSync(net::PeerId from, Entry entry) {
   std::optional<Status> out;
   peers_[from]->Insert(std::move(entry),

@@ -107,6 +107,8 @@ class Overlay {
 
   Result<LookupResult> LookupSync(net::PeerId from, const Key& key,
                                   LookupMode mode = LookupMode::kExact);
+  Result<LookupBatchResult> LookupBatchSync(net::PeerId from,
+                                            const std::vector<Key>& keys);
   Status InsertSync(net::PeerId from, Entry entry);
   Status InsertBatchSync(net::PeerId from, std::vector<Entry> entries);
   Status RemoveSync(net::PeerId from, const Key& key,

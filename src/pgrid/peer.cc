@@ -109,6 +109,16 @@ void Peer::OnMessage(const Message& msg) {
       if (reply.ok()) OnBulkInsertReply(msg.request_id, *reply);
       return;
     }
+    case MessageType::kLookupBatch:
+      HandleLookupBatch(msg);
+      return;
+    case MessageType::kLookupBatchReply: {
+      auto reply = LookupBatchReply::Decode(msg.payload);
+      if (reply.ok()) {
+        OnLookupBatchReply(msg.request_id, std::move(*reply));
+      }
+      return;
+    }
     case MessageType::kRangeSeq:
       HandleRangeSeq(msg);
       return;
@@ -471,6 +481,143 @@ void Peer::HandleLookup(const Message& msg) {
     rpc_.ReplyTo(req->initiator, msg.request_id, msg.hops,
                  MessageType::kLookupReply, reply.Encode());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Key-set lookup (DESIGN.md §13)
+// ---------------------------------------------------------------------------
+
+void Peer::LookupBatch(const std::vector<Key>& keys,
+                       LookupBatchCallback callback) {
+  const uint64_t id = next_scan_id_++;
+  LookupBatchState& state = batch_lookups_[id];
+  state.callback = std::move(callback);
+  state.missing.insert(keys.begin(), keys.end());
+  state.budget = RetryBudget(RequestPolicy(kLookupRetryPolicy), NowUs());
+  SendLookupBatch(id);
+}
+
+void Peer::SendLookupBatch(uint64_t request_id) {
+  auto it = batch_lookups_.find(request_id);
+  if (it == batch_lookups_.end()) return;
+  const uint32_t attempt = it->second.attempt;
+  LookupBatchReply local;
+  DispatchLookupBatch({it->second.missing.begin(), it->second.missing.end()},
+                      id_, request_id, 0, &local);
+  OnLookupBatchReply(request_id, std::move(local));
+  // Arm the timeout unless the local answers finished (or retried) it.
+  it = batch_lookups_.find(request_id);
+  if (it == batch_lookups_.end() || it->second.attempt != attempt) return;
+  transport_->scheduler()->ScheduleAfter(
+      options_.request_timeout, id_, id_, [this, request_id, attempt]() {
+        auto it = batch_lookups_.find(request_id);
+        if (it != batch_lookups_.end() && it->second.attempt == attempt) {
+          RetryLookupBatch(request_id);
+        }
+      });
+}
+
+void Peer::DispatchLookupBatch(const std::vector<Key>& keys,
+                               PeerId initiator, uint64_t request_id,
+                               uint32_t hops, LookupBatchReply* reply) {
+  // One next hop per routing level: keys that leave this peer's subtree at
+  // the same level travel together instead of spreading over the level's
+  // references.
+  std::map<size_t, PeerId> hop_at_level;
+  std::map<PeerId, std::vector<Key>> groups;
+  for (const Key& key : keys) {
+    if (IsResponsible(key)) {
+      RecordLookupServe();
+      LookupBatchReply::Answer& answer = reply->answers.emplace_back();
+      answer.key = key;
+      store_.ScanKey(key, [&answer](const EntryView& e) {
+        answer.entries.push_back(e.ToEntry());
+        return true;
+      });
+      continue;
+    }
+    // The hop cap of Forward: a transient routing cycle becomes a dead end.
+    PeerId next = net::kNoPeer;
+    if (hops < 2 * kKeyBits) {
+      auto [it, first] =
+          hop_at_level.try_emplace(path_.CommonPrefixLength(key));
+      if (first) it->second = NextHop(key);
+      next = it->second;
+    }
+    if (next == net::kNoPeer || next == id_) {
+      reply->dead_ends.push_back(key);
+      continue;
+    }
+    groups[next].push_back(key);
+  }
+  for (auto& [next, group] : groups) {
+    LookupBatchRequest sub;
+    sub.initiator = initiator;
+    sub.keys = std::move(group);
+    Message msg;
+    msg.type = MessageType::kLookupBatch;
+    msg.src = id_;
+    msg.dst = next;
+    msg.request_id = request_id;
+    msg.hops = hops + 1;
+    msg.payload = sub.Encode();
+    transport_->Send(std::move(msg));
+  }
+}
+
+void Peer::HandleLookupBatch(const Message& msg) {
+  auto req = LookupBatchRequest::Decode(msg.payload);
+  if (!req.ok() || !KnownPeer(req->initiator)) return;
+  LookupBatchReply reply;
+  DispatchLookupBatch(req->keys, req->initiator, msg.request_id, msg.hops,
+                      &reply);
+  if (reply.answers.empty() && reply.dead_ends.empty()) return;
+  rpc_.ReplyTo(req->initiator, msg.request_id, msg.hops,
+               MessageType::kLookupBatchReply, reply.Encode());
+}
+
+void Peer::OnLookupBatchReply(uint64_t request_id, LookupBatchReply reply) {
+  auto it = batch_lookups_.find(request_id);
+  if (it == batch_lookups_.end()) return;  // Finished or failed.
+  LookupBatchState& state = it->second;
+  // Late replies of an earlier attempt still answer their keys.
+  for (auto& answer : reply.answers) {
+    if (state.missing.erase(answer.key) == 0) continue;
+    state.dead_ends.erase(answer.key);
+    state.result[answer.key] = std::move(answer.entries);
+  }
+  for (const Key& key : reply.dead_ends) {
+    if (state.missing.count(key) > 0) state.dead_ends.insert(key);
+  }
+  if (state.missing.empty()) {
+    LookupBatchState done = std::move(state);
+    batch_lookups_.erase(it);
+    done.callback(std::move(done.result));
+    return;
+  }
+  // Nothing is in flight once every missing key hit a dead end.
+  if (state.dead_ends.size() == state.missing.size()) {
+    RetryLookupBatch(request_id);
+  }
+}
+
+void Peer::RetryLookupBatch(uint64_t request_id) {
+  auto it = batch_lookups_.find(request_id);
+  LookupBatchState& state = it->second;
+  ++state.attempt;
+  state.dead_ends.clear();
+  if (!state.budget.Spend(NowUs())) {
+    LookupBatchState failed = std::move(state);
+    batch_lookups_.erase(it);
+    failed.callback(Status::Unavailable(
+        "peer ", id_, ": lookup batch incomplete, ", failed.missing.size(),
+        " of ", failed.missing.size() + failed.result.size(),
+        " keys unanswered"));
+    return;
+  }
+  transport_->CountRetry(kLookupRetryPolicy);
+  RetryAfter(state.budget.NextDelayUs(&rng_),
+             [this, request_id]() { SendLookupBatch(request_id); });
 }
 
 // ---------------------------------------------------------------------------
@@ -1196,19 +1343,32 @@ void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
   // visits entries in key order, so stopping early preserves the
   // ordered-walk semantics (the smallest keys win) — and unlike the old
   // materialize-then-trim, entries past the budget are never even read.
+  // OpHash keeps only kCharsPerKey characters, so the values under one key
+  // are not in value order: the walk finishes the key its budget runs out
+  // in. Entries under `range.lo` are not charged, since that key may hold
+  // values below the caller's lower bound, which its filter drops.
   uint64_t budget = std::numeric_limits<uint64_t>::max();
   if (req.limit > 0) {
     budget = req.collected < req.limit ? req.limit - req.collected : 0;
   }
-  uint64_t count = 0;
+  uint64_t count = 0;    // Entries shipped.
+  uint64_t charged = 0;  // Entries charged to the limit.
   if (budget > 0) {
-    store_.ScanRange(req.range, [&count, budget](const EntryView&) {
-      return ++count < budget;
+    const std::string& lo = req.range.lo.bits();
+    std::string last_key;  // The key the budget ran out in.
+    store_.ScanRange(req.range, [&](const EntryView& e) {
+      if (charged == budget) {
+        if (e.key_bits != last_key) return false;
+      } else if (e.key_bits != lo && ++charged == budget) {
+        last_key = e.key_bits;
+      }
+      ++count;
+      return true;
     });
   }
 
   const uint32_t collected_now =
-      req.collected + static_cast<uint32_t>(count);
+      req.collected + static_cast<uint32_t>(charged);
 
   // Does the range extend beyond this peer's subtree?
   const Key subtree_max = path_.PadTo(kKeyBits, /*ones=*/true);
@@ -1731,6 +1891,11 @@ void Peer::FailInFlight(const Status& status) {
   auto bulk = std::move(bulk_inserts_);
   bulk_inserts_.clear();
   for (auto& [id, st] : bulk) {
+    if (st.callback) st.callback(status);
+  }
+  auto batches = std::move(batch_lookups_);
+  batch_lookups_.clear();
+  for (auto& [id, st] : batches) {
     if (st.callback) st.callback(status);
   }
   auto repairs = std::move(repairs_);

@@ -6,6 +6,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -150,6 +151,11 @@ struct LookupResult {
   std::string owner_path;
 };
 
+/// Result of a key-set lookup: the entries stored under each distinct
+/// requested key (every key appears, with no entries when none are stored
+/// under it).
+using LookupBatchResult = std::map<Key, std::vector<Entry>>;
+
 /// Result of a range scan (either strategy).
 struct RangeResult {
   std::vector<Entry> entries;
@@ -171,6 +177,7 @@ struct RangeResult {
 class Peer {
  public:
   using LookupCallback = std::function<void(Result<LookupResult>)>;
+  using LookupBatchCallback = std::function<void(Result<LookupBatchResult>)>;
   using RangeCallback = std::function<void(Result<RangeResult>)>;
   using StatusCallback = std::function<void(Status)>;
   using ExtensionHandler = std::function<void(const net::Message&)>;
@@ -212,6 +219,18 @@ class Peer {
 
   /// Routes to the owner of `key` and returns the matching entries.
   void Lookup(const Key& key, LookupMode mode, LookupCallback callback);
+
+  /// \brief Exact-mode lookup of a key set (DESIGN.md §13).
+  ///
+  /// The keys travel as LookupBatch messages that split at every peer by
+  /// next routing hop, like InsertBatch; each peer serving keys or hitting
+  /// a dead end answers the initiator, forwarders stay silent. Keys still
+  /// unanswered after `request_timeout` (or all dead-ended) retry as a
+  /// smaller batch under the "lookup" retry budget; when it runs out the
+  /// callback gets Unavailable naming the number of missing keys.
+  /// Duplicate keys collapse; an empty set completes at once.
+  void LookupBatch(const std::vector<Key>& keys,
+                   LookupBatchCallback callback);
 
   /// Routes `entry` to its owner, stores it, pushes to replicas.
   void Insert(Entry entry, StatusCallback callback);
@@ -408,6 +427,7 @@ class Peer {
   void HandleLookup(const net::Message& msg);
   void HandleInsert(const net::Message& msg);
   void HandleBulkInsert(const net::Message& msg);
+  void HandleLookupBatch(const net::Message& msg);
   void HandleRangeSeq(const net::Message& msg);
   void HandleRangeShower(const net::Message& msg);
   void HandleExchange(const net::Message& msg);
@@ -496,6 +516,18 @@ class Peer {
   void OnBulkInsertReply(uint64_t request_id, const BulkInsertReply& reply);
   void FinishBulkInsert(uint64_t request_id, bool complete);
 
+  // Key-set lookups (DESIGN.md §13): serves the keys of `keys` this peer
+  // is responsible for into `reply`, forwards the rest grouped by next hop
+  // under `request_id`, and lists the unroutable ones as dead ends.
+  void DispatchLookupBatch(const std::vector<Key>& keys, PeerId initiator,
+                           uint64_t request_id, uint32_t hops,
+                           LookupBatchReply* reply);
+  // Initiator side: sends every still-missing key of the batch, folds in
+  // each answering peer's reply, and retries what is missing.
+  void SendLookupBatch(uint64_t request_id);
+  void OnLookupBatchReply(uint64_t request_id, LookupBatchReply reply);
+  void RetryLookupBatch(uint64_t request_id);
+
   // Replica maintenance.
   void PushToReplicas(const Entry& entry);
   void PushBatchToReplicas(const std::vector<Entry>& entries);
@@ -571,6 +603,17 @@ class Peer {
     uint32_t dead_ends = 0;
   };
   std::map<uint64_t, BulkState> bulk_inserts_;
+
+  // Initiator-side state of in-flight key-set lookups, keyed by request id.
+  struct LookupBatchState {
+    LookupBatchCallback callback;
+    LookupBatchResult result;  ///< Answered keys.
+    std::set<Key> missing;     ///< Keys no reply answered yet.
+    std::set<Key> dead_ends;   ///< Missing keys this attempt could not route.
+    RetryBudget budget;
+    uint32_t attempt = 0;      ///< Retires the timeouts of earlier attempts.
+  };
+  std::map<uint64_t, LookupBatchState> batch_lookups_;
 
   // Repairer-side state of one in-flight PullFromReplica (DESIGN.md §9).
   struct RepairState {

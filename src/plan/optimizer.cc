@@ -65,6 +65,33 @@ std::optional<VarCompare> MatchVarCompare(const vql::Expr& expr) {
   return std::nullopt;
 }
 
+// Appends the conjuncts of `expr`: the operands of its top-level ANDs,
+// nested ANDs flattened. OR and NOT stay whole.
+void AppendConjuncts(const vql::Expr& expr,
+                     std::vector<const vql::Expr*>* out) {
+  if (expr.kind == vql::ExprKind::kAnd) {
+    for (const auto& child : expr.children) AppendConjuncts(*child, out);
+    return;
+  }
+  out->push_back(&expr);
+}
+
+// True iff every conjunct of `expr` is `?variable >= | <= | = literal`: a
+// filter the covering range of a scan on `variable` already enforces.
+bool ImpliedByRange(const vql::Expr& expr, const std::string& variable) {
+  std::vector<const vql::Expr*> conjuncts;
+  AppendConjuncts(expr, &conjuncts);
+  for (const vql::Expr* conjunct : conjuncts) {
+    auto cmp = MatchVarCompare(*conjunct);
+    if (!cmp || cmp->variable != variable ||
+        (cmp->op != vql::CompareOp::kGe && cmp->op != vql::CompareOp::kLe &&
+         cmp->op != vql::CompareOp::kEq)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 // Recognizes `edist(?v, 'target') < k` (or <=) in either argument order of
 // the comparison.
 struct SimRestriction {
@@ -155,8 +182,10 @@ Result<algebra::LogicalPlan> Optimizer::Translate(
     return -1;
   };
 
-  for (const auto& filter : query.filters) {
-    if (auto sim = MatchSimilarity(*filter)) {
+  std::vector<const vql::Expr*> conjuncts;
+  for (const auto& filter : query.filters) AppendConjuncts(*filter, &conjuncts);
+  for (const vql::Expr* conjunct : conjuncts) {
+    if (auto sim = MatchSimilarity(*conjunct)) {
       int idx = find_object_pattern(sim->variable);
       if (idx >= 0 && annotated[static_cast<size_t>(idx)].sim_target.empty()) {
         annotated[static_cast<size_t>(idx)].sim_target = sim->target;
@@ -165,7 +194,7 @@ Result<algebra::LogicalPlan> Optimizer::Translate(
         continue;
       }
     }
-    if (auto cmp = MatchVarCompare(*filter)) {
+    if (auto cmp = MatchVarCompare(*conjunct)) {
       int idx = find_object_pattern(cmp->variable);
       if (idx >= 0) {
         auto& ap = annotated[static_cast<size_t>(idx)];
@@ -485,19 +514,26 @@ PhysicalPlan Optimizer::Physicalize(const algebra::LogicalPlan& logical) const {
         EstimateRows(*logical->children[0], &bound), op->children[1]->pattern);
   }
 
-  // Top-N pushdown: ORDER BY ?v ASC LIMIT n directly over an attribute
-  // range scan of ?v becomes an early-terminating ordered walk.
+  // Top-N pushdown: ORDER BY ?v ASC LIMIT n over an attribute range scan
+  // of ?v becomes an early-terminating ordered walk. Filters in between
+  // must be implied by the scan's covering range (non-strict bounds or
+  // equality on ?v), so they drop nothing the scan itself keeps.
   if (op->kind == LogicalOpKind::kTopN && options_.enable_topn_pushdown &&
       op->order_keys.size() == 1 &&
       op->order_keys[0].direction == vql::SortDirection::kAsc &&
       op->limit.has_value() && !op->children.empty()) {
-    PhysicalOp& child = *op->children[0];
-    if (child.kind == LogicalOpKind::kPatternScan &&
-        child.access == AccessPath::kAttrRangeScan &&
-        child.pattern.object.is_variable &&
-        child.pattern.object.variable == op->order_keys[0].variable) {
-      child.scan_limit = static_cast<uint32_t>(*op->limit);
-      child.range_strategy = triple::RangeStrategy::kSequential;
+    const std::string& variable = op->order_keys[0].variable;
+    PhysicalOp* child = op->children[0].get();
+    while (child->kind == LogicalOpKind::kFilter &&
+           ImpliedByRange(*child->predicate, variable)) {
+      child = child->children[0].get();
+    }
+    if (child->kind == LogicalOpKind::kPatternScan &&
+        child->access == AccessPath::kAttrRangeScan &&
+        child->pattern.object.is_variable &&
+        child->pattern.object.variable == variable) {
+      child->scan_limit = static_cast<uint32_t>(*op->limit);
+      child->range_strategy = triple::RangeStrategy::kSequential;
     }
   }
   return op;

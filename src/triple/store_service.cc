@@ -91,17 +91,36 @@ void TripleStore::GetByAttrValue(const std::string& attribute,
       });
 }
 
-void TripleStore::GetByKey(const pgrid::Key& key,
-                           TriplesCallback callback) {
-  peer_->Lookup(key, pgrid::LookupMode::kExact,
-                [callback](Result<pgrid::LookupResult> result) {
-                  if (!result.ok()) {
-                    callback(result.status());
-                    return;
-                  }
-                  callback(FilterDedupTriples(
-                      result->entries, [](const Triple&) { return true; }));
-                });
+void TripleStore::GetByKeys(const std::vector<pgrid::Key>& keys,
+                            KeyTriplesCallback callback) {
+  auto keep_all = [](const Triple&) { return true; };
+  if (keys.size() == 1) {
+    peer_->Lookup(keys[0], pgrid::LookupMode::kExact,
+                  [key = keys[0], keep_all,
+                   callback](const Result<pgrid::LookupResult>& result) {
+                    if (!result.ok()) {
+                      callback(result.status());
+                      return;
+                    }
+                    KeyTriples out;
+                    out.emplace(key,
+                                FilterDedupTriples(result->entries, keep_all));
+                    callback(std::move(out));
+                  });
+    return;
+  }
+  peer_->LookupBatch(keys, [keep_all, callback](
+                               const Result<pgrid::LookupBatchResult>& result) {
+    if (!result.ok()) {
+      callback(result.status());
+      return;
+    }
+    KeyTriples out;
+    for (const auto& [key, entries] : *result) {
+      out.emplace(key, FilterDedupTriples(entries, keep_all));
+    }
+    callback(std::move(out));
+  });
 }
 
 void TripleStore::RunRange(const pgrid::KeyRange& range,

@@ -9,6 +9,7 @@
 #define UNISTORE_TRIPLE_STORE_SERVICE_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,6 +34,8 @@ class TripleStore {
  public:
   using StatusCallback = std::function<void(Status)>;
   using TriplesCallback = std::function<void(Result<std::vector<Triple>>)>;
+  using KeyTriples = std::map<pgrid::Key, std::vector<Triple>>;
+  using KeyTriplesCallback = std::function<void(Result<KeyTriples>)>;
 
   explicit TripleStore(pgrid::Peer* peer) : peer_(peer) {}
 
@@ -96,11 +99,13 @@ class TripleStore {
   /// vi as the key for queries on an arbitrary attribute").
   void GetByValue(const Value& value, TriplesCallback callback);
 
-  /// Every triple stored under one DHT key, unfiltered: index strings that
-  /// share their first pgrid::kCharsPerKey characters share the key, so
-  /// the caller picks out the triples it wants (the executor's probe
-  /// joins memoize one answer per key).
-  void GetByKey(const pgrid::Key& key, TriplesCallback callback);
+  /// Every triple stored under each DHT key of `keys`, unfiltered: index
+  /// strings that share their first pgrid::kCharsPerKey characters share
+  /// the key, so the caller picks out the triples it wants (the executor's
+  /// probe joins memoize one answer per key). The keys travel as one
+  /// pgrid::Peer::LookupBatch walk; a single key is one plain lookup.
+  void GetByKeys(const std::vector<pgrid::Key>& keys,
+                 KeyTriplesCallback callback);
 
   /// Every triple of an attribute (full attribute scan).
   void ScanAttribute(const std::string& attribute, RangeStrategy strategy,

@@ -472,6 +472,87 @@ TEST(DeterminismTest, EnvelopeHeavyWorkloadMatchesAcrossEngines) {
   ExpectIdentical(reference, threaded, "migrate K=4 threaded");
 }
 
+// The Fig-4 skyline: its probe joins send key-set lookups (DESIGN.md
+// §13) whose per-hop splits and replies must replay byte-identically
+// across engines and shard counts, 1% message loss and retries included.
+Capture RunSkylineScenario(ClusterOptions::Engine engine, size_t shards,
+                           size_t threads) {
+  ClusterOptions options;
+  options.peers = 64;
+  options.replication = 2;
+  options.seed = 20261017;
+  options.loss_probability = 0.01;
+  options.engine = engine;
+  options.shards = shards;
+  options.threads = threads;
+  Cluster cluster(options);
+  cluster.overlay().transport().EnableDeliveryTrace();
+
+  BibliographyOptions data;
+  data.authors = 40;
+  data.publications_per_author = 2;
+  data.typo_probability = 0.3;
+  data.seed = 9;
+  std::ostringstream ops;
+  auto tuples = GenerateBibliography(data).AllTuples();
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    auto via = static_cast<net::PeerId>(i % cluster.size());
+    ops << "insert " << i << ": "
+        << cluster.InsertTupleSync(via, tuples[i]).ToString() << "\n";
+  }
+  cluster.simulation().RunUntilIdle();
+  cluster.RefreshStats();
+  // At this size the cost model would migrate; probe as the query_mix
+  // cluster does.
+  plan::PlannerOptions planner;
+  planner.force_join_strategy = plan::JoinStrategy::kProbe;
+  cluster.SetPlannerOptions(planner);
+
+  const std::string skyline =
+      "SELECT ?name,?age,?cnt WHERE {(?a,'name',?name) (?a,'age',?age) "
+      "(?a,'num_of_pubs',?cnt) (?a,'has_published',?title) "
+      "(?p,'title',?title) (?p,'published_in',?conf) (?c,'confname',?conf) "
+      "(?c,'series',?sr) FILTER edist(?sr,'ICDE')<3} "
+      "ORDER BY SKYLINE OF ?age MIN, ?cnt MAX";
+  for (net::PeerId via : {0u, 21u, 63u}) {
+    auto result = cluster.QuerySync(via, skyline);
+    ops << "skyline via " << via << ": ";
+    if (result.ok()) {
+      ops << result->ToTable();
+      for (const auto& line : result->trace) ops << line << "\n";
+    } else {
+      ops << result.status().ToString() << "\n";
+    }
+    cluster.simulation().RunUntilIdle();
+  }
+
+  Capture capture;
+  capture.ops = ops.str();
+  capture.stats = cluster.overlay().transport().stats().ToString();
+  capture.trace = cluster.overlay().transport().DeliveryTrace();
+  capture.final_now = cluster.simulation().Now();
+  capture.processed = cluster.simulation().processed_events();
+  return capture;
+}
+
+TEST(DeterminismTest, SkylineByteIdenticalAcrossEngines) {
+  auto reference =
+      RunSkylineScenario(ClusterOptions::Engine::kSingleThread, 1, 1);
+  // The skyline answered through batched probes.
+  EXPECT_NE(reference.trace.find("LookupBatch"), std::string::npos);
+  EXPECT_NE(reference.ops.find("batches=1"), std::string::npos)
+      << reference.ops;
+  EXPECT_EQ(reference.ops.find("Unavailable", reference.ops.find("skyline")),
+            std::string::npos)
+      << reference.ops;
+  for (size_t shards : {1u, 2u, 4u}) {
+    auto sharded = RunSkylineScenario(ClusterOptions::Engine::kSharded,
+                                      shards, /*threads=*/1);
+    ExpectIdentical(reference, sharded,
+                    ("skyline sharded K=" + std::to_string(shards)).c_str());
+  }
+}
+
 // The fault-plane determinism contract (DESIGN.md §10): the same
 // FaultSchedule — permanent partition, asymmetric jitter, corruption,
 // duplication — replays byte-identically across engines and shard

@@ -9,6 +9,7 @@
 #include "core/cluster.h"
 #include "core/datagen.h"
 #include "exec/expr_eval.h"
+#include "triple/index.h"
 #include "vql/parser.h"
 
 namespace unistore {
@@ -181,6 +182,11 @@ TEST(IntegrationTest, RangeFilterPushdown) {
       "SELECT ?c,?y WHERE { (?c,'year',?y) FILTER ?y > 2002 FILTER ?y < "
       "2005 }",
       5);
+  // One FILTER with an AND (the query_mix range class), pushed as in[lo,hi].
+  tc.ExpectMatchesReference(
+      "SELECT ?a,?g WHERE { (?a,'age',?g) FILTER ?g >= 40 AND ?g <= 42 }", 6);
+  tc.ExpectMatchesReference(
+      "SELECT ?a,?g WHERE { (?a,'age',?g) FILTER ?g < 30 OR ?g > 60 }", 7);
 }
 
 TEST(IntegrationTest, TwoPatternJoin) {
@@ -272,7 +278,7 @@ TEST(IntegrationTest, ProbeJoinLooksUpASharedKeyOnce) {
     const std::string expected =
         "Join[Probe]: by=object rows=" +
         std::to_string(scan->result.rows.size()) +
-        " keys=1 lookups=1 memo_hits=0";
+        " keys=1 lookups=1 memo_hits=0 batches=1";
     EXPECT_NE(std::find(join->result.trace.begin(), join->result.trace.end(),
                         expected),
               join->result.trace.end())
@@ -285,6 +291,57 @@ TEST(IntegrationTest, ProbeJoinLooksUpASharedKeyOnce) {
     probe_walks += walks;
   }
   EXPECT_GT(probe_walks, 0u);
+}
+
+uint64_t MessagesOfType(const net::TrafficStats& traffic,
+                        net::MessageType type) {
+  auto it = traffic.per_type.find(type);
+  return it == traffic.per_type.end() ? 0 : it->second;
+}
+
+TEST(IntegrationTest, ProbeJoinBatchesKeys) {
+  // The age scan binds every author; the name probe then looks all their
+  // OIDs up in one key-set lookup instead of one routed Lookup per key.
+  TestCluster tc;
+  tc.Load(SmallDataset());
+  plan::PlannerOptions options;
+  options.force_join_strategy = plan::JoinStrategy::kProbe;
+  tc.cluster->SetPlannerOptions(options);
+  uint64_t batch_messages = 0;
+  uint64_t single_messages = 0;
+  for (net::PeerId via = 0; via < tc.cluster->size(); ++via) {
+    auto join = tc.cluster->QueryMeasured(
+        via,
+        "SELECT ?a,?n WHERE { (?a,'age',?g) (?a,'name',?n) FILTER ?g >= 0 }");
+    ASSERT_TRUE(join.ok()) << join.status().ToString();
+    std::set<std::string> oids;
+    for (const auto& row : join->result.rows) {
+      oids.insert(row.at("a").AsString());
+    }
+    ASSERT_GE(oids.size(), 8u);
+    const std::string keys = std::to_string(oids.size());
+    const std::string expected = "Join[Probe]: by=subject rows=" + keys +
+                                 " keys=" + keys + " lookups=" + keys +
+                                 " memo_hits=0 batches=1";
+    EXPECT_NE(std::find(join->result.trace.begin(), join->result.trace.end(),
+                        expected),
+              join->result.trace.end())
+        << "via " << via;
+    EXPECT_EQ(MessagesOfType(join->traffic, net::MessageType::kLookup), 0u)
+        << "via " << via;
+    batch_messages +=
+        MessagesOfType(join->traffic, net::MessageType::kLookupBatch) +
+        MessagesOfType(join->traffic, net::MessageType::kLookupBatchReply);
+    for (const std::string& oid : oids) {
+      const net::TrafficStats before = tc.cluster->overlay().transport().stats();
+      ASSERT_TRUE(
+          tc.cluster->overlay().LookupSync(via, triple::OidKey(oid)).ok());
+      single_messages +=
+          tc.cluster->overlay().transport().stats().Since(before).messages_sent;
+    }
+  }
+  EXPECT_GT(batch_messages, 0u);
+  EXPECT_LT(batch_messages, single_messages);
 }
 
 TEST(IntegrationTest, SimilarityPathsAgree) {
@@ -362,6 +419,68 @@ TEST(IntegrationTest, TopNPushdownMatchesNoPushdown) {
   auto plain = tc.cluster->QuerySync(0, query);
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(RowSet(pushed->rows), RowSet(plain->rows));
+}
+
+std::vector<std::string> Column(const std::vector<Binding>& rows,
+                                const std::string& variable) {
+  std::vector<std::string> values;
+  for (const auto& row : rows) {
+    values.push_back(row.at(variable).ToDisplayString());
+  }
+  return values;
+}
+
+TEST(IntegrationTest, TopNPushdownFinishesSharedKeys) {
+  // An index key keeps 16 characters. "a#num_of_citations#" fills them,
+  // so every value of that attribute shares one key; "a#code#s" leaves
+  // eight characters of a code. Within a key entries sort by OID, not by
+  // value, and the OIDs below run against the values.
+  TestCluster tc;
+  std::vector<triple::Tuple> docs;
+  for (int j = 0; j < 20; ++j) {
+    triple::Tuple t;
+    t.oid = std::string("doc-") + (j < 10 ? "0" : "") + std::to_string(j);
+    t.attributes["num_of_citations"] = Value::Int(19 - j);
+    const int rank = j < 8 ? 7 - j : 19 - j;
+    t.attributes["code"] =
+        Value::String(std::string(j < 8 ? "abcdefgi" : "abcdefgh") +
+                      (rank < 10 ? "0" : "") + std::to_string(rank));
+    docs.push_back(std::move(t));
+  }
+  tc.Load(docs);
+  struct Case {
+    const char* query;
+    std::vector<std::string> expected;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT ?n WHERE { (?d,'num_of_citations',?n) } ORDER BY ?n LIMIT 3",
+       {"0", "1", "2"}},
+      // The lower bound's key holds smaller codes, and the walk stops in
+      // the next key.
+      {"SELECT ?c WHERE { (?d,'code',?c) FILTER ?c >= 'abcdefgh10' } "
+       "ORDER BY ?c LIMIT 3",
+       {"abcdefgh10", "abcdefgh11", "abcdefgi00"}},
+      {"SELECT ?c WHERE { (?d,'code',?c) FILTER ?c >= 'abcdefgh03' AND "
+       "?c <= 'abcdefgi05' } ORDER BY ?c LIMIT 2",
+       {"abcdefgh03", "abcdefgh04"}},
+  };
+  for (const Case& c : cases) {
+    for (bool pushdown : {true, false}) {
+      plan::PlannerOptions options;
+      options.enable_topn_pushdown = pushdown;
+      tc.cluster->SetPlannerOptions(options);
+      for (net::PeerId via : {0, 5, 11}) {
+        auto result = tc.cluster->QuerySync(via, c.query);
+        ASSERT_TRUE(result.ok()) << c.query;
+        EXPECT_EQ(result->plan_text.find("walk_limit") != std::string::npos,
+                  pushdown)
+            << c.query << "\n" << result->plan_text;
+        EXPECT_EQ(Column(result->rows, result->columns[0]), c.expected)
+            << c.query << (pushdown ? " pushed" : " not pushed") << " via "
+            << via;
+      }
+    }
+  }
 }
 
 TEST(IntegrationTest, SkylineQuery) {
@@ -529,8 +648,30 @@ TEST(IntegrationTest, ExecutionTraceRecordsOperators) {
     if (line.rfind("Join[Probe]:", 0) == 0) probe_lines += line + "\n";
   }
   EXPECT_EQ(probe_lines,
-            "Join[Probe]: by=object rows=1 keys=1 lookups=1 memo_hits=0\n"
-            "Join[Probe]: by=subject rows=1 keys=1 lookups=1 memo_hits=0\n");
+            "Join[Probe]: by=object rows=1 keys=1 lookups=1 memo_hits=0 "
+            "batches=1\n"
+            "Join[Probe]: by=subject rows=1 keys=1 lookups=1 memo_hits=0 "
+            "batches=1\n");
+  // A subject star: the second probe finds every key in the memo and
+  // sends no batch.
+  plan::PlannerOptions probe;
+  probe.force_join_strategy = plan::JoinStrategy::kProbe;
+  tc.cluster->SetPlannerOptions(probe);
+  auto star = tc.cluster->QuerySync(
+      2,
+      "SELECT ?n,?g,?c WHERE { (?a,'name',?n) (?a,'age',?g) "
+      "(?a,'num_of_pubs',?c) }");
+  ASSERT_TRUE(star.ok());
+  probe_lines.clear();
+  for (const auto& line : star->trace) {
+    if (line.rfind("Join[Probe]:", 0) == 0) probe_lines += line + "\n";
+  }
+  EXPECT_EQ(probe_lines,
+            "Join[Probe]: by=subject rows=12 keys=12 lookups=12 memo_hits=0 "
+            "batches=1\n"
+            "Join[Probe]: by=subject rows=12 keys=12 lookups=0 memo_hits=12 "
+            "batches=0\n");
+  tc.cluster->SetPlannerOptions(plan::PlannerOptions{});
   // Traces are repeatable: the same query yields the same trace
   // (deterministic simulation — the paper's "(in limits) repeatable").
   auto again = tc.cluster->QuerySync(

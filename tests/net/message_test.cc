@@ -25,6 +25,7 @@ TEST(MessageTest, TypeNamesAreUniqueAndNonEmpty) {
       MessageType::kLookup,        MessageType::kLookupReply,
       MessageType::kInsert,        MessageType::kInsertReply,
       MessageType::kRemove,        MessageType::kRemoveReply,
+      MessageType::kLookupBatch,   MessageType::kLookupBatchReply,
       MessageType::kRangeSeq,      MessageType::kRangeSeqReply,
       MessageType::kRangeShower,   MessageType::kRangeShowerReply,
       MessageType::kExchange,      MessageType::kExchangeReply,

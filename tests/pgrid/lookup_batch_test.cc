@@ -1,0 +1,203 @@
+// Key-set lookups (Peer::LookupBatch): per-key answers equal single
+// lookups, the batch costs fewer messages than the single lookups it
+// replaces, and missing keys retry as a smaller batch until the lookup
+// retry budget runs out.
+#include <gtest/gtest.h>
+
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "pgrid/overlay.h"
+
+namespace unistore {
+namespace pgrid {
+namespace {
+
+constexpr size_t kPeers = 64;
+
+// The i-th test key: random bits, so the keys spread over every path
+// (OpHash preserves order, so strings sharing a prefix would not).
+Key TestKey(size_t i) {
+  Rng rng(1000 + i);
+  std::string bits;
+  for (size_t b = 0; b < kKeyBits; ++b) {
+    bits.push_back(rng.NextBounded(2) == 0 ? '0' : '1');
+  }
+  return Key::FromBits(bits);
+}
+
+// Builds a balanced overlay and stores `stored` entries (one under each of
+// the first `stored` test keys, two under every third) at every
+// responsible peer, without routing.
+std::unique_ptr<Overlay> MakeOverlay(uint64_t seed, size_t stored,
+                                     net::FaultSchedule faults = {}) {
+  OverlayOptions options;
+  options.seed = seed;
+  options.replication = 2;
+  options.fault_schedule = std::move(faults);
+  auto overlay = std::make_unique<Overlay>(options);
+  overlay->AddPeers(kPeers);
+  overlay->BuildBalanced();
+  for (size_t i = 0; i < stored; ++i) {
+    for (int copy = 0; copy < (i % 3 == 0 ? 2 : 1); ++copy) {
+      Entry e;
+      e.key = TestKey(i);
+      e.id = "id-" + std::to_string(i) + "-" + std::to_string(copy);
+      e.payload = "payload-" + std::to_string(i);
+      for (net::PeerId p : overlay->ResponsiblePeers(e.key)) {
+        overlay->peer(p)->ApplyLocal(e);
+      }
+    }
+  }
+  return overlay;
+}
+
+// Test keys that `peer` is (or is not) responsible for.
+std::vector<Key> KeysOwnedBy(const Peer& peer, bool owned, size_t count) {
+  std::vector<Key> keys;
+  for (size_t i = 0; keys.size() < count; ++i) {
+    Key key = TestKey(i);
+    if (peer.IsResponsible(key) == owned) keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
+uint64_t MessagesSince(Overlay& overlay, const net::TrafficStats& before) {
+  return overlay.transport().stats().Since(before).messages_sent;
+}
+
+TEST(LookupBatchTest, PerKeyResultsEqualSingleLookups) {
+  auto overlay = MakeOverlay(/*seed=*/101, /*stored=*/300);
+  Rng rng(7);
+  for (net::PeerId via : {0u, 17u, 40u, 63u}) {
+    // Stored and absent keys, keys the initiator owns, and duplicates.
+    std::vector<Key> keys =
+        KeysOwnedBy(*overlay->peer(via), /*owned=*/true, 2);
+    for (int i = 0; i < 30; ++i) {
+      keys.push_back(TestKey(rng.NextBounded(400)));
+    }
+    keys.push_back(keys[3]);
+    keys.push_back(keys[0]);
+    auto batch = overlay->LookupBatchSync(via, keys);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    const std::set<Key> distinct(keys.begin(), keys.end());
+    ASSERT_EQ(batch->size(), distinct.size()) << "via " << via;
+    size_t found = 0;
+    for (const Key& key : distinct) {
+      auto single = overlay->LookupSync(via, key);
+      ASSERT_TRUE(single.ok()) << single.status().ToString();
+      auto it = batch->find(key);
+      ASSERT_NE(it, batch->end());
+      EXPECT_EQ(it->second, single->entries) << "via " << via;
+      found += it->second.empty() ? 0 : 1;
+    }
+    EXPECT_GT(found, 0u);
+  }
+}
+
+TEST(LookupBatchTest, EmptyAndLocalSetsCompleteAtOnce) {
+  auto overlay = MakeOverlay(/*seed=*/102, /*stored=*/50);
+  const net::TrafficStats before = overlay->transport().stats();
+  auto empty = overlay->LookupBatchSync(5, {});
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+  auto local = overlay->LookupBatchSync(
+      5, KeysOwnedBy(*overlay->peer(5), /*owned=*/true, 3));
+  ASSERT_TRUE(local.ok());
+  EXPECT_EQ(local->size(), 3u);
+  EXPECT_EQ(MessagesSince(*overlay, before), 0u);
+}
+
+TEST(LookupBatchTest, FewerMessagesThanSingleLookups) {
+  auto overlay = MakeOverlay(/*seed=*/103, /*stored=*/200);
+  for (size_t n : {8u, 32u, 128u}) {
+    const std::vector<Key> keys =
+        KeysOwnedBy(*overlay->peer(9), /*owned=*/false, n);
+    net::TrafficStats before = overlay->transport().stats();
+    ASSERT_TRUE(overlay->LookupBatchSync(9, keys).ok());
+    const uint64_t batched = MessagesSince(*overlay, before);
+    uint64_t singles = 0;
+    for (const Key& key : keys) {
+      before = overlay->transport().stats();
+      ASSERT_TRUE(overlay->LookupSync(9, key).ok());
+      singles += MessagesSince(*overlay, before);
+    }
+    EXPECT_LT(batched, singles) << n << " keys";
+  }
+}
+
+TEST(LookupBatchTest, HealedPartitionCompletesThroughRetry) {
+  // One owner of some keys (and every replica of its path) is cut off for
+  // the first attempt; the keys it holds retry after request_timeout.
+  auto probe = MakeOverlay(/*seed=*/104, /*stored=*/200);
+  const std::vector<Key> keys =
+      KeysOwnedBy(*probe->peer(3), /*owned=*/false, 40);
+  std::set<net::PeerId> victims;
+  for (net::PeerId p : probe->ResponsiblePeers(keys[0])) victims.insert(p);
+  net::FaultSchedule faults;
+  for (net::PeerId victim : victims) {
+    faults.PartitionPair(0, 2 * sim::kMicrosPerSecond, victim, net::kAnyPeer);
+  }
+  auto overlay = MakeOverlay(/*seed=*/104, /*stored=*/200, faults);
+  auto batch = overlay->LookupBatchSync(3, keys);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_GE(overlay->transport().stats().retries_by_policy.at("lookup"), 1u);
+  for (const Key& key : keys) {
+    auto single = probe->LookupSync(3, key);
+    ASSERT_TRUE(single.ok());
+    EXPECT_EQ(batch->at(key), single->entries);
+  }
+}
+
+TEST(LookupBatchTest, ExhaustedBudgetNamesMissingKeys) {
+  // Keys of the initiator are answered locally; the five keys of a path
+  // whose peers stay cut off can never be answered.
+  auto probe = MakeOverlay(/*seed=*/105, /*stored=*/0);
+  const net::PeerId via = 6;
+  std::vector<Key> keys = KeysOwnedBy(*probe->peer(via), /*owned=*/true, 3);
+  const std::vector<Key> foreign =
+      KeysOwnedBy(*probe->peer(via), /*owned=*/false, 1);
+  const std::vector<net::PeerId> owners = probe->ResponsiblePeers(foreign[0]);
+  for (size_t i = 0; keys.size() < 8; ++i) {
+    Key key = TestKey(i);
+    if (probe->ResponsiblePeers(key) == owners) keys.push_back(key);
+  }
+  net::FaultSchedule faults;
+  for (net::PeerId owner : owners) {
+    faults.PartitionPair(0, net::kFaultForever, owner, net::kAnyPeer);
+  }
+  auto overlay = MakeOverlay(/*seed=*/105, /*stored=*/0, faults);
+  auto batch = overlay->LookupBatchSync(via, keys);
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(batch.status().ToString().find("5 of 8 keys unanswered"),
+            std::string::npos)
+      << batch.status().ToString();
+  EXPECT_EQ(overlay->transport().stats().retries_by_policy.at("lookup"),
+            static_cast<uint64_t>(overlay->peer(via)->options().request_retries));
+}
+
+TEST(LookupBatchTest, GarbageBatchPayloadIsDropped) {
+  auto overlay = MakeOverlay(/*seed=*/106, /*stored=*/20);
+  for (net::MessageType type :
+       {net::MessageType::kLookupBatch, net::MessageType::kLookupBatchReply}) {
+    net::Message m;
+    m.type = type;
+    m.src = 0;
+    m.dst = 3;
+    m.request_id = 777;
+    m.payload = "\xFF\x80\x80garbage";
+    overlay->transport().Send(std::move(m));
+  }
+  overlay->simulation().RunUntilIdle();
+  auto batch = overlay->LookupBatchSync(
+      3, KeysOwnedBy(*overlay->peer(3), /*owned=*/false, 10));
+  EXPECT_TRUE(batch.ok());
+}
+
+}  // namespace
+}  // namespace pgrid
+}  // namespace unistore

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "common/rng.h"
@@ -59,10 +60,16 @@ TEST(OpHashTest, StringRangeCoversInterval) {
 
 // Property sweep: weak monotonicity over random string pairs, several
 // alphabets (parameterized by seed & alphabet).
+// `name` is what gtest prints for the case (and so what CTest names it):
+// the default printout is the struct's raw bytes, which include a heap
+// pointer and change from run to run.
 struct MonotonicityCase {
+  const char* name;
   uint64_t seed;
   std::string alphabet;
 };
+
+void PrintTo(const MonotonicityCase& c, std::ostream* os) { *os << c.name; }
 
 class OpHashMonotonicity
     : public ::testing::TestWithParam<MonotonicityCase> {};
@@ -88,12 +95,13 @@ TEST_P(OpHashMonotonicity, WeaklyMonotone) {
 
 INSTANTIATE_TEST_SUITE_P(
     Alphabets, OpHashMonotonicity,
-    ::testing::Values(MonotonicityCase{1, "abcdefghijklmnopqrstuvwxyz"},
-                      MonotonicityCase{2, "abc"},
-                      MonotonicityCase{3, "0123456789"},
-                      MonotonicityCase{4, "aA0 !~"},
-                      MonotonicityCase{5, std::string("\x01\x7F\xFE abz19",
-                                                      9)}));
+    ::testing::Values(
+        MonotonicityCase{"Lowercase", 1, "abcdefghijklmnopqrstuvwxyz"},
+        MonotonicityCase{"Abc", 2, "abc"},
+        MonotonicityCase{"Digits", 3, "0123456789"},
+        MonotonicityCase{"MixedAscii", 4, "aA0 !~"},
+        MonotonicityCase{"HighBytes", 5,
+                         std::string("\x01\x7F\xFE abz19", 9)}));
 
 // Property: prefix range always contains extensions of the prefix.
 TEST(OpHashTest, PropertyPrefixRangeContainsExtensions) {

@@ -84,8 +84,10 @@ TEST_F(OptimizerTest, RangeFilterIsPushedIntoScan) {
   auto plan = Make().Plan(
       Q("SELECT ?a WHERE { (?a,'age',?g) FILTER ?g >= 30 AND ?g >= 20 }"));
   ASSERT_TRUE(plan.ok());
-  // Plan: Project > Filter(AND...) > Scan. Conjunctions written as one AND
-  // are not split, but single-comparison filters are pushed:
+  // Plan: Project > Filter(AND...) > Scan; both conjuncts are pushed.
+  EXPECT_NE((*plan)->ToString().find("in[30,+inf]"), std::string::npos)
+      << (*plan)->ToString();
+  // Separate single-comparison filters are pushed too:
   auto plan2 = Make().Plan(
       Q("SELECT ?a WHERE { (?a,'age',?g) FILTER ?g >= 30 FILTER ?g < 50 }"));
   ASSERT_TRUE(plan2.ok());
@@ -95,6 +97,28 @@ TEST_F(OptimizerTest, RangeFilterIsPushedIntoScan) {
   }
   EXPECT_EQ(node->object_lo, triple::Value::Int(30));
   EXPECT_EQ(node->object_hi, triple::Value::Int(50));
+}
+
+TEST_F(OptimizerTest, AndConjunctsArePushedButOrAndNotAreNot) {
+  // The query_mix range class: one FILTER holding an AND.
+  auto plan = Make().Plan(Q(
+      "SELECT ?a,?g WHERE { (?a,'age',?g) FILTER ?g >= 40 AND ?g <= 42 }"));
+  ASSERT_TRUE(plan.ok());
+  std::string text = (*plan)->ToString();
+  EXPECT_NE(text.find("in[40,42]"), std::string::npos) << text;
+  // The residual filter stays.
+  EXPECT_NE(text.find("Filter"), std::string::npos) << text;
+
+  for (const char* query :
+       {"SELECT ?g WHERE { (?a,'age',?g) FILTER ?g >= 40 OR ?g <= 42 }",
+        "SELECT ?g WHERE { (?a,'age',?g) FILTER NOT (?g >= 40 AND ?g <= 42) "
+        "}"}) {
+    auto unsplit = Make().Plan(Q(query));
+    ASSERT_TRUE(unsplit.ok()) << query;
+    text = (*unsplit)->ToString();
+    EXPECT_EQ(text.find("in["), std::string::npos) << query << "\n" << text;
+    EXPECT_NE(text.find("Filter"), std::string::npos) << query;
+  }
 }
 
 TEST_F(OptimizerTest, EqualityFilterTightensBothBounds) {
@@ -208,6 +232,40 @@ TEST_F(OptimizerTest, NoTopNPushdownForDescOrDisabled) {
     node = node->children[0].get();
   }
   EXPECT_EQ(node->scan_limit, 0u);
+}
+
+TEST_F(OptimizerTest, TopNPushdownPassesImpliedFilters) {
+  auto scan_limit = [this](const std::string& query) -> uint32_t {
+    auto plan = Make().Plan(Q(query));
+    EXPECT_TRUE(plan.ok()) << query;
+    if (!plan.ok()) return 0;
+    const PhysicalOp* node = plan->get();
+    while (node->kind != algebra::LogicalOpKind::kPatternScan) {
+      node = node->children[0].get();
+    }
+    return node->scan_limit;
+  };
+  // Non-strict bounds and equality on the order variable are implied by
+  // the scan's covering range.
+  EXPECT_EQ(scan_limit("SELECT ?g WHERE { (?a,'age',?g) FILTER ?g >= 40 } "
+                       "ORDER BY ?g LIMIT 5"),
+            5u);
+  EXPECT_EQ(scan_limit("SELECT ?g WHERE { (?a,'age',?g) FILTER ?g >= 40 AND "
+                       "?g <= 50 FILTER ?g = 45 } ORDER BY ?g LIMIT 5"),
+            5u);
+  // A strict bound, or a predicate on another variable, keeps the scan.
+  EXPECT_EQ(scan_limit("SELECT ?g WHERE { (?a,'age',?g) FILTER ?g > 40 } "
+                       "ORDER BY ?g LIMIT 5"),
+            0u);
+  EXPECT_EQ(scan_limit("SELECT ?g WHERE { (?a,'age',?g) FILTER ?g >= 40 AND "
+                       "?g < 50 } ORDER BY ?g LIMIT 5"),
+            0u);
+  EXPECT_EQ(scan_limit("SELECT ?g WHERE { (?a,'age',?g) FILTER ?a = "
+                       "'person-1' } ORDER BY ?g LIMIT 5"),
+            0u);
+  EXPECT_EQ(scan_limit("SELECT ?g WHERE { (?a,'age',?g) FILTER ?g >= 40 "
+                       "FILTER ?a = 'person-1' } ORDER BY ?g LIMIT 5"),
+            0u);
 }
 
 TEST_F(OptimizerTest, MappingsExpandScanAttributes) {
