@@ -7,10 +7,11 @@
 //   2. Measured write amplification under sustained per-Apply inserts is
 //      strictly below the full-merge compaction baseline.
 //   3. Prefix-compressed runs shrink the resident footprint of a
-//      shared-prefix dataset by >= 25%.
-//   4. Scan streams are byte-identical across {memtable path, bulk-load
-//      path} x {compressed, uncompressed} runs, and the visitor read
-//      path performs zero heap allocations in every configuration.
+//      shared-prefix dataset by >= 25% against the same entries'
+//      uncompressed footprint (ApproxEntryBytes summed over the store).
+//   4. Scan streams are byte-identical across the {memtable path,
+//      bulk-load path}, and the visitor read path performs zero heap
+//      allocations on either.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -21,6 +22,7 @@
 #include "common/alloc_hook.h"
 #include "common/rng.h"
 #include "pgrid/local_store.h"
+#include "pgrid/sorted_run.h"
 
 using namespace unistore;
 
@@ -56,13 +58,12 @@ double Seconds(std::chrono::steady_clock::time_point t0) {
 
 using Checksum = bench::StreamChecksum;
 
-pgrid::LocalStoreOptions IngestPosture(bool compress) {
+pgrid::LocalStoreOptions IngestPosture() {
   pgrid::LocalStoreOptions o;
   o.memtable_flush_threshold = 4096;
   o.max_runs = pgrid::LocalStoreOptions::kMaxRuns;
   o.tier_fanin = 4;
   o.tier_growth = 8;
-  o.compress_runs = compress;
   return o;
 }
 
@@ -87,7 +88,7 @@ void RunIngestThroughput() {
     double apply_s = 0;
     double bulk_s = 0;
     {
-      pgrid::LocalStore store(IngestPosture(true));
+      pgrid::LocalStore store(IngestPosture());
       const auto t0 = std::chrono::steady_clock::now();
       for (const auto& e : entries) store.Apply(e);
       apply_s = Seconds(t0);
@@ -97,7 +98,7 @@ void RunIngestThroughput() {
                     bench::FmtInt(store.run_count()), ""});
     }
     {
-      pgrid::LocalStore store(IngestPosture(true));
+      pgrid::LocalStore store(IngestPosture());
       // Batches of 128k: the anti-entropy / triple-ingest arrival shape.
       // BulkLoad takes ownership of its batch (a decoded wire batch is
       // handed over, not borrowed), so the slices move.
@@ -172,32 +173,32 @@ void RunWriteAmplification() {
 void RunCompressionSavings() {
   bench::Banner(
       "S2c / prefix-compressed runs",
-      "Resident bytes of the shared-prefix dataset, plain vs "
-      "prefix-compressed runs; gate: >= 25% reduction.");
+      "Resident bytes of the shared-prefix dataset in prefix-compressed "
+      "runs vs the same entries' uncompressed footprint (ApproxEntryBytes "
+      "per entry); gate: >= 25% reduction.");
   bench::Table table({"entries", "format", "resident MB", "reduction"});
   const size_t n = 200000;
-  auto entries = MakeDataset(n, 55);
-  size_t plain_bytes = 0;
-  size_t packed_bytes = 0;
-  for (bool compress : {false, true}) {
-    pgrid::LocalStore store(IngestPosture(compress));
-    store.BulkLoad(entries);
-    store.Compact();
-    const size_t bytes = store.resident_bytes();
-    (compress ? packed_bytes : plain_bytes) = bytes;
-    const double reduction =
-        compress && plain_bytes
-            ? 100.0 * (1.0 - static_cast<double>(bytes) /
-                                 static_cast<double>(plain_bytes))
-            : 0.0;
-    table.AddRow({std::to_string(n), compress ? "compressed" : "plain",
-                  bench::Fmt("%.1f", static_cast<double>(bytes) / 1048576.0),
-                  compress ? bench::Fmt("%.1f%%", reduction) : ""});
-  }
-  table.Print();
+  pgrid::LocalStore store(IngestPosture());
+  store.BulkLoad(MakeDataset(n, 55));
+  store.Compact();
+  size_t uncompressed_bytes = 0;
+  store.ScanAll([&uncompressed_bytes](const pgrid::EntryView& e) {
+    uncompressed_bytes += pgrid::ApproxEntryBytes(e);
+    return true;
+  });
+  const size_t packed_bytes = store.resident_bytes();
   const double reduction =
       100.0 * (1.0 - static_cast<double>(packed_bytes) /
-                         static_cast<double>(plain_bytes));
+                         static_cast<double>(uncompressed_bytes));
+  table.AddRow({std::to_string(n), "uncompressed",
+                bench::Fmt("%.1f", static_cast<double>(uncompressed_bytes) /
+                                       1048576.0),
+                ""});
+  table.AddRow({std::to_string(n), "compressed",
+                bench::Fmt("%.1f", static_cast<double>(packed_bytes) /
+                                       1048576.0),
+                bench::Fmt("%.1f%%", reduction)});
+  table.Print();
   g_compress_gate = reduction >= 25.0;
   g_gates.Add("resident_byte_reduction_pct", reduction);
 }
@@ -207,8 +208,8 @@ void RunCompressionSavings() {
 void RunStreamIdentity() {
   bench::Banner(
       "S2d / stream identity",
-      "ScanAll streams across {memtable path, bulk path} x {compressed, "
-      "plain}; gate: byte-identical checksums, zero scan allocations.");
+      "ScanAll streams across the {memtable path, bulk path}; gate: "
+      "byte-identical checksums, zero scan allocations.");
   bench::Table table(
       {"config", "entries seen", "checksum", "scan allocs"});
   const size_t n = 100000;
@@ -216,42 +217,36 @@ void RunStreamIdentity() {
   Checksum reference;
   bool first = true;
   for (bool bulk : {false, true}) {
-    for (bool compress : {false, true}) {
-      pgrid::LocalStore store(IngestPosture(compress));
-      if (bulk) {
-        const size_t kBatch = 32768;
-        for (size_t i = 0; i < entries.size(); i += kBatch) {
-          const size_t end = std::min(entries.size(), i + kBatch);
-          store.BulkLoad(std::vector<pgrid::Entry>(entries.begin() + i,
-                                                   entries.begin() + end));
-        }
-      } else {
-        for (const auto& e : entries) store.Apply(e);
+    pgrid::LocalStore store(IngestPosture());
+    if (bulk) {
+      const size_t kBatch = 32768;
+      for (size_t i = 0; i < entries.size(); i += kBatch) {
+        const size_t end = std::min(entries.size(), i + kBatch);
+        store.BulkLoad(std::vector<pgrid::Entry>(entries.begin() + i,
+                                                 entries.begin() + end));
       }
-      Checksum sum;
-      const uint64_t allocs = alloc_hook::CountCalls([&] {
-        store.ScanAll([&sum](const pgrid::EntryView& e) {
-          sum.Add(e);
-          return true;
-        });
-      });
-      if (first) {
-        reference = sum;
-        first = false;
-      }
-      const bool identical = sum == reference;
-      if (!identical) g_identical_gate = false;
-      if (allocs != 0) g_alloc_gate = false;
-      char label[64];
-      std::snprintf(label, sizeof(label), "%s/%s",
-                    bulk ? "bulk" : "memtable",
-                    compress ? "compressed" : "plain");
-      char hash[32];
-      std::snprintf(hash, sizeof(hash), "%016llx",
-                    static_cast<unsigned long long>(sum.h));
-      table.AddRow({label, bench::FmtInt(sum.count), hash,
-                    bench::FmtInt(allocs)});
+    } else {
+      for (const auto& e : entries) store.Apply(e);
     }
+    Checksum sum;
+    const uint64_t allocs = alloc_hook::CountCalls([&] {
+      store.ScanAll([&sum](const pgrid::EntryView& e) {
+        sum.Add(e);
+        return true;
+      });
+    });
+    if (first) {
+      reference = sum;
+      first = false;
+    }
+    const bool identical = sum == reference;
+    if (!identical) g_identical_gate = false;
+    if (allocs != 0) g_alloc_gate = false;
+    char hash[32];
+    std::snprintf(hash, sizeof(hash), "%016llx",
+                  static_cast<unsigned long long>(sum.h));
+    table.AddRow({bulk ? "bulk" : "memtable", bench::FmtInt(sum.count), hash,
+                  bench::FmtInt(allocs)});
   }
   table.Print();
   g_gates.Add("streams_identical", g_identical_gate ? 1 : 0);
@@ -269,7 +264,7 @@ const std::vector<pgrid::Entry>& KernelEntries() {
 
 void BM_BulkLoad(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
-  pgrid::LocalStore store(IngestPosture(true));
+  pgrid::LocalStore store(IngestPosture());
   size_t i = 0;
   for (auto _ : state) {
     if (i + batch > KernelEntries().size()) {
@@ -289,7 +284,7 @@ void BM_BulkLoad(benchmark::State& state) {
 BENCHMARK(BM_BulkLoad)->Arg(4096)->Arg(65536);
 
 void BM_ApplyTiered(benchmark::State& state) {
-  pgrid::LocalStore store(IngestPosture(true));
+  pgrid::LocalStore store(IngestPosture());
   size_t i = 0;
   for (auto _ : state) {
     if (i == KernelEntries().size()) {
@@ -305,7 +300,7 @@ void BM_ApplyTiered(benchmark::State& state) {
 BENCHMARK(BM_ApplyTiered);
 
 void BM_CompressedScan(benchmark::State& state) {
-  pgrid::LocalStore store(IngestPosture(true));
+  pgrid::LocalStore store(IngestPosture());
   store.BulkLoad(KernelEntries());
   store.Compact();
   uint64_t visited = 0;
@@ -344,7 +339,7 @@ int main(int argc, char** argv) {
     rc = 1;
   }
   if (!g_identical_gate) {
-    std::printf("FAIL: scan streams differ across write paths/formats\n");
+    std::printf("FAIL: scan streams differ across write paths\n");
     rc = 1;
   }
   if (!g_alloc_gate) {

@@ -13,8 +13,6 @@ cost::MigrateBatching BatchingFrom(const exec::EnvelopeOptions& envelope) {
   batching.fanout = static_cast<double>(envelope.fanout);
   batching.max_bindings_per_envelope =
       static_cast<double>(envelope.max_bindings_per_envelope);
-  batching.pipelined = envelope.pipeline && envelope.stream_partials;
-  batching.stream_partials = envelope.stream_partials;
   batching.visit_cost_us = envelope.join_visit_cost_us;
   batching.pair_cost_us = envelope.join_pair_cost_us;
   return batching;

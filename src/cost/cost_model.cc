@@ -62,18 +62,6 @@ Cost CostModel::IndexJoinProbe(double left_cardinality,
 }
 
 Cost CostModel::IndexJoinMigrate(double left_cardinality,
-                                 double peers_in_range) const {
-  const auto& net = catalog_->network();
-  double peers = std::max(1.0, peers_in_range);
-  double route_in = net.ExpectedLookupHops();
-  // The envelope (plan + bindings) hops along the partition; every hop
-  // ships the bindings.
-  return Cost{route_in + peers + 1,
-              (route_in + peers + 1) * net.hop_latency_us,
-              left_cardinality * (peers + 1)};
-}
-
-Cost CostModel::IndexJoinMigrate(double left_cardinality,
                                  double peers_in_range,
                                  const MigrateBatching& batching) const {
   const auto& net = catalog_->network();
@@ -94,23 +82,18 @@ Cost CostModel::IndexJoinMigrate(double left_cardinality,
                          batching.pair_cost_us * chunk_size *
                              std::max(1.0, batching.triples_per_peer);
   // A branch is a (branch_peers)-stage pipeline fed with `chunks`
-  // envelopes: pipelined, each stage overlaps its forward with its join
-  // (stage time = max of the two); serialized, they add.
-  const double stage_us = batching.pipelined
-                              ? std::max(net.hop_latency_us, join_us)
-                              : net.hop_latency_us + join_us;
+  // envelopes: each stage overlaps its forward with its join, so a stage
+  // takes the longer of the two.
+  const double stage_us = std::max(net.hop_latency_us, join_us);
   const double latency_us =
       (route_in + 1) * net.hop_latency_us +
       (branch_peers + chunks - 1) * stage_us;
 
   // Envelope hops (route-in per launched walk + one hop per visited peer
-  // per chunk) plus the replies: one streamed partial per visit, or one
-  // terminal per walk in accumulate mode.
-  const double replies =
-      batching.stream_partials ? peers * chunks : branches * chunks;
+  // per chunk) plus one streamed reply per visit.
   const double messages =
       branches * chunks * route_in + peers * chunks  // envelope hops
-      + replies;
+      + peers * chunks;                              // replies
   // Each binding rides its branch's slice of the partition once.
   const double tuples = left_cardinality * (branch_peers + 1);
   return Cost{messages, latency_us, tuples};

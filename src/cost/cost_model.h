@@ -36,10 +36,6 @@ struct Cost {
 struct MigrateBatching {
   double fanout = 1;                     ///< Parallel sub-range walks.
   double max_bindings_per_envelope = 0;  ///< 0 = all bindings in one chunk.
-  bool pipelined = false;                ///< Forward before the local join.
-  /// Visited peers stream one partial reply each; false = accumulate into
-  /// the terminal reply (one reply per walk).
-  bool stream_partials = false;
   /// Simulated local-join cost parameters (exec::EnvelopeOptions).
   double visit_cost_us = 100.0;
   double pair_cost_us = 0.5;
@@ -75,18 +71,13 @@ class CostModel {
   Cost IndexJoinProbe(double left_cardinality,
                       double match_probability) const;
 
-  /// Index join, plan-migration strategy (mutant query plan walking the
-  /// right attribute's partition of `peers_in_range` peers carrying
-  /// `left_cardinality` bindings). The unbatched (v0) shape: one walk, all
-  /// bindings per hop, results accumulated into the terminal reply.
-  Cost IndexJoinMigrate(double left_cardinality,
-                        double peers_in_range) const;
-
-  /// Batch-aware Migrate cost (DESIGN.md §4): `batching.fanout` parallel
-  /// sub-walks over partition slices, bindings chunked into envelopes of
-  /// `batching.max_bindings_per_envelope`, streamed partial replies, and
-  /// optionally pipelined forwarding that overlaps each hop's network
-  /// latency with the local join.
+  /// Index join, plan-migration strategy (DESIGN.md §4): mutant query
+  /// plans walk the right attribute's partition of `peers_in_range` peers
+  /// carrying `left_cardinality` bindings, as `batching.fanout` parallel
+  /// sub-walks over partition slices with bindings chunked into envelopes
+  /// of `batching.max_bindings_per_envelope`. Every visited peer streams
+  /// one partial reply and forwards before its local join, overlapping
+  /// each hop's network latency with the join.
   Cost IndexJoinMigrate(double left_cardinality, double peers_in_range,
                         const MigrateBatching& batching) const;
 

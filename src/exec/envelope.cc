@@ -60,71 +60,36 @@ Result<vql::TriplePattern> DecodePattern(BufferReader* r) {
 
 std::string PlanEnvelope::Encode() const {
   BufferWriter w;
-  w.PutU32(kEnvelopeVersionSentinel);
-  w.PutU8(kEnvelopeWireVersion);
   w.PutU32(initiator);
   w.PutU64(walk_id);
   w.PutU32(branch);
   w.PutU32(chunk_id);
   w.PutU32(chunk_count);
-  w.PutU8(flags);
-  w.PutU32(visited);
-  w.PutString(segment_lo);
   EncodePattern(pattern, &w);
   w.PutString(filter_vql);
   w.PutString(remaining.lo.bits());
   w.PutString(remaining.hi.bits());
   EncodeBindings(bindings, &w);
-  EncodeBindings(results, &w);
-  return w.Release();
-}
-
-std::string PlanEnvelope::EncodeV0() const {
-  BufferWriter w;
-  w.PutU32(initiator);
-  EncodePattern(pattern, &w);
-  w.PutString(filter_vql);
-  w.PutString(remaining.lo.bits());
-  w.PutString(remaining.hi.bits());
-  EncodeBindings(bindings, &w);
-  EncodeBindings(results, &w);
   return w.Release();
 }
 
 Result<PlanEnvelope> PlanEnvelope::Decode(std::string_view bytes) {
   BufferReader r(bytes);
   PlanEnvelope env;
-  UNISTORE_ASSIGN_OR_RETURN(uint32_t head, r.GetU32());
-  if (head == kEnvelopeVersionSentinel) {
-    UNISTORE_ASSIGN_OR_RETURN(uint8_t version, r.GetU8());
-    if (version == 0 || version > kEnvelopeWireVersion) {
-      return Status::Corruption("unsupported envelope wire version ",
-                                static_cast<int>(version));
-    }
-    UNISTORE_ASSIGN_OR_RETURN(env.initiator, r.GetU32());
-    UNISTORE_ASSIGN_OR_RETURN(env.walk_id, r.GetU64());
-    UNISTORE_ASSIGN_OR_RETURN(env.branch, r.GetU32());
-    UNISTORE_ASSIGN_OR_RETURN(env.chunk_id, r.GetU32());
-    UNISTORE_ASSIGN_OR_RETURN(env.chunk_count, r.GetU32());
-    UNISTORE_ASSIGN_OR_RETURN(env.flags, r.GetU8());
-    UNISTORE_ASSIGN_OR_RETURN(env.visited, r.GetU32());
-    UNISTORE_ASSIGN_OR_RETURN(env.segment_lo, r.GetString());
-    UNISTORE_RETURN_IF_ERROR(ValidateBits(env.segment_lo, "segment_lo"));
-    if (env.chunk_count == 0 || env.chunk_id >= env.chunk_count) {
-      return Status::Corruption("envelope chunk ", env.chunk_id, "/",
-                                env.chunk_count, " out of range");
-    }
-  } else {
-    // Legacy v0 layout: the first u32 was the initiator; the batching
-    // fields keep their single-walk defaults.
-    env.initiator = head;
+  UNISTORE_ASSIGN_OR_RETURN(env.initiator, r.GetU32());
+  UNISTORE_ASSIGN_OR_RETURN(env.walk_id, r.GetU64());
+  UNISTORE_ASSIGN_OR_RETURN(env.branch, r.GetU32());
+  UNISTORE_ASSIGN_OR_RETURN(env.chunk_id, r.GetU32());
+  UNISTORE_ASSIGN_OR_RETURN(env.chunk_count, r.GetU32());
+  if (env.chunk_count == 0 || env.chunk_id >= env.chunk_count) {
+    return Status::Corruption("envelope chunk ", env.chunk_id, "/",
+                              env.chunk_count, " out of range");
   }
   UNISTORE_ASSIGN_OR_RETURN(env.pattern, DecodePattern(&r));
   UNISTORE_ASSIGN_OR_RETURN(env.filter_vql, r.GetString());
   UNISTORE_ASSIGN_OR_RETURN(env.remaining.lo, DecodeKey(&r));
   UNISTORE_ASSIGN_OR_RETURN(env.remaining.hi, DecodeKey(&r));
   UNISTORE_ASSIGN_OR_RETURN(env.bindings, DecodeBindings(&r));
-  UNISTORE_ASSIGN_OR_RETURN(env.results, DecodeBindings(&r));
   return env;
 }
 
@@ -132,8 +97,6 @@ Result<PlanEnvelope> PlanEnvelope::Decode(std::string_view bytes) {
 
 std::string EnvelopeReply::Encode() const {
   BufferWriter w;
-  w.PutU8(kReplyVersionSentinel);
-  w.PutU8(kEnvelopeWireVersion);
   w.PutU8(status_code);
   w.PutString(error);
   w.PutU8(static_cast<uint8_t>(kind));
@@ -144,60 +107,33 @@ std::string EnvelopeReply::Encode() const {
   w.PutString(covered_lo);
   w.PutString(covered_hi);
   EncodeBindings(results, &w);
-  w.PutU32(peers_visited);
   w.PutU64(store_version);
   w.PutU32(retry_after_us);
-  return w.Release();
-}
-
-std::string EnvelopeReply::EncodeV0() const {
-  BufferWriter w;
-  w.PutU8(status_code);
-  w.PutString(error);
-  EncodeBindings(results, &w);
-  w.PutU32(peers_visited);
   return w.Release();
 }
 
 Result<EnvelopeReply> EnvelopeReply::Decode(std::string_view bytes) {
   BufferReader r(bytes);
   EnvelopeReply reply;
-  UNISTORE_ASSIGN_OR_RETURN(uint8_t head, r.GetU8());
-  uint8_t version = 0;
-  if (head == kReplyVersionSentinel) {
-    UNISTORE_ASSIGN_OR_RETURN(version, r.GetU8());
-    if (version == 0 || version > kEnvelopeWireVersion) {
-      return Status::Corruption("unsupported envelope reply version ",
-                                static_cast<int>(version));
-    }
-    UNISTORE_ASSIGN_OR_RETURN(reply.status_code, r.GetU8());
-    UNISTORE_ASSIGN_OR_RETURN(reply.error, r.GetString());
-    UNISTORE_ASSIGN_OR_RETURN(uint8_t kind, r.GetU8());
-    if (kind > static_cast<uint8_t>(Kind::kPartial)) {
-      return Status::Corruption("bad envelope reply kind ",
-                                static_cast<int>(kind));
-    }
-    reply.kind = static_cast<Kind>(kind);
-    UNISTORE_ASSIGN_OR_RETURN(reply.origin, r.GetU32());
-    UNISTORE_ASSIGN_OR_RETURN(reply.walk_id, r.GetU64());
-    UNISTORE_ASSIGN_OR_RETURN(reply.branch, r.GetU32());
-    UNISTORE_ASSIGN_OR_RETURN(reply.chunk_id, r.GetU32());
-    UNISTORE_ASSIGN_OR_RETURN(reply.covered_lo, r.GetString());
-    UNISTORE_ASSIGN_OR_RETURN(reply.covered_hi, r.GetString());
-    UNISTORE_RETURN_IF_ERROR(ValidateBits(reply.covered_lo, "covered_lo"));
-    UNISTORE_RETURN_IF_ERROR(ValidateBits(reply.covered_hi, "covered_hi"));
-  } else {
-    // Legacy v0 layout: the first u8 was the status code; a v0 reply is
-    // always the terminal of a single unsplit walk.
-    reply.status_code = head;
-    UNISTORE_ASSIGN_OR_RETURN(reply.error, r.GetString());
+  UNISTORE_ASSIGN_OR_RETURN(reply.status_code, r.GetU8());
+  UNISTORE_ASSIGN_OR_RETURN(reply.error, r.GetString());
+  UNISTORE_ASSIGN_OR_RETURN(uint8_t kind, r.GetU8());
+  if (kind > static_cast<uint8_t>(Kind::kPartial)) {
+    return Status::Corruption("bad envelope reply kind ",
+                              static_cast<int>(kind));
   }
+  reply.kind = static_cast<Kind>(kind);
+  UNISTORE_ASSIGN_OR_RETURN(reply.origin, r.GetU32());
+  UNISTORE_ASSIGN_OR_RETURN(reply.walk_id, r.GetU64());
+  UNISTORE_ASSIGN_OR_RETURN(reply.branch, r.GetU32());
+  UNISTORE_ASSIGN_OR_RETURN(reply.chunk_id, r.GetU32());
+  UNISTORE_ASSIGN_OR_RETURN(reply.covered_lo, r.GetString());
+  UNISTORE_ASSIGN_OR_RETURN(reply.covered_hi, r.GetString());
+  UNISTORE_RETURN_IF_ERROR(ValidateBits(reply.covered_lo, "covered_lo"));
+  UNISTORE_RETURN_IF_ERROR(ValidateBits(reply.covered_hi, "covered_hi"));
   UNISTORE_ASSIGN_OR_RETURN(reply.results, DecodeBindings(&r));
-  UNISTORE_ASSIGN_OR_RETURN(reply.peers_visited, r.GetU32());
-  if (version >= 2) {
-    UNISTORE_ASSIGN_OR_RETURN(reply.store_version, r.GetU64());
-    UNISTORE_ASSIGN_OR_RETURN(reply.retry_after_us, r.GetU32());
-  }
+  UNISTORE_ASSIGN_OR_RETURN(reply.store_version, r.GetU64());
+  UNISTORE_ASSIGN_OR_RETURN(reply.retry_after_us, r.GetU32());
   return reply;
 }
 

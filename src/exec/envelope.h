@@ -1,20 +1,13 @@
 // Mutant query plan envelopes (paper §2, after Papadimos & Maier's Mutant
-// Query Plans): a serialized plan fragment plus its partial results that
-// migrates between peers. UniStore uses envelopes for the Migrate join
-// strategy: the envelope carries the left-side bindings along the peers of
-// the right pattern's attribute partition; every visited peer joins
-// locally, mutates the envelope (annotates results, shrinks the remaining
-// range) and forwards it, until the exhausted envelope returns to the
-// initiator.
-//
-// Wire format versioning (DESIGN.md §4): the original (v0) envelope began
-// directly with the initiator peer id, carried all bindings in one message
-// and accumulated every result into the terminal reply. v1 adds batching
-// metadata — walk/branch/chunk identity, flags selecting streamed partial
-// replies and pipelined forwarding, and a visited-peer counter — behind a
-// reserved sentinel (0xFFFFFFFE, never a valid peer id), so v0 payloads
-// still decode: a decoder that does not see the sentinel reads the legacy
-// layout and fills v1 fields with their single-walk defaults.
+// Query Plans): a serialized plan fragment that migrates between peers.
+// UniStore uses envelopes for the Migrate join strategy: the envelope
+// carries the left-side bindings along the peers of the right pattern's
+// attribute partition. Every visited peer shrinks the remaining range and
+// forwards the envelope before its local join completes, then streams its
+// own rows straight back to the initiator (kPlanExecPartial; the last peer
+// of the walk sends the terminal kPlanExecReply). The envelope therefore
+// never carries results, and each struct has exactly one wire layout
+// (DESIGN.md §4).
 #ifndef UNISTORE_EXEC_ENVELOPE_H_
 #define UNISTORE_EXEC_ENVELOPE_H_
 
@@ -29,29 +22,6 @@
 namespace unistore {
 namespace exec {
 
-/// First u32 of a versioned (v1+) envelope encoding. Never a valid
-/// initiator id: peer ids are dense and net::kNoPeer is 0xFFFFFFFF.
-constexpr uint32_t kEnvelopeVersionSentinel = 0xFFFFFFFE;
-/// First u8 of a versioned (v1+) reply encoding. Never a valid v0 status
-/// code (StatusCode values are small).
-constexpr uint8_t kReplyVersionSentinel = 0xFE;
-/// Current envelope/reply wire version. v2 appends the serving peer's
-/// store-range version and an overload retry-after hint to the reply
-/// (hot-path serving layer, DESIGN.md §8); v1 payloads still decode with
-/// both defaulted to 0.
-constexpr uint8_t kEnvelopeWireVersion = 2;
-
-/// PlanEnvelope::flags bits.
-enum EnvelopeFlags : uint8_t {
-  /// Visited peers stream their local results straight to the initiator
-  /// (kPlanExecPartial) instead of accumulating them into the envelope.
-  kEnvelopeStreamPartials = 1u << 0,
-  /// A visited peer forwards the shrunk envelope before its local join
-  /// completes (only meaningful with kEnvelopeStreamPartials — in
-  /// accumulate mode the results must ride the envelope).
-  kEnvelopePipelined = 1u << 1,
-};
-
 /// The migrating plan fragment.
 struct PlanEnvelope {
   net::PeerId initiator = net::kNoPeer;
@@ -64,17 +34,6 @@ struct PlanEnvelope {
   /// Binding-chunk index within the walk and the total chunk count.
   uint32_t chunk_id = 0;
   uint32_t chunk_count = 1;
-  /// EnvelopeFlags bitset; 0 reproduces the v0 behaviour (accumulate into
-  /// the terminal reply, forward after the local join).
-  uint8_t flags = 0;
-  /// Serving peers visited so far by this envelope instance (accumulate
-  /// mode reports it in the terminal reply).
-  uint32_t visited = 0;
-  /// Where this walk instance entered the branch range (bit string; set at
-  /// launch, preserved along the walk). The terminal reply of an
-  /// accumulate-mode walk covers [segment_lo, its last peer's subtree
-  /// max] — retries after a partial failure resume past it.
-  std::string segment_lo;
   /// The pattern each visited peer matches against its local store.
   vql::TriplePattern pattern;
   /// Optional residual FILTER (VQL text, re-parsed at each peer); applied
@@ -85,21 +44,8 @@ struct PlanEnvelope {
   pgrid::KeyRange remaining;
   /// Left-side input bindings (one chunk of them under chunking).
   std::vector<Binding> bindings;
-  /// Join results accumulated by already-visited peers (accumulate mode
-  /// only; empty in streaming mode).
-  std::vector<Binding> results;
-
-  bool stream_partials() const {
-    return (flags & kEnvelopeStreamPartials) != 0;
-  }
-  bool pipelined() const {
-    return stream_partials() && (flags & kEnvelopePipelined) != 0;
-  }
 
   std::string Encode() const;
-  /// Legacy (v0, pre-chunking) encoding: only the v0 fields. Kept for the
-  /// back-compat codec tests and for talking to pre-batching peers.
-  std::string EncodeV0() const;
   static Result<PlanEnvelope> Decode(std::string_view bytes);
 };
 
@@ -124,14 +70,11 @@ struct EnvelopeReply {
   std::string covered_lo;
   std::string covered_hi;
   std::vector<Binding> results;
-  /// Serving peers behind this reply: 1 for a partial, the walk-instance
-  /// visit count for a terminal in accumulate mode.
-  uint32_t peers_visited = 0;
   /// The serving peer's LocalStore::VersionForRange over the covered
-  /// slice, sampled when the local join ran (v2+). Coordinators tag
+  /// slice, sampled when the local join ran. Coordinators tag
   /// cached results with it and re-probe before serving from cache.
   uint64_t store_version = 0;
-  /// For a kOverloaded shed (v2+): how long the coordinator should wait
+  /// For a kOverloaded shed: how long the coordinator should wait
   /// before relaunching, derived from the shedding peer's busy horizon.
   /// 0 for non-overloaded replies.
   uint32_t retry_after_us = 0;
@@ -139,8 +82,6 @@ struct EnvelopeReply {
   bool has_coverage() const { return !covered_hi.empty(); }
 
   std::string Encode() const;
-  /// Legacy (v0) encoding (back-compat tests).
-  std::string EncodeV0() const;
   static Result<EnvelopeReply> Decode(std::string_view bytes);
 };
 

@@ -82,11 +82,6 @@ PlanEnvelope EnvelopeCoordinator::MakeEnvelope(uint32_t branch,
   env.branch = branch;
   env.chunk_id = chunk;
   env.chunk_count = static_cast<uint32_t>(chunks_.size());
-  if (options_.stream_partials) {
-    env.flags |= kEnvelopeStreamPartials;
-    if (options_.pipeline) env.flags |= kEnvelopePipelined;
-  }
-  env.segment_lo = w.frontier.bits();
   env.pattern = pattern_;
   env.filter_vql = filter_vql_;
   env.remaining.lo = w.frontier;
@@ -170,7 +165,7 @@ EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
       w.results[lo] = std::move(reply.results);
       w.pending[lo] = reply.covered_hi;
       w.accepted[lo] = reply.covered_hi;
-      w.peer_visits += std::max<uint32_t>(1, reply.peers_visited);
+      ++w.peer_visits;
       contributors_.push_back(CacheContributor{
           reply.origin, lo, reply.covered_hi, reply.store_version});
       AdvanceFrontier(&w);
@@ -196,7 +191,7 @@ EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
   // instance: relaunch from the frontier if budget remains. Stale errors
   // from superseded instances are ignored.
   if (reply.status_code != 0 && !w.complete &&
-      (reply.walk_id == 0 || reply.walk_id == w.latest_walk_id)) {
+      reply.walk_id == w.latest_walk_id) {
     if (reply.status_code == static_cast<uint8_t>(StatusCode::kOverloaded)) {
       // Shed-or-defer: the serving peer's admission queue was full.
       // Relaunch after its retry-after horizon without spending the retry

@@ -31,22 +31,12 @@
 namespace unistore {
 namespace exec {
 
-/// Knobs of the batched envelope executor. The initiator stamps the
-/// resulting behaviour into each envelope's flags, so a walk behaves the
-/// same on every peer it visits regardless of the visited peers' own
-/// configuration.
+/// Knobs of the batched envelope executor.
 struct EnvelopeOptions {
   /// Maximum parallel sub-range walks per join (1 = unsplit).
   uint32_t fanout = 2;
   /// Bindings per envelope before the walk is chunked (0 = unlimited).
   uint32_t max_bindings_per_envelope = 128;
-  /// Visited peers forward the shrunk envelope before their local join
-  /// completes, overlapping network latency with local work. Only takes
-  /// effect together with `stream_partials`.
-  bool pipeline = true;
-  /// Visited peers stream their local results straight to the initiator
-  /// instead of accumulating them into the envelope (v0 behaviour).
-  bool stream_partials = true;
   /// Simulated local-join cost: fixed per-visit overhead plus a per
   /// (local triple x binding) pair term. Serving serializes per peer, so
   /// these model the compute the pipeline overlaps with latency.
@@ -77,7 +67,7 @@ struct EnvelopeOptions {
   /// When a walk exhausts its retry budget, abandon just that walk and
   /// return the rows gathered so far with an explicit coverage gap
   /// (MigrateResult::coverage_gaps) instead of failing the whole join.
-  /// Off by default: a retry-exhausted walk fails the join (v0 behaviour).
+  /// Off by default: a retry-exhausted walk fails the join.
   bool partial_results = false;
 };
 
@@ -116,8 +106,7 @@ struct MigrateResult {
   uint32_t max_walk_hops = 0;
   /// Serving peers with their covered slices and store-range versions
   /// (deduplicated; min version per (peer, slice) so any later mutation
-  /// invalidates). Complete only in stream-partials mode — accumulate-mode
-  /// terminals name just the last peer, so the cache skips those runs.
+  /// invalidates).
   std::vector<CacheContributor> contributors;
   /// False when any walk was abandoned (partial_results mode): `rows` is
   /// a partial answer and `coverage_gaps` names exactly what is missing.
@@ -205,7 +194,7 @@ class EnvelopeCoordinator {
     uint32_t retries_left = 0;
     uint64_t generation = 0;   ///< Bumped on progress and relaunch.
     uint64_t latest_walk_id = 0;  ///< Current instance; stale errors ignored.
-    uint32_t peer_visits = 0;  ///< Sum of accepted replies' peers_visited.
+    uint32_t peer_visits = 0;  ///< Accepted replies (one serving peer each).
     /// Accepted but not-yet-contiguous coverage: covered_lo -> covered_hi.
     std::map<std::string, std::string> pending;
     /// Every accepted interval: covered_lo -> covered_hi (kept after

@@ -68,10 +68,8 @@ void QueryService::RunMigrateJoin(const vql::TriplePattern& pattern,
         "migrate join needs a literal attribute in the right pattern"));
     return;
   }
-  // Versioned result cache (DESIGN.md §8). Only in stream-partials mode:
-  // accumulate-mode terminals name just the last serving peer, so their
-  // contributor set is incomplete and the freshness check unsound.
-  if (cache_.enabled() && options_.stream_partials) {
+  // Versioned result cache (DESIGN.md §8).
+  if (cache_.enabled()) {
     std::string key = ResultCache::Fingerprint(
         pattern, filter_vql,
         triple::AttrRange(pattern.predicate.literal.AsString()), left);
@@ -121,7 +119,7 @@ void QueryService::StartMigrateJoin(const vql::TriplePattern& pattern,
   // degrades instead of failing: still-uncovered walks are abandoned and
   // the rows gathered so far come back with explicit coverage gaps.
   peer_->transport()->scheduler()->ScheduleAfter(
-      peer_->options().scan_timeout, peer_->id(), peer_->id(),
+      pgrid::kScanTimeout, peer_->id(), peer_->id(),
       [this, id]() {
         auto it = migrations_.find(id);
         if (it == migrations_.end()) return;
@@ -369,8 +367,6 @@ void QueryService::OnPlanExec(const Message& msg) {
       reply.branch = env->branch;
       reply.chunk_id = env->chunk_id;
       reply.origin = peer_->id();
-      reply.results = std::move(env->results);
-      reply.peers_visited = env->visited;
       DeliverReply(env->initiator, msg.request_id, msg.hops, /*delay=*/0,
                    std::move(reply));
       return;
@@ -412,8 +408,6 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
   }
 
   ++envelopes_processed_;
-  env.visited += 1;
-  if (env.segment_lo.empty()) env.segment_lo = env.remaining.lo.bits();
 
   // Optional residual filter: parsed once per visit (it travelled as VQL
   // text — the "plan" part of the mutant plan).
@@ -481,42 +475,24 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
     }
   }
 
-  const bool stream = env.stream_partials();
   const bool forward = more && !stalled;
 
+  // This peer's results travel straight back; coverage is exactly this
+  // peer's slice of the branch.
   EnvelopeReply reply;
+  reply.kind = forward ? EnvelopeReply::Kind::kPartial
+                       : EnvelopeReply::Kind::kTerminal;
   reply.origin = peer_->id();
   reply.walk_id = env.walk_id;
   reply.branch = env.branch;
   reply.chunk_id = env.chunk_id;
+  reply.covered_lo = serve_lo.bits();
+  reply.covered_hi = covered_hi.bits();
+  reply.results = std::move(local_results);
   // Freshness tag for the coordinator's result cache: this peer's
   // store-range version over the slice it served, sampled at scan time.
   reply.store_version = peer_->store().VersionForRange(
       pgrid::KeyRange{serve_lo, covered_hi});
-  if (stream) {
-    // This peer's results travel straight back; coverage is exactly this
-    // peer's slice of the branch.
-    reply.kind = forward ? EnvelopeReply::Kind::kPartial
-                         : EnvelopeReply::Kind::kTerminal;
-    reply.covered_lo = serve_lo.bits();
-    reply.covered_hi = covered_hi.bits();
-    reply.results = std::move(local_results);
-    reply.peers_visited = 1;
-  } else {
-    // Accumulate mode (v0 behaviour): results ride the envelope; only a
-    // terminal reply reports back, covering the whole segment walked by
-    // this envelope instance.
-    env.results.insert(env.results.end(),
-                       std::make_move_iterator(local_results.begin()),
-                       std::make_move_iterator(local_results.end()));
-    reply.kind = EnvelopeReply::Kind::kTerminal;
-    if (!forward) {
-      reply.covered_lo = env.segment_lo;
-      reply.covered_hi = covered_hi.bits();
-      reply.results = std::move(env.results);
-      reply.peers_visited = env.visited;
-    }
-  }
   if (stalled) {
     reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
     reply.error =
@@ -524,6 +500,8 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
   }
 
   if (forward) {
+    // The shrunk envelope leaves before the local join completes, so
+    // network latency overlaps with local work.
     env.remaining.lo = next_lo;
     Message msg;
     msg.type = MessageType::kPlanExec;
@@ -532,18 +510,7 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
     msg.request_id = request_id;
     msg.hops = hops + 1;
     msg.payload = env.Encode();
-    if (env.pipelined()) {
-      // Pipelined: the shrunk envelope leaves before the local join
-      // completes — network latency overlaps with local work.
-      peer_->transport()->Send(std::move(msg));
-    } else {
-      scheduler->ScheduleAfter(
-          finish_delay, peer_->id(), peer_->id(),
-          [this, msg = std::move(msg)]() mutable {
-            peer_->transport()->Send(std::move(msg));
-          });
-    }
-    if (!stream) return;  // Nothing to report until the walk terminates.
+    peer_->transport()->Send(std::move(msg));
   }
 
   DeliverReply(env.initiator, request_id, hops, finish_delay,

@@ -52,12 +52,11 @@ class QueryService {
   const cost::StatsCatalog& catalog() const;
 
   /// \brief Runs a Migrate join: ships `left` through the partition of
-  /// `pattern`'s (literal) attribute; every peer joins locally and
-  /// forwards the envelope. `filter_vql` optionally prunes merged
-  /// bindings en route (empty = none). Fan-out, binding chunking,
-  /// streamed partial replies and pipelined forwarding follow the
-  /// configured EnvelopeOptions; results come back in canonical order
-  /// regardless of those knobs.
+  /// `pattern`'s (literal) attribute; every peer forwards the envelope,
+  /// joins locally and streams its rows back. `filter_vql` optionally
+  /// prunes merged bindings en route (empty = none). Fan-out and binding
+  /// chunking follow the configured EnvelopeOptions; results come back in
+  /// canonical order regardless of those knobs.
   void RunMigrateJoin(const vql::TriplePattern& pattern,
                       const std::string& filter_vql,
                       std::vector<Binding> left, MigrateCallback callback);
@@ -164,7 +163,7 @@ class QueryService {
   uint64_t envelopes_processed_ = 0;
   /// Virtual time until which this peer's (single) query executor is busy
   /// joining — envelope serving serializes per peer, which is exactly the
-  /// latency the pipelined mode overlaps with forwarding.
+  /// latency that forwarding ahead of the join overlaps.
   sim::SimTime busy_until_ = 0;
   ResultCache cache_;
   /// Local joins queued behind busy_until_ (admission-control bound).

@@ -11,8 +11,6 @@ std::string_view MessageTypeName(MessageType type) {
     case MessageType::kLookupReply: return "LookupReply";
     case MessageType::kInsert: return "Insert";
     case MessageType::kInsertReply: return "InsertReply";
-    case MessageType::kRemove: return "Remove";
-    case MessageType::kRemoveReply: return "RemoveReply";
     case MessageType::kBulkInsert: return "BulkInsert";
     case MessageType::kBulkInsertReply: return "BulkInsertReply";
     case MessageType::kLookupBatch: return "LookupBatch";

@@ -25,8 +25,6 @@ enum class MessageType : uint16_t {
   kLookupReply = 11,
   kInsert = 12,          ///< Route to key owner, store entry.
   kInsertReply = 13,
-  kRemove = 14,
-  kRemoveReply = 15,
   kBulkInsert = 16,      ///< Routed batch insert (bulk ingest pipeline).
   kBulkInsertReply = 17,
   kLookupBatch = 18,     ///< Exact lookup of a key set, split per next hop.

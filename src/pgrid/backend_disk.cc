@@ -1,7 +1,6 @@
 #include "pgrid/backend_disk.h"
 
 #include <algorithm>
-#include <cstring>
 #include <set>
 #include <utility>
 
@@ -14,9 +13,6 @@
 namespace unistore {
 namespace pgrid {
 namespace storage {
-
-using run_format::AppendVarint;
-using run_format::ReadVarint;
 
 std::string RunFileName(uint64_t file_number) {
   return "run-" + std::to_string(file_number);
@@ -105,7 +101,7 @@ Status ValidateBlockPayload(std::string_view payload) {
     if (index == 0 && shared != 0) return corrupt("chain start");
     if (shared != 0) {
       if (shared > prev_key_len) return corrupt("shared prefix");
-      if (shared + suffix > SortedRun::kMaxCompressedKeyBits) {
+      if (shared + suffix > run_format::kMaxCompressedKeyBits) {
         return corrupt("key length");
       }
     }
@@ -157,27 +153,13 @@ void DiskRunWriter::Add(const EntryView& e) {
     if (!status_.ok()) return;
   }
   approx_bytes_ += ApproxEntryBytes(e);
-  size_t shared = 0;
+  // Each block starts a fresh prefix chain.
+  std::string_view prev_key = prev_key_;
   if (block_.empty()) {
     first_key_.assign(e.key_bits.data(), e.key_bits.size());
-  } else if (e.key_bits.size() <= SortedRun::kMaxCompressedKeyBits) {
-    // Overlong keys are stored unshared (shared == 0): the cursor then
-    // reads the key straight from the block bytes instead of its fixed
-    // reassembly buffer, so no plain-format fallback is needed on disk.
-    const size_t limit = std::min(prev_key_.size(), e.key_bits.size());
-    while (shared < limit && prev_key_[shared] == e.key_bits[shared]) {
-      ++shared;
-    }
+    prev_key = {};
   }
-  AppendVarint(&block_, shared);
-  AppendVarint(&block_, e.key_bits.size() - shared);
-  block_.append(e.key_bits.data() + shared, e.key_bits.size() - shared);
-  AppendVarint(&block_, e.id.size());
-  block_.append(e.id.data(), e.id.size());
-  AppendVarint(&block_, e.payload.size());
-  block_.append(e.payload.data(), e.payload.size());
-  AppendVarint(&block_, e.version);
-  block_.push_back(e.deleted ? '\1' : '\0');
+  run_format::AppendRecord(&block_, prev_key, e);
   prev_key_.assign(e.key_bits.data(), e.key_bits.size());
   ++count_;
 }
@@ -375,35 +357,8 @@ bool DiskRun::FindSlot(std::string_view key_bits, std::string_view id,
 // DiskRunCursor
 
 void DiskRunCursor::DecodeRecord() {
-  const std::string_view payload(*block_);
-  size_t pos = pos_;
-  const uint64_t shared = ReadVarint(payload, &pos);
-  const uint64_t suffix = ReadVarint(payload, &pos);
-  if (shared == 0) {
-    // Chain starts alias the block bytes directly — this is what lets
-    // overlong keys (beyond the fixed buffer) live in block files.
-    view_.key_bits = payload.substr(pos, suffix);
-    key_in_buf_ = false;
-  } else {
-    if (!key_in_buf_) {
-      // Previous key aliased the (still pinned) block; pull the shared
-      // prefix into the reassembly buffer once.
-      std::memcpy(key_buf_, view_.key_bits.data(), shared);
-    }
-    std::memcpy(key_buf_ + shared, payload.data() + pos, suffix);
-    view_.key_bits = std::string_view(key_buf_, shared + suffix);
-    key_in_buf_ = true;
-  }
-  pos += suffix;
-  const uint64_t id_len = ReadVarint(payload, &pos);
-  view_.id = payload.substr(pos, id_len);
-  pos += id_len;
-  const uint64_t payload_len = ReadVarint(payload, &pos);
-  view_.payload = payload.substr(pos, payload_len);
-  pos += payload_len;
-  view_.version = ReadVarint(payload, &pos);
-  view_.deleted = payload[pos++] != '\0';
-  next_pos_ = pos;
+  next_pos_ = pos_;
+  run_format::DecodeRecord(*block_, &next_pos_, key_buf_, &view_);
 }
 
 bool DiskRunCursor::LoadBlock(uint32_t index) {
@@ -414,7 +369,6 @@ bool DiskRunCursor::LoadBlock(uint32_t index) {
   }
   block_index_ = index;
   pos_ = 0;
-  key_in_buf_ = false;
   DecodeRecord();
   return true;
 }

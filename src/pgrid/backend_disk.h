@@ -14,14 +14,14 @@
 //     varint entry_count
 //   [u64 index_offset][u32 index_masked_crc][u32 magic]  fixed tail
 //
+// Records use run_format's codec, the same one SortedRun's arena uses.
 // Each block starts a fresh prefix chain (its first record stores the
 // full key), so blocks decode independently; a record whose full key
-// exceeds SortedRun::kMaxCompressedKeyBits is stored with shared == 0 so
+// exceeds run_format::kMaxCompressedKeyBits is stored with shared == 0 so
 // its key aliases the block bytes instead of the cursor's fixed
-// reassembly buffer — overlong keys need no plain-format fallback on
-// disk. Block payloads are structurally validated once, on cache miss,
-// so the cursor's per-record decode can stay unchecked like the
-// in-memory arena decode.
+// reassembly buffer. Block payloads are structurally validated once, on
+// cache miss, so the cursor's per-record decode can stay unchecked like
+// the in-memory arena decode.
 //
 // The manifest (`MANIFEST`) is an append-only stream of framed records
 // ([u32 len][u32 masked_crc][payload]) describing the evolution of the
@@ -194,8 +194,7 @@ class DiskRunCursor {
   uint32_t block_index_ = 0;
   size_t pos_ = 0;       // Payload offset of the current record.
   size_t next_pos_ = 0;
-  bool key_in_buf_ = false;  // Key reassembled into key_buf_ vs aliased.
-  char key_buf_[SortedRun::kMaxCompressedKeyBits];
+  char key_buf_[run_format::kMaxCompressedKeyBits];
 };
 
 /// \brief Streams a sorted entry sequence into a run file.

@@ -46,9 +46,9 @@ struct Entry {
 ///
 /// The zero-copy scan path hands visitors EntryViews instead of `const
 /// Entry&`: prefix-compressed runs do not hold materialized Entry objects,
-/// so the view's fields alias either an Entry living in the memtable / an
-/// uncompressed run, or bytes of a compressed run's arena plus the scan
-/// cursor's key-reassembly buffer. A view is valid only for the duration
+/// so the view's fields alias either an Entry living in the memtable, or
+/// bytes of a run's arena (or disk block) plus the scan cursor's
+/// key-reassembly buffer. A view is valid only for the duration
 /// of the visitor call (the cursor reuses its buffers on advance) — copy
 /// with ToEntry() to retain.
 struct EntryView {
@@ -59,7 +59,7 @@ struct EntryView {
   bool deleted = false;
 
   EntryView() = default;
-  /// Wraps an owning Entry (memtable / uncompressed-run sources).
+  /// Wraps an owning Entry.
   EntryView(const Entry& e)  // NOLINT(google-explicit-constructor)
       : key_bits(e.key.bits()),
         id(e.id),

@@ -151,8 +151,7 @@ LocalStore::LocalStore(const LocalStoreOptions& options) {
     }
   }
   if (backend_ == nullptr) {
-    backend_ = std::make_unique<MemoryBackend>(options_.compress_runs,
-                                               options_.restart_interval);
+    backend_ = std::make_unique<MemoryBackend>(options_.restart_interval);
   }
   if (backend_->run_count() > 0) RecountFromBackend();
 }

@@ -55,14 +55,9 @@ struct LocalStoreOptions {
   /// iff floor(log_growth(size/flush_threshold)) matches. Minimum 2.
   size_t tier_growth = 4;
 
-  /// Build runs in the prefix-compressed format (shared-prefix truncation
-  /// of key bits per block, restart points every `restart_interval`
-  /// entries). Scans stay zero-copy/allocation-free; runs shrink by the
-  /// shared key prefixes (bench_bulk_load gates the resident-byte
-  /// savings).
-  bool compress_runs = true;
-
-  /// Entries per restart block of a compressed run. Minimum 1.
+  /// Entries per restart block of a run: runs store key bits
+  /// shared-prefix-truncated against the previous entry, with a full key
+  /// every `restart_interval` entries (sorted_run.h). Minimum 1.
   size_t restart_interval = 16;
 
   /// Which engine owns the run set.
@@ -172,9 +167,8 @@ struct LocalStoreWriteStats {
 /// The read API is visitor-based and zero-copy: Scan* walk a k-way merge
 /// of memtable + runs in (key, id) order and hand each winning entry to
 /// the visitor as an EntryView — no per-entry copy and, for the in-memory
-/// backend, no heap allocation, for plain and compressed runs alike. The
-/// Get* wrappers materialize vectors on top of the scans for tests and
-/// cold paths (exchange data handoff).
+/// backend, no heap allocation. The Get* wrappers materialize vectors on
+/// top of the scans for tests and cold paths (exchange data handoff).
 class LocalStore {
  public:
   /// Visitor for scans; return false to stop the scan early.
@@ -312,7 +306,7 @@ class LocalStore {
   const StorageBackend& backend() const { return *backend_; }
 
   /// Approximate resident footprint of memtable + runs in bytes
-  /// (bench_bulk_load gates the compressed-run savings on this).
+  /// (bench_bulk_load gates the prefix-compression savings on this).
   size_t resident_bytes() const;
 
   /// Cumulative write-path accounting since construction/Clear.

@@ -451,7 +451,7 @@ void Peer::ServeLookup(const LookupRequest& req, uint64_t request_id,
     reply.hot = true;
     reply.replicas.push_back(id_);
     for (PeerId r : routing_.replicas()) {
-      if (reply.replicas.size() >= options_.hot_key_max_replicas) break;
+      if (reply.replicas.size() >= kHotKeyMaxReplicas) break;
       reply.replicas.push_back(r);
     }
     ++hot_adverts_;
@@ -760,7 +760,7 @@ void Peer::DoInsertBatch(std::vector<Entry> entries, RetryBudget budget,
   bulk_inserts_.emplace(id, std::move(state));
 
   transport_->scheduler()->ScheduleAfter(
-      options_.scan_timeout, id_, id_, [this, id]() {
+      kScanTimeout, id_, id_, [this, id]() {
         auto it = bulk_inserts_.find(id);
         if (it != bulk_inserts_.end()) {
           FinishBulkInsert(id, /*complete=*/false);
@@ -1051,10 +1051,8 @@ void Peer::PullFromReplica(StatusCallback callback) {
   // deadline is anchored here and survives donor failovers — the bound a
   // flapping replica set cannot escape.
   RetryPolicy policy = RequestPolicy(kRepairRetryPolicy);
-  policy.max_retries = options_.repair_chunk_retries;
-  policy.deadline_us = options_.repair_deadline > 0
-                           ? static_cast<uint64_t>(options_.repair_deadline)
-                           : 0;
+  policy.max_retries = kRepairChunkRetries;
+  policy.deadline_us = static_cast<uint64_t>(kRepairDeadline);
   state.chunk_budget = RetryBudget(policy, NowUs());
   state.candidates = replicas;
   // One shuffle from this peer's own stream fixes the whole failover
@@ -1073,7 +1071,7 @@ void Peer::RepairTryNextCandidate(uint64_t repair_id) {
   if (st.chunk_budget.DeadlinePassed(NowUs())) {
     FinishRepair(repair_id,
                  Status::Timeout("peer ", id_, ": replica repair exceeded ",
-                                 options_.repair_deadline,
+                                 kRepairDeadline,
                                  "us total deadline"));
     return;
   }
@@ -1216,7 +1214,7 @@ void Peer::RepairChunkRetry(uint64_t repair_id) {
     // it too; this just skips the pointless failover accounting).
     FinishRepair(repair_id,
                  Status::Timeout("peer ", id_, ": replica repair exceeded ",
-                                 options_.repair_deadline,
+                                 kRepairDeadline,
                                  "us total deadline"));
   } else {
     RepairTryNextCandidate(repair_id);
@@ -1309,7 +1307,7 @@ void Peer::RangeScanSeq(const KeyRange& range, RangeCallback callback,
   seq_scans_.emplace(id, std::move(state));
 
   transport_->scheduler()->ScheduleAfter(
-      options_.scan_timeout, id_, id_, [this, id]() {
+      kScanTimeout, id_, id_, [this, id]() {
     auto it = seq_scans_.find(id);
     if (it != seq_scans_.end()) FinishSeqScan(id, /*complete=*/false);
   });
@@ -1493,7 +1491,7 @@ void Peer::RangeScanShower(const KeyRange& range, RangeCallback callback) {
   shower_scans_.emplace(id, std::move(state));
 
   transport_->scheduler()->ScheduleAfter(
-      options_.scan_timeout, id_, id_, [this, id]() {
+      kScanTimeout, id_, id_, [this, id]() {
     auto it = shower_scans_.find(id);
     if (it != shower_scans_.end()) FinishShowerScan(id, /*complete=*/false);
   });
@@ -1782,7 +1780,7 @@ ExchangeReply Peer::DecideExchange(const ExchangeRequest& req) {
     // Paths diverge at level l < min(la, lb).
     const bool we_are_overloaded =
         store_.live_size() >
-        options_.balance_factor * static_cast<double>(req.live_size + 1);
+        kBalanceFactor * static_cast<double>(req.live_size + 1);
     if (we_are_overloaded && lb < kKeyBits && req.replica_count > 0) {
       // Storage balancing [Aberer VLDB'05]: the underloaded initiator
       // migrates under our overloaded region and takes half of it. Its old

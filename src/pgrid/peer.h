@@ -33,6 +33,27 @@ inline constexpr std::string_view kInsertRetryPolicy = "insert";
 inline constexpr std::string_view kBulkRetryPolicy = "bulk-insert";
 inline constexpr std::string_view kRepairRetryPolicy = "repair";
 
+/// A peer offers a migrate-split to an exchange partner when it stores
+/// more than this many times the partner's load.
+inline constexpr double kBalanceFactor = 8.0;
+
+/// Deadline of a whole range scan, bulk insert or Migrate join.
+inline constexpr sim::SimTime kScanTimeout = 20 * sim::kMicrosPerSecond;
+
+/// Total deadline of one PullFromReplica, measured from the call and
+/// honoured across donor failovers: per-chunk retry budgets reset on
+/// progress, this deadline never does, so a flapping replica set cannot
+/// retry unboundedly.
+inline constexpr sim::SimTime kRepairDeadline = 60 * sim::kMicrosPerSecond;
+
+/// Times one lost/corrupt repair chunk is re-requested at the same offset
+/// (transfer resume) before the repairer fails over to the next replica
+/// candidate.
+inline constexpr int kRepairChunkRetries = 2;
+
+/// Cap on an advertised hot-key replica group (serving peer included).
+inline constexpr size_t kHotKeyMaxReplicas = 4;
+
 /// Tunables of one peer's protocol behaviour.
 struct PeerOptions {
   /// Combined live entries at which two equal-path peers split instead of
@@ -40,15 +61,8 @@ struct PeerOptions {
   /// split deeper — [Aberer VLDB'05]).
   size_t split_threshold = 256;
 
-  /// A peer offers a migrate-split to an exchange partner when it stores
-  /// more than `balance_factor` times the partner's load.
-  double balance_factor = 8.0;
-
   /// Deadline of a single routed request (lookup/insert).
   sim::SimTime request_timeout = 5 * sim::kMicrosPerSecond;
-
-  /// Deadline of a whole range scan.
-  sim::SimTime scan_timeout = 20 * sim::kMicrosPerSecond;
 
   /// Retries of a failed lookup/insert at the initiator.
   int request_retries = 2;
@@ -62,12 +76,6 @@ struct PeerOptions {
   uint64_t retry_backoff_base_us = 0;
   uint64_t retry_backoff_cap_us = 0;
   uint64_t retry_jitter_us = 0;
-
-  /// Total deadline of one PullFromReplica, measured from the call and
-  /// honoured across donor failovers: per-chunk retry budgets reset on
-  /// progress, this deadline never does, so a flapping replica set cannot
-  /// retry unboundedly. 0 disables.
-  sim::SimTime repair_deadline = 60 * sim::kMicrosPerSecond;
 
   /// How long a peer that failed a request stays suspected. While
   /// suspected, greedy routing and hot-replica fan-out prefer healthy
@@ -89,11 +97,6 @@ struct PeerOptions {
   /// least one entry, so an oversized entry still makes progress.
   size_t repair_chunk_bytes = 64 * 1024;
 
-  /// Times one lost/corrupt chunk is re-requested at the same offset
-  /// (transfer resume) before the repairer fails over to the next
-  /// replica candidate.
-  int repair_chunk_retries = 2;
-
   // --- Hot-key replica fan-out (DESIGN.md §8) ----------------------------
 
   /// Served-lookup rate (requests/second over `hot_key_window`) at which
@@ -108,9 +111,6 @@ struct PeerOptions {
   /// How long an initiator honours a hot advertisement before falling
   /// back to normal owner routing.
   sim::SimTime hot_key_advert_ttl = 2 * sim::kMicrosPerSecond;
-
-  /// Cap on the advertised replica group (serving peer included).
-  size_t hot_key_max_replicas = 4;
 
   // --- Peer lifecycle & replica re-protection (DESIGN.md §11) ------------
 

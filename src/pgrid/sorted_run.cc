@@ -1,101 +1,47 @@
 #include "pgrid/sorted_run.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace unistore {
 namespace pgrid {
 
-using run_format::AppendVarint;
 using run_format::ReadVarint;
 
-SortedRun SortedRun::BuildPlain(std::vector<Entry> entries) {
-  SortedRun run;
-  run.count_ = entries.size();
-  run.resident_bytes_ = sizeof(SortedRun);
-  for (const Entry& e : entries) run.resident_bytes_ += ApproxEntryBytes(e);
-  run.plain_ = std::move(entries);
-  run.plain_.shrink_to_fit();
-  return run;
-}
-
-SortedRun SortedRun::Build(std::vector<Entry> entries, bool compress,
+SortedRun SortedRun::Build(std::vector<Entry> entries,
                            size_t restart_interval) {
-  if (compress) {
-    for (const Entry& e : entries) {
-      if (e.key.bits().size() > kMaxCompressedKeyBits) {
-        compress = false;
-        break;
-      }
-    }
-  }
-  if (!compress) return BuildPlain(std::move(entries));
-
   size_t estimate = 0;
   for (const Entry& e : entries) estimate += ApproxEntryBytes(e) / 2;
-  Builder builder(/*compress=*/true, restart_interval, entries.size(),
-                  estimate);
+  Builder builder(restart_interval, entries.size(), estimate);
   for (const Entry& e : entries) builder.Add(EntryView(e));
   return builder.Finish();
 }
 
-SortedRun::Builder::Builder(bool compress, size_t restart_interval,
-                            size_t expected_entries, size_t expected_bytes)
-    : compress_(compress) {
+SortedRun::Builder::Builder(size_t restart_interval, size_t expected_entries,
+                            size_t expected_bytes) {
   run_.restart_interval_ =
       static_cast<uint32_t>(std::max<size_t>(1, restart_interval));
-  if (compress_) {
-    run_.compressed_ = true;
-    run_.arena_.reserve(expected_bytes);
-    run_.restarts_.reserve(expected_entries / run_.restart_interval_ + 1);
-    prev_key_.reserve(kMaxCompressedKeyBits);
-  } else {
-    run_.plain_.reserve(expected_entries);
-  }
+  run_.arena_.reserve(expected_bytes);
+  run_.restarts_.reserve(expected_entries / run_.restart_interval_ + 1);
+  prev_key_.reserve(run_format::kMaxCompressedKeyBits);
 }
 
 void SortedRun::Builder::Add(const EntryView& e) {
-  approx_bytes_ +=
-      ApproxEntryBytes(e.key_bits.size(), e.id.size(), e.payload.size());
-  if (!compress_) {
-    run_.plain_.push_back(e.ToEntry());
-    ++index_;
-    return;
-  }
-  size_t shared = 0;
+  approx_bytes_ += ApproxEntryBytes(e);
+  std::string_view prev_key = prev_key_;
   if (index_ % run_.restart_interval_ == 0) {
     run_.restarts_.push_back(static_cast<uint32_t>(run_.arena_.size()));
-  } else {
-    const size_t limit = std::min(prev_key_.size(), e.key_bits.size());
-    while (shared < limit && prev_key_[shared] == e.key_bits[shared]) {
-      ++shared;
-    }
+    prev_key = {};
   }
-  std::string& arena = run_.arena_;
-  AppendVarint(&arena, shared);
-  AppendVarint(&arena, e.key_bits.size() - shared);
-  arena.append(e.key_bits.data() + shared, e.key_bits.size() - shared);
-  AppendVarint(&arena, e.id.size());
-  arena.append(e.id.data(), e.id.size());
-  AppendVarint(&arena, e.payload.size());
-  arena.append(e.payload.data(), e.payload.size());
-  AppendVarint(&arena, e.version);
-  arena.push_back(e.deleted ? '\1' : '\0');
+  run_format::AppendRecord(&run_.arena_, prev_key, e);
   prev_key_.assign(e.key_bits.data(), e.key_bits.size());
   ++index_;
 }
 
 SortedRun SortedRun::Builder::Finish() {
   run_.count_ = index_;
-  if (compress_) {
-    run_.compressed_ = index_ > 0;
-    run_.arena_.shrink_to_fit();
-    run_.resident_bytes_ = sizeof(SortedRun) + run_.arena_.size() +
-                           run_.restarts_.size() * sizeof(uint32_t);
-  } else {
-    run_.plain_.shrink_to_fit();
-    run_.resident_bytes_ = sizeof(SortedRun) + approx_bytes_;
-  }
+  run_.arena_.shrink_to_fit();
+  run_.resident_bytes_ = sizeof(SortedRun) + run_.arena_.size() +
+                         run_.restarts_.size() * sizeof(uint32_t);
   return std::move(run_);
 }
 
@@ -108,45 +54,15 @@ std::string_view SortedRun::RestartKey(size_t index) const {
   return std::string_view(arena_.data() + pos, suffix);
 }
 
-void SortedRun::Cursor::DecodeCompressed() {
-  const std::string& arena = run_->arena_;
-  size_t pos = offset_;
-  const uint64_t shared = ReadVarint(arena, &pos);
-  const uint64_t suffix = ReadVarint(arena, &pos);
-  std::memcpy(key_buf_ + shared, arena.data() + pos, suffix);
-  pos += suffix;
-  key_len_ = shared + suffix;
-  view_.key_bits = std::string_view(key_buf_, key_len_);
-  const uint64_t id_len = ReadVarint(arena, &pos);
-  view_.id = std::string_view(arena.data() + pos, id_len);
-  pos += id_len;
-  const uint64_t payload_len = ReadVarint(arena, &pos);
-  view_.payload = std::string_view(arena.data() + pos, payload_len);
-  pos += payload_len;
-  view_.version = ReadVarint(arena, &pos);
-  view_.deleted = arena[pos++] != '\0';
-  next_offset_ = pos;
+void SortedRun::Cursor::Decode() {
+  next_offset_ = offset_;
+  run_format::DecodeRecord(run_->arena_, &next_offset_, key_buf_, &view_);
 }
 
 void SortedRun::Cursor::Seek(const SortedRun* run, std::string_view lo_bits) {
   run_ = run;
   valid_ = run != nullptr && run->count_ > 0;
   if (!valid_) return;
-
-  if (!run->compressed_) {
-    const Entry* begin = run->plain_.data();
-    end_ = begin + run->plain_.size();
-    pos_ = std::lower_bound(
-        begin, end_, lo_bits, [](const Entry& e, std::string_view lo) {
-          return std::string_view(e.key.bits()).compare(lo) < 0;
-        });
-    if (pos_ == end_) {
-      valid_ = false;
-      return;
-    }
-    view_ = EntryView(*pos_);
-    return;
-  }
 
   // Binary-search the restart index for the first restart key >= lo_bits,
   // then decode forward from the preceding restart (the target may sit
@@ -162,34 +78,25 @@ void SortedRun::Cursor::Seek(const SortedRun* run, std::string_view lo_bits) {
     }
   }
   offset_ = run->restarts_[lo > 0 ? lo - 1 : 0];
-  DecodeCompressed();
+  Decode();
   while (view_.key_bits < lo_bits) {
     if (next_offset_ >= run->arena_.size()) {
       valid_ = false;
       return;
     }
     offset_ = next_offset_;
-    DecodeCompressed();
+    Decode();
   }
 }
 
 void SortedRun::Cursor::Advance() {
   if (!valid_) return;
-  if (run_->compressed_) {
-    if (next_offset_ >= run_->arena_.size()) {
-      valid_ = false;
-      return;
-    }
-    offset_ = next_offset_;
-    DecodeCompressed();
+  if (next_offset_ >= run_->arena_.size()) {
+    valid_ = false;
     return;
   }
-  ++pos_;
-  if (pos_ == end_) {
-    valid_ = false;
-  } else {
-    view_ = EntryView(*pos_);
-  }
+  offset_ = next_offset_;
+  Decode();
 }
 
 void SortedRun::Cursor::JumpToRestart(const SortedRun* run,
@@ -197,13 +104,11 @@ void SortedRun::Cursor::JumpToRestart(const SortedRun* run,
   run_ = run;
   offset_ = run->restarts_[restart_index];
   valid_ = true;
-  DecodeCompressed();
+  Decode();
 }
 
 SortedRun::Prober::Prober(const SortedRun* run) : run_(run) {
-  if (run_->compressed_ && run_->count_ > 0) {
-    cursor_.Seek(run_, "");
-  }
+  if (run_->count_ > 0) cursor_.Seek(run_, "");
 }
 
 bool SortedRun::Prober::FindForward(std::string_view key_bits,
@@ -211,46 +116,7 @@ bool SortedRun::Prober::FindForward(std::string_view key_bits,
                                     bool* deleted) {
   if (run_->count_ == 0) return false;
 
-  if (!run_->compressed_) {
-    const Entry* base = run_->plain_.data();
-    const size_t n = run_->plain_.size();
-    auto before = [&](size_t i) {
-      const int c = std::string_view(base[i].key.bits()).compare(key_bits);
-      if (c != 0) return c < 0;
-      return std::string_view(base[i].id).compare(id) < 0;
-    };
-    if (pos_ >= n) return false;
-    if (before(pos_)) {
-      // Gallop to bracket the target, then binary-search the window.
-      size_t lo = pos_;
-      size_t step = 1;
-      while (lo + step < n && before(lo + step)) {
-        lo += step;
-        step <<= 1;
-      }
-      size_t hi = std::min(n, lo + step);
-      ++lo;  // before(lo - 1) held; search (lo - 1, hi].
-      while (lo < hi) {
-        const size_t mid = lo + (hi - lo) / 2;
-        if (before(mid)) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      pos_ = lo;
-    }
-    if (pos_ >= n) return false;
-    const Entry& e = base[pos_];
-    if (e.key.bits() == key_bits && e.id == id) {
-      *version = e.version;
-      *deleted = e.deleted;
-      return true;
-    }
-    return false;
-  }
-
-  // Compressed: jump forward by whole restart blocks while the target key
+  // Jump forward by whole restart blocks while the target key
   // is past the next restart's key, then decode linearly within the
   // block. Jumps only ever move the cursor forward.
   const auto& restarts = run_->restarts_;

@@ -4,7 +4,9 @@
 #ifndef UNISTORE_PGRID_SORTED_RUN_H_
 #define UNISTORE_PGRID_SORTED_RUN_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,36 +62,104 @@ inline uint64_t ReadVarint(std::string_view s, size_t* pos) {
   }
 }
 
+/// Longest key bits a record may share with its predecessor: the size of
+/// a cursor's fixed key-reassembly buffer. Data keys are kKeyBits = 128
+/// wide; a longer key is written with shared == 0 and read in place.
+constexpr size_t kMaxCompressedKeyBits = 192;
+
+/// \brief Appends one entry record to `out`.
+///
+/// The record format shared by in-memory run arenas and run-file blocks,
+/// records back to back:
+///   varint shared_key_len   (0 at chain starts and for overlong keys)
+///   varint key_suffix_len, key suffix bytes
+///   varint id_len, id bytes
+///   varint payload_len, payload bytes
+///   varint version
+///   u8 flags               (bit 0: deleted)
+/// `prev_key` is the previous record's full key bits, or empty at a chain
+/// start (a restart point or a block's first record). A key longer than
+/// kMaxCompressedKeyBits shares nothing, so DecodeRecord reads it in
+/// place instead of reassembling it.
+inline void AppendRecord(std::string* out, std::string_view prev_key,
+                         const EntryView& e) {
+  size_t shared = 0;
+  if (e.key_bits.size() <= kMaxCompressedKeyBits) {
+    const size_t limit = std::min(prev_key.size(), e.key_bits.size());
+    while (shared < limit && prev_key[shared] == e.key_bits[shared]) {
+      ++shared;
+    }
+  }
+  AppendVarint(out, shared);
+  AppendVarint(out, e.key_bits.size() - shared);
+  out->append(e.key_bits.data() + shared, e.key_bits.size() - shared);
+  AppendVarint(out, e.id.size());
+  out->append(e.id.data(), e.id.size());
+  AppendVarint(out, e.payload.size());
+  out->append(e.payload.data(), e.payload.size());
+  AppendVarint(out, e.version);
+  out->push_back(e.deleted ? '\1' : '\0');
+}
+
+/// \brief Decodes the record at `*pos` of `bytes` into `view` and moves
+/// `*pos` past it.
+///
+/// Id and payload alias `bytes`. A record with shared == 0 aliases its
+/// key in `bytes` too; any other record reassembles its key in `key_buf`
+/// (kMaxCompressedKeyBits bytes) from the previous record's key, which
+/// `view` must still hold — so records of a chain decode in order. Never
+/// allocates.
+inline void DecodeRecord(std::string_view bytes, size_t* pos, char* key_buf,
+                         EntryView* view) {
+  // A local offset stays in a register across the memcpys into `key_buf`.
+  size_t at = *pos;
+  const char* data = bytes.data();
+  const uint64_t shared = ReadVarint(bytes, &at);
+  const uint64_t suffix = ReadVarint(bytes, &at);
+  if (shared == 0) {
+    view->key_bits = std::string_view(data + at, suffix);
+  } else {
+    if (view->key_bits.data() != key_buf) {
+      // The previous key aliased `bytes`: pull its shared prefix into the
+      // reassembly buffer once.
+      std::memcpy(key_buf, view->key_bits.data(), shared);
+    }
+    std::memcpy(key_buf + shared, data + at, suffix);
+    view->key_bits = std::string_view(key_buf, shared + suffix);
+  }
+  at += suffix;
+  const uint64_t id_len = ReadVarint(bytes, &at);
+  view->id = std::string_view(data + at, id_len);
+  at += id_len;
+  const uint64_t payload_len = ReadVarint(bytes, &at);
+  view->payload = std::string_view(data + at, payload_len);
+  at += payload_len;
+  view->version = ReadVarint(bytes, &at);
+  view->deleted = data[at++] != '\0';
+  *pos = at;
+}
+
 }  // namespace run_format
 
 /// \brief An immutable sorted run of entries, ordered by (key bits, id)
 /// with one occurrence per slot.
 ///
-/// Two storage formats behind one cursor interface:
-/// - *plain*: a flat `std::vector<Entry>`, binary-searched.
-/// - *compressed*: one byte arena holding per-entry records whose key bits
-///   are shared-prefix-truncated against the previous entry, with restart
-///   points (full key) every `restart_interval` entries. Ids and payloads
-///   are stored raw, so cursor views alias the arena; only the key is
-///   reassembled — into the cursor's fixed buffer, never the heap.
+/// One byte arena holds the entries in run_format's record layout: key
+/// bits are shared-prefix-truncated against the previous entry, with
+/// restart points (full key) every `restart_interval` entries. Ids and
+/// payloads are stored raw, so cursor views alias the arena; only a
+/// prefix-shared key is reassembled — into the cursor's fixed buffer,
+/// never the heap.
 class SortedRun {
  public:
-  /// Longest key bits a compressed run can hold (the cursor's fixed
-  /// reassembly buffer). Data keys are kKeyBits = 128 wide; entries with
-  /// longer keys force the run to fall back to the plain format.
-  static constexpr size_t kMaxCompressedKeyBits = 192;
-
   SortedRun() = default;
 
   /// Builds a run from entries already sorted by slot (key bits, id),
-  /// deduplicated. Uses the compressed format when `compress` is set and
-  /// every key fits kMaxCompressedKeyBits.
-  static SortedRun Build(std::vector<Entry> entries, bool compress,
-                         size_t restart_interval);
+  /// deduplicated.
+  static SortedRun Build(std::vector<Entry> entries, size_t restart_interval);
 
   size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
-  bool compressed() const { return compressed_; }
 
   /// Approximate resident footprint in bytes (entry data + index
   /// structures; excludes malloc overhead).
@@ -103,8 +173,8 @@ class SortedRun {
   /// \brief A forward cursor over the run in slot order.
   ///
   /// After Seek(), while valid(), view() exposes the current entry; the
-  /// view's key aliases the cursor's own buffer for compressed runs and
-  /// is invalidated by Advance(). Cursors never allocate.
+  /// view's key aliases the arena or the cursor's own buffer and is
+  /// invalidated by Advance(). Cursors never allocate.
   class Cursor {
    public:
     Cursor() = default;
@@ -112,38 +182,34 @@ class SortedRun {
     /// Positions at the first entry with key bits >= `lo_bits`.
     void Seek(const SortedRun* run, std::string_view lo_bits);
 
-    /// Repositions at an arbitrary restart record of a compressed run
-    /// (the Prober's block jumps).
+    /// Repositions at an arbitrary restart record (the Prober's block
+    /// jumps).
     void JumpToRestart(const SortedRun* run, size_t restart_index);
 
     bool valid() const { return valid_; }
     const EntryView& view() const { return view_; }
-    /// Arena offset of the current record (compressed runs only).
+    /// Arena offset of the current record.
     size_t arena_offset() const { return offset_; }
     void Advance();
 
    private:
-    void DecodeCompressed();
+    void Decode();
 
     const SortedRun* run_ = nullptr;
     bool valid_ = false;
     EntryView view_;
-    // Plain format.
-    const Entry* pos_ = nullptr;
-    const Entry* end_ = nullptr;
-    // Compressed format.
     size_t offset_ = 0;     // Arena offset of the current record.
     size_t next_offset_ = 0;
-    size_t key_len_ = 0;
-    char key_buf_[kMaxCompressedKeyBits];
+    char key_buf_[run_format::kMaxCompressedKeyBits];
   };
 
   /// \brief Forward-only slot prober for sorted probe sequences.
   ///
   /// BulkLoad probes a sorted batch against every run; because the probe
   /// slots are non-decreasing, the prober remembers its position and
-  /// gallops forward instead of re-running a full binary search per
-  /// entry — O(log gap) amortized instead of O(log run).
+  /// gallops forward by restart blocks instead of re-running a full
+  /// binary search per entry — O(log gap) amortized instead of O(log
+  /// run).
   class Prober {
    public:
     explicit Prober(const SortedRun* run);
@@ -155,34 +221,19 @@ class SortedRun {
 
    private:
     const SortedRun* run_ = nullptr;
-    size_t pos_ = 0;      // Plain: index of the current search frontier.
-    size_t restart_ = 0;  // Compressed: restart block of `cursor_`.
-    Cursor cursor_;       // Compressed: decode position.
+    size_t restart_ = 0;  // Restart block of `cursor_`.
+    Cursor cursor_;       // Decode position.
   };
 
   class Builder;  // Streaming run construction (defined below).
 
  private:
-  static SortedRun BuildPlain(std::vector<Entry> entries);
-
   /// Full key bits of restart record `index` (aliases the arena).
   std::string_view RestartKey(size_t index) const;
 
   size_t count_ = 0;
   size_t resident_bytes_ = 0;
-  bool compressed_ = false;
-
-  // Plain format (empty when compressed).
-  std::vector<Entry> plain_;
-
-  // Compressed format. Record layout, back to back in `arena_`:
-  //   varint shared_key_len   (0 at restart points)
-  //   varint key_suffix_len, key suffix bytes
-  //   varint id_len, id bytes
-  //   varint payload_len, payload bytes
-  //   varint version
-  //   u8 flags               (bit 0: deleted)
-  std::string arena_;
+  std::string arena_;               // run_format records, back to back.
   std::vector<uint32_t> restarts_;  // Arena offsets of restart records.
   uint32_t restart_interval_ = 16;
 };
@@ -192,12 +243,10 @@ class SortedRun {
 /// Compactions merge runs through cursors; feeding the winning views
 /// straight into a Builder writes the merged run's arena directly — no
 /// intermediate Entry materialization (3 heap strings per entry) on the
-/// merge path. `compress` must only be set when every input key fits
-/// kMaxCompressedKeyBits (true whenever the inputs are themselves
-/// compressed runs).
+/// merge path.
 class SortedRun::Builder {
  public:
-  Builder(bool compress, size_t restart_interval, size_t expected_entries,
+  Builder(size_t restart_interval, size_t expected_entries,
           size_t expected_bytes);
 
   void Add(const EntryView& e);  // Slots must arrive in increasing order.
@@ -212,7 +261,6 @@ class SortedRun::Builder {
   std::string prev_key_;
   size_t index_ = 0;
   size_t approx_bytes_ = 0;
-  bool compress_ = false;
 };
 
 }  // namespace pgrid

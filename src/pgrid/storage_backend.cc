@@ -47,8 +47,7 @@ size_t MemoryBackend::resident_bytes() const {
 Status MemoryBackend::AppendRun(std::vector<Entry> entries,
                                 RunOrigin /*origin*/) {
   if (entries.empty()) return Status::OK();
-  runs_.push_back(
-      SortedRun::Build(std::move(entries), compress_runs_, restart_interval_));
+  runs_.push_back(SortedRun::Build(std::move(entries), restart_interval_));
   meta_.push_back(RunMeta{next_run_id_++, false, 0});
   return Status::OK();
 }
@@ -61,23 +60,18 @@ Status MemoryBackend::MergeRuns(size_t first, size_t n, MergeStats* stats) {
                             " n=", n, " runs=", runs_.size());
   }
   // K-way merge of the group only (run_merge.h). Winning views stream
-  // straight into a run Builder — compressed inputs merge arena to arena
-  // without materializing an Entry per slot.
+  // straight into a run Builder — arena to arena, without materializing
+  // an Entry per slot.
   SortedRun::Cursor cursors[kMaxMergeFanIn];
-  bool all_compressed = true;
   size_t expected = 0;
   size_t expected_bytes = 0;
   for (size_t i = 0; i < n; ++i) {
     const SortedRun& run = runs_[first + i];
     cursors[i].Seek(&run, "");
-    if (!run.compressed()) all_compressed = false;
     expected += run.size();
     expected_bytes += run.resident_bytes();
   }
-  // Compressed output requires every key to fit the cursor buffer, which
-  // compressed inputs guarantee; any plain input may carry longer keys.
-  SortedRun::Builder builder(compress_runs_ && all_compressed,
-                             restart_interval_, expected, expected_bytes);
+  SortedRun::Builder builder(restart_interval_, expected, expected_bytes);
   MergeCursorStreams(cursors, n,
                      [&builder](const EntryView& v) { builder.Add(v); });
   SortedRun merged = builder.Finish();
@@ -98,8 +92,7 @@ Status MemoryBackend::ResetTo(std::vector<Entry> entries) {
   runs_.clear();
   meta_.clear();
   if (!entries.empty()) {
-    runs_.push_back(SortedRun::Build(std::move(entries), compress_runs_,
-                                     restart_interval_));
+    runs_.push_back(SortedRun::Build(std::move(entries), restart_interval_));
     meta_.push_back(RunMeta{next_run_id_++, false, 0});
   }
   return Status::OK();

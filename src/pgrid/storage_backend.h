@@ -159,8 +159,8 @@ class StorageBackend {
 /// The original in-process engine: a vector of SortedRuns.
 class MemoryBackend : public StorageBackend {
  public:
-  MemoryBackend(bool compress_runs, size_t restart_interval)
-      : compress_runs_(compress_runs), restart_interval_(restart_interval) {}
+  explicit MemoryBackend(size_t restart_interval)
+      : restart_interval_(restart_interval) {}
 
   size_t run_count() const override { return runs_.size(); }
   size_t run_entries(size_t index) const override {
@@ -191,7 +191,6 @@ class MemoryBackend : public StorageBackend {
     mutable uint32_t crc = 0;
   };
 
-  bool compress_runs_;
   size_t restart_interval_;
   std::vector<SortedRun> runs_;  // runs_[0] oldest … back() newest.
   std::vector<RunMeta> meta_;    // Parallel to runs_.

@@ -32,8 +32,8 @@ namespace plan {
 struct PlannerOptions {
   std::optional<triple::RangeStrategy> force_range_strategy;
   std::optional<JoinStrategy> force_join_strategy;
-  /// How the executor will batch Migrate joins (fan-out, chunking,
-  /// pipelining); the cost model prices the Migrate strategy with it.
+  /// How the executor will batch Migrate joins (fan-out, chunking); the
+  /// cost model prices the Migrate strategy with it.
   /// core::UniStore keeps it in sync with the node's
   /// exec::EnvelopeOptions.
   cost::MigrateBatching migrate_batching;

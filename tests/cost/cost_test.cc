@@ -141,11 +141,11 @@ TEST(CostModelTest, JoinStrategyCrossover) {
   CostModel model(&catalog);
   // Few left bindings against a wide partition: probing wins.
   Cost probe_few = model.IndexJoinProbe(2, 0.5);
-  Cost migrate_few = model.IndexJoinMigrate(2, /*peers=*/50);
+  Cost migrate_few = model.IndexJoinMigrate(2, /*peers=*/50, {});
   EXPECT_LT(probe_few.Total(), migrate_few.Total());
   // Many left bindings against a narrow partition: migrate wins.
   Cost probe_many = model.IndexJoinProbe(5000, 0.5);
-  Cost migrate_many = model.IndexJoinMigrate(5000, /*peers=*/5);
+  Cost migrate_many = model.IndexJoinMigrate(5000, /*peers=*/5, {});
   EXPECT_LT(migrate_many.Total(), probe_many.Total());
 }
 

@@ -1,6 +1,6 @@
 // Cluster scenario tests of the batched, pipelined envelope executor
-// (DESIGN.md §4): fan-out / chunked / pipelined Migrate joins return
-// byte-identical results to the unsplit v0-style baseline, walks complete
+// (DESIGN.md §4): fan-out / chunked Migrate joins return byte-identical
+// results to one unsplit walk carrying every binding, walks complete
 // under message loss and mid-walk peer churn (coverage-gap retries +
 // interval dedupe), peers_visited sums across sub-walks, and the executor
 // trace reports the fan-out shape.
@@ -124,13 +124,10 @@ class EnvelopePipelineTest : public ::testing::Test {
 };
 
 EnvelopeOptions BaselineOptions() {
-  // The v0 shape: one walk, all bindings in one envelope, results
-  // accumulated into the terminal reply, forward after the local join.
+  // One walk with every binding in one envelope.
   EnvelopeOptions options;
   options.fanout = 1;
   options.max_bindings_per_envelope = 0;
-  options.stream_partials = false;
-  options.pipeline = false;
   return options;
 }
 
@@ -147,22 +144,17 @@ TEST_F(EnvelopePipelineTest, FanoutAndChunkingMatchUnsplitBaseline) {
     const char* name;
     uint32_t fanout;
     uint32_t chunk;
-    bool stream;
-    bool pipeline;
   };
   const Config configs[] = {
-      {"fanout-only", 4, 0, true, false},
-      {"chunking-only", 1, 8, true, false},
-      {"fanout+chunking+pipeline", 4, 8, true, true},
-      {"wide", 8, 16, true, true},
-      {"accumulate-fanout", 4, 0, false, false},
+      {"fanout-only", 4, 0},
+      {"chunking-only", 1, 8},
+      {"fanout+chunking", 4, 8},
+      {"wide", 8, 16},
   };
   for (const Config& config : configs) {
     EnvelopeOptions options;
     options.fanout = config.fanout;
     options.max_bindings_per_envelope = config.chunk;
-    options.stream_partials = config.stream;
-    options.pipeline = config.pipeline;
     auto result = MigrateSync(options);
     ASSERT_TRUE(result.ok()) << config.name << ": "
                              << result.status().ToString();
@@ -180,7 +172,6 @@ TEST_F(EnvelopePipelineTest, FanoutAndChunkingMatchUnsplitBaseline) {
 TEST_F(EnvelopePipelineTest, PeersVisitedSumsAcrossSubWalks) {
   Build(/*loss_probability=*/0);
   EnvelopeOptions unsplit = BaselineOptions();
-  unsplit.stream_partials = true;
   auto single = MigrateSync(unsplit);
   ASSERT_TRUE(single.ok());
   // The partition walk spans the inside leaves (plus the in-partition

@@ -1,8 +1,7 @@
-// Property tests of the versioned envelope/reply codecs (DESIGN.md §4):
-// random envelopes round-trip exactly, truncated and corrupted buffers
-// return errors (never crash), and the legacy v0 (pre-chunking) layouts
-// still decode. Plus the pure pieces of the batched executor: range
-// splitting and the EnvelopeCoordinator state machine.
+// Property tests of the envelope/reply codecs (DESIGN.md §4): random
+// envelopes round-trip exactly, and truncated and corrupted buffers return
+// errors (never crash). Plus the pure pieces of the batched executor:
+// range splitting and the EnvelopeCoordinator state machine.
 #include "exec/envelope.h"
 
 #include <gtest/gtest.h>
@@ -79,8 +78,6 @@ PlanEnvelope RandomEnvelope(Rng* rng) {
   env.branch = static_cast<uint32_t>(rng->NextBounded(8));
   env.chunk_count = static_cast<uint32_t>(1 + rng->NextBounded(6));
   env.chunk_id = static_cast<uint32_t>(rng->NextBounded(env.chunk_count));
-  env.flags = static_cast<uint8_t>(rng->NextBounded(4));
-  env.visited = static_cast<uint32_t>(rng->NextBounded(30));
   env.pattern.subject = RandomTerm(rng);
   env.pattern.predicate = RandomTerm(rng);
   env.pattern.object = RandomTerm(rng);
@@ -88,9 +85,7 @@ PlanEnvelope RandomEnvelope(Rng* rng) {
   pgrid::Key a = RandomDataKey(rng);
   pgrid::Key b = RandomDataKey(rng);
   env.remaining = a < b ? pgrid::KeyRange{a, b} : pgrid::KeyRange{b, a};
-  env.segment_lo = env.remaining.lo.bits();
   env.bindings = RandomBindings(rng, 5);
-  env.results = RandomBindings(rng, 5);
   return env;
 }
 
@@ -111,7 +106,8 @@ EnvelopeReply RandomReply(Rng* rng) {
     reply.covered_hi = (a < b ? b : a).bits();
   }
   reply.results = RandomBindings(rng, 5);
-  reply.peers_visited = static_cast<uint32_t>(rng->NextBounded(40));
+  reply.store_version = rng->Next();
+  reply.retry_after_us = static_cast<uint32_t>(rng->NextBounded(100000));
   return reply;
 }
 
@@ -121,15 +117,11 @@ void ExpectEnvelopesEqual(const PlanEnvelope& a, const PlanEnvelope& b) {
   EXPECT_EQ(a.branch, b.branch);
   EXPECT_EQ(a.chunk_id, b.chunk_id);
   EXPECT_EQ(a.chunk_count, b.chunk_count);
-  EXPECT_EQ(a.flags, b.flags);
-  EXPECT_EQ(a.visited, b.visited);
-  EXPECT_EQ(a.segment_lo, b.segment_lo);
   EXPECT_EQ(a.pattern.ToString(), b.pattern.ToString());
   EXPECT_EQ(a.filter_vql, b.filter_vql);
   EXPECT_EQ(a.remaining.lo, b.remaining.lo);
   EXPECT_EQ(a.remaining.hi, b.remaining.hi);
   EXPECT_EQ(a.bindings, b.bindings);
-  EXPECT_EQ(a.results, b.results);
 }
 
 void ExpectRepliesEqual(const EnvelopeReply& a, const EnvelopeReply& b) {
@@ -143,7 +135,8 @@ void ExpectRepliesEqual(const EnvelopeReply& a, const EnvelopeReply& b) {
   EXPECT_EQ(a.covered_lo, b.covered_lo);
   EXPECT_EQ(a.covered_hi, b.covered_hi);
   EXPECT_EQ(a.results, b.results);
-  EXPECT_EQ(a.peers_visited, b.peers_visited);
+  EXPECT_EQ(a.store_version, b.store_version);
+  EXPECT_EQ(a.retry_after_us, b.retry_after_us);
 }
 
 // --- Round trips -------------------------------------------------------------
@@ -217,61 +210,6 @@ TEST(EnvelopeCodecProperty, CorruptedBuffersNeverCrash) {
   EXPECT_FALSE(EnvelopeReply::Decode("").ok());
 }
 
-// --- Backward compatibility --------------------------------------------------
-
-TEST(EnvelopeCodecCompat, DecodesV0Envelope) {
-  Rng rng(20260706);
-  for (int i = 0; i < 50; ++i) {
-    PlanEnvelope env = RandomEnvelope(&rng);
-    auto back = PlanEnvelope::Decode(env.EncodeV0());
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    // v0 carries only the original fields; the batching fields must come
-    // back as the single-walk defaults.
-    EXPECT_EQ(back->initiator, env.initiator);
-    EXPECT_EQ(back->pattern.ToString(), env.pattern.ToString());
-    EXPECT_EQ(back->filter_vql, env.filter_vql);
-    EXPECT_EQ(back->remaining.lo, env.remaining.lo);
-    EXPECT_EQ(back->remaining.hi, env.remaining.hi);
-    EXPECT_EQ(back->bindings, env.bindings);
-    EXPECT_EQ(back->results, env.results);
-    EXPECT_EQ(back->walk_id, 0u);
-    EXPECT_EQ(back->branch, 0u);
-    EXPECT_EQ(back->chunk_id, 0u);
-    EXPECT_EQ(back->chunk_count, 1u);
-    EXPECT_EQ(back->flags, 0u);
-    EXPECT_TRUE(back->segment_lo.empty());
-  }
-}
-
-TEST(EnvelopeCodecCompat, DecodesV0Reply) {
-  EnvelopeReply reply;
-  reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
-  reply.error = "stalled";
-  reply.results = {{{"x", Value::Int(1)}}};
-  reply.peers_visited = 9;
-  auto back = EnvelopeReply::Decode(reply.EncodeV0());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->status_code, reply.status_code);
-  EXPECT_EQ(back->error, "stalled");
-  EXPECT_EQ(back->results, reply.results);
-  EXPECT_EQ(back->peers_visited, 9u);
-  EXPECT_EQ(back->kind, EnvelopeReply::Kind::kTerminal);
-  EXPECT_FALSE(back->has_coverage());
-}
-
-TEST(EnvelopeCodecCompat, RejectsUnknownFutureVersion) {
-  PlanEnvelope env;
-  env.remaining = triple::AttrRange("age");
-  std::string bytes = env.Encode();
-  bytes[4] = 0x7F;  // Version byte right after the u32 sentinel.
-  EXPECT_FALSE(PlanEnvelope::Decode(bytes).ok());
-
-  EnvelopeReply reply;
-  std::string reply_bytes = reply.Encode();
-  reply_bytes[1] = 0x7F;  // Version byte after the u8 sentinel.
-  EXPECT_FALSE(EnvelopeReply::Decode(reply_bytes).ok());
-}
-
 // --- Range splitting ---------------------------------------------------------
 
 TEST(SplitRangeProperty, PartsAreDisjointConsecutiveAndCovering) {
@@ -324,7 +262,6 @@ EnvelopeReply CoverageReply(const PlanEnvelope& env, const pgrid::Key& lo,
   reply.covered_lo = lo.bits();
   reply.covered_hi = hi.bits();
   reply.results = std::move(results);
-  reply.peers_visited = 1;
   return reply;
 }
 
@@ -343,8 +280,6 @@ TEST(EnvelopeCoordinatorTest, SplitsAndChunksLaunchFleet) {
   ASSERT_EQ(fleet.size(), 12u);
   size_t total_bindings = 0;
   for (const auto& env : fleet) {
-    EXPECT_TRUE(env.stream_partials());
-    EXPECT_TRUE(env.pipelined());
     EXPECT_EQ(env.chunk_count, 3u);
     if (env.branch == 0) total_bindings += env.bindings.size();
   }
@@ -421,7 +356,6 @@ TEST(EnvelopeCoordinatorTest, TimerRelaunchesFromFrontier) {
 TEST(EnvelopeCoordinatorTest, ExtendingDuplicateRepaysRetry) {
   EnvelopeOptions options;
   options.fanout = 1;
-  options.stream_partials = false;
   options.walk_retries = 1;
   pgrid::KeyRange range = triple::AttrRange("age");
   EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, "", range,

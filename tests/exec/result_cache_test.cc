@@ -321,28 +321,6 @@ TEST_F(ResultCachePropertyTest, SpliceRunInvalidatesCoveringEntries) {
       << "splice must invalidate the cached range, not refresh-by-luck";
 }
 
-TEST_F(ResultCachePropertyTest, AccumulateModeBypassesTheCache) {
-  Build();
-  // Accumulate-mode terminals name only the final peer, so the
-  // contributor set is incomplete and the cache must not engage.
-  EnvelopeOptions accumulate;
-  accumulate.fanout = 2;
-  accumulate.stream_partials = false;
-  accumulate.pipeline = false;
-  accumulate.cache_bytes = 1 << 20;
-  services_[0]->set_envelope_options(accumulate);
-
-  auto first = MigrateVia(0);
-  auto second = MigrateVia(0);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(CacheStats().hits, 0u);
-  EXPECT_EQ(services_[0]->result_cache().entries(), 0u);
-  auto oracle = MigrateVia(1);
-  ASSERT_TRUE(oracle.ok());
-  EXPECT_EQ(RowsToString(second->rows), RowsToString(oracle->rows));
-}
-
 }  // namespace
 }  // namespace exec
 }  // namespace unistore

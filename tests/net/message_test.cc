@@ -24,7 +24,7 @@ TEST(MessageTest, TypeNamesAreUniqueAndNonEmpty) {
       MessageType::kPing,          MessageType::kPong,
       MessageType::kLookup,        MessageType::kLookupReply,
       MessageType::kInsert,        MessageType::kInsertReply,
-      MessageType::kRemove,        MessageType::kRemoveReply,
+      MessageType::kBulkInsert,    MessageType::kBulkInsertReply,
       MessageType::kLookupBatch,   MessageType::kLookupBatchReply,
       MessageType::kRangeSeq,      MessageType::kRangeSeqReply,
       MessageType::kRangeShower,   MessageType::kRangeShowerReply,

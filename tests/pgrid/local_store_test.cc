@@ -594,16 +594,15 @@ TEST(LocalStoreBulkTest, BulkLoadStreamMatchesApplyStream) {
 
 // --- Prefix-compressed runs ------------------------------------------------
 
-LocalStoreOptions CompressedEngine(bool compress) {
+LocalStoreOptions CompressedEngine() {
   LocalStoreOptions o;
   o.memtable_flush_threshold = 8;
   o.max_runs = 4;
-  o.compress_runs = compress;
   o.restart_interval = 4;
   return o;
 }
 
-TEST(LocalStoreCompressionTest, CompressedAndPlainScanIdentically) {
+TEST(LocalStoreCompressionTest, PrefixCompressedScansMatchModel) {
   std::vector<Entry> entries;
   Rng rng(99);
   for (int i = 0; i < 150; ++i) {
@@ -614,24 +613,27 @@ TEST(LocalStoreCompressionTest, CompressedAndPlainScanIdentically) {
                                 1 + rng.NextBounded(3),
                                 rng.NextBounded(8) == 0));
   }
-  LocalStore plain(CompressedEngine(false));
-  LocalStore packed(CompressedEngine(true));
+  LocalStore packed(CompressedEngine());
+  MapStoreModel model;
   for (const auto& e : entries) {
-    plain.Apply(e);
-    packed.Apply(e);
+    EXPECT_EQ(packed.Apply(e), model.Apply(e));
   }
-  EXPECT_EQ(plain.GetAll(), packed.GetAll());
-  EXPECT_EQ(plain.Get(entries[7].key), packed.Get(entries[7].key));
-  EXPECT_EQ(plain.GetByPrefix(Key::FromBits("01010")),
-            packed.GetByPrefix(Key::FromBits("01010")));
-  // The compressed engine's runs must actually be compressed and smaller.
-  plain.Compact();
+  EXPECT_EQ(packed.GetAll(), model.GetAll());
+  EXPECT_EQ(packed.Get(entries[7].key),
+            model.GetRange(KeyRange{entries[7].key, entries[7].key}));
+  EXPECT_EQ(packed.GetByPrefix(Key::FromBits("01010")),
+            model.GetByPrefix(Key::FromBits("01010")));
+  // The compacted run must be smaller than the entries' uncompressed
+  // footprint.
   packed.Compact();
-  EXPECT_LT(packed.resident_bytes(), plain.resident_bytes());
+  ASSERT_EQ(packed.run_count(), 1u);
+  size_t uncompressed = 0;
+  for (const Entry& e : model.GetAll()) uncompressed += ApproxEntryBytes(e);
+  EXPECT_LT(packed.resident_bytes(), uncompressed);
 }
 
 TEST(LocalStoreCompressionTest, CompressedScanIsAllocationFree) {
-  LocalStore store(CompressedEngine(true));
+  LocalStore store(CompressedEngine());
   for (int i = 0; i < 64; ++i) {
     std::string bits = "10";
     for (int b = 5; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
@@ -650,75 +652,118 @@ TEST(LocalStoreCompressionTest, CompressedScanIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "compressed-run scans must not touch the heap";
 }
 
-TEST(LocalStoreCompressionTest, OverlongKeysFallBackToPlainRuns) {
-  LocalStore store(CompressedEngine(true));
-  std::string long_bits(SortedRun::kMaxCompressedKeyBits + 8, '0');
-  store.Apply(MakeEntry(long_bits, "id", "p"));
+TEST(LocalStoreCompressionTest, OverlongKeysRoundTrip) {
+  // Keys longer than kMaxCompressedKeyBits share nothing with their
+  // predecessor and are read in place; short keys after them that share
+  // their prefix are reassembled from it.
+  LocalStore store(CompressedEngine());
+  MapStoreModel model;
+  const std::string long_bits(run_format::kMaxCompressedKeyBits + 8, '0');
+  std::vector<Entry> entries;
+  for (int i = 0; i < 12; ++i) {
+    std::string bits = long_bits.substr(0, 100 + 10 * i);
+    if (i % 3 == 1) bits = long_bits + std::to_string(i % 2);
+    if (i % 3 == 2) bits += "1";
+    entries.push_back(MakeEntry(bits, "id" + std::to_string(i),
+                                "p" + std::to_string(i)));
+  }
+  for (const Entry& e : entries) {
+    EXPECT_EQ(store.Apply(e), model.Apply(e));
+  }
   store.Flush();
-  auto got = store.Get(Key::FromBits(long_bits));
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].payload, "p");
+  ASSERT_EQ(store.memtable_size(), 0u);
+  EXPECT_EQ(store.GetAll(), model.GetAll());
+  const Key shared_key = Key::FromBits(long_bits + "0");
+  auto got = store.Get(shared_key);
+  ASSERT_EQ(got.size(), 2u);  // Entries 4 and 10.
+  EXPECT_EQ(got, model.GetRange(KeyRange{shared_key, shared_key}));
 }
 
-TEST(LocalStoreCompressionTest, MixedFormatRunGroupCompactsCorrectly) {
-  // An overlong key forces one run into the plain fallback format; tiered
-  // compaction then merges that run with compressed neighbors. The merged
-  // run must carry every entry byte-identically and must stay plain — a
-  // compressed output would overflow the cursor's fixed key buffer on the
-  // overlong key. Later flushes of short keys still compress.
+TEST(LocalStoreCompressionTest, OverlongKeyRunGroupCompactsCorrectly) {
+  // One run holds an overlong key; tiered compaction then merges that run
+  // with short-key neighbors. The merged run must carry every entry, and
+  // later flushes and a full compaction must keep matching the model.
   LocalStoreOptions o;
   o.memtable_flush_threshold = 4;
   o.max_runs = 8;
   o.tier_fanin = 3;
   o.tier_growth = 4;
-  o.compress_runs = true;
   o.restart_interval = 4;
   LocalStore packed(o);
-  LocalStoreOptions plain_opts = o;
-  plain_opts.compress_runs = false;
-  LocalStore plain(plain_opts);
+  MapStoreModel model;
 
-  const std::string long_bits(SortedRun::kMaxCompressedKeyBits + 8, '1');
+  const std::string long_bits(run_format::kMaxCompressedKeyBits + 8, '1');
   std::vector<Entry> entries;
   for (int i = 0; i < 11; ++i) {
     std::string bits = "0";
     for (int b = 4; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
     entries.push_back(MakeEntry(bits, "id", "p" + std::to_string(i)));
   }
-  // Lands in the third flush group: runs 0 and 1 are compressed, run 2
-  // falls back to plain, and its arrival completes a tier_fanin == 3
-  // same-class group, so the flush-triggered compaction merges all three.
+  // Lands in the third flush group, whose arrival completes a
+  // tier_fanin == 3 same-class group, so the flush-triggered compaction
+  // merges all three runs.
   entries.push_back(MakeEntry(long_bits, "id", "overlong"));
   for (const Entry& e : entries) {
-    packed.Apply(e);
-    plain.Apply(e);
+    EXPECT_EQ(packed.Apply(e), model.Apply(e));
   }
   ASSERT_EQ(packed.run_count(), 1u);
-  const auto& backend = static_cast<const MemoryBackend&>(packed.backend());
-  EXPECT_FALSE(backend.run(0).compressed())
-      << "a merged run holding an overlong key must not be compressed";
-  EXPECT_EQ(packed.GetAll(), plain.GetAll());
+  EXPECT_EQ(packed.GetAll(), model.GetAll());
   ASSERT_EQ(packed.Get(Key::FromBits(long_bits)).size(), 1u);
   EXPECT_EQ(packed.Get(Key::FromBits(long_bits))[0].payload, "overlong");
 
-  // A fresh flush of short keys re-enters the compressed path even though
-  // the merged plain run sits below it.
+  // A fresh flush of short keys lands beside the merged run.
   for (int i = 16; i < 20; ++i) {
     std::string bits = "1";
     for (int b = 4; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-    packed.Apply(MakeEntry(bits, "id", "q" + std::to_string(i)));
-    plain.Apply(MakeEntry(bits, "id", "q" + std::to_string(i)));
+    const Entry e = MakeEntry(bits, "id", "q" + std::to_string(i));
+    EXPECT_EQ(packed.Apply(e), model.Apply(e));
   }
   ASSERT_EQ(packed.run_count(), 2u);
-  EXPECT_TRUE(backend.run(1).compressed());
+  EXPECT_EQ(packed.GetAll(), model.GetAll());
 
-  // A full compaction folds the mixed pair again: still plain, no data
-  // lost, streams still identical to the never-compressed engine.
+  // A full compaction folds the pair again with no data lost.
   packed.Compact();
-  plain.Compact();
   ASSERT_EQ(packed.run_count(), 1u);
-  EXPECT_FALSE(backend.run(0).compressed());
-  EXPECT_EQ(packed.GetAll(), plain.GetAll());
+  EXPECT_EQ(packed.GetAll(), model.GetAll());
+}
+
+TEST(SortedRunTest, ProberFindsRecordsAfterAnOverlongKey) {
+  // One prefix chain: a short key, an overlong key (stored unshared), then
+  // a short key sharing 150 bits of the overlong one — its decode must
+  // pull the shared prefix out of the arena-aliased predecessor.
+  const std::string zeros(run_format::kMaxCompressedKeyBits + 8, '0');
+  std::vector<Entry> entries = {
+      MakeEntry(zeros.substr(0, 100), "a", "short", 3),
+      MakeEntry(zeros, "a", "overlong", 4),
+      MakeEntry(zeros, "b", "overlong-b", 5, /*deleted=*/true),
+      MakeEntry(zeros.substr(0, 150) + "1", "a", "shares", 6),
+      MakeEntry(zeros.substr(0, 150) + "11", "a", "shares-more", 7),
+  };
+  const SortedRun run = SortedRun::Build(entries, /*restart_interval=*/16);
+  ASSERT_EQ(run.size(), entries.size());
+
+  SortedRun::Cursor cursor;
+  size_t i = 0;
+  for (cursor.Seek(&run, ""); cursor.valid(); cursor.Advance(), ++i) {
+    ASSERT_LT(i, entries.size());
+    EXPECT_EQ(cursor.view().ToEntry(), entries[i]) << "entry " << i;
+  }
+  EXPECT_EQ(i, entries.size());
+
+  SortedRun::Prober prober(&run);
+  uint64_t version = 0;
+  bool deleted = false;
+  // Absent slots in between the present ones stay misses.
+  EXPECT_FALSE(prober.FindForward(zeros.substr(0, 100), "0", &version,
+                                  &deleted));
+  for (const Entry& e : entries) {
+    ASSERT_TRUE(prober.FindForward(e.key.bits(), e.id, &version, &deleted))
+        << e.key.bits().size() << "-bit key " << e.id;
+    EXPECT_EQ(version, e.version);
+    EXPECT_EQ(deleted, e.deleted);
+  }
+  EXPECT_FALSE(prober.FindForward(zeros.substr(0, 150) + "111", "a",
+                                  &version, &deleted));
 }
 
 // --- Size-tiered compaction ------------------------------------------------
@@ -772,7 +817,6 @@ TEST(LocalStoreChurnTest, InterleavedApplyBulkLoadExtractMatchesModel) {
     options.max_runs = 2 + rng.NextBounded(8);
     options.tier_fanin = 2 + rng.NextBounded(3);
     options.tier_growth = 2 + rng.NextBounded(3);
-    options.compress_runs = rng.NextBounded(2) == 0;
     options.restart_interval = 1 + rng.NextBounded(8);
     LocalStore store(options);
     MapStoreModel model;

@@ -153,11 +153,11 @@ TEST(DiskRunTest, FindSlotMatchesEntries) {
 
 TEST(DiskRunTest, OverlongKeysRoundTrip) {
   // Keys beyond kMaxCompressedKeyBits are stored with shared == 0 (key
-  // aliases the block); no plain-format fallback exists on disk.
+  // aliases the block).
   MemEnv env;
   BlockCache cache(1 << 20);
   std::vector<Entry> entries;
-  const std::string base(SortedRun::kMaxCompressedKeyBits + 40, '0');
+  const std::string base(run_format::kMaxCompressedKeyBits + 40, '0');
   for (int i = 0; i < 20; ++i) {
     std::string bits = base;
     for (int b = 4; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
@@ -403,6 +403,49 @@ TEST(DiskBackendTest, MatchesMemoryBackendScanStream) {
     EXPECT_EQ(disk_store.live_size(), mem_store.live_size());
     EXPECT_EQ(disk_store.total_size(), mem_store.total_size());
   }
+}
+
+TEST(DiskBackendTest, OverlongAndShortKeysMatchMemoryBackend) {
+  // Both engines write the same record codec: overlong keys unshared,
+  // short keys prefix-shared, including against an overlong predecessor.
+  const std::string zeros(run_format::kMaxCompressedKeyBits + 16, '0');
+  Rng rng(20261017);
+  std::vector<Entry> entries;
+  for (int i = 0; i < 200; ++i) {
+    std::string bits = zeros.substr(0, 120 + rng.NextBounded(100));
+    bits += rng.NextBounded(2) ? '1' : '0';
+    entries.push_back(MakeEntry(bits, "id" + std::to_string(rng.NextBounded(4)),
+                                "p" + std::to_string(i), 1 + rng.NextBounded(5),
+                                rng.NextBounded(6) == 0));
+  }
+  LocalStoreOptions mem_options;
+  mem_options.memtable_flush_threshold = 16;
+  mem_options.restart_interval = 4;
+  LocalStore mem_store(mem_options);
+  MemEnv env;
+  LocalStoreOptions disk_options = DiskOptions(&env, "db");
+  disk_options.restart_interval = 4;
+  LocalStore disk_store(disk_options);
+  for (LocalStore* store : {&mem_store, &disk_store}) {
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (i % 5 == 0) {
+        store->BulkLoad({entries[i]});
+      } else {
+        store->Apply(entries[i]);
+      }
+    }
+    store->Flush();
+  }
+  ASSERT_TRUE(disk_store.io_status().ok()) << disk_store.io_status().message();
+  size_t overlong = 0;
+  for (const Entry& e : mem_store.GetAll()) {
+    if (e.key.bits().size() > run_format::kMaxCompressedKeyBits) ++overlong;
+  }
+  EXPECT_GT(overlong, 0u);
+  ExpectSameEntries(disk_store.GetAll(), mem_store.GetAll());
+  mem_store.Compact();
+  disk_store.Compact();
+  ExpectSameEntries(disk_store.GetAll(), mem_store.GetAll());
 }
 
 TEST(DiskBackendTest, ReopenRecoversEverything) {
