@@ -88,7 +88,7 @@ std::unique_ptr<pgrid::Overlay> BuildPair(size_t repairer_runs,
   pgrid::OverlayOptions options;
   options.seed = 77;
   options.replication = 2;
-  options.peer.repair_chunk_bytes = kChunkBytes;
+  options.peer.chunk_bytes = kChunkBytes;
   options.peer.storage.tier_fanin = 100;  // Keep runs distinct.
   auto overlay = std::make_unique<pgrid::Overlay>(options);
   overlay->AddPeers(2);

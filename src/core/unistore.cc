@@ -66,82 +66,49 @@ uint64_t UniStore::NextVersion() {
          (peer_->id() & 0x3FF);
 }
 
-void UniStore::InsertTriple(const triple::Triple& triple,
-                            StatusCallback callback) {
+void UniStore::WriteTriples(const std::vector<triple::Triple>& triples,
+                            bool deleted, StatusCallback callback) {
   const uint64_t version = NextVersion();
-  std::vector<pgrid::Entry> entries =
-      triple::EntriesForTriple(triple, version, /*deleted=*/false);
-  if (options_.qgram_index) {
-    auto postings = qgram::EntriesForTripleQGrams(triple, options_.qgram_q,
-                                                  version,
-                                                  /*deleted=*/false);
-    entries.insert(entries.end(),
-                   std::make_move_iterator(postings.begin()),
-                   std::make_move_iterator(postings.end()));
+  std::vector<pgrid::Entry> entries;
+  auto append = [&entries](std::vector<pgrid::Entry> more) {
+    entries.insert(entries.end(), std::make_move_iterator(more.begin()),
+                   std::make_move_iterator(more.end()));
+  };
+  for (const triple::Triple& t : triples) {
+    append(triple::EntriesForTriple(t, version, deleted));
+    if (options_.qgram_index) {
+      append(qgram::EntriesForTripleQGrams(t, options_.qgram_q, version,
+                                           deleted));
+    }
   }
   store_.InsertEntries(std::move(entries), std::move(callback));
+}
+
+void UniStore::InsertTriple(const triple::Triple& triple,
+                            StatusCallback callback) {
+  WriteTriples({triple}, /*deleted=*/false, std::move(callback));
 }
 
 void UniStore::InsertTuple(const triple::Tuple& tuple,
                            StatusCallback callback) {
-  const uint64_t version = NextVersion();
-  std::vector<pgrid::Entry> entries;
-  for (const triple::Triple& t : triple::Decompose(tuple)) {
-    auto triple_entries =
-        triple::EntriesForTriple(t, version, /*deleted=*/false);
-    entries.insert(entries.end(),
-                   std::make_move_iterator(triple_entries.begin()),
-                   std::make_move_iterator(triple_entries.end()));
-    if (options_.qgram_index) {
-      auto postings = qgram::EntriesForTripleQGrams(t, options_.qgram_q,
-                                                    version,
-                                                    /*deleted=*/false);
-      entries.insert(entries.end(),
-                     std::make_move_iterator(postings.begin()),
-                     std::make_move_iterator(postings.end()));
-    }
-  }
-  store_.InsertEntries(std::move(entries), std::move(callback));
+  WriteTriples(triple::Decompose(tuple), /*deleted=*/false,
+               std::move(callback));
 }
 
 void UniStore::BulkLoadTuples(const std::vector<triple::Tuple>& tuples,
                               StatusCallback callback) {
-  const uint64_t version = NextVersion();
-  std::vector<pgrid::Entry> entries;
+  std::vector<triple::Triple> triples;
   for (const triple::Tuple& tuple : tuples) {
-    for (const triple::Triple& t : triple::Decompose(tuple)) {
-      auto triple_entries =
-          triple::EntriesForTriple(t, version, /*deleted=*/false);
-      entries.insert(entries.end(),
-                     std::make_move_iterator(triple_entries.begin()),
-                     std::make_move_iterator(triple_entries.end()));
-      if (options_.qgram_index) {
-        auto postings = qgram::EntriesForTripleQGrams(t, options_.qgram_q,
-                                                      version,
-                                                      /*deleted=*/false);
-        entries.insert(entries.end(),
-                       std::make_move_iterator(postings.begin()),
-                       std::make_move_iterator(postings.end()));
-      }
-    }
+    std::vector<triple::Triple> decomposed = triple::Decompose(tuple);
+    triples.insert(triples.end(), std::make_move_iterator(decomposed.begin()),
+                   std::make_move_iterator(decomposed.end()));
   }
-  store_.InsertEntries(std::move(entries), std::move(callback));
+  WriteTriples(triples, /*deleted=*/false, std::move(callback));
 }
 
 void UniStore::RemoveTriple(const triple::Triple& triple,
                             StatusCallback callback) {
-  const uint64_t version = NextVersion();
-  std::vector<pgrid::Entry> entries =
-      triple::EntriesForTriple(triple, version, /*deleted=*/true);
-  if (options_.qgram_index) {
-    auto postings = qgram::EntriesForTripleQGrams(triple, options_.qgram_q,
-                                                  version,
-                                                  /*deleted=*/true);
-    entries.insert(entries.end(),
-                   std::make_move_iterator(postings.begin()),
-                   std::make_move_iterator(postings.end()));
-  }
-  store_.InsertEntries(std::move(entries), std::move(callback));
+  WriteTriples({triple}, /*deleted=*/true, std::move(callback));
 }
 
 void UniStore::InsertMapping(const std::string& from, const std::string& to,

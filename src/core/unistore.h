@@ -123,6 +123,10 @@ class UniStore {
 
  private:
   uint64_t NextVersion();
+  // Writes the index entries of `triples` (plus their q-gram postings when
+  // the q-gram index is on) under one fresh version as one batch.
+  void WriteTriples(const std::vector<triple::Triple>& triples, bool deleted,
+                    StatusCallback callback);
 
   pgrid::Peer* peer_;
   NodeOptions options_;

@@ -9,8 +9,6 @@ std::string_view MessageTypeName(MessageType type) {
     case MessageType::kPong: return "Pong";
     case MessageType::kLookup: return "Lookup";
     case MessageType::kLookupReply: return "LookupReply";
-    case MessageType::kInsert: return "Insert";
-    case MessageType::kInsertReply: return "InsertReply";
     case MessageType::kBulkInsert: return "BulkInsert";
     case MessageType::kBulkInsertReply: return "BulkInsertReply";
     case MessageType::kLookupBatch: return "LookupBatch";

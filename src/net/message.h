@@ -23,9 +23,7 @@ enum class MessageType : uint16_t {
   kPong = 2,
   kLookup = 10,          ///< Route to key owner, return matching entries.
   kLookupReply = 11,
-  kInsert = 12,          ///< Route to key owner, store entry.
-  kInsertReply = 13,
-  kBulkInsert = 16,      ///< Routed batch insert (bulk ingest pipeline).
+  kBulkInsert = 16,      ///< Routed entry batch, split per next hop.
   kBulkInsertReply = 17,
   kLookupBatch = 18,     ///< Exact lookup of a key set, split per next hop.
   kLookupBatchReply = 19,

@@ -222,7 +222,8 @@ bool LocalStore::Apply(const Entry& entry) {
   return true;
 }
 
-size_t LocalStore::BulkLoad(std::vector<Entry> entries) {
+size_t LocalStore::BulkLoad(std::vector<Entry> entries,
+                            std::vector<Entry>* changed_out) {
   if (entries.empty() || !io_status_.ok()) return 0;
   SortBatchBySlot(&entries);
   // Within-batch dedup: slots arrive grouped, newest occurrence first.
@@ -267,6 +268,7 @@ size_t LocalStore::BulkLoad(std::vector<Entry> entries) {
         ++stats_.ingested_entries;
         stats_.ingested_bytes += ApproxEntryBytes(e);
         BumpVersion(e.key.bits());
+        if (changed_out != nullptr) changed_out->push_back(e);
         fresh.push_back(std::move(e));
       } else if (e.version > cur.version) {
         // Known slot: preserve exact versioned-upsert semantics through
@@ -276,7 +278,9 @@ size_t LocalStore::BulkLoad(std::vector<Entry> entries) {
     }
   }
   for (Entry& e : updates) {
-    if (Apply(e)) ++changed;
+    if (!Apply(e)) continue;
+    ++changed;
+    if (changed_out != nullptr) changed_out->push_back(std::move(e));
   }
 
   if (!fresh.empty()) {

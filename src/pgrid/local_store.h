@@ -199,8 +199,10 @@ class LocalStore {
   /// The batch is sorted and deduplicated by slot (highest version wins
   /// within the batch); entries whose slot already exists in the store
   /// fall back to the Apply path so versioned-upsert/tombstone semantics
-  /// stay exact. Returns the number of entries that changed the store.
-  size_t BulkLoad(std::vector<Entry> entries);
+  /// stay exact. Returns the number of entries that changed the store,
+  /// and appends those entries to `changed` when it is given.
+  size_t BulkLoad(std::vector<Entry> entries,
+                  std::vector<Entry>* changed = nullptr);
 
   // --- Zero-copy visitor scans (live entries unless stated otherwise) ----
 

@@ -1,6 +1,7 @@
 #include "pgrid/messages.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace unistore {
 namespace pgrid {
@@ -132,6 +133,30 @@ Result<std::vector<Key>> DecodeKeys(BufferReader* r) {
   return keys;
 }
 
+Result<uint32_t> DecodeSlot(BufferReader* r) {
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t slot, r->GetVarint());
+  if (slot > std::numeric_limits<uint32_t>::max()) {
+    return Status::Corruption("batch slot out of range");
+  }
+  return static_cast<uint32_t>(slot);
+}
+
+void EncodeSlots(const std::vector<uint32_t>& slots, BufferWriter* w) {
+  w->PutVarint(slots.size());
+  for (uint32_t slot : slots) w->PutVarint(slot);
+}
+
+Result<std::vector<uint32_t>> DecodeSlots(BufferReader* r) {
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t n, r->GetVarint());
+  std::vector<uint32_t> slots;
+  slots.reserve(std::min<uint64_t>(n, 4096));  // `n` is wire data.
+  for (uint64_t i = 0; i < n; ++i) {
+    UNISTORE_ASSIGN_OR_RETURN(uint32_t slot, DecodeSlot(r));
+    slots.push_back(slot);
+  }
+  return slots;
+}
+
 }  // namespace
 
 std::string LookupBatchRequest::Encode() const {
@@ -175,42 +200,14 @@ Result<LookupBatchReply> LookupBatchReply::Decode(std::string_view bytes) {
   return reply;
 }
 
-std::string InsertRequest::Encode() const {
-  BufferWriter w;
-  w.PutU32(initiator);
-  entry.Encode(&w);
-  return w.Release();
-}
-
-Result<InsertRequest> InsertRequest::Decode(std::string_view bytes) {
-  BufferReader r(bytes);
-  InsertRequest req;
-  UNISTORE_ASSIGN_OR_RETURN(req.initiator, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(req.entry, Entry::Decode(&r));
-  return req;
-}
-
-std::string InsertReply::Encode() const {
-  BufferWriter w;
-  w.PutU8(status_code);
-  w.PutString(error);
-  w.PutU32(owner);
-  return w.Release();
-}
-
-Result<InsertReply> InsertReply::Decode(std::string_view bytes) {
-  BufferReader r(bytes);
-  InsertReply reply;
-  UNISTORE_ASSIGN_OR_RETURN(reply.status_code, r.GetU8());
-  UNISTORE_ASSIGN_OR_RETURN(reply.error, r.GetString());
-  UNISTORE_ASSIGN_OR_RETURN(reply.owner, r.GetU32());
-  return reply;
-}
-
 std::string BulkInsertRequest::Encode() const {
   BufferWriter w;
   w.PutU32(initiator);
-  EncodeEntries(entries, &w);
+  w.PutVarint(entries.size());
+  for (const BatchEntry& e : entries) {
+    w.PutVarint(e.slot);
+    e.entry.Encode(&w);
+  }
   return w.Release();
 }
 
@@ -218,26 +215,31 @@ Result<BulkInsertRequest> BulkInsertRequest::Decode(std::string_view bytes) {
   BufferReader r(bytes);
   BulkInsertRequest req;
   UNISTORE_ASSIGN_OR_RETURN(req.initiator, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(req.entries, DecodeEntries(&r));
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
+  req.entries.reserve(std::min<uint64_t>(n, 4096));  // `n` is wire data.
+  for (uint64_t i = 0; i < n; ++i) {
+    BatchEntry e;
+    UNISTORE_ASSIGN_OR_RETURN(e.slot, DecodeSlot(&r));
+    UNISTORE_ASSIGN_OR_RETURN(e.entry, Entry::Decode(&r));
+    req.entries.push_back(std::move(e));
+  }
   return req;
 }
 
 std::string BulkInsertReply::Encode() const {
   BufferWriter w;
-  w.PutU32(applied);
-  w.PutU32(dead_ends);
-  w.PutU32(forwards);
-  w.PutString(peer_path);
+  w.PutU32(peer);
+  EncodeSlots(stored, &w);
+  EncodeSlots(dead_ends, &w);
   return w.Release();
 }
 
 Result<BulkInsertReply> BulkInsertReply::Decode(std::string_view bytes) {
   BufferReader r(bytes);
   BulkInsertReply reply;
-  UNISTORE_ASSIGN_OR_RETURN(reply.applied, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(reply.dead_ends, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(reply.forwards, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(reply.peer_path, r.GetString());
+  UNISTORE_ASSIGN_OR_RETURN(reply.peer, r.GetU32());
+  UNISTORE_ASSIGN_OR_RETURN(reply.stored, DecodeSlots(&r));
+  UNISTORE_ASSIGN_OR_RETURN(reply.dead_ends, DecodeSlots(&r));
   return reply;
 }
 

@@ -100,49 +100,34 @@ struct LookupBatchReply {
   static Result<LookupBatchReply> Decode(std::string_view bytes);
 };
 
-struct InsertRequest {
-  PeerId initiator = net::kNoPeer;
+/// One entry of a routed batch, tagged with its position in the
+/// initiator's batch.
+struct BatchEntry {
+  uint32_t slot = 0;
   Entry entry;
-
-  std::string Encode() const;
-  static Result<InsertRequest> Decode(std::string_view bytes);
 };
 
-struct InsertReply {
-  uint8_t status_code = 0;
-  std::string error;
-  PeerId owner = net::kNoPeer;
-
-  std::string Encode() const;
-  static Result<InsertReply> Decode(std::string_view bytes);
-};
-
-/// \brief Routed batch insert — the wire unit of the bulk ingest pipeline.
+/// \brief Routed batch insert (Peer::InsertBatch).
 ///
-/// The initiator groups a batch by next routing hop and sends one
-/// BulkInsertRequest per group, all sharing the initiator's request id. A
-/// receiving peer splits the batch again: entries it is responsible for
-/// are BulkLoad-ed (and replica-pushed) locally, the rest re-group by
-/// *their* next hop and forward under the same request id. Every received
-/// BulkInsert produces exactly one reply to the initiator carrying how
-/// many entries were applied here, how many hit a routing dead end, and
-/// how many sub-requests were spawned — the initiator runs
-/// shower-scan-style accounting (outstanding += forwards - 1) until all
-/// sub-walks report, then retries the whole (idempotent, versioned) batch
-/// if anything failed.
+/// Travels like a LookupBatchRequest: every visited peer stores the
+/// entries it is responsible for, groups the rest by next routing hop and
+/// forwards them, at most `PeerOptions::chunk_bytes` of entries per
+/// request, under the initiator's request id.
 struct BulkInsertRequest {
   PeerId initiator = net::kNoPeer;
-  std::vector<Entry> entries;
+  std::vector<BatchEntry> entries;
 
   std::string Encode() const;
   static Result<BulkInsertRequest> Decode(std::string_view bytes);
 };
 
+/// Sent to the initiator only by a peer that stored entries or hit a
+/// routing dead end; pure forwarders stay silent. Slots name entries of
+/// the initiator's batch, so a duplicated reply changes nothing.
 struct BulkInsertReply {
-  uint32_t applied = 0;     ///< Entries stored at this peer.
-  uint32_t dead_ends = 0;   ///< Entries dropped for lack of a route.
-  uint32_t forwards = 0;    ///< Sub-requests this peer spawned.
-  std::string peer_path;
+  PeerId peer = net::kNoPeer;       ///< The replying peer.
+  std::vector<uint32_t> stored;     ///< Slots stored at `peer`.
+  std::vector<uint32_t> dead_ends;  ///< Slots `peer` had no route for.
 
   std::string Encode() const;
   static Result<BulkInsertReply> Decode(std::string_view bytes);

@@ -98,9 +98,6 @@ void Peer::OnMessage(const Message& msg) {
     case MessageType::kLookup:
       HandleLookup(msg);
       return;
-    case MessageType::kInsert:
-      HandleInsert(msg);
-      return;
     case MessageType::kBulkInsert:
       HandleBulkInsert(msg);
       return;
@@ -160,7 +157,6 @@ void Peer::OnMessage(const Message& msg) {
       return;
     }
     case MessageType::kLookupReply:
-    case MessageType::kInsertReply:
     case MessageType::kExchangeReply:
     case MessageType::kManifestPullReply:
     case MessageType::kRunFetchReply:
@@ -220,6 +216,49 @@ PeerId Peer::Forward(const Message& msg, const Key& key) {
   copy.hops = msg.hops + 1;
   transport_->Send(std::move(copy));
   return next;
+}
+
+template <typename Item, typename KeyOf>
+Peer::KeySetRoute<Item> Peer::RouteKeySet(std::vector<Item> items,
+                                          uint32_t hops, KeyOf key_of) {
+  // One next hop per routing level: items that leave this peer's subtree
+  // at the same level travel together instead of spreading over the
+  // level's references.
+  KeySetRoute<Item> route;
+  std::map<size_t, PeerId> hop_at_level;
+  for (Item& item : items) {
+    const Key& key = key_of(item);
+    if (IsResponsible(key)) {
+      route.mine.push_back(std::move(item));
+      continue;
+    }
+    // The hop cap of Forward: a transient routing cycle becomes a dead end.
+    PeerId next = net::kNoPeer;
+    if (hops < 2 * kKeyBits) {
+      auto [it, first] =
+          hop_at_level.try_emplace(path_.CommonPrefixLength(key));
+      if (first) it->second = NextHop(key);
+      next = it->second;
+    }
+    if (next == net::kNoPeer || next == id_) {
+      route.dead_ends.push_back(std::move(item));
+    } else {
+      route.next[next].push_back(std::move(item));
+    }
+  }
+  return route;
+}
+
+void Peer::SendRouted(MessageType type, PeerId next, uint64_t request_id,
+                      uint32_t hops, std::string payload) {
+  Message msg;
+  msg.type = type;
+  msg.src = id_;
+  msg.dst = next;
+  msg.request_id = request_id;
+  msg.hops = hops + 1;
+  msg.payload = std::move(payload);
+  transport_->Send(std::move(msg));
 }
 
 // ---------------------------------------------------------------------------
@@ -517,51 +556,27 @@ void Peer::SendLookupBatch(uint64_t request_id) {
       });
 }
 
-void Peer::DispatchLookupBatch(const std::vector<Key>& keys,
-                               PeerId initiator, uint64_t request_id,
-                               uint32_t hops, LookupBatchReply* reply) {
-  // One next hop per routing level: keys that leave this peer's subtree at
-  // the same level travel together instead of spreading over the level's
-  // references.
-  std::map<size_t, PeerId> hop_at_level;
-  std::map<PeerId, std::vector<Key>> groups;
-  for (const Key& key : keys) {
-    if (IsResponsible(key)) {
-      RecordLookupServe();
-      LookupBatchReply::Answer& answer = reply->answers.emplace_back();
-      answer.key = key;
-      store_.ScanKey(key, [&answer](const EntryView& e) {
-        answer.entries.push_back(e.ToEntry());
-        return true;
-      });
-      continue;
-    }
-    // The hop cap of Forward: a transient routing cycle becomes a dead end.
-    PeerId next = net::kNoPeer;
-    if (hops < 2 * kKeyBits) {
-      auto [it, first] =
-          hop_at_level.try_emplace(path_.CommonPrefixLength(key));
-      if (first) it->second = NextHop(key);
-      next = it->second;
-    }
-    if (next == net::kNoPeer || next == id_) {
-      reply->dead_ends.push_back(key);
-      continue;
-    }
-    groups[next].push_back(key);
+void Peer::DispatchLookupBatch(std::vector<Key> keys, PeerId initiator,
+                               uint64_t request_id, uint32_t hops,
+                               LookupBatchReply* reply) {
+  KeySetRoute<Key> route = RouteKeySet(
+      std::move(keys), hops, [](const Key& key) -> const Key& { return key; });
+  for (Key& key : route.mine) {
+    RecordLookupServe();
+    LookupBatchReply::Answer& answer = reply->answers.emplace_back();
+    answer.key = std::move(key);
+    store_.ScanKey(answer.key, [&answer](const EntryView& e) {
+      answer.entries.push_back(e.ToEntry());
+      return true;
+    });
   }
-  for (auto& [next, group] : groups) {
+  reply->dead_ends = std::move(route.dead_ends);
+  for (auto& [next, group] : route.next) {
     LookupBatchRequest sub;
     sub.initiator = initiator;
     sub.keys = std::move(group);
-    Message msg;
-    msg.type = MessageType::kLookupBatch;
-    msg.src = id_;
-    msg.dst = next;
-    msg.request_id = request_id;
-    msg.hops = hops + 1;
-    msg.payload = sub.Encode();
-    transport_->Send(std::move(msg));
+    SendRouted(MessageType::kLookupBatch, next, request_id, hops,
+               sub.Encode());
   }
 }
 
@@ -569,8 +584,8 @@ void Peer::HandleLookupBatch(const Message& msg) {
   auto req = LookupBatchRequest::Decode(msg.payload);
   if (!req.ok() || !KnownPeer(req->initiator)) return;
   LookupBatchReply reply;
-  DispatchLookupBatch(req->keys, req->initiator, msg.request_id, msg.hops,
-                      &reply);
+  DispatchLookupBatch(std::move(req->keys), req->initiator, msg.request_id,
+                      msg.hops, &reply);
   if (reply.answers.empty() && reply.dead_ends.empty()) return;
   rpc_.ReplyTo(req->initiator, msg.request_id, msg.hops,
                MessageType::kLookupBatchReply, reply.Encode());
@@ -621,13 +636,13 @@ void Peer::RetryLookupBatch(uint64_t request_id) {
 }
 
 // ---------------------------------------------------------------------------
-// Insert / Remove
+// Insert / Remove / batch insert (DESIGN.md §6, §13)
 // ---------------------------------------------------------------------------
 
 void Peer::Insert(Entry entry, StatusCallback callback) {
-  DoInsert(std::move(entry),
-           RetryBudget(RequestPolicy(kInsertRetryPolicy), NowUs()),
-           std::move(callback));
+  std::vector<Entry> batch;
+  batch.push_back(std::move(entry));
+  InsertBatch(std::move(batch), std::move(callback));
 }
 
 void Peer::Remove(const Key& key, const std::string& entry_id,
@@ -640,194 +655,108 @@ void Peer::Remove(const Key& key, const std::string& entry_id,
   Insert(std::move(tombstone), std::move(callback));
 }
 
-void Peer::DoInsert(Entry entry, RetryBudget budget, StatusCallback callback) {
-  if (IsResponsible(entry.key)) {
-    // Same damping as ServeInsert: only effective mutations replicate.
-    if (store_.Apply(entry)) PushToReplicas(entry);
-    callback(Status::OK());
-    return;
-  }
-
-  InsertRequest req;
-  req.initiator = id_;
-  req.entry = entry;
-
-  uint64_t rid = rpc_.RegisterPending(
-      options_.request_timeout,
-      [this, entry, budget, callback](const Status& status,
-                                      const Message& msg) mutable {
-        if (!status.ok()) {
-          if (budget.Spend(NowUs())) {
-            transport_->CountRetry(kInsertRetryPolicy);
-            RetryAfter(budget.NextDelayUs(&rng_),
-                       [this, entry, budget, callback]() {
-                         DoInsert(entry, budget, callback);
-                       });
-          } else {
-            callback(status);
-          }
-          return;
-        }
-        auto reply = InsertReply::Decode(msg.payload);
-        if (!reply.ok()) {
-          callback(reply.status());
-          return;
-        }
-        if (reply->status_code != 0) {
-          Status err(static_cast<StatusCode>(reply->status_code),
-                     reply->error);
-          if (budget.Spend(NowUs())) {
-            transport_->CountRetry(kInsertRetryPolicy);
-            RetryAfter(budget.NextDelayUs(&rng_),
-                       [this, entry, budget, callback]() {
-                         DoInsert(entry, budget, callback);
-                       });
-          } else {
-            callback(err);
-          }
-          return;
-        }
-        callback(Status::OK());
-      });
-
-  Message msg;
-  msg.type = MessageType::kInsert;
-  msg.src = id_;
-  msg.dst = id_;
-  msg.request_id = rid;
-  msg.hops = 0;
-  msg.payload = req.Encode();
-  PeerId hop = Forward(msg, entry.key);
-  if (hop == net::kNoPeer) {
-    rpc_.Cancel(rid);
-    callback(Status::Unavailable("peer ", id_, ": no route toward key ",
-                                 entry.key.ToString()));
-    return;
-  }
-  rpc_.NoteDestination(rid, hop);
-}
-
-void Peer::ServeInsert(const InsertRequest& req, uint64_t request_id,
-                       uint32_t hops) {
-  // Replicate only effective mutations: a stale replica reroutes gossip
-  // back here as a routed insert, and re-pushing an entry we already
-  // hold would hand it straight back to that replica — an undamped
-  // rumor cycle. Damping at the sink ends it in one hop.
-  if (store_.Apply(req.entry)) PushToReplicas(req.entry);
-  InsertReply reply;
-  reply.owner = id_;
-  rpc_.ReplyTo(req.initiator, request_id, hops, MessageType::kInsertReply,
-               reply.Encode());
-}
-
-void Peer::HandleInsert(const Message& msg) {
-  auto req = InsertRequest::Decode(msg.payload);
-  if (!req.ok() || !KnownPeer(req->initiator)) return;
-  if (IsResponsible(req->entry.key)) {
-    ServeInsert(*req, msg.request_id, msg.hops);
-    return;
-  }
-  if (Forward(msg, req->entry.key) == net::kNoPeer) {
-    InsertReply reply;
-    reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
-    reply.error = "routing dead end at peer " + std::to_string(id_);
-    rpc_.ReplyTo(req->initiator, msg.request_id, msg.hops,
-                 MessageType::kInsertReply, reply.Encode());
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batched insert (bulk ingest pipeline)
-// ---------------------------------------------------------------------------
-
 void Peer::InsertBatch(std::vector<Entry> entries, StatusCallback callback) {
-  DoInsertBatch(std::move(entries),
-                RetryBudget(RequestPolicy(kBulkRetryPolicy), NowUs()),
-                std::move(callback));
-}
-
-void Peer::DoInsertBatch(std::vector<Entry> entries, RetryBudget budget,
-                         StatusCallback callback) {
   if (entries.empty()) {
     callback(Status::OK());
     return;
   }
   const uint64_t id = next_scan_id_++;
-  BulkState state;
+  BulkState& state = bulk_inserts_[id];
   state.callback = std::move(callback);
-  state.entries = entries;  // Copy retained for idempotent retries.
-  state.budget = budget;
-  bulk_inserts_.emplace(id, std::move(state));
-
-  transport_->scheduler()->ScheduleAfter(
-      kScanTimeout, id_, id_, [this, id]() {
-        auto it = bulk_inserts_.find(id);
-        if (it != bulk_inserts_.end()) {
-          FinishBulkInsert(id, /*complete=*/false);
-        }
-      });
-
-  const BulkDispatch d = DispatchBulk(std::move(entries), id_, id, 0);
-  BulkState& s = bulk_inserts_.find(id)->second;
-  s.outstanding = d.forwards;
-  s.dead_ends = d.dead_ends;
-  if (s.outstanding == 0) FinishBulkInsert(id, /*complete=*/true);
+  state.slots.assign(entries.size(), SlotState::kPending);
+  state.missing = entries.size();
+  state.entries = std::move(entries);
+  state.budget = RetryBudget(RequestPolicy(kBulkRetryPolicy), NowUs());
+  SendBulkInsert(id);
 }
 
-Peer::BulkDispatch Peer::DispatchBulk(std::vector<Entry> entries,
-                                      PeerId initiator, uint64_t request_id,
-                                      uint32_t hops) {
-  BulkDispatch d;
-  std::vector<Entry> mine;
-  std::map<PeerId, std::vector<Entry>> groups;
-  for (Entry& e : entries) {
-    if (IsResponsible(e.key)) {
-      mine.push_back(std::move(e));
-      continue;
-    }
-    const PeerId next = NextHop(e.key);
-    if (next == net::kNoPeer || next == id_) {
-      ++d.dead_ends;
-      continue;
-    }
-    groups[next].push_back(std::move(e));
+void Peer::SendBulkInsert(uint64_t request_id) {
+  auto it = bulk_inserts_.find(request_id);
+  if (it == bulk_inserts_.end()) return;
+  const BulkState& state = it->second;
+  const uint32_t attempt = state.attempt;
+  std::vector<BatchEntry> unstored;
+  unstored.reserve(state.missing);
+  for (size_t slot = 0; slot < state.slots.size(); ++slot) {
+    if (state.slots[slot] == SlotState::kStored) continue;
+    unstored.push_back({static_cast<uint32_t>(slot), state.entries[slot]});
   }
+  BulkInsertReply local;
+  DispatchBulkInsert(std::move(unstored), id_, request_id, 0, &local);
+  OnBulkInsertReply(request_id, local);
+  // Arm the timeout unless the local stores finished (or retried) it.
+  it = bulk_inserts_.find(request_id);
+  if (it == bulk_inserts_.end() || it->second.attempt != attempt) return;
+  transport_->scheduler()->ScheduleAfter(
+      options_.request_timeout, id_, id_, [this, request_id, attempt]() {
+        auto it = bulk_inserts_.find(request_id);
+        if (it != bulk_inserts_.end() && it->second.attempt == attempt) {
+          RetryBulkInsert(request_id);
+        }
+      });
+}
 
-  if (!mine.empty()) {
-    d.applied = static_cast<uint32_t>(mine.size());
-    // One rumor batch to the replica group instead of per-entry pushes.
-    PushBatchToReplicas(mine);
-    store_.BulkLoad(std::move(mine));
+void Peer::DispatchBulkInsert(std::vector<BatchEntry> entries,
+                              PeerId initiator, uint64_t request_id,
+                              uint32_t hops, BulkInsertReply* reply) {
+  KeySetRoute<BatchEntry> route = RouteKeySet(
+      std::move(entries), hops,
+      [](const BatchEntry& e) -> const Key& { return e.entry.key; });
+  reply->peer = id_;
+  if (!route.mine.empty()) {
+    std::vector<Entry> mine;
+    mine.reserve(route.mine.size());
+    for (BatchEntry& e : route.mine) {
+      reply->stored.push_back(e.slot);
+      mine.push_back(std::move(e.entry));
+    }
+    StoreAndReplicate(std::move(mine));
   }
-
-  for (auto& [next, group] : groups) {
+  for (const BatchEntry& e : route.dead_ends) {
+    reply->dead_ends.push_back(e.slot);
+  }
+  for (auto& [next, group] : route.next) {
+    // Sub-batches of at most chunk_bytes of entries, at least one each.
     BulkInsertRequest sub;
     sub.initiator = initiator;
-    sub.entries = std::move(group);
-    Message msg;
-    msg.type = MessageType::kBulkInsert;
-    msg.src = id_;
-    msg.dst = next;
-    msg.request_id = request_id;
-    msg.hops = hops + 1;
-    msg.payload = sub.Encode();
-    transport_->Send(std::move(msg));
-    ++d.forwards;
+    size_t bytes = 0;
+    for (BatchEntry& e : group) {
+      const size_t size = e.entry.EncodedSize();
+      if (!sub.entries.empty() && bytes + size > options_.chunk_bytes) {
+        SendRouted(MessageType::kBulkInsert, next, request_id, hops,
+                   sub.Encode());
+        sub.entries.clear();
+        bytes = 0;
+      }
+      bytes += size;
+      sub.entries.push_back(std::move(e));
+    }
+    SendRouted(MessageType::kBulkInsert, next, request_id, hops,
+               sub.Encode());
   }
-  return d;
+}
+
+void Peer::StoreAndReplicate(std::vector<Entry> entries) {
+  // Replicate only effective mutations: a stale replica reroutes gossip
+  // back here as a routed insert, and re-pushing an entry we already
+  // hold would hand it straight back to that replica — an undamped
+  // rumor cycle. Damping at the sink ends it in one hop.
+  std::vector<Entry> changed;
+  if (entries.size() == 1) {
+    if (store_.Apply(entries[0])) changed = std::move(entries);
+  } else {
+    store_.BulkLoad(std::move(entries), &changed);
+  }
+  PushBatchToReplicas(changed);
 }
 
 void Peer::HandleBulkInsert(const Message& msg) {
   auto req = BulkInsertRequest::Decode(msg.payload);
   if (!req.ok() || !KnownPeer(req->initiator)) return;
-  const BulkDispatch d =
-      DispatchBulk(std::move(req->entries), req->initiator, msg.request_id,
-                   msg.hops);
   BulkInsertReply reply;
-  reply.applied = d.applied;
-  reply.dead_ends = d.dead_ends;
-  reply.forwards = d.forwards;
-  reply.peer_path = path_.bits();
+  DispatchBulkInsert(std::move(req->entries), req->initiator, msg.request_id,
+                     msg.hops, &reply);
+  if (reply.stored.empty() && reply.dead_ends.empty()) return;
   rpc_.ReplyTo(req->initiator, msg.request_id, msg.hops,
                MessageType::kBulkInsertReply, reply.Encode());
 }
@@ -835,58 +764,63 @@ void Peer::HandleBulkInsert(const Message& msg) {
 void Peer::OnBulkInsertReply(uint64_t request_id,
                              const BulkInsertReply& reply) {
   auto it = bulk_inserts_.find(request_id);
-  if (it == bulk_inserts_.end()) return;  // Finished or already retried.
+  if (it == bulk_inserts_.end()) return;  // Finished or failed.
   BulkState& state = it->second;
-  state.dead_ends += reply.dead_ends;
-  state.outstanding += reply.forwards;
-  state.outstanding -= 1;
-  if (state.outstanding == 0) {
-    FinishBulkInsert(request_id, /*complete=*/true);
+  // A corrupt frame head garbles the peer id; drop the whole reply.
+  if (!KnownPeer(reply.peer)) return;
+  // Slot states make duplicated replies (and duplicated forwards) no-ops;
+  // late replies of an earlier attempt still store their entries.
+  for (uint32_t slot : reply.stored) {
+    if (slot >= state.slots.size()) continue;
+    SlotState& s = state.slots[slot];
+    if (s == SlotState::kStored) continue;
+    if (s == SlotState::kDeadEnd) --state.dead_ends;
+    s = SlotState::kStored;
+    --state.missing;
   }
+  for (uint32_t slot : reply.dead_ends) {
+    if (slot >= state.slots.size()) continue;
+    SlotState& s = state.slots[slot];
+    if (s != SlotState::kPending) continue;
+    s = SlotState::kDeadEnd;
+    ++state.dead_ends;
+  }
+  if (state.missing == 0) {
+    StatusCallback callback = std::move(state.callback);
+    bulk_inserts_.erase(it);
+    callback(Status::OK());
+    return;
+  }
+  // Nothing is in flight once every missing entry hit a dead end.
+  if (state.dead_ends == state.missing) RetryBulkInsert(request_id);
 }
 
-void Peer::FinishBulkInsert(uint64_t request_id, bool complete) {
+void Peer::RetryBulkInsert(uint64_t request_id) {
   auto it = bulk_inserts_.find(request_id);
-  if (it == bulk_inserts_.end()) return;
-  BulkState state = std::move(it->second);
-  bulk_inserts_.erase(it);
-  if (complete && state.dead_ends == 0) {
-    state.callback(Status::OK());
+  BulkState& state = it->second;
+  ++state.attempt;
+  for (SlotState& s : state.slots) {
+    if (s == SlotState::kDeadEnd) s = SlotState::kPending;
+  }
+  const size_t dead_ends = state.dead_ends;
+  state.dead_ends = 0;
+  if (!state.budget.Spend(NowUs())) {
+    BulkState failed = std::move(state);
+    bulk_inserts_.erase(it);
+    failed.callback(Status::Unavailable(
+        "peer ", id_, ": batch insert incomplete, ", failed.missing, " of ",
+        failed.entries.size(), " entries unstored (", dead_ends,
+        " dead ends)"));
     return;
   }
-  if (state.budget.Spend(NowUs())) {
-    // Versioned upserts make re-delivery idempotent, so the whole batch
-    // retries (stragglers of the first walk are absorbed as no-ops).
-    transport_->CountRetry(kBulkRetryPolicy);
-    RetryAfter(state.budget.NextDelayUs(&rng_),
-               [this, entries = std::move(state.entries),
-                budget = state.budget,
-                callback = std::move(state.callback)]() mutable {
-                 DoInsertBatch(std::move(entries), budget,
-                               std::move(callback));
-               });
-    return;
-  }
-  state.callback(Status::Unavailable(
-      "peer ", id_, ": bulk insert incomplete (", state.dead_ends,
-      " dead ends", complete ? "" : ", timed out", ")"));
+  transport_->CountRetry(kBulkRetryPolicy);
+  RetryAfter(state.budget.NextDelayUs(&rng_),
+             [this, request_id]() { SendBulkInsert(request_id); });
 }
 
 // ---------------------------------------------------------------------------
 // Replica maintenance
 // ---------------------------------------------------------------------------
-
-void Peer::PushToReplicas(const Entry& entry) {
-  const auto& replicas = routing_.replicas();
-  if (replicas.empty()) return;
-  std::vector<PeerId> targets = replicas;
-  rng_.Shuffle(&targets);
-  size_t fanout = std::min(options_.gossip_fanout, targets.size());
-  for (size_t i = 0; i < fanout; ++i) {
-    SendEntries(targets[i], {entry}, /*reroute_if_foreign=*/false,
-                /*gossip=*/true);
-  }
-}
 
 void Peer::PushBatchToReplicas(const std::vector<Entry>& entries) {
   const auto& replicas = routing_.replicas();
@@ -921,8 +855,7 @@ void Peer::ApplyOrReroute(const std::vector<Entry>& entries) {
       store_.Apply(e);
     } else {
       ++rerouted_entries_;
-      DoInsert(e, RetryBudget(RequestPolicy(kInsertRetryPolicy), NowUs()),
-               NoopStatus);
+      InsertBatch({e}, NoopStatus);
     }
   }
 }
@@ -944,11 +877,9 @@ void Peer::HandleEntryBatch(const Message& msg) {
       // mid-exchange), hold the entry here rather than lose it: a
       // misplaced copy is repairable by the next exchange migration,
       // a dropped acked write is not.
-      Entry held = e;
-      DoInsert(e, RetryBudget(RequestPolicy(kInsertRetryPolicy), NowUs()),
-               [this, held](const Status& status) {
-                 if (!status.ok()) store_.Apply(held);
-               });
+      InsertBatch({e}, [this, held = e](const Status& status) {
+        if (!status.ok()) store_.Apply(held);
+      });
       continue;
     }
     if (batch->gossip) {
@@ -1178,7 +1109,7 @@ void Peer::RepairRequestChunk(uint64_t repair_id) {
   req.expected_checksum =
       st.current.run_id == kMemtableRunId ? 0 : st.current.checksum;
   req.start_entry = st.next_entry;
-  req.max_bytes = options_.repair_chunk_bytes;
+  req.max_bytes = options_.chunk_bytes;
   rpc_.SendRequest(
       st.donor, MessageType::kRunFetch, req.Encode(),
       options_.request_timeout,

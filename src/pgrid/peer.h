@@ -29,7 +29,6 @@ namespace pgrid {
 
 // Retry-policy counter keys (TrafficStats.retries_by_policy).
 inline constexpr std::string_view kLookupRetryPolicy = "lookup";
-inline constexpr std::string_view kInsertRetryPolicy = "insert";
 inline constexpr std::string_view kBulkRetryPolicy = "bulk-insert";
 inline constexpr std::string_view kRepairRetryPolicy = "repair";
 
@@ -37,7 +36,7 @@ inline constexpr std::string_view kRepairRetryPolicy = "repair";
 /// more than this many times the partner's load.
 inline constexpr double kBalanceFactor = 8.0;
 
-/// Deadline of a whole range scan, bulk insert or Migrate join.
+/// Deadline of a whole range scan or Migrate join.
 inline constexpr sim::SimTime kScanTimeout = 20 * sim::kMicrosPerSecond;
 
 /// Total deadline of one PullFromReplica, measured from the call and
@@ -61,7 +60,8 @@ struct PeerOptions {
   /// split deeper — [Aberer VLDB'05]).
   size_t split_threshold = 256;
 
-  /// Deadline of a single routed request (lookup/insert).
+  /// Deadline of a single routed lookup, and of each attempt of a key-set
+  /// lookup or batch insert.
   sim::SimTime request_timeout = 5 * sim::kMicrosPerSecond;
 
   /// Retries of a failed lookup/insert at the initiator.
@@ -92,10 +92,11 @@ struct PeerOptions {
 
   // --- Replica repair: anti-entropy snapshot shipping (DESIGN.md §9) ----
 
-  /// Payload budget of one kRunFetchReply chunk during replica repair.
-  /// Bounds every repair message on the wire; a chunk always carries at
-  /// least one entry, so an oversized entry still makes progress.
-  size_t repair_chunk_bytes = 64 * 1024;
+  /// Entry payload budget of one kRunFetchReply chunk during replica
+  /// repair and of one kBulkInsert sub-batch. Bounds every repair and
+  /// batch-insert message on the wire; a chunk always carries at least
+  /// one entry, so an oversized entry still makes progress.
+  size_t chunk_bytes = 64 * 1024;
 
   // --- Hot-key replica fan-out (DESIGN.md §8) ----------------------------
 
@@ -222,29 +223,33 @@ class Peer {
 
   /// \brief Exact-mode lookup of a key set (DESIGN.md §13).
   ///
-  /// The keys travel as LookupBatch messages that split at every peer by
-  /// next routing hop, like InsertBatch; each peer serving keys or hitting
-  /// a dead end answers the initiator, forwarders stay silent. Keys still
-  /// unanswered after `request_timeout` (or all dead-ended) retry as a
-  /// smaller batch under the "lookup" retry budget; when it runs out the
-  /// callback gets Unavailable naming the number of missing keys.
+  /// The keys travel as LookupBatch messages that the key-set router
+  /// splits at every peer, one next hop per routing level, like
+  /// InsertBatch; each peer serving keys or hitting a dead end answers
+  /// the initiator, forwarders stay silent. Keys still unanswered after
+  /// `request_timeout` (or all dead-ended) retry as a smaller batch under
+  /// the "lookup" retry budget; when it runs out the callback gets
+  /// Unavailable naming the number of missing keys.
   /// Duplicate keys collapse; an empty set completes at once.
   void LookupBatch(const std::vector<Key>& keys,
                    LookupBatchCallback callback);
 
-  /// Routes `entry` to its owner, stores it, pushes to replicas.
+  /// Stores `entry` at its owner: an InsertBatch of one entry.
   void Insert(Entry entry, StatusCallback callback);
 
-  /// \brief Routes a whole batch of entries to their owners (bulk ingest
-  /// pipeline).
+  /// \brief Routes a batch of entries to their owners (DESIGN.md §6, §13).
   ///
-  /// The batch is grouped by next routing hop and travels as BulkInsert
-  /// messages that split recursively at each peer; responsible peers
-  /// ingest their group through LocalStore::BulkLoad (bypassing the
-  /// per-entry memtable path) and push it to replicas as one rumor batch.
-  /// The callback fires once every sub-walk reported back; on loss or a
-  /// routing dead end the whole batch retries (versioned upserts make
-  /// re-delivery idempotent) before giving up with Unavailable.
+  /// The entries travel as BulkInsert messages that the key-set router
+  /// splits at every peer, one next hop per routing level, each carrying
+  /// at most `chunk_bytes` of entries. A responsible peer stores its
+  /// group (one entry through the memtable, more as one run), pushes the
+  /// entries that changed its store to its replicas, and tells the
+  /// initiator which entries it stored; forwarders stay silent. The
+  /// callback gets OK once every entry is stored. Entries still unstored
+  /// after `request_timeout` (or all dead-ended) retry as a smaller batch
+  /// under the "bulk-insert" retry budget (versioned upserts make
+  /// re-delivery idempotent); when it runs out the callback gets
+  /// Unavailable.
   void InsertBatch(std::vector<Entry> entries, StatusCallback callback);
 
   /// Deletes by writing a tombstone (id under `key` with higher version).
@@ -399,9 +404,6 @@ class Peer {
   // Client ops with retry budget (common/retry_policy.h).
   void DoLookup(const Key& key, LookupMode mode, RetryBudget budget,
                 LookupCallback callback);
-  void DoInsert(Entry entry, RetryBudget budget, StatusCallback callback);
-  void DoInsertBatch(std::vector<Entry> entries, RetryBudget budget,
-                     StatusCallback callback);
   void DoInitiateExchange(PeerId other, uint32_t ttl, StatusCallback callback);
 
   // Retry plumbing: the per-protocol policy built from the options, the
@@ -422,10 +424,26 @@ class Peer {
   // next hop, or kNoPeer if no reference is available (routing dead end).
   PeerId Forward(const net::Message& msg, const Key& key);
 
+  // The key-set router (DESIGN.md §13) of LookupBatch and InsertBatch:
+  // splits items that arrived after `hops` hops into the ones this peer
+  // serves, one group per next hop (one NextHop draw per routing level),
+  // and dead ends (no reference, or the 2·kKeyBits hop cap of Forward).
+  template <typename Item>
+  struct KeySetRoute {
+    std::vector<Item> mine;
+    std::map<PeerId, std::vector<Item>> next;
+    std::vector<Item> dead_ends;
+  };
+  template <typename Item, typename KeyOf>
+  KeySetRoute<Item> RouteKeySet(std::vector<Item> items, uint32_t hops,
+                                KeyOf key_of);
+  // Sends one hop of a key-set request of the initiator's `request_id`.
+  void SendRouted(net::MessageType type, PeerId next, uint64_t request_id,
+                  uint32_t hops, std::string payload);
+
   // Request handlers (invoked for messages, and locally by client ops when
   // this peer is already responsible).
   void HandleLookup(const net::Message& msg);
-  void HandleInsert(const net::Message& msg);
   void HandleBulkInsert(const net::Message& msg);
   void HandleLookupBatch(const net::Message& msg);
   void HandleRangeSeq(const net::Message& msg);
@@ -478,8 +496,6 @@ class Peer {
   // Shared protocol steps.
   void ServeLookup(const LookupRequest& req, uint64_t request_id,
                    uint32_t hops);
-  void ServeInsert(const InsertRequest& req, uint64_t request_id,
-                   uint32_t hops);
   void ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
                        uint32_t hops);
   void ProcessRangeShower(const RangeShowerRequest& req, uint64_t request_id,
@@ -502,24 +518,27 @@ class Peer {
                  PeerId sender);
   void AddPeerByPath(PeerId peer, const Key& peer_path);
 
-  // Bulk ingest pipeline: applies the responsible subset of `entries`
-  // here (BulkLoad + batch replica push), groups the rest by next hop and
-  // forwards each group under `request_id`. Returns the accounting the
-  // initiator needs.
-  struct BulkDispatch {
-    uint32_t applied = 0;
-    uint32_t dead_ends = 0;
-    uint32_t forwards = 0;
-  };
-  BulkDispatch DispatchBulk(std::vector<Entry> entries, PeerId initiator,
-                            uint64_t request_id, uint32_t hops);
+  // Batch inserts: stores the entries of `entries` this peer is
+  // responsible for (StoreAndReplicate) and lists their slots in `reply`,
+  // forwards the rest in chunk_bytes sub-batches under `request_id`, and
+  // lists the unroutable ones as dead ends.
+  void DispatchBulkInsert(std::vector<BatchEntry> entries, PeerId initiator,
+                          uint64_t request_id, uint32_t hops,
+                          BulkInsertReply* reply);
+  // Stores a group this peer serves — one entry through the memtable,
+  // more as one run — and pushes the entries that changed the store to
+  // the replicas.
+  void StoreAndReplicate(std::vector<Entry> entries);
+  // Initiator side: sends every still-unstored entry of the batch, folds
+  // in each storing peer's reply, and retries what is missing.
+  void SendBulkInsert(uint64_t request_id);
   void OnBulkInsertReply(uint64_t request_id, const BulkInsertReply& reply);
-  void FinishBulkInsert(uint64_t request_id, bool complete);
+  void RetryBulkInsert(uint64_t request_id);
 
   // Key-set lookups (DESIGN.md §13): serves the keys of `keys` this peer
   // is responsible for into `reply`, forwards the rest grouped by next hop
   // under `request_id`, and lists the unroutable ones as dead ends.
-  void DispatchLookupBatch(const std::vector<Key>& keys, PeerId initiator,
+  void DispatchLookupBatch(std::vector<Key> keys, PeerId initiator,
                            uint64_t request_id, uint32_t hops,
                            LookupBatchReply* reply);
   // Initiator side: sends every still-missing key of the batch, folds in
@@ -529,7 +548,6 @@ class Peer {
   void RetryLookupBatch(uint64_t request_id);
 
   // Replica maintenance.
-  void PushToReplicas(const Entry& entry);
   void PushBatchToReplicas(const std::vector<Entry>& entries);
   void ApplyOrReroute(const std::vector<Entry>& entries);
   void SendEntries(PeerId dst, std::vector<Entry> entries,
@@ -595,12 +613,15 @@ class Peer {
   std::map<uint64_t, ScanState> shower_scans_;
 
   // Initiator-side state of in-flight batch inserts, keyed by request id.
+  enum class SlotState : uint8_t { kPending, kDeadEnd, kStored };
   struct BulkState {
     StatusCallback callback;
-    std::vector<Entry> entries;  ///< Retained for idempotent retries.
+    std::vector<Entry> entries;    ///< The batch; retained for retries.
+    std::vector<SlotState> slots;  ///< One per entry of `entries`.
+    size_t missing = 0;    ///< Entries no reply stored yet.
+    size_t dead_ends = 0;  ///< Missing entries this attempt could not route.
     RetryBudget budget;
-    uint32_t outstanding = 0;
-    uint32_t dead_ends = 0;
+    uint32_t attempt = 0;  ///< Retires the timeouts of earlier attempts.
   };
   std::map<uint64_t, BulkState> bulk_inserts_;
 

@@ -23,7 +23,6 @@ TEST(MessageTest, TypeNamesAreUniqueAndNonEmpty) {
   const MessageType all[] = {
       MessageType::kPing,          MessageType::kPong,
       MessageType::kLookup,        MessageType::kLookupReply,
-      MessageType::kInsert,        MessageType::kInsertReply,
       MessageType::kBulkInsert,    MessageType::kBulkInsertReply,
       MessageType::kLookupBatch,   MessageType::kLookupBatchReply,
       MessageType::kRangeSeq,      MessageType::kRangeSeqReply,

@@ -156,16 +156,16 @@ TEST(TransportTest, StatsSinceIncludesPerTypeAndInvalid) {
   f.sim.RunUntilIdle();
   TrafficStats before = f.transport->stats();
   f.transport->Send(f.Make(0, 1, MessageType::kLookup));
-  f.transport->Send(f.Make(0, 1, MessageType::kInsert, "abc"));
-  f.transport->Send(f.Make(1, 0, MessageType::kInsertReply));
+  f.transport->Send(f.Make(0, 1, MessageType::kBulkInsert, "abc"));
+  f.transport->Send(f.Make(1, 0, MessageType::kBulkInsertReply));
   f.transport->Send(f.Make(0, 42));  // Invalid.
   f.sim.RunUntilIdle();
   TrafficStats delta = f.transport->stats().Since(before);
   EXPECT_EQ(delta.messages_sent, 3u);
   EXPECT_EQ(delta.messages_invalid, 1u);
   EXPECT_EQ(delta.per_type.at(MessageType::kLookup), 1u);
-  EXPECT_EQ(delta.per_type.at(MessageType::kInsert), 1u);
-  EXPECT_EQ(delta.per_type.at(MessageType::kInsertReply), 1u);
+  EXPECT_EQ(delta.per_type.at(MessageType::kBulkInsert), 1u);
+  EXPECT_EQ(delta.per_type.at(MessageType::kBulkInsertReply), 1u);
   // kPing never sent in the delta window: absent, not zero.
   EXPECT_EQ(delta.per_type.count(MessageType::kPing), 0u);
   EXPECT_EQ(delta.bytes_sent,
@@ -176,7 +176,7 @@ TEST(TrafficStatsTest, MergeSumsCountersAndTypes) {
   TrafficStats a, b;
   a.messages_sent = 3;
   a.per_type[MessageType::kLookup] = 2;
-  a.per_type[MessageType::kInsert] = 1;
+  a.per_type[MessageType::kBulkInsert] = 1;
   b.messages_sent = 4;
   b.messages_invalid = 1;
   b.per_type[MessageType::kLookup] = 5;
@@ -184,7 +184,7 @@ TEST(TrafficStatsTest, MergeSumsCountersAndTypes) {
   EXPECT_EQ(a.messages_sent, 7u);
   EXPECT_EQ(a.messages_invalid, 1u);
   EXPECT_EQ(a.per_type.at(MessageType::kLookup), 7u);
-  EXPECT_EQ(a.per_type.at(MessageType::kInsert), 1u);
+  EXPECT_EQ(a.per_type.at(MessageType::kBulkInsert), 1u);
 }
 
 // Satellite of the sharding work: latency/loss draws come from the source

@@ -1,12 +1,14 @@
-// The routed BulkInsert pipeline: a batch grouped by next hop must reach
-// every owner, respect versioned-upsert semantics, replicate, and survive
-// message loss through idempotent whole-batch retries.
+// The routed BulkInsert pipeline: a batch split by the key-set router must
+// reach every owner, respect versioned-upsert semantics, replicate, travel
+// in bounded sub-batches, and survive message loss, duplication and
+// routing cycles through idempotent retries of the unstored entries.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "pgrid/overlay.h"
 
 namespace unistore {
@@ -22,6 +24,22 @@ Entry MakeEntry(const std::string& value, uint64_t version = 1) {
   return e;
 }
 
+// An entry whose key starts with `prefix` (random bits after it).
+Entry EntryUnder(const std::string& prefix, size_t i,
+                 size_t payload_bytes = 8) {
+  Rng rng(500 + i);
+  std::string bits = prefix;
+  while (bits.size() < kKeyBits) {
+    bits.push_back(rng.NextBounded(2) == 0 ? '0' : '1');
+  }
+  Entry e;
+  e.key = Key::FromBits(bits);
+  e.id = "id-" + prefix + "-" + std::to_string(i);
+  e.payload = std::string(payload_bytes, 'p');
+  e.version = 1;
+  return e;
+}
+
 std::vector<Entry> MakeBatch(size_t n, const std::string& tag) {
   std::vector<Entry> batch;
   batch.reserve(n);
@@ -33,14 +51,24 @@ std::vector<Entry> MakeBatch(size_t n, const std::string& tag) {
 
 class BulkInsertTest : public ::testing::Test {
  protected:
-  void Build(size_t peers, size_t replication, double loss, uint64_t seed) {
+  void Build(size_t peers, size_t replication, double loss, uint64_t seed,
+             PeerOptions peer = {}, net::FaultSchedule faults = {}) {
     OverlayOptions options;
     options.seed = seed;
     options.replication = replication;
     options.loss_probability = loss;
+    options.peer = peer;
+    options.fault_schedule = std::move(faults);
     overlay_ = std::make_unique<Overlay>(options);
     overlay_->AddPeers(peers);
     overlay_->BuildBalanced();
+  }
+
+  // kBulkInsert messages sent since `before`.
+  uint64_t BulkInsertsSince(const net::TrafficStats& before) const {
+    const auto delta = overlay_->transport().stats().Since(before);
+    auto it = delta.per_type.find(net::MessageType::kBulkInsert);
+    return it == delta.per_type.end() ? 0 : it->second;
   }
 
   std::unique_ptr<Overlay> overlay_;
@@ -152,6 +180,105 @@ TEST_F(BulkInsertTest, GarbageBulkInsertPayloadIsDropped) {
   // The network still works afterwards.
   auto batch = MakeBatch(8, "post-garbage");
   EXPECT_TRUE(overlay_->InsertBatchSync(1, batch).ok());
+}
+
+TEST_F(BulkInsertTest, KeysLeavingAtOneLevelTravelAsOneMessage) {
+  // 16 peers, 4 per leaf "00", "01", "10", "11": peer 0 ("00") keeps up to
+  // four references into "01" at level 1, all of them owners of the keys.
+  Build(16, /*replication=*/4, /*loss=*/0, /*seed=*/14);
+  ASSERT_EQ(overlay_->peer(0)->path().bits(), "00");
+  ASSERT_GT(overlay_->peer(0)->routing().RefsAt(1).size(), 1u);
+  std::vector<Entry> batch;
+  for (size_t i = 0; i < 16; ++i) batch.push_back(EntryUnder("01", i));
+  const net::TrafficStats before = overlay_->transport().stats();
+  ASSERT_TRUE(overlay_->InsertBatchSync(0, batch).ok());
+  overlay_->simulation().RunUntilIdle();
+  EXPECT_EQ(BulkInsertsSince(before), 1u);
+  for (const Entry& e : batch) {
+    size_t holders = 0;
+    for (net::PeerId p : overlay_->ResponsiblePeers(e.key)) {
+      holders += overlay_->peer(p)->store().Get(e.key).size();
+    }
+    EXPECT_GE(holders, 1u) << e.id;
+  }
+}
+
+TEST_F(BulkInsertTest, RoutingCycleDeadEndsAtTheHopCap) {
+  // Peers 0 ("00") and 1 ("01") each name only the other for the "1"
+  // subtree, so a key under "1" bounces between them.
+  Build(4, /*replication=*/1, /*loss=*/0, /*seed=*/15);
+  Peer* a = overlay_->peer(0);
+  Peer* b = overlay_->peer(1);
+  ASSERT_EQ(a->path().bits(), "00");
+  ASSERT_EQ(b->path().bits(), "01");
+  for (net::PeerId p : {2u, 3u}) {
+    a->routing().RemoveEverywhere(p);
+    b->routing().RemoveEverywhere(p);
+  }
+  a->routing().AddRef(0, b->id(), &a->rng());
+  b->routing().AddRef(0, a->id(), &b->rng());
+
+  const net::TrafficStats before = overlay_->transport().stats();
+  const sim::SimTime start = overlay_->simulation().Now();
+  Status status = overlay_->InsertBatchSync(0, {EntryUnder("1", 0)});
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  // Every attempt dead-ends after 2·kKeyBits hops and retries at once,
+  // long before any deadline.
+  const auto attempts = static_cast<uint64_t>(a->options().request_retries) + 1;
+  EXPECT_EQ(BulkInsertsSince(before), attempts * 2 * kKeyBits);
+  EXPECT_LT(overlay_->simulation().Now() - start,
+            a->options().request_timeout);
+  EXPECT_EQ(overlay_->transport().stats().retries_by_policy.at("bulk-insert"),
+            attempts - 1);
+}
+
+TEST_F(BulkInsertTest, LargeGroupsSplitIntoChunks) {
+  PeerOptions peer;
+  peer.chunk_bytes = 1024;
+  Build(16, /*replication=*/4, /*loss=*/0, /*seed=*/16, peer);
+  std::vector<Entry> batch;
+  size_t bytes = 0;
+  for (size_t i = 0; i < 40; ++i) {
+    batch.push_back(EntryUnder("01", i, /*payload_bytes=*/100));
+    bytes += batch.back().EncodedSize();
+  }
+  net::TrafficStats before = overlay_->transport().stats();
+  ASSERT_TRUE(overlay_->InsertBatchSync(0, batch).ok());
+  overlay_->simulation().RunUntilIdle();
+  EXPECT_GE(BulkInsertsSince(before), bytes / peer.chunk_bytes);
+  // Entry bytes stay within the budget; the rest is the frame: message
+  // header, initiator, entry count and one slot varint per entry.
+  EXPECT_LE(overlay_->transport().stats().per_type_max_bytes.at(
+                net::MessageType::kBulkInsert),
+            net::Message::kHeaderBytes + peer.chunk_bytes + 16);
+
+  // One entry larger than the budget still travels, alone.
+  const Entry big = EntryUnder("11", 0, /*payload_bytes=*/4096);
+  before = overlay_->transport().stats();
+  ASSERT_TRUE(overlay_->InsertBatchSync(0, {big}).ok());
+  EXPECT_GE(BulkInsertsSince(before), 1u);
+  auto found = overlay_->LookupSync(0, big.key);
+  ASSERT_TRUE(found.ok());
+  ASSERT_EQ(found->entries.size(), 1u);
+  EXPECT_EQ(found->entries[0].payload, big.payload);
+}
+
+TEST_F(BulkInsertTest, DuplicatedRepliesNeverAcknowledgeALostBranch) {
+  // Peer 0 ("00") sends one entry toward "01" and one toward "11"; the
+  // owner of "11" is cut off for good, and every message to peer 0 arrives
+  // twice. Counting a duplicated reply twice would finish the batch before
+  // the lost branch is stored.
+  net::FaultSchedule faults;
+  faults.Duplicate(0, net::kFaultForever, net::kAnyPeer, 0, 1.0);
+  faults.PartitionPair(0, net::kFaultForever, 3, net::kAnyPeer);
+  Build(4, /*replication=*/1, /*loss=*/0, /*seed=*/17, PeerOptions{}, faults);
+  ASSERT_EQ(overlay_->peer(3)->path().bits(), "11");
+  Status status = overlay_->InsertBatchSync(
+      0, {EntryUnder("01", 0), EntryUnder("11", 1)});
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  EXPECT_NE(status.ToString().find("1 of 2 entries unstored"),
+            std::string::npos)
+      << status.ToString();
 }
 
 }  // namespace

@@ -43,9 +43,9 @@ class RobustnessTest : public ::testing::Test {
 
 TEST_F(RobustnessTest, CorruptPayloadsAreDropped) {
   using MT = net::MessageType;
-  for (MT type : {MT::kLookup, MT::kInsert, MT::kRangeSeq, MT::kRangeShower,
-                  MT::kExchange, MT::kReplicaPush, MT::kRangeSeqReply,
-                  MT::kRangeShowerReply}) {
+  for (MT type : {MT::kLookup, MT::kBulkInsert, MT::kRangeSeq,
+                  MT::kRangeShower, MT::kExchange, MT::kReplicaPush,
+                  MT::kRangeSeqReply, MT::kRangeShowerReply}) {
     overlay_->transport().Send(Garbage(0, 3, type));
   }
   overlay_->simulation().RunUntilIdle();

@@ -242,7 +242,7 @@ TEST(ReplicaRepairTest, ChunkBudgetBoundsEveryMessageAtScale) {
   constexpr size_t kEntries = 1'000'000;
   constexpr size_t kChunkBytes = 256 * 1024;
   OverlayOptions options = RepairOptions(11, 2);
-  options.peer.repair_chunk_bytes = kChunkBytes;
+  options.peer.chunk_bytes = kChunkBytes;
   Overlay overlay(options);
   overlay.AddPeers(2);
   overlay.BuildBalanced();
@@ -342,7 +342,7 @@ TEST(ReplicaRepairTest, AllReplicasDeadSurfacesUnavailable) {
 // stream — and the transfer is still bounded per message.
 TEST(ReplicaRepairTest, MemtableOnlyDivergenceUsesFallbackStream) {
   OverlayOptions options = RepairOptions(23, 2);
-  options.peer.repair_chunk_bytes = 512;  // Force several chunks.
+  options.peer.chunk_bytes = 512;  // Force several chunks.
   Overlay overlay(options);
   overlay.AddPeers(2);
   overlay.BuildBalanced();
@@ -446,7 +446,7 @@ TEST(RepairKillPointTest, DonorDeadMidChunkNeverTearsRepairer) {
   for (sim::SimTime kill_after_ms : {2, 5, 8, 12, 20}) {
     OverlayOptions options = RepairOptions(37, 2);
     options.peer.storage.tier_fanin = 100;
-    options.peer.repair_chunk_bytes = 512;  // Many chunks per run.
+    options.peer.chunk_bytes = 512;  // Many chunks per run.
     Overlay overlay(options);
     overlay.AddPeers(2);
     overlay.BuildBalanced();
@@ -503,7 +503,7 @@ TEST(RepairKillPointTest, RepairerCrashMidSpliceRecoversAndConverges) {
     options.peer.storage.data_dir = "db";
     options.peer.storage.env = &env;
     options.peer.storage.tier_fanin = 100;
-    options.peer.repair_chunk_bytes = 1024;
+    options.peer.chunk_bytes = 1024;
 
     uint32_t donor_digest = 0;
     {
