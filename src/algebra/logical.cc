@@ -79,6 +79,7 @@ std::string LogicalOp::ToString(int indent) const {
         line += " edist(object,'" + sim_target +
                 "')<=" + std::to_string(sim_max_distance);
       }
+      if (!contains.empty()) line += " object CONTAINS '" + contains + "'";
       break;
     }
     case LogicalOpKind::kFilter:

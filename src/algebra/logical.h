@@ -46,6 +46,9 @@ struct LogicalOp {
   /// <= max_distance (empty target = none). Paper §2's edist FILTER.
   std::string sim_target;
   size_t sim_max_distance = 0;
+  /// Substring restriction pushed into the scan: object CONTAINS contains
+  /// (empty = none). A scan carries at most one of sim_target, contains.
+  std::string contains;
 
   // kFilter
   vql::ExprPtr predicate;

@@ -41,6 +41,10 @@ void UniStore::SetPlannerOptions(plan::PlannerOptions options) {
   }
   // The cost model prices Migrate the way the executor will run it.
   options_.planner.migrate_batching = BatchingFrom(options_.envelope);
+  // The q-gram path looks up grams of length kDefaultQ; only postings of
+  // that length can answer it.
+  options_.planner.qgram_postings =
+      options_.qgram_index && options_.qgram_q == qgram::kDefaultQ;
   optimizer_ = std::make_unique<plan::Optimizer>(&service_.catalog(),
                                                  options_.planner);
   executor_ =

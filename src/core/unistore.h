@@ -29,7 +29,8 @@ struct NodeOptions {
   /// cost model automatically.
   exec::EnvelopeOptions envelope;
   /// Maintain q-gram postings for string values (enables the q-gram
-  /// similarity access path; ~|value| extra index entries per triple).
+  /// access path of edist and CONTAINS, which the planner's
+  /// qgram_postings follows; ~|value| extra index entries per triple).
   bool qgram_index = true;
   size_t qgram_q = 3;
 };

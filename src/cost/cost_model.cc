@@ -101,18 +101,25 @@ Cost CostModel::IndexJoinMigrate(double left_cardinality,
 
 Cost CostModel::SimilarityQGram(double max_distance, double q,
                                 double expected_candidates) const {
-  // Pigeonhole gram selection: k*q + 1 posting lookups.
-  double posting_lookups = max_distance * q + 1;
-  Cost per_lookup = Lookup();
-  return Cost{per_lookup.messages * posting_lookups,
-              // Posting lookups fan out in parallel.
-              per_lookup.latency_us + posting_lookups * 10,
-              expected_candidates};
+  // Pigeonhole gram selection: at most k*q + 1 posting keys, fetched in
+  // one key-set lookup (routed once, at most one reply per key).
+  const double posting_keys = max_distance * q + 1;
+  Cost c = Lookup();
+  c.messages += posting_keys - 1;
+  c.latency_us += posting_keys * 10;
+  c.tuples_moved = expected_candidates;
+  return c;
 }
 
 Cost CostModel::SimilarityNaive(double peers_in_range,
                                 double attribute_triples) const {
-  return RangeScanShower(peers_in_range, attribute_triples);
+  // Route into the partition, then shower over it.
+  const auto& net = catalog_->network();
+  const double route_in = net.ExpectedLookupHops();
+  Cost shower = RangeScanShower(peers_in_range, attribute_triples);
+  shower.messages += route_in;
+  shower.latency_us += route_in * net.hop_latency_us;
+  return shower;
 }
 
 }  // namespace cost

@@ -82,11 +82,13 @@ class CostModel {
                         const MigrateBatching& batching) const;
 
   /// Similarity selection via the q-gram index: the pigeonhole-selected
-  /// posting lookups (k*q+1), candidates verified locally.
+  /// posting keys (k*q+1) in one key-set lookup, candidates verified
+  /// locally. A substring (CONTAINS) is k = 0: one Lookup.
   Cost SimilarityQGram(double max_distance, double q,
                        double expected_candidates) const;
 
-  /// Similarity selection by scanning the whole attribute partition.
+  /// Similarity selection by scanning the whole attribute partition:
+  /// route in, then shower over it.
   Cost SimilarityNaive(double peers_in_range,
                        double attribute_triples) const;
 

@@ -417,7 +417,8 @@ void Executor::ExecScan(std::shared_ptr<PhysicalOp> node, Context ctx,
       return;
     }
     case AccessPath::kSimilarityNaive: {
-      // Full attribute scan; BindTriples verifies edist exactly.
+      // Full attribute scan; BindTriples verifies edist exactly, the
+      // residual filter CONTAINS.
       auto fan = std::make_shared<TripleFanIn>();
       fan->remaining = node->attributes.size();
       fan->done = bind_and_return;
@@ -440,51 +441,26 @@ void Executor::ExecScan(std::shared_ptr<PhysicalOp> node, Context ctx,
 
 void Executor::ExecSimilarityQGram(std::shared_ptr<PhysicalOp> node,
                                    Context ctx, RowsCallback callback) {
-  // The count filter can only prune when the threshold is positive; for
-  // very lax thresholds every string is a candidate and the posting
-  // lookups cannot enumerate them, so fall back to the naive scan. (The
-  // optimizer's cost model avoids this path then; this is the safety
-  // net that keeps forced plans correct.)
-  const std::string& target = node->sim_target;
-  if (qgram::CountFilterThreshold(target.size(), target.size(),
-                                  qgram::kDefaultQ,
-                                  node->sim_max_distance) <= 0) {
-    ctx->trace.push_back(
-        "SimilarityQGram: threshold vacuous, falling back to naive scan");
-    auto fallback = std::make_shared<PhysicalOp>(*node);
-    fallback->access = AccessPath::kSimilarityNaive;
-    ExecScan(fallback, std::move(ctx), std::move(callback));
+  // Pigeonhole gram selection (qgram::SelectGrams): every edist <= k
+  // match, and every value containing the needle (k = 0, one gram inside
+  // it), holds one of these grams. Posting traffic stays proportional to
+  // the edit budget instead of the target length.
+  const std::vector<std::string> grams = node->PostingGrams();
+  // The safety net that keeps forced plans correct (the optimizer avoids
+  // both cases): without postings no lookup finds anything, and when no
+  // gram set reaches the budget the lookups cannot enumerate the matches.
+  const char* fallback = !optimizer_->options().qgram_postings
+                             ? "no q-gram postings"
+                             : grams.empty() ? "threshold vacuous" : nullptr;
+  if (fallback != nullptr) {
+    ctx->trace.push_back(std::string("SimilarityQGram: ") + fallback +
+                         ", falling back to naive scan");
+    auto naive = std::make_shared<PhysicalOp>(*node);
+    naive->access = AccessPath::kSimilarityNaive;
+    ExecScan(naive, std::move(ctx), std::move(callback));
     return;
   }
 
-  // Pigeonhole gram selection: a true match loses at most k*q of the
-  // target's |t|+q-1 positional grams, so any subset of distinct grams
-  // whose multiplicity sum exceeds k*q must intersect every match's gram
-  // set. Fetching only that subset keeps posting traffic proportional to
-  // the edit budget instead of the target length. Interior grams are
-  // preferred over padding grams (padding grams are shared by every value
-  // with the same first/last characters, i.e. the largest buckets).
-  auto all_grams = qgram::ExtractQGrams(target, qgram::kDefaultQ);
-  std::map<std::string, size_t> multiplicity;
-  for (const auto& g : all_grams) multiplicity[g]++;
-  std::vector<std::string> ordered;
-  for (const auto& [g, count] : multiplicity) ordered.push_back(g);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const std::string& a, const std::string& b) {
-                     auto pads = [](const std::string& s) {
-                       return std::count(s.begin(), s.end(),
-                                         qgram::kPadChar);
-                     };
-                     return pads(a) < pads(b);
-                   });
-  const size_t budget = node->sim_max_distance * qgram::kDefaultQ + 1;
-  std::vector<std::string> grams;
-  size_t covered = 0;
-  for (const auto& g : ordered) {
-    if (covered >= budget) break;
-    grams.push_back(g);
-    covered += multiplicity[g];
-  }
   std::set<pgrid::Key> keys;
   for (const auto& attr : node->attributes) {
     for (const auto& gram : grams) keys.insert(qgram::QGramKey(attr, gram));
@@ -503,7 +479,8 @@ void Executor::ExecSimilarityQGram(std::shared_ptr<PhysicalOp> node,
         std::vector<Triple> triples;
         triples.reserve(candidates.size());
         for (auto& [id, t] : candidates) triples.push_back(std::move(t));
-        // BindTriples verifies each candidate with the banded edit distance.
+        // BindTriples verifies each edist candidate with the banded edit
+        // distance; the residual CONTAINS filter checks substrings.
         callback(BindTriples(*node, triples, Binding{}));
       });
 }

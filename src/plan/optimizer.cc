@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/logging.h"
+#include "qgram/qgram.h"
 #include "triple/index.h"
 
 namespace unistore {
@@ -31,6 +32,10 @@ struct AnnotatedPattern {
   Value object_hi;
   std::string sim_target;
   size_t sim_max_distance = 0;
+  std::string contains;
+
+  // A scan takes at most one q-gram restriction.
+  bool QGramFree() const { return sim_target.empty() && contains.empty(); }
 };
 
 // Recognizes `?v op literal` / `literal op ?v`; returns (var, op, literal).
@@ -133,6 +138,23 @@ std::optional<SimRestriction> MatchSimilarity(const vql::Expr& expr) {
                         static_cast<size_t>(bound)};
 }
 
+// Recognizes `?v CONTAINS 'needle'` with a needle of at least q
+// characters: only such a needle has a gram inside it to look up.
+std::optional<VarCompare> MatchContains(const vql::Expr& expr) {
+  if (expr.kind != vql::ExprKind::kCompare ||
+      expr.op != vql::CompareOp::kContains) {
+    return std::nullopt;
+  }
+  const auto& lhs = *expr.children[0];
+  const auto& rhs = *expr.children[1];
+  if (lhs.kind != vql::ExprKind::kVariable ||
+      rhs.kind != vql::ExprKind::kLiteral || !rhs.literal.is_string() ||
+      rhs.literal.AsString().size() < qgram::kDefaultQ) {
+    return std::nullopt;
+  }
+  return VarCompare{lhs.variable, expr.op, rhs.literal};
+}
+
 bool SharesVariable(const std::vector<std::string>& a,
                     const std::vector<std::string>& b) {
   return !algebra::SharedVariables(a, b).empty();
@@ -187,12 +209,20 @@ Result<algebra::LogicalPlan> Optimizer::Translate(
   for (const vql::Expr* conjunct : conjuncts) {
     if (auto sim = MatchSimilarity(*conjunct)) {
       int idx = find_object_pattern(sim->variable);
-      if (idx >= 0 && annotated[static_cast<size_t>(idx)].sim_target.empty()) {
+      if (idx >= 0 && annotated[static_cast<size_t>(idx)].QGramFree()) {
         annotated[static_cast<size_t>(idx)].sim_target = sim->target;
         annotated[static_cast<size_t>(idx)].sim_max_distance =
             sim->max_distance;
         continue;
       }
+    }
+    if (auto needle = MatchContains(*conjunct)) {
+      int idx = find_object_pattern(needle->variable);
+      if (idx >= 0 && annotated[static_cast<size_t>(idx)].QGramFree()) {
+        annotated[static_cast<size_t>(idx)].contains =
+            needle->literal.AsString();
+      }
+      continue;
     }
     if (auto cmp = MatchVarCompare(*conjunct)) {
       int idx = find_object_pattern(cmp->variable);
@@ -236,6 +266,7 @@ Result<algebra::LogicalPlan> Optimizer::Translate(
     scan->object_hi = ap.object_hi;
     scan->sim_target = ap.sim_target;
     scan->sim_max_distance = ap.sim_max_distance;
+    scan->contains = ap.contains;
     return scan;
   };
 
@@ -338,7 +369,7 @@ double Optimizer::EstimateScanCardinality(
                            total / static_cast<double>(
                                        catalog_->attribute_count()));
   }
-  if (!scan.sim_target.empty()) {
+  if (!scan.sim_target.empty() || !scan.contains.empty()) {
     return std::max(1.0, kSimilaritySelectivity * count);
   }
   if (!scan.object_lo.is_null() || !scan.object_hi.is_null()) {
@@ -432,6 +463,7 @@ PhysicalPlan Optimizer::PhysicalizeScan(const algebra::LogicalOp& scan) const {
   op->object_hi = scan.object_hi;
   op->sim_target = scan.sim_target;
   op->sim_max_distance = scan.sim_max_distance;
+  op->contains = scan.contains;
 
   const auto& p = scan.pattern;
   if (!p.predicate.is_variable) {
@@ -449,24 +481,35 @@ PhysicalPlan Optimizer::PhysicalizeScan(const algebra::LogicalOp& scan) const {
     op->access = AccessPath::kOidLookup;
     op->estimated_cost = cost_model_.Lookup();
   } else if (!p.predicate.is_variable) {
-    if (!scan.sim_target.empty()) {
-      // Cost-based q-gram vs naive similarity.
+    if (!scan.sim_target.empty() || !scan.contains.empty()) {
+      // Cost-based q-gram vs naive similarity; a substring is the
+      // zero-edit case, one posting lookup. The q-gram path needs
+      // postings, keys that tell the grams apart, and a gram set that
+      // serves the restriction.
+      const bool qgram_feasible =
+          options_.qgram_postings &&
+          std::all_of(op->attributes.begin(), op->attributes.end(),
+                      [](const std::string& attr) {
+                        return qgram::GramsHaveOwnKeys(attr,
+                                                       qgram::kDefaultQ);
+                      }) &&
+          !op->PostingGrams().empty();
+      const auto stats = catalog_->Attribute(p.predicate.literal.AsString());
+      const cost::Cost qg = cost_model_.SimilarityQGram(
+          static_cast<double>(scan.sim_max_distance),
+          static_cast<double>(qgram::kDefaultQ), cardinality);
+      const cost::Cost naive = cost_model_.SimilarityNaive(
+          peers_in_range, static_cast<double>(stats.triple_count));
       if (options_.force_similarity_path.has_value()) {
         op->access = *options_.force_similarity_path;
       } else {
-        const auto stats =
-            catalog_->Attribute(p.predicate.literal.AsString());
-        cost::Cost qg = cost_model_.SimilarityQGram(
-            static_cast<double>(scan.sim_max_distance), 3, cardinality);
-        cost::Cost naive = cost_model_.SimilarityNaive(
-            peers_in_range, static_cast<double>(stats.triple_count));
-        op->access = qg.Total() <= naive.Total()
+        op->access = qgram_feasible && qg.Total() <= naive.Total()
                          ? AccessPath::kSimilarityQGram
                          : AccessPath::kSimilarityNaive;
       }
       op->range_strategy = triple::RangeStrategy::kShower;
-      op->estimated_cost = cost_model_.SimilarityQGram(
-          static_cast<double>(scan.sim_max_distance), 3, cardinality);
+      op->estimated_cost =
+          op->access == AccessPath::kSimilarityQGram ? qg : naive;
     } else if (!p.object.is_variable) {
       op->access = AccessPath::kAttrValueLookup;
       op->estimated_cost = cost_model_.Lookup();

@@ -2,12 +2,12 @@
 //
 // Responsibilities (paper §2):
 //  * schema-independent translation of triple patterns,
-//  * filter pushdown (ranges and edist similarity into scans),
+//  * filter pushdown (ranges, edist similarity and CONTAINS into scans),
 //  * greedy selectivity-based join ordering, each candidate scored with
 //    the variables bound so far (DESIGN.md §12),
 //  * cost-based choice among physical implementations (index access paths,
 //    sequential vs shower ranges, probe vs migrate joins, q-gram vs naive
-//    similarity),
+//    similarity and substring search),
 //  * adaptive re-decisions at runtime (ChooseJoinStrategy is re-invoked by
 //    the executor once actual cardinalities are known),
 //  * optional automatic application of schema mappings.
@@ -39,6 +39,10 @@ struct PlannerOptions {
   cost::MigrateBatching migrate_batching;
   /// Force similarity path: kSimilarityQGram or kSimilarityNaive.
   std::optional<AccessPath> force_similarity_path;
+  /// Whether the nodes keep q-gram postings; without them no plan chooses
+  /// the q-gram path. core::UniStore derives it from
+  /// NodeOptions::qgram_index.
+  bool qgram_postings = true;
   bool enable_topn_pushdown = true;
   bool adaptive = true;
   /// Expand literal attributes with their correspondence classes.
@@ -67,6 +71,7 @@ class Optimizer {
                                             double expected_entries) const;
 
   const cost::CostModel& cost_model() const { return cost_model_; }
+  const PlannerOptions& options() const { return options_; }
 
  private:
   PhysicalPlan Physicalize(const algebra::LogicalPlan& logical) const;

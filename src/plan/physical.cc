@@ -1,5 +1,7 @@
 #include "plan/physical.h"
 
+#include "qgram/qgram.h"
+
 namespace unistore {
 namespace plan {
 
@@ -23,6 +25,14 @@ std::string_view JoinStrategyName(JoinStrategy strategy) {
     case JoinStrategy::kLocalHash: return "LocalHash";
   }
   return "?";
+}
+
+std::vector<std::string> PhysicalOp::PostingGrams() const {
+  const bool substring = !contains.empty();
+  const size_t k = substring ? 0 : sim_max_distance;
+  return qgram::SelectGrams(substring ? contains : sim_target,
+                            qgram::kDefaultQ, k * qgram::kDefaultQ + 1,
+                            /*interior_only=*/substring);
 }
 
 std::string PhysicalOp::ToString(int indent) const {
@@ -49,6 +59,7 @@ std::string PhysicalOp::ToString(int indent) const {
         line += " edist<='" + sim_target + "'," +
                 std::to_string(sim_max_distance);
       }
+      if (!contains.empty()) line += " contains='" + contains + "'";
       if (scan_limit > 0) line += " walk_limit=" + std::to_string(scan_limit);
       if (attributes.size() > 1) {
         line += " attrs={";

@@ -25,8 +25,8 @@ enum class AccessPath : uint8_t {
   kAttrRangeScan,    ///< Attribute literal: A#v partition (range) scan.
   kValueLookup,      ///< Object literal, attribute free: value index.
   kFullScan,         ///< Everything else: scan the whole A#v index.
-  kSimilarityQGram,  ///< edist pushdown via the q-gram index.
-  kSimilarityNaive,  ///< edist pushdown via full attribute scan + verify.
+  kSimilarityQGram,  ///< edist or CONTAINS pushdown via the q-gram index.
+  kSimilarityNaive,  ///< edist or CONTAINS pushdown via full attribute scan.
 };
 
 std::string_view AccessPathName(AccessPath path);
@@ -56,6 +56,7 @@ struct PhysicalOp {
   triple::Value object_hi;
   std::string sim_target;
   size_t sim_max_distance = 0;
+  std::string contains;
   /// Ordered-walk early termination (top-N pushdown; 0 = none).
   uint32_t scan_limit = 0;
 
@@ -75,6 +76,12 @@ struct PhysicalOp {
   cost::Cost estimated_cost;
 
   std::vector<std::shared_ptr<PhysicalOp>> children;
+
+  /// The grams the q-gram path looks up for this scan's restriction:
+  /// edist <= k needs grams covering k*q+1 positions, CONTAINS is the
+  /// k = 0 case over the grams inside the needle. Empty when no gram set
+  /// can serve the restriction (qgram::SelectGrams).
+  std::vector<std::string> PostingGrams() const;
 
   /// Indented plan rendering including annotations (shown in results'
   /// ExecStats and golden-tested).

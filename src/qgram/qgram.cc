@@ -1,7 +1,7 @@
 #include "qgram/qgram.h"
 
 #include <algorithm>
-#include <set>
+#include <map>
 
 #include "pgrid/ophash.h"
 
@@ -59,6 +59,47 @@ int64_t CountFilterThreshold(size_t len_a, size_t len_b, size_t q,
   return grams - static_cast<int64_t>(k * q);
 }
 
+std::vector<std::string> SelectGrams(std::string_view target, size_t q,
+                                     size_t budget, bool interior_only) {
+  const std::vector<std::string> grams = ExtractQGrams(target, q);
+  // Positions in play, [first, last): all |t|+q-1, or the |t|-q+1 grams
+  // that lie inside `target`. Both spans share their middle.
+  size_t first = 0;
+  size_t last = grams.size();
+  if (interior_only) {
+    if (q == 0 || target.size() < q) return {};
+    first = q - 1;
+    last = target.size();
+  }
+  if (last - first < budget) return {};
+  std::map<std::string_view, size_t> multiplicity;
+  std::vector<size_t> order;
+  for (size_t i = first; i < last; ++i) {
+    ++multiplicity[grams[i]];
+    order.push_back(i);
+  }
+  // Nearest the middle first, the lower position on a tie.
+  const size_t middle2 = first + last - 1;  // Twice the middle position.
+  auto off_middle = [middle2](size_t i) {
+    return 2 * i > middle2 ? 2 * i - middle2 : middle2 - 2 * i;
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&off_middle](size_t a, size_t b) {
+                     return off_middle(a) < off_middle(b);
+                   });
+  std::vector<std::string> selected;
+  size_t covered = 0;
+  for (size_t i : order) {
+    if (covered >= budget) break;
+    size_t& count = multiplicity[grams[i]];
+    if (count == 0) continue;  // Taken at a position nearer the middle.
+    covered += count;
+    count = 0;
+    selected.push_back(grams[i]);
+  }
+  return selected;
+}
+
 std::string QGramIndexString(const std::string& attribute,
                              const std::string& gram) {
   return "g#" + attribute + "#" + gram;
@@ -66,6 +107,10 @@ std::string QGramIndexString(const std::string& attribute,
 
 pgrid::Key QGramKey(const std::string& attribute, const std::string& gram) {
   return pgrid::OpHash(QGramIndexString(attribute, gram));
+}
+
+bool GramsHaveOwnKeys(const std::string& attribute, size_t q) {
+  return QGramIndexString(attribute, "").size() + q <= pgrid::kCharsPerKey;
 }
 
 std::vector<pgrid::Entry> EntriesForTripleQGrams(const triple::Triple& t,

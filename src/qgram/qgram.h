@@ -11,6 +11,9 @@
 //  3. verifies surviving candidates with a banded edit distance.
 // This replaces the naive baseline — scanning the whole attribute
 // partition — with O(|c|) targeted lookups (experiment C5).
+// A substring predicate `v CONTAINS w` is the zero-edit case: every gram
+// inside w occurs in every match, so one posting lookup finds them all
+// (SelectGrams with budget 1, interior grams only; DESIGN.md §14).
 #ifndef UNISTORE_QGRAM_QGRAM_H_
 #define UNISTORE_QGRAM_QGRAM_H_
 
@@ -47,12 +50,29 @@ size_t GramOverlap(std::vector<std::string> a, std::vector<std::string> b);
 /// filter is vacuous and candidates cannot be pruned.
 int64_t CountFilterThreshold(size_t len_a, size_t len_b, size_t q, size_t k);
 
+/// The grams a posting lookup for `target` fetches: distinct grams taken
+/// nearest the middle position first (interior grams before padding
+/// grams, which are the largest buckets) until their positional
+/// multiplicities reach `budget`. An edit-distance-k selection needs
+/// budget k*q+1 (pigeonhole: k edits destroy at most k*q grams), a
+/// substring budget 1 with `interior_only` (a gram that overlaps the
+/// padding is not implied). Empty when the grams in play cannot reach
+/// the budget: the lookup cannot enumerate the matches then.
+std::vector<std::string> SelectGrams(std::string_view target, size_t q,
+                                     size_t budget, bool interior_only);
+
 /// Pre-hash index string of one (attribute, gram) posting bucket.
 std::string QGramIndexString(const std::string& attribute,
                              const std::string& gram);
 
 /// DHT key of a posting bucket.
 pgrid::Key QGramKey(const std::string& attribute, const std::string& gram);
+
+/// True iff `attribute`'s posting keys tell its q-grams apart. A key keeps
+/// only pgrid::kCharsPerKey characters of the index string, so past that
+/// every gram shares one key, and a posting lookup fetches all of the
+/// attribute's postings (~|value| per triple).
+bool GramsHaveOwnKeys(const std::string& attribute, size_t q);
 
 /// The posting entries for a triple with a string value: one per distinct
 /// gram. Non-string values produce no postings.

@@ -149,6 +149,12 @@ TEST(ToStringTest, PatternScanShowsPushedDownRestrictions) {
   sim_scan->sim_max_distance = 2;
   std::string sim = sim_scan->ToString();
   EXPECT_NE(sim.find("edist(object,'smith')<=2"), std::string::npos) << sim;
+
+  LogicalPlan substring_scan = MakePatternScan(NamePattern());
+  substring_scan->contains = "mit";
+  std::string substring = substring_scan->ToString();
+  EXPECT_NE(substring.find("object CONTAINS 'mit'"), std::string::npos)
+      << substring;
 }
 
 TEST(ToStringTest, TopNAndLimitShowCut) {

@@ -81,6 +81,7 @@ Capture RunScenario(ClusterOptions::Engine engine, size_t shards,
       "SELECT ?a,?g WHERE { (?a,'age',?g) FILTER ?g >= 40 }",
       "SELECT ?n,?g WHERE { (?a,'name',?n) (?a,'age',?g) FILTER ?g < 60 }",
       "SELECT ?g WHERE { (?a,'age',?g) } ORDER BY ?g LIMIT 5",
+      "SELECT ?p,?t WHERE { (?p,'title',?t) FILTER ?t CONTAINS 'ranking' }",
   };
   auto run_queries = [&](const char* phase) {
     net::PeerId via = 0;
@@ -88,7 +89,7 @@ Capture RunScenario(ClusterOptions::Engine engine, size_t shards,
       auto result = cluster.QuerySync(via, q);
       ops << phase << " query '" << q << "' via " << via << ": ";
       if (result.ok()) {
-        ops << result->ToTable();
+        ops << result->plan_text << result->ToTable();
       } else {
         ops << result.status().ToString() << "\n";
       }
@@ -143,6 +144,10 @@ TEST(DeterminismTest, SameSeedSameRun) {
   ExpectIdentical(first, second, "single-thread repeat");
   EXPECT_GT(first.processed, 1000u);  // The scenario is non-trivial.
   EXPECT_NE(first.trace.find("Insert"), std::string::npos);
+  // The substring query runs on the q-gram postings.
+  EXPECT_NE(first.ops.find("PatternScan[SimilarityQGram] (?p,'title',?t) "
+                           "contains='ranking'"),
+            std::string::npos);
 }
 
 TEST(DeterminismTest, ShardedEnginesMatchSingleThread) {

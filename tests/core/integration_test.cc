@@ -112,10 +112,12 @@ struct TestCluster {
   std::unique_ptr<Cluster> cluster;
   Reference reference;
 
-  explicit TestCluster(size_t peers = 16, uint64_t seed = 11) {
+  explicit TestCluster(size_t peers = 16, uint64_t seed = 11,
+                       bool qgram_index = true) {
     ClusterOptions options;
     options.peers = peers;
     options.seed = seed;
+    options.node.qgram_index = qgram_index;
     cluster = std::make_unique<Cluster>(options);
   }
 
@@ -363,6 +365,132 @@ TEST(IntegrationTest, SimilarityPathsAgree) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(RowSet(result->rows), expected)
         << "path " << plan::AccessPathName(path);
+  }
+}
+
+std::string ContainsQuery(const std::string& needle) {
+  return "SELECT ?p,?t WHERE { (?p,'title',?t) FILTER ?t CONTAINS '" +
+         needle + "' }";
+}
+
+TEST(IntegrationTest, SubstringPathsAgree) {
+  TestCluster tc;
+  std::vector<triple::Tuple> data = SmallDataset();
+  triple::Tuple news;
+  news.oid = "news-1";
+  news.attributes["headline"] = Value::String("ranking the news");
+  data.push_back(news);
+  tc.Load(data);
+
+  // Runs `query` through peer 2 on the planner's choice of path, or on the
+  // attribute scan (forced).
+  auto run = [&tc](const std::string& query, bool scan,
+                   bool apply_mappings = false) {
+    plan::PlannerOptions options;
+    options.apply_mappings = apply_mappings;
+    if (scan) options.force_similarity_path = plan::AccessPath::kSimilarityNaive;
+    tc.cluster->SetPlannerOptions(options);
+    auto result = tc.cluster->QuerySync(2, query);
+    EXPECT_TRUE(result.ok()) << query << "\n" << result.status().ToString();
+    return result.ok() ? *result : exec::QueryResult{};
+  };
+  auto expected_rows = [&tc](const std::string& query) {
+    auto parsed = vql::Parse(query);
+    EXPECT_TRUE(parsed.ok());
+    return tc.reference.Eval(*parsed);
+  };
+  auto uses = [](const exec::QueryResult& result, const char* path) {
+    return result.plan_text.find(path) != std::string::npos;
+  };
+
+  struct Case {
+    const char* what;
+    std::string needle;
+    bool matches;
+  };
+  const std::vector<Case> cases = {
+      {"title word", "ranking", true},
+      {"spans a space", "g stor", true},
+      {"repeated grams", "storage stor", true},  // sto, tor twice.
+      {"no match", "xyzzy", false},
+  };
+  for (const Case& c : cases) {
+    const std::string query = ContainsQuery(c.needle);
+    const auto expected = RowSet(expected_rows(query));
+    EXPECT_EQ(expected.empty(), !c.matches) << c.what;
+    auto qgram = run(query, /*scan=*/false);
+    EXPECT_TRUE(uses(qgram, "SimilarityQGram")) << c.what << qgram.plan_text;
+    EXPECT_EQ(RowSet(qgram.rows), expected) << c.what;
+    auto scan = run(query, /*scan=*/true);
+    EXPECT_TRUE(uses(scan, "SimilarityNaive")) << c.what << scan.plan_text;
+    EXPECT_EQ(RowSet(scan.rows), expected) << c.what;
+  }
+
+  // Two characters hold no interior gram: the plan stays on the scan.
+  {
+    const std::string query = ContainsQuery("ng");
+    auto result = run(query, /*scan=*/false);
+    EXPECT_TRUE(uses(result, "AttrRangeScan")) << result.plan_text;
+    EXPECT_FALSE(result.rows.empty());
+    EXPECT_EQ(RowSet(result.rows), RowSet(expected_rows(query)));
+  }
+
+  // Mappings: title and headline are equivalent, one posting key each.
+  const std::string ranking = ContainsQuery("ranking");
+  const std::vector<Binding> titled = expected_rows(ranking);
+  ASSERT_FALSE(titled.empty());
+  ASSERT_TRUE(tc.cluster->InsertMappingSync(0, "title", "headline").ok());
+  ASSERT_TRUE(tc.cluster->LoadMappingsSync(2).ok());
+  {
+    auto qgram = run(ranking, /*scan=*/false, /*apply_mappings=*/true);
+    EXPECT_TRUE(uses(qgram, "SimilarityQGram")) << qgram.plan_text;
+    EXPECT_TRUE(uses(qgram, "attrs={")) << qgram.plan_text;
+    auto scan = run(ranking, /*scan=*/true, /*apply_mappings=*/true);
+    EXPECT_EQ(RowSet(qgram.rows), RowSet(scan.rows));
+    EXPECT_EQ(qgram.rows.size(), titled.size() + 1);  // + the headline.
+  }
+
+  // A removed title's postings are tombstoned with it.
+  const Binding& removed = titled.front();
+  ASSERT_TRUE(tc.cluster
+                  ->RemoveTripleSync(3, Triple(removed.at("p").AsString(),
+                                               "title", removed.at("t")))
+                  .ok());
+  tc.cluster->simulation().RunUntilIdle();
+  auto qgram = run(ranking, /*scan=*/false);
+  auto scan = run(ranking, /*scan=*/true);
+  EXPECT_EQ(RowSet(qgram.rows), RowSet(scan.rows));
+  EXPECT_EQ(qgram.rows.size(), titled.size() - 1);
+  for (const Binding& row : qgram.rows) {
+    EXPECT_NE(row.at("p"), removed.at("p"));
+  }
+}
+
+TEST(IntegrationTest, ClusterWithoutPostingsScansForStringPredicates) {
+  TestCluster tc(16, 11, /*qgram_index=*/false);
+  tc.Load(SmallDataset());
+  const std::string edist =
+      "SELECT ?c,?s WHERE { (?c,'series',?s) FILTER edist(?s,'ICDE') < 2 }";
+  const std::string contains = ContainsQuery("ranking");
+  for (const std::string& query : {edist, contains}) {
+    auto parsed = vql::Parse(query);
+    ASSERT_TRUE(parsed.ok());
+    const auto expected = RowSet(tc.reference.Eval(*parsed));
+    ASSERT_FALSE(expected.empty()) << query;
+    tc.ExpectMatchesReference(query, 2);
+
+    // A forced q-gram path falls back to the scan and says so.
+    plan::PlannerOptions options;
+    options.force_similarity_path = plan::AccessPath::kSimilarityQGram;
+    tc.cluster->SetPlannerOptions(options);
+    auto forced = tc.cluster->QuerySync(2, query);
+    ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+    EXPECT_EQ(RowSet(forced->rows), expected) << query;
+    EXPECT_NE(std::find(forced->trace.begin(), forced->trace.end(),
+                        "SimilarityQGram: no q-gram postings, falling back "
+                        "to naive scan"),
+              forced->trace.end());
+    tc.cluster->SetPlannerOptions({});
   }
 }
 

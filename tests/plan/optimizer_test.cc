@@ -160,6 +160,111 @@ TEST_F(OptimizerTest, ForcedSimilarityPathIsRespected) {
   EXPECT_EQ(node->access, AccessPath::kSimilarityNaive);
 }
 
+// The pattern scan of a single-pattern plan.
+const PhysicalOp& OnlyScan(const PhysicalPlan& plan) {
+  const PhysicalOp* node = plan.get();
+  while (node->kind != algebra::LogicalOpKind::kPatternScan) {
+    node = node->children[0].get();
+  }
+  return *node;
+}
+
+TEST_F(OptimizerTest, ContainsFilterBecomesQGramScan) {
+  Optimizer optimizer = Make();
+  auto plan = optimizer.Plan(Q(
+      "SELECT ?p,?t WHERE { (?p,'title',?t) FILTER ?t CONTAINS 'ranking' }"));
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ((*plan)->ToString(),
+            "Project [?p,?t]\n"
+            "  Filter [?t CONTAINS 'ranking']\n"
+            "    PatternScan[SimilarityQGram] (?p,'title',?t) "
+            "contains='ranking'\n");
+  // Priced as one posting lookup.
+  const PhysicalOp& scan = OnlyScan(*plan);
+  EXPECT_EQ(scan.estimated_cost.messages,
+            optimizer.cost_model().Lookup().messages);
+  EXPECT_EQ(scan.PostingGrams(), std::vector<std::string>{"nki"});
+}
+
+TEST_F(OptimizerTest, ContainsWithoutAnInteriorGramStaysOnTheScan) {
+  // Shorter than q: no gram lies inside the needle.
+  auto short_needle = Make().Plan(
+      Q("SELECT ?p,?t WHERE { (?p,'title',?t) FILTER ?t CONTAINS 'in' }"));
+  ASSERT_TRUE(short_needle.ok());
+  EXPECT_EQ(OnlyScan(*short_needle).access, AccessPath::kAttrRangeScan);
+  EXPECT_TRUE(OnlyScan(*short_needle).contains.empty());
+  // The variable inside the literal: not a restriction on the scan.
+  auto reversed = Make().Plan(Q(
+      "SELECT ?p,?t WHERE { (?p,'title',?t) FILTER 'ranking' CONTAINS ?t }"));
+  ASSERT_TRUE(reversed.ok());
+  EXPECT_EQ(OnlyScan(*reversed).access, AccessPath::kAttrRangeScan);
+}
+
+TEST_F(OptimizerTest, ScanTakesOneQGramRestriction) {
+  auto plan = Make().Plan(
+      Q("SELECT ?c WHERE { (?c,'series',?s) FILTER edist(?s,'SIGMOD') < 2 "
+        "AND ?s CONTAINS 'GMO' }"));
+  ASSERT_TRUE(plan.ok());
+  const PhysicalOp& scan = OnlyScan(*plan);
+  EXPECT_EQ(scan.sim_target, "SIGMOD");
+  EXPECT_TRUE(scan.contains.empty());
+}
+
+TEST_F(OptimizerTest, ContainsScanIsSizedLikeASimilarityScan) {
+  // Neither attribute is in the catalog; the restricted one goes first.
+  auto plan = Make().Plan(
+      Q("SELECT ?t,?c WHERE { (?p,'published_in',?c) (?p,'title',?t) "
+        "FILTER ?t CONTAINS 'ranking' }"));
+  ASSERT_TRUE(plan.ok());
+  const PhysicalOp* join = plan->get();
+  while (join->kind != algebra::LogicalOpKind::kJoin) {
+    join = join->children[0].get();
+  }
+  EXPECT_EQ(join->children[0]->pattern.predicate.literal.AsString(), "title");
+}
+
+TEST_F(OptimizerTest, NoPostingsPlansTheScan) {
+  PlannerOptions options;
+  options.qgram_postings = false;
+  auto contains = Make(options).Plan(Q(
+      "SELECT ?p,?t WHERE { (?p,'title',?t) FILTER ?t CONTAINS 'ranking' }"));
+  ASSERT_TRUE(contains.ok());
+  EXPECT_EQ(OnlyScan(*contains).access, AccessPath::kSimilarityNaive);
+  auto edist = Make(options).Plan(
+      Q("SELECT ?c WHERE { (?c,'series',?s) FILTER edist(?s,'ICDE') < 2 }"));
+  ASSERT_TRUE(edist.ok());
+  EXPECT_EQ(OnlyScan(*edist).access, AccessPath::kSimilarityNaive);
+}
+
+TEST_F(OptimizerTest, SharedPostingKeysPlanTheScan) {
+  // "g#has_published#" fills the 16 characters a key keeps: every gram of
+  // the attribute shares one posting key.
+  auto plan = Make().Plan(Q(
+      "SELECT ?a,?t WHERE { (?a,'has_published',?t) "
+      "FILTER ?t CONTAINS 'ranking' }"));
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(OnlyScan(*plan).access, AccessPath::kSimilarityNaive);
+}
+
+TEST_F(OptimizerTest, VacuousEdistPlansTheScan) {
+  // k = 2 on a 4-character target: the 6 grams cannot cover 2*3+1.
+  auto plan = Make().Plan(
+      Q("SELECT ?c WHERE { (?c,'series',?s) FILTER edist(?s,'ICDE') < 3 }"));
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(OnlyScan(*plan).access, AccessPath::kSimilarityNaive);
+}
+
+TEST_F(OptimizerTest, ForcedNaivePathScansForContains) {
+  PlannerOptions options;
+  options.force_similarity_path = AccessPath::kSimilarityNaive;
+  auto plan = Make(options).Plan(Q(
+      "SELECT ?p,?t WHERE { (?p,'title',?t) FILTER ?t CONTAINS 'ranking' }"));
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(OnlyScan(*plan).ToString(),
+            "PatternScan[SimilarityNaive] (?p,'title',?t) shower "
+            "contains='ranking'\n");
+}
+
 TEST_F(OptimizerTest, JoinOrderStartsWithMostSelectivePattern) {
   // 'series' has 30 triples, 'name' has 1000: the join should scan series
   // first (left-most leaf of the left-deep tree).
