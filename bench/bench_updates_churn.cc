@@ -4,8 +4,10 @@
 //
 // Part 1 — update propagation: rumor-spreading push across replica
 // groups; replica consistency immediately after the update settles, as a
-// function of gossip fanout and message loss. Expected: probabilistic
-// consistency rising with fanout, degrading gracefully with loss.
+// function of gossip fanout and message loss. Each push names the peers
+// it has already informed and receivers forward only outside that set,
+// so without loss every fanout reaches every replica; loss leaves stale
+// replicas that anti-entropy repairs.
 //
 // Part 2 — queries under churn: fraction of lookups answered as peers
 // crash. Expected: graceful degradation, strongly improved by
@@ -39,7 +41,9 @@ void PrintUpdatePropagation() {
   bench::Banner(
       "C8a / update propagation (rumor spreading)",
       "Replica consistency right after an update settles, by gossip "
-      "fanout and message loss (48 peers, replication 4, 100 updates).");
+      "fanout and message loss (48 peers, replication 4, 100 updates). "
+      "Each push carries its informed set: one push per replica, no "
+      "duplicate copies to mask a lost push.");
   bench::Table table({"fanout", "loss", "consistent replicas", "stale",
                       "msgs/update"});
   for (size_t fanout : {1, 2, 4}) {
@@ -88,9 +92,9 @@ void PrintUpdatePropagation() {
     }
   }
   table.Print();
-  std::printf("expected: higher fanout -> higher immediate consistency; "
-              "loss degrades it gracefully (anti-entropy repairs the rest "
-              "on rejoin).\n");
+  std::printf("expected: every fanout consistent without loss; loss "
+              "degrades it gracefully (anti-entropy repairs the rest on "
+              "rejoin).\n");
 }
 
 void PrintChurnResilience() {

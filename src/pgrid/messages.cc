@@ -385,6 +385,8 @@ std::string EntryBatch::Encode() const {
   EncodeEntries(entries, &w);
   w.PutBool(reroute_if_foreign);
   w.PutBool(gossip);
+  w.PutVarint(informed.size());
+  for (PeerId p : informed) w.PutVarint(p);
   return w.Release();
 }
 
@@ -394,6 +396,18 @@ Result<EntryBatch> EntryBatch::Decode(std::string_view bytes) {
   UNISTORE_ASSIGN_OR_RETURN(batch.entries, DecodeEntries(&r));
   UNISTORE_ASSIGN_OR_RETURN(batch.reroute_if_foreign, r.GetBool());
   UNISTORE_ASSIGN_OR_RETURN(batch.gossip, r.GetBool());
+  // Every id takes at least one byte, so a count beyond the bytes left
+  // is corrupt.
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
+  if (count > r.remaining()) return Status::Corruption("bad informed count");
+  batch.informed.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    UNISTORE_ASSIGN_OR_RETURN(uint64_t p, r.GetVarint());
+    if (p > std::numeric_limits<PeerId>::max()) {
+      return Status::Corruption("bad informed peer id");
+    }
+    batch.informed.push_back(static_cast<PeerId>(p));
+  }
   return batch;
 }
 

@@ -230,6 +230,10 @@ struct EntryBatch {
   std::vector<Entry> entries;
   bool reroute_if_foreign = false;
   bool gossip = false;  ///< Receiver forwards to random replicas (rumor).
+  /// Peers the push has already reached, sender and receiver included. A
+  /// gossip receiver forwards only to replicas outside this set
+  /// (DESIGN.md §13).
+  std::vector<PeerId> informed;
 
   std::string Encode() const;
   static Result<EntryBatch> Decode(std::string_view bytes);

@@ -747,7 +747,7 @@ void Peer::StoreAndReplicate(std::vector<Entry> entries) {
   } else {
     store_.BulkLoad(std::move(entries), &changed);
   }
-  PushBatchToReplicas(changed);
+  PushBatchToReplicas(changed, /*informed=*/{});
 }
 
 void Peer::HandleBulkInsert(const Message& msg) {
@@ -822,25 +822,39 @@ void Peer::RetryBulkInsert(uint64_t request_id) {
 // Replica maintenance
 // ---------------------------------------------------------------------------
 
-void Peer::PushBatchToReplicas(const std::vector<Entry>& entries) {
-  const auto& replicas = routing_.replicas();
-  if (replicas.empty() || entries.empty()) return;
-  std::vector<PeerId> targets = replicas;
+void Peer::PushBatchToReplicas(const std::vector<Entry>& entries,
+                               std::vector<PeerId> informed) {
+  if (entries.empty()) return;
+  auto is_informed = [&informed](PeerId p) {
+    return std::find(informed.begin(), informed.end(), p) != informed.end();
+  };
+  if (!is_informed(id_)) informed.push_back(id_);
+  // In a fully linked group the owner's push is thus the last message; a
+  // receiver whose list names a member the sender did not know still
+  // forwards to it.
+  std::vector<PeerId> targets;
+  for (PeerId r : routing_.replicas()) {
+    if (!is_informed(r)) targets.push_back(r);
+  }
+  if (targets.empty()) return;
   rng_.Shuffle(&targets);
-  size_t fanout = std::min(options_.gossip_fanout, targets.size());
-  for (size_t i = 0; i < fanout; ++i) {
-    SendEntries(targets[i], entries, /*reroute_if_foreign=*/false,
-                /*gossip=*/true);
+  targets.resize(std::min(options_.gossip_fanout, targets.size()));
+  informed.insert(informed.end(), targets.begin(), targets.end());
+  for (PeerId target : targets) {
+    SendEntries(target, entries, /*reroute_if_foreign=*/false,
+                /*gossip=*/true, informed);
   }
 }
 
 void Peer::SendEntries(PeerId dst, std::vector<Entry> entries,
-                       bool reroute_if_foreign, bool gossip) {
+                       bool reroute_if_foreign, bool gossip,
+                       std::vector<PeerId> informed) {
   if (dst == id_ || entries.empty()) return;
   EntryBatch batch;
   batch.entries = std::move(entries);
   batch.reroute_if_foreign = reroute_if_foreign;
   batch.gossip = gossip;
+  batch.informed = std::move(informed);
   Message msg;
   msg.type = MessageType::kReplicaPush;
   msg.src = id_;
@@ -884,7 +898,8 @@ void Peer::HandleEntryBatch(const Message& msg) {
     }
     if (batch->gossip) {
       // Rumor spreading with damping: only freshly learned updates are
-      // forwarded, so the rumor dies once the replica group has it.
+      // forwarded, and only to replicas outside the batch's informed
+      // set, so the rumor dies once the replica group has it.
       if (store_.Apply(e)) fresh.push_back(std::move(e));
     } else {
       mine.push_back(std::move(e));
@@ -893,7 +908,7 @@ void Peer::HandleEntryBatch(const Message& msg) {
   // Non-gossip handoffs (exchange data migration) land as one bulk run
   // instead of per-entry memtable churn.
   if (!mine.empty()) store_.BulkLoad(std::move(mine));
-  if (!fresh.empty()) PushBatchToReplicas(fresh);
+  if (!fresh.empty()) PushBatchToReplicas(fresh, std::move(batch->informed));
 }
 
 // ---------------------------------------------------------------------------
@@ -1232,10 +1247,22 @@ void Peer::FinishRepair(uint64_t repair_id, Status status) {
 
 void Peer::RangeScanSeq(const KeyRange& range, RangeCallback callback,
                         uint32_t limit) {
-  uint64_t id = next_scan_id_++;
-  ScanState state;
+  const uint64_t id = next_scan_id_++;
+  ScanState& state = seq_scans_[id];
   state.callback = std::move(callback);
-  seq_scans_.emplace(id, std::move(state));
+  state.range = range;
+  state.limit = limit;
+  state.budget = RetryBudget(RequestPolicy(kRangeRetryPolicy), NowUs());
+  SendSeqScan(id);
+}
+
+void Peer::SendSeqScan(uint64_t id) {
+  auto it = seq_scans_.find(id);
+  if (it == seq_scans_.end()) return;
+  RangeSeqRequest req;
+  req.initiator = id_;
+  req.range = it->second.range;
+  req.limit = it->second.limit;
 
   transport_->scheduler()->ScheduleAfter(
       kScanTimeout, id_, id_, [this, id]() {
@@ -1243,12 +1270,7 @@ void Peer::RangeScanSeq(const KeyRange& range, RangeCallback callback,
     if (it != seq_scans_.end()) FinishSeqScan(id, /*complete=*/false);
   });
 
-  RangeSeqRequest req;
-  req.initiator = id_;
-  req.range = range;
-  req.limit = limit;
-
-  if (IsResponsible(range.lo)) {
+  if (IsResponsible(req.range.lo)) {
     ProcessRangeSeq(req, id, 0);
     return;
   }
@@ -1258,7 +1280,7 @@ void Peer::RangeScanSeq(const KeyRange& range, RangeCallback callback,
   msg.dst = id_;
   msg.request_id = id;
   msg.payload = req.Encode();
-  if (Forward(msg, range.lo) == net::kNoPeer) {
+  if (Forward(msg, req.range.lo) == net::kNoPeer) {
     FinishSeqScan(id, /*complete=*/false);
   }
 }
@@ -1404,6 +1426,7 @@ void Peer::OnSeqPartial(uint64_t request_id, uint32_t hops,
 void Peer::FinishSeqScan(uint64_t request_id, bool complete) {
   auto it = seq_scans_.find(request_id);
   if (it == seq_scans_.end()) return;
+  if (!complete && RestartScan(&seq_scans_, it, &Peer::SendSeqScan)) return;
   ScanState state = std::move(it->second);
   seq_scans_.erase(it);
   state.result.complete = complete;
@@ -1415,21 +1438,26 @@ void Peer::FinishSeqScan(uint64_t request_id, bool complete) {
 // ---------------------------------------------------------------------------
 
 void Peer::RangeScanShower(const KeyRange& range, RangeCallback callback) {
-  uint64_t id = next_scan_id_++;
-  ScanState state;
+  const uint64_t id = next_scan_id_++;
+  ScanState& state = shower_scans_[id];
   state.callback = std::move(callback);
-  state.outstanding = 1;
-  shower_scans_.emplace(id, std::move(state));
+  state.range = range;
+  state.budget = RetryBudget(RequestPolicy(kRangeRetryPolicy), NowUs());
+  SendShowerScan(id);
+}
+
+void Peer::SendShowerScan(uint64_t id) {
+  auto it = shower_scans_.find(id);
+  if (it == shower_scans_.end()) return;
+  RangeShowerRequest req;
+  req.initiator = id_;
+  req.range = it->second.range;
 
   transport_->scheduler()->ScheduleAfter(
       kScanTimeout, id_, id_, [this, id]() {
     auto it = shower_scans_.find(id);
     if (it != shower_scans_.end()) FinishShowerScan(id, /*complete=*/false);
   });
-
-  RangeShowerRequest req;
-  req.initiator = id_;
-  req.range = range;
   // The initiator is itself part of the trie: its own levels cover the
   // whole key space, so the shower starts right here.
   ProcessRangeShower(req, id, 0);
@@ -1524,10 +1552,32 @@ void Peer::OnShowerPartial(uint64_t request_id, uint32_t hops,
 void Peer::FinishShowerScan(uint64_t request_id, bool complete) {
   auto it = shower_scans_.find(request_id);
   if (it == shower_scans_.end()) return;
+  complete = complete && it->second.result.complete;
+  if (!complete && RestartScan(&shower_scans_, it, &Peer::SendShowerScan)) {
+    return;
+  }
   ScanState state = std::move(it->second);
   shower_scans_.erase(it);
-  state.result.complete = complete && state.result.complete;
+  state.result.complete = complete;
   state.callback(std::move(state.result));
+}
+
+bool Peer::RestartScan(std::map<uint64_t, ScanState>* scans,
+                       std::map<uint64_t, ScanState>::iterator it,
+                       void (Peer::*send)(uint64_t)) {
+  if (!it->second.budget.Spend(NowUs())) return false;
+  transport_->CountRetry(kRangeRetryPolicy);
+  // A fresh id with an empty result: late partials of the dead attempt
+  // find no state and drop, so no branch is counted twice.
+  ScanState next = std::move(it->second);
+  next.result = RangeResult{};
+  next.outstanding = 1;
+  scans->erase(it);
+  const uint64_t id = next_scan_id_++;
+  const sim::SimTime delay = next.budget.NextDelayUs(&rng_);
+  scans->emplace(id, std::move(next));
+  RetryAfter(delay, [this, send, id]() { (this->*send)(id); });
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -1776,7 +1826,8 @@ void Peer::ApplyExchangeReply(const ExchangeReply& reply, PeerId responder) {
         if (!old_replicas.empty()) {
           PeerId heir = old_replicas[rng_.NextBounded(old_replicas.size())];
           SendEntries(heir, std::move(old_entries),
-                      /*reroute_if_foreign=*/false, /*gossip=*/true);
+                      /*reroute_if_foreign=*/false, /*gossip=*/true,
+                      /*informed=*/{id_, heir});
         } else {
           SendEntries(responder, std::move(old_entries),
                       /*reroute_if_foreign=*/true, /*gossip=*/false);
@@ -1810,12 +1861,12 @@ void Peer::FailInFlight(const Status& status) {
   auto seq = std::move(seq_scans_);
   seq_scans_.clear();
   for (auto& [id, st] : seq) {
-    if (!st.finished && st.callback) st.callback(status);
+    if (st.callback) st.callback(status);
   }
   auto shower = std::move(shower_scans_);
   shower_scans_.clear();
   for (auto& [id, st] : shower) {
-    if (!st.finished && st.callback) st.callback(status);
+    if (st.callback) st.callback(status);
   }
   auto bulk = std::move(bulk_inserts_);
   bulk_inserts_.clear();
@@ -1883,9 +1934,14 @@ void Peer::GracefulLeave() {
   handoff_entries_ += all.size();
   // Full-state handoff to every replica (gossip mode: receivers apply
   // only what they do not already hold and damp the rumor) — covers the
-  // memtable delta a crash would have stranded until anti-entropy.
+  // memtable delta a crash would have stranded until anti-entropy. The
+  // whole group is named as informed, so receivers do not re-forward the
+  // handoff to each other.
+  std::vector<PeerId> informed = replicas;
+  informed.push_back(id_);
   for (PeerId r : replicas) {
-    SendEntries(r, all, /*reroute_if_foreign=*/false, /*gossip=*/true);
+    SendEntries(r, all, /*reroute_if_foreign=*/false, /*gossip=*/true,
+                informed);
   }
 }
 
@@ -2125,7 +2181,8 @@ void Peer::HandleRecruit(const Message& msg) {
         if (!old_entries.empty() && !old_replicas.empty()) {
           PeerId heir = old_replicas[rng_.NextBounded(old_replicas.size())];
           SendEntries(heir, std::move(old_entries),
-                      /*reroute_if_foreign=*/false, /*gossip=*/true);
+                      /*reroute_if_foreign=*/false, /*gossip=*/true,
+                      /*informed=*/{id_, heir});
         }
       }
       path_ = target;

@@ -31,12 +31,13 @@ namespace pgrid {
 inline constexpr std::string_view kLookupRetryPolicy = "lookup";
 inline constexpr std::string_view kBulkRetryPolicy = "bulk-insert";
 inline constexpr std::string_view kRepairRetryPolicy = "repair";
+inline constexpr std::string_view kRangeRetryPolicy = "range";
 
 /// A peer offers a migrate-split to an exchange partner when it stores
 /// more than this many times the partner's load.
 inline constexpr double kBalanceFactor = 8.0;
 
-/// Deadline of a whole range scan or Migrate join.
+/// Deadline of one range-scan attempt or of a whole Migrate join.
 inline constexpr sim::SimTime kScanTimeout = 20 * sim::kMicrosPerSecond;
 
 /// Total deadline of one PullFromReplica, measured from the call and
@@ -83,8 +84,11 @@ struct PeerOptions {
   /// stale suspicion never turns into a dead end). 0 disables (default).
   sim::SimTime suspicion_ttl = 0;
 
-  /// Replicas contacted directly on an update (rumor-spreading push,
-  /// [Datta ICDCS'03]); receivers forward new rumors to the same fanout.
+  /// Replicas contacted per push round (rumor-spreading push,
+  /// [Datta ICDCS'03]). A push names the peers it has already informed,
+  /// and receivers forward fresh entries to at most this many replicas
+  /// outside that set, so in a fully linked group the owner's push is
+  /// the last message (DESIGN.md §13).
   size_t gossip_fanout = 2;
 
   /// Recursive meetings an exchange may trigger (construction gossip).
@@ -264,6 +268,11 @@ class Peer {
 
   /// Parallel "shower" range scan: forks into every subtree overlapping
   /// the range.
+  ///
+  /// Either scan restarts when an attempt comes back incomplete (a branch
+  /// unreachable, the walk stalled, or no answer within kScanTimeout),
+  /// under the "range" retry budget and a fresh scan id. Only when that
+  /// budget is spent does the callback get `complete` = false.
   void RangeScanShower(const KeyRange& range, RangeCallback callback);
 
   /// One pairwise exchange with `other` (construction / refinement /
@@ -548,10 +557,15 @@ class Peer {
   void RetryLookupBatch(uint64_t request_id);
 
   // Replica maintenance.
-  void PushBatchToReplicas(const std::vector<Entry>& entries);
+  // Pushes `entries` to up to gossip_fanout replicas outside `informed`
+  // (the peers the push already reached); each target gets the informed
+  // set extended by itself, this peer and its fellow targets.
+  void PushBatchToReplicas(const std::vector<Entry>& entries,
+                           std::vector<PeerId> informed);
   void ApplyOrReroute(const std::vector<Entry>& entries);
   void SendEntries(PeerId dst, std::vector<Entry> entries,
-                   bool reroute_if_foreign, bool gossip);
+                   bool reroute_if_foreign, bool gossip,
+                   std::vector<PeerId> informed = {});
 
   net::Transport* transport_;
   PeerId id_;
@@ -602,11 +616,14 @@ class Peer {
   sim::SimTime last_restart_catchup_us_ = 0;
 
   // Initiator-side state of in-flight range scans, keyed by request id.
+  // A retry moves the scan to a fresh id (RestartScan).
   struct ScanState {
     RangeCallback callback;
-    RangeResult result;
-    uint32_t outstanding = 1;  // Shower only.
-    bool finished = false;
+    RangeResult result;        ///< This attempt's partials.
+    KeyRange range;
+    uint32_t limit = 0;        ///< Seq only.
+    RetryBudget budget;
+    uint32_t outstanding = 1;  ///< Shower only.
   };
   uint64_t next_scan_id_ = 1;
   std::map<uint64_t, ScanState> seq_scans_;
@@ -674,8 +691,17 @@ class Peer {
   void RepairOnChunk(uint64_t repair_id, const RunFetchReply& chunk);
   void FinishRepair(uint64_t repair_id, Status status);
 
+  // Range scans: Send* starts one attempt of the scan stored under `id`;
+  // Finish* completes it or, when incomplete, restarts it.
+  void SendSeqScan(uint64_t id);
+  void SendShowerScan(uint64_t id);
   void FinishSeqScan(uint64_t request_id, bool complete);
   void FinishShowerScan(uint64_t request_id, bool complete);
+  // Spends one "range" retry and restarts the scan under a fresh id via
+  // `send`; false when the budget is spent.
+  bool RestartScan(std::map<uint64_t, ScanState>* scans,
+                   std::map<uint64_t, ScanState>::iterator it,
+                   void (Peer::*send)(uint64_t));
 };
 
 }  // namespace pgrid

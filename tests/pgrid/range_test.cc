@@ -246,6 +246,36 @@ TEST(RangeTest, IncompleteWhenSubtreeUnreachable) {
   EXPECT_FALSE(seq->complete);
 }
 
+// A short partition around one peer the scan must cross loses its shower
+// branch and its walk hop. The attempt times out, the scan restarts under
+// the "range" retry budget after the partition healed, and returns every
+// row.
+TEST(RangeTest, IncompleteAttemptRetriesToFullResult) {
+  RangeFixture f(16, 200, /*seed=*/5);
+  KeyRange full{Key().PadTo(kKeyBits, false), Key().PadTo(kKeyBits, true)};
+  const net::PeerId from = 0;
+  const net::PeerId victim = 9;
+  ASSERT_FALSE(f.overlay.peer(victim)->path().empty());
+  for (bool seq : {false, true}) {
+    SCOPED_TRACE(seq ? "seq" : "shower");
+    const sim::SimTime now = f.overlay.simulation().Now();
+    net::FaultSchedule faults;
+    faults.PartitionPair(now, now + sim::kMicrosPerSecond, victim,
+                         net::kAnyPeer);
+    f.overlay.transport().SetFaultSchedule(faults);
+    const auto before = f.overlay.transport().stats();
+    auto result = seq ? f.overlay.RangeSeqSync(from, full)
+                      : f.overlay.RangeShowerSync(from, full);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->complete);
+    EXPECT_EQ(RangeFixture::Ids(result->entries), f.BruteForce(full));
+    EXPECT_EQ(result->entries.size(), f.all.size());
+    auto delta = f.overlay.transport().stats().Since(before);
+    EXPECT_GT(delta.messages_lost_partition, 0u);
+    EXPECT_GE(delta.retries_by_policy["range"], 1u);
+  }
+}
+
 }  // namespace
 }  // namespace pgrid
 }  // namespace unistore
