@@ -334,23 +334,34 @@ BlockCache::BlockHandle DiskRun::LoadBlock(uint32_t block_index) const {
   return block;
 }
 
+int DiskRun::CompareBlock(uint32_t index, std::string_view key_bits,
+                          std::string_view id) const {
+  const int c = std::string_view(blocks_[index].first_key).compare(key_bits);
+  if (c != 0) return c;
+  // A block's first record starts a prefix chain: its id is stored raw.
+  const BlockCache::BlockHandle block = LoadBlock(index);
+  if (block == nullptr) return 1;
+  return run_format::CompareChainStart(*block, 0, key_bits, id);
+}
+
 bool DiskRun::FindSlot(std::string_view key_bits, std::string_view id,
                        uint64_t* version, bool* deleted) const {
-  DiskRunCursor c;
-  c.Seek(this, key_bits);
-  while (c.valid()) {
-    const EntryView& v = c.view();
-    if (v.key_bits != key_bits) return false;
-    const int ic = v.id.compare(id);
-    if (ic == 0) {
-      *version = v.version;
-      *deleted = v.deleted;
-      return true;
+  // Last block whose first slot is at or below the target; the target, if
+  // present, sits in that block.
+  size_t lo = 0;
+  size_t hi = blocks_.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (CompareBlock(static_cast<uint32_t>(mid), key_bits, id) <= 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
     }
-    if (ic > 0) return false;
-    c.Advance();
   }
-  return false;
+  if (lo == 0) return false;  // Below the run's first slot (or empty).
+  DiskRunCursor c;
+  c.JumpToBlock(this, static_cast<uint32_t>(lo - 1));
+  return AdvanceToSlot(&c, key_bits, id, version, deleted);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,18 +370,6 @@ bool DiskRun::FindSlot(std::string_view key_bits, std::string_view id,
 void DiskRunCursor::DecodeRecord() {
   next_pos_ = pos_;
   run_format::DecodeRecord(*block_, &next_pos_, key_buf_, &view_);
-}
-
-bool DiskRunCursor::LoadBlock(uint32_t index) {
-  block_ = run_->LoadBlock(index);
-  if (block_ == nullptr) {
-    valid_ = false;
-    return false;
-  }
-  block_index_ = index;
-  pos_ = 0;
-  DecodeRecord();
-  return true;
 }
 
 void DiskRunCursor::Seek(const DiskRun* run, std::string_view lo_bits) {
@@ -390,11 +389,18 @@ void DiskRunCursor::Seek(const DiskRun* run, std::string_view lo_bits) {
       hi = mid;
     }
   }
-  if (!LoadBlock(static_cast<uint32_t>(lo > 0 ? lo - 1 : 0))) return;
-  while (view_.key_bits < lo_bits) {
-    Advance();
-    if (!valid_) return;
-  }
+  JumpToBlock(run, static_cast<uint32_t>(lo > 0 ? lo - 1 : 0));
+  while (valid_ && view_.key_bits < lo_bits) Advance();
+}
+
+void DiskRunCursor::JumpToBlock(const DiskRun* run, uint32_t block_index) {
+  run_ = run;
+  block_ = run->LoadBlock(block_index);
+  valid_ = block_ != nullptr;
+  if (!valid_) return;
+  block_index_ = block_index;
+  pos_ = 0;
+  DecodeRecord();
 }
 
 void DiskRunCursor::Advance() {
@@ -405,7 +411,7 @@ void DiskRunCursor::Advance() {
     return;
   }
   if (block_index_ + 1 < run_->blocks_.size()) {
-    LoadBlock(block_index_ + 1);
+    JumpToBlock(run_, block_index_ + 1);
   } else {
     valid_ = false;
   }

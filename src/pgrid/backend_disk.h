@@ -143,12 +143,21 @@ class DiskRun {
   /// First read/corruption error observed on this run.
   const Status& status() const { return status_; }
 
-  /// Newest-occurrence probe, same contract as SortedRun::FindSlot.
+  /// Newest-occurrence probe, same contract as SortedRun::FindSlot. Blocks
+  /// are searched by slot: a tie on a block's first key is broken by the
+  /// block's first id, so a probe loads O(log blocks) blocks however many
+  /// blocks its key spans.
   bool FindSlot(std::string_view key_bits, std::string_view id,
                 uint64_t* version, bool* deleted) const;
 
  private:
   friend class DiskRunCursor;
+
+  /// Slot order of block `index`'s first record against (key_bits, id).
+  /// Only a tie on the indexed first key loads the block, for its first
+  /// id; a failed load compares greater (status_ holds the error).
+  int CompareBlock(uint32_t index, std::string_view key_bits,
+                   std::string_view id) const;
 
   /// Cache-through block load: verifies the frame checksum and validates
   /// the record structure on miss. Records the first failure in status_.
@@ -177,14 +186,16 @@ class DiskRunCursor {
   DiskRunCursor() = default;
 
   void Seek(const DiskRun* run, std::string_view lo_bits);
+
+  /// Loads block `block_index` and stands on its first record;
+  /// invalidates the cursor on read failure.
+  void JumpToBlock(const DiskRun* run, uint32_t block_index);
+
   bool valid() const { return valid_; }
   const EntryView& view() const { return view_; }
   void Advance();
 
  private:
-  /// Loads block `index` and decodes its first record; invalidates the
-  /// cursor on read failure.
-  bool LoadBlock(uint32_t index);
   void DecodeRecord();
 
   const DiskRun* run_ = nullptr;

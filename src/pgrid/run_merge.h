@@ -4,6 +4,7 @@
 #define UNISTORE_PGRID_RUN_MERGE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 
 #include "pgrid/entry.h"
@@ -24,6 +25,27 @@ inline bool SameSlot(const EntryView& a, const EntryView& b) {
 
 inline bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
+}
+
+/// \brief Advances `cursor` to the first slot >= (key_bits, id).
+///
+/// True, with the slot's version and tombstone flag, when that slot is
+/// the target. The probes of both backends position a cursor at the last
+/// chain start at or below the target, so this decodes within one block.
+template <typename CursorT>
+bool AdvanceToSlot(CursorT* cursor, std::string_view key_bits,
+                   std::string_view id, uint64_t* version, bool* deleted) {
+  for (; cursor->valid(); cursor->Advance()) {
+    const EntryView& v = cursor->view();
+    int c = v.key_bits.compare(key_bits);
+    if (c == 0) c = v.id.compare(id);
+    if (c < 0) continue;
+    if (c > 0) return false;
+    *version = v.version;
+    *deleted = v.deleted;
+    return true;
+  }
+  return false;
 }
 
 /// \brief K-way merge of run cursors in slot order, newest-wins.

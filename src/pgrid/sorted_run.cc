@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "pgrid/run_merge.h"
+
 namespace unistore {
 namespace pgrid {
 
@@ -116,70 +118,55 @@ bool SortedRun::Prober::FindForward(std::string_view key_bits,
                                     bool* deleted) {
   if (run_->count_ == 0) return false;
 
-  // Jump forward by whole restart blocks while the target key
-  // is past the next restart's key, then decode linearly within the
-  // block. Jumps only ever move the cursor forward.
-  const auto& restarts = run_->restarts_;
-  if (restart_ + 1 < restarts.size() &&
-      run_->RestartKey(restart_ + 1) < key_bits) {
-    size_t lo = restart_ + 1;
+  // Gallop forward over the restarts while the next restart's slot is at
+  // or below the target, binary-search the last such restart, and jump
+  // there unless the cursor already stands past it. Jumps only ever move
+  // the cursor forward.
+  const size_t n = run_->restarts_.size();
+  if (restart_ + 1 < n &&
+      run_->CompareRestart(restart_ + 1, key_bits, id) <= 0) {
+    size_t lo = restart_ + 1;  // Slot of restart `lo` <= target.
     size_t step = 1;
-    while (lo + step < restarts.size() &&
-           run_->RestartKey(lo + step) < key_bits) {
+    while (lo + step < n &&
+           run_->CompareRestart(lo + step, key_bits, id) <= 0) {
       lo += step;
       step <<= 1;
     }
-    size_t hi = std::min(restarts.size(), lo + step);
-    ++lo;  // RestartKey(lo - 1) < key held; search (lo - 1, hi].
-    while (lo < hi) {
+    size_t hi = std::min(n, lo + step);  // Slot of restart `hi` > target.
+    while (hi - lo > 1) {
       const size_t mid = lo + (hi - lo) / 2;
-      if (run_->RestartKey(mid) < key_bits) {
-        lo = mid + 1;
+      if (run_->CompareRestart(mid, key_bits, id) <= 0) {
+        lo = mid;
       } else {
         hi = mid;
       }
     }
-    const size_t target_restart = lo - 1;
-    if (restarts[target_restart] > cursor_.arena_offset()) {
-      restart_ = target_restart;
+    if (run_->restarts_[lo] > cursor_.arena_offset()) {
+      restart_ = lo;
       cursor_.JumpToRestart(run_, restart_);
     }
   }
-  while (cursor_.valid()) {
-    const EntryView& v = cursor_.view();
-    const int c = v.key_bits.compare(key_bits);
-    if (c > 0) return false;
-    if (c == 0) {
-      const int ic = v.id.compare(id);
-      if (ic == 0) {
-        *version = v.version;
-        *deleted = v.deleted;
-        return true;
-      }
-      if (ic > 0) return false;
-    }
-    cursor_.Advance();
-  }
-  return false;
+  return AdvanceToSlot(&cursor_, key_bits, id, version, deleted);
 }
 
 bool SortedRun::FindSlot(std::string_view key_bits, std::string_view id,
                          uint64_t* version, bool* deleted) const {
-  Cursor c;
-  c.Seek(this, key_bits);
-  while (c.valid()) {
-    const EntryView& v = c.view();
-    if (v.key_bits != key_bits) return false;
-    const int ic = v.id.compare(id);
-    if (ic == 0) {
-      *version = v.version;
-      *deleted = v.deleted;
-      return true;
+  // Binary-search the restarts by slot for the last one at or below the
+  // target; the target, if present, sits in that restart's block.
+  size_t lo = 0;
+  size_t hi = restarts_.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (CompareRestart(mid, key_bits, id) <= 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
     }
-    if (ic > 0) return false;
-    c.Advance();
   }
-  return false;
+  if (lo == 0) return false;  // Below the run's first slot (or empty).
+  Cursor c;
+  c.JumpToRestart(this, lo - 1);
+  return AdvanceToSlot(&c, key_bits, id, version, deleted);
 }
 
 }  // namespace pgrid

@@ -67,6 +67,23 @@ inline uint64_t ReadVarint(std::string_view s, size_t* pos) {
 /// wide; a longer key is written with shared == 0 and read in place.
 constexpr size_t kMaxCompressedKeyBits = 192;
 
+/// \brief Slot order (<0 / 0 / >0) of the chain-start record at `pos` of
+/// `bytes` against (key_bits, id).
+///
+/// A chain start (shared == 0) stores its key and id raw, so both are
+/// compared in place and nothing else of the record is decoded.
+inline int CompareChainStart(std::string_view bytes, size_t pos,
+                             std::string_view key_bits, std::string_view id) {
+  ReadVarint(bytes, &pos);  // shared == 0.
+  const uint64_t key_len = ReadVarint(bytes, &pos);
+  const std::string_view key(bytes.data() + pos, key_len);
+  const int c = key.compare(key_bits);
+  if (c != 0) return c;
+  pos += key_len;
+  const uint64_t id_len = ReadVarint(bytes, &pos);
+  return std::string_view(bytes.data() + pos, id_len).compare(id);
+}
+
 /// \brief Appends one entry record to `out`.
 ///
 /// The record format shared by in-memory run arenas and run-file blocks,
@@ -166,7 +183,9 @@ class SortedRun {
   size_t resident_bytes() const { return resident_bytes_; }
 
   /// Newest-occurrence probe: fills version/deleted of the slot if the
-  /// run contains it. No heap allocation.
+  /// run contains it. Restarts are searched by slot, so the probe decodes
+  /// at most one restart block however many entries share the key. No
+  /// heap allocation.
   bool FindSlot(std::string_view key_bits, std::string_view id,
                 uint64_t* version, bool* deleted) const;
 
@@ -207,9 +226,10 @@ class SortedRun {
   ///
   /// BulkLoad probes a sorted batch against every run; because the probe
   /// slots are non-decreasing, the prober remembers its position and
-  /// gallops forward by restart blocks instead of re-running a full
-  /// binary search per entry — O(log gap) amortized instead of O(log
-  /// run).
+  /// gallops forward over the restarts by slot instead of re-running a
+  /// full binary search per entry. A probe costs O(log gap) restart
+  /// comparisons, where gap counts the restart blocks skipped, plus the
+  /// decode of at most one block — also inside a key shared by many ids.
   class Prober {
    public:
     explicit Prober(const SortedRun* run);
@@ -230,6 +250,13 @@ class SortedRun {
  private:
   /// Full key bits of restart record `index` (aliases the arena).
   std::string_view RestartKey(size_t index) const;
+
+  /// Slot order of restart record `index` against (key_bits, id).
+  int CompareRestart(size_t index, std::string_view key_bits,
+                     std::string_view id) const {
+    return run_format::CompareChainStart(arena_, restarts_[index], key_bits,
+                                         id);
+  }
 
   size_t count_ = 0;
   size_t resident_bytes_ = 0;

@@ -7,8 +7,11 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -345,6 +348,171 @@ TEST(ManifestCodecTest, TornAndCorruptFramesAreCorruption) {
 }
 
 // ---------------------------------------------------------------------------
+// Slot probes on a key shared by many ids
+// ---------------------------------------------------------------------------
+
+using Slot = std::pair<std::string, std::string>;  // (key bits, id)
+using SlotReference = std::map<Slot, Entry>;
+
+std::string Bits16(size_t v) {
+  std::string bits;
+  for (int b = 15; b >= 0; --b) bits += ((v >> b) & 1) ? '1' : '0';
+  return bits;
+}
+
+// Ids sort by their number: s00000 < s00001 < ... < s99999.
+std::string SharedId(size_t n) {
+  std::string digits = std::to_string(n);
+  return "s" + std::string(5 - digits.size(), '0') + digits;
+}
+
+constexpr size_t kDistinctKeys = 100;
+constexpr size_t kSharedKeyIndex = 50;
+constexpr size_t kSharedIds = 2000;
+
+// Keys Bits16(2), Bits16(4), ..., Bits16(2 * kDistinctKeys) hold one id
+// "m" each, except key kSharedKeyIndex, which holds the odd ids
+// SharedId(1), SharedId(3), ... — kSharedIds of them. Entries in slot
+// order.
+std::vector<Entry> SharedKeyEntries() {
+  std::vector<Entry> entries;
+  for (size_t k = 1; k <= kDistinctKeys; ++k) {
+    const std::string bits = Bits16(2 * k);
+    if (k != kSharedKeyIndex) {
+      entries.push_back(MakeEntry(bits, "m", "p" + std::to_string(k), k));
+      continue;
+    }
+    for (size_t j = 0; j < kSharedIds; ++j) {
+      entries.push_back(MakeEntry(bits, SharedId(2 * j + 1),
+                                  "q" + std::to_string(j), 3 * j + 1,
+                                  j % 5 == 0));
+    }
+  }
+  return entries;
+}
+
+// Every present slot, plus absent ids before, between and after each
+// key's ids and absent keys before, between and after the run's keys; in
+// slot order.
+std::vector<Slot> SharedKeyProbes() {
+  std::set<Slot> probes;
+  for (const Entry& e : SharedKeyEntries()) {
+    probes.emplace(e.key.bits(), e.id);
+    probes.emplace(e.key.bits(), "a");
+    probes.emplace(e.key.bits(), "z");
+  }
+  const std::string shared = Bits16(2 * kSharedKeyIndex);
+  for (size_t j = 0; j <= kSharedIds; ++j) {
+    probes.emplace(shared, SharedId(2 * j));
+  }
+  for (size_t k = 0; k <= kDistinctKeys; ++k) {
+    probes.emplace(Bits16(2 * k + 1), "m");
+    probes.emplace(Bits16(2 * k + 1), SharedId(1));
+  }
+  probes.emplace(Bits16(0), "m");
+  return std::vector<Slot>(probes.begin(), probes.end());
+}
+
+SlotReference ReferenceOf(const std::vector<Entry>& entries) {
+  SlotReference reference;
+  for (const Entry& e : entries) reference[{e.key.bits(), e.id}] = e;
+  return reference;
+}
+
+// One probe's answer against the reference: found exactly when the slot
+// is present, with its version and tombstone flag.
+void ExpectProbeMatches(const SlotReference& reference, const Slot& probe,
+                        bool found, uint64_t version, bool deleted,
+                        const std::string& what) {
+  const auto it = reference.find(probe);
+  ASSERT_EQ(found, it != reference.end())
+      << what << ": " << probe.first << " / " << probe.second;
+  if (!found) return;
+  EXPECT_EQ(version, it->second.version) << what << ": " << probe.second;
+  EXPECT_EQ(deleted, it->second.deleted) << what << ": " << probe.second;
+}
+
+TEST(SharedKeyProbeTest, SortedRunFindSlotAndProberMatchReference) {
+  const std::vector<Entry> entries = SharedKeyEntries();
+  const SlotReference reference = ReferenceOf(entries);
+  const std::vector<Slot> probes = SharedKeyProbes();
+  for (size_t interval : {1u, 2u, 16u}) {
+    SCOPED_TRACE("restart_interval " + std::to_string(interval));
+    const SortedRun run = SortedRun::Build(entries, interval);
+    ASSERT_EQ(run.size(), entries.size());
+    for (const Slot& probe : probes) {
+      uint64_t version = 0;
+      bool deleted = false;
+      const bool found =
+          run.FindSlot(probe.first, probe.second, &version, &deleted);
+      ExpectProbeMatches(reference, probe, found, version, deleted,
+                         "FindSlot");
+    }
+    // Sorted probe sequences: every probe, then sparse ones whose gaps
+    // make the prober gallop across many restarts of the shared key.
+    for (size_t stride : {1u, 7u, 97u}) {
+      SortedRun::Prober prober(&run);
+      for (size_t i = 0; i < probes.size(); i += stride) {
+        uint64_t version = 0;
+        bool deleted = false;
+        const bool found = prober.FindForward(probes[i].first,
+                                              probes[i].second, &version,
+                                              &deleted);
+        ExpectProbeMatches(reference, probes[i], found, version, deleted,
+                           "Prober stride " + std::to_string(stride));
+      }
+    }
+  }
+}
+
+TEST(SharedKeyProbeTest, DiskRunFindSlotMatchesReference) {
+  MemEnv env;
+  BlockCache cache(1 << 20);
+  const std::vector<Entry> entries = SharedKeyEntries();
+  const SlotReference reference = ReferenceOf(entries);
+  auto run = WriteAndOpen(&env, "run-1", 1, &cache, entries);
+  ASSERT_NE(run, nullptr);
+  ASSERT_GT(run->block_count(), 64u);  // The shared key spans many blocks.
+  for (const Slot& probe : SharedKeyProbes()) {
+    uint64_t version = 0;
+    bool deleted = false;
+    const bool found =
+        run->FindSlot(probe.first, probe.second, &version, &deleted);
+    ExpectProbeMatches(reference, probe, found, version, deleted,
+                       "DiskRun::FindSlot");
+  }
+  EXPECT_TRUE(run->status().ok());
+}
+
+TEST(SharedKeyProbeTest, DiskRunProbeLoadsLogarithmicBlocks) {
+  MemEnv env;
+  BlockCache warm(1 << 20);
+  const std::vector<Entry> entries = SharedKeyEntries();
+  ASSERT_NE(WriteAndOpen(&env, "run-1", 1, &warm, entries), nullptr);
+
+  // Finding the shared key's last id on a cold cache loads the blocks of
+  // one binary search plus the target block, not every block of the key.
+  BlockCache cold(1 << 20);
+  auto opened = DiskRun::Open(&env, "run-1", 1, &cold);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const std::shared_ptr<DiskRun> run = opened.value();
+  const size_t blocks = run->block_count();
+  ASSERT_GT(blocks, 64u);
+  size_t log2_blocks = 0;
+  while ((size_t{1} << log2_blocks) < blocks) ++log2_blocks;
+
+  const uint64_t loads_before = cold.hits() + cold.misses();
+  uint64_t version = 0;
+  bool deleted = false;
+  ASSERT_TRUE(run->FindSlot(Bits16(2 * kSharedKeyIndex),
+                            SharedId(2 * kSharedIds - 1), &version,
+                            &deleted));
+  EXPECT_EQ(version, 3 * (kSharedIds - 1) + 1);
+  EXPECT_LE(cold.hits() + cold.misses() - loads_before, log2_blocks + 2)
+      << blocks << " blocks";
+}
+
+// ---------------------------------------------------------------------------
 // DiskBackend end-to-end through LocalStore
 // ---------------------------------------------------------------------------
 
@@ -446,6 +614,109 @@ TEST(DiskBackendTest, OverlongAndShortKeysMatchMemoryBackend) {
   mem_store.Compact();
   disk_store.Compact();
   ExpectSameEntries(disk_store.GetAll(), mem_store.GetAll());
+}
+
+// Upserts on one key shared by ~2,000 ids whose slots sit in the
+// memtable and in several runs: every write probes the shared key through
+// FindSlot (Apply) or the slot prober (BulkLoad).
+TEST(SharedKeyProbeTest, LocalStoreUpsertsMatchReferenceOnBothBackends) {
+  for (const bool disk : {false, true}) {
+    SCOPED_TRACE(disk ? "disk backend" : "memory backend");
+    MemEnv env;
+    LocalStoreOptions options;
+    if (disk) options = DiskOptions(&env, "db");
+    options.memtable_flush_threshold = 1024;
+    LocalStore store(options);
+    const std::string shared = Bits16(2 * kSharedKeyIndex);
+    SlotReference reference;
+    // Versioned upsert: only a newer version changes a slot.
+    auto upsert = [&reference](const Entry& e) {
+      auto it = reference.find({e.key.bits(), e.id});
+      if (it != reference.end() && it->second.version >= e.version) {
+        return false;
+      }
+      reference[{e.key.bits(), e.id}] = e;
+      return true;
+    };
+
+    // Ids 4i + r for r = 0, 1, 2 each arrive as one BulkLoad run; r = 3
+    // goes through Apply into the memtable. Distinct keys bracket the
+    // shared one in every run.
+    for (size_t r = 0; r < 4; ++r) {
+      const std::string tag = std::to_string(r);
+      std::vector<Entry> batch;
+      batch.push_back(
+          MakeEntry(Bits16(2 * kSharedKeyIndex - 2), "m" + tag, "lo", 1));
+      for (size_t i = 0; i < 500; ++i) {
+        batch.push_back(MakeEntry(shared, SharedId(4 * i + r), "v" + tag, 10));
+      }
+      batch.push_back(
+          MakeEntry(Bits16(2 * kSharedKeyIndex + 2), "m" + tag, "hi", 1));
+      for (const Entry& e : batch) upsert(e);
+      if (r < 3) {
+        EXPECT_EQ(store.BulkLoad(batch), batch.size());
+      } else {
+        for (const Entry& e : batch) EXPECT_TRUE(store.Apply(e));
+      }
+    }
+    ASSERT_GE(store.run_count(), 3u);
+    ASSERT_EQ(store.memtable_size(), 502u);
+
+    // Every seventh id, so ids from every run and the memtable, plus one
+    // id the store does not hold.
+    std::vector<size_t> touched;
+    for (size_t n = 0; n < 2000; n += 7) touched.push_back(n);
+    touched.push_back(2001);
+
+    // An older version is rejected by both write paths.
+    std::vector<Entry> stale;
+    for (size_t n : touched) {
+      if (n >= 2000) continue;
+      stale.push_back(MakeEntry(shared, SharedId(n), "stale", 9));
+      EXPECT_FALSE(store.Apply(stale.back())) << n;
+    }
+    std::vector<Entry> changed;
+    EXPECT_EQ(store.BulkLoad(stale, &changed), 0u);
+    EXPECT_TRUE(changed.empty());
+
+    // A newer version is applied once and reported in `changed`.
+    std::vector<Entry> newer;
+    for (size_t n : touched) {
+      newer.push_back(MakeEntry(shared, SharedId(n), "new", 11));
+    }
+    for (const Entry& e : newer) upsert(e);
+    EXPECT_EQ(store.BulkLoad(newer, &changed), newer.size());
+    ASSERT_EQ(changed.size(), newer.size());
+    std::set<std::string> changed_ids;
+    for (const Entry& e : changed) {
+      EXPECT_EQ(e.version, 11u);
+      changed_ids.insert(e.id);
+    }
+    EXPECT_EQ(changed_ids.size(), newer.size());
+    changed.clear();
+    EXPECT_EQ(store.BulkLoad(newer, &changed), 0u);
+    EXPECT_TRUE(changed.empty());
+    for (const Entry& e : newer) EXPECT_FALSE(store.Apply(e));
+
+    // A tombstone hides its slot; an older write cannot revive it.
+    for (size_t n = 3; n < 2000; n += 11) {
+      const Entry tombstone = MakeEntry(shared, SharedId(n), "", 12, true);
+      EXPECT_EQ(store.Apply(tombstone), upsert(tombstone)) << n;
+      EXPECT_FALSE(store.Apply(MakeEntry(shared, SharedId(n), "old", 11)));
+    }
+
+    ASSERT_TRUE(store.io_status().ok()) << store.io_status().message();
+    size_t live = 0;
+    std::vector<Entry> want_shared;
+    for (const auto& [slot, e] : reference) {
+      if (e.deleted) continue;
+      ++live;
+      if (slot.first == shared) want_shared.push_back(e);
+    }
+    EXPECT_EQ(store.total_size(), reference.size());
+    EXPECT_EQ(store.live_size(), live);
+    ExpectSameEntries(store.Get(Key::FromBits(shared)), want_shared);
+  }
 }
 
 TEST(DiskBackendTest, ReopenRecoversEverything) {
