@@ -11,8 +11,6 @@ std::string_view MessageTypeName(MessageType type) {
     case MessageType::kLookupReply: return "LookupReply";
     case MessageType::kBulkInsert: return "BulkInsert";
     case MessageType::kBulkInsertReply: return "BulkInsertReply";
-    case MessageType::kLookupBatch: return "LookupBatch";
-    case MessageType::kLookupBatchReply: return "LookupBatchReply";
     case MessageType::kRangeSeq: return "RangeSeq";
     case MessageType::kRangeSeqReply: return "RangeSeqReply";
     case MessageType::kRangeShower: return "RangeShower";

@@ -21,12 +21,10 @@ enum class MessageType : uint16_t {
   // -- P-Grid overlay layer ------------------------------------------------
   kPing = 1,
   kPong = 2,
-  kLookup = 10,          ///< Route to key owner, return matching entries.
+  kLookup = 10,          ///< Exact lookup of a key set, split per next hop.
   kLookupReply = 11,
   kBulkInsert = 16,      ///< Routed entry batch, split per next hop.
   kBulkInsertReply = 17,
-  kLookupBatch = 18,     ///< Exact lookup of a key set, split per next hop.
-  kLookupBatchReply = 19,
   kRangeSeq = 20,        ///< Sequential range scan (min-first walk).
   kRangeSeqReply = 21,
   kRangeShower = 22,     ///< Parallel "shower" range multicast.

@@ -17,7 +17,7 @@ uint64_t RpcManager::SendRequest(PeerId dst, MessageType type,
                                  std::string payload, sim::SimTime timeout,
                                  ReplyCallback callback) {
   uint64_t id = RegisterPending(timeout, std::move(callback));
-  NoteDestination(id, dst);
+  pending_.at(id).dst = dst;  // Attributes a timeout to `dst` (suspicion).
   Message msg;
   msg.type = type;
   msg.src = self_;
@@ -34,11 +34,6 @@ uint64_t RpcManager::RegisterPending(sim::SimTime timeout,
   pending_.emplace(id, Pending{std::move(callback)});
   if (timeout > 0) ArmTimeout(id, timeout);
   return id;
-}
-
-void RpcManager::NoteDestination(uint64_t request_id, PeerId dst) {
-  auto it = pending_.find(request_id);
-  if (it != pending_.end()) it->second.dst = dst;
 }
 
 void RpcManager::ArmTimeout(uint64_t request_id, sim::SimTime timeout) {

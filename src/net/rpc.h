@@ -22,10 +22,11 @@ namespace net {
 /// *reply*-type messages into HandleReply(); request-type messages go to its
 /// own protocol handlers.
 ///
-/// Forwarding protocols (prefix routing) keep the header `request_id` stable
-/// along the chain and carry the initiator id in the payload; the terminal
-/// peer answers the initiator directly with ReplyTo(), which the initiator's
-/// RpcManager matches by id.
+/// Forwarding protocols (key-set lookups, range scans) keep the header
+/// `request_id` stable along the chain and carry the initiator id in the
+/// payload; the answering peer replies to the initiator directly with
+/// ReplyTo(), and the initiator matches the reply against its own
+/// per-operation state.
 class RpcManager {
  public:
   /// Called exactly once per request with (status, reply). On timeout or
@@ -63,11 +64,6 @@ class RpcManager {
   /// false if no pending request matches (late reply after timeout).
   bool HandleReply(const Message& msg);
 
-  /// Records the peer a pending request was sent to, so its timeout can be
-  /// attributed (suspicion). SendRequest does this itself; callers of
-  /// RegisterPending that pick the destination afterwards use this.
-  void NoteDestination(uint64_t request_id, PeerId dst);
-
   /// Installs the health observer (may be empty to disable).
   void set_peer_observer(PeerObserver observer) {
     observer_ = std::move(observer);
@@ -80,9 +76,6 @@ class RpcManager {
   void FailAll(const Status& status);
 
   size_t pending_count() const { return pending_.size(); }
-
-  PeerId self() const { return self_; }
-  Transport* transport() { return transport_; }
 
  private:
   struct Pending {

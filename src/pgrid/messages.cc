@@ -30,6 +30,30 @@ Result<KeyRange> DecodeRange(BufferReader* r) {
   return range;
 }
 
+Result<uint32_t> DecodeSlot(BufferReader* r) {
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t slot, r->GetVarint());
+  if (slot > std::numeric_limits<uint32_t>::max()) {
+    return Status::Corruption("batch slot out of range");
+  }
+  return static_cast<uint32_t>(slot);
+}
+
+void EncodeSlots(const std::vector<uint32_t>& slots, BufferWriter* w) {
+  w->PutVarint(slots.size());
+  for (uint32_t slot : slots) w->PutVarint(slot);
+}
+
+Result<std::vector<uint32_t>> DecodeSlots(BufferReader* r) {
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t n, r->GetVarint());
+  std::vector<uint32_t> slots;
+  slots.reserve(std::min<uint64_t>(n, 4096));  // `n` is wire data.
+  for (uint64_t i = 0; i < n; ++i) {
+    UNISTORE_ASSIGN_OR_RETURN(uint32_t slot, DecodeSlot(r));
+    slots.push_back(slot);
+  }
+  return slots;
+}
+
 }  // namespace
 
 void RefsBlock::Encode(BufferWriter* w) const {
@@ -57,112 +81,14 @@ Result<RefsBlock> RefsBlock::Decode(BufferReader* r) {
   return block;
 }
 
-std::string LookupRequest::Encode() const {
-  BufferWriter w;
-  w.PutU32(initiator);
-  w.PutString(key.bits());
-  w.PutU8(static_cast<uint8_t>(mode));
-  return w.Release();
-}
-
-Result<LookupRequest> LookupRequest::Decode(std::string_view bytes) {
-  BufferReader r(bytes);
-  LookupRequest req;
-  UNISTORE_ASSIGN_OR_RETURN(req.initiator, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(req.key, DecodeKey(&r));
-  UNISTORE_ASSIGN_OR_RETURN(uint8_t mode, r.GetU8());
-  if (mode > 1) return Status::Corruption("bad lookup mode");
-  req.mode = static_cast<LookupMode>(mode);
-  return req;
-}
-
-std::string LookupReply::Encode() const {
-  return EncodeStreamed(entries.size(), [this](BufferWriter* w) {
-    for (const Entry& e : entries) e.Encode(w);
-  });
-}
-
-std::string LookupReply::EncodeStreamed(uint64_t count,
-                                        EntryStreamFn emit) const {
-  BufferWriter w;
-  w.PutU8(status_code);
-  w.PutString(error);
-  EncodeEntryStream(count, &w, emit);
-  w.PutString(owner_path);
-  w.PutU32(owner);
-  w.PutU8(hot ? 1 : 0);
-  w.PutU32(static_cast<uint32_t>(replicas.size()));
-  for (PeerId p : replicas) w.PutU32(p);
-  return w.Release();
-}
-
-Result<LookupReply> LookupReply::Decode(std::string_view bytes) {
-  BufferReader r(bytes);
-  LookupReply reply;
-  UNISTORE_ASSIGN_OR_RETURN(reply.status_code, r.GetU8());
-  UNISTORE_ASSIGN_OR_RETURN(reply.error, r.GetString());
-  UNISTORE_ASSIGN_OR_RETURN(reply.entries, DecodeEntries(&r));
-  UNISTORE_ASSIGN_OR_RETURN(reply.owner_path, r.GetString());
-  UNISTORE_ASSIGN_OR_RETURN(reply.owner, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(uint8_t hot, r.GetU8());
-  reply.hot = hot != 0;
-  UNISTORE_ASSIGN_OR_RETURN(uint32_t replica_count, r.GetU32());
-  reply.replicas.reserve(replica_count);
-  for (uint32_t i = 0; i < replica_count; ++i) {
-    UNISTORE_ASSIGN_OR_RETURN(PeerId p, r.GetU32());
-    reply.replicas.push_back(p);
-  }
-  return reply;
-}
-
-namespace {
-
-void EncodeKeys(const std::vector<Key>& keys, BufferWriter* w) {
-  w->PutVarint(keys.size());
-  for (const Key& key : keys) w->PutString(key.bits());
-}
-
-Result<std::vector<Key>> DecodeKeys(BufferReader* r) {
-  UNISTORE_ASSIGN_OR_RETURN(uint64_t n, r->GetVarint());
-  std::vector<Key> keys;
-  keys.reserve(std::min<uint64_t>(n, 4096));  // `n` is wire data.
-  for (uint64_t i = 0; i < n; ++i) {
-    UNISTORE_ASSIGN_OR_RETURN(Key key, DecodeKey(r));
-    keys.push_back(std::move(key));
-  }
-  return keys;
-}
-
-Result<uint32_t> DecodeSlot(BufferReader* r) {
-  UNISTORE_ASSIGN_OR_RETURN(uint64_t slot, r->GetVarint());
-  if (slot > std::numeric_limits<uint32_t>::max()) {
-    return Status::Corruption("batch slot out of range");
-  }
-  return static_cast<uint32_t>(slot);
-}
-
-void EncodeSlots(const std::vector<uint32_t>& slots, BufferWriter* w) {
-  w->PutVarint(slots.size());
-  for (uint32_t slot : slots) w->PutVarint(slot);
-}
-
-Result<std::vector<uint32_t>> DecodeSlots(BufferReader* r) {
-  UNISTORE_ASSIGN_OR_RETURN(uint64_t n, r->GetVarint());
-  std::vector<uint32_t> slots;
-  slots.reserve(std::min<uint64_t>(n, 4096));  // `n` is wire data.
-  for (uint64_t i = 0; i < n; ++i) {
-    UNISTORE_ASSIGN_OR_RETURN(uint32_t slot, DecodeSlot(r));
-    slots.push_back(slot);
-  }
-  return slots;
-}
-
-}  // namespace
-
 std::string LookupBatchRequest::Encode() const {
   BufferWriter w;
   w.PutU32(initiator);
-  EncodeKeys(keys, &w);
+  w.PutVarint(keys.size());
+  for (const BatchKey& k : keys) {
+    w.PutVarint(k.slot);
+    w.PutString(k.key.bits());
+  }
   return w.Release();
 }
 
@@ -170,33 +96,69 @@ Result<LookupBatchRequest> LookupBatchRequest::Decode(std::string_view bytes) {
   BufferReader r(bytes);
   LookupBatchRequest req;
   UNISTORE_ASSIGN_OR_RETURN(req.initiator, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(req.keys, DecodeKeys(&r));
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
+  req.keys.reserve(std::min<uint64_t>(n, 4096));  // `n` is wire data.
+  for (uint64_t i = 0; i < n; ++i) {
+    BatchKey k;
+    UNISTORE_ASSIGN_OR_RETURN(k.slot, DecodeSlot(&r));
+    UNISTORE_ASSIGN_OR_RETURN(k.key, DecodeKey(&r));
+    req.keys.push_back(std::move(k));
+  }
   return req;
 }
 
 std::string LookupBatchReply::Encode() const {
+  std::vector<uint32_t> slots;
+  slots.reserve(answers.size());
+  for (const Answer& answer : answers) slots.push_back(answer.slot);
+  return EncodeStreamed(slots, [this](size_t i, BufferWriter* w) {
+    EncodeEntries(answers[i].entries, w);
+  });
+}
+
+std::string LookupBatchReply::EncodeStreamed(const std::vector<uint32_t>& slots,
+                                             AnswerStreamFn emit) const {
   BufferWriter w;
-  w.PutVarint(answers.size());
-  for (const Answer& answer : answers) {
-    w.PutString(answer.key.bits());
-    EncodeEntries(answer.entries, &w);
+  w.PutU32(peer);
+  w.PutVarint(slots.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    w.PutVarint(slots[i]);
+    emit(i, &w);
   }
-  EncodeKeys(dead_ends, &w);
+  EncodeSlots(dead_ends, &w);
+  // The advert's path travels only with its replicas.
+  w.PutVarint(hot_replicas.size());
+  if (!hot_replicas.empty()) {
+    for (PeerId p : hot_replicas) w.PutU32(p);
+    w.PutString(hot_path.bits());
+  }
   return w.Release();
 }
 
 Result<LookupBatchReply> LookupBatchReply::Decode(std::string_view bytes) {
   BufferReader r(bytes);
   LookupBatchReply reply;
+  UNISTORE_ASSIGN_OR_RETURN(reply.peer, r.GetU32());
   UNISTORE_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
   reply.answers.reserve(std::min<uint64_t>(n, 4096));  // `n` is wire data.
   for (uint64_t i = 0; i < n; ++i) {
     Answer answer;
-    UNISTORE_ASSIGN_OR_RETURN(answer.key, DecodeKey(&r));
+    UNISTORE_ASSIGN_OR_RETURN(answer.slot, DecodeSlot(&r));
     UNISTORE_ASSIGN_OR_RETURN(answer.entries, DecodeEntries(&r));
     reply.answers.push_back(std::move(answer));
   }
-  UNISTORE_ASSIGN_OR_RETURN(reply.dead_ends, DecodeKeys(&r));
+  UNISTORE_ASSIGN_OR_RETURN(reply.dead_ends, DecodeSlots(&r));
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t replicas, r.GetVarint());
+  if (replicas > 0) {
+    if (replicas > r.remaining() / 4) {
+      return Status::Corruption("hot advert longer than its message");
+    }
+    reply.hot_replicas.resize(replicas);
+    for (PeerId& p : reply.hot_replicas) {
+      UNISTORE_ASSIGN_OR_RETURN(p, r.GetU32());
+    }
+    UNISTORE_ASSIGN_OR_RETURN(reply.hot_path, DecodeKey(&r));
+  }
   return reply;
 }
 

@@ -38,65 +38,54 @@ struct RefsBlock {
   static Result<RefsBlock> Decode(BufferReader* r);
 };
 
-/// How a lookup request selects entries at the responsible peer.
-enum class LookupMode : uint8_t {
-  kExact = 0,   ///< Entries whose key equals the request key.
-  kPrefix = 1,  ///< Entries whose key starts with the request key.
-};
-
-struct LookupRequest {
-  PeerId initiator = net::kNoPeer;
+/// One key of a routed key-set lookup, tagged with its slot: its position
+/// in the initiator's deduplicated key vector.
+struct BatchKey {
+  uint32_t slot = 0;
   Key key;
-  LookupMode mode = LookupMode::kExact;
-
-  std::string Encode() const;
-  static Result<LookupRequest> Decode(std::string_view bytes);
 };
 
-struct LookupReply {
-  uint8_t status_code = 0;  ///< StatusCode as int; 0 = OK.
-  std::string error;
-  std::vector<Entry> entries;
-  std::string owner_path;   ///< Path of the responsible peer.
-  PeerId owner = net::kNoPeer;
-  /// Hot-key advertisement (DESIGN.md §8): the serving peer's sliding
-  /// window request rate crossed its threshold, so initiators should
-  /// round-robin further lookups for this partition across `replicas`
-  /// (serving peer included) instead of re-routing to the single owner.
-  bool hot = false;
-  std::vector<PeerId> replicas;
-
-  std::string Encode() const;
-  /// Byte-identical to Encode() with `entries` holding the same sequence,
-  /// but the entries come from `emit` (ignoring the `entries` member).
-  std::string EncodeStreamed(uint64_t count, EntryStreamFn emit) const;
-  static Result<LookupReply> Decode(std::string_view bytes);
-};
-
-/// \brief Exact-mode lookup of a key set (Peer::LookupBatch).
+/// \brief Key-set lookup (Peer::LookupBatch; a Peer::Lookup is one key).
 ///
 /// Travels like a BulkInsertRequest: every visited peer serves the keys it
 /// is responsible for, groups the rest by next routing hop and forwards
 /// one request per group under the initiator's request id.
 struct LookupBatchRequest {
   PeerId initiator = net::kNoPeer;
-  std::vector<Key> keys;
+  std::vector<BatchKey> keys;
 
   std::string Encode() const;
   static Result<LookupBatchRequest> Decode(std::string_view bytes);
 };
 
+/// Writes the entries of the `i`-th answer as one EncodeEntries block.
+using AnswerStreamFn = FunctionRef<void(size_t i, BufferWriter*)>;
+
 /// Sent to the initiator only by a peer that served keys or hit a routing
-/// dead end; pure forwarders stay silent.
+/// dead end; pure forwarders stay silent. Slots name keys of the
+/// initiator's key vector, so a duplicated reply changes nothing.
 struct LookupBatchReply {
   struct Answer {
-    Key key;
+    uint32_t slot = 0;
     std::vector<Entry> entries;
   };
-  std::vector<Answer> answers;  ///< Keys served here, with their entries.
-  std::vector<Key> dead_ends;   ///< Keys this peer had no route for.
+  PeerId peer = net::kNoPeer;       ///< The replying peer.
+  std::vector<Answer> answers;      ///< Slots served at `peer`.
+  std::vector<uint32_t> dead_ends;  ///< Slots `peer` had no route for.
+  /// Hot-key advertisement (DESIGN.md §8): the serving peer's sliding
+  /// window request rate crossed its threshold, so the initiator should
+  /// send further lookups under `hot_path` round-robin to `hot_replicas`
+  /// (serving peer included) instead of routing to the single owner.
+  /// Empty when the peer is not hot.
+  std::vector<PeerId> hot_replicas;
+  Key hot_path;
 
   std::string Encode() const;
+  /// Byte-identical to Encode() with `answers` naming `slots` in order,
+  /// but the entries of each answer come from `emit` (ignoring the
+  /// `answers` member).
+  std::string EncodeStreamed(const std::vector<uint32_t>& slots,
+                             AnswerStreamFn emit) const;
   static Result<LookupBatchReply> Decode(std::string_view bytes);
 };
 
@@ -157,7 +146,8 @@ struct RangeSeqReply {
   std::string error;
 
   std::string Encode() const;
-  /// Streamed-entries variant of Encode() (see LookupReply).
+  /// Byte-identical to Encode() with `entries` holding the same sequence,
+  /// but the entries come from `emit` (ignoring the `entries` member).
   std::string EncodeStreamed(uint64_t count, EntryStreamFn emit) const;
   static Result<RangeSeqReply> Decode(std::string_view bytes);
 };
@@ -183,7 +173,7 @@ struct RangeShowerReply {
   std::string peer_path;
 
   std::string Encode() const;
-  /// Streamed-entries variant of Encode() (see LookupReply).
+  /// Streamed-entries variant of Encode() (see RangeSeqReply).
   std::string EncodeStreamed(uint64_t count, EntryStreamFn emit) const;
   static Result<RangeShowerReply> Decode(std::string_view bytes);
 };

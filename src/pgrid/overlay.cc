@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "common/logging.h"
 
@@ -323,109 +325,84 @@ Overlay::LifecycleStats Overlay::AggregateLifecycleStats() const {
   return stats;
 }
 
-Result<LookupResult> Overlay::LookupSync(net::PeerId from, const Key& key,
-                                         LookupMode mode) {
-  std::optional<Result<LookupResult>> out;
-  peers_[from]->Lookup(key, mode,
-                       [&out](Result<LookupResult> r) { out = std::move(r); });
-  scheduler_->RunUntil([&out] { return out.has_value(); });
+namespace {
+
+// Starts one asynchronous peer operation by handing `start` its callback,
+// and runs the simulation until that callback fired.
+template <typename T, typename Start>
+T RunToCompletion(sim::Scheduler* scheduler, std::string_view what,
+                  Start start) {
+  std::optional<T> out;
+  start([&out](T r) { out = std::move(r); });
+  scheduler->RunUntil([&out] { return out.has_value(); });
   if (!out.has_value()) {
-    return Status::Internal("simulation drained before lookup completed");
+    return Status::Internal("simulation drained before ", what,
+                            " completed");
   }
   return std::move(*out);
+}
+
+}  // namespace
+
+Result<LookupResult> Overlay::LookupSync(net::PeerId from, const Key& key) {
+  return RunToCompletion<Result<LookupResult>>(
+      scheduler_, "lookup", [&](auto done) {
+        peers_[from]->Lookup(key, LookupMode::kExact, done);
+      });
 }
 
 Result<LookupBatchResult> Overlay::LookupBatchSync(
     net::PeerId from, const std::vector<Key>& keys) {
-  std::optional<Result<LookupBatchResult>> out;
-  peers_[from]->LookupBatch(
-      keys, [&out](Result<LookupBatchResult> r) { out = std::move(r); });
-  scheduler_->RunUntil([&out] { return out.has_value(); });
-  if (!out.has_value()) {
-    return Status::Internal("simulation drained before lookup completed");
-  }
-  return std::move(*out);
+  return RunToCompletion<Result<LookupBatchResult>>(
+      scheduler_, "lookup", [&](auto done) {
+        peers_[from]->LookupBatch(keys, done);
+      });
 }
 
 Status Overlay::InsertSync(net::PeerId from, Entry entry) {
-  std::optional<Status> out;
-  peers_[from]->Insert(std::move(entry),
-                       [&out](Status s) { out = std::move(s); });
-  scheduler_->RunUntil([&out] { return out.has_value(); });
-  if (!out.has_value()) {
-    return Status::Internal("simulation drained before insert completed");
-  }
-  return *out;
+  return RunToCompletion<Status>(scheduler_, "insert", [&](auto done) {
+    peers_[from]->Insert(std::move(entry), done);
+  });
 }
 
 Status Overlay::InsertBatchSync(net::PeerId from,
                                 std::vector<Entry> entries) {
-  std::optional<Status> out;
-  peers_[from]->InsertBatch(std::move(entries),
-                            [&out](Status s) { out = std::move(s); });
-  scheduler_->RunUntil([&out] { return out.has_value(); });
-  if (!out.has_value()) {
-    return Status::Internal(
-        "simulation drained before batch insert completed");
-  }
-  return *out;
+  return RunToCompletion<Status>(scheduler_, "batch insert", [&](auto done) {
+    peers_[from]->InsertBatch(std::move(entries), done);
+  });
 }
 
 Status Overlay::RemoveSync(net::PeerId from, const Key& key,
                            const std::string& entry_id, uint64_t version) {
-  std::optional<Status> out;
-  peers_[from]->Remove(key, entry_id, version,
-                       [&out](Status s) { out = std::move(s); });
-  scheduler_->RunUntil([&out] { return out.has_value(); });
-  if (!out.has_value()) {
-    return Status::Internal("simulation drained before remove completed");
-  }
-  return *out;
+  return RunToCompletion<Status>(scheduler_, "remove", [&](auto done) {
+    peers_[from]->Remove(key, entry_id, version, done);
+  });
 }
 
 Result<RangeResult> Overlay::RangeSeqSync(net::PeerId from,
                                           const KeyRange& range) {
-  std::optional<Result<RangeResult>> out;
-  peers_[from]->RangeScanSeq(
-      range, [&out](Result<RangeResult> r) { out = std::move(r); });
-  scheduler_->RunUntil([&out] { return out.has_value(); });
-  if (!out.has_value()) {
-    return Status::Internal("simulation drained before range scan completed");
-  }
-  return std::move(*out);
+  return RunToCompletion<Result<RangeResult>>(
+      scheduler_, "range scan",
+      [&](auto done) { peers_[from]->RangeScanSeq(range, done); });
 }
 
 Result<RangeResult> Overlay::RangeShowerSync(net::PeerId from,
                                              const KeyRange& range) {
-  std::optional<Result<RangeResult>> out;
-  peers_[from]->RangeScanShower(
-      range, [&out](Result<RangeResult> r) { out = std::move(r); });
-  scheduler_->RunUntil([&out] { return out.has_value(); });
-  if (!out.has_value()) {
-    return Status::Internal("simulation drained before range scan completed");
-  }
-  return std::move(*out);
+  return RunToCompletion<Result<RangeResult>>(
+      scheduler_, "range scan",
+      [&](auto done) { peers_[from]->RangeScanShower(range, done); });
 }
 
 Status Overlay::ExchangeSync(net::PeerId initiator, net::PeerId other) {
-  std::optional<Status> out;
-  peers_[initiator]->InitiateExchange(other,
-                                      [&out](Status s) { out = std::move(s); });
-  scheduler_->RunUntil([&out] { return out.has_value(); });
-  if (!out.has_value()) {
-    return Status::Internal("simulation drained before exchange completed");
-  }
-  return *out;
+  return RunToCompletion<Status>(scheduler_, "exchange", [&](auto done) {
+    peers_[initiator]->InitiateExchange(other, done);
+  });
 }
 
 Status Overlay::PullFromReplicaSync(net::PeerId who) {
-  std::optional<Status> out;
-  peers_[who]->PullFromReplica([&out](Status s) { out = std::move(s); });
-  scheduler_->RunUntil([&out] { return out.has_value(); });
-  if (!out.has_value()) {
-    return Status::Internal("simulation drained before pull completed");
-  }
-  return *out;
+  return RunToCompletion<Status>(scheduler_, "pull", [&](auto done) {
+    peers_[who]->PullFromReplica(done);
+  });
 }
 
 }  // namespace pgrid

@@ -3,7 +3,6 @@
 #define UNISTORE_PGRID_OVERLAY_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,8 +104,7 @@ class Overlay {
 
   // --- Synchronous wrappers (drive the simulation until completion) ------
 
-  Result<LookupResult> LookupSync(net::PeerId from, const Key& key,
-                                  LookupMode mode = LookupMode::kExact);
+  Result<LookupResult> LookupSync(net::PeerId from, const Key& key);
   Result<LookupBatchResult> LookupBatchSync(net::PeerId from,
                                             const std::vector<Key>& keys);
   Status InsertSync(net::PeerId from, Entry entry);

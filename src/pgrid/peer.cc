@@ -43,6 +43,9 @@ uint64_t CountEntries(ScanFn&& scan) {
   return count;
 }
 
+// The key of a routed key-set lookup item (RouteKeySet's key_of).
+const Key& KeyOf(const BatchKey& k) { return k.key; }
+
 }  // namespace
 
 Peer::Peer(net::Transport* transport, uint64_t rng_seed, PeerOptions options)
@@ -96,7 +99,10 @@ void Peer::SetExtensionHandler(MessageType type, ExtensionHandler handler) {
 void Peer::OnMessage(const Message& msg) {
   switch (msg.type) {
     case MessageType::kLookup:
-      HandleLookup(msg);
+      HandleKeySetLookup(msg);
+      return;
+    case MessageType::kLookupReply:
+      OnLookupReply(msg);
       return;
     case MessageType::kBulkInsert:
       HandleBulkInsert(msg);
@@ -104,16 +110,6 @@ void Peer::OnMessage(const Message& msg) {
     case MessageType::kBulkInsertReply: {
       auto reply = BulkInsertReply::Decode(msg.payload);
       if (reply.ok()) OnBulkInsertReply(msg.request_id, *reply);
-      return;
-    }
-    case MessageType::kLookupBatch:
-      HandleLookupBatch(msg);
-      return;
-    case MessageType::kLookupBatchReply: {
-      auto reply = LookupBatchReply::Decode(msg.payload);
-      if (reply.ok()) {
-        OnLookupBatchReply(msg.request_id, std::move(*reply));
-      }
       return;
     }
     case MessageType::kRangeSeq:
@@ -156,7 +152,6 @@ void Peer::OnMessage(const Message& msg) {
       if (reply.ok()) OnShowerPartial(msg.request_id, msg.hops, *reply);
       return;
     }
-    case MessageType::kLookupReply:
     case MessageType::kExchangeReply:
     case MessageType::kManifestPullReply:
     case MessageType::kRunFetchReply:
@@ -300,113 +295,183 @@ bool Peer::Suspected(PeerId peer) const {
 }
 
 // ---------------------------------------------------------------------------
-// Lookup
+// Key-set operations: lookups and batch inserts (DESIGN.md §13)
 // ---------------------------------------------------------------------------
 
-void Peer::Lookup(const Key& key, LookupMode mode, LookupCallback callback) {
-  DoLookup(key, mode, RetryBudget(RequestPolicy(kLookupRetryPolicy), NowUs()),
-           std::move(callback));
+void Peer::StartKeySet(KeySetOp op) {
+  const size_t size = op.is_insert() ? op.entries.size() : op.keys.size();
+  op.slots.assign(size, SlotState::kPending);
+  op.first_hops.assign(size, net::kNoPeer);
+  op.missing = size;
+  op.results.resize(op.keys.size());
+  op.budget = RetryBudget(
+      RequestPolicy(op.is_insert() ? kBulkRetryPolicy : kLookupRetryPolicy),
+      NowUs());
+  const uint64_t id = next_scan_id_++;
+  key_set_ops_.emplace(id, std::move(op));
+  SendKeySet(id);
 }
 
-void Peer::DoLookup(const Key& key, LookupMode mode, RetryBudget budget,
-                    LookupCallback callback) {
-  if (IsResponsible(key)) {
-    RecordLookupServe();
-    LookupResult result;
-    auto collect = [&result](const EntryView& e) {
-      result.entries.push_back(e.ToEntry());
-      return true;
-    };
-    if (mode == LookupMode::kExact) {
-      store_.ScanKey(key, collect);
-    } else {
-      store_.ScanPrefix(key, collect);
-    }
-    result.hops = 0;
-    result.owner = id_;
-    result.owner_path = path_.bits();
-    callback(std::move(result));
-    return;
+void Peer::SendKeySet(uint64_t request_id) {
+  auto it = key_set_ops_.find(request_id);
+  if (it == key_set_ops_.end()) return;
+  const uint32_t attempt = it->second.attempt;
+  if (it->second.is_insert()) {
+    SendInsertAttempt(request_id, it->second);
+  } else {
+    SendLookupAttempt(request_id, it->second);
   }
-
-  LookupRequest req;
-  req.initiator = id_;
-  req.key = key;
-  req.mode = mode;
-
-  uint64_t rid = rpc_.RegisterPending(
-      options_.request_timeout,
-      [this, key, mode, budget, callback](const Status& status,
-                                          const Message& msg) mutable {
-        if (!status.ok()) {
-          if (budget.Spend(NowUs())) {
-            transport_->CountRetry(kLookupRetryPolicy);
-            RetryAfter(budget.NextDelayUs(&rng_),
-                       [this, key, mode, budget, callback]() {
-                         DoLookup(key, mode, budget, callback);
-                       });
-          } else {
-            callback(status);
+  SettleKeySet(request_id);
+  // Arm the timeout unless the local work finished (or retried) it.
+  it = key_set_ops_.find(request_id);
+  if (it == key_set_ops_.end() || it->second.attempt != attempt) return;
+  transport_->scheduler()->ScheduleAfter(
+      options_.request_timeout, id_, id_, [this, request_id, attempt]() {
+        auto it = key_set_ops_.find(request_id);
+        if (it == key_set_ops_.end() || it->second.attempt != attempt) return;
+        // No reply named these slots: suspect where they were sent.
+        const KeySetOp& op = it->second;
+        for (size_t slot = 0; slot < op.slots.size(); ++slot) {
+          if (op.slots[slot] == SlotState::kPending &&
+              op.first_hops[slot] != net::kNoPeer) {
+            ObservePeer(op.first_hops[slot], /*ok=*/false);
           }
-          return;
         }
-        auto reply = LookupReply::Decode(msg.payload);
-        if (!reply.ok()) {
-          callback(reply.status());
-          return;
-        }
-        if (reply->status_code != 0) {
-          Status err(static_cast<StatusCode>(reply->status_code),
-                     reply->error);
-          if (budget.Spend(NowUs())) {
-            transport_->CountRetry(kLookupRetryPolicy);
-            RetryAfter(budget.NextDelayUs(&rng_),
-                       [this, key, mode, budget, callback]() {
-                         DoLookup(key, mode, budget, callback);
-                       });
-          } else {
-            callback(err);
-          }
-          return;
-        }
-        UpdateHotOwner(*reply);
-        LookupResult result;
-        result.entries = std::move(reply->entries);
-        result.hops = msg.hops;
-        result.owner = reply->owner;
-        result.owner_path = std::move(reply->owner_path);
-        callback(std::move(result));
+        RetryKeySet(request_id);
       });
+}
 
-  Message msg;
-  msg.type = MessageType::kLookup;
-  msg.src = id_;
-  msg.dst = id_;  // Overwritten by Forward / replica fan-out.
-  msg.request_id = rid;
-  msg.hops = 0;
-  msg.payload = req.Encode();
-  // Hot-partition fan-out: under a live advertisement, skip greedy routing
-  // and hit the next round-robin replica directly. Replicas share the
-  // owner's path, so IsResponsible holds at the receiver; if the replica
-  // died, the normal timeout/retry path re-routes (and the advertisement
-  // expires by TTL).
-  PeerId replica = PickHotReplica(key);
-  if (replica != net::kNoPeer) {
-    ++fanout_redirects_;
-    msg.dst = replica;
-    msg.hops = 1;
-    rpc_.NoteDestination(rid, replica);
-    transport_->Send(std::move(msg));
+void Peer::SettleKeySet(uint64_t request_id) {
+  auto it = key_set_ops_.find(request_id);
+  KeySetOp& op = it->second;
+  if (op.missing == 0) {
+    KeySetOp done = std::move(op);
+    key_set_ops_.erase(it);
+    done.callback(std::move(done.results));
     return;
   }
-  PeerId hop = Forward(msg, key);
-  if (hop == net::kNoPeer) {
-    rpc_.Cancel(rid);
-    callback(Status::Unavailable("peer ", id_, ": no route toward key ",
-                                 key.ToString()));
+  // Nothing is in flight once every missing slot hit a dead end.
+  if (op.dead_ends == op.missing) RetryKeySet(request_id);
+}
+
+void Peer::RetryKeySet(uint64_t request_id) {
+  auto it = key_set_ops_.find(request_id);
+  KeySetOp& op = it->second;
+  ++op.attempt;
+  for (SlotState& s : op.slots) {
+    if (s == SlotState::kDeadEnd) s = SlotState::kPending;
+  }
+  std::fill(op.first_hops.begin(), op.first_hops.end(), net::kNoPeer);
+  const size_t dead_ends = op.dead_ends;
+  op.dead_ends = 0;
+  if (!op.budget.Spend(NowUs())) {
+    KeySetOp failed = std::move(op);
+    key_set_ops_.erase(it);
+    failed.callback(
+        failed.is_insert()
+            ? Status::Unavailable("peer ", id_, ": batch insert incomplete, ",
+                                  failed.missing, " of ",
+                                  failed.entries.size(), " entries unstored (",
+                                  dead_ends, " dead ends)")
+            : Status::Unavailable("peer ", id_, ": lookup incomplete, ",
+                                  failed.missing, " of ", failed.keys.size(),
+                                  " keys unanswered"));
     return;
   }
-  rpc_.NoteDestination(rid, hop);
+  transport_->CountRetry(op.budget.policy().name);
+  RetryAfter(op.budget.NextDelayUs(&rng_),
+             [this, request_id]() { SendKeySet(request_id); });
+}
+
+// ---------------------------------------------------------------------------
+// Lookup: a key-set lookup; a single-key Lookup is a set of one
+// ---------------------------------------------------------------------------
+
+void Peer::Lookup(const Key& key, LookupMode /*mode*/,
+                  LookupCallback callback) {
+  KeySetOp op;
+  op.keys.push_back(key);
+  op.callback = [callback = std::move(callback)](
+                    Result<std::vector<LookupResult>> results) {
+    if (!results.ok()) {
+      callback(results.status());
+      return;
+    }
+    callback(std::move(results->front()));
+  };
+  StartKeySet(std::move(op));
+}
+
+void Peer::LookupBatch(const std::vector<Key>& keys,
+                       LookupBatchCallback callback) {
+  KeySetOp op;
+  op.keys = keys;
+  std::sort(op.keys.begin(), op.keys.end());
+  op.keys.erase(std::unique(op.keys.begin(), op.keys.end()), op.keys.end());
+  op.callback = [keys = op.keys, callback = std::move(callback)](
+                    Result<std::vector<LookupResult>> results) {
+    if (!results.ok()) {
+      callback(results.status());
+      return;
+    }
+    LookupBatchResult out;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      out.emplace_hint(out.end(), keys[i], std::move((*results)[i].entries));
+    }
+    callback(std::move(out));
+  };
+  StartKeySet(std::move(op));
+}
+
+void Peer::SendLookupAttempt(uint64_t request_id, KeySetOp& op) {
+  std::vector<BatchKey> routed;
+  std::vector<std::pair<PeerId, BatchKey>> redirected;
+  for (uint32_t slot = 0; slot < op.slots.size(); ++slot) {
+    if (op.slots[slot] == SlotState::kDone) continue;
+    const Key& key = op.keys[slot];
+    // Hot-partition fan-out: under a live advertisement, skip greedy
+    // routing and send the key to the next round-robin replica. Replicas
+    // share the owner's path, so IsResponsible holds at the receiver; if
+    // the replica died, the attempt's timeout re-routes (and the
+    // advertisement expires by TTL).
+    const PeerId replica =
+        IsResponsible(key) ? net::kNoPeer : PickHotReplica(key);
+    if (replica != net::kNoPeer) {
+      ++fanout_redirects_;
+      redirected.emplace_back(replica, BatchKey{slot, key});
+    } else {
+      routed.push_back({slot, key});
+    }
+  }
+  KeySetRoute<BatchKey> route = RouteKeySet(std::move(routed), 0, KeyOf);
+  for (auto& [replica, k] : redirected) {
+    route.next[replica].push_back(std::move(k));
+  }
+  for (const BatchKey& k : route.mine) {
+    RecordLookupServe();
+    op.Finish(k.slot);
+    std::vector<Entry>& entries = op.results[k.slot].entries;
+    store_.ScanKey(k.key, [&entries](const EntryView& e) {
+      entries.push_back(e.ToEntry());
+      return true;
+    });
+  }
+  for (const BatchKey& k : route.dead_ends) op.DeadEnd(k.slot);
+  for (const auto& [next, group] : route.next) {
+    for (const BatchKey& k : group) op.first_hops[k.slot] = next;
+  }
+  ForwardLookup(std::move(route.next), id_, request_id, 0);
+}
+
+void Peer::ForwardLookup(std::map<PeerId, std::vector<BatchKey>> next,
+                         PeerId initiator, uint64_t request_id,
+                         uint32_t hops) {
+  for (auto& [peer, keys] : next) {
+    LookupBatchRequest sub;
+    sub.initiator = initiator;
+    sub.keys = std::move(keys);
+    SendRouted(MessageType::kLookup, peer, request_id, hops, sub.Encode());
+  }
 }
 
 void Peer::RecordLookupServe() {
@@ -430,11 +495,11 @@ bool Peer::LookupRateHot() const {
          options_.hot_key_qps_threshold * window_seconds;
 }
 
-void Peer::UpdateHotOwner(const LookupReply& reply) {
-  if (!reply.hot || reply.owner_path.empty()) return;
-  HotOwner& hot = hot_owners_[reply.owner_path];
-  if (hot.replicas != reply.replicas) {
-    hot.replicas = reply.replicas;
+void Peer::UpdateHotOwner(const LookupBatchReply& reply) {
+  if (reply.hot_replicas.empty()) return;
+  HotOwner& hot = hot_owners_[reply.hot_path.bits()];
+  if (hot.replicas != reply.hot_replicas) {
+    hot.replicas = reply.hot_replicas;
     hot.next = 0;
   }
   hot.expires_at =
@@ -450,8 +515,8 @@ PeerId Peer::PickHotReplica(const Key& key) {
   for (auto& [path_bits, hot] : hot_owners_) {
     if (hot.replicas.empty()) continue;
     if (!Key::FromBits(path_bits).IsPrefixOf(key)) continue;
-    // Round-robin over the advertised group, skipping ourselves (a local
-    // serve would already have taken the fast path in DoLookup).
+    // Round-robin over the advertised group, skipping ourselves (keys this
+    // peer is responsible for never get here: it serves them itself).
     for (size_t i = 0; i < hot.replicas.size(); ++i) {
       PeerId candidate = hot.replicas[hot.next];
       hot.next = (hot.next + 1) % hot.replicas.size();
@@ -469,170 +534,74 @@ PeerId Peer::PickHotReplica(const Key& key) {
   return net::kNoPeer;
 }
 
-void Peer::ServeLookup(const LookupRequest& req, uint64_t request_id,
-                       uint32_t hops) {
-  // Zero-copy serving: one counting scan sizes the varint prefix, a second
-  // scan encodes the matching entries straight into the reply buffer. No
-  // intermediate std::vector<Entry>, no per-entry heap allocation.
-  const bool exact = req.mode == LookupMode::kExact;
-  auto run_scan = [this, &req, exact](LocalStore::EntryVisitor v) {
-    exact ? store_.ScanKey(req.key, v) : store_.ScanPrefix(req.key, v);
-  };
-
-  RecordLookupServe();
-  LookupReply reply;
-  reply.owner_path = path_.bits();
-  reply.owner = id_;
-  if (LookupRateHot()) {
+void Peer::HandleKeySetLookup(const Message& msg) {
+  auto req = LookupBatchRequest::Decode(msg.payload);
+  if (!req.ok() || !KnownPeer(req->initiator)) return;
+  KeySetRoute<BatchKey> route =
+      RouteKeySet(std::move(req->keys), msg.hops, KeyOf);
+  ForwardLookup(std::move(route.next), req->initiator, msg.request_id,
+                msg.hops);
+  if (route.mine.empty() && route.dead_ends.empty()) return;
+  LookupBatchReply reply;
+  reply.peer = id_;
+  for (const BatchKey& k : route.dead_ends) reply.dead_ends.push_back(k.slot);
+  std::vector<uint32_t> slots;
+  slots.reserve(route.mine.size());
+  for (const BatchKey& k : route.mine) {
+    RecordLookupServe();
+    slots.push_back(k.slot);
+  }
+  if (!slots.empty() && LookupRateHot()) {
     // Advertise replica-serve: this peer plus its replica group, capped.
     // Initiators spread subsequent lookups for the partition round-robin
     // across the set, splitting a Zipf hot spot R ways.
-    reply.hot = true;
-    reply.replicas.push_back(id_);
+    reply.hot_path = path_;
+    reply.hot_replicas.push_back(id_);
     for (PeerId r : routing_.replicas()) {
-      if (reply.replicas.size() >= kHotKeyMaxReplicas) break;
-      reply.replicas.push_back(r);
+      if (reply.hot_replicas.size() >= kHotKeyMaxReplicas) break;
+      reply.hot_replicas.push_back(r);
     }
     ++hot_adverts_;
   }
+  // Zero-copy serving: per key, one counting scan sizes the varint prefix
+  // and a second encodes the entries straight into the reply buffer. No
+  // intermediate std::vector<Entry>, no per-entry heap allocation.
   std::string payload = reply.EncodeStreamed(
-      CountEntries(run_scan), [&run_scan](BufferWriter* w) {
-        run_scan([w](const EntryView& e) {
-          e.Encode(w);
-          return true;
+      slots, [this, &route](size_t i, BufferWriter* w) {
+        const Key& key = route.mine[i].key;
+        auto scan = [this, &key](LocalStore::EntryVisitor v) {
+          store_.ScanKey(key, v);
+        };
+        EncodeEntryStream(CountEntries(scan), w, [&scan](BufferWriter* w) {
+          scan([w](const EntryView& e) {
+            e.Encode(w);
+            return true;
+          });
         });
       });
-  rpc_.ReplyTo(req.initiator, request_id, hops, MessageType::kLookupReply,
-               std::move(payload));
-}
-
-void Peer::HandleLookup(const Message& msg) {
-  auto req = LookupRequest::Decode(msg.payload);
-  if (!req.ok() || !KnownPeer(req->initiator)) return;
-  if (IsResponsible(req->key)) {
-    ServeLookup(*req, msg.request_id, msg.hops);
-    return;
-  }
-  if (Forward(msg, req->key) == net::kNoPeer) {
-    LookupReply reply;
-    reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
-    reply.error = "routing dead end at peer " + std::to_string(id_);
-    rpc_.ReplyTo(req->initiator, msg.request_id, msg.hops,
-                 MessageType::kLookupReply, reply.Encode());
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Key-set lookup (DESIGN.md §13)
-// ---------------------------------------------------------------------------
-
-void Peer::LookupBatch(const std::vector<Key>& keys,
-                       LookupBatchCallback callback) {
-  const uint64_t id = next_scan_id_++;
-  LookupBatchState& state = batch_lookups_[id];
-  state.callback = std::move(callback);
-  state.missing.insert(keys.begin(), keys.end());
-  state.budget = RetryBudget(RequestPolicy(kLookupRetryPolicy), NowUs());
-  SendLookupBatch(id);
-}
-
-void Peer::SendLookupBatch(uint64_t request_id) {
-  auto it = batch_lookups_.find(request_id);
-  if (it == batch_lookups_.end()) return;
-  const uint32_t attempt = it->second.attempt;
-  LookupBatchReply local;
-  DispatchLookupBatch({it->second.missing.begin(), it->second.missing.end()},
-                      id_, request_id, 0, &local);
-  OnLookupBatchReply(request_id, std::move(local));
-  // Arm the timeout unless the local answers finished (or retried) it.
-  it = batch_lookups_.find(request_id);
-  if (it == batch_lookups_.end() || it->second.attempt != attempt) return;
-  transport_->scheduler()->ScheduleAfter(
-      options_.request_timeout, id_, id_, [this, request_id, attempt]() {
-        auto it = batch_lookups_.find(request_id);
-        if (it != batch_lookups_.end() && it->second.attempt == attempt) {
-          RetryLookupBatch(request_id);
-        }
-      });
-}
-
-void Peer::DispatchLookupBatch(std::vector<Key> keys, PeerId initiator,
-                               uint64_t request_id, uint32_t hops,
-                               LookupBatchReply* reply) {
-  KeySetRoute<Key> route = RouteKeySet(
-      std::move(keys), hops, [](const Key& key) -> const Key& { return key; });
-  for (Key& key : route.mine) {
-    RecordLookupServe();
-    LookupBatchReply::Answer& answer = reply->answers.emplace_back();
-    answer.key = std::move(key);
-    store_.ScanKey(answer.key, [&answer](const EntryView& e) {
-      answer.entries.push_back(e.ToEntry());
-      return true;
-    });
-  }
-  reply->dead_ends = std::move(route.dead_ends);
-  for (auto& [next, group] : route.next) {
-    LookupBatchRequest sub;
-    sub.initiator = initiator;
-    sub.keys = std::move(group);
-    SendRouted(MessageType::kLookupBatch, next, request_id, hops,
-               sub.Encode());
-  }
-}
-
-void Peer::HandleLookupBatch(const Message& msg) {
-  auto req = LookupBatchRequest::Decode(msg.payload);
-  if (!req.ok() || !KnownPeer(req->initiator)) return;
-  LookupBatchReply reply;
-  DispatchLookupBatch(std::move(req->keys), req->initiator, msg.request_id,
-                      msg.hops, &reply);
-  if (reply.answers.empty() && reply.dead_ends.empty()) return;
   rpc_.ReplyTo(req->initiator, msg.request_id, msg.hops,
-               MessageType::kLookupBatchReply, reply.Encode());
+               MessageType::kLookupReply, std::move(payload));
 }
 
-void Peer::OnLookupBatchReply(uint64_t request_id, LookupBatchReply reply) {
-  auto it = batch_lookups_.find(request_id);
-  if (it == batch_lookups_.end()) return;  // Finished or failed.
-  LookupBatchState& state = it->second;
-  // Late replies of an earlier attempt still answer their keys.
-  for (auto& answer : reply.answers) {
-    if (state.missing.erase(answer.key) == 0) continue;
-    state.dead_ends.erase(answer.key);
-    state.result[answer.key] = std::move(answer.entries);
+void Peer::OnLookupReply(const Message& msg) {
+  auto it = key_set_ops_.find(msg.request_id);
+  if (it == key_set_ops_.end()) return;  // Finished or failed.
+  auto reply = LookupBatchReply::Decode(msg.payload);
+  // A corrupt frame head garbles the peer id; drop the whole reply.
+  if (!reply.ok() || !KnownPeer(reply->peer)) return;
+  KeySetOp& op = it->second;
+  if (op.is_insert()) return;  // Only a lookup's replies name its keys.
+  ObservePeer(reply->peer, /*ok=*/true);
+  UpdateHotOwner(*reply);
+  // Slot states make duplicated replies no-ops; late replies of an
+  // earlier attempt still answer their keys.
+  for (LookupBatchReply::Answer& answer : reply->answers) {
+    if (op.Finish(answer.slot)) {
+      op.results[answer.slot] = {std::move(answer.entries), msg.hops};
+    }
   }
-  for (const Key& key : reply.dead_ends) {
-    if (state.missing.count(key) > 0) state.dead_ends.insert(key);
-  }
-  if (state.missing.empty()) {
-    LookupBatchState done = std::move(state);
-    batch_lookups_.erase(it);
-    done.callback(std::move(done.result));
-    return;
-  }
-  // Nothing is in flight once every missing key hit a dead end.
-  if (state.dead_ends.size() == state.missing.size()) {
-    RetryLookupBatch(request_id);
-  }
-}
-
-void Peer::RetryLookupBatch(uint64_t request_id) {
-  auto it = batch_lookups_.find(request_id);
-  LookupBatchState& state = it->second;
-  ++state.attempt;
-  state.dead_ends.clear();
-  if (!state.budget.Spend(NowUs())) {
-    LookupBatchState failed = std::move(state);
-    batch_lookups_.erase(it);
-    failed.callback(Status::Unavailable(
-        "peer ", id_, ": lookup batch incomplete, ", failed.missing.size(),
-        " of ", failed.missing.size() + failed.result.size(),
-        " keys unanswered"));
-    return;
-  }
-  transport_->CountRetry(kLookupRetryPolicy);
-  RetryAfter(state.budget.NextDelayUs(&rng_),
-             [this, request_id]() { SendLookupBatch(request_id); });
+  for (uint32_t slot : reply->dead_ends) op.DeadEnd(slot);
+  SettleKeySet(msg.request_id);
 }
 
 // ---------------------------------------------------------------------------
@@ -660,45 +629,33 @@ void Peer::InsertBatch(std::vector<Entry> entries, StatusCallback callback) {
     callback(Status::OK());
     return;
   }
-  const uint64_t id = next_scan_id_++;
-  BulkState& state = bulk_inserts_[id];
-  state.callback = std::move(callback);
-  state.slots.assign(entries.size(), SlotState::kPending);
-  state.missing = entries.size();
-  state.entries = std::move(entries);
-  state.budget = RetryBudget(RequestPolicy(kBulkRetryPolicy), NowUs());
-  SendBulkInsert(id);
+  KeySetOp op;
+  op.entries = std::move(entries);
+  op.callback = [callback = std::move(callback)](
+                    Result<std::vector<LookupResult>> results) {
+    callback(results.status());
+  };
+  StartKeySet(std::move(op));
 }
 
-void Peer::SendBulkInsert(uint64_t request_id) {
-  auto it = bulk_inserts_.find(request_id);
-  if (it == bulk_inserts_.end()) return;
-  const BulkState& state = it->second;
-  const uint32_t attempt = state.attempt;
+void Peer::SendInsertAttempt(uint64_t request_id, KeySetOp& op) {
   std::vector<BatchEntry> unstored;
-  unstored.reserve(state.missing);
-  for (size_t slot = 0; slot < state.slots.size(); ++slot) {
-    if (state.slots[slot] == SlotState::kStored) continue;
-    unstored.push_back({static_cast<uint32_t>(slot), state.entries[slot]});
+  unstored.reserve(op.missing);
+  for (uint32_t slot = 0; slot < op.slots.size(); ++slot) {
+    if (op.slots[slot] == SlotState::kDone) continue;
+    unstored.push_back({slot, op.entries[slot]});
   }
   BulkInsertReply local;
-  DispatchBulkInsert(std::move(unstored), id_, request_id, 0, &local);
-  OnBulkInsertReply(request_id, local);
-  // Arm the timeout unless the local stores finished (or retried) it.
-  it = bulk_inserts_.find(request_id);
-  if (it == bulk_inserts_.end() || it->second.attempt != attempt) return;
-  transport_->scheduler()->ScheduleAfter(
-      options_.request_timeout, id_, id_, [this, request_id, attempt]() {
-        auto it = bulk_inserts_.find(request_id);
-        if (it != bulk_inserts_.end() && it->second.attempt == attempt) {
-          RetryBulkInsert(request_id);
-        }
-      });
+  DispatchBulkInsert(std::move(unstored), id_, request_id, 0, &local,
+                     &op.first_hops);
+  for (uint32_t slot : local.stored) op.Finish(slot);
+  for (uint32_t slot : local.dead_ends) op.DeadEnd(slot);
 }
 
 void Peer::DispatchBulkInsert(std::vector<BatchEntry> entries,
                               PeerId initiator, uint64_t request_id,
-                              uint32_t hops, BulkInsertReply* reply) {
+                              uint32_t hops, BulkInsertReply* reply,
+                              std::vector<PeerId>* first_hops) {
   KeySetRoute<BatchEntry> route = RouteKeySet(
       std::move(entries), hops,
       [](const BatchEntry& e) -> const Key& { return e.entry.key; });
@@ -716,6 +673,9 @@ void Peer::DispatchBulkInsert(std::vector<BatchEntry> entries,
     reply->dead_ends.push_back(e.slot);
   }
   for (auto& [next, group] : route.next) {
+    if (first_hops != nullptr) {
+      for (const BatchEntry& e : group) (*first_hops)[e.slot] = next;
+    }
     // Sub-batches of at most chunk_bytes of entries, at least one each.
     BulkInsertRequest sub;
     sub.initiator = initiator;
@@ -763,59 +723,18 @@ void Peer::HandleBulkInsert(const Message& msg) {
 
 void Peer::OnBulkInsertReply(uint64_t request_id,
                              const BulkInsertReply& reply) {
-  auto it = bulk_inserts_.find(request_id);
-  if (it == bulk_inserts_.end()) return;  // Finished or failed.
-  BulkState& state = it->second;
+  auto it = key_set_ops_.find(request_id);
+  if (it == key_set_ops_.end()) return;  // Finished or failed.
+  KeySetOp& op = it->second;
   // A corrupt frame head garbles the peer id; drop the whole reply.
   if (!KnownPeer(reply.peer)) return;
+  if (!op.is_insert()) return;  // Only an insert's replies name entries.
+  ObservePeer(reply.peer, /*ok=*/true);
   // Slot states make duplicated replies (and duplicated forwards) no-ops;
   // late replies of an earlier attempt still store their entries.
-  for (uint32_t slot : reply.stored) {
-    if (slot >= state.slots.size()) continue;
-    SlotState& s = state.slots[slot];
-    if (s == SlotState::kStored) continue;
-    if (s == SlotState::kDeadEnd) --state.dead_ends;
-    s = SlotState::kStored;
-    --state.missing;
-  }
-  for (uint32_t slot : reply.dead_ends) {
-    if (slot >= state.slots.size()) continue;
-    SlotState& s = state.slots[slot];
-    if (s != SlotState::kPending) continue;
-    s = SlotState::kDeadEnd;
-    ++state.dead_ends;
-  }
-  if (state.missing == 0) {
-    StatusCallback callback = std::move(state.callback);
-    bulk_inserts_.erase(it);
-    callback(Status::OK());
-    return;
-  }
-  // Nothing is in flight once every missing entry hit a dead end.
-  if (state.dead_ends == state.missing) RetryBulkInsert(request_id);
-}
-
-void Peer::RetryBulkInsert(uint64_t request_id) {
-  auto it = bulk_inserts_.find(request_id);
-  BulkState& state = it->second;
-  ++state.attempt;
-  for (SlotState& s : state.slots) {
-    if (s == SlotState::kDeadEnd) s = SlotState::kPending;
-  }
-  const size_t dead_ends = state.dead_ends;
-  state.dead_ends = 0;
-  if (!state.budget.Spend(NowUs())) {
-    BulkState failed = std::move(state);
-    bulk_inserts_.erase(it);
-    failed.callback(Status::Unavailable(
-        "peer ", id_, ": batch insert incomplete, ", failed.missing, " of ",
-        failed.entries.size(), " entries unstored (", dead_ends,
-        " dead ends)"));
-    return;
-  }
-  transport_->CountRetry(kBulkRetryPolicy);
-  RetryAfter(state.budget.NextDelayUs(&rng_),
-             [this, request_id]() { SendBulkInsert(request_id); });
+  for (uint32_t slot : reply.stored) op.Finish(slot);
+  for (uint32_t slot : reply.dead_ends) op.DeadEnd(slot);
+  SettleKeySet(request_id);
 }
 
 // ---------------------------------------------------------------------------
@@ -1868,14 +1787,9 @@ void Peer::FailInFlight(const Status& status) {
   for (auto& [id, st] : shower) {
     if (st.callback) st.callback(status);
   }
-  auto bulk = std::move(bulk_inserts_);
-  bulk_inserts_.clear();
-  for (auto& [id, st] : bulk) {
-    if (st.callback) st.callback(status);
-  }
-  auto batches = std::move(batch_lookups_);
-  batch_lookups_.clear();
-  for (auto& [id, st] : batches) {
+  auto key_sets = std::move(key_set_ops_);
+  key_set_ops_.clear();
+  for (auto& [id, st] : key_sets) {
     if (st.callback) st.callback(status);
   }
   auto repairs = std::move(repairs_);

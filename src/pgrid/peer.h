@@ -6,7 +6,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,8 +60,7 @@ struct PeerOptions {
   /// split deeper — [Aberer VLDB'05]).
   size_t split_threshold = 256;
 
-  /// Deadline of a single routed lookup, and of each attempt of a key-set
-  /// lookup or batch insert.
+  /// Deadline of each attempt of a key-set lookup or batch insert.
   sim::SimTime request_timeout = 5 * sim::kMicrosPerSecond;
 
   /// Retries of a failed lookup/insert at the initiator.
@@ -148,12 +146,17 @@ struct PeerOptions {
   LocalStoreOptions storage;
 };
 
+/// How a lookup selects entries: only exact-key lookups exist. The
+/// parameter of Peer::Lookup stays for the benchmark harness, which passes
+/// it; it goes with the next change to the benchmark.
+enum class LookupMode : uint8_t {
+  kExact = 0,  ///< Entries whose key equals the requested key.
+};
+
 /// Result of a lookup operation.
 struct LookupResult {
   std::vector<Entry> entries;
-  uint32_t hops = 0;      ///< Overlay hops from initiator to owner.
-  PeerId owner = net::kNoPeer;
-  std::string owner_path;
+  uint32_t hops = 0;  ///< Overlay hops from initiator to the serving peer.
 };
 
 /// Result of a key-set lookup: the entries stored under each distinct
@@ -222,18 +225,19 @@ class Peer {
 
   // --- Asynchronous client API -------------------------------------------
 
-  /// Routes to the owner of `key` and returns the matching entries.
+  /// Returns the entries stored under `key`: a LookupBatch of one key.
   void Lookup(const Key& key, LookupMode mode, LookupCallback callback);
 
-  /// \brief Exact-mode lookup of a key set (DESIGN.md §13).
+  /// \brief Exact lookup of a key set (DESIGN.md §13).
   ///
-  /// The keys travel as LookupBatch messages that the key-set router
-  /// splits at every peer, one next hop per routing level, like
-  /// InsertBatch; each peer serving keys or hitting a dead end answers
-  /// the initiator, forwarders stay silent. Keys still unanswered after
-  /// `request_timeout` (or all dead-ended) retry as a smaller batch under
-  /// the "lookup" retry budget; when it runs out the callback gets
-  /// Unavailable naming the number of missing keys.
+  /// The keys travel as Lookup messages that the key-set router splits at
+  /// every peer, one next hop per routing level, like InsertBatch; each
+  /// peer serving keys or hitting a dead end answers the initiator,
+  /// forwarders stay silent. Keys under a live hot-key advertisement go
+  /// one hop to the advertised replica instead (DESIGN.md §8). Keys still
+  /// unanswered after `request_timeout` (or all dead-ended) retry as a
+  /// smaller batch under the "lookup" retry budget; when it runs out the
+  /// callback gets Unavailable naming the number of missing keys.
   /// Duplicate keys collapse; an empty set completes at once.
   void LookupBatch(const std::vector<Key>& keys,
                    LookupBatchCallback callback);
@@ -350,9 +354,13 @@ class Peer {
   /// Lookup replies that carried a hot-partition advertisement.
   uint64_t hot_adverts() const { return hot_adverts_; }
 
-  /// Lookups this peer, as initiator, sent straight to a round-robin
+  /// Lookup keys this peer, as initiator, sent straight to a round-robin
   /// replica instead of routing to the owner.
   uint64_t fanout_redirects() const { return fanout_redirects_; }
+
+  /// Lookups and batch inserts this peer initiated that have not
+  /// completed yet (tests).
+  size_t key_sets_in_flight() const { return key_set_ops_.size(); }
 
   // --- Replica repair observability (DESIGN.md §9) -----------------------
 
@@ -411,8 +419,6 @@ class Peer {
   void OnMessage(const net::Message& msg);
 
   // Client ops with retry budget (common/retry_policy.h).
-  void DoLookup(const Key& key, LookupMode mode, RetryBudget budget,
-                LookupCallback callback);
   void DoInitiateExchange(PeerId other, uint32_t ttl, StatusCallback callback);
 
   // Retry plumbing: the per-protocol policy built from the options, the
@@ -433,7 +439,7 @@ class Peer {
   // next hop, or kNoPeer if no reference is available (routing dead end).
   PeerId Forward(const net::Message& msg, const Key& key);
 
-  // The key-set router (DESIGN.md §13) of LookupBatch and InsertBatch:
+  // The key-set router (DESIGN.md §13) of lookups and batch inserts:
   // splits items that arrived after `hops` hops into the ones this peer
   // serves, one group per next hop (one NextHop draw per routing level),
   // and dead ends (no reference, or the 2·kKeyBits hop cap of Forward).
@@ -452,9 +458,8 @@ class Peer {
 
   // Request handlers (invoked for messages, and locally by client ops when
   // this peer is already responsible).
-  void HandleLookup(const net::Message& msg);
+  void HandleKeySetLookup(const net::Message& msg);
   void HandleBulkInsert(const net::Message& msg);
-  void HandleLookupBatch(const net::Message& msg);
   void HandleRangeSeq(const net::Message& msg);
   void HandleRangeShower(const net::Message& msg);
   void HandleExchange(const net::Message& msg);
@@ -470,8 +475,8 @@ class Peer {
   // backends get the per-peer data_dir suffix) — shared by the
   // constructor and Restart so both open the same directory.
   LocalStoreOptions ResolvedStorage() const;
-  // Fails every in-flight initiator-side operation (scans, bulk inserts,
-  // repairs) with `status`; their per-request state is dropped.
+  // Fails every in-flight initiator-side operation (scans, lookups, bulk
+  // inserts, repairs) with `status`; their per-request state is dropped.
   void FailInFlight(const Status& status);
   // Periodic re-protection guard: probe linked replicas, confirm
   // failures, recruit when the group is under target.
@@ -497,14 +502,12 @@ class Peer {
   // and this peer has replicas to advertise.
   bool LookupRateHot() const;
   // Initiator side: folds a reply's advertisement into `hot_owners_`.
-  void UpdateHotOwner(const LookupReply& reply);
+  void UpdateHotOwner(const LookupBatchReply& reply);
   // Initiator side: next round-robin replica for `key` under a live
   // advertisement, or kNoPeer to use normal routing.
   PeerId PickHotReplica(const Key& key);
 
   // Shared protocol steps.
-  void ServeLookup(const LookupRequest& req, uint64_t request_id,
-                   uint32_t hops);
   void ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
                        uint32_t hops);
   void ProcessRangeShower(const RangeShowerRequest& req, uint64_t request_id,
@@ -527,34 +530,77 @@ class Peer {
                  PeerId sender);
   void AddPeerByPath(PeerId peer, const Key& peer_path);
 
+  // Initiator-side state of an in-flight key-set operation, keyed by
+  // request id: a lookup of `keys` or a batch insert of `entries`. A slot
+  // is a key of `keys` or an entry of `entries`.
+  enum class SlotState : uint8_t { kPending, kDeadEnd, kDone };
+  struct KeySetOp {
+    std::vector<Key> keys;       ///< A lookup's distinct keys.
+    std::vector<Entry> entries;  ///< An insert's batch.
+    /// Gets `results` (empty for an insert), or the failure.
+    std::function<void(Result<std::vector<LookupResult>>)> callback;
+    std::vector<LookupResult> results;  ///< A lookup's answers, per slot.
+    std::vector<SlotState> slots;
+    /// Per slot, the peer this attempt sent it to (kNoPeer when served
+    /// here or dead-ended).
+    std::vector<PeerId> first_hops;
+    size_t missing = 0;    ///< Slots no reply finished yet.
+    size_t dead_ends = 0;  ///< Missing slots this attempt could not route.
+    RetryBudget budget;
+    uint32_t attempt = 0;  ///< Retires the timeouts of earlier attempts.
+
+    bool is_insert() const { return !entries.empty(); }
+    /// Marks `slot` done; false when it is out of range or already done.
+    bool Finish(uint32_t slot) {
+      if (slot >= slots.size() || slots[slot] == SlotState::kDone) {
+        return false;
+      }
+      if (slots[slot] == SlotState::kDeadEnd) --dead_ends;
+      slots[slot] = SlotState::kDone;
+      --missing;
+      return true;
+    }
+    /// Marks a still-pending `slot` as dead-ended.
+    void DeadEnd(uint32_t slot) {
+      if (slot >= slots.size() || slots[slot] != SlotState::kPending) return;
+      slots[slot] = SlotState::kDeadEnd;
+      ++dead_ends;
+    }
+  };
+
+  // Key-set operations (DESIGN.md §13): the initiator's side of a lookup
+  // or a batch insert. Start sizes the slot state and sends the first
+  // attempt; each attempt serves or stores what this peer owns and sends
+  // the rest (the kind's Send*Attempt), replies finish slots, and Settle
+  // completes the operation or retries it once every missing slot dead-
+  // ended. A timed-out attempt suspects the first hops of the slots no
+  // reply named, then retries.
+  void StartKeySet(KeySetOp op);
+  void SendKeySet(uint64_t request_id);
+  void SendLookupAttempt(uint64_t request_id, KeySetOp& op);
+  void SendInsertAttempt(uint64_t request_id, KeySetOp& op);
+  void SettleKeySet(uint64_t request_id);
+  void RetryKeySet(uint64_t request_id);
+  void OnLookupReply(const net::Message& msg);
+  void OnBulkInsertReply(uint64_t request_id, const BulkInsertReply& reply);
+
   // Batch inserts: stores the entries of `entries` this peer is
   // responsible for (StoreAndReplicate) and lists their slots in `reply`,
-  // forwards the rest in chunk_bytes sub-batches under `request_id`, and
-  // lists the unroutable ones as dead ends.
+  // forwards the rest in chunk_bytes sub-batches under `request_id`
+  // (noting each slot's next hop in `first_hops` when given), and lists
+  // the unroutable ones as dead ends.
   void DispatchBulkInsert(std::vector<BatchEntry> entries, PeerId initiator,
                           uint64_t request_id, uint32_t hops,
-                          BulkInsertReply* reply);
+                          BulkInsertReply* reply,
+                          std::vector<PeerId>* first_hops = nullptr);
   // Stores a group this peer serves — one entry through the memtable,
   // more as one run — and pushes the entries that changed the store to
   // the replicas.
   void StoreAndReplicate(std::vector<Entry> entries);
-  // Initiator side: sends every still-unstored entry of the batch, folds
-  // in each storing peer's reply, and retries what is missing.
-  void SendBulkInsert(uint64_t request_id);
-  void OnBulkInsertReply(uint64_t request_id, const BulkInsertReply& reply);
-  void RetryBulkInsert(uint64_t request_id);
-
-  // Key-set lookups (DESIGN.md §13): serves the keys of `keys` this peer
-  // is responsible for into `reply`, forwards the rest grouped by next hop
-  // under `request_id`, and lists the unroutable ones as dead ends.
-  void DispatchLookupBatch(std::vector<Key> keys, PeerId initiator,
-                           uint64_t request_id, uint32_t hops,
-                           LookupBatchReply* reply);
-  // Initiator side: sends every still-missing key of the batch, folds in
-  // each answering peer's reply, and retries what is missing.
-  void SendLookupBatch(uint64_t request_id);
-  void OnLookupBatchReply(uint64_t request_id, LookupBatchReply reply);
-  void RetryLookupBatch(uint64_t request_id);
+  // Key-set lookups: sends one request per next hop of `next` under
+  // `request_id`.
+  void ForwardLookup(std::map<PeerId, std::vector<BatchKey>> next,
+                     PeerId initiator, uint64_t request_id, uint32_t hops);
 
   // Replica maintenance.
   // Pushes `entries` to up to gossip_fanout replicas outside `informed`
@@ -629,29 +675,8 @@ class Peer {
   std::map<uint64_t, ScanState> seq_scans_;
   std::map<uint64_t, ScanState> shower_scans_;
 
-  // Initiator-side state of in-flight batch inserts, keyed by request id.
-  enum class SlotState : uint8_t { kPending, kDeadEnd, kStored };
-  struct BulkState {
-    StatusCallback callback;
-    std::vector<Entry> entries;    ///< The batch; retained for retries.
-    std::vector<SlotState> slots;  ///< One per entry of `entries`.
-    size_t missing = 0;    ///< Entries no reply stored yet.
-    size_t dead_ends = 0;  ///< Missing entries this attempt could not route.
-    RetryBudget budget;
-    uint32_t attempt = 0;  ///< Retires the timeouts of earlier attempts.
-  };
-  std::map<uint64_t, BulkState> bulk_inserts_;
-
-  // Initiator-side state of in-flight key-set lookups, keyed by request id.
-  struct LookupBatchState {
-    LookupBatchCallback callback;
-    LookupBatchResult result;  ///< Answered keys.
-    std::set<Key> missing;     ///< Keys no reply answered yet.
-    std::set<Key> dead_ends;   ///< Missing keys this attempt could not route.
-    RetryBudget budget;
-    uint32_t attempt = 0;      ///< Retires the timeouts of earlier attempts.
-  };
-  std::map<uint64_t, LookupBatchState> batch_lookups_;
+  // In-flight key-set operations (lookups and batch inserts).
+  std::map<uint64_t, KeySetOp> key_set_ops_;
 
   // Repairer-side state of one in-flight PullFromReplica (DESIGN.md §9).
   struct RepairState {

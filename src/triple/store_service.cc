@@ -94,21 +94,6 @@ void TripleStore::GetByAttrValue(const std::string& attribute,
 void TripleStore::GetByKeys(const std::vector<pgrid::Key>& keys,
                             KeyTriplesCallback callback) {
   auto keep_all = [](const Triple&) { return true; };
-  if (keys.size() == 1) {
-    peer_->Lookup(keys[0], pgrid::LookupMode::kExact,
-                  [key = keys[0], keep_all,
-                   callback](const Result<pgrid::LookupResult>& result) {
-                    if (!result.ok()) {
-                      callback(result.status());
-                      return;
-                    }
-                    KeyTriples out;
-                    out.emplace(key,
-                                FilterDedupTriples(result->entries, keep_all));
-                    callback(std::move(out));
-                  });
-    return;
-  }
   peer_->LookupBatch(keys, [keep_all, callback](
                                const Result<pgrid::LookupBatchResult>& result) {
     if (!result.ok()) {

@@ -103,7 +103,7 @@ class TripleStore {
   /// strings that share their first pgrid::kCharsPerKey characters share
   /// the key, so the caller picks out the triples it wants (the executor's
   /// probe joins memoize one answer per key). The keys travel as one
-  /// pgrid::Peer::LookupBatch walk; a single key is one plain lookup.
+  /// pgrid::Peer::LookupBatch walk.
   void GetByKeys(const std::vector<pgrid::Key>& keys,
                  KeyTriplesCallback callback);
 

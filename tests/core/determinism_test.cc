@@ -544,7 +544,7 @@ TEST(DeterminismTest, SkylineByteIdenticalAcrossEngines) {
   auto reference =
       RunSkylineScenario(ClusterOptions::Engine::kSingleThread, 1, 1);
   // The skyline answered through batched probes.
-  EXPECT_NE(reference.trace.find("LookupBatch"), std::string::npos);
+  EXPECT_NE(reference.trace.find(" Lookup req="), std::string::npos);
   EXPECT_NE(reference.ops.find("batches=1"), std::string::npos)
       << reference.ops;
   EXPECT_EQ(reference.ops.find("Unavailable", reference.ops.find("skyline")),

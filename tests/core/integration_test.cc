@@ -303,7 +303,7 @@ uint64_t MessagesOfType(const net::TrafficStats& traffic,
 
 TEST(IntegrationTest, ProbeJoinBatchesKeys) {
   // The age scan binds every author; the name probe then looks all their
-  // OIDs up in one key-set lookup instead of one routed Lookup per key.
+  // OIDs up in one key-set lookup instead of one single-key lookup per key.
   TestCluster tc;
   tc.Load(SmallDataset());
   plan::PlannerOptions options;
@@ -329,11 +329,9 @@ TEST(IntegrationTest, ProbeJoinBatchesKeys) {
                         expected),
               join->result.trace.end())
         << "via " << via;
-    EXPECT_EQ(MessagesOfType(join->traffic, net::MessageType::kLookup), 0u)
-        << "via " << via;
     batch_messages +=
-        MessagesOfType(join->traffic, net::MessageType::kLookupBatch) +
-        MessagesOfType(join->traffic, net::MessageType::kLookupBatchReply);
+        MessagesOfType(join->traffic, net::MessageType::kLookup) +
+        MessagesOfType(join->traffic, net::MessageType::kLookupReply);
     for (const std::string& oid : oids) {
       const net::TrafficStats before = tc.cluster->overlay().transport().stats();
       ASSERT_TRUE(

@@ -209,6 +209,68 @@ TEST(HotKeyFanoutTest, SkewedLookupsSpreadAcrossReplicaGroup) {
       << "fan-out failed to spread load off the single owner";
 }
 
+// A skewed run that makes one partition hot, then one key-set lookup over
+// keys inside and outside it: its rows and the redirects it made.
+struct HotBatchRun {
+  pgrid::LookupBatchResult rows;
+  uint64_t redirects = 0;
+};
+
+HotBatchRun RunHotBatch(double hot_key_qps_threshold) {
+  pgrid::OverlayOptions options;
+  options.seed = 618;
+  options.replication = 3;
+  options.peer.hot_key_qps_threshold = hot_key_qps_threshold;
+  pgrid::Overlay overlay(options);
+  overlay.AddPeers(24);
+  overlay.BuildBalanced();
+
+  std::vector<pgrid::Key> keys;
+  for (const std::string value :
+       {"the-hot-value", "the-hot-value-1", "the-hot-value-2", "!cold-value",
+        "\xF0" "cold-value"}) {
+    pgrid::Entry e;
+    e.key = pgrid::OpHash(value);
+    e.id = value + "-id";
+    e.payload = value;
+    overlay.InsertDirect(e);
+    keys.push_back(e.key);
+  }
+  const auto owners = overlay.ResponsiblePeers(keys[0]);
+  EXPECT_EQ(overlay.ResponsiblePeers(keys[1]), owners);
+  EXPECT_EQ(overlay.ResponsiblePeers(keys[2]), owners);
+  EXPECT_NE(overlay.ResponsiblePeers(keys[3]), owners);
+  EXPECT_NE(overlay.ResponsiblePeers(keys[4]), owners);
+  net::PeerId initiator = 0;
+  while (std::find(owners.begin(), owners.end(), initiator) != owners.end()) {
+    ++initiator;
+  }
+  for (int i = 0; i < 300; ++i) {
+    EXPECT_TRUE(overlay.LookupSync(initiator, keys[0]).ok());
+  }
+  HotBatchRun run;
+  const uint64_t before = overlay.peer(initiator)->fanout_redirects();
+  auto batch = overlay.LookupBatchSync(initiator, keys);
+  EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+  if (batch.ok()) run.rows = std::move(*batch);
+  run.redirects = overlay.peer(initiator)->fanout_redirects() - before;
+  return run;
+}
+
+TEST(HotKeyFanoutTest, BatchKeysUnderAnAdvertAreRedirected) {
+  const HotBatchRun on = RunHotBatch(/*hot_key_qps_threshold=*/50);
+  const HotBatchRun off = RunHotBatch(/*hot_key_qps_threshold=*/0);
+  // The three keys of the hot partition went to a replica; the cold keys
+  // were routed.
+  EXPECT_EQ(on.redirects, 3u);
+  EXPECT_EQ(off.redirects, 0u);
+  ASSERT_EQ(on.rows.size(), 5u);
+  EXPECT_EQ(on.rows, off.rows);
+  for (const auto& [key, entries] : on.rows) {
+    EXPECT_EQ(entries.size(), 1u) << key.ToString();
+  }
+}
+
 TEST(HotKeyFanoutTest, DisabledThresholdNeverAdvertises) {
   pgrid::OverlayOptions options;
   options.seed = 617;

@@ -24,7 +24,6 @@ TEST(MessageTest, TypeNamesAreUniqueAndNonEmpty) {
       MessageType::kPing,          MessageType::kPong,
       MessageType::kLookup,        MessageType::kLookupReply,
       MessageType::kBulkInsert,    MessageType::kBulkInsertReply,
-      MessageType::kLookupBatch,   MessageType::kLookupBatchReply,
       MessageType::kRangeSeq,      MessageType::kRangeSeqReply,
       MessageType::kRangeShower,   MessageType::kRangeShowerReply,
       MessageType::kExchange,      MessageType::kExchangeReply,

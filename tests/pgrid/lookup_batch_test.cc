@@ -1,7 +1,8 @@
-// Key-set lookups (Peer::LookupBatch): per-key answers equal single
-// lookups, the batch costs fewer messages than the single lookups it
-// replaces, and missing keys retry as a smaller batch until the lookup
-// retry budget runs out.
+// Key-set lookups (Peer::LookupBatch): per-key answers equal what the
+// responsible peers store, the batch costs fewer messages than the
+// single-key lookups it replaces, missing keys retry as a smaller batch
+// until the lookup retry budget runs out, and timed-out attempts suspect
+// their first hops.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -33,11 +34,13 @@ Key TestKey(size_t i) {
 // the first `stored` test keys, two under every third) at every
 // responsible peer, without routing.
 std::unique_ptr<Overlay> MakeOverlay(uint64_t seed, size_t stored,
-                                     net::FaultSchedule faults = {}) {
+                                     net::FaultSchedule faults = {},
+                                     PeerOptions peer = {}) {
   OverlayOptions options;
   options.seed = seed;
   options.replication = 2;
   options.fault_schedule = std::move(faults);
+  options.peer = peer;
   auto overlay = std::make_unique<Overlay>(options);
   overlay->AddPeers(kPeers);
   overlay->BuildBalanced();
@@ -69,6 +72,22 @@ uint64_t MessagesSince(Overlay& overlay, const net::TrafficStats& before) {
   return overlay.transport().stats().Since(before).messages_sent;
 }
 
+// What the responsible peers store under `key`, read straight from their
+// stores; MakeOverlay applies every entry at each of them, so they agree.
+std::vector<Entry> StoredUnder(Overlay& overlay, const Key& key) {
+  std::vector<std::vector<Entry>> copies;
+  for (net::PeerId p : overlay.ResponsiblePeers(key)) {
+    std::vector<Entry>& entries = copies.emplace_back();
+    overlay.peer(p)->store().ScanKey(key, [&entries](const EntryView& e) {
+      entries.push_back(e.ToEntry());
+      return true;
+    });
+  }
+  EXPECT_FALSE(copies.empty());
+  for (const auto& copy : copies) EXPECT_EQ(copy, copies.front());
+  return copies.empty() ? std::vector<Entry>{} : copies.front();
+}
+
 TEST(LookupBatchTest, PerKeyResultsEqualSingleLookups) {
   auto overlay = MakeOverlay(/*seed=*/101, /*stored=*/300);
   Rng rng(7);
@@ -87,11 +106,9 @@ TEST(LookupBatchTest, PerKeyResultsEqualSingleLookups) {
     ASSERT_EQ(batch->size(), distinct.size()) << "via " << via;
     size_t found = 0;
     for (const Key& key : distinct) {
-      auto single = overlay->LookupSync(via, key);
-      ASSERT_TRUE(single.ok()) << single.status().ToString();
       auto it = batch->find(key);
       ASSERT_NE(it, batch->end());
-      EXPECT_EQ(it->second, single->entries) << "via " << via;
+      EXPECT_EQ(it->second, StoredUnder(*overlay, key)) << "via " << via;
       found += it->second.empty() ? 0 : 1;
     }
     EXPECT_GT(found, 0u);
@@ -180,10 +197,57 @@ TEST(LookupBatchTest, ExhaustedBudgetNamesMissingKeys) {
             static_cast<uint64_t>(overlay->peer(via)->options().request_retries));
 }
 
+// The peers `via` suspects, each checked to be one of its routing
+// references (a first hop of its requests).
+size_t SuspectedRefs(Overlay& overlay, net::PeerId via) {
+  const Peer& peer = *overlay.peer(via);
+  std::set<net::PeerId> refs;
+  for (size_t level = 0; level < peer.path().size(); ++level) {
+    for (net::PeerId ref : peer.routing().RefsAt(level)) refs.insert(ref);
+  }
+  size_t suspected = 0;
+  for (net::PeerId p = 0; p < kPeers; ++p) {
+    if (!peer.IsSuspected(p)) continue;
+    EXPECT_EQ(refs.count(p), 1u) << "suspected non-reference " << p;
+    ++suspected;
+  }
+  return suspected;
+}
+
+TEST(LookupBatchTest, TimedOutAttemptsSuspectTheirFirstHops) {
+  // Every message `via` sends is lost, and there are no retries: each
+  // operation is one timed-out attempt, which must suspect the peers it
+  // sent to (DESIGN.md §10).
+  const net::PeerId via = 3;
+  net::FaultSchedule faults;
+  faults.Partition(0, net::kFaultForever, via, net::kAnyPeer);
+  PeerOptions peer;
+  peer.suspicion_ttl = 600 * sim::kMicrosPerSecond;
+  peer.request_retries = 0;
+
+  auto inserts = MakeOverlay(/*seed=*/107, /*stored=*/0, faults, peer);
+  Entry e;
+  e.key = KeysOwnedBy(*inserts->peer(via), /*owned=*/false, 1)[0];
+  e.id = "lost";
+  ASSERT_FALSE(inserts->InsertBatchSync(via, {e}).ok());
+  EXPECT_EQ(SuspectedRefs(*inserts, via), 1u);
+
+  auto lookups = MakeOverlay(/*seed=*/107, /*stored=*/0, faults, peer);
+  const std::vector<Key> keys =
+      KeysOwnedBy(*lookups->peer(via), /*owned=*/false, 8);
+  // One first hop per routing level the keys leave the initiator's path at.
+  std::set<size_t> levels;
+  for (const Key& key : keys) {
+    levels.insert(lookups->peer(via)->path().CommonPrefixLength(key));
+  }
+  ASSERT_FALSE(lookups->LookupBatchSync(via, keys).ok());
+  EXPECT_EQ(SuspectedRefs(*lookups, via), levels.size());
+}
+
 TEST(LookupBatchTest, GarbageBatchPayloadIsDropped) {
   auto overlay = MakeOverlay(/*seed=*/106, /*stored=*/20);
   for (net::MessageType type :
-       {net::MessageType::kLookupBatch, net::MessageType::kLookupBatchReply}) {
+       {net::MessageType::kLookup, net::MessageType::kLookupReply}) {
     net::Message m;
     m.type = type;
     m.src = 0;

@@ -68,17 +68,35 @@ TEST_F(RobustnessTest, UnknownMessageTypeIsIgnored) {
 }
 
 TEST_F(RobustnessTest, DuplicateRepliesAreIgnored) {
-  // A reply with a stale request id must not confuse the RPC layer.
-  net::Message m;
-  m.type = net::MessageType::kLookupReply;
-  m.src = 5;
-  m.dst = 0;
-  m.request_id = 424242;  // Never issued.
-  LookupReply reply;
-  reply.owner = 5;
-  m.payload = reply.Encode();
-  overlay_->transport().Send(std::move(m));
+  // A lookup completes once; stale replies naming its request id (and ids
+  // never issued) then leave no state behind and fire no callback.
+  Key foreign = overlay_->peer(0)->path().Sibling().PadTo(kKeyBits, false);
+  int callbacks = 0;
+  overlay_->peer(0)->Lookup(foreign, LookupMode::kExact,
+                            [&callbacks](Result<LookupResult> r) {
+                              EXPECT_TRUE(r.ok()) << r.status().ToString();
+                              ++callbacks;
+                            });
   overlay_->simulation().RunUntilIdle();
+  ASSERT_EQ(callbacks, 1);
+  LookupBatchReply reply;
+  reply.peer = 5;
+  LookupBatchReply::Answer& answer = reply.answers.emplace_back();
+  answer.slot = 0;
+  answer.entries.push_back(Entry{foreign, "stale", "x", 1, false});
+  reply.dead_ends = {0};
+  for (uint64_t request_id = 1; request_id <= 64; ++request_id) {
+    net::Message m;
+    m.type = net::MessageType::kLookupReply;
+    m.src = 5;
+    m.dst = 0;
+    m.request_id = request_id;
+    m.payload = reply.Encode();
+    overlay_->transport().Send(std::move(m));
+  }
+  overlay_->simulation().RunUntilIdle();
+  EXPECT_EQ(callbacks, 1);
+  EXPECT_EQ(overlay_->peer(0)->key_sets_in_flight(), 0u);
   EXPECT_EQ(overlay_->peer(0)->rpc().pending_count(), 0u);
 }
 

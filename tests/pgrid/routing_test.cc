@@ -128,24 +128,6 @@ TEST(OverlayTest, InsertLandsOnResponsiblePeer) {
   EXPECT_TRUE(found);
 }
 
-TEST(OverlayTest, PrefixLookupReturnsAllMatching) {
-  Overlay overlay;
-  overlay.AddPeers(4);
-  overlay.BuildBalanced();
-  for (int i = 0; i < 5; ++i) {
-    Entry e = MakeDataEntry("icde-conference-" + std::to_string(i),
-                            "p" + std::to_string(i));
-    ASSERT_TRUE(overlay.InsertSync(0, e).ok());
-  }
-  // Prefix lookups use the unpadded bit prefix of the search string (a
-  // zero-padded full-width key would not be a bit-prefix of longer keys).
-  Key prefix =
-      OpHash("icde-conference").Prefix(15 * kBitsPerRank);
-  auto result = overlay.LookupSync(1, prefix, LookupMode::kPrefix);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->entries.size(), 5u);
-}
-
 // Property sweep (claim C1): across network sizes, every lookup reaches the
 // owner and hop counts stay within the trie depth.
 class RoutingScaling : public ::testing::TestWithParam<size_t> {};
