@@ -217,11 +217,6 @@ void Cluster::SetEnvelopeOptions(const exec::EnvelopeOptions& options) {
 Cluster::HotPathStats Cluster::AggregateHotPathStats() {
   HotPathStats stats;
   for (auto& n : nodes_) {
-    const exec::ResultCacheStats& c = n->service().result_cache().stats();
-    stats.cache_hits += c.hits;
-    stats.cache_misses += c.misses;
-    stats.cache_invalidations += c.invalidations;
-    stats.cache_probes += c.probes;
     stats.sheds += n->service().sheds();
     stats.deferred_relaunches += n->service().deferred_relaunches();
     stats.lookups_served += n->peer()->lookups_served();

@@ -122,13 +122,9 @@ class Cluster {
   void SetEnvelopeOptions(const exec::EnvelopeOptions& options);
 
   /// Cluster-wide hot-path serving-layer counters (DESIGN.md §8), summed
-  /// over every node's result cache, admission control and peer fan-out
-  /// state. Benchmarks and tests gate on these.
+  /// over every node's admission control and peer fan-out state.
+  /// Benchmarks and tests gate on these.
   struct HotPathStats {
-    uint64_t cache_hits = 0;
-    uint64_t cache_misses = 0;
-    uint64_t cache_invalidations = 0;
-    uint64_t cache_probes = 0;
     uint64_t sheds = 0;
     uint64_t deferred_relaunches = 0;
     uint64_t lookups_served = 0;

@@ -28,7 +28,7 @@ UniStore::UniStore(pgrid::Peer* peer, NodeOptions options)
       oid_generator_("oid-" + std::to_string(peer->id()) + "-") {
   SetPlannerOptions(options_.planner);
   // Crash-restart invalidation (DESIGN.md §11): the query layer's
-  // volatile state (result cache, open migrations, gossip contributions)
+  // volatile state (open migrations, gossip contributions, admission clock)
   // must not survive the process.
   peer_->set_restart_hook([this]() { service_.OnPeerRestart(); });
 }

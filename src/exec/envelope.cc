@@ -107,7 +107,6 @@ std::string EnvelopeReply::Encode() const {
   w.PutString(covered_lo);
   w.PutString(covered_hi);
   EncodeBindings(results, &w);
-  w.PutU64(store_version);
   w.PutU32(retry_after_us);
   return w.Release();
 }
@@ -132,7 +131,6 @@ Result<EnvelopeReply> EnvelopeReply::Decode(std::string_view bytes) {
   UNISTORE_RETURN_IF_ERROR(ValidateBits(reply.covered_lo, "covered_lo"));
   UNISTORE_RETURN_IF_ERROR(ValidateBits(reply.covered_hi, "covered_hi"));
   UNISTORE_ASSIGN_OR_RETURN(reply.results, DecodeBindings(&r));
-  UNISTORE_ASSIGN_OR_RETURN(reply.store_version, r.GetU64());
   UNISTORE_ASSIGN_OR_RETURN(reply.retry_after_us, r.GetU32());
   return reply;
 }

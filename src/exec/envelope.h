@@ -70,10 +70,6 @@ struct EnvelopeReply {
   std::string covered_lo;
   std::string covered_hi;
   std::vector<Binding> results;
-  /// The serving peer's LocalStore::VersionForRange over the covered
-  /// slice, sampled when the local join ran. Coordinators tag
-  /// cached results with it and re-probe before serving from cache.
-  uint64_t store_version = 0;
   /// For a kOverloaded shed: how long the coordinator should wait
   /// before relaunching, derived from the shedding peer's busy horizon.
   /// 0 for non-overloaded replies.

@@ -1,7 +1,6 @@
 #include "exec/envelope_coordinator.h"
 
 #include <algorithm>
-#include <tuple>
 
 namespace unistore {
 namespace exec {
@@ -166,8 +165,6 @@ EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
       w.pending[lo] = reply.covered_hi;
       w.accepted[lo] = reply.covered_hi;
       ++w.peer_visits;
-      contributors_.push_back(CacheContributor{
-          reply.origin, lo, reply.covered_hi, reply.store_version});
       AdvanceFrontier(&w);
       ++w.generation;  // Progress: the walk timer re-arms.
       out.accepted = true;
@@ -282,24 +279,6 @@ MigrateResult EnvelopeCoordinator::TakeResult() {
   result.coverage_gaps.erase(std::unique(result.coverage_gaps.begin(),
                                          result.coverage_gaps.end()),
                              result.coverage_gaps.end());
-
-  // Contributor tags, deduplicated to one entry per (peer, slice) keeping
-  // the lowest version: chunks of one branch revisit the same peers, and
-  // any mutation after the *earliest* serve must invalidate the cache.
-  std::sort(contributors_.begin(), contributors_.end(),
-            [](const CacheContributor& a, const CacheContributor& b) {
-              return std::tie(a.peer, a.lo_bits, a.hi_bits, a.version) <
-                     std::tie(b.peer, b.lo_bits, b.hi_bits, b.version);
-            });
-  for (const CacheContributor& c : contributors_) {
-    if (!result.contributors.empty() &&
-        result.contributors.back().peer == c.peer &&
-        result.contributors.back().lo_bits == c.lo_bits &&
-        result.contributors.back().hi_bits == c.hi_bits) {
-      continue;  // Same slice, higher version: the earliest tag wins.
-    }
-    result.contributors.push_back(c);
-  }
 
   size_t total = 0;
   for (uint32_t b = 0; b < branches_.size(); ++b) {

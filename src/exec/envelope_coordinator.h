@@ -50,12 +50,6 @@ struct EnvelopeOptions {
 
   // --- Hot-path serving layer (DESIGN.md §8) -----------------------------
 
-  /// Byte budget of the coordinator-side versioned result cache. 0
-  /// disables caching (the default: results are always recomputed).
-  /// Cached results are served only after every contributing peer
-  /// re-confirms its store-range version, so results stay byte-identical
-  /// with the cache on or off.
-  size_t cache_bytes = 0;
   /// Bounded per-peer serving queue: when this many local joins are
   /// already queued behind `busy_until_`, further envelopes are shed with
   /// a kOverloaded reply carrying a retry-after hint instead of queueing.
@@ -75,17 +69,6 @@ struct EnvelopeOptions {
 inline constexpr std::string_view kWalkRetryPolicy = "envelope-walk";
 inline constexpr std::string_view kDeferRetryPolicy = "envelope-defer";
 
-/// One serving peer behind a completed walk: the key slice it covered and
-/// its store-range version sampled when its local join ran. The result
-/// cache tags memoized results with these and re-probes the peers before
-/// serving from cache (DESIGN.md §8).
-struct CacheContributor {
-  net::PeerId peer = net::kNoPeer;
-  std::string lo_bits;
-  std::string hi_bits;
-  uint64_t version = 0;
-};
-
 /// What a finished Migrate join returns (rows plus the execution shape,
 /// for traces and benchmarks).
 struct MigrateResult {
@@ -104,13 +87,8 @@ struct MigrateResult {
   uint32_t deferrals = 0;
   /// Longest single-envelope forwarding chain observed (message hops).
   uint32_t max_walk_hops = 0;
-  /// Serving peers with their covered slices and store-range versions
-  /// (deduplicated; min version per (peer, slice) so any later mutation
-  /// invalidates).
-  std::vector<CacheContributor> contributors;
   /// False when any walk was abandoned (partial_results mode): `rows` is
   /// a partial answer and `coverage_gaps` names exactly what is missing.
-  /// Incomplete results must never enter the result cache.
   bool complete = true;
   /// Uncovered key intervals [lo_bits, hi_bits] of abandoned walks.
   std::vector<std::pair<std::string, std::string>> coverage_gaps;
@@ -229,7 +207,6 @@ class EnvelopeCoordinator {
   uint32_t retries_ = 0;
   uint32_t deferrals_ = 0;
   uint32_t max_walk_hops_ = 0;
-  std::vector<CacheContributor> contributors_;
 };
 
 }  // namespace exec

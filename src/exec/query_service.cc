@@ -16,7 +16,7 @@ using net::Message;
 using net::MessageType;
 
 QueryService::QueryService(pgrid::Peer* peer, EnvelopeOptions options)
-    : peer_(peer), options_(options), cache_(options.cache_bytes) {
+    : peer_(peer), options_(options) {
   peer_->SetExtensionHandler(
       MessageType::kPlanExec,
       [this](const Message& msg) { OnPlanExec(msg); });
@@ -29,12 +29,6 @@ QueryService::QueryService(pgrid::Peer* peer, EnvelopeOptions options)
   peer_->SetExtensionHandler(
       MessageType::kStatsGossip,
       [this](const Message& msg) { OnStatsGossip(msg); });
-  peer_->SetExtensionHandler(
-      MessageType::kVersionProbe,
-      [this](const Message& msg) { OnVersionProbe(msg); });
-  peer_->SetExtensionHandler(
-      MessageType::kVersionProbeReply,
-      [this](const Message& msg) { peer_->rpc().HandleReply(msg); });
 }
 
 void QueryService::OnPeerRestart() {
@@ -47,7 +41,6 @@ void QueryService::OnPeerRestart() {
   for (auto& [id, run] : runs) {
     if (run.callback) run.callback(down);
   }
-  cache_.Clear();
   contributions_.clear();
   merged_dirty_ = true;
   busy_until_ = 0;
@@ -68,36 +61,6 @@ void QueryService::RunMigrateJoin(const vql::TriplePattern& pattern,
         "migrate join needs a literal attribute in the right pattern"));
     return;
   }
-  // Versioned result cache (DESIGN.md §8).
-  if (cache_.enabled()) {
-    std::string key = ResultCache::Fingerprint(
-        pattern, filter_vql,
-        triple::AttrRange(pattern.predicate.literal.AsString()), left);
-    if (const MigrateResult* hit = cache_.Lookup(key)) {
-      auto state = std::make_shared<CacheVerify>();
-      state->key = std::move(key);
-      state->result = *hit;
-      state->pattern = pattern;
-      state->filter_vql = filter_vql;
-      state->left = std::move(left);
-      state->callback = std::move(callback);
-      VerifyCacheEntry(std::move(state));
-      return;
-    }
-    ++cache_.mutable_stats()->misses;
-    StartMigrateJoin(pattern, filter_vql, std::move(left),
-                     std::move(callback), std::move(key));
-    return;
-  }
-  StartMigrateJoin(pattern, filter_vql, std::move(left), std::move(callback),
-                   std::string());
-}
-
-void QueryService::StartMigrateJoin(const vql::TriplePattern& pattern,
-                                    const std::string& filter_vql,
-                                    std::vector<Binding> left,
-                                    MigrateCallback callback,
-                                    std::string cache_key) {
   const uint64_t id = next_request_id_++;
   auto [it, inserted] = migrations_.emplace(
       id,
@@ -111,7 +74,7 @@ void QueryService::StartMigrateJoin(const vql::TriplePattern& pattern,
               // Statistics-informed fan-out: split at the sampled peers'
               // region boundaries so branches follow the trie shape.
               catalog().peer_paths()),
-          std::move(callback), std::move(cache_key)});
+          std::move(callback)});
   (void)inserted;
 
   // Overall deadline: whatever the per-walk retries do, a Migrate join
@@ -142,75 +105,6 @@ void QueryService::StartMigrateJoin(const vql::TriplePattern& pattern,
   for (EnvelopeReply& error : undeliverable) {
     HandleEnvelopeReply(id, std::move(error), 0);
   }
-}
-
-void QueryService::VerifyCacheEntry(std::shared_ptr<CacheVerify> state) {
-  // Local contributions check synchronously against our own store; remote
-  // contributors get a one-hop kVersionProbe each. Any mismatch, probe
-  // timeout or undecodable reply fails the verification — the entry is
-  // dropped and the join re-executes, so a cached result can never be
-  // staler than a completed mutation on any contributing peer.
-  std::vector<const CacheContributor*> remote;
-  for (const CacheContributor& c : state->result.contributors) {
-    if (c.peer == peer_->id()) {
-      const pgrid::KeyRange range{pgrid::Key::FromBits(c.lo_bits),
-                                  pgrid::Key::FromBits(c.hi_bits)};
-      if (peer_->store().VersionForRange(range) != c.version) {
-        state->mismatch = true;
-      }
-    } else {
-      remote.push_back(&c);
-    }
-  }
-  if (state->mismatch || remote.empty()) {
-    FinishCacheVerify(state);
-    return;
-  }
-  state->remaining = remote.size();
-  for (const CacheContributor* c : remote) {
-    VersionProbeRequest req;
-    req.lo_bits = c->lo_bits;
-    req.hi_bits = c->hi_bits;
-    ++cache_.mutable_stats()->probes;
-    const uint64_t expect = c->version;
-    peer_->rpc().SendRequest(
-        c->peer, MessageType::kVersionProbe, req.Encode(),
-        peer_->options().request_timeout,
-        [this, state, expect](const Status& status, const Message& msg) {
-          if (!status.ok()) {
-            state->mismatch = true;
-          } else {
-            auto reply = VersionProbeReply::Decode(msg.payload);
-            if (!reply.ok() || reply->version != expect) {
-              state->mismatch = true;
-            }
-          }
-          if (--state->remaining == 0) FinishCacheVerify(state);
-        });
-  }
-}
-
-void QueryService::FinishCacheVerify(
-    const std::shared_ptr<CacheVerify>& state) {
-  if (!state->mismatch) {
-    ++cache_.mutable_stats()->hits;
-    state->callback(std::move(state->result));
-    return;
-  }
-  cache_.Invalidate(state->key);
-  ++cache_.mutable_stats()->misses;
-  StartMigrateJoin(state->pattern, state->filter_vql, std::move(state->left),
-                   std::move(state->callback), std::move(state->key));
-}
-
-void QueryService::OnVersionProbe(const Message& msg) {
-  auto req = VersionProbeRequest::Decode(msg.payload);
-  if (!req.ok()) return;
-  VersionProbeReply reply;
-  reply.version = peer_->store().VersionForRange(
-      pgrid::KeyRange{pgrid::Key::FromBits(req->lo_bits),
-                      pgrid::Key::FromBits(req->hi_bits)});
-  peer_->rpc().Reply(msg, MessageType::kVersionProbeReply, reply.Encode());
 }
 
 std::optional<EnvelopeReply> QueryService::TrySendEnvelope(
@@ -329,13 +223,7 @@ void QueryService::CheckMigrationDone(uint64_t request_id) {
   if (!coordinator.failure().ok()) {
     FinishMigration(request_id, coordinator.failure());
   } else if (coordinator.done()) {
-    MigrateResult result = coordinator.TakeResult();
-    // Incomplete results never enter the cache: their rows are a lower
-    // bound, not the answer this fingerprint stands for.
-    if (!it->second.cache_key.empty() && result.complete) {
-      cache_.Insert(it->second.cache_key, result);
-    }
-    FinishMigration(request_id, std::move(result));
+    FinishMigration(request_id, coordinator.TakeResult());
   }
 }
 
@@ -450,9 +338,14 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
   busy_until_ = start + join_us;
   const sim::SimTime finish_delay = busy_until_ - now;
   // This join occupies a queue slot until its simulated compute finishes.
+  // A restart in between has already emptied the queue (OnPeerRestart),
+  // so only the incarnation that took the slot releases it.
   ++serving_queue_depth_;
-  scheduler->ScheduleAfter(finish_delay, peer_->id(), peer_->id(),
-                           [this]() { --serving_queue_depth_; });
+  scheduler->ScheduleAfter(
+      finish_delay, peer_->id(), peer_->id(),
+      [this, incarnation = peer_->restarts()]() {
+        if (incarnation == peer_->restarts()) --serving_queue_depth_;
+      });
 
   // Walk on (identical structure to the sequential range scan): the next
   // subtree after this peer's, as long as the branch range extends past
@@ -489,10 +382,6 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
   reply.covered_lo = serve_lo.bits();
   reply.covered_hi = covered_hi.bits();
   reply.results = std::move(local_results);
-  // Freshness tag for the coordinator's result cache: this peer's
-  // store-range version over the slice it served, sampled at scan time.
-  reply.store_version = peer_->store().VersionForRange(
-      pgrid::KeyRange{serve_lo, covered_hi});
   if (stalled) {
     reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
     reply.error =

@@ -9,7 +9,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "exec/binding.h"
 #include "exec/envelope.h"
 #include "exec/envelope_coordinator.h"
-#include "exec/result_cache.h"
 #include "pgrid/peer.h"
 
 namespace unistore {
@@ -36,12 +34,8 @@ class QueryService {
 
   const EnvelopeOptions& envelope_options() const { return options_; }
   /// Replaces the envelope knobs (harness context only; applies to joins
-  /// started afterwards). Rebuilds the result cache when `cache_bytes`
-  /// changed, dropping all memoized entries.
+  /// started afterwards).
   void set_envelope_options(const EnvelopeOptions& options) {
-    if (options.cache_bytes != options_.cache_bytes) {
-      cache_ = ResultCache(options.cache_bytes);
-    }
     options_ = options;
   }
 
@@ -75,9 +69,6 @@ class QueryService {
 
   // --- Hot-path serving layer observability (DESIGN.md §8) ---------------
 
-  /// The coordinator-side versioned result cache (disabled unless
-  /// EnvelopeOptions::cache_bytes > 0).
-  const ResultCache& result_cache() const { return cache_; }
   /// kOverloaded sheds this peer answered as a server.
   uint64_t sheds() const { return sheds_; }
   /// Overload backoffs this peer performed as an initiator.
@@ -89,48 +80,20 @@ class QueryService {
   /// of volatile query state the process would lose.
   ///
   /// In-flight Migrate joins fail with Unavailable (their coordinator
-  /// state died with the process), the versioned result cache empties (a
-  /// restarted peer must never serve pre-crash bytes), gossip-received
-  /// statistics contributions reset, and the admission-control clock
-  /// clears. Registered as the peer's restart hook by core::UniStore.
+  /// state died with the process), gossip-received statistics
+  /// contributions reset, and the admission-control clock clears.
+  /// Registered as the peer's restart hook by core::UniStore.
   void OnPeerRestart();
 
  private:
   struct MigrateRun {
     EnvelopeCoordinator coordinator;
     MigrateCallback callback;
-    /// Non-empty: memoize the completed result under this key.
-    std::string cache_key;
-  };
-
-  /// In-flight verification of one cache hit: the memoized result plus
-  /// everything needed to fall back to a full run on a version mismatch.
-  struct CacheVerify {
-    std::string key;
-    MigrateResult result;
-    vql::TriplePattern pattern;
-    std::string filter_vql;
-    std::vector<Binding> left;
-    MigrateCallback callback;
-    size_t remaining = 0;  ///< Outstanding contributor probes.
-    bool mismatch = false;
   };
 
   void OnPlanExec(const net::Message& msg);
   void OnEnvelopeReplyMessage(const net::Message& msg);
   void OnStatsGossip(const net::Message& msg);
-  void OnVersionProbe(const net::Message& msg);
-
-  /// The uncached join path (coordinator fleet launch). `cache_key`
-  /// non-empty memoizes the completed result.
-  void StartMigrateJoin(const vql::TriplePattern& pattern,
-                        const std::string& filter_vql,
-                        std::vector<Binding> left, MigrateCallback callback,
-                        std::string cache_key);
-  /// Probes every contributor of a cache hit; serves the memoized result
-  /// on an all-match, otherwise invalidates and re-executes.
-  void VerifyCacheEntry(std::shared_ptr<CacheVerify> state);
-  void FinishCacheVerify(const std::shared_ptr<CacheVerify>& state);
   void ServeEnvelope(PlanEnvelope env, uint64_t request_id, uint32_t hops);
 
   /// Routes `env` toward its range (serving locally when responsible).
@@ -165,7 +128,6 @@ class QueryService {
   /// joining — envelope serving serializes per peer, which is exactly the
   /// latency that forwarding ahead of the join overlaps.
   sim::SimTime busy_until_ = 0;
-  ResultCache cache_;
   /// Local joins queued behind busy_until_ (admission-control bound).
   uint32_t serving_queue_depth_ = 0;
   uint64_t sheds_ = 0;

@@ -33,8 +33,6 @@ std::string_view MessageTypeName(MessageType type) {
     case MessageType::kPlanExecReply: return "PlanExecReply";
     case MessageType::kPlanExecPartial: return "PlanExecPartial";
     case MessageType::kStatsGossip: return "StatsGossip";
-    case MessageType::kVersionProbe: return "VersionProbe";
-    case MessageType::kVersionProbeReply: return "VersionProbeReply";
   }
   return "Unknown";
 }

@@ -49,8 +49,6 @@ enum class MessageType : uint16_t {
   kPlanExecReply = 51,   ///< Terminal (walk-ended) envelope reply.
   kPlanExecPartial = 52, ///< Streamed partial reply chunk of an envelope walk.
   kStatsGossip = 60,     ///< Cost-model statistics dissemination.
-  kVersionProbe = 61,    ///< Result-cache freshness check (range version).
-  kVersionProbeReply = 62,
 };
 
 std::string_view MessageTypeName(MessageType type);

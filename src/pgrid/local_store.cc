@@ -217,7 +217,6 @@ bool LocalStore::Apply(const Entry& entry) {
   ++stats_.ingested_entries;
   stats_.ingested_bytes += ApproxEntryBytes(entry);
   memtable_.insert_or_assign(SlotKey(entry.key.bits(), entry.id), entry);
-  BumpVersion(entry.key.bits());
   MaybeFlush();
   return true;
 }
@@ -267,7 +266,6 @@ size_t LocalStore::BulkLoad(std::vector<Entry> entries,
         ++changed;
         ++stats_.ingested_entries;
         stats_.ingested_bytes += ApproxEntryBytes(e);
-        BumpVersion(e.key.bits());
         if (changed_out != nullptr) changed_out->push_back(e);
         fresh.push_back(std::move(e));
       } else if (e.version > cur.version) {
@@ -449,16 +447,6 @@ bool LocalStore::ScanMemtableFrom(uint64_t start_entry,
   return true;
 }
 
-size_t LocalStore::SpliceRun(std::vector<Entry> entries) {
-  // BulkLoad is already the correct splice primitive: fresh slots land as
-  // one AppendRun'd immutable run, known slots keep upsert semantics, and
-  // every effective mutation bumps store_version_/bucket_versions_ — the
-  // invalidation signal the exec-layer result caches key on. Kept as a
-  // named wrapper so the repair path's cache-invalidation contract is
-  // explicit and testable rather than incidental.
-  return BulkLoad(std::move(entries));
-}
-
 namespace {
 
 std::vector<Entry> Collect(
@@ -518,7 +506,6 @@ std::vector<Entry> LocalStore::ExtractNotMatching(const Key& path) {
     return true;
   });
   RebuildFrom(std::move(kept));
-  if (!removed.empty()) BumpAllVersions();
   return removed;
 }
 
@@ -533,57 +520,6 @@ void LocalStore::Clear() {
   live_count_ = 0;
   slot_count_ = 0;
   stats_ = LocalStoreWriteStats{};
-  // Version counters survive Clear: they certify "nothing changed since",
-  // so any wholesale state replacement must advance them.
-  BumpAllVersions();
-}
-
-namespace {
-
-// [lo, hi] bucket indices a key prefix `bits` can reach: the prefix padded
-// out to kVersionBucketBits with 0s (lowest key below it) and 1s (highest).
-void BucketSpan(std::string_view bits, size_t* lo, size_t* hi) {
-  size_t lo_i = 0;
-  size_t hi_i = 0;
-  for (size_t i = 0; i < LocalStore::kVersionBucketBits; ++i) {
-    const bool have = i < bits.size();
-    lo_i = (lo_i << 1) | (have && bits[i] == '1' ? 1u : 0u);
-    hi_i = (hi_i << 1) | (!have || bits[i] == '1' ? 1u : 0u);
-  }
-  *lo = lo_i;
-  *hi = hi_i;
-}
-
-}  // namespace
-
-uint64_t LocalStore::VersionForRange(const KeyRange& range) const {
-  size_t lo = 0;
-  size_t hi = 0;
-  size_t unused = 0;
-  BucketSpan(range.lo.bits(), &lo, &unused);
-  BucketSpan(range.hi.bits(), &unused, &hi);
-  uint64_t v = 0;
-  for (size_t b = lo; b <= hi && b < kVersionBuckets; ++b) {
-    v = std::max(v, bucket_versions_[b]);
-  }
-  return v;
-}
-
-void LocalStore::BumpVersion(std::string_view bits) {
-  ++store_version_;
-  size_t lo = 0;
-  size_t hi = 0;
-  BucketSpan(bits, &lo, &hi);
-  for (size_t b = lo; b <= hi && b < kVersionBuckets; ++b) {
-    bucket_versions_[b] = store_version_;
-  }
-}
-
-void LocalStore::BumpAllVersions() {
-  ++store_version_;
-  for (size_t b = 0; b < kVersionBuckets; ++b) {
-    bucket_versions_[b] = store_version_;
-  }
 }
 
 size_t LocalStore::resident_bytes() const {

@@ -251,45 +251,11 @@ class LocalStore {
   /// that has no run file yet.
   bool ScanMemtableFrom(uint64_t start_entry, EntryVisitor visit) const;
 
-  /// \brief Splices a fetched run into the store during replica repair.
-  ///
-  /// Delegates to BulkLoad: fresh slots become a new immutable run via
-  /// StorageBackend::AppendRun, already-known slots keep versioned-upsert
-  /// semantics, and — critically for the hot-path result caches — every
-  /// effective mutation bumps the range version counters, so cached query
-  /// results covering the spliced keys re-probe and miss (DESIGN.md §8).
-  /// Returns the number of entries that changed the store.
-  size_t SpliceRun(std::vector<Entry> entries);
-
   /// Splits off and returns every entry whose key does *not* have `path`
   /// as a prefix (tombstones included); entries under `path` are kept.
   /// Used when a peer specializes its path during an exchange. Rebuilds
   /// the kept entries into a single compacted run.
   std::vector<Entry> ExtractNotMatching(const Key& path);
-
-  // --- Range version counters (hot-path result caches, DESIGN.md §8) ----
-
-  /// Leading key bits that index a version bucket.
-  static constexpr size_t kVersionBucketBits = 4;
-  /// Number of key-range buckets the version counters partition the key
-  /// space into.
-  static constexpr size_t kVersionBuckets = size_t{1} << kVersionBucketBits;
-
-  /// Monotonic per-store mutation counter: bumped once per effective
-  /// mutation (an Apply that changed the store, every fresh BulkLoad
-  /// entry, an exchange splice, Clear). Never resets for the lifetime of
-  /// the store object, so an equal value means "no mutation happened in
-  /// between" — the freshness token coordinator result caches check
-  /// before serving a memoized result.
-  uint64_t store_version() const { return store_version_; }
-
-  /// Max mutation counter over the buckets intersecting
-  /// [range.lo, range.hi]. A cached result tagged with an older value may
-  /// be stale; a matching value proves no entry in the range's buckets
-  /// changed since the tag was taken (over-approximate: a bucket spans
-  /// more keys than the range, so spurious mismatches are possible,
-  /// missed mutations are not).
-  uint64_t VersionForRange(const KeyRange& range) const;
 
   /// Number of live entries.
   size_t live_size() const { return live_count_; }
@@ -400,13 +366,6 @@ class LocalStore {
   // Records a backend failure, wedging the store.
   void Wedge(const Status& status);
 
-  // Bumps the global mutation counter and stamps it into every bucket a
-  // key with prefix `bits` can fall into (a prefix shorter than
-  // kVersionBucketBits spans several buckets).
-  void BumpVersion(std::string_view bits);
-  // Stamps a fresh counter value into all buckets (whole-store splices).
-  void BumpAllVersions();
-
   LocalStoreOptions options_;
   Memtable memtable_;
   std::unique_ptr<StorageBackend> backend_;
@@ -414,8 +373,6 @@ class LocalStore {
   size_t slot_count_ = 0;
   LocalStoreWriteStats stats_;
   Status io_status_;
-  uint64_t store_version_ = 0;
-  uint64_t bucket_versions_[kVersionBuckets] = {};
 };
 
 }  // namespace pgrid

@@ -1147,7 +1147,9 @@ void Peer::RepairOnChunk(uint64_t repair_id, const RunFetchReply& chunk) {
     }
     ++repair_runs_fetched_;
   }
-  store_.SpliceRun(std::move(st.pending));
+  // Known slots keep versioned-upsert semantics: a fetched entry never
+  // overwrites a newer local write.
+  store_.BulkLoad(std::move(st.pending));
   st.pending.clear();
   RepairFetchNext(repair_id);
 }

@@ -335,8 +335,8 @@ class Peer {
   void GracefulLeave();
 
   /// Hook invoked at the top of Restart(), before any state is torn down.
-  /// The query layer registers its invalidation here (result cache, open
-  /// migrations) so a restart cannot serve pre-crash cached bytes.
+  /// The query layer registers its invalidation here (open migrations,
+  /// gossip contributions) so no pre-crash query state survives.
   void set_restart_hook(std::function<void()> hook) {
     restart_hook_ = std::move(hook);
   }

@@ -3,7 +3,8 @@
 // joins (split and adoption), graceful-leave hand-off, and the replica
 // re-protection guard (probe-based failure confirmation + recruiting).
 //
-// Also the stale-cache regression: a hot-key advertisement that names a
+// Also the query layer's restart hook (in-flight Migrate joins fail once)
+// and the stale-cache regression: a hot-key advertisement that names a
 // replica which crashes mid-stream must fail over through retry +
 // suspicion instead of wedging the initiator.
 #include <gtest/gtest.h>
@@ -14,10 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "exec/query_service.h"
 #include "net/churn_plane.h"
 #include "pgrid/backend_env.h"
 #include "pgrid/overlay.h"
 #include "pgrid/run_summary.h"
+#include "triple/index.h"
 
 namespace unistore {
 namespace pgrid {
@@ -228,6 +231,81 @@ TEST(ChurnLifecycleTest, RestartFailsInFlightOperations) {
   EXPECT_FALSE(scan->ok());
   EXPECT_EQ(scan->status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(overlay.peer(0)->restarts(), 1u);
+}
+
+// The query layer's restart hook: a Migrate join the restarting peer
+// coordinates fails exactly once with Unavailable, and the peer
+// coordinates later joins like a peer that never restarted.
+TEST(ChurnLifecycleTest, RestartFailsInFlightMigrateJoinOnce) {
+  const KeyRange age = triple::AttrRange("age");
+  const auto paths = PartitionCoverPaths(age, /*inside_leaves=*/4);
+  OverlayOptions options;
+  options.seed = 23;
+  Overlay overlay(options);
+  overlay.AddPeers(paths.size());
+  overlay.BuildWithPaths(paths);
+  std::vector<std::unique_ptr<exec::QueryService>> services;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    Peer* peer = overlay.peer(static_cast<PeerId>(i));
+    services.push_back(std::make_unique<exec::QueryService>(peer));
+    exec::QueryService* service = services.back().get();
+    peer->set_restart_hook([service] { service->OnPeerRestart(); });
+  }
+
+  constexpr int kSubjects = 24;
+  std::vector<exec::Binding> left;
+  for (int i = 0; i < kSubjects; ++i) {
+    const std::string oid = "p" + std::to_string(i);
+    triple::Triple t(oid, "age", triple::Value::Int(20 + i));
+    for (auto& entry : triple::EntriesForTriple(t, 1)) {
+      overlay.InsertDirect(entry);
+    }
+    left.push_back({{"a", triple::Value::String(oid)}});
+  }
+  // Peer 0 lies outside the age partition, so its memory store coming
+  // back empty loses none of the rows the join reads.
+  size_t coordinator_age_entries = 0;
+  overlay.peer(0)->store().ScanRange(age, [&](const EntryView&) {
+    ++coordinator_age_entries;
+    return true;
+  });
+  ASSERT_EQ(coordinator_age_entries, 0u);
+
+  vql::TriplePattern pattern;
+  pattern.subject = vql::Term::Var("a");
+  pattern.predicate = vql::Term::Lit(triple::Value::String("age"));
+  pattern.object = vql::Term::Var("g");
+
+  // Restart the coordinator before any envelope reply can arrive.
+  int calls = 0;
+  std::optional<Result<exec::MigrateResult>> failed;
+  services[0]->RunMigrateJoin(pattern, "", left,
+                              [&](Result<exec::MigrateResult> r) {
+                                ++calls;
+                                failed = std::move(r);
+                              });
+  overlay.peer(0)->Restart();
+  overlay.simulation().RunUntilIdle();
+  EXPECT_EQ(calls, 1);
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(failed->status().code(), StatusCode::kUnavailable);
+
+  auto migrate = [&](PeerId via) {
+    std::optional<Result<exec::MigrateResult>> out;
+    services[via]->RunMigrateJoin(
+        pattern, "", left,
+        [&out](Result<exec::MigrateResult> r) { out = std::move(r); });
+    overlay.simulation().RunUntil([&out] { return out.has_value(); });
+    EXPECT_TRUE(out.has_value());
+    return std::move(*out);
+  };
+  auto restarted = migrate(0);
+  auto untouched = migrate(1);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  ASSERT_TRUE(untouched.ok()) << untouched.status().ToString();
+  EXPECT_EQ(restarted->rows.size(), static_cast<size_t>(kSubjects));
+  EXPECT_EQ(restarted->rows, untouched->rows);
+  EXPECT_EQ(calls, 1) << "the failed join's callback ran again";
 }
 
 // --- Live joins --------------------------------------------------------------

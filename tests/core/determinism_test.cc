@@ -31,7 +31,6 @@ struct Capture {
   std::string trace;      ///< Canonical per-peer delivery trace.
   sim::SimTime final_now; ///< Clock at final quiescence.
   size_t processed;       ///< Total events processed.
-  uint64_t cache_hits = 0;  ///< Result-cache hits (envelope scenario only).
 };
 
 Capture RunScenario(ClusterOptions::Engine engine, size_t shards,
@@ -357,8 +356,7 @@ TEST(DeterminismTest, ChurnDiskRestartsMatchMemoryAcrossEngines) {
 // pipelining and message loss all enabled: the batched envelope executor
 // must stay byte-identical across engines.
 Capture RunMigrateScenario(ClusterOptions::Engine engine, size_t shards,
-                           size_t threads, bool cache_on = false,
-                           double loss_probability = 0.005,
+                           size_t threads, double loss_probability = 0.005,
                            bool faulted = false) {
   ClusterOptions options;
   options.custom_paths = pgrid::PartitionCoverPaths(
@@ -366,7 +364,6 @@ Capture RunMigrateScenario(ClusterOptions::Engine engine, size_t shards,
   options.peers = options.custom_paths.size();
   options.seed = 20260728;
   options.loss_probability = loss_probability;
-  if (cache_on) options.node.envelope.cache_bytes = 1 << 20;
   if (faulted) {
     // Scripted fault plane (net/fault_plane.h): a permanently cut leaf,
     // one slow jittery sender, plus wildcard corruption and duplication.
@@ -433,8 +430,6 @@ Capture RunMigrateScenario(ClusterOptions::Engine engine, size_t shards,
       "SELECT ?n,?g WHERE { (?a,'name',?n) (?a,'age',?g) } ORDER BY ?g",
   };
   for (int round = 0; round < 2; ++round) {
-    // Rounds repeat the same (initiator, query) pairs, so with the result
-    // cache enabled the second round is served from memoized results.
     net::PeerId via = 0;
     for (const auto& q : queries) {
       auto result = cluster.QuerySync(via, q);
@@ -456,7 +451,6 @@ Capture RunMigrateScenario(ClusterOptions::Engine engine, size_t shards,
   capture.trace = cluster.overlay().transport().DeliveryTrace();
   capture.final_now = cluster.simulation().Now();
   capture.processed = cluster.simulation().processed_events();
-  capture.cache_hits = cluster.AggregateHotPathStats().cache_hits;
   return capture;
 }
 
@@ -568,8 +562,7 @@ TEST(DeterminismTest, SkylineByteIdenticalAcrossEngines) {
 TEST(DeterminismTest, FaultScheduleByteIdenticalAcrossEngines) {
   auto reference =
       RunMigrateScenario(ClusterOptions::Engine::kSingleThread, 1, 1,
-                         /*cache_on=*/false, /*loss_probability=*/0,
-                         /*faulted=*/true);
+                         /*loss_probability=*/0, /*faulted=*/true);
   // The scripted faults left a footprint: corruption, duplication and
   // partition drops all engaged (their counters are non-zero).
   EXPECT_EQ(reference.stats.find(" part_drop=0 "), std::string::npos);
@@ -580,50 +573,14 @@ TEST(DeterminismTest, FaultScheduleByteIdenticalAcrossEngines) {
   for (size_t shards : {1u, 2u, 4u}) {
     auto sharded = RunMigrateScenario(ClusterOptions::Engine::kSharded,
                                       shards, /*threads=*/1,
-                                      /*cache_on=*/false,
-                                      /*loss_probability=*/0,
-                                      /*faulted=*/true);
+                                      /*loss_probability=*/0, /*faulted=*/true);
     ExpectIdentical(reference, sharded,
                     ("faulted sharded K=" + std::to_string(shards)).c_str());
   }
   auto threaded =
       RunMigrateScenario(ClusterOptions::Engine::kSharded, 4, /*threads=*/4,
-                         /*cache_on=*/false, /*loss_probability=*/0,
-                         /*faulted=*/true);
+                         /*loss_probability=*/0, /*faulted=*/true);
   ExpectIdentical(reference, threaded, "faulted K=4 threaded");
-}
-
-// The hot-path serving contract (DESIGN.md §8): turning the result cache
-// on changes no observable query output — rows, tables, and executor
-// trace counters stay byte-identical to the cache-off run — while the
-// cached run provably serves repeats from memory. Lossless so a fresh
-// re-execution reports the same walk counters a memoized serve replays.
-TEST(DeterminismTest, ResultCacheOnOffAndAcrossEnginesByteIdentical) {
-  auto off = RunMigrateScenario(ClusterOptions::Engine::kSingleThread, 1, 1,
-                                /*cache_on=*/false, /*loss_probability=*/0);
-  auto on = RunMigrateScenario(ClusterOptions::Engine::kSingleThread, 1, 1,
-                               /*cache_on=*/true, /*loss_probability=*/0);
-  EXPECT_EQ(off.ops, on.ops) << "cache changed observable results";
-  EXPECT_EQ(off.cache_hits, 0u);
-  EXPECT_GT(on.cache_hits, 0u) << "second round should hit the cache";
-  EXPECT_LT(on.processed, off.processed)
-      << "cache hits should skip envelope walks, not re-run them";
-
-  // The cached run itself is engine-invariant: K in {1, 2, 4} inline and
-  // K=4 threaded replay the identical event history, probes included.
-  for (size_t shards : {1u, 2u, 4u}) {
-    auto sharded =
-        RunMigrateScenario(ClusterOptions::Engine::kSharded, shards,
-                           /*threads=*/1, /*cache_on=*/true,
-                           /*loss_probability=*/0);
-    ExpectIdentical(on, sharded,
-                    ("cached sharded K=" + std::to_string(shards)).c_str());
-    EXPECT_EQ(sharded.cache_hits, on.cache_hits);
-  }
-  auto threaded =
-      RunMigrateScenario(ClusterOptions::Engine::kSharded, 4, /*threads=*/4,
-                         /*cache_on=*/true, /*loss_probability=*/0);
-  ExpectIdentical(on, threaded, "cached K=4 threaded");
 }
 
 }  // namespace

@@ -106,7 +106,6 @@ EnvelopeReply RandomReply(Rng* rng) {
     reply.covered_hi = (a < b ? b : a).bits();
   }
   reply.results = RandomBindings(rng, 5);
-  reply.store_version = rng->Next();
   reply.retry_after_us = static_cast<uint32_t>(rng->NextBounded(100000));
   return reply;
 }
@@ -135,7 +134,6 @@ void ExpectRepliesEqual(const EnvelopeReply& a, const EnvelopeReply& b) {
   EXPECT_EQ(a.covered_lo, b.covered_lo);
   EXPECT_EQ(a.covered_hi, b.covered_hi);
   EXPECT_EQ(a.results, b.results);
-  EXPECT_EQ(a.store_version, b.store_version);
   EXPECT_EQ(a.retry_after_us, b.retry_after_us);
 }
 

@@ -165,6 +165,53 @@ TEST_F(AdmissionControlTest, DisabledAdmissionControlNeverSheds) {
   for (const auto& service : services_) EXPECT_EQ(service->sheds(), 0u);
 }
 
+// A peer that restarts while joins sit in its serving queue starts with
+// an empty queue, and the slots those joins held are not released a
+// second time when their compute time runs out.
+TEST_F(AdmissionControlTest, RestartMidServeLeavesAnEmptyQueue) {
+  EnvelopeOptions options;
+  options.fanout = 4;
+  options.join_visit_cost_us = 2000;
+  options.admission_queue_depth = 2;
+  Build(options);
+  for (size_t i = 0; i < services_.size(); ++i) {
+    QueryService* service = services_[i].get();
+    overlay_->peer(static_cast<net::PeerId>(i))
+        ->set_restart_hook([service] { service->OnPeerRestart(); });
+  }
+
+  std::optional<Result<MigrateResult>> first;
+  services_[0]->RunMigrateJoin(
+      AgePattern(), "", Left(),
+      [&first](Result<MigrateResult> r) { first = std::move(r); });
+  size_t busy = 0;
+  overlay_->simulation().RunUntil([&] {
+    for (size_t i = 1; i < services_.size(); ++i) {
+      if (services_[i]->serving_queue_depth() > 0) {
+        busy = i;
+        return true;
+      }
+    }
+    return false;
+  });
+  ASSERT_NE(busy, 0u) << "no peer ever queued a join";
+  overlay_->peer(static_cast<net::PeerId>(busy))->Restart();
+  overlay_->simulation().RunUntilIdle();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(services_[busy]->serving_queue_depth(), 0u);
+
+  const uint64_t sheds_before = services_[busy]->sheds();
+  std::optional<Result<MigrateResult>> second;
+  services_[0]->RunMigrateJoin(
+      AgePattern(), "", Left(),
+      [&second](Result<MigrateResult> r) { second = std::move(r); });
+  overlay_->simulation().RunUntil([&] { return second.has_value(); });
+  ASSERT_TRUE(second.has_value());
+  EXPECT_TRUE(second->ok()) << second->status().ToString();
+  EXPECT_EQ(services_[busy]->sheds(), sheds_before)
+      << "the restarted peer sheds against a queue it no longer has";
+}
+
 // --- Hot-key replica fan-out ------------------------------------------------
 
 TEST(HotKeyFanoutTest, SkewedLookupsSpreadAcrossReplicaGroup) {

@@ -941,70 +941,6 @@ TEST(EntryCodecTest, AdversarialEntryCountRejectedWithoutHugeReserve) {
   EXPECT_EQ(DecodeEntries(&r).status().code(), StatusCode::kCorruption);
 }
 
-// --- Store version counters (result-cache freshness, DESIGN.md §8) ---------
-
-KeyRange BitsRange(const std::string& lo, const std::string& hi) {
-  return KeyRange{Key::FromBits(lo), Key::FromBits(hi)};
-}
-
-TEST(LocalStoreVersionTest, ApplyBumpsGlobalAndRangeVersion) {
-  LocalStore store;
-  EXPECT_EQ(store.store_version(), 0u);
-  EXPECT_EQ(store.VersionForRange(BitsRange("0", "1")), 0u);
-
-  ASSERT_TRUE(store.Apply(MakeEntry("0101", "t1", "a")));
-  EXPECT_EQ(store.store_version(), 1u);
-  // The mutated key's bucket sees the bump...
-  EXPECT_EQ(store.VersionForRange(BitsRange("0101", "0101")), 1u);
-  EXPECT_EQ(store.VersionForRange(BitsRange("0", "1")), 1u);
-  // ...while a disjoint range does not.
-  EXPECT_EQ(store.VersionForRange(BitsRange("1000", "1111")), 0u);
-}
-
-TEST(LocalStoreVersionTest, NoOpApplyDoesNotBump) {
-  LocalStore store;
-  ASSERT_TRUE(store.Apply(MakeEntry("0101", "t1", "a", /*version=*/5)));
-  const uint64_t v = store.store_version();
-  // Same id with an older version: rejected, no state change, no bump.
-  EXPECT_FALSE(store.Apply(MakeEntry("0101", "t1", "stale", /*version=*/3)));
-  EXPECT_EQ(store.store_version(), v);
-}
-
-TEST(LocalStoreVersionTest, RangeVersionIsMonotoneAndOverApproximate) {
-  LocalStore store;
-  // Keys shorter than the bucket prefix stamp every bucket they span.
-  store.Apply(MakeEntry("01", "t1", "a"));
-  EXPECT_EQ(store.VersionForRange(BitsRange("0100", "0111")), 1u);
-  // Over-approximation is allowed (bucket granularity): a write to
-  // another key in the same 4-bit bucket raises the range version of an
-  // untouched sibling key — but never the other way around.
-  store.Apply(MakeEntry("01110", "t2", "b"));
-  EXPECT_EQ(store.VersionForRange(BitsRange("01111", "01111")), 2u);
-  EXPECT_EQ(store.VersionForRange(BitsRange("1000", "1111")), 0u);
-}
-
-TEST(LocalStoreVersionTest, BulkLoadClearAndExtractBump) {
-  LocalStore store(TinyEngine());
-  std::vector<Entry> batch;
-  for (int i = 0; i < 8; ++i) {
-    batch.push_back(MakeEntry(std::string("1") + (i % 2 ? "1" : "0") + "01",
-                              "b" + std::to_string(i), "x"));
-  }
-  ASSERT_GT(store.BulkLoad(std::move(batch)), 0u);
-  const uint64_t after_bulk = store.VersionForRange(BitsRange("10", "11"));
-  EXPECT_GT(after_bulk, 0u);
-
-  // Splicing entries out (exchange handoff) bumps everything.
-  auto removed = store.ExtractNotMatching(Key::FromBits("10"));
-  EXPECT_FALSE(removed.empty());
-  EXPECT_GT(store.VersionForRange(BitsRange("0", "0")), 0u);
-  const uint64_t after_extract = store.store_version();
-
-  // Clear bumps too — and the counters never reset.
-  store.Clear();
-  EXPECT_GT(store.store_version(), after_extract);
-}
-
 }  // namespace
 }  // namespace pgrid
 }  // namespace unistore

@@ -5,13 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "exec/query_service.h"
 #include "pgrid/overlay.h"
-#include "triple/index.h"
 
 namespace unistore {
 namespace pgrid {
@@ -222,88 +219,6 @@ TEST_F(RobustnessTest, ConcurrentScansDoNotInterfere) {
   overlay_->simulation().RunUntilIdle();
   EXPECT_EQ(done, 6);
   for (size_t s : sizes) EXPECT_EQ(s, 40u);
-}
-
-// A peer whose advertised store-range version is outdated — its store
-// mutated after serving a cached join — must never cause the initiator's
-// result cache to serve stale rows: the pre-serve version probe has to
-// catch the mismatch and force a recompute.
-TEST(StaleVersionPeerTest, VersionProbeCatchesOutdatedContributor) {
-  const auto paths = PartitionCoverPaths(triple::AttrPrefixRange("age", ""),
-                                         /*inside_leaves=*/4);
-  OverlayOptions options;
-  options.seed = 654;
-  Overlay overlay(options);
-  overlay.AddPeers(paths.size());
-  overlay.BuildWithPaths(paths);
-  std::vector<std::unique_ptr<exec::QueryService>> services;
-  for (size_t i = 0; i < paths.size(); ++i) {
-    services.push_back(std::make_unique<exec::QueryService>(
-        overlay.peer(static_cast<net::PeerId>(i))));
-  }
-  exec::EnvelopeOptions cached;
-  cached.fanout = 2;
-  cached.cache_bytes = 1 << 20;
-  services[0]->set_envelope_options(cached);
-
-  auto insert_age = [&overlay](int i) {
-    triple::Triple t("p" + std::to_string(i), "age",
-                     triple::Value::Int(20 + i));
-    for (auto& entry : triple::EntriesForTriple(t, 1)) {
-      overlay.InsertDirect(entry);
-    }
-  };
-  for (int i = 0; i < 24; ++i) insert_age(i);
-
-  vql::TriplePattern pattern;
-  pattern.subject = vql::Term::Var("a");
-  pattern.predicate = vql::Term::Lit(triple::Value::String("age"));
-  pattern.object = vql::Term::Var("o");
-  std::vector<exec::Binding> left;
-  for (int i = 0; i < 24; ++i) {
-    left.push_back(
-        {{"a", triple::Value::String("p" + std::to_string(i))}});
-  }
-  auto migrate = [&]() {
-    std::optional<Result<exec::MigrateResult>> out;
-    services[0]->RunMigrateJoin(
-        pattern, "", left,
-        [&out](Result<exec::MigrateResult> r) { out = std::move(r); });
-    overlay.simulation().RunUntil([&out] { return out.has_value(); });
-    EXPECT_TRUE(out.has_value());
-    return std::move(*out);
-  };
-
-  auto first = migrate();
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ASSERT_GT(first->rows.size(), 0u);
-  ASSERT_EQ(services[0]->result_cache().stats().misses, 1u);
-
-  // Mutate a serving peer's store behind the cache's back: a second age
-  // triple for p0 lands in the served range, so the version tag in the
-  // memoized entry is now outdated. The query (and its fingerprint) is
-  // unchanged — only the probe can catch the staleness.
-  triple::Triple fresh("p0", "age", triple::Value::Int(999));
-  for (auto& entry : triple::EntriesForTriple(fresh, 1)) {
-    overlay.InsertDirect(entry);
-  }
-
-  auto second = migrate();
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(services[0]->result_cache().stats().hits, 0u)
-      << "stale entry served from cache";
-  EXPECT_GT(services[0]->result_cache().stats().invalidations, 0u)
-      << "version probe did not invalidate the outdated contributor";
-  EXPECT_EQ(second->rows.size(), first->rows.size() + 1);
-  bool fresh_row = false;
-  for (const auto& row : second->rows) {
-    auto it = row.find("o");
-    if (it != row.end() && it->second.is_number() &&
-        it->second.AsDouble() == 999) {
-      fresh_row = true;
-    }
-  }
-  EXPECT_TRUE(fresh_row) << "recomputed result is missing the fresh write";
 }
 
 }  // namespace

