@@ -43,7 +43,6 @@ std::vector<pgrid::Entry> MakeDataset(size_t n, uint64_t seed) {
     pgrid::Entry e;
     e.key = pgrid::Key::FromBits(bits);
     e.id = "a#id" + std::to_string(i);
-    e.payload = "triple-payload-" + std::to_string(i) + "-xxxxxxxxxxxxxxxx";
     e.version = 1 + (i % 3);
     e.deleted = i % 97 == 0;  // Sprinkle tombstones.
     entries.push_back(std::move(e));

@@ -82,10 +82,10 @@ CampaignOutcome RunCampaign(bool churned) {
   overlay.BuildWithPaths(paths);
 
   for (int i = 0; i < 400; ++i) {
+    std::string value(1, static_cast<char>((i * 37) % 256));
+    value += "seed-" + std::to_string(i);
     Entry e;
-    e.payload = std::string(1, static_cast<char>((i * 37) % 256));
-    e.payload += "seed-" + std::to_string(i);
-    e.key = pgrid::OpHash(e.payload);
+    e.key = pgrid::OpHash(value);
     e.id = "id";
     e.version = 1;
     overlay.InsertDirect(e);
@@ -124,10 +124,10 @@ CampaignOutcome RunCampaign(bool churned) {
   const std::vector<net::PeerId> initiators = {8, 9, 11, 13, 14, 15};
   for (int i = 0; i < kOps; ++i) {
     sim.ScheduleAt(500 * kMs + i * 25 * kMs, [&, i] {
+      std::string value(1, static_cast<char>((i * 53) % 256));
+      value += "live-" + std::to_string(i);
       Entry e;
-      e.payload = std::string(1, static_cast<char>((i * 53) % 256));
-      e.payload += "live-" + std::to_string(i);
-      e.key = pgrid::OpHash(e.payload);
+      e.key = pgrid::OpHash(value);
       e.id = "id";
       e.version = 1;
       ++out.attempted;

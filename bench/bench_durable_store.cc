@@ -44,7 +44,6 @@ pgrid::Entry MakeEntry(uint64_t i) {
                       std::to_string(i);
   e.key = pgrid::OpHash(value);
   e.id = "a#id" + std::to_string(i);
-  e.payload = "payload-" + value + "-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx";
   e.version = 1 + (i % 3);
   return e;
 }
@@ -237,7 +236,6 @@ void RunCrashWorkload(pgrid::LocalStore* store, Oracle* fed, Oracle* flushed,
       pgrid::Entry e;
       e.key = pgrid::Key::FromBits(bits);
       e.id = "id" + std::to_string(rng.NextBounded(4));
-      e.payload = "p" + std::to_string(step) + "." + std::to_string(i);
       e.version = 1 + rng.NextBounded(9);
       e.deleted = rng.NextBounded(6) == 0;
       entries.push_back(std::move(e));

@@ -138,7 +138,7 @@ std::vector<Row> RunEngine(const std::string& engine_name,
     const sim::SimTime start = overlay.scheduler().Now();
     std::optional<Result<exec::MigrateResult>> out;
     services[0]->RunMigrateJoin(
-        pattern, "", MakeLeft(),
+        pattern, MakeLeft(),
         [&out](Result<exec::MigrateResult> r) { out = std::move(r); });
     overlay.scheduler().RunUntil([&out] { return out.has_value(); });
     const sim::SimTime stop = overlay.scheduler().Now();

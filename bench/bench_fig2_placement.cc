@@ -42,7 +42,7 @@ void PrintPlacement() {
   for (net::PeerId id = 0; id < 8; ++id) {
     auto* peer = cluster.overlay().peer(id);
     for (const auto& entry : peer->store().GetAllLive()) {
-      auto t = triple::Triple::DecodeFromString(entry.payload);
+      auto t = triple::DecodeEntryTriple(entry.id);
       table.AddRow({std::to_string(id), peer->path().ToString(),
                     KindOf(entry.id),
                     t.ok() ? t->ToString() : "<undecodable>"});

@@ -64,7 +64,6 @@ LookupRun RunZipfLookups(bool fanout_on,
     pgrid::Entry e;
     e.key = pgrid::OpHash(buf);
     e.id = std::string("id-") + buf;
-    e.payload = buf;
     e.version = 1;
     overlay.InsertDirect(e);
   }
@@ -229,7 +228,7 @@ void PrintAdmissionPhase() {
   std::vector<std::optional<Result<exec::MigrateResult>>> outs(kCrowd);
   for (size_t q = 0; q < kCrowd; ++q) {
     h.services[q % h.services.size()]->RunMigrateJoin(
-        AgePattern(), "", LeftBindings(),
+        AgePattern(), LeftBindings(),
         [&outs, q](Result<exec::MigrateResult> r) { outs[q] = std::move(r); });
   }
   h.overlay->simulation().RunUntilIdle();

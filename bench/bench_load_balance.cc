@@ -42,7 +42,6 @@ pgrid::Entry MakeEntry(const std::string& value, size_t i) {
   pgrid::Entry e;
   e.key = pgrid::OpHash(value);
   e.id = "id" + std::to_string(i);
-  e.payload = value;
   return e;
 }
 

@@ -95,7 +95,6 @@ pgrid::Entry MakeEntry(uint64_t i) {
                       std::to_string(i);
   e.key = pgrid::OpHash(value);
   e.id = "a#id" + std::to_string(i);
-  e.payload = "payload-" + value + "-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx";
   e.version = 1 + (i % 3);
   return e;
 }

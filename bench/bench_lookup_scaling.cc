@@ -23,7 +23,6 @@ pgrid::Entry MakeEntry(uint64_t i) {
   value += "-value-" + std::to_string(i);
   e.key = pgrid::OpHash(value);
   e.id = "id" + std::to_string(i);
-  e.payload = value;
   return e;
 }
 

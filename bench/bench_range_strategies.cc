@@ -45,7 +45,6 @@ void PrintRangeStrategies() {
     std::string value = ValueFor(i, kEntries);
     e.key = pgrid::OpHash(value);
     e.id = "id" + std::to_string(i);
-    e.payload = value;
     overlay.InsertDirect(e);
   }
 
@@ -106,7 +105,6 @@ void BM_RangeSeq(benchmark::State& state) {
     std::string value = ValueFor(i, 1000);
     e.key = pgrid::OpHash(value);
     e.id = "id" + std::to_string(i);
-    e.payload = value;
     overlay.InsertDirect(e);
   }
   pgrid::KeyRange range{pgrid::OpHash("\x20"), pgrid::OpHashUpper("\x60")};
@@ -127,7 +125,6 @@ void BM_RangeShower(benchmark::State& state) {
     std::string value = ValueFor(i, 1000);
     e.key = pgrid::OpHash(value);
     e.id = "id" + std::to_string(i);
-    e.payload = value;
     overlay.InsertDirect(e);
   }
   pgrid::KeyRange range{pgrid::OpHash("\x20"), pgrid::OpHashUpper("\x60")};

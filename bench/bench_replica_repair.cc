@@ -45,7 +45,6 @@ pgrid::Entry MakeEntry(const std::string& value) {
   pgrid::Entry e;
   e.key = pgrid::OpHash(value);
   e.id = "id";
-  e.payload = "payload-" + value;
   e.version = 1;
   return e;
 }

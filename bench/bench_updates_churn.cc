@@ -32,7 +32,6 @@ pgrid::Entry VersionedEntry(const std::string& value, uint64_t version) {
   pgrid::Entry e;
   e.key = pgrid::OpHash(value);
   e.id = value;
-  e.payload = value + "@v" + std::to_string(version);
   e.version = version;
   return e;
 }

@@ -37,7 +37,6 @@ struct StreamChecksum {
     ++count;
     Mix(e.key_bits);
     Mix(e.id);
-    Mix(e.payload);
     h ^= e.version;
     h *= 1099511628211ull;
     h ^= e.deleted ? 1 : 0;

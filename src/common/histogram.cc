@@ -69,40 +69,4 @@ double SampleStats::Gini() const {
   return (2.0 * weighted) / (n * sum_) - (n + 1.0) / n;
 }
 
-EquiDepthHistogram EquiDepthHistogram::Build(std::vector<double> values,
-                                             size_t buckets) {
-  EquiDepthHistogram h;
-  h.total_count_ = values.size();
-  if (values.empty() || buckets == 0) return h;
-  std::sort(values.begin(), values.end());
-  buckets = std::min(buckets, values.size());
-
-  h.bounds_.push_back(values.front());
-  size_t start = 0;
-  for (size_t b = 0; b < buckets; ++b) {
-    size_t end = (b + 1) * values.size() / buckets;  // exclusive
-    if (end <= start) continue;
-    h.counts_.push_back(end - start);
-    h.bounds_.push_back(values[end - 1]);
-    start = end;
-  }
-  return h;
-}
-
-double EquiDepthHistogram::EstimateRangeFraction(double lo, double hi) const {
-  if (total_count_ == 0 || bounds_.size() < 2 || lo > hi) return 0.0;
-  double covered = 0;
-  for (size_t b = 0; b + 1 < bounds_.size(); ++b) {
-    double blo = bounds_[b];
-    double bhi = bounds_[b + 1];
-    double olo = std::max(lo, blo);
-    double ohi = std::min(hi, bhi);
-    if (ohi < olo) continue;
-    double width = bhi - blo;
-    double frac = (width <= 0) ? 1.0 : (ohi - olo) / width;
-    covered += frac * static_cast<double>(counts_[b]);
-  }
-  return covered / static_cast<double>(total_count_);
-}
-
 }  // namespace unistore

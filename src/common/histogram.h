@@ -1,4 +1,4 @@
-// Summary statistics containers used by the cost model and the benchmarks.
+// Summary statistics of scalar samples, used by the benchmarks.
 #ifndef UNISTORE_COMMON_HISTOGRAM_H_
 #define UNISTORE_COMMON_HISTOGRAM_H_
 
@@ -40,30 +40,6 @@ class SampleStats {
   double sum_ = 0;
 
   void EnsureSorted() const;
-};
-
-/// \brief Equi-depth histogram over doubles; the cost model's estimate of a
-/// data distribution (selectivity of range predicates).
-class EquiDepthHistogram {
- public:
-  /// Builds from samples with roughly `buckets` buckets.
-  static EquiDepthHistogram Build(std::vector<double> values, size_t buckets);
-
-  /// Estimated fraction of values in [lo, hi].
-  double EstimateRangeFraction(double lo, double hi) const;
-
-  /// Total number of values the histogram summarizes.
-  size_t total_count() const { return total_count_; }
-
-  size_t bucket_count() const {
-    return bounds_.empty() ? 0 : bounds_.size() - 1;
-  }
-
- private:
-  // bounds_[i], bounds_[i+1] delimit bucket i; counts_[i] values inside.
-  std::vector<double> bounds_;
-  std::vector<size_t> counts_;
-  size_t total_count_ = 0;
 };
 
 }  // namespace unistore

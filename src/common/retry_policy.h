@@ -74,12 +74,6 @@ class RetryBudget {
     return true;
   }
 
-  /// Credits one retry back — a racing attempt made progress, so the spend
-  /// that raced it should not count against the budget.
-  void Repay() {
-    if (used_ > 0) used_--;
-  }
-
   /// Restores the attempt budget while keeping the deadline anchored at
   /// the operation's start (transfer resume: per-chunk retries reset on
   /// progress, the overall deadline never does).

@@ -155,33 +155,12 @@ Result<exec::QueryResult> Cluster::QuerySync(net::PeerId via,
       });
 }
 
-Result<exec::QueryResult> Cluster::QueryPlanSync(
-    net::PeerId via, const plan::PhysicalPlan& plan) {
-  return RunSync<exec::QueryResult>(
-      [this, via, &plan](std::function<void(Result<exec::QueryResult>)> cb) {
-        node(via).QueryPlan(plan, std::move(cb));
-      });
-}
-
 Result<Cluster::Measured> Cluster::QueryMeasured(
     net::PeerId via, const std::string& vql_text) {
   const net::TrafficStats before = overlay_->transport().stats();
   const sim::SimTime start = simulation().Now();
   UNISTORE_ASSIGN_OR_RETURN(exec::QueryResult result,
                             QuerySync(via, vql_text));
-  Measured measured;
-  measured.result = std::move(result);
-  measured.traffic = overlay_->transport().stats().Since(before);
-  measured.virtual_latency_us = simulation().Now() - start;
-  return measured;
-}
-
-Result<Cluster::Measured> Cluster::QueryPlanMeasured(
-    net::PeerId via, const plan::PhysicalPlan& plan) {
-  const net::TrafficStats before = overlay_->transport().stats();
-  const sim::SimTime start = simulation().Now();
-  UNISTORE_ASSIGN_OR_RETURN(exec::QueryResult result,
-                            QueryPlanSync(via, plan));
   Measured measured;
   measured.result = std::move(result);
   measured.traffic = overlay_->transport().stats().Since(before);

@@ -91,8 +91,6 @@ class Cluster {
 
   Result<exec::QueryResult> QuerySync(net::PeerId via,
                                       const std::string& vql_text);
-  Result<exec::QueryResult> QueryPlanSync(net::PeerId via,
-                                          const plan::PhysicalPlan& plan);
 
   /// A query with its resource consumption, as the benchmarks report it.
   struct Measured {
@@ -102,8 +100,6 @@ class Cluster {
   };
   Result<Measured> QueryMeasured(net::PeerId via,
                                  const std::string& vql_text);
-  Result<Measured> QueryPlanMeasured(net::PeerId via,
-                                     const plan::PhysicalPlan& plan);
 
   // --- Maintenance ---------------------------------------------------------
 

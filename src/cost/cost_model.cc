@@ -21,13 +21,6 @@ Cost CostModel::Lookup() const {
               (hops + 1) * net.hop_latency_us, 1};
 }
 
-Cost CostModel::Insert(double replication) const {
-  Cost c = Lookup();
-  c.messages += replication;
-  c.tuples_moved += replication;
-  return c;
-}
-
 Cost CostModel::RangeScanSequential(double peers_in_range,
                                     double expected_entries) const {
   const auto& net = catalog_->network();

@@ -53,9 +53,6 @@ class CostModel {
   /// One exact-key DHT lookup (greedy prefix routing + direct reply).
   Cost Lookup() const;
 
-  /// One insert (routing + replica pushes).
-  Cost Insert(double replication) const;
-
   /// Range scan touching `peers_in_range` peers, returning
   /// `expected_entries`. Sequential: leaf-to-leaf walk (latency linear in
   /// peers).

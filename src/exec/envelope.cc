@@ -66,7 +66,6 @@ std::string PlanEnvelope::Encode() const {
   w.PutU32(chunk_id);
   w.PutU32(chunk_count);
   EncodePattern(pattern, &w);
-  w.PutString(filter_vql);
   w.PutString(remaining.lo.bits());
   w.PutString(remaining.hi.bits());
   EncodeBindings(bindings, &w);
@@ -86,7 +85,6 @@ Result<PlanEnvelope> PlanEnvelope::Decode(std::string_view bytes) {
                               env.chunk_count, " out of range");
   }
   UNISTORE_ASSIGN_OR_RETURN(env.pattern, DecodePattern(&r));
-  UNISTORE_ASSIGN_OR_RETURN(env.filter_vql, r.GetString());
   UNISTORE_ASSIGN_OR_RETURN(env.remaining.lo, DecodeKey(&r));
   UNISTORE_ASSIGN_OR_RETURN(env.remaining.hi, DecodeKey(&r));
   UNISTORE_ASSIGN_OR_RETURN(env.bindings, DecodeBindings(&r));

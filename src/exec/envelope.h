@@ -36,9 +36,6 @@ struct PlanEnvelope {
   uint32_t chunk_count = 1;
   /// The pattern each visited peer matches against its local store.
   vql::TriplePattern pattern;
-  /// Optional residual FILTER (VQL text, re-parsed at each peer); applied
-  /// to merged bindings. Empty = none.
-  std::string filter_vql;
   /// The key range still to visit (this branch's slice of the right
   /// attribute's partition).
   pgrid::KeyRange remaining;

@@ -37,13 +37,12 @@ std::vector<pgrid::KeyRange> SplitRangeByPathSample(
 }
 
 EnvelopeCoordinator::EnvelopeCoordinator(
-    net::PeerId initiator, vql::TriplePattern pattern, std::string filter_vql,
-    pgrid::KeyRange range, std::vector<Binding> bindings,
-    const EnvelopeOptions& options, size_t key_width, uint64_t walk_id_base,
+    net::PeerId initiator, vql::TriplePattern pattern, pgrid::KeyRange range,
+    std::vector<Binding> bindings, const EnvelopeOptions& options,
+    size_t key_width, uint64_t walk_id_base,
     const std::vector<std::string>& peer_path_sample)
     : initiator_(initiator),
       pattern_(std::move(pattern)),
-      filter_vql_(std::move(filter_vql)),
       options_(options),
       next_walk_id_(walk_id_base) {
   branches_ = SplitRangeByPathSample(range, peer_path_sample,
@@ -82,7 +81,6 @@ PlanEnvelope EnvelopeCoordinator::MakeEnvelope(uint32_t branch,
   env.chunk_id = chunk;
   env.chunk_count = static_cast<uint32_t>(chunks_.size());
   env.pattern = pattern_;
-  env.filter_vql = filter_vql_;
   env.remaining.lo = w.frontier;
   env.remaining.hi = w.range.hi;
   env.bindings = chunks_[chunk];

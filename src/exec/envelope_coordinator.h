@@ -112,8 +112,7 @@ class EnvelopeCoordinator {
   /// `peer_path_sample` (the stats catalog's gossiped path sample) steers
   /// the fan-out split; pass empty for the density-blind fallback.
   EnvelopeCoordinator(net::PeerId initiator, vql::TriplePattern pattern,
-                      std::string filter_vql, pgrid::KeyRange range,
-                      std::vector<Binding> bindings,
+                      pgrid::KeyRange range, std::vector<Binding> bindings,
                       const EnvelopeOptions& options, size_t key_width,
                       uint64_t walk_id_base,
                       const std::vector<std::string>& peer_path_sample = {});
@@ -194,7 +193,6 @@ class EnvelopeCoordinator {
 
   net::PeerId initiator_;
   vql::TriplePattern pattern_;
-  std::string filter_vql_;
   EnvelopeOptions options_;
   std::vector<pgrid::KeyRange> branches_;
   std::vector<std::vector<Binding>> chunks_;

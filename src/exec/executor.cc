@@ -543,7 +543,7 @@ void Executor::ExecJoin(std::shared_ptr<PhysicalOp> node, Context ctx,
         return;
       case JoinStrategy::kMigrate:
         self->service_->RunMigrateJoin(
-            right.pattern, /*filter_vql=*/"", std::move(*left),
+            right.pattern, std::move(*left),
             [callback, ctx](Result<MigrateResult> migrated) {
               if (!migrated.ok()) {
                 callback(migrated.status());

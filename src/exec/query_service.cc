@@ -4,10 +4,8 @@
 #include <set>
 
 #include "common/logging.h"
-#include "exec/expr_eval.h"
 #include "pgrid/ophash.h"
 #include "triple/index.h"
-#include "vql/parser.h"
 
 namespace unistore {
 namespace exec {
@@ -52,7 +50,6 @@ void QueryService::OnPeerRestart() {
 // ---------------------------------------------------------------------------
 
 void QueryService::RunMigrateJoin(const vql::TriplePattern& pattern,
-                                  const std::string& filter_vql,
                                   std::vector<Binding> left,
                                   MigrateCallback callback) {
   if (pattern.predicate.is_variable ||
@@ -66,7 +63,7 @@ void QueryService::RunMigrateJoin(const vql::TriplePattern& pattern,
       id,
       MigrateRun{
           EnvelopeCoordinator(
-              peer_->id(), pattern, filter_vql,
+              peer_->id(), pattern,
               triple::AttrRange(pattern.predicate.literal.AsString()),
               std::move(left), options_, pgrid::kKeyBits,
               /*walk_id_base=*/(static_cast<uint64_t>(peer_->id()) << 40) |
@@ -113,8 +110,12 @@ std::optional<EnvelopeReply> QueryService::TrySendEnvelope(
     ServeEnvelope(std::move(env), request_id, 0);
     return std::nullopt;
   }
-  const net::PeerId next = peer_->RouteNextHop(env.remaining.lo);
-  if (next == net::kNoPeer || next == peer_->id()) {
+  Message msg;
+  msg.type = MessageType::kPlanExec;
+  msg.src = peer_->id();
+  msg.request_id = request_id;
+  msg.payload = env.Encode();
+  if (peer_->Forward(msg, env.remaining.lo) == net::kNoPeer) {
     EnvelopeReply error;
     error.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
     error.error = "no route toward join partition";
@@ -124,14 +125,6 @@ std::optional<EnvelopeReply> QueryService::TrySendEnvelope(
     error.origin = peer_->id();
     return error;
   }
-  Message msg;
-  msg.type = MessageType::kPlanExec;
-  msg.src = peer_->id();
-  msg.dst = next;
-  msg.request_id = request_id;
-  msg.hops = 1;
-  msg.payload = env.Encode();
-  peer_->transport()->Send(std::move(msg));
   return std::nullopt;
 }
 
@@ -245,8 +238,7 @@ void QueryService::OnPlanExec(const Message& msg) {
   if (!env.ok()) return;
   if (!peer_->IsResponsible(env->remaining.lo)) {
     // Pure routing hop toward the next partition peer.
-    net::PeerId next = peer_->RouteNextHop(env->remaining.lo);
-    if (next == net::kNoPeer || next == peer_->id()) {
+    if (peer_->Forward(msg, env->remaining.lo) == net::kNoPeer) {
       EnvelopeReply reply;
       reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
       reply.error = "envelope routing dead end at peer " +
@@ -257,13 +249,7 @@ void QueryService::OnPlanExec(const Message& msg) {
       reply.origin = peer_->id();
       DeliverReply(env->initiator, msg.request_id, msg.hops, /*delay=*/0,
                    std::move(reply));
-      return;
     }
-    Message copy = msg;
-    copy.src = peer_->id();
-    copy.dst = next;
-    copy.hops = msg.hops + 1;
-    peer_->transport()->Send(std::move(copy));
     return;
   }
   ServeEnvelope(std::move(*env), msg.request_id, msg.hops);
@@ -297,29 +283,20 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
 
   ++envelopes_processed_;
 
-  // Optional residual filter: parsed once per visit (it travelled as VQL
-  // text — the "plan" part of the mutant plan).
-  vql::ExprPtr filter;
-  if (!env.filter_vql.empty()) {
-    auto parsed = vql::ParseExpression(env.filter_vql);
-    if (parsed.ok()) filter = *parsed;
-  }
-
   // Join local entries of the remaining range against the bindings. The
   // store scan visits entries in place (no materialized entry vector) and
-  // each payload decodes exactly once.
+  // each entry id decodes exactly once.
   const pgrid::Key serve_lo = env.remaining.lo;
   size_t local_triples = 0;
   std::vector<Binding> local_results;
   peer_->store().ScanRange(env.remaining, [&](const pgrid::EntryView& entry) {
-    auto t = triple::Triple::DecodeFromString(entry.payload);
-    if (!t.ok()) return true;  // Tolerate foreign payloads in the range.
+    auto t = triple::DecodeEntryTriple(entry.id);
+    if (!t.ok()) return true;  // Tolerate foreign entries in the range.
     ++local_triples;
     for (const Binding& b : env.bindings) {
       auto merged =
           MatchPattern(env.pattern, t->oid, t->attribute, t->value, b);
       if (!merged.has_value()) continue;
-      if (filter && !EvaluatePredicate(*filter, *merged)) continue;
       local_results.push_back(std::move(*merged));
     }
     return true;
@@ -355,16 +332,22 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
   bool more =
       env.remaining.hi.Compare(subtree_max) > 0 && !peer_->path().empty();
   const pgrid::Key covered_hi = more ? subtree_max : env.remaining.hi;
-  net::PeerId next = net::kNoPeer;
-  pgrid::Key next_lo;
   bool stalled = false;
   if (more) {
-    next_lo = subtree_max.Increment();
+    const pgrid::Key next_lo = subtree_max.Increment();
     if (next_lo.empty()) {
       more = false;
     } else {
-      next = peer_->RouteNextHop(next_lo);
-      if (next == net::kNoPeer || next == peer_->id()) stalled = true;
+      // The shrunk envelope leaves before the local join completes, so
+      // network latency overlaps with local work.
+      env.remaining.lo = next_lo;
+      Message msg;
+      msg.type = MessageType::kPlanExec;
+      msg.src = peer_->id();
+      msg.request_id = request_id;
+      msg.hops = hops;
+      msg.payload = env.Encode();
+      stalled = peer_->Forward(msg, next_lo) == net::kNoPeer;
     }
   }
 
@@ -386,20 +369,6 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
     reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
     reply.error =
         "envelope walk stalled at peer " + std::to_string(peer_->id());
-  }
-
-  if (forward) {
-    // The shrunk envelope leaves before the local join completes, so
-    // network latency overlaps with local work.
-    env.remaining.lo = next_lo;
-    Message msg;
-    msg.type = MessageType::kPlanExec;
-    msg.src = peer_->id();
-    msg.dst = next;
-    msg.request_id = request_id;
-    msg.hops = hops + 1;
-    msg.payload = env.Encode();
-    peer_->transport()->Send(std::move(msg));
   }
 
   DeliverReply(env.initiator, request_id, hops, finish_delay,
@@ -472,7 +441,7 @@ void QueryService::BuildLocalStats(double hop_latency_us) {
   peer_->store().ScanAllLive([&by_attr](const pgrid::EntryView& entry) {
     // Count each triple once: only its A#v index copy.
     if (entry.id.rfind("a#", 0) != 0) return true;
-    auto t = triple::Triple::DecodeFromString(entry.payload);
+    auto t = triple::DecodeEntryTriple(entry.id);
     if (!t.ok()) return true;
     Acc& acc = by_attr[t->attribute];
     acc.count++;

@@ -32,7 +32,6 @@ class QueryService {
 
   pgrid::Peer* peer() { return peer_; }
 
-  const EnvelopeOptions& envelope_options() const { return options_; }
   /// Replaces the envelope knobs (harness context only; applies to joins
   /// started afterwards).
   void set_envelope_options(const EnvelopeOptions& options) {
@@ -47,12 +46,10 @@ class QueryService {
 
   /// \brief Runs a Migrate join: ships `left` through the partition of
   /// `pattern`'s (literal) attribute; every peer forwards the envelope,
-  /// joins locally and streams its rows back. `filter_vql` optionally
-  /// prunes merged bindings en route (empty = none). Fan-out and binding
+  /// joins locally and streams its rows back. Fan-out and binding
   /// chunking follow the configured EnvelopeOptions; results come back in
   /// canonical order regardless of those knobs.
   void RunMigrateJoin(const vql::TriplePattern& pattern,
-                      const std::string& filter_vql,
                       std::vector<Binding> left, MigrateCallback callback);
 
   /// Rebuilds this peer's local statistics from its store: per-attribute

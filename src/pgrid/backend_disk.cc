@@ -112,11 +112,6 @@ Status ValidateBlockPayload(std::string_view payload) {
       return corrupt("id");
     }
     pos += id_len;
-    uint64_t payload_len = 0;
-    if (!read_varint(&payload_len) || payload_len > payload.size() - pos) {
-      return corrupt("payload");
-    }
-    pos += payload_len;
     uint64_t version = 0;
     if (!read_varint(&version)) return corrupt("version");
     if (pos >= payload.size()) return corrupt("flags");

@@ -50,7 +50,7 @@ namespace pgrid {
 namespace storage {
 
 constexpr uint32_t kRunMagic = 0x4E525355u;  // "USRN", little-endian.
-constexpr uint32_t kRunFormatVersion = 1;
+constexpr uint32_t kRunFormatVersion = 2;
 constexpr size_t kRunHeaderBytes = 8;   // magic + format version.
 constexpr size_t kRunTailBytes = 16;    // index offset + crc + magic.
 constexpr char kManifestName[] = "MANIFEST";
@@ -176,7 +176,7 @@ class DiskRun {
 /// \brief Forward cursor over a DiskRun in slot order.
 ///
 /// Mirrors SortedRun::Cursor: after Seek, view() exposes the current
-/// entry as an EntryView whose id/payload alias the pinned block and
+/// entry as an EntryView whose id aliases the pinned block and
 /// whose key aliases either the block (records stored with shared == 0)
 /// or the cursor's fixed reassembly buffer. Block loads may allocate
 /// (cache fills); the in-memory backend's allocation-free scan guarantee

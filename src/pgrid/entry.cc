@@ -22,7 +22,6 @@ Result<Entry> Entry::Decode(BufferReader* r) {
   }
   e.key = Key::FromBits(bits);
   UNISTORE_ASSIGN_OR_RETURN(e.id, r->GetString());
-  UNISTORE_ASSIGN_OR_RETURN(e.payload, r->GetString());
   UNISTORE_ASSIGN_OR_RETURN(e.version, r->GetVarint());
   UNISTORE_ASSIGN_OR_RETURN(e.deleted, r->GetBool());
   return e;
@@ -32,7 +31,6 @@ void EntryView::Encode(BufferWriter* w) const {
   w->EnsureSpace(EncodedSize());
   w->PutString(key_bits);
   w->PutString(id);
-  w->PutString(payload);
   w->PutVarint(version);
   w->PutBool(deleted);
 }
@@ -40,7 +38,6 @@ void EntryView::Encode(BufferWriter* w) const {
 size_t EntryView::EncodedSize() const {
   return VarintLength(key_bits.size()) + key_bits.size() +
          VarintLength(id.size()) + id.size() +
-         VarintLength(payload.size()) + payload.size() +
          VarintLength(version) + 1;
 }
 
@@ -48,7 +45,6 @@ Entry EntryView::ToEntry() const {
   Entry e;
   e.key = Key::FromBits(key_bits);
   e.id = std::string(id);
-  e.payload = std::string(payload);
   e.version = version;
   e.deleted = deleted;
   return e;

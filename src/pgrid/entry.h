@@ -17,16 +17,15 @@ namespace pgrid {
 
 /// \brief A versioned value stored in the DHT.
 ///
-/// `id` identifies the logical datum under its key (for triples: the triple
-/// identity, so re-inserting the same triple with a higher version is an
-/// update, per the loose-consistency update scheme of [Datta ICDCS'03]).
-/// `payload` is opaque to the overlay; the triple layer stores encoded
-/// triples in it. `deleted` marks a tombstone, which replicas keep so that
-/// anti-entropy does not resurrect removed data.
+/// `id` identifies the logical datum under its key and is the datum itself:
+/// the triple layer stores each triple as the id of its entries, so
+/// re-inserting the same triple with a higher version is an update, per
+/// the loose-consistency update scheme of [Datta ICDCS'03]. `deleted`
+/// marks a tombstone, which replicas keep so that anti-entropy does not
+/// resurrect removed data.
 struct Entry {
   Key key;
   std::string id;
-  std::string payload;
   uint64_t version = 1;
   bool deleted = false;
 
@@ -37,8 +36,8 @@ struct Entry {
   size_t EncodedSize() const;
 
   bool operator==(const Entry& other) const {
-    return key == other.key && id == other.id && payload == other.payload &&
-           version == other.version && deleted == other.deleted;
+    return key == other.key && id == other.id && version == other.version &&
+           deleted == other.deleted;
   }
 };
 
@@ -54,7 +53,6 @@ struct Entry {
 struct EntryView {
   std::string_view key_bits;
   std::string_view id;
-  std::string_view payload;
   uint64_t version = 1;
   bool deleted = false;
 
@@ -63,7 +61,6 @@ struct EntryView {
   EntryView(const Entry& e)  // NOLINT(google-explicit-constructor)
       : key_bits(e.key.bits()),
         id(e.id),
-        payload(e.payload),
         version(e.version),
         deleted(e.deleted) {}
 

@@ -108,7 +108,7 @@ struct LocalStoreOptions {
 
 /// Cumulative write-path accounting (write-amplification measurements).
 /// "Bytes" are the approximate resident footprint of the entries moved
-/// (key + id + payload + fixed overhead), not wire bytes.
+/// (key + id + fixed overhead), not wire bytes.
 struct LocalStoreWriteStats {
   uint64_t ingested_entries = 0;  ///< Entries accepted by Apply/BulkLoad.
   uint64_t ingested_bytes = 0;

@@ -257,7 +257,7 @@ struct RunFetchRequest {
   uint64_t run_id = 0;
   uint32_t expected_checksum = 0;  ///< 0 for the memtable pseudo run.
   uint64_t start_entry = 0;        ///< First entry index of this chunk.
-  uint64_t max_bytes = 0;          ///< Chunk payload budget (>=1 entry ships).
+  uint64_t max_bytes = 0;          ///< Entry-byte budget (>=1 entry ships).
 
   std::string Encode() const;
   static Result<RunFetchRequest> Decode(std::string_view bytes);

@@ -21,7 +21,8 @@
 // unconstrained — so the buckets were dropped.)
 //
 // Distinct strings sharing their first kCharsPerKey bytes collide; index
-// lookups therefore always post-filter entries by their exact payload.
+// lookups therefore always post-filter entries by the exact triple their
+// id decodes to (triple/index.h).
 #ifndef UNISTORE_PGRID_OPHASH_H_
 #define UNISTORE_PGRID_OPHASH_H_
 

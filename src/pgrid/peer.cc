@@ -787,7 +787,6 @@ void Peer::ApplyOrReroute(const std::vector<Entry>& entries) {
     if (IsResponsible(e.key)) {
       store_.Apply(e);
     } else {
-      ++rerouted_entries_;
       InsertBatch({e}, NoopStatus);
     }
   }
@@ -805,7 +804,6 @@ void Peer::HandleEntryBatch(const Message& msg) {
     // never absorb foreign data into its new region.
     if ((batch->reroute_if_foreign || batch->gossip) &&
         !IsResponsible(e.key)) {
-      ++rerouted_entries_;
       // If the reroute dies (routing can dead-end while the trie is
       // mid-exchange), hold the entry here rather than lose it: a
       // misplaced copy is repairable by the next exchange migration,
@@ -1731,7 +1729,6 @@ void Peer::ApplyExchangeReply(const ExchangeReply& reply, PeerId responder) {
       routing_.ClearReplicas();
       std::vector<Entry> foreign = store_.ExtractNotMatching(path_);
       if (!foreign.empty()) {
-        rerouted_entries_ += foreign.size();
         SendEntries(responder, std::move(foreign),
                     /*reroute_if_foreign=*/true, /*gossip=*/false);
       }

@@ -94,7 +94,7 @@ struct PeerOptions {
 
   // --- Replica repair: anti-entropy snapshot shipping (DESIGN.md §9) ----
 
-  /// Entry payload budget of one kRunFetchReply chunk during replica
+  /// Encoded-entry byte budget of one kRunFetchReply chunk during replica
   /// repair and of one kBulkInsert sub-batch. Bounds every repair and
   /// batch-insert message on the wire; a chunk always carries at least
   /// one entry, so an oversized entry still makes progress.
@@ -210,10 +210,11 @@ class Peer {
   /// True iff this peer's path is a prefix of `key`.
   bool IsResponsible(const Key& key) const { return path_.IsPrefixOf(key); }
 
-  /// The next greedy-routing hop toward `key`: this peer's id if
-  /// responsible, kNoPeer on a dead end. Exposed for protocol extensions
-  /// (mutant query plan envelopes route themselves with this).
-  PeerId RouteNextHop(const Key& key) { return NextHop(key); }
+  /// Forwards a routed request one hop toward `key`: a copy of `msg` from
+  /// this peer with one more hop. Returns the chosen next hop, or kNoPeer
+  /// on a dead end (no reference, or `msg` already made 2·kKeyBits hops).
+  /// Protocol extensions (mutant query plan envelopes) route with this.
+  PeerId Forward(const net::Message& msg, const Key& key);
 
   // --- Harness-side setup (bypasses the network; used by Overlay) --------
 
@@ -341,10 +342,6 @@ class Peer {
     restart_hook_ = std::move(hook);
   }
 
-  /// Total tombstone+live entries rerouted because they did not match this
-  /// peer's path after an exchange (observability for tests).
-  uint64_t rerouted_entries() const { return rerouted_entries_; }
-
   // --- Hot-key fan-out observability (DESIGN.md §8) ----------------------
 
   /// Lookups this peer answered from its own store (as owner or replica),
@@ -435,9 +432,6 @@ class Peer {
 
   // Routing.
   PeerId NextHop(const Key& key);
-  // Forwards a routed request one hop toward `key`. Returns the chosen
-  // next hop, or kNoPeer if no reference is available (routing dead end).
-  PeerId Forward(const net::Message& msg, const Key& key);
 
   // The key-set router (DESIGN.md §13) of lookups and batch inserts:
   // splits items that arrived after `hops` hops into the ones this peer
@@ -622,7 +616,6 @@ class Peer {
   RoutingTable routing_;
   net::RpcManager rpc_;
   bool exchange_busy_ = false;
-  uint64_t rerouted_entries_ = 0;
 
   std::map<net::MessageType, ExtensionHandler> extensions_;
 

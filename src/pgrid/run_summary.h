@@ -51,7 +51,6 @@ struct RunChecksum {
   void Add(const EntryView& e) {
     Fold(e.key_bits);
     Fold(e.id);
-    Fold(e.payload);
     const uint64_t version = e.version;
     crc = Crc32c(&version, sizeof(version), crc);
     const uint8_t deleted = e.deleted ? 1 : 0;

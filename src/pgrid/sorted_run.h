@@ -20,17 +20,12 @@ namespace pgrid {
 /// Approximate resident footprint of one entry (object + string bytes;
 /// ignores allocator slack). Shared by run accounting and the
 /// write-amplification counters so the two are comparable.
-inline size_t ApproxEntryBytes(size_t key_len, size_t id_len,
-                               size_t payload_len) {
-  return sizeof(Entry) + key_len + id_len + payload_len;
-}
-
 inline size_t ApproxEntryBytes(const Entry& e) {
-  return ApproxEntryBytes(e.key.bits().size(), e.id.size(), e.payload.size());
+  return sizeof(Entry) + e.key.bits().size() + e.id.size();
 }
 
 inline size_t ApproxEntryBytes(const EntryView& e) {
-  return ApproxEntryBytes(e.key_bits.size(), e.id.size(), e.payload.size());
+  return sizeof(Entry) + e.key_bits.size() + e.id.size();
 }
 
 namespace run_format {
@@ -91,7 +86,6 @@ inline int CompareChainStart(std::string_view bytes, size_t pos,
 ///   varint shared_key_len   (0 at chain starts and for overlong keys)
 ///   varint key_suffix_len, key suffix bytes
 ///   varint id_len, id bytes
-///   varint payload_len, payload bytes
 ///   varint version
 ///   u8 flags               (bit 0: deleted)
 /// `prev_key` is the previous record's full key bits, or empty at a chain
@@ -112,8 +106,6 @@ inline void AppendRecord(std::string* out, std::string_view prev_key,
   out->append(e.key_bits.data() + shared, e.key_bits.size() - shared);
   AppendVarint(out, e.id.size());
   out->append(e.id.data(), e.id.size());
-  AppendVarint(out, e.payload.size());
-  out->append(e.payload.data(), e.payload.size());
   AppendVarint(out, e.version);
   out->push_back(e.deleted ? '\1' : '\0');
 }
@@ -121,7 +113,7 @@ inline void AppendRecord(std::string* out, std::string_view prev_key,
 /// \brief Decodes the record at `*pos` of `bytes` into `view` and moves
 /// `*pos` past it.
 ///
-/// Id and payload alias `bytes`. A record with shared == 0 aliases its
+/// The id aliases `bytes`. A record with shared == 0 aliases its
 /// key in `bytes` too; any other record reassembles its key in `key_buf`
 /// (kMaxCompressedKeyBits bytes) from the previous record's key, which
 /// `view` must still hold — so records of a chain decode in order. Never
@@ -148,9 +140,6 @@ inline void DecodeRecord(std::string_view bytes, size_t* pos, char* key_buf,
   const uint64_t id_len = ReadVarint(bytes, &at);
   view->id = std::string_view(data + at, id_len);
   at += id_len;
-  const uint64_t payload_len = ReadVarint(bytes, &at);
-  view->payload = std::string_view(data + at, payload_len);
-  at += payload_len;
   view->version = ReadVarint(bytes, &at);
   view->deleted = data[at++] != '\0';
   *pos = at;
@@ -163,8 +152,8 @@ inline void DecodeRecord(std::string_view bytes, size_t* pos, char* key_buf,
 ///
 /// One byte arena holds the entries in run_format's record layout: key
 /// bits are shared-prefix-truncated against the previous entry, with
-/// restart points (full key) every `restart_interval` entries. Ids and
-/// payloads are stored raw, so cursor views alias the arena; only a
+/// restart points (full key) every `restart_interval` entries. Ids are
+/// stored raw, so cursor views alias the arena; only a
 /// prefix-shared key is reassembled — into the cursor's fixed buffer,
 /// never the heap.
 class SortedRun {

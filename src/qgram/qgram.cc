@@ -4,6 +4,7 @@
 #include <map>
 
 #include "pgrid/ophash.h"
+#include "triple/index.h"
 
 namespace unistore {
 namespace qgram {
@@ -118,13 +119,11 @@ std::vector<pgrid::Entry> EntriesForTripleQGrams(const triple::Triple& t,
                                                  bool deleted) {
   std::vector<pgrid::Entry> entries;
   if (!t.value.is_string()) return entries;
-  const std::string payload = t.EncodeToString();
-  const std::string identity = t.Identity();
+  const std::string encoded = t.Identity();
   for (const std::string& gram : DistinctQGrams(t.value.AsString(), q)) {
     pgrid::Entry e;
     e.key = QGramKey(t.attribute, gram);
-    e.id = "g#" + gram + "\x1F" + identity;
-    e.payload = payload;
+    e.id = triple::PostingId(gram, encoded);
     e.version = version;
     e.deleted = deleted;
     entries.push_back(std::move(e));

@@ -75,7 +75,7 @@ pgrid::Key QGramKey(const std::string& attribute, const std::string& gram);
 bool GramsHaveOwnKeys(const std::string& attribute, size_t q);
 
 /// The posting entries for a triple with a string value: one per distinct
-/// gram. Non-string values produce no postings.
+/// gram, its id triple::PostingId. Non-string values produce no postings.
 std::vector<pgrid::Entry> EntriesForTripleQGrams(const triple::Triple& t,
                                                  size_t q, uint64_t version,
                                                  bool deleted = false);

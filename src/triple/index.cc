@@ -16,11 +16,28 @@ const char* KindTag(IndexKind kind) {
   return "?#";
 }
 
-std::string EntryId(IndexKind kind, const Triple& triple) {
-  return std::string(KindTag(kind)) + triple.Identity();
+}  // namespace
+
+std::string PostingId(std::string_view gram, std::string_view encoded) {
+  BufferWriter w;
+  w.Reserve(2 + VarintLength(gram.size()) + gram.size() + encoded.size());
+  w.PutRaw("g#");
+  w.PutString(gram);
+  w.PutRaw(encoded);
+  return w.Release();
 }
 
-}  // namespace
+Result<Triple> DecodeEntryTriple(std::string_view id) {
+  if (id.size() < 2 || id[1] != '#' ||
+      std::string_view("oavg").find(id[0]) == std::string_view::npos) {
+    return Status::Corruption("not a triple entry id");
+  }
+  BufferReader r(id.substr(2));
+  if (id[0] == 'g') UNISTORE_RETURN_IF_ERROR(r.GetStringView().status());
+  UNISTORE_ASSIGN_OR_RETURN(Triple t, Triple::Decode(&r));
+  if (!r.AtEnd()) return Status::Corruption("trailing bytes in entry id");
+  return t;
+}
 
 std::string IndexString(IndexKind kind, const Triple& triple) {
   switch (kind) {
@@ -42,13 +59,12 @@ std::vector<pgrid::Entry> EntriesForTriple(const Triple& triple,
                                            uint64_t version, bool deleted) {
   std::vector<pgrid::Entry> entries;
   entries.reserve(3);
-  const std::string payload = triple.EncodeToString();
+  const std::string encoded = triple.Identity();
   for (IndexKind kind :
        {IndexKind::kOid, IndexKind::kAttrValue, IndexKind::kValue}) {
     pgrid::Entry e;
     e.key = IndexKey(kind, triple);
-    e.id = EntryId(kind, triple);
-    e.payload = payload;
+    e.id = KindTag(kind) + encoded;
     e.version = version;
     e.deleted = deleted;
     entries.push_back(std::move(e));
@@ -89,15 +105,6 @@ pgrid::Key ValueKey(const Value& value) {
   return pgrid::OpHash("v#" + value.ToIndexString());
 }
 
-pgrid::KeyRange ValueRange(const Value& lo, const Value& hi) {
-  pgrid::KeyRange range;
-  range.lo = lo.is_null() ? pgrid::OpHash("v#")
-                          : pgrid::OpHash("v#" + lo.ToIndexString());
-  range.hi = hi.is_null() ? pgrid::OpHashUpper("v#")
-                          : pgrid::OpHashUpper("v#" + hi.ToIndexString());
-  return range;
-}
-
 std::vector<Triple> DecodeTriples(const std::vector<pgrid::Entry>& entries) {
   std::vector<Triple> out;
   out.reserve(entries.size());
@@ -111,7 +118,7 @@ std::vector<Triple> DecodeTriples(const std::vector<pgrid::Entry>& entries) {
 void VisitTriples(const std::vector<pgrid::Entry>& entries,
                   FunctionRef<bool(Triple&&)> visit) {
   for (const auto& e : entries) {
-    auto t = Triple::DecodeFromString(e.payload);
+    auto t = DecodeEntryTriple(e.id);
     if (!t.ok()) continue;
     if (!visit(std::move(*t))) return;
   }

@@ -6,15 +6,18 @@
 // attribute."
 //
 // Each triple therefore becomes three DHT entries whose keys are the
-// order-preserving hashes of tagged index strings; every entry carries the
-// full encoded triple so any index reproduces origin data.
+// order-preserving hashes of tagged index strings. An entry's id is the
+// full encoded triple behind a tag, so any index reproduces origin data
+// and the id is the only stored copy of the triple.
 #ifndef UNISTORE_TRIPLE_INDEX_H_
 #define UNISTORE_TRIPLE_INDEX_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/function_ref.h"
+#include "common/result.h"
 #include "pgrid/entry.h"
 #include "pgrid/key.h"
 #include "pgrid/ophash.h"
@@ -35,6 +38,19 @@ std::string IndexString(IndexKind kind, const Triple& triple);
 
 /// The DHT key of a triple under one index.
 pgrid::Key IndexKey(IndexKind kind, const Triple& triple);
+
+/// \brief The entry id layout, owned here and nowhere else.
+///
+/// An index entry's id is its kind tag ("o#", "a#", "v#") followed by the
+/// triple's encoding, Triple::Identity(); a q-gram posting's id
+/// (PostingId) is "g#", the varint-length-prefixed gram, then the
+/// encoding. So an entry's slot is its triple: two distinct triples never
+/// share one, however their values round in an index key.
+std::string PostingId(std::string_view gram, std::string_view encoded);
+
+/// Decodes the triple an entry id of either layout carries. Fails on any
+/// other id (foreign entries sharing the key space).
+Result<Triple> DecodeEntryTriple(std::string_view id);
 
 /// The three DHT entries representing `triple` (versioned; tombstones when
 /// `deleted`).
@@ -65,12 +81,9 @@ pgrid::KeyRange AttrPrefixRange(const std::string& attribute,
 /// Exact-match key in the value index (queries on arbitrary attributes).
 pgrid::Key ValueKey(const Value& value);
 
-/// Covering key range in the value index for values in [lo, hi].
-pgrid::KeyRange ValueRange(const Value& lo, const Value& hi);
-
 /// Decodes the triples out of DHT entries, dropping undecodable ones.
 /// Entries produced by EntriesForTriple always decode; this tolerates
-/// foreign payloads sharing the key space.
+/// foreign entries sharing the key space.
 std::vector<Triple> DecodeTriples(const std::vector<pgrid::Entry>& entries);
 
 /// Visitor form of DecodeTriples: each decodable triple is handed to

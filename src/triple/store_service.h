@@ -4,7 +4,7 @@
 // StorageService to store triple data" (Figure 1): it turns triples into
 // 3-way index entries, routes them into the overlay, and answers
 // triple-level reads with exact post-filtering (hash collisions are
-// resolved against decoded payloads).
+// resolved against the triples decoded from entry ids).
 #ifndef UNISTORE_TRIPLE_STORE_SERVICE_H_
 #define UNISTORE_TRIPLE_STORE_SERVICE_H_
 

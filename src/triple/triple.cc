@@ -4,9 +4,9 @@ namespace unistore {
 namespace triple {
 
 std::string Triple::Identity() const {
-  // \x1F (unit separator) cannot appear in oids/attributes produced by the
-  // system and keeps the identity unambiguous.
-  return oid + "\x1F" + attribute + "\x1F" + value.ToIndexString();
+  BufferWriter w;
+  Encode(&w);
+  return w.Release();
 }
 
 std::string Triple::ToString() const {
@@ -26,17 +26,6 @@ Result<Triple> Triple::Decode(BufferReader* r) {
   UNISTORE_ASSIGN_OR_RETURN(t.attribute, r->GetString());
   UNISTORE_ASSIGN_OR_RETURN(t.value, Value::Decode(r));
   return t;
-}
-
-std::string Triple::EncodeToString() const {
-  BufferWriter w;
-  Encode(&w);
-  return w.Release();
-}
-
-Result<Triple> Triple::DecodeFromString(std::string_view bytes) {
-  BufferReader r(bytes);
-  return Decode(&r);
 }
 
 }  // namespace triple

@@ -27,9 +27,11 @@ struct Triple {
   Triple(std::string o, std::string a, Value v)
       : oid(std::move(o)), attribute(std::move(a)), value(std::move(v)) {}
 
-  /// Stable identity of this statement: two triples with equal identity
-  /// denote the same logical fact (used as the DHT entry id so re-insertion
-  /// is idempotent and versioned updates replace).
+  /// Stable identity of this statement: its encoding (Encode into a
+  /// standalone string). Two triples with equal identity denote the same
+  /// logical fact; the identity is the body of every DHT entry id of the
+  /// triple (triple/index.h), so re-insertion is idempotent, versioned
+  /// updates replace, and the id decodes back into the triple.
   std::string Identity() const;
 
   /// "(oid, attr, value)" for logs and result rendering.
@@ -37,10 +39,6 @@ struct Triple {
 
   void Encode(BufferWriter* w) const;
   static Result<Triple> Decode(BufferReader* r);
-
-  /// Serializes to a standalone payload string.
-  std::string EncodeToString() const;
-  static Result<Triple> DecodeFromString(std::string_view bytes);
 
   bool operator==(const Triple& other) const {
     return oid == other.oid && attribute == other.attribute &&

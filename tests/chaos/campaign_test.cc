@@ -187,7 +187,7 @@ TEST(ChaosCampaignTest, InvariantsHoldUnderScriptedFaultMixture) {
           {{"a", triple::Value::String("base" + std::to_string(i))}});
     }
     services[1]->RunMigrateJoin(
-        pattern, "", left, [&](Result<exec::MigrateResult> r) {
+        pattern, left, [&](Result<exec::MigrateResult> r) {
           mid_walk = std::move(r);
           mid_walk_finished = sim.Now();
         });
@@ -286,7 +286,7 @@ TEST(ChaosCampaignTest, InvariantsHoldUnderScriptedFaultMixture) {
     }
     std::optional<Result<exec::MigrateResult>> final_walk;
     services[0]->RunMigrateJoin(
-        pattern, "", left,
+        pattern, left,
         [&](Result<exec::MigrateResult> r) { final_walk = std::move(r); });
     sim.RunUntil([&] { return final_walk.has_value(); });
     ASSERT_TRUE(final_walk.has_value());
@@ -366,10 +366,10 @@ TEST(ChaosCampaignTest, ChurnMixedWithFaultsEndsReprotected) {
   // peers must keep serving.
   std::vector<Entry> baseline;
   for (int i = 0; i < 400; ++i) {
+    std::string value(1, static_cast<char>((i * 37) % 256));
+    value += "camp-" + std::to_string(i);
     Entry e;
-    e.payload = std::string(1, static_cast<char>((i * 37) % 256));
-    e.payload += "camp-" + std::to_string(i);
-    e.key = OpHash(e.payload);
+    e.key = OpHash(value);
     e.id = "id";
     e.version = 1;
     baseline.push_back(e);
@@ -421,10 +421,10 @@ TEST(ChaosCampaignTest, ChurnMixedWithFaultsEndsReprotected) {
   std::vector<Key> acked_keys;
   for (int i = 0; i < 30; ++i) {
     sim.ScheduleAt(500 * kMs + i * 200 * kMs, [&, i] {
+      std::string value(1, static_cast<char>((i * 53) % 256));
+      value += "live-" + std::to_string(i);
       Entry e;
-      e.payload = std::string(1, static_cast<char>((i * 53) % 256));
-      e.payload += "live-" + std::to_string(i);
-      e.key = OpHash(e.payload);
+      e.key = OpHash(value);
       e.id = "id";
       e.version = 1;
       overlay.peer(initiators[i % initiators.size()])

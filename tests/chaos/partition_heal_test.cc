@@ -82,7 +82,7 @@ struct Scenario {
     }
     std::optional<Result<exec::MigrateResult>> out;
     services[initiator]->RunMigrateJoin(
-        pattern, "", left,
+        pattern, left,
         [&out](Result<exec::MigrateResult> r) { out = std::move(r); });
     overlay->simulation().RunUntil([&out] { return out.has_value(); });
     EXPECT_TRUE(out.has_value());

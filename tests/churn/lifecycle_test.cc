@@ -37,8 +37,7 @@ constexpr sim::SimTime kS = sim::kMicrosPerSecond;
 Entry MakeEntry(const std::string& value, uint64_t version = 1) {
   Entry e;
   e.key = OpHash(value);
-  e.id = "id";
-  e.payload = value;
+  e.id = "id-" + value;
   e.version = version;
   return e;
 }
@@ -279,7 +278,7 @@ TEST(ChurnLifecycleTest, RestartFailsInFlightMigrateJoinOnce) {
   // Restart the coordinator before any envelope reply can arrive.
   int calls = 0;
   std::optional<Result<exec::MigrateResult>> failed;
-  services[0]->RunMigrateJoin(pattern, "", left,
+  services[0]->RunMigrateJoin(pattern, left,
                               [&](Result<exec::MigrateResult> r) {
                                 ++calls;
                                 failed = std::move(r);
@@ -293,7 +292,7 @@ TEST(ChurnLifecycleTest, RestartFailsInFlightMigrateJoinOnce) {
   auto migrate = [&](PeerId via) {
     std::optional<Result<exec::MigrateResult>> out;
     services[via]->RunMigrateJoin(
-        pattern, "", left,
+        pattern, left,
         [&out](Result<exec::MigrateResult> r) { out = std::move(r); });
     overlay.simulation().RunUntil([&out] { return out.has_value(); });
     EXPECT_TRUE(out.has_value());
@@ -344,8 +343,9 @@ TEST(ChurnLifecycleTest, JoinSplitsLoadedSponsor) {
   });
   // The sponsor can route into the half it gave away.
   const Key joiner_key = overlay.peer(1)->path();
-  EXPECT_EQ(overlay.peer(0)->RouteNextHop(joiner_key.PadTo(kKeyBits, false)),
-            PeerId{1});
+  ASSERT_FALSE(
+      overlay.peer(0)->IsResponsible(joiner_key.PadTo(kKeyBits, false)));
+  EXPECT_EQ(overlay.peer(0)->routing().RefsAt(0), std::vector<PeerId>{1});
 }
 
 // An unloaded sponsor adopts the joiner into its replica group; the

@@ -68,40 +68,5 @@ TEST(SampleStatsTest, AddAfterReadKeepsConsistency) {
   EXPECT_DOUBLE_EQ(s.min(), 5.0);
 }
 
-TEST(EquiDepthHistogramTest, UniformEstimates) {
-  std::vector<double> values;
-  for (int i = 0; i < 10000; ++i) values.push_back(i / 100.0);  // [0,100)
-  auto h = EquiDepthHistogram::Build(values, 32);
-  EXPECT_EQ(h.total_count(), 10000u);
-  EXPECT_NEAR(h.EstimateRangeFraction(0, 100), 1.0, 0.02);
-  EXPECT_NEAR(h.EstimateRangeFraction(0, 50), 0.5, 0.03);
-  EXPECT_NEAR(h.EstimateRangeFraction(25, 75), 0.5, 0.03);
-  EXPECT_NEAR(h.EstimateRangeFraction(90, 95), 0.05, 0.02);
-}
-
-TEST(EquiDepthHistogramTest, SkewedEstimates) {
-  // 90% of mass at [0,1), 10% at [1,100).
-  std::vector<double> values;
-  Rng rng(17);
-  for (int i = 0; i < 9000; ++i) values.push_back(rng.NextDouble());
-  for (int i = 0; i < 1000; ++i) values.push_back(1 + rng.NextDouble() * 99);
-  auto h = EquiDepthHistogram::Build(values, 64);
-  EXPECT_NEAR(h.EstimateRangeFraction(0, 1), 0.9, 0.05);
-  EXPECT_NEAR(h.EstimateRangeFraction(1, 100), 0.1, 0.05);
-}
-
-TEST(EquiDepthHistogramTest, EmptyAndDegenerate) {
-  auto empty = EquiDepthHistogram::Build({}, 8);
-  EXPECT_DOUBLE_EQ(empty.EstimateRangeFraction(0, 1), 0.0);
-
-  auto single = EquiDepthHistogram::Build({5.0}, 8);
-  EXPECT_GT(single.EstimateRangeFraction(4, 6), 0.99);
-}
-
-TEST(EquiDepthHistogramTest, InvertedRangeIsZero) {
-  auto h = EquiDepthHistogram::Build({1, 2, 3}, 2);
-  EXPECT_DOUBLE_EQ(h.EstimateRangeFraction(5, 1), 0.0);
-}
-
 }  // namespace
 }  // namespace unistore

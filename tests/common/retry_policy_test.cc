@@ -48,21 +48,6 @@ TEST(RetryBudgetTest, ResetAttemptsKeepsDeadline) {
   EXPECT_EQ(budget.deadline_at(), 10000);
 }
 
-TEST(RetryBudgetTest, RepayCreditsOneSpend) {
-  RetryPolicy policy;
-  policy.max_retries = 1;
-  RetryBudget budget(policy, 0);
-  EXPECT_TRUE(budget.Spend(0));
-  budget.Repay();
-  EXPECT_TRUE(budget.Spend(0));
-  EXPECT_FALSE(budget.Spend(0));
-  // Repay never goes below zero used.
-  budget.Repay();
-  budget.Repay();
-  budget.Repay();
-  EXPECT_EQ(budget.used(), 0);
-}
-
 TEST(RetryBudgetTest, ZeroBaseKeepsLegacyImmediateRetry) {
   RetryPolicy policy;  // backoff_base_us == 0.
   RetryBudget budget(policy, 0);

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "common/strings.h"
 #include "core/datagen.h"
+#include "triple/index.h"
 
 namespace unistore {
 namespace core {
@@ -167,6 +171,60 @@ TEST(ClusterTest, NewOidsAreUniqueAcrossNodes) {
       EXPECT_TRUE(oids.insert(cluster.node(via).NewOid()).second);
     }
   }
+}
+
+// Reads through the triple layer of node `via`, driving the clock until
+// the callback runs.
+std::vector<triple::Triple> ReadSync(
+    Cluster* cluster, net::PeerId via,
+    const std::function<void(triple::TripleStore&,
+                             triple::TripleStore::TriplesCallback)>& read) {
+  std::optional<Result<std::vector<triple::Triple>>> out;
+  read(cluster->node(via).store(),
+       [&out](Result<std::vector<triple::Triple>> r) { out = std::move(r); });
+  cluster->simulation().RunUntil([&out] { return out.has_value(); });
+  EXPECT_TRUE(out.has_value() && out->ok());
+  if (!out.has_value() || !out->ok()) return {};
+  return std::move(**out);
+}
+
+// 2^53 and 2^53 + 1 share one index key (the key encodes a number as a
+// double) but are two triples: both survive, each is found by its own
+// value, and removing one leaves the other.
+TEST(ClusterTest, TriplesAnIndexKeyConflatesStayDistinct) {
+  ClusterOptions options;
+  options.peers = 8;
+  options.seed = 31;
+  Cluster cluster(options);
+  const int64_t big = int64_t{1} << 53;
+  const triple::Triple lo("o1", "n", triple::Value::Int(big));
+  const triple::Triple hi("o1", "n", triple::Value::Int(big + 1));
+  ASSERT_EQ(triple::AttrValueKey("n", lo.value),
+            triple::AttrValueKey("n", hi.value));
+  ASSERT_TRUE(cluster.InsertTripleSync(0, lo).ok());
+  ASSERT_TRUE(cluster.InsertTripleSync(3, hi).ok());
+
+  auto by_oid = [&](net::PeerId via) {
+    return ReadSync(&cluster, via, [](auto& store, auto cb) {
+      store.GetByOid("o1", std::move(cb));
+    });
+  };
+  auto by_value = [&](net::PeerId via, const triple::Value& value) {
+    return ReadSync(&cluster, via, [&value](auto& store, auto cb) {
+      store.GetByAttrValue("n", value, std::move(cb));
+    });
+  };
+  auto both = by_oid(5);
+  ASSERT_EQ(both.size(), 2u);
+  EXPECT_EQ(std::set<int64_t>({both[0].value.AsInt(), both[1].value.AsInt()}),
+            std::set<int64_t>({big, big + 1}));
+  EXPECT_EQ(by_value(6, lo.value), std::vector<triple::Triple>{lo});
+  EXPECT_EQ(by_value(7, hi.value), std::vector<triple::Triple>{hi});
+
+  ASSERT_TRUE(cluster.RemoveTripleSync(1, lo).ok());
+  EXPECT_EQ(by_oid(2), std::vector<triple::Triple>{hi});
+  EXPECT_TRUE(by_value(4, lo.value).empty());
+  EXPECT_EQ(by_value(4, hi.value), std::vector<triple::Triple>{hi});
 }
 
 TEST(ClusterTest, QueryResultTableRendering) {

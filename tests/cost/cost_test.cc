@@ -203,12 +203,6 @@ TEST(StatsTest, PeerPathsSurviveCodecAndMerge) {
   EXPECT_EQ(b.peer_path_sample_size(), 3u);
 }
 
-TEST(CostModelTest, InsertIncludesReplication) {
-  StatsCatalog catalog = MakeCatalog(64, 6);
-  CostModel model(&catalog);
-  EXPECT_GT(model.Insert(4).messages, model.Insert(0).messages);
-}
-
 TEST(CostModelTest, CostAdditionAndTotal) {
   Cost a{10, 1000, 5};
   Cost b{5, 500, 2};

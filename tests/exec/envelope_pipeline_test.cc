@@ -105,7 +105,7 @@ class EnvelopePipelineTest : public ::testing::Test {
                     std::optional<Result<MigrateResult>>* out) {
     services_[0]->set_envelope_options(options);
     services_[0]->RunMigrateJoin(
-        AgePattern(), "", Left(left_size),
+        AgePattern(), Left(left_size),
         [out](Result<MigrateResult> r) { *out = std::move(r); });
   }
 

@@ -81,7 +81,6 @@ PlanEnvelope RandomEnvelope(Rng* rng) {
   env.pattern.subject = RandomTerm(rng);
   env.pattern.predicate = RandomTerm(rng);
   env.pattern.object = RandomTerm(rng);
-  if (rng->NextBounded(2)) env.filter_vql = "?g < 50";
   pgrid::Key a = RandomDataKey(rng);
   pgrid::Key b = RandomDataKey(rng);
   env.remaining = a < b ? pgrid::KeyRange{a, b} : pgrid::KeyRange{b, a};
@@ -117,7 +116,6 @@ void ExpectEnvelopesEqual(const PlanEnvelope& a, const PlanEnvelope& b) {
   EXPECT_EQ(a.chunk_id, b.chunk_id);
   EXPECT_EQ(a.chunk_count, b.chunk_count);
   EXPECT_EQ(a.pattern.ToString(), b.pattern.ToString());
-  EXPECT_EQ(a.filter_vql, b.filter_vql);
   EXPECT_EQ(a.remaining.lo, b.remaining.lo);
   EXPECT_EQ(a.remaining.hi, b.remaining.hi);
   EXPECT_EQ(a.bindings, b.bindings);
@@ -270,7 +268,7 @@ TEST(EnvelopeCoordinatorTest, SplitsAndChunksLaunchFleet) {
   std::vector<Binding> left(5);  // 5 bindings -> 3 chunks.
   for (int i = 0; i < 5; ++i) left[i]["a"] = Value::Int(i);
   EnvelopeCoordinator coordinator(
-      /*initiator=*/1, vql::TriplePattern{}, "", triple::AttrRange("age"),
+      /*initiator=*/1, vql::TriplePattern{}, triple::AttrRange("age"),
       left, options, pgrid::kKeyBits, /*walk_id_base=*/100);
   auto fleet = coordinator.Launch();
   EXPECT_EQ(coordinator.branch_count(), 4u);
@@ -290,7 +288,7 @@ TEST(EnvelopeCoordinatorTest, CoverageCompletesAndDedupes) {
   options.fanout = 1;
   options.max_bindings_per_envelope = 0;
   pgrid::KeyRange range = triple::AttrRange("age");
-  EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, "", range,
+  EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, range,
                                   {Binding{}}, options, pgrid::kKeyBits, 7);
   auto fleet = coordinator.Launch();
   ASSERT_EQ(fleet.size(), 1u);
@@ -323,7 +321,7 @@ TEST(EnvelopeCoordinatorTest, TimerRelaunchesFromFrontier) {
   options.fanout = 1;
   options.walk_retries = 1;
   pgrid::KeyRange range = triple::AttrRange("age");
-  EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, "", range,
+  EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, range,
                                   {Binding{}}, options, pgrid::kKeyBits, 9);
   auto fleet = coordinator.Launch();
   auto mid = pgrid::SplitRange(range, 2, pgrid::kKeyBits);
@@ -356,7 +354,7 @@ TEST(EnvelopeCoordinatorTest, ExtendingDuplicateRepaysRetry) {
   options.fanout = 1;
   options.walk_retries = 1;
   pgrid::KeyRange range = triple::AttrRange("age");
-  EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, "", range,
+  EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, range,
                                   {Binding{}}, options, pgrid::kKeyBits, 13);
   auto fleet = coordinator.Launch();
   auto mid = pgrid::SplitRange(range, 2, pgrid::kKeyBits);
@@ -399,7 +397,7 @@ TEST(EnvelopeCoordinatorTest, ResultsAreCanonicallySorted) {
   EnvelopeOptions options;
   options.fanout = 1;
   pgrid::KeyRange range = triple::AttrRange("age");
-  EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, "", range,
+  EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, range,
                                   {Binding{}}, options, pgrid::kKeyBits, 11);
   auto fleet = coordinator.Launch();
   Binding small{{"a", Value::Int(1)}};

@@ -103,7 +103,7 @@ TEST_F(AdmissionControlTest, OverloadShedsButNeverLosesQueries) {
   std::vector<std::optional<Result<MigrateResult>>> outs(kConcurrent);
   for (size_t q = 0; q < kConcurrent; ++q) {
     services_[q]->RunMigrateJoin(
-        AgePattern(), "", Left(),
+        AgePattern(), Left(),
         [&outs, q](Result<MigrateResult> r) { outs[q] = std::move(r); });
   }
   overlay_->simulation().RunUntil([&outs] {
@@ -149,7 +149,7 @@ TEST_F(AdmissionControlTest, DisabledAdmissionControlNeverSheds) {
   std::vector<std::optional<Result<MigrateResult>>> outs(3);
   for (size_t q = 0; q < outs.size(); ++q) {
     services_[q]->RunMigrateJoin(
-        AgePattern(), "", Left(),
+        AgePattern(), Left(),
         [&outs, q](Result<MigrateResult> r) { outs[q] = std::move(r); });
   }
   overlay_->simulation().RunUntil([&outs] {
@@ -182,7 +182,7 @@ TEST_F(AdmissionControlTest, RestartMidServeLeavesAnEmptyQueue) {
 
   std::optional<Result<MigrateResult>> first;
   services_[0]->RunMigrateJoin(
-      AgePattern(), "", Left(),
+      AgePattern(), Left(),
       [&first](Result<MigrateResult> r) { first = std::move(r); });
   size_t busy = 0;
   overlay_->simulation().RunUntil([&] {
@@ -203,7 +203,7 @@ TEST_F(AdmissionControlTest, RestartMidServeLeavesAnEmptyQueue) {
   const uint64_t sheds_before = services_[busy]->sheds();
   std::optional<Result<MigrateResult>> second;
   services_[0]->RunMigrateJoin(
-      AgePattern(), "", Left(),
+      AgePattern(), Left(),
       [&second](Result<MigrateResult> r) { second = std::move(r); });
   overlay_->simulation().RunUntil([&] { return second.has_value(); });
   ASSERT_TRUE(second.has_value());
@@ -226,7 +226,6 @@ TEST(HotKeyFanoutTest, SkewedLookupsSpreadAcrossReplicaGroup) {
   pgrid::Entry hot;
   hot.key = pgrid::OpHash("the-hot-value");
   hot.id = "hot-id";
-  hot.payload = "hot-payload";
   hot.version = 1;
   ASSERT_GE(overlay.InsertDirect(hot), 3u) << "replica group too small";
   const auto owners = overlay.ResponsiblePeers(hot.key);
@@ -279,7 +278,6 @@ HotBatchRun RunHotBatch(double hot_key_qps_threshold) {
     pgrid::Entry e;
     e.key = pgrid::OpHash(value);
     e.id = value + "-id";
-    e.payload = value;
     overlay.InsertDirect(e);
     keys.push_back(e.key);
   }
@@ -330,7 +328,6 @@ TEST(HotKeyFanoutTest, DisabledThresholdNeverAdvertises) {
   pgrid::Entry hot;
   hot.key = pgrid::OpHash("the-hot-value");
   hot.id = "hot-id";
-  hot.payload = "hot-payload";
   hot.version = 1;
   overlay.InsertDirect(hot);
   const auto owners = overlay.ResponsiblePeers(hot.key);

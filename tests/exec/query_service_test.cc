@@ -41,11 +41,10 @@ class QueryServiceTest : public ::testing::Test {
 
   Result<std::vector<Binding>> MigrateSync(size_t via,
                                            const vql::TriplePattern& pattern,
-                                           const std::string& filter,
                                            std::vector<Binding> left) {
     std::optional<Result<MigrateResult>> out;
     services_[via]->RunMigrateJoin(
-        pattern, filter, std::move(left),
+        pattern, std::move(left),
         [&out](Result<MigrateResult> r) { out = std::move(r); });
     overlay_->simulation().RunUntil([&out] { return out.has_value(); });
     if (!out.has_value()) return Status::Internal("drained");
@@ -75,7 +74,7 @@ TEST_F(QueryServiceTest, MigrateJoinJoinsAgainstPartition) {
       {{"a", Value::String("p2")}, {"n", Value::String("bob")}},
       {{"a", Value::String("nobody")}, {"n", Value::String("ghost")}},
   };
-  auto result = MigrateSync(3, AgePattern(), "", left);
+  auto result = MigrateSync(3, AgePattern(), left);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->size(), 2u);
   for (const auto& row : *result) {
@@ -84,20 +83,9 @@ TEST_F(QueryServiceTest, MigrateJoinJoinsAgainstPartition) {
   }
 }
 
-TEST_F(QueryServiceTest, MigrateJoinAppliesShippedFilter) {
-  InsertTriple(Triple("p1", "age", Value::Int(30)));
-  InsertTriple(Triple("p2", "age", Value::Int(70)));
-  std::vector<Binding> left = {{{"a", Value::String("p1")}},
-                               {{"a", Value::String("p2")}}};
-  auto result = MigrateSync(5, AgePattern(), "?g < 50", left);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->size(), 1u);
-  EXPECT_EQ(result->front().at("g"), Value::Int(30));
-}
-
 TEST_F(QueryServiceTest, MigrateJoinEmptyLeftYieldsEmpty) {
   InsertTriple(Triple("p1", "age", Value::Int(30)));
-  auto result = MigrateSync(0, AgePattern(), "", {});
+  auto result = MigrateSync(0, AgePattern(), {});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
 }
@@ -107,7 +95,7 @@ TEST_F(QueryServiceTest, MigrateJoinNeedsLiteralAttribute) {
   p.subject = vql::Term::Var("a");
   p.predicate = vql::Term::Var("p");  // Variable attribute: unsupported.
   p.object = vql::Term::Var("v");
-  auto result = MigrateSync(0, p, "", {{{"a", Value::String("p1")}}});
+  auto result = MigrateSync(0, p, {{{"a", Value::String("p1")}}});
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
@@ -116,11 +104,61 @@ TEST_F(QueryServiceTest, EnvelopeCountsVisitedPeers) {
   InsertTriple(Triple("p1", "age", Value::Int(30)));
   uint64_t before = 0;
   for (auto& s : services_) before += s->envelopes_processed();
-  (void)MigrateSync(2, AgePattern(), "",
-                    {{{"a", Value::String("p1")}}});
+  (void)MigrateSync(2, AgePattern(), {{{"a", Value::String("p1")}}});
   uint64_t after = 0;
   for (auto& s : services_) after += s->envelopes_processed();
   EXPECT_GT(after, before);
+}
+
+// Peers 2 ("10") and 3 ("11") each name only the other for the "0"
+// subtree, which holds every attribute partition ("a#" starts with bit 0),
+// so an envelope from peer 2 bounces between them. Every walk attempt
+// dead-ends at the 2·kKeyBits hop cap, and once its retries are spent the
+// join fails with Unavailable instead of looping until the deadline.
+TEST(QueryServiceCycleTest, EnvelopeRoutingCycleDeadEndsAtTheHopCap) {
+  pgrid::OverlayOptions options;
+  options.seed = 15;
+  pgrid::Overlay overlay(options);
+  overlay.AddPeers(4);
+  overlay.BuildBalanced();
+  std::vector<std::unique_ptr<QueryService>> services;
+  for (net::PeerId p = 0; p < 4; ++p) {
+    services.push_back(std::make_unique<QueryService>(overlay.peer(p)));
+  }
+  pgrid::Peer* a = overlay.peer(2);
+  pgrid::Peer* b = overlay.peer(3);
+  ASSERT_EQ(a->path().bits(), "10");
+  ASSERT_EQ(b->path().bits(), "11");
+  for (net::PeerId p : {0u, 1u}) {
+    a->routing().RemoveEverywhere(p);
+    b->routing().RemoveEverywhere(p);
+  }
+  a->routing().AddRef(0, b->id(), &a->rng());
+  b->routing().AddRef(0, a->id(), &b->rng());
+  ASSERT_FALSE(a->IsResponsible(triple::AttrRange("age").lo));
+
+  const EnvelopeOptions envelope;  // The defaults the join runs with.
+  const net::TrafficStats before = overlay.transport().stats();
+  const sim::SimTime start = overlay.simulation().Now();
+  std::optional<Result<MigrateResult>> out;
+  services[2]->RunMigrateJoin(
+      AgePattern(), {{{"a", Value::String("p1")}}},
+      [&out](Result<MigrateResult> r) { out = std::move(r); });
+  // Bounded: without the hop cap the envelopes never stop bouncing.
+  overlay.simulation().RunFor(pgrid::kScanTimeout / 2);
+  ASSERT_TRUE(out.has_value()) << "join still running";
+  ASSERT_FALSE(out->ok());
+  EXPECT_EQ(out->status().code(), StatusCode::kUnavailable)
+      << out->status().ToString();
+  EXPECT_LT(overlay.simulation().Now() - start, pgrid::kScanTimeout);
+
+  const auto delta = overlay.transport().stats().Since(before);
+  auto it = delta.per_type.find(net::MessageType::kPlanExec);
+  ASSERT_NE(it, delta.per_type.end());
+  const uint64_t attempts =
+      uint64_t{envelope.fanout} * (envelope.walk_retries + 1);
+  // Each attempt of each branch walk runs to the cap, and no further.
+  EXPECT_EQ(it->second, attempts * 2 * pgrid::kKeyBits);
 }
 
 TEST_F(QueryServiceTest, StatsGossipSpreadsContributions) {
@@ -177,7 +215,6 @@ TEST(EnvelopeCodecTest, RoundTrip) {
   env.pattern.subject = vql::Term::Var("a");
   env.pattern.predicate = vql::Term::Lit(Value::String("age"));
   env.pattern.object = vql::Term::Lit(Value::Int(30));
-  env.filter_vql = "?g < 50";
   env.remaining = triple::AttrRange("age");
   env.bindings = {{{"a", Value::String("p1")}}};
 
@@ -185,7 +222,6 @@ TEST(EnvelopeCodecTest, RoundTrip) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->initiator, 7u);
   EXPECT_EQ(back->pattern.ToString(), env.pattern.ToString());
-  EXPECT_EQ(back->filter_vql, "?g < 50");
   EXPECT_EQ(back->remaining.lo, env.remaining.lo);
   EXPECT_EQ(back->bindings.size(), 1u);
 }

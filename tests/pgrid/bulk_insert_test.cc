@@ -19,14 +19,13 @@ Entry MakeEntry(const std::string& value, uint64_t version = 1) {
   Entry e;
   e.key = OpHash(value);
   e.id = "id-" + value;
-  e.payload = "payload-" + value;
   e.version = version;
   return e;
 }
 
-// An entry whose key starts with `prefix` (random bits after it).
-Entry EntryUnder(const std::string& prefix, size_t i,
-                 size_t payload_bytes = 8) {
+// An entry whose key starts with `prefix` (random bits after it) and
+// whose id is padded with `pad_bytes` filler bytes.
+Entry EntryUnder(const std::string& prefix, size_t i, size_t pad_bytes = 8) {
   Rng rng(500 + i);
   std::string bits = prefix;
   while (bits.size() < kKeyBits) {
@@ -34,8 +33,8 @@ Entry EntryUnder(const std::string& prefix, size_t i,
   }
   Entry e;
   e.key = Key::FromBits(bits);
-  e.id = "id-" + prefix + "-" + std::to_string(i);
-  e.payload = std::string(payload_bytes, 'p');
+  e.id = "id-" + prefix + "-" + std::to_string(i) + "-" +
+         std::string(pad_bytes, 'p');
   e.version = 1;
   return e;
 }
@@ -83,7 +82,7 @@ TEST_F(BulkInsertTest, BatchReachesEveryOwner) {
     auto found = overlay_->LookupSync(11, e.key);
     ASSERT_TRUE(found.ok()) << e.id;
     ASSERT_EQ(found->entries.size(), 1u) << e.id;
-    EXPECT_EQ(found->entries[0].payload, e.payload);
+    EXPECT_EQ(found->entries[0], e);
   }
 }
 
@@ -122,13 +121,12 @@ TEST_F(BulkInsertTest, StaleVersionsInBatchAreIgnored) {
   Entry fresh = MakeEntry("versioned", /*version=*/5);
   ASSERT_TRUE(overlay_->InsertSync(0, fresh).ok());
   std::vector<Entry> batch = {MakeEntry("versioned", /*version=*/2)};
-  batch[0].payload = "stale";
   ASSERT_TRUE(overlay_->InsertBatchSync(4, batch).ok());
   overlay_->simulation().RunUntilIdle();
   auto found = overlay_->LookupSync(2, fresh.key);
   ASSERT_TRUE(found.ok());
   ASSERT_EQ(found->entries.size(), 1u);
-  EXPECT_EQ(found->entries[0].payload, fresh.payload);
+  EXPECT_EQ(found->entries[0], fresh);
   EXPECT_EQ(found->entries[0].version, 5u);
 }
 
@@ -239,7 +237,7 @@ TEST_F(BulkInsertTest, LargeGroupsSplitIntoChunks) {
   std::vector<Entry> batch;
   size_t bytes = 0;
   for (size_t i = 0; i < 40; ++i) {
-    batch.push_back(EntryUnder("01", i, /*payload_bytes=*/100));
+    batch.push_back(EntryUnder("01", i, /*pad_bytes=*/100));
     bytes += batch.back().EncodedSize();
   }
   net::TrafficStats before = overlay_->transport().stats();
@@ -253,14 +251,14 @@ TEST_F(BulkInsertTest, LargeGroupsSplitIntoChunks) {
             net::Message::kHeaderBytes + peer.chunk_bytes + 16);
 
   // One entry larger than the budget still travels, alone.
-  const Entry big = EntryUnder("11", 0, /*payload_bytes=*/4096);
+  const Entry big = EntryUnder("11", 0, /*pad_bytes=*/4096);
   before = overlay_->transport().stats();
   ASSERT_TRUE(overlay_->InsertBatchSync(0, {big}).ok());
   EXPECT_GE(BulkInsertsSince(before), 1u);
   auto found = overlay_->LookupSync(0, big.key);
   ASSERT_TRUE(found.ok());
   ASSERT_EQ(found->entries.size(), 1u);
-  EXPECT_EQ(found->entries[0].payload, big.payload);
+  EXPECT_EQ(found->entries[0], big);
 }
 
 TEST_F(BulkInsertTest, DuplicatedRepliesNeverAcknowledgeALostBranch) {

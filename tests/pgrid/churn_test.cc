@@ -17,7 +17,6 @@ Entry MakeVersioned(const std::string& value, const std::string& id,
   Entry e;
   e.key = OpHash(value);
   e.id = id;
-  e.payload = value + "@v" + std::to_string(version);
   e.version = version;
   return e;
 }

@@ -16,7 +16,6 @@ Entry MakeDataEntry(const std::string& value, const std::string& id) {
   Entry e;
   e.key = OpHash(value);
   e.id = id;
-  e.payload = value;
   return e;
 }
 

@@ -23,12 +23,11 @@ namespace {
 using alloc_hook::CountCalls;
 
 Entry MakeEntry(const std::string& keybits, const std::string& id,
-                const std::string& payload, uint64_t version = 1,
+                uint64_t version = 1,
                 bool deleted = false) {
   Entry e;
   e.key = Key::FromBits(keybits);
   e.id = id;
-  e.payload = payload;
   e.version = version;
   e.deleted = deleted;
   return e;
@@ -44,72 +43,72 @@ LocalStoreOptions TinyEngine() {
 
 TEST(LocalStoreTest, InsertAndGet) {
   LocalStore store;
-  EXPECT_TRUE(store.Apply(MakeEntry("0101", "t1", "hello")));
+  EXPECT_TRUE(store.Apply(MakeEntry("0101", "t1")));
   auto got = store.Get(Key::FromBits("0101"));
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].payload, "hello");
+  EXPECT_EQ(got[0].id, "t1");
   EXPECT_EQ(store.live_size(), 1u);
 }
 
 TEST(LocalStoreTest, MultipleIdsUnderOneKey) {
   LocalStore store;
-  store.Apply(MakeEntry("0101", "t1", "a"));
-  store.Apply(MakeEntry("0101", "t2", "b"));
+  store.Apply(MakeEntry("0101", "t1"));
+  store.Apply(MakeEntry("0101", "t2"));
   EXPECT_EQ(store.Get(Key::FromBits("0101")).size(), 2u);
   EXPECT_EQ(store.live_size(), 2u);
 }
 
 TEST(LocalStoreTest, HigherVersionWins) {
   LocalStore store;
-  store.Apply(MakeEntry("0101", "t1", "v1", 1));
-  EXPECT_TRUE(store.Apply(MakeEntry("0101", "t1", "v2", 2)));
+  store.Apply(MakeEntry("0101", "t1", 1));
+  EXPECT_TRUE(store.Apply(MakeEntry("0101", "t1", 2)));
   auto got = store.Get(Key::FromBits("0101"));
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].payload, "v2");
+  EXPECT_EQ(got[0].version, 2u);
   EXPECT_EQ(store.live_size(), 1u);
 }
 
 TEST(LocalStoreTest, LowerOrEqualVersionIgnored) {
   LocalStore store;
-  store.Apply(MakeEntry("0101", "t1", "v2", 2));
-  EXPECT_FALSE(store.Apply(MakeEntry("0101", "t1", "v1", 1)));
-  EXPECT_FALSE(store.Apply(MakeEntry("0101", "t1", "v2b", 2)));
-  EXPECT_EQ(store.Get(Key::FromBits("0101"))[0].payload, "v2");
+  store.Apply(MakeEntry("0101", "t1", 2));
+  EXPECT_FALSE(store.Apply(MakeEntry("0101", "t1", 1)));
+  EXPECT_FALSE(store.Apply(MakeEntry("0101", "t1", 2)));
+  EXPECT_EQ(store.Get(Key::FromBits("0101"))[0].version, 2u);
 }
 
 TEST(LocalStoreTest, TombstoneHidesAndPersists) {
   LocalStore store;
-  store.Apply(MakeEntry("0101", "t1", "x", 1));
-  EXPECT_TRUE(store.Apply(MakeEntry("0101", "t1", "", 2, /*deleted=*/true)));
+  store.Apply(MakeEntry("0101", "t1", 1));
+  EXPECT_TRUE(store.Apply(MakeEntry("0101", "t1", 2, /*deleted=*/true)));
   EXPECT_TRUE(store.Get(Key::FromBits("0101")).empty());
   EXPECT_EQ(store.live_size(), 0u);
   EXPECT_EQ(store.total_size(), 1u);  // Tombstone remains.
   // Re-delivery of the old version cannot resurrect.
-  EXPECT_FALSE(store.Apply(MakeEntry("0101", "t1", "x", 1)));
+  EXPECT_FALSE(store.Apply(MakeEntry("0101", "t1", 1)));
   EXPECT_TRUE(store.Get(Key::FromBits("0101")).empty());
   // A newer write revives the slot.
-  EXPECT_TRUE(store.Apply(MakeEntry("0101", "t1", "y", 3)));
+  EXPECT_TRUE(store.Apply(MakeEntry("0101", "t1", 3)));
   EXPECT_EQ(store.live_size(), 1u);
 }
 
 TEST(LocalStoreTest, GetRangeInclusive) {
   LocalStore store;
-  store.Apply(MakeEntry("0001", "a", "1"));
-  store.Apply(MakeEntry("0100", "b", "2"));
-  store.Apply(MakeEntry("0110", "c", "3"));
-  store.Apply(MakeEntry("1000", "d", "4"));
+  store.Apply(MakeEntry("0001", "a"));
+  store.Apply(MakeEntry("0100", "b"));
+  store.Apply(MakeEntry("0110", "c"));
+  store.Apply(MakeEntry("1000", "d"));
   auto got = store.GetRange({Key::FromBits("0100"), Key::FromBits("0110")});
   ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0].payload, "2");
-  EXPECT_EQ(got[1].payload, "3");
+  EXPECT_EQ(got[0].id, "b");
+  EXPECT_EQ(got[1].id, "c");
 }
 
 TEST(LocalStoreTest, GetByPrefix) {
   LocalStore store;
-  store.Apply(MakeEntry("0001", "a", "1"));
-  store.Apply(MakeEntry("0010", "b", "2"));
-  store.Apply(MakeEntry("0011", "c", "3"));
-  store.Apply(MakeEntry("0100", "d", "4"));
+  store.Apply(MakeEntry("0001", "a"));
+  store.Apply(MakeEntry("0010", "b"));
+  store.Apply(MakeEntry("0011", "c"));
+  store.Apply(MakeEntry("0100", "d"));
   auto got = store.GetByPrefix(Key::FromBits("001"));
   ASSERT_EQ(got.size(), 2u);
   auto all = store.GetByPrefix(Key());
@@ -118,27 +117,27 @@ TEST(LocalStoreTest, GetByPrefix) {
 
 TEST(LocalStoreTest, ExtractNotMatchingSplitsStore) {
   LocalStore store;
-  store.Apply(MakeEntry("0001", "a", "1"));
-  store.Apply(MakeEntry("0101", "b", "2"));
-  store.Apply(MakeEntry("0111", "c", "3"));
+  store.Apply(MakeEntry("0001", "a"));
+  store.Apply(MakeEntry("0101", "b"));
+  store.Apply(MakeEntry("0111", "c"));
   auto removed = store.ExtractNotMatching(Key::FromBits("01"));
   ASSERT_EQ(removed.size(), 1u);
-  EXPECT_EQ(removed[0].payload, "1");
+  EXPECT_EQ(removed[0].id, "a");
   EXPECT_EQ(store.live_size(), 2u);
   EXPECT_TRUE(store.Get(Key::FromBits("0001")).empty());
 }
 
 TEST(LocalStoreTest, GetAllIncludesTombstones) {
   LocalStore store;
-  store.Apply(MakeEntry("0001", "a", "1"));
-  store.Apply(MakeEntry("0010", "b", "", 2, true));
+  store.Apply(MakeEntry("0001", "a"));
+  store.Apply(MakeEntry("0010", "b", 2, true));
   EXPECT_EQ(store.GetAll().size(), 2u);
   EXPECT_EQ(store.GetAllLive().size(), 1u);
 }
 
 TEST(LocalStoreTest, ClearResets) {
   LocalStore store;
-  store.Apply(MakeEntry("0001", "a", "1"));
+  store.Apply(MakeEntry("0001", "a"));
   store.Clear();
   EXPECT_EQ(store.live_size(), 0u);
   EXPECT_EQ(store.total_size(), 0u);
@@ -151,7 +150,7 @@ TEST(LocalStoreEngineTest, FlushAndCompactionBoundRunCount) {
   for (int i = 0; i < 64; ++i) {
     std::string bits;
     for (int b = 5; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-    store.Apply(MakeEntry(bits, "id", "p" + std::to_string(i)));
+    store.Apply(MakeEntry(bits, "id"));
   }
   EXPECT_LE(store.run_count(), 2u);
   EXPECT_LT(store.memtable_size(), 4u);
@@ -170,7 +169,7 @@ TEST(LocalStoreEngineTest, MaxRunsAtHardCapCompactsSafely) {
   for (int i = 0; i < 64; ++i) {
     std::string bits;
     for (int b = 5; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-    store.Apply(MakeEntry(bits, "id", "p" + std::to_string(i)));
+    store.Apply(MakeEntry(bits, "id"));
   }
   EXPECT_LE(store.run_count(), LocalStoreOptions::kMaxRuns);
   EXPECT_EQ(store.live_size(), 64u);
@@ -181,27 +180,27 @@ TEST(LocalStoreEngineTest, VersionOrderingAcrossFlushBoundaries) {
   LocalStore store(TinyEngine());
   // v1 lands in a run, v2 shadows it from the memtable, then from a newer
   // run after another flush.
-  store.Apply(MakeEntry("0101", "t1", "v1", 1));
+  store.Apply(MakeEntry("0101", "t1", 1));
   store.Flush();
-  EXPECT_TRUE(store.Apply(MakeEntry("0101", "t1", "v2", 2)));
-  EXPECT_EQ(store.Get(Key::FromBits("0101"))[0].payload, "v2");
+  EXPECT_TRUE(store.Apply(MakeEntry("0101", "t1", 2)));
+  EXPECT_EQ(store.Get(Key::FromBits("0101"))[0].version, 2u);
   store.Flush();
   EXPECT_EQ(store.run_count(), 2u);
-  EXPECT_EQ(store.Get(Key::FromBits("0101"))[0].payload, "v2");
+  EXPECT_EQ(store.Get(Key::FromBits("0101"))[0].version, 2u);
   // Stale re-delivery is rejected even though v1 still sits in an old run.
-  EXPECT_FALSE(store.Apply(MakeEntry("0101", "t1", "v1", 1)));
+  EXPECT_FALSE(store.Apply(MakeEntry("0101", "t1", 1)));
   store.Compact();
   EXPECT_EQ(store.run_count(), 1u);
-  EXPECT_EQ(store.Get(Key::FromBits("0101"))[0].payload, "v2");
+  EXPECT_EQ(store.Get(Key::FromBits("0101"))[0].version, 2u);
   EXPECT_EQ(store.total_size(), 1u);
   EXPECT_EQ(store.live_size(), 1u);
 }
 
 TEST(LocalStoreEngineTest, TombstoneSurvivesCompaction) {
   LocalStore store(TinyEngine());
-  store.Apply(MakeEntry("0101", "t1", "x", 1));
+  store.Apply(MakeEntry("0101", "t1", 1));
   store.Flush();
-  store.Apply(MakeEntry("0101", "t1", "", 2, /*deleted=*/true));
+  store.Apply(MakeEntry("0101", "t1", 2, /*deleted=*/true));
   store.Flush();
   store.Compact();
   EXPECT_EQ(store.run_count(), 1u);
@@ -211,23 +210,23 @@ TEST(LocalStoreEngineTest, TombstoneSurvivesCompaction) {
   // reads do not, and the old version cannot resurrect.
   EXPECT_EQ(store.GetAll().size(), 1u);
   EXPECT_TRUE(store.GetAll()[0].deleted);
-  EXPECT_FALSE(store.Apply(MakeEntry("0101", "t1", "x", 1)));
+  EXPECT_FALSE(store.Apply(MakeEntry("0101", "t1", 1)));
   EXPECT_TRUE(store.Get(Key::FromBits("0101")).empty());
 }
 
 TEST(LocalStoreEngineTest, ExtractNotMatchingAcrossRunsAndMemtable) {
   LocalStore store(TinyEngine());
-  store.Apply(MakeEntry("0001", "a", "1"));
-  store.Apply(MakeEntry("0100", "b", "2"));
+  store.Apply(MakeEntry("0001", "a"));
+  store.Apply(MakeEntry("0100", "b"));
   store.Flush();
-  store.Apply(MakeEntry("1001", "c", "3"));
-  store.Apply(MakeEntry("0110", "d", "", 2, /*deleted=*/true));
+  store.Apply(MakeEntry("1001", "c"));
+  store.Apply(MakeEntry("0110", "d", 2, /*deleted=*/true));
   // Path specialization to "01": "0001" and "1001" leave; the tombstone
   // under "0110" stays (tombstones are data too).
   auto removed = store.ExtractNotMatching(Key::FromBits("01"));
   ASSERT_EQ(removed.size(), 2u);
-  EXPECT_EQ(removed[0].payload, "1");
-  EXPECT_EQ(removed[1].payload, "3");
+  EXPECT_EQ(removed[0].id, "a");
+  EXPECT_EQ(removed[1].id, "c");
   EXPECT_EQ(store.live_size(), 1u);
   EXPECT_EQ(store.total_size(), 2u);
   EXPECT_EQ(store.run_count(), 1u);
@@ -239,7 +238,7 @@ TEST(LocalStoreEngineTest, ScanEarlyExitStopsMerge) {
   for (int i = 0; i < 16; ++i) {
     std::string bits;
     for (int b = 3; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-    store.Apply(MakeEntry(bits, "id", "p"));
+    store.Apply(MakeEntry(bits, "id"));
   }
   size_t visited = 0;
   bool completed = store.ScanAllLive([&visited](const EntryView&) {
@@ -256,24 +255,23 @@ TEST(LocalStoreEngineTest, VisitorReadPathDoesNotAllocate) {
   for (int i = 0; i < 11; ++i) {
     std::string bits;
     for (int b = 3; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-    store.Apply(MakeEntry(bits, "id" + std::to_string(i),
-                          "payload-" + std::to_string(i)));
+    store.Apply(MakeEntry(bits, "id" + std::to_string(i)));
   }
   ASSERT_GE(store.run_count(), 1u);
   ASSERT_GE(store.memtable_size(), 1u);
 
   const KeyRange range{Key::FromBits("0000"), Key::FromBits("1111")};
   size_t visited = 0;
-  size_t payload_bytes = 0;
+  size_t id_bytes = 0;
   const uint64_t allocs = CountCalls([&] {
     store.ScanRange(range, [&](const EntryView& e) {
       ++visited;
-      payload_bytes += e.payload.size();
+      id_bytes += e.id.size();
       return true;
     });
   });
   EXPECT_EQ(visited, 11u);
-  EXPECT_GT(payload_bytes, 0u);
+  EXPECT_GT(id_bytes, 0u);
   EXPECT_EQ(allocs, 0u) << "visitor read path must not touch the heap";
 
   // Point and full scans are allocation-free too.
@@ -377,7 +375,6 @@ TEST(LocalStoreDifferentialTest, RandomWorkloadMatchesMapModel) {
       e.id = "id" + std::to_string(rng.NextBounded(8));
       e.version = 1 + rng.NextBounded(12);
       e.deleted = rng.NextBounded(4) == 0;
-      e.payload = e.deleted ? "" : "p" + std::to_string(op);
       ASSERT_EQ(store.Apply(e), model.Apply(e)) << "op " << op;
 
       if (op % 97 == 0) {
@@ -513,7 +510,7 @@ TEST(LocalStoreBulkTest, BulkLoadIntoEmptyStoreBypassesMemtable) {
   for (int i = 15; i >= 0; --i) {  // Unsorted on purpose.
     std::string bits;
     for (int b = 3; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-    batch.push_back(MakeEntry(bits, "id", "p" + std::to_string(i)));
+    batch.push_back(MakeEntry(bits, "id"));
   }
   EXPECT_EQ(store.BulkLoad(batch), 16u);
   EXPECT_EQ(store.memtable_size(), 0u);
@@ -530,45 +527,45 @@ TEST(LocalStoreBulkTest, BulkLoadIntoEmptyStoreBypassesMemtable) {
 TEST(LocalStoreBulkTest, BulkLoadDedupesWithinBatchHighestVersionWins) {
   LocalStore store;
   std::vector<Entry> batch = {
-      MakeEntry("0101", "t1", "v1", 1),
-      MakeEntry("0101", "t1", "v3", 3),
-      MakeEntry("0101", "t1", "v2", 2),
+      MakeEntry("0101", "t1", 1),
+      MakeEntry("0101", "t1", 3),
+      MakeEntry("0101", "t1", 2),
   };
   EXPECT_EQ(store.BulkLoad(batch), 1u);
   auto got = store.Get(Key::FromBits("0101"));
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].payload, "v3");
+  EXPECT_EQ(got[0].version, 3u);
   EXPECT_EQ(store.total_size(), 1u);
 }
 
 TEST(LocalStoreBulkTest, BulkLoadRespectsExistingVersions) {
   LocalStore store(TinyEngine());
-  store.Apply(MakeEntry("0101", "t1", "new", 5));
-  store.Apply(MakeEntry("0110", "t2", "", 4, /*deleted=*/true));
+  store.Apply(MakeEntry("0101", "t1", 5));
+  store.Apply(MakeEntry("0110", "t2", 4, /*deleted=*/true));
   store.Flush();
 
   std::vector<Entry> batch = {
-      MakeEntry("0101", "t1", "stale", 3),    // Older: ignored.
-      MakeEntry("0110", "t2", "zombie", 2),   // Tombstoned newer: ignored.
-      MakeEntry("0111", "t3", "fresh", 1),    // New slot: bulk run.
-      MakeEntry("0101", "t2", "fresh2", 1),   // New id under known key.
+      MakeEntry("0101", "t1", 3),  // Older: ignored.
+      MakeEntry("0110", "t2", 2),  // Tombstoned newer: ignored.
+      MakeEntry("0111", "t3", 1),  // New slot: bulk run.
+      MakeEntry("0101", "t2", 1),  // New id under known key.
   };
   EXPECT_EQ(store.BulkLoad(batch), 2u);
   EXPECT_EQ(store.Get(Key::FromBits("0101")).size(), 2u);
-  EXPECT_EQ(store.Get(Key::FromBits("0101"))[0].payload, "new");
+  EXPECT_EQ(store.Get(Key::FromBits("0101"))[0].version, 5u);
   EXPECT_TRUE(store.Get(Key::FromBits("0110")).empty());
-  EXPECT_EQ(store.Get(Key::FromBits("0111"))[0].payload, "fresh");
+  EXPECT_EQ(store.Get(Key::FromBits("0111"))[0].id, "t3");
 }
 
 TEST(LocalStoreBulkTest, BulkLoadNewerVersionOverridesThroughApplyPath) {
   LocalStore store(TinyEngine());
-  store.Apply(MakeEntry("0101", "t1", "old", 1));
+  store.Apply(MakeEntry("0101", "t1", 1));
   store.Flush();
-  std::vector<Entry> batch = {MakeEntry("0101", "t1", "newer", 7)};
+  std::vector<Entry> batch = {MakeEntry("0101", "t1", 7)};
   EXPECT_EQ(store.BulkLoad(batch), 1u);
   auto got = store.Get(Key::FromBits("0101"));
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].payload, "newer");
+  EXPECT_EQ(got[0].version, 7u);
   EXPECT_EQ(store.total_size(), 1u);
 }
 
@@ -580,7 +577,6 @@ TEST(LocalStoreBulkTest, BulkLoadStreamMatchesApplyStream) {
     std::string bits;
     for (int b = 7; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
     entries.push_back(MakeEntry(bits, "id" + std::to_string(i % 3),
-                                "payload-" + std::to_string(i),
                                 1 + (i % 4), i % 7 == 0));
   }
   LocalStore applied(TinyEngine());
@@ -609,7 +605,6 @@ TEST(LocalStoreCompressionTest, PrefixCompressedScansMatchModel) {
     std::string bits = "0101";  // Shared peer-path prefix.
     for (int b = 0; b < 12; ++b) bits += rng.NextBounded(2) ? '1' : '0';
     entries.push_back(MakeEntry(bits, "a#id" + std::to_string(i),
-                                "payload-" + std::to_string(i),
                                 1 + rng.NextBounded(3),
                                 rng.NextBounded(8) == 0));
   }
@@ -637,7 +632,7 @@ TEST(LocalStoreCompressionTest, CompressedScanIsAllocationFree) {
   for (int i = 0; i < 64; ++i) {
     std::string bits = "10";
     for (int b = 5; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-    store.Apply(MakeEntry(bits, "id" + std::to_string(i), "pp"));
+    store.Apply(MakeEntry(bits, "id" + std::to_string(i)));
   }
   store.Compact();
   ASSERT_EQ(store.run_count(), 1u);
@@ -664,8 +659,7 @@ TEST(LocalStoreCompressionTest, OverlongKeysRoundTrip) {
     std::string bits = long_bits.substr(0, 100 + 10 * i);
     if (i % 3 == 1) bits = long_bits + std::to_string(i % 2);
     if (i % 3 == 2) bits += "1";
-    entries.push_back(MakeEntry(bits, "id" + std::to_string(i),
-                                "p" + std::to_string(i)));
+    entries.push_back(MakeEntry(bits, "id" + std::to_string(i)));
   }
   for (const Entry& e : entries) {
     EXPECT_EQ(store.Apply(e), model.Apply(e));
@@ -697,25 +691,25 @@ TEST(LocalStoreCompressionTest, OverlongKeyRunGroupCompactsCorrectly) {
   for (int i = 0; i < 11; ++i) {
     std::string bits = "0";
     for (int b = 4; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-    entries.push_back(MakeEntry(bits, "id", "p" + std::to_string(i)));
+    entries.push_back(MakeEntry(bits, "id"));
   }
   // Lands in the third flush group, whose arrival completes a
   // tier_fanin == 3 same-class group, so the flush-triggered compaction
   // merges all three runs.
-  entries.push_back(MakeEntry(long_bits, "id", "overlong"));
+  entries.push_back(MakeEntry(long_bits, "id"));
   for (const Entry& e : entries) {
     EXPECT_EQ(packed.Apply(e), model.Apply(e));
   }
   ASSERT_EQ(packed.run_count(), 1u);
   EXPECT_EQ(packed.GetAll(), model.GetAll());
   ASSERT_EQ(packed.Get(Key::FromBits(long_bits)).size(), 1u);
-  EXPECT_EQ(packed.Get(Key::FromBits(long_bits))[0].payload, "overlong");
+  EXPECT_EQ(packed.Get(Key::FromBits(long_bits))[0].key.bits(), long_bits);
 
   // A fresh flush of short keys lands beside the merged run.
   for (int i = 16; i < 20; ++i) {
     std::string bits = "1";
     for (int b = 4; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-    const Entry e = MakeEntry(bits, "id", "q" + std::to_string(i));
+    const Entry e = MakeEntry(bits, "id");
     EXPECT_EQ(packed.Apply(e), model.Apply(e));
   }
   ASSERT_EQ(packed.run_count(), 2u);
@@ -733,11 +727,11 @@ TEST(SortedRunTest, ProberFindsRecordsAfterAnOverlongKey) {
   // pull the shared prefix out of the arena-aliased predecessor.
   const std::string zeros(run_format::kMaxCompressedKeyBits + 8, '0');
   std::vector<Entry> entries = {
-      MakeEntry(zeros.substr(0, 100), "a", "short", 3),
-      MakeEntry(zeros, "a", "overlong", 4),
-      MakeEntry(zeros, "b", "overlong-b", 5, /*deleted=*/true),
-      MakeEntry(zeros.substr(0, 150) + "1", "a", "shares", 6),
-      MakeEntry(zeros.substr(0, 150) + "11", "a", "shares-more", 7),
+      MakeEntry(zeros.substr(0, 100), "a", 3),
+      MakeEntry(zeros, "a", 4),
+      MakeEntry(zeros, "b", 5, /*deleted=*/true),
+      MakeEntry(zeros.substr(0, 150) + "1", "a", 6),
+      MakeEntry(zeros.substr(0, 150) + "11", "a", 7),
   };
   const SortedRun run = SortedRun::Build(entries, /*restart_interval=*/16);
   ASSERT_EQ(run.size(), entries.size());
@@ -778,7 +772,7 @@ TEST(LocalStoreTierTest, TieredCompactionBoundsRunsAndKeepsData) {
   for (int i = 0; i < 512; ++i) {
     std::string bits;
     for (int b = 8; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-    store.Apply(MakeEntry(bits, "id", "p" + std::to_string(i)));
+    store.Apply(MakeEntry(bits, "id"));
   }
   EXPECT_LE(store.run_count(), 8u);
   EXPECT_EQ(store.live_size(), 512u);
@@ -795,7 +789,7 @@ TEST(LocalStoreTierTest, TieredWritesLessThanFullMerge) {
     for (int i = 0; i < 2048; ++i) {
       std::string bits;
       for (int b = 11; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-      store.Apply(MakeEntry(bits, "id", "payload-" + std::to_string(i)));
+      store.Apply(MakeEntry(bits, "id"));
     }
     return store.write_stats();
   };
@@ -821,7 +815,7 @@ TEST(LocalStoreChurnTest, InterleavedApplyBulkLoadExtractMatchesModel) {
     LocalStore store(options);
     MapStoreModel model;
 
-    auto random_entry = [&rng](int op) {
+    auto random_entry = [&rng]() {
       Entry e;
       std::string bits;
       for (int b = 0; b < 6; ++b) bits += rng.NextBounded(2) ? '1' : '0';
@@ -829,14 +823,13 @@ TEST(LocalStoreChurnTest, InterleavedApplyBulkLoadExtractMatchesModel) {
       e.id = "id" + std::to_string(rng.NextBounded(6));
       e.version = 1 + rng.NextBounded(16);
       e.deleted = rng.NextBounded(5) == 0;
-      e.payload = e.deleted ? "" : "p" + std::to_string(op);
       return e;
     };
 
     for (int op = 0; op < 600; ++op) {
       const uint64_t dice = rng.NextBounded(100);
       if (dice < 70) {
-        Entry e = random_entry(op);
+        Entry e = random_entry();
         ASSERT_EQ(store.Apply(e), model.Apply(e)) << "op " << op;
       } else if (dice < 85) {
         // Bulk batch (anti-entropy / ingest shape): may collide with
@@ -844,7 +837,7 @@ TEST(LocalStoreChurnTest, InterleavedApplyBulkLoadExtractMatchesModel) {
         std::vector<Entry> batch;
         const uint64_t n = 1 + rng.NextBounded(24);
         for (uint64_t i = 0; i < n; ++i) {
-          batch.push_back(random_entry(op * 100 + static_cast<int>(i)));
+          batch.push_back(random_entry());
         }
         store.BulkLoad(batch);
         for (const Entry& e : batch) model.Apply(e);
@@ -885,7 +878,7 @@ TEST(LocalStoreChurnTest, InterleavedApplyBulkLoadExtractMatchesModel) {
 // --- Entry codec -----------------------------------------------------------
 
 TEST(EntryCodecTest, RoundTrip) {
-  Entry e = MakeEntry("010101", "triple-7", "payload bytes", 42, true);
+  Entry e = MakeEntry("010101", "triple-7", 42, true);
   BufferWriter w;
   e.Encode(&w);
   EXPECT_EQ(w.size(), e.EncodedSize());
@@ -896,9 +889,9 @@ TEST(EntryCodecTest, RoundTrip) {
 }
 
 TEST(EntryCodecTest, VectorRoundTrip) {
-  std::vector<Entry> entries = {MakeEntry("00", "a", "1"),
-                                MakeEntry("01", "b", "2", 3),
-                                MakeEntry("10", "c", "", 9, true)};
+  std::vector<Entry> entries = {MakeEntry("00", "a"),
+                                MakeEntry("01", "b", 3),
+                                MakeEntry("10", "c", 9, true)};
   BufferWriter w;
   EncodeEntries(entries, &w);
   BufferReader r(w.buffer());
@@ -909,9 +902,9 @@ TEST(EntryCodecTest, VectorRoundTrip) {
 }
 
 TEST(EntryCodecTest, StreamedEncodeIsByteIdentical) {
-  std::vector<Entry> entries = {MakeEntry("00", "a", "1"),
-                                MakeEntry("01", "b", "2", 3),
-                                MakeEntry("10", "c", "", 9, true)};
+  std::vector<Entry> entries = {MakeEntry("00", "a"),
+                                MakeEntry("01", "b", 3),
+                                MakeEntry("10", "c", 9, true)};
   BufferWriter materialized;
   EncodeEntries(entries, &materialized);
   BufferWriter streamed;
@@ -925,7 +918,6 @@ TEST(EntryCodecTest, CorruptKeyRejected) {
   BufferWriter w;
   w.PutString("01x1");  // Bad bit char.
   w.PutString("id");
-  w.PutString("payload");
   w.PutVarint(1);
   w.PutBool(false);
   BufferReader r(w.buffer());

@@ -49,7 +49,6 @@ std::unique_ptr<Overlay> MakeOverlay(uint64_t seed, size_t stored,
       Entry e;
       e.key = TestKey(i);
       e.id = "id-" + std::to_string(i) + "-" + std::to_string(copy);
-      e.payload = "payload-" + std::to_string(i);
       for (net::PeerId p : overlay->ResponsiblePeers(e.key)) {
         overlay->peer(p)->ApplyLocal(e);
       }

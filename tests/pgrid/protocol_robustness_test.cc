@@ -50,7 +50,6 @@ TEST_F(RobustnessTest, CorruptPayloadsAreDropped) {
   Entry e;
   e.key = OpHash("post-garbage");
   e.id = "pg";
-  e.payload = "x";
   ASSERT_TRUE(overlay_->InsertSync(1, e).ok());
   auto found = overlay_->LookupSync(6, e.key);
   ASSERT_TRUE(found.ok());
@@ -80,7 +79,7 @@ TEST_F(RobustnessTest, DuplicateRepliesAreIgnored) {
   reply.peer = 5;
   LookupBatchReply::Answer& answer = reply.answers.emplace_back();
   answer.slot = 0;
-  answer.entries.push_back(Entry{foreign, "stale", "x", 1, false});
+  answer.entries.push_back(Entry{foreign, "stale", 1, false});
   reply.dead_ends = {0};
   for (uint64_t request_id = 1; request_id <= 64; ++request_id) {
     net::Message m;
@@ -141,7 +140,6 @@ TEST_F(RobustnessTest, InsertRetriesExhaustGracefully) {
   Entry e;
   e.key = OpHash("lost forever");
   e.id = "l";
-  e.payload = "x";
   // Find a peer NOT responsible so the insert must route.
   net::PeerId via = 0;
   for (net::PeerId id = 0; id < 4; ++id) {
@@ -199,7 +197,6 @@ TEST_F(RobustnessTest, ConcurrentScansDoNotInterfere) {
     e.key = OpHash(std::string(1, static_cast<char>(i * 6 + 1)) + "-v" +
                    std::to_string(i));
     e.id = "c" + std::to_string(i);
-    e.payload = "p";
     overlay_->InsertDirect(e);
   }
   KeyRange full{Key().PadTo(kKeyBits, false), Key().PadTo(kKeyBits, true)};

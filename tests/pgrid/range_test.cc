@@ -35,7 +35,6 @@ struct RangeFixture {
                           std::to_string(i);
       e.key = OpHash(value);
       e.id = "id" + std::to_string(i);
-      e.payload = value;
       overlay.InsertDirect(e);
       all.push_back(e);
     }
@@ -191,7 +190,6 @@ TEST(RangeTest, LimitedSeqWalkTerminatesEarly) {
     value += "-val" + std::to_string(i);
     e.key = OpHash(value);
     e.id = "id" + std::to_string(i);
-    e.payload = value;
     overlay.InsertDirect(e);
   }
   KeyRange full{Key().PadTo(kKeyBits, false), Key().PadTo(kKeyBits, true)};

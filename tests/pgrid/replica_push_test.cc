@@ -20,7 +20,6 @@ Entry MakeVersioned(const std::string& value, uint64_t version) {
   Entry e;
   e.key = OpHash(value);
   e.id = value;
-  e.payload = value + "@v" + std::to_string(version);
   e.version = version;
   return e;
 }

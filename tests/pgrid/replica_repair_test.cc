@@ -31,11 +31,10 @@ using net::TrafficStats;
 using storage::MemEnv;
 
 Entry MakeEntry(const std::string& value, const std::string& id,
-                uint64_t version, const std::string& payload = "") {
+                uint64_t version) {
   Entry e;
   e.key = OpHash(value);
   e.id = id;
-  e.payload = payload.empty() ? value : payload;
   e.version = version;
   return e;
 }
@@ -176,7 +175,7 @@ TEST(RunSummaryTest, ScanRunByIdResumesFromOffset) {
   std::vector<std::string> all;
   ASSERT_TRUE(store.ScanRunById(summaries[0].run_id, 0,
                                 [&all](const EntryView& e) {
-                                  all.emplace_back(e.payload);
+                                  all.emplace_back(e.key_bits);
                                   return true;
                                 }));
   ASSERT_EQ(all.size(), 32u);
@@ -184,7 +183,7 @@ TEST(RunSummaryTest, ScanRunByIdResumesFromOffset) {
   std::vector<std::string> tail;
   ASSERT_TRUE(store.ScanRunById(summaries[0].run_id, 30,
                                 [&tail](const EntryView& e) {
-                                  tail.emplace_back(e.payload);
+                                  tail.emplace_back(e.key_bits);
                                   return true;
                                 }));
   ASSERT_EQ(tail.size(), 2u);

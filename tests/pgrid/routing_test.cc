@@ -17,7 +17,6 @@ Entry MakeDataEntry(const std::string& value, const std::string& id) {
   Entry e;
   e.key = OpHash(value);
   e.id = id;
-  e.payload = value;
   return e;
 }
 
@@ -101,7 +100,7 @@ TEST(OverlayTest, LookupFindsInsertedEntry) {
   auto result = overlay.LookupSync(5, e.key);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->entries.size(), 1u);
-  EXPECT_EQ(result->entries[0].payload, "hello world");
+  EXPECT_EQ(result->entries[0], e);
 }
 
 TEST(OverlayTest, LookupMissingKeyReturnsEmpty) {
@@ -159,7 +158,7 @@ TEST_P(RoutingScaling, AllLookupsSucceedWithinDepthHops) {
     for (const auto& got : result->entries) {
       if (got.id == e.id) found = true;
     }
-    EXPECT_TRUE(found) << "value " << e.payload << " not found from peer "
+    EXPECT_TRUE(found) << "entry " << e.id << " not found from peer "
                        << from;
     EXPECT_LE(result->hops, depth + 1);
     total_hops += result->hops;

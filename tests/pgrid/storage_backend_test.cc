@@ -32,12 +32,11 @@ using storage::MemEnv;
 namespace manifest = storage::manifest;
 
 Entry MakeEntry(const std::string& keybits, const std::string& id,
-                const std::string& payload, uint64_t version = 1,
+                uint64_t version = 1,
                 bool deleted = false) {
   Entry e;
   e.key = Key::FromBits(keybits);
   e.id = id;
-  e.payload = payload;
   e.version = version;
   e.deleted = deleted;
   return e;
@@ -49,8 +48,7 @@ std::vector<Entry> SortedEntries(size_t n, const std::string& id_prefix) {
   for (size_t i = 0; i < n; ++i) {
     std::string bits;
     for (int b = 15; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-    entries.push_back(MakeEntry(bits, id_prefix + std::to_string(i),
-                                "payload-" + std::to_string(i), i + 1,
+    entries.push_back(MakeEntry(bits, id_prefix + std::to_string(i), i + 1,
                                 i % 7 == 0));
   }
   return entries;
@@ -86,7 +84,6 @@ void ExpectSameEntries(const std::vector<Entry>& got,
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].key.bits(), want[i].key.bits()) << "entry " << i;
     EXPECT_EQ(got[i].id, want[i].id) << "entry " << i;
-    EXPECT_EQ(got[i].payload, want[i].payload) << "entry " << i;
     EXPECT_EQ(got[i].version, want[i].version) << "entry " << i;
     EXPECT_EQ(got[i].deleted, want[i].deleted) << "entry " << i;
   }
@@ -164,7 +161,7 @@ TEST(DiskRunTest, OverlongKeysRoundTrip) {
   for (int i = 0; i < 20; ++i) {
     std::string bits = base;
     for (int b = 4; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-    entries.push_back(MakeEntry(bits, "t", "p" + std::to_string(i), i + 1));
+    entries.push_back(MakeEntry(bits, "t", i + 1));
   }
   // A short key between the long ones exercises prefix-sharing against
   // an aliased (overlong) predecessor.
@@ -379,12 +376,11 @@ std::vector<Entry> SharedKeyEntries() {
   for (size_t k = 1; k <= kDistinctKeys; ++k) {
     const std::string bits = Bits16(2 * k);
     if (k != kSharedKeyIndex) {
-      entries.push_back(MakeEntry(bits, "m", "p" + std::to_string(k), k));
+      entries.push_back(MakeEntry(bits, "m", k));
       continue;
     }
     for (size_t j = 0; j < kSharedIds; ++j) {
-      entries.push_back(MakeEntry(bits, SharedId(2 * j + 1),
-                                  "q" + std::to_string(j), 3 * j + 1,
+      entries.push_back(MakeEntry(bits, SharedId(2 * j + 1), 3 * j + 1,
                                   j % 5 == 0));
     }
   }
@@ -536,8 +532,7 @@ std::vector<Entry> RandomWorkload(LocalStore* store, uint64_t seed) {
     std::string bits;
     for (int b = 0; b < 10; ++b) bits += rng.NextBounded(2) ? '1' : '0';
     Entry e = MakeEntry(bits, "id" + std::to_string(rng.NextBounded(6)),
-                        "pay" + std::to_string(op), 1 + rng.NextBounded(9),
-                        rng.NextBounded(5) == 0);
+                        1 + rng.NextBounded(9), rng.NextBounded(5) == 0);
     if (rng.NextBounded(3) == 0) {
       batch.push_back(e);
       if (batch.size() >= 40) {
@@ -582,8 +577,9 @@ TEST(DiskBackendTest, OverlongAndShortKeysMatchMemoryBackend) {
   for (int i = 0; i < 200; ++i) {
     std::string bits = zeros.substr(0, 120 + rng.NextBounded(100));
     bits += rng.NextBounded(2) ? '1' : '0';
-    entries.push_back(MakeEntry(bits, "id" + std::to_string(rng.NextBounded(4)),
-                                "p" + std::to_string(i), 1 + rng.NextBounded(5),
+    entries.push_back(MakeEntry(bits,
+                                "id" + std::to_string(rng.NextBounded(4)),
+                                1 + rng.NextBounded(5),
                                 rng.NextBounded(6) == 0));
   }
   LocalStoreOptions mem_options;
@@ -646,12 +642,12 @@ TEST(SharedKeyProbeTest, LocalStoreUpsertsMatchReferenceOnBothBackends) {
       const std::string tag = std::to_string(r);
       std::vector<Entry> batch;
       batch.push_back(
-          MakeEntry(Bits16(2 * kSharedKeyIndex - 2), "m" + tag, "lo", 1));
+          MakeEntry(Bits16(2 * kSharedKeyIndex - 2), "m" + tag, 1));
       for (size_t i = 0; i < 500; ++i) {
-        batch.push_back(MakeEntry(shared, SharedId(4 * i + r), "v" + tag, 10));
+        batch.push_back(MakeEntry(shared, SharedId(4 * i + r), 10));
       }
       batch.push_back(
-          MakeEntry(Bits16(2 * kSharedKeyIndex + 2), "m" + tag, "hi", 1));
+          MakeEntry(Bits16(2 * kSharedKeyIndex + 2), "m" + tag, 1));
       for (const Entry& e : batch) upsert(e);
       if (r < 3) {
         EXPECT_EQ(store.BulkLoad(batch), batch.size());
@@ -672,7 +668,7 @@ TEST(SharedKeyProbeTest, LocalStoreUpsertsMatchReferenceOnBothBackends) {
     std::vector<Entry> stale;
     for (size_t n : touched) {
       if (n >= 2000) continue;
-      stale.push_back(MakeEntry(shared, SharedId(n), "stale", 9));
+      stale.push_back(MakeEntry(shared, SharedId(n), 9));
       EXPECT_FALSE(store.Apply(stale.back())) << n;
     }
     std::vector<Entry> changed;
@@ -682,7 +678,7 @@ TEST(SharedKeyProbeTest, LocalStoreUpsertsMatchReferenceOnBothBackends) {
     // A newer version is applied once and reported in `changed`.
     std::vector<Entry> newer;
     for (size_t n : touched) {
-      newer.push_back(MakeEntry(shared, SharedId(n), "new", 11));
+      newer.push_back(MakeEntry(shared, SharedId(n), 11));
     }
     for (const Entry& e : newer) upsert(e);
     EXPECT_EQ(store.BulkLoad(newer, &changed), newer.size());
@@ -700,9 +696,9 @@ TEST(SharedKeyProbeTest, LocalStoreUpsertsMatchReferenceOnBothBackends) {
 
     // A tombstone hides its slot; an older write cannot revive it.
     for (size_t n = 3; n < 2000; n += 11) {
-      const Entry tombstone = MakeEntry(shared, SharedId(n), "", 12, true);
+      const Entry tombstone = MakeEntry(shared, SharedId(n), 12, true);
       EXPECT_EQ(store.Apply(tombstone), upsert(tombstone)) << n;
-      EXPECT_FALSE(store.Apply(MakeEntry(shared, SharedId(n), "old", 11)));
+      EXPECT_FALSE(store.Apply(MakeEntry(shared, SharedId(n), 11)));
     }
 
     ASSERT_TRUE(store.io_status().ok()) << store.io_status().message();
@@ -745,8 +741,8 @@ TEST(DiskBackendTest, RecoveryDeletesOrphanRunFiles) {
   {
     LocalStore store(DiskOptions(&env, "db"));
     for (int i = 0; i < 64; ++i) {
-      store.Apply(MakeEntry("01" + std::to_string(i % 2), "t" + std::to_string(i),
-                            "p", i + 1));
+      store.Apply(MakeEntry("01" + std::to_string(i % 2),
+                            "t" + std::to_string(i), i + 1));
     }
     store.Flush();
     ASSERT_TRUE(store.io_status().ok());
@@ -768,14 +764,14 @@ TEST(DiskBackendTest, WriteFailureWedgesStore) {
   MemEnv env;
   LocalStore store(DiskOptions(&env, "db", /*flush_threshold=*/4));
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(store.Apply(MakeEntry("0101", "t" + std::to_string(i), "p")));
+    ASSERT_TRUE(store.Apply(MakeEntry("0101", "t" + std::to_string(i))));
   }
   env.set_fail_after(0);  // Every subsequent Env mutation fails.
-  store.Apply(MakeEntry("0101", "t3", "p"));  // Triggers a failing flush.
+  store.Apply(MakeEntry("0101", "t3"));  // Triggers a failing flush.
   EXPECT_FALSE(store.io_status().ok());
   // Wedged: mutations no-op, reads still serve.
-  EXPECT_FALSE(store.Apply(MakeEntry("0110", "t9", "p")));
-  EXPECT_EQ(store.BulkLoad({MakeEntry("0111", "t8", "p")}), 0u);
+  EXPECT_FALSE(store.Apply(MakeEntry("0110", "t9")));
+  EXPECT_EQ(store.BulkLoad({MakeEntry("0111", "t8")}), 0u);
   env.set_fail_after(-1);
   EXPECT_FALSE(store.io_status().ok());  // Wedge is sticky.
 }
@@ -792,7 +788,7 @@ TEST(DiskBackendTest, MissingDataDirFallsBackToMemory) {
 
   LocalStore store(o);  // Construction applies the same fallback.
   EXPECT_TRUE(store.io_status().ok());
-  EXPECT_TRUE(store.Apply(MakeEntry("0101", "t1", "hello")));
+  EXPECT_TRUE(store.Apply(MakeEntry("0101", "t1")));
 }
 
 TEST(DiskBackendTest, PosixEnvEndToEnd) {
@@ -816,7 +812,7 @@ TEST(DiskBackendTest, PosixEnvEndToEnd) {
     for (int i = 0; i < 40; ++i) {
       std::string bits;
       for (int b = 5; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
-      store.Apply(MakeEntry(bits, "id", "p" + std::to_string(i)));
+      store.Apply(MakeEntry(bits, "id"));
     }
     store.Flush();
     ASSERT_TRUE(store.io_status().ok());

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/datagen.h"
+#include "triple/index.h"
 
 namespace unistore {
 namespace qgram {
@@ -205,7 +206,7 @@ TEST(QGramTest, PostingEntriesOnePerDistinctGram) {
   std::set<std::string> ids;
   for (const auto& e : entries) {
     ids.insert(e.id);
-    auto decoded = triple::Triple::DecodeFromString(e.payload);
+    auto decoded = triple::DecodeEntryTriple(e.id);
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(*decoded, t);
   }

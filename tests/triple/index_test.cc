@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/codec.h"
 
 namespace unistore {
@@ -15,9 +17,12 @@ Triple ExampleTriple() {
 TEST(IndexTest, ThreeEntriesPerTriple) {
   auto entries = EntriesForTriple(ExampleTriple(), /*version=*/1);
   ASSERT_EQ(entries.size(), 3u);
-  // All carry the same payload (the full triple) but distinct keys/ids.
-  EXPECT_EQ(entries[0].payload, entries[1].payload);
-  EXPECT_EQ(entries[1].payload, entries[2].payload);
+  // Each id is its index's tag followed by the full triple, so the ids
+  // differ and every one of them carries the same triple.
+  const std::string identity = ExampleTriple().Identity();
+  EXPECT_EQ(entries[0].id, "o#" + identity);
+  EXPECT_EQ(entries[1].id, "a#" + identity);
+  EXPECT_EQ(entries[2].id, "v#" + identity);
   EXPECT_NE(entries[0].id, entries[1].id);
   EXPECT_NE(entries[1].id, entries[2].id);
 }
@@ -102,8 +107,13 @@ TEST(IndexTest, DecodeTriplesSkipsGarbage) {
   auto entries = EntriesForTriple(ExampleTriple(), 1);
   pgrid::Entry garbage;
   garbage.key = entries[0].key;
-  garbage.id = "junk";
-  garbage.payload = "\xFF\xFE not a triple";
+  garbage.id = "\xFF\xFE not a triple";
+  entries.push_back(garbage);
+  // A known tag does not make an id a triple: a truncated body and
+  // trailing bytes are rejected too.
+  garbage.id = entries[0].id.substr(0, entries[0].id.size() - 1);
+  entries.push_back(garbage);
+  garbage.id = entries[0].id + "x";
   entries.push_back(garbage);
   EXPECT_EQ(DecodeTriples(entries).size(), 3u);
 }
@@ -115,6 +125,27 @@ TEST(IndexTest, IdentityDistinguishesTriples) {
   EXPECT_NE(a.Identity(), b.Identity());
   EXPECT_NE(a.Identity(), c.Identity());
   EXPECT_EQ(a.Identity(), Triple("o1", "name", Value::String("x")).Identity());
+  // Values an index key cannot tell apart are still distinct triples:
+  // 2^53 and 2^53 + 1 round to one double, 3 and 3.0 compare equal.
+  const int64_t big = int64_t{1} << 53;
+  EXPECT_NE(Triple("o1", "n", Value::Int(big)).Identity(),
+            Triple("o1", "n", Value::Int(big + 1)).Identity());
+  EXPECT_NE(Triple("o1", "n", Value::Int(3)).Identity(),
+            Triple("o1", "n", Value::Real(3.0)).Identity());
+}
+
+TEST(IndexTest, PostingIdDecodesToItsTriple) {
+  const Triple t = ExampleTriple();
+  // A gram may hold any byte, the length prefix keeps it apart from the
+  // triple that follows.
+  for (const std::string& gram :
+       std::vector<std::string>{"ICD", "\x02\x02I", "#\x1F#"}) {
+    const std::string id = PostingId(gram, t.Identity());
+    EXPECT_EQ(id.substr(0, 2), "g#");
+    auto decoded = DecodeEntryTriple(id);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(*decoded, t);
+  }
 }
 
 }  // namespace
