@@ -3,7 +3,7 @@
 //
 // Four acceptance gates, encoded in the exit code:
 //   1. BulkLoad ingests >= 5x entries/s vs per-Apply inserts at 1M
-//      entries.
+//      entries, in the median of kIngestRepeats runs.
 //   2. Measured write amplification under sustained per-Apply inserts is
 //      strictly below the full-merge compaction baseline.
 //   3. Prefix-compressed runs shrink the resident footprint of a
@@ -14,6 +14,7 @@
 //      allocations on either.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -75,55 +76,70 @@ bench::GateJson g_gates;
 
 // --- Gate 1: bulk ingest throughput ----------------------------------------
 
+// A single wall-time ratio swings by +-10% on a shared host, enough to
+// flip a 5x gate, so the 1M comparison runs this many times and the gate
+// reads the median ratio.
+constexpr int kIngestRepeats = 5;
+
 void RunIngestThroughput() {
   bench::Banner(
       "S2a / bulk ingest throughput",
       "LocalStore::BulkLoad (sorted-run builder, memtable bypassed) vs "
-      "per-Apply inserts; gate: >= 5x entries/s at 1M entries.");
+      "per-Apply inserts; gate: >= 5x entries/s at 1M entries, median of "
+      "5 runs.");
   bench::Table table({"entries", "path", "seconds", "Mentries/s", "runs",
                       "speedup"});
+  std::vector<double> speedups_1m;
   for (size_t n : {100000, 1000000}) {
     auto entries = MakeDataset(n, 1234);
-    double apply_s = 0;
-    double bulk_s = 0;
-    {
-      pgrid::LocalStore store(IngestPosture());
-      const auto t0 = std::chrono::steady_clock::now();
-      for (const auto& e : entries) store.Apply(e);
-      apply_s = Seconds(t0);
-      table.AddRow({std::to_string(n), "per-Apply",
-                    bench::Fmt("%.2f", apply_s),
-                    bench::Fmt("%.2f", static_cast<double>(n) / apply_s / 1e6),
-                    bench::FmtInt(store.run_count()), ""});
-    }
-    {
-      pgrid::LocalStore store(IngestPosture());
-      // Batches of 128k: the anti-entropy / triple-ingest arrival shape.
-      // BulkLoad takes ownership of its batch (a decoded wire batch is
-      // handed over, not borrowed), so the slices move.
-      auto owned = entries;  // Untimed copy; `entries` stays intact.
-      const size_t kBatch = 131072;
-      const auto t0 = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < owned.size(); i += kBatch) {
-        const size_t end = std::min(owned.size(), i + kBatch);
-        store.BulkLoad(std::vector<pgrid::Entry>(
-            std::make_move_iterator(owned.begin() + i),
-            std::make_move_iterator(owned.begin() + end)));
+    const int repeats = n == 1000000 ? kIngestRepeats : 1;
+    for (int rep = 0; rep < repeats; ++rep) {
+      double apply_s = 0;
+      double bulk_s = 0;
+      {
+        pgrid::LocalStore store(IngestPosture());
+        const auto t0 = std::chrono::steady_clock::now();
+        for (const auto& e : entries) store.Apply(e);
+        apply_s = Seconds(t0);
+        table.AddRow({std::to_string(n), "per-Apply",
+                      bench::Fmt("%.2f", apply_s),
+                      bench::Fmt("%.2f",
+                                 static_cast<double>(n) / apply_s / 1e6),
+                      bench::FmtInt(store.run_count()), ""});
       }
-      bulk_s = Seconds(t0);
-      const double speedup = apply_s / bulk_s;
-      table.AddRow({std::to_string(n), "BulkLoad",
-                    bench::Fmt("%.2f", bulk_s),
-                    bench::Fmt("%.2f", static_cast<double>(n) / bulk_s / 1e6),
-                    bench::FmtInt(store.run_count()),
-                    bench::Fmt("%.1fx", speedup)});
-      if (n == 1000000) {
-        g_bulk_gate = speedup >= 5.0;
-        g_gates.Add("bulk_ingest_speedup_1m", speedup);
+      {
+        pgrid::LocalStore store(IngestPosture());
+        // Batches of 128k: the anti-entropy / triple-ingest arrival shape.
+        // BulkLoad takes ownership of its batch (a decoded wire batch is
+        // handed over, not borrowed), so the slices move.
+        auto owned = entries;  // Untimed copy; `entries` stays intact.
+        const size_t kBatch = 131072;
+        const auto t0 = std::chrono::steady_clock::now();
+        for (size_t i = 0; i < owned.size(); i += kBatch) {
+          const size_t end = std::min(owned.size(), i + kBatch);
+          store.BulkLoad(std::vector<pgrid::Entry>(
+              std::make_move_iterator(owned.begin() + i),
+              std::make_move_iterator(owned.begin() + end)));
+        }
+        bulk_s = Seconds(t0);
+        const double speedup = apply_s / bulk_s;
+        table.AddRow({std::to_string(n), "BulkLoad",
+                      bench::Fmt("%.2f", bulk_s),
+                      bench::Fmt("%.2f",
+                                 static_cast<double>(n) / bulk_s / 1e6),
+                      bench::FmtInt(store.run_count()),
+                      bench::Fmt("%.1fx", speedup)});
+        if (n == 1000000) speedups_1m.push_back(speedup);
       }
     }
   }
   table.Print();
+  std::sort(speedups_1m.begin(), speedups_1m.end());
+  const double median = speedups_1m[speedups_1m.size() / 2];
+  g_bulk_gate = median >= 5.0;
+  g_gates.Add("bulk_ingest_speedup_1m", median);
+  std::printf("median 1M speedup over %d runs: %.1fx (gate: >= 5x)\n",
+              kIngestRepeats, median);
 }
 
 // --- Gate 2: write amplification -------------------------------------------

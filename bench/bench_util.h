@@ -35,7 +35,10 @@ struct StreamChecksum {
   }
   void Add(const pgrid::EntryView& e) {
     ++count;
-    Mix(e.key_bits);
+    unsigned char buf[pgrid::Key::kMaxBytes];
+    h ^= e.key.size();
+    h *= 1099511628211ull;
+    Mix(e.key.Packed(buf));
     Mix(e.id);
     h ^= e.version;
     h *= 1099511628211ull;

@@ -185,6 +185,14 @@ class BufferReader {
     return out;
   }
 
+  /// The next `n` raw bytes (aliasing the input, like GetStringView).
+  Result<std::string_view> GetRaw(size_t n) {
+    if (n > remaining()) return Underflow("raw bytes");
+    std::string_view out = data_.substr(pos_, n);
+    pos_ += n;
+    return out;
+  }
+
   /// Bytes not yet consumed.
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }

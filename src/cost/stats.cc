@@ -72,18 +72,17 @@ void StatsCatalog::MergeContribution(const StatsCatalog& contribution) {
   const auto& paths = contribution.peer_paths_;
   const bool replica =
       !paths.empty() &&
-      std::all_of(paths.begin(), paths.end(), [this](const std::string& p) {
+      std::all_of(paths.begin(), paths.end(), [this](const pgrid::Key& p) {
         return std::binary_search(peer_paths_.begin(), peer_paths_.end(), p);
       });
   if (!replica) MergeFrom(contribution);
 }
 
-void StatsCatalog::RecordPeerPath(const std::string& path_bits) {
+void StatsCatalog::RecordPeerPath(const pgrid::Key& path) {
   if (peer_paths_.size() >= kMaxPathSample) return;
-  auto it = std::lower_bound(peer_paths_.begin(), peer_paths_.end(),
-                             path_bits);
-  if (it != peer_paths_.end() && *it == path_bits) return;
-  peer_paths_.insert(it, path_bits);
+  auto it = std::lower_bound(peer_paths_.begin(), peer_paths_.end(), path);
+  if (it != peer_paths_.end() && *it == path) return;
+  peer_paths_.insert(it, path);
 }
 
 double StatsCatalog::EstimatePeersInRange(
@@ -103,8 +102,7 @@ double StatsCatalog::EstimatePeersInRange(
     return std::max(1.0, width * network_.peer_count);
   }
   size_t intersecting = 0;
-  for (const auto& bits : peer_paths_) {
-    pgrid::Key path = pgrid::Key::FromBits(bits);
+  for (const pgrid::Key& path : peer_paths_) {
     if (range.IntersectsPrefix(path, pgrid::kKeyBits)) ++intersecting;
   }
   double fraction = static_cast<double>(intersecting) /
@@ -160,7 +158,7 @@ std::string StatsCatalog::EncodeToString() const {
     stats.Encode(&w);
   }
   w.PutVarint(peer_paths_.size());
-  for (const auto& path : peer_paths_) w.PutString(path);
+  for (const pgrid::Key& path : peer_paths_) pgrid::EncodeKey(path, &w);
   return w.Release();
 }
 
@@ -180,13 +178,8 @@ Result<StatsCatalog> StatsCatalog::DecodeFromString(std::string_view bytes) {
   UNISTORE_ASSIGN_OR_RETURN(uint64_t paths, r.GetVarint());
   if (paths > kMaxPathSample) return Status::Corruption("oversized sample");
   for (uint64_t i = 0; i < paths; ++i) {
-    UNISTORE_ASSIGN_OR_RETURN(std::string bits, r.GetString());
-    for (char ch : bits) {
-      if (ch != '0' && ch != '1') {
-        return Status::Corruption("bad peer path in catalog");
-      }
-    }
-    catalog.RecordPeerPath(bits);
+    UNISTORE_ASSIGN_OR_RETURN(pgrid::Key path, pgrid::DecodeKey(&r));
+    catalog.RecordPeerPath(path);
   }
   return catalog;
 }

@@ -83,7 +83,7 @@ class StatsCatalog {
   /// Records a known peer path (own path at BuildLocalStats; merged paths
   /// arrive via gossip). The sample is capped; it powers
   /// EstimatePeersInRange.
-  void RecordPeerPath(const std::string& path_bits);
+  void RecordPeerPath(const pgrid::Key& path);
 
   /// \brief Estimated number of peers whose subtree intersects `range`.
   ///
@@ -97,10 +97,10 @@ class StatsCatalog {
 
   size_t peer_path_sample_size() const { return peer_paths_.size(); }
 
-  /// The sampled peer paths (sorted, deduplicated bit strings). The
+  /// The sampled peer paths (sorted, deduplicated). The
   /// batched envelope executor splits Migrate-join partitions at sampled
   /// region boundaries, so fan-out follows the actual trie shape.
-  const std::vector<std::string>& peer_paths() const { return peer_paths_; }
+  const std::vector<pgrid::Key>& peer_paths() const { return peer_paths_; }
 
   /// Total triples across attributes.
   uint64_t TotalTriples() const;
@@ -116,7 +116,7 @@ class StatsCatalog {
 
   NetworkStats network_;
   std::map<std::string, AttrStats> attributes_;
-  std::vector<std::string> peer_paths_;  // Sorted, deduplicated sample.
+  std::vector<pgrid::Key> peer_paths_;  // Sorted, deduplicated sample.
 };
 
 }  // namespace cost

@@ -2,26 +2,6 @@
 
 namespace unistore {
 namespace exec {
-namespace {
-
-Status ValidateBits(std::string_view bits, const char* what) {
-  for (char c : bits) {
-    if (c != '0' && c != '1') {
-      return Status::Corruption("envelope field ", what,
-                                " contains non-bit char");
-    }
-  }
-  return Status::OK();
-}
-
-Result<pgrid::Key> DecodeKey(BufferReader* r) {
-  // Zero-copy: validate the view, copy once into the Key.
-  UNISTORE_ASSIGN_OR_RETURN(std::string_view bits, r->GetStringView());
-  UNISTORE_RETURN_IF_ERROR(ValidateBits(bits, "key"));
-  return pgrid::Key::FromBits(bits);
-}
-
-}  // namespace
 
 void EncodeTerm(const vql::Term& term, BufferWriter* w) {
   w->PutBool(term.is_variable);
@@ -66,8 +46,8 @@ std::string PlanEnvelope::Encode() const {
   w.PutU32(chunk_id);
   w.PutU32(chunk_count);
   EncodePattern(pattern, &w);
-  w.PutString(remaining.lo.bits());
-  w.PutString(remaining.hi.bits());
+  pgrid::EncodeKey(remaining.lo, &w);
+  pgrid::EncodeKey(remaining.hi, &w);
   EncodeBindings(bindings, &w);
   return w.Release();
 }
@@ -85,8 +65,8 @@ Result<PlanEnvelope> PlanEnvelope::Decode(std::string_view bytes) {
                               env.chunk_count, " out of range");
   }
   UNISTORE_ASSIGN_OR_RETURN(env.pattern, DecodePattern(&r));
-  UNISTORE_ASSIGN_OR_RETURN(env.remaining.lo, DecodeKey(&r));
-  UNISTORE_ASSIGN_OR_RETURN(env.remaining.hi, DecodeKey(&r));
+  UNISTORE_ASSIGN_OR_RETURN(env.remaining.lo, pgrid::DecodeKey(&r));
+  UNISTORE_ASSIGN_OR_RETURN(env.remaining.hi, pgrid::DecodeKey(&r));
   UNISTORE_ASSIGN_OR_RETURN(env.bindings, DecodeBindings(&r));
   return env;
 }
@@ -102,8 +82,8 @@ std::string EnvelopeReply::Encode() const {
   w.PutU64(walk_id);
   w.PutU32(branch);
   w.PutU32(chunk_id);
-  w.PutString(covered_lo);
-  w.PutString(covered_hi);
+  pgrid::EncodeKey(covered_lo, &w);
+  pgrid::EncodeKey(covered_hi, &w);
   EncodeBindings(results, &w);
   w.PutU32(retry_after_us);
   return w.Release();
@@ -124,10 +104,8 @@ Result<EnvelopeReply> EnvelopeReply::Decode(std::string_view bytes) {
   UNISTORE_ASSIGN_OR_RETURN(reply.walk_id, r.GetU64());
   UNISTORE_ASSIGN_OR_RETURN(reply.branch, r.GetU32());
   UNISTORE_ASSIGN_OR_RETURN(reply.chunk_id, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(reply.covered_lo, r.GetString());
-  UNISTORE_ASSIGN_OR_RETURN(reply.covered_hi, r.GetString());
-  UNISTORE_RETURN_IF_ERROR(ValidateBits(reply.covered_lo, "covered_lo"));
-  UNISTORE_RETURN_IF_ERROR(ValidateBits(reply.covered_hi, "covered_hi"));
+  UNISTORE_ASSIGN_OR_RETURN(reply.covered_lo, pgrid::DecodeKey(&r));
+  UNISTORE_ASSIGN_OR_RETURN(reply.covered_hi, pgrid::DecodeKey(&r));
   UNISTORE_ASSIGN_OR_RETURN(reply.results, DecodeBindings(&r));
   UNISTORE_ASSIGN_OR_RETURN(reply.retry_after_us, r.GetU32());
   return reply;

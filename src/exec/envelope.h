@@ -60,12 +60,12 @@ struct EnvelopeReply {
   uint32_t branch = 0;
   uint32_t chunk_id = 0;
   /// The slice of the branch range whose results this reply carries
-  /// (inclusive, bit strings). Both empty = no coverage (e.g. a routing
-  /// dead end before any peer served). The coordinator assembles these
+  /// (inclusive). Both empty = no coverage (e.g. a routing dead end
+  /// before any peer served). The coordinator assembles these
   /// intervals into a coverage frontier: a walk is complete when its
   /// branch range is fully covered, and retries resume at the first gap.
-  std::string covered_lo;
-  std::string covered_hi;
+  pgrid::Key covered_lo;
+  pgrid::Key covered_hi;
   std::vector<Binding> results;
   /// For a kOverloaded shed: how long the coordinator should wait
   /// before relaunching, derived from the shedding peer's busy horizon.

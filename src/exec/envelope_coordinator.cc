@@ -6,14 +6,13 @@ namespace unistore {
 namespace exec {
 
 std::vector<pgrid::KeyRange> SplitRangeByPathSample(
-    const pgrid::KeyRange& range, const std::vector<std::string>& peer_paths,
+    const pgrid::KeyRange& range, const std::vector<pgrid::Key>& peer_paths,
     size_t max_parts, size_t key_width) {
   // Region starts of sampled peers intersecting the range, clamped.
-  std::vector<std::string> starts;
-  for (const std::string& path : peer_paths) {
-    const pgrid::Key prefix = pgrid::Key::FromBits(path);
+  std::vector<pgrid::Key> starts;
+  for (const pgrid::Key& prefix : peer_paths) {
     if (!range.IntersectsPrefix(prefix, key_width)) continue;
-    starts.push_back(range.ClampToPrefix(prefix, key_width).lo.bits());
+    starts.push_back(range.ClampToPrefix(prefix, key_width).lo);
   }
   std::sort(starts.begin(), starts.end());
   starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
@@ -27,7 +26,7 @@ std::vector<pgrid::KeyRange> SplitRangeByPathSample(
   pgrid::Key lo = range.lo;
   for (size_t part = 1; part < parts; ++part) {
     const size_t at = part * starts.size() / parts;
-    pgrid::Key boundary = pgrid::Key::FromBits(starts[at]);
+    const pgrid::Key& boundary = starts[at];
     if (boundary.Compare(lo) <= 0) continue;  // Degenerate group.
     out.push_back(pgrid::KeyRange{lo, boundary.Decrement()});
     lo = boundary;
@@ -40,7 +39,7 @@ EnvelopeCoordinator::EnvelopeCoordinator(
     net::PeerId initiator, vql::TriplePattern pattern, pgrid::KeyRange range,
     std::vector<Binding> bindings, const EnvelopeOptions& options,
     size_t key_width, uint64_t walk_id_base,
-    const std::vector<std::string>& peer_path_sample)
+    const std::vector<pgrid::Key>& peer_path_sample)
     : initiator_(initiator),
       pattern_(std::move(pattern)),
       options_(options),
@@ -128,14 +127,14 @@ void EnvelopeCoordinator::AdvanceFrontier(Walk* w) {
       w->complete = true;
       break;
     }
-    auto it = w->pending.find(w->frontier.bits());
+    auto it = w->pending.find(w->frontier);
     if (it == w->pending.end()) break;
-    const std::string hi = it->second;
+    const pgrid::Key hi = it->second;
     w->pending.erase(it);
-    if (hi >= w->range.hi.bits()) {
+    if (hi >= w->range.hi) {
       w->complete = true;
     } else {
-      w->frontier = pgrid::Key::FromBits(hi).Increment();
+      w->frontier = hi.Increment();
     }
   }
 }
@@ -155,9 +154,8 @@ EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
   // and its replacement race safely: the first interval for a position
   // wins, duplicates are dropped.
   if (reply.has_coverage() && !reply.covered_lo.empty() && !w.complete) {
-    const std::string& lo = reply.covered_lo;
-    const bool duplicate =
-        w.results.count(lo) != 0 || lo < w.frontier.bits();
+    const pgrid::Key& lo = reply.covered_lo;
+    const bool duplicate = w.results.count(lo) != 0 || lo < w.frontier;
     if (!duplicate) {
       w.results[lo] = std::move(reply.results);
       w.pending[lo] = reply.covered_hi;

@@ -102,7 +102,7 @@ struct MigrateResult {
 /// regions this degrades to the density-blind subtree bisection
 /// (pgrid::SplitRange). `peer_paths` is the catalog's sorted sample.
 std::vector<pgrid::KeyRange> SplitRangeByPathSample(
-    const pgrid::KeyRange& range, const std::vector<std::string>& peer_paths,
+    const pgrid::KeyRange& range, const std::vector<pgrid::Key>& peer_paths,
     size_t max_parts, size_t key_width);
 
 class EnvelopeCoordinator {
@@ -115,7 +115,7 @@ class EnvelopeCoordinator {
                       pgrid::KeyRange range, std::vector<Binding> bindings,
                       const EnvelopeOptions& options, size_t key_width,
                       uint64_t walk_id_base,
-                      const std::vector<std::string>& peer_path_sample = {});
+                      const std::vector<pgrid::Key>& peer_path_sample = {});
 
   /// The initial envelope fleet (branches x chunks). Call exactly once.
   std::vector<PlanEnvelope> Launch();
@@ -173,12 +173,12 @@ class EnvelopeCoordinator {
     uint64_t latest_walk_id = 0;  ///< Current instance; stale errors ignored.
     uint32_t peer_visits = 0;  ///< Accepted replies (one serving peer each).
     /// Accepted but not-yet-contiguous coverage: covered_lo -> covered_hi.
-    std::map<std::string, std::string> pending;
+    std::map<pgrid::Key, pgrid::Key> pending;
     /// Every accepted interval: covered_lo -> covered_hi (kept after
     /// consumption — detects racing instances that extend past it).
-    std::map<std::string, std::string> accepted;
+    std::map<pgrid::Key, pgrid::Key> accepted;
     /// Results keyed by covered_lo (the dedupe key).
-    std::map<std::string, std::vector<Binding>> results;
+    std::map<pgrid::Key, std::vector<Binding>> results;
   };
 
   Walk& walk(uint32_t branch, uint32_t chunk) {

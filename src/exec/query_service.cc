@@ -362,8 +362,8 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
   reply.walk_id = env.walk_id;
   reply.branch = env.branch;
   reply.chunk_id = env.chunk_id;
-  reply.covered_lo = serve_lo.bits();
-  reply.covered_hi = covered_hi.bits();
+  reply.covered_lo = serve_lo;
+  reply.covered_hi = covered_hi;
   reply.results = std::move(local_results);
   if (stalled) {
     reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
@@ -428,7 +428,7 @@ void QueryService::BuildLocalStats(double hop_latency_us) {
   fresh.network().trie_depth =
       static_cast<double>(peer_->path().size());
   fresh.network().hop_latency_us = hop_latency_us;
-  fresh.RecordPeerPath(peer_->path().bits());
+  fresh.RecordPeerPath(peer_->path());
 
   struct Acc {
     uint64_t count = 0;

@@ -94,19 +94,25 @@ Status ValidateBlockPayload(std::string_view payload) {
   };
   while (pos < payload.size()) {
     uint64_t shared = 0;
-    uint64_t suffix = 0;
-    if (!read_varint(&shared) || !read_varint(&suffix)) {
+    uint64_t bit_len = 0;
+    if (!read_varint(&shared) || !read_varint(&bit_len)) {
       return corrupt("key lengths");
     }
+    if (bit_len > kKeyBits) return corrupt("key length");
+    const size_t key_len = Key::ByteLength(bit_len);
     if (index == 0 && shared != 0) return corrupt("chain start");
-    if (shared != 0) {
-      if (shared > prev_key_len) return corrupt("shared prefix");
-      if (shared + suffix > run_format::kMaxCompressedKeyBits) {
-        return corrupt("key length");
-      }
+    // Only whole bytes are shared, so a partial last byte is stored here
+    // and its padding bits are checked.
+    if (shared > prev_key_len || shared > bit_len / 8) {
+      return corrupt("shared prefix");
     }
+    const size_t suffix = key_len - shared;
     if (suffix > payload.size() - pos) return corrupt("key suffix");
     pos += suffix;
+    if (!Key::PaddingIsZero(bit_len,
+                            static_cast<unsigned char>(payload[pos - 1]))) {
+      return corrupt("key padding");
+    }
     uint64_t id_len = 0;
     if (!read_varint(&id_len) || id_len > payload.size() - pos) {
       return corrupt("id");
@@ -116,7 +122,7 @@ Status ValidateBlockPayload(std::string_view payload) {
     if (!read_varint(&version)) return corrupt("version");
     if (pos >= payload.size()) return corrupt("flags");
     ++pos;
-    prev_key_len = static_cast<size_t>(shared + suffix);
+    prev_key_len = key_len;
     ++index;
   }
   if (index == 0) return Status::Corruption("empty run block");
@@ -149,13 +155,12 @@ void DiskRunWriter::Add(const EntryView& e) {
   }
   approx_bytes_ += ApproxEntryBytes(e);
   // Each block starts a fresh prefix chain.
-  std::string_view prev_key = prev_key_;
   if (block_.empty()) {
-    first_key_.assign(e.key_bits.data(), e.key_bits.size());
-    prev_key = {};
+    first_key_ = e.key;
+    prev_key_ = Key();
   }
-  run_format::AppendRecord(&block_, prev_key, e);
-  prev_key_.assign(e.key_bits.data(), e.key_bits.size());
+  run_format::AppendRecord(&block_, prev_key_, e);
+  prev_key_ = e.key;
   ++count_;
 }
 
@@ -171,11 +176,10 @@ void DiskRunWriter::FlushBlock() {
   DiskRun::BlockMeta meta;
   meta.offset = offset_;
   meta.payload_len = static_cast<uint32_t>(block_.size());
-  meta.first_key = std::move(first_key_);
+  meta.first_key = first_key_;
   blocks_.push_back(std::move(meta));
   offset_ += 8 + block_.size();
   block_.clear();
-  first_key_.clear();
 }
 
 Status DiskRunWriter::Finish() {
@@ -187,7 +191,7 @@ Status DiskRunWriter::Finish() {
   for (const DiskRun::BlockMeta& b : blocks_) {
     index.PutVarint(b.offset);
     index.PutVarint(b.payload_len);
-    index.PutString(b.first_key);
+    EncodeKey(b.first_key, &index);
   }
   index.PutVarint(count_);
   const uint64_t index_offset = offset_;
@@ -270,7 +274,7 @@ Result<std::shared_ptr<DiskRun>> DiskRun::Open(Env* env,
     UNISTORE_ASSIGN_OR_RETURN(meta.offset, ir.GetVarint());
     UNISTORE_ASSIGN_OR_RETURN(uint64_t payload_len, ir.GetVarint());
     meta.payload_len = static_cast<uint32_t>(payload_len);
-    UNISTORE_ASSIGN_OR_RETURN(meta.first_key, ir.GetString());
+    UNISTORE_ASSIGN_OR_RETURN(meta.first_key, DecodeKey(&ir));
     if (meta.offset != prev_end ||
         meta.offset + 8 + payload_len > index_offset) {
       return Status::Corruption("run index block ", i, " out of bounds: ",
@@ -289,9 +293,7 @@ Result<std::shared_ptr<DiskRun>> DiskRun::Open(Env* env,
 }
 
 size_t DiskRun::metadata_bytes() const {
-  size_t bytes = sizeof(DiskRun) + blocks_.capacity() * sizeof(BlockMeta);
-  for (const BlockMeta& b : blocks_) bytes += b.first_key.size();
-  return bytes;
+  return sizeof(DiskRun) + blocks_.capacity() * sizeof(BlockMeta);
 }
 
 BlockCache::BlockHandle DiskRun::LoadBlock(uint32_t block_index) const {
@@ -329,25 +331,25 @@ BlockCache::BlockHandle DiskRun::LoadBlock(uint32_t block_index) const {
   return block;
 }
 
-int DiskRun::CompareBlock(uint32_t index, std::string_view key_bits,
+int DiskRun::CompareBlock(uint32_t index, const Key& key,
                           std::string_view id) const {
-  const int c = std::string_view(blocks_[index].first_key).compare(key_bits);
+  const int c = blocks_[index].first_key.Compare(key);
   if (c != 0) return c;
   // A block's first record starts a prefix chain: its id is stored raw.
   const BlockCache::BlockHandle block = LoadBlock(index);
   if (block == nullptr) return 1;
-  return run_format::CompareChainStart(*block, 0, key_bits, id);
+  return run_format::CompareChainStart(*block, 0, key, id);
 }
 
-bool DiskRun::FindSlot(std::string_view key_bits, std::string_view id,
-                       uint64_t* version, bool* deleted) const {
+bool DiskRun::FindSlot(const Key& key, std::string_view id, uint64_t* version,
+                       bool* deleted) const {
   // Last block whose first slot is at or below the target; the target, if
   // present, sits in that block.
   size_t lo = 0;
   size_t hi = blocks_.size();
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (CompareBlock(static_cast<uint32_t>(mid), key_bits, id) <= 0) {
+    if (CompareBlock(static_cast<uint32_t>(mid), key, id) <= 0) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -356,7 +358,7 @@ bool DiskRun::FindSlot(std::string_view key_bits, std::string_view id,
   if (lo == 0) return false;  // Below the run's first slot (or empty).
   DiskRunCursor c;
   c.JumpToBlock(this, static_cast<uint32_t>(lo - 1));
-  return AdvanceToSlot(&c, key_bits, id, version, deleted);
+  return AdvanceToSlot(&c, key, id, version, deleted);
 }
 
 // ---------------------------------------------------------------------------
@@ -364,28 +366,28 @@ bool DiskRun::FindSlot(std::string_view key_bits, std::string_view id,
 
 void DiskRunCursor::DecodeRecord() {
   next_pos_ = pos_;
-  run_format::DecodeRecord(*block_, &next_pos_, key_buf_, &view_);
+  run_format::DecodeRecord(*block_, &next_pos_, &view_);
 }
 
-void DiskRunCursor::Seek(const DiskRun* run, std::string_view lo_bits) {
+void DiskRunCursor::Seek(const DiskRun* run, const Key& target) {
   run_ = run;
   valid_ = run != nullptr && !run->blocks_.empty();
   if (!valid_) return;
-  // First block whose first key >= lo_bits; the target may sit in the
+  // First block whose first key >= target; the target may sit in the
   // preceding block (its first key is smaller but its tail may not be).
   const auto& blocks = run->blocks_;
   size_t lo = 0;
   size_t hi = blocks.size();
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (std::string_view(blocks[mid].first_key) < lo_bits) {
+    if (blocks[mid].first_key < target) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
   JumpToBlock(run, static_cast<uint32_t>(lo > 0 ? lo - 1 : 0));
-  while (valid_ && view_.key_bits < lo_bits) Advance();
+  while (valid_ && view_.key < target) Advance();
 }
 
 void DiskRunCursor::JumpToBlock(const DiskRun* run, uint32_t block_index) {
@@ -526,10 +528,10 @@ class DiskSlotProber : public SlotProber {
     }
   }
 
-  bool FindNewest(std::string_view key_bits, std::string_view id,
+  bool FindNewest(const Key& key, std::string_view id,
                   uint64_t* version, bool* deleted) override {
     for (const DiskRun* run : runs_) {
-      if (run->FindSlot(key_bits, id, version, deleted)) return true;
+      if (run->FindSlot(key, id, version, deleted)) return true;
     }
     return false;
   }
@@ -748,7 +750,7 @@ Status DiskBackend::MergeRuns(size_t first, size_t n, MergeStats* stats) {
   DiskRunWriter writer(env_, path, options_.block_bytes);
   DiskRunCursor cursors[kMaxMergeFanIn];
   for (size_t i = 0; i < n; ++i) {
-    cursors[i].Seek(runs_[first + i].get(), "");
+    cursors[i].Seek(runs_[first + i].get(), Key());
   }
   MergeCursorStreams(cursors, n,
                      [&writer](const EntryView& v) { writer.Add(v); });
@@ -841,19 +843,17 @@ size_t DiskBackend::resident_bytes() const {
   return bytes;
 }
 
-bool DiskBackend::FindSlot(std::string_view key_bits, std::string_view id,
+bool DiskBackend::FindSlot(const Key& key, std::string_view id,
                            uint64_t* version, bool* deleted) const {
   for (auto run = runs_.rbegin(); run != runs_.rend(); ++run) {
-    if ((*run)->FindSlot(key_bits, id, version, deleted)) return true;
+    if ((*run)->FindSlot(key, id, version, deleted)) return true;
   }
   return false;
 }
 
-void DiskBackend::SeekCursor(size_t newest_first_index,
-                             std::string_view lo_bits,
+void DiskBackend::SeekCursor(size_t newest_first_index, const Key& lo,
                              RunCursor* cursor) const {
-  cursor->disk().Seek(runs_[runs_.size() - 1 - newest_first_index].get(),
-                      lo_bits);
+  cursor->disk().Seek(runs_[runs_.size() - 1 - newest_first_index].get(), lo);
 }
 
 std::unique_ptr<SlotProber> DiskBackend::NewProber() const {
@@ -868,7 +868,7 @@ RunSummary DiskBackend::RunSummaryAt(size_t index) const {
     // immutable, so the result is cached for every later manifest pull.
     RunChecksum sum;
     storage::DiskRunCursor cursor;
-    for (cursor.Seek(&run, ""); cursor.valid(); cursor.Advance()) {
+    for (cursor.Seek(&run, Key()); cursor.valid(); cursor.Advance()) {
       sum.Add(cursor.view());
     }
     if (!run.status().ok()) {

@@ -10,18 +10,15 @@
 //   index payload (BufferWriter):                    block index
 //     varint n_blocks
 //     n_blocks x { varint frame_offset, varint payload_len,
-//                  string first_key }
+//                  key first_key (pgrid::EncodeKey) }
 //     varint entry_count
 //   [u64 index_offset][u32 index_masked_crc][u32 magic]  fixed tail
 //
 // Records use run_format's codec, the same one SortedRun's arena uses.
 // Each block starts a fresh prefix chain (its first record stores the
-// full key), so blocks decode independently; a record whose full key
-// exceeds run_format::kMaxCompressedKeyBits is stored with shared == 0 so
-// its key aliases the block bytes instead of the cursor's fixed
-// reassembly buffer. Block payloads are structurally validated once, on
-// cache miss, so the cursor's per-record decode can stay unchecked like
-// the in-memory arena decode.
+// full key), so blocks decode independently. Block payloads are
+// structurally validated once, on cache miss, so the cursor's per-record
+// decode can stay unchecked like the in-memory arena decode.
 //
 // The manifest (`MANIFEST`) is an append-only stream of framed records
 // ([u32 len][u32 masked_crc][payload]) describing the evolution of the
@@ -50,7 +47,7 @@ namespace pgrid {
 namespace storage {
 
 constexpr uint32_t kRunMagic = 0x4E525355u;  // "USRN", little-endian.
-constexpr uint32_t kRunFormatVersion = 2;
+constexpr uint32_t kRunFormatVersion = 3;
 constexpr size_t kRunHeaderBytes = 8;   // magic + format version.
 constexpr size_t kRunTailBytes = 16;    // index offset + crc + magic.
 constexpr char kManifestName[] = "MANIFEST";
@@ -116,7 +113,7 @@ class DiskRun {
   struct BlockMeta {
     uint64_t offset = 0;       // File offset of the block frame.
     uint32_t payload_len = 0;
-    std::string first_key;     // Full key bits of the block's first record.
+    Key first_key;             // Key of the block's first record.
   };
 
   /// Opens an existing run file and decodes its footer.
@@ -147,17 +144,16 @@ class DiskRun {
   /// are searched by slot: a tie on a block's first key is broken by the
   /// block's first id, so a probe loads O(log blocks) blocks however many
   /// blocks its key spans.
-  bool FindSlot(std::string_view key_bits, std::string_view id,
-                uint64_t* version, bool* deleted) const;
+  bool FindSlot(const Key& key, std::string_view id, uint64_t* version,
+                bool* deleted) const;
 
  private:
   friend class DiskRunCursor;
 
-  /// Slot order of block `index`'s first record against (key_bits, id).
-  /// Only a tie on the indexed first key loads the block, for its first
-  /// id; a failed load compares greater (status_ holds the error).
-  int CompareBlock(uint32_t index, std::string_view key_bits,
-                   std::string_view id) const;
+  /// Slot order of block `index`'s first record against (key, id). Only
+  /// a tie on the indexed first key loads the block, for its first id; a
+  /// failed load compares greater (status_ holds the error).
+  int CompareBlock(uint32_t index, const Key& key, std::string_view id) const;
 
   /// Cache-through block load: verifies the frame checksum and validates
   /// the record structure on miss. Records the first failure in status_.
@@ -176,16 +172,15 @@ class DiskRun {
 /// \brief Forward cursor over a DiskRun in slot order.
 ///
 /// Mirrors SortedRun::Cursor: after Seek, view() exposes the current
-/// entry as an EntryView whose id aliases the pinned block and
-/// whose key aliases either the block (records stored with shared == 0)
-/// or the cursor's fixed reassembly buffer. Block loads may allocate
+/// entry as an EntryView whose id aliases the pinned block. Block loads
+/// may allocate
 /// (cache fills); the in-memory backend's allocation-free scan guarantee
 /// does not extend to disk scans.
 class DiskRunCursor {
  public:
   DiskRunCursor() = default;
 
-  void Seek(const DiskRun* run, std::string_view lo_bits);
+  void Seek(const DiskRun* run, const Key& target);
 
   /// Loads block `block_index` and stands on its first record;
   /// invalidates the cursor on read failure.
@@ -205,7 +200,6 @@ class DiskRunCursor {
   uint32_t block_index_ = 0;
   size_t pos_ = 0;       // Payload offset of the current record.
   size_t next_pos_ = 0;
-  char key_buf_[run_format::kMaxCompressedKeyBits];
 };
 
 /// \brief Streams a sorted entry sequence into a run file.
@@ -240,9 +234,9 @@ class DiskRunWriter {
   std::unique_ptr<WritableFile> file_;
   Status status_;
   size_t block_bytes_;
-  std::string block_;      // Current block payload under construction.
-  std::string first_key_;  // First key of the current block.
-  std::string prev_key_;
+  std::string block_;  // Current block payload under construction.
+  Key first_key_;      // First key of the current block.
+  Key prev_key_;
   std::vector<DiskRun::BlockMeta> blocks_;
   uint64_t offset_ = 0;  // File offset past everything appended so far.
   uint64_t count_ = 0;
@@ -250,10 +244,11 @@ class DiskRunWriter {
 };
 
 /// Structural validation of a block payload: every record decodes in
-/// bounds, the first record starts a prefix chain (shared == 0), and any
-/// prefix-shared key fits the cursor's fixed reassembly buffer. Run once
-/// per cache fill; guarantees the cursor's unchecked decode is memory
-/// safe on arbitrary bytes that passed the checksum.
+/// bounds, the first record starts a prefix chain (shared == 0), no key
+/// exceeds kKeyBits or shares more bytes than it and its predecessor
+/// hold, and key padding bits are zero. Run once per cache fill;
+/// guarantees the cursor's unchecked decode is memory safe on arbitrary
+/// bytes that passed the checksum.
 Status ValidateBlockPayload(std::string_view payload);
 
 namespace manifest {

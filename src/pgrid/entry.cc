@@ -14,13 +14,7 @@ size_t Entry::EncodedSize() const { return EntryView(*this).EncodedSize(); }
 
 Result<Entry> Entry::Decode(BufferReader* r) {
   Entry e;
-  UNISTORE_ASSIGN_OR_RETURN(std::string_view bits, r->GetStringView());
-  for (char c : bits) {
-    if (c != '0' && c != '1') {
-      return Status::Corruption("entry key contains non-bit character");
-    }
-  }
-  e.key = Key::FromBits(bits);
+  UNISTORE_ASSIGN_OR_RETURN(e.key, DecodeKey(r));
   UNISTORE_ASSIGN_OR_RETURN(e.id, r->GetString());
   UNISTORE_ASSIGN_OR_RETURN(e.version, r->GetVarint());
   UNISTORE_ASSIGN_OR_RETURN(e.deleted, r->GetBool());
@@ -29,21 +23,21 @@ Result<Entry> Entry::Decode(BufferReader* r) {
 
 void EntryView::Encode(BufferWriter* w) const {
   w->EnsureSpace(EncodedSize());
-  w->PutString(key_bits);
+  EncodeKey(key, w);
   w->PutString(id);
   w->PutVarint(version);
   w->PutBool(deleted);
 }
 
 size_t EntryView::EncodedSize() const {
-  return VarintLength(key_bits.size()) + key_bits.size() +
+  return EncodedKeySize(key) +
          VarintLength(id.size()) + id.size() +
          VarintLength(version) + 1;
 }
 
 Entry EntryView::ToEntry() const {
   Entry e;
-  e.key = Key::FromBits(key_bits);
+  e.key = key;
   e.id = std::string(id);
   e.version = version;
   e.deleted = deleted;
@@ -62,7 +56,7 @@ Result<std::vector<Entry>> DecodeEntries(BufferReader* r) {
   UNISTORE_ASSIGN_OR_RETURN(uint64_t n, r->GetVarint());
   std::vector<Entry> out;
   // Clamp the pre-reservation: `n` is attacker-controlled wire data and an
-  // entry needs at least 5 bytes, so a huge count fails in the loop below
+  // entry needs at least 4 bytes, so a huge count fails in the loop below
   // with Corruption instead of a giant up-front allocation.
   out.reserve(std::min<uint64_t>(n, 4096));
   for (uint64_t i = 0; i < n; ++i) {

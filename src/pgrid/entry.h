@@ -45,13 +45,13 @@ struct Entry {
 ///
 /// The zero-copy scan path hands visitors EntryViews instead of `const
 /// Entry&`: prefix-compressed runs do not hold materialized Entry objects,
-/// so the view's fields alias either an Entry living in the memtable, or
-/// bytes of a run's arena (or disk block) plus the scan cursor's
-/// key-reassembly buffer. A view is valid only for the duration
-/// of the visitor call (the cursor reuses its buffers on advance) — copy
-/// with ToEntry() to retain.
+/// so the view holds its (fixed-width) key by value and its id aliases
+/// either an Entry living in the memtable or bytes of a run's arena (or
+/// disk block). A view is valid only for the duration of the visitor call
+/// (the cursor reuses its buffers on advance) — copy with ToEntry() to
+/// retain.
 struct EntryView {
-  std::string_view key_bits;
+  Key key;
   std::string_view id;
   uint64_t version = 1;
   bool deleted = false;
@@ -59,10 +59,7 @@ struct EntryView {
   EntryView() = default;
   /// Wraps an owning Entry.
   EntryView(const Entry& e)  // NOLINT(google-explicit-constructor)
-      : key_bits(e.key.bits()),
-        id(e.id),
-        version(e.version),
-        deleted(e.deleted) {}
+      : key(e.key), id(e.id), version(e.version), deleted(e.deleted) {}
 
   /// Byte-identical to Entry::Encode of the materialized entry.
   void Encode(BufferWriter* w) const;

@@ -6,83 +6,138 @@
 
 namespace unistore {
 namespace pgrid {
-
 Key Key::FromBits(std::string_view bits) {
-  for (char c : bits) {
+  UNISTORE_CHECK(bits.size() <= kKeyBits)
+      << "key of " << bits.size() << " bits exceeds " << kKeyBits;
+  Key k;
+  for (size_t i = 0; i < bits.size(); ++i) {
+    const char c = bits[i];
     UNISTORE_CHECK(c == '0' || c == '1') << "bad bit char '" << c << "'";
+    if (c == '1') k.SetBit(i);
   }
-  return Key(std::string(bits));
+  k.len_ = static_cast<uint32_t>(bits.size());
+  return k;
 }
 
 Key Key::Prefix(size_t len) const {
-  UNISTORE_CHECK(len <= bits_.size());
-  return Key(bits_.substr(0, len));
+  UNISTORE_CHECK(len <= len_);
+  Key k = *this;
+  k.len_ = static_cast<uint32_t>(len);
+  k.ClearFrom(len);
+  return k;
 }
 
-Key Key::Child(bool one) const { return Key(bits_ + (one ? '1' : '0')); }
+Key Key::Child(bool one) const {
+  UNISTORE_CHECK(len_ < kKeyBits);
+  Key k = *this;
+  if (one) k.SetBit(len_);
+  ++k.len_;
+  return k;
+}
 
 Key Key::Sibling() const {
-  UNISTORE_CHECK(!bits_.empty());
-  std::string s = bits_;
-  s.back() = (s.back() == '0') ? '1' : '0';
-  return Key(std::move(s));
+  UNISTORE_CHECK(len_ > 0);
+  Key k = *this;
+  const size_t i = len_ - 1;
+  k.words_[i >> 6] ^= uint64_t{1} << (63 - (i & 63));
+  return k;
 }
 
 Key Key::PadTo(size_t width, bool ones) const {
-  if (bits_.size() >= width) return *this;
-  std::string s = bits_;
-  s.append(width - s.size(), ones ? '1' : '0');
-  return Key(std::move(s));
-}
-
-bool Key::IsPrefixOf(const Key& other) const {
-  return bits_.size() <= other.bits_.size() &&
-         other.bits_.compare(0, bits_.size(), bits_) == 0;
-}
-
-size_t Key::CommonPrefixLength(const Key& other) const {
-  size_t n = std::min(bits_.size(), other.bits_.size());
-  size_t i = 0;
-  while (i < n && bits_[i] == other.bits_[i]) ++i;
-  return i;
-}
-
-int Key::Compare(const Key& other) const {
-  return bits_.compare(other.bits_) < 0   ? -1
-         : bits_.compare(other.bits_) > 0 ? 1
-                                          : 0;
+  UNISTORE_CHECK(width <= kKeyBits);
+  if (len_ >= width) return *this;
+  Key k = *this;
+  if (ones) {
+    // Bits [len_, width) of each word, MSB-first.
+    for (size_t w = 0; w < 2; ++w) {
+      const size_t from = std::max<size_t>(len_, 64 * w);
+      const size_t to = std::min<size_t>(width, 64 * w + 64);
+      if (from >= to) continue;
+      k.words_[w] |= LowOnes(to - from) << (64 * w + 64 - to);
+    }
+  }
+  k.len_ = static_cast<uint32_t>(width);
+  return k;
 }
 
 Key Key::Successor() const {
-  // Drop trailing '1's, then flip the last '0' to '1'.
-  std::string s = bits_;
-  while (!s.empty() && s.back() == '1') s.pop_back();
-  if (s.empty()) return Key();  // Right-most prefix: no successor.
-  s.back() = '1';
-  return Key(std::move(s));
+  // Drop the trailing ones and flip the last zero: the increment, cut
+  // after its last one bit (where the carry stopped).
+  const Key k = Increment();
+  if (k.empty()) return Key();  // Right-most prefix: no successor.
+  const size_t last_one = k.words_[1] != 0
+                              ? 127 - __builtin_ctzll(k.words_[1])
+                              : 63 - __builtin_ctzll(k.words_[0]);
+  return k.Prefix(last_one + 1);
 }
 
 bool Key::IsMax() const {
-  return !bits_.empty() &&
-         bits_.find('0') == std::string::npos;
+  return len_ > 0 && *this == Key().PadTo(len_, /*ones=*/true);
 }
 
 Key Key::Increment() const {
-  std::string s = bits_;
-  size_t i = s.size();
-  while (i > 0 && s[i - 1] == '1') s[--i] = '0';
-  if (i == 0) return Key();  // All ones: overflow.
-  s[i - 1] = '1';
-  return Key(std::move(s));
+  if (len_ == 0) return Key();
+  // Add one at the last bit; the carry only moves toward the MSB, so the
+  // padding stays zero.
+  const size_t last = len_ - 1;
+  const uint64_t one = uint64_t{1} << (63 - (last & 63));
+  Key k = *this;
+  if (last >= 64) {
+    k.words_[1] += one;
+    if (k.words_[1] >= one) return k;  // No carry out of word 1.
+    if (++k.words_[0] == 0) return Key();  // All ones: overflow.
+    return k;
+  }
+  k.words_[0] += one;
+  if (k.words_[0] < one) return Key();  // All ones: overflow.
+  return k;
 }
 
 Key Key::Decrement() const {
-  std::string s = bits_;
-  size_t i = s.size();
-  while (i > 0 && s[i - 1] == '0') s[--i] = '1';
-  if (i == 0) return Key();  // All zeros: underflow.
-  s[i - 1] = '0';
-  return Key(std::move(s));
+  if (len_ == 0) return Key();
+  const size_t last = len_ - 1;
+  const uint64_t one = uint64_t{1} << (63 - (last & 63));
+  Key k = *this;
+  if (last >= 64) {
+    const bool borrow = k.words_[1] < one;
+    k.words_[1] -= one;
+    if (!borrow) return k;
+    if (k.words_[0] == 0) return Key();  // All zeros: underflow.
+    --k.words_[0];
+    return k;
+  }
+  if (k.words_[0] < one) return Key();  // All zeros: underflow.
+  k.words_[0] -= one;
+  return k;
+}
+
+std::string Key::bits() const {
+  std::string s(len_, '0');
+  for (size_t i = 0; i < len_; ++i) {
+    if (bit(i)) s[i] = '1';
+  }
+  return s;
+}
+
+void EncodeKey(const Key& key, BufferWriter* w) {
+  unsigned char buf[Key::kMaxBytes];
+  w->EnsureSpace(EncodedKeySize(key));
+  w->PutVarint(key.size());
+  w->PutRaw(key.Packed(buf));
+}
+
+Result<Key> DecodeKey(BufferReader* r) {
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t bit_len, r->GetVarint());
+  if (bit_len > kKeyBits) {
+    return Status::Corruption("key of ", bit_len, " bits exceeds ", kKeyBits);
+  }
+  UNISTORE_ASSIGN_OR_RETURN(std::string_view body,
+                            r->GetRaw(Key::ByteLength(bit_len)));
+  const auto* bytes = reinterpret_cast<const unsigned char*>(body.data());
+  if (!body.empty() && !Key::PaddingIsZero(bit_len, bytes[body.size() - 1])) {
+    return Status::Corruption("key padding bits are not zero");
+  }
+  return Key::FromBytes(bytes, bit_len);
 }
 
 bool KeyRange::IntersectsPrefix(const Key& prefix, size_t key_width) const {

@@ -19,52 +19,61 @@ namespace {
 static_assert(LocalStoreOptions::kMaxRuns + 1 <= 16,
               "merge fan-in exceeds the backends' fixed cursor arrays");
 
-// The first 64 key chars packed into one integer, bit per '0'/'1' char,
-// zero-padded: for keys agreeing on their packed prefix the full string
-// compare breaks the tie, so ordering by (packed, full compare) equals
-// ordering by the key bits alone — but almost every comparison resolves
-// on the single integer instead of walking two 128-byte strings.
-uint64_t PackKeyPrefix(const std::string& bits) {
-  const size_t n = std::min<size_t>(bits.size(), 64);
-  if (n == 0) return 0;  // Empty key (trie root); a 64-bit shift is UB.
-  uint64_t packed = 0;
-  for (size_t i = 0; i < n; ++i) {
-    packed = (packed << 1) | static_cast<uint64_t>(bits[i] == '1');
-  }
-  return packed << (64 - n);
-}
-
 // Sorts by slot; on slot ties the higher version first and on full ties
 // the original batch position first, so a first-wins dedup pass keeps
 // exactly the entry sequential Apply calls would have kept. Sorts an
-// index array (12-byte records, integer-first comparisons) and permutes
-// the heavy Entry objects once at the end.
+// index of (first key word, batch position) records with a stable LSD
+// radix sort on the word — one byte per pass, skipping bytes every word
+// shares — then orders each group of equal words by the full slot
+// comparison, and permutes the heavy Entry objects once at the end.
 void SortBatchBySlot(std::vector<Entry>* entries) {
   struct IndexKey {
-    uint64_t packed;
+    uint64_t first_word;
     uint32_t index;
   };
-  std::vector<IndexKey> order;
-  order.reserve(entries->size());
-  for (size_t i = 0; i < entries->size(); ++i) {
-    order.push_back({PackKeyPrefix((*entries)[i].key.bits()),
-                     static_cast<uint32_t>(i)});
-  }
   const std::vector<Entry>& e = *entries;
-  std::sort(order.begin(), order.end(),
-            [&e](const IndexKey& a, const IndexKey& b) {
-              if (a.packed != b.packed) return a.packed < b.packed;
-              const Entry& ea = e[a.index];
-              const Entry& eb = e[b.index];
-              const int c = ea.key.bits().compare(eb.key.bits());
-              if (c != 0) return c < 0;
-              const int ic = ea.id.compare(eb.id);
-              if (ic != 0) return ic < 0;
-              if (ea.version != eb.version) return ea.version > eb.version;
-              return a.index < b.index;  // Stability for exact ties.
-            });
+  const size_t n = e.size();
+  if (n < 2) return;
+  std::vector<IndexKey> order(n);
+  size_t counts[8][256] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t w = e[i].key.word(0);
+    order[i] = {w, static_cast<uint32_t>(i)};
+    for (size_t d = 0; d < 8; ++d) ++counts[d][(w >> (8 * d)) & 0xFF];
+  }
+  std::vector<IndexKey> scratch(n);
+  for (size_t d = 0; d < 8; ++d) {
+    size_t* count = counts[d];
+    if (count[(order[0].first_word >> (8 * d)) & 0xFF] == n) continue;
+    size_t at = 0;
+    for (size_t b = 0; b < 256; ++b) {
+      const size_t c = count[b];
+      count[b] = at;
+      at += c;
+    }
+    for (const IndexKey& k : order) {
+      scratch[count[(k.first_word >> (8 * d)) & 0xFF]++] = k;
+    }
+    order.swap(scratch);
+  }
+  for (size_t lo = 0; lo < n;) {
+    size_t hi = lo + 1;
+    while (hi < n && order[hi].first_word == order[lo].first_word) ++hi;
+    std::sort(order.begin() + lo, order.begin() + hi,
+              [&e](const IndexKey& a, const IndexKey& b) {
+                const Entry& ea = e[a.index];
+                const Entry& eb = e[b.index];
+                const int c = ea.key.Compare(eb.key);
+                if (c != 0) return c < 0;
+                const int ic = ea.id.compare(eb.id);
+                if (ic != 0) return ic < 0;
+                if (ea.version != eb.version) return ea.version > eb.version;
+                return a.index < b.index;  // Stability for exact ties.
+              });
+    lo = hi;
+  }
   std::vector<Entry> sorted;
-  sorted.reserve(entries->size());
+  sorted.reserve(n);
   for (const IndexKey& k : order) {
     sorted.push_back(std::move((*entries)[k.index]));
   }
@@ -179,7 +188,7 @@ void LocalStore::RecountFromBackend() {
   // memtable is empty at construction) rebuilds them.
   size_t slots = 0;
   size_t live = 0;
-  ScanMerged("", ScanBound::kNone, "", /*include_tombstones=*/true,
+  ScanMerged(Key(), ScanBound::kNone, Key(), /*include_tombstones=*/true,
              [&slots, &live](const EntryView& e) {
                ++slots;
                if (!e.deleted) ++live;
@@ -189,23 +198,23 @@ void LocalStore::RecountFromBackend() {
   live_count_ = live;
 }
 
-LocalStore::SlotInfo LocalStore::FindLatest(std::string_view key_bits,
+LocalStore::SlotInfo LocalStore::FindLatest(const Key& key,
                                             std::string_view id) const {
   SlotInfo info;
-  auto it = memtable_.find(SlotRef{key_bits, id});
+  auto it = memtable_.find(SlotRef{key, id});
   if (it != memtable_.end()) {
     info.found = true;
     info.version = it->second.version;
     info.deleted = it->second.deleted;
     return info;
   }
-  info.found = backend_->FindSlot(key_bits, id, &info.version, &info.deleted);
+  info.found = backend_->FindSlot(key, id, &info.version, &info.deleted);
   return info;
 }
 
 bool LocalStore::Apply(const Entry& entry) {
   if (!io_status_.ok()) return false;  // Wedged: mutations no-op.
-  const SlotInfo cur = FindLatest(entry.key.bits(), entry.id);
+  const SlotInfo cur = FindLatest(entry.key, entry.id);
   if (cur.found && entry.version <= cur.version) return false;
   if (!cur.found) {
     ++slot_count_;
@@ -216,7 +225,7 @@ bool LocalStore::Apply(const Entry& entry) {
   }
   ++stats_.ingested_entries;
   stats_.ingested_bytes += ApproxEntryBytes(entry);
-  memtable_.insert_or_assign(SlotKey(entry.key.bits(), entry.id), entry);
+  memtable_.insert_or_assign(SlotKey(entry.key, entry.id), entry);
   MaybeFlush();
   return true;
 }
@@ -228,13 +237,13 @@ size_t LocalStore::BulkLoad(std::vector<Entry> entries,
   // Within-batch dedup: slots arrive grouped, newest occurrence first.
   entries.erase(std::unique(entries.begin(), entries.end(),
                             [](const Entry& a, const Entry& b) {
-                              return a.key.bits() == b.key.bits() &&
-                                     a.id == b.id;
+                              return a.key == b.key && a.id == b.id;
                             }),
                 entries.end());
 
-  std::vector<Entry> fresh;
-  fresh.reserve(entries.size());
+  // Fresh slots are compacted to the front of the batch, in slot order:
+  // entries[0, fresh) becomes the new run without another copy.
+  size_t fresh = 0;
   std::vector<Entry> updates;
   size_t changed = 0;
   {
@@ -246,10 +255,11 @@ size_t LocalStore::BulkLoad(std::vector<Entry> entries,
     // would invalidate the prober).
     std::unique_ptr<SlotProber> prober = backend_->NewProber();
     const bool check_memtable = !memtable_.empty();
-    for (Entry& e : entries) {
+    for (size_t i = 0; i < entries.size(); ++i) {
+      Entry& e = entries[i];
       SlotInfo cur;
       if (check_memtable) {
-        auto it = memtable_.find(SlotRef{e.key.bits(), e.id});
+        auto it = memtable_.find(SlotRef{e.key, e.id});
         if (it != memtable_.end()) {
           cur.found = true;
           cur.version = it->second.version;
@@ -258,7 +268,7 @@ size_t LocalStore::BulkLoad(std::vector<Entry> entries,
       }
       if (!cur.found) {
         cur.found =
-            prober->FindNewest(e.key.bits(), e.id, &cur.version, &cur.deleted);
+            prober->FindNewest(e.key, e.id, &cur.version, &cur.deleted);
       }
       if (!cur.found) {
         ++slot_count_;
@@ -267,7 +277,8 @@ size_t LocalStore::BulkLoad(std::vector<Entry> entries,
         ++stats_.ingested_entries;
         stats_.ingested_bytes += ApproxEntryBytes(e);
         if (changed_out != nullptr) changed_out->push_back(e);
-        fresh.push_back(std::move(e));
+        if (fresh != i) entries[fresh] = std::move(e);
+        ++fresh;
       } else if (e.version > cur.version) {
         // Known slot: preserve exact versioned-upsert semantics through
         // the memtable path (Apply counts its own stats).
@@ -281,16 +292,16 @@ size_t LocalStore::BulkLoad(std::vector<Entry> entries,
     if (changed_out != nullptr) changed_out->push_back(std::move(e));
   }
 
-  if (!fresh.empty()) {
-    AppendRun(std::move(fresh), static_cast<uint8_t>(RunOrigin::kBulkLoad));
+  entries.resize(fresh);
+  if (!entries.empty()) {
+    AppendRun(std::move(entries), static_cast<uint8_t>(RunOrigin::kBulkLoad));
     MaybeCompact();
   }
   return changed;
 }
 
-bool LocalStore::ScanMerged(std::string_view lo_bits, ScanBound bound,
-                            std::string_view bound_bits,
-                            bool include_tombstones,
+bool LocalStore::ScanMerged(const Key& lo, ScanBound bound,
+                            const Key& bound_key, bool include_tombstones,
                             EntryVisitor visit) const {
   // One source: the memtable, iterated in slot order with views built on
   // demand (the map stores whole Entries, not views).
@@ -328,12 +339,12 @@ bool LocalStore::ScanMerged(std::string_view lo_bits, ScanBound bound,
 
   Source& mem = cursors[n++];
   mem.is_memtable = true;
-  mem.mem_pos = memtable_.lower_bound(lo_bits);
+  mem.mem_pos = memtable_.lower_bound(lo);
   mem.mem_end = memtable_.end();
 
   const size_t run_count = backend_->run_count();
   for (size_t i = 0; i < run_count; ++i) {
-    backend_->SeekCursor(i, lo_bits, &cursors[n++].run);
+    backend_->SeekCursor(i, lo, &cursors[n++].run);
   }
 
   while (true) {
@@ -352,10 +363,10 @@ bool LocalStore::ScanMerged(std::string_view lo_bits, ScanBound bound,
 
     switch (bound) {
       case ScanBound::kRangeHi:
-        if (best->key_bits.compare(bound_bits) > 0) return true;
+        if (best->key > bound_key) return true;
         break;
       case ScanBound::kPrefix:
-        if (!StartsWith(best->key_bits, bound_bits)) return true;
+        if (!bound_key.IsPrefixOf(best->key)) return true;
         break;
       case ScanBound::kNone:
         break;
@@ -367,9 +378,8 @@ bool LocalStore::ScanMerged(std::string_view lo_bits, ScanBound bound,
 
     // Advance every source sitting on this slot (shadowed older
     // occurrences are skipped, newest-wins). The winning cursor advances
-    // LAST: `best` may alias its key-reassembly buffer, which its own
-    // Advance overwrites, while the other cursors' advances cannot
-    // touch it.
+    // LAST: `best` points at its view, which its own Advance overwrites,
+    // while the other cursors' advances cannot touch it.
     for (size_t i = 0; i < n; ++i) {
       if (i == best_i) continue;
       const EntryView* head = cursors[i].head();
@@ -380,27 +390,27 @@ bool LocalStore::ScanMerged(std::string_view lo_bits, ScanBound bound,
 }
 
 bool LocalStore::ScanKey(const Key& key, EntryVisitor visit) const {
-  return ScanMerged(key.bits(), ScanBound::kRangeHi, key.bits(),
+  return ScanMerged(key, ScanBound::kRangeHi, key,
                     /*include_tombstones=*/false, visit);
 }
 
 bool LocalStore::ScanRange(const KeyRange& range, EntryVisitor visit) const {
-  return ScanMerged(range.lo.bits(), ScanBound::kRangeHi, range.hi.bits(),
+  return ScanMerged(range.lo, ScanBound::kRangeHi, range.hi,
                     /*include_tombstones=*/false, visit);
 }
 
 bool LocalStore::ScanPrefix(const Key& prefix, EntryVisitor visit) const {
-  return ScanMerged(prefix.bits(), ScanBound::kPrefix, prefix.bits(),
+  return ScanMerged(prefix, ScanBound::kPrefix, prefix,
                     /*include_tombstones=*/false, visit);
 }
 
 bool LocalStore::ScanAll(EntryVisitor visit) const {
-  return ScanMerged("", ScanBound::kNone, "",
+  return ScanMerged(Key(), ScanBound::kNone, Key(),
                     /*include_tombstones=*/true, visit);
 }
 
 bool LocalStore::ScanAllLive(EntryVisitor visit) const {
-  return ScanMerged("", ScanBound::kNone, "",
+  return ScanMerged(Key(), ScanBound::kNone, Key(),
                     /*include_tombstones=*/false, visit);
 }
 
@@ -425,7 +435,7 @@ bool LocalStore::ScanRunById(uint64_t run_id, uint64_t start_entry,
   if (!backend_->FindRunIndexById(run_id, &index)) return false;
   const size_t newest_first = backend_->run_count() - 1 - index;
   RunCursor cursor;
-  backend_->SeekCursor(newest_first, "", &cursor);
+  backend_->SeekCursor(newest_first, Key(), &cursor);
   // Chunk resume: skip to the requested offset. O(start_entry), which a
   // resumed fetch pays once per retried chunk — not per entry shipped.
   for (uint64_t i = 0; i < start_entry && cursor.valid(); ++i) {
@@ -498,7 +508,7 @@ std::vector<Entry> LocalStore::ExtractNotMatching(const Key& path) {
   std::vector<Entry> removed;
   kept.reserve(slot_count_);
   ScanAll([&](const EntryView& e) {
-    if (StartsWith(e.key_bits, path.bits())) {
+    if (path.IsPrefixOf(e.key)) {
       kept.push_back(e.ToEntry());
     } else {
       removed.push_back(e.ToEntry());
@@ -524,10 +534,10 @@ void LocalStore::Clear() {
 
 size_t LocalStore::resident_bytes() const {
   // Rough std::map node overhead per memtable entry (three pointers,
-  // color, the SlotKey strings).
+  // color, the SlotKey).
   size_t bytes = 0;
   for (const auto& [slot, e] : memtable_) {
-    bytes += ApproxEntryBytes(e) + slot.first.size() + slot.second.size() +
+    bytes += ApproxEntryBytes(e) + sizeof(SlotKey) + slot.second.size() +
              4 * sizeof(void*);
   }
   return bytes + backend_->resident_bytes();
@@ -563,50 +573,31 @@ void LocalStore::MaybeCompact() {
     TierCompact();
   } else if (backend_->run_count() > options_.max_runs) {
     MergeRuns(0, backend_->run_count());
-    return;
-  }
-  // Hard bound (also the tiered policy's backstop when run sizes
-  // interleave so no same-class group forms): fold the oldest runs
-  // together until the store fits the fixed scan-cursor budget.
-  if (backend_->run_count() > options_.max_runs) {
-    MergeRuns(0, backend_->run_count() - options_.max_runs + 1);
   }
 }
 
 void LocalStore::TierCompact() {
-  // Size class c: run size in (threshold * growth^(c-1), threshold *
-  // growth^c]; class 0 holds runs up to one memtable flush.
-  auto size_class = [this](size_t n) {
-    size_t c = 0;
-    uint64_t bound = options_.memtable_flush_threshold;
-    while (n > bound) {
-      ++c;
-      bound *= options_.tier_growth;
+  // Grow a group from the newest run toward older ones while the next
+  // older run holds at most tier_growth times the group's entries, and
+  // merge it once it spans tier_fanin runs. Run sizes thus grow
+  // geometrically toward the oldest run, which is rewritten only when the
+  // newer data has grown comparable to it. Over max_runs, the group
+  // widens to as many of the newest (smallest) runs as bring the store
+  // back under the bound. Repeats until stable: a merged group may join
+  // an older one.
+  while (io_status_.ok()) {
+    const size_t n = backend_->run_count();
+    if (n < 2) return;
+    size_t start = n - 1;
+    uint64_t group = backend_->run_entries(start);
+    while (start > 0 &&
+           backend_->run_entries(start - 1) <= options_.tier_growth * group) {
+      group += backend_->run_entries(--start);
     }
-    return c;
-  };
-
-  // Merge every contiguous recency-order group of >= tier_fanin
-  // same-class runs, newest groups first; repeat until stable (a merged
-  // group lands in a higher class and may complete a group there).
-  bool merged = true;
-  while (merged && io_status_.ok()) {
-    merged = false;
-    size_t end = backend_->run_count();
-    while (end > 0) {
-      const size_t cls = size_class(backend_->run_entries(end - 1));
-      size_t start = end - 1;
-      while (start > 0 &&
-             size_class(backend_->run_entries(start - 1)) == cls) {
-        --start;
-      }
-      if (end - start >= options_.tier_fanin) {
-        MergeRuns(start, end - start);
-        merged = true;
-        break;
-      }
-      end = start;
-    }
+    const size_t excess = n > options_.max_runs ? n - options_.max_runs : 0;
+    if (excess == 0 && n - start < options_.tier_fanin) return;
+    start = std::min(start, n - 1 - excess);
+    MergeRuns(start, n - start);
   }
 }
 

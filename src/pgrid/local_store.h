@@ -31,14 +31,15 @@ struct LocalStoreOptions {
   size_t memtable_flush_threshold = 512;
 
   /// Hard cap on the number of resident runs (scan fan-in bound). When the
-  /// compaction policy leaves more runs than this, the oldest runs are
+  /// compaction policy leaves more runs than this, the newest runs are
   /// merged down until the store fits. Clamped to kMaxRuns.
   size_t max_runs = 10;
 
   /// How runs are compacted.
   enum class CompactionPolicy : uint8_t {
-    /// Size-tiered: only runs of similar size merge (amortized O(log N)
-    /// write amplification). The default.
+    /// Size-tiered: a run merges with the newer runs once they hold a
+    /// comparable number of entries (amortized O(log N) write
+    /// amplification). The default.
     kTiered = 0,
     /// The pre-tiering behaviour: every compaction merges ALL runs into
     /// one (O(store) rewritten per compaction). Kept as the
@@ -47,15 +48,16 @@ struct LocalStoreOptions {
   };
   CompactionPolicy compaction = CompactionPolicy::kTiered;
 
-  /// Tiered policy: contiguous same-size-class runs at which the group
-  /// merges into one (the tier fan-in). Minimum 2.
+  /// Tiered policy: runs a compaction group must span before it merges
+  /// into one (the tier fan-in). Minimum 2.
   size_t tier_fanin = 4;
 
-  /// Tiered policy: size-class growth factor — runs a and b share a class
-  /// iff floor(log_growth(size/flush_threshold)) matches. Minimum 2.
+  /// Tiered policy: growth factor — a group of the newest runs absorbs
+  /// the next older run iff that run holds at most tier_growth times the
+  /// group's entries. Minimum 2.
   size_t tier_growth = 4;
 
-  /// Entries per restart block of a run: runs store key bits
+  /// Entries per restart block of a run: runs store packed key bytes
   /// shared-prefix-truncated against the previous entry, with a full key
   /// every `restart_interval` entries (sorted_run.h). Minimum 1.
   size_t restart_interval = 16;
@@ -143,9 +145,8 @@ struct LocalStoreWriteStats {
 /// Internally this is a miniature LSM tree (DESIGN.md § Local storage
 /// engine): Apply lands in a small mutable memtable; full memtables freeze
 /// into immutable sorted runs; runs compact under a size-tiered policy
-/// (only similar-size runs merge — amortized O(log N) write
-/// amplification), bounded by `max_runs` via an oldest-first fallback
-/// merge. BulkLoad turns a pre-sorted batch directly into a run,
+/// (a run merges only with newer runs of comparable total size —
+/// amortized O(log N) write amplification), bounded by `max_runs`. BulkLoad turns a pre-sorted batch directly into a run,
 /// bypassing the memtable. Because a version-ordered upsert always lands
 /// in the newest structure, reads resolve a slot to its newest occurrence
 /// (memtable, then runs newest to oldest). Tombstones survive flushes and
@@ -287,40 +288,37 @@ class LocalStore {
   void Compact();
 
  private:
-  // A slot is one logical datum: the (key bits, entry id) pair. Key bit
-  // strings compare exactly like Key::Compare, so slot order == the
-  // (key, id) iteration order of the original nested-map engine.
-  using SlotKey = std::pair<std::string, std::string>;
+  // A slot is one logical datum: the (key, entry id) pair.
+  using SlotKey = std::pair<Key, std::string>;
 
   // Borrowed full-slot probe key (allocation-free memtable lookups).
   struct SlotRef {
-    std::string_view key_bits;
+    const Key& key;
     std::string_view id;
   };
 
-  // Transparent comparator: the string_view overloads compare against the
-  // key bits only, so scans can position at a range's lower bound without
+  // Transparent comparator: the Key overloads compare against the key
+  // only, so scans can position at a range's lower bound without
   // materializing a SlotKey; the SlotRef overloads compare whole slots so
-  // point probes (FindLatest, BulkLoad) skip the two-string SlotKey
-  // materialization.
+  // point probes (FindLatest, BulkLoad) skip the SlotKey materialization.
   struct SlotLess {
     using is_transparent = void;
     bool operator()(const SlotKey& a, const SlotKey& b) const {
       return a < b;
     }
-    bool operator()(const SlotKey& a, std::string_view lo_bits) const {
-      return std::string_view(a.first) < lo_bits;
+    bool operator()(const SlotKey& a, const Key& lo) const {
+      return a.first < lo;
     }
-    bool operator()(std::string_view lo_bits, const SlotKey& a) const {
-      return lo_bits < std::string_view(a.first);
+    bool operator()(const Key& lo, const SlotKey& a) const {
+      return lo < a.first;
     }
     bool operator()(const SlotKey& a, const SlotRef& b) const {
-      if (a.first != b.key_bits) return std::string_view(a.first) < b.key_bits;
-      return std::string_view(a.second) < b.id;
+      const int c = a.first.Compare(b.key);
+      return c != 0 ? c < 0 : std::string_view(a.second) < b.id;
     }
     bool operator()(const SlotRef& b, const SlotKey& a) const {
-      if (b.key_bits != a.first) return b.key_bits < std::string_view(a.first);
-      return b.id < std::string_view(a.second);
+      const int c = b.key.Compare(a.first);
+      return c != 0 ? c < 0 : b.id < std::string_view(a.second);
     }
   };
   using Memtable = std::map<SlotKey, Entry, SlotLess>;
@@ -331,29 +329,27 @@ class LocalStore {
     uint64_t version = 0;
     bool deleted = false;
   };
-  SlotInfo FindLatest(std::string_view key_bits, std::string_view id) const;
+  SlotInfo FindLatest(const Key& key, std::string_view id) const;
 
   enum class ScanBound { kRangeHi, kPrefix, kNone };
 
   // The merge core: walks all sources in slot order starting at the first
-  // slot with key bits >= `lo_bits`, resolves shadowing (newest source
-  // wins per slot), stops once the key leaves the bound, and visits every
-  // winner (skipping tombstones unless `include_tombstones`). No heap
-  // allocation on the in-memory backend. Returns false iff the visitor
-  // stopped the scan.
-  bool ScanMerged(std::string_view lo_bits, ScanBound bound,
-                  std::string_view bound_bits, bool include_tombstones,
-                  EntryVisitor visit) const;
+  // slot with key >= `lo`, resolves shadowing (newest source wins per
+  // slot), stops once the key leaves the bound (past `bound_key`, or
+  // outside the prefix `bound_key`), and visits every winner (skipping
+  // tombstones unless `include_tombstones`). No heap allocation on the
+  // in-memory backend. Returns false iff the visitor stopped the scan.
+  bool ScanMerged(const Key& lo, ScanBound bound, const Key& bound_key,
+                  bool include_tombstones, EntryVisitor visit) const;
 
   // Recounts live/slot totals from the backend (disk recovery).
   void RecountFromBackend();
 
   void MaybeFlush();
-  // Applies the configured compaction policy, then enforces max_runs by
-  // merging oldest runs first.
+  // Applies the configured compaction policy, which keeps the run count
+  // within max_runs.
   void MaybeCompact();
-  // One pass of the size-tiered policy: merges every contiguous group of
-  // >= tier_fanin same-size-class runs, repeating until stable.
+  // The size-tiered policy (see the .cc), repeated until stable.
   void TierCompact();
   // Merges runs [first, first+n) through the backend and counts the
   // rewrite into stats_; wedges on backend failure.

@@ -7,20 +7,9 @@ namespace unistore {
 namespace pgrid {
 namespace {
 
-Result<Key> DecodeKey(BufferReader* r) {
-  // Zero-copy: validate the bits in place, copy once into the Key.
-  UNISTORE_ASSIGN_OR_RETURN(std::string_view bits, r->GetStringView());
-  for (char c : bits) {
-    if (c != '0' && c != '1') {
-      return Status::Corruption("key contains non-bit character");
-    }
-  }
-  return Key::FromBits(bits);
-}
-
 void EncodeRange(const KeyRange& range, BufferWriter* w) {
-  w->PutString(range.lo.bits());
-  w->PutString(range.hi.bits());
+  EncodeKey(range.lo, w);
+  EncodeKey(range.hi, w);
 }
 
 Result<KeyRange> DecodeRange(BufferReader* r) {
@@ -87,7 +76,7 @@ std::string LookupBatchRequest::Encode() const {
   w.PutVarint(keys.size());
   for (const BatchKey& k : keys) {
     w.PutVarint(k.slot);
-    w.PutString(k.key.bits());
+    EncodeKey(k.key, &w);
   }
   return w.Release();
 }
@@ -130,7 +119,7 @@ std::string LookupBatchReply::EncodeStreamed(const std::vector<uint32_t>& slots,
   w.PutVarint(hot_replicas.size());
   if (!hot_replicas.empty()) {
     for (PeerId p : hot_replicas) w.PutU32(p);
-    w.PutString(hot_path.bits());
+    EncodeKey(hot_path, &w);
   }
   return w.Release();
 }
@@ -235,7 +224,7 @@ std::string RangeSeqReply::EncodeStreamed(uint64_t count,
   BufferWriter w;
   EncodeEntryStream(count, &w, emit);
   w.PutBool(will_forward);
-  w.PutString(peer_path);
+  EncodeKey(peer_path, &w);
   w.PutU8(status_code);
   w.PutString(error);
   return w.Release();
@@ -246,7 +235,7 @@ Result<RangeSeqReply> RangeSeqReply::Decode(std::string_view bytes) {
   RangeSeqReply reply;
   UNISTORE_ASSIGN_OR_RETURN(reply.entries, DecodeEntries(&r));
   UNISTORE_ASSIGN_OR_RETURN(reply.will_forward, r.GetBool());
-  UNISTORE_ASSIGN_OR_RETURN(reply.peer_path, r.GetString());
+  UNISTORE_ASSIGN_OR_RETURN(reply.peer_path, DecodeKey(&r));
   UNISTORE_ASSIGN_OR_RETURN(reply.status_code, r.GetU8());
   UNISTORE_ASSIGN_OR_RETURN(reply.error, r.GetString());
   return reply;
@@ -280,7 +269,7 @@ std::string RangeShowerReply::EncodeStreamed(uint64_t count,
   EncodeEntryStream(count, &w, emit);
   w.PutU32(forwards);
   w.PutU32(unreachable);
-  w.PutString(peer_path);
+  EncodeKey(peer_path, &w);
   return w.Release();
 }
 
@@ -290,14 +279,14 @@ Result<RangeShowerReply> RangeShowerReply::Decode(std::string_view bytes) {
   UNISTORE_ASSIGN_OR_RETURN(reply.entries, DecodeEntries(&r));
   UNISTORE_ASSIGN_OR_RETURN(reply.forwards, r.GetU32());
   UNISTORE_ASSIGN_OR_RETURN(reply.unreachable, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(reply.peer_path, r.GetString());
+  UNISTORE_ASSIGN_OR_RETURN(reply.peer_path, DecodeKey(&r));
   return reply;
 }
 
 std::string ExchangeRequest::Encode() const {
   BufferWriter w;
   w.PutU32(initiator);
-  w.PutString(path);
+  EncodeKey(path, &w);
   w.PutVarint(live_size);
   w.PutU32(replica_count);
   w.PutU32(ttl);
@@ -309,7 +298,7 @@ Result<ExchangeRequest> ExchangeRequest::Decode(std::string_view bytes) {
   BufferReader r(bytes);
   ExchangeRequest req;
   UNISTORE_ASSIGN_OR_RETURN(req.initiator, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(req.path, r.GetString());
+  UNISTORE_ASSIGN_OR_RETURN(req.path, DecodeKey(&r));
   UNISTORE_ASSIGN_OR_RETURN(req.live_size, r.GetVarint());
   UNISTORE_ASSIGN_OR_RETURN(req.replica_count, r.GetU32());
   UNISTORE_ASSIGN_OR_RETURN(req.ttl, r.GetU32());
@@ -320,8 +309,8 @@ Result<ExchangeRequest> ExchangeRequest::Decode(std::string_view bytes) {
 std::string ExchangeReply::Encode() const {
   BufferWriter w;
   w.PutU8(static_cast<uint8_t>(action));
-  w.PutString(new_initiator_path);
-  w.PutString(responder_path);
+  EncodeKey(new_initiator_path, &w);
+  EncodeKey(responder_path, &w);
   w.PutVarint(responder_size);
   EncodeEntries(entries, &w);
   refs.Encode(&w);
@@ -334,8 +323,8 @@ Result<ExchangeReply> ExchangeReply::Decode(std::string_view bytes) {
   UNISTORE_ASSIGN_OR_RETURN(uint8_t action, r.GetU8());
   if (action > 5) return Status::Corruption("bad exchange action");
   reply.action = static_cast<ExchangeAction>(action);
-  UNISTORE_ASSIGN_OR_RETURN(reply.new_initiator_path, r.GetString());
-  UNISTORE_ASSIGN_OR_RETURN(reply.responder_path, r.GetString());
+  UNISTORE_ASSIGN_OR_RETURN(reply.new_initiator_path, DecodeKey(&r));
+  UNISTORE_ASSIGN_OR_RETURN(reply.responder_path, DecodeKey(&r));
   UNISTORE_ASSIGN_OR_RETURN(reply.responder_size, r.GetVarint());
   UNISTORE_ASSIGN_OR_RETURN(reply.entries, DecodeEntries(&r));
   UNISTORE_ASSIGN_OR_RETURN(reply.refs, RefsBlock::Decode(&r));
@@ -382,7 +371,7 @@ std::string ManifestPullReply::Encode() const {
     w.PutU32(run.checksum);
   }
   w.PutVarint(memtable_entries);
-  w.PutString(donor_path);
+  EncodeKey(donor_path, &w);
   return w.Release();
 }
 
@@ -400,7 +389,7 @@ Result<ManifestPullReply> ManifestPullReply::Decode(std::string_view bytes) {
     reply.runs.push_back(run);
   }
   UNISTORE_ASSIGN_OR_RETURN(reply.memtable_entries, r.GetVarint());
-  UNISTORE_ASSIGN_OR_RETURN(reply.donor_path, r.GetString());
+  UNISTORE_ASSIGN_OR_RETURN(reply.donor_path, DecodeKey(&r));
   return reply;
 }
 
@@ -452,7 +441,7 @@ Result<RunFetchReply> RunFetchReply::Decode(std::string_view bytes) {
 std::string ReplicaProbeRequest::Encode() const {
   BufferWriter w;
   w.PutU32(initiator);
-  w.PutString(path);
+  EncodeKey(path, &w);
   return w.Release();
 }
 
@@ -461,13 +450,13 @@ Result<ReplicaProbeRequest> ReplicaProbeRequest::Decode(
   BufferReader r(bytes);
   ReplicaProbeRequest req;
   UNISTORE_ASSIGN_OR_RETURN(req.initiator, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(req.path, r.GetString());
+  UNISTORE_ASSIGN_OR_RETURN(req.path, DecodeKey(&r));
   return req;
 }
 
 std::string ReplicaProbeReply::Encode() const {
   BufferWriter w;
-  w.PutString(path);
+  EncodeKey(path, &w);
   w.PutVarint(live_size);
   return w.Release();
 }
@@ -475,7 +464,7 @@ std::string ReplicaProbeReply::Encode() const {
 Result<ReplicaProbeReply> ReplicaProbeReply::Decode(std::string_view bytes) {
   BufferReader r(bytes);
   ReplicaProbeReply reply;
-  UNISTORE_ASSIGN_OR_RETURN(reply.path, r.GetString());
+  UNISTORE_ASSIGN_OR_RETURN(reply.path, DecodeKey(&r));
   UNISTORE_ASSIGN_OR_RETURN(reply.live_size, r.GetVarint());
   return reply;
 }
@@ -497,8 +486,8 @@ std::string JoinReply::Encode() const {
   BufferWriter w;
   w.PutBool(accepted);
   w.PutBool(split);
-  w.PutString(new_path);
-  w.PutString(sponsor_path);
+  EncodeKey(new_path, &w);
+  EncodeKey(sponsor_path, &w);
   w.PutU32(static_cast<uint32_t>(replicas.size()));
   for (PeerId p : replicas) w.PutU32(p);
   refs.Encode(&w);
@@ -511,8 +500,8 @@ Result<JoinReply> JoinReply::Decode(std::string_view bytes) {
   JoinReply reply;
   UNISTORE_ASSIGN_OR_RETURN(reply.accepted, r.GetBool());
   UNISTORE_ASSIGN_OR_RETURN(reply.split, r.GetBool());
-  UNISTORE_ASSIGN_OR_RETURN(reply.new_path, r.GetString());
-  UNISTORE_ASSIGN_OR_RETURN(reply.sponsor_path, r.GetString());
+  UNISTORE_ASSIGN_OR_RETURN(reply.new_path, DecodeKey(&r));
+  UNISTORE_ASSIGN_OR_RETURN(reply.sponsor_path, DecodeKey(&r));
   UNISTORE_ASSIGN_OR_RETURN(uint32_t replica_count, r.GetU32());
   reply.replicas.reserve(replica_count);
   for (uint32_t i = 0; i < replica_count; ++i) {
@@ -527,7 +516,7 @@ Result<JoinReply> JoinReply::Decode(std::string_view bytes) {
 std::string RecruitRequest::Encode() const {
   BufferWriter w;
   w.PutU32(initiator);
-  w.PutString(path);
+  EncodeKey(path, &w);
   refs.Encode(&w);
   return w.Release();
 }
@@ -536,7 +525,7 @@ Result<RecruitRequest> RecruitRequest::Decode(std::string_view bytes) {
   BufferReader r(bytes);
   RecruitRequest req;
   UNISTORE_ASSIGN_OR_RETURN(req.initiator, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(req.path, r.GetString());
+  UNISTORE_ASSIGN_OR_RETURN(req.path, DecodeKey(&r));
   UNISTORE_ASSIGN_OR_RETURN(req.refs, RefsBlock::Decode(&r));
   return req;
 }
@@ -557,7 +546,7 @@ Result<RecruitReply> RecruitReply::Decode(std::string_view bytes) {
 std::string RefUpdate::Encode() const {
   BufferWriter w;
   w.PutU32(peer);
-  w.PutString(path);
+  EncodeKey(path, &w);
   return w.Release();
 }
 
@@ -565,7 +554,7 @@ Result<RefUpdate> RefUpdate::Decode(std::string_view bytes) {
   BufferReader r(bytes);
   RefUpdate update;
   UNISTORE_ASSIGN_OR_RETURN(update.peer, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(update.path, r.GetString());
+  UNISTORE_ASSIGN_OR_RETURN(update.path, DecodeKey(&r));
   return update;
 }
 

@@ -141,7 +141,7 @@ struct RangeSeqRequest {
 struct RangeSeqReply {
   std::vector<Entry> entries;
   bool will_forward = false;
-  std::string peer_path;
+  Key peer_path;
   uint8_t status_code = 0;
   std::string error;
 
@@ -170,7 +170,7 @@ struct RangeShowerReply {
   std::vector<Entry> entries;
   uint32_t forwards = 0;
   uint32_t unreachable = 0;
-  std::string peer_path;
+  Key peer_path;
 
   std::string Encode() const;
   /// Streamed-entries variant of Encode() (see RangeSeqReply).
@@ -182,7 +182,7 @@ struct RangeShowerReply {
 /// interactions between nodes without central coordination").
 struct ExchangeRequest {
   PeerId initiator = net::kNoPeer;
-  std::string path;
+  Key path;
   uint64_t live_size = 0;
   uint32_t replica_count = 0;  ///< Initiator's replicas (migration safety).
   uint32_t ttl = 0;  ///< Remaining recursive meetings to trigger.
@@ -203,8 +203,8 @@ enum class ExchangeAction : uint8_t {
 
 struct ExchangeReply {
   ExchangeAction action = ExchangeAction::kNone;
-  std::string new_initiator_path;  ///< Empty = keep current path.
-  std::string responder_path;      ///< Responder's path after the exchange.
+  Key new_initiator_path;  ///< Empty = keep current path.
+  Key responder_path;      ///< Responder's path after the exchange.
   uint64_t responder_size = 0;
   std::vector<Entry> entries;      ///< Data now owned by the initiator.
   RefsBlock refs;                  ///< Responder's references (merge).
@@ -243,7 +243,7 @@ struct EntryBatch {
 struct ManifestPullReply {
   std::vector<RunSummary> runs;   ///< Oldest first.
   uint64_t memtable_entries = 0;  ///< Entries with no run file yet.
-  std::string donor_path;         ///< Donor's trie path (diagnostics).
+  Key donor_path;         ///< Donor's trie path (diagnostics).
 
   std::string Encode() const;
   static Result<ManifestPullReply> Decode(std::string_view bytes);
@@ -297,14 +297,14 @@ struct RunFetchReply {
 /// once by a restarted peer to re-announce itself to its old group.
 struct ReplicaProbeRequest {
   PeerId initiator = net::kNoPeer;
-  std::string path;  ///< The prober's current trie path.
+  Key path;  ///< The prober's current trie path.
 
   std::string Encode() const;
   static Result<ReplicaProbeRequest> Decode(std::string_view bytes);
 };
 
 struct ReplicaProbeReply {
-  std::string path;        ///< Responder's current trie path.
+  Key path;        ///< Responder's current trie path.
   uint64_t live_size = 0;  ///< Responder's live entry count (diagnostics).
 
   std::string Encode() const;
@@ -329,8 +329,8 @@ struct JoinReply {
   /// and `entries` holds the live entries of that half. False: replica
   /// adoption — the joiner copies `sponsor_path` and links `replicas`.
   bool split = false;
-  std::string new_path;      ///< Joiner's path (split mode).
-  std::string sponsor_path;  ///< Sponsor's (possibly new) path.
+  Key new_path;      ///< Joiner's path (split mode).
+  Key sponsor_path;  ///< Sponsor's (possibly new) path.
   /// Adoption mode: the group the joiner links (sponsor included).
   std::vector<PeerId> replicas;
   RefsBlock refs;  ///< Sponsor's routing snapshot (both modes).
@@ -345,7 +345,7 @@ struct JoinReply {
 /// `path`. Sent by the re-protection guard to ref candidates.
 struct RecruitRequest {
   PeerId initiator = net::kNoPeer;
-  std::string path;
+  Key path;
   // The recruiter's routing snapshot: the recruit resets its table when
   // it adopts the region and would otherwise be a routing dead end for
   // every foreign key until the next exchange.
@@ -367,7 +367,7 @@ struct RecruitReply {
 /// route into the re-protected region.
 struct RefUpdate {
   PeerId peer = net::kNoPeer;
-  std::string path;
+  Key path;
 
   std::string Encode() const;
   static Result<RefUpdate> Decode(std::string_view bytes);

@@ -1,24 +1,20 @@
 #include "pgrid/ophash.h"
 
+#include <algorithm>
+
 namespace unistore {
 namespace pgrid {
 namespace {
 
-void AppendRankBits(std::string* bits, uint8_t rank) {
-  for (int b = static_cast<int>(kBitsPerRank) - 1; b >= 0; --b) {
-    bits->push_back(((rank >> b) & 1) ? '1' : '0');
-  }
-}
-
 Key HashWithPadding(std::string_view s, bool pad_ones) {
-  std::string bits;
-  bits.reserve(kKeyBits);
+  static_assert(kBitsPerRank == 8, "one rank per key byte");
+  unsigned char bytes[Key::kMaxBytes];
   const size_t n = std::min(s.size(), kCharsPerKey);
   for (size_t i = 0; i < n; ++i) {
-    AppendRankBits(&bits, CharRank(static_cast<unsigned char>(s[i])));
+    bytes[i] = CharRank(static_cast<unsigned char>(s[i]));
   }
-  bits.append(kKeyBits - bits.size(), pad_ones ? '1' : '0');
-  return Key::FromBits(bits);
+  std::fill(bytes + n, bytes + kCharsPerKey, pad_ones ? 0xFF : 0x00);
+  return Key::FromBytes(bytes, kKeyBits);
 }
 
 }  // namespace

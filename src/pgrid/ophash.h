@@ -41,8 +41,9 @@ constexpr size_t kBitsPerRank = 8;
 /// selective: attribute names typically fit in the first half, leaving
 /// bits for the value prefix.
 constexpr size_t kCharsPerKey = 16;
-/// Fixed width of every data key.
-constexpr size_t kKeyBits = kBitsPerRank * kCharsPerKey;  // 128
+// Every data key is exactly kKeyBits (key.h) wide.
+static_assert(kBitsPerRank * kCharsPerKey == kKeyBits,
+              "the hash must fill a full-width key");
 
 /// The rank of a byte (identity; kept as a function so the hashing scheme
 /// remains swappable and testable).

@@ -117,7 +117,7 @@ void Overlay::BuildWithPaths(const std::vector<std::string>& paths) {
 
   for (size_t i = 0; i < n; ++i) {
     Peer& p = *peers_[i];
-    const std::string& path = p.path().bits();
+    const std::string path = p.path().bits();
     // Replicas.
     for (net::PeerId other : by_path[path]) {
       if (other != p.id()) p.routing().AddReplica(other);

@@ -18,16 +18,6 @@ namespace {
 
 void NoopStatus(Status) {}
 
-// Wire-derived path strings must be validated before Key::FromBits (which
-// CHECK-fails on non-bit characters): the fault plane may corrupt
-// payloads, and a corrupt path must drop the message, not the process.
-bool ValidBits(std::string_view bits) {
-  for (char c : bits) {
-    if (c != '0' && c != '1') return false;
-  }
-  return true;
-}
-
 // Entries a scan visits. Streamed reply encoders need the varint count
 // before the entry bytes, so serving scans twice: this counting pass is
 // merge-advance only (none of the encode work), which keeps it much
@@ -497,7 +487,7 @@ bool Peer::LookupRateHot() const {
 
 void Peer::UpdateHotOwner(const LookupBatchReply& reply) {
   if (reply.hot_replicas.empty()) return;
-  HotOwner& hot = hot_owners_[reply.hot_path.bits()];
+  HotOwner& hot = hot_owners_[reply.hot_path];
   if (hot.replicas != reply.hot_replicas) {
     hot.replicas = reply.hot_replicas;
     hot.next = 0;
@@ -512,9 +502,9 @@ PeerId Peer::PickHotReplica(const Key& key) {
   for (auto it = hot_owners_.begin(); it != hot_owners_.end();) {
     it = it->second.expires_at <= now ? hot_owners_.erase(it) : std::next(it);
   }
-  for (auto& [path_bits, hot] : hot_owners_) {
+  for (auto& [path, hot] : hot_owners_) {
     if (hot.replicas.empty()) continue;
-    if (!Key::FromBits(path_bits).IsPrefixOf(key)) continue;
+    if (!path.IsPrefixOf(key)) continue;
     // Round-robin over the advertised group, skipping ourselves (keys this
     // peer is responsible for never get here: it serves them itself).
     for (size_t i = 0; i < hot.replicas.size(); ++i) {
@@ -842,7 +832,7 @@ void Peer::HandleManifestPull(const Message& msg) {
   ManifestPullReply reply;
   reply.runs = store_.RunSummaries();
   reply.memtable_entries = store_.memtable_size();
-  reply.donor_path = path_.bits();
+  reply.donor_path = path_;
   rpc_.Reply(msg, MessageType::kManifestPullReply, reply.Encode());
 }
 
@@ -974,8 +964,7 @@ void Peer::RepairPullManifest(uint64_t repair_id) {
         // after we snapshotted our candidate list (recruit, split,
         // migrate): absorbing its runs would graft another region's data
         // into this store. Unlink it and fail over.
-        if (!ValidBits(manifest->donor_path) ||
-            Key::FromBits(manifest->donor_path) != path_) {
+        if (manifest->donor_path != path_) {
           routing_.RemoveReplica(it->second.donor);
           RepairTryNextCandidate(repair_id);
           return;
@@ -1207,7 +1196,7 @@ void Peer::SendSeqScan(uint64_t id) {
 void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
                            uint32_t hops) {
   RangeSeqReply reply;
-  reply.peer_path = path_.bits();
+  reply.peer_path = path_;
 
   // Under a limit, cap the local batch at the remaining budget. The scan
   // visits entries in key order, so stopping early preserves the
@@ -1224,13 +1213,13 @@ void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
   uint64_t count = 0;    // Entries shipped.
   uint64_t charged = 0;  // Entries charged to the limit.
   if (budget > 0) {
-    const std::string& lo = req.range.lo.bits();
-    std::string last_key;  // The key the budget ran out in.
+    const Key& lo = req.range.lo;
+    Key last_key;  // The key the budget ran out in.
     store_.ScanRange(req.range, [&](const EntryView& e) {
       if (charged == budget) {
-        if (e.key_bits != last_key) return false;
-      } else if (e.key_bits != lo && ++charged == budget) {
-        last_key = e.key_bits;
+        if (e.key != last_key) return false;
+      } else if (e.key != lo && ++charged == budget) {
+        last_key = e.key;
       }
       ++count;
       return true;
@@ -1310,7 +1299,7 @@ void Peer::HandleRangeSeq(const Message& msg) {
     RangeSeqReply reply;
     reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
     reply.error = "routing dead end at peer " + std::to_string(id_);
-    reply.peer_path = path_.bits();
+    reply.peer_path = path_;
     DeliverSeqPartial(req->initiator, msg.request_id, msg.hops, reply);
   }
 }
@@ -1385,7 +1374,7 @@ void Peer::SendShowerScan(uint64_t id) {
 void Peer::ProcessRangeShower(const RangeShowerRequest& req,
                               uint64_t request_id, uint32_t hops) {
   RangeShowerReply reply;
-  reply.peer_path = path_.bits();
+  reply.peer_path = path_;
 
   // Guard against routing loops caused by stale tables mid-construction.
   const bool may_forward = hops < 2 * kKeyBits;
@@ -1567,7 +1556,7 @@ void Peer::DoInitiateExchange(PeerId other, uint32_t ttl,
 
   ExchangeRequest req;
   req.initiator = id_;
-  req.path = path_.bits();
+  req.path = path_;
   req.live_size = store_.live_size();
   req.replica_count = static_cast<uint32_t>(routing_.replicas().size());
   req.ttl = ttl;
@@ -1616,23 +1605,20 @@ void Peer::DoInitiateExchange(PeerId other, uint32_t ttl,
 void Peer::HandleExchange(const Message& msg) {
   auto req = ExchangeRequest::Decode(msg.payload);
   if (!req.ok() || !KnownPeer(req->initiator)) return;
-  for (char c : req->path) {
-    if (c != '0' && c != '1') return;  // Corrupt path; drop.
-  }
   if (exchange_busy_) {
     ExchangeReply busy;
     busy.action = ExchangeAction::kBusy;
-    busy.responder_path = path_.bits();
+    busy.responder_path = path_;
     rpc_.Reply(msg, MessageType::kExchangeReply, busy.Encode());
     return;
   }
   ExchangeReply reply = DecideExchange(*req);
-  MergeRefs(req->refs, Key::FromBits(req->path), req->initiator);
+  MergeRefs(req->refs, req->path, req->initiator);
   rpc_.Reply(msg, MessageType::kExchangeReply, reply.Encode());
 }
 
 ExchangeReply Peer::DecideExchange(const ExchangeRequest& req) {
-  const Key a_path = Key::FromBits(req.path);
+  const Key& a_path = req.path;
   const size_t la = a_path.size();
   const size_t lb = path_.size();
   const size_t l = a_path.CommonPrefixLength(path_);
@@ -1652,7 +1638,7 @@ ExchangeReply Peer::DecideExchange(const ExchangeRequest& req) {
       routing_.ClearReplicas();
       routing_.AddRef(split_level, a, &rng_);
       reply.action = ExchangeAction::kSplit;
-      reply.new_initiator_path = a_path.Child(false).bits();
+      reply.new_initiator_path = a_path.Child(false);
       reply.entries = store_.ExtractNotMatching(path_);
     } else {
       routing_.AddReplica(a);
@@ -1664,7 +1650,7 @@ ExchangeReply Peer::DecideExchange(const ExchangeRequest& req) {
     // sibling of our next bit.
     const bool our_bit = path_.bit(la);
     reply.action = ExchangeAction::kSpecialize;
-    reply.new_initiator_path = a_path.Child(!our_bit).bits();
+    reply.new_initiator_path = a_path.Child(!our_bit);
     routing_.AddRef(la, a, &rng_);
   } else if (l == lb && lb < la) {
     // Our path is a proper prefix of the initiator's: we specialize.
@@ -1692,20 +1678,20 @@ ExchangeReply Peer::DecideExchange(const ExchangeRequest& req) {
       routing_.ClearReplicas();
       routing_.AddRef(split_level, a, &rng_);
       reply.action = ExchangeAction::kMigrateSplit;
-      reply.new_initiator_path = initiator_new.bits();
+      reply.new_initiator_path = initiator_new;
       reply.entries = store_.ExtractNotMatching(path_);
     } else {
       routing_.AddRef(l, a, &rng_);
       reply.action = ExchangeAction::kNone;
     }
   }
-  reply.responder_path = path_.bits();
+  reply.responder_path = path_;
   reply.responder_size = store_.live_size();
   return reply;
 }
 
 void Peer::ApplyExchangeReply(const ExchangeReply& reply, PeerId responder) {
-  const Key responder_path = Key::FromBits(reply.responder_path);
+  const Key& responder_path = reply.responder_path;
 
   switch (reply.action) {
     case ExchangeAction::kNone:
@@ -1721,7 +1707,7 @@ void Peer::ApplyExchangeReply(const ExchangeReply& reply, PeerId responder) {
     }
     case ExchangeAction::kSplit:
     case ExchangeAction::kSpecialize: {
-      const Key new_path = Key::FromBits(reply.new_initiator_path);
+      const Key& new_path = reply.new_initiator_path;
       UNISTORE_CHECK(path_.IsPrefixOf(new_path))
           << "exchange produced non-extension path";
       path_ = new_path;
@@ -1735,7 +1721,7 @@ void Peer::ApplyExchangeReply(const ExchangeReply& reply, PeerId responder) {
       break;
     }
     case ExchangeAction::kMigrateSplit: {
-      const Key new_path = Key::FromBits(reply.new_initiator_path);
+      const Key& new_path = reply.new_initiator_path;
       // Hand everything we hold to a replica of our old region, then move.
       std::vector<PeerId> old_replicas = routing_.replicas();
       std::vector<Entry> old_entries = store_.GetAll();
@@ -1878,18 +1864,14 @@ void Peer::JoinVia(PeerId sponsor, StatusCallback callback) {
                                        sponsor, " declined"));
           return;
         }
-        if (!ValidBits(reply->sponsor_path) || !ValidBits(reply->new_path)) {
-          callback(Status::Corruption("join reply with corrupt path"));
-          return;
-        }
-        const Key sponsor_path = Key::FromBits(reply->sponsor_path);
+        const Key& sponsor_path = reply->sponsor_path;
         if (reply->split) {
           // We take one half of the sponsor's old region; its live
           // entries arrived inline, so no catch-up pull is needed.
           // ResetForPath keeps the replica list — clear it explicitly: a
           // region move invalidates the old group (stale members would
           // poison repair donor selection and rumor pushes).
-          path_ = Key::FromBits(reply->new_path);
+          path_ = reply->new_path;
           routing_.ResetForPath(path_.size());
           routing_.ClearReplicas();
           AddPeerByPath(sponsor, sponsor_path);
@@ -1938,7 +1920,7 @@ void Peer::HandleJoin(const Message& msg) {
       routing_.AddRef(split_level, req->initiator, &rng_);
       reply.accepted = true;
       reply.split = true;
-      reply.new_path = joiner_path.bits();
+      reply.new_path = joiner_path;
       reply.entries = store_.ExtractNotMatching(path_);
     } else {
       // Adopt as replica: the group (us included) goes in the reply, and
@@ -1951,7 +1933,7 @@ void Peer::HandleJoin(const Message& msg) {
       AnnounceRef(req->initiator, path_);
     }
     reply.refs = SnapshotRefs();
-    reply.sponsor_path = path_.bits();
+    reply.sponsor_path = path_;
   }
   rpc_.Reply(msg, MessageType::kJoinReply, reply.Encode());
 }
@@ -1975,7 +1957,7 @@ void Peer::GuardTick() {
 void Peer::SendProbe(PeerId replica) {
   ReplicaProbeRequest req;
   req.initiator = id_;
-  req.path = path_.bits();
+  req.path = path_;
   rpc_.SendRequest(
       replica, MessageType::kReplicaProbe, req.Encode(),
       options_.request_timeout,
@@ -1985,12 +1967,12 @@ void Peer::SendProbe(PeerId replica) {
           return;
         }
         auto reply = ReplicaProbeReply::Decode(msg.payload);
-        if (!reply.ok() || !ValidBits(reply->path)) {
+        if (!reply.ok()) {
           OnProbeFailure(replica);
           return;
         }
         probe_failures_.erase(replica);
-        if (Key::FromBits(reply->path) != path_) {
+        if (reply->path != path_) {
           // Not a crash but a departure: it answers from another region
           // (join split, recruit, migrate). Unlink it from the group;
           // its new position stays routable via refs.
@@ -2012,16 +1994,16 @@ void Peer::OnProbeFailure(PeerId replica) {
 
 void Peer::HandleReplicaProbe(const Message& msg) {
   auto req = ReplicaProbeRequest::Decode(msg.payload);
-  if (!req.ok() || !ValidBits(req->path) || !KnownPeer(req->initiator)) return;
+  if (!req.ok() || !KnownPeer(req->initiator)) return;
   // A prober with our exact path is (or was) a group member — re-link it.
   // This is how a restarted or formerly-confirmed-dead replica rejoins
   // its group without any harness help.
-  if (Key::FromBits(req->path) == path_ && path_.size() > 0) {
+  if (req->path == path_ && path_.size() > 0) {
     routing_.AddReplica(req->initiator);
     probe_failures_.erase(req->initiator);
   }
   ReplicaProbeReply reply;
-  reply.path = path_.bits();
+  reply.path = path_;
   reply.live_size = store_.live_size();
   rpc_.Reply(msg, MessageType::kReplicaProbeReply, reply.Encode());
 }
@@ -2049,7 +2031,7 @@ void Peer::MaybeRecruit() {
 
   RecruitRequest req;
   req.initiator = id_;
-  req.path = path_.bits();
+  req.path = path_;
   req.refs = SnapshotRefs();
   recruit_inflight_ = true;
   rpc_.SendRequest(
@@ -2070,8 +2052,8 @@ void Peer::MaybeRecruit() {
 
 void Peer::HandleRecruit(const Message& msg) {
   auto req = RecruitRequest::Decode(msg.payload);
-  if (!req.ok() || !ValidBits(req->path) || !KnownPeer(req->initiator)) return;
-  const Key target = Key::FromBits(req->path);
+  if (!req.ok() || !KnownPeer(req->initiator)) return;
+  const Key& target = req->path;
   RecruitReply reply;
   if (target == path_ && path_.size() > 0) {
     // Already serving the region (e.g. two members recruited each other
@@ -2119,7 +2101,7 @@ void Peer::HandleRecruit(const Message& msg) {
 void Peer::AnnounceRef(PeerId peer, const Key& peer_path) {
   RefUpdate update;
   update.peer = peer;
-  update.path = peer_path.bits();
+  update.path = peer_path;
   const std::string payload = update.Encode();
   std::set<PeerId> targets;
   for (PeerId r : routing_.replicas()) targets.insert(r);
@@ -2140,11 +2122,10 @@ void Peer::AnnounceRef(PeerId peer, const Key& peer_path) {
 
 void Peer::HandleRefUpdate(const Message& msg) {
   auto update = RefUpdate::Decode(msg.payload);
-  if (!update.ok() || update->peer == id_ || !ValidBits(update->path) ||
-      !KnownPeer(update->peer)) {
+  if (!update.ok() || update->peer == id_ || !KnownPeer(update->peer)) {
     return;
   }
-  AddPeerByPath(update->peer, Key::FromBits(update->path));
+  AddPeerByPath(update->peer, update->path);
 }
 
 }  // namespace pgrid

@@ -632,7 +632,7 @@ class Peer {
     size_t next = 0;               ///< Round-robin cursor.
     sim::SimTime expires_at = 0;
   };
-  std::map<std::string, HotOwner> hot_owners_;
+  std::map<Key, HotOwner> hot_owners_;
 
   // Peer suspicion state: peer -> suspicion expiry (absolute virtual
   // time). Driven purely by this peer's own observed request outcomes, so

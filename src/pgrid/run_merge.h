@@ -12,32 +12,28 @@
 namespace unistore {
 namespace pgrid {
 
-/// <0 / 0 / >0 over slot order — (key bits, id) — of two entry views.
+/// <0 / 0 / >0 over slot order — (key, id) — of two entry views.
 inline int SlotCompare(const EntryView& a, const EntryView& b) {
-  const int c = a.key_bits.compare(b.key_bits);
+  const int c = a.key.Compare(b.key);
   if (c != 0) return c;
   return a.id.compare(b.id);
 }
 
 inline bool SameSlot(const EntryView& a, const EntryView& b) {
-  return a.key_bits == b.key_bits && a.id == b.id;
+  return a.key == b.key && a.id == b.id;
 }
 
-inline bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
-
-/// \brief Advances `cursor` to the first slot >= (key_bits, id).
+/// \brief Advances `cursor` to the first slot >= (key, id).
 ///
 /// True, with the slot's version and tombstone flag, when that slot is
 /// the target. The probes of both backends position a cursor at the last
 /// chain start at or below the target, so this decodes within one block.
 template <typename CursorT>
-bool AdvanceToSlot(CursorT* cursor, std::string_view key_bits,
-                   std::string_view id, uint64_t* version, bool* deleted) {
+bool AdvanceToSlot(CursorT* cursor, const Key& key, std::string_view id,
+                   uint64_t* version, bool* deleted) {
   for (; cursor->valid(); cursor->Advance()) {
     const EntryView& v = cursor->view();
-    int c = v.key_bits.compare(key_bits);
+    int c = v.key.Compare(key);
     if (c == 0) c = v.id.compare(id);
     if (c < 0) continue;
     if (c > 0) return false;
@@ -55,9 +51,8 @@ bool AdvanceToSlot(CursorT* cursor, std::string_view key_bits,
 /// occurrence and wins (`SlotCompare <= 0` keeps replacing `best` while
 /// scanning cursors in ascending order). Every winning view is handed to
 /// `emit`; shadowed older occurrences are skipped. The winning cursor
-/// advances LAST — its view may alias a key-reassembly buffer that its
-/// own Advance overwrites, while the other cursors' advances cannot
-/// touch it.
+/// advances LAST — `best` points at its view, which its own Advance
+/// overwrites, while the other cursors' advances cannot touch it.
 ///
 /// CursorT needs valid() / view() / Advance(); both SortedRun::Cursor and
 /// the disk backend's block cursor qualify, so each backend's compaction

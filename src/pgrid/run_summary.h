@@ -48,8 +48,17 @@ struct RunChecksum {
     crc = Crc32c(s.data(), s.size(), crc);
   }
 
+  /// Folds the key's packed bytes, prefixed by its bit length.
+  void Fold(const Key& key) {
+    unsigned char buf[Key::kMaxBytes];
+    const std::string_view packed = key.Packed(buf);
+    const uint32_t len = static_cast<uint32_t>(key.size());
+    crc = Crc32c(&len, sizeof(len), crc);
+    crc = Crc32c(packed.data(), packed.size(), crc);
+  }
+
   void Add(const EntryView& e) {
-    Fold(e.key_bits);
+    Fold(e.key);
     Fold(e.id);
     const uint64_t version = e.version;
     crc = Crc32c(&version, sizeof(version), crc);

@@ -17,32 +17,35 @@
 namespace unistore {
 namespace pgrid {
 
-/// Approximate resident footprint of one entry (object + string bytes;
-/// ignores allocator slack). Shared by run accounting and the
-/// write-amplification counters so the two are comparable.
+/// Approximate resident footprint of one entry (object + id bytes; the
+/// key is a fixed-width value inside the object; ignores allocator
+/// slack). Shared by run accounting and the write-amplification counters
+/// so the two are comparable.
 inline size_t ApproxEntryBytes(const Entry& e) {
-  return sizeof(Entry) + e.key.bits().size() + e.id.size();
+  return sizeof(Entry) + e.id.size();
 }
 
 inline size_t ApproxEntryBytes(const EntryView& e) {
-  return sizeof(Entry) + e.key_bits.size() + e.id.size();
+  return sizeof(Entry) + e.id.size();
 }
 
 namespace run_format {
 
-/// Raw LEB128 append, identical encoding to BufferWriter::PutVarint. The
-/// run formats use these unchecked helpers on engine-built byte arenas;
-/// bytes that cross a trust boundary (disk blocks, manifest records) are
-/// validated once on load instead of per read.
-inline void AppendVarint(std::string* s, uint64_t v) {
-  char scratch[10];
-  size_t n = 0;
+/// Bytes of the longest LEB128 varint (a uint64_t).
+constexpr size_t kMaxVarintBytes = 10;
+
+/// Raw LEB128 write at `p`, identical encoding to BufferWriter::PutVarint;
+/// returns the byte past it. The run formats use these unchecked helpers
+/// on engine-built byte arenas; bytes that cross a trust boundary (disk
+/// blocks, manifest records) are validated once on load instead of per
+/// read.
+inline char* PutVarint(char* p, uint64_t v) {
   while (v >= 0x80) {
-    scratch[n++] = static_cast<char>(static_cast<uint8_t>(v) | 0x80);
+    *p++ = static_cast<char>(static_cast<uint8_t>(v) | 0x80);
     v >>= 7;
   }
-  scratch[n++] = static_cast<char>(v);
-  s->append(scratch, n);
+  *p++ = static_cast<char>(v);
+  return p;
 }
 
 inline uint64_t ReadVarint(std::string_view s, size_t* pos) {
@@ -57,84 +60,79 @@ inline uint64_t ReadVarint(std::string_view s, size_t* pos) {
   }
 }
 
-/// Longest key bits a record may share with its predecessor: the size of
-/// a cursor's fixed key-reassembly buffer. Data keys are kKeyBits = 128
-/// wide; a longer key is written with shared == 0 and read in place.
-constexpr size_t kMaxCompressedKeyBits = 192;
-
 /// \brief Slot order (<0 / 0 / >0) of the chain-start record at `pos` of
-/// `bytes` against (key_bits, id).
+/// `bytes` against (key, id).
 ///
-/// A chain start (shared == 0) stores its key and id raw, so both are
-/// compared in place and nothing else of the record is decoded.
+/// A chain start (shared == 0) stores its key bytes and id raw, so both
+/// are compared in place and nothing else of the record is decoded.
 inline int CompareChainStart(std::string_view bytes, size_t pos,
-                             std::string_view key_bits, std::string_view id) {
+                             const Key& key, std::string_view id) {
   ReadVarint(bytes, &pos);  // shared == 0.
-  const uint64_t key_len = ReadVarint(bytes, &pos);
-  const std::string_view key(bytes.data() + pos, key_len);
-  const int c = key.compare(key_bits);
+  const uint64_t bit_len = ReadVarint(bytes, &pos);
+  const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
+  const int c = Key::FromBytes(data + pos, bit_len).Compare(key);
   if (c != 0) return c;
-  pos += key_len;
+  pos += Key::ByteLength(bit_len);
   const uint64_t id_len = ReadVarint(bytes, &pos);
   return std::string_view(bytes.data() + pos, id_len).compare(id);
 }
 
 /// \brief Appends one entry record to `out`.
 ///
-/// The record format shared by in-memory run arenas and run-file blocks,
-/// records back to back:
-///   varint shared_key_len   (0 at chain starts and for overlong keys)
-///   varint key_suffix_len, key suffix bytes
+/// The record format shared by in-memory run arenas and run-file blocks
+/// (run file format version 3), records back to back:
+///   varint shared           key bytes shared with the previous record
+///                           (0 at chain starts)
+///   varint key_bit_len      <= kKeyBits
+///   Key::ByteLength(key_bit_len) - shared bytes of the packed key
 ///   varint id_len, id bytes
 ///   varint version
 ///   u8 flags               (bit 0: deleted)
-/// `prev_key` is the previous record's full key bits, or empty at a chain
-/// start (a restart point or a block's first record). A key longer than
-/// kMaxCompressedKeyBits shares nothing, so DecodeRecord reads it in
-/// place instead of reassembling it.
-inline void AppendRecord(std::string* out, std::string_view prev_key,
+/// `prev_key` is the previous record's key, or the empty key at a chain
+/// start (a restart point or a block's first record), which shares
+/// nothing.
+inline void AppendRecord(std::string* out, const Key& prev_key,
                          const EntryView& e) {
-  size_t shared = 0;
-  if (e.key_bits.size() <= kMaxCompressedKeyBits) {
-    const size_t limit = std::min(prev_key.size(), e.key_bits.size());
-    while (shared < limit && prev_key[shared] == e.key_bits[shared]) {
-      ++shared;
-    }
-  }
-  AppendVarint(out, shared);
-  AppendVarint(out, e.key_bits.size() - shared);
-  out->append(e.key_bits.data() + shared, e.key_bits.size() - shared);
-  AppendVarint(out, e.id.size());
+  unsigned char buf[Key::kMaxBytes];
+  const std::string_view key = e.key.Packed(buf);
+  const size_t shared = e.key.CommonPrefixLength(prev_key) / 8;
+  // The fields before and after the id are built on the stack: three
+  // appends per record instead of one per field.
+  char head[2 * kMaxVarintBytes + Key::kMaxBytes + kMaxVarintBytes];
+  char* p = PutVarint(head, shared);
+  p = PutVarint(p, e.key.size());
+  std::memcpy(p, key.data() + shared, key.size() - shared);
+  p = PutVarint(p + key.size() - shared, e.id.size());
+  out->append(head, static_cast<size_t>(p - head));
   out->append(e.id.data(), e.id.size());
-  AppendVarint(out, e.version);
-  out->push_back(e.deleted ? '\1' : '\0');
+  char tail[kMaxVarintBytes + 1];
+  p = PutVarint(tail, e.version);
+  *p++ = e.deleted ? '\1' : '\0';
+  out->append(tail, static_cast<size_t>(p - tail));
 }
 
 /// \brief Decodes the record at `*pos` of `bytes` into `view` and moves
 /// `*pos` past it.
 ///
-/// The id aliases `bytes`. A record with shared == 0 aliases its
-/// key in `bytes` too; any other record reassembles its key in `key_buf`
-/// (kMaxCompressedKeyBits bytes) from the previous record's key, which
-/// `view` must still hold — so records of a chain decode in order. Never
-/// allocates.
-inline void DecodeRecord(std::string_view bytes, size_t* pos, char* key_buf,
+/// The id aliases `bytes`. A record with shared > 0 takes its first key
+/// bytes from the previous record's key, which `view` must still hold —
+/// so records of a chain decode in order. Never allocates.
+inline void DecodeRecord(std::string_view bytes, size_t* pos,
                          EntryView* view) {
-  // A local offset stays in a register across the memcpys into `key_buf`.
+  // A local offset stays in a register across the key splice.
   size_t at = *pos;
   const char* data = bytes.data();
   const uint64_t shared = ReadVarint(bytes, &at);
-  const uint64_t suffix = ReadVarint(bytes, &at);
+  const uint64_t bit_len = ReadVarint(bytes, &at);
+  const size_t suffix = Key::ByteLength(bit_len) - shared;
+  const auto* suffix_bytes = reinterpret_cast<const unsigned char*>(data + at);
   if (shared == 0) {
-    view->key_bits = std::string_view(data + at, suffix);
+    view->key = Key::FromBytes(suffix_bytes, bit_len);
   } else {
-    if (view->key_bits.data() != key_buf) {
-      // The previous key aliased `bytes`: pull its shared prefix into the
-      // reassembly buffer once.
-      std::memcpy(key_buf, view->key_bits.data(), shared);
-    }
-    std::memcpy(key_buf + shared, data + at, suffix);
-    view->key_bits = std::string_view(key_buf, shared + suffix);
+    unsigned char key_bytes[Key::kMaxBytes];
+    view->key.ToBytes(key_bytes);
+    std::memcpy(key_bytes + shared, suffix_bytes, suffix);
+    view->key = Key::FromBytes(key_bytes, bit_len);
   }
   at += suffix;
   const uint64_t id_len = ReadVarint(bytes, &at);
@@ -147,20 +145,19 @@ inline void DecodeRecord(std::string_view bytes, size_t* pos, char* key_buf,
 
 }  // namespace run_format
 
-/// \brief An immutable sorted run of entries, ordered by (key bits, id)
-/// with one occurrence per slot.
+/// \brief An immutable sorted run of entries, ordered by (key, id) with
+/// one occurrence per slot.
 ///
-/// One byte arena holds the entries in run_format's record layout: key
-/// bits are shared-prefix-truncated against the previous entry, with
+/// One byte arena holds the entries in run_format's record layout: packed
+/// key bytes are shared-prefix-truncated against the previous entry, with
 /// restart points (full key) every `restart_interval` entries. Ids are
-/// stored raw, so cursor views alias the arena; only a
-/// prefix-shared key is reassembled — into the cursor's fixed buffer,
-/// never the heap.
+/// stored raw, so cursor views alias the arena; keys are fixed-width
+/// values rebuilt inside the view, never on the heap.
 class SortedRun {
  public:
   SortedRun() = default;
 
-  /// Builds a run from entries already sorted by slot (key bits, id),
+  /// Builds a run from entries already sorted by slot (key, id),
   /// deduplicated.
   static SortedRun Build(std::vector<Entry> entries, size_t restart_interval);
 
@@ -175,20 +172,20 @@ class SortedRun {
   /// run contains it. Restarts are searched by slot, so the probe decodes
   /// at most one restart block however many entries share the key. No
   /// heap allocation.
-  bool FindSlot(std::string_view key_bits, std::string_view id,
-                uint64_t* version, bool* deleted) const;
+  bool FindSlot(const Key& key, std::string_view id, uint64_t* version,
+                bool* deleted) const;
 
   /// \brief A forward cursor over the run in slot order.
   ///
   /// After Seek(), while valid(), view() exposes the current entry; the
-  /// view's key aliases the arena or the cursor's own buffer and is
-  /// invalidated by Advance(). Cursors never allocate.
+  /// view's id aliases the arena, and Advance() overwrites the view.
+  /// Cursors never allocate.
   class Cursor {
    public:
     Cursor() = default;
 
-    /// Positions at the first entry with key bits >= `lo_bits`.
-    void Seek(const SortedRun* run, std::string_view lo_bits);
+    /// Positions at the first entry with key >= `target`.
+    void Seek(const SortedRun* run, const Key& target);
 
     /// Repositions at an arbitrary restart record (the Prober's block
     /// jumps).
@@ -208,7 +205,6 @@ class SortedRun {
     EntryView view_;
     size_t offset_ = 0;     // Arena offset of the current record.
     size_t next_offset_ = 0;
-    char key_buf_[run_format::kMaxCompressedKeyBits];
   };
 
   /// \brief Forward-only slot prober for sorted probe sequences.
@@ -223,10 +219,10 @@ class SortedRun {
    public:
     explicit Prober(const SortedRun* run);
 
-    /// Like FindSlot, but `(key_bits, id)` must be >= every slot probed
-    /// before on this prober.
-    bool FindForward(std::string_view key_bits, std::string_view id,
-                     uint64_t* version, bool* deleted);
+    /// Like FindSlot, but `(key, id)` must be >= every slot probed before
+    /// on this prober.
+    bool FindForward(const Key& key, std::string_view id, uint64_t* version,
+                     bool* deleted);
 
    private:
     const SortedRun* run_ = nullptr;
@@ -237,14 +233,13 @@ class SortedRun {
   class Builder;  // Streaming run construction (defined below).
 
  private:
-  /// Full key bits of restart record `index` (aliases the arena).
-  std::string_view RestartKey(size_t index) const;
+  /// Full key of restart record `index`.
+  Key RestartKey(size_t index) const;
 
-  /// Slot order of restart record `index` against (key_bits, id).
-  int CompareRestart(size_t index, std::string_view key_bits,
+  /// Slot order of restart record `index` against (key, id).
+  int CompareRestart(size_t index, const Key& key,
                      std::string_view id) const {
-    return run_format::CompareChainStart(arena_, restarts_[index], key_bits,
-                                         id);
+    return run_format::CompareChainStart(arena_, restarts_[index], key, id);
   }
 
   size_t count_ = 0;
@@ -274,7 +269,7 @@ class SortedRun::Builder {
 
  private:
   SortedRun run_;
-  std::string prev_key_;
+  Key prev_key_;
   size_t index_ = 0;
   size_t approx_bytes_ = 0;
 };

@@ -23,11 +23,11 @@ class MemorySlotProber : public SlotProber {
     }
   }
 
-  bool FindNewest(std::string_view key_bits, std::string_view id,
+  bool FindNewest(const Key& key, std::string_view id,
                   uint64_t* version, bool* deleted) override {
     // Newest run first: the first hit is the slot's latest version.
     for (auto& prober : probers_) {
-      if (prober.FindForward(key_bits, id, version, deleted)) return true;
+      if (prober.FindForward(key, id, version, deleted)) return true;
     }
     return false;
   }
@@ -67,7 +67,7 @@ Status MemoryBackend::MergeRuns(size_t first, size_t n, MergeStats* stats) {
   size_t expected_bytes = 0;
   for (size_t i = 0; i < n; ++i) {
     const SortedRun& run = runs_[first + i];
-    cursors[i].Seek(&run, "");
+    cursors[i].Seek(&run, Key());
     expected += run.size();
     expected_bytes += run.resident_bytes();
   }
@@ -98,18 +98,18 @@ Status MemoryBackend::ResetTo(std::vector<Entry> entries) {
   return Status::OK();
 }
 
-bool MemoryBackend::FindSlot(std::string_view key_bits, std::string_view id,
+bool MemoryBackend::FindSlot(const Key& key, std::string_view id,
                              uint64_t* version, bool* deleted) const {
   for (auto run = runs_.rbegin(); run != runs_.rend(); ++run) {
-    if (run->FindSlot(key_bits, id, version, deleted)) return true;
+    if (run->FindSlot(key, id, version, deleted)) return true;
   }
   return false;
 }
 
 void MemoryBackend::SeekCursor(size_t newest_first_index,
-                               std::string_view lo_bits,
+                               const Key& lo,
                                RunCursor* cursor) const {
-  cursor->mem().Seek(&runs_[runs_.size() - 1 - newest_first_index], lo_bits);
+  cursor->mem().Seek(&runs_[runs_.size() - 1 - newest_first_index], lo);
 }
 
 std::unique_ptr<SlotProber> MemoryBackend::NewProber() const {
@@ -121,7 +121,7 @@ RunSummary MemoryBackend::RunSummaryAt(size_t index) const {
   if (!meta.has_crc) {
     RunChecksum sum;
     SortedRun::Cursor cursor;
-    for (cursor.Seek(&runs_[index], ""); cursor.valid(); cursor.Advance()) {
+    for (cursor.Seek(&runs_[index], Key()); cursor.valid(); cursor.Advance()) {
       sum.Add(cursor.view());
     }
     meta.crc = sum.crc;

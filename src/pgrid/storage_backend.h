@@ -97,7 +97,7 @@ class RunCursor {
 class SlotProber {
  public:
   virtual ~SlotProber() = default;
-  virtual bool FindNewest(std::string_view key_bits, std::string_view id,
+  virtual bool FindNewest(const Key& key, std::string_view id,
                           uint64_t* version, bool* deleted) = 0;
 };
 
@@ -135,12 +135,12 @@ class StorageBackend {
   virtual Status ResetTo(std::vector<Entry> entries) = 0;
 
   /// Newest-occurrence probe across all runs (newest first).
-  virtual bool FindSlot(std::string_view key_bits, std::string_view id,
+  virtual bool FindSlot(const Key& key, std::string_view id,
                         uint64_t* version, bool* deleted) const = 0;
 
   /// Positions `cursor` on run `newest_first_index` (0 = newest) at the
-  /// first entry with key bits >= `lo_bits`.
-  virtual void SeekCursor(size_t newest_first_index, std::string_view lo_bits,
+  /// first entry with key >= `lo`.
+  virtual void SeekCursor(size_t newest_first_index, const Key& lo,
                           RunCursor* cursor) const = 0;
 
   virtual std::unique_ptr<SlotProber> NewProber() const = 0;
@@ -170,9 +170,9 @@ class MemoryBackend : public StorageBackend {
   Status AppendRun(std::vector<Entry> entries, RunOrigin origin) override;
   Status MergeRuns(size_t first, size_t n, MergeStats* stats) override;
   Status ResetTo(std::vector<Entry> entries) override;
-  bool FindSlot(std::string_view key_bits, std::string_view id,
+  bool FindSlot(const Key& key, std::string_view id,
                 uint64_t* version, bool* deleted) const override;
-  void SeekCursor(size_t newest_first_index, std::string_view lo_bits,
+  void SeekCursor(size_t newest_first_index, const Key& lo,
                   RunCursor* cursor) const override;
   std::unique_ptr<SlotProber> NewProber() const override;
   RunSummary RunSummaryAt(size_t index) const override;
@@ -227,9 +227,9 @@ class DiskBackend : public StorageBackend {
   Status AppendRun(std::vector<Entry> entries, RunOrigin origin) override;
   Status MergeRuns(size_t first, size_t n, MergeStats* stats) override;
   Status ResetTo(std::vector<Entry> entries) override;
-  bool FindSlot(std::string_view key_bits, std::string_view id,
+  bool FindSlot(const Key& key, std::string_view id,
                 uint64_t* version, bool* deleted) const override;
-  void SeekCursor(size_t newest_first_index, std::string_view lo_bits,
+  void SeekCursor(size_t newest_first_index, const Key& lo,
                   RunCursor* cursor) const override;
   std::unique_ptr<SlotProber> NewProber() const override;
   RunSummary RunSummaryAt(size_t index) const override;

@@ -334,11 +334,11 @@ TEST(ChurnLifecycleTest, JoinSplitsLoadedSponsor) {
   // The region's data divided exactly along the split.
   EXPECT_GT(overlay.peer(1)->store().live_size(), 0u);
   overlay.peer(0)->store().ScanAll([&](const EntryView& e) {
-    EXPECT_EQ(e.key_bits.substr(0, 1), overlay.peer(0)->path().bits());
+    EXPECT_EQ(e.key.Prefix(1), overlay.peer(0)->path());
     return true;
   });
   overlay.peer(1)->store().ScanAll([&](const EntryView& e) {
-    EXPECT_EQ(e.key_bits.substr(0, 1), overlay.peer(1)->path().bits());
+    EXPECT_EQ(e.key.Prefix(1), overlay.peer(1)->path());
     return true;
   });
   // The sponsor can route into the half it gave away.

@@ -42,7 +42,7 @@ TEST(StatsTest, ReplicaContributionsMergeOnce) {
   // peer on path "10" holds 50 others.
   auto contribution = [](const std::string& path, uint64_t titles) {
     StatsCatalog c = MakeCatalog(4, 2);
-    c.RecordPeerPath(path);
+    c.RecordPeerPath(pgrid::Key::FromBits(path));
     AttrStats s;
     s.triple_count = titles;
     s.distinct_values = titles;
@@ -166,7 +166,7 @@ TEST(StatsTest, PeersInRangeFromPathSample) {
   for (int i = 0; i < 16; ++i) {
     std::string bits;
     for (int b = 3; b >= 0; --b) bits.push_back(((i >> b) & 1) ? '1' : '0');
-    catalog.RecordPeerPath(bits);
+    catalog.RecordPeerPath(pgrid::Key::FromBits(bits));
   }
   // The whole space -> all 16 peers.
   pgrid::KeyRange full{pgrid::Key().PadTo(pgrid::kKeyBits, false),
@@ -190,17 +190,54 @@ TEST(StatsTest, PeersInRangeWithoutSampleUsesKeyFraction) {
 
 TEST(StatsTest, PeerPathsSurviveCodecAndMerge) {
   StatsCatalog a = MakeCatalog(8, 3);
-  a.RecordPeerPath("010");
-  a.RecordPeerPath("011");
-  a.RecordPeerPath("010");  // Duplicate ignored.
+  a.RecordPeerPath(pgrid::Key::FromBits("010"));
+  a.RecordPeerPath(pgrid::Key::FromBits("011"));
+  a.RecordPeerPath(pgrid::Key::FromBits("010"));  // Duplicate ignored.
   EXPECT_EQ(a.peer_path_sample_size(), 2u);
   auto decoded = StatsCatalog::DecodeFromString(a.EncodeToString());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->peer_path_sample_size(), 2u);
   StatsCatalog b = MakeCatalog(8, 3);
-  b.RecordPeerPath("111");
+  b.RecordPeerPath(pgrid::Key::FromBits("111"));
   b.MergeFrom(a);
   EXPECT_EQ(b.peer_path_sample_size(), 3u);
+}
+
+TEST(StatsTest, GossipedPathsDecodeAsKeysAndRejectOverlongOnes) {
+  // A full-width path survives the codec; the sample is sorted in key
+  // order (a prefix before its extensions).
+  StatsCatalog a = MakeCatalog(8, 3);
+  const pgrid::Key deep = pgrid::Key().PadTo(pgrid::kKeyBits, true);
+  a.RecordPeerPath(deep);
+  a.RecordPeerPath(pgrid::Key::FromBits("1"));
+  a.RecordPeerPath(pgrid::Key::FromBits("0"));
+  auto decoded = StatsCatalog::DecodeFromString(a.EncodeToString());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->peer_paths().size(), 3u);
+  EXPECT_EQ(decoded->peer_paths()[0], pgrid::Key::FromBits("0"));
+  EXPECT_EQ(decoded->peer_paths()[1], pgrid::Key::FromBits("1"));
+  EXPECT_EQ(decoded->peer_paths()[2], deep);
+
+  // A gossiped blob whose one path claims `bit_len` bits over `bytes`.
+  auto blob = [](uint64_t bit_len, const std::string& bytes) {
+    BufferWriter w;
+    w.PutDouble(8);
+    w.PutDouble(3);
+    w.PutDouble(0);
+    w.PutVarint(0);  // No attributes.
+    w.PutVarint(1);  // One sampled path.
+    w.PutVarint(bit_len);
+    w.PutRaw(bytes);
+    return w.Release();
+  };
+  EXPECT_TRUE(StatsCatalog::DecodeFromString(blob(3, "\x40")).ok());
+  // Over 128 bits, nonzero padding, truncated body: Corruption, never an
+  // abort at a later estimate.
+  for (const std::string& bad : {blob(129, std::string(17, '\xff')),
+                                 blob(3, "\x41"), blob(16, "\x01")}) {
+    EXPECT_EQ(StatsCatalog::DecodeFromString(bad).status().code(),
+              StatusCode::kCorruption);
+  }
 }
 
 TEST(CostModelTest, CostAdditionAndTotal) {

@@ -101,8 +101,8 @@ EnvelopeReply RandomReply(Rng* rng) {
   if (rng->NextBounded(2)) {
     pgrid::Key a = RandomDataKey(rng);
     pgrid::Key b = RandomDataKey(rng);
-    reply.covered_lo = (a < b ? a : b).bits();
-    reply.covered_hi = (a < b ? b : a).bits();
+    reply.covered_lo = a < b ? a : b;
+    reply.covered_hi = a < b ? b : a;
   }
   reply.results = RandomBindings(rng, 5);
   reply.retry_after_us = static_cast<uint32_t>(rng->NextBounded(100000));
@@ -255,8 +255,8 @@ EnvelopeReply CoverageReply(const PlanEnvelope& env, const pgrid::Key& lo,
   reply.walk_id = env.walk_id;
   reply.branch = env.branch;
   reply.chunk_id = env.chunk_id;
-  reply.covered_lo = lo.bits();
-  reply.covered_hi = hi.bits();
+  reply.covered_lo = lo;
+  reply.covered_hi = hi;
   reply.results = std::move(results);
   return reply;
 }

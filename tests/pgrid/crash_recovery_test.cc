@@ -347,24 +347,31 @@ TEST(CrashRecoveryTest, ForeignRunFormatWedgesWithoutTouchingFiles) {
     if (storage::ParseRunFileName(name, &fn)) run_name = name;
   }
   ASSERT_FALSE(run_name.empty());
-  // The header is [u32 magic][u32 format], little-endian.
+  // The header is [u32 magic][u32 format], little-endian. Version 2 is
+  // the format before packed keys; version 1 the one before it.
   std::string& run = files[run_name];
-  ASSERT_EQ(run.substr(4, 4), std::string("\x02\0\0\0", 4));
-  run[4] = '\x01';
-  {
-    auto out = env.NewWritableFile("db/" + run_name, /*truncate=*/true);
-    ASSERT_TRUE(out.ok());
-    ASSERT_TRUE((*out)->Append(run).ok());
-    ASSERT_TRUE((*out)->Sync().ok());
-    ASSERT_TRUE((*out)->Close().ok());
-  }
+  ASSERT_EQ(run.substr(4, 4),
+            std::string(1, static_cast<char>(storage::kRunFormatVersion)) +
+                std::string(3, '\0'));
+  for (const char foreign : {'\x02', '\x01'}) {
+    SCOPED_TRACE("format version " + std::to_string(foreign));
+    run[4] = foreign;
+    {
+      auto out = env.NewWritableFile("db/" + run_name, /*truncate=*/true);
+      ASSERT_TRUE(out.ok());
+      ASSERT_TRUE((*out)->Append(run).ok());
+      ASSERT_TRUE((*out)->Sync().ok());
+      ASSERT_TRUE((*out)->Close().ok());
+    }
 
-  LocalStore reopened(DiskOptions(&env));
-  EXPECT_EQ(reopened.io_status().code(), StatusCode::kCorruption);
-  EXPECT_NE(reopened.io_status().message().find(run_name), std::string::npos)
-      << reopened.io_status().message();
-  EXPECT_EQ(reopened.total_size(), 0u);
-  EXPECT_EQ(DirContents(&env), files);
+    LocalStore reopened(DiskOptions(&env));
+    EXPECT_EQ(reopened.io_status().code(), StatusCode::kCorruption);
+    EXPECT_NE(reopened.io_status().message().find(run_name),
+              std::string::npos)
+        << reopened.io_status().message();
+    EXPECT_EQ(reopened.total_size(), 0u);
+    EXPECT_EQ(DirContents(&env), files);
+  }
 }
 
 }  // namespace

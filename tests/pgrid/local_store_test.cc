@@ -639,7 +639,7 @@ TEST(LocalStoreCompressionTest, CompressedScanIsAllocationFree) {
   size_t visited = 0;
   const uint64_t allocs = CountCalls([&] {
     store.ScanAll([&visited](const EntryView& e) {
-      visited += e.key_bits.size() > 0 ? 1 : 0;
+      visited += e.key.size() > 0 ? 1 : 0;
       return true;
     });
   });
@@ -648,16 +648,19 @@ TEST(LocalStoreCompressionTest, CompressedScanIsAllocationFree) {
 }
 
 TEST(LocalStoreCompressionTest, OverlongKeysRoundTrip) {
-  // Keys longer than kMaxCompressedKeyBits share nothing with their
-  // predecessor and are read in place; short keys after them that share
-  // their prefix are reassembled from it.
+  // No key is longer than kKeyBits. The longest ones, kKeyBits wide and
+  // sharing 120+ bits with each other and with shorter keys, round-trip
+  // through runs whose records share whole key bytes with their
+  // predecessor.
   LocalStore store(CompressedEngine());
   MapStoreModel model;
-  const std::string long_bits(run_format::kMaxCompressedKeyBits + 8, '0');
+  const std::string zeros(kKeyBits, '0');
   std::vector<Entry> entries;
   for (int i = 0; i < 12; ++i) {
-    std::string bits = long_bits.substr(0, 100 + 10 * i);
-    if (i % 3 == 1) bits = long_bits + std::to_string(i % 2);
+    std::string bits = zeros.substr(0, 120 + i % 8);
+    if (i % 3 == 1) {
+      bits = zeros.substr(0, kKeyBits - 1) + std::to_string(i % 2);
+    }
     if (i % 3 == 2) bits += "1";
     entries.push_back(MakeEntry(bits, "id" + std::to_string(i)));
   }
@@ -667,16 +670,19 @@ TEST(LocalStoreCompressionTest, OverlongKeysRoundTrip) {
   store.Flush();
   ASSERT_EQ(store.memtable_size(), 0u);
   EXPECT_EQ(store.GetAll(), model.GetAll());
-  const Key shared_key = Key::FromBits(long_bits + "0");
+  const Key shared_key = Key::FromBits(zeros);
   auto got = store.Get(shared_key);
   ASSERT_EQ(got.size(), 2u);  // Entries 4 and 10.
   EXPECT_EQ(got, model.GetRange(KeyRange{shared_key, shared_key}));
+  EXPECT_EQ(store.GetByPrefix(Key::FromBits(zeros.substr(0, 124))),
+            model.GetByPrefix(Key::FromBits(zeros.substr(0, 124))));
 }
 
 TEST(LocalStoreCompressionTest, OverlongKeyRunGroupCompactsCorrectly) {
-  // One run holds an overlong key; tiered compaction then merges that run
-  // with short-key neighbors. The merged run must carry every entry, and
-  // later flushes and a full compaction must keep matching the model.
+  // One run holds two full-width keys sharing 124 bits; tiered compaction
+  // then merges that run with short-key neighbors. The merged run must
+  // carry every entry, and later flushes and a full compaction must keep
+  // matching the model.
   LocalStoreOptions o;
   o.memtable_flush_threshold = 4;
   o.max_runs = 8;
@@ -686,24 +692,27 @@ TEST(LocalStoreCompressionTest, OverlongKeyRunGroupCompactsCorrectly) {
   LocalStore packed(o);
   MapStoreModel model;
 
-  const std::string long_bits(run_format::kMaxCompressedKeyBits + 8, '1');
+  const std::string ones(kKeyBits - 4, '1');
   std::vector<Entry> entries;
-  for (int i = 0; i < 11; ++i) {
+  for (int i = 0; i < 10; ++i) {
     std::string bits = "0";
     for (int b = 4; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
     entries.push_back(MakeEntry(bits, "id"));
   }
-  // Lands in the third flush group, whose arrival completes a
-  // tier_fanin == 3 same-class group, so the flush-triggered compaction
-  // merges all three runs.
-  entries.push_back(MakeEntry(long_bits, "id"));
+  // Land in the third flush group, whose arrival completes a
+  // tier_fanin == 3 group of equal runs, so the flush-triggered
+  // compaction merges all three runs.
+  entries.push_back(MakeEntry(ones + "0010", "id"));
+  entries.push_back(MakeEntry(ones + "0110", "id"));
   for (const Entry& e : entries) {
     EXPECT_EQ(packed.Apply(e), model.Apply(e));
   }
   ASSERT_EQ(packed.run_count(), 1u);
   EXPECT_EQ(packed.GetAll(), model.GetAll());
-  ASSERT_EQ(packed.Get(Key::FromBits(long_bits)).size(), 1u);
-  EXPECT_EQ(packed.Get(Key::FromBits(long_bits))[0].key.bits(), long_bits);
+  for (const std::string& bits : {ones + "0010", ones + "0110"}) {
+    ASSERT_EQ(packed.Get(Key::FromBits(bits)).size(), 1u);
+    EXPECT_EQ(packed.Get(Key::FromBits(bits))[0].key.bits(), bits);
+  }
 
   // A fresh flush of short keys lands beside the merged run.
   for (int i = 16; i < 20; ++i) {
@@ -722,23 +731,26 @@ TEST(LocalStoreCompressionTest, OverlongKeyRunGroupCompactsCorrectly) {
 }
 
 TEST(SortedRunTest, ProberFindsRecordsAfterAnOverlongKey) {
-  // One prefix chain: a short key, an overlong key (stored unshared), then
-  // a short key sharing 150 bits of the overlong one — its decode must
-  // pull the shared prefix out of the arena-aliased predecessor.
-  const std::string zeros(run_format::kMaxCompressedKeyBits + 8, '0');
+  // One prefix chain of the longest keys: full-width keys and shorter
+  // ones sharing 100 to 127 bits, each record rebuilt from the shared
+  // bytes of its predecessor's key.
+  const std::string zeros(kKeyBits, '0');
+  const std::string z120 = zeros.substr(0, 120);
   std::vector<Entry> entries = {
       MakeEntry(zeros.substr(0, 100), "a", 3),
       MakeEntry(zeros, "a", 4),
       MakeEntry(zeros, "b", 5, /*deleted=*/true),
-      MakeEntry(zeros.substr(0, 150) + "1", "a", 6),
-      MakeEntry(zeros.substr(0, 150) + "11", "a", 7),
+      MakeEntry(zeros.substr(0, kKeyBits - 1) + "1", "a", 6),
+      MakeEntry(z120 + "1", "a", 7),
+      MakeEntry(z120 + "1000000" + "1", "a", 8),
+      MakeEntry(z120 + "11", "a", 9),
   };
   const SortedRun run = SortedRun::Build(entries, /*restart_interval=*/16);
   ASSERT_EQ(run.size(), entries.size());
 
   SortedRun::Cursor cursor;
   size_t i = 0;
-  for (cursor.Seek(&run, ""); cursor.valid(); cursor.Advance(), ++i) {
+  for (cursor.Seek(&run, Key()); cursor.valid(); cursor.Advance(), ++i) {
     ASSERT_LT(i, entries.size());
     EXPECT_EQ(cursor.view().ToEntry(), entries[i]) << "entry " << i;
   }
@@ -748,16 +760,16 @@ TEST(SortedRunTest, ProberFindsRecordsAfterAnOverlongKey) {
   uint64_t version = 0;
   bool deleted = false;
   // Absent slots in between the present ones stay misses.
-  EXPECT_FALSE(prober.FindForward(zeros.substr(0, 100), "0", &version,
-                                  &deleted));
+  EXPECT_FALSE(prober.FindForward(Key::FromBits(zeros.substr(0, 100)), "0",
+                                  &version, &deleted));
   for (const Entry& e : entries) {
-    ASSERT_TRUE(prober.FindForward(e.key.bits(), e.id, &version, &deleted))
-        << e.key.bits().size() << "-bit key " << e.id;
+    ASSERT_TRUE(prober.FindForward(e.key, e.id, &version, &deleted))
+        << e.key.size() << "-bit key " << e.id;
     EXPECT_EQ(version, e.version);
     EXPECT_EQ(deleted, e.deleted);
   }
-  EXPECT_FALSE(prober.FindForward(zeros.substr(0, 150) + "111", "a",
-                                  &version, &deleted));
+  EXPECT_FALSE(prober.FindForward(Key::FromBits(z120 + "111"), "a", &version,
+                                  &deleted));
 }
 
 // --- Size-tiered compaction ------------------------------------------------
@@ -799,6 +811,47 @@ TEST(LocalStoreTierTest, TieredWritesLessThanFullMerge) {
       run_workload(LocalStoreOptions::CompactionPolicy::kFullMerge);
   EXPECT_LT(tiered.WriteAmplification(), full.WriteAmplification());
   EXPECT_GT(tiered.WriteAmplification(), 0.0);
+}
+
+TEST(LocalStoreTierTest, OverTheRunBoundTheNewestRunsFoldNotTheOldest) {
+  // One large old run, then bulk-loaded runs of mixed sizes. No group of
+  // tier_fanin runs forms (each older small run outweighs tier_growth
+  // times the newer ones, or the large run does), so the fifth run puts
+  // the store over max_runs: the two newest runs (30 + 5 entries) fold;
+  // the 1,000-entry run is never rewritten.
+  LocalStoreOptions o;
+  o.memtable_flush_threshold = 4;
+  o.max_runs = 4;
+  o.tier_fanin = 4;
+  o.tier_growth = 2;
+  LocalStore store(o);
+  int next = 0;
+  auto bulk_load = [&store, &next](int n) {
+    std::vector<Entry> batch;
+    for (int i = 0; i < n; ++i, ++next) {
+      std::string bits;
+      for (int b = 11; b >= 0; --b) bits += ((next >> b) & 1) ? '1' : '0';
+      batch.push_back(MakeEntry(bits, "id"));
+    }
+    ASSERT_EQ(store.BulkLoad(std::move(batch)), static_cast<size_t>(n));
+  };
+  for (int n : {1000, 40, 10, 30}) bulk_load(n);
+  const std::vector<RunSummary> before = store.RunSummaries();
+  ASSERT_EQ(before.size(), 4u);
+  EXPECT_EQ(store.write_stats().compacted_entries, 0u);
+
+  bulk_load(5);
+  const std::vector<RunSummary> after = store.RunSummaries();
+  ASSERT_EQ(after.size(), 4u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(after[i].run_id, before[i].run_id) << "run " << i;
+    EXPECT_EQ(after[i].entry_count, before[i].entry_count) << "run " << i;
+  }
+  EXPECT_EQ(after[0].entry_count, 1000u);
+  EXPECT_EQ(after[3].entry_count, 35u);
+  EXPECT_EQ(store.write_stats().compacted_entries, 35u);
+  EXPECT_EQ(store.write_stats().compactions, 1u);
+  EXPECT_EQ(store.live_size(), 1085u);
 }
 
 // --- Compaction under churn: the full write-path property test -------------

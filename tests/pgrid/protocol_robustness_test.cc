@@ -104,13 +104,17 @@ TEST_F(RobustnessTest, ExchangeWithSelfIsRejected) {
 TEST_F(RobustnessTest, ExchangeWithCorruptPathIsDropped) {
   ExchangeRequest req;
   req.initiator = 0;
-  req.path = "01x1";  // Corrupt bits.
+  req.path = Key::FromBits("0101");
   net::Message m;
   m.type = net::MessageType::kExchange;
   m.src = 0;
   m.dst = 4;
   m.request_id = 7;
   m.payload = req.Encode();
+  // The path follows the u32 initiator as a varint bit length (4) and one
+  // byte (0x50); set one of its four padding bits.
+  ASSERT_EQ(m.payload[5], '\x50');
+  m.payload[5] = '\x51';
   overlay_->transport().Send(std::move(m));
   overlay_->simulation().RunUntilIdle();
   // Responder's path unchanged.

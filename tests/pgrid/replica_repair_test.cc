@@ -67,7 +67,7 @@ TEST(RepairCodecTest, ManifestPullReplyRoundTrips) {
   ManifestPullReply reply;
   reply.runs = {{1, 100, 0xDEADBEEF}, {7, 3, 0}, {42, 1u << 20, 0xFFFFFFFF}};
   reply.memtable_entries = 17;
-  reply.donor_path = "0110";
+  reply.donor_path = Key::FromBits("0110");
   auto decoded = ManifestPullReply::Decode(reply.Encode());
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   ASSERT_EQ(decoded->runs.size(), 3u);
@@ -77,7 +77,7 @@ TEST(RepairCodecTest, ManifestPullReplyRoundTrips) {
     EXPECT_EQ(decoded->runs[i].checksum, reply.runs[i].checksum);
   }
   EXPECT_EQ(decoded->memtable_entries, 17u);
-  EXPECT_EQ(decoded->donor_path, "0110");
+  EXPECT_EQ(decoded->donor_path, reply.donor_path);
 }
 
 TEST(RepairCodecTest, RunFetchRequestRoundTrips) {
@@ -175,7 +175,7 @@ TEST(RunSummaryTest, ScanRunByIdResumesFromOffset) {
   std::vector<std::string> all;
   ASSERT_TRUE(store.ScanRunById(summaries[0].run_id, 0,
                                 [&all](const EntryView& e) {
-                                  all.emplace_back(e.key_bits);
+                                  all.emplace_back(e.key.bits());
                                   return true;
                                 }));
   ASSERT_EQ(all.size(), 32u);
@@ -183,7 +183,7 @@ TEST(RunSummaryTest, ScanRunByIdResumesFromOffset) {
   std::vector<std::string> tail;
   ASSERT_TRUE(store.ScanRunById(summaries[0].run_id, 30,
                                 [&tail](const EntryView& e) {
-                                  tail.emplace_back(e.key_bits);
+                                  tail.emplace_back(e.key.bits());
                                   return true;
                                 }));
   ASSERT_EQ(tail.size(), 2u);

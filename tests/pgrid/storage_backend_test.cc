@@ -70,7 +70,7 @@ std::shared_ptr<DiskRun> WriteAndOpen(MemEnv* env, const std::string& path,
 std::vector<Entry> ScanWhole(const DiskRun* run) {
   std::vector<Entry> out;
   DiskRunCursor cursor;
-  cursor.Seek(run, "");
+  cursor.Seek(run, Key());
   while (cursor.valid()) {
     out.push_back(cursor.view().ToEntry());
     cursor.Advance();
@@ -123,13 +123,13 @@ TEST(DiskRunTest, SeekPositionsMidRun) {
   // Seek to each entry's exact key: cursor must land on it.
   for (size_t i = 0; i < entries.size(); i += 37) {
     DiskRunCursor cursor;
-    cursor.Seek(run.get(), entries[i].key.bits());
+    cursor.Seek(run.get(), entries[i].key);
     ASSERT_TRUE(cursor.valid()) << i;
-    EXPECT_EQ(cursor.view().key_bits, entries[i].key.bits()) << i;
+    EXPECT_EQ(cursor.view().key, entries[i].key) << i;
   }
   // Past the last key: invalid.
   DiskRunCursor cursor;
-  cursor.Seek(run.get(), std::string(17, '1'));
+  cursor.Seek(run.get(), Key::FromBits(std::string(17, '1')));
   EXPECT_FALSE(cursor.valid());
 }
 
@@ -142,38 +142,46 @@ TEST(DiskRunTest, FindSlotMatchesEntries) {
   uint64_t version = 0;
   bool deleted = false;
   for (size_t i = 0; i < entries.size(); i += 11) {
-    ASSERT_TRUE(run->FindSlot(entries[i].key.bits(), entries[i].id, &version,
+    ASSERT_TRUE(run->FindSlot(entries[i].key, entries[i].id, &version,
                               &deleted));
     EXPECT_EQ(version, entries[i].version);
     EXPECT_EQ(deleted, entries[i].deleted);
   }
-  EXPECT_FALSE(run->FindSlot(entries[0].key.bits(), "no-such-id", &version,
+  EXPECT_FALSE(run->FindSlot(entries[0].key, "no-such-id", &version,
                              &deleted));
 }
 
 TEST(DiskRunTest, OverlongKeysRoundTrip) {
-  // Keys beyond kMaxCompressedKeyBits are stored with shared == 0 (key
-  // aliases the block).
+  // The longest keys, kKeyBits wide and sharing 123 bits, round-trip
+  // through prefix-shared records; a record claiming a key longer than
+  // kKeyBits fails block validation.
   MemEnv env;
   BlockCache cache(1 << 20);
   std::vector<Entry> entries;
-  const std::string base(run_format::kMaxCompressedKeyBits + 40, '0');
+  const std::string base(kKeyBits - 5, '0');
   for (int i = 0; i < 20; ++i) {
     std::string bits = base;
     for (int b = 4; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
     entries.push_back(MakeEntry(bits, "t", i + 1));
   }
-  // A short key between the long ones exercises prefix-sharing against
-  // an aliased (overlong) predecessor.
   auto run = WriteAndOpen(&env, "run-1", 1, &cache, entries,
-                          /*block_bytes=*/512);
+                          /*block_bytes=*/128);
   ASSERT_NE(run, nullptr);
+  EXPECT_GT(run->block_count(), 1u);
   ExpectSameEntries(ScanWhole(run.get()), entries);
   uint64_t version = 0;
   bool deleted = false;
-  ASSERT_TRUE(
-      run->FindSlot(entries[7].key.bits(), "t", &version, &deleted));
+  ASSERT_TRUE(run->FindSlot(entries[7].key, "t", &version, &deleted));
   EXPECT_EQ(version, 8u);
+
+  std::string record;
+  record.push_back('\0');    // shared = 0
+  record.push_back('\x81');  // key_bit_len = 129 (varint)
+  record.push_back('\x01');
+  record.append(17, '\0');   // 17 key bytes
+  record.append("\x01t\x01\x00", 4);  // id "t", version 1, flags 0
+  EXPECT_EQ(storage::ValidateBlockPayload(record).code(),
+            StatusCode::kCorruption);
 }
 
 TEST(DiskRunTest, CorruptBlockWedgesRun) {
@@ -202,7 +210,7 @@ TEST(DiskRunTest, CorruptBlockWedgesRun) {
   ASSERT_TRUE(opened.ok());  // Footer is intact; blocks verify lazily.
   auto run = opened.value();
   DiskRunCursor cursor;
-  cursor.Seek(run.get(), "");
+  cursor.Seek(run.get(), Key());
   EXPECT_FALSE(cursor.valid());  // First block fails its checksum.
   EXPECT_FALSE(run->status().ok());
 }
@@ -234,6 +242,16 @@ TEST(ValidateBlockPayloadTest, RejectsGarbage) {
   std::string bad;
   bad.push_back('\x01');  // shared = 1 on the first record.
   EXPECT_FALSE(storage::ValidateBlockPayload(bad).ok());
+  // A 4-bit key "1010" with padding bits set, then id "t", version 1.
+  const std::string good("\x00\x04\xA0\x01t\x01\x00", 7);
+  EXPECT_TRUE(storage::ValidateBlockPayload(good).ok());
+  std::string padded = good;
+  padded[2] = '\xA1';
+  EXPECT_FALSE(storage::ValidateBlockPayload(padded).ok());
+  // A second record may not share more whole bytes than it has: a 4-bit
+  // key holds none.
+  const std::string overshared("\x01\x04\x01t\x01\x00", 6);
+  EXPECT_FALSE(storage::ValidateBlockPayload(good + overshared).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -440,7 +458,8 @@ TEST(SharedKeyProbeTest, SortedRunFindSlotAndProberMatchReference) {
       uint64_t version = 0;
       bool deleted = false;
       const bool found =
-          run.FindSlot(probe.first, probe.second, &version, &deleted);
+          run.FindSlot(Key::FromBits(probe.first), probe.second, &version,
+                       &deleted);
       ExpectProbeMatches(reference, probe, found, version, deleted,
                          "FindSlot");
     }
@@ -451,7 +470,7 @@ TEST(SharedKeyProbeTest, SortedRunFindSlotAndProberMatchReference) {
       for (size_t i = 0; i < probes.size(); i += stride) {
         uint64_t version = 0;
         bool deleted = false;
-        const bool found = prober.FindForward(probes[i].first,
+        const bool found = prober.FindForward(Key::FromBits(probes[i].first),
                                               probes[i].second, &version,
                                               &deleted);
         ExpectProbeMatches(reference, probes[i], found, version, deleted,
@@ -473,7 +492,8 @@ TEST(SharedKeyProbeTest, DiskRunFindSlotMatchesReference) {
     uint64_t version = 0;
     bool deleted = false;
     const bool found =
-        run->FindSlot(probe.first, probe.second, &version, &deleted);
+        run->FindSlot(Key::FromBits(probe.first), probe.second, &version,
+                      &deleted);
     ExpectProbeMatches(reference, probe, found, version, deleted,
                        "DiskRun::FindSlot");
   }
@@ -500,7 +520,7 @@ TEST(SharedKeyProbeTest, DiskRunProbeLoadsLogarithmicBlocks) {
   const uint64_t loads_before = cold.hits() + cold.misses();
   uint64_t version = 0;
   bool deleted = false;
-  ASSERT_TRUE(run->FindSlot(Bits16(2 * kSharedKeyIndex),
+  ASSERT_TRUE(run->FindSlot(Key::FromBits(Bits16(2 * kSharedKeyIndex)),
                             SharedId(2 * kSharedIds - 1), &version,
                             &deleted));
   EXPECT_EQ(version, 3 * (kSharedIds - 1) + 1);
@@ -569,13 +589,14 @@ TEST(DiskBackendTest, MatchesMemoryBackendScanStream) {
 }
 
 TEST(DiskBackendTest, OverlongAndShortKeysMatchMemoryBackend) {
-  // Both engines write the same record codec: overlong keys unshared,
-  // short keys prefix-shared, including against an overlong predecessor.
-  const std::string zeros(run_format::kMaxCompressedKeyBits + 16, '0');
+  // Both engines write the same record codec: keys of up to kKeyBits
+  // bits sharing 120+ bits share whole bytes with their predecessor,
+  // whatever their lengths.
+  const std::string zeros(kKeyBits, '0');
   Rng rng(20261017);
   std::vector<Entry> entries;
   for (int i = 0; i < 200; ++i) {
-    std::string bits = zeros.substr(0, 120 + rng.NextBounded(100));
+    std::string bits = zeros.substr(0, 120 + rng.NextBounded(8));
     bits += rng.NextBounded(2) ? '1' : '0';
     entries.push_back(MakeEntry(bits,
                                 "id" + std::to_string(rng.NextBounded(4)),
@@ -601,11 +622,11 @@ TEST(DiskBackendTest, OverlongAndShortKeysMatchMemoryBackend) {
     store->Flush();
   }
   ASSERT_TRUE(disk_store.io_status().ok()) << disk_store.io_status().message();
-  size_t overlong = 0;
+  size_t full_width = 0;
   for (const Entry& e : mem_store.GetAll()) {
-    if (e.key.bits().size() > run_format::kMaxCompressedKeyBits) ++overlong;
+    if (e.key.size() == kKeyBits) ++full_width;
   }
-  EXPECT_GT(overlong, 0u);
+  EXPECT_GT(full_width, 0u);
   ExpectSameEntries(disk_store.GetAll(), mem_store.GetAll());
   mem_store.Compact();
   disk_store.Compact();
