@@ -49,7 +49,6 @@ std::unique_ptr<core::Cluster> BuildCluster(size_t names, bool balanced) {
   options.balanced_construction = balanced;
   if (!balanced) {
     options.peer.split_threshold = 256;
-    options.peer.exchange_ttl = 2;
   }
   auto cluster = std::make_unique<core::Cluster>(options);
 

@@ -193,17 +193,5 @@ void Cluster::SetEnvelopeOptions(const exec::EnvelopeOptions& options) {
   for (auto& n : nodes_) n->SetEnvelopeOptions(options);
 }
 
-Cluster::HotPathStats Cluster::AggregateHotPathStats() {
-  HotPathStats stats;
-  for (auto& n : nodes_) {
-    stats.sheds += n->service().sheds();
-    stats.deferred_relaunches += n->service().deferred_relaunches();
-    stats.lookups_served += n->peer()->lookups_served();
-    stats.hot_adverts += n->peer()->hot_adverts();
-    stats.fanout_redirects += n->peer()->fanout_redirects();
-  }
-  return stats;
-}
-
 }  // namespace core
 }  // namespace unistore

@@ -117,18 +117,6 @@ class Cluster {
   /// Applies envelope execution knobs on every node (harness context).
   void SetEnvelopeOptions(const exec::EnvelopeOptions& options);
 
-  /// Cluster-wide hot-path serving-layer counters (DESIGN.md §8), summed
-  /// over every node's admission control and peer fan-out state.
-  /// Benchmarks and tests gate on these.
-  struct HotPathStats {
-    uint64_t sheds = 0;
-    uint64_t deferred_relaunches = 0;
-    uint64_t lookups_served = 0;
-    uint64_t hot_adverts = 0;
-    uint64_t fanout_redirects = 0;
-  };
-  HotPathStats AggregateHotPathStats();
-
   // --- Peer lifecycle (DESIGN.md §11) -------------------------------------
 
   /// Installs a churn schedule (see ClusterOptions::churn_schedule):

@@ -14,7 +14,6 @@ cost::MigrateBatching BatchingFrom(const exec::EnvelopeOptions& envelope) {
   batching.max_bindings_per_envelope =
       static_cast<double>(envelope.max_bindings_per_envelope);
   batching.visit_cost_us = envelope.join_visit_cost_us;
-  batching.pair_cost_us = envelope.join_pair_cost_us;
   return batching;
 }
 

@@ -72,7 +72,7 @@ Cost CostModel::IndexJoinMigrate(double left_cardinality,
 
   // Per-visit service time: fixed overhead + pair work of one chunk.
   const double join_us = batching.visit_cost_us +
-                         batching.pair_cost_us * chunk_size *
+                         kJoinPairCostUs * chunk_size *
                              std::max(1.0, batching.triples_per_peer);
   // A branch is a (branch_peers)-stage pipeline fed with `chunks`
   // envelopes: each stage overlaps its forward with its join, so a stage

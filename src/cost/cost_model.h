@@ -30,15 +30,19 @@ struct Cost {
   std::string ToString() const;
 };
 
+/// Simulated local-join compute per (local triple x binding) pair, in
+/// microseconds: the executor charges it per visit, and the cost model
+/// prices Migrate with it.
+inline constexpr double kJoinPairCostUs = 0.5;
+
 /// How the batched envelope executor will run a Migrate join (mirrors
 /// exec::EnvelopeOptions; lives here so the plan layer can consult the
 /// cost model without depending on exec).
 struct MigrateBatching {
   double fanout = 1;                     ///< Parallel sub-range walks.
   double max_bindings_per_envelope = 0;  ///< 0 = all bindings in one chunk.
-  /// Simulated local-join cost parameters (exec::EnvelopeOptions).
+  /// Simulated per-visit local-join cost (exec::EnvelopeOptions).
   double visit_cost_us = 100.0;
-  double pair_cost_us = 0.5;
   /// Expected local triples joined per visited peer (from the catalog's
   /// attribute stats; callers fill it per join).
   double triples_per_peer = 8.0;

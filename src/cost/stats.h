@@ -66,10 +66,6 @@ class StatsCatalog {
   /// Stats of one attribute; zeros if unknown.
   AttrStats Attribute(const std::string& attribute) const;
 
-  bool HasAttribute(const std::string& attribute) const {
-    return attributes_.find(attribute) != attributes_.end();
-  }
-
   /// Estimated fraction of `attribute` triples with value in [lo, hi]
   /// (numeric interpolation; 1.0 when unknown).
   double EstimateRangeSelectivity(const std::string& attribute, double lo,

@@ -37,11 +37,11 @@ struct EnvelopeOptions {
   uint32_t fanout = 2;
   /// Bindings per envelope before the walk is chunked (0 = unlimited).
   uint32_t max_bindings_per_envelope = 128;
-  /// Simulated local-join cost: fixed per-visit overhead plus a per
-  /// (local triple x binding) pair term. Serving serializes per peer, so
-  /// these model the compute the pipeline overlaps with latency.
+  /// Simulated local-join cost: fixed per-visit overhead, plus
+  /// cost::kJoinPairCostUs per (local triple x binding) pair. Serving
+  /// serializes per peer, so this models the compute the pipeline
+  /// overlaps with latency.
   double join_visit_cost_us = 100.0;
-  double join_pair_cost_us = 0.5;
   /// Progress deadline of one walk; a walk whose coverage frontier did not
   /// advance within it is relaunched from the frontier.
   sim::SimTime walk_timeout = 4 * sim::kMicrosPerSecond;

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/logging.h"
+#include "cost/cost_model.h"
 #include "pgrid/ophash.h"
 #include "triple/index.h"
 
@@ -309,7 +310,7 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
   const sim::SimTime now = scheduler->Now();
   const sim::SimTime join_us = static_cast<sim::SimTime>(
       options_.join_visit_cost_us +
-      options_.join_pair_cost_us * static_cast<double>(local_triples) *
+      cost::kJoinPairCostUs * static_cast<double>(local_triples) *
           static_cast<double>(env.bindings.size()));
   const sim::SimTime start = std::max(now, busy_until_);
   busy_until_ = start + join_us;

@@ -4,8 +4,6 @@
 #include <sstream>
 
 #include "common/logging.h"
-#include "net/sharded_transport.h"
-#include "sim/sharded_scheduler.h"
 
 namespace unistore {
 namespace net {
@@ -100,15 +98,22 @@ std::string TrafficStats::ToString() const {
   return os.str();
 }
 
-TransportBase::TransportBase(sim::Scheduler* scheduler,
-                             std::unique_ptr<sim::LatencyModel> latency,
-                             uint64_t seed)
+Transport::Transport(sim::Scheduler* scheduler,
+                     std::unique_ptr<sim::LatencyModel> latency,
+                     uint64_t seed)
     : scheduler_(scheduler), latency_(std::move(latency)), seed_(seed) {
   UNISTORE_CHECK(scheduler_ != nullptr);
   UNISTORE_CHECK(latency_ != nullptr);
+  slots_.resize(scheduler_->shard_count() + 1);
 }
 
-PeerId TransportBase::AddPeer(Handler handler) {
+TrafficStats Transport::stats() const {
+  TrafficStats merged;
+  for (const Slot& slot : slots_) merged.Merge(slot.stats);
+  return merged;
+}
+
+PeerId Transport::AddPeer(Handler handler) {
   const PeerId id = static_cast<PeerId>(handlers_.size());
   handlers_.push_back(std::move(handler));
   alive_.push_back(true);
@@ -118,7 +123,7 @@ PeerId TransportBase::AddPeer(Handler handler) {
   return id;
 }
 
-void TransportBase::SetHandler(PeerId peer, Handler handler) {
+void Transport::SetHandler(PeerId peer, Handler handler) {
   UNISTORE_CHECK(peer < handlers_.size());
   // Handlers are read by every shard; swapping one from inside a window
   // would race (and silently break determinism) — fail fast instead.
@@ -127,8 +132,8 @@ void TransportBase::SetHandler(PeerId peer, Handler handler) {
   handlers_[peer] = std::move(handler);
 }
 
-void TransportBase::Send(Message msg) {
-  TrafficStats& stats = StatsSlot();
+void Transport::Send(Message msg) {
+  TrafficStats& stats = CurrentStats();
   if (msg.src >= handlers_.size() || msg.dst >= handlers_.size()) {
     stats.messages_invalid++;
     UNISTORE_LOG(kWarning) << "dropping invalid send "
@@ -211,8 +216,8 @@ void TransportBase::Send(Message msg) {
                             [this, m = std::move(msg)]() { Deliver(m); });
 }
 
-void TransportBase::Deliver(const Message& m) {
-  TrafficStats& stats = StatsSlot();
+void Transport::Deliver(const Message& m) {
+  TrafficStats& stats = CurrentStats();
   if (!alive_[m.dst]) {
     stats.messages_to_dead++;
     return;
@@ -234,7 +239,7 @@ void TransportBase::Deliver(const Message& m) {
   handlers_[m.dst](m);
 }
 
-void TransportBase::SetAlive(PeerId peer, bool alive) {
+void Transport::SetAlive(PeerId peer, bool alive) {
   UNISTORE_CHECK(peer < alive_.size());
   // Liveness bits are read by every shard at delivery time; a write from
   // inside a window would race on the packed vector<bool> — fail fast.
@@ -243,7 +248,7 @@ void TransportBase::SetAlive(PeerId peer, bool alive) {
   alive_[peer] = alive;
 }
 
-void TransportBase::SetFaultSchedule(FaultSchedule schedule) {
+void Transport::SetFaultSchedule(FaultSchedule schedule) {
   // The plane is read by every shard at send time; swapping it from inside
   // a window would race — fail fast, like SetAlive/SetHandler.
   UNISTORE_CHECK(!scheduler_->InShardContext())
@@ -253,11 +258,11 @@ void TransportBase::SetFaultSchedule(FaultSchedule schedule) {
                      : std::make_unique<FaultPlane>(std::move(schedule));
 }
 
-void TransportBase::CountRetry(std::string_view policy) {
-  StatsSlot().retries_by_policy[std::string(policy)]++;
+void Transport::CountRetry(std::string_view policy) {
+  CurrentStats().retries_by_policy[std::string(policy)]++;
 }
 
-void TransportBase::SetChurnSchedule(ChurnSchedule schedule) {
+void Transport::SetChurnSchedule(ChurnSchedule schedule) {
   // Like the fault plane: read by every shard, swapped only from harness
   // context.
   UNISTORE_CHECK(!scheduler_->InShardContext())
@@ -267,16 +272,16 @@ void TransportBase::SetChurnSchedule(ChurnSchedule schedule) {
                      : std::make_unique<ChurnPlane>(std::move(schedule));
 }
 
-bool TransportBase::IsAlive(PeerId peer) const {
+bool Transport::IsAlive(PeerId peer) const {
   UNISTORE_CHECK(peer < alive_.size());
   if (!alive_[peer]) return false;
   return churn_plane_ == nullptr ||
          !churn_plane_->Down(scheduler_->Now(), peer);
 }
 
-void TransportBase::EnableDeliveryTrace() { trace_enabled_ = true; }
+void Transport::EnableDeliveryTrace() { trace_enabled_ = true; }
 
-std::string TransportBase::DeliveryTrace() const {
+std::string Transport::DeliveryTrace() const {
   std::ostringstream os;
   for (size_t dst = 0; dst < trace_.size(); ++dst) {
     for (const DeliveryRecord& r : trace_[dst]) {
@@ -286,16 +291,6 @@ std::string TransportBase::DeliveryTrace() const {
     }
   }
   return os.str();
-}
-
-std::unique_ptr<Transport> MakeTransport(
-    sim::Scheduler* scheduler, std::unique_ptr<sim::LatencyModel> latency,
-    uint64_t seed) {
-  if (dynamic_cast<sim::ShardedScheduler*>(scheduler) != nullptr) {
-    return std::make_unique<ShardedTransport>(scheduler, std::move(latency),
-                                              seed);
-  }
-  return std::make_unique<SimTransport>(scheduler, std::move(latency), seed);
 }
 
 }  // namespace net

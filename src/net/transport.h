@@ -1,15 +1,15 @@
 // Transport: message delivery between peers over the simulated network.
 //
-// `Transport` is an interface with two implementations:
-//   - SimTransport     — one statistics block, for the single-threaded
-//                        sim::Simulation engine (default).
-//   - ShardedTransport — per-shard statistics slots merged on read, for
-//                        sim::ShardedScheduler (net/sharded_transport.h).
+// One class serves both engines. Each scheduler shard, plus one slot for
+// harness context, owns a cache-line-aligned TrafficStats block, so
+// concurrent shard execution never contends on counters; stats() merges
+// the slots on read, exactly, because every counter is a sum or a maximum.
+// On the single-threaded sim::Simulation every event runs in slot 0.
 //
-// Both share the delivery semantics in TransportBase, and both derive one
-// RNG stream per peer from (seed, peer_id) so that loss and latency draws
-// depend only on a peer's own send history — the property that makes
-// sharded execution deterministic (DESIGN.md §2-3).
+// Every peer draws loss and latency from its own RNG stream derived from
+// (seed, peer_id), so those draws depend only on the peer's own send
+// history — the property that makes sharded execution deterministic
+// (DESIGN.md §2-3).
 #ifndef UNISTORE_NET_TRANSPORT_H_
 #define UNISTORE_NET_TRANSPORT_H_
 
@@ -83,104 +83,72 @@ class Transport {
  public:
   using Handler = std::function<void(const Message&)>;
 
-  virtual ~Transport() = default;
+  Transport(sim::Scheduler* scheduler,
+            std::unique_ptr<sim::LatencyModel> latency, uint64_t seed);
+
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
 
   /// Registers a peer and its message handler. Returns the assigned id.
   /// Harness-time only (never from inside an event).
-  virtual PeerId AddPeer(Handler handler) = 0;
+  PeerId AddPeer(Handler handler);
 
   /// Replaces the handler of an existing peer (used when a peer object is
   /// rebuilt on rejoin).
-  virtual void SetHandler(PeerId peer, Handler handler) = 0;
+  void SetHandler(PeerId peer, Handler handler);
 
   /// Sends `msg`. An unregistered src or dst counts as an invalid send and
   /// the message is dropped. Otherwise the message is copied into the
   /// event queue; delivery happens at Now() + latency unless lost.
-  virtual void Send(Message msg) = 0;
+  void Send(Message msg);
 
   /// Marks a peer up/down. Messages in flight toward a peer that is down
   /// at delivery time are dropped. Harness-time only under sharding; for
   /// liveness transitions inside a run use a ChurnSchedule, whose windows
   /// are evaluated as a pure function of virtual time.
-  virtual void SetAlive(PeerId peer, bool alive) = 0;
+  void SetAlive(PeerId peer, bool alive);
 
   /// True iff the peer is up right now: its SetAlive bit is set and no
   /// churn-plane window covers Now(). Pure read — safe from any context.
-  virtual bool IsAlive(PeerId peer) const = 0;
+  bool IsAlive(PeerId peer) const;
 
   /// Fraction of messages dropped uniformly at random, in [0, 1).
-  virtual void set_loss_probability(double p) = 0;
-  virtual double loss_probability() const = 0;
+  void set_loss_probability(double p) { loss_probability_ = p; }
+  double loss_probability() const { return loss_probability_; }
 
   /// Installs the scripted fault plane (net/fault_plane.h). The schedule
   /// is immutable once installed and read by every shard at send time —
   /// harness-time only. Replaces any previous schedule.
-  virtual void SetFaultSchedule(FaultSchedule schedule) = 0;
+  void SetFaultSchedule(FaultSchedule schedule);
 
   /// The installed fault plane, or nullptr when none is scripted.
-  virtual const FaultPlane* fault_plane() const = 0;
+  const FaultPlane* fault_plane() const { return fault_plane_.get(); }
 
   /// Installs the scripted churn plane (net/churn_plane.h) with every
   /// join spec's peer id already resolved (Overlay::InstallChurn does
   /// this). Immutable once installed and read by every shard at send and
   /// delivery time — harness-time only. Replaces any previous schedule.
-  virtual void SetChurnSchedule(ChurnSchedule schedule) = 0;
+  void SetChurnSchedule(ChurnSchedule schedule);
 
   /// The installed churn plane, or nullptr when none is scripted.
-  virtual const ChurnPlane* churn_plane() const = 0;
+  const ChurnPlane* churn_plane() const { return churn_plane_.get(); }
 
   /// Bumps the per-policy retry counter (TrafficStats.retries_by_policy).
   /// `policy` must be a stable name (common/retry_policy.h policies).
-  virtual void CountRetry(std::string_view policy) = 0;
+  void CountRetry(std::string_view policy);
 
-  virtual size_t peer_count() const = 0;
+  size_t peer_count() const { return handlers_.size(); }
 
   /// Traffic counters; merged across shard slots on read.
-  virtual TrafficStats stats() const = 0;
-  virtual void ResetStats() = 0;
+  TrafficStats stats() const;
 
-  virtual sim::Scheduler* scheduler() = 0;
+  sim::Scheduler* scheduler() { return scheduler_; }
 
   /// Starts recording one delivery log per destination peer (tests). The
   /// concatenation is a canonical per-peer trace: identical across engines
   /// and shard counts for the same seed.
-  virtual void EnableDeliveryTrace() = 0;
-  virtual std::string DeliveryTrace() const = 0;
-};
-
-/// \brief Shared mechanics of both transports: registration, liveness,
-/// per-peer RNG streams, validation, loss/latency sampling, tracing.
-///
-/// Subclasses provide the statistics slot for the calling context.
-class TransportBase : public Transport {
- public:
-  PeerId AddPeer(Handler handler) override;
-  void SetHandler(PeerId peer, Handler handler) override;
-  void Send(Message msg) override;
-  void SetAlive(PeerId peer, bool alive) override;
-  bool IsAlive(PeerId peer) const override;
-  void set_loss_probability(double p) override { loss_probability_ = p; }
-  double loss_probability() const override { return loss_probability_; }
-  void SetFaultSchedule(FaultSchedule schedule) override;
-  const FaultPlane* fault_plane() const override {
-    return fault_plane_.get();
-  }
-  void SetChurnSchedule(ChurnSchedule schedule) override;
-  const ChurnPlane* churn_plane() const override {
-    return churn_plane_.get();
-  }
-  void CountRetry(std::string_view policy) override;
-  size_t peer_count() const override { return handlers_.size(); }
-  sim::Scheduler* scheduler() override { return scheduler_; }
-  void EnableDeliveryTrace() override;
-  std::string DeliveryTrace() const override;
-
- protected:
-  TransportBase(sim::Scheduler* scheduler,
-                std::unique_ptr<sim::LatencyModel> latency, uint64_t seed);
-
-  /// The TrafficStats block the current execution context may mutate.
-  virtual TrafficStats& StatsSlot() = 0;
+  void EnableDeliveryTrace();
+  std::string DeliveryTrace() const;
 
  private:
   struct DeliveryRecord {
@@ -192,6 +160,18 @@ class TransportBase : public Transport {
     uint64_t payload_hash;
   };
 
+  /// Cache-line sized so shards never false-share counters.
+  struct alignas(64) Slot {
+    TrafficStats stats;
+  };
+
+  /// The TrafficStats block the current execution context may mutate.
+  /// CurrentShard() returns shard_count() from harness context — the
+  /// extra slot — so no two execution contexts share a block.
+  TrafficStats& CurrentStats() {
+    return slots_[scheduler_->CurrentShard()].stats;
+  }
+
   void Deliver(const Message& m);
 
   sim::Scheduler* scheduler_;
@@ -201,35 +181,13 @@ class TransportBase : public Transport {
   std::unique_ptr<FaultPlane> fault_plane_;  ///< Null when no faults scripted.
   std::unique_ptr<ChurnPlane> churn_plane_;  ///< Null when no churn scripted.
 
+  std::vector<Slot> slots_;  ///< shard_count() + 1 (last = harness).
   std::vector<Handler> handlers_;
   std::vector<bool> alive_;
   std::vector<Rng> peer_rng_;  ///< Stream i: Rng(StreamSeed(seed, i)).
   bool trace_enabled_ = false;
   std::vector<std::vector<DeliveryRecord>> trace_;  ///< By dst peer.
 };
-
-/// The single-threaded transport: one statistics block.
-class SimTransport : public TransportBase {
- public:
-  SimTransport(sim::Scheduler* scheduler,
-               std::unique_ptr<sim::LatencyModel> latency, uint64_t seed)
-      : TransportBase(scheduler, std::move(latency), seed) {}
-
-  TrafficStats stats() const override { return stats_; }
-  void ResetStats() override { stats_ = TrafficStats(); }
-
- protected:
-  TrafficStats& StatsSlot() override { return stats_; }
-
- private:
-  TrafficStats stats_;
-};
-
-/// Builds the transport matching `scheduler`: ShardedTransport for a
-/// sim::ShardedScheduler, SimTransport otherwise.
-std::unique_ptr<Transport> MakeTransport(
-    sim::Scheduler* scheduler, std::unique_ptr<sim::LatencyModel> latency,
-    uint64_t seed);
 
 }  // namespace net
 }  // namespace unistore

@@ -48,8 +48,8 @@ Overlay::Overlay(OverlayOptions options,
   } else {
     scheduler_ = scheduler;
   }
-  transport_ = net::MakeTransport(scheduler_, std::move(latency),
-                                  rng_.Next());
+  transport_ = std::make_unique<net::Transport>(
+      scheduler_, std::move(latency), rng_.Next());
   transport_->set_loss_probability(options_.loss_probability);
   if (!options_.fault_schedule.empty()) {
     transport_->SetFaultSchedule(options_.fault_schedule);

@@ -43,8 +43,7 @@ class Overlay {
   /// With `scheduler == nullptr` the overlay owns a single-threaded
   /// sim::Simulation (the default engine); otherwise it runs on the given
   /// engine — core::Cluster passes a sim::ShardedScheduler handle for
-  /// parallel peer execution, and the transport implementation is chosen
-  /// to match (net::MakeTransport).
+  /// parallel peer execution.
   Overlay(OverlayOptions options, std::unique_ptr<sim::LatencyModel> latency,
           sim::Scheduler* scheduler = nullptr);
 

@@ -470,7 +470,7 @@ void Peer::RecordLookupServe() {
   const sim::SimTime now = transport_->scheduler()->Now();
   recent_serves_.push_back(now);
   const sim::SimTime cutoff =
-      now > options_.hot_key_window ? now - options_.hot_key_window : 0;
+      now > kHotKeyWindow ? now - kHotKeyWindow : 0;
   while (!recent_serves_.empty() && recent_serves_.front() < cutoff) {
     recent_serves_.pop_front();
   }
@@ -480,7 +480,7 @@ bool Peer::LookupRateHot() const {
   if (options_.hot_key_qps_threshold <= 0) return false;
   if (routing_.replicas().empty()) return false;  // Nothing to fan out to.
   const double window_seconds =
-      static_cast<double>(options_.hot_key_window) / sim::kMicrosPerSecond;
+      static_cast<double>(kHotKeyWindow) / sim::kMicrosPerSecond;
   return static_cast<double>(recent_serves_.size()) >=
          options_.hot_key_qps_threshold * window_seconds;
 }
@@ -1539,7 +1539,7 @@ void Peer::AddPeerByPath(PeerId peer, const Key& peer_path) {
 }
 
 void Peer::InitiateExchange(PeerId other, StatusCallback callback) {
-  DoInitiateExchange(other, options_.exchange_ttl, std::move(callback));
+  DoInitiateExchange(other, kExchangeTtl, std::move(callback));
 }
 
 void Peer::DoInitiateExchange(PeerId other, uint32_t ttl,

@@ -36,6 +36,9 @@ inline constexpr std::string_view kRangeRetryPolicy = "range";
 /// more than this many times the partner's load.
 inline constexpr double kBalanceFactor = 8.0;
 
+/// Recursive meetings an exchange may trigger (construction gossip).
+inline constexpr uint32_t kExchangeTtl = 2;
+
 /// Deadline of one range-scan attempt or of a whole Migrate join.
 inline constexpr sim::SimTime kScanTimeout = 20 * sim::kMicrosPerSecond;
 
@@ -52,6 +55,10 @@ inline constexpr int kRepairChunkRetries = 2;
 
 /// Cap on an advertised hot-key replica group (serving peer included).
 inline constexpr size_t kHotKeyMaxReplicas = 4;
+
+/// Sliding window of the served-lookup rate estimate behind hot-key
+/// fan-out (PeerOptions::hot_key_qps_threshold).
+inline constexpr sim::SimTime kHotKeyWindow = 1 * sim::kMicrosPerSecond;
 
 /// Tunables of one peer's protocol behaviour.
 struct PeerOptions {
@@ -89,9 +96,6 @@ struct PeerOptions {
   /// the last message (DESIGN.md §13).
   size_t gossip_fanout = 2;
 
-  /// Recursive meetings an exchange may trigger (construction gossip).
-  uint32_t exchange_ttl = 2;
-
   // --- Replica repair: anti-entropy snapshot shipping (DESIGN.md §9) ----
 
   /// Encoded-entry byte budget of one kRunFetchReply chunk during replica
@@ -102,14 +106,11 @@ struct PeerOptions {
 
   // --- Hot-key replica fan-out (DESIGN.md §8) ----------------------------
 
-  /// Served-lookup rate (requests/second over `hot_key_window`) at which
+  /// Served-lookup rate (requests/second over kHotKeyWindow) at which
   /// this peer advertises replica-serve in its lookup replies, steering
   /// initiators to round-robin across the replica group instead of
   /// hammering the single owner. 0 disables fan-out (the default).
   double hot_key_qps_threshold = 0.0;
-
-  /// Sliding window of the served-lookup rate estimate.
-  sim::SimTime hot_key_window = 1 * sim::kMicrosPerSecond;
 
   /// How long an initiator honours a hot advertisement before falling
   /// back to normal owner routing.

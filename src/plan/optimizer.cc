@@ -549,8 +549,7 @@ PhysicalPlan Optimizer::Physicalize(const algebra::LogicalPlan& logical) const {
   }
 
   if (op->kind == LogicalOpKind::kJoin) {
-    op->adaptive = options_.adaptive &&
-                   !options_.force_join_strategy.has_value();
+    op->adaptive = !options_.force_join_strategy.has_value();
     // A static estimate; the executor re-decides from the actual rows.
     std::vector<std::string> bound;
     op->join_strategy = ChooseJoinStrategy(

@@ -44,7 +44,6 @@ struct PlannerOptions {
   /// NodeOptions::qgram_index.
   bool qgram_postings = true;
   bool enable_topn_pushdown = true;
-  bool adaptive = true;
   /// Expand literal attributes with their correspondence classes.
   bool apply_mappings = false;
   const triple::MappingSet* mappings = nullptr;

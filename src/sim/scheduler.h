@@ -96,8 +96,8 @@ class Scheduler {
   virtual size_t shard_count() const { return 1; }
 
   /// Index of the shard executing the current event; `shard_count()` when
-  /// called from harness context. Transports key per-shard statistics
-  /// slots off this.
+  /// called from harness context. net::Transport keys its per-shard
+  /// statistics slots off this.
   virtual uint32_t CurrentShard() const { return 0; }
 
   /// True while the calling thread is executing a shard's events — the

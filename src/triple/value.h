@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <variant>
 
 #include "common/codec.h"
@@ -32,10 +33,10 @@ class Value {
   Value() = default;
 
   static Value Null() { return Value(); }
-  static Value Int(int64_t v) { return Value(Rep(std::in_place_index<1>, v)); }
-  static Value Real(double v) { return Value(Rep(std::in_place_index<2>, v)); }
+  static Value Int(int64_t v) { return Value(std::in_place_index<1>, v); }
+  static Value Real(double v) { return Value(std::in_place_index<2>, v); }
   static Value String(std::string v) {
-    return Value(Rep(std::in_place_index<3>, std::move(v)));
+    return Value(std::in_place_index<3>, std::move(v));
   }
 
   ValueType type() const { return static_cast<ValueType>(rep_.index()); }
@@ -79,7 +80,11 @@ class Value {
 
  private:
   using Rep = std::variant<std::monostate, int64_t, double, std::string>;
-  explicit Value(Rep rep) : rep_(std::move(rep)) {}
+  /// Builds alternative I of `rep_` in place. Moving a Rep temporary
+  /// instead trips GCC 12's -Wmaybe-uninitialized in sanitizer builds.
+  template <size_t I, typename T>
+  Value(std::in_place_index_t<I> index, T&& v)
+      : rep_(index, std::forward<T>(v)) {}
 
   Rep rep_;
 };

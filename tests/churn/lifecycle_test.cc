@@ -494,7 +494,6 @@ TEST(ChurnLifecycleTest, StaleHotAdvertFailsOverWhenReplicaCrashes) {
   options.peer.retry_jitter_us = 2 * kMs;
   options.peer.suspicion_ttl = 1 * kS;
   options.peer.hot_key_qps_threshold = 4.0;
-  options.peer.hot_key_window = 1 * kS;
   options.peer.hot_key_advert_ttl = 30 * kS;
   Overlay overlay(options);
   overlay.AddPeers(4);

@@ -20,7 +20,7 @@ struct Fixture {
 
   explicit Fixture(size_t peers, sim::SimTime latency = 1000,
                    uint64_t seed = 7) {
-    transport = std::make_unique<SimTransport>(
+    transport = std::make_unique<Transport>(
         &sim, std::make_unique<sim::ConstantLatency>(latency), seed);
     inboxes.resize(peers);
     for (size_t i = 0; i < peers; ++i) {

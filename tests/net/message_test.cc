@@ -115,7 +115,7 @@ struct RpcFixture {
   std::vector<std::vector<Message>> inboxes;
 
   explicit RpcFixture(size_t peers, sim::SimTime latency = 1000) {
-    transport = std::make_unique<SimTransport>(
+    transport = std::make_unique<Transport>(
         &sim, std::make_unique<sim::ConstantLatency>(latency), /*seed=*/7);
     inboxes.resize(peers);
     for (size_t i = 0; i < peers; ++i) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/rpc.h"
@@ -21,7 +22,7 @@ struct Fixture {
 
   explicit Fixture(size_t peers, sim::SimTime latency = 1000,
                    uint64_t seed = 7) {
-    transport = std::make_unique<SimTransport>(
+    transport = std::make_unique<Transport>(
         &sim, std::make_unique<sim::ConstantLatency>(latency), seed);
     inboxes.resize(peers);
     for (size_t i = 0; i < peers; ++i) {
@@ -193,7 +194,7 @@ TEST(TrafficStatsTest, MergeSumsCountersAndTypes) {
 TEST(TransportTest, PerPeerStreamsAreOrderIndependent) {
   auto deliveries = [](bool interleave) {
     sim::Simulation sim;
-    SimTransport transport(
+    Transport transport(
         &sim, std::make_unique<sim::UniformLatency>(1000, 9000), 77);
     std::vector<std::vector<sim::SimTime>> times(3);
     for (size_t i = 0; i < 3; ++i) {
@@ -258,18 +259,116 @@ TEST(TransportTest, ZeroLatencyIsSafeUnderSharding) {
   options.threads = 1;
   options.lookahead = 1;
   sim::ShardedScheduler sched(options);
-  auto transport = MakeTransport(
-      &sched, std::make_unique<sim::ConstantLatency>(0), 1);
+  Transport transport(&sched, std::make_unique<sim::ConstantLatency>(0), 1);
   int received = 0;
-  transport->AddPeer([](const Message&) {});
-  transport->AddPeer([&received](const Message&) { ++received; });
+  transport.AddPeer([](const Message&) {});
+  transport.AddPeer([&received](const Message&) { ++received; });
   Message m;
   m.type = MessageType::kPing;
   m.src = 0;
   m.dst = 1;
-  transport->Send(m);  // Cross-shard with sampled delay 0: must not abort.
+  transport.Send(m);  // Cross-shard with sampled delay 0: must not abort.
   sched.RunUntilIdle();
   EXPECT_EQ(received, 1);
+}
+
+// One fixed schedule replayed on every engine: the per-shard statistics
+// slots, merged on read, must add up to exactly what the single-threaded
+// engine counts in its one slot — every field, maps included — and the
+// delivery trace must not move either.
+TEST(TransportTest, StatsAreIdenticalAcrossEngines) {
+  static constexpr PeerId kPeers = 8;
+  struct Run {
+    TrafficStats stats;
+    std::string trace;
+  };
+  auto replay = [](sim::Scheduler* scheduler) {
+    Transport transport(
+        scheduler, std::make_unique<sim::UniformLatency>(1000, 5000), 21);
+    for (PeerId i = 0; i < kPeers; ++i) {
+      // Event context: every delivery forwards (same shard on even hops,
+      // another shard on odd ones) until the fourth hop, and odd hops
+      // count a retry in the executing shard's slot.
+      transport.AddPeer([&transport, i](const Message& m) {
+        if (m.hops % 2 == 1) transport.CountRetry("event");
+        if (m.hops >= 3) return;
+        Message next = m;
+        next.type = m.hops % 2 == 0 ? MessageType::kPong : MessageType::kPing;
+        next.src = i;
+        next.dst = m.hops % 2 == 0 ? (i + 4) % kPeers : (i * 3 + 1) % kPeers;
+        next.hops = m.hops + 1;
+        transport.Send(std::move(next));
+      });
+    }
+    FaultSchedule faults;
+    faults.Duplicate(0, kFaultForever, 2, kAnyPeer, 1.0)
+        .Corrupt(0, kFaultForever, 3, kAnyPeer, 0.5);
+    transport.SetFaultSchedule(faults);
+    transport.SetAlive(7, false);
+    transport.EnableDeliveryTrace();
+
+    auto send = [&transport](PeerId src, PeerId dst, MessageType type,
+                             std::string payload) {
+      Message m;
+      m.type = type;
+      m.src = src;
+      m.dst = dst;
+      m.payload = std::move(payload);
+      transport.Send(std::move(m));
+    };
+    for (PeerId i = 0; i < kPeers; ++i) {
+      const std::string payload = "from-" + std::to_string(i);
+      send(i, (i + 1) % kPeers, MessageType::kLookup, payload);  // Cross.
+      send(i, (i + 4) % kPeers, MessageType::kPing, payload);    // Same.
+    }
+    send(0, 99, MessageType::kPing, "");  // Invalid: unregistered dst.
+    transport.CountRetry("harness");
+    scheduler->RunUntilIdle();
+    send(3, 6, MessageType::kLookupReply, std::string(300, 'x'));
+    transport.CountRetry("harness");
+    scheduler->RunUntilIdle();
+    return Run{transport.stats(), transport.DeliveryTrace()};
+  };
+
+  sim::Simulation single;
+  const Run expected = replay(&single);
+  // The schedule really invalidates, duplicates, corrupts, drops at a dead
+  // peer and counts retries from both contexts.
+  EXPECT_EQ(expected.stats.messages_invalid, 1u);
+  EXPECT_GT(expected.stats.messages_duplicated, 0u);
+  EXPECT_GT(expected.stats.messages_corrupted, 0u);
+  EXPECT_GT(expected.stats.messages_to_dead, 0u);
+  EXPECT_EQ(expected.stats.retries_by_policy.at("harness"), 2u);
+  EXPECT_GT(expected.stats.retries_by_policy.at("event"), 0u);
+  EXPECT_EQ(expected.stats.per_type_max_bytes.at(MessageType::kLookupReply),
+            Message::kHeaderBytes + 300);
+
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(threads == 1 ? "K=4 inline" : "K=4, 4 threads");
+    sim::ShardedScheduler::Options options;
+    options.shards = 4;
+    options.threads = threads;
+    options.lookahead = 1000;
+    sim::ShardedScheduler sharded(options);
+    const Run got = replay(&sharded);
+    const TrafficStats& a = expected.stats;
+    const TrafficStats& b = got.stats;
+    EXPECT_EQ(b.messages_sent, a.messages_sent);
+    EXPECT_EQ(b.messages_delivered, a.messages_delivered);
+    EXPECT_EQ(b.messages_lost_random, a.messages_lost_random);
+    EXPECT_EQ(b.messages_lost_partition, a.messages_lost_partition);
+    EXPECT_EQ(b.messages_lost_churn, a.messages_lost_churn);
+    EXPECT_EQ(b.messages_to_dead, a.messages_to_dead);
+    EXPECT_EQ(b.messages_invalid, a.messages_invalid);
+    EXPECT_EQ(b.messages_duplicated, a.messages_duplicated);
+    EXPECT_EQ(b.messages_corrupted, a.messages_corrupted);
+    EXPECT_EQ(b.bytes_sent, a.bytes_sent);
+    EXPECT_EQ(b.retries_by_policy, a.retries_by_policy);
+    EXPECT_EQ(b.per_type, a.per_type);
+    EXPECT_EQ(b.per_type_bytes, a.per_type_bytes);
+    EXPECT_EQ(b.per_type_max_bytes, a.per_type_max_bytes);
+    EXPECT_EQ(got.trace, expected.trace);
+  }
 }
 
 TEST(TransportTest, DeliveryTraceIsStable) {
