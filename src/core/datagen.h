@@ -84,7 +84,7 @@ struct ZipfQueryOptions {
   /// Flash-crowd mode: every operation whose index falls in
   /// [flash_crowd_start, flash_crowd_end) (as a fraction of `count`)
   /// targets rank 0 regardless of the Zipf draw — a sudden synchronized
-  /// hot spot that exercises hot-key advertisement and admission control.
+  /// hot spot that exercises replica-group fan-out and admission control.
   bool flash_crowd = false;
   double flash_crowd_start = 0.5;
   double flash_crowd_end = 0.75;

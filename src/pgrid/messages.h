@@ -72,11 +72,10 @@ struct LookupBatchReply {
   PeerId peer = net::kNoPeer;       ///< The replying peer.
   std::vector<Answer> answers;      ///< Slots served at `peer`.
   std::vector<uint32_t> dead_ends;  ///< Slots `peer` had no route for.
-  /// Hot-key advertisement (DESIGN.md §8): the serving peer's sliding
-  /// window request rate crossed its threshold, so the initiator should
-  /// send further lookups under `hot_path` round-robin to `hot_replicas`
-  /// (serving peer included) instead of routing to the single owner.
-  /// Empty when the peer is not hot.
+  /// Replica-group advert (DESIGN.md §8): the initiator may send further
+  /// keys under `hot_path` round-robin to `hot_replicas` (serving peer
+  /// included, in id order) instead of routing them. Empty when the
+  /// peer served no key or has no replica group.
   std::vector<PeerId> hot_replicas;
   Key hot_path;
 

@@ -319,12 +319,17 @@ void Peer::SendKeySet(uint64_t request_id) {
       options_.request_timeout, id_, id_, [this, request_id, attempt]() {
         auto it = key_set_ops_.find(request_id);
         if (it == key_set_ops_.end() || it->second.attempt != attempt) return;
-        // No reply named these slots: suspect where they were sent.
+        // No reply named these slots: suspect where they were sent, and
+        // drop a silent replica from the advert that steered a key to it.
         const KeySetOp& op = it->second;
         for (size_t slot = 0; slot < op.slots.size(); ++slot) {
           if (op.slots[slot] == SlotState::kPending &&
               op.first_hops[slot] != net::kNoPeer) {
             ObservePeer(op.first_hops[slot], /*ok=*/false);
+            if (!op.is_insert()) {
+              advert_cache_.Forget(op.keys[slot], op.first_hops[slot],
+                                   NowUs());
+            }
           }
         }
         RetryKeySet(request_id);
@@ -419,11 +424,11 @@ void Peer::SendLookupAttempt(uint64_t request_id, KeySetOp& op) {
   for (uint32_t slot = 0; slot < op.slots.size(); ++slot) {
     if (op.slots[slot] == SlotState::kDone) continue;
     const Key& key = op.keys[slot];
-    // Hot-partition fan-out: under a live advertisement, skip greedy
-    // routing and send the key to the next round-robin replica. Replicas
-    // share the owner's path, so IsResponsible holds at the receiver; if
-    // the replica died, the attempt's timeout re-routes (and the
-    // advertisement expires by TTL).
+    // Replica-group fan-out: under a cached advert, skip greedy routing
+    // and send the key to the next round-robin replica. Replicas share
+    // the owner's path, so IsResponsible holds at the receiver; if the
+    // replica died, the attempt's timeout drops it from the advert and
+    // the retry goes elsewhere.
     const PeerId replica =
         IsResponsible(key) ? net::kNoPeer : PickHotReplica(key);
     if (replica != net::kNoPeer) {
@@ -437,8 +442,8 @@ void Peer::SendLookupAttempt(uint64_t request_id, KeySetOp& op) {
   for (auto& [replica, k] : redirected) {
     route.next[replica].push_back(std::move(k));
   }
+  lookups_served_ += route.mine.size();
   for (const BatchKey& k : route.mine) {
-    RecordLookupServe();
     op.Finish(k.slot);
     std::vector<Entry>& entries = op.results[k.slot].entries;
     store_.ScanKey(k.key, [&entries](const EntryView& e) {
@@ -464,62 +469,26 @@ void Peer::ForwardLookup(std::map<PeerId, std::vector<BatchKey>> next,
   }
 }
 
-void Peer::RecordLookupServe() {
-  ++lookups_served_;
-  if (options_.hot_key_qps_threshold <= 0) return;
-  const sim::SimTime now = transport_->scheduler()->Now();
-  recent_serves_.push_back(now);
-  const sim::SimTime cutoff =
-      now > kHotKeyWindow ? now - kHotKeyWindow : 0;
-  while (!recent_serves_.empty() && recent_serves_.front() < cutoff) {
-    recent_serves_.pop_front();
-  }
-}
-
-bool Peer::LookupRateHot() const {
-  if (options_.hot_key_qps_threshold <= 0) return false;
-  if (routing_.replicas().empty()) return false;  // Nothing to fan out to.
-  const double window_seconds =
-      static_cast<double>(kHotKeyWindow) / sim::kMicrosPerSecond;
-  return static_cast<double>(recent_serves_.size()) >=
-         options_.hot_key_qps_threshold * window_seconds;
-}
-
-void Peer::UpdateHotOwner(const LookupBatchReply& reply) {
-  if (reply.hot_replicas.empty()) return;
-  HotOwner& hot = hot_owners_[reply.hot_path];
-  if (hot.replicas != reply.hot_replicas) {
-    hot.replicas = reply.hot_replicas;
-    hot.next = 0;
-  }
-  hot.expires_at =
-      transport_->scheduler()->Now() + options_.hot_key_advert_ttl;
-}
-
 PeerId Peer::PickHotReplica(const Key& key) {
-  if (hot_owners_.empty()) return net::kNoPeer;
-  const sim::SimTime now = transport_->scheduler()->Now();
-  for (auto it = hot_owners_.begin(); it != hot_owners_.end();) {
-    it = it->second.expires_at <= now ? hot_owners_.erase(it) : std::next(it);
-  }
-  for (auto& [path, hot] : hot_owners_) {
-    if (hot.replicas.empty()) continue;
-    if (!path.IsPrefixOf(key)) continue;
-    // Round-robin over the advertised group, skipping ourselves (keys this
-    // peer is responsible for never get here: it serves them itself).
-    for (size_t i = 0; i < hot.replicas.size(); ++i) {
-      PeerId candidate = hot.replicas[hot.next];
-      hot.next = (hot.next + 1) % hot.replicas.size();
-      if (candidate == id_ || candidate == net::kNoPeer) continue;
-      // Suspected replicas (behind an unhealed partition) are skipped so
-      // the fan-out doesn't burn a timeout per redirect; if every replica
-      // is suspect the caller falls back to normal routing.
-      if (Suspected(candidate)) {
-        ++suspicion_skips_;
-        continue;
-      }
-      return candidate;
+  AdvertCache::Advert* advert = advert_cache_.Find(key, NowUs());
+  if (advert == nullptr) return net::kNoPeer;
+  // Round-robin over the advertised group, skipping ourselves (keys this
+  // peer is responsible for never get here: it serves them itself).
+  for (size_t i = 0; i < advert->replicas.size(); ++i) {
+    const PeerId candidate = advert->replicas[advert->next];
+    advert->next = (advert->next + 1) % advert->replicas.size();
+    if (candidate == id_ || candidate == net::kNoPeer ||
+        advert->Dropped(candidate)) {
+      continue;
     }
+    // Suspected replicas (behind an unhealed partition) are skipped so
+    // the fan-out doesn't burn a timeout per redirect; if every replica
+    // is suspect the caller falls back to normal routing.
+    if (Suspected(candidate)) {
+      ++suspicion_skips_;
+      continue;
+    }
+    return candidate;
   }
   return net::kNoPeer;
 }
@@ -537,20 +506,21 @@ void Peer::HandleKeySetLookup(const Message& msg) {
   for (const BatchKey& k : route.dead_ends) reply.dead_ends.push_back(k.slot);
   std::vector<uint32_t> slots;
   slots.reserve(route.mine.size());
-  for (const BatchKey& k : route.mine) {
-    RecordLookupServe();
-    slots.push_back(k.slot);
-  }
-  if (!slots.empty() && LookupRateHot()) {
-    // Advertise replica-serve: this peer plus its replica group, capped.
-    // Initiators spread subsequent lookups for the partition round-robin
-    // across the set, splitting a Zipf hot spot R ways.
+  for (const BatchKey& k : route.mine) slots.push_back(k.slot);
+  lookups_served_ += slots.size();
+  if (!slots.empty() && !routing_.replicas().empty()) {
+    // Advertise the replica group: this peer plus its replicas, capped.
+    // Every replica serves the path's keys, so the initiator sends later
+    // keys under it one hop, round-robin across the group.
     reply.hot_path = path_;
     reply.hot_replicas.push_back(id_);
     for (PeerId r : routing_.replicas()) {
       if (reply.hot_replicas.size() >= kHotKeyMaxReplicas) break;
       reply.hot_replicas.push_back(r);
     }
+    // In id order, every member of a group sends the same list, so a
+    // refresh keeps the initiator's round-robin cursor.
+    std::sort(reply.hot_replicas.begin(), reply.hot_replicas.end());
     ++hot_adverts_;
   }
   // Zero-copy serving: per key, one counting scan sizes the varint prefix
@@ -582,7 +552,10 @@ void Peer::OnLookupReply(const Message& msg) {
   KeySetOp& op = it->second;
   if (op.is_insert()) return;  // Only a lookup's replies name its keys.
   ObservePeer(reply->peer, /*ok=*/true);
-  UpdateHotOwner(*reply);
+  if (!reply->hot_replicas.empty()) {
+    advert_cache_.Learn(reply->hot_path, reply->hot_replicas, reply->peer,
+                        NowUs());
+  }
   // Slot states make duplicated replies no-ops; late replies of an
   // earlier attempt still answer their keys.
   for (LookupBatchReply::Answer& answer : reply->answers) {
@@ -1795,8 +1768,7 @@ void Peer::Restart(StatusCallback on_catchup) {
   const Status down = Status::Unavailable("peer ", id_, ": restarted");
   FailInFlight(down);
   rpc_.FailAll(down);
-  hot_owners_.clear();
-  recent_serves_.clear();
+  advert_cache_.Clear();
   suspects_.clear();
   probe_failures_.clear();
   exchange_busy_ = false;

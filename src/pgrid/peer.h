@@ -17,6 +17,7 @@
 #include "net/message.h"
 #include "net/rpc.h"
 #include "net/transport.h"
+#include "pgrid/advert_cache.h"
 #include "pgrid/key.h"
 #include "pgrid/local_store.h"
 #include "pgrid/messages.h"
@@ -53,12 +54,8 @@ inline constexpr sim::SimTime kRepairDeadline = 60 * sim::kMicrosPerSecond;
 /// candidate.
 inline constexpr int kRepairChunkRetries = 2;
 
-/// Cap on an advertised hot-key replica group (serving peer included).
+/// Cap on an advertised replica group (serving peer included).
 inline constexpr size_t kHotKeyMaxReplicas = 4;
-
-/// Sliding window of the served-lookup rate estimate behind hot-key
-/// fan-out (PeerOptions::hot_key_qps_threshold).
-inline constexpr sim::SimTime kHotKeyWindow = 1 * sim::kMicrosPerSecond;
 
 /// Tunables of one peer's protocol behaviour.
 struct PeerOptions {
@@ -103,18 +100,6 @@ struct PeerOptions {
   /// batch-insert message on the wire; a chunk always carries at least
   /// one entry, so an oversized entry still makes progress.
   size_t chunk_bytes = 64 * 1024;
-
-  // --- Hot-key replica fan-out (DESIGN.md §8) ----------------------------
-
-  /// Served-lookup rate (requests/second over kHotKeyWindow) at which
-  /// this peer advertises replica-serve in its lookup replies, steering
-  /// initiators to round-robin across the replica group instead of
-  /// hammering the single owner. 0 disables fan-out (the default).
-  double hot_key_qps_threshold = 0.0;
-
-  /// How long an initiator honours a hot advertisement before falling
-  /// back to normal owner routing.
-  sim::SimTime hot_key_advert_ttl = 2 * sim::kMicrosPerSecond;
 
   // --- Peer lifecycle & replica re-protection (DESIGN.md §11) ------------
 
@@ -235,8 +220,8 @@ class Peer {
   /// The keys travel as Lookup messages that the key-set router splits at
   /// every peer, one next hop per routing level, like InsertBatch; each
   /// peer serving keys or hitting a dead end answers the initiator,
-  /// forwarders stay silent. Keys under a live hot-key advertisement go
-  /// one hop to the advertised replica instead (DESIGN.md §8). Keys still
+  /// forwarders stay silent. Keys under a cached replica-group advert go
+  /// one hop to an advertised replica instead (DESIGN.md §8). Keys still
   /// unanswered after `request_timeout` (or all dead-ended) retry as a
   /// smaller batch under the "lookup" retry budget; when it runs out the
   /// callback gets Unavailable naming the number of missing keys.
@@ -308,8 +293,8 @@ class Peer {
   /// identity (id, path, routing table) with its volatile state gone.
   ///
   /// Every in-flight initiator-side operation fails with Unavailable, the
-  /// RPC table drains, caches (hot-key adverts, suspicion, probe counts)
-  /// reset, and the store is rebuilt: a disk-backed peer re-opens its
+  /// RPC table drains, caches (replica-group adverts, suspicion, probe
+  /// counts) reset, and the store is rebuilt: a disk-backed peer re-opens its
   /// data_dir and replays the flush manifest (crash recovery, DESIGN.md
   /// §6), a memory-backed peer restarts empty. If the peer has linked
   /// replicas it then re-announces itself (probe) and catches up via
@@ -343,18 +328,21 @@ class Peer {
     restart_hook_ = std::move(hook);
   }
 
-  // --- Hot-key fan-out observability (DESIGN.md §8) ----------------------
+  // --- Replica-group fan-out observability (DESIGN.md §8) ---------------
 
   /// Lookups this peer answered from its own store (as owner or replica),
   /// including the initiator-local fast path.
   uint64_t lookups_served() const { return lookups_served_; }
 
-  /// Lookup replies that carried a hot-partition advertisement.
+  /// Lookup replies that carried a replica-group advert.
   uint64_t hot_adverts() const { return hot_adverts_; }
 
   /// Lookup keys this peer, as initiator, sent straight to a round-robin
   /// replica instead of routing to the owner.
   uint64_t fanout_redirects() const { return fanout_redirects_; }
+
+  /// The adverts this peer, as initiator, has cached (size, sheds).
+  const AdvertCache& advert_cache() const { return advert_cache_; }
 
   /// Lookups and batch inserts this peer initiated that have not
   /// completed yet (tests).
@@ -489,17 +477,9 @@ class Peer {
   void HandleRecruit(const net::Message& msg);
   void HandleRefUpdate(const net::Message& msg);
 
-  // Hot-key fan-out (DESIGN.md §8).
-  // Owner side: notes one served lookup in the sliding window and prunes
-  // stale timestamps.
-  void RecordLookupServe();
-  // Owner side: true iff the windowed serve rate crossed the threshold
-  // and this peer has replicas to advertise.
-  bool LookupRateHot() const;
-  // Initiator side: folds a reply's advertisement into `hot_owners_`.
-  void UpdateHotOwner(const LookupBatchReply& reply);
-  // Initiator side: next round-robin replica for `key` under a live
-  // advertisement, or kNoPeer to use normal routing.
+  // Replica-group fan-out (DESIGN.md §8), initiator side: next
+  // round-robin replica for `key` under a cached advert, or kNoPeer to
+  // use normal routing.
   PeerId PickHotReplica(const Key& key);
 
   // Shared protocol steps.
@@ -620,20 +600,11 @@ class Peer {
 
   std::map<net::MessageType, ExtensionHandler> extensions_;
 
-  // Hot-key fan-out state (DESIGN.md §8).
-  std::deque<sim::SimTime> recent_serves_;  ///< Served-lookup timestamps.
+  // Replica-group fan-out state (DESIGN.md §8).
   uint64_t lookups_served_ = 0;
   uint64_t hot_adverts_ = 0;
   uint64_t fanout_redirects_ = 0;
-  // Initiator-side table of live hot advertisements, keyed by the
-  // advertised owner path (deterministic iteration order matters for the
-  // simulation contract). Entries expire after hot_key_advert_ttl.
-  struct HotOwner {
-    std::vector<PeerId> replicas;  ///< Serving peer + its replica group.
-    size_t next = 0;               ///< Round-robin cursor.
-    sim::SimTime expires_at = 0;
-  };
-  std::map<Key, HotOwner> hot_owners_;
+  AdvertCache advert_cache_;
 
   // Peer suspicion state: peer -> suspicion expiry (absolute virtual
   // time). Driven purely by this peer's own observed request outcomes, so

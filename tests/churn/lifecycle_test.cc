@@ -4,7 +4,7 @@
 // re-protection guard (probe-based failure confirmation + recruiting).
 //
 // Also the query layer's restart hook (in-flight Migrate joins fail once)
-// and the stale-cache regression: a hot-key advertisement that names a
+// and the stale-cache regression: a replica-group advert that names a
 // replica which crashes mid-stream must fail over through retry +
 // suspicion instead of wedging the initiator.
 #include <gtest/gtest.h>
@@ -479,7 +479,7 @@ TEST(ChurnLifecycleTest, GuardConfirmsFailureAndRecruitsReplacement) {
 
 // --- Stale replica caches across churn (the advertised-replica race) ---------
 
-// A hot-key advertisement steers the initiator to round-robin across the
+// A replica-group advert steers the initiator to round-robin across the
 // owner's replica group. When an advertised replica crashes and is later
 // replaced, every lookup issued against the stale advert must still
 // succeed — retry + suspicion fail over to a live member; the advert
@@ -493,8 +493,6 @@ TEST(ChurnLifecycleTest, StaleHotAdvertFailsOverWhenReplicaCrashes) {
   options.peer.retry_backoff_cap_us = 80 * kMs;
   options.peer.retry_jitter_us = 2 * kMs;
   options.peer.suspicion_ttl = 1 * kS;
-  options.peer.hot_key_qps_threshold = 4.0;
-  options.peer.hot_key_advert_ttl = 30 * kS;
   Overlay overlay(options);
   overlay.AddPeers(4);
   overlay.BuildWithPaths({"0", "1"});  // "0": {0,2}  "1": {1,3}.
@@ -516,9 +514,9 @@ TEST(ChurnLifecycleTest, StaleHotAdvertFailsOverWhenReplicaCrashes) {
   churn.Crash(2, 2 * kS, /*restart_at=*/6 * kS);
   overlay.InstallChurn(churn);
 
-  // 40 lookups, 200 ms apart, from t = 0.1 s to 8 s: heats the owner
-  // (advert fires), then keeps hitting the advert across the crash
-  // window and the replacement.
+  // 40 lookups, 200 ms apart, from t = 0.1 s to 8 s: the first reply
+  // brings the advert, the rest keep hitting it across the crash window
+  // and the replacement.
   auto& sim = overlay.simulation();
   std::vector<Status> outcomes;
   for (int i = 0; i < 40; ++i) {

@@ -1,15 +1,18 @@
 // Hot-path serving layer scenarios (DESIGN.md §8): per-peer admission
-// control sheds load without ever losing a query, and hot-key replica
+// control sheds load without ever losing a query, and replica-group
 // fan-out spreads skewed lookups across the replica group.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/datagen.h"
 #include "exec/envelope_coordinator.h"
 #include "exec/query_service.h"
 #include "pgrid/ophash.h"
@@ -212,13 +215,19 @@ TEST_F(AdmissionControlTest, RestartMidServeLeavesAnEmptyQueue) {
       << "the restarted peer sheds against a queue it no longer has";
 }
 
-// --- Hot-key replica fan-out ------------------------------------------------
+// --- Replica-group fan-out ---------------------------------------------------
+
+// The first peer outside `group`.
+net::PeerId OutsideOf(const std::vector<net::PeerId>& group) {
+  net::PeerId peer = 0;
+  while (std::find(group.begin(), group.end(), peer) != group.end()) ++peer;
+  return peer;
+}
 
 TEST(HotKeyFanoutTest, SkewedLookupsSpreadAcrossReplicaGroup) {
   pgrid::OverlayOptions options;
   options.seed = 616;
   options.replication = 3;
-  options.peer.hot_key_qps_threshold = 50;  // Enable fan-out.
   pgrid::Overlay overlay(options);
   overlay.AddPeers(24);
   overlay.BuildBalanced();
@@ -231,10 +240,7 @@ TEST(HotKeyFanoutTest, SkewedLookupsSpreadAcrossReplicaGroup) {
   const auto owners = overlay.ResponsiblePeers(hot.key);
 
   // An initiator outside the replica group hammers one key.
-  net::PeerId initiator = 0;
-  while (std::find(owners.begin(), owners.end(), initiator) != owners.end()) {
-    ++initiator;
-  }
+  const net::PeerId initiator = OutsideOf(owners);
   const int kLookups = 300;
   for (int i = 0; i < kLookups; ++i) {
     auto result = overlay.LookupSync(initiator, hot.key);
@@ -249,29 +255,71 @@ TEST(HotKeyFanoutTest, SkewedLookupsSpreadAcrossReplicaGroup) {
     adverts += overlay.peer(owner)->hot_adverts();
     if (overlay.peer(owner)->lookups_served() > 0) ++serving_replicas;
   }
-  EXPECT_GT(adverts, 0u) << "owner never crossed the hot threshold";
+  EXPECT_GT(adverts, 0u) << "no reply advertised the replica group";
   EXPECT_GT(overlay.peer(initiator)->fanout_redirects(), 0u);
   EXPECT_GE(serving_replicas, 2u)
       << "fan-out failed to spread load off the single owner";
 }
 
-// A skewed run that makes one partition hot, then one key-set lookup over
-// keys inside and outside it: its rows and the redirects it made.
-struct HotBatchRun {
-  pgrid::LookupBatchResult rows;
-  uint64_t redirects = 0;
-};
+// Zipf-skewed lookups from one initiator over 64 stored values: with
+// every reply advertising its group, most keys go one hop to a replica,
+// and each lookup still returns exactly the entry stored under its key.
+TEST(HotKeyFanoutTest, ZipfLookupsReturnTheInsertedEntries) {
+  pgrid::OverlayOptions options;
+  options.seed = 808;
+  options.replication = 3;
+  pgrid::Overlay overlay(options);
+  overlay.AddPeers(48);
+  overlay.BuildBalanced();
 
-HotBatchRun RunHotBatch(double hot_key_qps_threshold) {
+  std::map<pgrid::Key, std::vector<std::string>> stored;
+  for (size_t rank = 0; rank < 64; ++rank) {
+    char value[16];
+    std::snprintf(value, sizeof(value), "val-%05zu", rank);
+    pgrid::Entry e;
+    e.key = pgrid::OpHash(value);
+    e.id = std::string("id-") + value;
+    e.version = 1;
+    ASSERT_GE(overlay.InsertDirect(e), 1u);
+    stored[e.key].push_back(e.id);
+  }
+  for (auto& [key, ids] : stored) std::sort(ids.begin(), ids.end());
+
+  // Outside the hottest value's group, so the hot traffic crosses the
+  // network.
+  const net::PeerId initiator =
+      OutsideOf(overlay.ResponsiblePeers(pgrid::OpHash("val-00000")));
+  core::ZipfQueryOptions zipf;
+  zipf.count = 1200;
+  zipf.theta = 1.1;
+  zipf.read_ratio = 1.0;
+  zipf.value_universe = 64;
+  zipf.seed = 4242;
+  for (const core::ZipfQuery& q : core::GenerateZipfQueries(zipf)) {
+    const pgrid::Key key = pgrid::OpHash(q.value);
+    auto result = overlay.LookupSync(initiator, key);
+    ASSERT_TRUE(result.ok()) << q.value << ": " << result.status().ToString();
+    std::vector<std::string> ids;
+    for (const pgrid::Entry& e : result->entries) ids.push_back(e.id);
+    std::sort(ids.begin(), ids.end());
+    ASSERT_EQ(ids, stored.at(key)) << q.value;
+  }
+  EXPECT_GT(overlay.peer(initiator)->fanout_redirects(), 600u);
+}
+
+// One key-set lookup over keys inside and outside a partition whose
+// advert the initiator holds: the keys under the advert go to a replica,
+// the others are routed, and every key returns its stored entry.
+TEST(HotKeyFanoutTest, BatchKeysUnderAnAdvertAreRedirected) {
   pgrid::OverlayOptions options;
   options.seed = 618;
   options.replication = 3;
-  options.peer.hot_key_qps_threshold = hot_key_qps_threshold;
   pgrid::Overlay overlay(options);
   overlay.AddPeers(24);
   overlay.BuildBalanced();
 
   std::vector<pgrid::Key> keys;
+  std::map<pgrid::Key, std::string> ids;
   for (const std::string value :
        {"the-hot-value", "the-hot-value-1", "the-hot-value-2", "!cold-value",
         "\xF0" "cold-value"}) {
@@ -280,47 +328,80 @@ HotBatchRun RunHotBatch(double hot_key_qps_threshold) {
     e.id = value + "-id";
     overlay.InsertDirect(e);
     keys.push_back(e.key);
+    ids[e.key] = e.id;
   }
   const auto owners = overlay.ResponsiblePeers(keys[0]);
   EXPECT_EQ(overlay.ResponsiblePeers(keys[1]), owners);
   EXPECT_EQ(overlay.ResponsiblePeers(keys[2]), owners);
   EXPECT_NE(overlay.ResponsiblePeers(keys[3]), owners);
   EXPECT_NE(overlay.ResponsiblePeers(keys[4]), owners);
-  net::PeerId initiator = 0;
-  while (std::find(owners.begin(), owners.end(), initiator) != owners.end()) {
-    ++initiator;
-  }
-  for (int i = 0; i < 300; ++i) {
-    EXPECT_TRUE(overlay.LookupSync(initiator, keys[0]).ok());
-  }
-  HotBatchRun run;
+  const net::PeerId initiator = OutsideOf(owners);
+  ASSERT_TRUE(overlay.LookupSync(initiator, keys[0]).ok());  // The advert.
+
   const uint64_t before = overlay.peer(initiator)->fanout_redirects();
   auto batch = overlay.LookupBatchSync(initiator, keys);
-  EXPECT_TRUE(batch.ok()) << batch.status().ToString();
-  if (batch.ok()) run.rows = std::move(*batch);
-  run.redirects = overlay.peer(initiator)->fanout_redirects() - before;
-  return run;
-}
-
-TEST(HotKeyFanoutTest, BatchKeysUnderAnAdvertAreRedirected) {
-  const HotBatchRun on = RunHotBatch(/*hot_key_qps_threshold=*/50);
-  const HotBatchRun off = RunHotBatch(/*hot_key_qps_threshold=*/0);
-  // The three keys of the hot partition went to a replica; the cold keys
-  // were routed.
-  EXPECT_EQ(on.redirects, 3u);
-  EXPECT_EQ(off.redirects, 0u);
-  ASSERT_EQ(on.rows.size(), 5u);
-  EXPECT_EQ(on.rows, off.rows);
-  for (const auto& [key, entries] : on.rows) {
-    EXPECT_EQ(entries.size(), 1u) << key.ToString();
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(overlay.peer(initiator)->fanout_redirects() - before, 3u);
+  ASSERT_EQ(batch->size(), 5u);
+  for (const auto& [key, entries] : *batch) {
+    ASSERT_EQ(entries.size(), 1u) << key.ToString();
+    EXPECT_EQ(entries[0].id, ids.at(key));
   }
 }
 
-TEST(HotKeyFanoutTest, DisabledThresholdNeverAdvertises) {
+// Write, then read the key back through the advert: every replica the
+// advert names serves one redirected read, and each returns the write.
+TEST(HotKeyFanoutTest, RedirectedReadsReturnTheWriteAtEveryReplica) {
   pgrid::OverlayOptions options;
-  options.seed = 617;
+  options.seed = 619;
   options.replication = 3;
-  options.peer.hot_key_qps_threshold = 0;  // Default: off.
+  pgrid::Overlay overlay(options);
+  overlay.AddPeers(24);
+  overlay.BuildBalanced();
+
+  pgrid::Entry written;
+  written.key = pgrid::OpHash("the-written-value");
+  written.id = "written-id";
+  written.version = 1;
+  const auto owners = overlay.ResponsiblePeers(written.key);
+  ASSERT_EQ(owners.size(), 3u);
+  const net::PeerId initiator = OutsideOf(owners);
+  ASSERT_TRUE(overlay.InsertSync(initiator, written).ok());
+  overlay.simulation().RunUntilIdle();  // The replica push delivers.
+  // A routed read brings back the advert of the key's path.
+  ASSERT_TRUE(overlay.LookupSync(initiator, written.key).ok());
+  ASSERT_EQ(overlay.peer(initiator)->fanout_redirects(), 0u);
+
+  std::set<net::PeerId> served;
+  for (size_t i = 0; i < owners.size(); ++i) {
+    std::vector<uint64_t> before;
+    for (net::PeerId owner : owners) {
+      before.push_back(overlay.peer(owner)->lookups_served());
+    }
+    const uint64_t redirects = overlay.peer(initiator)->fanout_redirects();
+    auto result = overlay.LookupSync(initiator, written.key);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(overlay.peer(initiator)->fanout_redirects(), redirects + 1);
+    ASSERT_EQ(result->entries.size(), 1u) << "read " << i;
+    EXPECT_EQ(result->entries[0].id, "written-id");
+    for (size_t o = 0; o < owners.size(); ++o) {
+      if (overlay.peer(owners[o])->lookups_served() > before[o]) {
+        served.insert(owners[o]);
+      }
+    }
+  }
+  EXPECT_EQ(served, std::set<net::PeerId>(owners.begin(), owners.end()));
+}
+
+// With suspicion off (the default), one timed-out redirect to a crashed
+// replica drops it from the advert: later keys under the path never go to
+// it, so only one read pays the timeout.
+TEST(HotKeyFanoutTest, TimedOutRedirectForgetsTheReplica) {
+  pgrid::OverlayOptions options;
+  options.seed = 620;
+  options.replication = 3;
+  options.peer.request_timeout = 200 * sim::kMicrosPerMilli;
+  ASSERT_EQ(options.peer.suspicion_ttl, 0);
   pgrid::Overlay overlay(options);
   overlay.AddPeers(24);
   overlay.BuildBalanced();
@@ -331,18 +412,49 @@ TEST(HotKeyFanoutTest, DisabledThresholdNeverAdvertises) {
   hot.version = 1;
   overlay.InsertDirect(hot);
   const auto owners = overlay.ResponsiblePeers(hot.key);
-  net::PeerId initiator = 0;
-  while (std::find(owners.begin(), owners.end(), initiator) != owners.end()) {
-    ++initiator;
+  ASSERT_EQ(owners.size(), 3u);
+  const net::PeerId initiator = OutsideOf(owners);
+  ASSERT_TRUE(overlay.LookupSync(initiator, hot.key).ok());  // The advert.
+  overlay.Crash(owners[1]);
+
+  int slow = 0;
+  for (int i = 0; i < 12; ++i) {
+    const sim::SimTime start = overlay.simulation().Now();
+    auto result = overlay.LookupSync(initiator, hot.key);
+    ASSERT_TRUE(result.ok()) << i << ": " << result.status().ToString();
+    ASSERT_EQ(result->entries.size(), 1u);
+    if (overlay.simulation().Now() - start >= options.peer.request_timeout) {
+      ++slow;
+    }
   }
+  EXPECT_EQ(slow, 1) << "a later key was redirected to the crashed replica";
+  EXPECT_EQ(overlay.peer(initiator)->fanout_redirects(), 13u);
+}
+
+TEST(HotKeyFanoutTest, PeerWithoutReplicaGroupNeverAdvertises) {
+  pgrid::OverlayOptions options;
+  options.seed = 617;
+  options.replication = 1;
+  pgrid::Overlay overlay(options);
+  overlay.AddPeers(24);
+  overlay.BuildBalanced();
+
+  pgrid::Entry hot;
+  hot.key = pgrid::OpHash("the-hot-value");
+  hot.id = "hot-id";
+  hot.version = 1;
+  overlay.InsertDirect(hot);
+  const auto owners = overlay.ResponsiblePeers(hot.key);
+  ASSERT_EQ(owners.size(), 1u);
+  const net::PeerId initiator = OutsideOf(owners);
   for (int i = 0; i < 120; ++i) {
     auto result = overlay.LookupSync(initiator, hot.key);
     ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->entries.size(), 1u);
   }
-  for (net::PeerId owner : owners) {
-    EXPECT_EQ(overlay.peer(owner)->hot_adverts(), 0u);
-  }
+  EXPECT_EQ(overlay.peer(owners[0])->hot_adverts(), 0u);
   EXPECT_EQ(overlay.peer(initiator)->fanout_redirects(), 0u);
+  EXPECT_EQ(overlay.peer(initiator)->advert_cache().size(), 0u);
 }
 
 }  // namespace

@@ -128,18 +128,21 @@ TEST(LookupBatchTest, EmptyAndLocalSetsCompleteAtOnce) {
 }
 
 TEST(LookupBatchTest, FewerMessagesThanSingleLookups) {
-  auto overlay = MakeOverlay(/*seed=*/103, /*stored=*/200);
+  // Each arm runs on its own overlay of one seed, so neither starts with
+  // the replica-group adverts the other brought back.
   for (size_t n : {8u, 32u, 128u}) {
+    auto batch_overlay = MakeOverlay(/*seed=*/103, /*stored=*/200);
     const std::vector<Key> keys =
-        KeysOwnedBy(*overlay->peer(9), /*owned=*/false, n);
-    net::TrafficStats before = overlay->transport().stats();
-    ASSERT_TRUE(overlay->LookupBatchSync(9, keys).ok());
-    const uint64_t batched = MessagesSince(*overlay, before);
+        KeysOwnedBy(*batch_overlay->peer(9), /*owned=*/false, n);
+    net::TrafficStats before = batch_overlay->transport().stats();
+    ASSERT_TRUE(batch_overlay->LookupBatchSync(9, keys).ok());
+    const uint64_t batched = MessagesSince(*batch_overlay, before);
+    auto single_overlay = MakeOverlay(/*seed=*/103, /*stored=*/200);
     uint64_t singles = 0;
     for (const Key& key : keys) {
-      before = overlay->transport().stats();
-      ASSERT_TRUE(overlay->LookupSync(9, key).ok());
-      singles += MessagesSince(*overlay, before);
+      before = single_overlay->transport().stats();
+      ASSERT_TRUE(single_overlay->LookupSync(9, key).ok());
+      singles += MessagesSince(*single_overlay, before);
     }
     EXPECT_LT(batched, singles) << n << " keys";
   }
