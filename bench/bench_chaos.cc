@@ -89,7 +89,7 @@ CampaignOutcome RunCampaign(bool faulted) {
     overlay.transport().SetFaultSchedule(faults);
   }
 
-  auto& sim = overlay.simulation();
+  auto& sim = overlay.scheduler();
   CampaignOutcome out;
   std::vector<Key> acked_keys;
 

@@ -116,7 +116,7 @@ CampaignOutcome RunCampaign(bool churned) {
     overlay.InstallChurn(churn);
   }
 
-  auto& sim = overlay.simulation();
+  auto& sim = overlay.scheduler();
   std::vector<Key> acked_keys;
 
   // The op stream: one insert every 25 ms over [0.5 s, 5.5 s) from

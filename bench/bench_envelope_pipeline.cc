@@ -9,11 +9,9 @@
 // and forwards before the local join. Reported per configuration:
 // simulated completion time, envelope messages, the longest
 // single-envelope hop chain, streamed partials, bytes on the wire, and
-// whether the result bytes match the baseline. The whole comparison runs
-// under both engines (single-threaded Simulation and ShardedScheduler
-// K=4); the exit code encodes "results byte-identical across
-// configurations and engines AND fan-out + chunking beats the baseline on
-// max hops and completion time".
+// whether the result bytes match the baseline. The exit code encodes
+// "results byte-identical across configurations AND fan-out + chunking
+// beats the baseline on max hops and completion time".
 //
 // Writes BENCH_envelope_pipeline.json next to the binary for the CI
 // artifact job.
@@ -27,8 +25,7 @@
 #include "exec/envelope_coordinator.h"
 #include "exec/query_service.h"
 #include "pgrid/overlay.h"
-#include "sim/sharded_scheduler.h"
-#include "sim/simulation.h"
+#include "sim/scheduler.h"
 #include "triple/index.h"
 #include "triple/store_service.h"
 
@@ -70,7 +67,6 @@ std::vector<Config> Configs() {
 }
 
 struct Row {
-  std::string engine;
   std::string config;
   double virtual_ms = 0;
   uint64_t envelope_msgs = 0;
@@ -94,16 +90,13 @@ std::vector<exec::Binding> MakeLeft() {
   return left;
 }
 
-std::vector<Row> RunEngine(const std::string& engine_name,
-                           sim::Scheduler* scheduler) {
+std::vector<Row> RunConfigs() {
   const auto paths = pgrid::PartitionCoverPaths(
       triple::AttrPrefixRange("age", ""), kInsideLeaves);
   pgrid::OverlayOptions options;
   options.seed = 1309;
-  pgrid::Overlay overlay(options,
-                         std::make_unique<sim::ConstantLatency>(
-                             1 * sim::kMicrosPerMilli),
-                         scheduler);
+  pgrid::Overlay overlay(options, std::make_unique<sim::ConstantLatency>(
+                                      1 * sim::kMicrosPerMilli));
   overlay.AddPeers(paths.size());
   overlay.BuildWithPaths(paths);
   std::vector<std::unique_ptr<exec::QueryService>> services;
@@ -146,7 +139,6 @@ std::vector<Row> RunEngine(const std::string& engine_name,
         overlay.transport().stats().Since(before);
 
     Row row;
-    row.engine = engine_name;
     row.config = config.name;
     row.virtual_ms = static_cast<double>(stop - start) / 1000.0;
     auto type_count = [&delta](net::MessageType type) -> uint64_t {
@@ -187,12 +179,12 @@ void WriteJson(const std::vector<Row>& rows, bool identical, bool faster) {
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
-                 "    {\"engine\": \"%s\", \"config\": \"%s\", "
+                 "    {\"config\": \"%s\", "
                  "\"virtual_ms\": %.2f, \"envelope_msgs\": %llu, "
                  "\"partial_msgs\": %llu, \"bytes\": %llu, "
                  "\"max_walk_hops\": %u, \"peers_visited\": %u, "
                  "\"envelopes\": %u}%s\n",
-                 r.engine.c_str(), r.config.c_str(), r.virtual_ms,
+                 r.config.c_str(), r.virtual_ms,
                  static_cast<unsigned long long>(r.envelope_msgs),
                  static_cast<unsigned long long>(r.partial_msgs),
                  static_cast<unsigned long long>(r.bytes), r.max_walk_hops,
@@ -210,25 +202,11 @@ int main() {
       "E1 / envelope batching & pipelining",
       "Identical Migrate join (256 bindings x 400 partition triples, "
       "88-peer overlay, 32-peer partition) under three envelope "
-      "configurations and both engines. Fan-out + chunking must return "
+      "configurations. Fan-out + chunking must return "
       "byte-identical rows with a shorter hop chain and lower simulated "
       "completion time than one unsplit walk.");
 
-  std::vector<Row> all;
-  {
-    sim::Simulation single;
-    auto rows = RunEngine("single-thread", &single);
-    all.insert(all.end(), rows.begin(), rows.end());
-  }
-  {
-    sim::ShardedScheduler::Options sharded_options;
-    sharded_options.shards = 4;
-    sharded_options.threads = 1;
-    sharded_options.lookahead = 1 * sim::kMicrosPerMilli;
-    sim::ShardedScheduler sharded(sharded_options);
-    auto rows = RunEngine("sharded K=4", &sharded);
-    all.insert(all.end(), rows.begin(), rows.end());
-  }
+  const std::vector<Row> all = RunConfigs();
 
   const std::string& reference = all.front().rows;
   bool identical = reference.rfind("<error", 0) != 0;
@@ -240,11 +218,11 @@ int main() {
   const bool faster = batched.max_walk_hops < baseline.max_walk_hops &&
                       batched.virtual_ms < baseline.virtual_ms;
 
-  bench::Table table({"engine", "config", "virtual ms", "env msgs",
+  bench::Table table({"config", "virtual ms", "env msgs",
                       "partials", "max hops", "peers", "envelopes",
                       "KiB", "rows match"});
   for (const Row& row : all) {
-    table.AddRow({row.engine, row.config, bench::Fmt("%.1f", row.virtual_ms),
+    table.AddRow({row.config, bench::Fmt("%.1f", row.virtual_ms),
                   bench::FmtInt(row.envelope_msgs),
                   bench::FmtInt(row.partial_msgs),
                   bench::FmtInt(row.max_walk_hops),
@@ -255,7 +233,7 @@ int main() {
   }
   table.Print();
   std::printf(
-      "gate: identical rows across configs+engines = %s, "
+      "gate: identical rows across configs = %s, "
       "fanout+chunking beats baseline (hops & time) = %s\n",
       identical ? "yes" : "NO", faster ? "yes" : "NO");
   WriteJson(all, identical, faster);

@@ -35,7 +35,7 @@ void PrintPlacement() {
   for (const auto& tuple : core::Fig2Tuples()) {
     if (!cluster.InsertTupleSync(0, tuple).ok()) return;
   }
-  cluster.simulation().RunUntilIdle();
+  cluster.scheduler().RunUntilIdle();
 
   bench::Table table({"peer", "path", "index", "triple"});
   size_t total = 0;

@@ -106,7 +106,7 @@ void PrintAdmissionPhase() {
         AgePattern(), LeftBindings(),
         [&outs, q](Result<exec::MigrateResult> r) { outs[q] = std::move(r); });
   }
-  h.overlay->simulation().RunUntilIdle();
+  h.overlay->scheduler().RunUntilIdle();
 
   size_t completed = 0;
   uint32_t deferrals = 0;

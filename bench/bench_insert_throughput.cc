@@ -45,7 +45,7 @@ void PrintInsertCosts() {
         auto via = static_cast<net::PeerId>(i % cluster.size());
         if (!cluster.InsertTupleSync(via, tuples[i]).ok()) return;
       }
-      cluster.simulation().RunUntilIdle();
+      cluster.scheduler().RunUntilIdle();
       auto traffic = cluster.overlay().transport().stats().Since(before);
 
       size_t stored = 0;
@@ -114,7 +114,7 @@ void PrintBulkIngest() {
           if (!cluster.InsertTupleSync(via, tuples[i]).ok()) return;
         }
       }
-      cluster.simulation().RunUntilIdle();
+      cluster.scheduler().RunUntilIdle();
       const double wall =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         t0)

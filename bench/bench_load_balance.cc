@@ -64,10 +64,10 @@ std::vector<double> MeasureLookupLatency(pgrid::Overlay& overlay,
   latencies.reserve(sample_count);
   for (size_t i = 0; i < sample_count; ++i) {
     const std::string& value = values[rng.NextBounded(values.size())];
-    const sim::SimTime start = overlay.simulation().Now();
+    const sim::SimTime start = overlay.scheduler().Now();
     auto result = overlay.LookupSync(0, pgrid::OpHash(value));
     latencies.push_back(
-        static_cast<double>(overlay.simulation().Now() - start));
+        static_cast<double>(overlay.scheduler().Now() - start));
     benchmark::DoNotOptimize(result);
   }
   return latencies;

@@ -40,7 +40,7 @@ std::unique_ptr<core::Cluster> BuildCluster(size_t groups,
       if (!cluster->InsertTupleSync(via, t).ok()) return cluster;
     }
   }
-  cluster->simulation().RunUntilIdle();
+  cluster->scheduler().RunUntilIdle();
   cluster->RefreshStats();
   return cluster;
 }

@@ -64,7 +64,7 @@ void PrintLatencies() {
       auto via = static_cast<net::PeerId>(i % cluster.size());
       if (!cluster.InsertTupleSync(via, tuples[i]).ok()) return;
     }
-    cluster.simulation().RunUntilIdle();
+    cluster.scheduler().RunUntilIdle();
     cluster.RefreshStats();
 
     Rng rng(n);
@@ -108,7 +108,7 @@ void BM_WanQuery(benchmark::State& state) {
     (void)cluster.InsertTupleSync(
         static_cast<net::PeerId>(i % cluster.size()), tuples[i]);
   }
-  cluster.simulation().RunUntilIdle();
+  cluster.scheduler().RunUntilIdle();
   cluster.RefreshStats();
   for (auto _ : state) {
     benchmark::DoNotOptimize(cluster.QuerySync(

@@ -66,15 +66,15 @@ void PrintRangeStrategies() {
         pgrid::OpHashUpper(std::string(1, static_cast<char>(hi_byte)))};
 
     auto before_seq = overlay.transport().stats();
-    sim::SimTime t0 = overlay.simulation().Now();
+    sim::SimTime t0 = overlay.scheduler().Now();
     auto seq = overlay.RangeSeqSync(0, range);
-    sim::SimTime seq_latency = overlay.simulation().Now() - t0;
+    sim::SimTime seq_latency = overlay.scheduler().Now() - t0;
     auto seq_traffic = overlay.transport().stats().Since(before_seq);
 
     auto before_shower = overlay.transport().stats();
-    sim::SimTime t1 = overlay.simulation().Now();
+    sim::SimTime t1 = overlay.scheduler().Now();
     auto shower = overlay.RangeShowerSync(0, range);
-    sim::SimTime shower_latency = overlay.simulation().Now() - t1;
+    sim::SimTime shower_latency = overlay.scheduler().Now() - t1;
     auto shower_traffic = overlay.transport().stats().Since(before_shower);
 
     if (!seq.ok() || !shower.ok()) continue;

@@ -42,7 +42,7 @@ std::unique_ptr<core::Cluster> BuildCluster(size_t people,
     auto via = static_cast<net::PeerId>(i % cluster->size());
     if (!cluster->InsertTupleSync(via, t).ok()) return cluster;
   }
-  cluster->simulation().RunUntilIdle();
+  cluster->scheduler().RunUntilIdle();
   cluster->RefreshStats();
   return cluster;
 }

@@ -66,7 +66,7 @@ std::unique_ptr<core::Cluster> BuildCluster(size_t names, bool balanced) {
                         : net::PeerId{0};
     if (!cluster->InsertTupleSync(via, t).ok()) return cluster;
   }
-  cluster->simulation().RunUntilIdle();
+  cluster->scheduler().RunUntilIdle();
   if (!balanced) {
     cluster->overlay().RunExchangeRounds(20);
   }

@@ -65,7 +65,7 @@ void PrintUpdatePropagation() {
         auto via = static_cast<net::PeerId>(rng.NextBounded(48));
         auto before = overlay.transport().stats();
         (void)overlay.InsertSync(via, VersionedEntry(value, 2));
-        overlay.simulation().RunUntilIdle();
+        overlay.scheduler().RunUntilIdle();
         messages +=
             overlay.transport().stats().Since(before).messages_sent;
         for (auto owner : overlay.ResponsiblePeers(
@@ -121,7 +121,7 @@ void PrintChurnResilience() {
         (void)overlay.InsertSync(
             static_cast<net::PeerId>(rng.NextBounded(48)), entries.back());
       }
-      overlay.simulation().RunUntilIdle();
+      overlay.scheduler().RunUntilIdle();
 
       size_t to_kill = static_cast<size_t>(48 * churn);
       std::vector<net::PeerId> ids(48);
@@ -168,7 +168,7 @@ void BM_UpdateSettle(benchmark::State& state) {
   uint64_t version = 2;
   for (auto _ : state) {
     (void)overlay.InsertSync(1, VersionedEntry("bench-doc", ++version));
-    overlay.simulation().RunUntilIdle();
+    overlay.scheduler().RunUntilIdle();
   }
 }
 BENCHMARK(BM_UpdateSettle);

@@ -27,7 +27,7 @@ int main() {
     auto via = static_cast<net::PeerId>(i++ % cluster.size());
     if (!cluster.InsertTupleSync(via, tuple).ok()) return 1;
   }
-  cluster.simulation().RunUntilIdle();
+  cluster.scheduler().RunUntilIdle();
   cluster.RefreshStats();
 
   const std::string query = "SELECT ?n WHERE { (?a,'name',?n) }";
@@ -68,7 +68,7 @@ int main() {
   cluster.RemoveTripleSync(1, triple::Triple("person-0", "age",
                                              triple::Value::Int(0)));
   cluster.InsertTripleSync(1, update);
-  cluster.simulation().RunUntilIdle();
+  cluster.scheduler().RunUntilIdle();
 
   // ...and the crashed peers rejoin and catch up via anti-entropy.
   // (Revive everyone first so each pull finds a live replica.)

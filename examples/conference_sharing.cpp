@@ -60,7 +60,7 @@ int main() {
       return 1;
     }
   }
-  cluster.simulation().RunUntilIdle();
+  cluster.scheduler().RunUntilIdle();
   cluster.RefreshStats();
   std::printf("%zu participants shared %zu tuples\n\n", cluster.size(),
               bib.AllTuples().size());
@@ -102,7 +102,7 @@ int main() {
                                                old_value));
     cluster.InsertTripleSync(3, triple::Triple("person-0", "phone",
                                                triple::Value::Int(5550123)));
-    cluster.simulation().RunUntilIdle();
+    cluster.scheduler().RunUntilIdle();
   }
   Run(cluster, 8, "person-0's record after the update",
       "SELECT ?p,?v WHERE { ('person-0',?p,?v) }");

@@ -35,7 +35,7 @@ int main() {
                  status.ToString().c_str());
     return 1;
   }
-  cluster.simulation().RunUntilIdle();
+  cluster.scheduler().RunUntilIdle();
   std::printf("bulk-loaded %zu logical tuples (%zu triples, x3 indexes)\n",
               bib.AllTuples().size(), bib.TripleCount());
 

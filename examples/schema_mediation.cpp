@@ -49,7 +49,7 @@ int main() {
     t.attributes["telefon"] = triple::Value::Int(2000 + i);
     if (!cluster.InsertTupleSync(8, t).ok()) return 1;
   }
-  cluster.simulation().RunUntilIdle();
+  cluster.scheduler().RunUntilIdle();
 
   // Someone who knows both schemas publishes the correspondence once; it
   // is ordinary, queryable data.

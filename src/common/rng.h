@@ -52,8 +52,7 @@ class Rng {
   /// a splitmix-style finalizer, so stream i of seed s shares nothing with
   /// stream j or with any stream of another seed. Used to give every peer
   /// its own transport RNG: draws become order-independent across peers,
-  /// which sharded execution requires and which makes single-threaded runs
-  /// robust to reordering.
+  /// which makes runs robust to reordering.
   static uint64_t StreamSeed(uint64_t seed, uint64_t stream);
 
   /// Fisher–Yates shuffle.

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <optional>
 
-#include "sim/sharded_scheduler.h"
-#include "sim/simulation.h"
 
 namespace unistore {
 namespace core {
@@ -26,20 +24,8 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
   overlay_options.seed = options_.seed;
   overlay_options.loss_probability = options_.loss_probability;
   overlay_options.fault_schedule = options_.fault_schedule;
-  std::unique_ptr<sim::LatencyModel> latency = MakeLatency(options_);
-  if (options_.engine == ClusterOptions::Engine::kSharded) {
-    sim::ShardedScheduler::Options sharded;
-    sharded.shards = std::max<size_t>(1, options_.shards);
-    sharded.threads = options_.threads;
-    // Conservative lookahead: the minimum link latency bounds how far a
-    // shard can run ahead without missing a cross-shard message.
-    sharded.lookahead = latency->MinLatency();
-    scheduler_ = std::make_unique<sim::ShardedScheduler>(sharded);
-  } else {
-    scheduler_ = std::make_unique<sim::Simulation>();
-  }
-  overlay_ = std::make_unique<pgrid::Overlay>(
-      overlay_options, std::move(latency), scheduler_.get());
+  overlay_ = std::make_unique<pgrid::Overlay>(overlay_options,
+                                              MakeLatency(options_));
   overlay_->AddPeers(options_.peers);
   if (!options_.custom_paths.empty()) {
     overlay_->BuildWithPaths(options_.custom_paths);
@@ -87,7 +73,7 @@ Result<R> Cluster::RunSync(
     std::function<void(std::function<void(Result<R>)>)> op) {
   std::optional<Result<R>> out;
   op([&out](Result<R> r) { out = std::move(r); });
-  simulation().RunUntil([&out] { return out.has_value(); });
+  scheduler().RunUntil([&out] { return out.has_value(); });
   if (!out.has_value()) {
     return Status::Internal("simulation drained before completion");
   }
@@ -98,7 +84,7 @@ Status Cluster::RunSyncStatus(
     std::function<void(std::function<void(Status)>)> op) {
   std::optional<Status> out;
   op([&out](Status s) { out = std::move(s); });
-  simulation().RunUntil([&out] { return out.has_value(); });
+  scheduler().RunUntil([&out] { return out.has_value(); });
   if (!out.has_value()) {
     return Status::Internal("simulation drained before completion");
   }
@@ -158,13 +144,13 @@ Result<exec::QueryResult> Cluster::QuerySync(net::PeerId via,
 Result<Cluster::Measured> Cluster::QueryMeasured(
     net::PeerId via, const std::string& vql_text) {
   const net::TrafficStats before = overlay_->transport().stats();
-  const sim::SimTime start = simulation().Now();
+  const sim::SimTime start = scheduler().Now();
   UNISTORE_ASSIGN_OR_RETURN(exec::QueryResult result,
                             QuerySync(via, vql_text));
   Measured measured;
   measured.result = std::move(result);
   measured.traffic = overlay_->transport().stats().Since(before);
-  measured.virtual_latency_us = simulation().Now() - start;
+  measured.virtual_latency_us = scheduler().Now() - start;
   return measured;
 }
 
@@ -181,7 +167,7 @@ void Cluster::RefreshStats(size_t gossip_rounds) {
   for (auto& n : nodes_) n->RefreshStats(hop_latency);
   for (size_t round = 0; round < gossip_rounds; ++round) {
     for (auto& n : nodes_) n->GossipStats(/*fanout=*/3);
-    simulation().RunUntilIdle();
+    scheduler().RunUntilIdle();
   }
 }
 

@@ -1,6 +1,6 @@
 // Cluster: a whole simulated UniStore deployment in one object.
 //
-// Owns the overlay (simulation + transport + peers) and one UniStore node
+// Owns the overlay (scheduler + transport + peers) and one UniStore node
 // per peer; provides synchronous wrappers that drive the virtual clock, a
 // measured-query API for the benchmarks, and statistics maintenance.
 #ifndef UNISTORE_CORE_CLUSTER_H_
@@ -21,15 +21,11 @@ namespace core {
 struct ClusterOptions {
   size_t peers = 16;
   size_t replication = 1;
-  /// Event engine: the single-threaded loop (default) or the sharded
-  /// deterministic parallel engine. Both produce identical query results,
-  /// delivery traces, and merged traffic statistics for the same seed
-  /// (DESIGN.md §2).
+  /// These three do nothing: there is one event engine (sim::Scheduler).
+  /// The benchmark workloads (bench/e2e) still set them; they go with the
+  /// next change to the benchmark.
   enum class Engine { kSingleThread, kSharded } engine = Engine::kSingleThread;
-  /// Peer partitions under Engine::kSharded (shard = peer id % shards).
   size_t shards = 1;
-  /// Worker threads under Engine::kSharded; 0 = one per shard, 1 = run
-  /// shards inline (deterministic single-core mode).
   size_t threads = 0;
   /// true: instant balanced trie (default). false: peers start with empty
   /// paths — load data through node 0, then run
@@ -50,8 +46,8 @@ struct ClusterOptions {
   /// Scripted peer lifecycle (crashes, restarts, leaves, joins); empty =
   /// churn-free (net/churn_plane.h). Installed after construction: joiner
   /// peers are registered with full UniStore nodes attached, and the
-  /// lifecycle events replay byte-identically across engines and shard
-  /// counts. Schedules can also be installed later via InstallChurn().
+  /// lifecycle events replay byte-identically. Schedules can also be
+  /// installed later via InstallChurn().
   net::ChurnSchedule churn_schedule;
   /// Latency model: constant LAN-ish delay or PlanetLab-like WAN.
   enum class Latency { kLan, kWan } latency = Latency::kLan;
@@ -71,7 +67,6 @@ class Cluster {
   size_t size() const { return nodes_.size(); }
   UniStore& node(net::PeerId id) { return *nodes_[id]; }
   pgrid::Overlay& overlay() { return *overlay_; }
-  sim::Scheduler& simulation() { return overlay_->scheduler(); }
   sim::Scheduler& scheduler() { return overlay_->scheduler(); }
 
   // --- Synchronous operations (drive the virtual clock) -------------------
@@ -140,8 +135,6 @@ class Cluster {
   Status RunSyncStatus(std::function<void(std::function<void(Status)>)> op);
 
   ClusterOptions options_;
-  /// Engine outlives overlay_ (peers unregister timers by dying first).
-  std::unique_ptr<sim::Scheduler> scheduler_;
   std::unique_ptr<pgrid::Overlay> overlay_;
   std::vector<std::unique_ptr<UniStore>> nodes_;
 };

@@ -152,6 +152,7 @@ struct Executor::KeyAnswer {
 
 struct Executor::QueryContext {
   std::vector<std::string> trace;
+  std::vector<std::pair<std::string, std::string>> coverage_gaps;
   std::map<pgrid::Key, std::shared_ptr<KeyAnswer>> memo;
 };
 
@@ -238,6 +239,11 @@ void Executor::ExecutePlan(const plan::PhysicalPlan& plan,
     result.rows = std::move(*rows);
     result.plan_text = std::move(plan_text);
     result.trace = std::move(ctx->trace);
+    result.coverage_gaps = std::move(ctx->coverage_gaps);
+    std::sort(result.coverage_gaps.begin(), result.coverage_gaps.end());
+    result.coverage_gaps.erase(std::unique(result.coverage_gaps.begin(),
+                                           result.coverage_gaps.end()),
+                               result.coverage_gaps.end());
     callback(std::move(result));
   });
 }
@@ -552,13 +558,20 @@ void Executor::ExecJoin(std::shared_ptr<PhysicalOp> node, Context ctx,
               // Fan-out-accurate accounting: peers_visited sums across
               // sub-walks (per-branch max over chunks), never
               // last-walk-wins.
-              ctx->trace.push_back(
+              std::string line =
                   "Join[Migrate]: branches=" +
                   std::to_string(migrated->branches) + " chunks=" +
                   std::to_string(migrated->chunks_per_branch) +
                   " envelopes=" +
                   std::to_string(migrated->envelopes_launched) +
-                  " peers_visited=" + std::to_string(migrated->peers_visited));
+                  " peers_visited=" + std::to_string(migrated->peers_visited);
+              // An abandoned walk (partial_results) leaves rows out: name
+              // every uncovered interval in the trace and the result.
+              for (auto& gap : migrated->coverage_gaps) {
+                line += " gap=[" + gap.first + "," + gap.second + "]";
+                ctx->coverage_gaps.push_back(std::move(gap));
+              }
+              ctx->trace.push_back(std::move(line));
               callback(std::move(migrated->rows));
             });
         return;

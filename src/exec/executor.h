@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/binding.h"
@@ -35,6 +36,10 @@ struct QueryResult {
   /// switches, fallbacks). The paper's §3 traceability claim: "results
   /// are traceable, analyzable and (in limits) repeatable".
   std::vector<std::string> trace;
+  /// Uncovered key intervals [lo_bits, hi_bits] of the walks its Migrate
+  /// joins abandoned (EnvelopeOptions::partial_results): the rows miss
+  /// whatever lies there. Sorted; empty when the result is complete.
+  std::vector<std::pair<std::string, std::string>> coverage_gaps;
 
   /// Fixed-width text table (examples / demos).
   std::string ToTable() const;

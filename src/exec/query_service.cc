@@ -80,7 +80,7 @@ void QueryService::RunMigrateJoin(const vql::TriplePattern& pattern,
   // degrades instead of failing: still-uncovered walks are abandoned and
   // the rows gathered so far come back with explicit coverage gaps.
   peer_->transport()->scheduler()->ScheduleAfter(
-      pgrid::kScanTimeout, peer_->id(), peer_->id(),
+      pgrid::kScanTimeout, peer_->id(),
       [this, id]() {
         auto it = migrations_.find(id);
         if (it == migrations_.end()) return;
@@ -148,7 +148,7 @@ void QueryService::HandleEnvelopeReply(uint64_t request_id,
         ++deferred_relaunches_;
         peer_->transport()->CountRetry(kDeferRetryPolicy);
         peer_->transport()->scheduler()->ScheduleAfter(
-            outcome.relaunch_after_us, peer_->id(), peer_->id(),
+            outcome.relaunch_after_us, peer_->id(),
             [this, request_id, env = std::move(env)]() mutable {
               if (migrations_.find(request_id) == migrations_.end()) return;
               if (auto error = TrySendEnvelope(std::move(env), request_id)) {
@@ -173,7 +173,7 @@ void QueryService::HandleEnvelopeReply(uint64_t request_id,
 void QueryService::ArmWalkTimer(uint64_t request_id, uint32_t branch,
                                 uint32_t chunk, uint64_t generation) {
   peer_->transport()->scheduler()->ScheduleAfter(
-      options_.walk_timeout, peer_->id(), peer_->id(),
+      options_.walk_timeout, peer_->id(),
       [this, request_id, branch, chunk, generation]() {
         OnWalkTimer(request_id, branch, chunk, generation);
       });
@@ -320,7 +320,7 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
   // so only the incarnation that took the slot releases it.
   ++serving_queue_depth_;
   scheduler->ScheduleAfter(
-      finish_delay, peer_->id(), peer_->id(),
+      finish_delay, peer_->id(),
       [this, incarnation = peer_->restarts()]() {
         if (incarnation == peer_->restarts()) --serving_queue_depth_;
       });
@@ -385,7 +385,7 @@ void QueryService::DeliverReply(net::PeerId initiator, uint64_t request_id,
   if (initiator == peer_->id()) {
     // Initiator-local: feed the coordinator directly (no self-send).
     peer_->transport()->scheduler()->ScheduleAfter(
-        delay, peer_->id(), peer_->id(),
+        delay, peer_->id(),
         [this, request_id, hops, reply = std::move(reply)]() mutable {
           HandleEnvelopeReply(request_id, std::move(reply), hops);
         });
@@ -396,7 +396,7 @@ void QueryService::DeliverReply(net::PeerId initiator, uint64_t request_id,
     return;
   }
   peer_->transport()->scheduler()->ScheduleAfter(
-      delay, peer_->id(), peer_->id(),
+      delay, peer_->id(),
       [this, initiator, request_id, hops, type,
        payload = reply.Encode()]() {
         peer_->rpc().ReplyTo(initiator, request_id, hops, type, payload);

@@ -4,22 +4,19 @@
 // A ChurnSchedule is the peer-lifetime counterpart of the link-level
 // FaultSchedule (net/fault_plane.h): a declarative list of lifecycle specs
 // the harness installs before the run. The schedule splits into two
-// halves that together keep churn byte-identical across engines and shard
-// counts:
+// halves that together make churn replay byte-identically:
 //
 //   - *Liveness windows* are evaluated by the transport. Whether a peer is
 //     down is a pure function of (Now, peer) over the immutable schedule —
 //     crash: down over [at, restart_at); leave: down from `at + drain_us`
-//     on; join: down until `at`. No shared liveness bit is ever flipped
-//     from inside a shard window (the race SetAlive's harness-time CHECK
-//     exists to prevent); shards just evaluate the same pure function.
+//     on; join: down until `at`. No liveness bit is flipped during the
+//     run.
 //
 //   - *Lifecycle protocol actions* (rebuilding a restarted peer's store
 //     through crash recovery, the join handshake, the leave hand-off) are
 //     compiled by pgrid::Overlay::InstallChurn into ordinary scheduler
-//     events with domain == owner == the affected peer, so the sharded
-//     engine runs each action on that peer's shard like any protocol
-//     timer.
+//     events in the affected peer's own domain, like any protocol timer
+//     of that peer.
 //
 // The transport drops messages *from* a down peer at send time (a crashed
 // process cannot transmit — its stale timers may still fire, but nothing
@@ -102,13 +99,13 @@ struct ChurnSchedule {
 };
 
 /// \brief Evaluates the liveness half of a ChurnSchedule. Owned by the
-/// transport; immutable after construction (read concurrently by shards).
+/// transport; immutable after construction.
 class ChurnPlane {
  public:
   explicit ChurnPlane(const ChurnSchedule& schedule);
 
   /// True iff `peer` is down at `now` under the schedule. Pure function of
-  /// the immutable window list — safe from any shard context.
+  /// the immutable window list.
   bool Down(sim::SimTime now, PeerId peer) const {
     if (peer >= windows_.size()) return false;
     for (const Window& w : windows_[peer]) {

@@ -9,7 +9,7 @@
 //                on top of the latency model's sample.
 //   kReorder   — with `probability`, pushes a message's delivery by a
 //                uniform draw from [0, window_us]; later same-link sends
-//                can then overtake it (the engines order events by
+//                can then overtake it (the scheduler orders events by
 //                (when, domain, seq), so a smaller draw delivers first).
 //   kDuplicate — with `probability`, delivers a second, independently
 //                delayed copy of the message.
@@ -19,8 +19,8 @@
 // Determinism: whether a rule is active is a pure function of
 // (Now, src, dst) — the schedule itself is immutable after installation —
 // and every stochastic draw comes from the *source* peer's RNG stream, so
-// the draw sequence depends only on that peer's own send history. Runs are
-// therefore byte-identical across engines and shard counts (DESIGN.md §10).
+// the draw sequence depends only on that peer's own send history. Runs
+// therefore replay byte-identically (DESIGN.md §10).
 #ifndef UNISTORE_NET_FAULT_PLANE_H_
 #define UNISTORE_NET_FAULT_PLANE_H_
 
@@ -112,7 +112,7 @@ struct FaultSchedule {
 };
 
 /// \brief Evaluates a FaultSchedule for individual sends. Owned by the
-/// transport; immutable after construction (read concurrently by shards).
+/// transport; immutable after construction.
 class FaultPlane {
  public:
   explicit FaultPlane(FaultSchedule schedule)
@@ -130,8 +130,7 @@ class FaultPlane {
   /// consulted in schedule order; stochastic draws (jitter, reorder push,
   /// duplication and corruption coin flips) come from `rng`, the source
   /// peer's stream. Partitioned links short-circuit: no draws are spent on
-  /// a message that is dropped anyway, so the src stream advances the same
-  /// way whether the engines interleave sends differently or not.
+  /// a message that is dropped anyway.
   LinkEffects Apply(sim::SimTime now, PeerId src, PeerId dst, Rng* rng) const;
 
   /// Pure partition query — no draws, usable from any context.

@@ -16,8 +16,10 @@ RpcManager::RpcManager(PeerId self, Transport* transport)
 uint64_t RpcManager::SendRequest(PeerId dst, MessageType type,
                                  std::string payload, sim::SimTime timeout,
                                  ReplyCallback callback) {
-  uint64_t id = RegisterPending(timeout, std::move(callback));
-  pending_.at(id).dst = dst;  // Attributes a timeout to `dst` (suspicion).
+  const uint64_t id = next_request_id_++;
+  // `dst` attributes a timeout to its peer (suspicion).
+  pending_.emplace(id, Pending{std::move(callback), dst});
+  if (timeout > 0) ArmTimeout(id, timeout);
   Message msg;
   msg.type = type;
   msg.src = self_;
@@ -28,17 +30,9 @@ uint64_t RpcManager::SendRequest(PeerId dst, MessageType type,
   return id;
 }
 
-uint64_t RpcManager::RegisterPending(sim::SimTime timeout,
-                                     ReplyCallback callback) {
-  uint64_t id = next_request_id_++;
-  pending_.emplace(id, Pending{std::move(callback)});
-  if (timeout > 0) ArmTimeout(id, timeout);
-  return id;
-}
-
 void RpcManager::ArmTimeout(uint64_t request_id, sim::SimTime timeout) {
   transport_->scheduler()->ScheduleAfter(
-      timeout, self_, self_, [this, request_id, timeout]() {
+      timeout, self_, [this, request_id, timeout]() {
     auto it = pending_.find(request_id);
     if (it == pending_.end()) return;  // Already answered.
     ReplyCallback cb = std::move(it->second.callback);
@@ -84,8 +78,6 @@ bool RpcManager::HandleReply(const Message& msg) {
   cb(Status::OK(), msg);
   return true;
 }
-
-void RpcManager::Cancel(uint64_t request_id) { pending_.erase(request_id); }
 
 void RpcManager::FailAll(const Status& status) {
   // Callbacks may issue new requests; drain on a copy.

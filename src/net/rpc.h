@@ -10,7 +10,7 @@
 #include "common/status.h"
 #include "net/message.h"
 #include "net/transport.h"
-#include "sim/simulation.h"
+#include "sim/scheduler.h"
 
 namespace unistore {
 namespace net {
@@ -46,11 +46,6 @@ class RpcManager {
   uint64_t SendRequest(PeerId dst, MessageType type, std::string payload,
                        sim::SimTime timeout, ReplyCallback callback);
 
-  /// Allocates a request id and registers `callback` without sending —
-  /// used when the caller fans out several messages under one logical id
-  /// or sends through a custom path.
-  uint64_t RegisterPending(sim::SimTime timeout, ReplyCallback callback);
-
   /// Sends a reply correlated with `request`: dst = request.src, the
   /// request id and hop count are carried over (hops + 1).
   void Reply(const Message& request, MessageType type, std::string payload);
@@ -68,9 +63,6 @@ class RpcManager {
   void set_peer_observer(PeerObserver observer) {
     observer_ = std::move(observer);
   }
-
-  /// Cancels one pending request without firing its callback.
-  void Cancel(uint64_t request_id);
 
   /// Fails all pending requests with the given status (peer shutdown).
   void FailAll(const Status& status);

@@ -54,32 +54,6 @@ TrafficStats TrafficStats::Since(const TrafficStats& other) const {
   return d;
 }
 
-void TrafficStats::Merge(const TrafficStats& other) {
-  messages_sent += other.messages_sent;
-  messages_delivered += other.messages_delivered;
-  messages_lost_random += other.messages_lost_random;
-  messages_lost_partition += other.messages_lost_partition;
-  messages_lost_churn += other.messages_lost_churn;
-  messages_to_dead += other.messages_to_dead;
-  messages_invalid += other.messages_invalid;
-  messages_duplicated += other.messages_duplicated;
-  messages_corrupted += other.messages_corrupted;
-  bytes_sent += other.bytes_sent;
-  for (const auto& [policy, count] : other.retries_by_policy) {
-    retries_by_policy[policy] += count;
-  }
-  for (const auto& [type, count] : other.per_type) {
-    per_type[type] += count;
-  }
-  for (const auto& [type, bytes] : other.per_type_bytes) {
-    per_type_bytes[type] += bytes;
-  }
-  for (const auto& [type, max_bytes] : other.per_type_max_bytes) {
-    uint64_t& slot = per_type_max_bytes[type];
-    if (max_bytes > slot) slot = max_bytes;
-  }
-}
-
 std::string TrafficStats::ToString() const {
   std::ostringstream os;
   os << "messages=" << messages_sent << " delivered=" << messages_delivered
@@ -104,13 +78,6 @@ Transport::Transport(sim::Scheduler* scheduler,
     : scheduler_(scheduler), latency_(std::move(latency)), seed_(seed) {
   UNISTORE_CHECK(scheduler_ != nullptr);
   UNISTORE_CHECK(latency_ != nullptr);
-  slots_.resize(scheduler_->shard_count() + 1);
-}
-
-TrafficStats Transport::stats() const {
-  TrafficStats merged;
-  for (const Slot& slot : slots_) merged.Merge(slot.stats);
-  return merged;
 }
 
 PeerId Transport::AddPeer(Handler handler) {
@@ -119,23 +86,17 @@ PeerId Transport::AddPeer(Handler handler) {
   alive_.push_back(true);
   peer_rng_.push_back(Rng(Rng::StreamSeed(seed_, id)));
   trace_.emplace_back();
-  scheduler_->RegisterDomain(id);
   return id;
 }
 
 void Transport::SetHandler(PeerId peer, Handler handler) {
   UNISTORE_CHECK(peer < handlers_.size());
-  // Handlers are read by every shard; swapping one from inside a window
-  // would race (and silently break determinism) — fail fast instead.
-  UNISTORE_CHECK(!scheduler_->InShardContext())
-      << "SetHandler from inside a shard window";
   handlers_[peer] = std::move(handler);
 }
 
 void Transport::Send(Message msg) {
-  TrafficStats& stats = CurrentStats();
   if (msg.src >= handlers_.size() || msg.dst >= handlers_.size()) {
-    stats.messages_invalid++;
+    stats_.messages_invalid++;
     UNISTORE_LOG(kWarning) << "dropping invalid send "
                            << MessageTypeName(msg.type) << " " << msg.src
                            << "->" << msg.dst << " (" << handlers_.size()
@@ -143,22 +104,22 @@ void Transport::Send(Message msg) {
     return;
   }
 
-  stats.messages_sent++;
+  stats_.messages_sent++;
   const uint64_t wire = msg.WireSize();
-  stats.bytes_sent += wire;
-  stats.per_type[msg.type]++;
-  stats.per_type_bytes[msg.type] += wire;
-  uint64_t& max_slot = stats.per_type_max_bytes[msg.type];
+  stats_.bytes_sent += wire;
+  stats_.per_type[msg.type]++;
+  stats_.per_type_bytes[msg.type] += wire;
+  uint64_t& max_slot = stats_.per_type_max_bytes[msg.type];
   if (wire > max_slot) max_slot = wire;
 
   // A down sender transmits nothing: a crashed process may still hold
   // armed timers whose handlers fire during its down window, but the
   // resulting sends die here. The window check is a pure function of
-  // (Now, src), and it short-circuits before any RNG draw, so the src
-  // stream advances identically across engines.
+  // (Now, src), and it short-circuits before any RNG draw, so a down
+  // sender never advances its stream.
   if (churn_plane_ != nullptr &&
       churn_plane_->Down(scheduler_->Now(), msg.src)) {
-    stats.messages_lost_churn++;
+    stats_.messages_lost_churn++;
     return;
   }
 
@@ -167,7 +128,7 @@ void Transport::Send(Message msg) {
   // never on how sends of different peers interleave.
   Rng& rng = peer_rng_[msg.src];
   if (loss_probability_ > 0 && rng.NextBernoulli(loss_probability_)) {
-    stats.messages_lost_random++;
+    stats_.messages_lost_random++;
     return;
   }
 
@@ -179,55 +140,51 @@ void Transport::Send(Message msg) {
     fx = fault_plane_->Apply(scheduler_->Now(), msg.src, msg.dst, &rng);
   }
   if (fx.partitioned) {
-    stats.messages_lost_partition++;
+    stats_.messages_lost_partition++;
     return;
   }
   if (fx.corrupt && !msg.payload.empty()) {
     // Garble the frame head: length prefixes, version sentinels and status
     // tags live in the first bytes of every codec, so decoders reject the
     // message and protocols fall back to their timeout/retry paths.
-    stats.messages_corrupted++;
+    stats_.messages_corrupted++;
     const size_t n = std::min<size_t>(4, msg.payload.size());
     for (size_t i = 0; i < n; ++i) {
       msg.payload[i] = static_cast<char>(msg.payload[i] ^ 0xFF);
     }
   }
 
-  // Clamp to the model's floor: the sharded engine's lookahead equals
-  // MinLatency(), so no delivery may undercut it. Fault-plane delay is
-  // strictly additive above the clamp, keeping the lookahead bound intact.
+  // Clamp to the model's floor, so even a zero-latency model never
+  // delivers in the microsecond it sent. Fault-plane delay is strictly
+  // additive above the clamp.
   sim::SimTime delay = std::max(latency_->Sample(msg.src, msg.dst, &rng),
                                 latency_->MinLatency()) +
                        fx.extra_delay;
-  const uint32_t src = msg.src;
-  const uint32_t dst = msg.dst;
+  const uint32_t src = msg.src;  // `msg` moves into the event below.
   if (fx.duplicate) {
-    stats.messages_duplicated++;
+    stats_.messages_duplicated++;
     sim::SimTime dup_delay = std::max(latency_->Sample(msg.src, msg.dst, &rng),
                                       latency_->MinLatency()) +
                              fx.extra_delay;
     Message copy = msg;
-    scheduler_->ScheduleEvent(scheduler_->Now() + dup_delay, /*domain=*/src,
-                              /*owner=*/dst,
+    scheduler_->ScheduleAfter(dup_delay, /*domain=*/src,
                               [this, m = std::move(copy)]() { Deliver(m); });
   }
-  scheduler_->ScheduleEvent(scheduler_->Now() + delay, /*domain=*/src,
-                            /*owner=*/dst,
+  scheduler_->ScheduleAfter(delay, /*domain=*/src,
                             [this, m = std::move(msg)]() { Deliver(m); });
 }
 
 void Transport::Deliver(const Message& m) {
-  TrafficStats& stats = CurrentStats();
   if (!alive_[m.dst]) {
-    stats.messages_to_dead++;
+    stats_.messages_to_dead++;
     return;
   }
   if (churn_plane_ != nullptr &&
       churn_plane_->Down(scheduler_->Now(), m.dst)) {
-    stats.messages_lost_churn++;
+    stats_.messages_lost_churn++;
     return;
   }
-  stats.messages_delivered++;
+  stats_.messages_delivered++;
   if (trace_enabled_) {
     trace_[m.dst].push_back(DeliveryRecord{scheduler_->Now(), m.src, m.type,
                                            m.request_id, m.hops,
@@ -241,32 +198,20 @@ void Transport::Deliver(const Message& m) {
 
 void Transport::SetAlive(PeerId peer, bool alive) {
   UNISTORE_CHECK(peer < alive_.size());
-  // Liveness bits are read by every shard at delivery time; a write from
-  // inside a window would race on the packed vector<bool> — fail fast.
-  UNISTORE_CHECK(!scheduler_->InShardContext())
-      << "SetAlive from inside a shard window";
   alive_[peer] = alive;
 }
 
 void Transport::SetFaultSchedule(FaultSchedule schedule) {
-  // The plane is read by every shard at send time; swapping it from inside
-  // a window would race — fail fast, like SetAlive/SetHandler.
-  UNISTORE_CHECK(!scheduler_->InShardContext())
-      << "SetFaultSchedule from inside a shard window";
   fault_plane_ = schedule.empty()
                      ? nullptr
                      : std::make_unique<FaultPlane>(std::move(schedule));
 }
 
 void Transport::CountRetry(std::string_view policy) {
-  CurrentStats().retries_by_policy[std::string(policy)]++;
+  stats_.retries_by_policy[std::string(policy)]++;
 }
 
 void Transport::SetChurnSchedule(ChurnSchedule schedule) {
-  // Like the fault plane: read by every shard, swapped only from harness
-  // context.
-  UNISTORE_CHECK(!scheduler_->InShardContext())
-      << "SetChurnSchedule from inside a shard window";
   churn_plane_ = schedule.empty()
                      ? nullptr
                      : std::make_unique<ChurnPlane>(std::move(schedule));

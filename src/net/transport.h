@@ -1,15 +1,9 @@
 // Transport: message delivery between peers over the simulated network.
 //
-// One class serves both engines. Each scheduler shard, plus one slot for
-// harness context, owns a cache-line-aligned TrafficStats block, so
-// concurrent shard execution never contends on counters; stats() merges
-// the slots on read, exactly, because every counter is a sum or a maximum.
-// On the single-threaded sim::Simulation every event runs in slot 0.
-//
 // Every peer draws loss and latency from its own RNG stream derived from
 // (seed, peer_id), so those draws depend only on the peer's own send
-// history — the property that makes sharded execution deterministic
-// (DESIGN.md §2-3).
+// history, never on how the sends of different peers interleave
+// (DESIGN.md §3).
 #ifndef UNISTORE_NET_TRANSPORT_H_
 #define UNISTORE_NET_TRANSPORT_H_
 
@@ -66,9 +60,6 @@ struct TrafficStats {
   /// Difference `*this - other` (for measuring a single operation).
   TrafficStats Since(const TrafficStats& other) const;
 
-  /// Adds `other` into this (per-shard slots merged on read).
-  void Merge(const TrafficStats& other);
-
   std::string ToString() const;
 };
 
@@ -103,22 +94,20 @@ class Transport {
   void Send(Message msg);
 
   /// Marks a peer up/down. Messages in flight toward a peer that is down
-  /// at delivery time are dropped. Harness-time only under sharding; for
-  /// liveness transitions inside a run use a ChurnSchedule, whose windows
-  /// are evaluated as a pure function of virtual time.
+  /// at delivery time are dropped. For scripted liveness transitions use a
+  /// ChurnSchedule, whose windows are a pure function of virtual time.
   void SetAlive(PeerId peer, bool alive);
 
   /// True iff the peer is up right now: its SetAlive bit is set and no
-  /// churn-plane window covers Now(). Pure read — safe from any context.
+  /// churn-plane window covers Now().
   bool IsAlive(PeerId peer) const;
 
   /// Fraction of messages dropped uniformly at random, in [0, 1).
   void set_loss_probability(double p) { loss_probability_ = p; }
   double loss_probability() const { return loss_probability_; }
 
-  /// Installs the scripted fault plane (net/fault_plane.h). The schedule
-  /// is immutable once installed and read by every shard at send time —
-  /// harness-time only. Replaces any previous schedule.
+  /// Installs the scripted fault plane (net/fault_plane.h), read at send
+  /// time. Replaces any previous schedule.
   void SetFaultSchedule(FaultSchedule schedule);
 
   /// The installed fault plane, or nullptr when none is scripted.
@@ -126,8 +115,8 @@ class Transport {
 
   /// Installs the scripted churn plane (net/churn_plane.h) with every
   /// join spec's peer id already resolved (Overlay::InstallChurn does
-  /// this). Immutable once installed and read by every shard at send and
-  /// delivery time — harness-time only. Replaces any previous schedule.
+  /// this), read at send and delivery time. Replaces any previous
+  /// schedule.
   void SetChurnSchedule(ChurnSchedule schedule);
 
   /// The installed churn plane, or nullptr when none is scripted.
@@ -139,14 +128,14 @@ class Transport {
 
   size_t peer_count() const { return handlers_.size(); }
 
-  /// Traffic counters; merged across shard slots on read.
-  TrafficStats stats() const;
+  /// Traffic counters since construction.
+  const TrafficStats& stats() const { return stats_; }
 
   sim::Scheduler* scheduler() { return scheduler_; }
 
   /// Starts recording one delivery log per destination peer (tests). The
-  /// concatenation is a canonical per-peer trace: identical across engines
-  /// and shard counts for the same seed.
+  /// concatenation is a canonical per-peer trace: identical across runs of
+  /// the same seed.
   void EnableDeliveryTrace();
   std::string DeliveryTrace() const;
 
@@ -160,18 +149,6 @@ class Transport {
     uint64_t payload_hash;
   };
 
-  /// Cache-line sized so shards never false-share counters.
-  struct alignas(64) Slot {
-    TrafficStats stats;
-  };
-
-  /// The TrafficStats block the current execution context may mutate.
-  /// CurrentShard() returns shard_count() from harness context — the
-  /// extra slot — so no two execution contexts share a block.
-  TrafficStats& CurrentStats() {
-    return slots_[scheduler_->CurrentShard()].stats;
-  }
-
   void Deliver(const Message& m);
 
   sim::Scheduler* scheduler_;
@@ -181,7 +158,7 @@ class Transport {
   std::unique_ptr<FaultPlane> fault_plane_;  ///< Null when no faults scripted.
   std::unique_ptr<ChurnPlane> churn_plane_;  ///< Null when no churn scripted.
 
-  std::vector<Slot> slots_;  ///< shard_count() + 1 (last = harness).
+  TrafficStats stats_;
   std::vector<Handler> handlers_;
   std::vector<bool> alive_;
   std::vector<Rng> peer_rng_;  ///< Stream i: Rng(StreamSeed(seed, i)).

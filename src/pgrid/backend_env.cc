@@ -208,7 +208,6 @@ class MemWritableFile : public WritableFile {
       : env_(env), file_(std::move(file)) {}
 
   Status Append(std::string_view data) override {
-    std::lock_guard<std::mutex> lock(env_->mu_);
     bool torn = false;
     Status injected = env_->BeginMutation(&torn);
     if (!injected.ok()) {
@@ -220,7 +219,6 @@ class MemWritableFile : public WritableFile {
   }
 
   Status Sync() override {
-    std::lock_guard<std::mutex> lock(env_->mu_);
     Status injected = env_->BeginMutation(nullptr);
     if (!injected.ok()) return injected;
     file_->synced = file_->data.size();
@@ -236,11 +234,10 @@ class MemWritableFile : public WritableFile {
 
 class MemRandomAccessFile : public RandomAccessFile {
  public:
-  MemRandomAccessFile(MemEnv* env, std::shared_ptr<MemEnv::FileState> file)
-      : env_(env), file_(std::move(file)) {}
+  explicit MemRandomAccessFile(std::shared_ptr<MemEnv::FileState> file)
+      : file_(std::move(file)) {}
 
   Status Read(uint64_t offset, size_t n, std::string* out) const override {
-    std::lock_guard<std::mutex> lock(env_->mu_);
     out->clear();
     if (offset >= file_->data.size()) return Status::OK();
     const size_t avail = file_->data.size() - static_cast<size_t>(offset);
@@ -249,7 +246,6 @@ class MemRandomAccessFile : public RandomAccessFile {
   }
 
  private:
-  MemEnv* env_;
   std::shared_ptr<MemEnv::FileState> file_;
 };
 
@@ -268,7 +264,6 @@ Status MemEnv::BeginMutation(bool* torn) {
 }
 
 Status MemEnv::CreateDir(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (std::find(dirs_.begin(), dirs_.end(), path) == dirs_.end()) {
     dirs_.push_back(path);
   }
@@ -276,12 +271,10 @@ Status MemEnv::CreateDir(const std::string& path) {
 }
 
 bool MemEnv::FileExists(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
   return files_.count(path) > 0;
 }
 
 Result<std::vector<std::string>> MemEnv::ListDir(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
   const std::string prefix = path + "/";
   for (const auto& [full, state] : files_) {
@@ -294,7 +287,6 @@ Result<std::vector<std::string>> MemEnv::ListDir(const std::string& path) {
 }
 
 Result<uint64_t> MemEnv::FileSize(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   if (it == files_.end()) return Status::NotFound("memenv: ", path);
   return static_cast<uint64_t>(it->second->data.size());
@@ -302,7 +294,6 @@ Result<uint64_t> MemEnv::FileSize(const std::string& path) {
 
 Result<std::unique_ptr<WritableFile>> MemEnv::NewWritableFile(
     const std::string& path, bool truncate) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   const bool mutates = truncate || it == files_.end();
   if (mutates) {
@@ -326,15 +317,13 @@ Result<std::unique_ptr<WritableFile>> MemEnv::NewWritableFile(
 
 Result<std::unique_ptr<RandomAccessFile>> MemEnv::NewRandomAccessFile(
     const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   if (it == files_.end()) return Status::NotFound("memenv: ", path);
   return std::unique_ptr<RandomAccessFile>(
-      std::make_unique<MemRandomAccessFile>(this, it->second));
+      std::make_unique<MemRandomAccessFile>(it->second));
 }
 
 Status MemEnv::DeleteFile(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
   Status injected = BeginMutation(nullptr);
   if (!injected.ok()) return injected;
   if (files_.erase(path) == 0) return Status::NotFound("memenv: ", path);
@@ -342,7 +331,6 @@ Status MemEnv::DeleteFile(const std::string& path) {
 }
 
 Status MemEnv::RenameFile(const std::string& from, const std::string& to) {
-  std::lock_guard<std::mutex> lock(mu_);
   Status injected = BeginMutation(nullptr);
   if (!injected.ok()) return injected;
   auto it = files_.find(from);
@@ -356,18 +344,15 @@ Status MemEnv::RenameFile(const std::string& from, const std::string& to) {
 }
 
 void MemEnv::set_fail_after(int64_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
   budget_ = n < 0 ? -1 : ops_ + n;
   failing_ = false;
 }
 
 int64_t MemEnv::mutation_ops() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return ops_;
 }
 
 void MemEnv::SimulateCrash() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& [path, file] : files_) {
     if (file->data.size() > file->synced) file->data.resize(file->synced);
   }

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,8 +49,8 @@ class RandomAccessFile {
 /// \brief Minimal filesystem surface the disk backend needs.
 ///
 /// All paths are plain strings; the backend only ever uses one directory
-/// level (`data_dir/<file>`). Implementations must be safe for concurrent
-/// use from multiple LocalStores (sharded peers share one Env).
+/// level (`data_dir/<file>`). One Env may serve many LocalStores (the
+/// peers of a simulated cluster share one).
 class Env {
  public:
   virtual ~Env() = default;
@@ -136,7 +135,6 @@ class MemEnv : public Env {
   // `torn` (may be null) is set when this op should half-apply.
   Status BeginMutation(bool* torn);
 
-  mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<FileState>> files_;
   std::vector<std::string> dirs_;
   int64_t budget_ = -1;  // < 0: unlimited.

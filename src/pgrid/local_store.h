@@ -75,8 +75,8 @@ struct LocalStoreOptions {
 
   /// Directory of the disk backend's run files and manifest. Required
   /// for Backend::kDisk (an empty dir falls back to kMemory with a
-  /// warning); each Peer appends "/peer-<id>" so sharded peers never
-  /// share a directory.
+  /// warning); each Peer appends "/peer-<id>" so the peers of one
+  /// cluster never share a directory.
   std::string data_dir;
 
   /// Disk backend: capacity of the per-store LRU block cache. A soft

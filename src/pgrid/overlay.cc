@@ -39,17 +39,10 @@ std::vector<std::string> PartitionCoverPaths(const KeyRange& range,
 }
 
 Overlay::Overlay(OverlayOptions options,
-                 std::unique_ptr<sim::LatencyModel> latency,
-                 sim::Scheduler* scheduler)
+                 std::unique_ptr<sim::LatencyModel> latency)
     : options_(options), rng_(options.seed) {
-  if (scheduler == nullptr) {
-    owned_scheduler_ = std::make_unique<sim::Simulation>();
-    scheduler_ = owned_scheduler_.get();
-  } else {
-    scheduler_ = scheduler;
-  }
   transport_ = std::make_unique<net::Transport>(
-      scheduler_, std::move(latency), rng_.Next());
+      &scheduler_, std::move(latency), rng_.Next());
   transport_->set_loss_probability(options_.loss_probability);
   if (!options_.fault_schedule.empty()) {
     transport_->SetFaultSchedule(options_.fault_schedule);
@@ -150,16 +143,11 @@ void Overlay::RunExchangeRounds(size_t rounds) {
         other = order[rng_.NextBounded(order.size())];
       }
       stagger += 500;  // 0.5 ms apart to avoid artificial collisions.
-      // Owner = initiator: the sharded engine must run the initiation on
-      // the initiator's shard.
-      scheduler_->ScheduleEvent(scheduler_->Now() + stagger,
-                                sim::kHarnessDomain, initiator,
-                                [this, initiator, other]() {
-                                  peers_[initiator]->InitiateExchange(
-                                      other, [](Status) {});
-                                });
+      scheduler_.Schedule(stagger, [this, initiator, other]() {
+        peers_[initiator]->InitiateExchange(other, [](Status) {});
+      });
     }
-    scheduler_->RunUntilIdle();
+    scheduler_.RunUntilIdle();
   }
 }
 
@@ -214,7 +202,7 @@ std::vector<net::PeerId> Overlay::AlivePeers() const {
 
 std::vector<net::PeerId> Overlay::InstallChurn(net::ChurnSchedule schedule) {
   const size_t existing = peers_.size();
-  const sim::SimTime now = scheduler_->Now();
+  const sim::SimTime now = scheduler_.Now();
 
   // Step 1: register one fresh (pathless, empty) peer per unresolved join
   // spec. Ids are assigned in spec order, so the result is deterministic.
@@ -273,24 +261,23 @@ std::vector<net::PeerId> Overlay::InstallChurn(net::ChurnSchedule schedule) {
   }
 
   // Step 3: compile protocol actions into events of the affected peer's
-  // own domain before the schedule moves to the transport. Each action
-  // touches only that peer's state, so the sharded engine runs it on the
-  // peer's shard like any protocol timer.
+  // own domain before the schedule moves to the transport, like any
+  // protocol timer of that peer.
   for (const auto& c : schedule.crashes) {
     if (c.restart_at == net::kNeverRestarts) continue;
     const net::PeerId peer = c.peer;
-    scheduler_->ScheduleEvent(c.restart_at, peer, peer,
-                              [this, peer]() { peers_[peer]->Restart(); });
+    scheduler_.ScheduleEvent(c.restart_at, peer,
+                             [this, peer]() { peers_[peer]->Restart(); });
   }
   for (const auto& l : schedule.leaves) {
     const net::PeerId peer = l.peer;
-    scheduler_->ScheduleEvent(l.at, peer, peer,
-                              [this, peer]() { peers_[peer]->GracefulLeave(); });
+    scheduler_.ScheduleEvent(l.at, peer,
+                             [this, peer]() { peers_[peer]->GracefulLeave(); });
   }
   for (const auto& join : schedule.joins) {
     const net::PeerId peer = join.peer;
     const net::PeerId sponsor = join.sponsor;
-    scheduler_->ScheduleEvent(join.at, peer, peer, [this, peer, sponsor]() {
+    scheduler_.ScheduleEvent(join.at, peer, [this, peer, sponsor]() {
       peers_[peer]->JoinVia(sponsor, [](Status) {});
     });
   }
@@ -330,11 +317,11 @@ namespace {
 // Starts one asynchronous peer operation by handing `start` its callback,
 // and runs the simulation until that callback fired.
 template <typename T, typename Start>
-T RunToCompletion(sim::Scheduler* scheduler, std::string_view what,
+T RunToCompletion(sim::Scheduler& scheduler, std::string_view what,
                   Start start) {
   std::optional<T> out;
   start([&out](T r) { out = std::move(r); });
-  scheduler->RunUntil([&out] { return out.has_value(); });
+  scheduler.RunUntil([&out] { return out.has_value(); });
   if (!out.has_value()) {
     return Status::Internal("simulation drained before ", what,
                             " completed");

@@ -12,7 +12,7 @@
 #include "net/transport.h"
 #include "pgrid/peer.h"
 #include "sim/latency.h"
-#include "sim/simulation.h"
+#include "sim/scheduler.h"
 
 namespace unistore {
 namespace pgrid {
@@ -40,12 +40,7 @@ struct OverlayOptions {
 /// protocol decisions happen inside pgrid::Peer with local state only.
 class Overlay {
  public:
-  /// With `scheduler == nullptr` the overlay owns a single-threaded
-  /// sim::Simulation (the default engine); otherwise it runs on the given
-  /// engine — core::Cluster passes a sim::ShardedScheduler handle for
-  /// parallel peer execution.
-  Overlay(OverlayOptions options, std::unique_ptr<sim::LatencyModel> latency,
-          sim::Scheduler* scheduler = nullptr);
+  Overlay(OverlayOptions options, std::unique_ptr<sim::LatencyModel> latency);
 
   /// Convenience: overlay with constant 1 ms latency.
   explicit Overlay(OverlayOptions options = {});
@@ -79,10 +74,7 @@ class Overlay {
   const Peer* peer(net::PeerId id) const { return peers_[id].get(); }
   size_t size() const { return peers_.size(); }
 
-  /// The event engine. (Named for the historical single-engine API; all
-  /// callers only use the Scheduler interface.)
-  sim::Scheduler& simulation() { return *scheduler_; }
-  sim::Scheduler& scheduler() { return *scheduler_; }
+  sim::Scheduler& scheduler() { return scheduler_; }
   net::Transport& transport() { return *transport_; }
   Rng& rng() { return rng_; }
 
@@ -136,9 +128,8 @@ class Overlay {
   /// time; (3) protocol actions — Restart at a crash's restart edge,
   /// GracefulLeave at a leave's announce time, JoinVia at a join time —
   /// are scheduled as events of the affected peer's own domain, so the
-  /// whole lifecycle replays byte-identically across engines and shard
-  /// counts. Call after construction, before the workload; every
-  /// scheduled time must be >= Now().
+  /// whole lifecycle replays byte-identically. Call after construction,
+  /// before the workload; every scheduled time must be >= Now().
   std::vector<net::PeerId> InstallChurn(net::ChurnSchedule schedule);
 
   /// Aggregated lifecycle counters across all peers (DESIGN.md §11).
@@ -159,8 +150,7 @@ class Overlay {
 
  private:
   OverlayOptions options_;
-  std::unique_ptr<sim::Simulation> owned_scheduler_;  ///< Default engine.
-  sim::Scheduler* scheduler_;
+  sim::Scheduler scheduler_;  ///< Outlives the transport and the peers.
   std::unique_ptr<net::Transport> transport_;
   Rng rng_;
   std::vector<std::unique_ptr<Peer>> peers_;

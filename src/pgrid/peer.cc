@@ -267,7 +267,7 @@ void Peer::RetryAfter(sim::SimTime delay_us, std::function<void()> fn) {
     fn();
     return;
   }
-  transport_->scheduler()->ScheduleAfter(delay_us, id_, id_, std::move(fn));
+  transport_->scheduler()->ScheduleAfter(delay_us, id_, std::move(fn));
 }
 
 void Peer::ObservePeer(PeerId peer, bool ok) {
@@ -316,7 +316,7 @@ void Peer::SendKeySet(uint64_t request_id) {
   it = key_set_ops_.find(request_id);
   if (it == key_set_ops_.end() || it->second.attempt != attempt) return;
   transport_->scheduler()->ScheduleAfter(
-      options_.request_timeout, id_, id_, [this, request_id, attempt]() {
+      options_.request_timeout, id_, [this, request_id, attempt]() {
         auto it = key_set_ops_.find(request_id);
         if (it == key_set_ops_.end() || it->second.attempt != attempt) return;
         // No reply named these slots: suspect where they were sent, and
@@ -1146,7 +1146,7 @@ void Peer::SendSeqScan(uint64_t id) {
   req.limit = it->second.limit;
 
   transport_->scheduler()->ScheduleAfter(
-      kScanTimeout, id_, id_, [this, id]() {
+      kScanTimeout, id_, [this, id]() {
     auto it = seq_scans_.find(id);
     if (it != seq_scans_.end()) FinishSeqScan(id, /*complete=*/false);
   });
@@ -1335,7 +1335,7 @@ void Peer::SendShowerScan(uint64_t id) {
   req.range = it->second.range;
 
   transport_->scheduler()->ScheduleAfter(
-      kScanTimeout, id_, id_, [this, id]() {
+      kScanTimeout, id_, [this, id]() {
     auto it = shower_scans_.find(id);
     if (it != shower_scans_.end()) FinishShowerScan(id, /*complete=*/false);
   });
@@ -1566,7 +1566,7 @@ void Peer::DoInitiateExchange(PeerId other, uint32_t ttl,
           if (!candidates.empty()) {
             PeerId next = candidates[rng_.NextBounded(candidates.size())];
             transport_->scheduler()->ScheduleAfter(
-                1000, id_, id_, [this, next, ttl]() {
+                1000, id_, [this, next, ttl]() {
                   DoInitiateExchange(next, ttl - 1, NoopStatus);
                 });
           }
@@ -1727,10 +1727,10 @@ void Peer::ApplyExchangeReply(const ExchangeReply& reply, PeerId responder) {
 // ---------------------------------------------------------------------------
 //
 // All lifecycle protocol work runs as events of this peer's own domain and
-// touches only peer-local state, so it composes with sharded execution the
-// same way every other protocol does. Liveness itself (who is down when)
-// lives in the churn plane, a pure function of virtual time evaluated by
-// the transport; the code here only reacts to its edges.
+// touches only peer-local state, like every other protocol. Liveness
+// itself (who is down when) lives in the churn plane, a pure function of
+// virtual time evaluated by the transport; the code here only reacts to
+// its edges.
 
 void Peer::FailInFlight(const Status& status) {
   // Move the maps out first: the callbacks may start fresh operations
@@ -1911,7 +1911,7 @@ void Peer::HandleJoin(const Message& msg) {
 }
 
 void Peer::ScheduleGuard() {
-  transport_->scheduler()->ScheduleAfter(options_.reprotect_period, id_, id_,
+  transport_->scheduler()->ScheduleAfter(options_.reprotect_period, id_,
                                          [this]() { GuardTick(); });
 }
 

@@ -607,14 +607,13 @@ class Peer {
   AdvertCache advert_cache_;
 
   // Peer suspicion state: peer -> suspicion expiry (absolute virtual
-  // time). Driven purely by this peer's own observed request outcomes, so
-  // it stays deterministic under sharding.
+  // time). Driven purely by this peer's own observed request outcomes.
   std::map<PeerId, sim::SimTime> suspects_;
   uint64_t suspicion_skips_ = 0;
 
   // Lifecycle state (DESIGN.md §11). probe_failures_ counts consecutive
   // failed probes per replica; reaching failure_confirm_probes confirms
-  // the failure. All per-peer (shard-local), aggregated by the harness.
+  // the failure. All per-peer, aggregated by the harness.
   std::function<void()> restart_hook_;
   std::map<PeerId, int> probe_failures_;
   bool recruit_inflight_ = false;

@@ -27,12 +27,11 @@ class LatencyModel {
   /// Returns a one-way delay in virtual microseconds (>= 0).
   virtual SimTime Sample(NodeId src, NodeId dst, Rng* rng) = 0;
 
-  /// A lower bound on message delay (>= 1). The sharded scheduler uses
-  /// this as its conservative lookahead, so tighter bounds mean larger
-  /// parallel windows. The transport clamps every sampled delay up to
-  /// this floor, so models whose Sample() can dip below it (e.g. a
-  /// degenerate zero-latency configuration) stay safe under sharding at
-  /// the cost of a 1 us minimum hop.
+  /// A lower bound on message delay (>= 1). The transport clamps every
+  /// sampled delay up to this floor, so even a model whose Sample() can
+  /// dip below it (e.g. a degenerate zero-latency configuration) never
+  /// delivers a message in the microsecond it was sent, at the cost of a
+  /// 1 us minimum hop.
   virtual SimTime MinLatency() const { return 1; }
 };
 

@@ -120,7 +120,7 @@ TEST(ChaosCampaignTest, InvariantsHoldUnderScriptedFaultMixture) {
     }
   }
 
-  auto& sim = overlay.simulation();
+  auto& sim = overlay.scheduler();
 
   // --- Writes: only callbacks that report OK count as acknowledged. ----
   std::vector<std::string> acked_subjects;
@@ -413,7 +413,7 @@ TEST(ChaosCampaignTest, ChurnMixedWithFaultsEndsReprotected) {
   faults.Duplicate(0, 4 * kS, net::kAnyPeer, net::kAnyPeer, 0.05);
   overlay.transport().SetFaultSchedule(faults);
 
-  auto& sim = overlay.simulation();
+  auto& sim = overlay.scheduler();
 
   // Writes threaded through the churn window, from initiators that are
   // never scripted down. Only OK callbacks count as acknowledged.

@@ -84,7 +84,7 @@ struct Scenario {
     services[initiator]->RunMigrateJoin(
         pattern, left,
         [&out](Result<exec::MigrateResult> r) { out = std::move(r); });
-    overlay->simulation().RunUntil([&out] { return out.has_value(); });
+    overlay->scheduler().RunUntil([&out] { return out.has_value(); });
     EXPECT_TRUE(out.has_value());
     return std::move(*out);
   }
@@ -155,9 +155,9 @@ TEST(PartitionHealTest, UnhealedPartitionYieldsExplicitCoverageGap) {
   partial.partial_results = true;
   s.services[0]->set_envelope_options(partial);
 
-  const sim::SimTime launched = s.overlay->simulation().Now();
+  const sim::SimTime launched = s.overlay->scheduler().Now();
   auto degraded = s.Migrate(0);
-  const sim::SimTime finished = s.overlay->simulation().Now();
+  const sim::SimTime finished = s.overlay->scheduler().Now();
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_FALSE(degraded->complete)
       << "result over a cut network cannot be complete";

@@ -115,7 +115,7 @@ TEST(ChurnLifecycleTest, MemoryRestartCatchesUpThroughRepair) {
   Overlay overlay(options);
   overlay.AddPeers(4);
   overlay.BuildBalanced();
-  auto& sim = overlay.simulation();
+  auto& sim = overlay.scheduler();
 
   for (const Entry& e : MakeBatch("pre", 40)) overlay.InsertDirect(e);
 
@@ -192,7 +192,7 @@ TEST(ChurnLifecycleTest, DiskRestartReplaysManifest) {
 
   std::optional<Status> caught_up;
   overlay.peer(1)->Restart([&](Status s) { caught_up = std::move(s); });
-  overlay.simulation().RunUntil([&] { return caught_up.has_value(); });
+  overlay.scheduler().RunUntil([&] { return caught_up.has_value(); });
 
   ASSERT_TRUE(caught_up.has_value());
   EXPECT_TRUE(caught_up->ok()) << caught_up->ToString();
@@ -224,7 +224,7 @@ TEST(ChurnLifecycleTest, RestartFailsInFlightOperations) {
   overlay.peer(0)->RangeScanShower(
       full, [&](Result<RangeResult> r) { scan = std::move(r); });
   overlay.peer(0)->Restart();
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
 
   ASSERT_TRUE(scan.has_value()) << "in-flight scan leaked across restart";
   EXPECT_FALSE(scan->ok());
@@ -284,7 +284,7 @@ TEST(ChurnLifecycleTest, RestartFailsInFlightMigrateJoinOnce) {
                                 failed = std::move(r);
                               });
   overlay.peer(0)->Restart();
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
   EXPECT_EQ(calls, 1);
   ASSERT_TRUE(failed.has_value());
   EXPECT_EQ(failed->status().code(), StatusCode::kUnavailable);
@@ -294,7 +294,7 @@ TEST(ChurnLifecycleTest, RestartFailsInFlightMigrateJoinOnce) {
     services[via]->RunMigrateJoin(
         pattern, left,
         [&out](Result<exec::MigrateResult> r) { out = std::move(r); });
-    overlay.simulation().RunUntil([&out] { return out.has_value(); });
+    overlay.scheduler().RunUntil([&out] { return out.has_value(); });
     EXPECT_TRUE(out.has_value());
     return std::move(*out);
   };
@@ -324,7 +324,7 @@ TEST(ChurnLifecycleTest, JoinSplitsLoadedSponsor) {
 
   std::optional<Status> joined;
   overlay.peer(1)->JoinVia(0, [&](Status s) { joined = std::move(s); });
-  overlay.simulation().RunUntil([&] { return joined.has_value(); });
+  overlay.scheduler().RunUntil([&] { return joined.has_value(); });
 
   ASSERT_TRUE(joined.has_value());
   ASSERT_TRUE(joined->ok()) << joined->ToString();
@@ -365,7 +365,7 @@ TEST(ChurnLifecycleTest, JoinAdoptsIntoReplicaGroup) {
 
   std::optional<Status> joined;
   overlay.peer(1)->JoinVia(0, [&](Status s) { joined = std::move(s); });
-  overlay.simulation().RunUntil([&] { return joined.has_value(); });
+  overlay.scheduler().RunUntil([&] { return joined.has_value(); });
 
   ASSERT_TRUE(joined.has_value());
   ASSERT_TRUE(joined->ok()) << joined->ToString();
@@ -402,7 +402,7 @@ TEST(ChurnLifecycleTest, GracefulLeaveHandsOffLiveEntries) {
             StoreDigest(overlay.peer(2)->store()));
 
   overlay.peer(0)->GracefulLeave();
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
 
   EXPECT_EQ(overlay.peer(0)->leaves_completed(), 1u);
   EXPECT_EQ(overlay.peer(0)->handoff_entries(), delta.size());
@@ -439,7 +439,7 @@ TEST(ChurnLifecycleTest, GuardConfirmsFailureAndRecruitsReplacement) {
   ChurnSchedule churn;
   churn.Crash(1, 1 * kS);
   overlay.InstallChurn(churn);
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
 
   Peer* survivor = overlay.peer(3);
   EXPECT_GE(survivor->replicas_confirmed_dead(), 1u)
@@ -517,7 +517,7 @@ TEST(ChurnLifecycleTest, StaleHotAdvertFailsOverWhenReplicaCrashes) {
   // 40 lookups, 200 ms apart, from t = 0.1 s to 8 s: the first reply
   // brings the advert, the rest keep hitting it across the crash window
   // and the replacement.
-  auto& sim = overlay.simulation();
+  auto& sim = overlay.scheduler();
   std::vector<Status> outcomes;
   for (int i = 0; i < 40; ++i) {
     sim.ScheduleAt(100 * kMs + i * 200 * kMs, [&, i] {
@@ -573,7 +573,7 @@ TEST(ChurnLifecycleTest, InstallChurnCompilesMixedSchedule) {
   auto joiners = overlay.InstallChurn(churn);
   ASSERT_EQ(joiners.size(), 1u);
   EXPECT_EQ(joiners[0], 8u) << "joiner should be a freshly registered peer";
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
 
   auto stats = overlay.AggregateLifecycleStats();
   EXPECT_EQ(stats.restarts, 1u);

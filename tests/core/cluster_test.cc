@@ -124,7 +124,7 @@ TEST(ClusterTest, AdaptiveConstructionServesQueries) {
     t.attributes["age"] = triple::Value::Int(20 + i);
     ASSERT_TRUE(cluster.InsertTupleSync(0, t).ok());
   }
-  cluster.simulation().RunUntilIdle();
+  cluster.scheduler().RunUntilIdle();
   cluster.overlay().RunExchangeRounds(15);
   cluster.RefreshStats();
 
@@ -182,7 +182,7 @@ std::vector<triple::Triple> ReadSync(
   std::optional<Result<std::vector<triple::Triple>>> out;
   read(cluster->node(via).store(),
        [&out](Result<std::vector<triple::Triple>> r) { out = std::move(r); });
-  cluster->simulation().RunUntil([&out] { return out.has_value(); });
+  cluster->scheduler().RunUntil([&out] { return out.has_value(); });
   EXPECT_TRUE(out.has_value() && out->ok());
   if (!out.has_value() || !out->ok()) return {};
   return std::move(**out);

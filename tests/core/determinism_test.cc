@@ -1,14 +1,13 @@
-// Cross-engine determinism: the acceptance test of the sharded scheduler.
-//
-// One fixed-seed 64-peer scenario — bulk inserts, VQL queries, message
-// loss, and churn — must produce byte-identical query results, delivery
-// traces, and merged traffic statistics under the single-threaded engine
-// and under ShardedScheduler with K in {1, 2, 4}, inline and threaded.
-// The contract (DESIGN.md §2): runs are compared at quiescent points
-// (after RunUntilIdle), where every engine has processed the same events
-// in the same per-peer order.
+// Determinism (DESIGN.md §2): a fixed-seed scenario — inserts, VQL
+// queries, message loss, churn, faults — run twice must produce
+// byte-identical query results, delivery traces, traffic statistics,
+// clocks and event counts. Runs are compared at quiescent points (after
+// RunUntilIdle). The disk backend must not change a logical outcome, and
+// one pinned scenario must keep the digest recorded for it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "pgrid/backend_env.h"
 #include "pgrid/local_store.h"
 #include "pgrid/overlay.h"
-#include "sim/sharded_scheduler.h"
 #include "triple/index.h"
 
 namespace unistore {
@@ -27,22 +25,18 @@ namespace {
 
 struct Capture {
   std::string ops;        ///< Statuses + serialized query results, in order.
-  std::string stats;      ///< Merged TrafficStats at the end.
+  std::string stats;      ///< TrafficStats at the end.
   std::string trace;      ///< Canonical per-peer delivery trace.
   sim::SimTime final_now; ///< Clock at final quiescence.
   size_t processed;       ///< Total events processed.
 };
 
-Capture RunScenario(ClusterOptions::Engine engine, size_t shards,
-                    size_t threads, bool disk_backend = false) {
+Capture RunScenario(bool disk_backend = false) {
   ClusterOptions options;
   options.peers = 64;
   options.replication = 2;
   options.seed = 20260728;
   options.loss_probability = 0.01;
-  options.engine = engine;
-  options.shards = shards;
-  options.threads = threads;
   // Outlives the cluster: every peer's disk store writes into its own
   // per-peer directory of this shared in-memory filesystem.
   pgrid::storage::MemEnv env;
@@ -59,7 +53,7 @@ Capture RunScenario(ClusterOptions::Engine engine, size_t shards,
   cluster.overlay().transport().EnableDeliveryTrace();
 
   std::ostringstream ops;
-  auto quiesce = [&cluster] { cluster.simulation().RunUntilIdle(); };
+  auto quiesce = [&cluster] { cluster.scheduler().RunUntilIdle(); };
 
   BibliographyOptions data;
   data.authors = 10;
@@ -122,14 +116,14 @@ Capture RunScenario(ClusterOptions::Engine engine, size_t shards,
   capture.ops += "storage: " + cluster.StorageStatus().ToString() + "\n";
   capture.stats = cluster.overlay().transport().stats().ToString();
   capture.trace = cluster.overlay().transport().DeliveryTrace();
-  capture.final_now = cluster.simulation().Now();
-  capture.processed = cluster.simulation().processed_events();
+  capture.final_now = cluster.scheduler().Now();
+  capture.processed = cluster.scheduler().processed_events();
   return capture;
 }
 
 void ExpectIdentical(const Capture& a, const Capture& b, const char* label) {
   EXPECT_EQ(a.ops, b.ops) << label << ": operation outcomes differ";
-  EXPECT_EQ(a.stats, b.stats) << label << ": merged TrafficStats differ";
+  EXPECT_EQ(a.stats, b.stats) << label << ": TrafficStats differ";
   EXPECT_TRUE(a.trace == b.trace)
       << label << ": delivery traces differ (" << a.trace.size() << " vs "
       << b.trace.size() << " bytes)";
@@ -138,9 +132,9 @@ void ExpectIdentical(const Capture& a, const Capture& b, const char* label) {
 }
 
 TEST(DeterminismTest, SameSeedSameRun) {
-  auto first = RunScenario(ClusterOptions::Engine::kSingleThread, 1, 1);
-  auto second = RunScenario(ClusterOptions::Engine::kSingleThread, 1, 1);
-  ExpectIdentical(first, second, "single-thread repeat");
+  auto first = RunScenario();
+  auto second = RunScenario();
+  ExpectIdentical(first, second, "repeat");
   EXPECT_GT(first.processed, 1000u);  // The scenario is non-trivial.
   EXPECT_NE(first.trace.find("Insert"), std::string::npos);
   // The substring query runs on the q-gram postings.
@@ -149,47 +143,22 @@ TEST(DeterminismTest, SameSeedSameRun) {
             std::string::npos);
 }
 
-TEST(DeterminismTest, ShardedEnginesMatchSingleThread) {
-  auto reference = RunScenario(ClusterOptions::Engine::kSingleThread, 1, 1);
-  for (size_t shards : {1u, 2u, 4u}) {
-    auto sharded =
-        RunScenario(ClusterOptions::Engine::kSharded, shards, /*threads=*/1);
-    ExpectIdentical(reference, sharded,
-                    ("sharded K=" + std::to_string(shards)).c_str());
-  }
-}
-
-TEST(DeterminismTest, WorkerThreadsDoNotChangeResults) {
-  auto inline_run =
-      RunScenario(ClusterOptions::Engine::kSharded, 4, /*threads=*/1);
-  auto threaded_run =
-      RunScenario(ClusterOptions::Engine::kSharded, 4, /*threads=*/4);
-  ExpectIdentical(inline_run, threaded_run, "K=4 threaded");
-}
-
-// The storage determinism contract: swapping every peer onto the
-// disk-backed store (per-peer directories in one shared in-memory
-// filesystem, aggressive flush/compaction) changes no logical outcome —
-// insert statuses, query results, repair statuses, and storage health
-// stay byte-identical to the in-memory reference. Wire traffic is NOT
-// backend-invariant: manifest-delta repair (DESIGN.md §9) plans chunk
-// fetches against the physical run layout, which differs between the
-// memtable-resident memory config and the aggressively flushing disk
-// config. Within the disk configuration, everything — traces, traffic,
-// clocks, repair chunk streams — is byte-identical across the
-// single-threaded engine and ShardedScheduler with K in {1, 2, 4}.
+// The storage determinism contract, across the two storage engines:
+// swapping every peer onto the disk-backed store (per-peer directories in
+// one shared in-memory filesystem, aggressive flush/compaction) changes no
+// logical outcome — insert statuses, query results, repair statuses, and
+// storage health stay byte-identical to the in-memory reference. Wire
+// traffic is NOT backend-invariant: manifest-delta repair (DESIGN.md §9)
+// plans chunk fetches against the physical run layout, which differs
+// between the memtable-resident memory config and the aggressively
+// flushing disk config. Within the disk configuration, everything —
+// traces, traffic, clocks, repair chunk streams — replays byte-identically.
 TEST(DeterminismTest, DiskBackendMatchesMemoryAcrossEngines) {
-  auto reference = RunScenario(ClusterOptions::Engine::kSingleThread, 1, 1);
-  auto disk_single = RunScenario(ClusterOptions::Engine::kSingleThread, 1, 1,
-                                 /*disk_backend=*/true);
-  EXPECT_EQ(reference.ops, disk_single.ops)
+  auto reference = RunScenario();
+  auto disk = RunScenario(/*disk_backend=*/true);
+  EXPECT_EQ(reference.ops, disk.ops)
       << "disk backend changed a logical outcome";
-  for (size_t shards : {1u, 2u, 4u}) {
-    auto sharded = RunScenario(ClusterOptions::Engine::kSharded, shards,
-                               /*threads=*/1, /*disk_backend=*/true);
-    ExpectIdentical(disk_single, sharded,
-                    ("disk sharded K=" + std::to_string(shards)).c_str());
-  }
+  ExpectIdentical(disk, RunScenario(/*disk_backend=*/true), "disk repeat");
 }
 
 // --- Scripted churn (peer lifecycle, DESIGN.md §11) -------------------------
@@ -201,17 +170,13 @@ TEST(DeterminismTest, DiskBackendMatchesMemoryAcrossEngines) {
 // the transport; every protocol action runs as an event of the affected
 // peer's own domain — so the whole lifecycle, the timed writes threaded
 // through it, and the aggregated lifecycle counters must replay
-// byte-identically across engines and shard counts, and (logically) with
-// every restarted peer on the disk backend instead of memory.
-Capture RunChurnScenario(ClusterOptions::Engine engine, size_t shards,
-                         size_t threads, bool disk_backend = false) {
+// byte-identically, and (logically) with every restarted peer on the disk
+// backend instead of memory.
+Capture RunChurnScenario(bool disk_backend = false) {
   ClusterOptions options;
   options.peers = 64;
   options.replication = 2;
   options.seed = 20260808;
-  options.engine = engine;
-  options.shards = shards;
-  options.threads = threads;
   options.peer.request_timeout = 300 * sim::kMicrosPerMilli;
   options.peer.request_retries = 4;
   options.peer.retry_backoff_base_us = 10 * sim::kMicrosPerMilli;
@@ -253,7 +218,7 @@ Capture RunChurnScenario(ClusterOptions::Engine engine, size_t shards,
   // Writes threaded through the churn window (t = 0.5 s .. 6 s), from
   // rotating initiators that are never scripted-down at issue time; the
   // ack statuses are part of the compared stream.
-  auto& sim = cluster.simulation();
+  auto& sim = cluster.scheduler();
   for (size_t i = 0; i < tuples.size(); ++i) {
     const auto when =
         500 * sim::kMicrosPerMilli + i * 150 * sim::kMicrosPerMilli;
@@ -266,7 +231,7 @@ Capture RunChurnScenario(ClusterOptions::Engine engine, size_t shards,
   }
   // Drains the writes AND the whole lifecycle: restart catch-up, leave
   // hand-off, join adoption, guard ticks to the horizon.
-  cluster.simulation().RunUntilIdle();
+  cluster.scheduler().RunUntilIdle();
 
   // Post-churn reads over every region, from a survivor.
   const std::vector<std::string> queries = {
@@ -281,7 +246,7 @@ Capture RunChurnScenario(ClusterOptions::Engine engine, size_t shards,
     } else {
       ops << result.status().ToString() << "\n";
     }
-    cluster.simulation().RunUntilIdle();
+    cluster.scheduler().RunUntilIdle();
   }
 
   Capture capture;
@@ -294,14 +259,13 @@ Capture RunChurnScenario(ClusterOptions::Engine engine, size_t shards,
                  "\n";
   capture.stats = cluster.overlay().transport().stats().ToString();
   capture.trace = cluster.overlay().transport().DeliveryTrace();
-  capture.final_now = cluster.simulation().Now();
-  capture.processed = cluster.simulation().processed_events();
+  capture.final_now = cluster.scheduler().Now();
+  capture.processed = cluster.scheduler().processed_events();
   return capture;
 }
 
-TEST(DeterminismTest, ChurnScheduleByteIdenticalAcrossEngines) {
-  auto reference =
-      RunChurnScenario(ClusterOptions::Engine::kSingleThread, 1, 1);
+TEST(DeterminismTest, ChurnScheduleReplaysByteIdentical) {
+  auto reference = RunChurnScenario();
   // The lifecycle actually ran: both restarts-and-joins happened and the
   // churn plane dropped traffic.
   EXPECT_NE(reference.ops.find("restarts=1"), std::string::npos)
@@ -310,26 +274,17 @@ TEST(DeterminismTest, ChurnScheduleByteIdenticalAcrossEngines) {
   EXPECT_NE(reference.ops.find("leaves=1"), std::string::npos);
   EXPECT_EQ(reference.stats.find(" churn_drop=0 "), std::string::npos)
       << "churn plane never dropped a message";
-  for (size_t shards : {1u, 2u, 4u}) {
-    auto sharded = RunChurnScenario(ClusterOptions::Engine::kSharded, shards,
-                                    /*threads=*/1);
-    ExpectIdentical(reference, sharded,
-                    ("churn sharded K=" + std::to_string(shards)).c_str());
-  }
-  auto threaded =
-      RunChurnScenario(ClusterOptions::Engine::kSharded, 4, /*threads=*/4);
-  ExpectIdentical(reference, threaded, "churn K=4 threaded");
+  ExpectIdentical(reference, RunChurnScenario(), "churn repeat");
 }
 
-// Restarted peers on the disk backend replay their manifest instead of
-// restarting empty: wire traffic differs (catch-up fetches less), but no
-// logical outcome — ack statuses, query rows, lifecycle transition
-// counts, storage health — may change. Within the disk configuration,
-// everything is byte-identical across engines and shard counts.
+// Across the two storage engines: restarted peers on the disk backend
+// replay their manifest instead of restarting empty. Wire traffic differs
+// (catch-up fetches less), but no logical outcome — ack statuses, query
+// rows, lifecycle transition counts, storage health — may change. Within
+// the disk configuration, everything replays byte-identically.
 TEST(DeterminismTest, ChurnDiskRestartsMatchMemoryAcrossEngines) {
-  auto memory = RunChurnScenario(ClusterOptions::Engine::kSingleThread, 1, 1);
-  auto disk = RunChurnScenario(ClusterOptions::Engine::kSingleThread, 1, 1,
-                               /*disk_backend=*/true);
+  auto memory = RunChurnScenario();
+  auto disk = RunChurnScenario(/*disk_backend=*/true);
   // Catch-up duration depends on how much the backend recovered, so strip
   // the lifecycle line down to the transition counts for the cross-backend
   // comparison.
@@ -341,12 +296,8 @@ TEST(DeterminismTest, ChurnDiskRestartsMatchMemoryAcrossEngines) {
   };
   EXPECT_EQ(logical(memory), logical(disk))
       << "disk-backed restarts changed a logical outcome";
-  for (size_t shards : {2u, 4u}) {
-    auto sharded = RunChurnScenario(ClusterOptions::Engine::kSharded, shards,
-                                    /*threads=*/1, /*disk_backend=*/true);
-    ExpectIdentical(disk, sharded,
-                    ("churn disk K=" + std::to_string(shards)).c_str());
-  }
+  ExpectIdentical(disk, RunChurnScenario(/*disk_backend=*/true),
+                  "churn disk repeat");
 }
 
 // --- Envelope-heavy workload (batched Migrate joins, DESIGN.md §4) ----------
@@ -354,9 +305,8 @@ TEST(DeterminismTest, ChurnDiskRestartsMatchMemoryAcrossEngines) {
 // A trie that is deep under the 'age' partition so Migrate-join envelopes
 // walk many peers, with forced Migrate strategy, fan-out, chunking,
 // pipelining and message loss all enabled: the batched envelope executor
-// must stay byte-identical across engines.
-Capture RunMigrateScenario(ClusterOptions::Engine engine, size_t shards,
-                           size_t threads, double loss_probability = 0.005,
+// must replay byte-identically.
+Capture RunMigrateScenario(double loss_probability = 0.005,
                            bool faulted = false) {
   ClusterOptions options;
   options.custom_paths = pgrid::PartitionCoverPaths(
@@ -369,7 +319,7 @@ Capture RunMigrateScenario(ClusterOptions::Engine engine, size_t shards,
     // one slow jittery sender, plus wildcard corruption and duplication.
     // Partial-results mode turns unreachable coverage into explicit gaps,
     // and the backoff knobs route every retry through RetryPolicy — all
-    // of it must replay byte-identically on every engine.
+    // of it must replay byte-identically.
     const auto cut = static_cast<net::PeerId>(options.peers - 1);
     options.fault_schedule.PartitionPair(0, net::kFaultForever, cut,
                                          net::kAnyPeer);
@@ -385,9 +335,6 @@ Capture RunMigrateScenario(ClusterOptions::Engine engine, size_t shards,
     options.peer.retry_jitter_us = 2 * sim::kMicrosPerMilli;
     options.peer.suspicion_ttl = 2 * sim::kMicrosPerSecond;
   }
-  options.engine = engine;
-  options.shards = shards;
-  options.threads = threads;
   options.node.planner.force_join_strategy = plan::JoinStrategy::kMigrate;
   options.node.envelope.fanout = 4;
   options.node.envelope.max_bindings_per_envelope = 8;
@@ -397,7 +344,7 @@ Capture RunMigrateScenario(ClusterOptions::Engine engine, size_t shards,
   cluster.overlay().transport().EnableDeliveryTrace();
 
   std::ostringstream ops;
-  auto quiesce = [&cluster] { cluster.simulation().RunUntilIdle(); };
+  auto quiesce = [&cluster] { cluster.scheduler().RunUntilIdle(); };
 
   for (int i = 0; i < 30; ++i) {
     const std::string oid = "p" + std::to_string(i);
@@ -449,41 +396,28 @@ Capture RunMigrateScenario(ClusterOptions::Engine engine, size_t shards,
   capture.ops = ops.str();
   capture.stats = cluster.overlay().transport().stats().ToString();
   capture.trace = cluster.overlay().transport().DeliveryTrace();
-  capture.final_now = cluster.simulation().Now();
-  capture.processed = cluster.simulation().processed_events();
+  capture.final_now = cluster.scheduler().Now();
+  capture.processed = cluster.scheduler().processed_events();
   return capture;
 }
 
-TEST(DeterminismTest, EnvelopeHeavyWorkloadMatchesAcrossEngines) {
-  auto reference =
-      RunMigrateScenario(ClusterOptions::Engine::kSingleThread, 1, 1);
+TEST(DeterminismTest, EnvelopeHeavyWorkloadReplaysByteIdentical) {
+  auto reference = RunMigrateScenario();
   // The workload actually exercised batched Migrate joins.
   EXPECT_NE(reference.ops.find("Join[Migrate]: branches="),
             std::string::npos);
-  for (size_t shards : {1u, 2u, 4u}) {
-    auto sharded = RunMigrateScenario(ClusterOptions::Engine::kSharded,
-                                      shards, /*threads=*/1);
-    ExpectIdentical(reference, sharded,
-                    ("migrate sharded K=" + std::to_string(shards)).c_str());
-  }
-  auto threaded =
-      RunMigrateScenario(ClusterOptions::Engine::kSharded, 4, /*threads=*/4);
-  ExpectIdentical(reference, threaded, "migrate K=4 threaded");
+  ExpectIdentical(reference, RunMigrateScenario(), "migrate repeat");
 }
 
 // The Fig-4 skyline: its probe joins send key-set lookups (DESIGN.md
-// §13) whose per-hop splits and replies must replay byte-identically
-// across engines and shard counts, 1% message loss and retries included.
-Capture RunSkylineScenario(ClusterOptions::Engine engine, size_t shards,
-                           size_t threads) {
+// §13) whose per-hop splits and replies must replay byte-identically,
+// 1% message loss and retries included.
+Capture RunSkylineScenario() {
   ClusterOptions options;
   options.peers = 64;
   options.replication = 2;
   options.seed = 20261017;
   options.loss_probability = 0.01;
-  options.engine = engine;
-  options.shards = shards;
-  options.threads = threads;
   Cluster cluster(options);
   cluster.overlay().transport().EnableDeliveryTrace();
 
@@ -499,7 +433,7 @@ Capture RunSkylineScenario(ClusterOptions::Engine engine, size_t shards,
     ops << "insert " << i << ": "
         << cluster.InsertTupleSync(via, tuples[i]).ToString() << "\n";
   }
-  cluster.simulation().RunUntilIdle();
+  cluster.scheduler().RunUntilIdle();
   cluster.RefreshStats();
   // At this size the cost model would migrate; probe as the query_mix
   // cluster does.
@@ -522,21 +456,20 @@ Capture RunSkylineScenario(ClusterOptions::Engine engine, size_t shards,
     } else {
       ops << result.status().ToString() << "\n";
     }
-    cluster.simulation().RunUntilIdle();
+    cluster.scheduler().RunUntilIdle();
   }
 
   Capture capture;
   capture.ops = ops.str();
   capture.stats = cluster.overlay().transport().stats().ToString();
   capture.trace = cluster.overlay().transport().DeliveryTrace();
-  capture.final_now = cluster.simulation().Now();
-  capture.processed = cluster.simulation().processed_events();
+  capture.final_now = cluster.scheduler().Now();
+  capture.processed = cluster.scheduler().processed_events();
   return capture;
 }
 
-TEST(DeterminismTest, SkylineByteIdenticalAcrossEngines) {
-  auto reference =
-      RunSkylineScenario(ClusterOptions::Engine::kSingleThread, 1, 1);
+TEST(DeterminismTest, SkylineReplaysByteIdentical) {
+  auto reference = RunSkylineScenario();
   // The skyline answered through batched probes.
   EXPECT_NE(reference.trace.find(" Lookup req="), std::string::npos);
   EXPECT_NE(reference.ops.find("batches=1"), std::string::npos)
@@ -544,25 +477,18 @@ TEST(DeterminismTest, SkylineByteIdenticalAcrossEngines) {
   EXPECT_EQ(reference.ops.find("Unavailable", reference.ops.find("skyline")),
             std::string::npos)
       << reference.ops;
-  for (size_t shards : {1u, 2u, 4u}) {
-    auto sharded = RunSkylineScenario(ClusterOptions::Engine::kSharded,
-                                      shards, /*threads=*/1);
-    ExpectIdentical(reference, sharded,
-                    ("skyline sharded K=" + std::to_string(shards)).c_str());
-  }
+  ExpectIdentical(reference, RunSkylineScenario(), "skyline repeat");
 }
 
 // The fault-plane determinism contract (DESIGN.md §10): the same
 // FaultSchedule — permanent partition, asymmetric jitter, corruption,
-// duplication — replays byte-identically across engines and shard
-// counts. Every fault draw comes from the sender's own RNG stream and
-// partition checks are pure functions of (now, src, dst), so delivery
-// traces, retry counters, and the partial results the degraded walks
-// return are part of the compared stream.
-TEST(DeterminismTest, FaultScheduleByteIdenticalAcrossEngines) {
+// duplication — replays byte-identically. Every fault draw comes from the
+// sender's own RNG stream and partition checks are pure functions of
+// (now, src, dst), so delivery traces, retry counters, and the partial
+// results the degraded walks return are part of the compared stream.
+TEST(DeterminismTest, FaultScheduleReplaysByteIdentical) {
   auto reference =
-      RunMigrateScenario(ClusterOptions::Engine::kSingleThread, 1, 1,
-                         /*loss_probability=*/0, /*faulted=*/true);
+      RunMigrateScenario(/*loss_probability=*/0, /*faulted=*/true);
   // The scripted faults left a footprint: corruption, duplication and
   // partition drops all engaged (their counters are non-zero).
   EXPECT_EQ(reference.stats.find(" part_drop=0 "), std::string::npos);
@@ -570,17 +496,164 @@ TEST(DeterminismTest, FaultScheduleByteIdenticalAcrossEngines) {
   EXPECT_EQ(reference.stats.find(" corrupt=0 "), std::string::npos);
   EXPECT_NE(reference.stats.find(" retry["), std::string::npos)
       << "no retry policy fired under faults";
-  for (size_t shards : {1u, 2u, 4u}) {
-    auto sharded = RunMigrateScenario(ClusterOptions::Engine::kSharded,
-                                      shards, /*threads=*/1,
-                                      /*loss_probability=*/0, /*faulted=*/true);
-    ExpectIdentical(reference, sharded,
-                    ("faulted sharded K=" + std::to_string(shards)).c_str());
+  ExpectIdentical(reference,
+                  RunMigrateScenario(/*loss_probability=*/0, /*faulted=*/true),
+                  "faulted repeat");
+}
+
+// --- The protocol pinned across commits -------------------------------------
+
+// FNV-1a over a byte string: a portable 64-bit digest.
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001B3ULL;
   }
-  auto threaded =
-      RunMigrateScenario(ClusterOptions::Engine::kSharded, 4, /*threads=*/4,
-                         /*loss_probability=*/0, /*faulted=*/true);
-  ExpectIdentical(reference, threaded, "faulted K=4 threaded");
+  return h;
+}
+
+// Appends a lookup or scan answer as one row per entry: its triple.
+void AddEntryRows(const std::string& label,
+                  const std::vector<pgrid::Entry>& entries,
+                  std::vector<std::string>* rows) {
+  for (const pgrid::Entry& e : entries) {
+    auto t = triple::DecodeEntryTriple(e.id);
+    rows->push_back(label + " " +
+                    (t.ok() ? t->ToString() : t.status().ToString()));
+  }
+}
+
+struct PinnedRun {
+  std::string folded;  ///< Delivery trace, then the sorted result rows.
+  std::string stats;   ///< TrafficStats at the end.
+};
+
+// A 48-peer cluster runs every client path once — bulk insert, Lookup,
+// LookupBatch, RangeScanSeq with a limit, RangeScanShower, a probe join
+// and a forced-Migrate join — while one peer crashes and restarts and
+// another is cut off for a window. LAN latency keeps every draw in
+// integer arithmetic; the WAN model goes through libm.
+PinnedRun RunPinnedScenario() {
+  constexpr sim::SimTime kMs = sim::kMicrosPerMilli;
+  ClusterOptions options;
+  options.peers = 48;
+  options.replication = 2;
+  options.seed = 20261019;
+  options.peer.request_timeout = 200 * kMs;
+  Cluster cluster(options);
+  pgrid::Overlay& overlay = cluster.overlay();
+  sim::Scheduler& scheduler = cluster.scheduler();
+  overlay.transport().EnableDeliveryTrace();
+  std::vector<std::string> rows;
+
+  BibliographyOptions data;
+  data.authors = 12;
+  data.publications_per_author = 2;
+  data.seed = 11;
+  const Bibliography bib = GenerateBibliography(data);
+  rows.push_back("bulk " +
+                 cluster.BulkLoadTuplesSync(0, bib.AllTuples()).ToString());
+  scheduler.RunUntilIdle();
+  cluster.RefreshStats();
+
+  // The crash-restart and the partition window land inside the reads.
+  const sim::SimTime t0 = scheduler.Now();
+  net::ChurnSchedule churn;
+  churn.Crash(7, t0 + 1 * kMs, /*restart_at=*/t0 + 300 * kMs);
+  cluster.InstallChurn(std::move(churn));
+  net::FaultSchedule faults;
+  faults.PartitionPair(t0 + 20 * kMs, t0 + 400 * kMs, 40, net::kAnyPeer);
+  overlay.transport().SetFaultSchedule(std::move(faults));
+
+  std::vector<pgrid::Key> keys;
+  for (const triple::Tuple& t : bib.persons) {
+    keys.push_back(triple::OidKey(t.oid));
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const std::string label = "lookup " + std::to_string(i);
+    auto via = static_cast<net::PeerId>((i * 7) % cluster.size());
+    auto found = overlay.LookupSync(via, keys[i]);
+    if (found.ok()) {
+      AddEntryRows(label, found->entries, &rows);
+    } else {
+      rows.push_back(label + " " + found.status().ToString());
+    }
+  }
+  auto batch = overlay.LookupBatchSync(5, keys);
+  if (batch.ok()) {
+    for (const auto& [key, entries] : *batch) {
+      AddEntryRows("batch", entries, &rows);
+    }
+  } else {
+    rows.push_back("batch " + batch.status().ToString());
+  }
+
+  std::optional<Result<pgrid::RangeResult>> seq;
+  overlay.peer(3)->RangeScanSeq(
+      triple::AttrRange("age"),
+      [&seq](Result<pgrid::RangeResult> r) { seq = std::move(r); },
+      /*limit=*/5);
+  scheduler.RunUntil([&seq] { return seq.has_value(); });
+  if (seq.has_value() && seq->ok()) {
+    AddEntryRows("seq", (*seq)->entries, &rows);
+  } else {
+    rows.push_back("seq failed");
+  }
+  auto shower = overlay.RangeShowerSync(40, triple::AttrRange("name"));
+  if (shower.ok()) {
+    AddEntryRows("shower", shower->entries, &rows);
+  } else {
+    rows.push_back("shower " + shower.status().ToString());
+  }
+
+  const std::string join =
+      "SELECT ?n,?t WHERE { (?a,'name',?n) (?a,'has_published',?t) }";
+  for (plan::JoinStrategy strategy :
+       {plan::JoinStrategy::kProbe, plan::JoinStrategy::kMigrate}) {
+    plan::PlannerOptions planner;
+    planner.force_join_strategy = strategy;
+    cluster.SetPlannerOptions(planner);
+    for (net::PeerId via : {1u, 30u}) {
+      const std::string label =
+          std::string(strategy == plan::JoinStrategy::kProbe ? "probe"
+                                                             : "migrate") +
+          " via " + std::to_string(via);
+      auto result = cluster.QuerySync(via, join);
+      if (result.ok()) {
+        for (const exec::Binding& b : result->rows) {
+          rows.push_back(label + " " + exec::BindingToString(b));
+        }
+      } else {
+        rows.push_back(label + " " + result.status().ToString());
+      }
+    }
+  }
+  scheduler.RunUntilIdle();
+
+  std::sort(rows.begin(), rows.end());
+  PinnedRun run;
+  run.folded = overlay.transport().DeliveryTrace();
+  for (const std::string& row : rows) run.folded += row + "\n";
+  run.stats = overlay.transport().stats().ToString();
+  return run;
+}
+
+// Replay tests compare a run with itself; this one compares the protocol
+// with the commit that recorded the literal, so any change to message
+// order, timing, payloads or results shows. A change that alters protocol
+// behaviour on purpose re-records the literal (DESIGN.md §2).
+TEST(DeterminismTest, PinnedTraceDigest) {
+  const PinnedRun run = RunPinnedScenario();
+  // The scenario exercised what it claims: the crash and the cut dropped
+  // traffic, a retry budget was spent, and both join strategies answered.
+  EXPECT_EQ(run.stats.find(" churn_drop=0 "), std::string::npos) << run.stats;
+  EXPECT_EQ(run.stats.find(" part_drop=0 "), std::string::npos) << run.stats;
+  EXPECT_NE(run.stats.find(" retry["), std::string::npos) << run.stats;
+  EXPECT_NE(run.folded.find("\nmigrate via 30 {"), std::string::npos);
+  EXPECT_NE(run.folded.find("\nprobe via 30 {"), std::string::npos);
+  EXPECT_EQ(Fnv1a64(run.folded), 0x348757a238ab636cULL)
+      << "digest of " << run.folded.size() << " bytes changed";
 }
 
 }  // namespace

@@ -127,7 +127,7 @@ struct TestCluster {
       ASSERT_TRUE(cluster->InsertTupleSync(via, tuples[i]).ok());
       reference.Add(tuples[i]);
     }
-    cluster->simulation().RunUntilIdle();
+    cluster->scheduler().RunUntilIdle();
     cluster->RefreshStats();
   }
 
@@ -454,7 +454,7 @@ TEST(IntegrationTest, SubstringPathsAgree) {
                   ->RemoveTripleSync(3, Triple(removed.at("p").AsString(),
                                                "title", removed.at("t")))
                   .ok());
-  tc.cluster->simulation().RunUntilIdle();
+  tc.cluster->scheduler().RunUntilIdle();
   auto qgram = run(ranking, /*scan=*/false);
   auto scan = run(ranking, /*scan=*/true);
   EXPECT_EQ(RowSet(qgram.rows), RowSet(scan.rows));
@@ -839,7 +839,7 @@ TEST(IntegrationTest, WanClusterAnswersWithinSeconds) {
                         tuples[i])
                     .ok());
   }
-  cluster.simulation().RunUntilIdle();
+  cluster.scheduler().RunUntilIdle();
   cluster.RefreshStats();
   auto measured = cluster.QueryMeasured(
       5, "SELECT ?n,?g WHERE { (?a,'name',?n) (?a,'age',?g) }");
@@ -859,7 +859,7 @@ TEST(IntegrationTest, Figure2PlacementEighteenTriples) {
   for (const auto& tuple : Fig2Tuples()) {
     ASSERT_TRUE(cluster.InsertTupleSync(0, tuple).ok());
   }
-  cluster.simulation().RunUntilIdle();
+  cluster.scheduler().RunUntilIdle();
 
   size_t total_entries = 0;
   for (size_t i = 0; i < 8; ++i) {

@@ -113,7 +113,7 @@ class EnvelopePipelineTest : public ::testing::Test {
                                     size_t left_size = 40) {
     std::optional<Result<MigrateResult>> out;
     StartMigrate(options, left_size, &out);
-    overlay_->simulation().RunUntil([&out] { return out.has_value(); });
+    overlay_->scheduler().RunUntil([&out] { return out.has_value(); });
     if (!out.has_value()) return Status::Internal("simulation drained");
     return std::move(*out);
   }
@@ -230,13 +230,13 @@ TEST_F(EnvelopePipelineTest, WalksCompleteUnderMidWalkChurn) {
   // and retry against the hole, then revive the peer.
   std::optional<Result<MigrateResult>> out;
   StartMigrate(options, 40, &out);
-  overlay_->simulation().RunFor(3 * sim::kMicrosPerMilli);
+  overlay_->scheduler().RunFor(3 * sim::kMicrosPerMilli);
   const net::PeerId victim = inside_first_ + kInsideLeaves / 2;
   overlay_->Crash(victim);
-  overlay_->simulation().RunFor(1500 * sim::kMicrosPerMilli);
+  overlay_->scheduler().RunFor(1500 * sim::kMicrosPerMilli);
   EXPECT_FALSE(out.has_value()) << "walk should stall while the peer is down";
   overlay_->Revive(victim);
-  overlay_->simulation().RunUntil([&out] { return out.has_value(); });
+  overlay_->scheduler().RunUntil([&out] { return out.has_value(); });
   ASSERT_TRUE(out.has_value());
   ASSERT_TRUE(out->ok()) << out->status().ToString();
   EXPECT_EQ(RowsToString((*out)->rows), expected);
@@ -312,6 +312,74 @@ TEST(EnvelopePipelineClusterTest, TraceReportsFanoutShape) {
   };
   EXPECT_GT(counter("branches="), 1) << migrate_line;
   EXPECT_GT(counter("peers_visited="), 1) << migrate_line;
+}
+
+// A VQL Migrate join whose walk is abandoned (partial_results, a serving
+// peer cut off for good) returns the reachable rows, and the result and
+// its trace name the uncovered key intervals that hold the missing ones.
+TEST(EnvelopePipelineClusterTest, PartialMigrateJoinNamesItsCoverageGap) {
+  core::ClusterOptions options;
+  options.custom_paths = PipelinePaths();
+  options.peers = options.custom_paths.size();
+  options.seed = 78;
+  options.node.envelope.fanout = 2;
+  options.node.envelope.walk_timeout = 200 * sim::kMicrosPerMilli;
+  options.node.envelope.walk_retries = 2;
+  options.node.envelope.partial_results = true;
+  options.node.planner.force_join_strategy = plan::JoinStrategy::kMigrate;
+  core::Cluster cluster(options);
+
+  constexpr int kPersons = 24;
+  for (int i = 0; i < kPersons; ++i) {
+    const std::string oid = "p" + std::to_string(i);
+    ASSERT_TRUE(cluster
+                    .InsertTripleSync(0, Triple(oid, "age",
+                                                Value::String(SpreadValue(i))))
+                    .ok());
+    ASSERT_TRUE(cluster
+                    .InsertTripleSync(
+                        0, Triple(oid, "name",
+                                  Value::String("n" + std::to_string(i))))
+                    .ok());
+  }
+  cluster.RefreshStats();
+
+  // Cut off the one peer serving person 5's age key (replication 1).
+  const pgrid::Key cut_key =
+      triple::AttrValueKey("age", Value::String(SpreadValue(5)));
+  const auto owners = cluster.overlay().ResponsiblePeers(cut_key);
+  ASSERT_EQ(owners.size(), 1u);
+  ASSERT_NE(owners[0], 0u);
+  net::FaultSchedule faults;
+  faults.PartitionPair(0, net::kFaultForever, owners[0], net::kAnyPeer);
+  cluster.overlay().transport().SetFaultSchedule(faults);
+
+  auto result = cluster.QuerySync(
+      0, "SELECT ?a,?n,?g WHERE { (?a,'name',?n) (?a,'age',?g) }");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_LT(result->rows.size(), static_cast<size_t>(kPersons))
+      << "the cut peer held rows, yet none went missing";
+  for (const auto& row : result->rows) {
+    EXPECT_NE(row.at("a"), Value::String("p5"));
+  }
+  ASSERT_FALSE(result->coverage_gaps.empty())
+      << "rows went missing and no coverage gap names them";
+  bool covers_cut_key = false;
+  for (const auto& [lo, hi] : result->coverage_gaps) {
+    EXPECT_LE(lo, hi);
+    covers_cut_key = covers_cut_key ||
+                     (lo <= cut_key.bits() && cut_key.bits() <= hi);
+  }
+  EXPECT_TRUE(covers_cut_key) << "no gap covers the cut peer's key";
+
+  std::string migrate_line;
+  for (const auto& line : result->trace) {
+    if (line.rfind("Join[Migrate]:", 0) == 0) migrate_line = line;
+  }
+  EXPECT_NE(migrate_line.find(" gap=[" + result->coverage_gaps[0].first +
+                              "," + result->coverage_gaps[0].second + "]"),
+            std::string::npos)
+      << migrate_line;
 }
 
 }  // namespace

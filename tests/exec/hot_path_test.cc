@@ -109,7 +109,7 @@ TEST_F(AdmissionControlTest, OverloadShedsButNeverLosesQueries) {
         AgePattern(), Left(),
         [&outs, q](Result<MigrateResult> r) { outs[q] = std::move(r); });
   }
-  overlay_->simulation().RunUntil([&outs] {
+  overlay_->scheduler().RunUntil([&outs] {
     for (const auto& out : outs) {
       if (!out.has_value()) return false;
     }
@@ -155,7 +155,7 @@ TEST_F(AdmissionControlTest, DisabledAdmissionControlNeverSheds) {
         AgePattern(), Left(),
         [&outs, q](Result<MigrateResult> r) { outs[q] = std::move(r); });
   }
-  overlay_->simulation().RunUntil([&outs] {
+  overlay_->scheduler().RunUntil([&outs] {
     for (const auto& out : outs) {
       if (!out.has_value()) return false;
     }
@@ -188,7 +188,7 @@ TEST_F(AdmissionControlTest, RestartMidServeLeavesAnEmptyQueue) {
       AgePattern(), Left(),
       [&first](Result<MigrateResult> r) { first = std::move(r); });
   size_t busy = 0;
-  overlay_->simulation().RunUntil([&] {
+  overlay_->scheduler().RunUntil([&] {
     for (size_t i = 1; i < services_.size(); ++i) {
       if (services_[i]->serving_queue_depth() > 0) {
         busy = i;
@@ -199,7 +199,7 @@ TEST_F(AdmissionControlTest, RestartMidServeLeavesAnEmptyQueue) {
   });
   ASSERT_NE(busy, 0u) << "no peer ever queued a join";
   overlay_->peer(static_cast<net::PeerId>(busy))->Restart();
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(services_[busy]->serving_queue_depth(), 0u);
 
@@ -208,7 +208,7 @@ TEST_F(AdmissionControlTest, RestartMidServeLeavesAnEmptyQueue) {
   services_[0]->RunMigrateJoin(
       AgePattern(), Left(),
       [&second](Result<MigrateResult> r) { second = std::move(r); });
-  overlay_->simulation().RunUntil([&] { return second.has_value(); });
+  overlay_->scheduler().RunUntil([&] { return second.has_value(); });
   ASSERT_TRUE(second.has_value());
   EXPECT_TRUE(second->ok()) << second->status().ToString();
   EXPECT_EQ(services_[busy]->sheds(), sheds_before)
@@ -367,7 +367,7 @@ TEST(HotKeyFanoutTest, RedirectedReadsReturnTheWriteAtEveryReplica) {
   ASSERT_EQ(owners.size(), 3u);
   const net::PeerId initiator = OutsideOf(owners);
   ASSERT_TRUE(overlay.InsertSync(initiator, written).ok());
-  overlay.simulation().RunUntilIdle();  // The replica push delivers.
+  overlay.scheduler().RunUntilIdle();  // The replica push delivers.
   // A routed read brings back the advert of the key's path.
   ASSERT_TRUE(overlay.LookupSync(initiator, written.key).ok());
   ASSERT_EQ(overlay.peer(initiator)->fanout_redirects(), 0u);
@@ -419,11 +419,11 @@ TEST(HotKeyFanoutTest, TimedOutRedirectForgetsTheReplica) {
 
   int slow = 0;
   for (int i = 0; i < 12; ++i) {
-    const sim::SimTime start = overlay.simulation().Now();
+    const sim::SimTime start = overlay.scheduler().Now();
     auto result = overlay.LookupSync(initiator, hot.key);
     ASSERT_TRUE(result.ok()) << i << ": " << result.status().ToString();
     ASSERT_EQ(result->entries.size(), 1u);
-    if (overlay.simulation().Now() - start >= options.peer.request_timeout) {
+    if (overlay.scheduler().Now() - start >= options.peer.request_timeout) {
       ++slow;
     }
   }

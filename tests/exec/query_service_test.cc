@@ -46,7 +46,7 @@ class QueryServiceTest : public ::testing::Test {
     services_[via]->RunMigrateJoin(
         pattern, std::move(left),
         [&out](Result<MigrateResult> r) { out = std::move(r); });
-    overlay_->simulation().RunUntil([&out] { return out.has_value(); });
+    overlay_->scheduler().RunUntil([&out] { return out.has_value(); });
     if (!out.has_value()) return Status::Internal("drained");
     if (!out->ok()) return out->status();
     return std::move((*out)->rows);
@@ -139,18 +139,18 @@ TEST(QueryServiceCycleTest, EnvelopeRoutingCycleDeadEndsAtTheHopCap) {
 
   const EnvelopeOptions envelope;  // The defaults the join runs with.
   const net::TrafficStats before = overlay.transport().stats();
-  const sim::SimTime start = overlay.simulation().Now();
+  const sim::SimTime start = overlay.scheduler().Now();
   std::optional<Result<MigrateResult>> out;
   services[2]->RunMigrateJoin(
       AgePattern(), {{{"a", Value::String("p1")}}},
       [&out](Result<MigrateResult> r) { out = std::move(r); });
   // Bounded: without the hop cap the envelopes never stop bouncing.
-  overlay.simulation().RunFor(pgrid::kScanTimeout / 2);
+  overlay.scheduler().RunFor(pgrid::kScanTimeout / 2);
   ASSERT_TRUE(out.has_value()) << "join still running";
   ASSERT_FALSE(out->ok());
   EXPECT_EQ(out->status().code(), StatusCode::kUnavailable)
       << out->status().ToString();
-  EXPECT_LT(overlay.simulation().Now() - start, pgrid::kScanTimeout);
+  EXPECT_LT(overlay.scheduler().Now() - start, pgrid::kScanTimeout);
 
   const auto delta = overlay.transport().stats().Since(before);
   auto it = delta.per_type.find(net::MessageType::kPlanExec);
@@ -164,7 +164,7 @@ TEST(QueryServiceCycleTest, EnvelopeRoutingCycleDeadEndsAtTheHopCap) {
 TEST_F(QueryServiceTest, StatsGossipSpreadsContributions) {
   InsertTriple(Triple("p1", "age", Value::Int(30)));
   InsertTriple(Triple("p2", "age", Value::Int(40)));
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   for (auto& s : services_) s->BuildLocalStats(1000);
 
   // Before gossip: only peers hosting 'age' entries know the attribute.
@@ -174,7 +174,7 @@ TEST_F(QueryServiceTest, StatsGossipSpreadsContributions) {
   }
   for (int round = 0; round < 3; ++round) {
     for (auto& s : services_) s->GossipStats(3);
-    overlay_->simulation().RunUntilIdle();
+    overlay_->scheduler().RunUntilIdle();
   }
   size_t knowing_after = 0;
   for (auto& s : services_) {
@@ -185,11 +185,11 @@ TEST_F(QueryServiceTest, StatsGossipSpreadsContributions) {
 
 TEST_F(QueryServiceTest, RepeatedGossipDoesNotDoubleCount) {
   InsertTriple(Triple("p1", "age", Value::Int(30)));
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   for (auto& s : services_) s->BuildLocalStats(1000);
   for (int round = 0; round < 6; ++round) {
     for (auto& s : services_) s->GossipStats(3);
-    overlay_->simulation().RunUntilIdle();
+    overlay_->scheduler().RunUntilIdle();
   }
   // The triple was inserted once; no catalog may report more than the
   // replication count of copies (here: 1).
@@ -202,7 +202,7 @@ TEST_F(QueryServiceTest, GossipCarriesPeerPaths) {
   for (auto& s : services_) s->BuildLocalStats(1000);
   for (int round = 0; round < 3; ++round) {
     for (auto& s : services_) s->GossipStats(4);
-    overlay_->simulation().RunUntilIdle();
+    overlay_->scheduler().RunUntilIdle();
   }
   // After gossip a peer knows several paths, enabling peers-in-range
   // estimation.

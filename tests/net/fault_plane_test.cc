@@ -7,14 +7,14 @@
 
 #include "net/transport.h"
 #include "sim/latency.h"
-#include "sim/simulation.h"
+#include "sim/scheduler.h"
 
 namespace unistore {
 namespace net {
 namespace {
 
 struct Fixture {
-  sim::Simulation sim;
+  sim::Scheduler sim;
   std::unique_ptr<Transport> transport;
   std::vector<std::vector<Message>> inboxes;
 

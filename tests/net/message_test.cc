@@ -11,7 +11,7 @@
 #include "net/rpc.h"
 #include "net/transport.h"
 #include "sim/latency.h"
-#include "sim/simulation.h"
+#include "sim/scheduler.h"
 
 namespace unistore {
 namespace net {
@@ -110,7 +110,7 @@ TEST(MessageTest, TruncatedPayloadDecodeFailsCleanly) {
 // --- RpcManager ------------------------------------------------------------
 
 struct RpcFixture {
-  sim::Simulation sim;
+  sim::Scheduler sim;
   std::unique_ptr<Transport> transport;
   std::vector<std::vector<Message>> inboxes;
 
@@ -132,7 +132,8 @@ TEST(RpcManagerTest, RequestIdsAreUniqueAndMonotone) {
                                   [](const Status&, const Message&) {});
   uint64_t b = client.SendRequest(1, MessageType::kPing, "", 0,
                                   [](const Status&, const Message&) {});
-  uint64_t c = client.RegisterPending(0, [](const Status&, const Message&) {});
+  uint64_t c = client.SendRequest(1, MessageType::kPing, "", 0,
+                                  [](const Status&, const Message&) {});
   EXPECT_LT(a, b);
   EXPECT_LT(b, c);
   EXPECT_EQ(client.pending_count(), 3u);
@@ -182,50 +183,6 @@ TEST(RpcManagerTest, ZeroTimeoutNeverFires) {
   f.sim.RunFor(1'000'000'000);
   EXPECT_EQ(calls, 0);
   EXPECT_EQ(client.pending_count(), 1u);
-}
-
-TEST(RpcManagerTest, RegisterPendingMatchesFanOutReply) {
-  // A forwarding chain: the initiator registers one logical id, fans a
-  // message through peer 1, and the terminal peer 2 answers with ReplyTo().
-  RpcFixture f(3);
-  RpcManager initiator(0, f.transport.get());
-  RpcManager terminal(2, f.transport.get());
-
-  Status got = Status::Internal("unset");
-  std::string payload;
-  uint64_t id = initiator.RegisterPending(
-      /*timeout=*/0, [&](const Status& s, const Message& m) {
-        got = s;
-        payload = m.payload;
-      });
-
-  f.transport->SetHandler(0, [&initiator](const Message& m) {
-    initiator.HandleReply(m);
-  });
-  // Peer 1 forwards to peer 2, keeping the id stable along the chain.
-  f.transport->SetHandler(1, [&f](const Message& m) {
-    Message fwd = m;
-    fwd.src = 1;
-    fwd.dst = 2;
-    fwd.hops = m.hops + 1;
-    f.transport->Send(std::move(fwd));
-  });
-  f.transport->SetHandler(2, [&terminal](const Message& m) {
-    terminal.ReplyTo(/*dst=*/0, m.request_id, m.hops, MessageType::kPong,
-                     "terminal");
-  });
-
-  Message m;
-  m.type = MessageType::kPing;
-  m.src = 0;
-  m.dst = 1;
-  m.request_id = id;
-  f.transport->Send(std::move(m));
-  f.sim.RunUntilIdle();
-
-  EXPECT_TRUE(got.ok());
-  EXPECT_EQ(payload, "terminal");
-  EXPECT_EQ(initiator.pending_count(), 0u);
 }
 
 TEST(RpcManagerTest, TimeoutReportsRequestId) {

@@ -77,7 +77,7 @@ TEST_F(BulkInsertTest, BatchReachesEveryOwner) {
   Build(16, /*replication=*/1, /*loss=*/0, /*seed=*/7);
   auto batch = MakeBatch(64, "bulk");
   ASSERT_TRUE(overlay_->InsertBatchSync(3, batch).ok());
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   for (const Entry& e : batch) {
     auto found = overlay_->LookupSync(11, e.key);
     ASSERT_TRUE(found.ok()) << e.id;
@@ -101,8 +101,8 @@ TEST_F(BulkInsertTest, MatchesPerEntryInsertResults) {
   for (const Entry& e : batch) {
     ASSERT_TRUE(single.InsertSync(0, e).ok());
   }
-  overlay_->simulation().RunUntilIdle();
-  single.simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
+  single.scheduler().RunUntilIdle();
   for (size_t p = 0; p < 16; ++p) {
     const auto id = static_cast<net::PeerId>(p);
     EXPECT_EQ(overlay_->peer(id)->store().GetAll(),
@@ -122,7 +122,7 @@ TEST_F(BulkInsertTest, StaleVersionsInBatchAreIgnored) {
   ASSERT_TRUE(overlay_->InsertSync(0, fresh).ok());
   std::vector<Entry> batch = {MakeEntry("versioned", /*version=*/2)};
   ASSERT_TRUE(overlay_->InsertBatchSync(4, batch).ok());
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   auto found = overlay_->LookupSync(2, fresh.key);
   ASSERT_TRUE(found.ok());
   ASSERT_EQ(found->entries.size(), 1u);
@@ -134,7 +134,7 @@ TEST_F(BulkInsertTest, BatchReplicatesToReplicaGroup) {
   Build(16, /*replication=*/2, /*loss=*/0, /*seed=*/11);
   auto batch = MakeBatch(32, "repl");
   ASSERT_TRUE(overlay_->InsertBatchSync(5, batch).ok());
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   // Every entry must be present at more than one peer (owner + at least
   // one rumor-push replica).
   for (const Entry& e : batch) {
@@ -156,7 +156,7 @@ TEST_F(BulkInsertTest, SurvivesMessageLossViaIdempotentRetry) {
   if (!status.ok()) {
     status = overlay_->InsertBatchSync(2, batch);
   }
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   size_t found_count = 0;
   for (const Entry& e : batch) {
     auto found = overlay_->LookupSync(9, e.key);
@@ -174,7 +174,7 @@ TEST_F(BulkInsertTest, GarbageBulkInsertPayloadIsDropped) {
   m.request_id = 777;
   m.payload = "\xFF\x80\x80garbage";
   overlay_->transport().Send(std::move(m));
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   // The network still works afterwards.
   auto batch = MakeBatch(8, "post-garbage");
   EXPECT_TRUE(overlay_->InsertBatchSync(1, batch).ok());
@@ -190,7 +190,7 @@ TEST_F(BulkInsertTest, KeysLeavingAtOneLevelTravelAsOneMessage) {
   for (size_t i = 0; i < 16; ++i) batch.push_back(EntryUnder("01", i));
   const net::TrafficStats before = overlay_->transport().stats();
   ASSERT_TRUE(overlay_->InsertBatchSync(0, batch).ok());
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   EXPECT_EQ(BulkInsertsSince(before), 1u);
   for (const Entry& e : batch) {
     size_t holders = 0;
@@ -217,14 +217,14 @@ TEST_F(BulkInsertTest, RoutingCycleDeadEndsAtTheHopCap) {
   b->routing().AddRef(0, a->id(), &b->rng());
 
   const net::TrafficStats before = overlay_->transport().stats();
-  const sim::SimTime start = overlay_->simulation().Now();
+  const sim::SimTime start = overlay_->scheduler().Now();
   Status status = overlay_->InsertBatchSync(0, {EntryUnder("1", 0)});
   EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
   // Every attempt dead-ends after 2·kKeyBits hops and retries at once,
   // long before any deadline.
   const auto attempts = static_cast<uint64_t>(a->options().request_retries) + 1;
   EXPECT_EQ(BulkInsertsSince(before), attempts * 2 * kKeyBits);
-  EXPECT_LT(overlay_->simulation().Now() - start,
+  EXPECT_LT(overlay_->scheduler().Now() - start,
             a->options().request_timeout);
   EXPECT_EQ(overlay_->transport().stats().retries_by_policy.at("bulk-insert"),
             attempts - 1);
@@ -242,7 +242,7 @@ TEST_F(BulkInsertTest, LargeGroupsSplitIntoChunks) {
   }
   net::TrafficStats before = overlay_->transport().stats();
   ASSERT_TRUE(overlay_->InsertBatchSync(0, batch).ok());
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   EXPECT_GE(BulkInsertsSince(before), bytes / peer.chunk_bytes);
   // Entry bytes stay within the budget; the rest is the frame: message
   // header, initiator, entry count and one slot varint per entry.

@@ -36,11 +36,11 @@ TEST(UpdateTest, UpdatePropagatesToAllReplicas) {
 
   Entry v1 = MakeVersioned("shared doc", "d1", 1);
   ASSERT_TRUE(overlay.InsertSync(0, v1).ok());
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
 
   Entry v2 = MakeVersioned("shared doc", "d1", 2);
   ASSERT_TRUE(overlay.InsertSync(7, v2).ok());
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
 
   for (auto id : overlay.ResponsiblePeers(v1.key)) {
     auto entries = overlay.peer(id)->store().Get(v1.key);
@@ -55,9 +55,9 @@ TEST(UpdateTest, StaleUpdateNeverOverwritesNewer) {
   overlay.BuildBalanced();
 
   ASSERT_TRUE(overlay.InsertSync(0, MakeVersioned("doc", "d", 5)).ok());
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
   ASSERT_TRUE(overlay.InsertSync(1, MakeVersioned("doc", "d", 3)).ok());
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
 
   Key key = OpHash("doc");
   for (auto id : overlay.ResponsiblePeers(key)) {
@@ -74,9 +74,9 @@ TEST(UpdateTest, RemoveTombstonesAllReplicas) {
 
   Entry e = MakeVersioned("to be deleted", "x", 1);
   ASSERT_TRUE(overlay.InsertSync(0, e).ok());
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
   ASSERT_TRUE(overlay.RemoveSync(4, e.key, "x", 2).ok());
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
 
   for (auto id : overlay.ResponsiblePeers(e.key)) {
     EXPECT_TRUE(overlay.peer(id)->store().Get(e.key).empty());
@@ -93,7 +93,7 @@ TEST(UpdateTest, RejoiningReplicaCatchesUpViaAntiEntropy) {
 
   Entry v1 = MakeVersioned("offline doc", "od", 1);
   ASSERT_TRUE(overlay.InsertSync(0, v1).ok());
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
 
   auto owners = overlay.ResponsiblePeers(v1.key);
   ASSERT_EQ(owners.size(), 3u);
@@ -112,7 +112,7 @@ TEST(UpdateTest, RejoiningReplicaCatchesUpViaAntiEntropy) {
   ASSERT_NE(helper, net::kNoPeer);
   Entry v2 = MakeVersioned("offline doc", "od", 2);
   ASSERT_TRUE(overlay.InsertSync(helper, v2).ok());
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
   {
     auto entries = overlay.peer(offline)->store().Get(v1.key);
     ASSERT_EQ(entries.size(), 1u);
@@ -142,7 +142,7 @@ TEST(ChurnTest, LookupsDegradeGracefullyUnderChurn) {
     ASSERT_TRUE(overlay.InsertSync(0, e).ok());
     entries.push_back(e);
   }
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
 
   // Kill 25% of peers.
   Rng rng(55);

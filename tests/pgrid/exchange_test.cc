@@ -58,7 +58,7 @@ TEST(ExchangeTest, TwoLoadedPeersSplit) {
                       "e" + std::to_string(i)));
   }
   ASSERT_TRUE(overlay.ExchangeSync(0, 1).ok());
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
   EXPECT_EQ(overlay.peer(0)->path().bits(), "0");
   EXPECT_EQ(overlay.peer(1)->path().bits(), "1");
   // Every entry must now live on the side its key belongs to.
@@ -79,12 +79,12 @@ TEST(ExchangeTest, JoinViaExchangeSpecializes) {
         MakeDataEntry("w" + std::to_string(i * 131), "e" + std::to_string(i)));
   }
   ASSERT_TRUE(overlay.ExchangeSync(0, 1).ok());
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
 
   // A third peer joins by exchanging with an existing one.
   overlay.AddPeers(1);
   ASSERT_TRUE(overlay.ExchangeSync(2, 0).ok());
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
   // The newcomer adopted a path in the sibling subtree of peer 0's branch.
   EXPECT_FALSE(overlay.peer(2)->path().empty());
   EXPECT_EQ(DistinctStoredIds(&overlay), 30u);
@@ -114,7 +114,7 @@ TEST(ExchangeTest, BusyPeerRejectsGracefully) {
   int done = 0;
   overlay.peer(0)->InitiateExchange(1, [&](Status) { ++done; });
   overlay.peer(0)->InitiateExchange(1, [&](Status) { ++done; });
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
   EXPECT_EQ(done, 2);
 }
 

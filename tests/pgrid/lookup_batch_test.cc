@@ -258,7 +258,7 @@ TEST(LookupBatchTest, GarbageBatchPayloadIsDropped) {
     m.payload = "\xFF\x80\x80garbage";
     overlay->transport().Send(std::move(m));
   }
-  overlay->simulation().RunUntilIdle();
+  overlay->scheduler().RunUntilIdle();
   auto batch = overlay->LookupBatchSync(
       3, KeysOwnedBy(*overlay->peer(3), /*owned=*/false, 10));
   EXPECT_TRUE(batch.ok());

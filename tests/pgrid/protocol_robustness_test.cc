@@ -45,7 +45,7 @@ TEST_F(RobustnessTest, CorruptPayloadsAreDropped) {
                   MT::kRangeSeqReply, MT::kRangeShowerReply}) {
     overlay_->transport().Send(Garbage(0, 3, type));
   }
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   // The network still works afterwards.
   Entry e;
   e.key = OpHash("post-garbage");
@@ -59,7 +59,7 @@ TEST_F(RobustnessTest, CorruptPayloadsAreDropped) {
 TEST_F(RobustnessTest, UnknownMessageTypeIsIgnored) {
   net::Message m = Garbage(0, 2, static_cast<net::MessageType>(222));
   overlay_->transport().Send(std::move(m));
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   EXPECT_TRUE(overlay_->LookupSync(0, OpHash("anything")).ok());
 }
 
@@ -73,7 +73,7 @@ TEST_F(RobustnessTest, DuplicateRepliesAreIgnored) {
                               EXPECT_TRUE(r.ok()) << r.status().ToString();
                               ++callbacks;
                             });
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   ASSERT_EQ(callbacks, 1);
   LookupBatchReply reply;
   reply.peer = 5;
@@ -90,7 +90,7 @@ TEST_F(RobustnessTest, DuplicateRepliesAreIgnored) {
     m.payload = reply.Encode();
     overlay_->transport().Send(std::move(m));
   }
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   EXPECT_EQ(callbacks, 1);
   EXPECT_EQ(overlay_->peer(0)->key_sets_in_flight(), 0u);
   EXPECT_EQ(overlay_->peer(0)->rpc().pending_count(), 0u);
@@ -116,7 +116,7 @@ TEST_F(RobustnessTest, ExchangeWithCorruptPathIsDropped) {
   ASSERT_EQ(m.payload[5], '\x50');
   m.payload[5] = '\x51';
   overlay_->transport().Send(std::move(m));
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   // Responder's path unchanged.
   EXPECT_EQ(overlay_->peer(4)->path().size(), 3u);
 }
@@ -175,7 +175,7 @@ TEST_F(RobustnessTest, ScanStateCleanedUpAfterTimeout) {
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->complete);
   // Running the simulation further must not fire stray callbacks.
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
 }
 
 TEST_F(RobustnessTest, RemoveEverywherePurgesDeadRefs) {
@@ -217,7 +217,7 @@ TEST_F(RobustnessTest, ConcurrentScansDoNotInterfere) {
       overlay_->peer(static_cast<net::PeerId>(i))->RangeScanShower(full, cb);
     }
   }
-  overlay_->simulation().RunUntilIdle();
+  overlay_->scheduler().RunUntilIdle();
   EXPECT_EQ(done, 6);
   for (size_t s : sizes) EXPECT_EQ(s, 40u);
 }

@@ -198,7 +198,7 @@ TEST(RangeTest, LimitedSeqWalkTerminatesEarly) {
   overlay.peer(0)->RangeScanSeq(
       full, [&out](Result<RangeResult> r) { out = std::move(r); },
       /*limit=*/8);
-  overlay.simulation().RunUntil([&out] { return out.has_value(); });
+  overlay.scheduler().RunUntil([&out] { return out.has_value(); });
   ASSERT_TRUE(out.has_value());
   ASSERT_TRUE(out->ok());
   // Early cut: at least 8, far fewer than all 64, few peers contacted.
@@ -256,7 +256,7 @@ TEST(RangeTest, IncompleteAttemptRetriesToFullResult) {
   ASSERT_FALSE(f.overlay.peer(victim)->path().empty());
   for (bool seq : {false, true}) {
     SCOPED_TRACE(seq ? "seq" : "shower");
-    const sim::SimTime now = f.overlay.simulation().Now();
+    const sim::SimTime now = f.overlay.scheduler().Now();
     net::FaultSchedule faults;
     faults.PartitionPair(now, now + sim::kMicrosPerSecond, victim,
                          net::kAnyPeer);

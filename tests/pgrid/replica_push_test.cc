@@ -114,7 +114,7 @@ TEST(ReplicaPushTest, FullyLinkedGroupGetsOnePushPerReplica) {
     ExpectFullyLinked(overlay, group);
     const auto before = overlay.transport().stats();
     ASSERT_TRUE(overlay.InsertSync(static_cast<net::PeerId>(u), e).ok());
-    overlay.simulation().RunUntilIdle();
+    overlay.scheduler().RunUntilIdle();
     EXPECT_EQ(ReplicaPushes(overlay.transport().stats().Since(before)), 2u)
         << "update " << u;
     for (net::PeerId member : group) {
@@ -136,7 +136,7 @@ TEST(ReplicaPushTest, FanoutOneReachesEveryReplica) {
     ASSERT_EQ(group.size(), 4u);
     const auto before = overlay.transport().stats();
     ASSERT_TRUE(overlay.InsertSync(static_cast<net::PeerId>(u % 16), e).ok());
-    overlay.simulation().RunUntilIdle();
+    overlay.scheduler().RunUntilIdle();
     EXPECT_EQ(ReplicaPushes(overlay.transport().stats().Since(before)), 3u)
         << "update " << u;
     for (net::PeerId member : group) {
@@ -164,7 +164,7 @@ TEST(ReplicaPushTest, StaleListReachesUnknownMemberThroughOneForward) {
 
   const auto before = overlay.transport().stats();
   ASSERT_TRUE(overlay.InsertSync(owner, e).ok());
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
   // The owner's push plus exactly one forward.
   EXPECT_EQ(ReplicaPushes(overlay.transport().stats().Since(before)), 2u);
   for (net::PeerId member : group) {
@@ -188,7 +188,7 @@ TEST(ReplicaPushTest, GracefulLeaveHandoffIsNotReforwarded) {
 
   const auto before = overlay.transport().stats();
   overlay.peer(leaver)->GracefulLeave();
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
   EXPECT_EQ(ReplicaPushes(overlay.transport().stats().Since(before)), 2u);
   for (net::PeerId member : group) {
     EXPECT_TRUE(Holds(overlay, member, e)) << "replica " << member;

@@ -276,7 +276,7 @@ TEST(ReplicaRepairTest, FailsOverWhenFirstChosenReplicaIsDead) {
 
   // Diverge: the victim misses an update its replica group has.
   ASSERT_TRUE(overlay.InsertSync(victim, seed_entry).ok());
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
   overlay.Crash(victim);
   PeerId helper = 0;
   while (std::find(owners.begin(), owners.end(), helper) != owners.end()) {
@@ -284,7 +284,7 @@ TEST(ReplicaRepairTest, FailsOverWhenFirstChosenReplicaIsDead) {
   }
   Entry update = MakeEntry("failover doc", "d", 2);
   ASSERT_TRUE(overlay.InsertSync(helper, update).ok());
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
   overlay.Revive(victim);
 
   // Predict the deterministic candidate order: PullFromReplica shuffles
@@ -443,8 +443,8 @@ TEST(RepairKillPointTest, DonorDeadMidChunkNeverTearsRepairer) {
     }
 
     const PeerId donor_id = donor->id();
-    overlay.simulation().ScheduleAfter(
-        kill_after_ms * 1000, donor_id, donor_id,
+    overlay.scheduler().ScheduleAfter(
+        kill_after_ms * 1000, donor_id,
         [&overlay, donor_id]() { overlay.Crash(donor_id); });
 
     Status status = overlay.PullFromReplicaSync(repairer->id());

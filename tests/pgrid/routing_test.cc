@@ -180,7 +180,7 @@ TEST(OverlayTest, ReplicationStoresOnAllReplicas) {
   overlay.BuildBalanced();
   Entry e = MakeDataEntry("replicated value", "r1");
   ASSERT_TRUE(overlay.InsertSync(0, e).ok());
-  overlay.simulation().RunUntilIdle();  // Let replica pushes settle.
+  overlay.scheduler().RunUntilIdle();  // Let replica pushes settle.
   auto owners = overlay.ResponsiblePeers(e.key);
   ASSERT_EQ(owners.size(), 2u);
   for (auto id : owners) {
@@ -198,7 +198,7 @@ TEST(OverlayTest, LookupSurvivesOwnerCrashWithReplication) {
   overlay.BuildBalanced();
   Entry e = MakeDataEntry("crash survivor", "c1");
   ASSERT_TRUE(overlay.InsertSync(0, e).ok());
-  overlay.simulation().RunUntilIdle();
+  overlay.scheduler().RunUntilIdle();
 
   auto owners = overlay.ResponsiblePeers(e.key);
   ASSERT_EQ(owners.size(), 3u);

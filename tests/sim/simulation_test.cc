@@ -1,4 +1,4 @@
-#include "sim/simulation.h"
+#include "sim/scheduler.h"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,7 @@ namespace sim {
 namespace {
 
 TEST(SimulationTest, EventsRunInTimeOrder) {
-  Simulation sim;
+  Scheduler sim;
   std::vector<int> order;
   sim.Schedule(30, [&] { order.push_back(3); });
   sim.Schedule(10, [&] { order.push_back(1); });
@@ -24,7 +24,7 @@ TEST(SimulationTest, EventsRunInTimeOrder) {
 }
 
 TEST(SimulationTest, EqualTimesFireInFifoOrder) {
-  Simulation sim;
+  Scheduler sim;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     sim.Schedule(5, [&order, i] { order.push_back(i); });
@@ -33,8 +33,25 @@ TEST(SimulationTest, EqualTimesFireInFifoOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
+// Equal timestamps fire by (domain, seq), not in scheduling order: peer
+// domains by id, the harness domain last, and FIFO within one domain even
+// for an event scheduled from inside another event.
+TEST(SimulationTest, EqualTimesFireInCanonicalDomainOrder) {
+  Scheduler sim;
+  std::vector<int> order;
+  sim.ScheduleAt(40, [&] { order.push_back(99); });
+  sim.ScheduleEvent(40, 5, [&] { order.push_back(5); });
+  sim.ScheduleEvent(40, 3, [&] { order.push_back(3); });
+  sim.ScheduleEvent(10, 3, [&] {
+    order.push_back(1);
+    sim.ScheduleEvent(40, 3, [&] { order.push_back(4); });
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4, 5, 99}));
+}
+
 TEST(SimulationTest, EventsCanScheduleEvents) {
-  Simulation sim;
+  Scheduler sim;
   int fired = 0;
   sim.Schedule(1, [&] {
     ++fired;
@@ -46,7 +63,7 @@ TEST(SimulationTest, EventsCanScheduleEvents) {
 }
 
 TEST(SimulationTest, RunForStopsAtDeadline) {
-  Simulation sim;
+  Scheduler sim;
   int fired = 0;
   sim.Schedule(10, [&] { ++fired; });
   sim.Schedule(20, [&] { ++fired; });
@@ -60,13 +77,13 @@ TEST(SimulationTest, RunForStopsAtDeadline) {
 }
 
 TEST(SimulationTest, RunForAdvancesClockWhenIdle) {
-  Simulation sim;
+  Scheduler sim;
   sim.RunFor(1000);
   EXPECT_EQ(sim.Now(), 1000);
 }
 
 TEST(SimulationTest, RunUntilPredicate) {
-  Simulation sim;
+  Scheduler sim;
   int counter = 0;
   for (int i = 1; i <= 100; ++i) {
     sim.Schedule(i, [&] { ++counter; });
@@ -78,14 +95,14 @@ TEST(SimulationTest, RunUntilPredicate) {
 }
 
 TEST(SimulationTest, RunUntilReturnsFalseWhenDrained) {
-  Simulation sim;
+  Scheduler sim;
   sim.Schedule(1, [] {});
   bool reached = sim.RunUntil([] { return false; });
   EXPECT_FALSE(reached);
 }
 
 TEST(SimulationTest, ProcessedEventCount) {
-  Simulation sim;
+  Scheduler sim;
   for (int i = 0; i < 7; ++i) sim.Schedule(i, [] {});
   sim.RunUntilIdle();
   EXPECT_EQ(sim.processed_events(), 7u);

@@ -30,7 +30,7 @@ class TripleStoreTest : public ::testing::Test {
     std::optional<Status> out;
     stores_[via]->InsertTriple(t, version,
                                [&out](Status s) { out = std::move(s); });
-    overlay_->simulation().RunUntil([&out] { return out.has_value(); });
+    overlay_->scheduler().RunUntil([&out] { return out.has_value(); });
     return out.value_or(Status::Internal("drained"));
   }
 
@@ -38,7 +38,7 @@ class TripleStoreTest : public ::testing::Test {
     std::optional<Status> out;
     stores_[via]->RemoveTriple(t, version,
                                [&out](Status s) { out = std::move(s); });
-    overlay_->simulation().RunUntil([&out] { return out.has_value(); });
+    overlay_->scheduler().RunUntil([&out] { return out.has_value(); });
     return out.value_or(Status::Internal("drained"));
   }
 
@@ -46,7 +46,7 @@ class TripleStoreTest : public ::testing::Test {
       std::function<void(TripleStore::TriplesCallback)> op) {
     std::optional<Result<std::vector<Triple>>> out;
     op([&out](Result<std::vector<Triple>> r) { out = std::move(r); });
-    overlay_->simulation().RunUntil([&out] { return out.has_value(); });
+    overlay_->scheduler().RunUntil([&out] { return out.has_value(); });
     if (!out.has_value()) return Status::Internal("drained");
     return std::move(*out);
   }
