@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 
 #include "pgrid/overlay.h"
@@ -127,8 +128,18 @@ TEST(UpdateTest, RejoiningReplicaCatchesUpViaAntiEntropy) {
   EXPECT_EQ(entries[0].version, 2u);
 }
 
-TEST(ChurnTest, LookupsDegradeGracefullyUnderChurn) {
-  Overlay overlay(ReplicatedOptions(5, 3));
+// Floor of LookupsDegradeGracefullyUnderChurn's pooled success rate, in
+// permille: the rate measured when the statistic was set (948/1200 =
+// 79.0%, with routed writes) minus three binomial standard errors
+// (3 * sqrt(p * (1 - p) / 1200) = 3.5 points).
+constexpr int kChurnFloorPermille = 755;
+
+// One churn scenario: 48 peers in replication 3 take 60 keys, 25% of the
+// peers crash, and each key is looked up once from a random live peer.
+// `overlay_seed` builds the overlay; `churn_seed` draws the crashes and
+// the lookup origins. Returns the lookups that found their entry.
+int ChurnLookupSuccesses(uint64_t overlay_seed, uint64_t churn_seed) {
+  Overlay overlay(ReplicatedOptions(overlay_seed, 3));
   overlay.AddPeers(48);
   overlay.BuildBalanced();
 
@@ -139,13 +150,13 @@ TEST(ChurnTest, LookupsDegradeGracefullyUnderChurn) {
     Entry e = MakeVersioned(std::string(1, static_cast<char>('a' + i % 26)) +
                                 std::to_string(i) + "-churn",
                             "c" + std::to_string(i), 1);
-    ASSERT_TRUE(overlay.InsertSync(0, e).ok());
+    EXPECT_TRUE(overlay.InsertSync(0, e).ok());
     entries.push_back(e);
   }
   overlay.scheduler().RunUntilIdle();
 
   // Kill 25% of peers.
-  Rng rng(55);
+  Rng rng(churn_seed);
   size_t killed = 0;
   for (net::PeerId id = 0; id < 48 && killed < 12; ++id) {
     if (rng.NextBernoulli(0.3)) {
@@ -155,19 +166,37 @@ TEST(ChurnTest, LookupsDegradeGracefullyUnderChurn) {
   }
 
   int successes = 0;
-  int attempts = 0;
   for (const auto& e : entries) {
     net::PeerId from = 0;
     do {
       from = static_cast<net::PeerId>(rng.NextBounded(48));
     } while (!overlay.IsAlive(from));
-    ++attempts;
     auto result = overlay.LookupSync(from, e.key);
     if (result.ok() && !result->entries.empty()) ++successes;
   }
+  return successes;
+}
+
+// A statistic, not one knife-edge run: a change to any peer's RNG draws
+// moves a single scenario by several lookups, while the pooled rate of 20
+// scenarios (1,200 lookups) moves by about one binomial standard error
+// (~1 point). Scenario 0 is overlay seed 5 with crash/lookup seed 55.
+TEST(ChurnTest, LookupsDegradeGracefullyUnderChurn) {
+  constexpr int kScenarios = 20;
+  int successes = 0;
+  std::string per_seed;
+  for (int s = 0; s < kScenarios; ++s) {
+    const int ok = ChurnLookupSuccesses(5 + s, 55 + s);
+    successes += ok;
+    per_seed += " " + std::to_string(ok);
+  }
+  const int attempts = kScenarios * 60;
   // With replication 3 and 25% churn, the vast majority must succeed.
-  EXPECT_GT(successes, attempts * 3 / 4)
-      << successes << "/" << attempts << " lookups succeeded";
+  EXPECT_GE(successes * 1000, attempts * kChurnFloorPermille)
+      << successes << "/" << attempts
+      << " lookups succeeded; per scenario (of 60):" << per_seed;
+  std::printf("churn lookups: %d/%d; per scenario (of 60):%s\n", successes,
+              attempts, per_seed.c_str());
 }
 
 TEST(ChurnTest, MessageLossToleratedByRetries) {
