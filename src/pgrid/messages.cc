@@ -70,6 +70,29 @@ Result<RefsBlock> RefsBlock::Decode(BufferReader* r) {
   return block;
 }
 
+void ReplicaAdvert::Encode(BufferWriter* w) const {
+  // The path travels only with its replicas.
+  w->PutVarint(replicas.size());
+  if (replicas.empty()) return;
+  for (PeerId p : replicas) w->PutU32(p);
+  EncodeKey(path, w);
+}
+
+Result<ReplicaAdvert> ReplicaAdvert::Decode(BufferReader* r) {
+  ReplicaAdvert advert;
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t n, r->GetVarint());
+  if (n == 0) return advert;
+  if (n > r->remaining() / 4) {
+    return Status::Corruption("replica advert longer than its message");
+  }
+  advert.replicas.resize(n);
+  for (PeerId& p : advert.replicas) {
+    UNISTORE_ASSIGN_OR_RETURN(p, r->GetU32());
+  }
+  UNISTORE_ASSIGN_OR_RETURN(advert.path, DecodeKey(r));
+  return advert;
+}
+
 std::string LookupBatchRequest::Encode() const {
   BufferWriter w;
   w.PutU32(initiator);
@@ -115,12 +138,7 @@ std::string LookupBatchReply::EncodeStreamed(const std::vector<uint32_t>& slots,
     emit(i, &w);
   }
   EncodeSlots(dead_ends, &w);
-  // The advert's path travels only with its replicas.
-  w.PutVarint(hot_replicas.size());
-  if (!hot_replicas.empty()) {
-    for (PeerId p : hot_replicas) w.PutU32(p);
-    EncodeKey(hot_path, &w);
-  }
+  advert.Encode(&w);
   return w.Release();
 }
 
@@ -137,17 +155,7 @@ Result<LookupBatchReply> LookupBatchReply::Decode(std::string_view bytes) {
     reply.answers.push_back(std::move(answer));
   }
   UNISTORE_ASSIGN_OR_RETURN(reply.dead_ends, DecodeSlots(&r));
-  UNISTORE_ASSIGN_OR_RETURN(uint64_t replicas, r.GetVarint());
-  if (replicas > 0) {
-    if (replicas > r.remaining() / 4) {
-      return Status::Corruption("hot advert longer than its message");
-    }
-    reply.hot_replicas.resize(replicas);
-    for (PeerId& p : reply.hot_replicas) {
-      UNISTORE_ASSIGN_OR_RETURN(p, r.GetU32());
-    }
-    UNISTORE_ASSIGN_OR_RETURN(reply.hot_path, DecodeKey(&r));
-  }
+  UNISTORE_ASSIGN_OR_RETURN(reply.advert, ReplicaAdvert::Decode(&r));
   return reply;
 }
 
@@ -182,6 +190,7 @@ std::string BulkInsertReply::Encode() const {
   w.PutU32(peer);
   EncodeSlots(stored, &w);
   EncodeSlots(dead_ends, &w);
+  advert.Encode(&w);
   return w.Release();
 }
 
@@ -191,6 +200,7 @@ Result<BulkInsertReply> BulkInsertReply::Decode(std::string_view bytes) {
   UNISTORE_ASSIGN_OR_RETURN(reply.peer, r.GetU32());
   UNISTORE_ASSIGN_OR_RETURN(reply.stored, DecodeSlots(&r));
   UNISTORE_ASSIGN_OR_RETURN(reply.dead_ends, DecodeSlots(&r));
+  UNISTORE_ASSIGN_OR_RETURN(reply.advert, ReplicaAdvert::Decode(&r));
   return reply;
 }
 

@@ -58,6 +58,22 @@ struct LookupBatchRequest {
   static Result<LookupBatchRequest> Decode(std::string_view bytes);
 };
 
+/// \brief A replica-group advert (DESIGN.md §8), carried by the replies
+/// of key-set lookups and batch inserts.
+///
+/// The initiator may send further keys under `path` one hop to a member
+/// of `replicas` (serving peer included, in id order) instead of routing
+/// them. Empty when the replying peer served or stored nothing, or has
+/// no replica group.
+struct ReplicaAdvert {
+  std::vector<PeerId> replicas;
+  Key path;
+
+  bool empty() const { return replicas.empty(); }
+  void Encode(BufferWriter* w) const;
+  static Result<ReplicaAdvert> Decode(BufferReader* r);
+};
+
 /// Writes the entries of the `i`-th answer as one EncodeEntries block.
 using AnswerStreamFn = FunctionRef<void(size_t i, BufferWriter*)>;
 
@@ -72,12 +88,7 @@ struct LookupBatchReply {
   PeerId peer = net::kNoPeer;       ///< The replying peer.
   std::vector<Answer> answers;      ///< Slots served at `peer`.
   std::vector<uint32_t> dead_ends;  ///< Slots `peer` had no route for.
-  /// Replica-group advert (DESIGN.md §8): the initiator may send further
-  /// keys under `hot_path` round-robin to `hot_replicas` (serving peer
-  /// included, in id order) instead of routing them. Empty when the
-  /// peer served no key or has no replica group.
-  std::vector<PeerId> hot_replicas;
-  Key hot_path;
+  ReplicaAdvert advert;             ///< `peer`'s group, if it served keys.
 
   std::string Encode() const;
   /// Byte-identical to Encode() with `answers` naming `slots` in order,
@@ -116,6 +127,7 @@ struct BulkInsertReply {
   PeerId peer = net::kNoPeer;       ///< The replying peer.
   std::vector<uint32_t> stored;     ///< Slots stored at `peer`.
   std::vector<uint32_t> dead_ends;  ///< Slots `peer` had no route for.
+  ReplicaAdvert advert;             ///< `peer`'s group, if it stored any.
 
   std::string Encode() const;
   static Result<BulkInsertReply> Decode(std::string_view bytes);

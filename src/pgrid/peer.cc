@@ -33,8 +33,9 @@ uint64_t CountEntries(ScanFn&& scan) {
   return count;
 }
 
-// The key of a routed key-set lookup item (RouteKeySet's key_of).
+// The key of a routed key-set item (RouteKeySet's key_of).
 const Key& KeyOf(const BatchKey& k) { return k.key; }
+const Key& EntryKeyOf(const BatchEntry& e) { return e.entry.key; }
 
 }  // namespace
 
@@ -326,10 +327,9 @@ void Peer::SendKeySet(uint64_t request_id) {
           if (op.slots[slot] == SlotState::kPending &&
               op.first_hops[slot] != net::kNoPeer) {
             ObservePeer(op.first_hops[slot], /*ok=*/false);
-            if (!op.is_insert()) {
-              advert_cache_.Forget(op.keys[slot], op.first_hops[slot],
-                                   NowUs());
-            }
+            advert_cache_.Forget(
+                op.is_insert() ? op.entries[slot].key : op.keys[slot],
+                op.first_hops[slot], NowUs());
           }
         }
         RetryKeySet(request_id);
@@ -430,7 +430,8 @@ void Peer::SendLookupAttempt(uint64_t request_id, KeySetOp& op) {
     // replica died, the attempt's timeout drops it from the advert and
     // the retry goes elsewhere.
     const PeerId replica =
-        IsResponsible(key) ? net::kNoPeer : PickHotReplica(key);
+        IsResponsible(key) ? net::kNoPeer
+                           : PickHotReplica(advert_cache_.Find(key, NowUs()));
     if (replica != net::kNoPeer) {
       ++fanout_redirects_;
       redirected.emplace_back(replica, BatchKey{slot, key});
@@ -469,8 +470,7 @@ void Peer::ForwardLookup(std::map<PeerId, std::vector<BatchKey>> next,
   }
 }
 
-PeerId Peer::PickHotReplica(const Key& key) {
-  AdvertCache::Advert* advert = advert_cache_.Find(key, NowUs());
+PeerId Peer::PickHotReplica(AdvertCache::Advert* advert) {
   if (advert == nullptr) return net::kNoPeer;
   // Round-robin over the advertised group, skipping ourselves (keys this
   // peer is responsible for never get here: it serves them itself).
@@ -493,6 +493,23 @@ PeerId Peer::PickHotReplica(const Key& key) {
   return net::kNoPeer;
 }
 
+ReplicaAdvert Peer::GroupAdvert() const {
+  ReplicaAdvert advert;
+  if (routing_.replicas().empty()) return advert;
+  // Every replica serves the path's keys, so the initiator sends later
+  // keys under it one hop to the group.
+  advert.path = path_;
+  advert.replicas.push_back(id_);
+  for (PeerId r : routing_.replicas()) {
+    if (advert.replicas.size() >= kHotKeyMaxReplicas) break;
+    advert.replicas.push_back(r);
+  }
+  // In id order, every member of a group sends the same list, so a
+  // refresh keeps the initiator's round-robin cursor.
+  std::sort(advert.replicas.begin(), advert.replicas.end());
+  return advert;
+}
+
 void Peer::HandleKeySetLookup(const Message& msg) {
   auto req = LookupBatchRequest::Decode(msg.payload);
   if (!req.ok() || !KnownPeer(req->initiator)) return;
@@ -508,20 +525,9 @@ void Peer::HandleKeySetLookup(const Message& msg) {
   slots.reserve(route.mine.size());
   for (const BatchKey& k : route.mine) slots.push_back(k.slot);
   lookups_served_ += slots.size();
-  if (!slots.empty() && !routing_.replicas().empty()) {
-    // Advertise the replica group: this peer plus its replicas, capped.
-    // Every replica serves the path's keys, so the initiator sends later
-    // keys under it one hop, round-robin across the group.
-    reply.hot_path = path_;
-    reply.hot_replicas.push_back(id_);
-    for (PeerId r : routing_.replicas()) {
-      if (reply.hot_replicas.size() >= kHotKeyMaxReplicas) break;
-      reply.hot_replicas.push_back(r);
-    }
-    // In id order, every member of a group sends the same list, so a
-    // refresh keeps the initiator's round-robin cursor.
-    std::sort(reply.hot_replicas.begin(), reply.hot_replicas.end());
-    ++hot_adverts_;
+  if (!slots.empty()) {
+    reply.advert = GroupAdvert();
+    if (!reply.advert.empty()) ++hot_adverts_;
   }
   // Zero-copy serving: per key, one counting scan sizes the varint prefix
   // and a second encodes the entries straight into the reply buffer. No
@@ -552,9 +558,9 @@ void Peer::OnLookupReply(const Message& msg) {
   KeySetOp& op = it->second;
   if (op.is_insert()) return;  // Only a lookup's replies name its keys.
   ObservePeer(reply->peer, /*ok=*/true);
-  if (!reply->hot_replicas.empty()) {
-    advert_cache_.Learn(reply->hot_path, reply->hot_replicas, reply->peer,
-                        NowUs());
+  if (!reply->advert.empty()) {
+    advert_cache_.Learn(reply->advert.path, reply->advert.replicas,
+                        reply->peer, NowUs());
   }
   // Slot states make duplicated replies no-ops; late replies of an
   // earlier attempt still answer their keys.
@@ -602,26 +608,47 @@ void Peer::InsertBatch(std::vector<Entry> entries, StatusCallback callback) {
 }
 
 void Peer::SendInsertAttempt(uint64_t request_id, KeySetOp& op) {
-  std::vector<BatchEntry> unstored;
-  unstored.reserve(op.missing);
+  std::vector<BatchEntry> routed;
+  std::vector<std::pair<PeerId, BatchEntry>> redirected;
+  // One replica per advert per attempt: the group's entries share one
+  // message, and the replica push spreads them over the rest of the
+  // group. A pick per key would split the batch across the group.
+  std::map<AdvertCache::Advert*, PeerId> picked;
   for (uint32_t slot = 0; slot < op.slots.size(); ++slot) {
     if (op.slots[slot] == SlotState::kDone) continue;
-    unstored.push_back({slot, op.entries[slot]});
+    const Entry& entry = op.entries[slot];
+    PeerId replica = net::kNoPeer;
+    if (!IsResponsible(entry.key)) {
+      AdvertCache::Advert* advert = advert_cache_.Find(entry.key, NowUs());
+      if (advert != nullptr) {
+        auto [it, first] = picked.try_emplace(advert, net::kNoPeer);
+        if (first) it->second = PickHotReplica(advert);
+        replica = it->second;
+      }
+    }
+    if (replica != net::kNoPeer) {
+      redirected.emplace_back(replica, BatchEntry{slot, entry});
+    } else {
+      routed.push_back({slot, entry});
+    }
+  }
+  KeySetRoute<BatchEntry> route =
+      RouteKeySet(std::move(routed), 0, EntryKeyOf);
+  for (auto& [replica, e] : redirected) {
+    route.next[replica].push_back(std::move(e));
+  }
+  for (const auto& [next, group] : route.next) {
+    for (const BatchEntry& e : group) op.first_hops[e.slot] = next;
   }
   BulkInsertReply local;
-  DispatchBulkInsert(std::move(unstored), id_, request_id, 0, &local,
-                     &op.first_hops);
+  DispatchBulkInsert(std::move(route), id_, request_id, 0, &local);
   for (uint32_t slot : local.stored) op.Finish(slot);
   for (uint32_t slot : local.dead_ends) op.DeadEnd(slot);
 }
 
-void Peer::DispatchBulkInsert(std::vector<BatchEntry> entries,
+void Peer::DispatchBulkInsert(KeySetRoute<BatchEntry> route,
                               PeerId initiator, uint64_t request_id,
-                              uint32_t hops, BulkInsertReply* reply,
-                              std::vector<PeerId>* first_hops) {
-  KeySetRoute<BatchEntry> route = RouteKeySet(
-      std::move(entries), hops,
-      [](const BatchEntry& e) -> const Key& { return e.entry.key; });
+                              uint32_t hops, BulkInsertReply* reply) {
   reply->peer = id_;
   if (!route.mine.empty()) {
     std::vector<Entry> mine;
@@ -636,9 +663,6 @@ void Peer::DispatchBulkInsert(std::vector<BatchEntry> entries,
     reply->dead_ends.push_back(e.slot);
   }
   for (auto& [next, group] : route.next) {
-    if (first_hops != nullptr) {
-      for (const BatchEntry& e : group) (*first_hops)[e.slot] = next;
-    }
     // Sub-batches of at most chunk_bytes of entries, at least one each.
     BulkInsertRequest sub;
     sub.initiator = initiator;
@@ -677,9 +701,13 @@ void Peer::HandleBulkInsert(const Message& msg) {
   auto req = BulkInsertRequest::Decode(msg.payload);
   if (!req.ok() || !KnownPeer(req->initiator)) return;
   BulkInsertReply reply;
-  DispatchBulkInsert(std::move(req->entries), req->initiator, msg.request_id,
-                     msg.hops, &reply);
+  DispatchBulkInsert(RouteKeySet(std::move(req->entries), msg.hops,
+                                 EntryKeyOf),
+                     req->initiator, msg.request_id, msg.hops, &reply);
   if (reply.stored.empty() && reply.dead_ends.empty()) return;
+  // A replica that is no longer responsible forwarded the entries
+  // through the router above, so a stale advert costs hops, not writes.
+  if (!reply.stored.empty()) reply.advert = GroupAdvert();
   rpc_.ReplyTo(req->initiator, msg.request_id, msg.hops,
                MessageType::kBulkInsertReply, reply.Encode());
 }
@@ -693,6 +721,10 @@ void Peer::OnBulkInsertReply(uint64_t request_id,
   if (!KnownPeer(reply.peer)) return;
   if (!op.is_insert()) return;  // Only an insert's replies name entries.
   ObservePeer(reply.peer, /*ok=*/true);
+  if (!reply.advert.empty()) {
+    advert_cache_.Learn(reply.advert.path, reply.advert.replicas, reply.peer,
+                        NowUs());
+  }
   // Slot states make duplicated replies (and duplicated forwards) no-ops;
   // late replies of an earlier attempt still store their entries.
   for (uint32_t slot : reply.stored) op.Finish(slot);

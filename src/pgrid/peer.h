@@ -236,10 +236,12 @@ class Peer {
   ///
   /// The entries travel as BulkInsert messages that the key-set router
   /// splits at every peer, one next hop per routing level, each carrying
-  /// at most `chunk_bytes` of entries. A responsible peer stores its
-  /// group (one entry through the memtable, more as one run), pushes the
-  /// entries that changed its store to its replicas, and tells the
-  /// initiator which entries it stored; forwarders stay silent. The
+  /// at most `chunk_bytes` of entries. Entries under a cached
+  /// replica-group advert go one hop to one advertised replica instead
+  /// (DESIGN.md §8). A responsible peer stores its group (one entry
+  /// through the memtable, more as one run), pushes the entries that
+  /// changed its store to its replicas, and tells the initiator which
+  /// entries it stored; forwarders stay silent. The
   /// callback gets OK once every entry is stored. Entries still unstored
   /// after `request_timeout` (or all dead-ended) retry as a smaller batch
   /// under the "bulk-insert" retry budget (versioned upserts make
@@ -477,10 +479,15 @@ class Peer {
   void HandleRecruit(const net::Message& msg);
   void HandleRefUpdate(const net::Message& msg);
 
-  // Replica-group fan-out (DESIGN.md §8), initiator side: next
-  // round-robin replica for `key` under a cached advert, or kNoPeer to
-  // use normal routing.
-  PeerId PickHotReplica(const Key& key);
+  // Replica-group fan-out (DESIGN.md §8), initiator side: advances the
+  // round-robin cursor of `advert` to its next member that is not this
+  // peer, dropped or suspected, or returns kNoPeer (also for a null
+  // advert) to use normal routing.
+  PeerId PickHotReplica(AdvertCache::Advert* advert);
+  // Serving side: this peer's path and up to kHotKeyMaxReplicas members
+  // of its group (itself included) in id order, so every member sends
+  // the same list; empty without a replica group.
+  ReplicaAdvert GroupAdvert() const;
 
   // Shared protocol steps.
   void ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
@@ -559,15 +566,13 @@ class Peer {
   void OnLookupReply(const net::Message& msg);
   void OnBulkInsertReply(uint64_t request_id, const BulkInsertReply& reply);
 
-  // Batch inserts: stores the entries of `entries` this peer is
-  // responsible for (StoreAndReplicate) and lists their slots in `reply`,
-  // forwards the rest in chunk_bytes sub-batches under `request_id`
-  // (noting each slot's next hop in `first_hops` when given), and lists
-  // the unroutable ones as dead ends.
-  void DispatchBulkInsert(std::vector<BatchEntry> entries, PeerId initiator,
+  // Batch inserts: stores the entries of `route.mine`
+  // (StoreAndReplicate) and lists their slots in `reply`, forwards each
+  // group of `route.next` in chunk_bytes sub-batches under `request_id`,
+  // and lists the unroutable ones as dead ends.
+  void DispatchBulkInsert(KeySetRoute<BatchEntry> route, PeerId initiator,
                           uint64_t request_id, uint32_t hops,
-                          BulkInsertReply* reply,
-                          std::vector<PeerId>* first_hops = nullptr);
+                          BulkInsertReply* reply);
   // Stores a group this peer serves — one entry through the memtable,
   // more as one run — and pushes the entries that changed the store to
   // the replicas.

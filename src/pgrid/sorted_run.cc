@@ -11,9 +11,17 @@ using run_format::ReadVarint;
 
 SortedRun SortedRun::Build(std::vector<Entry> entries,
                            size_t restart_interval) {
-  size_t estimate = 0;
-  for (const Entry& e : entries) estimate += ApproxEntryBytes(e) / 2;
-  Builder builder(restart_interval, entries.size(), estimate);
+  // The arena's exact size, by Builder::Add's restart rule, so Finish
+  // never copies the arena to drop slack.
+  const size_t interval = std::max<size_t>(1, restart_interval);
+  size_t bytes = 0;
+  Key prev_key;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (i % interval == 0) prev_key = Key();
+    bytes += run_format::RecordSize(prev_key, EntryView(entries[i]));
+    prev_key = entries[i].key;
+  }
+  Builder builder(restart_interval, entries.size(), bytes);
   for (const Entry& e : entries) builder.Add(EntryView(e));
   return builder.Finish();
 }

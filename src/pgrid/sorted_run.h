@@ -111,6 +111,14 @@ inline void AppendRecord(std::string* out, const Key& prev_key,
   out->append(tail, static_cast<size_t>(p - tail));
 }
 
+/// Bytes AppendRecord(out, prev_key, e) appends (exact).
+inline size_t RecordSize(const Key& prev_key, const EntryView& e) {
+  const size_t shared = e.key.CommonPrefixLength(prev_key) / 8;
+  return VarintLength(shared) + VarintLength(e.key.size()) +
+         Key::ByteLength(e.key.size()) - shared + VarintLength(e.id.size()) +
+         e.id.size() + VarintLength(e.version) + 1;
+}
+
 /// \brief Decodes the record at `*pos` of `bytes` into `view` and moves
 /// `*pos` past it.
 ///

@@ -10,6 +10,7 @@
 #include "common/codec.h"
 #include "net/rpc.h"
 #include "net/transport.h"
+#include "pgrid/messages.h"
 #include "sim/latency.h"
 #include "sim/scheduler.h"
 
@@ -104,6 +105,36 @@ TEST(MessageTest, TruncatedPayloadDecodeFailsCleanly) {
   for (size_t cut = 0; cut < full.size(); ++cut) {
     BufferReader r(std::string_view(full).substr(0, cut));
     EXPECT_FALSE(r.GetString().ok()) << "prefix of " << cut << " bytes";
+  }
+}
+
+TEST(MessageTest, BulkInsertReplyRoundTripsWithAndWithoutAdvert) {
+  pgrid::BulkInsertReply reply;
+  reply.peer = 7;
+  reply.stored = {0, 3, 300};
+  reply.dead_ends = {5};
+  const std::string bare = reply.Encode();
+  reply.advert.replicas = {2, 7, 11};
+  reply.advert.path = pgrid::Key::FromBits("0110");
+  const std::string advertised = reply.Encode();
+  // An empty advert costs its zero count; a full one its ids and path.
+  EXPECT_EQ(advertised.size(), bare.size() + 3 * 4 + 2);
+
+  for (const std::string& payload : {bare, advertised}) {
+    Message m;
+    m.type = MessageType::kBulkInsertReply;
+    m.payload = payload;
+    auto decoded = pgrid::BulkInsertReply::Decode(m.payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->peer, 7u);
+    EXPECT_EQ(decoded->stored, reply.stored);
+    EXPECT_EQ(decoded->dead_ends, reply.dead_ends);
+    if (payload == bare) {
+      EXPECT_TRUE(decoded->advert.empty());
+    } else {
+      EXPECT_EQ(decoded->advert.replicas, reply.advert.replicas);
+      EXPECT_EQ(decoded->advert.path, reply.advert.path);
+    }
   }
 }
 

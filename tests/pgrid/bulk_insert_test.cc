@@ -2,10 +2,16 @@
 // reach every owner, respect versioned-upsert semantics, replicate, travel
 // in bounded sub-batches, and survive message loss, duplication and
 // routing cycles through idempotent retries of the unstored entries.
+// Entries under a replica-group advert go one hop to one replica
+// (DESIGN.md §8).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -277,6 +283,176 @@ TEST_F(BulkInsertTest, DuplicatedRepliesNeverAcknowledgeALostBranch) {
   EXPECT_NE(status.ToString().find("1 of 2 entries unstored"),
             std::string::npos)
       << status.ToString();
+}
+
+// One-hop writes (DESIGN.md §8). 24 peers in replication 3 form eight
+// leaves of depth 3; peer i serves leaf i % 8, so peer 0 ("000") is
+// outside the groups of "101" (peers 5, 13, 21) and "110" (6, 14, 22).
+class OneHopWriteTest : public BulkInsertTest {
+ protected:
+  static constexpr net::PeerId kWriter = 0;
+
+  void Build(size_t replication, PeerOptions peer = {}) {
+    BulkInsertTest::Build(24, replication, /*loss=*/0, /*seed=*/40, peer);
+    overlay_->transport().EnableDeliveryTrace();
+  }
+
+  // kBulkInsert messages delivered at or after `since`, per (src, dst).
+  std::map<std::pair<net::PeerId, net::PeerId>, int> BulkInsertsDeliveredSince(
+      sim::SimTime since) const {
+    std::map<std::pair<net::PeerId, net::PeerId>, int> delivered;
+    std::istringstream trace(overlay_->transport().DeliveryTrace());
+    std::string line;
+    while (std::getline(trace, line)) {
+      unsigned long long when = 0;
+      unsigned src = 0;
+      unsigned dst = 0;
+      char type[32];
+      if (std::sscanf(line.c_str(), "t=%llu %u->%u %31s", &when, &src, &dst,
+                      type) == 4 &&
+          when >= static_cast<unsigned long long>(since) &&
+          std::string(type) == "BulkInsert") {
+        ++delivered[{src, dst}];
+      }
+    }
+    return delivered;
+  }
+
+  // Live peers responsible for `e` that do not hold it.
+  std::vector<net::PeerId> MissingAt(const Entry& e) const {
+    std::vector<net::PeerId> missing;
+    for (net::PeerId p : overlay_->ResponsiblePeers(e.key)) {
+      const auto held = overlay_->peer(p)->store().Get(e.key);
+      if (held.size() != 1 || !(held[0] == e)) missing.push_back(p);
+    }
+    return missing;
+  }
+};
+
+TEST_F(OneHopWriteTest, InsertUnderAnAdvertGoesOneHopToOneReplica) {
+  Build(/*replication=*/3);
+  ASSERT_EQ(overlay_->peer(kWriter)->path().bits(), "000");
+  // The first insert under each path routes; its reply carries the group.
+  // (No RunUntilIdle before the next insert: it would run the finished
+  // attempt's 5 s timeout event and outlive the 2 s advert.)
+  ASSERT_TRUE(overlay_
+                  ->InsertBatchSync(kWriter, {EntryUnder("101", 0),
+                                              EntryUnder("110", 0)})
+                  .ok());
+  EXPECT_EQ(overlay_->peer(kWriter)->advert_cache().size(), 2u);
+
+  std::vector<Entry> batch;
+  for (size_t i = 1; i <= 8; ++i) {
+    batch.push_back(EntryUnder("101", i));
+    batch.push_back(EntryUnder("110", i));
+  }
+  const sim::SimTime start = overlay_->scheduler().Now();
+  ASSERT_TRUE(overlay_->InsertBatchSync(kWriter, batch).ok());
+  // One message per group, from the writer to one member: no trie walk,
+  // and the group's batch is not split across its replicas.
+  const auto delivered = BulkInsertsDeliveredSince(start);
+  ASSERT_EQ(delivered.size(), 2u);
+  std::set<std::string> groups;
+  for (const auto& [hop, count] : delivered) {
+    EXPECT_EQ(hop.first, kWriter);
+    EXPECT_EQ(count, 1);
+    groups.insert(overlay_->peer(hop.second)->path().bits());
+  }
+  EXPECT_EQ(groups, (std::set<std::string>{"101", "110"}));
+
+  // The replica push carries every entry to the rest of its group.
+  overlay_->scheduler().RunUntilIdle();
+  for (const Entry& e : batch) {
+    EXPECT_EQ(overlay_->ResponsiblePeers(e.key).size(), 3u);
+    EXPECT_TRUE(MissingAt(e).empty()) << e.id;
+  }
+}
+
+TEST_F(OneHopWriteTest, CrashedReplicaIsDroppedAndTheRetryStoresElsewhere) {
+  PeerOptions peer;
+  peer.request_timeout = 200 * sim::kMicrosPerMilli;
+  ASSERT_EQ(peer.suspicion_ttl, 0);
+  Build(/*replication=*/3, peer);
+  ASSERT_TRUE(overlay_->InsertBatchSync(kWriter, {EntryUnder("101", 0)}).ok());
+  const auto group = overlay_->ResponsiblePeers(EntryUnder("101", 0).key);
+  ASSERT_EQ(group.size(), 3u);
+  const net::PeerId crashed = group[1];
+  overlay_->Crash(crashed);
+
+  // The writer rotates over the three members, one per insert: exactly
+  // one insert meets the crashed replica, times out and drops it from the
+  // advert, and no later insert is sent there.
+  std::vector<Entry> acked;
+  int slow = 0;
+  for (size_t i = 1; i <= 9; ++i) {
+    const Entry e = EntryUnder("101", i);
+    const sim::SimTime start = overlay_->scheduler().Now();
+    ASSERT_TRUE(overlay_->InsertBatchSync(kWriter, {e}).ok()) << i;
+    acked.push_back(e);
+    if (overlay_->scheduler().Now() - start >= peer.request_timeout) ++slow;
+  }
+  EXPECT_EQ(slow, 1);
+  // Every acked write is held by both live members.
+  overlay_->scheduler().RunUntilIdle();
+  for (const Entry& e : acked) {
+    EXPECT_EQ(overlay_->ResponsiblePeers(e.key).size(), 2u);
+    EXPECT_TRUE(MissingAt(e).empty()) << e.id;
+  }
+}
+
+// The consistency a writer gets (DESIGN.md §8): the replica that stores a
+// write pushes it to the rest of its group before it sends the ack, on
+// links of equal latency, so the push lands first and every read that
+// starts at the ack instant, from any peer, sees the write.
+TEST_F(OneHopWriteTest, ReadsIssuedAtTheAckSeeTheWrite) {
+  // Default latency model: every hop takes 1 ms.
+  Build(/*replication=*/3);
+  ASSERT_TRUE(overlay_->InsertBatchSync(kWriter, {EntryUnder("101", 0)}).ok());
+  int reads = 0;
+  int answered = 0;
+  int stale = 0;
+  for (size_t i = 1; i <= 6; ++i) {
+    const Entry e = EntryUnder("101", i);
+    bool acked = false;
+    overlay_->peer(kWriter)->Insert(e, [&, e](Status status) {
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      acked = true;
+      // At the ack instant, every live peer reads the key.
+      for (net::PeerId p : overlay_->AlivePeers()) {
+        ++reads;
+        overlay_->peer(p)->Lookup(
+            e.key, LookupMode::kExact, [&, e](Result<LookupResult> r) {
+              ++answered;
+              if (!r.ok() || r->entries.size() != 1 || !(r->entries[0] == e)) {
+                ++stale;
+              }
+            });
+      }
+    });
+    overlay_->scheduler().RunUntil(
+        [&] { return acked && answered == reads; });
+  }
+  std::printf("stale reads at the ack instant: %d of %d\n", stale, reads);
+  EXPECT_EQ(reads, 6 * 24);
+  EXPECT_EQ(stale, 0) << stale << " of " << reads << " reads were stale";
+}
+
+TEST_F(OneHopWriteTest, ReplicationOneKeepsTrieRouting) {
+  Build(/*replication=*/1);
+  ASSERT_EQ(overlay_->peer(kWriter)->path().bits(), "00000");
+  std::vector<Entry> batch;
+  for (size_t i = 0; i < 4; ++i) batch.push_back(EntryUnder("11101", i));
+  ASSERT_TRUE(overlay_->InsertBatchSync(kWriter, {batch[0]}).ok());
+  const sim::SimTime start = overlay_->scheduler().Now();
+  ASSERT_TRUE(overlay_->InsertBatchSync(kWriter, batch).ok());
+  overlay_->scheduler().RunUntilIdle();
+  // A peer without a replica group advertises nothing, so the second
+  // insert walks the trie again: it reaches the owner after more than
+  // one hop.
+  EXPECT_EQ(overlay_->peer(kWriter)->advert_cache().size(), 0u);
+  const auto delivered = BulkInsertsDeliveredSince(start);
+  EXPECT_GT(delivered.size(), 1u);
+  for (const Entry& e : batch) EXPECT_TRUE(MissingAt(e).empty()) << e.id;
 }
 
 }  // namespace

@@ -772,6 +772,37 @@ TEST(SortedRunTest, ProberFindsRecordsAfterAnOverlongKey) {
                                   &deleted));
 }
 
+TEST(SortedRunTest, RecordSizeIsTheBytesAppendRecordWrites) {
+  // Keys that share 0 to 16 bytes with their predecessor, ids and
+  // versions across varint widths, and a restart every three records.
+  const std::string zeros(kKeyBits, '0');
+  std::vector<Entry> entries = {
+      MakeEntry("0", "a", 1),
+      MakeEntry(zeros.substr(0, 100), "a", 300),
+      MakeEntry(zeros, std::string(200, 'i'), 1),
+      MakeEntry(zeros, std::string(201, 'i'), uint64_t{1} << 40, true),
+      MakeEntry(zeros.substr(0, 120) + "1", "b", 2),
+      MakeEntry("1", "c", 3),
+      MakeEntry("11", "c", 4),
+  };
+  constexpr size_t kInterval = 3;
+  size_t total = 0;
+  Key prev;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (i % kInterval == 0) prev = Key();
+    std::string record;
+    run_format::AppendRecord(&record, prev, EntryView(entries[i]));
+    EXPECT_EQ(run_format::RecordSize(prev, EntryView(entries[i])),
+              record.size())
+        << "entry " << i;
+    total += record.size();
+    prev = entries[i].key;
+  }
+  const SortedRun run = SortedRun::Build(entries, kInterval);
+  EXPECT_EQ(run.resident_bytes(),
+            sizeof(SortedRun) + total + 3 * sizeof(uint32_t));
+}
+
 // --- Size-tiered compaction ------------------------------------------------
 
 TEST(LocalStoreTierTest, TieredCompactionBoundsRunsAndKeepsData) {

@@ -6,6 +6,8 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "pgrid/overlay.h"
@@ -42,7 +44,8 @@ TEST_F(RobustnessTest, CorruptPayloadsAreDropped) {
   using MT = net::MessageType;
   for (MT type : {MT::kLookup, MT::kBulkInsert, MT::kRangeSeq,
                   MT::kRangeShower, MT::kExchange, MT::kReplicaPush,
-                  MT::kRangeSeqReply, MT::kRangeShowerReply}) {
+                  MT::kLookupReply, MT::kBulkInsertReply, MT::kRangeSeqReply,
+                  MT::kRangeShowerReply}) {
     overlay_->transport().Send(Garbage(0, 3, type));
   }
   overlay_->scheduler().RunUntilIdle();
@@ -54,6 +57,53 @@ TEST_F(RobustnessTest, CorruptPayloadsAreDropped) {
   auto found = overlay_->LookupSync(6, e.key);
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(found->entries.size(), 1u);
+}
+
+TEST_F(RobustnessTest, TruncatedAndCorruptAdvertsAreRejected) {
+  // Lookup and insert replies end in the same replica-group advert: a
+  // replica count, the ids, then the path.
+  ReplicaAdvert advert;
+  advert.replicas = {1, 4, 6};
+  advert.path = Key::FromBits("101");
+  BufferWriter w;
+  advert.Encode(&w);
+  const size_t advert_bytes = w.Release().size();
+
+  LookupBatchReply lookup;
+  lookup.peer = 4;
+  lookup.answers.push_back({0, {Entry{OpHash("x"), "x", 1, false}}});
+  lookup.advert = advert;
+  BulkInsertReply insert;
+  insert.peer = 4;
+  insert.stored = {0, 2};
+  insert.advert = advert;
+  const auto decode_lookup = [](std::string_view bytes) {
+    return LookupBatchReply::Decode(bytes).status();
+  };
+  const auto decode_insert = [](std::string_view bytes) {
+    return BulkInsertReply::Decode(bytes).status();
+  };
+  for (const auto& [frame, decode] :
+       {std::pair{lookup.Encode(), +decode_lookup},
+        std::pair{insert.Encode(), +decode_insert}}) {
+    ASSERT_TRUE(decode(frame).ok());
+    // Every strict prefix fails to decode.
+    for (size_t cut = 0; cut < frame.size(); ++cut) {
+      EXPECT_FALSE(decode(std::string_view(frame).substr(0, cut)).ok())
+          << "prefix of " << cut << " bytes";
+    }
+    // A replica count larger than the bytes left is rejected before any
+    // id is read.
+    std::string corrupt = frame;
+    const size_t count_at = frame.size() - advert_bytes;
+    ASSERT_EQ(corrupt[count_at], '\x03');
+    corrupt[count_at] = '\x7f';
+    const Status status = decode(corrupt);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_NE(status.ToString().find("advert longer than its message"),
+              std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST_F(RobustnessTest, UnknownMessageTypeIsIgnored) {
