@@ -705,8 +705,9 @@ void Peer::HandleBulkInsert(const Message& msg) {
                                  EntryKeyOf),
                      req->initiator, msg.request_id, msg.hops, &reply);
   if (reply.stored.empty() && reply.dead_ends.empty()) return;
-  // A replica that is no longer responsible forwarded the entries
-  // through the router above, so a stale advert costs hops, not writes.
+  // Only a peer that stored entries advertises its group. One that was
+  // sent entries on a stale advert and is no longer responsible routed
+  // them on above, so a stale advert costs hops, never a write.
   if (!reply.stored.empty()) reply.advert = GroupAdvert();
   rpc_.ReplyTo(req->initiator, msg.request_id, msg.hops,
                MessageType::kBulkInsertReply, reply.Encode());
