@@ -19,10 +19,8 @@ namespace unistore {
 namespace bench {
 
 /// Order-sensitive FNV-1a over a visited entry stream: equal hashes +
-/// equal counts == byte-identical streams. Shared by the storage-engine
-/// gate benches (bench_local_scan, bench_bulk_load) so both binaries
-/// measure stream identity the same way. Accepts Entry via EntryView's
-/// implicit conversion.
+/// equal counts == byte-identical streams. bench_durable_store checks
+/// recovery with it. Accepts Entry via EntryView's implicit conversion.
 struct StreamChecksum {
   uint64_t h = 1469598103934665603ull;
   uint64_t count = 0;
@@ -118,9 +116,8 @@ inline void Banner(const char* experiment_id, const char* claim) {
 /// Each gated bench emits its acceptance metrics (speedups, allocation
 /// counts, write-amplification factors) as a BENCH_*_gates.json file next
 /// to the google-benchmark `--benchmark_out` artifact, so the CI bench job
-/// uploads machine-readable gate numbers too. Shared by bench_local_scan,
-/// bench_insert_throughput and bench_bulk_load instead of per-binary
-/// emitters.
+/// uploads machine-readable gate numbers too. Shared by the gated benches
+/// and bench_e2e instead of per-binary emitters.
 class GateJson {
  public:
   void Add(const std::string& name, double value) {

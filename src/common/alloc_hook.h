@@ -4,7 +4,7 @@
 // with malloc/free-backed versions that count calls and bytes — the
 // instrument behind the zero-allocation guarantees of the storage read
 // path (DESIGN.md §6): tests/pgrid/local_store_test.cc asserts scans
-// allocate nothing, bench/bench_local_scan.cc reports allocs/op.
+// allocate nothing.
 //
 // Include it from exactly ONE translation unit of a test or benchmark
 // binary (the replacement operators have external linkage; a second

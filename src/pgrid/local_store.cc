@@ -105,20 +105,6 @@ LocalStoreOptions LocalStoreOptions::Sanitized(
          std::to_string(kMaxRuns));
     o.max_runs = kMaxRuns;
   }
-  if (o.tier_fanin < 2) {
-    warn("tier_fanin " + std::to_string(o.tier_fanin) +
-         " below minimum; clamped to 2");
-    o.tier_fanin = 2;
-  }
-  if (o.tier_growth < 2) {
-    warn("tier_growth " + std::to_string(o.tier_growth) +
-         " below minimum; clamped to 2");
-    o.tier_growth = 2;
-  }
-  if (o.restart_interval == 0) {
-    o.restart_interval = 1;
-    warn("restart_interval 0 is invalid; clamped to 1");
-  }
   if (o.backend == Backend::kDisk && o.data_dir.empty()) {
     o.backend = Backend::kMemory;
     warn("backend kDisk requires a data_dir; falling back to kMemory");
@@ -160,7 +146,7 @@ LocalStore::LocalStore(const LocalStoreOptions& options) {
     }
   }
   if (backend_ == nullptr) {
-    backend_ = std::make_unique<MemoryBackend>(options_.restart_interval);
+    backend_ = std::make_unique<MemoryBackend>();
   }
   if (backend_->run_count() > 0) RecountFromBackend();
 }
@@ -568,18 +554,9 @@ void LocalStore::Compact() {
 }
 
 void LocalStore::MaybeCompact() {
-  if (!io_status_.ok()) return;
-  if (options_.compaction == LocalStoreOptions::CompactionPolicy::kTiered) {
-    TierCompact();
-  } else if (backend_->run_count() > options_.max_runs) {
-    MergeRuns(0, backend_->run_count());
-  }
-}
-
-void LocalStore::TierCompact() {
   // Grow a group from the newest run toward older ones while the next
-  // older run holds at most tier_growth times the group's entries, and
-  // merge it once it spans tier_fanin runs. Run sizes thus grow
+  // older run holds at most kTierGrowth times the group's entries, and
+  // merge it once it spans kTierFanin runs. Run sizes thus grow
   // geometrically toward the oldest run, which is rewritten only when the
   // newer data has grown comparable to it. Over max_runs, the group
   // widens to as many of the newest (smallest) runs as bring the store
@@ -591,11 +568,12 @@ void LocalStore::TierCompact() {
     size_t start = n - 1;
     uint64_t group = backend_->run_entries(start);
     while (start > 0 &&
-           backend_->run_entries(start - 1) <= options_.tier_growth * group) {
+           backend_->run_entries(start - 1) <=
+               LocalStoreOptions::kTierGrowth * group) {
       group += backend_->run_entries(--start);
     }
     const size_t excess = n > options_.max_runs ? n - options_.max_runs : 0;
-    if (excess == 0 && n - start < options_.tier_fanin) return;
+    if (excess == 0 && n - start < LocalStoreOptions::kTierFanin) return;
     start = std::min(start, n - 1 - excess);
     MergeRuns(start, n - start);
   }

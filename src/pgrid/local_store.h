@@ -30,37 +30,10 @@ struct LocalStoreOptions {
   /// Memtable entries at which the memtable is frozen into a sorted run.
   size_t memtable_flush_threshold = 512;
 
-  /// Hard cap on the number of resident runs (scan fan-in bound). When the
-  /// compaction policy leaves more runs than this, the newest runs are
-  /// merged down until the store fits. Clamped to kMaxRuns.
+  /// Hard cap on the number of resident runs (scan fan-in bound). When
+  /// size-tiered compaction leaves more runs than this, the newest runs
+  /// are merged down until the store fits. Clamped to kMaxRuns.
   size_t max_runs = 10;
-
-  /// How runs are compacted.
-  enum class CompactionPolicy : uint8_t {
-    /// Size-tiered: a run merges with the newer runs once they hold a
-    /// comparable number of entries (amortized O(log N) write
-    /// amplification). The default.
-    kTiered = 0,
-    /// The pre-tiering behaviour: every compaction merges ALL runs into
-    /// one (O(store) rewritten per compaction). Kept as the
-    /// write-amplification baseline for bench_bulk_load.
-    kFullMerge = 1,
-  };
-  CompactionPolicy compaction = CompactionPolicy::kTiered;
-
-  /// Tiered policy: runs a compaction group must span before it merges
-  /// into one (the tier fan-in). Minimum 2.
-  size_t tier_fanin = 4;
-
-  /// Tiered policy: growth factor — a group of the newest runs absorbs
-  /// the next older run iff that run holds at most tier_growth times the
-  /// group's entries. Minimum 2.
-  size_t tier_growth = 4;
-
-  /// Entries per restart block of a run: runs store packed key bytes
-  /// shared-prefix-truncated against the previous entry, with a full key
-  /// every `restart_interval` entries (sorted_run.h). Minimum 1.
-  size_t restart_interval = 16;
 
   /// Which engine owns the run set.
   enum class Backend : uint8_t {
@@ -98,6 +71,15 @@ struct LocalStoreOptions {
   /// path free of heap allocation.
   static constexpr size_t kMaxRuns = 15;
 
+  /// Size-tiered compaction: a run merges with the newer runs once they
+  /// hold a comparable number of entries (amortized O(log N) write
+  /// amplification, DESIGN.md §6). A group grows from the newest run and
+  /// absorbs the next older run iff that run holds at most kTierGrowth
+  /// times the group's entries; it merges into one run once it spans
+  /// kTierFanin runs.
+  static constexpr size_t kTierFanin = 4;
+  static constexpr size_t kTierGrowth = 4;
+
   /// \brief Returns a copy with every out-of-range knob clamped to its
   /// nearest valid value, appending one human-readable line per clamped
   /// knob to `warnings` (when non-null).
@@ -123,7 +105,8 @@ struct LocalStoreWriteStats {
   uint64_t compactions = 0;       ///< Merge operations performed.
 
   /// Total bytes the engine wrote to runs, divided by the bytes ingested:
-  /// the write-amplification factor bench_bulk_load gates on.
+  /// the write-amplification factor LocalStoreTierTest checks against a
+  /// full-merge policy and bench/e2e reports as local_store.write_amp.
   double WriteAmplification() const {
     const uint64_t written = flushed_bytes + compacted_bytes +
                              bulk_loaded_bytes;
@@ -275,7 +258,8 @@ class LocalStore {
   const StorageBackend& backend() const { return *backend_; }
 
   /// Approximate resident footprint of memtable + runs in bytes
-  /// (bench_bulk_load gates the prefix-compression savings on this).
+  /// (LocalStoreCompressionTest checks the prefix-compression savings on
+  /// this).
   size_t resident_bytes() const;
 
   /// Cumulative write-path accounting since construction/Clear.
@@ -346,11 +330,9 @@ class LocalStore {
   void RecountFromBackend();
 
   void MaybeFlush();
-  // Applies the configured compaction policy, which keeps the run count
-  // within max_runs.
+  // Size-tiered compaction (see the .cc), repeated until stable; keeps
+  // the run count within max_runs.
   void MaybeCompact();
-  // The size-tiered policy (see the .cc), repeated until stable.
-  void TierCompact();
   // Merges runs [first, first+n) through the backend and counts the
   // rewrite into stats_; wedges on backend failure.
   void MergeRuns(size_t first, size_t n);

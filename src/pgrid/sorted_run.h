@@ -163,6 +163,9 @@ inline void DecodeRecord(std::string_view bytes, size_t* pos,
 /// values rebuilt inside the view, never on the heap.
 class SortedRun {
  public:
+  /// Entries per restart block of the runs a LocalStore builds.
+  static constexpr size_t kRestartInterval = 16;
+
   SortedRun() = default;
 
   /// Builds a run from entries already sorted by slot (key, id),
@@ -254,7 +257,7 @@ class SortedRun {
   size_t resident_bytes_ = 0;
   std::string arena_;               // run_format records, back to back.
   std::vector<uint32_t> restarts_;  // Arena offsets of restart records.
-  uint32_t restart_interval_ = 16;
+  uint32_t restart_interval_ = kRestartInterval;
 };
 
 /// \brief Streaming run construction from entry views in slot order.

@@ -57,8 +57,9 @@ struct MergeStats {
 ///
 /// A closed tagged union instead of a virtual interface: scans advance
 /// cursors once per entry, and the union keeps the in-memory path a
-/// predictable branch + inlined call (the allocation-free ≥3x scan gate
-/// in bench_local_scan depends on this). Construction never allocates.
+/// predictable branch + inlined call (the allocation-free scans that
+/// LocalStoreEngineTest.VisitorReadPathDoesNotAllocate checks depend on
+/// this). Construction never allocates.
 class RunCursor {
  public:
   RunCursor() = default;
@@ -159,8 +160,7 @@ class StorageBackend {
 /// The original in-process engine: a vector of SortedRuns.
 class MemoryBackend : public StorageBackend {
  public:
-  explicit MemoryBackend(size_t restart_interval)
-      : restart_interval_(restart_interval) {}
+  MemoryBackend() = default;
 
   size_t run_count() const override { return runs_.size(); }
   size_t run_entries(size_t index) const override {
@@ -191,7 +191,6 @@ class MemoryBackend : public StorageBackend {
     mutable uint32_t crc = 0;
   };
 
-  size_t restart_interval_;
   std::vector<SortedRun> runs_;  // runs_[0] oldest … back() newest.
   std::vector<RunMeta> meta_;    // Parallel to runs_.
   uint64_t next_run_id_ = 1;

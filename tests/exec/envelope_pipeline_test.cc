@@ -1,6 +1,7 @@
 // Cluster scenario tests of the batched, pipelined envelope executor
 // (DESIGN.md §4): fan-out / chunked Migrate joins return byte-identical
-// results to one unsplit walk carrying every binding, walks complete
+// results to one unsplit walk carrying every binding and beat it on hop
+// chain and completion time at partition scale, walks complete
 // under message loss and mid-walk peer churn (coverage-gap retries +
 // interval dedupe), peers_visited sums across sub-walks, and the executor
 // trace reports the fan-out shape.
@@ -16,6 +17,8 @@
 #include "exec/envelope_coordinator.h"
 #include "exec/query_service.h"
 #include "pgrid/overlay.h"
+#include "sim/latency.h"
+#include "sim/scheduler.h"
 #include "triple/index.h"
 #include "triple/store_service.h"
 
@@ -167,6 +170,88 @@ TEST_F(EnvelopePipelineTest, FanoutAndChunkingMatchUnsplitBaseline) {
       EXPECT_GT(result->chunks_per_branch, 1u) << config.name;
     }
   }
+}
+
+// Fan-out plus chunking shortens the join: 256 bindings against 400
+// triples under a 32-leaf partition of an 88-peer trie, 1 ms links. One
+// unsplit walk visits the partition's peers one after another; four
+// branches of 64-binding chunks cover them in parallel and return the
+// same rows with a shorter hop chain and an earlier completion. The
+// three configurations run in turn on one overlay; DESIGN.md §4 records
+// 24 hops and 26.2 ms against the single walk's 63 hops and 64.1 ms.
+TEST(EnvelopePipelineScaleTest, FanoutAndChunkingBeatOneWalkOnHopsAndTime) {
+  constexpr size_t kLeaves = 32;
+  const auto paths = pgrid::PartitionCoverPaths(
+      triple::AttrPrefixRange("age", ""), kLeaves);
+  ASSERT_EQ(paths.size(), 88u);
+  pgrid::OverlayOptions options;
+  options.seed = 1309;
+  pgrid::Overlay overlay(options, std::make_unique<sim::ConstantLatency>(
+                                      1 * sim::kMicrosPerMilli));
+  overlay.AddPeers(paths.size());
+  overlay.BuildWithPaths(paths);
+  std::vector<std::unique_ptr<QueryService>> services;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    services.push_back(std::make_unique<QueryService>(
+        overlay.peer(static_cast<net::PeerId>(i))));
+  }
+  for (int i = 0; i < 400; ++i) {
+    Triple t("p" + std::to_string(i), "age", Value::String(SpreadValue(i)));
+    for (auto& entry : triple::EntriesForTriple(t, 1)) {
+      overlay.InsertDirect(entry);
+    }
+  }
+  // Gossiped peer-path samples steer the fan-out split along the trie.
+  for (auto& service : services) service->BuildLocalStats(1000);
+  for (int round = 0; round < 3; ++round) {
+    for (auto& service : services) service->GossipStats(4);
+    overlay.scheduler().RunUntilIdle();
+  }
+  std::vector<Binding> left;
+  for (size_t i = 0; i < 256; ++i) {
+    // One miss for every three hits.
+    const std::string oid = (i % 4 < 3) ? "p" + std::to_string(i)
+                                        : "ghost" + std::to_string(i);
+    left.push_back({{"a", Value::String(oid)},
+                    {"tag", Value::Int(static_cast<int64_t>(i))}});
+  }
+
+  struct Run {
+    std::string rows;
+    uint32_t max_walk_hops = 0;
+    sim::SimTime elapsed = 0;
+  };
+  auto run = [&](uint32_t fanout, uint32_t chunk) {
+    EnvelopeOptions envelope;
+    envelope.fanout = fanout;
+    envelope.max_bindings_per_envelope = chunk;
+    services[0]->set_envelope_options(envelope);
+    const sim::SimTime start = overlay.scheduler().Now();
+    std::optional<Result<MigrateResult>> out;
+    services[0]->RunMigrateJoin(
+        AgePattern(), left,
+        [&out](Result<MigrateResult> r) { out = std::move(r); });
+    overlay.scheduler().RunUntil([&out] { return out.has_value(); });
+    Run r;
+    r.elapsed = overlay.scheduler().Now() - start;
+    if (!out.has_value()) {
+      ADD_FAILURE() << "simulation drained";
+    } else if (!out->ok()) {
+      ADD_FAILURE() << out->status().ToString();
+    } else {
+      r.rows = RowsToString((*out)->rows);
+      r.max_walk_hops = (*out)->max_walk_hops;
+    }
+    return r;
+  };
+  const Run one_walk = run(/*fanout=*/1, /*chunk=*/0);
+  const Run fanned = run(/*fanout=*/4, /*chunk=*/0);
+  const Run batched = run(/*fanout=*/4, /*chunk=*/64);
+  ASSERT_FALSE(one_walk.rows.empty());
+  EXPECT_EQ(fanned.rows, one_walk.rows);
+  EXPECT_EQ(batched.rows, one_walk.rows);
+  EXPECT_LT(batched.max_walk_hops, one_walk.max_walk_hops);
+  EXPECT_LT(batched.elapsed, one_walk.elapsed);
 }
 
 TEST_F(EnvelopePipelineTest, PeersVisitedSumsAcrossSubWalks) {

@@ -143,7 +143,6 @@ TEST(RunSummaryTest, IdenticalContentMatchesAcrossStores) {
 TEST(RunSummaryTest, RunIdsSurviveLookupAndCompactionInvalidatesThem) {
   LocalStoreOptions options;
   options.memtable_flush_threshold = 4;
-  options.tier_fanin = 100;  // No automatic merging.
   LocalStore store(options);
   store.BulkLoad(MakeBatch("r1", 16));
   store.BulkLoad(MakeBatch("r2", 16));
@@ -357,20 +356,23 @@ TEST(ReplicaRepairTest, MemtableOnlyDivergenceUsesFallbackStream) {
 // donor's runs fetches only the missing one, shipping a small fraction
 // of the full-state bytes.
 TEST(ReplicaRepairTest, DeltaShipsOnlyMissingRuns) {
-  OverlayOptions options = RepairOptions(29, 2);
-  options.peer.storage.tier_fanin = 100;  // Keep runs distinct.
-  Overlay overlay(options);
+  Overlay overlay(RepairOptions(29, 2));
   overlay.AddPeers(2);
   overlay.BuildBalanced();
 
   Peer* donor = overlay.peer(0);
   Peer* repairer = overlay.peer(1);
-  // Eight identical batches land as eight identical runs on both sides;
-  // the repairer misses the last one.
-  for (int b = 0; b < 8; ++b) {
-    std::vector<Entry> batch = MakeBatch("delta-" + std::to_string(b), 200);
+  // Eight batches land as eight runs on both sides, in three size tiers
+  // that size-tiered compaction keeps apart: no tier spans kTierFanin
+  // runs, and each run outweighs kTierGrowth times every newer run of a
+  // smaller tier. The repairer misses one run of the middle tier.
+  const size_t kBatchEntries[] = {1600, 1600, 1600, 100, 100, 100, 8, 8};
+  constexpr size_t kMissing = 4;
+  for (size_t b = 0; b < 8; ++b) {
+    std::vector<Entry> batch =
+        MakeBatch("delta-" + std::to_string(b), kBatchEntries[b]);
     donor->store().BulkLoad(batch);
-    if (b < 7) repairer->store().BulkLoad(batch);
+    if (b != kMissing) repairer->store().BulkLoad(batch);
   }
   ASSERT_EQ(donor->store().run_count(), 8u);
   ASSERT_EQ(repairer->store().run_count(), 7u);
@@ -430,7 +432,6 @@ TEST(RepairKillPointTest, DonorDeadMidChunkNeverTearsRepairer) {
   // before, between, and after individual chunks.
   for (sim::SimTime kill_after_ms : {2, 5, 8, 12, 20}) {
     OverlayOptions options = RepairOptions(37, 2);
-    options.peer.storage.tier_fanin = 100;
     options.peer.chunk_bytes = 512;  // Many chunks per run.
     Overlay overlay(options);
     overlay.AddPeers(2);
@@ -487,7 +488,6 @@ TEST(RepairKillPointTest, RepairerCrashMidSpliceRecoversAndConverges) {
     options.peer.storage.backend = LocalStoreOptions::Backend::kDisk;
     options.peer.storage.data_dir = "db";
     options.peer.storage.env = &env;
-    options.peer.storage.tier_fanin = 100;
     options.peer.chunk_bytes = 1024;
 
     uint32_t donor_digest = 0;

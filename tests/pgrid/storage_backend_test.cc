@@ -603,14 +603,12 @@ TEST(DiskBackendTest, OverlongAndShortKeysMatchMemoryBackend) {
                                 1 + rng.NextBounded(5),
                                 rng.NextBounded(6) == 0));
   }
+  // Flushed memory runs span several restart blocks.
   LocalStoreOptions mem_options;
-  mem_options.memtable_flush_threshold = 16;
-  mem_options.restart_interval = 4;
+  mem_options.memtable_flush_threshold = 4 * SortedRun::kRestartInterval;
   LocalStore mem_store(mem_options);
   MemEnv env;
-  LocalStoreOptions disk_options = DiskOptions(&env, "db");
-  disk_options.restart_interval = 4;
-  LocalStore disk_store(disk_options);
+  LocalStore disk_store(DiskOptions(&env, "db"));
   for (LocalStore* store : {&mem_store, &disk_store}) {
     for (size_t i = 0; i < entries.size(); ++i) {
       if (i % 5 == 0) {
