@@ -1,15 +1,15 @@
-// Global-allocation counting hook for measurement binaries.
+// Global-allocation counting hook for test binaries.
 //
 // Including this header replaces the program's global operator new/delete
-// with malloc/free-backed versions that count calls and bytes — the
-// instrument behind the zero-allocation guarantees of the storage read
-// path (DESIGN.md §6): tests/pgrid/local_store_test.cc asserts scans
-// allocate nothing.
+// with malloc/free-backed versions that count calls — the instrument
+// behind the zero-allocation guarantees of the storage read path
+// (DESIGN.md §6): tests/pgrid/local_store_test.cc asserts scans allocate
+// nothing.
 //
-// Include it from exactly ONE translation unit of a test or benchmark
-// binary (the replacement operators have external linkage; a second
-// inclusion in the same binary fails to link, which is the guard). Never
-// include it from library code.
+// Include it from exactly ONE translation unit of a test binary (the
+// replacement operators have external linkage; a second inclusion in the
+// same binary fails to link, which is the guard). Never include it from
+// library code.
 #ifndef UNISTORE_COMMON_ALLOC_HOOK_H_
 #define UNISTORE_COMMON_ALLOC_HOOK_H_
 
@@ -24,11 +24,6 @@ namespace alloc_hook {
 inline std::atomic<uint64_t>& Calls() {
   static std::atomic<uint64_t> calls{0};
   return calls;
-}
-
-inline std::atomic<uint64_t>& Bytes() {
-  static std::atomic<uint64_t> bytes{0};
-  return bytes;
 }
 
 /// Allocation calls performed while running `fn`.
@@ -51,7 +46,6 @@ uint64_t CountCalls(Fn&& fn) {
 
 void* operator new(std::size_t size) {
   unistore::alloc_hook::Calls().fetch_add(1, std::memory_order_relaxed);
-  unistore::alloc_hook::Bytes().fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }

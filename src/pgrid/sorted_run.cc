@@ -21,13 +21,13 @@ SortedRun SortedRun::Build(std::vector<Entry> entries,
     bytes += run_format::RecordSize(prev_key, EntryView(entries[i]));
     prev_key = entries[i].key;
   }
-  Builder builder(restart_interval, entries.size(), bytes);
+  Builder builder(entries.size(), bytes, restart_interval);
   for (const Entry& e : entries) builder.Add(EntryView(e));
   return builder.Finish();
 }
 
-SortedRun::Builder::Builder(size_t restart_interval, size_t expected_entries,
-                            size_t expected_bytes) {
+SortedRun::Builder::Builder(size_t expected_entries, size_t expected_bytes,
+                            size_t restart_interval) {
   run_.restart_interval_ =
       static_cast<uint32_t>(std::max<size_t>(1, restart_interval));
   run_.arena_.reserve(expected_bytes);

@@ -170,7 +170,8 @@ class SortedRun {
 
   /// Builds a run from entries already sorted by slot (key, id),
   /// deduplicated.
-  static SortedRun Build(std::vector<Entry> entries, size_t restart_interval);
+  static SortedRun Build(std::vector<Entry> entries,
+                         size_t restart_interval = kRestartInterval);
 
   size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
@@ -268,8 +269,8 @@ class SortedRun {
 /// merge path.
 class SortedRun::Builder {
  public:
-  Builder(size_t restart_interval, size_t expected_entries,
-          size_t expected_bytes);
+  Builder(size_t expected_entries, size_t expected_bytes,
+          size_t restart_interval = kRestartInterval);
 
   void Add(const EntryView& e);  // Slots must arrive in increasing order.
   SortedRun Finish();

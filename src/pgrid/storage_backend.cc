@@ -47,8 +47,7 @@ size_t MemoryBackend::resident_bytes() const {
 Status MemoryBackend::AppendRun(std::vector<Entry> entries,
                                 RunOrigin /*origin*/) {
   if (entries.empty()) return Status::OK();
-  runs_.push_back(
-      SortedRun::Build(std::move(entries), SortedRun::kRestartInterval));
+  runs_.push_back(SortedRun::Build(std::move(entries)));
   meta_.push_back(RunMeta{next_run_id_++, false, 0});
   return Status::OK();
 }
@@ -72,8 +71,7 @@ Status MemoryBackend::MergeRuns(size_t first, size_t n, MergeStats* stats) {
     expected += run.size();
     expected_bytes += run.resident_bytes();
   }
-  SortedRun::Builder builder(SortedRun::kRestartInterval, expected,
-                             expected_bytes);
+  SortedRun::Builder builder(expected, expected_bytes);
   MergeCursorStreams(cursors, n,
                      [&builder](const EntryView& v) { builder.Add(v); });
   SortedRun merged = builder.Finish();
@@ -94,8 +92,7 @@ Status MemoryBackend::ResetTo(std::vector<Entry> entries) {
   runs_.clear();
   meta_.clear();
   if (!entries.empty()) {
-    runs_.push_back(
-        SortedRun::Build(std::move(entries), SortedRun::kRestartInterval));
+    runs_.push_back(SortedRun::Build(std::move(entries)));
     meta_.push_back(RunMeta{next_run_id_++, false, 0});
   }
   return Status::OK();

@@ -17,7 +17,6 @@
 #include "exec/envelope_coordinator.h"
 #include "exec/query_service.h"
 #include "pgrid/overlay.h"
-#include "sim/latency.h"
 #include "sim/scheduler.h"
 #include "triple/index.h"
 #include "triple/store_service.h"
@@ -33,10 +32,10 @@ constexpr size_t kInsideLeaves = 16;
 
 // The trie: deep under the 'age' string-value partition (the common prefix
 // of "a#age#s..."), shallow complements elsewhere. One peer per path; the
-// inside peers are the last kInsideLeaves ids.
-std::vector<std::string> PipelinePaths() {
+// inside peers are the last `inside_leaves` ids.
+std::vector<std::string> PipelinePaths(size_t inside_leaves = kInsideLeaves) {
   return pgrid::PartitionCoverPaths(triple::AttrPrefixRange("age", ""),
-                                    kInsideLeaves);
+                                    inside_leaves);
 }
 
 // A value whose first character sweeps the byte range, so triples spread
@@ -67,8 +66,11 @@ vql::TriplePattern AgePattern() {
 
 class EnvelopePipelineTest : public ::testing::Test {
  protected:
-  void Build(double loss_probability, uint64_t seed = 4242) {
-    const auto paths = PipelinePaths();
+  /// The PipelinePaths trie with 1 ms links, holding `triples` age
+  /// triples spread across the inside leaves.
+  void Build(double loss_probability, uint64_t seed = 4242,
+             size_t inside_leaves = kInsideLeaves, int triples = 120) {
+    const auto paths = PipelinePaths(inside_leaves);
     pgrid::OverlayOptions options;
     options.seed = seed;
     options.loss_probability = loss_probability;
@@ -80,20 +82,21 @@ class EnvelopePipelineTest : public ::testing::Test {
       services_.push_back(std::make_unique<QueryService>(
           overlay_->peer(static_cast<net::PeerId>(i))));
     }
-    for (int i = 0; i < 120; ++i) {
+    for (int i = 0; i < triples; ++i) {
       Triple t("p" + std::to_string(i), "age", Value::String(SpreadValue(i)));
       for (auto& entry : triple::EntriesForTriple(t, 1)) {
         overlay_->InsertDirect(entry);
       }
     }
-    inside_first_ = static_cast<net::PeerId>(paths.size() - kInsideLeaves);
+    inside_first_ = static_cast<net::PeerId>(paths.size() - inside_leaves);
   }
 
-  std::vector<Binding> Left(size_t n) {
+  /// `n` bindings with `misses` ghost ids interleaved for every three
+  /// stored ones.
+  std::vector<Binding> Left(size_t n, size_t misses = 2) {
     std::vector<Binding> left;
     for (size_t i = 0; i < n; ++i) {
-      // Two misses interleaved for every three hits.
-      const std::string oid = (i % 5 < 3)
+      const std::string oid = (i % (3 + misses) < 3)
                                   ? "p" + std::to_string(i)
                                   : "ghost" + std::to_string(i);
       left.push_back({{"a", Value::String(oid)},
@@ -104,21 +107,30 @@ class EnvelopePipelineTest : public ::testing::Test {
 
   /// Starts a Migrate join at peer 0 with the given knobs; does not run
   /// the simulation.
-  void StartMigrate(const EnvelopeOptions& options, size_t left_size,
+  void StartMigrate(const EnvelopeOptions& options, std::vector<Binding> left,
                     std::optional<Result<MigrateResult>>* out) {
     services_[0]->set_envelope_options(options);
     services_[0]->RunMigrateJoin(
-        AgePattern(), Left(left_size),
+        AgePattern(), std::move(left),
         [out](Result<MigrateResult> r) { *out = std::move(r); });
   }
 
+  /// Runs a Migrate join to completion; `elapsed`, if set, receives the
+  /// virtual time it took.
   Result<MigrateResult> MigrateSync(const EnvelopeOptions& options,
-                                    size_t left_size = 40) {
+                                    std::vector<Binding> left,
+                                    sim::SimTime* elapsed = nullptr) {
+    const sim::SimTime start = overlay_->scheduler().Now();
     std::optional<Result<MigrateResult>> out;
-    StartMigrate(options, left_size, &out);
+    StartMigrate(options, std::move(left), &out);
     overlay_->scheduler().RunUntil([&out] { return out.has_value(); });
+    if (elapsed != nullptr) *elapsed = overlay_->scheduler().Now() - start;
     if (!out.has_value()) return Status::Internal("simulation drained");
     return std::move(*out);
+  }
+
+  Result<MigrateResult> MigrateSync(const EnvelopeOptions& options) {
+    return MigrateSync(options, Left(40));
   }
 
   std::unique_ptr<pgrid::Overlay> overlay_;
@@ -179,79 +191,37 @@ TEST_F(EnvelopePipelineTest, FanoutAndChunkingMatchUnsplitBaseline) {
 // same rows with a shorter hop chain and an earlier completion. The
 // three configurations run in turn on one overlay; DESIGN.md §4 records
 // 24 hops and 26.2 ms against the single walk's 63 hops and 64.1 ms.
-TEST(EnvelopePipelineScaleTest, FanoutAndChunkingBeatOneWalkOnHopsAndTime) {
-  constexpr size_t kLeaves = 32;
-  const auto paths = pgrid::PartitionCoverPaths(
-      triple::AttrPrefixRange("age", ""), kLeaves);
-  ASSERT_EQ(paths.size(), 88u);
-  pgrid::OverlayOptions options;
-  options.seed = 1309;
-  pgrid::Overlay overlay(options, std::make_unique<sim::ConstantLatency>(
-                                      1 * sim::kMicrosPerMilli));
-  overlay.AddPeers(paths.size());
-  overlay.BuildWithPaths(paths);
-  std::vector<std::unique_ptr<QueryService>> services;
-  for (size_t i = 0; i < paths.size(); ++i) {
-    services.push_back(std::make_unique<QueryService>(
-        overlay.peer(static_cast<net::PeerId>(i))));
-  }
-  for (int i = 0; i < 400; ++i) {
-    Triple t("p" + std::to_string(i), "age", Value::String(SpreadValue(i)));
-    for (auto& entry : triple::EntriesForTriple(t, 1)) {
-      overlay.InsertDirect(entry);
-    }
-  }
+TEST_F(EnvelopePipelineTest, FanoutAndChunkingBeatOneWalkOnHopsAndTime) {
+  Build(/*loss_probability=*/0, /*seed=*/1309, /*inside_leaves=*/32,
+        /*triples=*/400);
+  ASSERT_EQ(services_.size(), 88u);
   // Gossiped peer-path samples steer the fan-out split along the trie.
-  for (auto& service : services) service->BuildLocalStats(1000);
+  for (auto& service : services_) service->BuildLocalStats(1000);
   for (int round = 0; round < 3; ++round) {
-    for (auto& service : services) service->GossipStats(4);
-    overlay.scheduler().RunUntilIdle();
+    for (auto& service : services_) service->GossipStats(4);
+    overlay_->scheduler().RunUntilIdle();
   }
-  std::vector<Binding> left;
-  for (size_t i = 0; i < 256; ++i) {
-    // One miss for every three hits.
-    const std::string oid = (i % 4 < 3) ? "p" + std::to_string(i)
-                                        : "ghost" + std::to_string(i);
-    left.push_back({{"a", Value::String(oid)},
-                    {"tag", Value::Int(static_cast<int64_t>(i))}});
-  }
-
-  struct Run {
-    std::string rows;
-    uint32_t max_walk_hops = 0;
-    sim::SimTime elapsed = 0;
+  const std::vector<Binding> left = Left(256, /*misses=*/1);
+  auto run = [&](uint32_t fanout, uint32_t chunk, sim::SimTime* elapsed) {
+    EnvelopeOptions options;
+    options.fanout = fanout;
+    options.max_bindings_per_envelope = chunk;
+    return MigrateSync(options, left, elapsed);
   };
-  auto run = [&](uint32_t fanout, uint32_t chunk) {
-    EnvelopeOptions envelope;
-    envelope.fanout = fanout;
-    envelope.max_bindings_per_envelope = chunk;
-    services[0]->set_envelope_options(envelope);
-    const sim::SimTime start = overlay.scheduler().Now();
-    std::optional<Result<MigrateResult>> out;
-    services[0]->RunMigrateJoin(
-        AgePattern(), left,
-        [&out](Result<MigrateResult> r) { out = std::move(r); });
-    overlay.scheduler().RunUntil([&out] { return out.has_value(); });
-    Run r;
-    r.elapsed = overlay.scheduler().Now() - start;
-    if (!out.has_value()) {
-      ADD_FAILURE() << "simulation drained";
-    } else if (!out->ok()) {
-      ADD_FAILURE() << out->status().ToString();
-    } else {
-      r.rows = RowsToString((*out)->rows);
-      r.max_walk_hops = (*out)->max_walk_hops;
-    }
-    return r;
-  };
-  const Run one_walk = run(/*fanout=*/1, /*chunk=*/0);
-  const Run fanned = run(/*fanout=*/4, /*chunk=*/0);
-  const Run batched = run(/*fanout=*/4, /*chunk=*/64);
-  ASSERT_FALSE(one_walk.rows.empty());
-  EXPECT_EQ(fanned.rows, one_walk.rows);
-  EXPECT_EQ(batched.rows, one_walk.rows);
-  EXPECT_LT(batched.max_walk_hops, one_walk.max_walk_hops);
-  EXPECT_LT(batched.elapsed, one_walk.elapsed);
+  sim::SimTime one_walk_time = 0;
+  sim::SimTime batched_time = 0;
+  auto one_walk = run(/*fanout=*/1, /*chunk=*/0, &one_walk_time);
+  auto fanned = run(/*fanout=*/4, /*chunk=*/0, nullptr);
+  auto batched = run(/*fanout=*/4, /*chunk=*/64, &batched_time);
+  ASSERT_TRUE(one_walk.ok()) << one_walk.status().ToString();
+  ASSERT_TRUE(fanned.ok()) << fanned.status().ToString();
+  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  const std::string expected = RowsToString(one_walk->rows);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(RowsToString(fanned->rows), expected);
+  EXPECT_EQ(RowsToString(batched->rows), expected);
+  EXPECT_LT(batched->max_walk_hops, one_walk->max_walk_hops);
+  EXPECT_LT(batched_time, one_walk_time);
 }
 
 TEST_F(EnvelopePipelineTest, PeersVisitedSumsAcrossSubWalks) {
@@ -314,7 +284,7 @@ TEST_F(EnvelopePipelineTest, WalksCompleteUnderMidWalkChurn) {
   // Start a join, crash an in-partition peer mid-walk, let the walk stall
   // and retry against the hole, then revive the peer.
   std::optional<Result<MigrateResult>> out;
-  StartMigrate(options, 40, &out);
+  StartMigrate(options, Left(40), &out);
   overlay_->scheduler().RunFor(3 * sim::kMicrosPerMilli);
   const net::PeerId victim = inside_first_ + kInsideLeaves / 2;
   overlay_->Crash(victim);

@@ -576,10 +576,11 @@ TEST(LocalStoreBulkTest, BulkLoadStreamMatchesApplyStream) {
 
 // --- Prefix-compressed runs ------------------------------------------------
 
-// Each flushed run spans two restart blocks.
+// Small flushes, so reads merge many runs and tiered compaction folds
+// them into runs that span several restart blocks.
 LocalStoreOptions CompressedEngine() {
   LocalStoreOptions o;
-  o.memtable_flush_threshold = 2 * SortedRun::kRestartInterval;
+  o.memtable_flush_threshold = 8;
   o.max_runs = 4;
   return o;
 }
@@ -616,6 +617,9 @@ TEST(LocalStoreCompressionTest, PrefixCompressedScansMatchModel) {
   for (const auto& e : entries) {
     EXPECT_EQ(packed.Apply(e), model.Apply(e));
   }
+  // Merged runs of 32+ entries hold more than one restart block.
+  ASSERT_GT(packed.write_stats().compacted_entries,
+            2 * SortedRun::kRestartInterval);
   EXPECT_EQ(packed.GetAll(), model.GetAll());
   EXPECT_EQ(packed.Get(entries[7].key),
             model.GetRange(KeyRange{entries[7].key, entries[7].key}));
@@ -676,12 +680,19 @@ TEST(LocalStoreCompressionTest, OverlongKeysRoundTrip) {
   // No key is longer than kKeyBits. The longest ones, kKeyBits wide and
   // sharing 120+ bits with each other and with shorter keys, round-trip
   // through runs whose records share whole key bytes with their
-  // predecessor.
-  LocalStore store(CompressedEngine());
+  // predecessor, and through a merge of runs that both hold the
+  // all-zero full-width key.
+  LocalStoreOptions o = CompressedEngine();
+  // Each run holds 24 entries, so its 17th record (index 16) is a
+  // restart record: one of the five full-width keys 0^127 1.
+  o.memtable_flush_threshold = 24;
+  static_assert(SortedRun::kRestartInterval == 16,
+                "the restart record this test places moves with the interval");
+  LocalStore store(o);
   MapStoreModel model;
   const std::string zeros(kKeyBits, '0');
   std::vector<Entry> entries;
-  for (int i = 0; i < 12; ++i) {
+  for (int i = 0; i < 48; ++i) {
     std::string bits = zeros.substr(0, 120 + i % 8);
     if (i % 3 == 1) {
       bits = zeros.substr(0, kKeyBits - 1) + std::to_string(i % 2);
@@ -694,11 +705,19 @@ TEST(LocalStoreCompressionTest, OverlongKeysRoundTrip) {
   }
   store.Flush();
   ASSERT_EQ(store.memtable_size(), 0u);
+  ASSERT_EQ(store.run_count(), 2u);
   EXPECT_EQ(store.GetAll(), model.GetAll());
   const Key shared_key = Key::FromBits(zeros);
   auto got = store.Get(shared_key);
-  ASSERT_EQ(got.size(), 2u);  // Entries 4 and 10.
+  // Entries 4, 10, 16 and 22 in the first run; 28, 34, 40 and 46 in the
+  // second.
+  ASSERT_EQ(got.size(), 8u);
   EXPECT_EQ(got, model.GetRange(KeyRange{shared_key, shared_key}));
+  // Each run's five 0^127 1 records (12 to 16) straddle its restart.
+  const Key restart_key = Key::FromBits(zeros.substr(0, kKeyBits - 1) + "1");
+  got = store.Get(restart_key);
+  ASSERT_EQ(got.size(), 10u);
+  EXPECT_EQ(got, model.GetRange(KeyRange{restart_key, restart_key}));
   EXPECT_EQ(store.GetByPrefix(Key::FromBits(zeros.substr(0, 124))),
             model.GetByPrefix(Key::FromBits(zeros.substr(0, 124))));
 }
@@ -767,7 +786,7 @@ TEST(SortedRunTest, ProberFindsRecordsAfterAnOverlongKey) {
       MakeEntry(z120 + "1000000" + "1", "a", 8),
       MakeEntry(z120 + "11", "a", 9),
   };
-  const SortedRun run = SortedRun::Build(entries, SortedRun::kRestartInterval);
+  const SortedRun run = SortedRun::Build(entries);
   ASSERT_EQ(run.size(), entries.size());
 
   SortedRun::Cursor cursor;
