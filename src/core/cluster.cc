@@ -1,8 +1,6 @@
 #include "core/cluster.h"
 
 #include <cmath>
-#include <optional>
-
 
 namespace unistore {
 namespace core {
@@ -68,77 +66,51 @@ double Cluster::ExpectedHopLatencyUs() const {
   return static_cast<double>(options_.lan_delay_us);
 }
 
-template <typename R>
-Result<R> Cluster::RunSync(
-    std::function<void(std::function<void(Result<R>)>)> op) {
-  std::optional<Result<R>> out;
-  op([&out](Result<R> r) { out = std::move(r); });
-  scheduler().RunUntil([&out] { return out.has_value(); });
-  if (!out.has_value()) {
-    return Status::Internal("simulation drained before completion");
-  }
-  return std::move(*out);
-}
-
-Status Cluster::RunSyncStatus(
-    std::function<void(std::function<void(Status)>)> op) {
-  std::optional<Status> out;
-  op([&out](Status s) { out = std::move(s); });
-  scheduler().RunUntil([&out] { return out.has_value(); });
-  if (!out.has_value()) {
-    return Status::Internal("simulation drained before completion");
-  }
-  return *out;
-}
-
 Status Cluster::InsertTupleSync(net::PeerId via, const triple::Tuple& tuple) {
-  return RunSyncStatus([this, via, &tuple](std::function<void(Status)> cb) {
-    node(via).InsertTuple(tuple, std::move(cb));
+  return pgrid::RunToCompletion<Status>(scheduler(), "insert", [&](auto done) {
+    node(via).InsertTuple(tuple, done);
   });
 }
 
 Status Cluster::BulkLoadTuplesSync(net::PeerId via,
                                    const std::vector<triple::Tuple>& tuples) {
-  return RunSyncStatus([this, via, &tuples](std::function<void(Status)> cb) {
-    node(via).BulkLoadTuples(tuples, std::move(cb));
-  });
+  return pgrid::RunToCompletion<Status>(
+      scheduler(), "bulk load",
+      [&](auto done) { node(via).BulkLoadTuples(tuples, done); });
 }
 
 Status Cluster::InsertTripleSync(net::PeerId via,
                                  const triple::Triple& triple) {
-  return RunSyncStatus([this, via, &triple](std::function<void(Status)> cb) {
-    node(via).InsertTriple(triple, std::move(cb));
+  return pgrid::RunToCompletion<Status>(scheduler(), "insert", [&](auto done) {
+    node(via).InsertTriple(triple, done);
   });
 }
 
 Status Cluster::RemoveTripleSync(net::PeerId via,
                                  const triple::Triple& triple) {
-  return RunSyncStatus([this, via, &triple](std::function<void(Status)> cb) {
-    node(via).RemoveTriple(triple, std::move(cb));
+  return pgrid::RunToCompletion<Status>(scheduler(), "remove", [&](auto done) {
+    node(via).RemoveTriple(triple, done);
   });
 }
 
 Status Cluster::InsertMappingSync(net::PeerId via, const std::string& from,
                                   const std::string& to) {
-  return RunSyncStatus(
-      [this, via, &from, &to](std::function<void(Status)> cb) {
-        node(via).InsertMapping(from, to, std::move(cb));
-      });
+  return pgrid::RunToCompletion<Status>(
+      scheduler(), "mapping insert",
+      [&](auto done) { node(via).InsertMapping(from, to, done); });
 }
 
 Status Cluster::LoadMappingsSync(net::PeerId via) {
-  return RunSyncStatus([this, via](std::function<void(Status)> cb) {
-    node(via).LoadMappings(std::move(cb));
-  });
+  return pgrid::RunToCompletion<Status>(
+      scheduler(), "mapping load",
+      [&](auto done) { node(via).LoadMappings(done); });
 }
 
 Result<exec::QueryResult> Cluster::QuerySync(net::PeerId via,
                                              const std::string& vql_text) {
-  return RunSync<exec::QueryResult>(
-      [this, via, &vql_text](
-          std::function<void(Result<exec::QueryResult>)> cb) {
-        node(via).Query(vql_text, std::move(cb));
-      });
+  return pgrid::RunToCompletion<Result<exec::QueryResult>>(
+      scheduler(), "query",
+      [&](auto done) { node(via).Query(vql_text, done); });
 }
 
 Result<Cluster::Measured> Cluster::QueryMeasured(

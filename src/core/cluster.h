@@ -130,10 +130,6 @@ class Cluster {
   double ExpectedHopLatencyUs() const;
 
  private:
-  template <typename R>
-  Result<R> RunSync(std::function<void(std::function<void(Result<R>)>)> op);
-  Status RunSyncStatus(std::function<void(std::function<void(Status)>)> op);
-
   ClusterOptions options_;
   std::unique_ptr<pgrid::Overlay> overlay_;
   std::vector<std::unique_ptr<UniStore>> nodes_;

@@ -321,8 +321,8 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
   ++serving_queue_depth_;
   scheduler->ScheduleAfter(
       finish_delay, peer_->id(),
-      [this, incarnation = peer_->restarts()]() {
-        if (incarnation == peer_->restarts()) --serving_queue_depth_;
+      [this, incarnation = peer_->counters().restarts]() {
+        if (incarnation == peer_->counters().restarts) --serving_queue_depth_;
       });
 
   // Walk on (identical structure to the sequential range scan): the next

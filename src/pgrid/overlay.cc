@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <sstream>
-#include <string_view>
 
 #include "common/logging.h"
 
@@ -300,36 +298,18 @@ std::string Overlay::LifecycleStats::ToString() const {
 Overlay::LifecycleStats Overlay::AggregateLifecycleStats() const {
   LifecycleStats stats;
   for (const auto& p : peers_) {
-    stats.restarts += p->restarts();
-    stats.joins_completed += p->joins_completed();
-    stats.leaves_completed += p->leaves_completed();
-    stats.handoff_entries += p->handoff_entries();
-    stats.recruits_completed += p->recruits_completed();
-    stats.replicas_confirmed_dead += p->replicas_confirmed_dead();
+    const PeerCounters& c = p->counters();
+    stats.restarts += c.restarts;
+    stats.joins_completed += c.joins_completed;
+    stats.leaves_completed += c.leaves_completed;
+    stats.handoff_entries += c.handoff_entries;
+    stats.recruits_completed += c.recruits_completed;
+    stats.replicas_confirmed_dead += c.replicas_confirmed_dead;
     stats.max_restart_catchup_us =
-        std::max(stats.max_restart_catchup_us, p->last_restart_catchup_us());
+        std::max(stats.max_restart_catchup_us, c.last_restart_catchup_us);
   }
   return stats;
 }
-
-namespace {
-
-// Starts one asynchronous peer operation by handing `start` its callback,
-// and runs the simulation until that callback fired.
-template <typename T, typename Start>
-T RunToCompletion(sim::Scheduler& scheduler, std::string_view what,
-                  Start start) {
-  std::optional<T> out;
-  start([&out](T r) { out = std::move(r); });
-  scheduler.RunUntil([&out] { return out.has_value(); });
-  if (!out.has_value()) {
-    return Status::Internal("simulation drained before ", what,
-                            " completed");
-  }
-  return std::move(*out);
-}
-
-}  // namespace
 
 Result<LookupResult> Overlay::LookupSync(net::PeerId from, const Key& key) {
   return RunToCompletion<Result<LookupResult>>(

@@ -3,7 +3,9 @@
 #define UNISTORE_PGRID_OVERLAY_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/histogram.h"
@@ -31,6 +33,23 @@ struct OverlayOptions {
   /// applied by the transport; empty = fault-free (net/fault_plane.h).
   net::FaultSchedule fault_schedule;
 };
+
+/// Starts one asynchronous operation by handing `start` its callback and
+/// runs `scheduler` until that callback fired; Internal when the
+/// simulation drains first. The synchronous wrappers of Overlay and
+/// core::Cluster are built on it.
+template <typename T, typename Start>
+T RunToCompletion(sim::Scheduler& scheduler, std::string_view what,
+                  Start start) {
+  std::optional<T> out;
+  start([&out](T r) { out = std::move(r); });
+  scheduler.RunUntil([&out] { return out.has_value(); });
+  if (!out.has_value()) {
+    return Status::Internal("simulation drained before ", what,
+                            " completed");
+  }
+  return std::move(*out);
+}
 
 /// \brief Owns a Transport + N peers on top of a Scheduler, and provides
 /// balanced construction, decentralized exchange rounds, synchronous

@@ -93,16 +93,27 @@ void Peer::OnMessage(const Message& msg) {
       HandleKeySetLookup(msg);
       return;
     case MessageType::kLookupReply:
-      OnLookupReply(msg);
+      // Only a lookup's replies name its keys.
+      OnKeySetReply<LookupBatchReply>(
+          msg, /*insert=*/false, [&msg](KeySetOp& op, LookupBatchReply& r) {
+            for (LookupBatchReply::Answer& answer : r.answers) {
+              if (op.Finish(answer.slot)) {
+                op.results[answer.slot] = {std::move(answer.entries),
+                                           msg.hops};
+              }
+            }
+          });
       return;
     case MessageType::kBulkInsert:
       HandleBulkInsert(msg);
       return;
-    case MessageType::kBulkInsertReply: {
-      auto reply = BulkInsertReply::Decode(msg.payload);
-      if (reply.ok()) OnBulkInsertReply(msg.request_id, *reply);
+    case MessageType::kBulkInsertReply:
+      // Only an insert's replies name its entries.
+      OnKeySetReply<BulkInsertReply>(
+          msg, /*insert=*/true, [](KeySetOp& op, BulkInsertReply& r) {
+            for (uint32_t slot : r.stored) op.Finish(slot);
+          });
       return;
-    }
     case MessageType::kRangeSeq:
       HandleRangeSeq(msg);
       return;
@@ -135,12 +146,20 @@ void Peer::OnMessage(const Message& msg) {
       return;
     case MessageType::kRangeSeqReply: {
       auto reply = RangeSeqReply::Decode(msg.payload);
-      if (reply.ok()) OnSeqPartial(msg.request_id, msg.hops, *reply);
+      if (reply.ok()) {
+        OnScanPartial(msg.request_id, msg.hops, /*shower=*/false,
+                      reply->entries, reply->status_code != 0,
+                      reply->will_forward);
+      }
       return;
     }
     case MessageType::kRangeShowerReply: {
       auto reply = RangeShowerReply::Decode(msg.payload);
-      if (reply.ok()) OnShowerPartial(msg.request_id, msg.hops, *reply);
+      if (reply.ok()) {
+        OnScanPartial(msg.request_id, msg.hops, /*shower=*/true,
+                      reply->entries, reply->unreachable > 0,
+                      reply->forwards);
+      }
       return;
     }
     case MessageType::kExchangeReply:
@@ -175,9 +194,6 @@ PeerId Peer::NextHop(const Key& key) {
     healthy.reserve(refs.size());
     for (PeerId ref : refs) {
       if (!Suspected(ref)) healthy.push_back(ref);
-    }
-    if (!healthy.empty() && healthy.size() < refs.size()) {
-      ++suspicion_skips_;
     }
     if (!healthy.empty()) {
       return healthy[rng_.NextBounded(healthy.size())];
@@ -378,6 +394,27 @@ void Peer::RetryKeySet(uint64_t request_id) {
              [this, request_id]() { SendKeySet(request_id); });
 }
 
+template <typename Reply, typename FinishFn>
+void Peer::OnKeySetReply(const Message& msg, bool insert, FinishFn finish) {
+  auto it = key_set_ops_.find(msg.request_id);
+  if (it == key_set_ops_.end()) return;  // Finished or failed.
+  auto reply = Reply::Decode(msg.payload);
+  // A corrupt frame head garbles the peer id; drop the whole reply.
+  if (!reply.ok() || !KnownPeer(reply->peer)) return;
+  KeySetOp& op = it->second;
+  if (op.is_insert() != insert) return;
+  ObservePeer(reply->peer, /*ok=*/true);
+  if (!reply->advert.empty()) {
+    advert_cache_.Learn(reply->advert.path, reply->advert.replicas,
+                        reply->peer, NowUs());
+  }
+  // Slot states make duplicated replies (and duplicated forwards) no-ops;
+  // late replies of an earlier attempt still finish their slots.
+  finish(op, *reply);
+  for (uint32_t slot : reply->dead_ends) op.DeadEnd(slot);
+  SettleKeySet(msg.request_id);
+}
+
 // ---------------------------------------------------------------------------
 // Lookup: a key-set lookup; a single-key Lookup is a set of one
 // ---------------------------------------------------------------------------
@@ -433,7 +470,7 @@ void Peer::SendLookupAttempt(uint64_t request_id, KeySetOp& op) {
         IsResponsible(key) ? net::kNoPeer
                            : PickHotReplica(advert_cache_.Find(key, NowUs()));
     if (replica != net::kNoPeer) {
-      ++fanout_redirects_;
+      ++counters_.fanout_redirects;
       redirected.emplace_back(replica, BatchKey{slot, key});
     } else {
       routed.push_back({slot, key});
@@ -443,7 +480,7 @@ void Peer::SendLookupAttempt(uint64_t request_id, KeySetOp& op) {
   for (auto& [replica, k] : redirected) {
     route.next[replica].push_back(std::move(k));
   }
-  lookups_served_ += route.mine.size();
+  counters_.lookups_served += route.mine.size();
   for (const BatchKey& k : route.mine) {
     op.Finish(k.slot);
     std::vector<Entry>& entries = op.results[k.slot].entries;
@@ -477,15 +514,11 @@ PeerId Peer::PickHotReplica(AdvertCache::Advert* advert) {
   for (size_t i = 0; i < advert->replicas.size(); ++i) {
     const PeerId candidate = advert->replicas[advert->next];
     advert->next = (advert->next + 1) % advert->replicas.size();
-    if (candidate == id_ || candidate == net::kNoPeer ||
-        advert->Dropped(candidate)) {
-      continue;
-    }
     // Suspected replicas (behind an unhealed partition) are skipped so
     // the fan-out doesn't burn a timeout per redirect; if every replica
     // is suspect the caller falls back to normal routing.
-    if (Suspected(candidate)) {
-      ++suspicion_skips_;
+    if (candidate == id_ || candidate == net::kNoPeer ||
+        advert->Dropped(candidate) || Suspected(candidate)) {
       continue;
     }
     return candidate;
@@ -524,10 +557,10 @@ void Peer::HandleKeySetLookup(const Message& msg) {
   std::vector<uint32_t> slots;
   slots.reserve(route.mine.size());
   for (const BatchKey& k : route.mine) slots.push_back(k.slot);
-  lookups_served_ += slots.size();
+  counters_.lookups_served += slots.size();
   if (!slots.empty()) {
     reply.advert = GroupAdvert();
-    if (!reply.advert.empty()) ++hot_adverts_;
+    if (!reply.advert.empty()) ++counters_.hot_adverts;
   }
   // Zero-copy serving: per key, one counting scan sizes the varint prefix
   // and a second encodes the entries straight into the reply buffer. No
@@ -549,29 +582,6 @@ void Peer::HandleKeySetLookup(const Message& msg) {
                MessageType::kLookupReply, std::move(payload));
 }
 
-void Peer::OnLookupReply(const Message& msg) {
-  auto it = key_set_ops_.find(msg.request_id);
-  if (it == key_set_ops_.end()) return;  // Finished or failed.
-  auto reply = LookupBatchReply::Decode(msg.payload);
-  // A corrupt frame head garbles the peer id; drop the whole reply.
-  if (!reply.ok() || !KnownPeer(reply->peer)) return;
-  KeySetOp& op = it->second;
-  if (op.is_insert()) return;  // Only a lookup's replies name its keys.
-  ObservePeer(reply->peer, /*ok=*/true);
-  if (!reply->advert.empty()) {
-    advert_cache_.Learn(reply->advert.path, reply->advert.replicas,
-                        reply->peer, NowUs());
-  }
-  // Slot states make duplicated replies no-ops; late replies of an
-  // earlier attempt still answer their keys.
-  for (LookupBatchReply::Answer& answer : reply->answers) {
-    if (op.Finish(answer.slot)) {
-      op.results[answer.slot] = {std::move(answer.entries), msg.hops};
-    }
-  }
-  for (uint32_t slot : reply->dead_ends) op.DeadEnd(slot);
-  SettleKeySet(msg.request_id);
-}
 
 // ---------------------------------------------------------------------------
 // Insert / Remove / batch insert (DESIGN.md §6, §13)
@@ -713,25 +723,6 @@ void Peer::HandleBulkInsert(const Message& msg) {
                MessageType::kBulkInsertReply, reply.Encode());
 }
 
-void Peer::OnBulkInsertReply(uint64_t request_id,
-                             const BulkInsertReply& reply) {
-  auto it = key_set_ops_.find(request_id);
-  if (it == key_set_ops_.end()) return;  // Finished or failed.
-  KeySetOp& op = it->second;
-  // A corrupt frame head garbles the peer id; drop the whole reply.
-  if (!KnownPeer(reply.peer)) return;
-  if (!op.is_insert()) return;  // Only an insert's replies name entries.
-  ObservePeer(reply.peer, /*ok=*/true);
-  if (!reply.advert.empty()) {
-    advert_cache_.Learn(reply.advert.path, reply.advert.replicas, reply.peer,
-                        NowUs());
-  }
-  // Slot states make duplicated replies (and duplicated forwards) no-ops;
-  // late replies of an earlier attempt still store their entries.
-  for (uint32_t slot : reply.stored) op.Finish(slot);
-  for (uint32_t slot : reply.dead_ends) op.DeadEnd(slot);
-  SettleKeySet(request_id);
-}
 
 // ---------------------------------------------------------------------------
 // Replica maintenance
@@ -934,7 +925,7 @@ void Peer::RepairTryNextCandidate(uint64_t repair_id) {
                                  "us total deadline"));
     return;
   }
-  if (st.donor != net::kNoPeer) ++repair_failovers_;
+  if (st.donor != net::kNoPeer) ++counters_.repair_failovers;
   if (st.next_candidate >= st.candidates.size()) {
     FinishRepair(repair_id,
                  Status::Unavailable("peer ", id_, ": replica repair failed "
@@ -996,7 +987,7 @@ void Peer::RepairOnManifest(uint64_t repair_id,
     auto match = local.find({run.entry_count, run.checksum});
     if (match != local.end()) {
       local.erase(match);
-      ++repair_runs_matched_;
+      ++counters_.repair_runs_matched;
     } else {
       st.missing.push_back(run);
     }
@@ -1066,15 +1057,8 @@ void Peer::RepairChunkRetry(uint64_t repair_id) {
     transport_->CountRetry(kRepairRetryPolicy);
     RetryAfter(st.chunk_budget.NextDelayUs(&rng_),
                [this, repair_id]() { RepairRequestChunk(repair_id); });
-  } else if (st.chunk_budget.DeadlinePassed(NowUs())) {
-    // Past the total deadline a fresh donor would not help — surface the
-    // timeout instead of failing over (RepairTryNextCandidate would catch
-    // it too; this just skips the pointless failover accounting).
-    FinishRepair(repair_id,
-                 Status::Timeout("peer ", id_, ": replica repair exceeded ",
-                                 kRepairDeadline,
-                                 "us total deadline"));
   } else {
+    // Past the total deadline this surfaces the timeout, not a failover.
     RepairTryNextCandidate(repair_id);
   }
 }
@@ -1120,7 +1104,7 @@ void Peer::RepairOnChunk(uint64_t repair_id, const RunFetchReply& chunk) {
     return;
   }
 
-  ++repair_chunks_received_;
+  ++counters_.repair_chunks_received;
   st.next_entry += added;
   st.chunk_budget.ResetAttempts();
   if (!chunk.done) {
@@ -1138,7 +1122,7 @@ void Peer::RepairOnChunk(uint64_t repair_id, const RunFetchReply& chunk) {
       RepairTryNextCandidate(repair_id);
       return;
     }
-    ++repair_runs_fetched_;
+    ++counters_.repair_runs_fetched;
   }
   // Known slots keep versioned-upsert semantics: a fetched entry never
   // overwrites a newer local write.
@@ -1156,34 +1140,49 @@ void Peer::FinishRepair(uint64_t repair_id, Status status) {
 }
 
 // ---------------------------------------------------------------------------
-// Sequential range scan
+// Range scans: the initiator side of both strategies
 // ---------------------------------------------------------------------------
 
 void Peer::RangeScanSeq(const KeyRange& range, RangeCallback callback,
                         uint32_t limit) {
+  StartScan(/*shower=*/false, range, std::move(callback), limit);
+}
+
+void Peer::RangeScanShower(const KeyRange& range, RangeCallback callback) {
+  StartScan(/*shower=*/true, range, std::move(callback), /*limit=*/0);
+}
+
+void Peer::StartScan(bool shower, const KeyRange& range,
+                     RangeCallback callback, uint32_t limit) {
   const uint64_t id = next_scan_id_++;
-  ScanState& state = seq_scans_[id];
+  ScanState& state = scans_[id];
+  state.shower = shower;
   state.callback = std::move(callback);
   state.range = range;
   state.limit = limit;
   state.budget = RetryBudget(RequestPolicy(kRangeRetryPolicy), NowUs());
-  SendSeqScan(id);
+  SendScan(id);
 }
 
-void Peer::SendSeqScan(uint64_t id) {
-  auto it = seq_scans_.find(id);
-  if (it == seq_scans_.end()) return;
+void Peer::SendScan(uint64_t id) {
+  auto it = scans_.find(id);
+  if (it == scans_.end()) return;
+  const ScanState& state = it->second;
+  transport_->scheduler()->ScheduleAfter(
+      kScanTimeout, id_, [this, id]() { FinishScan(id, /*complete=*/false); });
+  if (state.shower) {
+    RangeShowerRequest req;
+    req.initiator = id_;
+    req.range = state.range;
+    // The initiator is itself part of the trie: its own levels cover the
+    // whole key space, so the shower starts right here.
+    ProcessRangeShower(req, id, 0);
+    return;
+  }
   RangeSeqRequest req;
   req.initiator = id_;
-  req.range = it->second.range;
-  req.limit = it->second.limit;
-
-  transport_->scheduler()->ScheduleAfter(
-      kScanTimeout, id_, [this, id]() {
-    auto it = seq_scans_.find(id);
-    if (it != seq_scans_.end()) FinishSeqScan(id, /*complete=*/false);
-  });
-
+  req.range = state.range;
+  req.limit = state.limit;
   if (IsResponsible(req.range.lo)) {
     ProcessRangeSeq(req, id, 0);
     return;
@@ -1195,9 +1194,54 @@ void Peer::SendSeqScan(uint64_t id) {
   msg.request_id = id;
   msg.payload = req.Encode();
   if (Forward(msg, req.range.lo) == net::kNoPeer) {
-    FinishSeqScan(id, /*complete=*/false);
+    FinishScan(id, /*complete=*/false);
   }
 }
+
+void Peer::OnScanPartial(uint64_t request_id, uint32_t hops, bool shower,
+                         const std::vector<Entry>& entries, bool failed,
+                         uint32_t forwards) {
+  auto it = scans_.find(request_id);
+  if (it == scans_.end() || it->second.shower != shower) return;
+  ScanState& state = it->second;
+  RangeResult& result = state.result;
+  result.entries.insert(result.entries.end(), entries.begin(), entries.end());
+  result.peers_contacted++;
+  result.max_hops = std::max(result.max_hops, hops);
+  if (failed) result.complete = false;
+  state.outstanding += forwards;
+  state.outstanding -= 1;
+  // A walk's failed leaf ends it at once: nothing follows it.
+  if (state.outstanding == 0 || (failed && !shower)) {
+    FinishScan(request_id, result.complete);
+  }
+}
+
+void Peer::FinishScan(uint64_t request_id, bool complete) {
+  auto it = scans_.find(request_id);
+  if (it == scans_.end()) return;
+  ScanState state = std::move(it->second);
+  scans_.erase(it);
+  complete = complete && state.result.complete;
+  if (!complete && state.budget.Spend(NowUs())) {
+    transport_->CountRetry(kRangeRetryPolicy);
+    // A fresh id with an empty result: late partials of the dead attempt
+    // find no state and drop, so no branch is counted twice.
+    state.result = RangeResult{};
+    state.outstanding = 1;
+    const uint64_t id = next_scan_id_++;
+    const sim::SimTime delay = state.budget.NextDelayUs(&rng_);
+    scans_.emplace(id, std::move(state));
+    RetryAfter(delay, [this, id]() { SendScan(id); });
+    return;
+  }
+  state.result.complete = complete;
+  state.callback(std::move(state.result));
+}
+
+// ---------------------------------------------------------------------------
+// Sequential range scan: the walk
+// ---------------------------------------------------------------------------
 
 void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
                            uint32_t hops) {
@@ -1276,7 +1320,8 @@ void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
         return reply.entries.size() < count;
       });
     }
-    OnSeqPartial(request_id, hops, reply);
+    OnScanPartial(request_id, hops, /*shower=*/false, reply.entries,
+                  reply.status_code != 0, reply.will_forward);
     return;
   }
   // Remote partial: encode the scanned entries straight into the wire
@@ -1313,69 +1358,17 @@ void Peer::HandleRangeSeq(const Message& msg) {
 void Peer::DeliverSeqPartial(PeerId initiator, uint64_t request_id,
                              uint32_t hops, const RangeSeqReply& reply) {
   if (initiator == id_) {
-    OnSeqPartial(request_id, hops, reply);
+    OnScanPartial(request_id, hops, /*shower=*/false, reply.entries,
+                  reply.status_code != 0, reply.will_forward);
     return;
   }
   rpc_.ReplyTo(initiator, request_id, hops, MessageType::kRangeSeqReply,
                reply.Encode());
 }
 
-void Peer::OnSeqPartial(uint64_t request_id, uint32_t hops,
-                        const RangeSeqReply& reply) {
-  auto it = seq_scans_.find(request_id);
-  if (it == seq_scans_.end()) return;
-  ScanState& state = it->second;
-  auto& result = state.result;
-  result.entries.insert(result.entries.end(), reply.entries.begin(),
-                        reply.entries.end());
-  result.peers_contacted++;
-  result.max_hops = std::max(result.max_hops, hops);
-  if (reply.status_code != 0) {
-    FinishSeqScan(request_id, /*complete=*/false);
-  } else if (!reply.will_forward) {
-    FinishSeqScan(request_id, /*complete=*/true);
-  }
-}
-
-void Peer::FinishSeqScan(uint64_t request_id, bool complete) {
-  auto it = seq_scans_.find(request_id);
-  if (it == seq_scans_.end()) return;
-  if (!complete && RestartScan(&seq_scans_, it, &Peer::SendSeqScan)) return;
-  ScanState state = std::move(it->second);
-  seq_scans_.erase(it);
-  state.result.complete = complete;
-  state.callback(std::move(state.result));
-}
-
 // ---------------------------------------------------------------------------
 // Parallel "shower" range scan
 // ---------------------------------------------------------------------------
-
-void Peer::RangeScanShower(const KeyRange& range, RangeCallback callback) {
-  const uint64_t id = next_scan_id_++;
-  ScanState& state = shower_scans_[id];
-  state.callback = std::move(callback);
-  state.range = range;
-  state.budget = RetryBudget(RequestPolicy(kRangeRetryPolicy), NowUs());
-  SendShowerScan(id);
-}
-
-void Peer::SendShowerScan(uint64_t id) {
-  auto it = shower_scans_.find(id);
-  if (it == shower_scans_.end()) return;
-  RangeShowerRequest req;
-  req.initiator = id_;
-  req.range = it->second.range;
-
-  transport_->scheduler()->ScheduleAfter(
-      kScanTimeout, id_, [this, id]() {
-    auto it = shower_scans_.find(id);
-    if (it != shower_scans_.end()) FinishShowerScan(id, /*complete=*/false);
-  });
-  // The initiator is itself part of the trie: its own levels cover the
-  // whole key space, so the shower starts right here.
-  ProcessRangeShower(req, id, 0);
-}
 
 void Peer::ProcessRangeShower(const RangeShowerRequest& req,
                               uint64_t request_id, uint32_t hops) {
@@ -1399,14 +1392,8 @@ void Peer::ProcessRangeShower(const RangeShowerRequest& req,
     }
     RangeShowerRequest sub = req;
     sub.range = req.range.ClampToPrefix(sibling, kKeyBits);
-    Message msg;
-    msg.type = MessageType::kRangeShower;
-    msg.src = id_;
-    msg.dst = ref;
-    msg.request_id = request_id;
-    msg.hops = hops + 1;
-    msg.payload = sub.Encode();
-    transport_->Send(std::move(msg));
+    SendRouted(MessageType::kRangeShower, ref, request_id, hops,
+               sub.Encode());
     reply.forwards++;
   }
 
@@ -1425,7 +1412,8 @@ void Peer::ProcessRangeShower(const RangeShowerRequest& req,
       reply.entries.push_back(e.ToEntry());
       return true;
     });
-    OnShowerPartial(request_id, hops, reply);
+    OnScanPartial(request_id, hops, /*shower=*/true, reply.entries,
+                  reply.unreachable > 0, reply.forwards);
     return;
   }
   std::string payload =
@@ -1443,55 +1431,6 @@ void Peer::HandleRangeShower(const Message& msg) {
   auto req = RangeShowerRequest::Decode(msg.payload);
   if (!req.ok() || !KnownPeer(req->initiator)) return;
   ProcessRangeShower(*req, msg.request_id, msg.hops);
-}
-
-void Peer::OnShowerPartial(uint64_t request_id, uint32_t hops,
-                           const RangeShowerReply& reply) {
-  auto it = shower_scans_.find(request_id);
-  if (it == shower_scans_.end()) return;
-  ScanState& state = it->second;
-  auto& result = state.result;
-  result.entries.insert(result.entries.end(), reply.entries.begin(),
-                        reply.entries.end());
-  result.peers_contacted++;
-  result.max_hops = std::max(result.max_hops, hops);
-  if (reply.unreachable > 0) result.complete = false;
-  state.outstanding += reply.forwards;
-  state.outstanding -= 1;
-  if (state.outstanding == 0) {
-    FinishShowerScan(request_id, state.result.complete);
-  }
-}
-
-void Peer::FinishShowerScan(uint64_t request_id, bool complete) {
-  auto it = shower_scans_.find(request_id);
-  if (it == shower_scans_.end()) return;
-  complete = complete && it->second.result.complete;
-  if (!complete && RestartScan(&shower_scans_, it, &Peer::SendShowerScan)) {
-    return;
-  }
-  ScanState state = std::move(it->second);
-  shower_scans_.erase(it);
-  state.result.complete = complete;
-  state.callback(std::move(state.result));
-}
-
-bool Peer::RestartScan(std::map<uint64_t, ScanState>* scans,
-                       std::map<uint64_t, ScanState>::iterator it,
-                       void (Peer::*send)(uint64_t)) {
-  if (!it->second.budget.Spend(NowUs())) return false;
-  transport_->CountRetry(kRangeRetryPolicy);
-  // A fresh id with an empty result: late partials of the dead attempt
-  // find no state and drop, so no branch is counted twice.
-  ScanState next = std::move(it->second);
-  next.result = RangeResult{};
-  next.outstanding = 1;
-  scans->erase(it);
-  const uint64_t id = next_scan_id_++;
-  const sim::SimTime delay = next.budget.NextDelayUs(&rng_);
-  scans->emplace(id, std::move(next));
-  RetryAfter(delay, [this, send, id]() { (this->*send)(id); });
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -1515,9 +1454,7 @@ bool Peer::KnownPeer(PeerId peer) const {
          static_cast<size_t>(peer) < transport_->peer_count();
 }
 
-void Peer::MergeRefs(const RefsBlock& refs, const Key& sender_path,
-                     PeerId sender) {
-  (void)sender;
+void Peer::MergeRefs(const RefsBlock& refs, const Key& sender_path) {
   for (size_t l = 0; l < refs.refs.size(); ++l) {
     // A sender ref at level l points into the subtree
     // sender_path[0..l-1] + !sender_path[l]; it is usable at our level l
@@ -1542,6 +1479,26 @@ void Peer::AddPeerByPath(PeerId peer, const Key& peer_path) {
   }
   // A proper-prefix relationship cannot be represented in the table; a
   // later exchange resolves it.
+}
+
+std::vector<Entry> Peer::SplitRegion(bool bit, PeerId other) {
+  const size_t split_level = path_.size();
+  path_ = path_.Child(bit);
+  routing_.ExtendTo(path_.size());
+  routing_.ClearReplicas();
+  routing_.AddRef(split_level, other, &rng_);
+  return store_.ExtractNotMatching(path_);
+}
+
+std::vector<Entry> Peer::LeaveGroup() {
+  const std::vector<PeerId> old_replicas = routing_.replicas();
+  std::vector<Entry> old_entries = store_.GetAll();
+  store_.Clear();
+  if (old_entries.empty() || old_replicas.empty()) return old_entries;
+  const PeerId heir = old_replicas[rng_.NextBounded(old_replicas.size())];
+  SendEntries(heir, std::move(old_entries), /*reroute_if_foreign=*/false,
+              /*gossip=*/true, /*informed=*/{id_, heir});
+  return {};
 }
 
 void Peer::InitiateExchange(PeerId other, StatusCallback callback) {
@@ -1619,7 +1576,7 @@ void Peer::HandleExchange(const Message& msg) {
     return;
   }
   ExchangeReply reply = DecideExchange(*req);
-  MergeRefs(req->refs, req->path, req->initiator);
+  MergeRefs(req->refs, req->path);
   rpc_.Reply(msg, MessageType::kExchangeReply, reply.Encode());
 }
 
@@ -1638,14 +1595,9 @@ ExchangeReply Peer::DecideExchange(const ExchangeRequest& req) {
     const uint64_t combined = req.live_size + store_.live_size();
     if (combined > options_.split_threshold && lb < kKeyBits) {
       // Split: initiator takes the '0' side, we take the '1' side.
-      const size_t split_level = lb;
-      path_ = path_.Child(true);
-      routing_.ExtendTo(path_.size());
-      routing_.ClearReplicas();
-      routing_.AddRef(split_level, a, &rng_);
       reply.action = ExchangeAction::kSplit;
       reply.new_initiator_path = a_path.Child(false);
-      reply.entries = store_.ExtractNotMatching(path_);
+      reply.entries = SplitRegion(true, a);
     } else {
       routing_.AddReplica(a);
       reply.action = ExchangeAction::kReplicate;
@@ -1660,14 +1612,8 @@ ExchangeReply Peer::DecideExchange(const ExchangeRequest& req) {
     routing_.AddRef(la, a, &rng_);
   } else if (l == lb && lb < la) {
     // Our path is a proper prefix of the initiator's: we specialize.
-    const bool a_bit = a_path.bit(lb);
-    const size_t split_level = lb;
-    path_ = path_.Child(!a_bit);
-    routing_.ExtendTo(path_.size());
-    routing_.ClearReplicas();
-    routing_.AddRef(split_level, a, &rng_);
     reply.action = ExchangeAction::kNone;
-    reply.entries = store_.ExtractNotMatching(path_);
+    reply.entries = SplitRegion(!a_path.bit(lb), a);
   } else {
     // Paths diverge at level l < min(la, lb).
     const bool we_are_overloaded =
@@ -1677,15 +1623,9 @@ ExchangeReply Peer::DecideExchange(const ExchangeRequest& req) {
       // Storage balancing [Aberer VLDB'05]: the underloaded initiator
       // migrates under our overloaded region and takes half of it. Its old
       // data stays with its replicas.
-      const size_t split_level = lb;
-      Key initiator_new = path_.Child(false);
-      path_ = path_.Child(true);
-      routing_.ExtendTo(path_.size());
-      routing_.ClearReplicas();
-      routing_.AddRef(split_level, a, &rng_);
       reply.action = ExchangeAction::kMigrateSplit;
-      reply.new_initiator_path = initiator_new;
-      reply.entries = store_.ExtractNotMatching(path_);
+      reply.new_initiator_path = path_.Child(false);
+      reply.entries = SplitRegion(true, a);
     } else {
       routing_.AddRef(l, a, &rng_);
       reply.action = ExchangeAction::kNone;
@@ -1726,31 +1666,16 @@ void Peer::ApplyExchangeReply(const ExchangeReply& reply, PeerId responder) {
       }
       break;
     }
-    case ExchangeAction::kMigrateSplit: {
-      const Key& new_path = reply.new_initiator_path;
-      // Hand everything we hold to a replica of our old region, then move.
-      std::vector<PeerId> old_replicas = routing_.replicas();
-      std::vector<Entry> old_entries = store_.GetAll();
-      store_.Clear();
-      if (!old_entries.empty()) {
-        if (!old_replicas.empty()) {
-          PeerId heir = old_replicas[rng_.NextBounded(old_replicas.size())];
-          SendEntries(heir, std::move(old_entries),
-                      /*reroute_if_foreign=*/false, /*gossip=*/true,
-                      /*informed=*/{id_, heir});
-        } else {
-          SendEntries(responder, std::move(old_entries),
-                      /*reroute_if_foreign=*/true, /*gossip=*/false);
-        }
-      }
-      path_ = new_path;
-      routing_.ResetForPath(path_.size());
-      routing_.ClearReplicas();
+    case ExchangeAction::kMigrateSplit:
+      // Hand everything we hold to a replica of our old region (the
+      // responder reroutes it when there is none), then move.
+      SendEntries(responder, LeaveGroup(), /*reroute_if_foreign=*/true,
+                  /*gossip=*/false);
+      SetPath(reply.new_initiator_path);
       break;
-    }
   }
 
-  MergeRefs(reply.refs, responder_path, responder);
+  MergeRefs(reply.refs, responder_path);
   AddPeerByPath(responder, responder_path);
   ApplyOrReroute(reply.entries);
 }
@@ -1768,15 +1693,13 @@ void Peer::ApplyExchangeReply(const ExchangeReply& reply, PeerId responder) {
 void Peer::FailInFlight(const Status& status) {
   // Move the maps out first: the callbacks may start fresh operations
   // (retries) that re-insert, and those must survive.
-  auto seq = std::move(seq_scans_);
-  seq_scans_.clear();
-  for (auto& [id, st] : seq) {
-    if (st.callback) st.callback(status);
-  }
-  auto shower = std::move(shower_scans_);
-  shower_scans_.clear();
-  for (auto& [id, st] : shower) {
-    if (st.callback) st.callback(status);
+  // Walks fail before showers.
+  auto scans = std::move(scans_);
+  scans_.clear();
+  for (bool shower : {false, true}) {
+    for (auto& [id, st] : scans) {
+      if (st.shower == shower && st.callback) st.callback(status);
+    }
   }
   auto key_sets = std::move(key_set_ops_);
   key_set_ops_.clear();
@@ -1791,7 +1714,7 @@ void Peer::FailInFlight(const Status& status) {
 }
 
 void Peer::Restart(StatusCallback on_catchup) {
-  ++restarts_;
+  ++counters_.restarts;
   const sim::SimTime started = NowUs();
   if (restart_hook_) restart_hook_();
 
@@ -1824,18 +1747,18 @@ void Peer::Restart(StatusCallback on_catchup) {
   for (PeerId r : replicas) SendProbe(r);
   PullFromReplica(
       [this, started, cb = std::move(on_catchup)](Status status) {
-        if (status.ok()) last_restart_catchup_us_ = NowUs() - started;
+        if (status.ok()) counters_.last_restart_catchup_us = NowUs() - started;
         if (cb) cb(std::move(status));
       });
 }
 
 void Peer::GracefulLeave() {
-  ++leaves_completed_;
+  ++counters_.leaves_completed;
   const std::vector<PeerId>& replicas = routing_.replicas();
   if (replicas.empty()) return;
   std::vector<Entry> all = store_.GetAll();
   if (all.empty()) return;
-  handoff_entries_ += all.size();
+  counters_.handoff_entries += all.size();
   // Full-state handoff to every replica (gossip mode: receivers apply
   // only what they do not already hold and damp the rumor) — covers the
   // memtable delta a crash would have stranded until anti-entropy. The
@@ -1872,34 +1795,30 @@ void Peer::JoinVia(PeerId sponsor, StatusCallback callback) {
         const Key& sponsor_path = reply->sponsor_path;
         if (reply->split) {
           // We take one half of the sponsor's old region; its live
-          // entries arrived inline, so no catch-up pull is needed.
-          // ResetForPath keeps the replica list — clear it explicitly: a
-          // region move invalidates the old group (stale members would
-          // poison repair donor selection and rumor pushes).
-          path_ = reply->new_path;
-          routing_.ResetForPath(path_.size());
-          routing_.ClearReplicas();
+          // entries arrived inline, so no catch-up pull is needed. SetPath
+          // clears the replica list: a region move invalidates the old
+          // group (stale members would poison repair donor selection and
+          // rumor pushes).
+          SetPath(reply->new_path);
           AddPeerByPath(sponsor, sponsor_path);
-          MergeRefs(reply->refs, sponsor_path, sponsor);
+          MergeRefs(reply->refs, sponsor_path);
           if (!reply->entries.empty()) {
             store_.BulkLoad(std::move(reply->entries));
           }
-          ++joins_completed_;
+          ++counters_.joins_completed;
           callback(Status::OK());
           return;
         }
         // Adoption: copy the sponsor's path, link its group, then pull
         // the region's data through manifest-delta repair. Any old group
         // is invalid after the move (see the split branch).
-        path_ = sponsor_path;
-        routing_.ResetForPath(path_.size());
-        routing_.ClearReplicas();
+        SetPath(sponsor_path);
         for (PeerId p : reply->replicas) {
           if (p != id_ && KnownPeer(p)) routing_.AddReplica(p);
         }
-        MergeRefs(reply->refs, sponsor_path, sponsor);
+        MergeRefs(reply->refs, sponsor_path);
         PullFromReplica([this, callback](Status pull) {
-          if (pull.ok()) ++joins_completed_;
+          if (pull.ok()) ++counters_.joins_completed;
           callback(std::move(pull));
         });
       });
@@ -1917,16 +1836,10 @@ void Peer::HandleJoin(const Message& msg) {
       // Split the region: the joiner takes the '0' half (entries inline),
       // we keep the '1' half — the same move DecideExchange makes for two
       // equal-path peers over threshold.
-      const size_t split_level = path_.size();
-      const Key joiner_path = path_.Child(false);
-      path_ = path_.Child(true);
-      routing_.ExtendTo(path_.size());
-      routing_.ClearReplicas();
-      routing_.AddRef(split_level, req->initiator, &rng_);
       reply.accepted = true;
       reply.split = true;
-      reply.new_path = joiner_path;
-      reply.entries = store_.ExtractNotMatching(path_);
+      reply.new_path = path_.Child(false);
+      reply.entries = SplitRegion(true, req->initiator);
     } else {
       // Adopt as replica: the group (us included) goes in the reply, and
       // existing members learn of the joiner through membership gossip.
@@ -1993,7 +1906,7 @@ void Peer::OnProbeFailure(PeerId replica) {
   // replica set and every routing level. If it was only partitioned it
   // re-announces on its next probe of us and re-links.
   probe_failures_.erase(replica);
-  ++replicas_confirmed_dead_;
+  ++counters_.replicas_confirmed_dead;
   routing_.RemoveEverywhere(replica);
 }
 
@@ -2048,7 +1961,7 @@ void Peer::MaybeRecruit() {
         auto reply = RecruitReply::Decode(msg.payload);
         if (!reply.ok() || !reply->accepted) return;
         routing_.AddReplica(candidate);
-        ++recruits_completed_;
+        ++counters_.recruits_completed;
         // Restore routability into the re-protected region: replicas and
         // referenced peers learn the candidate's new position.
         AnnounceRef(candidate, path_);
@@ -2071,29 +1984,16 @@ void Peer::HandleRecruit(const Message& msg) {
         options_.replication_target > 0 &&
         routing_.replicas().size() + 1 > options_.replication_target;
     if (spare || surplus) {
-      if (!spare) {
-        // Leave the old (over-protected) group: hand our copy to one old
-        // replica — they already hold the region, this covers only our
-        // memtable delta — and move.
-        std::vector<PeerId> old_replicas = routing_.replicas();
-        std::vector<Entry> old_entries = store_.GetAll();
-        store_.Clear();
-        if (!old_entries.empty() && !old_replicas.empty()) {
-          PeerId heir = old_replicas[rng_.NextBounded(old_replicas.size())];
-          SendEntries(heir, std::move(old_entries),
-                      /*reroute_if_foreign=*/false, /*gossip=*/true,
-                      /*informed=*/{id_, heir});
-        }
-      }
-      path_ = target;
-      routing_.ResetForPath(path_.size());
-      // The old group must not survive the move: stale members would be
-      // picked as repair donors and hand us the region we just left.
-      routing_.ClearReplicas();
+      // Leave the old (over-protected) group, which has members since it
+      // is over target, and move. The old group must not survive the
+      // move: stale members would be picked as repair donors and hand us
+      // the region we just left.
+      if (!spare) LeaveGroup();
+      SetPath(target);
       routing_.AddReplica(req->initiator);
       // Adopt the recruiter's routing snapshot: with a freshly reset
       // table we would dead-end every foreign key routed through us.
-      MergeRefs(req->refs, target, req->initiator);
+      MergeRefs(req->refs, target);
       reply.accepted = true;
       // Catch up on the adopted region via manifest-delta repair (the
       // recruiter is our only replica so far, hence the donor).

@@ -160,6 +160,53 @@ struct RangeResult {
   bool complete = true;
 };
 
+/// What one peer counts about its own protocol work (Peer::counters());
+/// the harness sums them over peers.
+struct PeerCounters {
+  // --- Replica-group fan-out (DESIGN.md §8) ------------------------------
+
+  /// Lookups this peer answered from its own store (as owner or replica),
+  /// including the initiator-local fast path.
+  uint64_t lookups_served = 0;
+  /// Lookup replies that carried a replica-group advert.
+  uint64_t hot_adverts = 0;
+  /// Lookup keys this peer, as initiator, sent straight to a round-robin
+  /// replica instead of routing to the owner.
+  uint64_t fanout_redirects = 0;
+
+  // --- Replica repair (DESIGN.md §9) -------------------------------------
+
+  /// Donors abandoned mid-repair (dead, corrupt, or vanished runs) before
+  /// the repairer moved on to the next replica candidate.
+  uint64_t repair_failovers = 0;
+  /// Donor runs skipped because a local run already held identical
+  /// content (the manifest-delta savings).
+  uint64_t repair_runs_matched = 0;
+  /// Donor runs fully fetched, verified, and spliced in.
+  uint64_t repair_runs_fetched = 0;
+  /// Checksum-valid repair chunks received (runs + memtable stream).
+  uint64_t repair_chunks_received = 0;
+
+  // --- Lifecycle (DESIGN.md §11) -----------------------------------------
+
+  /// Times this peer went through Restart().
+  uint64_t restarts = 0;
+  /// Successful JoinVia completions (split or adoption).
+  uint64_t joins_completed = 0;
+  /// GracefulLeave calls (each hands the live set to the replica group).
+  uint64_t leaves_completed = 0;
+  /// Live entries shipped to the replica group by graceful leaves.
+  uint64_t handoff_entries = 0;
+  /// Replicas this peer recruited into its group (re-protection).
+  uint64_t recruits_completed = 0;
+  /// Replicas the failure detector confirmed dead (consecutive probe
+  /// failures >= failure_confirm_probes) and removed everywhere.
+  uint64_t replicas_confirmed_dead = 0;
+  /// Virtual-time cost of the last post-restart catch-up pull (0 when no
+  /// restart completed a catch-up yet).
+  sim::SimTime last_restart_catchup_us = 0;
+};
+
 /// \brief One P-Grid node: path, routing table, local store, and the
 /// message handlers implementing lookup/insert routing, both range-scan
 /// strategies, the pairwise exchange (construction, load balancing), and
@@ -167,7 +214,7 @@ struct RangeResult {
 ///
 /// All client operations are asynchronous: they return immediately and the
 /// callback fires from the simulation loop. Synchronous wrappers for tests
-/// and benchmarks live in the harness (core::Cluster).
+/// and benchmarks live in the harness (RunToCompletion in overlay.h).
 class Peer {
  public:
   using LookupCallback = std::function<void(Result<LookupResult>)>;
@@ -204,7 +251,8 @@ class Peer {
 
   // --- Harness-side setup (bypasses the network; used by Overlay) --------
 
-  /// Sets the path and resizes the routing table (refs cleared).
+  /// Sets the path and resizes the routing table (refs and replicas
+  /// cleared). Region moves (migrate, join, recruit) go through it too.
   void SetPath(const Key& path);
 
   /// Stores an entry locally without routing.
@@ -330,18 +378,9 @@ class Peer {
     restart_hook_ = std::move(hook);
   }
 
-  // --- Replica-group fan-out observability (DESIGN.md §8) ---------------
+  // --- Observability -----------------------------------------------------
 
-  /// Lookups this peer answered from its own store (as owner or replica),
-  /// including the initiator-local fast path.
-  uint64_t lookups_served() const { return lookups_served_; }
-
-  /// Lookup replies that carried a replica-group advert.
-  uint64_t hot_adverts() const { return hot_adverts_; }
-
-  /// Lookup keys this peer, as initiator, sent straight to a round-robin
-  /// replica instead of routing to the owner.
-  uint64_t fanout_redirects() const { return fanout_redirects_; }
+  const PeerCounters& counters() const { return counters_; }
 
   /// The adverts this peer, as initiator, has cached (size, sheds).
   const AdvertCache& advert_cache() const { return advert_cache_; }
@@ -350,57 +389,8 @@ class Peer {
   /// completed yet (tests).
   size_t key_sets_in_flight() const { return key_set_ops_.size(); }
 
-  // --- Replica repair observability (DESIGN.md §9) -----------------------
-
-  /// Donors abandoned mid-repair (dead, corrupt, or vanished runs) before
-  /// the repairer moved on to the next replica candidate.
-  uint64_t repair_failovers() const { return repair_failovers_; }
-
-  /// Donor runs skipped because a local run already held identical
-  /// content (the manifest-delta savings).
-  uint64_t repair_runs_matched() const { return repair_runs_matched_; }
-
-  /// Donor runs fully fetched, verified, and spliced in.
-  uint64_t repair_runs_fetched() const { return repair_runs_fetched_; }
-
-  /// Checksum-valid repair chunks received (runs + memtable stream).
-  uint64_t repair_chunks_received() const { return repair_chunks_received_; }
-
-  // --- Suspicion observability (DESIGN.md §10) ---------------------------
-
-  /// Routing decisions that avoided a suspected peer in favour of a
-  /// healthy alternative.
-  uint64_t suspicion_skips() const { return suspicion_skips_; }
-
   /// True while `peer` is under active suspicion (tests).
   bool IsSuspected(PeerId peer) const { return Suspected(peer); }
-
-  // --- Lifecycle observability (DESIGN.md §11) ---------------------------
-
-  /// Times this peer went through Restart().
-  uint64_t restarts() const { return restarts_; }
-
-  /// Successful JoinVia completions (split or adoption).
-  uint64_t joins_completed() const { return joins_completed_; }
-
-  /// GracefulLeave calls (each hands the live set to the replica group).
-  uint64_t leaves_completed() const { return leaves_completed_; }
-
-  /// Live entries shipped to the replica group by graceful leaves.
-  uint64_t handoff_entries() const { return handoff_entries_; }
-
-  /// Replicas this peer recruited into its group (re-protection).
-  uint64_t recruits_completed() const { return recruits_completed_; }
-
-  /// Replicas the failure detector confirmed dead (consecutive probe
-  /// failures >= failure_confirm_probes) and removed everywhere.
-  uint64_t replicas_confirmed_dead() const { return replicas_confirmed_dead_; }
-
-  /// Virtual-time cost of the last post-restart catch-up pull (0 when no
-  /// restart completed a catch-up yet).
-  sim::SimTime last_restart_catchup_us() const {
-    return last_restart_catchup_us_;
-  }
 
  private:
   // Message pump.
@@ -437,7 +427,8 @@ class Peer {
   template <typename Item, typename KeyOf>
   KeySetRoute<Item> RouteKeySet(std::vector<Item> items, uint32_t hops,
                                 KeyOf key_of);
-  // Sends one hop of a key-set request of the initiator's `request_id`.
+  // Sends one hop of a key-set request or shower branch of the
+  // initiator's `request_id`.
   void SendRouted(net::MessageType type, PeerId next, uint64_t request_id,
                   uint32_t hops, std::string payload);
 
@@ -460,8 +451,9 @@ class Peer {
   // backends get the per-peer data_dir suffix) — shared by the
   // constructor and Restart so both open the same directory.
   LocalStoreOptions ResolvedStorage() const;
-  // Fails every in-flight initiator-side operation (scans, lookups, bulk
-  // inserts, repairs) with `status`; their per-request state is dropped.
+  // Fails every in-flight initiator-side operation with `status`, in this
+  // order: walks, showers, lookups and bulk inserts, repairs; their
+  // per-request state is dropped.
   void FailInFlight(const Status& status);
   // Periodic re-protection guard: probe linked replicas, confirm
   // failures, recruit when the group is under target.
@@ -496,10 +488,13 @@ class Peer {
                           uint32_t hops);
   void DeliverSeqPartial(PeerId initiator, uint64_t request_id, uint32_t hops,
                          const RangeSeqReply& reply);
-  void OnSeqPartial(uint64_t request_id, uint32_t hops,
-                    const RangeSeqReply& reply);
-  void OnShowerPartial(uint64_t request_id, uint32_t hops,
-                       const RangeShowerReply& reply);
+  // One partial of the scan `request_id` of either strategy: its entries
+  // join the result. A walk ends at its last leaf (no `forwards`) or at a
+  // `failed` one; a shower once every branch it forked answered, and a
+  // `failed` (unreachable) branch leaves it incomplete.
+  void OnScanPartial(uint64_t request_id, uint32_t hops, bool shower,
+                     const std::vector<Entry>& entries, bool failed,
+                     uint32_t forwards);
 
   // Exchange protocol.
   ExchangeReply DecideExchange(const ExchangeRequest& req);
@@ -508,9 +503,17 @@ class Peer {
   /// True iff `peer` is a registered transport endpoint — the gate every
   /// payload-derived peer id passes before entering routing state.
   bool KnownPeer(PeerId peer) const;
-  void MergeRefs(const RefsBlock& refs, const Key& sender_path,
-                 PeerId sender);
+  void MergeRefs(const RefsBlock& refs, const Key& sender_path);
   void AddPeerByPath(PeerId peer, const Key& peer_path);
+
+  // Region moves (exchange, join, recruit). SplitRegion narrows this
+  // peer's region to its `bit` half, references `other` for the other
+  // half and returns the entries that left the region. LeaveGroup empties
+  // the store into one random old replica (which holds the region
+  // already: this covers the memtable delta), or into the returned
+  // entries when there is no replica.
+  std::vector<Entry> SplitRegion(bool bit, PeerId other);
+  std::vector<Entry> LeaveGroup();
 
   // Initiator-side state of an in-flight key-set operation, keyed by
   // request id: a lookup of `keys` or a batch insert of `entries`. A slot
@@ -563,8 +566,12 @@ class Peer {
   void SendInsertAttempt(uint64_t request_id, KeySetOp& op);
   void SettleKeySet(uint64_t request_id);
   void RetryKeySet(uint64_t request_id);
-  void OnLookupReply(const net::Message& msg);
-  void OnBulkInsertReply(uint64_t request_id, const BulkInsertReply& reply);
+  // A reply of either kind (LookupBatchReply or BulkInsertReply): one
+  // that names an in-flight op of its kind (`insert`) and a known replier
+  // marks the replier healthy, teaches its advert, lets `finish` finish
+  // the slots it answers, dead-ends the slots it lists and settles the op.
+  template <typename Reply, typename FinishFn>
+  void OnKeySetReply(const net::Message& msg, bool insert, FinishFn finish);
 
   // Batch inserts: stores the entries of `route.mine`
   // (StoreAndReplicate) and lists their slots in `reply`, forwards each
@@ -604,45 +611,35 @@ class Peer {
   bool exchange_busy_ = false;
 
   std::map<net::MessageType, ExtensionHandler> extensions_;
+  PeerCounters counters_;
 
   // Replica-group fan-out state (DESIGN.md §8).
-  uint64_t lookups_served_ = 0;
-  uint64_t hot_adverts_ = 0;
-  uint64_t fanout_redirects_ = 0;
   AdvertCache advert_cache_;
 
   // Peer suspicion state: peer -> suspicion expiry (absolute virtual
   // time). Driven purely by this peer's own observed request outcomes.
   std::map<PeerId, sim::SimTime> suspects_;
-  uint64_t suspicion_skips_ = 0;
 
   // Lifecycle state (DESIGN.md §11). probe_failures_ counts consecutive
   // failed probes per replica; reaching failure_confirm_probes confirms
-  // the failure. All per-peer, aggregated by the harness.
+  // the failure.
   std::function<void()> restart_hook_;
   std::map<PeerId, int> probe_failures_;
   bool recruit_inflight_ = false;
-  uint64_t restarts_ = 0;
-  uint64_t joins_completed_ = 0;
-  uint64_t leaves_completed_ = 0;
-  uint64_t handoff_entries_ = 0;
-  uint64_t recruits_completed_ = 0;
-  uint64_t replicas_confirmed_dead_ = 0;
-  sim::SimTime last_restart_catchup_us_ = 0;
 
-  // Initiator-side state of in-flight range scans, keyed by request id.
-  // A retry moves the scan to a fresh id (RestartScan).
+  // Initiator-side state of in-flight range scans of both strategies,
+  // keyed by request id. A retry moves the scan to a fresh id.
   struct ScanState {
+    bool shower = false;       ///< The strategy: shower, else a walk.
     RangeCallback callback;
     RangeResult result;        ///< This attempt's partials.
     KeyRange range;
-    uint32_t limit = 0;        ///< Seq only.
+    uint32_t limit = 0;        ///< Walk only.
     RetryBudget budget;
-    uint32_t outstanding = 1;  ///< Shower only.
+    uint32_t outstanding = 1;  ///< Partials still due.
   };
   uint64_t next_scan_id_ = 1;
-  std::map<uint64_t, ScanState> seq_scans_;
-  std::map<uint64_t, ScanState> shower_scans_;
+  std::map<uint64_t, ScanState> scans_;
 
   // In-flight key-set operations (lookups and batch inserts).
   std::map<uint64_t, KeySetOp> key_set_ops_;
@@ -667,10 +664,6 @@ class Peer {
   };
   uint64_t next_repair_id_ = 1;
   std::map<uint64_t, RepairState> repairs_;
-  uint64_t repair_failovers_ = 0;
-  uint64_t repair_runs_matched_ = 0;
-  uint64_t repair_runs_fetched_ = 0;
-  uint64_t repair_chunks_received_ = 0;
 
   // Repairer-side steps; each either advances the state machine or fails
   // over (RepairTryNextCandidate) — FinishRepair fires the callback.
@@ -679,23 +672,20 @@ class Peer {
   void RepairOnManifest(uint64_t repair_id, const ManifestPullReply& manifest);
   void RepairFetchNext(uint64_t repair_id);
   void RepairRequestChunk(uint64_t repair_id);
-  // One lost/corrupt chunk: spend a retry (same offset, resume), surface a
-  // deadline timeout, or fail over to the next candidate.
+  // One lost/corrupt chunk: spend a retry (same offset, resume), or fail
+  // over to the next candidate, which surfaces a passed deadline.
   void RepairChunkRetry(uint64_t repair_id);
   void RepairOnChunk(uint64_t repair_id, const RunFetchReply& chunk);
   void FinishRepair(uint64_t repair_id, Status status);
 
-  // Range scans: Send* starts one attempt of the scan stored under `id`;
-  // Finish* completes it or, when incomplete, restarts it.
-  void SendSeqScan(uint64_t id);
-  void SendShowerScan(uint64_t id);
-  void FinishSeqScan(uint64_t request_id, bool complete);
-  void FinishShowerScan(uint64_t request_id, bool complete);
-  // Spends one "range" retry and restarts the scan under a fresh id via
-  // `send`; false when the budget is spent.
-  bool RestartScan(std::map<uint64_t, ScanState>* scans,
-                   std::map<uint64_t, ScanState>::iterator it,
-                   void (Peer::*send)(uint64_t));
+  // Range scans: StartScan files a scan of either strategy, SendScan
+  // starts one attempt of the scan stored under `id`, and FinishScan
+  // completes it or, when incomplete, spends one "range" retry and
+  // restarts it under a fresh id.
+  void StartScan(bool shower, const KeyRange& range, RangeCallback callback,
+                 uint32_t limit);
+  void SendScan(uint64_t id);
+  void FinishScan(uint64_t request_id, bool complete);
 };
 
 }  // namespace pgrid

@@ -506,7 +506,7 @@ TEST(ChaosCampaignTest, ChurnMixedWithFaultsEndsReprotected) {
 
   // --- Invariant 4: restarted peers serve their pre-crash keys. ---------
   for (net::PeerId p : restarters) {
-    EXPECT_EQ(overlay.peer(p)->restarts(), 1u);
+    EXPECT_EQ(overlay.peer(p)->counters().restarts, 1u);
     size_t served = 0;
     for (const Entry& e : baseline) {
       if (!overlay.peer(p)->path().IsPrefixOf(e.key)) continue;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -157,8 +158,8 @@ TEST(ChurnLifecycleTest, MemoryRestartCatchesUpThroughRepair) {
 
   ASSERT_TRUE(ack.has_value());
   EXPECT_TRUE(ack->ok()) << ack->ToString();
-  EXPECT_EQ(overlay.peer(victim)->restarts(), 1u);
-  EXPECT_GT(overlay.peer(victim)->last_restart_catchup_us(), 0u);
+  EXPECT_EQ(overlay.peer(victim)->counters().restarts, 1u);
+  EXPECT_GT(overlay.peer(victim)->counters().last_restart_catchup_us, 0u);
   // Byte-identical convergence: the restarted (memory, hence empty) store
   // pulled back everything, the mid-crash write included.
   EXPECT_EQ(StoreDigest(overlay.peer(victim)->store()),
@@ -200,13 +201,14 @@ TEST(ChurnLifecycleTest, DiskRestartReplaysManifest) {
       << "manifest replay + catch-up diverged from the pre-crash state";
   // The manifest-delta savings: recovered runs matched by (count,
   // checksum), so the catch-up fetched at most the donor's memtable.
-  EXPECT_GT(overlay.peer(1)->repair_runs_matched(), 0u)
+  EXPECT_GT(overlay.peer(1)->counters().repair_runs_matched, 0u)
       << "disk restart re-fetched runs it had already recovered";
-  EXPECT_EQ(overlay.peer(1)->repair_runs_fetched(), 0u);
+  EXPECT_EQ(overlay.peer(1)->counters().repair_runs_fetched, 0u);
 }
 
 // Restart preserves identity but not volatile state: in-flight
-// initiator-side operations fail with Unavailable instead of hanging.
+// initiator-side operations of every kind fail once with Unavailable
+// instead of hanging, and no key-set state survives.
 TEST(ChurnLifecycleTest, RestartFailsInFlightOperations) {
   OverlayOptions options;
   options.seed = 13;
@@ -216,20 +218,49 @@ TEST(ChurnLifecycleTest, RestartFailsInFlightOperations) {
   overlay.BuildBalanced();
 
   for (const Entry& e : MakeBatch("rows", 20)) overlay.InsertDirect(e);
+  Peer* initiator = overlay.peer(0);
+  std::vector<Entry> foreign;  // Owned by the other region.
+  for (const Entry& e : MakeBatch("late", 20)) {
+    if (!initiator->IsResponsible(e.key)) foreign.push_back(e);
+  }
+  ASSERT_FALSE(foreign.empty());
 
-  // Start a shower scan from peer 0, then restart it before any reply can
-  // arrive (no simulation steps in between).
-  std::optional<Result<RangeResult>> scan;
+  // Start one operation of each kind from peer 0, then restart it before
+  // any reply can arrive (no simulation steps in between).
+  struct Outcome {
+    int calls = 0;
+    Status status;
+  };
+  std::map<std::string, Outcome> outcomes;
+  auto record = [&outcomes](const std::string& op, const Status& status) {
+    ++outcomes[op].calls;
+    outcomes[op].status = status;
+  };
   KeyRange full{Key().PadTo(kKeyBits, false), Key().PadTo(kKeyBits, true)};
-  overlay.peer(0)->RangeScanShower(
-      full, [&](Result<RangeResult> r) { scan = std::move(r); });
-  overlay.peer(0)->Restart();
+  initiator->RangeScanSeq(full, [&](Result<RangeResult> r) {
+    record("sequential scan", r.status());
+  });
+  initiator->RangeScanShower(full, [&](Result<RangeResult> r) {
+    record("shower scan", r.status());
+  });
+  initiator->Lookup(foreign.front().key, LookupMode::kExact,
+                    [&](Result<LookupResult> r) {
+                      record("lookup", r.status());
+                    });
+  initiator->InsertBatch(foreign,
+                         [&](Status s) { record("insert batch", s); });
+  ASSERT_TRUE(outcomes.empty()) << "an operation completed locally";
+  EXPECT_EQ(initiator->key_sets_in_flight(), 2u);
+  initiator->Restart();
   overlay.scheduler().RunUntilIdle();
 
-  ASSERT_TRUE(scan.has_value()) << "in-flight scan leaked across restart";
-  EXPECT_FALSE(scan->ok());
-  EXPECT_EQ(scan->status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(overlay.peer(0)->restarts(), 1u);
+  EXPECT_EQ(outcomes.size(), 4u) << "an in-flight operation leaked";
+  for (const auto& [op, outcome] : outcomes) {
+    EXPECT_EQ(outcome.calls, 1) << op;
+    EXPECT_EQ(outcome.status.code(), StatusCode::kUnavailable) << op;
+  }
+  EXPECT_EQ(initiator->key_sets_in_flight(), 0u);
+  EXPECT_EQ(initiator->counters().restarts, 1u);
 }
 
 // The query layer's restart hook: a Migrate join the restarting peer
@@ -330,7 +361,7 @@ TEST(ChurnLifecycleTest, JoinSplitsLoadedSponsor) {
   ASSERT_TRUE(joined->ok()) << joined->ToString();
   EXPECT_EQ(overlay.peer(0)->path().bits(), "1");
   EXPECT_EQ(overlay.peer(1)->path().bits(), "0");
-  EXPECT_EQ(overlay.peer(1)->joins_completed(), 1u);
+  EXPECT_EQ(overlay.peer(1)->counters().joins_completed, 1u);
   // The region's data divided exactly along the split.
   EXPECT_GT(overlay.peer(1)->store().live_size(), 0u);
   overlay.peer(0)->store().ScanAll([&](const EntryView& e) {
@@ -370,7 +401,7 @@ TEST(ChurnLifecycleTest, JoinAdoptsIntoReplicaGroup) {
   ASSERT_TRUE(joined.has_value());
   ASSERT_TRUE(joined->ok()) << joined->ToString();
   EXPECT_EQ(overlay.peer(1)->path().bits(), "0");
-  EXPECT_EQ(overlay.peer(1)->joins_completed(), 1u);
+  EXPECT_EQ(overlay.peer(1)->counters().joins_completed, 1u);
   // Group linked both ways, data converged byte-identically.
   auto r0 = overlay.peer(0)->routing().replicas();
   auto r1 = overlay.peer(1)->routing().replicas();
@@ -404,8 +435,8 @@ TEST(ChurnLifecycleTest, GracefulLeaveHandsOffLiveEntries) {
   overlay.peer(0)->GracefulLeave();
   overlay.scheduler().RunUntilIdle();
 
-  EXPECT_EQ(overlay.peer(0)->leaves_completed(), 1u);
-  EXPECT_EQ(overlay.peer(0)->handoff_entries(), delta.size());
+  EXPECT_EQ(overlay.peer(0)->counters().leaves_completed, 1u);
+  EXPECT_EQ(overlay.peer(0)->counters().handoff_entries, delta.size());
   EXPECT_EQ(StoreDigest(overlay.peer(2)->store()),
             StoreDigest(overlay.peer(0)->store()))
       << "the replica did not absorb the leaver's delta";
@@ -442,9 +473,9 @@ TEST(ChurnLifecycleTest, GuardConfirmsFailureAndRecruitsReplacement) {
   overlay.scheduler().RunUntilIdle();
 
   Peer* survivor = overlay.peer(3);
-  EXPECT_GE(survivor->replicas_confirmed_dead(), 1u)
+  EXPECT_GE(survivor->counters().replicas_confirmed_dead, 1u)
       << "the failure detector never confirmed the crash";
-  EXPECT_EQ(survivor->recruits_completed(), 1u)
+  EXPECT_EQ(survivor->counters().recruits_completed, 1u)
       << "re-protection never recruited";
 
   // Exactly one former "0" peer moved over; both groups are at target.
@@ -540,10 +571,10 @@ TEST(ChurnLifecycleTest, StaleHotAdvertFailsOverWhenReplicaCrashes) {
   }
   // The fan-out path actually engaged, and churn actually dropped traffic
   // (the stale advert really did point at a down peer at some point).
-  EXPECT_GT(overlay.peer(1)->fanout_redirects(), 0u)
+  EXPECT_GT(overlay.peer(1)->counters().fanout_redirects, 0u)
       << "no lookup was ever steered by the advert";
   EXPECT_GT(overlay.transport().stats().messages_lost_churn, 0u);
-  EXPECT_EQ(overlay.peer(2)->restarts(), 1u);
+  EXPECT_EQ(overlay.peer(2)->counters().restarts, 1u);
 }
 
 // --- The compiled schedule end to end ---------------------------------------

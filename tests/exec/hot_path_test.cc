@@ -252,11 +252,11 @@ TEST(HotKeyFanoutTest, SkewedLookupsSpreadAcrossReplicaGroup) {
   uint64_t adverts = 0;
   size_t serving_replicas = 0;
   for (net::PeerId owner : owners) {
-    adverts += overlay.peer(owner)->hot_adverts();
-    if (overlay.peer(owner)->lookups_served() > 0) ++serving_replicas;
+    adverts += overlay.peer(owner)->counters().hot_adverts;
+    if (overlay.peer(owner)->counters().lookups_served > 0) ++serving_replicas;
   }
   EXPECT_GT(adverts, 0u) << "no reply advertised the replica group";
-  EXPECT_GT(overlay.peer(initiator)->fanout_redirects(), 0u);
+  EXPECT_GT(overlay.peer(initiator)->counters().fanout_redirects, 0u);
   EXPECT_GE(serving_replicas, 2u)
       << "fan-out failed to spread load off the single owner";
 }
@@ -304,7 +304,7 @@ TEST(HotKeyFanoutTest, ZipfLookupsReturnTheInsertedEntries) {
     std::sort(ids.begin(), ids.end());
     ASSERT_EQ(ids, stored.at(key)) << q.value;
   }
-  EXPECT_GT(overlay.peer(initiator)->fanout_redirects(), 600u);
+  EXPECT_GT(overlay.peer(initiator)->counters().fanout_redirects, 600u);
 }
 
 // One key-set lookup over keys inside and outside a partition whose
@@ -338,10 +338,10 @@ TEST(HotKeyFanoutTest, BatchKeysUnderAnAdvertAreRedirected) {
   const net::PeerId initiator = OutsideOf(owners);
   ASSERT_TRUE(overlay.LookupSync(initiator, keys[0]).ok());  // The advert.
 
-  const uint64_t before = overlay.peer(initiator)->fanout_redirects();
+  const uint64_t before = overlay.peer(initiator)->counters().fanout_redirects;
   auto batch = overlay.LookupBatchSync(initiator, keys);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_EQ(overlay.peer(initiator)->fanout_redirects() - before, 3u);
+  EXPECT_EQ(overlay.peer(initiator)->counters().fanout_redirects - before, 3u);
   ASSERT_EQ(batch->size(), 5u);
   for (const auto& [key, entries] : *batch) {
     ASSERT_EQ(entries.size(), 1u) << key.ToString();
@@ -370,22 +370,24 @@ TEST(HotKeyFanoutTest, RedirectedReadsReturnTheWriteAtEveryReplica) {
   overlay.scheduler().RunUntilIdle();  // The replica push delivers.
   // A routed read brings back the advert of the key's path.
   ASSERT_TRUE(overlay.LookupSync(initiator, written.key).ok());
-  ASSERT_EQ(overlay.peer(initiator)->fanout_redirects(), 0u);
+  ASSERT_EQ(overlay.peer(initiator)->counters().fanout_redirects, 0u);
 
   std::set<net::PeerId> served;
   for (size_t i = 0; i < owners.size(); ++i) {
     std::vector<uint64_t> before;
     for (net::PeerId owner : owners) {
-      before.push_back(overlay.peer(owner)->lookups_served());
+      before.push_back(overlay.peer(owner)->counters().lookups_served);
     }
-    const uint64_t redirects = overlay.peer(initiator)->fanout_redirects();
+    const uint64_t redirects =
+        overlay.peer(initiator)->counters().fanout_redirects;
     auto result = overlay.LookupSync(initiator, written.key);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(overlay.peer(initiator)->fanout_redirects(), redirects + 1);
+    EXPECT_EQ(overlay.peer(initiator)->counters().fanout_redirects,
+              redirects + 1);
     ASSERT_EQ(result->entries.size(), 1u) << "read " << i;
     EXPECT_EQ(result->entries[0].id, "written-id");
     for (size_t o = 0; o < owners.size(); ++o) {
-      if (overlay.peer(owners[o])->lookups_served() > before[o]) {
+      if (overlay.peer(owners[o])->counters().lookups_served > before[o]) {
         served.insert(owners[o]);
       }
     }
@@ -428,7 +430,7 @@ TEST(HotKeyFanoutTest, TimedOutRedirectForgetsTheReplica) {
     }
   }
   EXPECT_EQ(slow, 1) << "a later key was redirected to the crashed replica";
-  EXPECT_EQ(overlay.peer(initiator)->fanout_redirects(), 13u);
+  EXPECT_EQ(overlay.peer(initiator)->counters().fanout_redirects, 13u);
 }
 
 TEST(HotKeyFanoutTest, PeerWithoutReplicaGroupNeverAdvertises) {
@@ -452,8 +454,8 @@ TEST(HotKeyFanoutTest, PeerWithoutReplicaGroupNeverAdvertises) {
     ASSERT_TRUE(result.ok());
     ASSERT_EQ(result->entries.size(), 1u);
   }
-  EXPECT_EQ(overlay.peer(owners[0])->hot_adverts(), 0u);
-  EXPECT_EQ(overlay.peer(initiator)->fanout_redirects(), 0u);
+  EXPECT_EQ(overlay.peer(owners[0])->counters().hot_adverts, 0u);
+  EXPECT_EQ(overlay.peer(initiator)->counters().fanout_redirects, 0u);
   EXPECT_EQ(overlay.peer(initiator)->advert_cache().size(), 0u);
 }
 

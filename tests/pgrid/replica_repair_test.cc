@@ -297,7 +297,7 @@ TEST(ReplicaRepairTest, FailsOverWhenFirstChosenReplicaIsDead) {
   overlay.Crash(predicted[0]);
 
   ASSERT_TRUE(overlay.PullFromReplicaSync(victim).ok());
-  EXPECT_GE(repairer->repair_failovers(), 1u)
+  EXPECT_GE(repairer->counters().repair_failovers, 1u)
       << "repair did not fail over past the dead first choice";
 
   auto entries = repairer->store().Get(seed_entry.key);
@@ -318,7 +318,7 @@ TEST(ReplicaRepairTest, AllReplicasDeadSurfacesUnavailable) {
   Status status = overlay.PullFromReplicaSync(owners[0]);
   EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status;
   // Every candidate was tried before giving up.
-  EXPECT_EQ(overlay.peer(owners[0])->repair_failovers(), 2u);
+  EXPECT_EQ(overlay.peer(owners[0])->counters().repair_failovers, 2u);
 }
 
 // Below run granularity: a donor whose divergent state is entirely
@@ -344,8 +344,8 @@ TEST(ReplicaRepairTest, MemtableOnlyDivergenceUsesFallbackStream) {
 
   EXPECT_EQ(repairer->store().total_size(), 100u);
   EXPECT_EQ(StoreDigest(repairer->store()), StoreDigest(donor->store()));
-  EXPECT_EQ(repairer->repair_runs_fetched(), 0u);
-  EXPECT_GT(repairer->repair_chunks_received(), 1u)
+  EXPECT_EQ(repairer->counters().repair_runs_fetched, 0u);
+  EXPECT_GT(repairer->counters().repair_chunks_received, 1u)
       << "fallback stream was not chunked";
   auto max_it = delta.per_type_max_bytes.find(MessageType::kRunFetchReply);
   ASSERT_NE(max_it, delta.per_type_max_bytes.end());
@@ -389,8 +389,8 @@ TEST(ReplicaRepairTest, DeltaShipsOnlyMissingRuns) {
   const TrafficStats delta = overlay.transport().stats().Since(before);
 
   EXPECT_EQ(StoreDigest(repairer->store()), StoreDigest(donor->store()));
-  EXPECT_EQ(repairer->repair_runs_matched(), 7u);
-  EXPECT_EQ(repairer->repair_runs_fetched(), 1u);
+  EXPECT_EQ(repairer->counters().repair_runs_matched, 7u);
+  EXPECT_EQ(repairer->counters().repair_runs_fetched, 1u);
 
   auto bytes_it = delta.per_type_bytes.find(MessageType::kRunFetchReply);
   ASSERT_NE(bytes_it, delta.per_type_bytes.end());
