@@ -153,7 +153,11 @@ struct Executor::KeyAnswer {
 struct Executor::QueryContext {
   std::vector<std::string> trace;
   std::vector<std::pair<std::string, std::string>> coverage_gaps;
-  std::map<pgrid::Key, std::shared_ptr<KeyAnswer>> memo;
+  /// By key and suffix set: a filtered answer holds only the triples its
+  /// suffixes asked for, so it serves no other request of its key.
+  std::map<std::pair<pgrid::Key, std::vector<std::string>>,
+           std::shared_ptr<KeyAnswer>>
+      memo;
 };
 
 std::string QueryResult::ToTable() const {
@@ -467,12 +471,12 @@ void Executor::ExecSimilarityQGram(std::shared_ptr<PhysicalOp> node,
     return;
   }
 
-  std::set<pgrid::Key> keys;
+  pgrid::KeySuffixes keys;
   for (const auto& attr : node->attributes) {
-    for (const auto& gram : grams) keys.insert(qgram::QGramKey(attr, gram));
+    for (const auto& gram : grams) keys[qgram::QGramKey(attr, gram)];
   }
   store_->GetByKeys(
-      {keys.begin(), keys.end()},
+      std::move(keys),
       [node, callback](const Result<triple::TripleStore::KeyTriples>& found) {
         if (!found.ok()) {
           callback(found.status());
@@ -583,18 +587,17 @@ void Executor::ExecJoin(std::shared_ptr<PhysicalOp> node, Context ctx,
   });
 }
 
-void Executor::FetchKeys(const Context& ctx,
-                         const std::vector<pgrid::Key>& keys,
+void Executor::FetchKeys(const Context& ctx, const pgrid::KeySuffixes& keys,
                          std::function<void(const pgrid::Key&, KeyAnswer&)>
                              ready) {
-  std::vector<pgrid::Key> misses;
-  std::vector<std::shared_ptr<KeyAnswer>> fetched;
-  for (const pgrid::Key& key : keys) {
-    std::shared_ptr<KeyAnswer>& answer = ctx->memo[key];
+  pgrid::KeySuffixes misses;
+  std::vector<std::pair<pgrid::Key, std::shared_ptr<KeyAnswer>>> fetched;
+  for (const auto& [key, suffixes] : keys) {
+    std::shared_ptr<KeyAnswer>& answer = ctx->memo[{key, suffixes}];
     if (!answer) {
       answer = std::make_shared<KeyAnswer>();
-      misses.push_back(key);
-      fetched.push_back(answer);
+      misses.emplace(key, suffixes);
+      fetched.emplace_back(key, answer);
     }
     if (answer->done) {
       ready(key, *answer);
@@ -604,13 +607,13 @@ void Executor::FetchKeys(const Context& ctx,
     }
   }
   if (misses.empty()) return;
-  store_->GetByKeys(misses, [misses, fetched](
+  store_->GetByKeys(std::move(misses), [fetched](
                                 Result<triple::TripleStore::KeyTriples> found) {
-    for (size_t i = 0; i < misses.size(); ++i) {
-      KeyAnswer& answer = *fetched[i];
+    for (const auto& [key, fetching] : fetched) {
+      KeyAnswer& answer = *fetching;
       if (!found.ok()) {
         answer.status = found.status();
-      } else if (auto it = found->find(misses[i]); it != found->end()) {
+      } else if (auto it = found->find(key); it != found->end()) {
         answer.triples = std::move(it->second);
       }
       answer.done = true;
@@ -646,8 +649,13 @@ void Executor::ExecProbeJoin(std::shared_ptr<PhysicalOp> node,
   state->done = std::move(callback);
 
   // Group the rows by the index keys their bound value probes. Long
-  // attribute names fill the key prefix, so many values share one key.
+  // attribute names fill the key prefix, so many values share one key: an
+  // object probe then asks the key's owner only for the triples of its
+  // values, one suffix per value (TripleStore::GetByKeys), unless a value
+  // the key alone tells apart needs every triple under it.
   auto& rows_by_key = state->rows_by_key;
+  pgrid::KeySuffixes keys;
+  std::set<pgrid::Key> whole;
   for (size_t i = 0; i < left.size(); ++i) {
     Value value = term.literal;
     if (term.is_variable) {
@@ -662,26 +670,41 @@ void Executor::ExecProbeJoin(std::shared_ptr<PhysicalOp> node,
       continue;
     }
     state->probe[i] = value.ToIndexString();
-    std::set<pgrid::Key> keys;
     for (const auto& attr : right->attributes) {
-      keys.insert(triple::AttrValueKey(attr, value));
+      const pgrid::Key key = triple::AttrValueKey(attr, value);
+      std::vector<size_t>& rows = rows_by_key[key];
+      if (rows.empty() || rows.back() != i) rows.push_back(i);
+      std::string suffix = triple::AttrValueSuffix(attr, value);
+      if (suffix.empty()) {
+        whole.insert(key);
+      } else {
+        keys[key].push_back(std::move(suffix));
+      }
     }
-    for (const auto& key : keys) rows_by_key[key].push_back(i);
   }
   state->left = std::move(left);
   state->remaining = rows_by_key.size();
 
-  std::vector<pgrid::Key> keys;
+  size_t filtered = 0;
   size_t memo_hits = 0;
   for (const auto& [key, rows] : rows_by_key) {
-    keys.push_back(key);
-    memo_hits += ctx->memo.count(key);
+    std::vector<std::string>& suffixes = keys[key];
+    if (whole.count(key) > 0) {
+      suffixes.clear();
+    } else {
+      std::sort(suffixes.begin(), suffixes.end());
+      suffixes.erase(std::unique(suffixes.begin(), suffixes.end()),
+                     suffixes.end());
+    }
+    filtered += suffixes.empty() ? 0 : 1;
+    memo_hits += ctx->memo.count({key, suffixes});
   }
   const size_t lookups = keys.size() - memo_hits;
   ctx->trace.push_back(
       "Join[Probe]: by=" + std::string(by_subject ? "subject" : "object") +
       " rows=" + std::to_string(state->left.size()) +
       " keys=" + std::to_string(keys.size()) +
+      " filtered=" + std::to_string(filtered) +
       " lookups=" + std::to_string(lookups) +
       " memo_hits=" + std::to_string(memo_hits) +
       " batches=" + std::to_string(lookups > 0 ? 1 : 0));

@@ -65,7 +65,8 @@ class Executor {
   /// trace and the probe joins' index-key memo (executor.cc).
   struct QueryContext;
   using Context = std::shared_ptr<QueryContext>;
-  /// One memoized index key: the triples a single lookup of it returned.
+  /// One memoized index key and suffix set: the triples a single lookup
+  /// of it returned.
   struct KeyAnswer;
 
   void ExecNode(std::shared_ptr<plan::PhysicalOp> node, Context ctx,
@@ -86,10 +87,10 @@ class Executor {
   void ExecSimilarityQGram(std::shared_ptr<plan::PhysicalOp> node,
                            Context ctx, RowsCallback callback);
 
-  /// Hands `ready` the answer for each of `keys`: keys already in the
-  /// query's memo read or wait for it, the rest are looked up together in
-  /// one key-set lookup (TripleStore::GetByKeys).
-  void FetchKeys(const Context& ctx, const std::vector<pgrid::Key>& keys,
+  /// Hands `ready` the answer for each of `keys`: keys whose suffix set
+  /// is already in the query's memo read or wait for it, the rest are
+  /// looked up together in one key-set lookup (TripleStore::GetByKeys).
+  void FetchKeys(const Context& ctx, const pgrid::KeySuffixes& keys,
                  std::function<void(const pgrid::Key&, KeyAnswer&)> ready);
 
   triple::TripleStore* store_;

@@ -101,6 +101,17 @@ std::string LookupBatchRequest::Encode() const {
     w.PutVarint(k.slot);
     EncodeKey(k.key, &w);
   }
+  const size_t filtered = static_cast<size_t>(
+      std::count_if(keys.begin(), keys.end(),
+                    [](const BatchKey& k) { return !k.suffixes.empty(); }));
+  if (filtered == 0) return w.Release();
+  w.PutVarint(filtered);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i].suffixes.empty()) continue;
+    w.PutVarint(i);
+    w.PutVarint(keys[i].suffixes.size());
+    for (const std::string& suffix : keys[i].suffixes) w.PutString(suffix);
+  }
   return w.Release();
 }
 
@@ -116,6 +127,34 @@ Result<LookupBatchRequest> LookupBatchRequest::Decode(std::string_view bytes) {
     UNISTORE_ASSIGN_OR_RETURN(k.key, DecodeKey(&r));
     req.keys.push_back(std::move(k));
   }
+  if (r.AtEnd()) return req;
+  // The suffix trailer. Every count is checked against the bytes left
+  // (a filtered key takes at least two, a suffix at least one) before
+  // anything is reserved or read.
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t filtered, r.GetVarint());
+  if (filtered > r.remaining() / 2) {
+    return Status::Corruption("suffix trailer longer than its message");
+  }
+  uint64_t next = 0;  // Indices strictly increase.
+  for (uint64_t i = 0; i < filtered; ++i) {
+    UNISTORE_ASSIGN_OR_RETURN(uint64_t index, r.GetVarint());
+    if (index < next || index >= req.keys.size()) {
+      return Status::Corruption("suffix trailer names key ", index, " of ",
+                                req.keys.size());
+    }
+    next = index + 1;
+    UNISTORE_ASSIGN_OR_RETURN(uint64_t count, r.GetVarint());
+    if (count > r.remaining()) {
+      return Status::Corruption("more suffixes than bytes left");
+    }
+    std::vector<std::string>& suffixes = req.keys[index].suffixes;
+    suffixes.reserve(count);
+    for (uint64_t j = 0; j < count; ++j) {
+      UNISTORE_ASSIGN_OR_RETURN(std::string suffix, r.GetString());
+      suffixes.push_back(std::move(suffix));
+    }
+  }
+  if (!r.AtEnd()) return Status::Corruption("bytes after the suffix trailer");
   return req;
 }
 

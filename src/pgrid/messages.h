@@ -39,10 +39,13 @@ struct RefsBlock {
 };
 
 /// One key of a routed key-set lookup, tagged with its slot: its position
-/// in the initiator's deduplicated key vector.
+/// in the initiator's deduplicated key vector. A key with `suffixes` asks
+/// only for the entries whose id ends with one of them; without, for
+/// every entry under it. To this layer a suffix is just bytes.
 struct BatchKey {
   uint32_t slot = 0;
   Key key;
+  std::vector<std::string> suffixes;
 };
 
 /// \brief Key-set lookup (Peer::LookupBatch; a Peer::Lookup is one key).
@@ -50,6 +53,12 @@ struct BatchKey {
 /// Travels like a BulkInsertRequest: every visited peer serves the keys it
 /// is responsible for, groups the rest by next routing hop and forwards
 /// one request per group under the initiator's request id.
+///
+/// Wire format: the initiator, then the keys (slot, key). The suffixes of
+/// the keys that have any follow as an optional trailer (the number of
+/// such keys, then per key its index in `keys`, in increasing order, and
+/// its suffixes as a counted list of strings), so a request without
+/// suffixes ends after its keys.
 struct LookupBatchRequest {
   PeerId initiator = net::kNoPeer;
   std::vector<BatchKey> keys;

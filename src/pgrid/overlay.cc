@@ -320,9 +320,16 @@ Result<LookupResult> Overlay::LookupSync(net::PeerId from, const Key& key) {
 
 Result<LookupBatchResult> Overlay::LookupBatchSync(
     net::PeerId from, const std::vector<Key>& keys) {
+  KeySuffixes all;
+  for (const Key& key : keys) all[key];
+  return LookupBatchSync(from, std::move(all));
+}
+
+Result<LookupBatchResult> Overlay::LookupBatchSync(net::PeerId from,
+                                                   KeySuffixes keys) {
   return RunToCompletion<Result<LookupBatchResult>>(
       scheduler_, "lookup", [&](auto done) {
-        peers_[from]->LookupBatch(keys, done);
+        peers_[from]->LookupBatch(std::move(keys), done);
       });
 }
 

@@ -115,8 +115,11 @@ class Overlay {
   // --- Synchronous wrappers (drive the simulation until completion) ------
 
   Result<LookupResult> LookupSync(net::PeerId from, const Key& key);
+  /// Looks up every entry under each of `keys`.
   Result<LookupBatchResult> LookupBatchSync(net::PeerId from,
                                             const std::vector<Key>& keys);
+  Result<LookupBatchResult> LookupBatchSync(net::PeerId from,
+                                            KeySuffixes keys);
   Status InsertSync(net::PeerId from, Entry entry);
   Status InsertBatchSync(net::PeerId from, std::vector<Entry> entries);
   Status RemoveSync(net::PeerId from, const Key& key,

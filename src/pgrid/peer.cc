@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "common/crc32.h"
@@ -31,6 +33,55 @@ uint64_t CountEntries(ScanFn&& scan) {
     return true;
   });
   return count;
+}
+
+// Matches entry ids against the suffixes of a lookup key: one hash of the
+// id's tail per distinct suffix length, however many suffixes share it.
+// The views alias the suffixes, which must outlive the matcher.
+class SuffixMatcher {
+ public:
+  explicit SuffixMatcher(const std::vector<std::string>& suffixes) {
+    for (const std::string& suffix : suffixes) {
+      auto it = std::find_if(by_length_.begin(), by_length_.end(),
+                             [&suffix](const auto& group) {
+                               return group.first == suffix.size();
+                             });
+      if (it == by_length_.end()) {
+        it = by_length_.insert(by_length_.end(), {suffix.size(), {}});
+      }
+      it->second.insert(suffix);
+    }
+  }
+
+  // True when the key has no suffixes (it asks for every entry).
+  bool all() const { return by_length_.empty(); }
+
+  bool Matches(std::string_view id) const {
+    for (const auto& [length, suffixes] : by_length_) {
+      if (length <= id.size() &&
+          suffixes.count(id.substr(id.size() - length)) > 0) {
+        return true;
+      }
+    }
+    return all();
+  }
+
+ private:
+  std::vector<std::pair<size_t, std::unordered_set<std::string_view>>>
+      by_length_;
+};
+
+// Visits the entries of `store` a lookup key asks for: those under `key`
+// whose id `match` accepts.
+void ScanAsked(const LocalStore& store, const Key& key,
+               const SuffixMatcher& match, LocalStore::EntryVisitor visit) {
+  if (match.all()) {
+    store.ScanKey(key, visit);
+    return;
+  }
+  store.ScanKey(key, [&match, &visit](const EntryView& e) {
+    return !match.Matches(e.id) || visit(e);
+  });
 }
 
 // The key of a routed key-set item (RouteKeySet's key_of).
@@ -344,7 +395,7 @@ void Peer::SendKeySet(uint64_t request_id) {
               op.first_hops[slot] != net::kNoPeer) {
             ObservePeer(op.first_hops[slot], /*ok=*/false);
             advert_cache_.Forget(
-                op.is_insert() ? op.entries[slot].key : op.keys[slot],
+                op.is_insert() ? op.entries[slot].key : op.keys[slot].key,
                 op.first_hops[slot], NowUs());
           }
         }
@@ -422,7 +473,7 @@ void Peer::OnKeySetReply(const Message& msg, bool insert, FinishFn finish) {
 void Peer::Lookup(const Key& key, LookupMode /*mode*/,
                   LookupCallback callback) {
   KeySetOp op;
-  op.keys.push_back(key);
+  op.keys.push_back({0, key, {}});
   op.callback = [callback = std::move(callback)](
                     Result<std::vector<LookupResult>> results) {
     if (!results.ok()) {
@@ -434,21 +485,24 @@ void Peer::Lookup(const Key& key, LookupMode /*mode*/,
   StartKeySet(std::move(op));
 }
 
-void Peer::LookupBatch(const std::vector<Key>& keys,
-                       LookupBatchCallback callback) {
+void Peer::LookupBatch(KeySuffixes keys, LookupBatchCallback callback) {
   KeySetOp op;
-  op.keys = keys;
-  std::sort(op.keys.begin(), op.keys.end());
-  op.keys.erase(std::unique(op.keys.begin(), op.keys.end()), op.keys.end());
-  op.callback = [keys = op.keys, callback = std::move(callback)](
+  std::vector<Key> order;
+  order.reserve(keys.size());
+  for (auto& [key, suffixes] : keys) {
+    order.push_back(key);
+    op.keys.push_back({static_cast<uint32_t>(op.keys.size()), key,
+                       std::move(suffixes)});
+  }
+  op.callback = [order = std::move(order), callback = std::move(callback)](
                     Result<std::vector<LookupResult>> results) {
     if (!results.ok()) {
       callback(results.status());
       return;
     }
     LookupBatchResult out;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      out.emplace_hint(out.end(), keys[i], std::move((*results)[i].entries));
+    for (size_t i = 0; i < order.size(); ++i) {
+      out.emplace_hint(out.end(), order[i], std::move((*results)[i].entries));
     }
     callback(std::move(out));
   };
@@ -460,20 +514,21 @@ void Peer::SendLookupAttempt(uint64_t request_id, KeySetOp& op) {
   std::vector<std::pair<PeerId, BatchKey>> redirected;
   for (uint32_t slot = 0; slot < op.slots.size(); ++slot) {
     if (op.slots[slot] == SlotState::kDone) continue;
-    const Key& key = op.keys[slot];
+    const BatchKey& k = op.keys[slot];
     // Replica-group fan-out: under a cached advert, skip greedy routing
     // and send the key to the next round-robin replica. Replicas share
     // the owner's path, so IsResponsible holds at the receiver; if the
     // replica died, the attempt's timeout drops it from the advert and
     // the retry goes elsewhere.
     const PeerId replica =
-        IsResponsible(key) ? net::kNoPeer
-                           : PickHotReplica(advert_cache_.Find(key, NowUs()));
+        IsResponsible(k.key)
+            ? net::kNoPeer
+            : PickHotReplica(advert_cache_.Find(k.key, NowUs()));
     if (replica != net::kNoPeer) {
       ++counters_.fanout_redirects;
-      redirected.emplace_back(replica, BatchKey{slot, key});
+      redirected.emplace_back(replica, k);
     } else {
-      routed.push_back({slot, key});
+      routed.push_back(k);
     }
   }
   KeySetRoute<BatchKey> route = RouteKeySet(std::move(routed), 0, KeyOf);
@@ -484,10 +539,11 @@ void Peer::SendLookupAttempt(uint64_t request_id, KeySetOp& op) {
   for (const BatchKey& k : route.mine) {
     op.Finish(k.slot);
     std::vector<Entry>& entries = op.results[k.slot].entries;
-    store_.ScanKey(k.key, [&entries](const EntryView& e) {
-      entries.push_back(e.ToEntry());
-      return true;
-    });
+    ScanAsked(store_, k.key, SuffixMatcher(k.suffixes),
+              [&entries](const EntryView& e) {
+                entries.push_back(e.ToEntry());
+                return true;
+              });
   }
   for (const BatchKey& k : route.dead_ends) op.DeadEnd(k.slot);
   for (const auto& [next, group] : route.next) {
@@ -564,12 +620,14 @@ void Peer::HandleKeySetLookup(const Message& msg) {
   }
   // Zero-copy serving: per key, one counting scan sizes the varint prefix
   // and a second encodes the entries straight into the reply buffer. No
-  // intermediate std::vector<Entry>, no per-entry heap allocation.
+  // intermediate std::vector<Entry>, no per-entry heap allocation. Both
+  // scans skip the entries the key's suffixes do not ask for.
   std::string payload = reply.EncodeStreamed(
       slots, [this, &route](size_t i, BufferWriter* w) {
-        const Key& key = route.mine[i].key;
-        auto scan = [this, &key](LocalStore::EntryVisitor v) {
-          store_.ScanKey(key, v);
+        const BatchKey& k = route.mine[i];
+        const SuffixMatcher match(k.suffixes);
+        auto scan = [this, &k, &match](LocalStore::EntryVisitor v) {
+          ScanAsked(store_, k.key, match, v);
         };
         EncodeEntryStream(CountEntries(scan), w, [&scan](BufferWriter* w) {
           scan([w](const EntryView& e) {

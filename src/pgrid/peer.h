@@ -145,8 +145,13 @@ struct LookupResult {
   uint32_t hops = 0;  ///< Overlay hops from initiator to the serving peer.
 };
 
-/// Result of a key-set lookup: the entries stored under each distinct
-/// requested key (every key appears, with no entries when none are stored
+/// The keys of a key-set lookup, each with the entry-id suffixes it asks
+/// for: a key with suffixes gets only the entries whose id ends with one
+/// of them, a key without gets every entry stored under it.
+using KeySuffixes = std::map<Key, std::vector<std::string>>;
+
+/// Result of a key-set lookup: the entries each distinct requested key
+/// asked for (every key appears, with no entries when none are stored
 /// under it).
 using LookupBatchResult = std::map<Key, std::vector<Entry>>;
 
@@ -273,9 +278,11 @@ class Peer {
   /// unanswered after `request_timeout` (or all dead-ended) retry as a
   /// smaller batch under the "lookup" retry budget; when it runs out the
   /// callback gets Unavailable naming the number of missing keys.
-  /// Duplicate keys collapse; an empty set completes at once.
-  void LookupBatch(const std::vector<Key>& keys,
-                   LookupBatchCallback callback);
+  /// An empty set completes at once. Suffixes travel with their key on
+  /// every hop and retry; whichever peer serves the key (this one, the
+  /// owner, or an advertised replica) returns only the entries they
+  /// match.
+  void LookupBatch(KeySuffixes keys, LookupBatchCallback callback);
 
   /// Stores `entry` at its owner: an InsertBatch of one entry.
   void Insert(Entry entry, StatusCallback callback);
@@ -520,7 +527,7 @@ class Peer {
   // is a key of `keys` or an entry of `entries`.
   enum class SlotState : uint8_t { kPending, kDeadEnd, kDone };
   struct KeySetOp {
-    std::vector<Key> keys;       ///< A lookup's distinct keys.
+    std::vector<BatchKey> keys;  ///< A lookup's distinct keys, by slot.
     std::vector<Entry> entries;  ///< An insert's batch.
     /// Gets `results` (empty for an insert), or the failure.
     std::function<void(Result<std::vector<LookupResult>>)> callback;

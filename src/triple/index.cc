@@ -80,6 +80,19 @@ pgrid::Key AttrValueKey(const std::string& attribute, const Value& value) {
   return pgrid::OpHash("a#" + attribute + "#" + value.ToIndexString());
 }
 
+std::string AttrValueSuffix(const std::string& attribute, const Value& value) {
+  // "a#" + attribute + "#s" + the string: the index string AttrValueKey
+  // hashes.
+  if (!value.is_string() ||
+      attribute.size() + value.AsString().size() + 4 <= pgrid::kCharsPerKey) {
+    return "";
+  }
+  BufferWriter w;
+  w.PutString(attribute);
+  value.Encode(&w);
+  return w.Release();
+}
+
 pgrid::KeyRange AttrValueRange(const std::string& attribute, const Value& lo,
                                const Value& hi) {
   const std::string base = "a#" + attribute + "#";

@@ -66,6 +66,16 @@ pgrid::Key OidKey(const std::string& oid);
 /// Exact-match key for triples with a given attribute and value.
 pgrid::Key AttrValueKey(const std::string& attribute, const Value& value);
 
+/// The entry-id suffix that tells the triples with `attribute` and
+/// `value` apart from the others stored under AttrValueKey(attribute,
+/// value): the encoded (attribute, value) tail of Triple::Identity().
+/// Empty when the key itself tells them apart, for a string value whose
+/// index string fits in pgrid::kCharsPerKey characters, and for a number:
+/// a suffix would add request bytes to every exact lookup of one, while
+/// the leading hex digits a short attribute leaves in the key already pin
+/// a small integer (the low digits of its sortable encoding are zero).
+std::string AttrValueSuffix(const std::string& attribute, const Value& value);
+
 /// Covering key range for triples with attribute in [lo, hi] values.
 /// Pass Value::Null() bounds to span the whole attribute.
 pgrid::KeyRange AttrValueRange(const std::string& attribute, const Value& lo,

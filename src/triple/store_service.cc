@@ -77,24 +77,30 @@ void TripleStore::GetByOid(const std::string& oid,
 void TripleStore::GetByAttrValue(const std::string& attribute,
                                  const Value& value,
                                  TriplesCallback callback) {
-  peer_->Lookup(
-      AttrValueKey(attribute, value), pgrid::LookupMode::kExact,
-      [attribute, value, callback](Result<pgrid::LookupResult> result) {
+  pgrid::KeySuffixes keys;
+  std::vector<std::string>& suffixes = keys[AttrValueKey(attribute, value)];
+  if (std::string suffix = AttrValueSuffix(attribute, value); !suffix.empty()) {
+    suffixes.push_back(std::move(suffix));
+  }
+  peer_->LookupBatch(
+      std::move(keys),
+      [attribute, value,
+       callback](const Result<pgrid::LookupBatchResult>& result) {
         if (!result.ok()) {
           callback(result.status());
           return;
         }
         callback(FilterDedupTriples(
-            result->entries, [&attribute, &value](const Triple& t) {
+            result->begin()->second, [&attribute, &value](const Triple& t) {
               return t.attribute == attribute && t.value == value;
             }));
       });
 }
 
-void TripleStore::GetByKeys(const std::vector<pgrid::Key>& keys,
+void TripleStore::GetByKeys(pgrid::KeySuffixes keys,
                             KeyTriplesCallback callback) {
   auto keep_all = [](const Triple&) { return true; };
-  peer_->LookupBatch(keys, [keep_all, callback](
+  peer_->LookupBatch(std::move(keys), [keep_all, callback](
                                const Result<pgrid::LookupBatchResult>& result) {
     if (!result.ok()) {
       callback(result.status());

@@ -99,13 +99,13 @@ class TripleStore {
   /// vi as the key for queries on an arbitrary attribute").
   void GetByValue(const Value& value, TriplesCallback callback);
 
-  /// Every triple stored under each DHT key of `keys`, unfiltered: index
-  /// strings that share their first pgrid::kCharsPerKey characters share
-  /// the key, so the caller picks out the triples it wants (the executor's
-  /// probe joins memoize one answer per key). The keys travel as one
-  /// pgrid::Peer::LookupBatch walk.
-  void GetByKeys(const std::vector<pgrid::Key>& keys,
-                 KeyTriplesCallback callback);
+  /// The triples stored under each DHT key of `keys` whose entry id ends
+  /// with one of the key's suffixes (every triple under a key without
+  /// suffixes). Index strings that share their first pgrid::kCharsPerKey
+  /// characters share the key, so the caller still picks out the triples
+  /// it wants (the executor's probe joins memoize one answer per key and
+  /// suffix set). The keys travel as one pgrid::Peer::LookupBatch walk.
+  void GetByKeys(pgrid::KeySuffixes keys, KeyTriplesCallback callback);
 
   /// Every triple of an attribute (full attribute scan).
   void ScanAttribute(const std::string& attribute, RangeStrategy strategy,

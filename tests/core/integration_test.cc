@@ -280,7 +280,7 @@ TEST(IntegrationTest, ProbeJoinLooksUpASharedKeyOnce) {
     const std::string expected =
         "Join[Probe]: by=object rows=" +
         std::to_string(scan->result.rows.size()) +
-        " keys=1 lookups=1 memo_hits=0 batches=1";
+        " keys=1 filtered=0 lookups=1 memo_hits=0 batches=1";
     EXPECT_NE(std::find(join->result.trace.begin(), join->result.trace.end(),
                         expected),
               join->result.trace.end())
@@ -323,7 +323,8 @@ TEST(IntegrationTest, ProbeJoinBatchesKeys) {
     ASSERT_GE(oids.size(), 8u);
     const std::string keys = std::to_string(oids.size());
     const std::string expected = "Join[Probe]: by=subject rows=" + keys +
-                                 " keys=" + keys + " lookups=" + keys +
+                                 " keys=" + keys + " filtered=0 lookups=" +
+                                 keys +
                                  " memo_hits=0 batches=1";
     EXPECT_NE(std::find(join->result.trace.begin(), join->result.trace.end(),
                         expected),
@@ -637,6 +638,93 @@ TEST(IntegrationTest, ThePaperExampleQuery) {
     ORDER BY SKYLINE OF ?age MIN, ?cnt MAX)");
 }
 
+// Wire bytes of one message type in `traffic`.
+uint64_t BytesOfType(const net::TrafficStats& traffic, net::MessageType type) {
+  auto it = traffic.per_type_bytes.find(type);
+  return it == traffic.per_type_bytes.end() ? 0 : it->second;
+}
+
+// The encoded size of the entries an owner stores under the A#v key of
+// `attribute` and any string value.
+uint64_t StoredBytesUnder(Cluster& cluster, const std::string& attribute) {
+  const pgrid::Key key = triple::AttrValueKey(attribute, Value::String("x"));
+  const auto owners = cluster.overlay().ResponsiblePeers(key);
+  EXPECT_FALSE(owners.empty()) << attribute;
+  uint64_t bytes = 0;
+  if (owners.empty()) return bytes;
+  cluster.overlay().peer(owners[0])->store().ScanKey(
+      key, [&bytes](const pgrid::EntryView& e) {
+        bytes += e.EncodedSize();
+        return true;
+      });
+  return bytes;
+}
+
+// The Join[Probe] lines of a trace, one per line.
+std::string ProbeLines(const std::vector<std::string>& trace) {
+  std::string lines;
+  for (const auto& line : trace) {
+    if (line.rfind("Join[Probe]:", 0) == 0) lines += line + "\n";
+  }
+  return lines;
+}
+
+TEST(IntegrationTest, ObjectProbesFetchOnlyTheTriplesTheyAskFor) {
+  // 'published_in' and 'has_published' fill the key prefix, so every
+  // value of each shares one A#v key. Probing them by object, the Fig-4
+  // skyline asks the owners only for the triples of its values: the rows
+  // equal a naive evaluation, and all its lookup replies together carry
+  // fewer bytes than the two keys hold.
+  TestCluster tc(32, /*seed=*/61);
+  BibliographyOptions options;
+  options.authors = 60;
+  options.publications_per_author = 2;
+  options.seed = 29;
+  const Bibliography bib = GenerateBibliography(options);
+  tc.Load(bib.AllTuples());
+  plan::PlannerOptions probe;
+  probe.force_join_strategy = plan::JoinStrategy::kProbe;
+  tc.cluster->SetPlannerOptions(probe);
+  const uint64_t stored = StoredBytesUnder(*tc.cluster, "published_in") +
+                          StoredBytesUnder(*tc.cluster, "has_published");
+
+  const std::string skyline =
+      "SELECT ?name,?age,?cnt WHERE {(?a,'name',?name) (?a,'age',?age) "
+      "(?a,'num_of_pubs',?cnt) (?a,'has_published',?title) "
+      "(?p,'title',?title) (?p,'published_in',?conf) (?c,'confname',?conf) "
+      "(?c,'series',?sr) FILTER edist(?sr,'ICDE')<3} "
+      "ORDER BY SKYLINE OF ?age MIN, ?cnt MAX";
+  const std::string join =
+      "SELECT ?t,?c WHERE { ('person-3','has_published',?t) "
+      "(?p,'title',?t) (?p,'published_in',?c) }";
+  for (const std::string& query : {skyline, join}) {
+    auto parsed = vql::Parse(query);
+    ASSERT_TRUE(parsed.ok());
+    auto measured = tc.cluster->QueryMeasured(5, query);
+    ASSERT_TRUE(measured.ok()) << measured.status().ToString();
+    ASSERT_FALSE(measured->result.rows.empty()) << query;
+    EXPECT_EQ(RowSet(measured->result.rows),
+              RowSet(tc.reference.Eval(*parsed)))
+        << query;
+    // Each object probe looks up one shared key, with suffixes.
+    const std::string probes = ProbeLines(measured->result.trace);
+    size_t object_probes = 0;
+    for (size_t at = probes.find("by=object"); at != std::string::npos;
+         at = probes.find("by=object", at + 1)) {
+      const size_t end = probes.find('\n', at);
+      EXPECT_NE(probes.substr(at, end - at).find(" keys=1 filtered=1 "),
+                std::string::npos)
+          << probes;
+      ++object_probes;
+    }
+    EXPECT_EQ(object_probes, query == skyline ? 2u : 1u) << probes;
+    if (query == skyline) {
+      EXPECT_LT(BytesOfType(measured->traffic, net::MessageType::kLookupReply),
+                stored);
+    }
+  }
+}
+
 TEST(IntegrationTest, SubstringAndPrefixFilters) {
   TestCluster tc;
   tc.Load(SmallDataset());
@@ -774,10 +862,10 @@ TEST(IntegrationTest, ExecutionTraceRecordsOperators) {
     if (line.rfind("Join[Probe]:", 0) == 0) probe_lines += line + "\n";
   }
   EXPECT_EQ(probe_lines,
-            "Join[Probe]: by=object rows=1 keys=1 lookups=1 memo_hits=0 "
-            "batches=1\n"
-            "Join[Probe]: by=subject rows=1 keys=1 lookups=1 memo_hits=0 "
-            "batches=1\n");
+            "Join[Probe]: by=object rows=1 keys=1 filtered=1 lookups=1 "
+            "memo_hits=0 batches=1\n"
+            "Join[Probe]: by=subject rows=1 keys=1 filtered=0 lookups=1 "
+            "memo_hits=0 batches=1\n");
   // A subject star: the second probe finds every key in the memo and
   // sends no batch.
   plan::PlannerOptions probe;
@@ -793,10 +881,10 @@ TEST(IntegrationTest, ExecutionTraceRecordsOperators) {
     if (line.rfind("Join[Probe]:", 0) == 0) probe_lines += line + "\n";
   }
   EXPECT_EQ(probe_lines,
-            "Join[Probe]: by=subject rows=12 keys=12 lookups=12 memo_hits=0 "
-            "batches=1\n"
-            "Join[Probe]: by=subject rows=12 keys=12 lookups=0 memo_hits=12 "
-            "batches=0\n");
+            "Join[Probe]: by=subject rows=12 keys=12 filtered=0 lookups=12 "
+            "memo_hits=0 batches=1\n"
+            "Join[Probe]: by=subject rows=12 keys=12 filtered=0 lookups=0 "
+            "memo_hits=12 batches=0\n");
   tc.cluster->SetPlannerOptions(plan::PlannerOptions{});
   // Traces are repeatable: the same query yields the same trace
   // (deterministic simulation — the paper's "(in limits) repeatable").

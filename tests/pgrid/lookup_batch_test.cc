@@ -1,10 +1,12 @@
 // Key-set lookups (Peer::LookupBatch): per-key answers equal what the
 // responsible peers store, the batch costs fewer messages than the
 // single-key lookups it replaces, missing keys retry as a smaller batch
-// until the lookup retry budget runs out, and timed-out attempts suspect
-// their first hops.
+// until the lookup retry budget runs out, timed-out attempts suspect
+// their first hops, and a key with suffixes gets only the entries whose
+// id ends with one of them, whichever peer serves it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -117,7 +119,7 @@ TEST(LookupBatchTest, PerKeyResultsEqualSingleLookups) {
 TEST(LookupBatchTest, EmptyAndLocalSetsCompleteAtOnce) {
   auto overlay = MakeOverlay(/*seed=*/102, /*stored=*/50);
   const net::TrafficStats before = overlay->transport().stats();
-  auto empty = overlay->LookupBatchSync(5, {});
+  auto empty = overlay->LookupBatchSync(5, std::vector<Key>{});
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
   auto local = overlay->LookupBatchSync(
@@ -244,6 +246,89 @@ TEST(LookupBatchTest, TimedOutAttemptsSuspectTheirFirstHops) {
   }
   ASSERT_FALSE(lookups->LookupBatchSync(via, keys).ok());
   EXPECT_EQ(SuspectedRefs(*lookups, via), levels.size());
+}
+
+// Ids stored under a filtered key: lookups asking for the suffixes
+// "apple" and "fig" get the first three; "apple:4" holds one only at its
+// start, "3:pear" none.
+const std::vector<std::string> kStoredIds = {"1:apple", "2:apple", "5:fig",
+                                             "apple:4", "3:pear"};
+const std::vector<std::string> kSuffixes = {"apple", "fig"};
+const std::vector<std::string> kMatchingIds = {"1:apple", "2:apple",
+                                               "5:fig"};
+
+// Stores kStoredIds under `key` at every responsible peer.
+void StoreFilterIds(Overlay& overlay, const Key& key) {
+  for (const std::string& id : kStoredIds) {
+    for (net::PeerId p : overlay.ResponsiblePeers(key)) {
+      overlay.peer(p)->ApplyLocal(Entry{key, id, 1, false});
+    }
+  }
+}
+
+// The ids a filtered lookup of `key` from `via` returns, sorted.
+std::vector<std::string> FilteredIds(Overlay& overlay, net::PeerId via,
+                                     const Key& key) {
+  auto batch = overlay.LookupBatchSync(via, KeySuffixes{{key, kSuffixes}});
+  EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+  std::vector<std::string> ids;
+  if (!batch.ok()) return ids;
+  for (const Entry& e : batch->at(key)) ids.push_back(e.id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(LookupBatchTest, SuffixesFilterWhereverTheKeyIsServed) {
+  auto overlay = MakeOverlay(/*seed=*/108, /*stored=*/0);
+  const net::PeerId via = 12;
+  const Key local = KeysOwnedBy(*overlay->peer(via), /*owned=*/true, 1)[0];
+  // Two keys of one foreign path: the first is routed and brings back the
+  // path's advert, the second then goes one hop to an advertised replica.
+  const Key routed = KeysOwnedBy(*overlay->peer(via), /*owned=*/false, 1)[0];
+  const std::vector<net::PeerId> owners = overlay->ResponsiblePeers(routed);
+  ASSERT_EQ(owners.size(), 2u);
+  Key redirected;
+  for (size_t i = 0; redirected.empty(); ++i) {
+    if (TestKey(i) != routed &&
+        overlay->ResponsiblePeers(TestKey(i)) == owners) {
+      redirected = TestKey(i);
+    }
+  }
+  for (const Key& key : {local, routed, redirected}) {
+    StoreFilterIds(*overlay, key);
+  }
+
+  // Served by the initiator itself, without a message.
+  net::TrafficStats before = overlay->transport().stats();
+  EXPECT_EQ(FilteredIds(*overlay, via, local), kMatchingIds);
+  EXPECT_EQ(MessagesSince(*overlay, before), 0u);
+  // Served at the end of a routed walk.
+  const PeerCounters& counters = overlay->peer(via)->counters();
+  EXPECT_EQ(FilteredIds(*overlay, via, routed), kMatchingIds);
+  EXPECT_EQ(counters.fanout_redirects, 0u);
+  // Served by a replica the advert named.
+  EXPECT_EQ(FilteredIds(*overlay, via, redirected), kMatchingIds);
+  EXPECT_EQ(counters.fanout_redirects, 1u);
+  // Without suffixes, every entry of the key.
+  auto all = overlay->LookupBatchSync(via, std::vector<Key>{redirected});
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->at(redirected).size(), kStoredIds.size());
+}
+
+TEST(LookupBatchTest, RetryCarriesTheSuffixes) {
+  // The key's owners are cut off for the first attempt; the retry after
+  // request_timeout asks for the same suffixes.
+  auto overlay = MakeOverlay(/*seed=*/104, /*stored=*/0);
+  const net::PeerId via = 3;
+  const Key key = KeysOwnedBy(*overlay->peer(via), /*owned=*/false, 1)[0];
+  net::FaultSchedule faults;
+  for (net::PeerId owner : overlay->ResponsiblePeers(key)) {
+    faults.PartitionPair(0, 2 * sim::kMicrosPerSecond, owner, net::kAnyPeer);
+  }
+  overlay = MakeOverlay(/*seed=*/104, /*stored=*/0, faults);
+  StoreFilterIds(*overlay, key);
+  EXPECT_EQ(FilteredIds(*overlay, via, key), kMatchingIds);
+  EXPECT_GE(overlay->transport().stats().retries_by_policy.at("lookup"), 1u);
 }
 
 TEST(LookupBatchTest, GarbageBatchPayloadIsDropped) {

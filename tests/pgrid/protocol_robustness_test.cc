@@ -106,6 +106,108 @@ TEST_F(RobustnessTest, TruncatedAndCorruptAdvertsAreRejected) {
   }
 }
 
+// The suffix trailer of a lookup request (messages.h): filtered keys
+// round-trip, a request without suffixes keeps the bytes it had before the
+// trailer existed, and a malformed trailer fails to decode, so the serving
+// peer drops the request without a reply.
+LookupBatchRequest TwoKeyRequest() {
+  LookupBatchRequest req;
+  req.initiator = 7;
+  req.keys.push_back({0, Key::FromBits("101"), {}});
+  req.keys.push_back({3, Key::FromBits("0110000"), {}});
+  return req;
+}
+
+TEST_F(RobustnessTest, LookupRequestSuffixesRoundTrip) {
+  LookupBatchRequest req = TwoKeyRequest();
+  req.keys[1].suffixes = {"apple", "fig", ""};
+  req.keys.push_back({4, OpHash("a#title#s"), {std::string("\0\xFF", 2)}});
+  auto decoded = LookupBatchRequest::Decode(req.Encode());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->initiator, req.initiator);
+  ASSERT_EQ(decoded->keys.size(), req.keys.size());
+  for (size_t i = 0; i < req.keys.size(); ++i) {
+    EXPECT_EQ(decoded->keys[i].slot, req.keys[i].slot);
+    EXPECT_EQ(decoded->keys[i].key, req.keys[i].key);
+    EXPECT_EQ(decoded->keys[i].suffixes, req.keys[i].suffixes);
+  }
+}
+
+TEST_F(RobustnessTest, UnfilteredLookupRequestBytesArePinned) {
+  // The initiator, two keys (slot, bit length, packed bits), no trailer.
+  EXPECT_EQ(TwoKeyRequest().Encode(),
+            std::string("\x07\x00\x00\x00\x02\x00\x03\xa0\x03\x07\x60",
+                        11));
+}
+
+TEST_F(RobustnessTest, MalformedSuffixTrailersAreDropped) {
+  // Keys peer 3 serves, so every request that decodes gets a reply.
+  LookupBatchRequest req;
+  req.initiator = 0;
+  req.keys.push_back({0, overlay_->peer(3)->path().PadTo(kKeyBits, false), {}});
+  req.keys.push_back({1, overlay_->peer(3)->path().PadTo(kKeyBits, true), {}});
+  const std::string keys = req.Encode();
+  auto trailer = [&keys](auto write) {
+    BufferWriter w;
+    w.PutRaw(keys);
+    write(&w);
+    return w.Release();
+  };
+  const std::vector<std::pair<std::string, std::string>> malformed = {
+      {trailer([](BufferWriter* w) {  // Key index 2 of 2 keys.
+         w->PutVarint(1);
+         w->PutVarint(2);
+         w->PutVarint(1);
+         w->PutString("a");
+       }),
+       "names key 2 of 2"},
+      {trailer([](BufferWriter* w) {  // A 5-byte suffix cut after 2.
+         w->PutVarint(1);
+         w->PutVarint(0);
+         w->PutVarint(1);
+         w->PutVarint(5);
+         w->PutRaw("ab");
+       }),
+       "string body"},
+      {trailer([](BufferWriter* w) {  // 100 suffixes in 1 byte.
+         w->PutVarint(1);
+         w->PutVarint(1);
+         w->PutVarint(100);
+         w->PutString("");
+       }),
+       "more suffixes than bytes left"},
+      {trailer([](BufferWriter* w) {  // 50 filtered keys in 3 bytes.
+         w->PutVarint(50);
+         w->PutVarint(0);
+         w->PutVarint(0);
+         w->PutVarint(0);
+       }),
+       "trailer longer than its message"},
+  };
+  auto replies_to = [this](std::string payload) {
+    const net::TrafficStats before = overlay_->transport().stats();
+    net::Message m;
+    m.type = net::MessageType::kLookup;
+    m.src = 0;
+    m.dst = 3;
+    m.request_id = 424242;
+    m.payload = std::move(payload);
+    overlay_->transport().Send(std::move(m));
+    overlay_->scheduler().RunUntilIdle();
+    const auto& sent = overlay_->transport().stats().Since(before).per_type;
+    auto it = sent.find(net::MessageType::kLookupReply);
+    return it == sent.end() ? 0u : it->second;
+  };
+  ASSERT_EQ(replies_to(keys), 1u);
+  for (const auto& [payload, error] : malformed) {
+    const Status status = LookupBatchRequest::Decode(payload).status();
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_NE(status.ToString().find(error), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(replies_to(payload), 0u) << error;
+  }
+}
+
 TEST_F(RobustnessTest, UnknownMessageTypeIsIgnored) {
   net::Message m = Garbage(0, 2, static_cast<net::MessageType>(222));
   overlay_->transport().Send(std::move(m));
