@@ -457,11 +457,14 @@ void Executor::ExecSimilarityQGram(std::shared_ptr<PhysicalOp> node,
   // the edit budget instead of the target length.
   const std::vector<std::string> grams = node->PostingGrams();
   // The safety net that keeps forced plans correct (the optimizer avoids
-  // both cases): without postings no lookup finds anything, and when no
-  // gram set reaches the budget the lookups cannot enumerate the matches.
-  const char* fallback = !optimizer_->options().qgram_postings
-                             ? "no q-gram postings"
-                             : grams.empty() ? "threshold vacuous" : nullptr;
+  // these cases): without postings no lookup finds anything, an attribute
+  // whose grams share one key has none written, and when no gram set
+  // reaches the budget the lookups cannot enumerate the matches.
+  const char* fallback =
+      !optimizer_->options().qgram_postings ? "no q-gram postings"
+      : !node->PostingKeysPerGram() ? "attribute has no own gram keys"
+      : grams.empty() ? "threshold vacuous"
+                      : nullptr;
   if (fallback != nullptr) {
     ctx->trace.push_back(std::string("SimilarityQGram: ") + fallback +
                          ", falling back to naive scan");

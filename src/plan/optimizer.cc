@@ -486,14 +486,9 @@ PhysicalPlan Optimizer::PhysicalizeScan(const algebra::LogicalOp& scan) const {
       // zero-edit case, one posting lookup. The q-gram path needs
       // postings, keys that tell the grams apart, and a gram set that
       // serves the restriction.
-      const bool qgram_feasible =
-          options_.qgram_postings &&
-          std::all_of(op->attributes.begin(), op->attributes.end(),
-                      [](const std::string& attr) {
-                        return qgram::GramsHaveOwnKeys(attr,
-                                                       qgram::kDefaultQ);
-                      }) &&
-          !op->PostingGrams().empty();
+      const bool qgram_feasible = options_.qgram_postings &&
+                                  op->PostingKeysPerGram() &&
+                                  !op->PostingGrams().empty();
       const auto stats = catalog_->Attribute(p.predicate.literal.AsString());
       const cost::Cost qg = cost_model_.SimilarityQGram(
           static_cast<double>(scan.sim_max_distance),

@@ -1,5 +1,7 @@
 #include "plan/physical.h"
 
+#include <algorithm>
+
 #include "qgram/qgram.h"
 
 namespace unistore {
@@ -33,6 +35,13 @@ std::vector<std::string> PhysicalOp::PostingGrams() const {
   return qgram::SelectGrams(substring ? contains : sim_target,
                             qgram::kDefaultQ, k * qgram::kDefaultQ + 1,
                             /*interior_only=*/substring);
+}
+
+bool PhysicalOp::PostingKeysPerGram() const {
+  return std::all_of(attributes.begin(), attributes.end(),
+                     [](const std::string& attr) {
+                       return qgram::GramsHaveOwnKeys(attr, qgram::kDefaultQ);
+                     });
 }
 
 std::string PhysicalOp::ToString(int indent) const {

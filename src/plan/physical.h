@@ -83,6 +83,10 @@ struct PhysicalOp {
   /// can serve the restriction (qgram::SelectGrams).
   std::vector<std::string> PostingGrams() const;
 
+  /// True iff every scanned attribute has posting keys of its own per gram
+  /// (qgram::GramsHaveOwnKeys); otherwise it has no postings to look up.
+  bool PostingKeysPerGram() const;
+
   /// Indented plan rendering including annotations (shown in results'
   /// ExecStats and golden-tested).
   std::string ToString(int indent = 0) const;

@@ -111,14 +111,20 @@ pgrid::Key QGramKey(const std::string& attribute, const std::string& gram) {
 }
 
 bool GramsHaveOwnKeys(const std::string& attribute, size_t q) {
-  return QGramIndexString(attribute, "").size() + q <= pgrid::kCharsPerKey;
+  // "g#" + attribute + "#" + gram, counted without building it: the write
+  // path asks this for every string triple.
+  return 2 + attribute.size() + 1 + q <= pgrid::kCharsPerKey;
 }
 
 std::vector<pgrid::Entry> EntriesForTripleQGrams(const triple::Triple& t,
                                                  size_t q, uint64_t version,
                                                  bool deleted) {
   std::vector<pgrid::Entry> entries;
-  if (!t.value.is_string()) return entries;
+  // No plan reads a posting whose key cannot tell its gram apart (the
+  // optimizer's qgram_feasible asks the same question), so none is written.
+  if (!t.value.is_string() || !GramsHaveOwnKeys(t.attribute, q)) {
+    return entries;
+  }
   const std::string encoded = t.Identity();
   for (const std::string& gram : DistinctQGrams(t.value.AsString(), q)) {
     pgrid::Entry e;

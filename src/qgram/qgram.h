@@ -70,12 +70,14 @@ pgrid::Key QGramKey(const std::string& attribute, const std::string& gram);
 
 /// True iff `attribute`'s posting keys tell its q-grams apart. A key keeps
 /// only pgrid::kCharsPerKey characters of the index string, so past that
-/// every gram shares one key, and a posting lookup fetches all of the
-/// attribute's postings (~|value| per triple).
+/// every gram would share one key and a posting lookup would fetch all of
+/// the attribute's postings: such an attribute gets none, and its
+/// similarity and substring selections scan.
 bool GramsHaveOwnKeys(const std::string& attribute, size_t q);
 
 /// The posting entries for a triple with a string value: one per distinct
-/// gram, its id triple::PostingId. Non-string values produce no postings.
+/// gram, its id triple::PostingId. Non-string values, and attributes that
+/// fail GramsHaveOwnKeys (no plan reads their postings), produce none.
 std::vector<pgrid::Entry> EntriesForTripleQGrams(const triple::Triple& t,
                                                  size_t q, uint64_t version,
                                                  bool deleted = false);

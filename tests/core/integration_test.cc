@@ -9,6 +9,7 @@
 #include "core/cluster.h"
 #include "core/datagen.h"
 #include "exec/expr_eval.h"
+#include "qgram/qgram.h"
 #include "triple/index.h"
 #include "vql/parser.h"
 
@@ -490,6 +491,78 @@ TEST(IntegrationTest, ClusterWithoutPostingsScansForStringPredicates) {
                         "to naive scan"),
               forced->trace.end());
     tc.cluster->SetPlannerOptions({});
+  }
+}
+
+TEST(IntegrationTest, LongAttributeForcedQGramFallsBackToScan) {
+  // "published_in" is past the 16-character key prefix: its grams would
+  // share one key, so it has no postings, and a forced q-gram plan scans.
+  TestCluster tc;
+  tc.Load(SmallDataset());
+  const std::string edist =
+      "SELECT ?p,?c WHERE { (?p,'published_in',?c) "
+      "FILTER edist(?c,'ICDE 2005') < 3 }";
+  const std::string contains =
+      "SELECT ?p,?c WHERE { (?p,'published_in',?c) "
+      "FILTER ?c CONTAINS 'DE 20' }";
+  for (const std::string& query : {edist, contains}) {
+    auto parsed = vql::Parse(query);
+    ASSERT_TRUE(parsed.ok());
+    const auto expected = RowSet(tc.reference.Eval(*parsed));
+    ASSERT_FALSE(expected.empty()) << query;
+
+    plan::PlannerOptions options;
+    options.force_similarity_path = plan::AccessPath::kSimilarityQGram;
+    tc.cluster->SetPlannerOptions(options);
+    auto forced = tc.cluster->QuerySync(2, query);
+    ASSERT_TRUE(forced.ok()) << forced.status().ToString();
+    EXPECT_EQ(RowSet(forced->rows), expected) << query;
+    EXPECT_NE(std::find(forced->trace.begin(), forced->trace.end(),
+                        "SimilarityQGram: attribute has no own gram keys, "
+                        "falling back to naive scan"),
+              forced->trace.end())
+        << forced->plan_text;
+    tc.cluster->SetPlannerOptions({});
+  }
+}
+
+TEST(IntegrationTest, NoPostingStoredUnderASharedGramKey) {
+  TestCluster tc;
+  std::vector<triple::Tuple> data = SmallDataset();
+  // One attribute at the 16-character boundary, one past it.
+  triple::Tuple extra;
+  extra.oid = "pub-extra";
+  extra.attributes["published_"] = Value::String("ICDE 2006");
+  extra.attributes["has_published_7"] = Value::String("gossip overlays");
+  data.push_back(extra);
+  tc.Load(data);
+  // A removed long-attribute triple writes no posting tombstones either.
+  ASSERT_TRUE(tc.cluster
+                  ->RemoveTripleSync(1, Triple("pub-extra", "has_published_7",
+                                               Value::String("gossip "
+                                                             "overlays")))
+                  .ok());
+  tc.cluster->scheduler().RunUntilIdle();
+
+  std::set<std::string> posted;  // Attributes with a stored posting.
+  for (size_t i = 0; i < tc.cluster->size(); ++i) {
+    // ScanAll visits tombstones as well as live entries.
+    tc.cluster->node(static_cast<net::PeerId>(i))
+        .peer()
+        ->store()
+        .ScanAll([&posted](const pgrid::EntryView& entry) {
+          if (entry.id.rfind("g#", 0) != 0) return true;
+          auto t = triple::DecodeEntryTriple(entry.id);
+          EXPECT_TRUE(t.ok()) << t.status().ToString();
+          if (t.ok()) posted.insert(t->attribute);
+          return true;
+        });
+  }
+  EXPECT_EQ(posted.count("title"), 1u);
+  EXPECT_EQ(posted.count("series"), 1u);
+  EXPECT_EQ(posted.count("published_"), 1u);
+  for (const std::string& attr : posted) {
+    EXPECT_TRUE(qgram::GramsHaveOwnKeys(attr, qgram::kDefaultQ)) << attr;
   }
 }
 

@@ -231,6 +231,31 @@ TEST(QGramTest, LongAttributeNamesShareOnePostingKey) {
   EXPECT_NE(QGramKey("published_", "abc"), QGramKey("published_", "abd"));
 }
 
+TEST(QGramTest, PostingsWrittenOnlyWhereAPlanCanReadThem) {
+  // The writer asks the planner's question: an attribute whose grams
+  // share one key gets no postings. "published_" is the 16-character
+  // boundary ("g#published_#" + a gram).
+  for (const std::string attr : {"title", "series", "published_",
+                                 "published_in", "has_published",
+                                 "has_published_1"}) {
+    triple::Triple t("o1", attr, triple::Value::String("Similarity"));
+    EXPECT_EQ(EntriesForTripleQGrams(t, 3, 1).empty(),
+              !GramsHaveOwnKeys(attr, 3))
+        << attr;
+    EXPECT_EQ(EntriesForTripleQGrams(t, 3, 1, /*deleted=*/true).empty(),
+              !GramsHaveOwnKeys(attr, 3))
+        << attr;
+  }
+  EXPECT_FALSE(GramsHaveOwnKeys("has_published_1", 3));
+  // The length rule is the rule on the index string itself.
+  for (size_t len = 0; len <= pgrid::kCharsPerKey; ++len) {
+    const std::string attr(len, 'a');
+    EXPECT_EQ(GramsHaveOwnKeys(attr, 3),
+              QGramIndexString(attr, "abc").size() <= pgrid::kCharsPerKey)
+        << len;
+  }
+}
+
 TEST(QGramTest, SharedGramLandsInSharedBucket) {
   triple::Triple a("o1", "series", triple::Value::String("ICDE"));
   triple::Triple b("o2", "series", triple::Value::String("ICDM"));
