@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -54,6 +55,8 @@ struct CampaignOutcome {
   bool converged = true;
   double goodput = 0.0;
   sim::SimTime recovery_us = 0;  ///< Heal -> victim replica convergence.
+  std::map<std::string, uint64_t> retries;  ///< By retry policy.
+  sim::SimTime final_us = 0;  ///< Virtual clock once the campaign drained.
 };
 
 CampaignOutcome RunCampaign(bool faulted) {
@@ -157,6 +160,8 @@ CampaignOutcome RunCampaign(bool faulted) {
   sim.RunUntil([&] { return repairs_done == 2 * pairs.size() &&
                             !pairs.empty(); });
   sim.RunUntilIdle();
+  out.retries = overlay.transport().stats().retries_by_policy;
+  out.final_us = sim.Now();
 
   if (faulted && !victim_repaired) out.converged = false;
   for (const auto& [a, b] : pairs) {
@@ -180,6 +185,7 @@ double g_goodput_retained = 0.0;
 double g_recovery_ms = 0.0;
 bool g_zero_lost_acks = false;
 bool g_converged = false;
+CampaignOutcome g_chaotic;
 
 void RunGateCampaign() {
   bench::Banner("chaos-campaign",
@@ -193,6 +199,7 @@ void RunGateCampaign() {
   g_recovery_ms = static_cast<double>(chaotic.recovery_us) / 1000.0;
   g_zero_lost_acks = chaotic.lost_acks == 0 && clean.lost_acks == 0;
   g_converged = chaotic.converged && clean.converged;
+  g_chaotic = chaotic;
   std::printf("fault-free goodput:  %.3f (%zu/%zu acked)\n", clean.goodput,
               clean.acked, clean.attempted);
   std::printf("chaotic goodput:     %.3f (%zu/%zu acked)\n",
@@ -252,6 +259,9 @@ int main(int argc, char** argv) {
   gates.Add("chaos_convergence_ok", unistore::g_converged ? 1 : 0);
   gates.Add("chaos_goodput_ok",
             unistore::g_goodput_retained >= 0.5 ? 1 : 0);
+  unistore::bench::AddRetryGates(&gates, "chaos",
+                                 unistore::g_chaotic.retries,
+                                 unistore::g_chaotic.final_us);
   gates.WriteTo("BENCH_chaos_gates.json");
 
   benchmark::Initialize(&argc, argv);

@@ -59,6 +59,8 @@ struct CampaignOutcome {
   double goodput = 0.0;
   uint64_t catchup_us = 0;  ///< Slowest restarted peer's catch-up.
   size_t lifecycle_events = 0;
+  std::map<std::string, uint64_t> retries;  ///< By retry policy.
+  sim::SimTime final_us = 0;  ///< Virtual clock once the campaign drained.
 };
 
 CampaignOutcome RunCampaign(bool churned) {
@@ -154,6 +156,8 @@ CampaignOutcome RunCampaign(bool churned) {
   }
 
   sim.RunUntilIdle();
+  out.retries = overlay.transport().stats().retries_by_policy;
+  out.final_us = sim.Now();
 
   // Regions, from live members only.
   std::map<std::string, std::vector<net::PeerId>> regions;
@@ -190,6 +194,7 @@ double g_catchup_ms = 0.0;
 bool g_zero_lost_acks = false;
 bool g_converged = false;
 bool g_reprotected = false;
+CampaignOutcome g_churned;
 
 void RunGateCampaign() {
   bench::Banner("churn-campaign",
@@ -205,6 +210,7 @@ void RunGateCampaign() {
   g_zero_lost_acks = churned.lost_acks == 0 && clean.lost_acks == 0;
   g_converged = churned.converged && clean.converged;
   g_reprotected = churned.reprotected;
+  g_churned = churned;
   std::printf("lifecycle events:    %zu\n", churned.lifecycle_events);
   std::printf("churn-free goodput:  %.3f (%zu/%zu acked)\n", clean.goodput,
               clean.acked, clean.attempted);
@@ -269,6 +275,9 @@ int main(int argc, char** argv) {
             unistore::g_catchup_ms > 0 && unistore::g_catchup_ms <= 5000.0
                 ? 1
                 : 0);
+  unistore::bench::AddRetryGates(&gates, "churn",
+                                 unistore::g_churned.retries,
+                                 unistore::g_churned.final_us);
   gates.WriteTo("BENCH_churn_gates.json");
 
   benchmark::Initialize(&argc, argv);

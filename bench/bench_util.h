@@ -8,12 +8,15 @@
 #define UNISTORE_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "exec/envelope_coordinator.h"
 #include "pgrid/entry.h"
+#include "pgrid/peer.h"
 
 namespace unistore {
 namespace bench {
@@ -141,6 +144,29 @@ class GateJson {
  private:
   std::vector<std::pair<std::string, double>> entries_;
 };
+
+/// Adds `<prefix>_retries_<policy>` for each routed-request retry policy
+/// (lookup, bulk insert, range scan, repair chunk, envelope walk) from a
+/// run's TrafficStats::retries_by_policy, and `<prefix>_final_virtual_s`,
+/// the run's virtual clock at its end: what the deadline rule did under
+/// faults, for the baseline diff.
+inline void AddRetryGates(GateJson* gates, const std::string& prefix,
+                          const std::map<std::string, uint64_t>& retries,
+                          int64_t final_us) {
+  const std::pair<std::string_view, const char*> policies[] = {
+      {pgrid::kLookupRetryPolicy, "lookup"},
+      {pgrid::kBulkRetryPolicy, "bulk_insert"},
+      {pgrid::kRangeRetryPolicy, "range"},
+      {pgrid::kRepairRetryPolicy, "repair"},
+      {exec::kWalkRetryPolicy, "walk"}};
+  for (const auto& [policy, name] : policies) {
+    auto it = retries.find(std::string(policy));
+    gates->Add(prefix + "_retries_" + name,
+               it == retries.end() ? 0.0 : static_cast<double>(it->second));
+  }
+  gates->Add(prefix + "_final_virtual_s",
+             static_cast<double>(final_us) / 1e6);
+}
 
 }  // namespace bench
 }  // namespace unistore

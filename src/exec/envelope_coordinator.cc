@@ -105,7 +105,6 @@ void EnvelopeCoordinator::AbandonWalk(Walk* w) {
   // exactly the uncovered interval TakeResult will report as a gap.
   w->complete = true;
   w->abandoned = true;
-  ++w->generation;
   ++walks_done_;
   ++walks_abandoned_;
 }
@@ -162,7 +161,7 @@ EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
       w.accepted[lo] = reply.covered_hi;
       ++w.peer_visits;
       AdvanceFrontier(&w);
-      ++w.generation;  // Progress: the walk timer re-arms.
+      out.progress = true;
       out.accepted = true;
       if (w.complete) ++walks_done_;
     } else {
@@ -174,7 +173,7 @@ EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
       // tail instead of failing a fully-delivered join.
       auto it = w.accepted.find(lo);
       if (it != w.accepted.end() && reply.covered_hi > it->second) {
-        ++w.generation;
+        out.progress = true;
         if (w.retries_left < options_.walk_retries) ++w.retries_left;
       }
     }
@@ -192,13 +191,14 @@ EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
       // never dropped for hitting a busy peer (the initiator's overall
       // migration deadline still bounds the join).
       ++deferrals_;
-      ++w.generation;
+      out.progress = true;
       out.relaunch.push_back(MakeEnvelope(reply.branch, reply.chunk_id));
       out.relaunch_after_us =
           std::max<sim::SimTime>(1, reply.retry_after_us);
     } else if (w.retries_left == 0) {
       if (options_.partial_results) {
         AbandonWalk(&w);
+        out.progress = true;
       } else {
         failure_ = Status(static_cast<StatusCode>(reply.status_code),
                           reply.error.empty() ? "envelope walk failed"
@@ -207,7 +207,7 @@ EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
     } else {
       --w.retries_left;
       ++retries_;
-      ++w.generation;
+      out.progress = true;
       out.relaunch.push_back(MakeEnvelope(reply.branch, reply.chunk_id));
     }
   }
@@ -215,7 +215,7 @@ EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
 }
 
 EnvelopeCoordinator::TimerOutcome EnvelopeCoordinator::OnTimer(
-    uint32_t branch, uint32_t chunk, uint64_t generation) {
+    uint32_t branch, uint32_t chunk) {
   TimerOutcome out;
   if (!failure_.ok() || branch >= branches_.size() ||
       chunk >= chunks_.size()) {
@@ -223,12 +223,6 @@ EnvelopeCoordinator::TimerOutcome EnvelopeCoordinator::OnTimer(
   }
   Walk& w = walk(branch, chunk);
   if (w.complete) return out;
-  if (generation != w.generation) {
-    // Progress since the timer was armed; watch the new generation.
-    out.action = TimerOutcome::Action::kRearm;
-    out.generation = w.generation;
-    return out;
-  }
   if (w.retries_left == 0) {
     if (options_.partial_results) {
       // Give this walk up instead of hanging the join out to its overall
@@ -246,16 +240,9 @@ EnvelopeCoordinator::TimerOutcome EnvelopeCoordinator::OnTimer(
   }
   --w.retries_left;
   ++retries_;
-  ++w.generation;
   out.action = TimerOutcome::Action::kRelaunch;
   out.envelope = MakeEnvelope(branch, chunk);
-  out.generation = w.generation;
   return out;
-}
-
-uint64_t EnvelopeCoordinator::generation(uint32_t branch,
-                                         uint32_t chunk) const {
-  return walks_[branch * chunks_.size() + chunk].generation;
 }
 
 MigrateResult EnvelopeCoordinator::TakeResult() {

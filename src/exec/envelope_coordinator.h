@@ -12,8 +12,9 @@
 // the join done when every walk's branch range is fully covered.
 //
 // The class is a pure state machine: it never touches the network or the
-// scheduler. QueryService feeds it decoded replies and timer firings and
-// performs the sends/timers it asks for — which keeps every transition
+// scheduler. QueryService feeds it decoded replies and timer firings,
+// performs the sends it asks for, and owns each walk's timer, restarting
+// it whenever a reply reports progress — which keeps every transition
 // unit-testable and deterministic under any engine.
 #ifndef UNISTORE_EXEC_ENVELOPE_COORDINATOR_H_
 #define UNISTORE_EXEC_ENVELOPE_COORDINATOR_H_
@@ -127,6 +128,9 @@ class EnvelopeCoordinator {
     /// Non-zero for an overload shed: delay the relaunch by this many
     /// simulated microseconds (the shedding peer's retry-after hint).
     sim::SimTime relaunch_after_us = 0;
+    /// The reply's walk advanced, was relaunched or deferred, or ended:
+    /// its timer restarts, or stops once walk_done().
+    bool progress = false;
   };
   /// Feeds one decoded reply (partial or terminal), consuming its result
   /// rows. `msg_hops` is the reply message's hop count (observability
@@ -136,14 +140,14 @@ class EnvelopeCoordinator {
   struct TimerOutcome {
     /// kAbandon: partial_results mode gave the walk up — its gap is
     /// recorded and done() may now be true; nothing to send or re-arm.
-    enum class Action { kIgnore, kRearm, kRelaunch, kFail, kAbandon };
+    enum class Action { kIgnore, kRelaunch, kFail, kAbandon };
     Action action = Action::kIgnore;
-    uint64_t generation = 0;  ///< For kRearm / kRelaunch re-arming.
-    PlanEnvelope envelope;    ///< For kRelaunch.
-    Status failure;           ///< For kFail.
+    PlanEnvelope envelope;  ///< For kRelaunch.
+    Status failure;         ///< For kFail.
   };
-  /// A walk timer for (branch, chunk) armed at `generation` fired.
-  TimerOutcome OnTimer(uint32_t branch, uint32_t chunk, uint64_t generation);
+  /// The timer of walk (branch, chunk) fired: it made no progress for a
+  /// whole walk_timeout.
+  TimerOutcome OnTimer(uint32_t branch, uint32_t chunk);
 
   /// Abandons every still-incomplete walk (partial_results mode only —
   /// a no-op otherwise). The overall-deadline path uses this to turn a
@@ -160,7 +164,10 @@ class EnvelopeCoordinator {
 
   uint32_t branch_count() const { return static_cast<uint32_t>(branches_.size()); }
   uint32_t chunk_count() const { return static_cast<uint32_t>(chunks_.size()); }
-  uint64_t generation(uint32_t branch, uint32_t chunk) const;
+  /// True once the walk is fully covered or abandoned.
+  bool walk_done(uint32_t branch, uint32_t chunk) const {
+    return walks_[branch * chunks_.size() + chunk].complete;
+  }
 
  private:
   struct Walk {
@@ -169,7 +176,6 @@ class EnvelopeCoordinator {
     bool complete = false;
     bool abandoned = false;    ///< Gave up with a recorded coverage gap.
     uint32_t retries_left = 0;
-    uint64_t generation = 0;   ///< Bumped on progress and relaunch.
     uint64_t latest_walk_id = 0;  ///< Current instance; stale errors ignored.
     uint32_t peer_visits = 0;  ///< Accepted replies (one serving peer each).
     /// Accepted but not-yet-contiguous coverage: covered_lo -> covered_hi.

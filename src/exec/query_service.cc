@@ -37,6 +37,7 @@ void QueryService::OnPeerRestart() {
   migrations_.clear();
   const Status down =
       Status::Unavailable("peer ", peer_->id(), ": restarted mid-join");
+  for (auto& [id, run] : runs) CancelTimers(run);
   for (auto& [id, run] : runs) {
     if (run.callback) run.callback(down);
   }
@@ -72,19 +73,20 @@ void QueryService::RunMigrateJoin(const vql::TriplePattern& pattern,
               // Statistics-informed fan-out: split at the sampled peers'
               // region boundaries so branches follow the trie shape.
               catalog().peer_paths()),
-          std::move(callback)});
+          std::move(callback), sim::kNoEvent, {}});
   (void)inserted;
+  MigrateRun& run = it->second;
+  run.walks.resize(run.coordinator.branch_count() *
+                   run.coordinator.chunk_count());
 
   // Overall deadline: whatever the per-walk retries do, a Migrate join
-  // cannot outlive the scan timeout. In partial_results mode the deadline
+  // cannot outlive kMigrateDeadline. In partial_results mode the deadline
   // degrades instead of failing: still-uncovered walks are abandoned and
   // the rows gathered so far come back with explicit coverage gaps.
-  peer_->transport()->scheduler()->ScheduleAfter(
-      pgrid::kScanTimeout, peer_->id(),
-      [this, id]() {
-        auto it = migrations_.find(id);
-        if (it == migrations_.end()) return;
-        if (it->second.coordinator.AbandonIncomplete() > 0) {
+  run.deadline = peer_->transport()->scheduler()->ScheduleAfter(
+      kMigrateDeadline, peer_->id(), [this, id]() {
+        if (migrations_.find(id)->second.coordinator.AbandonIncomplete() >
+            0) {
           CheckMigrationDone(id);
           return;
         }
@@ -92,10 +94,8 @@ void QueryService::RunMigrateJoin(const vql::TriplePattern& pattern,
       });
 
   std::vector<EnvelopeReply> undeliverable;
-  for (PlanEnvelope& env : it->second.coordinator.Launch()) {
-    const uint32_t branch = env.branch;
-    const uint32_t chunk = env.chunk_id;
-    ArmWalkTimer(id, branch, chunk, 0);
+  for (PlanEnvelope& env : run.coordinator.Launch()) {
+    ArmWalkTimer(id, env.branch, env.chunk_id);
     if (auto error = TrySendEnvelope(std::move(env), id)) {
       undeliverable.push_back(std::move(*error));
     }
@@ -139,18 +139,24 @@ void QueryService::HandleEnvelopeReply(uint64_t request_id,
     if (it == migrations_.end()) return;
     EnvelopeReply next = std::move(queue.back());
     queue.pop_back();
+    const uint32_t branch = next.branch;
+    const uint32_t chunk = next.chunk_id;
     auto outcome = it->second.coordinator.OnReply(std::move(next), msg_hops);
     msg_hops = 0;  // Only the original message has a real hop count.
+    if (outcome.progress) ArmWalkTimer(request_id, branch, chunk);
     if (outcome.relaunch_after_us > 0) {
       // Overload backoff: the serving peer shed the envelope, so hold the
-      // relaunch for its retry-after horizon instead of hammering it.
+      // relaunch for its retry-after horizon instead of hammering it. A
+      // later deferral of the walk replaces this one: it relaunches from
+      // a frontier at least as far.
       for (PlanEnvelope& env : outcome.relaunch) {
         ++deferred_relaunches_;
         peer_->transport()->CountRetry(kDeferRetryPolicy);
-        peer_->transport()->scheduler()->ScheduleAfter(
+        sim::EventId& deferred = it->second.walk(branch, chunk).deferred;
+        peer_->transport()->scheduler()->Cancel(deferred);
+        deferred = peer_->transport()->scheduler()->ScheduleAfter(
             outcome.relaunch_after_us, peer_->id(),
             [this, request_id, env = std::move(env)]() mutable {
-              if (migrations_.find(request_id) == migrations_.end()) return;
               if (auto error = TrySendEnvelope(std::move(env), request_id)) {
                 HandleEnvelopeReply(request_id, std::move(*error), 0);
               }
@@ -159,8 +165,6 @@ void QueryService::HandleEnvelopeReply(uint64_t request_id,
       continue;
     }
     for (PlanEnvelope& env : outcome.relaunch) {
-      // The walk's timer chain (armed at launch) stays alive via kRearm
-      // on generation mismatch — no fresh chain per relaunch.
       peer_->transport()->CountRetry(kWalkRetryPolicy);
       if (auto error = TrySendEnvelope(std::move(env), request_id)) {
         queue.push_back(std::move(*error));
@@ -171,28 +175,32 @@ void QueryService::HandleEnvelopeReply(uint64_t request_id,
 }
 
 void QueryService::ArmWalkTimer(uint64_t request_id, uint32_t branch,
-                                uint32_t chunk, uint64_t generation) {
-  peer_->transport()->scheduler()->ScheduleAfter(
-      options_.walk_timeout, peer_->id(),
-      [this, request_id, branch, chunk, generation]() {
-        OnWalkTimer(request_id, branch, chunk, generation);
+                                uint32_t chunk) {
+  sim::Scheduler* scheduler = peer_->transport()->scheduler();
+  MigrateRun& run = migrations_.find(request_id)->second;
+  WalkTimers& timers = run.walk(branch, chunk);
+  scheduler->Cancel(timers.deadline);
+  timers.deadline = sim::kNoEvent;
+  if (run.coordinator.walk_done(branch, chunk)) {
+    scheduler->Cancel(timers.deferred);
+    return;
+  }
+  timers.deadline = scheduler->ScheduleAfter(
+      options_.walk_timeout, peer_->id(), [this, request_id, branch, chunk]() {
+        OnWalkTimer(request_id, branch, chunk);
       });
 }
 
 void QueryService::OnWalkTimer(uint64_t request_id, uint32_t branch,
-                               uint32_t chunk, uint64_t generation) {
-  auto it = migrations_.find(request_id);
-  if (it == migrations_.end()) return;
-  auto outcome = it->second.coordinator.OnTimer(branch, chunk, generation);
+                               uint32_t chunk) {
+  auto outcome =
+      migrations_.find(request_id)->second.coordinator.OnTimer(branch, chunk);
   using Action = EnvelopeCoordinator::TimerOutcome::Action;
   switch (outcome.action) {
     case Action::kIgnore:
       return;
-    case Action::kRearm:
-      ArmWalkTimer(request_id, branch, chunk, outcome.generation);
-      return;
     case Action::kRelaunch: {
-      ArmWalkTimer(request_id, branch, chunk, outcome.generation);
+      ArmWalkTimer(request_id, branch, chunk);
       peer_->transport()->CountRetry(kWalkRetryPolicy);
       if (auto error =
               TrySendEnvelope(std::move(outcome.envelope), request_id)) {
@@ -207,6 +215,15 @@ void QueryService::OnWalkTimer(uint64_t request_id, uint32_t branch,
       // The walk was given up with a recorded gap; the join may be done.
       CheckMigrationDone(request_id);
       return;
+  }
+}
+
+void QueryService::CancelTimers(const MigrateRun& run) {
+  sim::Scheduler* scheduler = peer_->transport()->scheduler();
+  scheduler->Cancel(run.deadline);
+  for (const WalkTimers& timers : run.walks) {
+    scheduler->Cancel(timers.deadline);
+    scheduler->Cancel(timers.deferred);
   }
 }
 
@@ -225,6 +242,7 @@ void QueryService::FinishMigration(uint64_t request_id,
                                    Result<MigrateResult> result) {
   auto it = migrations_.find(request_id);
   if (it == migrations_.end()) return;
+  CancelTimers(it->second);
   MigrateCallback callback = std::move(it->second.callback);
   migrations_.erase(it);
   callback(std::move(result));
@@ -532,3 +550,4 @@ void QueryService::OnStatsGossip(const Message& msg) {
 
 }  // namespace exec
 }  // namespace unistore
+

@@ -22,6 +22,9 @@
 namespace unistore {
 namespace exec {
 
+/// Overall deadline of one Migrate join, whatever its walks' retries do.
+inline constexpr sim::SimTime kMigrateDeadline = 20 * sim::kMicrosPerSecond;
+
 class QueryService {
  public:
   using MigrateCallback = std::function<void(Result<MigrateResult>)>;
@@ -83,9 +86,21 @@ class QueryService {
   void OnPeerRestart();
 
  private:
+  /// The timers of one walk: its walk_timeout progress deadline, and the
+  /// relaunch deferred by an overload shed.
+  struct WalkTimers {
+    sim::EventId deadline = sim::kNoEvent;
+    sim::EventId deferred = sim::kNoEvent;
+  };
   struct MigrateRun {
     EnvelopeCoordinator coordinator;
     MigrateCallback callback;
+    sim::EventId deadline = sim::kNoEvent;  ///< kMigrateDeadline.
+    std::vector<WalkTimers> walks;  ///< By branch * chunk_count + chunk.
+
+    WalkTimers& walk(uint32_t branch, uint32_t chunk) {
+      return walks[branch * coordinator.chunk_count() + chunk];
+    }
   };
 
   void OnPlanExec(const net::Message& msg);
@@ -101,10 +116,12 @@ class QueryService {
   /// relaunches it asks for and finishing the join when done/failed.
   void HandleEnvelopeReply(uint64_t request_id, EnvelopeReply reply,
                            uint32_t msg_hops);
-  void ArmWalkTimer(uint64_t request_id, uint32_t branch, uint32_t chunk,
-                    uint64_t generation);
-  void OnWalkTimer(uint64_t request_id, uint32_t branch, uint32_t chunk,
-                   uint64_t generation);
+  /// Restarts the walk's walk_timeout deadline, or stops its timers once
+  /// the walk is done.
+  void ArmWalkTimer(uint64_t request_id, uint32_t branch, uint32_t chunk);
+  void OnWalkTimer(uint64_t request_id, uint32_t branch, uint32_t chunk);
+  /// Cancels every timer of `run` (it ended).
+  void CancelTimers(const MigrateRun& run);
   void CheckMigrationDone(uint64_t request_id);
   void FinishMigration(uint64_t request_id, Result<MigrateResult> result);
   /// Delivers a reply to the walk's initiator: over the wire, or straight

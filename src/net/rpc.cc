@@ -18,8 +18,13 @@ uint64_t RpcManager::SendRequest(PeerId dst, MessageType type,
                                  ReplyCallback callback) {
   const uint64_t id = next_request_id_++;
   // `dst` attributes a timeout to its peer (suspicion).
-  pending_.emplace(id, Pending{std::move(callback), dst});
-  if (timeout > 0) ArmTimeout(id, timeout);
+  Pending& pending = pending_[id];
+  pending.callback = std::move(callback);
+  pending.dst = dst;
+  if (timeout > 0) {
+    pending.timer = transport_->scheduler()->ScheduleAfter(
+        timeout, self_, [this, id, timeout]() { OnTimeout(id, timeout); });
+  }
   Message msg;
   msg.type = type;
   msg.src = self_;
@@ -30,20 +35,17 @@ uint64_t RpcManager::SendRequest(PeerId dst, MessageType type,
   return id;
 }
 
-void RpcManager::ArmTimeout(uint64_t request_id, sim::SimTime timeout) {
-  transport_->scheduler()->ScheduleAfter(
-      timeout, self_, [this, request_id, timeout]() {
-    auto it = pending_.find(request_id);
-    if (it == pending_.end()) return;  // Already answered.
-    ReplyCallback cb = std::move(it->second.callback);
-    const PeerId dst = it->second.dst;
-    pending_.erase(it);
-    if (observer_ && dst != kNoPeer) observer_(dst, /*ok=*/false);
-    Message dummy;
-    cb(Status::Timeout("request ", request_id, " timed out after ", timeout,
-                       "us"),
-       dummy);
-  });
+void RpcManager::OnTimeout(uint64_t request_id, sim::SimTime timeout) {
+  // Still pending: a reply or FailAll would have cancelled this timer.
+  auto it = pending_.find(request_id);
+  ReplyCallback cb = std::move(it->second.callback);
+  const PeerId dst = it->second.dst;
+  pending_.erase(it);
+  if (observer_ && dst != kNoPeer) observer_(dst, /*ok=*/false);
+  Message dummy;
+  cb(Status::Timeout("request ", request_id, " timed out after ", timeout,
+                     "us"),
+     dummy);
 }
 
 void RpcManager::Reply(const Message& request, MessageType type,
@@ -73,6 +75,7 @@ bool RpcManager::HandleReply(const Message& msg) {
     return false;
   }
   ReplyCallback cb = std::move(it->second.callback);
+  transport_->scheduler()->Cancel(it->second.timer);
   pending_.erase(it);
   if (observer_) observer_(msg.src, /*ok=*/true);
   cb(Status::OK(), msg);
@@ -83,7 +86,10 @@ void RpcManager::FailAll(const Status& status) {
   // Callbacks may issue new requests; drain on a copy.
   std::vector<ReplyCallback> callbacks;
   callbacks.reserve(pending_.size());
-  for (auto& [id, p] : pending_) callbacks.push_back(std::move(p.callback));
+  for (auto& [id, p] : pending_) {
+    transport_->scheduler()->Cancel(p.timer);
+    callbacks.push_back(std::move(p.callback));
+  }
   pending_.clear();
   Message dummy;
   for (auto& cb : callbacks) cb(status, dummy);

@@ -41,7 +41,8 @@ class RpcManager {
   RpcManager(PeerId self, Transport* transport);
 
   /// Sends a request and registers `callback`. `timeout` <= 0 disables the
-  /// timer (the callback then only fires on a reply or FailAll).
+  /// timer (the callback then only fires on a reply or FailAll); a reply
+  /// or FailAll cancels it.
   /// Returns the assigned request id.
   uint64_t SendRequest(PeerId dst, MessageType type, std::string payload,
                        sim::SimTime timeout, ReplyCallback callback);
@@ -73,9 +74,10 @@ class RpcManager {
   struct Pending {
     ReplyCallback callback;
     PeerId dst = kNoPeer;  ///< Known destination, for timeout attribution.
+    sim::EventId timer = sim::kNoEvent;
   };
 
-  void ArmTimeout(uint64_t request_id, sim::SimTime timeout);
+  void OnTimeout(uint64_t request_id, sim::SimTime timeout);
 
   PeerId self_;
   Transport* transport_;

@@ -330,12 +330,19 @@ RetryPolicy Peer::RequestPolicy(std::string_view name) const {
 
 sim::SimTime Peer::NowUs() const { return transport_->scheduler()->Now(); }
 
-void Peer::RetryAfter(sim::SimTime delay_us, std::function<void()> fn) {
+void Peer::RetryAfter(sim::SimTime delay_us, sim::EventId* timer,
+                      std::function<void()> fn) {
   if (delay_us <= 0) {
     fn();
     return;
   }
-  transport_->scheduler()->ScheduleAfter(delay_us, id_, std::move(fn));
+  ArmTimer(timer, delay_us, std::move(fn));
+}
+
+void Peer::ArmTimer(sim::EventId* timer, sim::SimTime delay,
+                    std::function<void()> fn) {
+  transport_->scheduler()->Cancel(*timer);
+  *timer = transport_->scheduler()->ScheduleAfter(delay, id_, std::move(fn));
 }
 
 void Peer::ObservePeer(PeerId peer, bool ok) {
@@ -371,55 +378,60 @@ void Peer::StartKeySet(KeySetOp op) {
 }
 
 void Peer::SendKeySet(uint64_t request_id) {
-  auto it = key_set_ops_.find(request_id);
-  if (it == key_set_ops_.end()) return;
-  const uint32_t attempt = it->second.attempt;
-  if (it->second.is_insert()) {
-    SendInsertAttempt(request_id, it->second);
+  KeySetOp& op = key_set_ops_.find(request_id)->second;
+  op.backing_off = false;
+  if (op.is_insert()) {
+    SendInsertAttempt(request_id, op);
   } else {
-    SendLookupAttempt(request_id, it->second);
+    SendLookupAttempt(request_id, op);
   }
   SettleKeySet(request_id);
-  // Arm the timeout unless the local work finished (or retried) it.
-  it = key_set_ops_.find(request_id);
-  if (it == key_set_ops_.end() || it->second.attempt != attempt) return;
-  transport_->scheduler()->ScheduleAfter(
-      options_.request_timeout, id_, [this, request_id, attempt]() {
-        auto it = key_set_ops_.find(request_id);
-        if (it == key_set_ops_.end() || it->second.attempt != attempt) return;
-        // No reply named these slots: suspect where they were sent, and
-        // drop a silent replica from the advert that steered a key to it.
-        const KeySetOp& op = it->second;
-        for (size_t slot = 0; slot < op.slots.size(); ++slot) {
-          if (op.slots[slot] == SlotState::kPending &&
-              op.first_hops[slot] != net::kNoPeer) {
-            ObservePeer(op.first_hops[slot], /*ok=*/false);
-            advert_cache_.Forget(
-                op.is_insert() ? op.entries[slot].key : op.keys[slot].key,
-                op.first_hops[slot], NowUs());
-          }
-        }
-        RetryKeySet(request_id);
-      });
 }
 
 void Peer::SettleKeySet(uint64_t request_id) {
   auto it = key_set_ops_.find(request_id);
   KeySetOp& op = it->second;
   if (op.missing == 0) {
+    transport_->scheduler()->Cancel(op.timer);
     KeySetOp done = std::move(op);
     key_set_ops_.erase(it);
     done.callback(std::move(done.results));
     return;
   }
+  // A late reply during a backoff leaves it standing: the next attempt
+  // resends every missing slot.
+  if (op.backing_off) return;
   // Nothing is in flight once every missing slot hit a dead end.
-  if (op.dead_ends == op.missing) RetryKeySet(request_id);
+  if (op.dead_ends == op.missing) {
+    RetryKeySet(request_id);
+    return;
+  }
+  // Replies are still due: the attempt waits request_timeout from its
+  // start or its latest reply.
+  ArmTimer(&op.timer, options_.request_timeout,
+           [this, request_id]() { OnKeySetTimeout(request_id); });
+}
+
+void Peer::OnKeySetTimeout(uint64_t request_id) {
+  // No reply named these slots: suspect where they were sent, and drop a
+  // silent replica from the advert that steered a key to it.
+  const KeySetOp& op = key_set_ops_.find(request_id)->second;
+  for (size_t slot = 0; slot < op.slots.size(); ++slot) {
+    if (op.slots[slot] == SlotState::kPending &&
+        op.first_hops[slot] != net::kNoPeer) {
+      ObservePeer(op.first_hops[slot], /*ok=*/false);
+      advert_cache_.Forget(
+          op.is_insert() ? op.entries[slot].key : op.keys[slot].key,
+          op.first_hops[slot], NowUs());
+    }
+  }
+  RetryKeySet(request_id);
 }
 
 void Peer::RetryKeySet(uint64_t request_id) {
   auto it = key_set_ops_.find(request_id);
   KeySetOp& op = it->second;
-  ++op.attempt;
+  transport_->scheduler()->Cancel(op.timer);
   for (SlotState& s : op.slots) {
     if (s == SlotState::kDeadEnd) s = SlotState::kPending;
   }
@@ -441,7 +453,8 @@ void Peer::RetryKeySet(uint64_t request_id) {
     return;
   }
   transport_->CountRetry(op.budget.policy().name);
-  RetryAfter(op.budget.NextDelayUs(&rng_),
+  op.backing_off = true;
+  RetryAfter(op.budget.NextDelayUs(&rng_), &op.timer,
              [this, request_id]() { SendKeySet(request_id); });
 }
 
@@ -1113,7 +1126,7 @@ void Peer::RepairChunkRetry(uint64_t repair_id) {
   RepairState& st = it->second;
   if (st.chunk_budget.Spend(NowUs())) {
     transport_->CountRetry(kRepairRetryPolicy);
-    RetryAfter(st.chunk_budget.NextDelayUs(&rng_),
+    RetryAfter(st.chunk_budget.NextDelayUs(&rng_), &st.timer,
                [this, repair_id]() { RepairRequestChunk(repair_id); });
   } else {
     // Past the total deadline this surfaces the timeout, not a failover.
@@ -1192,6 +1205,7 @@ void Peer::RepairOnChunk(uint64_t repair_id, const RunFetchReply& chunk) {
 void Peer::FinishRepair(uint64_t repair_id, Status status) {
   auto it = repairs_.find(repair_id);
   if (it == repairs_.end()) return;
+  transport_->scheduler()->Cancel(it->second.timer);
   StatusCallback callback = std::move(it->second.callback);
   repairs_.erase(it);
   callback(std::move(status));
@@ -1223,11 +1237,8 @@ void Peer::StartScan(bool shower, const KeyRange& range,
 }
 
 void Peer::SendScan(uint64_t id) {
-  auto it = scans_.find(id);
-  if (it == scans_.end()) return;
-  const ScanState& state = it->second;
-  transport_->scheduler()->ScheduleAfter(
-      kScanTimeout, id_, [this, id]() { FinishScan(id, /*complete=*/false); });
+  ScanState& state = scans_.find(id)->second;
+  ArmScanTimer(id, state);
   if (state.shower) {
     RangeShowerRequest req;
     req.initiator = id_;
@@ -1272,14 +1283,21 @@ void Peer::OnScanPartial(uint64_t request_id, uint32_t hops, bool shower,
   // A walk's failed leaf ends it at once: nothing follows it.
   if (state.outstanding == 0 || (failed && !shower)) {
     FinishScan(request_id, result.complete);
+    return;
   }
+  ArmScanTimer(request_id, state);
+}
+
+void Peer::ArmScanTimer(uint64_t id, ScanState& state) {
+  ArmTimer(&state.timer, options_.request_timeout,
+           [this, id]() { FinishScan(id, /*complete=*/false); });
 }
 
 void Peer::FinishScan(uint64_t request_id, bool complete) {
   auto it = scans_.find(request_id);
-  if (it == scans_.end()) return;
   ScanState state = std::move(it->second);
   scans_.erase(it);
+  transport_->scheduler()->Cancel(state.timer);
   complete = complete && state.result.complete;
   if (!complete && state.budget.Spend(NowUs())) {
     transport_->CountRetry(kRangeRetryPolicy);
@@ -1289,8 +1307,8 @@ void Peer::FinishScan(uint64_t request_id, bool complete) {
     state.outstanding = 1;
     const uint64_t id = next_scan_id_++;
     const sim::SimTime delay = state.budget.NextDelayUs(&rng_);
-    scans_.emplace(id, std::move(state));
-    RetryAfter(delay, [this, id]() { SendScan(id); });
+    ScanState& next = scans_.emplace(id, std::move(state)).first->second;
+    RetryAfter(delay, &next.timer, [this, id]() { SendScan(id); });
     return;
   }
   state.result.complete = complete;
@@ -1754,6 +1772,7 @@ void Peer::FailInFlight(const Status& status) {
   // Walks fail before showers.
   auto scans = std::move(scans_);
   scans_.clear();
+  for (auto& [id, st] : scans) transport_->scheduler()->Cancel(st.timer);
   for (bool shower : {false, true}) {
     for (auto& [id, st] : scans) {
       if (st.shower == shower && st.callback) st.callback(status);
@@ -1762,11 +1781,13 @@ void Peer::FailInFlight(const Status& status) {
   auto key_sets = std::move(key_set_ops_);
   key_set_ops_.clear();
   for (auto& [id, st] : key_sets) {
+    transport_->scheduler()->Cancel(st.timer);
     if (st.callback) st.callback(status);
   }
   auto repairs = std::move(repairs_);
   repairs_.clear();
   for (auto& [id, st] : repairs) {
+    transport_->scheduler()->Cancel(st.timer);
     if (st.callback) st.callback(status);
   }
 }

@@ -40,9 +40,6 @@ inline constexpr double kBalanceFactor = 8.0;
 /// Recursive meetings an exchange may trigger (construction gossip).
 inline constexpr uint32_t kExchangeTtl = 2;
 
-/// Deadline of one range-scan attempt or of a whole Migrate join.
-inline constexpr sim::SimTime kScanTimeout = 20 * sim::kMicrosPerSecond;
-
 /// Total deadline of one PullFromReplica, measured from the call and
 /// honoured across donor failovers: per-chunk retry budgets reset on
 /// progress, this deadline never does, so a flapping replica set cannot
@@ -64,7 +61,10 @@ struct PeerOptions {
   /// split deeper — [Aberer VLDB'05]).
   size_t split_threshold = 256;
 
-  /// Deadline of each attempt of a key-set lookup or batch insert.
+  /// How long an initiator waits on a routed request: an RPC, an attempt
+  /// of a key-set lookup or batch insert, or an attempt of a range scan.
+  /// A key-set or scan attempt restarts the wait on every reply or
+  /// partial it gets (DESIGN.md §10).
   sim::SimTime request_timeout = 5 * sim::kMicrosPerSecond;
 
   /// Retries of a failed lookup/insert at the initiator.
@@ -160,8 +160,9 @@ struct RangeResult {
   std::vector<Entry> entries;
   uint32_t peers_contacted = 0;
   uint32_t max_hops = 0;
-  /// False when a branch was unreachable or the scan timed out; the
-  /// entries collected so far are still returned.
+  /// False when the "range" retry budget ran out on attempts that each
+  /// met an unreachable branch, a stalled walk, or `request_timeout` with
+  /// no partial; the last attempt's entries are still returned.
   bool complete = true;
 };
 
@@ -275,8 +276,8 @@ class Peer {
   /// peer serving keys or hitting a dead end answers the initiator,
   /// forwarders stay silent. Keys under a cached replica-group advert go
   /// one hop to an advertised replica instead (DESIGN.md §8). Keys still
-  /// unanswered after `request_timeout` (or all dead-ended) retry as a
-  /// smaller batch under the "lookup" retry budget; when it runs out the
+  /// unanswered `request_timeout` after the attempt's last reply (or all
+  /// dead-ended) retry as a smaller batch under the "lookup" retry budget; when it runs out the
   /// callback gets Unavailable naming the number of missing keys.
   /// An empty set completes at once. Suffixes travel with their key on
   /// every hop and retry; whichever peer serves the key (this one, the
@@ -298,8 +299,8 @@ class Peer {
   /// changed its store to its replicas, and tells the initiator which
   /// entries it stored; forwarders stay silent. The
   /// callback gets OK once every entry is stored. Entries still unstored
-  /// after `request_timeout` (or all dead-ended) retry as a smaller batch
-  /// under the "bulk-insert" retry budget (versioned upserts make
+  /// `request_timeout` after the attempt's last reply (or all dead-ended)
+  /// retry as a smaller batch under the "bulk-insert" retry budget (versioned upserts make
   /// re-delivery idempotent); when it runs out the callback gets
   /// Unavailable.
   void InsertBatch(std::vector<Entry> entries, StatusCallback callback);
@@ -318,9 +319,10 @@ class Peer {
   /// the range.
   ///
   /// Either scan restarts when an attempt comes back incomplete (a branch
-  /// unreachable, the walk stalled, or no answer within kScanTimeout),
-  /// under the "range" retry budget and a fresh scan id. Only when that
-  /// budget is spent does the callback get `complete` = false.
+  /// unreachable, the walk stalled, or `request_timeout` passed since the
+  /// attempt started or last got a partial), under the "range" retry
+  /// budget and a fresh scan id. Only when that budget is spent does the
+  /// callback get `complete` = false.
   void RangeScanShower(const KeyRange& range, RangeCallback callback);
 
   /// One pairwise exchange with `other` (construction / refinement /
@@ -407,10 +409,18 @@ class Peer {
   void DoInitiateExchange(PeerId other, uint32_t ttl, StatusCallback callback);
 
   // Retry plumbing: the per-protocol policy built from the options, the
-  // virtual clock, and deferred re-execution honouring a backoff delay.
+  // virtual clock, and deferred re-execution honouring a backoff delay:
+  // `fn` runs now, or later as the operation's `*timer`, which its
+  // completion and failure paths cancel.
   RetryPolicy RequestPolicy(std::string_view name) const;
   sim::SimTime NowUs() const;
-  void RetryAfter(sim::SimTime delay_us, std::function<void()> fn);
+  void RetryAfter(sim::SimTime delay_us, sim::EventId* timer,
+                  std::function<void()> fn);
+  // The one deadline rule of an operation's timer (DESIGN.md §10): arming
+  // cancels the `*timer` armed before and schedules `fn` after `delay`;
+  // ending an attempt or the operation cancels it.
+  void ArmTimer(sim::EventId* timer, sim::SimTime delay,
+                std::function<void()> fn);
 
   // Peer suspicion (graceful degradation): failed requests mark the target
   // suspected for suspicion_ttl; successes clear it. Routing prefers
@@ -539,7 +549,9 @@ class Peer {
     size_t missing = 0;    ///< Slots no reply finished yet.
     size_t dead_ends = 0;  ///< Missing slots this attempt could not route.
     RetryBudget budget;
-    uint32_t attempt = 0;  ///< Retires the timeouts of earlier attempts.
+    /// The running attempt's deadline, or the backoff before the next.
+    sim::EventId timer = sim::kNoEvent;
+    bool backing_off = false;  ///< `timer` is the backoff.
 
     bool is_insert() const { return !entries.empty(); }
     /// Marks `slot` done; false when it is out of range or already done.
@@ -564,14 +576,16 @@ class Peer {
   // or a batch insert. Start sizes the slot state and sends the first
   // attempt; each attempt serves or stores what this peer owns and sends
   // the rest (the kind's Send*Attempt), replies finish slots, and Settle
-  // completes the operation or retries it once every missing slot dead-
-  // ended. A timed-out attempt suspects the first hops of the slots no
-  // reply named, then retries.
+  // completes the operation, retries it once every missing slot dead-
+  // ended, or else (re-)arms the attempt's `request_timeout` deadline and
+  // returns. A timed-out attempt (OnKeySetTimeout) suspects the first
+  // hops of the slots no reply named, then retries.
   void StartKeySet(KeySetOp op);
   void SendKeySet(uint64_t request_id);
   void SendLookupAttempt(uint64_t request_id, KeySetOp& op);
   void SendInsertAttempt(uint64_t request_id, KeySetOp& op);
   void SettleKeySet(uint64_t request_id);
+  void OnKeySetTimeout(uint64_t request_id);
   void RetryKeySet(uint64_t request_id);
   // A reply of either kind (LookupBatchReply or BulkInsertReply): one
   // that names an in-flight op of its kind (`insert`) and a known replier
@@ -644,6 +658,8 @@ class Peer {
     uint32_t limit = 0;        ///< Walk only.
     RetryBudget budget;
     uint32_t outstanding = 1;  ///< Partials still due.
+    /// The attempt's deadline, or the backoff before the next attempt.
+    sim::EventId timer = sim::kNoEvent;
   };
   uint64_t next_scan_id_ = 1;
   std::map<uint64_t, ScanState> scans_;
@@ -668,6 +684,7 @@ class Peer {
     /// PullFromReplica call and survives donor failovers.
     RetryBudget chunk_budget;
     int manifest_restarts_left = 1;  ///< Donor compacted mid-repair.
+    sim::EventId timer = sim::kNoEvent;  ///< A chunk retry's backoff.
   };
   uint64_t next_repair_id_ = 1;
   std::map<uint64_t, RepairState> repairs_;
@@ -686,12 +703,14 @@ class Peer {
   void FinishRepair(uint64_t repair_id, Status status);
 
   // Range scans: StartScan files a scan of either strategy, SendScan
-  // starts one attempt of the scan stored under `id`, and FinishScan
+  // starts one attempt of the scan stored under `id` and arms its
+  // `request_timeout` deadline (re-armed by every partial), and FinishScan
   // completes it or, when incomplete, spends one "range" retry and
   // restarts it under a fresh id.
   void StartScan(bool shower, const KeyRange& range, RangeCallback callback,
                  uint32_t limit);
   void SendScan(uint64_t id);
+  void ArmScanTimer(uint64_t id, ScanState& state);
   void FinishScan(uint64_t request_id, bool complete);
 };
 

@@ -10,14 +10,14 @@
 // for events scheduled by harness code) and `seq` is a per-domain counter.
 // Events fire in key order, so for a fixed seed and the same sequence of
 // API calls every run — query results, delivery traces, traffic
-// statistics — is byte-identical.
+// statistics — is byte-identical. A cancelled event leaves the queue at
+// once: it never runs, never moves the clock and is never counted.
 #ifndef UNISTORE_SIM_SCHEDULER_H_
 #define UNISTORE_SIM_SCHEDULER_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace unistore {
@@ -33,6 +33,10 @@ constexpr SimTime kMicrosPerSecond = 1000 * 1000;
 /// synchronous wrappers) rather than by a peer. Sorts after all peer
 /// domains at equal timestamps.
 constexpr uint32_t kHarnessDomain = 0xFFFFFFFFu;
+
+/// Names one scheduled event, for Scheduler::Cancel. kNoEvent names none.
+using EventId = uint64_t;
+constexpr EventId kNoEvent = 0;
 
 /// \brief Virtual clock + one event queue.
 ///
@@ -51,7 +55,8 @@ class Scheduler {
 
   /// Schedules `fn` at absolute time `when` (>= Now()) in `domain`'s
   /// sequence: the originating peer, or kHarnessDomain.
-  void ScheduleEvent(SimTime when, uint32_t domain, std::function<void()> fn);
+  EventId ScheduleEvent(SimTime when, uint32_t domain,
+                        std::function<void()> fn);
 
   /// The same with an `owner` argument that does nothing. Only the
   /// benchmark harness (bench/e2e) passes it; it goes with the next change
@@ -63,17 +68,26 @@ class Scheduler {
 
   /// Schedules `fn` to run at Now() + delay (delay >= 0) from harness
   /// context.
-  void Schedule(SimTime delay, std::function<void()> fn);
+  EventId Schedule(SimTime delay, std::function<void()> fn);
 
   /// Schedules `fn` at an absolute virtual time (>= Now()) from harness
   /// context.
-  void ScheduleAt(SimTime when, std::function<void()> fn);
+  EventId ScheduleAt(SimTime when, std::function<void()> fn);
 
   /// Schedules `fn` at Now() + delay in `domain`'s sequence — the form
   /// protocol code uses for its own timers (domain == self).
-  void ScheduleAfter(SimTime delay, uint32_t domain, std::function<void()> fn);
+  EventId ScheduleAfter(SimTime delay, uint32_t domain,
+                        std::function<void()> fn);
+
+  /// Drops the event `id` from the queue: it never runs, does not move
+  /// Now() and is not counted in processed_events(). An id whose event
+  /// already ran or was cancelled, and kNoEvent, are no-ops.
+  void Cancel(EventId id);
 
   /// Runs events until the queue is empty. Returns events processed.
+  /// Now() is then the time of the last event that ran (unchanged when
+  /// none did), so it depends only on the events still live — never on
+  /// timers of operations that already ended.
   size_t RunUntilIdle();
 
   /// Runs events with time <= Now() + duration; advances the clock to
@@ -84,31 +98,46 @@ class Scheduler {
   /// is empty. Returns true iff the predicate was satisfied.
   bool RunUntil(const std::function<bool()>& pred);
 
-  /// Number of events currently queued.
-  size_t pending_events() const { return queue_.size(); }
+  /// Number of events currently queued (cancelled ones are gone).
+  size_t pending_events() const { return heap_.size(); }
 
   /// Total events processed since construction.
   size_t processed_events() const { return processed_; }
 
  private:
-  struct Event {
+  // One queued event: its canonical key and the slot of its callback.
+  struct Entry {
     SimTime when;
     uint32_t domain;
+    uint32_t slot;
     uint64_t seq;
-    std::function<void()> fn;
   };
 
-  /// Min-first ordering on (when, domain, seq) for std::priority_queue.
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      if (a.domain != b.domain) return a.domain > b.domain;
-      return a.seq > b.seq;
-    }
+  // A queued callback and the index of its entry in `heap_`. `gen` counts
+  // the slot's tenants, so the id of a tenant that already ran or was
+  // cancelled no longer matches.
+  struct Slot {
+    std::function<void()> fn;
+    uint32_t pos = 0;
+    uint32_t gen = 1;
   };
+
+  /// Canonical order: (when, domain, seq), earliest first.
+  static bool Before(const Entry& a, const Entry& b) {
+    if (a.when != b.when) return a.when < b.when;
+    if (a.domain != b.domain) return a.domain < b.domain;
+    return a.seq < b.seq;
+  }
 
   /// The next `seq` of `domain`'s events.
   uint64_t NextSeq(uint32_t domain);
+
+  // Binary min-heap over `heap_` that keeps each slot's `pos` current.
+  void Place(size_t pos, const Entry& e);
+  void SiftUp(size_t pos);
+  void SiftDown(size_t pos);
+  /// Removes the entry at `pos`, frees its slot and returns its callback.
+  std::function<void()> Take(size_t pos);
 
   bool PopAndRun();
 
@@ -116,7 +145,9 @@ class Scheduler {
   size_t processed_ = 0;
   std::vector<uint64_t> seq_;  ///< Per peer domain, grown on first use.
   uint64_t harness_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace sim

@@ -326,24 +326,26 @@ TEST(EnvelopeCoordinatorTest, TimerRelaunchesFromFrontier) {
   auto fleet = coordinator.Launch();
   auto mid = pgrid::SplitRange(range, 2, pgrid::kKeyBits);
 
-  // First half covered, then the walk goes silent.
+  // First half covered: progress, so the walk's timer restarts. Then the
+  // walk goes silent.
   auto first = CoverageReply(fleet[0], mid[0].lo, mid[0].hi, {});
-  EXPECT_TRUE(coordinator.OnReply(first, 1).accepted);
+  const auto reply = coordinator.OnReply(first, 1);
+  EXPECT_TRUE(reply.accepted);
+  EXPECT_TRUE(reply.progress);
+  EXPECT_FALSE(coordinator.walk_done(0, 0));
 
-  // Timer armed at generation 0 fires: progress happened, re-arm.
-  auto outcome = coordinator.OnTimer(0, 0, 0);
-  EXPECT_EQ(outcome.action,
-            EnvelopeCoordinator::TimerOutcome::Action::kRearm);
-
-  // Timer at the current generation fires: relaunch from the gap.
-  outcome = coordinator.OnTimer(0, 0, outcome.generation);
+  // The timer fires: relaunch from the gap.
+  auto outcome = coordinator.OnTimer(0, 0);
   ASSERT_EQ(outcome.action,
             EnvelopeCoordinator::TimerOutcome::Action::kRelaunch);
   EXPECT_EQ(outcome.envelope.remaining.lo, mid[1].lo);
   EXPECT_EQ(outcome.envelope.remaining.hi, range.hi);
 
+  // A duplicate of covered ground is no progress.
+  EXPECT_FALSE(coordinator.OnReply(first, 1).progress);
+
   // Out of retries: the next silent period fails the join.
-  outcome = coordinator.OnTimer(0, 0, outcome.generation);
+  outcome = coordinator.OnTimer(0, 0);
   EXPECT_EQ(outcome.action,
             EnvelopeCoordinator::TimerOutcome::Action::kFail);
   EXPECT_FALSE(coordinator.failure().ok());
@@ -362,7 +364,7 @@ TEST(EnvelopeCoordinatorTest, ExtendingDuplicateRepaysRetry) {
   Binding row2{{"a", Value::Int(2)}};
 
   // The walk stalls: the timer consumes the only retry on a relaunch.
-  auto outcome = coordinator.OnTimer(0, 0, 0);
+  auto outcome = coordinator.OnTimer(0, 0);
   ASSERT_EQ(outcome.action,
             EnvelopeCoordinator::TimerOutcome::Action::kRelaunch);
 
@@ -377,10 +379,12 @@ TEST(EnvelopeCoordinatorTest, ExtendingDuplicateRepaysRetry) {
   auto full = CoverageReply(outcome.envelope, range.lo, range.hi,
                             {row1, row2});
   full.kind = EnvelopeReply::Kind::kTerminal;
-  EXPECT_FALSE(coordinator.OnReply(full, 2).accepted);
+  const auto race = coordinator.OnReply(full, 2);
+  EXPECT_FALSE(race.accepted);
+  EXPECT_TRUE(race.progress);
   EXPECT_FALSE(coordinator.done());
 
-  outcome = coordinator.OnTimer(0, 0, coordinator.generation(0, 0));
+  outcome = coordinator.OnTimer(0, 0);
   ASSERT_EQ(outcome.action,
             EnvelopeCoordinator::TimerOutcome::Action::kRelaunch);
   EXPECT_EQ(outcome.envelope.remaining.lo, mid[1].lo);
@@ -390,6 +394,7 @@ TEST(EnvelopeCoordinatorTest, ExtendingDuplicateRepaysRetry) {
   tail.kind = EnvelopeReply::Kind::kTerminal;
   EXPECT_TRUE(coordinator.OnReply(tail, 2).accepted);
   ASSERT_TRUE(coordinator.done());
+  EXPECT_TRUE(coordinator.walk_done(0, 0));
   EXPECT_EQ(coordinator.TakeResult().rows.size(), 2u);
 }
 

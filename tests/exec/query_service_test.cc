@@ -145,12 +145,12 @@ TEST(QueryServiceCycleTest, EnvelopeRoutingCycleDeadEndsAtTheHopCap) {
       AgePattern(), {{{"a", Value::String("p1")}}},
       [&out](Result<MigrateResult> r) { out = std::move(r); });
   // Bounded: without the hop cap the envelopes never stop bouncing.
-  overlay.scheduler().RunFor(pgrid::kScanTimeout / 2);
+  overlay.scheduler().RunFor(kMigrateDeadline / 2);
   ASSERT_TRUE(out.has_value()) << "join still running";
   ASSERT_FALSE(out->ok());
   EXPECT_EQ(out->status().code(), StatusCode::kUnavailable)
       << out->status().ToString();
-  EXPECT_LT(overlay.scheduler().Now() - start, pgrid::kScanTimeout);
+  EXPECT_LT(overlay.scheduler().Now() - start, kMigrateDeadline);
 
   const auto delta = overlay.transport().stats().Since(before);
   auto it = delta.per_type.find(net::MessageType::kPlanExec);

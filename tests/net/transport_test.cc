@@ -349,6 +349,8 @@ TEST(RpcTest, RequestResponseRoundTrip) {
   EXPECT_TRUE(got_status.ok());
   EXPECT_EQ(got_payload, "echo:hi");
   EXPECT_EQ(client.pending_count(), 0u);
+  // The reply cancelled the 10 ms timeout: the clock stops at the reply.
+  EXPECT_EQ(f.sim.Now(), 2000);
 }
 
 TEST(RpcTest, TimeoutFiresWhenNoReply) {
@@ -402,11 +404,19 @@ TEST(RpcTest, FailAllFlushesPending) {
                      [&](const Status& s, const Message&) {
                        results.push_back(s);
                      });
+  client.SendRequest(2, MessageType::kPing, "", 5000,
+                     [&](const Status& s, const Message&) {
+                       results.push_back(s);
+                     });
   client.FailAll(Status::Unavailable("shutdown"));
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].IsUnavailable());
-  EXPECT_TRUE(results[1].IsUnavailable());
+  ASSERT_EQ(results.size(), 3u);
+  for (const Status& s : results) EXPECT_TRUE(s.IsUnavailable());
   EXPECT_EQ(client.pending_count(), 0u);
+  // FailAll cancelled the timeout: only the three requests are queued.
+  EXPECT_EQ(f.sim.pending_events(), 3u);
+  f.sim.RunUntilIdle();
+  EXPECT_EQ(results.size(), 3u);
+  EXPECT_EQ(f.sim.Now(), 1000);
 }
 
 TEST(RpcTest, ReplyToCarriesHops) {

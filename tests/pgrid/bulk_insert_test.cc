@@ -333,12 +333,13 @@ TEST_F(OneHopWriteTest, InsertUnderAnAdvertGoesOneHopToOneReplica) {
   Build(/*replication=*/3);
   ASSERT_EQ(overlay_->peer(kWriter)->path().bits(), "000");
   // The first insert under each path routes; its reply carries the group.
-  // (No RunUntilIdle before the next insert: it would run the finished
-  // attempt's 5 s timeout event and outlive the 2 s advert.)
+  // Draining the queue after it runs only the replica pushes: the
+  // finished attempt's deadline is cancelled, so the advert survives.
   ASSERT_TRUE(overlay_
                   ->InsertBatchSync(kWriter, {EntryUnder("101", 0),
                                               EntryUnder("110", 0)})
                   .ok());
+  overlay_->scheduler().RunUntilIdle();
   EXPECT_EQ(overlay_->peer(kWriter)->advert_cache().size(), 2u);
 
   std::vector<Entry> batch;
@@ -366,6 +367,27 @@ TEST_F(OneHopWriteTest, InsertUnderAnAdvertGoesOneHopToOneReplica) {
     EXPECT_EQ(overlay_->ResponsiblePeers(e.key).size(), 3u);
     EXPECT_TRUE(MissingAt(e).empty()) << e.id;
   }
+}
+
+// A finished operation leaves no timer behind: draining the queue after
+// a lookup or an insert runs only work still in flight, so the clock stops
+// where that work ends.
+TEST_F(OneHopWriteTest, FinishedOperationsLeaveNoTimer) {
+  Build(/*replication=*/3);
+  const Entry e = EntryUnder("101", 0);
+  ASSERT_TRUE(overlay_->InsertSync(kWriter, e).ok());
+  overlay_->scheduler().RunUntilIdle();  // The replica push.
+  EXPECT_EQ(overlay_->scheduler().pending_events(), 0u);
+
+  const sim::SimTime before = overlay_->scheduler().Now();
+  auto found = overlay_->LookupSync(kWriter, e.key);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  ASSERT_EQ(found->entries.size(), 1u);
+  const sim::SimTime done = overlay_->scheduler().Now();
+  EXPECT_GT(done, before);
+  EXPECT_EQ(overlay_->scheduler().RunUntilIdle(), 0u);
+  EXPECT_EQ(overlay_->scheduler().Now(), done);
+  EXPECT_EQ(overlay_->peer(kWriter)->key_sets_in_flight(), 0u);
 }
 
 TEST_F(OneHopWriteTest, CrashedReplicaIsDroppedAndTheRetryStoresElsewhere) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "pgrid/overlay.h"
@@ -17,16 +19,18 @@ struct RangeFixture {
   Overlay overlay;
   std::vector<Entry> all;
 
-  static OverlayOptions MakeOptions(uint64_t seed, size_t replication) {
+  static OverlayOptions MakeOptions(uint64_t seed, size_t replication,
+                                    const PeerOptions& peer) {
     OverlayOptions options;
     options.seed = seed;
     options.replication = replication;
+    options.peer = peer;
     return options;
   }
 
   explicit RangeFixture(size_t peers, int values, uint64_t seed = 11,
-                        size_t replication = 1)
-      : overlay(MakeOptions(seed, replication)) {
+                        size_t replication = 1, PeerOptions peer = {})
+      : overlay(MakeOptions(seed, replication, peer)) {
     overlay.AddPeers(peers);
     overlay.BuildBalanced();
     for (int i = 0; i < values; ++i) {
@@ -271,6 +275,69 @@ TEST(RangeTest, IncompleteAttemptRetriesToFullResult) {
     auto delta = f.overlay.transport().stats().Since(before);
     EXPECT_GT(delta.messages_lost_partition, 0u);
     EXPECT_GE(delta.retries_by_policy["range"], 1u);
+  }
+}
+
+// One lost message costs a scan one "range" retry, started
+// request_timeout after the attempt's last partial — not a fixed scan
+// timeout. A dry run on an identical cluster finds the message to drop
+// (the last shower branch, or the last walk hop); a directed partition
+// one microsecond wide then drops exactly that send.
+TEST(RangeTest, LostMessageRetriesAfterRequestTimeout) {
+  constexpr sim::SimTime kTimeout = 200 * sim::kMicrosPerMilli;
+  constexpr sim::SimTime kLatency = 1 * sim::kMicrosPerMilli;  // Overlay's.
+  PeerOptions peer;
+  peer.request_timeout = kTimeout;
+  KeyRange full{Key().PadTo(kKeyBits, false), Key().PadTo(kKeyBits, true)};
+  const net::PeerId from = 0;
+  for (bool seq : {false, true}) {
+    SCOPED_TRACE(seq ? "seq" : "shower");
+    auto scan = [&](RangeFixture& f) {
+      return seq ? f.overlay.RangeSeqSync(from, full)
+                 : f.overlay.RangeShowerSync(from, full);
+    };
+
+    RangeFixture dry(16, 200, /*seed=*/5, /*replication=*/1, peer);
+    dry.overlay.transport().EnableDeliveryTrace();
+    ASSERT_TRUE(scan(dry).ok());
+    unsigned long long sent = 0;
+    unsigned src = 0;
+    unsigned dst = 0;
+    std::istringstream trace(dry.overlay.transport().DeliveryTrace());
+    std::string line;
+    while (std::getline(trace, line)) {
+      unsigned long long when = 0;
+      unsigned s = 0;
+      unsigned d = 0;
+      char type[32];
+      if (std::sscanf(line.c_str(), "t=%llu %u->%u %31s", &when, &s, &d,
+                      type) == 4 &&
+          std::string(type) == (seq ? "RangeSeq" : "RangeShower") &&
+          when - kLatency >= sent) {
+        sent = when - kLatency;
+        src = s;
+        dst = d;
+      }
+    }
+    ASSERT_GT(sent, 0u);
+
+    RangeFixture f(16, 200, /*seed=*/5, /*replication=*/1, peer);
+    const auto drop = static_cast<sim::SimTime>(sent);
+    net::FaultSchedule faults;
+    faults.Partition(drop, drop + 1, src, dst);
+    f.overlay.transport().SetFaultSchedule(faults);
+    auto result = scan(f);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->complete);
+    EXPECT_EQ(RangeFixture::Ids(result->entries), f.BruteForce(full));
+    const auto stats = f.overlay.transport().stats();
+    EXPECT_EQ(stats.messages_lost_partition, 1u);
+    EXPECT_EQ(stats.retries_by_policy.at("range"), 1u);
+    // The retry starts one request_timeout after the drop (plus the hop
+    // that delivered the last partial) and takes a few hops.
+    const sim::SimTime took = f.overlay.scheduler().Now() - drop;
+    EXPECT_GE(took, kTimeout);
+    EXPECT_LT(took, kTimeout + 50 * sim::kMicrosPerMilli);
   }
 }
 

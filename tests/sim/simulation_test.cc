@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.h"
@@ -106,6 +108,101 @@ TEST(SimulationTest, ProcessedEventCount) {
   for (int i = 0; i < 7; ++i) sim.Schedule(i, [] {});
   sim.RunUntilIdle();
   EXPECT_EQ(sim.processed_events(), 7u);
+}
+
+TEST(SimulationTest, CancelledEventNeverRuns) {
+  Scheduler sim;
+  std::vector<int> order;
+  sim.Schedule(10, [&] { order.push_back(1); });
+  const EventId dead = sim.Schedule(20, [&] { order.push_back(2); });
+  sim.Schedule(30, [&] { order.push_back(3); });
+  const EventId last = sim.Schedule(40, [&] { order.push_back(4); });
+  EXPECT_EQ(sim.pending_events(), 4u);
+  sim.Cancel(dead);
+  sim.Cancel(last);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_EQ(sim.RunUntilIdle(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  // The clock stops at the last event that ran, not at a cancelled one.
+  EXPECT_EQ(sim.Now(), 30);
+  EXPECT_EQ(sim.processed_events(), 2u);
+}
+
+TEST(SimulationTest, CancelFromInsideAnEvent) {
+  Scheduler sim;
+  std::vector<int> order;
+  EventId timer = kNoEvent;
+  sim.ScheduleAfter(5, 3, [&] {
+    order.push_back(1);
+    sim.Cancel(timer);
+  });
+  timer = sim.ScheduleAfter(10, 3, [&] { order.push_back(2); });
+  sim.ScheduleAfter(15, 3, [&] { order.push_back(3); });
+  sim.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sim.Now(), 15);
+}
+
+TEST(SimulationTest, CancelOfAFiredOrUnknownIdDoesNothing) {
+  Scheduler sim;
+  int fired = 0;
+  const EventId done = sim.Schedule(1, [&] { ++fired; });
+  sim.RunUntilIdle();
+  // The slot of `done` is reused by the next event; its old id must not
+  // cancel the new tenant.
+  sim.Schedule(2, [&] { ++fired; });
+  sim.Cancel(done);
+  sim.Cancel(done);
+  sim.Cancel(kNoEvent);
+  sim.Cancel(EventId{12345} << 32 | 7);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.RunUntilIdle();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.Now(), 3);
+  EXPECT_EQ(sim.processed_events(), 2u);
+}
+
+TEST(SimulationTest, RunUntilIdleOverCancelledEventsKeepsTheClock) {
+  Scheduler sim;
+  sim.RunFor(100);
+  std::vector<EventId> ids;
+  for (int i = 1; i <= 5; ++i) ids.push_back(sim.Schedule(i * 1000, [] {}));
+  for (EventId id : ids) sim.Cancel(id);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.RunUntilIdle(), 0u);
+  EXPECT_EQ(sim.Now(), 100);
+  EXPECT_EQ(sim.processed_events(), 0u);
+}
+
+// Cancelling from the middle of a large queue keeps the canonical order
+// of everything left (the heap removal sifts either way).
+TEST(SimulationTest, CancelKeepsCanonicalOrder) {
+  Scheduler sim;
+  Rng rng(7);
+  std::vector<std::pair<SimTime, int>> expected;
+  std::vector<std::pair<SimTime, int>> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 500; ++i) {
+    const SimTime when = static_cast<SimTime>(rng.NextBounded(50));
+    ids.push_back(sim.ScheduleAt(when, [&order, &sim, i] {
+      order.emplace_back(sim.Now(), i);
+    }));
+    expected.emplace_back(when, i);
+  }
+  std::vector<std::pair<SimTime, int>> kept;
+  for (int i = 0; i < 500; ++i) {
+    if (i % 3 == 0) {
+      sim.Cancel(ids[i]);
+    } else {
+      kept.push_back(expected[i]);
+    }
+  }
+  // Harness events order by (when, seq): seq is the scheduling order.
+  std::stable_sort(kept.begin(), kept.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(order, kept);
 }
 
 TEST(LatencyTest, ConstantModel) {
