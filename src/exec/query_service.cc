@@ -73,7 +73,7 @@ void QueryService::RunMigrateJoin(const vql::TriplePattern& pattern,
               // Statistics-informed fan-out: split at the sampled peers'
               // region boundaries so branches follow the trie shape.
               catalog().peer_paths()),
-          std::move(callback), sim::kNoEvent, {}});
+          std::move(callback), sim::kNoEvent, {}, {}});
   (void)inserted;
   MigrateRun& run = it->second;
   run.walks.resize(run.coordinator.branch_count() *
@@ -225,6 +225,7 @@ void QueryService::CancelTimers(const MigrateRun& run) {
     scheduler->Cancel(timers.deadline);
     scheduler->Cancel(timers.deferred);
   }
+  for (sim::EventId reply : run.local_replies) scheduler->Cancel(reply);
 }
 
 void QueryService::CheckMigrationDone(uint64_t request_id) {
@@ -401,12 +402,16 @@ void QueryService::DeliverReply(net::PeerId initiator, uint64_t request_id,
                                ? MessageType::kPlanExecPartial
                                : MessageType::kPlanExecReply;
   if (initiator == peer_->id()) {
-    // Initiator-local: feed the coordinator directly (no self-send).
-    peer_->transport()->scheduler()->ScheduleAfter(
-        delay, peer_->id(),
-        [this, request_id, hops, reply = std::move(reply)]() mutable {
-          HandleEnvelopeReply(request_id, std::move(reply), hops);
-        });
+    // Initiator-local: feed the coordinator directly (no self-send) once
+    // the join time passes, unless the join ends first.
+    auto it = migrations_.find(request_id);
+    if (it == migrations_.end()) return;
+    it->second.local_replies.push_back(
+        peer_->transport()->scheduler()->ScheduleAfter(
+            delay, peer_->id(),
+            [this, request_id, hops, reply = std::move(reply)]() mutable {
+              HandleEnvelopeReply(request_id, std::move(reply), hops);
+            }));
     return;
   }
   if (delay <= 0) {

@@ -97,6 +97,9 @@ class QueryService {
     MigrateCallback callback;
     sim::EventId deadline = sim::kNoEvent;  ///< kMigrateDeadline.
     std::vector<WalkTimers> walks;  ///< By branch * chunk_count + chunk.
+    /// Replies this peer served as the join's initiator, held for the
+    /// simulated join time (DeliverReply).
+    std::vector<sim::EventId> local_replies;
 
     WalkTimers& walk(uint32_t branch, uint32_t chunk) {
       return walks[branch * coordinator.chunk_count() + chunk];
