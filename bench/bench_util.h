@@ -1,9 +1,10 @@
-// Shared helpers for the experiment benchmarks.
+// Shared helpers for the gated benchmarks.
 //
-// Every bench binary regenerates one experiment row of DESIGN.md §5: it
-// prints the paper-style series as a fixed-width table on stdout (the
-// deterministic simulation measurements: virtual latency, messages, hops)
-// and then runs its google-benchmark micro kernels (host wall time).
+// Every bench binary runs one system-level campaign or sweep of DESIGN.md
+// §5: it prints its series as a fixed-width table on stdout (the
+// deterministic simulation measurements: virtual latency, messages, hops),
+// writes its gate metrics, and then runs its google-benchmark micro
+// kernels (host wall time).
 #ifndef UNISTORE_BENCH_BENCH_UTIL_H_
 #define UNISTORE_BENCH_BENCH_UTIL_H_
 
@@ -103,10 +104,6 @@ inline std::string Fmt(const char* format, double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), format, value);
   return buf;
-}
-
-inline std::string FmtInt(uint64_t value) {
-  return std::to_string(value);
 }
 
 /// Prints the experiment banner (id + claim being reproduced).

@@ -31,12 +31,11 @@ struct RetryPolicy {
   /// Retries allowed after the first attempt.
   int max_retries = 2;
 
-  /// Backoff before retry k (1-based): min(base * multiplier^(k-1), cap),
-  /// plus uniform jitter in [0, jitter_us]. base == 0 keeps the legacy
+  /// Backoff before retry k (1-based): min(base * 2^(k-1), cap), plus
+  /// uniform jitter in [0, jitter_us]. base == 0 keeps the legacy
   /// immediate-retry behaviour.
   uint64_t backoff_base_us = 0;
   uint64_t backoff_cap_us = 0;  ///< 0 = uncapped.
-  double backoff_multiplier = 2.0;
   uint64_t jitter_us = 0;
 
   /// Total budget measured from the operation's start; once exceeded no
@@ -93,7 +92,7 @@ class RetryBudget {
     uint64_t d = 0;
     if (policy_.backoff_base_us > 0) {
       double b = static_cast<double>(policy_.backoff_base_us);
-      for (int i = 1; i < used_; ++i) b *= policy_.backoff_multiplier;
+      for (int i = 1; i < used_; ++i) b *= 2;
       double cap = policy_.backoff_cap_us > 0
                        ? static_cast<double>(policy_.backoff_cap_us)
                        : b;

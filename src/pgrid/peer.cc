@@ -840,27 +840,20 @@ void Peer::SendEntries(PeerId dst, std::vector<Entry> entries,
   transport_->Send(std::move(msg));
 }
 
-void Peer::ApplyOrReroute(const std::vector<Entry>& entries) {
-  for (const Entry& e : entries) {
-    if (IsResponsible(e.key)) {
-      store_.Apply(e);
-    } else {
-      InsertBatch({e}, NoopStatus);
-    }
-  }
-}
-
 void Peer::HandleEntryBatch(const Message& msg) {
   auto batch = EntryBatch::Decode(msg.payload);
-  if (!batch.ok()) return;
+  if (batch.ok()) StoreEntryBatch(std::move(*batch));
+}
+
+void Peer::StoreEntryBatch(EntryBatch batch) {
   std::vector<Entry> mine;
   std::vector<Entry> fresh;
-  for (Entry& e : batch->entries) {
+  for (Entry& e : batch.entries) {
     // Gossip is addressed by a replica list that may be stale across
     // churn: a member that moved to another region (recruit adoption,
     // exchange migration) must route the rumor onward to the real owner,
     // never absorb foreign data into its new region.
-    if ((batch->reroute_if_foreign || batch->gossip) &&
+    if ((batch.reroute_if_foreign || batch.gossip) &&
         !IsResponsible(e.key)) {
       // If the reroute dies (routing can dead-end while the trie is
       // mid-exchange), hold the entry here rather than lose it: a
@@ -871,7 +864,7 @@ void Peer::HandleEntryBatch(const Message& msg) {
       });
       continue;
     }
-    if (batch->gossip) {
+    if (batch.gossip) {
       // Rumor spreading with damping: only freshly learned updates are
       // forwarded, and only to replicas outside the batch's informed
       // set, so the rumor dies once the replica group has it.
@@ -883,7 +876,7 @@ void Peer::HandleEntryBatch(const Message& msg) {
   // Non-gossip handoffs (exchange data migration) land as one bulk run
   // instead of per-entry memtable churn.
   if (!mine.empty()) store_.BulkLoad(std::move(mine));
-  if (!fresh.empty()) PushBatchToReplicas(fresh, std::move(batch->informed));
+  if (!fresh.empty()) PushBatchToReplicas(fresh, std::move(batch.informed));
 }
 
 // ---------------------------------------------------------------------------
@@ -1619,7 +1612,7 @@ void Peer::DoInitiateExchange(PeerId other, uint32_t ttl,
           return;
         }
         PeerId responder = msg.src;
-        ApplyExchangeReply(*reply, responder);
+        ApplyExchangeReply(&*reply, responder);
 
         // Recursive refinement: meet one of the partner's contacts.
         if (ttl > 0) {
@@ -1712,10 +1705,8 @@ ExchangeReply Peer::DecideExchange(const ExchangeRequest& req) {
   return reply;
 }
 
-void Peer::ApplyExchangeReply(const ExchangeReply& reply, PeerId responder) {
-  const Key& responder_path = reply.responder_path;
-
-  switch (reply.action) {
+void Peer::ApplyExchangeReply(ExchangeReply* reply, PeerId responder) {
+  switch (reply->action) {
     case ExchangeAction::kNone:
       break;
     case ExchangeAction::kBusy:
@@ -1729,7 +1720,7 @@ void Peer::ApplyExchangeReply(const ExchangeReply& reply, PeerId responder) {
     }
     case ExchangeAction::kSplit:
     case ExchangeAction::kSpecialize: {
-      const Key& new_path = reply.new_initiator_path;
+      const Key& new_path = reply->new_initiator_path;
       UNISTORE_CHECK(path_.IsPrefixOf(new_path))
           << "exchange produced non-extension path";
       path_ = new_path;
@@ -1747,13 +1738,18 @@ void Peer::ApplyExchangeReply(const ExchangeReply& reply, PeerId responder) {
       // responder reroutes it when there is none), then move.
       SendEntries(responder, LeaveGroup(), /*reroute_if_foreign=*/true,
                   /*gossip=*/false);
-      SetPath(reply.new_initiator_path);
+      SetPath(reply->new_initiator_path);
       break;
   }
 
-  MergeRefs(reply.refs, responder_path);
-  AddPeerByPath(responder, responder_path);
-  ApplyOrReroute(reply.entries);
+  MergeRefs(reply->refs, reply->responder_path);
+  AddPeerByPath(responder, reply->responder_path);
+  // The handoff takes the same path as a migrated batch: entries outside
+  // the new path are rerouted, and kept here if the reroute fails.
+  EntryBatch handoff;
+  handoff.entries = std::move(reply->entries);
+  handoff.reroute_if_foreign = true;
+  StoreEntryBatch(std::move(handoff));
 }
 
 // ---------------------------------------------------------------------------

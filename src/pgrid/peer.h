@@ -457,6 +457,10 @@ class Peer {
   void HandleRangeShower(const net::Message& msg);
   void HandleExchange(const net::Message& msg);
   void HandleEntryBatch(const net::Message& msg);
+  // Stores a handed-off batch. With reroute_if_foreign or gossip, an entry
+  // outside this peer's path is rerouted to its owner, and kept here if
+  // that insert fails.
+  void StoreEntryBatch(EntryBatch batch);
 
   // Replica repair, donor side (stateless): the manifest summary and one
   // bounded chunk of a run's (or the memtable's) entry stream.
@@ -515,7 +519,8 @@ class Peer {
 
   // Exchange protocol.
   ExchangeReply DecideExchange(const ExchangeRequest& req);
-  void ApplyExchangeReply(const ExchangeReply& reply, PeerId responder);
+  // Moves reply->entries into this peer's store (StoreEntryBatch).
+  void ApplyExchangeReply(ExchangeReply* reply, PeerId responder);
   RefsBlock SnapshotRefs() const;
   /// True iff `peer` is a registered transport endpoint — the gate every
   /// payload-derived peer id passes before entering routing state.
@@ -616,7 +621,6 @@ class Peer {
   // set extended by itself, this peer and its fellow targets.
   void PushBatchToReplicas(const std::vector<Entry>& entries,
                            std::vector<PeerId> informed);
-  void ApplyOrReroute(const std::vector<Entry>& entries);
   void SendEntries(PeerId dst, std::vector<Entry> entries,
                    bool reroute_if_foreign, bool gossip,
                    std::vector<PeerId> informed = {});

@@ -60,7 +60,6 @@ TEST(RetryBudgetTest, BackoffGrowsExponentiallyAndCaps) {
   policy.max_retries = 10;
   policy.backoff_base_us = 1000;
   policy.backoff_cap_us = 5000;
-  policy.backoff_multiplier = 2.0;
   RetryBudget budget(policy, 0);
   budget.Spend(0);
   EXPECT_EQ(budget.NextDelayUs(nullptr), 1000);  // 1st retry: base.

@@ -348,7 +348,16 @@ TEST(IntegrationTest, ProbeJoinBatchesKeys) {
 
 TEST(IntegrationTest, SimilarityPathsAgree) {
   TestCluster tc;
-  tc.Load(SmallDataset());
+  std::vector<triple::Tuple> data = SmallDataset();
+  // 200 series far from the target: the naive scan ships them all, the
+  // q-gram path reads only the target's postings (claim C5).
+  for (int i = 0; i < 200; ++i) {
+    triple::Tuple t;
+    t.oid = "workshop-" + std::to_string(i);
+    t.attributes["series"] = Value::String("workshop " + std::to_string(i));
+    data.push_back(std::move(t));
+  }
+  tc.Load(data);
   const std::string query =
       "SELECT ?c,?s WHERE { (?c,'series',?s) FILTER edist(?s,'ICDE') < 2 }";
   auto parsed = vql::Parse(query);
@@ -356,16 +365,25 @@ TEST(IntegrationTest, SimilarityPathsAgree) {
   auto expected = RowSet(tc.reference.Eval(*parsed));
   ASSERT_FALSE(expected.empty());  // Dataset has ICDE + typos.
 
+  uint64_t qgram_bytes = 0;
+  uint64_t naive_bytes = 0;
   for (plan::AccessPath path : {plan::AccessPath::kSimilarityQGram,
                                 plan::AccessPath::kSimilarityNaive}) {
     plan::PlannerOptions options;
     options.force_similarity_path = path;
     tc.cluster->SetPlannerOptions(options);
-    auto result = tc.cluster->QuerySync(2, query);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(RowSet(result->rows), expected)
+    auto measured = tc.cluster->QueryMeasured(2, query);
+    ASSERT_TRUE(measured.ok()) << measured.status().ToString();
+    EXPECT_EQ(RowSet(measured->result.rows), expected)
         << "path " << plan::AccessPathName(path);
+    if (path == plan::AccessPath::kSimilarityQGram) {
+      qgram_bytes = measured->traffic.bytes_sent;
+    } else {
+      naive_bytes = measured->traffic.bytes_sent;
+    }
   }
+  // 1.5 KB against 13.8 KB.
+  EXPECT_LE(4 * qgram_bytes, naive_bytes);
 }
 
 std::string ContainsQuery(const std::string& needle) {
@@ -604,21 +622,32 @@ TEST(IntegrationTest, OrderByAndLimit) {
 
 TEST(IntegrationTest, TopNPushdownMatchesNoPushdown) {
   TestCluster tc;
-  tc.Load(SmallDataset());
+  std::vector<triple::Tuple> data = SmallDataset();
+  // 200 more ages: ship-all moves the whole partition, the ordered walk
+  // about LIMIT entries (claim C6a).
+  for (int i = 0; i < 200; ++i) {
+    triple::Tuple t;
+    t.oid = "member-" + std::to_string(i);
+    t.attributes["age"] = Value::Int(20 + i % 60);
+    data.push_back(std::move(t));
+  }
+  tc.Load(data);
   const std::string query =
       "SELECT ?g WHERE { (?a,'age',?g) } ORDER BY ?g LIMIT 4";
   plan::PlannerOptions with;
   tc.cluster->SetPlannerOptions(with);
-  auto pushed = tc.cluster->QuerySync(0, query);
+  auto pushed = tc.cluster->QueryMeasured(0, query);
   ASSERT_TRUE(pushed.ok());
-  EXPECT_NE(pushed->plan_text.find("walk_limit"), std::string::npos);
+  EXPECT_NE(pushed->result.plan_text.find("walk_limit"), std::string::npos);
 
   plan::PlannerOptions without;
   without.enable_topn_pushdown = false;
   tc.cluster->SetPlannerOptions(without);
-  auto plain = tc.cluster->QuerySync(0, query);
+  auto plain = tc.cluster->QueryMeasured(0, query);
   ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(RowSet(pushed->rows), RowSet(plain->rows));
+  EXPECT_EQ(RowSet(pushed->result.rows), RowSet(plain->result.rows));
+  // 0.4 KB against 11 KB.
+  EXPECT_LE(4 * pushed->traffic.bytes_sent, plain->traffic.bytes_sent);
 }
 
 std::vector<std::string> Column(const std::vector<Binding>& rows,

@@ -90,6 +90,31 @@ TEST(ExchangeTest, JoinViaExchangeSpecializes) {
   EXPECT_EQ(DistinctStoredIds(&overlay), 30u);
 }
 
+// A split reply hands the initiator every entry outside the responder's
+// new half, a misplaced copy under the other root branch included. Nobody
+// here knows a peer under '1', so the initiator's reroute of that entry
+// dead-ends; the initiator must keep the entry rather than drop it.
+TEST(ExchangeTest, SplitReplyKeepsEntryWhoseRerouteFails) {
+  Overlay overlay(SmallSplitOptions(6, 10));
+  overlay.AddPeers(2);
+  overlay.peer(0)->SetPath(Key::FromBits("0"));
+  overlay.peer(1)->SetPath(Key::FromBits("0"));
+  for (int i = 0; i < 20; ++i) {
+    overlay.peer(1)->ApplyLocal(
+        MakeDataEntry("value-" + std::to_string(i), "e" + std::to_string(i)));
+  }
+  const Entry misplaced = MakeDataEntry("\xF0-misplaced", "misplaced");
+  ASSERT_TRUE(misplaced.key.bit(0));
+  overlay.peer(1)->ApplyLocal(misplaced);
+
+  ASSERT_TRUE(overlay.ExchangeSync(0, 1).ok());
+  overlay.scheduler().RunUntilIdle();
+  ASSERT_EQ(overlay.peer(0)->path().bits(), "00");
+  ASSERT_EQ(overlay.peer(1)->path().bits(), "01");
+  EXPECT_FALSE(overlay.peer(0)->store().Get(misplaced.key).empty());
+  EXPECT_EQ(DistinctStoredIds(&overlay), 21u);
+}
+
 TEST(ExchangeTest, RefsAreExchangedOnDivergedPaths) {
   Overlay overlay(SmallSplitOptions(4, 1000));
   overlay.AddPeers(4);

@@ -163,13 +163,17 @@ TEST_P(RoutingScaling, AllLookupsSucceedWithinDepthHops) {
     EXPECT_LE(result->hops, depth + 1);
     total_hops += result->hops;
   }
-  // Average hops should be at most the trie depth (~log2 n).
-  EXPECT_LE(total_hops / static_cast<double>(inserted.size()),
-            static_cast<double>(depth));
+  // Average hops should be at most the trie depth (~log2 n). Each hop
+  // resolves the first differing bit and, by luck, half of the rest on
+  // average, so the mean stays near depth / 2 (~log2(n) / 2).
+  const double mean_hops = total_hops / static_cast<double>(inserted.size());
+  EXPECT_LE(mean_hops, static_cast<double>(depth));
+  EXPECT_LE(mean_hops, static_cast<double>(depth) / 2 + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(NetworkSizes, RoutingScaling,
-                         ::testing::Values(2, 4, 8, 16, 32, 64, 128));
+                         ::testing::Values(2, 4, 8, 16, 32, 64, 128, 256,
+                                           1024));
 
 TEST(OverlayTest, ReplicationStoresOnAllReplicas) {
   OverlayOptions options;
