@@ -69,10 +69,6 @@ CampaignOutcome RunCampaign(bool faulted) {
   options.replication = 2;
   options.peer.request_timeout = 300 * kMs;
   options.peer.request_retries = 5;
-  options.peer.retry_backoff_base_us = 20 * kMs;
-  options.peer.retry_backoff_cap_us = 200 * kMs;
-  options.peer.retry_jitter_us = 5 * kMs;
-  options.peer.suspicion_ttl = 1 * kS;
   Overlay overlay(options);
   overlay.AddPeers(2 * num_paths);
   overlay.BuildWithPaths(paths);

@@ -71,14 +71,9 @@ CampaignOutcome RunCampaign(bool churned) {
   options.seed = 20260808;
   options.peer.request_timeout = 300 * kMs;
   options.peer.request_retries = 5;
-  options.peer.retry_backoff_base_us = 20 * kMs;
-  options.peer.retry_backoff_cap_us = 200 * kMs;
-  options.peer.retry_jitter_us = 5 * kMs;
-  options.peer.suspicion_ttl = 1 * kS;
   options.peer.replication_target = 3;
   options.peer.reprotect_period = 500 * kMs;
   options.peer.reprotect_until = 20 * kS;
-  options.peer.failure_confirm_probes = 3;
   Overlay overlay(options);
   overlay.AddPeers(4 * kRegions);  // Region g: {g, g+16, g+32, g+48}.
   overlay.BuildWithPaths(paths);

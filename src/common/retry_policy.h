@@ -1,13 +1,13 @@
 // Unified retry discipline: capped exponential backoff with deterministic
 // jitter, per-protocol attempt budgets, and an optional overall deadline.
 //
-// Every protocol that retries (routed requests, bulk insert, replica
-// repair, envelope walks, overload defer) expresses its budget as a
-// RetryPolicy and tracks one operation's spend in a RetryBudget. Policies
-// are knobs (pgrid::PeerOptions, exec::EnvelopeOptions); spends are
-// counted per policy name in TrafficStats.retries_by_policy via
-// Transport::CountRetry, so a chaos run can attribute every retry to the
-// protocol that paid for it.
+// Every protocol of the peer that retries (routed requests, bulk insert,
+// range scans, replica repair) expresses its budget as a RetryPolicy and
+// tracks one operation's spend in a RetryBudget. A policy sets only the
+// attempt budget and an optional deadline; the backoff schedule is one
+// constant for all of them. Spends are counted per policy name in
+// TrafficStats.retries_by_policy via Transport::CountRetry, so a chaos run
+// can attribute every retry to the protocol that paid for it.
 //
 // Determinism: backoff is a pure function of the attempt number; jitter is
 // drawn from the caller's own Rng stream. Nothing here reads a wall clock
@@ -23,20 +23,20 @@
 
 namespace unistore {
 
-/// Per-protocol retry knobs. Times are virtual microseconds.
+/// The backoff before retry k (1-based), in virtual microseconds:
+/// min(kRetryBackoffBaseUs * 2^(k-1), kRetryBackoffCapUs), plus uniform
+/// jitter in [0, kRetryJitterUs] — 20, 40, 80, 160, 200, 200 ... ms.
+inline constexpr uint64_t kRetryBackoffBaseUs = 20'000;
+inline constexpr uint64_t kRetryBackoffCapUs = 200'000;
+inline constexpr uint64_t kRetryJitterUs = 5'000;
+
+/// Per-protocol retry budget. Times are virtual microseconds.
 struct RetryPolicy {
   /// Stable counter key (TrafficStats.retries_by_policy).
   std::string_view name = "retry";
 
   /// Retries allowed after the first attempt.
   int max_retries = 2;
-
-  /// Backoff before retry k (1-based): min(base * 2^(k-1), cap), plus
-  /// uniform jitter in [0, jitter_us]. base == 0 keeps the legacy
-  /// immediate-retry behaviour.
-  uint64_t backoff_base_us = 0;
-  uint64_t backoff_cap_us = 0;  ///< 0 = uncapped.
-  uint64_t jitter_us = 0;
 
   /// Total budget measured from the operation's start; once exceeded no
   /// further retry is granted regardless of attempts left. 0 = unbounded.
@@ -84,23 +84,14 @@ class RetryBudget {
     return deadline_at_ != 0 && now_us >= deadline_at_;
   }
 
-  /// Backoff before the retry just granted: capped exponential on the
-  /// attempt number plus jitter from `rng` (the caller's deterministic
-  /// stream; pass nullptr to skip jitter). Returns 0 under a pure
-  /// attempt-budget policy (backoff_base_us == 0).
+  /// Backoff before the retry just granted: the capped exponential
+  /// schedule on the attempt number plus jitter from `rng` (the caller's
+  /// deterministic stream; pass nullptr to skip jitter).
   int64_t NextDelayUs(Rng* rng) const {
-    uint64_t d = 0;
-    if (policy_.backoff_base_us > 0) {
-      double b = static_cast<double>(policy_.backoff_base_us);
-      for (int i = 1; i < used_; ++i) b *= 2;
-      double cap = policy_.backoff_cap_us > 0
-                       ? static_cast<double>(policy_.backoff_cap_us)
-                       : b;
-      d = static_cast<uint64_t>(std::min(b, cap));
-    }
-    if (policy_.jitter_us > 0 && rng != nullptr) {
-      d += rng->NextBounded(policy_.jitter_us + 1);
-    }
+    uint64_t d = kRetryBackoffBaseUs;
+    for (int i = 1; i < used_ && d < kRetryBackoffCapUs; ++i) d *= 2;
+    d = std::min(d, kRetryBackoffCapUs);
+    if (rng != nullptr) d += rng->NextBounded(kRetryJitterUs + 1);
     return static_cast<int64_t>(d);
   }
 

@@ -38,11 +38,11 @@ std::vector<pgrid::KeyRange> SplitRangeByPathSample(
 EnvelopeCoordinator::EnvelopeCoordinator(
     net::PeerId initiator, vql::TriplePattern pattern, pgrid::KeyRange range,
     std::vector<Binding> bindings, const EnvelopeOptions& options,
-    size_t key_width, uint64_t walk_id_base,
+    uint32_t walk_retries, size_t key_width, uint64_t walk_id_base,
     const std::vector<pgrid::Key>& peer_path_sample)
     : initiator_(initiator),
       pattern_(std::move(pattern)),
-      options_(options),
+      walk_retries_(walk_retries),
       next_walk_id_(walk_id_base) {
   branches_ = SplitRangeByPathSample(range, peer_path_sample,
                                      std::max<uint32_t>(1, options.fanout),
@@ -65,7 +65,7 @@ EnvelopeCoordinator::EnvelopeCoordinator(
       Walk& w = walks_[b * chunks_.size() + c];
       w.range = branches_[b];
       w.frontier = w.range.lo;
-      w.retries_left = options.walk_retries;
+      w.retries_left = walk_retries;
     }
   }
 }
@@ -109,15 +109,10 @@ void EnvelopeCoordinator::AbandonWalk(Walk* w) {
   ++walks_abandoned_;
 }
 
-size_t EnvelopeCoordinator::AbandonIncomplete() {
-  if (!options_.partial_results) return 0;
-  size_t abandoned = 0;
+void EnvelopeCoordinator::AbandonIncomplete() {
   for (Walk& w : walks_) {
-    if (w.complete) continue;
-    AbandonWalk(&w);
-    ++abandoned;
+    if (!w.complete) AbandonWalk(&w);
   }
-  return abandoned;
 }
 
 void EnvelopeCoordinator::AdvanceFrontier(Walk* w) {
@@ -141,7 +136,6 @@ void EnvelopeCoordinator::AdvanceFrontier(Walk* w) {
 EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
     EnvelopeReply reply, uint32_t msg_hops) {
   ReplyOutcome out;
-  if (!failure_.ok()) return out;
   if (reply.branch >= branches_.size() ||
       reply.chunk_id >= chunks_.size()) {
     return out;
@@ -170,11 +164,11 @@ EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
       // split out exactly), but when it extends past what we stored the
       // branch is demonstrably alive: count it as progress and repay the
       // retry the race consumed, so the timer relaunches the uncovered
-      // tail instead of failing a fully-delivered join.
+      // tail instead of abandoning a fully-delivered walk.
       auto it = w.accepted.find(lo);
       if (it != w.accepted.end() && reply.covered_hi > it->second) {
         out.progress = true;
-        if (w.retries_left < options_.walk_retries) ++w.retries_left;
+        if (w.retries_left < walk_retries_) ++w.retries_left;
       }
     }
   }
@@ -196,14 +190,8 @@ EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
       out.relaunch_after_us =
           std::max<sim::SimTime>(1, reply.retry_after_us);
     } else if (w.retries_left == 0) {
-      if (options_.partial_results) {
-        AbandonWalk(&w);
-        out.progress = true;
-      } else {
-        failure_ = Status(static_cast<StatusCode>(reply.status_code),
-                          reply.error.empty() ? "envelope walk failed"
-                                              : reply.error);
-      }
+      AbandonWalk(&w);
+      out.progress = true;
     } else {
       --w.retries_left;
       ++retries_;
@@ -217,25 +205,14 @@ EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
 EnvelopeCoordinator::TimerOutcome EnvelopeCoordinator::OnTimer(
     uint32_t branch, uint32_t chunk) {
   TimerOutcome out;
-  if (!failure_.ok() || branch >= branches_.size() ||
-      chunk >= chunks_.size()) {
-    return out;
-  }
+  if (branch >= branches_.size() || chunk >= chunks_.size()) return out;
   Walk& w = walk(branch, chunk);
   if (w.complete) return out;
   if (w.retries_left == 0) {
-    if (options_.partial_results) {
-      // Give this walk up instead of hanging the join out to its overall
-      // deadline: the join finishes now with an explicit coverage gap.
-      AbandonWalk(&w);
-      out.action = TimerOutcome::Action::kAbandon;
-      return out;
-    }
-    out.action = TimerOutcome::Action::kFail;
-    out.failure = Status::Timeout("envelope walk (branch ", branch,
-                                  ", chunk ", chunk,
-                                  ") made no progress and is out of retries");
-    failure_ = out.failure;
+    // Give this walk up instead of hanging the join out to its overall
+    // deadline: the join finishes now with an explicit coverage gap.
+    AbandonWalk(&w);
+    out.action = TimerOutcome::Action::kAbandon;
     return out;
   }
   --w.retries_left;

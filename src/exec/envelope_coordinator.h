@@ -9,7 +9,9 @@
 // coordinator assembles those intervals into a per-walk coverage frontier,
 // deduplicates retransmitted intervals, relaunches a stalled or lost walk
 // from the first coverage gap (bounded by a retry budget), and declares
-// the join done when every walk's branch range is fully covered.
+// the join done when every walk's branch range is fully covered. A walk
+// whose retries run out is abandoned with its uncovered interval named as
+// a coverage gap; it never fails the join.
 //
 // The class is a pure state machine: it never touches the network or the
 // scheduler. QueryService feeds it decoded replies and timer firings,
@@ -43,11 +45,6 @@ struct EnvelopeOptions {
   /// serializes per peer, so this models the compute the pipeline
   /// overlaps with latency.
   double join_visit_cost_us = 100.0;
-  /// Progress deadline of one walk; a walk whose coverage frontier did not
-  /// advance within it is relaunched from the frontier.
-  sim::SimTime walk_timeout = 4 * sim::kMicrosPerSecond;
-  /// Relaunch budget per (branch, chunk) walk.
-  uint32_t walk_retries = 2;
 
   // --- Hot-path serving layer (DESIGN.md §8) -----------------------------
 
@@ -56,14 +53,6 @@ struct EnvelopeOptions {
   /// a kOverloaded reply carrying a retry-after hint instead of queueing.
   /// 0 disables admission control (unbounded queue, the default).
   uint32_t admission_queue_depth = 0;
-
-  // --- Graceful degradation (DESIGN.md §10) ------------------------------
-
-  /// When a walk exhausts its retry budget, abandon just that walk and
-  /// return the rows gathered so far with an explicit coverage gap
-  /// (MigrateResult::coverage_gaps) instead of failing the whole join.
-  /// Off by default: a retry-exhausted walk fails the join.
-  bool partial_results = false;
 };
 
 /// TrafficStats retry-counter keys of the exec layer (common/retry_policy.h).
@@ -88,8 +77,9 @@ struct MigrateResult {
   uint32_t deferrals = 0;
   /// Longest single-envelope forwarding chain observed (message hops).
   uint32_t max_walk_hops = 0;
-  /// False when any walk was abandoned (partial_results mode): `rows` is
-  /// a partial answer and `coverage_gaps` names exactly what is missing.
+  /// False when any walk was abandoned (retries or the join deadline ran
+  /// out): `rows` is a partial answer and `coverage_gaps` names exactly
+  /// what is missing.
   bool complete = true;
   /// Uncovered key intervals [lo_bits, hi_bits] of abandoned walks.
   std::vector<std::pair<std::string, std::string>> coverage_gaps;
@@ -108,14 +98,16 @@ std::vector<pgrid::KeyRange> SplitRangeByPathSample(
 
 class EnvelopeCoordinator {
  public:
-  /// `walk_id_base` seeds the unique walk-instance ids (the initiator
-  /// passes its request id so ids do not collide across joins).
+  /// `walk_retries` is the relaunch budget of each (branch, chunk) walk
+  /// (the initiator passes its peer's request_retries). `walk_id_base`
+  /// seeds the unique walk-instance ids (the initiator passes its request
+  /// id so ids do not collide across joins).
   /// `peer_path_sample` (the stats catalog's gossiped path sample) steers
   /// the fan-out split; pass empty for the density-blind fallback.
   EnvelopeCoordinator(net::PeerId initiator, vql::TriplePattern pattern,
                       pgrid::KeyRange range, std::vector<Binding> bindings,
-                      const EnvelopeOptions& options, size_t key_width,
-                      uint64_t walk_id_base,
+                      const EnvelopeOptions& options, uint32_t walk_retries,
+                      size_t key_width, uint64_t walk_id_base,
                       const std::vector<pgrid::Key>& peer_path_sample = {});
 
   /// The initial envelope fleet (branches x chunks). Call exactly once.
@@ -138,27 +130,23 @@ class EnvelopeCoordinator {
   ReplyOutcome OnReply(EnvelopeReply reply, uint32_t msg_hops);
 
   struct TimerOutcome {
-    /// kAbandon: partial_results mode gave the walk up — its gap is
+    /// kAbandon: the walk was out of retries and is given up — its gap is
     /// recorded and done() may now be true; nothing to send or re-arm.
-    enum class Action { kIgnore, kRelaunch, kFail, kAbandon };
+    enum class Action { kIgnore, kRelaunch, kAbandon };
     Action action = Action::kIgnore;
     PlanEnvelope envelope;  ///< For kRelaunch.
-    Status failure;         ///< For kFail.
   };
   /// The timer of walk (branch, chunk) fired: it made no progress for a
-  /// whole walk_timeout.
+  /// whole request_timeout.
   TimerOutcome OnTimer(uint32_t branch, uint32_t chunk);
 
-  /// Abandons every still-incomplete walk (partial_results mode only —
-  /// a no-op otherwise). The overall-deadline path uses this to turn a
-  /// timeout into a partial result with explicit gaps. Returns the number
-  /// of walks abandoned; afterwards done() is true when any were.
-  size_t AbandonIncomplete();
+  /// Abandons every still-incomplete walk. The overall-deadline path uses
+  /// this to turn a timeout into a partial result with explicit gaps;
+  /// afterwards done() is true.
+  void AbandonIncomplete();
 
-  /// True when every walk's branch range is fully covered.
+  /// True when every walk's branch range is covered or abandoned.
   bool done() const { return walks_done_ == walks_.size(); }
-  /// Non-OK once a walk exhausted its retry budget; the join failed.
-  const Status& failure() const { return failure_; }
   /// Requires done(). Moves the merged, canonically sorted result out.
   MigrateResult TakeResult();
 
@@ -192,20 +180,19 @@ class EnvelopeCoordinator {
   }
   PlanEnvelope MakeEnvelope(uint32_t branch, uint32_t chunk);
   void AdvanceFrontier(Walk* w);
-  /// Marks a retry-exhausted walk done-with-gap (partial_results mode):
-  /// records [frontier, range.hi] as a coverage gap and counts the walk
-  /// as finished so the join can complete around it.
+  /// Marks a retry-exhausted walk done-with-gap: records
+  /// [frontier, range.hi] as a coverage gap and counts the walk as
+  /// finished so the join can complete around it.
   void AbandonWalk(Walk* w);
 
   net::PeerId initiator_;
   vql::TriplePattern pattern_;
-  EnvelopeOptions options_;
+  uint32_t walk_retries_;
   std::vector<pgrid::KeyRange> branches_;
   std::vector<std::vector<Binding>> chunks_;
   std::vector<Walk> walks_;
   size_t walks_done_ = 0;
   size_t walks_abandoned_ = 0;
-  Status failure_;
   uint64_t next_walk_id_;
   uint32_t envelopes_launched_ = 0;
   uint32_t retries_ = 0;

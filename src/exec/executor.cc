@@ -572,8 +572,9 @@ void Executor::ExecJoin(std::shared_ptr<PhysicalOp> node, Context ctx,
                   " envelopes=" +
                   std::to_string(migrated->envelopes_launched) +
                   " peers_visited=" + std::to_string(migrated->peers_visited);
-              // An abandoned walk (partial_results) leaves rows out: name
-              // every uncovered interval in the trace and the result.
+              // An abandoned walk (out of retries or past the join
+              // deadline) leaves rows out: name every uncovered interval
+              // in the trace and the result.
               for (auto& gap : migrated->coverage_gaps) {
                 line += " gap=[" + gap.first + "," + gap.second + "]";
                 ctx->coverage_gaps.push_back(std::move(gap));

@@ -37,8 +37,9 @@ struct QueryResult {
   /// are traceable, analyzable and (in limits) repeatable".
   std::vector<std::string> trace;
   /// Uncovered key intervals [lo_bits, hi_bits] of the walks its Migrate
-  /// joins abandoned (EnvelopeOptions::partial_results): the rows miss
-  /// whatever lies there. Sorted; empty when the result is complete.
+  /// joins abandoned once their retries or the join deadline ran out: the
+  /// rows miss whatever lies there. Sorted; empty when the result is
+  /// complete.
   std::vector<std::pair<std::string, std::string>> coverage_gaps;
 
   /// Fixed-width text table (examples / demos).

@@ -67,7 +67,9 @@ void QueryService::RunMigrateJoin(const vql::TriplePattern& pattern,
           EnvelopeCoordinator(
               peer_->id(), pattern,
               triple::AttrRange(pattern.predicate.literal.AsString()),
-              std::move(left), options_, pgrid::kKeyBits,
+              std::move(left), options_,
+              static_cast<uint32_t>(peer_->options().request_retries),
+              pgrid::kKeyBits,
               /*walk_id_base=*/(static_cast<uint64_t>(peer_->id()) << 40) |
                   (id << 16),
               // Statistics-informed fan-out: split at the sampled peers'
@@ -79,18 +81,14 @@ void QueryService::RunMigrateJoin(const vql::TriplePattern& pattern,
   run.walks.resize(run.coordinator.branch_count() *
                    run.coordinator.chunk_count());
 
-  // Overall deadline: whatever the per-walk retries do, a Migrate join
-  // cannot outlive kMigrateDeadline. In partial_results mode the deadline
+  // Overall deadline: whatever the per-walk retries and overload
+  // deferrals do, a Migrate join cannot outlive kMigrateDeadline. It
   // degrades instead of failing: still-uncovered walks are abandoned and
   // the rows gathered so far come back with explicit coverage gaps.
   run.deadline = peer_->transport()->scheduler()->ScheduleAfter(
       kMigrateDeadline, peer_->id(), [this, id]() {
-        if (migrations_.find(id)->second.coordinator.AbandonIncomplete() >
-            0) {
-          CheckMigrationDone(id);
-          return;
-        }
-        FinishMigration(id, Status::Timeout("plan envelope timed out"));
+        migrations_.find(id)->second.coordinator.AbandonIncomplete();
+        CheckMigrationDone(id);
       });
 
   std::vector<EnvelopeReply> undeliverable;
@@ -186,7 +184,8 @@ void QueryService::ArmWalkTimer(uint64_t request_id, uint32_t branch,
     return;
   }
   timers.deadline = scheduler->ScheduleAfter(
-      options_.walk_timeout, peer_->id(), [this, request_id, branch, chunk]() {
+      peer_->options().request_timeout, peer_->id(),
+      [this, request_id, branch, chunk]() {
         OnWalkTimer(request_id, branch, chunk);
       });
 }
@@ -208,9 +207,6 @@ void QueryService::OnWalkTimer(uint64_t request_id, uint32_t branch,
       }
       return;
     }
-    case Action::kFail:
-      FinishMigration(request_id, outcome.failure);
-      return;
     case Action::kAbandon:
       // The walk was given up with a recorded gap; the join may be done.
       CheckMigrationDone(request_id);
@@ -232,9 +228,7 @@ void QueryService::CheckMigrationDone(uint64_t request_id) {
   auto it = migrations_.find(request_id);
   if (it == migrations_.end()) return;
   EnvelopeCoordinator& coordinator = it->second.coordinator;
-  if (!coordinator.failure().ok()) {
-    FinishMigration(request_id, coordinator.failure());
-  } else if (coordinator.done()) {
+  if (coordinator.done()) {
     FinishMigration(request_id, coordinator.TakeResult());
   }
 }

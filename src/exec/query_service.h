@@ -86,8 +86,8 @@ class QueryService {
   void OnPeerRestart();
 
  private:
-  /// The timers of one walk: its walk_timeout progress deadline, and the
-  /// relaunch deferred by an overload shed.
+  /// The timers of one walk: its request_timeout progress deadline, and
+  /// the relaunch deferred by an overload shed.
   struct WalkTimers {
     sim::EventId deadline = sim::kNoEvent;
     sim::EventId deferred = sim::kNoEvent;
@@ -116,11 +116,11 @@ class QueryService {
   std::optional<EnvelopeReply> TrySendEnvelope(PlanEnvelope env,
                                                uint64_t request_id);
   /// Feeds a reply into the coordinator of `request_id`, performing the
-  /// relaunches it asks for and finishing the join when done/failed.
+  /// relaunches it asks for and finishing the join when done.
   void HandleEnvelopeReply(uint64_t request_id, EnvelopeReply reply,
                            uint32_t msg_hops);
-  /// Restarts the walk's walk_timeout deadline, or stops its timers once
-  /// the walk is done.
+  /// Restarts the walk's request_timeout deadline, or stops its timers
+  /// once the walk is done.
   void ArmWalkTimer(uint64_t request_id, uint32_t branch, uint32_t chunk);
   void OnWalkTimer(uint64_t request_id, uint32_t branch, uint32_t chunk);
   /// Cancels every timer of `run` (it ended).

@@ -198,18 +198,16 @@ void Peer::OnMessage(const Message& msg) {
     case MessageType::kRangeSeqReply: {
       auto reply = RangeSeqReply::Decode(msg.payload);
       if (reply.ok()) {
-        OnScanPartial(msg.request_id, msg.hops, /*shower=*/false,
-                      reply->entries, reply->status_code != 0,
-                      reply->will_forward);
+        OnScanPartial(msg.request_id, /*shower=*/false, reply->entries,
+                      reply->status_code != 0, reply->will_forward);
       }
       return;
     }
     case MessageType::kRangeShowerReply: {
       auto reply = RangeShowerReply::Decode(msg.payload);
       if (reply.ok()) {
-        OnScanPartial(msg.request_id, msg.hops, /*shower=*/true,
-                      reply->entries, reply->unreachable > 0,
-                      reply->forwards);
+        OnScanPartial(msg.request_id, /*shower=*/true, reply->entries,
+                      reply->unreachable > 0, reply->forwards);
       }
       return;
     }
@@ -237,20 +235,23 @@ PeerId Peer::NextHop(const Key& key) {
   if (IsResponsible(key)) return id_;
   size_t level = path_.CommonPrefixLength(key);
   UNISTORE_CHECK(level < path_.size());
-  if (options_.suspicion_ttl > 0) {
-    // Prefer references not under suspicion; the plain draw below remains
-    // the fallback so stale suspicion never creates a routing dead end.
-    const std::vector<PeerId>& refs = routing_.RefsAt(level);
-    std::vector<PeerId> healthy;
-    healthy.reserve(refs.size());
-    for (PeerId ref : refs) {
-      if (!Suspected(ref)) healthy.push_back(ref);
-    }
-    if (!healthy.empty()) {
-      return healthy[rng_.NextBounded(healthy.size())];
-    }
+  // Prefer references not under suspicion: one draw among the healthy
+  // ones, in table order. With none suspected that is the plain draw, and
+  // with all suspected the plain draw stays the fallback, so stale
+  // suspicion never creates a routing dead end.
+  const std::vector<PeerId>& refs = routing_.RefsAt(level);
+  size_t healthy = refs.size();
+  if (!suspects_.empty()) {
+    for (PeerId ref : refs) healthy -= Suspected(ref) ? 1 : 0;
   }
-  return routing_.RandomRefAt(level, &rng_);
+  if (healthy == refs.size() || healthy == 0) {
+    return routing_.RandomRefAt(level, &rng_);
+  }
+  size_t pick = rng_.NextBounded(healthy);
+  for (PeerId ref : refs) {
+    if (!Suspected(ref) && pick-- == 0) return ref;
+  }
+  return net::kNoPeer;  // Unreachable: `pick` < the healthy count.
 }
 
 PeerId Peer::Forward(const Message& msg, const Key& key) {
@@ -322,22 +323,10 @@ RetryPolicy Peer::RequestPolicy(std::string_view name) const {
   RetryPolicy p;
   p.name = name;
   p.max_retries = options_.request_retries;
-  p.backoff_base_us = options_.retry_backoff_base_us;
-  p.backoff_cap_us = options_.retry_backoff_cap_us;
-  p.jitter_us = options_.retry_jitter_us;
   return p;
 }
 
 sim::SimTime Peer::NowUs() const { return transport_->scheduler()->Now(); }
-
-void Peer::RetryAfter(sim::SimTime delay_us, sim::EventId* timer,
-                      std::function<void()> fn) {
-  if (delay_us <= 0) {
-    fn();
-    return;
-  }
-  ArmTimer(timer, delay_us, std::move(fn));
-}
 
 void Peer::ArmTimer(sim::EventId* timer, sim::SimTime delay,
                     std::function<void()> fn) {
@@ -346,12 +335,19 @@ void Peer::ArmTimer(sim::EventId* timer, sim::SimTime delay,
 }
 
 void Peer::ObservePeer(PeerId peer, bool ok) {
-  if (options_.suspicion_ttl <= 0 || peer == id_) return;
+  if (peer == id_) return;
   if (ok) {
     suspects_.erase(peer);
     return;
   }
-  suspects_[peer] = NowUs() + options_.suspicion_ttl;
+  // A suspicion only ever ends by expiry or an answer, so recording one
+  // drops the expired ones: the table holds at most the peers that failed
+  // within the last kSuspicionTtl.
+  const sim::SimTime now = NowUs();
+  for (auto it = suspects_.begin(); it != suspects_.end();) {
+    it = it->second <= now ? suspects_.erase(it) : std::next(it);
+  }
+  suspects_[peer] = now + kSuspicionTtl;
 }
 
 bool Peer::Suspected(PeerId peer) const {
@@ -454,8 +450,8 @@ void Peer::RetryKeySet(uint64_t request_id) {
   }
   transport_->CountRetry(op.budget.policy().name);
   op.backing_off = true;
-  RetryAfter(op.budget.NextDelayUs(&rng_), &op.timer,
-             [this, request_id]() { SendKeySet(request_id); });
+  ArmTimer(&op.timer, op.budget.NextDelayUs(&rng_),
+           [this, request_id]() { SendKeySet(request_id); });
 }
 
 template <typename Reply, typename FinishFn>
@@ -1119,8 +1115,8 @@ void Peer::RepairChunkRetry(uint64_t repair_id) {
   RepairState& st = it->second;
   if (st.chunk_budget.Spend(NowUs())) {
     transport_->CountRetry(kRepairRetryPolicy);
-    RetryAfter(st.chunk_budget.NextDelayUs(&rng_), &st.timer,
-               [this, repair_id]() { RepairRequestChunk(repair_id); });
+    ArmTimer(&st.timer, st.chunk_budget.NextDelayUs(&rng_),
+             [this, repair_id]() { RepairRequestChunk(repair_id); });
   } else {
     // Past the total deadline this surfaces the timeout, not a failover.
     RepairTryNextCandidate(repair_id);
@@ -1260,7 +1256,7 @@ void Peer::SendScan(uint64_t id) {
   }
 }
 
-void Peer::OnScanPartial(uint64_t request_id, uint32_t hops, bool shower,
+void Peer::OnScanPartial(uint64_t request_id, bool shower,
                          const std::vector<Entry>& entries, bool failed,
                          uint32_t forwards) {
   auto it = scans_.find(request_id);
@@ -1269,7 +1265,6 @@ void Peer::OnScanPartial(uint64_t request_id, uint32_t hops, bool shower,
   RangeResult& result = state.result;
   result.entries.insert(result.entries.end(), entries.begin(), entries.end());
   result.peers_contacted++;
-  result.max_hops = std::max(result.max_hops, hops);
   if (failed) result.complete = false;
   state.outstanding += forwards;
   state.outstanding -= 1;
@@ -1301,7 +1296,7 @@ void Peer::FinishScan(uint64_t request_id, bool complete) {
     const uint64_t id = next_scan_id_++;
     const sim::SimTime delay = state.budget.NextDelayUs(&rng_);
     ScanState& next = scans_.emplace(id, std::move(state)).first->second;
-    RetryAfter(delay, &next.timer, [this, id]() { SendScan(id); });
+    ArmTimer(&next.timer, delay, [this, id]() { SendScan(id); });
     return;
   }
   state.result.complete = complete;
@@ -1368,7 +1363,9 @@ void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
       msg.src = id_;
       msg.dst = id_;
       msg.request_id = request_id;
-      msg.hops = hops;
+      // Each leg to the next leaf is a route of its own: the hop cap of
+      // Forward bounds one leg, not the whole walk.
+      msg.hops = 0;
       msg.payload = next.Encode();
       if (Forward(msg, next_lo) != net::kNoPeer) {
         reply.will_forward = true;
@@ -1389,7 +1386,7 @@ void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
         return reply.entries.size() < count;
       });
     }
-    OnScanPartial(request_id, hops, /*shower=*/false, reply.entries,
+    OnScanPartial(request_id, /*shower=*/false, reply.entries,
                   reply.status_code != 0, reply.will_forward);
     return;
   }
@@ -1427,7 +1424,7 @@ void Peer::HandleRangeSeq(const Message& msg) {
 void Peer::DeliverSeqPartial(PeerId initiator, uint64_t request_id,
                              uint32_t hops, const RangeSeqReply& reply) {
   if (initiator == id_) {
-    OnScanPartial(request_id, hops, /*shower=*/false, reply.entries,
+    OnScanPartial(request_id, /*shower=*/false, reply.entries,
                   reply.status_code != 0, reply.will_forward);
     return;
   }
@@ -1481,7 +1478,7 @@ void Peer::ProcessRangeShower(const RangeShowerRequest& req,
       reply.entries.push_back(e.ToEntry());
       return true;
     });
-    OnScanPartial(request_id, hops, /*shower=*/true, reply.entries,
+    OnScanPartial(request_id, /*shower=*/true, reply.entries,
                   reply.unreachable > 0, reply.forwards);
     return;
   }
@@ -1976,7 +1973,7 @@ void Peer::SendProbe(PeerId replica) {
 
 void Peer::OnProbeFailure(PeerId replica) {
   int& failures = probe_failures_[replica];
-  if (++failures < options_.failure_confirm_probes) return;
+  if (++failures < kFailureConfirmProbes) return;
   // Suspicion promoted to confirmed failure: drop the peer from the
   // replica set and every routing level. If it was only partitioned it
   // re-announces on its next probe of us and re-links.

@@ -54,6 +54,17 @@ inline constexpr int kRepairChunkRetries = 2;
 /// Cap on an advertised replica group (serving peer included).
 inline constexpr size_t kHotKeyMaxReplicas = 4;
 
+/// How long a peer that failed a request stays suspected. While
+/// suspected, greedy routing and hot-replica fan-out prefer healthy
+/// alternatives (and fall back to the plain draw when none exists, so
+/// stale suspicion never turns into a dead end).
+inline constexpr sim::SimTime kSuspicionTtl = 1 * sim::kMicrosPerSecond;
+
+/// Consecutive failed probes that confirm a replica dead (suspicion
+/// promoted to confirmed failure: the peer is removed from the replica
+/// set and every routing level, and re-protection may recruit).
+inline constexpr int kFailureConfirmProbes = 3;
+
 /// Tunables of one peer's protocol behaviour.
 struct PeerOptions {
   /// Combined live entries at which two equal-path peers split instead of
@@ -62,29 +73,15 @@ struct PeerOptions {
   size_t split_threshold = 256;
 
   /// How long an initiator waits on a routed request: an RPC, an attempt
-  /// of a key-set lookup or batch insert, or an attempt of a range scan.
-  /// A key-set or scan attempt restarts the wait on every reply or
-  /// partial it gets (DESIGN.md §10).
+  /// of a key-set lookup or batch insert, an attempt of a range scan, or
+  /// a Migrate join's envelope walk. A key-set, scan or walk attempt
+  /// restarts the wait on every reply or partial it gets (DESIGN.md §10).
   sim::SimTime request_timeout = 5 * sim::kMicrosPerSecond;
 
-  /// Retries of a failed lookup/insert at the initiator.
+  /// Retries of a failed lookup, insert, range scan or envelope walk at
+  /// the initiator. A lookup, insert or scan retry first waits the backoff
+  /// schedule of common/retry_policy.h; a walk relaunches without one.
   int request_retries = 2;
-
-  // --- Unified retry discipline (common/retry_policy.h) ------------------
-
-  /// Backoff of the routed-request retry policies (lookup, insert, bulk
-  /// insert, repair chunks): capped exponential from `base` with uniform
-  /// jitter drawn from this peer's own RNG stream. base == 0 keeps the
-  /// legacy immediate-retry behaviour (the default).
-  uint64_t retry_backoff_base_us = 0;
-  uint64_t retry_backoff_cap_us = 0;
-  uint64_t retry_jitter_us = 0;
-
-  /// How long a peer that failed a request stays suspected. While
-  /// suspected, greedy routing and hot-replica fan-out prefer healthy
-  /// alternatives (and fall back to the plain draw when none exists, so
-  /// stale suspicion never turns into a dead end). 0 disables (default).
-  sim::SimTime suspicion_ttl = 0;
 
   /// Replicas contacted per push round (rumor-spreading push,
   /// [Datta ICDCS'03]). A push names the peers it has already informed,
@@ -118,11 +115,6 @@ struct PeerOptions {
   /// rescheduling at this time, so RunUntilIdle terminates. Must be set
   /// (> 0) whenever reprotect_period is.
   sim::SimTime reprotect_until = 0;
-
-  /// Consecutive failed probes that confirm a replica dead (suspicion
-  /// promoted to confirmed failure: the peer is removed from the replica
-  /// set and every routing level, and re-protection may recruit).
-  int failure_confirm_probes = 3;
 
   /// Local storage engine knobs (memtable flush threshold, run
   /// compaction fan-in, storage backend — DESIGN.md § Local storage
@@ -159,7 +151,6 @@ using LookupBatchResult = std::map<Key, std::vector<Entry>>;
 struct RangeResult {
   std::vector<Entry> entries;
   uint32_t peers_contacted = 0;
-  uint32_t max_hops = 0;
   /// False when the "range" retry budget ran out on attempts that each
   /// met an unreachable branch, a stalled walk, or `request_timeout` with
   /// no partial; the last attempt's entries are still returned.
@@ -206,7 +197,7 @@ struct PeerCounters {
   /// Replicas this peer recruited into its group (re-protection).
   uint64_t recruits_completed = 0;
   /// Replicas the failure detector confirmed dead (consecutive probe
-  /// failures >= failure_confirm_probes) and removed everywhere.
+  /// failures >= kFailureConfirmProbes) and removed everywhere.
   uint64_t replicas_confirmed_dead = 0;
   /// Virtual-time cost of the last post-restart catch-up pull (0 when no
   /// restart completed a catch-up yet).
@@ -400,6 +391,8 @@ class Peer {
 
   /// True while `peer` is under active suspicion (tests).
   bool IsSuspected(PeerId peer) const { return Suspected(peer); }
+  /// Entries of the suspicion table, expired ones included (tests).
+  size_t suspicions_held() const { return suspects_.size(); }
 
  private:
   // Message pump.
@@ -408,22 +401,19 @@ class Peer {
   // Client ops with retry budget (common/retry_policy.h).
   void DoInitiateExchange(PeerId other, uint32_t ttl, StatusCallback callback);
 
-  // Retry plumbing: the per-protocol policy built from the options, the
-  // virtual clock, and deferred re-execution honouring a backoff delay:
-  // `fn` runs now, or later as the operation's `*timer`, which its
-  // completion and failure paths cancel.
+  // Retry plumbing: the per-protocol policy built from the options and
+  // the virtual clock.
   RetryPolicy RequestPolicy(std::string_view name) const;
   sim::SimTime NowUs() const;
-  void RetryAfter(sim::SimTime delay_us, sim::EventId* timer,
-                  std::function<void()> fn);
   // The one deadline rule of an operation's timer (DESIGN.md §10): arming
-  // cancels the `*timer` armed before and schedules `fn` after `delay`;
-  // ending an attempt or the operation cancels it.
+  // cancels the `*timer` armed before and schedules `fn` after `delay` (a
+  // request timeout or a retry's backoff); ending an attempt or the
+  // operation cancels it.
   void ArmTimer(sim::EventId* timer, sim::SimTime delay,
                 std::function<void()> fn);
 
   // Peer suspicion (graceful degradation): failed requests mark the target
-  // suspected for suspicion_ttl; successes clear it. Routing prefers
+  // suspected for kSuspicionTtl; successes clear it. Routing prefers
   // unsuspected candidates while a healthy one exists.
   void ObservePeer(PeerId peer, bool ok);
   bool Suspected(PeerId peer) const;
@@ -513,7 +503,7 @@ class Peer {
   // join the result. A walk ends at its last leaf (no `forwards`) or at a
   // `failed` one; a shower once every branch it forked answered, and a
   // `failed` (unreachable) branch leaves it incomplete.
-  void OnScanPartial(uint64_t request_id, uint32_t hops, bool shower,
+  void OnScanPartial(uint64_t request_id, bool shower,
                      const std::vector<Entry>& entries, bool failed,
                      uint32_t forwards);
 
@@ -646,7 +636,7 @@ class Peer {
   std::map<PeerId, sim::SimTime> suspects_;
 
   // Lifecycle state (DESIGN.md §11). probe_failures_ counts consecutive
-  // failed probes per replica; reaching failure_confirm_probes confirms
+  // failed probes per replica; reaching kFailureConfirmProbes confirms
   // the failure.
   std::function<void()> restart_hook_;
   std::map<PeerId, int> probe_failures_;

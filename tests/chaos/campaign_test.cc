@@ -64,10 +64,6 @@ TEST(ChaosCampaignTest, InvariantsHoldUnderScriptedFaultMixture) {
   options.replication = 2;
   options.peer.request_timeout = 300 * kMs;
   options.peer.request_retries = 5;
-  options.peer.retry_backoff_base_us = 20 * kMs;
-  options.peer.retry_backoff_cap_us = 200 * kMs;
-  options.peer.retry_jitter_us = 5 * kMs;
-  options.peer.suspicion_ttl = 1 * kS;
 
   Overlay overlay(options);
   overlay.AddPeers(2 * num_paths);
@@ -104,9 +100,6 @@ TEST(ChaosCampaignTest, InvariantsHoldUnderScriptedFaultMixture) {
   }
   exec::EnvelopeOptions eo;
   eo.fanout = 2;
-  eo.walk_timeout = 400 * kMs;
-  eo.walk_retries = 8;
-  eo.partial_results = true;
   services[0]->set_envelope_options(eo);
   services[1]->set_envelope_options(eo);
 
@@ -237,8 +230,8 @@ TEST(ChaosCampaignTest, InvariantsHoldUnderScriptedFaultMixture) {
   // --- Invariant 3: no walk stuck past its budget. ----------------------
   ASSERT_TRUE(mid_walk.has_value()) << "mid-chaos walk never finished";
   ASSERT_TRUE(mid_walk->ok()) << mid_walk->status().ToString();
-  // (walk_retries + 1) chains of walk_timeout each, plus generous slack
-  // for chunking and local joins — far below the 20 s scan deadline.
+  // (request_retries + 1) chains of request_timeout each, plus generous
+  // slack for chunking and local joins — far below the 20 s scan deadline.
   EXPECT_LT(mid_walk_finished - 2 * kS, 10 * kS)
       << "walk outlived its relaunch budget";
   if (!(*mid_walk)->complete) {
@@ -345,18 +338,13 @@ TEST(ChaosCampaignTest, ChurnMixedWithFaultsEndsReprotected) {
   options.seed = 9091;
   options.peer.request_timeout = 300 * kMs;
   options.peer.request_retries = 5;
-  options.peer.retry_backoff_base_us = 20 * kMs;
-  options.peer.retry_backoff_cap_us = 200 * kMs;
-  options.peer.retry_jitter_us = 5 * kMs;
-  options.peer.suspicion_ttl = 1 * kS;
   options.peer.replication_target = 3;
   options.peer.reprotect_period = 500 * kMs;
   options.peer.reprotect_until = 20 * kS;
-  // Three consecutive failed probes to confirm: long enough that the
-  // 800 ms partition below reads as a blip, short enough that the
-  // permanent crashes are confirmed and re-protected well inside the
-  // guard horizon.
-  options.peer.failure_confirm_probes = 3;
+  // Confirming a failure takes kFailureConfirmProbes (three) consecutive
+  // failed probes: long enough that the 800 ms partition below reads as a
+  // blip, short enough that the permanent crashes are confirmed and
+  // re-protected well inside the guard horizon.
 
   Overlay overlay(options);
   overlay.AddPeers(4 * kRegions);  // Region g: {g, g+16, g+32, g+48}.

@@ -2,9 +2,9 @@
 // (DESIGN.md §10). While a serving peer is partitioned the walk's coverage
 // frontier stalls; the relaunch discipline must retry into the healed
 // segment and produce rows byte-identical to a fault-free run. When the
-// partition never heals, partial-results mode must degrade gracefully: the
-// initiator gets the reachable rows plus an explicit coverage-gap status,
-// well before the full scan deadline — never a silent hang.
+// partition never heals, the join must degrade gracefully: the initiator
+// gets the reachable rows plus an explicit coverage-gap status, well
+// before the full scan deadline — never a silent hang.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -37,11 +37,16 @@ std::string RowsToString(const std::vector<exec::Binding>& rows) {
 }
 
 // One overlay per run: peers on a partition-cover trie for the "age"
-// attribute, a QueryService per peer, `kTriples` rows bulk-loaded.
+// attribute, a QueryService per peer, `kTriples` rows bulk-loaded. Walks
+// wait `request_timeout` for progress and relaunch `request_retries`
+// times.
 struct Scenario {
-  explicit Scenario(const std::vector<std::string>& paths, uint64_t seed) {
+  Scenario(const std::vector<std::string>& paths, uint64_t seed,
+           sim::SimTime request_timeout, int request_retries) {
     OverlayOptions options;
     options.seed = seed;
+    options.peer.request_timeout = request_timeout;
+    options.peer.request_retries = request_retries;
     overlay = std::make_unique<Overlay>(options);
     overlay->AddPeers(paths.size());
     overlay->BuildWithPaths(paths);
@@ -101,11 +106,10 @@ TEST(PartitionHealTest, WalkStraddlingHealMatchesFaultFreeRun) {
       triple::AttrPrefixRange("age", ""), kInsideLeaves);
 
   auto run = [&paths](bool faulted, uint32_t* retries_out) {
-    Scenario s(paths, /*seed=*/77);
+    Scenario s(paths, /*seed=*/77, 500 * sim::kMicrosPerMilli,
+               /*request_retries=*/10);
     exec::EnvelopeOptions eo;
     eo.fanout = 2;
-    eo.walk_timeout = 500 * sim::kMicrosPerMilli;
-    eo.walk_retries = 10;
     s.services[0]->set_envelope_options(eo);
     if (faulted) {
       net::PeerId victim = s.ServingPeer();
@@ -135,25 +139,22 @@ TEST(PartitionHealTest, WalkStraddlingHealMatchesFaultFreeRun) {
       << "rows after straddling a heal differ from the fault-free run";
 }
 
-// A partition that never heals: partial-results mode returns the
-// reachable rows with an explicit coverage-gap status long before the
-// scan deadline; strict mode fails loudly instead of hanging.
+// A partition that never heals: the join returns the reachable rows with
+// an explicit coverage-gap status long before the scan deadline.
 TEST(PartitionHealTest, UnhealedPartitionYieldsExplicitCoverageGap) {
   const auto paths = PartitionCoverPaths(
       triple::AttrPrefixRange("age", ""), kInsideLeaves);
-  Scenario s(paths, /*seed=*/78);
+  Scenario s(paths, /*seed=*/78, 200 * sim::kMicrosPerMilli,
+             /*request_retries=*/2);
   net::PeerId victim = s.ServingPeer();
   ASSERT_NE(victim, net::kNoPeer);
   net::FaultSchedule faults;
   faults.PartitionPair(0, net::kFaultForever, victim, net::kAnyPeer);
   s.overlay->transport().SetFaultSchedule(faults);
 
-  exec::EnvelopeOptions partial;
-  partial.fanout = 2;
-  partial.walk_timeout = 200 * sim::kMicrosPerMilli;
-  partial.walk_retries = 2;
-  partial.partial_results = true;
-  s.services[0]->set_envelope_options(partial);
+  exec::EnvelopeOptions eo;
+  eo.fanout = 2;
+  s.services[0]->set_envelope_options(eo);
 
   const sim::SimTime launched = s.overlay->scheduler().Now();
   auto degraded = s.Migrate(0);
@@ -169,17 +170,9 @@ TEST(PartitionHealTest, UnhealedPartitionYieldsExplicitCoverageGap) {
   }
   EXPECT_LT(degraded->rows.size(), static_cast<size_t>(kTriples))
       << "partitioned peer held rows, yet none went missing";
-  // (retries + 1) relaunch chains of walk_timeout each, plus slack —
+  // (retries + 1) relaunch chains of request_timeout each, plus slack —
   // far below the 20 s scan deadline a hang would burn.
   EXPECT_LT(finished - launched, 5 * sim::kMicrosPerSecond);
-
-  // Strict mode over the same cut network: fail, don't fabricate.
-  exec::EnvelopeOptions strict = partial;
-  strict.partial_results = false;
-  s.services[0]->set_envelope_options(strict);
-  auto failed = s.Migrate(0);
-  EXPECT_FALSE(failed.ok())
-      << "strict mode must surface the failure, not a partial answer";
 }
 
 }  // namespace

@@ -112,7 +112,6 @@ TEST(ChurnLifecycleTest, MemoryRestartCatchesUpThroughRepair) {
   options.replication = 2;
   options.peer.request_timeout = 300 * kMs;
   options.peer.request_retries = 4;
-  options.peer.suspicion_ttl = 1 * kS;
   Overlay overlay(options);
   overlay.AddPeers(4);
   overlay.BuildBalanced();
@@ -456,7 +455,6 @@ TEST(ChurnLifecycleTest, GuardConfirmsFailureAndRecruitsReplacement) {
   options.peer.replication_target = 2;
   options.peer.reprotect_period = 500 * kMs;
   options.peer.reprotect_until = 30 * kS;
-  options.peer.failure_confirm_probes = 2;
   Overlay overlay(options);
   overlay.AddPeers(5);
   overlay.BuildWithPaths({"0", "1"});  // "0": {0,2,4}  "1": {1,3}.
@@ -520,10 +518,6 @@ TEST(ChurnLifecycleTest, StaleHotAdvertFailsOverWhenReplicaCrashes) {
   options.seed = 31;
   options.peer.request_timeout = 200 * kMs;
   options.peer.request_retries = 4;
-  options.peer.retry_backoff_base_us = 10 * kMs;
-  options.peer.retry_backoff_cap_us = 80 * kMs;
-  options.peer.retry_jitter_us = 2 * kMs;
-  options.peer.suspicion_ttl = 1 * kS;
   Overlay overlay(options);
   overlay.AddPeers(4);
   overlay.BuildWithPaths({"0", "1"});  // "0": {0,2}  "1": {1,3}.
@@ -588,7 +582,6 @@ TEST(ChurnLifecycleTest, InstallChurnCompilesMixedSchedule) {
   options.replication = 2;
   options.peer.request_timeout = 300 * kMs;
   options.peer.request_retries = 4;
-  options.peer.suspicion_ttl = 1 * kS;
   Overlay overlay(options);
   overlay.AddPeers(8);
   overlay.BuildBalanced();

@@ -48,53 +48,40 @@ TEST(RetryBudgetTest, ResetAttemptsKeepsDeadline) {
   EXPECT_EQ(budget.deadline_at(), 10000);
 }
 
-TEST(RetryBudgetTest, ZeroBaseKeepsLegacyImmediateRetry) {
-  RetryPolicy policy;  // backoff_base_us == 0.
-  RetryBudget budget(policy, 0);
-  budget.Spend(0);
-  EXPECT_EQ(budget.NextDelayUs(nullptr), 0);
-}
-
 TEST(RetryBudgetTest, BackoffGrowsExponentiallyAndCaps) {
+  // The one schedule of every policy: 20, 40, 80, 160 ms, then the
+  // 200 ms cap.
   RetryPolicy policy;
   policy.max_retries = 10;
-  policy.backoff_base_us = 1000;
-  policy.backoff_cap_us = 5000;
   RetryBudget budget(policy, 0);
-  budget.Spend(0);
-  EXPECT_EQ(budget.NextDelayUs(nullptr), 1000);  // 1st retry: base.
-  budget.Spend(0);
-  EXPECT_EQ(budget.NextDelayUs(nullptr), 2000);  // 2nd: base * 2.
-  budget.Spend(0);
-  EXPECT_EQ(budget.NextDelayUs(nullptr), 4000);  // 3rd: base * 4.
-  budget.Spend(0);
-  EXPECT_EQ(budget.NextDelayUs(nullptr), 5000);  // 4th: capped.
-  budget.Spend(0);
-  EXPECT_EQ(budget.NextDelayUs(nullptr), 5000);  // Stays at the cap.
+  const int64_t kMs = 1000;
+  for (int64_t want : {20 * kMs, 40 * kMs, 80 * kMs, 160 * kMs, 200 * kMs,
+                       200 * kMs}) {
+    ASSERT_TRUE(budget.Spend(0));
+    EXPECT_EQ(budget.NextDelayUs(nullptr), want) << "retry " << budget.used();
+  }
 }
 
 TEST(RetryBudgetTest, JitterIsBoundedAndDeterministic) {
+  // Each delay adds one draw in [0, 5 ms] from the caller's stream: the
+  // same seed gives the same delays, and the draws are exactly the
+  // stream's NextBounded(5 ms + 1).
   RetryPolicy policy;
   policy.max_retries = 50;
-  policy.backoff_base_us = 1000;
-  policy.backoff_cap_us = 1000;
-  policy.jitter_us = 250;
-  auto draws = [&policy]() {
-    Rng rng(99);
-    RetryBudget budget(policy, 0);
-    std::vector<int64_t> out;
-    for (int i = 0; i < 20; ++i) {
-      budget.Spend(0);
-      out.push_back(budget.NextDelayUs(&rng));
-    }
-    return out;
-  };
-  std::vector<int64_t> a = draws();
-  for (int64_t d : a) {
-    EXPECT_GE(d, 1000);
-    EXPECT_LE(d, 1250);
+  RetryBudget plain(policy, 0);
+  RetryBudget jittered(policy, 0);
+  Rng rng(99);
+  Rng twin(99);
+  for (int i = 0; i < 20; ++i) {
+    plain.Spend(0);
+    jittered.Spend(0);
+    const int64_t base = plain.NextDelayUs(nullptr);
+    const int64_t delay = jittered.NextDelayUs(&rng);
+    EXPECT_GE(delay - base, 0);
+    EXPECT_LE(delay - base, 5000);
+    EXPECT_EQ(delay - base,
+              static_cast<int64_t>(twin.NextBounded(kRetryJitterUs + 1)));
   }
-  EXPECT_EQ(a, draws());  // Same seed, same delays.
 }
 
 TEST(RetryBudgetTest, DefaultConstructedBudgetIsUnbounded) {

@@ -179,14 +179,9 @@ Capture RunChurnScenario(bool disk_backend = false) {
   options.seed = 20260808;
   options.peer.request_timeout = 300 * sim::kMicrosPerMilli;
   options.peer.request_retries = 4;
-  options.peer.retry_backoff_base_us = 10 * sim::kMicrosPerMilli;
-  options.peer.retry_backoff_cap_us = 100 * sim::kMicrosPerMilli;
-  options.peer.retry_jitter_us = 2 * sim::kMicrosPerMilli;
-  options.peer.suspicion_ttl = 1 * sim::kMicrosPerSecond;
   options.peer.replication_target = 2;
   options.peer.reprotect_period = 500 * sim::kMicrosPerMilli;
   options.peer.reprotect_until = 12 * sim::kMicrosPerSecond;
-  options.peer.failure_confirm_probes = 2;
   pgrid::storage::MemEnv env;
   if (disk_backend) {
     options.peer.storage.backend = pgrid::LocalStoreOptions::Backend::kDisk;
@@ -317,9 +312,8 @@ Capture RunMigrateScenario(double loss_probability = 0.005,
   if (faulted) {
     // Scripted fault plane (net/fault_plane.h): a permanently cut leaf,
     // one slow jittery sender, plus wildcard corruption and duplication.
-    // Partial-results mode turns unreachable coverage into explicit gaps,
-    // and the backoff knobs route every retry through RetryPolicy — all
-    // of it must replay byte-identically.
+    // Unreachable coverage turns into explicit gaps, and every retry waits
+    // its RetryPolicy backoff — all of it must replay byte-identically.
     const auto cut = static_cast<net::PeerId>(options.peers - 1);
     options.fault_schedule.PartitionPair(0, net::kFaultForever, cut,
                                          net::kAnyPeer);
@@ -329,17 +323,12 @@ Capture RunMigrateScenario(double loss_probability = 0.005,
                                    net::kAnyPeer, 0.01);
     options.fault_schedule.Duplicate(0, net::kFaultForever, net::kAnyPeer,
                                      net::kAnyPeer, 0.02);
-    options.node.envelope.partial_results = true;
-    options.peer.retry_backoff_base_us = 10 * sim::kMicrosPerMilli;
-    options.peer.retry_backoff_cap_us = 100 * sim::kMicrosPerMilli;
-    options.peer.retry_jitter_us = 2 * sim::kMicrosPerMilli;
-    options.peer.suspicion_ttl = 2 * sim::kMicrosPerSecond;
   }
   options.node.planner.force_join_strategy = plan::JoinStrategy::kMigrate;
   options.node.envelope.fanout = 4;
   options.node.envelope.max_bindings_per_envelope = 8;
-  options.node.envelope.walk_timeout = 500 * sim::kMicrosPerMilli;
-  options.node.envelope.walk_retries = 8;
+  options.peer.request_timeout = 500 * sim::kMicrosPerMilli;
+  options.peer.request_retries = 8;
   Cluster cluster(options);
   cluster.overlay().transport().EnableDeliveryTrace();
 
@@ -652,7 +641,7 @@ TEST(DeterminismTest, PinnedTraceDigest) {
   EXPECT_NE(run.stats.find(" retry["), std::string::npos) << run.stats;
   EXPECT_NE(run.folded.find("\nmigrate via 30 {"), std::string::npos);
   EXPECT_NE(run.folded.find("\nprobe via 30 {"), std::string::npos);
-  EXPECT_EQ(Fnv1a64(run.folded), 0x52bf4cd6ead85407ULL)
+  EXPECT_EQ(Fnv1a64(run.folded), 0x0018c9476fc002a9ULL)
       << "digest of " << run.folded.size() << " bytes changed";
 }
 

@@ -69,11 +69,13 @@ class EnvelopePipelineTest : public ::testing::Test {
   /// The PipelinePaths trie with 1 ms links, holding `triples` age
   /// triples spread across the inside leaves.
   void Build(double loss_probability, uint64_t seed = 4242,
-             size_t inside_leaves = kInsideLeaves, int triples = 120) {
+             size_t inside_leaves = kInsideLeaves, int triples = 120,
+             const pgrid::PeerOptions& peer = {}) {
     const auto paths = PipelinePaths(inside_leaves);
     pgrid::OverlayOptions options;
     options.seed = seed;
     options.loss_probability = loss_probability;
+    options.peer = peer;
     overlay_ = std::make_unique<pgrid::Overlay>(options);
     overlay_->AddPeers(paths.size());
     overlay_->BuildWithPaths(paths);
@@ -251,18 +253,24 @@ TEST_F(EnvelopePipelineTest, PeersVisitedSumsAcrossSubWalks) {
   EXPECT_EQ(convoy->peers_visited, single->peers_visited);
 }
 
+// Walks that wait 500 ms for progress and relaunch up to 8 times.
+pgrid::PeerOptions PatientWalks() {
+  pgrid::PeerOptions peer;
+  peer.request_timeout = 500 * sim::kMicrosPerMilli;
+  peer.request_retries = 8;
+  return peer;
+}
+
 TEST_F(EnvelopePipelineTest, WalksCompleteUnderMessageLoss) {
-  Build(/*loss_probability=*/0);
+  Build(/*loss_probability=*/0, 4242, kInsideLeaves, 120, PatientWalks());
   EnvelopeOptions options;
   options.fanout = 4;
   options.max_bindings_per_envelope = 16;
-  options.walk_timeout = 500 * sim::kMicrosPerMilli;
-  options.walk_retries = 8;
   auto clean = MigrateSync(options);
   ASSERT_TRUE(clean.ok());
   const std::string expected = RowsToString(clean->rows);
 
-  Build(/*loss_probability=*/0.02);
+  Build(/*loss_probability=*/0.02, 4242, kInsideLeaves, 120, PatientWalks());
   auto lossy = MigrateSync(options);
   ASSERT_TRUE(lossy.ok()) << lossy.status().ToString();
   // Retries resume from coverage gaps and re-served intervals dedupe, so
@@ -272,11 +280,9 @@ TEST_F(EnvelopePipelineTest, WalksCompleteUnderMessageLoss) {
 }
 
 TEST_F(EnvelopePipelineTest, WalksCompleteUnderMidWalkChurn) {
-  Build(/*loss_probability=*/0);
+  Build(/*loss_probability=*/0, 4242, kInsideLeaves, 120, PatientWalks());
   EnvelopeOptions options;
   options.fanout = 2;
-  options.walk_timeout = 500 * sim::kMicrosPerMilli;
-  options.walk_retries = 8;
   auto before = MigrateSync(options);
   ASSERT_TRUE(before.ok());
   const std::string expected = RowsToString(before->rows);
@@ -369,18 +375,16 @@ TEST(EnvelopePipelineClusterTest, TraceReportsFanoutShape) {
   EXPECT_GT(counter("peers_visited="), 1) << migrate_line;
 }
 
-// A VQL Migrate join whose walk is abandoned (partial_results, a serving
-// peer cut off for good) returns the reachable rows, and the result and
-// its trace name the uncovered key intervals that hold the missing ones.
+// A VQL Migrate join whose walk runs out of retries (a serving peer cut
+// off for good) returns the reachable rows with the default envelope
+// options, and the result and its trace name the uncovered key intervals
+// that hold the missing ones.
 TEST(EnvelopePipelineClusterTest, PartialMigrateJoinNamesItsCoverageGap) {
   core::ClusterOptions options;
   options.custom_paths = PipelinePaths();
   options.peers = options.custom_paths.size();
   options.seed = 78;
-  options.node.envelope.fanout = 2;
-  options.node.envelope.walk_timeout = 200 * sim::kMicrosPerMilli;
-  options.node.envelope.walk_retries = 2;
-  options.node.envelope.partial_results = true;
+  options.peer.request_timeout = 200 * sim::kMicrosPerMilli;
   options.node.planner.force_join_strategy = plan::JoinStrategy::kMigrate;
   core::Cluster cluster(options);
 

@@ -269,7 +269,8 @@ TEST(EnvelopeCoordinatorTest, SplitsAndChunksLaunchFleet) {
   for (int i = 0; i < 5; ++i) left[i]["a"] = Value::Int(i);
   EnvelopeCoordinator coordinator(
       /*initiator=*/1, vql::TriplePattern{}, triple::AttrRange("age"),
-      left, options, pgrid::kKeyBits, /*walk_id_base=*/100);
+      left, options, /*walk_retries=*/2, pgrid::kKeyBits,
+      /*walk_id_base=*/100);
   auto fleet = coordinator.Launch();
   EXPECT_EQ(coordinator.branch_count(), 4u);
   EXPECT_EQ(coordinator.chunk_count(), 3u);
@@ -289,7 +290,8 @@ TEST(EnvelopeCoordinatorTest, CoverageCompletesAndDedupes) {
   options.max_bindings_per_envelope = 0;
   pgrid::KeyRange range = triple::AttrRange("age");
   EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, range,
-                                  {Binding{}}, options, pgrid::kKeyBits, 7);
+                                  {Binding{}}, options, /*walk_retries=*/2,
+                                  pgrid::kKeyBits, 7);
   auto fleet = coordinator.Launch();
   ASSERT_EQ(fleet.size(), 1u);
   const PlanEnvelope& env = fleet[0];
@@ -319,10 +321,10 @@ TEST(EnvelopeCoordinatorTest, CoverageCompletesAndDedupes) {
 TEST(EnvelopeCoordinatorTest, TimerRelaunchesFromFrontier) {
   EnvelopeOptions options;
   options.fanout = 1;
-  options.walk_retries = 1;
   pgrid::KeyRange range = triple::AttrRange("age");
   EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, range,
-                                  {Binding{}}, options, pgrid::kKeyBits, 9);
+                                  {Binding{}}, options, /*walk_retries=*/1,
+                                  pgrid::kKeyBits, 9);
   auto fleet = coordinator.Launch();
   auto mid = pgrid::SplitRange(range, 2, pgrid::kKeyBits);
 
@@ -344,20 +346,26 @@ TEST(EnvelopeCoordinatorTest, TimerRelaunchesFromFrontier) {
   // A duplicate of covered ground is no progress.
   EXPECT_FALSE(coordinator.OnReply(first, 1).progress);
 
-  // Out of retries: the next silent period fails the join.
+  // Out of retries: the next silent period abandons the walk, and the
+  // join ends with the uncovered second half named as its gap.
   outcome = coordinator.OnTimer(0, 0);
   EXPECT_EQ(outcome.action,
-            EnvelopeCoordinator::TimerOutcome::Action::kFail);
-  EXPECT_FALSE(coordinator.failure().ok());
+            EnvelopeCoordinator::TimerOutcome::Action::kAbandon);
+  ASSERT_TRUE(coordinator.done());
+  auto result = coordinator.TakeResult();
+  EXPECT_FALSE(result.complete);
+  ASSERT_EQ(result.coverage_gaps.size(), 1u);
+  EXPECT_EQ(result.coverage_gaps[0].first, mid[1].lo.bits());
+  EXPECT_EQ(result.coverage_gaps[0].second, range.hi.bits());
 }
 
 TEST(EnvelopeCoordinatorTest, ExtendingDuplicateRepaysRetry) {
   EnvelopeOptions options;
   options.fanout = 1;
-  options.walk_retries = 1;
   pgrid::KeyRange range = triple::AttrRange("age");
   EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, range,
-                                  {Binding{}}, options, pgrid::kKeyBits, 13);
+                                  {Binding{}}, options, /*walk_retries=*/1,
+                                  pgrid::kKeyBits, 13);
   auto fleet = coordinator.Launch();
   auto mid = pgrid::SplitRange(range, 2, pgrid::kKeyBits);
   Binding row1{{"a", Value::Int(1)}};
@@ -375,7 +383,8 @@ TEST(EnvelopeCoordinatorTest, ExtendingDuplicateRepaysRetry) {
 
   // The relaunched instance re-delivers the head extended to the whole
   // branch: its rows are dropped (no duplicates), but the race repays the
-  // retry — the next timeout relaunches the uncovered tail, not kFail.
+  // retry — the next timeout relaunches the uncovered tail instead of
+  // abandoning it.
   auto full = CoverageReply(outcome.envelope, range.lo, range.hi,
                             {row1, row2});
   full.kind = EnvelopeReply::Kind::kTerminal;
@@ -403,7 +412,8 @@ TEST(EnvelopeCoordinatorTest, ResultsAreCanonicallySorted) {
   options.fanout = 1;
   pgrid::KeyRange range = triple::AttrRange("age");
   EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, range,
-                                  {Binding{}}, options, pgrid::kKeyBits, 11);
+                                  {Binding{}}, options, /*walk_retries=*/2,
+                                  pgrid::kKeyBits, 11);
   auto fleet = coordinator.Launch();
   Binding small{{"a", Value::Int(1)}};
   Binding big{{"a", Value::Int(2)}};

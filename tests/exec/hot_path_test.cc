@@ -396,15 +396,14 @@ TEST(HotKeyFanoutTest, RedirectedReadsReturnTheWriteAtEveryReplica) {
   EXPECT_EQ(served, std::set<net::PeerId>(owners.begin(), owners.end()));
 }
 
-// With suspicion off (the default), one timed-out redirect to a crashed
-// replica drops it from the advert: later keys under the path never go to
-// it, so only one read pays the timeout.
+// One timed-out redirect to a crashed replica drops it from the advert:
+// later keys under the path never go to it, even once its suspicion has
+// expired, so only one read pays the timeout.
 TEST(HotKeyFanoutTest, TimedOutRedirectForgetsTheReplica) {
   pgrid::OverlayOptions options;
   options.seed = 620;
   options.replication = 3;
   options.peer.request_timeout = 200 * sim::kMicrosPerMilli;
-  ASSERT_EQ(options.peer.suspicion_ttl, 0);
   pgrid::Overlay overlay(options);
   overlay.AddPeers(24);
   overlay.BuildBalanced();

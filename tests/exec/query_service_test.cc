@@ -114,7 +114,8 @@ TEST_F(QueryServiceTest, EnvelopeCountsVisitedPeers) {
 // subtree, which holds every attribute partition ("a#" starts with bit 0),
 // so an envelope from peer 2 bounces between them. Every walk attempt
 // dead-ends at the 2·kKeyBits hop cap, and once its retries are spent the
-// join fails with Unavailable instead of looping until the deadline.
+// join ends with the whole partition named as a coverage gap instead of
+// looping until the deadline.
 TEST(QueryServiceCycleTest, EnvelopeRoutingCycleDeadEndsAtTheHopCap) {
   pgrid::OverlayOptions options;
   options.seed = 15;
@@ -147,16 +148,22 @@ TEST(QueryServiceCycleTest, EnvelopeRoutingCycleDeadEndsAtTheHopCap) {
   // Bounded: without the hop cap the envelopes never stop bouncing.
   overlay.scheduler().RunFor(kMigrateDeadline / 2);
   ASSERT_TRUE(out.has_value()) << "join still running";
-  ASSERT_FALSE(out->ok());
-  EXPECT_EQ(out->status().code(), StatusCode::kUnavailable)
-      << out->status().ToString();
+  ASSERT_TRUE(out->ok()) << out->status().ToString();
+  EXPECT_FALSE((*out)->complete);
+  EXPECT_TRUE((*out)->rows.empty());
+  // The branch gaps together name the whole attribute partition.
+  const pgrid::KeyRange range = triple::AttrRange("age");
+  ASSERT_FALSE((*out)->coverage_gaps.empty());
+  EXPECT_EQ((*out)->coverage_gaps.front().first, range.lo.bits());
+  EXPECT_EQ((*out)->coverage_gaps.back().second, range.hi.bits());
   EXPECT_LT(overlay.scheduler().Now() - start, kMigrateDeadline);
 
   const auto delta = overlay.transport().stats().Since(before);
   auto it = delta.per_type.find(net::MessageType::kPlanExec);
   ASSERT_NE(it, delta.per_type.end());
   const uint64_t attempts =
-      uint64_t{envelope.fanout} * (envelope.walk_retries + 1);
+      uint64_t{envelope.fanout} *
+      static_cast<uint64_t>(a->options().request_retries + 1);
   // Each attempt of each branch walk runs to the cap, and no further.
   EXPECT_EQ(it->second, attempts * 2 * pgrid::kKeyBits);
 }

@@ -226,8 +226,8 @@ TEST_F(BulkInsertTest, RoutingCycleDeadEndsAtTheHopCap) {
   const sim::SimTime start = overlay_->scheduler().Now();
   Status status = overlay_->InsertBatchSync(0, {EntryUnder("1", 0)});
   EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
-  // Every attempt dead-ends after 2·kKeyBits hops and retries at once,
-  // long before any deadline.
+  // Every attempt dead-ends after 2·kKeyBits hops and retries after only
+  // its backoff, long before any deadline.
   const auto attempts = static_cast<uint64_t>(a->options().request_retries) + 1;
   EXPECT_EQ(BulkInsertsSince(before), attempts * 2 * kKeyBits);
   EXPECT_LT(overlay_->scheduler().Now() - start,
@@ -393,7 +393,6 @@ TEST_F(OneHopWriteTest, FinishedOperationsLeaveNoTimer) {
 TEST_F(OneHopWriteTest, CrashedReplicaIsDroppedAndTheRetryStoresElsewhere) {
   PeerOptions peer;
   peer.request_timeout = 200 * sim::kMicrosPerMilli;
-  ASSERT_EQ(peer.suspicion_ttl, 0);
   Build(/*replication=*/3, peer);
   ASSERT_TRUE(overlay_->InsertBatchSync(kWriter, {EntryUnder("101", 0)}).ok());
   const auto group = overlay_->ResponsiblePeers(EntryUnder("101", 0).key);

@@ -2,8 +2,9 @@
 // responsible peers store, the batch costs fewer messages than the
 // single-key lookups it replaces, missing keys retry as a smaller batch
 // until the lookup retry budget runs out, timed-out attempts suspect
-// their first hops, and a key with suffixes gets only the entries whose
-// id ends with one of them, whichever peer serves it.
+// their first hops (and drop expired suspicions), and a key with
+// suffixes gets only the entries whose id ends with one of them,
+// whichever peer serves it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -219,24 +220,22 @@ size_t SuspectedRefs(Overlay& overlay, net::PeerId via) {
 }
 
 TEST(LookupBatchTest, TimedOutAttemptsSuspectTheirFirstHops) {
-  // Every message `via` sends is lost, and there are no retries: each
-  // operation is one timed-out attempt, which must suspect the peers it
-  // sent to (DESIGN.md §10).
+  // Every message `via` sends is lost: each attempt times out and must
+  // suspect the peers it sent to (DESIGN.md §10), with the default
+  // options. An attempt's suspicions expire long before the next attempt
+  // times out, so those of the last attempt are what remains.
   const net::PeerId via = 3;
   net::FaultSchedule faults;
   faults.Partition(0, net::kFaultForever, via, net::kAnyPeer);
-  PeerOptions peer;
-  peer.suspicion_ttl = 600 * sim::kMicrosPerSecond;
-  peer.request_retries = 0;
 
-  auto inserts = MakeOverlay(/*seed=*/107, /*stored=*/0, faults, peer);
+  auto inserts = MakeOverlay(/*seed=*/107, /*stored=*/0, faults);
   Entry e;
   e.key = KeysOwnedBy(*inserts->peer(via), /*owned=*/false, 1)[0];
   e.id = "lost";
   ASSERT_FALSE(inserts->InsertBatchSync(via, {e}).ok());
   EXPECT_EQ(SuspectedRefs(*inserts, via), 1u);
 
-  auto lookups = MakeOverlay(/*seed=*/107, /*stored=*/0, faults, peer);
+  auto lookups = MakeOverlay(/*seed=*/107, /*stored=*/0, faults);
   const std::vector<Key> keys =
       KeysOwnedBy(*lookups->peer(via), /*owned=*/false, 8);
   // One first hop per routing level the keys leave the initiator's path at.
@@ -246,6 +245,39 @@ TEST(LookupBatchTest, TimedOutAttemptsSuspectTheirFirstHops) {
   }
   ASSERT_FALSE(lookups->LookupBatchSync(via, keys).ok());
   EXPECT_EQ(SuspectedRefs(*lookups, via), levels.size());
+}
+
+// A suspicion ends by expiry or by an answer, so recording one drops the
+// expired ones: a peer whose requests keep failing holds only the
+// suspicions of the last kSuspicionTtl.
+TEST(LookupBatchTest, RecordingASuspicionDropsExpiredOnes) {
+  const net::PeerId via = 3;
+  net::FaultSchedule faults;
+  faults.Partition(0, net::kFaultForever, via, net::kAnyPeer);
+  auto overlay = MakeOverlay(/*seed=*/107, /*stored=*/0, faults);
+  const Peer& peer = *overlay->peer(via);
+  // A key that leaves the initiator's subtree at `level`: its first hops
+  // are references of that level, and the levels' references are
+  // disjoint peer sets.
+  auto key_at = [&peer](size_t level) {
+    for (size_t i = 0;; ++i) {
+      Key key = TestKey(i);
+      if (peer.path().CommonPrefixLength(key) == level) return key;
+    }
+  };
+  // Every attempt of both lookups times out a request_timeout after the
+  // one before, long after the earlier suspicions expired.
+  ASSERT_FALSE(overlay->LookupBatchSync(via, std::vector<Key>{key_at(0)}).ok());
+  ASSERT_FALSE(overlay->LookupBatchSync(via, std::vector<Key>{key_at(1)}).ok());
+  EXPECT_EQ(overlay->transport().stats().retries_by_policy.at("lookup"),
+            2u * static_cast<uint64_t>(peer.options().request_retries));
+  // Only the last attempt's first hop, a level-1 reference, is suspected,
+  // and the table holds nothing else.
+  EXPECT_EQ(SuspectedRefs(*overlay, via), 1u);
+  EXPECT_EQ(peer.suspicions_held(), 1u);
+  for (net::PeerId ref : peer.routing().RefsAt(0)) {
+    EXPECT_FALSE(peer.IsSuspected(ref)) << ref;
+  }
 }
 
 // Ids stored under a filtered key: lookups asking for the suffixes

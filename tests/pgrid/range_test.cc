@@ -176,15 +176,15 @@ TEST_P(RangeStrategyEquivalence, BothStrategiesMatchBruteForce) {
   EXPECT_TRUE(seq->complete);
   EXPECT_TRUE(shower->complete);
   EXPECT_EQ(seq->peers_contacted, n);
+  EXPECT_EQ(RangeFixture::Ids(seq->entries), f.BruteForce(full));
   EXPECT_LE(shower_us, shower_bound);
   EXPECT_GE(seq_us, static_cast<sim::SimTime>(n) * kHop / 2);
 }
 
-// 128 peers is the largest size here: a walk counts its hops across
-// leaves, and at 256 peers the full-range walk meets `Peer::Forward`'s
-// loop cap of 2 * kKeyBits hops before its last leaf.
+// At 256 peers the full-range walk takes more than 2 * kKeyBits hops in
+// all: `Peer::Forward`'s loop cap must bound each leg, not the walk.
 INSTANTIATE_TEST_SUITE_P(NetworkSizes, RangeStrategyEquivalence,
-                         ::testing::Values(2, 4, 8, 16, 32, 64, 128));
+                         ::testing::Values(2, 4, 8, 16, 32, 64, 128, 256));
 
 TEST(RangeTest, ShowerContactsOnlyOverlappingPeers) {
   RangeFixture f(32, 300);
