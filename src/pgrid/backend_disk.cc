@@ -132,8 +132,12 @@ Status ValidateBlockPayload(std::string_view payload) {
 // ---------------------------------------------------------------------------
 // DiskRunWriter
 
-DiskRunWriter::DiskRunWriter(Env* env, std::string path, size_t block_bytes)
-    : env_(env), path_(std::move(path)), block_bytes_(block_bytes) {
+DiskRunWriter::DiskRunWriter(Env* env, std::string path, size_t block_bytes,
+                             size_t expected_entries)
+    : env_(env),
+      path_(std::move(path)),
+      block_bytes_(block_bytes),
+      filter_(expected_entries) {
   auto file = env_->NewWritableFile(path_, /*truncate=*/true);
   if (!file.ok()) {
     status_ = file.status();
@@ -160,6 +164,7 @@ void DiskRunWriter::Add(const EntryView& e) {
     prev_key_ = Key();
   }
   run_format::AppendRecord(&block_, prev_key_, e);
+  filter_.Add(SlotHash(e.key, e.id));
   prev_key_ = e.key;
   ++count_;
 }
@@ -215,14 +220,15 @@ Status DiskRunWriter::Finish() {
 DiskRun::DiskRun(std::string path, uint64_t file_number, BlockCache* cache,
                  std::unique_ptr<RandomAccessFile> file,
                  std::vector<BlockMeta> blocks, uint64_t entry_count,
-                 uint64_t file_bytes)
+                 uint64_t file_bytes, SlotFilter filter)
     : path_(std::move(path)),
       file_number_(file_number),
       cache_(cache),
       file_(std::move(file)),
       blocks_(std::move(blocks)),
       entry_count_(entry_count),
-      file_bytes_(file_bytes) {}
+      file_bytes_(file_bytes),
+      filter_(std::move(filter)) {}
 
 Result<std::shared_ptr<DiskRun>> DiskRun::Open(Env* env,
                                                const std::string& path,
@@ -288,12 +294,22 @@ Result<std::shared_ptr<DiskRun>> DiskRun::Open(Env* env,
   if (!ir.AtEnd() || prev_end != index_offset) {
     return Status::Corruption("run index trailing bytes: ", path);
   }
-  return std::make_shared<DiskRun>(path, file_number, cache, std::move(file),
-                                   std::move(blocks), entry_count, size);
+  auto run = std::make_shared<DiskRun>(path, file_number, cache,
+                                       std::move(file), std::move(blocks),
+                                       entry_count, size, SlotFilter());
+  // The run file holds no filter: one pass over the records rebuilds it.
+  SlotFilter filter(static_cast<size_t>(entry_count));
+  DiskRunCursor cursor;
+  for (cursor.Seek(run.get(), Key()); cursor.valid(); cursor.Advance()) {
+    filter.Add(SlotHash(cursor.view().key, cursor.view().id));
+  }
+  if (run->status_.ok()) run->filter_ = std::move(filter);
+  return run;
 }
 
 size_t DiskRun::metadata_bytes() const {
-  return sizeof(DiskRun) + blocks_.capacity() * sizeof(BlockMeta);
+  return sizeof(DiskRun) + blocks_.capacity() * sizeof(BlockMeta) +
+         filter_.bytes();
 }
 
 BlockCache::BlockHandle DiskRun::LoadBlock(uint32_t block_index) const {
@@ -341,15 +357,16 @@ int DiskRun::CompareBlock(uint32_t index, const Key& key,
   return run_format::CompareChainStart(*block, 0, key, id);
 }
 
-bool DiskRun::FindSlot(const Key& key, std::string_view id, uint64_t* version,
+bool DiskRun::FindSlot(const SlotProbe& probe, uint64_t* version,
                        bool* deleted) const {
+  if (!filter_.MayContain(probe.hash)) return false;
   // Last block whose first slot is at or below the target; the target, if
   // present, sits in that block.
   size_t lo = 0;
   size_t hi = blocks_.size();
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (CompareBlock(static_cast<uint32_t>(mid), key, id) <= 0) {
+    if (CompareBlock(static_cast<uint32_t>(mid), probe.key, probe.id) <= 0) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -358,7 +375,7 @@ bool DiskRun::FindSlot(const Key& key, std::string_view id, uint64_t* version,
   if (lo == 0) return false;  // Below the run's first slot (or empty).
   DiskRunCursor c;
   c.JumpToBlock(this, static_cast<uint32_t>(lo - 1));
-  return AdvanceToSlot(&c, key, id, version, deleted);
+  return AdvanceToSlot(&c, probe.key, probe.id, version, deleted);
 }
 
 // ---------------------------------------------------------------------------
@@ -519,27 +536,6 @@ namespace manifest = storage::manifest;
 // (max_runs + 1)-run state a flush-triggered compaction can merge.
 constexpr size_t kMaxMergeFanIn = 16;
 
-class DiskSlotProber : public SlotProber {
- public:
-  explicit DiskSlotProber(const std::vector<std::shared_ptr<DiskRun>>& runs) {
-    runs_.reserve(runs.size());
-    for (auto run = runs.rbegin(); run != runs.rend(); ++run) {
-      runs_.push_back(run->get());
-    }
-  }
-
-  bool FindNewest(const Key& key, std::string_view id,
-                  uint64_t* version, bool* deleted) override {
-    for (const DiskRun* run : runs_) {
-      if (run->FindSlot(key, id, version, deleted)) return true;
-    }
-    return false;
-  }
-
- private:
-  std::vector<const DiskRun*> runs_;  // Newest first.
-};
-
 }  // namespace
 
 DiskBackend::DiskBackend(const DiskBackendOptions& options)
@@ -690,14 +686,14 @@ Status DiskBackend::WriteRunFile(const std::vector<Entry>& entries,
                                  uint64_t file_number,
                                  std::shared_ptr<storage::DiskRun>* out) {
   const std::string path = PathOf(RunFileName(file_number));
-  DiskRunWriter writer(env_, path, options_.block_bytes);
+  DiskRunWriter writer(env_, path, options_.block_bytes, entries.size());
   for (const Entry& e : entries) writer.Add(EntryView(e));
   UNISTORE_RETURN_IF_ERROR(writer.Finish());
   UNISTORE_ASSIGN_OR_RETURN(std::unique_ptr<storage::RandomAccessFile> file,
                             env_->NewRandomAccessFile(path));
-  *out = std::make_shared<DiskRun>(path, file_number, &cache_,
-                                   std::move(file), writer.TakeBlocks(),
-                                   writer.entry_count(), writer.file_bytes());
+  *out = std::make_shared<DiskRun>(
+      path, file_number, &cache_, std::move(file), writer.TakeBlocks(),
+      writer.entry_count(), writer.file_bytes(), writer.TakeFilter());
   return Status::OK();
 }
 
@@ -747,7 +743,9 @@ Status DiskBackend::MergeRuns(size_t first, size_t n, MergeStats* stats) {
   }
   const uint64_t fn = next_file_number_++;
   const std::string path = PathOf(RunFileName(fn));
-  DiskRunWriter writer(env_, path, options_.block_bytes);
+  size_t expected = 0;
+  for (size_t i = 0; i < n; ++i) expected += runs_[first + i]->entry_count();
+  DiskRunWriter writer(env_, path, options_.block_bytes, expected);
   DiskRunCursor cursors[kMaxMergeFanIn];
   for (size_t i = 0; i < n; ++i) {
     cursors[i].Seek(runs_[first + i].get(), Key());
@@ -772,7 +770,7 @@ Status DiskBackend::MergeRuns(size_t first, size_t n, MergeStats* stats) {
     } else {
       merged = std::make_shared<DiskRun>(
           path, fn, &cache_, std::move(file).value(), writer.TakeBlocks(),
-          writer.entry_count(), writer.file_bytes());
+          writer.entry_count(), writer.file_bytes(), writer.TakeFilter());
     }
   }
   if (st.ok()) {
@@ -843,10 +841,10 @@ size_t DiskBackend::resident_bytes() const {
   return bytes;
 }
 
-bool DiskBackend::FindSlot(const Key& key, std::string_view id,
-                           uint64_t* version, bool* deleted) const {
+bool DiskBackend::FindSlot(const SlotProbe& probe, uint64_t* version,
+                           bool* deleted) const {
   for (auto run = runs_.rbegin(); run != runs_.rend(); ++run) {
-    if ((*run)->FindSlot(key, id, version, deleted)) return true;
+    if ((*run)->FindSlot(probe, version, deleted)) return true;
   }
   return false;
 }
@@ -854,10 +852,6 @@ bool DiskBackend::FindSlot(const Key& key, std::string_view id,
 void DiskBackend::SeekCursor(size_t newest_first_index, const Key& lo,
                              RunCursor* cursor) const {
   cursor->disk().Seek(runs_[runs_.size() - 1 - newest_first_index].get(), lo);
-}
-
-std::unique_ptr<SlotProber> DiskBackend::NewProber() const {
-  return std::make_unique<DiskSlotProber>(runs_);
 }
 
 RunSummary DiskBackend::RunSummaryAt(size_t index) const {

@@ -40,6 +40,7 @@
 #include "common/status.h"
 #include "pgrid/backend_env.h"
 #include "pgrid/entry.h"
+#include "pgrid/slot_filter.h"
 #include "pgrid/sorted_run.h"
 
 namespace unistore {
@@ -104,8 +105,10 @@ class DiskRunCursor;
 
 /// \brief An immutable run file opened for reading.
 ///
-/// Holds the decoded block index (offsets + first keys) and reads block
-/// payloads through the shared BlockCache. Read or corruption errors wedge
+/// Holds the decoded block index (offsets + first keys) and a slot filter,
+/// and reads block payloads through the shared BlockCache. Run files do
+/// not store the filter: the writer hands it to the run it adopts, and
+/// Open() rebuilds it with one cursor pass. Read or corruption errors wedge
 /// the run: status() goes non-OK, cursors over it become invalid, and the
 /// owning backend surfaces the error through LocalStore::io_status().
 class DiskRun {
@@ -116,17 +119,20 @@ class DiskRun {
     Key first_key;             // Key of the block's first record.
   };
 
-  /// Opens an existing run file and decodes its footer.
+  /// Opens an existing run file, decodes its footer and rebuilds the slot
+  /// filter. A block that fails to load leaves the run wedged with a
+  /// filter that rules nothing out.
   static Result<std::shared_ptr<DiskRun>> Open(Env* env,
                                                const std::string& path,
                                                uint64_t file_number,
                                                BlockCache* cache);
 
-  /// Adopts a file just written by DiskRunWriter (metadata already known).
+  /// Adopts a file just written by DiskRunWriter (metadata and filter
+  /// already known).
   DiskRun(std::string path, uint64_t file_number, BlockCache* cache,
           std::unique_ptr<RandomAccessFile> file,
           std::vector<BlockMeta> blocks, uint64_t entry_count,
-          uint64_t file_bytes);
+          uint64_t file_bytes, SlotFilter filter);
 
   uint64_t file_number() const { return file_number_; }
   size_t entry_count() const { return entry_count_; }
@@ -134,17 +140,19 @@ class DiskRun {
   size_t block_count() const { return blocks_.size(); }
 
   /// Approximate in-memory footprint of the run's metadata (the block
-  /// index; block payloads are charged to the cache).
+  /// index and the slot filter; block payloads are charged to the
+  /// cache).
   size_t metadata_bytes() const;
 
   /// First read/corruption error observed on this run.
   const Status& status() const { return status_; }
 
-  /// Newest-occurrence probe, same contract as SortedRun::FindSlot. Blocks
-  /// are searched by slot: a tie on a block's first key is broken by the
-  /// block's first id, so a probe loads O(log blocks) blocks however many
-  /// blocks its key spans.
-  bool FindSlot(const Key& key, std::string_view id, uint64_t* version,
+  /// Newest-occurrence probe, same contract as SortedRun::FindSlot: a
+  /// slot the filter rules out loads no block. Blocks are searched by
+  /// slot: a tie on a block's first key is broken by the block's first
+  /// id, so a probe loads O(log blocks) blocks however many blocks its key
+  /// spans.
+  bool FindSlot(const SlotProbe& probe, uint64_t* version,
                 bool* deleted) const;
 
  private:
@@ -166,6 +174,7 @@ class DiskRun {
   std::vector<BlockMeta> blocks_;
   uint64_t entry_count_ = 0;
   uint64_t file_bytes_ = 0;
+  SlotFilter filter_;
   mutable Status status_;
 };
 
@@ -206,12 +215,14 @@ class DiskRunCursor {
 ///
 /// Appends block frames as they fill (one Env append per block, so fault
 /// injection can kill mid-file), then Finish() writes the index + tail,
-/// syncs, and closes. Errors are sticky: Add becomes a no-op after the
+/// syncs, and closes. Add also sets the run's slot filter, sized for
+/// `expected_entries`. Errors are sticky: Add becomes a no-op after the
 /// first failure and Finish returns it.
 class DiskRunWriter {
  public:
   /// Creates `path` (truncating any leftover) and writes the header.
-  DiskRunWriter(Env* env, std::string path, size_t block_bytes);
+  DiskRunWriter(Env* env, std::string path, size_t block_bytes,
+                size_t expected_entries);
 
   void Add(const EntryView& e);  // Slots must arrive in increasing order.
 
@@ -220,6 +231,7 @@ class DiskRunWriter {
 
   // Valid after a successful Finish():
   std::vector<DiskRun::BlockMeta> TakeBlocks() { return std::move(blocks_); }
+  SlotFilter TakeFilter() { return std::move(filter_); }
   uint64_t entry_count() const { return count_; }
   uint64_t file_bytes() const { return offset_; }
 
@@ -238,6 +250,7 @@ class DiskRunWriter {
   Key first_key_;      // First key of the current block.
   Key prev_key_;
   std::vector<DiskRun::BlockMeta> blocks_;
+  SlotFilter filter_;
   uint64_t offset_ = 0;  // File offset past everything appended so far.
   uint64_t count_ = 0;
   size_t approx_bytes_ = 0;

@@ -194,7 +194,8 @@ LocalStore::SlotInfo LocalStore::FindLatest(const Key& key,
     info.deleted = it->second.deleted;
     return info;
   }
-  info.found = backend_->FindSlot(key, id, &info.version, &info.deleted);
+  info.found = backend_->FindSlot(SlotProbe(key, id), &info.version,
+                                  &info.deleted);
   return info;
 }
 
@@ -228,48 +229,28 @@ size_t LocalStore::BulkLoad(std::vector<Entry> entries,
                 entries.end());
 
   // Fresh slots are compacted to the front of the batch, in slot order:
-  // entries[0, fresh) becomes the new run without another copy.
+  // entries[0, fresh) becomes the new run without another copy. Known
+  // slots go through Apply after the loop, so `changed_out` lists the
+  // fresh slots first and then the updates.
   size_t fresh = 0;
   std::vector<Entry> updates;
   size_t changed = 0;
-  {
-    // The batch is sorted, so the backend prober sees non-decreasing
-    // slots: per-run forward cursors gallop from their previous position
-    // instead of binary-searching the whole run per entry. The prober
-    // borrows the run set, so conflicting entries are only collected here
-    // and applied after the probe loop (Apply can flush + compact, which
-    // would invalidate the prober).
-    std::unique_ptr<SlotProber> prober = backend_->NewProber();
-    const bool check_memtable = !memtable_.empty();
-    for (size_t i = 0; i < entries.size(); ++i) {
-      Entry& e = entries[i];
-      SlotInfo cur;
-      if (check_memtable) {
-        auto it = memtable_.find(SlotRef{e.key, e.id});
-        if (it != memtable_.end()) {
-          cur.found = true;
-          cur.version = it->second.version;
-          cur.deleted = it->second.deleted;
-        }
-      }
-      if (!cur.found) {
-        cur.found =
-            prober->FindNewest(e.key, e.id, &cur.version, &cur.deleted);
-      }
-      if (!cur.found) {
-        ++slot_count_;
-        if (!e.deleted) ++live_count_;
-        ++changed;
-        ++stats_.ingested_entries;
-        stats_.ingested_bytes += ApproxEntryBytes(e);
-        if (changed_out != nullptr) changed_out->push_back(e);
-        if (fresh != i) entries[fresh] = std::move(e);
-        ++fresh;
-      } else if (e.version > cur.version) {
-        // Known slot: preserve exact versioned-upsert semantics through
-        // the memtable path (Apply counts its own stats).
-        updates.push_back(std::move(e));
-      }
+  for (size_t i = 0; i < entries.size(); ++i) {
+    Entry& e = entries[i];
+    const SlotInfo cur = FindLatest(e.key, e.id);
+    if (!cur.found) {
+      ++slot_count_;
+      if (!e.deleted) ++live_count_;
+      ++changed;
+      ++stats_.ingested_entries;
+      stats_.ingested_bytes += ApproxEntryBytes(e);
+      if (changed_out != nullptr) changed_out->push_back(e);
+      if (fresh != i) entries[fresh] = std::move(e);
+      ++fresh;
+    } else if (e.version > cur.version) {
+      // Known slot: preserve exact versioned-upsert semantics through
+      // the memtable path (Apply counts its own stats).
+      updates.push_back(std::move(e));
     }
   }
   for (Entry& e : updates) {

@@ -314,7 +314,7 @@ Overlay::LifecycleStats Overlay::AggregateLifecycleStats() const {
 Result<LookupResult> Overlay::LookupSync(net::PeerId from, const Key& key) {
   return RunToCompletion<Result<LookupResult>>(
       scheduler_, "lookup", [&](auto done) {
-        peers_[from]->Lookup(key, LookupMode::kExact, done);
+        peers_[from]->Lookup(key, done);
       });
 }
 

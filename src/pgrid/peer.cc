@@ -479,8 +479,7 @@ void Peer::OnKeySetReply(const Message& msg, bool insert, FinishFn finish) {
 // Lookup: a key-set lookup; a single-key Lookup is a set of one
 // ---------------------------------------------------------------------------
 
-void Peer::Lookup(const Key& key, LookupMode /*mode*/,
-                  LookupCallback callback) {
+void Peer::Lookup(const Key& key, LookupCallback callback) {
   KeySetOp op;
   op.keys.push_back({0, key, {}});
   op.callback = [callback = std::move(callback)](

@@ -124,9 +124,9 @@ struct PeerOptions {
   LocalStoreOptions storage;
 };
 
-/// How a lookup selects entries: only exact-key lookups exist. The
-/// parameter of Peer::Lookup stays for the benchmark harness, which passes
-/// it; it goes with the next change to the benchmark.
+/// How a lookup selects entries: only exact-key lookups exist. Only the
+/// benchmark harness still names it, through the three-argument
+/// Peer::Lookup; both go with the next change to the benchmark.
 enum class LookupMode : uint8_t {
   kExact = 0,  ///< Entries whose key equals the requested key.
 };
@@ -258,7 +258,10 @@ class Peer {
   // --- Asynchronous client API -------------------------------------------
 
   /// Returns the entries stored under `key`: a LookupBatch of one key.
-  void Lookup(const Key& key, LookupMode mode, LookupCallback callback);
+  void Lookup(const Key& key, LookupCallback callback);
+  void Lookup(const Key& key, LookupMode /*mode*/, LookupCallback callback) {
+    Lookup(key, std::move(callback));
+  }
 
   /// \brief Exact lookup of a key set (DESIGN.md §13).
   ///

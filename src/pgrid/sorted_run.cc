@@ -32,6 +32,7 @@ SortedRun::Builder::Builder(size_t expected_entries, size_t expected_bytes,
       static_cast<uint32_t>(std::max<size_t>(1, restart_interval));
   run_.arena_.reserve(expected_bytes);
   run_.restarts_.reserve(expected_entries / run_.restart_interval_ + 1);
+  run_.filter_ = SlotFilter(expected_entries);
 }
 
 void SortedRun::Builder::Add(const EntryView& e) {
@@ -41,6 +42,7 @@ void SortedRun::Builder::Add(const EntryView& e) {
     prev_key_ = Key();  // A restart shares nothing.
   }
   run_format::AppendRecord(&run_.arena_, prev_key_, e);
+  run_.filter_.Add(SlotHash(e.key, e.id));
   prev_key_ = e.key;
   ++index_;
 }
@@ -53,7 +55,8 @@ SortedRun SortedRun::Builder::Finish() {
     run_.arena_.shrink_to_fit();
   }
   run_.resident_bytes_ = sizeof(SortedRun) + run_.arena_.size() +
-                         run_.restarts_.size() * sizeof(uint32_t);
+                         run_.restarts_.size() * sizeof(uint32_t) +
+                         run_.filter_.bytes();
   return std::move(run_);
 }
 
@@ -120,54 +123,16 @@ void SortedRun::Cursor::JumpToRestart(const SortedRun* run,
   Decode();
 }
 
-SortedRun::Prober::Prober(const SortedRun* run) : run_(run) {
-  if (run_->count_ > 0) cursor_.Seek(run_, Key());
-}
-
-bool SortedRun::Prober::FindForward(const Key& key, std::string_view id,
-                                    uint64_t* version, bool* deleted) {
-  if (run_->count_ == 0) return false;
-
-  // Gallop forward over the restarts while the next restart's slot is at
-  // or below the target, binary-search the last such restart, and jump
-  // there unless the cursor already stands past it. Jumps only ever move
-  // the cursor forward.
-  const size_t n = run_->restarts_.size();
-  if (restart_ + 1 < n &&
-      run_->CompareRestart(restart_ + 1, key, id) <= 0) {
-    size_t lo = restart_ + 1;  // Slot of restart `lo` <= target.
-    size_t step = 1;
-    while (lo + step < n &&
-           run_->CompareRestart(lo + step, key, id) <= 0) {
-      lo += step;
-      step <<= 1;
-    }
-    size_t hi = std::min(n, lo + step);  // Slot of restart `hi` > target.
-    while (hi - lo > 1) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (run_->CompareRestart(mid, key, id) <= 0) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    if (run_->restarts_[lo] > cursor_.arena_offset()) {
-      restart_ = lo;
-      cursor_.JumpToRestart(run_, restart_);
-    }
-  }
-  return AdvanceToSlot(&cursor_, key, id, version, deleted);
-}
-
-bool SortedRun::FindSlot(const Key& key, std::string_view id,
-                         uint64_t* version, bool* deleted) const {
+bool SortedRun::FindSlot(const SlotProbe& probe, uint64_t* version,
+                         bool* deleted) const {
+  if (!filter_.MayContain(probe.hash)) return false;
   // Binary-search the restarts by slot for the last one at or below the
   // target; the target, if present, sits in that restart's block.
   size_t lo = 0;
   size_t hi = restarts_.size();
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (CompareRestart(mid, key, id) <= 0) {
+    if (CompareRestart(mid, probe.key, probe.id) <= 0) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -176,7 +141,7 @@ bool SortedRun::FindSlot(const Key& key, std::string_view id,
   if (lo == 0) return false;  // Below the run's first slot (or empty).
   Cursor c;
   c.JumpToRestart(this, lo - 1);
-  return AdvanceToSlot(&c, key, id, version, deleted);
+  return AdvanceToSlot(&c, probe.key, probe.id, version, deleted);
 }
 
 }  // namespace pgrid

@@ -13,6 +13,7 @@
 
 #include "pgrid/entry.h"
 #include "pgrid/key.h"
+#include "pgrid/slot_filter.h"
 
 namespace unistore {
 namespace pgrid {
@@ -160,7 +161,8 @@ inline void DecodeRecord(std::string_view bytes, size_t* pos,
 /// key bytes are shared-prefix-truncated against the previous entry, with
 /// restart points (full key) every `restart_interval` entries. Ids are
 /// stored raw, so cursor views alias the arena; keys are fixed-width
-/// values rebuilt inside the view, never on the heap.
+/// values rebuilt inside the view, never on the heap. A slot filter built
+/// with the arena lets point probes skip the run without searching it.
 class SortedRun {
  public:
   /// Entries per restart block of the runs a LocalStore builds.
@@ -177,15 +179,19 @@ class SortedRun {
   bool empty() const { return count_ == 0; }
 
   /// Approximate resident footprint in bytes (entry data + index
-  /// structures; excludes malloc overhead).
+  /// structures + slot filter; excludes malloc overhead).
   size_t resident_bytes() const { return resident_bytes_; }
 
   /// Newest-occurrence probe: fills version/deleted of the slot if the
-  /// run contains it. Restarts are searched by slot, so the probe decodes
-  /// at most one restart block however many entries share the key. No
-  /// heap allocation.
-  bool FindSlot(const Key& key, std::string_view id, uint64_t* version,
+  /// run contains it. A slot the filter rules out returns false at once;
+  /// otherwise restarts are searched by slot, so the probe decodes at
+  /// most one restart block however many entries share the key. No heap
+  /// allocation.
+  bool FindSlot(const SlotProbe& probe, uint64_t* version,
                 bool* deleted) const;
+
+  /// The filter over this run's slots (tests).
+  const SlotFilter& filter() const { return filter_; }
 
   /// \brief A forward cursor over the run in slot order.
   ///
@@ -199,8 +205,8 @@ class SortedRun {
     /// Positions at the first entry with key >= `target`.
     void Seek(const SortedRun* run, const Key& target);
 
-    /// Repositions at an arbitrary restart record (the Prober's block
-    /// jumps).
+    /// Repositions at an arbitrary restart record (FindSlot's block
+    /// jump).
     void JumpToRestart(const SortedRun* run, size_t restart_index);
 
     bool valid() const { return valid_; }
@@ -217,29 +223,6 @@ class SortedRun {
     EntryView view_;
     size_t offset_ = 0;     // Arena offset of the current record.
     size_t next_offset_ = 0;
-  };
-
-  /// \brief Forward-only slot prober for sorted probe sequences.
-  ///
-  /// BulkLoad probes a sorted batch against every run; because the probe
-  /// slots are non-decreasing, the prober remembers its position and
-  /// gallops forward over the restarts by slot instead of re-running a
-  /// full binary search per entry. A probe costs O(log gap) restart
-  /// comparisons, where gap counts the restart blocks skipped, plus the
-  /// decode of at most one block — also inside a key shared by many ids.
-  class Prober {
-   public:
-    explicit Prober(const SortedRun* run);
-
-    /// Like FindSlot, but `(key, id)` must be >= every slot probed before
-    /// on this prober.
-    bool FindForward(const Key& key, std::string_view id, uint64_t* version,
-                     bool* deleted);
-
-   private:
-    const SortedRun* run_ = nullptr;
-    size_t restart_ = 0;  // Restart block of `cursor_`.
-    Cursor cursor_;       // Decode position.
   };
 
   class Builder;  // Streaming run construction (defined below).
@@ -259,6 +242,7 @@ class SortedRun {
   std::string arena_;               // run_format records, back to back.
   std::vector<uint32_t> restarts_;  // Arena offsets of restart records.
   uint32_t restart_interval_ = kRestartInterval;
+  SlotFilter filter_;  // Over every slot of the arena.
 };
 
 /// \brief Streaming run construction from entry views in slot order.
@@ -266,7 +250,8 @@ class SortedRun {
 /// Compactions merge runs through cursors; feeding the winning views
 /// straight into a Builder writes the merged run's arena directly — no
 /// intermediate Entry materialization (3 heap strings per entry) on the
-/// merge path.
+/// merge path. The slot filter is sized from `expected_entries` and set
+/// as entries arrive.
 class SortedRun::Builder {
  public:
   Builder(size_t expected_entries, size_t expected_bytes,

@@ -14,28 +14,6 @@ namespace {
 // header cycle (static_asserted against it in local_store.cc).
 constexpr size_t kMaxMergeFanIn = 16;
 
-class MemorySlotProber : public SlotProber {
- public:
-  explicit MemorySlotProber(const std::vector<SortedRun>& runs) {
-    probers_.reserve(runs.size());
-    for (auto run = runs.rbegin(); run != runs.rend(); ++run) {
-      probers_.emplace_back(&*run);
-    }
-  }
-
-  bool FindNewest(const Key& key, std::string_view id,
-                  uint64_t* version, bool* deleted) override {
-    // Newest run first: the first hit is the slot's latest version.
-    for (auto& prober : probers_) {
-      if (prober.FindForward(key, id, version, deleted)) return true;
-    }
-    return false;
-  }
-
- private:
-  std::vector<SortedRun::Prober> probers_;
-};
-
 }  // namespace
 
 size_t MemoryBackend::resident_bytes() const {
@@ -98,10 +76,10 @@ Status MemoryBackend::ResetTo(std::vector<Entry> entries) {
   return Status::OK();
 }
 
-bool MemoryBackend::FindSlot(const Key& key, std::string_view id,
-                             uint64_t* version, bool* deleted) const {
+bool MemoryBackend::FindSlot(const SlotProbe& probe, uint64_t* version,
+                             bool* deleted) const {
   for (auto run = runs_.rbegin(); run != runs_.rend(); ++run) {
-    if (run->FindSlot(key, id, version, deleted)) return true;
+    if (run->FindSlot(probe, version, deleted)) return true;
   }
   return false;
 }
@@ -110,10 +88,6 @@ void MemoryBackend::SeekCursor(size_t newest_first_index,
                                const Key& lo,
                                RunCursor* cursor) const {
   cursor->mem().Seek(&runs_[runs_.size() - 1 - newest_first_index], lo);
-}
-
-std::unique_ptr<SlotProber> MemoryBackend::NewProber() const {
-  return std::make_unique<MemorySlotProber>(runs_);
 }
 
 RunSummary MemoryBackend::RunSummaryAt(size_t index) const {

@@ -16,9 +16,7 @@
 // Interface granularity: every virtual call is per run or per operation
 // (append a run, merge a group, seek a cursor), never per entry — the
 // in-memory scan hot loop stays devirtualized through the RunCursor
-// tagged union below. The one exception is SlotProber::FindNewest (one
-// indirect call per bulk-load batch entry), amortized against the
-// logarithmic probe work behind it.
+// tagged union below.
 #ifndef UNISTORE_PGRID_STORAGE_BACKEND_H_
 #define UNISTORE_PGRID_STORAGE_BACKEND_H_
 
@@ -92,16 +90,6 @@ class RunCursor {
   storage::DiskRunCursor disk_;
 };
 
-/// Newest-occurrence probe across the whole run set for sorted probe
-/// sequences (BulkLoad): slots passed to FindNewest must be
-/// non-decreasing, letting backends keep per-run forward cursors.
-class SlotProber {
- public:
-  virtual ~SlotProber() = default;
-  virtual bool FindNewest(const Key& key, std::string_view id,
-                          uint64_t* version, bool* deleted) = 0;
-};
-
 /// \brief Owner of the immutable run set (see file comment).
 ///
 /// Run indices are oldest first (index 0 = oldest), matching recency
@@ -135,16 +123,15 @@ class StorageBackend {
   /// (sorted, deduplicated; empty clears the store).
   virtual Status ResetTo(std::vector<Entry> entries) = 0;
 
-  /// Newest-occurrence probe across all runs (newest first).
-  virtual bool FindSlot(const Key& key, std::string_view id,
-                        uint64_t* version, bool* deleted) const = 0;
+  /// Newest-occurrence probe across all runs (newest first); each run's
+  /// slot filter rules most absent slots out without a search.
+  virtual bool FindSlot(const SlotProbe& probe, uint64_t* version,
+                        bool* deleted) const = 0;
 
   /// Positions `cursor` on run `newest_first_index` (0 = newest) at the
   /// first entry with key >= `lo`.
   virtual void SeekCursor(size_t newest_first_index, const Key& lo,
                           RunCursor* cursor) const = 0;
-
-  virtual std::unique_ptr<SlotProber> NewProber() const = 0;
 
   /// Summary (id, entry count, content checksum) of the run at oldest-first
   /// `index` — the unit of the anti-entropy manifest exchange. Checksums
@@ -170,11 +157,10 @@ class MemoryBackend : public StorageBackend {
   Status AppendRun(std::vector<Entry> entries, RunOrigin origin) override;
   Status MergeRuns(size_t first, size_t n, MergeStats* stats) override;
   Status ResetTo(std::vector<Entry> entries) override;
-  bool FindSlot(const Key& key, std::string_view id,
-                uint64_t* version, bool* deleted) const override;
+  bool FindSlot(const SlotProbe& probe, uint64_t* version,
+                bool* deleted) const override;
   void SeekCursor(size_t newest_first_index, const Key& lo,
                   RunCursor* cursor) const override;
-  std::unique_ptr<SlotProber> NewProber() const override;
   RunSummary RunSummaryAt(size_t index) const override;
   bool FindRunIndexById(uint64_t run_id, size_t* index) const override;
 
@@ -226,11 +212,10 @@ class DiskBackend : public StorageBackend {
   Status AppendRun(std::vector<Entry> entries, RunOrigin origin) override;
   Status MergeRuns(size_t first, size_t n, MergeStats* stats) override;
   Status ResetTo(std::vector<Entry> entries) override;
-  bool FindSlot(const Key& key, std::string_view id,
-                uint64_t* version, bool* deleted) const override;
+  bool FindSlot(const SlotProbe& probe, uint64_t* version,
+                bool* deleted) const override;
   void SeekCursor(size_t newest_first_index, const Key& lo,
                   RunCursor* cursor) const override;
-  std::unique_ptr<SlotProber> NewProber() const override;
   RunSummary RunSummaryAt(size_t index) const override;
   bool FindRunIndexById(uint64_t run_id, size_t* index) const override;
 

@@ -62,7 +62,7 @@ void TripleStore::RemoveTriple(const Triple& triple, uint64_t version,
 void TripleStore::GetByOid(const std::string& oid,
                            TriplesCallback callback) {
   peer_->Lookup(
-      OidKey(oid), pgrid::LookupMode::kExact,
+      OidKey(oid),
       [oid, callback](Result<pgrid::LookupResult> result) {
         if (!result.ok()) {
           callback(result.status());
@@ -184,7 +184,7 @@ void TripleStore::GetByAttrPrefix(const std::string& attribute,
 }
 
 void TripleStore::GetByValue(const Value& value, TriplesCallback callback) {
-  peer_->Lookup(ValueKey(value), pgrid::LookupMode::kExact,
+  peer_->Lookup(ValueKey(value),
                 [value, callback](Result<pgrid::LookupResult> result) {
                   if (!result.ok()) {
                     callback(result.status());

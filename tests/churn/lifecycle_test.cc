@@ -242,7 +242,7 @@ TEST(ChurnLifecycleTest, RestartFailsInFlightOperations) {
   initiator->RangeScanShower(full, [&](Result<RangeResult> r) {
     record("shower scan", r.status());
   });
-  initiator->Lookup(foreign.front().key, LookupMode::kExact,
+  initiator->Lookup(foreign.front().key,
                     [&](Result<LookupResult> r) {
                       record("lookup", r.status());
                     });
@@ -547,7 +547,7 @@ TEST(ChurnLifecycleTest, StaleHotAdvertFailsOverWhenReplicaCrashes) {
   for (int i = 0; i < 40; ++i) {
     sim.ScheduleAt(100 * kMs + i * 200 * kMs, [&, i] {
       overlay.peer(1)->Lookup(
-          hot.key, LookupMode::kExact, [&](Result<LookupResult> r) {
+          hot.key, [&](Result<LookupResult> r) {
             outcomes.push_back(r.ok() && !r->entries.empty()
                                    ? Status::OK()
                                    : (r.ok() ? Status::NotFound("empty")

@@ -442,7 +442,7 @@ TEST_F(OneHopWriteTest, ReadsIssuedAtTheAckSeeTheWrite) {
       for (net::PeerId p : overlay_->AlivePeers()) {
         ++reads;
         overlay_->peer(p)->Lookup(
-            e.key, LookupMode::kExact, [&, e](Result<LookupResult> r) {
+            e.key, [&, e](Result<LookupResult> r) {
               ++answered;
               if (!r.ok() || r->entries.size() != 1 || !(r->entries[0] == e)) {
                 ++stale;

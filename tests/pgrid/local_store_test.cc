@@ -771,7 +771,7 @@ TEST(LocalStoreCompressionTest, OverlongKeyRunGroupCompactsCorrectly) {
   EXPECT_EQ(packed.GetAll(), model.GetAll());
 }
 
-TEST(SortedRunTest, ProberFindsRecordsAfterAnOverlongKey) {
+TEST(SortedRunTest, FindSlotFindsRecordsAfterAnOverlongKey) {
   // One prefix chain of the longest keys: full-width keys and shorter
   // ones sharing 100 to 127 bits, each record rebuilt from the shared
   // bytes of its predecessor's key.
@@ -797,20 +797,19 @@ TEST(SortedRunTest, ProberFindsRecordsAfterAnOverlongKey) {
   }
   EXPECT_EQ(i, entries.size());
 
-  SortedRun::Prober prober(&run);
   uint64_t version = 0;
   bool deleted = false;
   // Absent slots in between the present ones stay misses.
-  EXPECT_FALSE(prober.FindForward(Key::FromBits(zeros.substr(0, 100)), "0",
-                                  &version, &deleted));
+  EXPECT_FALSE(run.FindSlot({Key::FromBits(zeros.substr(0, 100)), "0"},
+                            &version, &deleted));
   for (const Entry& e : entries) {
-    ASSERT_TRUE(prober.FindForward(e.key, e.id, &version, &deleted))
+    ASSERT_TRUE(run.FindSlot({e.key, e.id}, &version, &deleted))
         << e.key.size() << "-bit key " << e.id;
     EXPECT_EQ(version, e.version);
     EXPECT_EQ(deleted, e.deleted);
   }
-  EXPECT_FALSE(prober.FindForward(Key::FromBits(z120 + "111"), "a", &version,
-                                  &deleted));
+  EXPECT_FALSE(run.FindSlot({Key::FromBits(z120 + "111"), "a"}, &version,
+                            &deleted));
 }
 
 TEST(SortedRunTest, RecordSizeIsTheBytesAppendRecordWrites) {
@@ -840,8 +839,10 @@ TEST(SortedRunTest, RecordSizeIsTheBytesAppendRecordWrites) {
     prev = entries[i].key;
   }
   const SortedRun run = SortedRun::Build(entries, kInterval);
+  // Seven slots fit one 64-byte filter block.
+  EXPECT_EQ(run.filter().bytes(), 64u);
   EXPECT_EQ(run.resident_bytes(),
-            sizeof(SortedRun) + total + 3 * sizeof(uint32_t));
+            sizeof(SortedRun) + total + 3 * sizeof(uint32_t) + 64);
 }
 
 // --- Size-tiered compaction ------------------------------------------------

@@ -220,7 +220,7 @@ TEST_F(RobustnessTest, DuplicateRepliesAreIgnored) {
   // never issued) then leave no state behind and fire no callback.
   Key foreign = overlay_->peer(0)->path().Sibling().PadTo(kKeyBits, false);
   int callbacks = 0;
-  overlay_->peer(0)->Lookup(foreign, LookupMode::kExact,
+  overlay_->peer(0)->Lookup(foreign,
                             [&callbacks](Result<LookupResult> r) {
                               EXPECT_TRUE(r.ok()) << r.status().ToString();
                               ++callbacks;

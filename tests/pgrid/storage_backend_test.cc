@@ -59,7 +59,7 @@ std::shared_ptr<DiskRun> WriteAndOpen(MemEnv* env, const std::string& path,
                                       uint64_t fn, BlockCache* cache,
                                       const std::vector<Entry>& entries,
                                       size_t block_bytes = 256) {
-  DiskRunWriter writer(env, path, block_bytes);
+  DiskRunWriter writer(env, path, block_bytes, entries.size());
   for (const Entry& e : entries) writer.Add(EntryView(e));
   EXPECT_TRUE(writer.Finish().ok());
   auto opened = DiskRun::Open(env, path, fn, cache);
@@ -142,12 +142,12 @@ TEST(DiskRunTest, FindSlotMatchesEntries) {
   uint64_t version = 0;
   bool deleted = false;
   for (size_t i = 0; i < entries.size(); i += 11) {
-    ASSERT_TRUE(run->FindSlot(entries[i].key, entries[i].id, &version,
+    ASSERT_TRUE(run->FindSlot({entries[i].key, entries[i].id}, &version,
                               &deleted));
     EXPECT_EQ(version, entries[i].version);
     EXPECT_EQ(deleted, entries[i].deleted);
   }
-  EXPECT_FALSE(run->FindSlot(entries[0].key, "no-such-id", &version,
+  EXPECT_FALSE(run->FindSlot({entries[0].key, "no-such-id"}, &version,
                              &deleted));
 }
 
@@ -171,7 +171,7 @@ TEST(DiskRunTest, OverlongKeysRoundTrip) {
   ExpectSameEntries(ScanWhole(run.get()), entries);
   uint64_t version = 0;
   bool deleted = false;
-  ASSERT_TRUE(run->FindSlot(entries[7].key, "t", &version, &deleted));
+  ASSERT_TRUE(run->FindSlot({entries[7].key, "t"}, &version, &deleted));
   EXPECT_EQ(version, 8u);
 
   std::string record;
@@ -189,7 +189,7 @@ TEST(DiskRunTest, CorruptBlockWedgesRun) {
   BlockCache cache(1 << 20);
   const std::vector<Entry> entries = SortedEntries(300, "id");
   {
-    DiskRunWriter writer(&env, "run-1", 256);
+    DiskRunWriter writer(&env, "run-1", 256, entries.size());
     for (const Entry& e : entries) writer.Add(EntryView(e));
     ASSERT_TRUE(writer.Finish().ok());
   }
@@ -220,7 +220,7 @@ TEST(DiskRunTest, TruncatedFooterFailsOpen) {
   BlockCache cache(1 << 20);
   const std::vector<Entry> entries = SortedEntries(100, "id");
   {
-    DiskRunWriter writer(&env, "run-1", 256);
+    DiskRunWriter writer(&env, "run-1", 256, entries.size());
     for (const Entry& e : entries) writer.Add(EntryView(e));
     ASSERT_TRUE(writer.Finish().ok());
   }
@@ -446,7 +446,7 @@ void ExpectProbeMatches(const SlotReference& reference, const Slot& probe,
   EXPECT_EQ(deleted, it->second.deleted) << what << ": " << probe.second;
 }
 
-TEST(SharedKeyProbeTest, SortedRunFindSlotAndProberMatchReference) {
+TEST(SharedKeyProbeTest, SortedRunFindSlotMatchesReference) {
   const std::vector<Entry> entries = SharedKeyEntries();
   const SlotReference reference = ReferenceOf(entries);
   const std::vector<Slot> probes = SharedKeyProbes();
@@ -458,24 +458,10 @@ TEST(SharedKeyProbeTest, SortedRunFindSlotAndProberMatchReference) {
       uint64_t version = 0;
       bool deleted = false;
       const bool found =
-          run.FindSlot(Key::FromBits(probe.first), probe.second, &version,
+          run.FindSlot({Key::FromBits(probe.first), probe.second}, &version,
                        &deleted);
       ExpectProbeMatches(reference, probe, found, version, deleted,
                          "FindSlot");
-    }
-    // Sorted probe sequences: every probe, then sparse ones whose gaps
-    // make the prober gallop across many restarts of the shared key.
-    for (size_t stride : {1u, 7u, 97u}) {
-      SortedRun::Prober prober(&run);
-      for (size_t i = 0; i < probes.size(); i += stride) {
-        uint64_t version = 0;
-        bool deleted = false;
-        const bool found = prober.FindForward(Key::FromBits(probes[i].first),
-                                              probes[i].second, &version,
-                                              &deleted);
-        ExpectProbeMatches(reference, probes[i], found, version, deleted,
-                           "Prober stride " + std::to_string(stride));
-      }
     }
   }
 }
@@ -492,7 +478,7 @@ TEST(SharedKeyProbeTest, DiskRunFindSlotMatchesReference) {
     uint64_t version = 0;
     bool deleted = false;
     const bool found =
-        run->FindSlot(Key::FromBits(probe.first), probe.second, &version,
+        run->FindSlot({Key::FromBits(probe.first), probe.second}, &version,
                       &deleted);
     ExpectProbeMatches(reference, probe, found, version, deleted,
                        "DiskRun::FindSlot");
@@ -506,8 +492,8 @@ TEST(SharedKeyProbeTest, DiskRunProbeLoadsLogarithmicBlocks) {
   const std::vector<Entry> entries = SharedKeyEntries();
   ASSERT_NE(WriteAndOpen(&env, "run-1", 1, &warm, entries), nullptr);
 
-  // Finding the shared key's last id on a cold cache loads the blocks of
-  // one binary search plus the target block, not every block of the key.
+  // Finding the shared key's last id looks up the blocks of one binary
+  // search plus the target block, not every block of the key.
   BlockCache cold(1 << 20);
   auto opened = DiskRun::Open(&env, "run-1", 1, &cold);
   ASSERT_TRUE(opened.ok()) << opened.status().message();
@@ -520,9 +506,9 @@ TEST(SharedKeyProbeTest, DiskRunProbeLoadsLogarithmicBlocks) {
   const uint64_t loads_before = cold.hits() + cold.misses();
   uint64_t version = 0;
   bool deleted = false;
-  ASSERT_TRUE(run->FindSlot(Key::FromBits(Bits16(2 * kSharedKeyIndex)),
-                            SharedId(2 * kSharedIds - 1), &version,
-                            &deleted));
+  ASSERT_TRUE(run->FindSlot({Key::FromBits(Bits16(2 * kSharedKeyIndex)),
+                             SharedId(2 * kSharedIds - 1)},
+                            &version, &deleted));
   EXPECT_EQ(version, 3 * (kSharedIds - 1) + 1);
   EXPECT_LE(cold.hits() + cold.misses() - loads_before, log2_blocks + 2)
       << blocks << " blocks";
@@ -633,7 +619,7 @@ TEST(DiskBackendTest, OverlongAndShortKeysMatchMemoryBackend) {
 
 // Upserts on one key shared by ~2,000 ids whose slots sit in the
 // memtable and in several runs: every write probes the shared key through
-// FindSlot (Apply) or the slot prober (BulkLoad).
+// FindSlot, from Apply and from BulkLoad alike.
 TEST(SharedKeyProbeTest, LocalStoreUpsertsMatchReferenceOnBothBackends) {
   for (const bool disk : {false, true}) {
     SCOPED_TRACE(disk ? "disk backend" : "memory backend");
