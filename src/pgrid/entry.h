@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/codec.h"
-#include "common/function_ref.h"
 #include "common/result.h"
 #include "pgrid/key.h"
 
@@ -69,17 +68,49 @@ struct EntryView {
   Entry ToEntry() const;
 };
 
-/// Encodes a vector of entries (varint count + entries).
-void EncodeEntries(const std::vector<Entry>& entries, BufferWriter* w);
-Result<std::vector<Entry>> DecodeEntries(BufferReader* r);
+/// \brief Writes a list of entries in the front-coded wire form.
+///
+/// The constructor writes the varint `count`; exactly `count` Add calls
+/// follow, in list order (a message may put its own fields between them).
+/// Each entry sends only what the receiver cannot rebuild from the entry
+/// before it (DESIGN.md §3):
+///   varint header     shared_key_bytes << 1 | (bit length == kKeyBits)
+///   varint bit_len    only for a key that is not full-width
+///   the packed key bytes past the shared ones
+///   varint shared_id  id bytes shared with the previous entry's id
+///   varint rest_len, the id bytes past the shared ones
+///   varint version
+///   u8 deleted
+/// `shared_key_bytes` is CommonPrefixLength(previous key) / 8, as in
+/// run_format::AppendRecord; the first entry shares nothing. A keyless
+/// list (a lookup answer, whose key the requester named) omits the first
+/// three fields. Zero-copy: Add takes a view and copies only the id, which
+/// the next entry is coded against.
+class EntryListWriter {
+ public:
+  EntryListWriter(uint64_t count, BufferWriter* w, bool keyless = false);
 
-/// Streamed variant of EncodeEntries: writes the varint count, then calls
-/// `emit`, which must append exactly `count` encoded entries to the writer
-/// (typically by running a LocalStore scan with Entry::Encode as the
-/// visitor body). Produces bytes identical to EncodeEntries over the same
-/// sequence, without materializing an intermediate std::vector<Entry>.
-void EncodeEntryStream(uint64_t count, BufferWriter* w,
-                       FunctionRef<void(BufferWriter*)> emit);
+  void Add(const EntryView& e);
+
+ private:
+  BufferWriter* w_;
+  bool keyless_;
+  Key prev_key_;
+  std::string prev_id_;  // A view's id lives only as long as its visit.
+};
+
+/// Decodes one entry of an EntryListWriter list. `prev` is the list's
+/// previous entry as decoded (nullptr for the first); a keyless entry
+/// comes back with an empty key. Corruption for sharing more than `prev`
+/// holds, a key over kKeyBits bits, nonzero key padding or a short read.
+Result<Entry> DecodeListedEntry(BufferReader* r, const Entry* prev,
+                                bool keyless = false);
+
+/// One EntryListWriter list of `entries`, and its decoder.
+void EncodeEntries(const std::vector<Entry>& entries, BufferWriter* w,
+                   bool keyless = false);
+Result<std::vector<Entry>> DecodeEntries(BufferReader* r,
+                                         bool keyless = false);
 
 }  // namespace pgrid
 }  // namespace unistore

@@ -163,7 +163,7 @@ std::string LookupBatchReply::Encode() const {
   slots.reserve(answers.size());
   for (const Answer& answer : answers) slots.push_back(answer.slot);
   return EncodeStreamed(slots, [this](size_t i, BufferWriter* w) {
-    EncodeEntries(answers[i].entries, w);
+    EncodeEntries(answers[i].entries, w, /*keyless=*/true);
   });
 }
 
@@ -190,7 +190,8 @@ Result<LookupBatchReply> LookupBatchReply::Decode(std::string_view bytes) {
   for (uint64_t i = 0; i < n; ++i) {
     Answer answer;
     UNISTORE_ASSIGN_OR_RETURN(answer.slot, DecodeSlot(&r));
-    UNISTORE_ASSIGN_OR_RETURN(answer.entries, DecodeEntries(&r));
+    UNISTORE_ASSIGN_OR_RETURN(answer.entries,
+                              DecodeEntries(&r, /*keyless=*/true));
     reply.answers.push_back(std::move(answer));
   }
   UNISTORE_ASSIGN_OR_RETURN(reply.dead_ends, DecodeSlots(&r));
@@ -201,10 +202,10 @@ Result<LookupBatchReply> LookupBatchReply::Decode(std::string_view bytes) {
 std::string BulkInsertRequest::Encode() const {
   BufferWriter w;
   w.PutU32(initiator);
-  w.PutVarint(entries.size());
+  EntryListWriter list(entries.size(), &w);
   for (const BatchEntry& e : entries) {
     w.PutVarint(e.slot);
-    e.entry.Encode(&w);
+    list.Add(e.entry);
   }
   return w.Release();
 }
@@ -218,7 +219,10 @@ Result<BulkInsertRequest> BulkInsertRequest::Decode(std::string_view bytes) {
   for (uint64_t i = 0; i < n; ++i) {
     BatchEntry e;
     UNISTORE_ASSIGN_OR_RETURN(e.slot, DecodeSlot(&r));
-    UNISTORE_ASSIGN_OR_RETURN(e.entry, Entry::Decode(&r));
+    UNISTORE_ASSIGN_OR_RETURN(
+        e.entry, DecodeListedEntry(&r, req.entries.empty()
+                                           ? nullptr
+                                           : &req.entries.back().entry));
     req.entries.push_back(std::move(e));
   }
   return req;
@@ -263,15 +267,16 @@ Result<RangeSeqRequest> RangeSeqRequest::Decode(std::string_view bytes) {
 }
 
 std::string RangeSeqReply::Encode() const {
-  return EncodeStreamed(entries.size(), [this](BufferWriter* w) {
-    for (const Entry& e : entries) e.Encode(w);
+  return EncodeStreamed(entries.size(), [this](EntryListWriter* list) {
+    for (const Entry& e : entries) list->Add(e);
   });
 }
 
 std::string RangeSeqReply::EncodeStreamed(uint64_t count,
                                           EntryStreamFn emit) const {
   BufferWriter w;
-  EncodeEntryStream(count, &w, emit);
+  EntryListWriter list(count, &w);
+  emit(&list);
   w.PutBool(will_forward);
   EncodeKey(peer_path, &w);
   w.PutU8(status_code);
@@ -307,15 +312,16 @@ Result<RangeShowerRequest> RangeShowerRequest::Decode(
 }
 
 std::string RangeShowerReply::Encode() const {
-  return EncodeStreamed(entries.size(), [this](BufferWriter* w) {
-    for (const Entry& e : entries) e.Encode(w);
+  return EncodeStreamed(entries.size(), [this](EntryListWriter* list) {
+    for (const Entry& e : entries) list->Add(e);
   });
 }
 
 std::string RangeShowerReply::EncodeStreamed(uint64_t count,
                                              EntryStreamFn emit) const {
   BufferWriter w;
-  EncodeEntryStream(count, &w, emit);
+  EntryListWriter list(count, &w);
+  emit(&list);
   w.PutU32(forwards);
   w.PutU32(unreachable);
   EncodeKey(peer_path, &w);

@@ -23,11 +23,10 @@ namespace pgrid {
 
 using net::PeerId;
 
-/// Writes `count` encoded entries straight into a wire buffer (the body of
-/// an EncodeEntryStream call) — replies stream entries out of a LocalStore
-/// scan instead of materializing intermediate vectors (zero-copy read
-/// path, DESIGN.md § Local storage engine).
-using EntryStreamFn = FunctionRef<void(BufferWriter*)>;
+/// Adds the `count` entries of a reply to its list — replies stream
+/// entries out of a LocalStore scan instead of materializing intermediate
+/// vectors (zero-copy read path, DESIGN.md § Local storage engine).
+using EntryStreamFn = FunctionRef<void(EntryListWriter*)>;
 
 /// References grouped by trie level, as shipped in exchange messages.
 struct RefsBlock {
@@ -83,12 +82,15 @@ struct ReplicaAdvert {
   static Result<ReplicaAdvert> Decode(BufferReader* r);
 };
 
-/// Writes the entries of the `i`-th answer as one EncodeEntries block.
+/// Writes the entries of the `i`-th answer as one keyless EntryListWriter
+/// list.
 using AnswerStreamFn = FunctionRef<void(size_t i, BufferWriter*)>;
 
 /// Sent to the initiator only by a peer that served keys or hit a routing
 /// dead end; pure forwarders stay silent. Slots name keys of the
-/// initiator's key vector, so a duplicated reply changes nothing.
+/// initiator's key vector, so a duplicated reply changes nothing. Answers
+/// travel keyless: the entries of a slot all carry the slot's key, which
+/// the initiator sent and puts back; Decode leaves their keys empty.
 struct LookupBatchReply {
   struct Answer {
     uint32_t slot = 0;
@@ -119,8 +121,10 @@ struct BatchEntry {
 ///
 /// Travels like a LookupBatchRequest: every visited peer stores the
 /// entries it is responsible for, groups the rest by next routing hop and
-/// forwards them, at most `PeerOptions::chunk_bytes` of entries per
-/// request, under the initiator's request id.
+/// forwards them, at most `PeerOptions::chunk_bytes` of entries (as
+/// Entry::EncodedSize counts them) per request, under the initiator's
+/// request id. Wire format: the initiator, then the entries as one
+/// EntryListWriter list with each entry's slot written before it.
 struct BulkInsertRequest {
   PeerId initiator = net::kNoPeer;
   std::vector<BatchEntry> entries;
@@ -304,6 +308,8 @@ struct RunFetchReply {
   /// until the block is exhausted (its boundary is length-prefixed by the
   /// reply codec). Unless `done`, a non-error chunk carries >= 1 entry
   /// even when a single entry exceeds `max_bytes` (progress guarantee).
+  /// Not front-coded: `max_bytes` is measured on the block, so coding it
+  /// would change how many chunks a repair takes (DESIGN.md §3).
   std::string block;
 
   std::string Encode() const;

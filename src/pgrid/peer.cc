@@ -148,10 +148,10 @@ void Peer::OnMessage(const Message& msg) {
       OnKeySetReply<LookupBatchReply>(
           msg, /*insert=*/false, [&msg](KeySetOp& op, LookupBatchReply& r) {
             for (LookupBatchReply::Answer& answer : r.answers) {
-              if (op.Finish(answer.slot)) {
-                op.results[answer.slot] = {std::move(answer.entries),
-                                           msg.hops};
-              }
+              if (!op.Finish(answer.slot)) continue;
+              // Answers travel keyless: every entry is under the slot's key.
+              for (Entry& e : answer.entries) e.key = op.keys[answer.slot].key;
+              op.results[answer.slot] = {std::move(answer.entries), msg.hops};
             }
           });
       return;
@@ -627,9 +627,10 @@ void Peer::HandleKeySetLookup(const Message& msg) {
     if (!reply.advert.empty()) ++counters_.hot_adverts;
   }
   // Zero-copy serving: per key, one counting scan sizes the varint prefix
-  // and a second encodes the entries straight into the reply buffer. No
-  // intermediate std::vector<Entry>, no per-entry heap allocation. Both
-  // scans skip the entries the key's suffixes do not ask for.
+  // and a second encodes the entries, keyless, straight into the reply
+  // buffer. No intermediate std::vector<Entry>, no per-entry heap
+  // allocation. Both scans skip the entries the key's suffixes do not ask
+  // for.
   std::string payload = reply.EncodeStreamed(
       slots, [this, &route](size_t i, BufferWriter* w) {
         const BatchKey& k = route.mine[i];
@@ -637,11 +638,10 @@ void Peer::HandleKeySetLookup(const Message& msg) {
         auto scan = [this, &k, &match](LocalStore::EntryVisitor v) {
           ScanAsked(store_, k.key, match, v);
         };
-        EncodeEntryStream(CountEntries(scan), w, [&scan](BufferWriter* w) {
-          scan([w](const EntryView& e) {
-            e.Encode(w);
-            return true;
-          });
+        EntryListWriter list(CountEntries(scan), w, /*keyless=*/true);
+        scan([&list](const EntryView& e) {
+          list.Add(e);
+          return true;
         });
       });
   rpc_.ReplyTo(req->initiator, msg.request_id, msg.hops,
@@ -739,7 +739,9 @@ void Peer::DispatchBulkInsert(KeySetRoute<BatchEntry> route,
     reply->dead_ends.push_back(e.slot);
   }
   for (auto& [next, group] : route.next) {
-    // Sub-batches of at most chunk_bytes of entries, at least one each.
+    // Sub-batches of at most chunk_bytes of uncoded entries, at least one
+    // each: the chunks, and so the message count, do not depend on how
+    // well the entries front-code.
     BulkInsertRequest sub;
     sub.initiator = initiator;
     size_t bytes = 0;
@@ -1391,14 +1393,15 @@ void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
   }
   // Remote partial: encode the scanned entries straight into the wire
   // buffer (byte-identical to the materialized encoding).
-  std::string payload =
-      reply.EncodeStreamed(count, [this, &req, count](BufferWriter* w) {
+  std::string payload = reply.EncodeStreamed(
+      count, [this, &req, count](EntryListWriter* list) {
         if (count == 0) return;
         uint64_t emitted = 0;
-        store_.ScanRange(req.range, [w, &emitted, count](const EntryView& e) {
-          e.Encode(w);
-          return ++emitted < count;
-        });
+        store_.ScanRange(req.range,
+                         [list, &emitted, count](const EntryView& e) {
+                           list->Add(e);
+                           return ++emitted < count;
+                         });
       });
   rpc_.ReplyTo(req.initiator, request_id, hops, MessageType::kRangeSeqReply,
                std::move(payload));
@@ -1482,9 +1485,9 @@ void Peer::ProcessRangeShower(const RangeShowerRequest& req,
     return;
   }
   std::string payload =
-      reply.EncodeStreamed(count, [&run_scan](BufferWriter* w) {
-        run_scan([w](const EntryView& e) {
-          e.Encode(w);
+      reply.EncodeStreamed(count, [&run_scan](EntryListWriter* list) {
+        run_scan([list](const EntryView& e) {
+          list->Add(e);
           return true;
         });
       });

@@ -92,10 +92,12 @@ struct PeerOptions {
 
   // --- Replica repair: anti-entropy snapshot shipping (DESIGN.md §9) ----
 
-  /// Encoded-entry byte budget of one kRunFetchReply chunk during replica
-  /// repair and of one kBulkInsert sub-batch. Bounds every repair and
-  /// batch-insert message on the wire; a chunk always carries at least
-  /// one entry, so an oversized entry still makes progress.
+  /// Byte budget, in Entry::EncodedSize bytes, of one kRunFetchReply
+  /// chunk during replica repair and of one kBulkInsert sub-batch. Bounds
+  /// every repair message on the wire; a sub-batch front-codes its
+  /// entries, which for full-width keys never adds bytes, so the budget
+  /// bounds it from above. A chunk always carries at least one entry, so
+  /// an oversized entry still makes progress.
   size_t chunk_bytes = 64 * 1024;
 
   // --- Peer lifecycle & replica re-protection (DESIGN.md §11) ------------

@@ -1034,13 +1034,109 @@ TEST(EntryCodecTest, StreamedEncodeIsByteIdentical) {
   std::vector<Entry> entries = {MakeEntry("00", "a"),
                                 MakeEntry("01", "b", 3),
                                 MakeEntry("10", "c", 9, true)};
-  BufferWriter materialized;
-  EncodeEntries(entries, &materialized);
-  BufferWriter streamed;
-  EncodeEntryStream(entries.size(), &streamed, [&](BufferWriter* w) {
-    for (const Entry& e : entries) e.Encode(w);
-  });
-  EXPECT_EQ(streamed.buffer(), materialized.buffer());
+  for (bool keyless : {false, true}) {
+    BufferWriter materialized;
+    EncodeEntries(entries, &materialized, keyless);
+    // Streamed as a scan hands entries out: each view's id lives in a
+    // buffer the next entry overwrites.
+    BufferWriter streamed;
+    EntryListWriter list(entries.size(), &streamed, keyless);
+    std::string id;
+    for (const Entry& e : entries) {
+      id.assign(e.id);
+      EntryView view(e);
+      view.id = id;
+      list.Add(view);
+    }
+    EXPECT_EQ(streamed.buffer(), materialized.buffer()) << keyless;
+  }
+}
+
+// Every sharing case of the front-coded list: keys of every width class
+// in ascending, equal and descending order, and ids that are empty,
+// equal, share a prefix, or run to 1 KB.
+std::vector<Entry> FrontCodingCases() {
+  Rng rng(77);
+  std::string bits;
+  for (size_t b = 0; b < kKeyBits; ++b) {
+    bits.push_back(rng.NextBounded(2) == 0 ? '0' : '1');
+  }
+  std::string long_id;
+  for (size_t i = 0; i < 1024; ++i) {
+    long_id.push_back(static_cast<char>(rng.NextBounded(256)));
+  }
+  std::vector<Entry> out;
+  uint64_t version = 1;
+  auto add = [&](size_t key_bits, std::string id) {
+    const bool deleted = version % 3 == 0;
+    out.push_back(
+        MakeEntry(bits.substr(0, key_bits), std::move(id), version++, deleted));
+  };
+  for (size_t width : {0, 1, 7, 8, 64, 127, 128}) add(width, "");
+  add(128, "");                         // Duplicate key, equal id.
+  add(128, "o#17#title");               // Duplicate key, new id.
+  add(128, "o#17#title");               // Equal id.
+  add(128, "o#17#year");                // Shares "o#17#".
+  add(128, long_id);                    // Shares nothing.
+  add(128, long_id + "x");              // Shares 1 KB.
+  add(128, long_id.substr(0, 512));     // Shorter than its prefix.
+  for (size_t width : {127, 64, 8, 7, 1, 0}) add(width, "d");  // Descending.
+  bits[3] = bits[3] == '0' ? '1' : '0';
+  for (size_t width : {128, 9, 16}) add(width, "x");  // Shares under a byte.
+  return out;
+}
+
+TEST(EntryCodecTest, FrontCodedListsRoundTrip) {
+  const std::vector<Entry> entries = FrontCodingCases();
+  for (bool keyless : {false, true}) {
+    BufferWriter w;
+    EncodeEntries(entries, &w, keyless);
+    BufferReader r(w.buffer());
+    auto back = DecodeEntries(&r, keyless);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_TRUE(r.AtEnd());
+    ASSERT_EQ(back->size(), entries.size());
+    for (size_t i = 0; i < entries.size(); ++i) {
+      Entry expected = entries[i];
+      if (keyless) expected.key = Key();
+      EXPECT_EQ((*back)[i], expected) << "entry " << i << " keyless "
+                                      << keyless;
+    }
+  }
+}
+
+TEST(EntryCodecTest, FullWidthKeysNeverCodeLonger) {
+  // So the Entry::EncodedSize budget of a batch-insert chunk bounds its
+  // bytes on the wire: a list that shares nothing costs no more than the
+  // uncoded entries, and one that shares costs less.
+  Rng rng(5);
+  std::vector<Entry> apart;
+  std::vector<Entry> sharing;
+  for (int i = 0; i < 50; ++i) {
+    std::string bits;
+    for (size_t b = 0; b < kKeyBits; ++b) {
+      bits.push_back(rng.NextBounded(2) == 0 ? '0' : '1');
+    }
+    apart.push_back(MakeEntry(bits, std::string(1 + i % 3, 'a' + i % 26),
+                              rng.NextBounded(1000)));
+    sharing.push_back(MakeEntry(
+        OpHash("a#year#" + std::to_string(1950 + i)).bits(),
+        "a#pub" + std::to_string(i), 1));
+  }
+  auto sizes = [](const std::vector<Entry>& entries) {
+    size_t uncoded = VarintLength(entries.size());
+    for (const Entry& e : entries) uncoded += e.EncodedSize();
+    BufferWriter keyed;
+    EncodeEntries(entries, &keyed);
+    BufferWriter keyless;
+    EncodeEntries(entries, &keyless, /*keyless=*/true);
+    EXPECT_LT(keyless.size(), keyed.size());
+    return std::pair{keyed.size(), uncoded};
+  };
+  const auto [apart_coded, apart_uncoded] = sizes(apart);
+  EXPECT_LE(apart_coded, apart_uncoded);
+  const auto [sharing_coded, sharing_uncoded] = sizes(sharing);
+  EXPECT_LT(sharing_coded, sharing_uncoded);
 }
 
 TEST(EntryCodecTest, CorruptKeyRejected) {

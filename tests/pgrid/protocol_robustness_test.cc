@@ -374,6 +374,238 @@ TEST_F(RobustnessTest, ConcurrentScansDoNotInterfere) {
   for (size_t s : sizes) EXPECT_EQ(s, 40u);
 }
 
+// --- Front-coded entry lists (entry.h EntryListWriter) ---------------------
+
+// Sorted entries whose keys and ids share prefixes with their neighbours.
+std::vector<Entry> SharingEntries() {
+  std::vector<Entry> out;
+  for (int i = 0; i < 6; ++i) {
+    Entry e;
+    e.key = OpHash("a#year#" + std::to_string(1990 + i / 2));
+    e.id = "a#pub" + std::to_string(i) + "#year";
+    e.version = static_cast<uint64_t>(i + 1);
+    e.deleted = i == 3;
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+TEST(FrontCodedWireTest, RoundTripAndEveryStrictPrefixFails) {
+  const std::vector<Entry> entries = SharingEntries();
+  std::vector<Entry> keyless = entries;
+  for (Entry& e : keyless) e.key = Key();
+
+  LookupBatchReply lookup;
+  lookup.peer = 4;
+  lookup.answers.push_back({2, keyless});
+  lookup.answers.push_back({0, {keyless[1]}});
+  lookup.dead_ends = {5};
+  RangeSeqReply range;
+  range.entries = entries;
+  range.will_forward = true;
+  range.peer_path = Key::FromBits("011");
+  range.error = "e";
+  EntryBatch batch;
+  batch.entries = entries;
+  batch.gossip = true;
+  batch.informed = {1, 300};
+  BulkInsertRequest insert;
+  insert.initiator = 2;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    insert.entries.push_back({static_cast<uint32_t>(9 - i), entries[i]});
+  }
+
+  using Decoder = Status (*)(std::string_view);
+  const std::vector<std::pair<std::string, Decoder>> frames = {
+      {lookup.Encode(),
+       [](std::string_view bytes) {
+         return LookupBatchReply::Decode(bytes).status();
+       }},
+      {range.Encode(),
+       [](std::string_view bytes) {
+         return RangeSeqReply::Decode(bytes).status();
+       }},
+      {batch.Encode(),
+       [](std::string_view bytes) {
+         return EntryBatch::Decode(bytes).status();
+       }},
+      {insert.Encode(),
+       [](std::string_view bytes) {
+         return BulkInsertRequest::Decode(bytes).status();
+       }},
+  };
+  for (const auto& [frame, decode] : frames) {
+    ASSERT_TRUE(decode(frame).ok());
+    for (size_t cut = 0; cut < frame.size(); ++cut) {
+      EXPECT_FALSE(decode(std::string_view(frame).substr(0, cut)).ok())
+          << "prefix of " << cut << " of " << frame.size() << " bytes";
+    }
+  }
+
+  auto lookup_back = LookupBatchReply::Decode(lookup.Encode());
+  ASSERT_TRUE(lookup_back.ok());
+  EXPECT_EQ(lookup_back->answers[0].slot, 2u);
+  EXPECT_EQ(lookup_back->answers[0].entries, keyless);
+  EXPECT_EQ(lookup_back->answers[1].entries,
+            std::vector<Entry>{keyless[1]});
+  EXPECT_EQ(lookup_back->dead_ends, lookup.dead_ends);
+  auto range_back = RangeSeqReply::Decode(range.Encode());
+  ASSERT_TRUE(range_back.ok());
+  EXPECT_EQ(range_back->entries, entries);
+  EXPECT_EQ(range_back->peer_path, range.peer_path);
+  EXPECT_EQ(range_back->error, "e");
+  auto batch_back = EntryBatch::Decode(batch.Encode());
+  ASSERT_TRUE(batch_back.ok());
+  EXPECT_EQ(batch_back->entries, entries);
+  EXPECT_EQ(batch_back->informed, batch.informed);
+  auto insert_back = BulkInsertRequest::Decode(insert.Encode());
+  ASSERT_TRUE(insert_back.ok());
+  ASSERT_EQ(insert_back->entries.size(), entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(insert_back->entries[i].slot, insert.entries[i].slot);
+    EXPECT_EQ(insert_back->entries[i].entry, entries[i]);
+  }
+}
+
+// Hand-built list entries: the key fields (header, bit length, key
+// bytes) of a keyed list and the fields every list has.
+void PutKey(BufferWriter* w, uint64_t shared, uint64_t bit_len,
+            std::string_view bytes) {
+  w->PutVarint(shared << 1 | (bit_len == kKeyBits ? 1 : 0));
+  if (bit_len != kKeyBits) w->PutVarint(bit_len);
+  w->PutRaw(bytes);
+}
+
+void PutRest(BufferWriter* w, uint64_t shared_id, std::string_view id) {
+  w->PutVarint(shared_id);
+  w->PutString(id);
+  w->PutVarint(1);
+  w->PutBool(false);
+}
+
+TEST(FrontCodedWireTest, MalformedListsAreCorruption) {
+  const std::string full(16, '\x5a');
+  struct Case {
+    const char* what;
+    bool keyless;
+    std::string frame;
+    std::string error;
+  };
+  auto list = [](uint64_t count, auto write) {
+    BufferWriter w;
+    w.PutVarint(count);
+    write(&w);
+    return w.Release();
+  };
+  const std::vector<Case> cases = {
+      {"first entry shares key bytes", false, list(1, [&](BufferWriter* w) {
+         PutKey(w, 1, kKeyBits, full.substr(1));
+         PutRest(w, 0, "a");
+       }),
+       "key shares 1 bytes with a 0-bit previous key"},
+      {"first entry shares id bytes", false, list(1, [&](BufferWriter* w) {
+         PutKey(w, 0, kKeyBits, full);
+         PutRest(w, 1, "");
+       }),
+       "id shares 1 bytes with a 0-byte previous id"},
+      {"first keyless entry shares id bytes", true,
+       list(1, [](BufferWriter* w) { PutRest(w, 2, "x"); }),
+       "id shares 2 bytes with a 0-byte previous id"},
+      {"shares more than the previous key holds", false,
+       list(2, [&](BufferWriter* w) {
+         PutKey(w, 0, 8, "\xab");
+         PutRest(w, 0, "a");
+         PutKey(w, 2, kKeyBits, full.substr(2));
+         PutRest(w, 0, "b");
+       }),
+       "key shares 2 bytes with a 8-bit previous key"},
+      {"shares more than the key holds", false, list(2, [&](BufferWriter* w) {
+         PutKey(w, 0, kKeyBits, full);
+         PutRest(w, 0, "a");
+         PutKey(w, 3, 16, "");
+         PutRest(w, 0, "b");
+       }),
+       "as a 16-bit key"},
+      {"shares more than the previous id holds", false,
+       list(2, [&](BufferWriter* w) {
+         PutKey(w, 0, kKeyBits, full);
+         PutRest(w, 0, "ab");
+         PutKey(w, 16, kKeyBits, "");
+         PutRest(w, 3, "");
+       }),
+       "id shares 3 bytes with a 2-byte previous id"},
+      {"keyless shares more than the previous id holds", true,
+       list(2, [](BufferWriter* w) {
+         PutRest(w, 0, "ab");
+         PutRest(w, 3, "");
+       }),
+       "id shares 3 bytes with a 2-byte previous id"},
+      {"nonzero key padding", false, list(1, [](BufferWriter* w) {
+         PutKey(w, 0, 7, "\x01");
+         PutRest(w, 0, "a");
+       }),
+       "padding"},
+      {"129-bit key", false, list(1, [&](BufferWriter* w) {
+         PutKey(w, 0, 129, full + "\x00");
+         PutRest(w, 0, "a");
+       }),
+       "key of 129 bits"},
+      {"full-width key without its flag", false,
+       list(1, [&](BufferWriter* w) {
+         w->PutVarint(0);
+         w->PutVarint(kKeyBits);
+         w->PutRaw(full);
+         PutRest(w, 0, "a");
+       }),
+       "key of 128 bits"},
+  };
+  for (const Case& c : cases) {
+    BufferReader r(c.frame);
+    const Status status = DecodeEntries(&r, c.keyless).status();
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << c.what;
+    EXPECT_NE(status.ToString().find(c.error), std::string::npos)
+        << c.what << ": " << status.ToString();
+  }
+  // The bounds are tight: sharing exactly what both hold decodes.
+  const std::string tight = list(2, [&](BufferWriter* w) {
+    PutKey(w, 0, 8, "\xab");
+    PutRest(w, 0, "ab");
+    PutKey(w, 1, 16, "\xcd");
+    PutRest(w, 2, "");
+  });
+  BufferReader r(tight);
+  auto back = DecodeEntries(&r);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->size(), 2u);
+  EXPECT_EQ((*back)[1].key, Key::FromBits("1010101111001101"));
+  EXPECT_EQ((*back)[1].id, "ab");
+}
+
+TEST(FrontCodedWireTest, HugeCountsFailWithoutALargeReservation) {
+  // Each count is read before anything is reserved; a reservation sized
+  // from it would throw instead of failing with Corruption.
+  constexpr uint64_t kHuge = ~uint64_t{0};
+  for (bool keyless : {false, true}) {
+    BufferWriter w;
+    w.PutVarint(kHuge);
+    BufferReader r(w.buffer());
+    EXPECT_EQ(DecodeEntries(&r, keyless).status().code(),
+              StatusCode::kCorruption);
+  }
+  BufferWriter lookup;
+  lookup.PutU32(4);
+  lookup.PutVarint(1);  // One answer, for slot 0, of kHuge entries.
+  lookup.PutVarint(0);
+  lookup.PutVarint(kHuge);
+  EXPECT_EQ(LookupBatchReply::Decode(lookup.buffer()).status().code(),
+            StatusCode::kCorruption);
+  BufferWriter insert;
+  insert.PutU32(2);
+  insert.PutVarint(kHuge);
+  EXPECT_EQ(BulkInsertRequest::Decode(insert.buffer()).status().code(),
+            StatusCode::kCorruption);
+}
+
 }  // namespace
 }  // namespace pgrid
 }  // namespace unistore
