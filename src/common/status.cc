@@ -28,8 +28,6 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "Cancelled";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kOverloaded:
-      return "Overloaded";
   }
   return "Unknown";
 }

@@ -28,7 +28,6 @@ enum class StatusCode : int {
   kUnimplemented = 9,
   kCancelled = 10,
   kInternal = 11,
-  kOverloaded = 12,   ///< Peer shed the request; retry after backoff.
 };
 
 /// Returns a stable, human-readable name for a status code ("NotFound", ...).
@@ -103,10 +102,6 @@ class Status {
   template <typename... Args>
   static Status Internal(Args&&... args) {
     return Make(StatusCode::kInternal, std::forward<Args>(args)...);
-  }
-  template <typename... Args>
-  static Status Overloaded(Args&&... args) {
-    return Make(StatusCode::kOverloaded, std::forward<Args>(args)...);
   }
 
   /// True iff the operation succeeded.

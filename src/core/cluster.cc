@@ -147,9 +147,5 @@ void Cluster::SetPlannerOptions(const plan::PlannerOptions& options) {
   for (auto& n : nodes_) n->SetPlannerOptions(options);
 }
 
-void Cluster::SetEnvelopeOptions(const exec::EnvelopeOptions& options) {
-  for (auto& n : nodes_) n->SetEnvelopeOptions(options);
-}
-
 }  // namespace core
 }  // namespace unistore

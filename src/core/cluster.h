@@ -35,8 +35,8 @@ struct ClusterOptions {
   /// Non-empty: build the trie over exactly these leaf paths (a
   /// prefix-free cover; peers round-robin across them) instead of the
   /// balanced one. Benchmarks and tests use it to shape a deep subtree
-  /// under one attribute's partition, so batched envelope walks
-  /// (node.envelope fan-out / chunking knobs) span many peers.
+  /// under one attribute's partition, so Migrate joins' envelope walks
+  /// (shaped by node.planner.migrate_batching) span many peers.
   std::vector<std::string> custom_paths;
   uint64_t seed = 42;
   double loss_probability = 0;
@@ -108,9 +108,6 @@ class Cluster {
 
   /// Applies planner options on every node.
   void SetPlannerOptions(const plan::PlannerOptions& options);
-
-  /// Applies envelope execution knobs on every node (harness context).
-  void SetEnvelopeOptions(const exec::EnvelopeOptions& options);
 
   // --- Peer lifecycle (DESIGN.md §11) -------------------------------------
 

@@ -6,28 +6,15 @@
 namespace unistore {
 namespace core {
 
-namespace {
-
-cost::MigrateBatching BatchingFrom(const exec::EnvelopeOptions& envelope) {
-  cost::MigrateBatching batching;
-  batching.fanout = static_cast<double>(envelope.fanout);
-  batching.max_bindings_per_envelope =
-      static_cast<double>(envelope.max_bindings_per_envelope);
-  batching.visit_cost_us = envelope.join_visit_cost_us;
-  return batching;
-}
-
-}  // namespace
-
 UniStore::UniStore(pgrid::Peer* peer, NodeOptions options)
     : peer_(peer),
       options_(std::move(options)),
       store_(peer),
-      service_(peer, options_.envelope),
+      service_(peer),
       oid_generator_("oid-" + std::to_string(peer->id()) + "-") {
   SetPlannerOptions(options_.planner);
   // Crash-restart invalidation (DESIGN.md §11): the query layer's
-  // volatile state (open migrations, gossip contributions, admission clock)
+  // volatile state (open migrations, gossip contributions, serving clock)
   // must not survive the process.
   peer_->set_restart_hook([this]() { service_.OnPeerRestart(); });
 }
@@ -38,8 +25,6 @@ void UniStore::SetPlannerOptions(plan::PlannerOptions options) {
       options_.planner.mappings == nullptr) {
     options_.planner.mappings = &mappings_;
   }
-  // The cost model prices Migrate the way the executor will run it.
-  options_.planner.migrate_batching = BatchingFrom(options_.envelope);
   // The q-gram path looks up grams of length kDefaultQ; only postings of
   // that length can answer it.
   options_.planner.qgram_postings =
@@ -48,12 +33,6 @@ void UniStore::SetPlannerOptions(plan::PlannerOptions options) {
                                                  options_.planner);
   executor_ =
       std::make_unique<exec::Executor>(&store_, &service_, optimizer_.get());
-}
-
-void UniStore::SetEnvelopeOptions(const exec::EnvelopeOptions& options) {
-  options_.envelope = options;
-  service_.set_envelope_options(options);
-  SetPlannerOptions(options_.planner);
 }
 
 std::string UniStore::NewOid() { return oid_generator_.Next(); }

@@ -24,10 +24,6 @@ namespace core {
 /// Per-node configuration.
 struct NodeOptions {
   plan::PlannerOptions planner;
-  /// Batched envelope execution knobs (Migrate join fan-out, binding
-  /// chunking, pipelining — DESIGN.md §4). Mirrored into the planner's
-  /// cost model automatically.
-  exec::EnvelopeOptions envelope;
   /// Maintain q-gram postings for string values (enables the q-gram
   /// access path of edist and CONTAINS, which the planner's
   /// qgram_postings follows; ~|value| extra index entries per triple).
@@ -113,14 +109,10 @@ class UniStore {
   /// Gossips local statistics to `fanout` contacts.
   void GossipStats(size_t fanout) { service_.GossipStats(fanout); }
 
-  /// Replaces the planner configuration (forced strategies etc.). The
-  /// mapping set pointer and the Migrate batching mirror are managed
+  /// Replaces the planner configuration (forced strategies, the Migrate
+  /// shape etc.). The mapping set pointer and the q-gram flag are managed
   /// internally.
   void SetPlannerOptions(plan::PlannerOptions options);
-
-  /// Replaces the envelope execution knobs (harness context only) and
-  /// re-syncs the planner's Migrate cost parameters.
-  void SetEnvelopeOptions(const exec::EnvelopeOptions& options);
 
  private:
   uint64_t NextVersion();

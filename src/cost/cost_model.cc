@@ -56,12 +56,13 @@ Cost CostModel::IndexJoinProbe(double left_cardinality,
 
 Cost CostModel::IndexJoinMigrate(double left_cardinality,
                                  double peers_in_range,
-                                 const MigrateBatching& batching) const {
+                                 const MigrateBatching& batching,
+                                 double triples_per_peer) const {
   const auto& net = catalog_->network();
   const double peers = std::max(1.0, peers_in_range);
   const double route_in = net.ExpectedLookupHops();
   const double branches =
-      std::min(peers, std::max(1.0, batching.fanout));
+      std::min(peers, std::max(1.0, static_cast<double>(batching.fanout)));
   const double chunks =
       batching.max_bindings_per_envelope > 0
           ? std::max(1.0, std::ceil(left_cardinality /
@@ -71,9 +72,8 @@ Cost CostModel::IndexJoinMigrate(double left_cardinality,
   const double branch_peers = peers / branches;
 
   // Per-visit service time: fixed overhead + pair work of one chunk.
-  const double join_us = batching.visit_cost_us +
-                         kJoinPairCostUs * chunk_size *
-                             std::max(1.0, batching.triples_per_peer);
+  const double join_us = kJoinVisitCostUs + kJoinPairCostUs * chunk_size *
+                                                std::max(1.0, triples_per_peer);
   // A branch is a (branch_peers)-stage pipeline fed with `chunks`
   // envelopes: each stage overlaps its forward with its join, so a stage
   // takes the longer of the two.

@@ -5,6 +5,7 @@
 #ifndef UNISTORE_COST_COST_MODEL_H_
 #define UNISTORE_COST_COST_MODEL_H_
 
+#include <cstdint>
 #include <string>
 
 #include "cost/stats.h"
@@ -30,22 +31,21 @@ struct Cost {
   std::string ToString() const;
 };
 
-/// Simulated local-join compute per (local triple x binding) pair, in
-/// microseconds: the executor charges it per visit, and the cost model
-/// prices Migrate with it.
+/// Simulated local-join compute of one Migrate visit, in microseconds: a
+/// fixed overhead plus a cost per (local triple x binding) pair. The
+/// executor charges it per visit, and the cost model prices Migrate with
+/// it.
+inline constexpr double kJoinVisitCostUs = 100.0;
 inline constexpr double kJoinPairCostUs = 0.5;
 
-/// How the batched envelope executor will run a Migrate join (mirrors
-/// exec::EnvelopeOptions; lives here so the plan layer can consult the
-/// cost model without depending on exec).
+/// The shape of a Migrate join: how many parallel walks split the
+/// partition, and how many bindings one envelope carries. The planner owns
+/// it (plan::PlannerOptions::migrate_batching); the cost model prices it
+/// and the executor runs it. It lives here so the plan layer can consult
+/// the cost model without depending on exec.
 struct MigrateBatching {
-  double fanout = 1;                     ///< Parallel sub-range walks.
-  double max_bindings_per_envelope = 0;  ///< 0 = all bindings in one chunk.
-  /// Simulated per-visit local-join cost (exec::EnvelopeOptions).
-  double visit_cost_us = 100.0;
-  /// Expected local triples joined per visited peer (from the catalog's
-  /// attribute stats; callers fill it per join).
-  double triples_per_peer = 8.0;
+  uint32_t fanout = 2;                      ///< Parallel sub-range walks.
+  uint32_t max_bindings_per_envelope = 128;  ///< 0 = one chunk.
 };
 
 /// \brief Cost formulas for every physical strategy, parameterized by the
@@ -78,9 +78,12 @@ class CostModel {
   /// sub-walks over partition slices with bindings chunked into envelopes
   /// of `batching.max_bindings_per_envelope`. Every visited peer streams
   /// one partial reply and forwards before its local join, overlapping
-  /// each hop's network latency with the join.
+  /// each hop's network latency with the join. `triples_per_peer` is the
+  /// expected number of local triples one visit joins (8 when the catalog
+  /// has no estimate).
   Cost IndexJoinMigrate(double left_cardinality, double peers_in_range,
-                        const MigrateBatching& batching) const;
+                        const MigrateBatching& batching,
+                        double triples_per_peer = 8.0) const;
 
   /// Similarity selection via the q-gram index: the pigeonhole-selected
   /// posting keys (k*q+1) in one key-set lookup, candidates verified

@@ -44,7 +44,6 @@ std::string PlanEnvelope::Encode() const {
   w.PutU64(walk_id);
   w.PutU32(branch);
   w.PutU32(chunk_id);
-  w.PutU32(chunk_count);
   EncodePattern(pattern, &w);
   pgrid::EncodeKey(remaining.lo, &w);
   pgrid::EncodeKey(remaining.hi, &w);
@@ -59,11 +58,6 @@ Result<PlanEnvelope> PlanEnvelope::Decode(std::string_view bytes) {
   UNISTORE_ASSIGN_OR_RETURN(env.walk_id, r.GetU64());
   UNISTORE_ASSIGN_OR_RETURN(env.branch, r.GetU32());
   UNISTORE_ASSIGN_OR_RETURN(env.chunk_id, r.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(env.chunk_count, r.GetU32());
-  if (env.chunk_count == 0 || env.chunk_id >= env.chunk_count) {
-    return Status::Corruption("envelope chunk ", env.chunk_id, "/",
-                              env.chunk_count, " out of range");
-  }
   UNISTORE_ASSIGN_OR_RETURN(env.pattern, DecodePattern(&r));
   UNISTORE_ASSIGN_OR_RETURN(env.remaining.lo, pgrid::DecodeKey(&r));
   UNISTORE_ASSIGN_OR_RETURN(env.remaining.hi, pgrid::DecodeKey(&r));
@@ -85,7 +79,6 @@ std::string EnvelopeReply::Encode() const {
   pgrid::EncodeKey(covered_lo, &w);
   pgrid::EncodeKey(covered_hi, &w);
   EncodeBindings(results, &w);
-  w.PutU32(retry_after_us);
   return w.Release();
 }
 
@@ -107,7 +100,6 @@ Result<EnvelopeReply> EnvelopeReply::Decode(std::string_view bytes) {
   UNISTORE_ASSIGN_OR_RETURN(reply.covered_lo, pgrid::DecodeKey(&r));
   UNISTORE_ASSIGN_OR_RETURN(reply.covered_hi, pgrid::DecodeKey(&r));
   UNISTORE_ASSIGN_OR_RETURN(reply.results, DecodeBindings(&r));
-  UNISTORE_ASSIGN_OR_RETURN(reply.retry_after_us, r.GetU32());
   return reply;
 }
 

@@ -31,9 +31,8 @@ struct PlanEnvelope {
   /// Fan-out branch index: which disjoint sub-range of the partition this
   /// walk covers. Stable across retries of the branch.
   uint32_t branch = 0;
-  /// Binding-chunk index within the walk and the total chunk count.
+  /// Binding-chunk index within the walk.
   uint32_t chunk_id = 0;
-  uint32_t chunk_count = 1;
   /// The pattern each visited peer matches against its local store.
   vql::TriplePattern pattern;
   /// The key range still to visit (this branch's slice of the right
@@ -67,10 +66,6 @@ struct EnvelopeReply {
   pgrid::Key covered_lo;
   pgrid::Key covered_hi;
   std::vector<Binding> results;
-  /// For a kOverloaded shed: how long the coordinator should wait
-  /// before relaunching, derived from the shedding peer's busy horizon.
-  /// 0 for non-overloaded replies.
-  uint32_t retry_after_us = 0;
 
   bool has_coverage() const { return !covered_hi.empty(); }
 

@@ -37,7 +37,7 @@ std::vector<pgrid::KeyRange> SplitRangeByPathSample(
 
 EnvelopeCoordinator::EnvelopeCoordinator(
     net::PeerId initiator, vql::TriplePattern pattern, pgrid::KeyRange range,
-    std::vector<Binding> bindings, const EnvelopeOptions& options,
+    std::vector<Binding> bindings, const cost::MigrateBatching& batching,
     uint32_t walk_retries, size_t key_width, uint64_t walk_id_base,
     const std::vector<pgrid::Key>& peer_path_sample)
     : initiator_(initiator),
@@ -45,10 +45,10 @@ EnvelopeCoordinator::EnvelopeCoordinator(
       walk_retries_(walk_retries),
       next_walk_id_(walk_id_base) {
   branches_ = SplitRangeByPathSample(range, peer_path_sample,
-                                     std::max<uint32_t>(1, options.fanout),
+                                     std::max<uint32_t>(1, batching.fanout),
                                      key_width);
 
-  const size_t limit = options.max_bindings_per_envelope;
+  const size_t limit = batching.max_bindings_per_envelope;
   if (limit == 0 || bindings.size() <= limit) {
     chunks_.push_back(std::move(bindings));
   } else {
@@ -78,7 +78,6 @@ PlanEnvelope EnvelopeCoordinator::MakeEnvelope(uint32_t branch,
   env.walk_id = next_walk_id_++;
   env.branch = branch;
   env.chunk_id = chunk;
-  env.chunk_count = static_cast<uint32_t>(chunks_.size());
   env.pattern = pattern_;
   env.remaining.lo = w.frontier;
   env.remaining.hi = w.range.hi;
@@ -134,14 +133,13 @@ void EnvelopeCoordinator::AdvanceFrontier(Walk* w) {
 }
 
 EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
-    EnvelopeReply reply, uint32_t msg_hops) {
+    EnvelopeReply reply) {
   ReplyOutcome out;
   if (reply.branch >= branches_.size() ||
       reply.chunk_id >= chunks_.size()) {
     return out;
   }
   Walk& w = walk(reply.branch, reply.chunk_id);
-  max_walk_hops_ = std::max(max_walk_hops_, msg_hops);
 
   // Coverage is accepted from any walk instance — a slow superseded walk
   // and its replacement race safely: the first interval for a position
@@ -178,18 +176,7 @@ EnvelopeCoordinator::ReplyOutcome EnvelopeCoordinator::OnReply(
   // from superseded instances are ignored.
   if (reply.status_code != 0 && !w.complete &&
       reply.walk_id == w.latest_walk_id) {
-    if (reply.status_code == static_cast<uint8_t>(StatusCode::kOverloaded)) {
-      // Shed-or-defer: the serving peer's admission queue was full.
-      // Relaunch after its retry-after horizon without spending the retry
-      // budget — deferral is flow control, not failure, so a query is
-      // never dropped for hitting a busy peer (the initiator's overall
-      // migration deadline still bounds the join).
-      ++deferrals_;
-      out.progress = true;
-      out.relaunch.push_back(MakeEnvelope(reply.branch, reply.chunk_id));
-      out.relaunch_after_us =
-          std::max<sim::SimTime>(1, reply.retry_after_us);
-    } else if (w.retries_left == 0) {
+    if (w.retries_left == 0) {
       AbandonWalk(&w);
       out.progress = true;
     } else {
@@ -228,10 +215,9 @@ MigrateResult EnvelopeCoordinator::TakeResult() {
   result.chunks_per_branch = static_cast<uint32_t>(chunks_.size());
   result.envelopes_launched = envelopes_launched_;
   result.retries = retries_;
-  result.deferrals = deferrals_;
-  result.max_walk_hops = max_walk_hops_;
   result.complete = walks_abandoned_ == 0;
   for (const Walk& w : walks_) {
+    result.max_walk_peers = std::max(result.max_walk_peers, w.peer_visits);
     if (!w.abandoned) continue;
     result.coverage_gaps.emplace_back(w.frontier.bits(), w.range.hi.bits());
   }

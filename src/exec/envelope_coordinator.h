@@ -27,37 +27,15 @@
 #include <utility>
 #include <vector>
 
+#include "cost/cost_model.h"
 #include "exec/envelope.h"
 #include "pgrid/key.h"
-#include "sim/scheduler.h"
 
 namespace unistore {
 namespace exec {
 
-/// Knobs of the batched envelope executor.
-struct EnvelopeOptions {
-  /// Maximum parallel sub-range walks per join (1 = unsplit).
-  uint32_t fanout = 2;
-  /// Bindings per envelope before the walk is chunked (0 = unlimited).
-  uint32_t max_bindings_per_envelope = 128;
-  /// Simulated local-join cost: fixed per-visit overhead, plus
-  /// cost::kJoinPairCostUs per (local triple x binding) pair. Serving
-  /// serializes per peer, so this models the compute the pipeline
-  /// overlaps with latency.
-  double join_visit_cost_us = 100.0;
-
-  // --- Hot-path serving layer (DESIGN.md §8) -----------------------------
-
-  /// Bounded per-peer serving queue: when this many local joins are
-  /// already queued behind `busy_until_`, further envelopes are shed with
-  /// a kOverloaded reply carrying a retry-after hint instead of queueing.
-  /// 0 disables admission control (unbounded queue, the default).
-  uint32_t admission_queue_depth = 0;
-};
-
-/// TrafficStats retry-counter keys of the exec layer (common/retry_policy.h).
+/// TrafficStats retry-counter key of the exec layer (common/retry_policy.h).
 inline constexpr std::string_view kWalkRetryPolicy = "envelope-walk";
-inline constexpr std::string_view kDeferRetryPolicy = "envelope-defer";
 
 /// What a finished Migrate join returns (rows plus the execution shape,
 /// for traces and benchmarks).
@@ -73,10 +51,9 @@ struct MigrateResult {
   uint32_t chunks_per_branch = 0;
   uint32_t envelopes_launched = 0;  ///< Including relaunches.
   uint32_t retries = 0;
-  /// Overload sheds answered with a deferred relaunch (admission control).
-  uint32_t deferrals = 0;
-  /// Longest single-envelope forwarding chain observed (message hops).
-  uint32_t max_walk_hops = 0;
+  /// Most peers one walk served in sequence: the longest chain of leaves
+  /// a (branch, chunk) envelope was forwarded along.
+  uint32_t max_walk_peers = 0;
   /// False when any walk was abandoned (retries or the join deadline ran
   /// out): `rows` is a partial answer and `coverage_gaps` names exactly
   /// what is missing.
@@ -106,7 +83,8 @@ class EnvelopeCoordinator {
   /// the fan-out split; pass empty for the density-blind fallback.
   EnvelopeCoordinator(net::PeerId initiator, vql::TriplePattern pattern,
                       pgrid::KeyRange range, std::vector<Binding> bindings,
-                      const EnvelopeOptions& options, uint32_t walk_retries,
+                      const cost::MigrateBatching& batching,
+                      uint32_t walk_retries,
                       size_t key_width, uint64_t walk_id_base,
                       const std::vector<pgrid::Key>& peer_path_sample = {});
 
@@ -117,17 +95,13 @@ class EnvelopeCoordinator {
     bool accepted = false;  ///< Coverage was new (not a duplicate).
     /// Walks to relaunch immediately (error replies with retry budget).
     std::vector<PlanEnvelope> relaunch;
-    /// Non-zero for an overload shed: delay the relaunch by this many
-    /// simulated microseconds (the shedding peer's retry-after hint).
-    sim::SimTime relaunch_after_us = 0;
-    /// The reply's walk advanced, was relaunched or deferred, or ended:
+    /// The reply's walk advanced, was relaunched, or ended:
     /// its timer restarts, or stops once walk_done().
     bool progress = false;
   };
   /// Feeds one decoded reply (partial or terminal), consuming its result
-  /// rows. `msg_hops` is the reply message's hop count (observability
-  /// only).
-  ReplyOutcome OnReply(EnvelopeReply reply, uint32_t msg_hops);
+  /// rows.
+  ReplyOutcome OnReply(EnvelopeReply reply);
 
   struct TimerOutcome {
     /// kAbandon: the walk was out of retries and is given up — its gap is
@@ -196,8 +170,6 @@ class EnvelopeCoordinator {
   uint64_t next_walk_id_;
   uint32_t envelopes_launched_ = 0;
   uint32_t retries_ = 0;
-  uint32_t deferrals_ = 0;
-  uint32_t max_walk_hops_ = 0;
 };
 
 }  // namespace exec

@@ -557,6 +557,7 @@ void Executor::ExecJoin(std::shared_ptr<PhysicalOp> node, Context ctx,
       case JoinStrategy::kMigrate:
         self->service_->RunMigrateJoin(
             right.pattern, std::move(*left),
+            self->optimizer_->options().migrate_batching,
             [callback, ctx](Result<MigrateResult> migrated) {
               if (!migrated.ok()) {
                 callback(migrated.status());

@@ -14,8 +14,7 @@ namespace exec {
 using net::Message;
 using net::MessageType;
 
-QueryService::QueryService(pgrid::Peer* peer, EnvelopeOptions options)
-    : peer_(peer), options_(options) {
+QueryService::QueryService(pgrid::Peer* peer) : peer_(peer) {
   peer_->SetExtensionHandler(
       MessageType::kPlanExec,
       [this](const Message& msg) { OnPlanExec(msg); });
@@ -44,7 +43,6 @@ void QueryService::OnPeerRestart() {
   contributions_.clear();
   merged_dirty_ = true;
   busy_until_ = 0;
-  serving_queue_depth_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -53,6 +51,7 @@ void QueryService::OnPeerRestart() {
 
 void QueryService::RunMigrateJoin(const vql::TriplePattern& pattern,
                                   std::vector<Binding> left,
+                                  const cost::MigrateBatching& batching,
                                   MigrateCallback callback) {
   if (pattern.predicate.is_variable ||
       !pattern.predicate.literal.is_string()) {
@@ -67,7 +66,7 @@ void QueryService::RunMigrateJoin(const vql::TriplePattern& pattern,
           EnvelopeCoordinator(
               peer_->id(), pattern,
               triple::AttrRange(pattern.predicate.literal.AsString()),
-              std::move(left), options_,
+              std::move(left), batching,
               static_cast<uint32_t>(peer_->options().request_retries),
               pgrid::kKeyBits,
               /*walk_id_base=*/(static_cast<uint64_t>(peer_->id()) << 40) |
@@ -78,13 +77,14 @@ void QueryService::RunMigrateJoin(const vql::TriplePattern& pattern,
           std::move(callback), sim::kNoEvent, {}, {}});
   (void)inserted;
   MigrateRun& run = it->second;
-  run.walks.resize(run.coordinator.branch_count() *
-                   run.coordinator.chunk_count());
+  run.walk_timers.resize(run.coordinator.branch_count() *
+                         run.coordinator.chunk_count(),
+                         sim::kNoEvent);
 
-  // Overall deadline: whatever the per-walk retries and overload
-  // deferrals do, a Migrate join cannot outlive kMigrateDeadline. It
-  // degrades instead of failing: still-uncovered walks are abandoned and
-  // the rows gathered so far come back with explicit coverage gaps.
+  // Overall deadline: whatever the per-walk retries do, a Migrate join
+  // cannot outlive kMigrateDeadline. It degrades instead of failing:
+  // still-uncovered walks are abandoned and the rows gathered so far come
+  // back with explicit coverage gaps.
   run.deadline = peer_->transport()->scheduler()->ScheduleAfter(
       kMigrateDeadline, peer_->id(), [this, id]() {
         migrations_.find(id)->second.coordinator.AbandonIncomplete();
@@ -99,7 +99,7 @@ void QueryService::RunMigrateJoin(const vql::TriplePattern& pattern,
     }
   }
   for (EnvelopeReply& error : undeliverable) {
-    HandleEnvelopeReply(id, std::move(error), 0);
+    HandleEnvelopeReply(id, std::move(error));
   }
 }
 
@@ -128,8 +128,7 @@ std::optional<EnvelopeReply> QueryService::TrySendEnvelope(
 }
 
 void QueryService::HandleEnvelopeReply(uint64_t request_id,
-                                       EnvelopeReply reply,
-                                       uint32_t msg_hops) {
+                                       EnvelopeReply reply) {
   std::vector<EnvelopeReply> queue;
   queue.push_back(std::move(reply));
   while (!queue.empty()) {
@@ -139,29 +138,8 @@ void QueryService::HandleEnvelopeReply(uint64_t request_id,
     queue.pop_back();
     const uint32_t branch = next.branch;
     const uint32_t chunk = next.chunk_id;
-    auto outcome = it->second.coordinator.OnReply(std::move(next), msg_hops);
-    msg_hops = 0;  // Only the original message has a real hop count.
+    auto outcome = it->second.coordinator.OnReply(std::move(next));
     if (outcome.progress) ArmWalkTimer(request_id, branch, chunk);
-    if (outcome.relaunch_after_us > 0) {
-      // Overload backoff: the serving peer shed the envelope, so hold the
-      // relaunch for its retry-after horizon instead of hammering it. A
-      // later deferral of the walk replaces this one: it relaunches from
-      // a frontier at least as far.
-      for (PlanEnvelope& env : outcome.relaunch) {
-        ++deferred_relaunches_;
-        peer_->transport()->CountRetry(kDeferRetryPolicy);
-        sim::EventId& deferred = it->second.walk(branch, chunk).deferred;
-        peer_->transport()->scheduler()->Cancel(deferred);
-        deferred = peer_->transport()->scheduler()->ScheduleAfter(
-            outcome.relaunch_after_us, peer_->id(),
-            [this, request_id, env = std::move(env)]() mutable {
-              if (auto error = TrySendEnvelope(std::move(env), request_id)) {
-                HandleEnvelopeReply(request_id, std::move(*error), 0);
-              }
-            });
-      }
-      continue;
-    }
     for (PlanEnvelope& env : outcome.relaunch) {
       peer_->transport()->CountRetry(kWalkRetryPolicy);
       if (auto error = TrySendEnvelope(std::move(env), request_id)) {
@@ -176,14 +154,11 @@ void QueryService::ArmWalkTimer(uint64_t request_id, uint32_t branch,
                                 uint32_t chunk) {
   sim::Scheduler* scheduler = peer_->transport()->scheduler();
   MigrateRun& run = migrations_.find(request_id)->second;
-  WalkTimers& timers = run.walk(branch, chunk);
-  scheduler->Cancel(timers.deadline);
-  timers.deadline = sim::kNoEvent;
-  if (run.coordinator.walk_done(branch, chunk)) {
-    scheduler->Cancel(timers.deferred);
-    return;
-  }
-  timers.deadline = scheduler->ScheduleAfter(
+  sim::EventId& timer = run.walk_timer(branch, chunk);
+  scheduler->Cancel(timer);
+  timer = sim::kNoEvent;
+  if (run.coordinator.walk_done(branch, chunk)) return;
+  timer = scheduler->ScheduleAfter(
       peer_->options().request_timeout, peer_->id(),
       [this, request_id, branch, chunk]() {
         OnWalkTimer(request_id, branch, chunk);
@@ -203,7 +178,7 @@ void QueryService::OnWalkTimer(uint64_t request_id, uint32_t branch,
       peer_->transport()->CountRetry(kWalkRetryPolicy);
       if (auto error =
               TrySendEnvelope(std::move(outcome.envelope), request_id)) {
-        HandleEnvelopeReply(request_id, std::move(*error), 0);
+        HandleEnvelopeReply(request_id, std::move(*error));
       }
       return;
     }
@@ -217,10 +192,7 @@ void QueryService::OnWalkTimer(uint64_t request_id, uint32_t branch,
 void QueryService::CancelTimers(const MigrateRun& run) {
   sim::Scheduler* scheduler = peer_->transport()->scheduler();
   scheduler->Cancel(run.deadline);
-  for (const WalkTimers& timers : run.walks) {
-    scheduler->Cancel(timers.deadline);
-    scheduler->Cancel(timers.deferred);
-  }
+  for (sim::EventId timer : run.walk_timers) scheduler->Cancel(timer);
   for (sim::EventId reply : run.local_replies) scheduler->Cancel(reply);
 }
 
@@ -271,30 +243,6 @@ void QueryService::OnPlanExec(const Message& msg) {
 
 void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
                                  uint32_t hops) {
-  // Admission control (DESIGN.md §8): bounded serving queue on top of the
-  // busy_until_ compute model. A full queue sheds the envelope with a
-  // retry-after hint instead of queueing unboundedly — the coordinator
-  // defers and relaunches, so overload degrades latency, never loses the
-  // query.
-  if (options_.admission_queue_depth > 0 &&
-      serving_queue_depth_ >= options_.admission_queue_depth) {
-    ++sheds_;
-    const sim::SimTime now = peer_->transport()->scheduler()->Now();
-    EnvelopeReply shed;
-    shed.status_code = static_cast<uint8_t>(StatusCode::kOverloaded);
-    shed.error = "peer " + std::to_string(peer_->id()) + " overloaded";
-    shed.origin = peer_->id();
-    shed.walk_id = env.walk_id;
-    shed.branch = env.branch;
-    shed.chunk_id = env.chunk_id;
-    shed.retry_after_us = static_cast<uint32_t>(std::max<sim::SimTime>(
-        busy_until_ > now ? busy_until_ - now : 0,
-        static_cast<sim::SimTime>(options_.join_visit_cost_us)));
-    DeliverReply(env.initiator, request_id, hops, /*delay=*/0,
-                 std::move(shed));
-    return;
-  }
-
   ++envelopes_processed_;
 
   // Join local entries of the remaining range against the bindings. The
@@ -322,21 +270,12 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
   sim::Scheduler* scheduler = peer_->transport()->scheduler();
   const sim::SimTime now = scheduler->Now();
   const sim::SimTime join_us = static_cast<sim::SimTime>(
-      options_.join_visit_cost_us +
+      cost::kJoinVisitCostUs +
       cost::kJoinPairCostUs * static_cast<double>(local_triples) *
           static_cast<double>(env.bindings.size()));
   const sim::SimTime start = std::max(now, busy_until_);
   busy_until_ = start + join_us;
   const sim::SimTime finish_delay = busy_until_ - now;
-  // This join occupies a queue slot until its simulated compute finishes.
-  // A restart in between has already emptied the queue (OnPeerRestart),
-  // so only the incarnation that took the slot releases it.
-  ++serving_queue_depth_;
-  scheduler->ScheduleAfter(
-      finish_delay, peer_->id(),
-      [this, incarnation = peer_->counters().restarts]() {
-        if (incarnation == peer_->counters().restarts) --serving_queue_depth_;
-      });
 
   // Walk on (identical structure to the sequential range scan): the next
   // subtree after this peer's, as long as the branch range extends past
@@ -359,7 +298,9 @@ void QueryService::ServeEnvelope(PlanEnvelope env, uint64_t request_id,
       msg.type = MessageType::kPlanExec;
       msg.src = peer_->id();
       msg.request_id = request_id;
-      msg.hops = hops;
+      // Each leg to the next leaf is a route of its own: the hop cap of
+      // Forward bounds one leg, not the whole walk.
+      msg.hops = 0;
       msg.payload = env.Encode();
       stalled = peer_->Forward(msg, next_lo) == net::kNoPeer;
     }
@@ -403,8 +344,8 @@ void QueryService::DeliverReply(net::PeerId initiator, uint64_t request_id,
     it->second.local_replies.push_back(
         peer_->transport()->scheduler()->ScheduleAfter(
             delay, peer_->id(),
-            [this, request_id, hops, reply = std::move(reply)]() mutable {
-              HandleEnvelopeReply(request_id, std::move(reply), hops);
+            [this, request_id, reply = std::move(reply)]() mutable {
+              HandleEnvelopeReply(request_id, std::move(reply));
             }));
     return;
   }
@@ -432,7 +373,7 @@ void QueryService::OnEnvelopeReplyMessage(const Message& msg) {
         << "): " << reply.status().ToString();
     return;
   }
-  HandleEnvelopeReply(msg.request_id, std::move(*reply), msg.hops);
+  HandleEnvelopeReply(msg.request_id, std::move(*reply));
 }
 
 // ---------------------------------------------------------------------------

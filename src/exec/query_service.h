@@ -31,15 +31,9 @@ class QueryService {
 
   /// Attaches to `peer` (registers the kPlanExec / kPlanExecPartial /
   /// kPlanExecReply and kStatsGossip extension handlers).
-  explicit QueryService(pgrid::Peer* peer, EnvelopeOptions options = {});
+  explicit QueryService(pgrid::Peer* peer);
 
   pgrid::Peer* peer() { return peer_; }
-
-  /// Replaces the envelope knobs (harness context only; applies to joins
-  /// started afterwards).
-  void set_envelope_options(const EnvelopeOptions& options) {
-    options_ = options;
-  }
 
   /// The merged statistics view: this peer's local contribution plus the
   /// latest contribution received from every gossip origin (origin-keyed,
@@ -50,10 +44,12 @@ class QueryService {
   /// \brief Runs a Migrate join: ships `left` through the partition of
   /// `pattern`'s (literal) attribute; every peer forwards the envelope,
   /// joins locally and streams its rows back. Fan-out and binding
-  /// chunking follow the configured EnvelopeOptions; results come back in
-  /// canonical order regardless of those knobs.
+  /// chunking follow `batching`; results come back in canonical order
+  /// regardless of the shape.
   void RunMigrateJoin(const vql::TriplePattern& pattern,
-                      std::vector<Binding> left, MigrateCallback callback);
+                      std::vector<Binding> left,
+                      const cost::MigrateBatching& batching,
+                      MigrateCallback callback);
 
   /// Rebuilds this peer's local statistics from its store: per-attribute
   /// triple counts / distinct values / numeric ranges (derived from the
@@ -64,45 +60,37 @@ class QueryService {
   /// Sends the catalog to `fanout` random contacts (refs + replicas).
   void GossipStats(size_t fanout);
 
-  /// Envelopes served or forwarded by this peer (observability).
+  /// Envelopes served by this peer: one per visit that joined locally
+  /// (observability).
   uint64_t envelopes_processed() const { return envelopes_processed_; }
 
-  // --- Hot-path serving layer observability (DESIGN.md §8) ---------------
-
-  /// kOverloaded sheds this peer answered as a server.
-  uint64_t sheds() const { return sheds_; }
-  /// Overload backoffs this peer performed as an initiator.
-  uint64_t deferred_relaunches() const { return deferred_relaunches_; }
-  /// Local joins currently queued behind busy_until_.
-  uint32_t serving_queue_depth() const { return serving_queue_depth_; }
+  /// Always 0 (admission control is deleted); bench/e2e still reads them.
+  uint64_t sheds() const { return 0; }
+  uint64_t deferred_relaunches() const { return 0; }
 
   /// \brief Crash-restart invalidation (DESIGN.md §11): drops every bit
   /// of volatile query state the process would lose.
   ///
   /// In-flight Migrate joins fail with Unavailable (their coordinator
   /// state died with the process), gossip-received statistics
-  /// contributions reset, and the admission-control clock clears.
+  /// contributions reset, and the serving clock clears.
   /// Registered as the peer's restart hook by core::UniStore.
   void OnPeerRestart();
 
  private:
-  /// The timers of one walk: its request_timeout progress deadline, and
-  /// the relaunch deferred by an overload shed.
-  struct WalkTimers {
-    sim::EventId deadline = sim::kNoEvent;
-    sim::EventId deferred = sim::kNoEvent;
-  };
   struct MigrateRun {
     EnvelopeCoordinator coordinator;
     MigrateCallback callback;
     sim::EventId deadline = sim::kNoEvent;  ///< kMigrateDeadline.
-    std::vector<WalkTimers> walks;  ///< By branch * chunk_count + chunk.
+    /// Each walk's request_timeout progress deadline, by
+    /// branch * chunk_count + chunk.
+    std::vector<sim::EventId> walk_timers;
     /// Replies this peer served as the join's initiator, held for the
     /// simulated join time (DeliverReply).
     std::vector<sim::EventId> local_replies;
 
-    WalkTimers& walk(uint32_t branch, uint32_t chunk) {
-      return walks[branch * coordinator.chunk_count() + chunk];
+    sim::EventId& walk_timer(uint32_t branch, uint32_t chunk) {
+      return walk_timers[branch * coordinator.chunk_count() + chunk];
     }
   };
 
@@ -117,10 +105,9 @@ class QueryService {
                                                uint64_t request_id);
   /// Feeds a reply into the coordinator of `request_id`, performing the
   /// relaunches it asks for and finishing the join when done.
-  void HandleEnvelopeReply(uint64_t request_id, EnvelopeReply reply,
-                           uint32_t msg_hops);
-  /// Restarts the walk's request_timeout deadline, or stops its timers
-  /// once the walk is done.
+  void HandleEnvelopeReply(uint64_t request_id, EnvelopeReply reply);
+  /// Restarts the walk's request_timeout deadline, or stops it once the
+  /// walk is done.
   void ArmWalkTimer(uint64_t request_id, uint32_t branch, uint32_t chunk);
   void OnWalkTimer(uint64_t request_id, uint32_t branch, uint32_t chunk);
   /// Cancels every timer of `run` (it ended).
@@ -133,7 +120,6 @@ class QueryService {
                     uint32_t hops, sim::SimTime delay, EnvelopeReply reply);
 
   pgrid::Peer* peer_;
-  EnvelopeOptions options_;
   /// Per-origin stats contributions; [self] is the local one.
   std::map<net::PeerId, cost::StatsCatalog> contributions_;
   mutable cost::StatsCatalog merged_;
@@ -145,10 +131,6 @@ class QueryService {
   /// joining — envelope serving serializes per peer, which is exactly the
   /// latency that forwarding ahead of the join overlaps.
   sim::SimTime busy_until_ = 0;
-  /// Local joins queued behind busy_until_ (admission-control bound).
-  uint32_t serving_queue_depth_ = 0;
-  uint64_t sheds_ = 0;
-  uint64_t deferred_relaunches_ = 0;
 };
 
 }  // namespace exec

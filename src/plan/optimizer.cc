@@ -441,16 +441,16 @@ JoinStrategy Optimizer::ChooseJoinStrategy(
   double peers =
       catalog_->EstimatePeersInRange(triple::AttrRange(attr));
   cost::Cost probe = cost_model_.IndexJoinProbe(left_cardinality, 0.5);
-  // Price Migrate as the batched executor will actually run it, with the
+  // Price Migrate in the shape the executor will run it, with the
   // catalog's estimate of local triples joined per visited peer.
-  cost::MigrateBatching batching = options_.migrate_batching;
+  const cost::MigrateBatching& batching = options_.migrate_batching;
   const auto& stats = catalog_->Attribute(attr);
-  if (stats.triple_count > 0 && peers > 0) {
-    batching.triples_per_peer =
-        static_cast<double>(stats.triple_count) / std::max(1.0, peers);
-  }
   cost::Cost migrate =
-      cost_model_.IndexJoinMigrate(left_cardinality, peers, batching);
+      stats.triple_count > 0 && peers > 0
+          ? cost_model_.IndexJoinMigrate(
+                left_cardinality, peers, batching,
+                static_cast<double>(stats.triple_count) / std::max(1.0, peers))
+          : cost_model_.IndexJoinMigrate(left_cardinality, peers, batching);
   return probe.Total() <= migrate.Total() ? JoinStrategy::kProbe
                                           : JoinStrategy::kMigrate;
 }

@@ -32,10 +32,9 @@ namespace plan {
 struct PlannerOptions {
   std::optional<triple::RangeStrategy> force_range_strategy;
   std::optional<JoinStrategy> force_join_strategy;
-  /// How the executor will batch Migrate joins (fan-out, chunking); the
-  /// cost model prices the Migrate strategy with it.
-  /// core::UniStore keeps it in sync with the node's
-  /// exec::EnvelopeOptions.
+  /// The shape of every Migrate join (fan-out, binding chunks): the cost
+  /// model prices the Migrate strategy with it, and the executor runs each
+  /// Migrate join with it.
   cost::MigrateBatching migrate_batching;
   /// Force similarity path: kSimilarityQGram or kSimilarityNaive.
   std::optional<AccessPath> force_similarity_path;

@@ -98,11 +98,6 @@ TEST(ChaosCampaignTest, InvariantsHoldUnderScriptedFaultMixture) {
     services.push_back(std::make_unique<exec::QueryService>(
         overlay.peer(static_cast<net::PeerId>(i))));
   }
-  exec::EnvelopeOptions eo;
-  eo.fanout = 2;
-  services[0]->set_envelope_options(eo);
-  services[1]->set_envelope_options(eo);
-
   // Baseline rows so walks have substance from t = 0.
   for (int i = 0; i < 24; ++i) {
     for (auto& entry :
@@ -180,7 +175,8 @@ TEST(ChaosCampaignTest, InvariantsHoldUnderScriptedFaultMixture) {
           {{"a", triple::Value::String("base" + std::to_string(i))}});
     }
     services[1]->RunMigrateJoin(
-        pattern, left, [&](Result<exec::MigrateResult> r) {
+        pattern, left, cost::MigrateBatching{},
+        [&](Result<exec::MigrateResult> r) {
           mid_walk = std::move(r);
           mid_walk_finished = sim.Now();
         });
@@ -279,7 +275,7 @@ TEST(ChaosCampaignTest, InvariantsHoldUnderScriptedFaultMixture) {
     }
     std::optional<Result<exec::MigrateResult>> final_walk;
     services[0]->RunMigrateJoin(
-        pattern, left,
+        pattern, left, cost::MigrateBatching{},
         [&](Result<exec::MigrateResult> r) { final_walk = std::move(r); });
     sim.RunUntil([&] { return final_walk.has_value(); });
     ASSERT_TRUE(final_walk.has_value());

@@ -87,7 +87,7 @@ struct Scenario {
     }
     std::optional<Result<exec::MigrateResult>> out;
     services[initiator]->RunMigrateJoin(
-        pattern, left,
+        pattern, left, cost::MigrateBatching{},
         [&out](Result<exec::MigrateResult> r) { out = std::move(r); });
     overlay->scheduler().RunUntil([&out] { return out.has_value(); });
     EXPECT_TRUE(out.has_value());
@@ -108,9 +108,6 @@ TEST(PartitionHealTest, WalkStraddlingHealMatchesFaultFreeRun) {
   auto run = [&paths](bool faulted, uint32_t* retries_out) {
     Scenario s(paths, /*seed=*/77, 500 * sim::kMicrosPerMilli,
                /*request_retries=*/10);
-    exec::EnvelopeOptions eo;
-    eo.fanout = 2;
-    s.services[0]->set_envelope_options(eo);
     if (faulted) {
       net::PeerId victim = s.ServingPeer();
       EXPECT_NE(victim, net::kNoPeer);
@@ -151,10 +148,6 @@ TEST(PartitionHealTest, UnhealedPartitionYieldsExplicitCoverageGap) {
   net::FaultSchedule faults;
   faults.PartitionPair(0, net::kFaultForever, victim, net::kAnyPeer);
   s.overlay->transport().SetFaultSchedule(faults);
-
-  exec::EnvelopeOptions eo;
-  eo.fanout = 2;
-  s.services[0]->set_envelope_options(eo);
 
   const sim::SimTime launched = s.overlay->scheduler().Now();
   auto degraded = s.Migrate(0);

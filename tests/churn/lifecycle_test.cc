@@ -308,7 +308,7 @@ TEST(ChurnLifecycleTest, RestartFailsInFlightMigrateJoinOnce) {
   // Restart the coordinator before any envelope reply can arrive.
   int calls = 0;
   std::optional<Result<exec::MigrateResult>> failed;
-  services[0]->RunMigrateJoin(pattern, left,
+  services[0]->RunMigrateJoin(pattern, left, cost::MigrateBatching{},
                               [&](Result<exec::MigrateResult> r) {
                                 ++calls;
                                 failed = std::move(r);
@@ -322,7 +322,7 @@ TEST(ChurnLifecycleTest, RestartFailsInFlightMigrateJoinOnce) {
   auto migrate = [&](PeerId via) {
     std::optional<Result<exec::MigrateResult>> out;
     services[via]->RunMigrateJoin(
-        pattern, left,
+        pattern, left, cost::MigrateBatching{},
         [&out](Result<exec::MigrateResult> r) { out = std::move(r); });
     overlay.scheduler().RunUntil([&out] { return out.has_value(); });
     EXPECT_TRUE(out.has_value());

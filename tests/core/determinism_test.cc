@@ -325,8 +325,8 @@ Capture RunMigrateScenario(double loss_probability = 0.005,
                                      net::kAnyPeer, 0.02);
   }
   options.node.planner.force_join_strategy = plan::JoinStrategy::kMigrate;
-  options.node.envelope.fanout = 4;
-  options.node.envelope.max_bindings_per_envelope = 8;
+  options.node.planner.migrate_batching.fanout = 4;
+  options.node.planner.migrate_batching.max_bindings_per_envelope = 8;
   options.peer.request_timeout = 500 * sim::kMicrosPerMilli;
   options.peer.request_retries = 8;
   Cluster cluster(options);
@@ -641,7 +641,7 @@ TEST(DeterminismTest, PinnedTraceDigest) {
   EXPECT_NE(run.stats.find(" retry["), std::string::npos) << run.stats;
   EXPECT_NE(run.folded.find("\nmigrate via 30 {"), std::string::npos);
   EXPECT_NE(run.folded.find("\nprobe via 30 {"), std::string::npos);
-  EXPECT_EQ(Fnv1a64(run.folded), 0x7482efe5012037e5ULL)
+  EXPECT_EQ(Fnv1a64(run.folded), 0xd5313ee2634a5e23ULL)
       << "digest of " << run.folded.size() << " bytes changed";
 }
 

@@ -107,32 +107,32 @@ class EnvelopePipelineTest : public ::testing::Test {
     return left;
   }
 
-  /// Starts a Migrate join at peer 0 with the given knobs; does not run
+  /// Starts a Migrate join at peer 0 in the given shape; does not run
   /// the simulation.
-  void StartMigrate(const EnvelopeOptions& options, std::vector<Binding> left,
+  void StartMigrate(const cost::MigrateBatching& batching,
+                    std::vector<Binding> left,
                     std::optional<Result<MigrateResult>>* out) {
-    services_[0]->set_envelope_options(options);
     services_[0]->RunMigrateJoin(
-        AgePattern(), std::move(left),
+        AgePattern(), std::move(left), batching,
         [out](Result<MigrateResult> r) { *out = std::move(r); });
   }
 
   /// Runs a Migrate join to completion; `elapsed`, if set, receives the
   /// virtual time it took.
-  Result<MigrateResult> MigrateSync(const EnvelopeOptions& options,
+  Result<MigrateResult> MigrateSync(const cost::MigrateBatching& batching,
                                     std::vector<Binding> left,
                                     sim::SimTime* elapsed = nullptr) {
     const sim::SimTime start = overlay_->scheduler().Now();
     std::optional<Result<MigrateResult>> out;
-    StartMigrate(options, std::move(left), &out);
+    StartMigrate(batching, std::move(left), &out);
     overlay_->scheduler().RunUntil([&out] { return out.has_value(); });
     if (elapsed != nullptr) *elapsed = overlay_->scheduler().Now() - start;
     if (!out.has_value()) return Status::Internal("simulation drained");
     return std::move(*out);
   }
 
-  Result<MigrateResult> MigrateSync(const EnvelopeOptions& options) {
-    return MigrateSync(options, Left(40));
+  Result<MigrateResult> MigrateSync(const cost::MigrateBatching& batching) {
+    return MigrateSync(batching, Left(40));
   }
 
   std::unique_ptr<pgrid::Overlay> overlay_;
@@ -140,17 +140,18 @@ class EnvelopePipelineTest : public ::testing::Test {
   net::PeerId inside_first_ = 0;
 };
 
-EnvelopeOptions BaselineOptions() {
-  // One walk with every binding in one envelope.
-  EnvelopeOptions options;
-  options.fanout = 1;
-  options.max_bindings_per_envelope = 0;
-  return options;
+// A Migrate shape; `chunk` 0 puts every binding in one envelope, so
+// Shape(1) is one walk carrying every binding.
+cost::MigrateBatching Shape(uint32_t fanout, uint32_t chunk = 0) {
+  cost::MigrateBatching batching;
+  batching.fanout = fanout;
+  batching.max_bindings_per_envelope = chunk;
+  return batching;
 }
 
 TEST_F(EnvelopePipelineTest, FanoutAndChunkingMatchUnsplitBaseline) {
   Build(/*loss_probability=*/0);
-  auto baseline = MigrateSync(BaselineOptions());
+  auto baseline = MigrateSync(Shape(1));
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   ASSERT_GT(baseline->rows.size(), 10u);
   EXPECT_EQ(baseline->branches, 1u);
@@ -169,10 +170,7 @@ TEST_F(EnvelopePipelineTest, FanoutAndChunkingMatchUnsplitBaseline) {
       {"wide", 8, 16},
   };
   for (const Config& config : configs) {
-    EnvelopeOptions options;
-    options.fanout = config.fanout;
-    options.max_bindings_per_envelope = config.chunk;
-    auto result = MigrateSync(options);
+    auto result = MigrateSync(Shape(config.fanout, config.chunk));
     ASSERT_TRUE(result.ok()) << config.name << ": "
                              << result.status().ToString();
     EXPECT_EQ(RowsToString(result->rows), expected)
@@ -205,10 +203,7 @@ TEST_F(EnvelopePipelineTest, FanoutAndChunkingBeatOneWalkOnHopsAndTime) {
   }
   const std::vector<Binding> left = Left(256, /*misses=*/1);
   auto run = [&](uint32_t fanout, uint32_t chunk, sim::SimTime* elapsed) {
-    EnvelopeOptions options;
-    options.fanout = fanout;
-    options.max_bindings_per_envelope = chunk;
-    return MigrateSync(options, left, elapsed);
+    return MigrateSync(Shape(fanout, chunk), left, elapsed);
   };
   sim::SimTime one_walk_time = 0;
   sim::SimTime batched_time = 0;
@@ -222,31 +217,43 @@ TEST_F(EnvelopePipelineTest, FanoutAndChunkingBeatOneWalkOnHopsAndTime) {
   ASSERT_FALSE(expected.empty());
   EXPECT_EQ(RowsToString(fanned->rows), expected);
   EXPECT_EQ(RowsToString(batched->rows), expected);
-  EXPECT_LT(batched->max_walk_hops, one_walk->max_walk_hops);
+  EXPECT_LT(batched->max_walk_peers, one_walk->max_walk_peers);
   EXPECT_LT(batched_time, one_walk_time);
+}
+
+// Every leg of a walk, from one leaf to the next, is a route of its own,
+// as in a sequential range scan: one unchunked walk over a 512-leaf
+// partition (568 peers) visits more peers in a row than Peer::Forward's
+// 2·kKeyBits hop cap, yet completes with every row and no retry.
+TEST_F(EnvelopePipelineTest, LongWalkRestartsItsHopCountAtEveryLeaf) {
+  Build(/*loss_probability=*/0, /*seed=*/4242, /*inside_leaves=*/512,
+        /*triples=*/400);
+  ASSERT_EQ(services_.size(), 568u);
+  auto result = MigrateSync(Shape(1));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->complete);
+  EXPECT_TRUE(result->coverage_gaps.empty());
+  EXPECT_EQ(result->rows.size(), 24u);
+  EXPECT_EQ(result->retries, 0u);
+  EXPECT_GT(result->max_walk_peers, 2 * pgrid::kKeyBits);
 }
 
 TEST_F(EnvelopePipelineTest, PeersVisitedSumsAcrossSubWalks) {
   Build(/*loss_probability=*/0);
-  EnvelopeOptions unsplit = BaselineOptions();
-  auto single = MigrateSync(unsplit);
+  auto single = MigrateSync(Shape(1));
   ASSERT_TRUE(single.ok());
   // The partition walk spans the inside leaves (plus the in-partition
   // complement peers).
   EXPECT_GE(single->peers_visited, kInsideLeaves);
 
-  EnvelopeOptions fanned = unsplit;
-  fanned.fanout = 4;
-  auto split = MigrateSync(fanned);
+  auto split = MigrateSync(Shape(4));
   ASSERT_TRUE(split.ok());
   ASSERT_GT(split->branches, 1u);
   // Summed across sub-walks: never less than the unsplit cover. A
   // last-walk-wins bug would report roughly 1/branches of it.
   EXPECT_GE(split->peers_visited, single->peers_visited);
 
-  EnvelopeOptions chunked = unsplit;
-  chunked.max_bindings_per_envelope = 8;
-  auto convoy = MigrateSync(chunked);
+  auto convoy = MigrateSync(Shape(1, 8));
   ASSERT_TRUE(convoy.ok());
   ASSERT_GT(convoy->chunks_per_branch, 1u);
   // Chunks of one branch revisit the same peers: max, not sum.
@@ -263,15 +270,13 @@ pgrid::PeerOptions PatientWalks() {
 
 TEST_F(EnvelopePipelineTest, WalksCompleteUnderMessageLoss) {
   Build(/*loss_probability=*/0, 4242, kInsideLeaves, 120, PatientWalks());
-  EnvelopeOptions options;
-  options.fanout = 4;
-  options.max_bindings_per_envelope = 16;
-  auto clean = MigrateSync(options);
+  const cost::MigrateBatching shape = Shape(4, 16);
+  auto clean = MigrateSync(shape);
   ASSERT_TRUE(clean.ok());
   const std::string expected = RowsToString(clean->rows);
 
   Build(/*loss_probability=*/0.02, 4242, kInsideLeaves, 120, PatientWalks());
-  auto lossy = MigrateSync(options);
+  auto lossy = MigrateSync(shape);
   ASSERT_TRUE(lossy.ok()) << lossy.status().ToString();
   // Retries resume from coverage gaps and re-served intervals dedupe, so
   // loss changes neither the row set nor the bytes.
@@ -281,16 +286,15 @@ TEST_F(EnvelopePipelineTest, WalksCompleteUnderMessageLoss) {
 
 TEST_F(EnvelopePipelineTest, WalksCompleteUnderMidWalkChurn) {
   Build(/*loss_probability=*/0, 4242, kInsideLeaves, 120, PatientWalks());
-  EnvelopeOptions options;
-  options.fanout = 2;
-  auto before = MigrateSync(options);
+  const cost::MigrateBatching shape;  // The default: 2 walks, 128 a chunk.
+  auto before = MigrateSync(shape);
   ASSERT_TRUE(before.ok());
   const std::string expected = RowsToString(before->rows);
 
   // Start a join, crash an in-partition peer mid-walk, let the walk stall
   // and retry against the hole, then revive the peer.
   std::optional<Result<MigrateResult>> out;
-  StartMigrate(options, Left(40), &out);
+  StartMigrate(shape, Left(40), &out);
   overlay_->scheduler().RunFor(3 * sim::kMicrosPerMilli);
   const net::PeerId victim = inside_first_ + kInsideLeaves / 2;
   overlay_->Crash(victim);
@@ -306,14 +310,14 @@ TEST_F(EnvelopePipelineTest, WalksCompleteUnderMidWalkChurn) {
 
 TEST_F(EnvelopePipelineTest, RepliesDedupeAcrossSubRangeSplits) {
   Build(/*loss_probability=*/0);
-  auto baseline = MigrateSync(BaselineOptions());
+  auto baseline = MigrateSync(Shape(1));
   ASSERT_TRUE(baseline.ok());
 
   // A fan-out far wider than the inside leaves forces several sub-range
   // boundaries to fall inside single peers' regions, so the same peer
   // serves multiple branches. Every row must still appear exactly as
   // often as in the unsplit walk.
-  EnvelopeOptions wide;
+  cost::MigrateBatching wide;
   wide.fanout = 64;
   auto split = MigrateSync(wide);
   ASSERT_TRUE(split.ok());
@@ -328,8 +332,7 @@ TEST(EnvelopePipelineClusterTest, TraceReportsFanoutShape) {
   options.custom_paths = PipelinePaths();
   options.peers = options.custom_paths.size();
   options.seed = 77;
-  options.node.envelope.fanout = 2;
-  options.node.envelope.max_bindings_per_envelope = 4;
+  options.node.planner.migrate_batching.max_bindings_per_envelope = 4;
   options.node.planner.force_join_strategy = plan::JoinStrategy::kMigrate;
   core::Cluster cluster(options);
 
@@ -376,8 +379,8 @@ TEST(EnvelopePipelineClusterTest, TraceReportsFanoutShape) {
 }
 
 // A VQL Migrate join whose walk runs out of retries (a serving peer cut
-// off for good) returns the reachable rows with the default envelope
-// options, and the result and its trace name the uncovered key intervals
+// off for good) returns the reachable rows in the default Migrate shape,
+// and the result and its trace name the uncovered key intervals
 // that hold the missing ones.
 TEST(EnvelopePipelineClusterTest, PartialMigrateJoinNamesItsCoverageGap) {
   core::ClusterOptions options;

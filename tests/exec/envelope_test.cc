@@ -76,8 +76,7 @@ PlanEnvelope RandomEnvelope(Rng* rng) {
   env.initiator = static_cast<net::PeerId>(rng->NextBounded(1000));
   env.walk_id = rng->Next();
   env.branch = static_cast<uint32_t>(rng->NextBounded(8));
-  env.chunk_count = static_cast<uint32_t>(1 + rng->NextBounded(6));
-  env.chunk_id = static_cast<uint32_t>(rng->NextBounded(env.chunk_count));
+  env.chunk_id = static_cast<uint32_t>(rng->NextBounded(6));
   env.pattern.subject = RandomTerm(rng);
   env.pattern.predicate = RandomTerm(rng);
   env.pattern.object = RandomTerm(rng);
@@ -105,7 +104,6 @@ EnvelopeReply RandomReply(Rng* rng) {
     reply.covered_hi = a < b ? b : a;
   }
   reply.results = RandomBindings(rng, 5);
-  reply.retry_after_us = static_cast<uint32_t>(rng->NextBounded(100000));
   return reply;
 }
 
@@ -114,7 +112,6 @@ void ExpectEnvelopesEqual(const PlanEnvelope& a, const PlanEnvelope& b) {
   EXPECT_EQ(a.walk_id, b.walk_id);
   EXPECT_EQ(a.branch, b.branch);
   EXPECT_EQ(a.chunk_id, b.chunk_id);
-  EXPECT_EQ(a.chunk_count, b.chunk_count);
   EXPECT_EQ(a.pattern.ToString(), b.pattern.ToString());
   EXPECT_EQ(a.remaining.lo, b.remaining.lo);
   EXPECT_EQ(a.remaining.hi, b.remaining.hi);
@@ -132,7 +129,6 @@ void ExpectRepliesEqual(const EnvelopeReply& a, const EnvelopeReply& b) {
   EXPECT_EQ(a.covered_lo, b.covered_lo);
   EXPECT_EQ(a.covered_hi, b.covered_hi);
   EXPECT_EQ(a.results, b.results);
-  EXPECT_EQ(a.retry_after_us, b.retry_after_us);
 }
 
 // --- Round trips -------------------------------------------------------------
@@ -204,6 +200,7 @@ TEST(EnvelopeCodecProperty, CorruptedBuffersNeverCrash) {
   }
   EXPECT_FALSE(PlanEnvelope::Decode("\x01\x02garbage").ok());
   EXPECT_FALSE(EnvelopeReply::Decode("").ok());
+  EXPECT_FALSE(EnvelopeReply::Decode("\xFF").ok());
 }
 
 // --- Range splitting ---------------------------------------------------------
@@ -262,14 +259,14 @@ EnvelopeReply CoverageReply(const PlanEnvelope& env, const pgrid::Key& lo,
 }
 
 TEST(EnvelopeCoordinatorTest, SplitsAndChunksLaunchFleet) {
-  EnvelopeOptions options;
-  options.fanout = 4;
-  options.max_bindings_per_envelope = 2;
+  cost::MigrateBatching batching;
+  batching.fanout = 4;
+  batching.max_bindings_per_envelope = 2;
   std::vector<Binding> left(5);  // 5 bindings -> 3 chunks.
   for (int i = 0; i < 5; ++i) left[i]["a"] = Value::Int(i);
   EnvelopeCoordinator coordinator(
       /*initiator=*/1, vql::TriplePattern{}, triple::AttrRange("age"),
-      left, options, /*walk_retries=*/2, pgrid::kKeyBits,
+      left, batching, /*walk_retries=*/2, pgrid::kKeyBits,
       /*walk_id_base=*/100);
   auto fleet = coordinator.Launch();
   EXPECT_EQ(coordinator.branch_count(), 4u);
@@ -277,7 +274,7 @@ TEST(EnvelopeCoordinatorTest, SplitsAndChunksLaunchFleet) {
   ASSERT_EQ(fleet.size(), 12u);
   size_t total_bindings = 0;
   for (const auto& env : fleet) {
-    EXPECT_EQ(env.chunk_count, 3u);
+    EXPECT_LT(env.chunk_id, 3u);
     if (env.branch == 0) total_bindings += env.bindings.size();
   }
   EXPECT_EQ(total_bindings, 5u);  // Every chunk of one branch, exactly once.
@@ -285,12 +282,12 @@ TEST(EnvelopeCoordinatorTest, SplitsAndChunksLaunchFleet) {
 }
 
 TEST(EnvelopeCoordinatorTest, CoverageCompletesAndDedupes) {
-  EnvelopeOptions options;
-  options.fanout = 1;
-  options.max_bindings_per_envelope = 0;
+  cost::MigrateBatching batching;
+  batching.fanout = 1;
+  batching.max_bindings_per_envelope = 0;
   pgrid::KeyRange range = triple::AttrRange("age");
   EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, range,
-                                  {Binding{}}, options, /*walk_retries=*/2,
+                                  {Binding{}}, batching, /*walk_retries=*/2,
                                   pgrid::kKeyBits, 7);
   auto fleet = coordinator.Launch();
   ASSERT_EQ(fleet.size(), 1u);
@@ -305,25 +302,25 @@ TEST(EnvelopeCoordinatorTest, CoverageCompletesAndDedupes) {
   auto late = CoverageReply(env, mid[1].lo, mid[1].hi, {row2});
   auto early = CoverageReply(env, mid[0].lo, mid[0].hi, {row1});
 
-  EXPECT_TRUE(coordinator.OnReply(late, 3).accepted);
+  EXPECT_TRUE(coordinator.OnReply(late).accepted);
   EXPECT_FALSE(coordinator.done());
-  EXPECT_FALSE(coordinator.OnReply(late, 3).accepted);  // Duplicate.
-  EXPECT_TRUE(coordinator.OnReply(early, 2).accepted);
+  EXPECT_FALSE(coordinator.OnReply(late).accepted);  // Duplicate.
+  EXPECT_TRUE(coordinator.OnReply(early).accepted);
   EXPECT_TRUE(coordinator.done());
-  EXPECT_FALSE(coordinator.OnReply(early, 2).accepted);  // Post-completion.
+  EXPECT_FALSE(coordinator.OnReply(early).accepted);  // Post-completion.
 
   auto result = coordinator.TakeResult();
   ASSERT_EQ(result.rows.size(), 2u);  // Deduped: 2 rows, not 3.
   EXPECT_EQ(result.peers_visited, 2u);
-  EXPECT_EQ(result.max_walk_hops, 3u);
+  EXPECT_EQ(result.max_walk_peers, 2u);
 }
 
 TEST(EnvelopeCoordinatorTest, TimerRelaunchesFromFrontier) {
-  EnvelopeOptions options;
-  options.fanout = 1;
+  cost::MigrateBatching batching;
+  batching.fanout = 1;
   pgrid::KeyRange range = triple::AttrRange("age");
   EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, range,
-                                  {Binding{}}, options, /*walk_retries=*/1,
+                                  {Binding{}}, batching, /*walk_retries=*/1,
                                   pgrid::kKeyBits, 9);
   auto fleet = coordinator.Launch();
   auto mid = pgrid::SplitRange(range, 2, pgrid::kKeyBits);
@@ -331,7 +328,7 @@ TEST(EnvelopeCoordinatorTest, TimerRelaunchesFromFrontier) {
   // First half covered: progress, so the walk's timer restarts. Then the
   // walk goes silent.
   auto first = CoverageReply(fleet[0], mid[0].lo, mid[0].hi, {});
-  const auto reply = coordinator.OnReply(first, 1);
+  const auto reply = coordinator.OnReply(first);
   EXPECT_TRUE(reply.accepted);
   EXPECT_TRUE(reply.progress);
   EXPECT_FALSE(coordinator.walk_done(0, 0));
@@ -344,7 +341,7 @@ TEST(EnvelopeCoordinatorTest, TimerRelaunchesFromFrontier) {
   EXPECT_EQ(outcome.envelope.remaining.hi, range.hi);
 
   // A duplicate of covered ground is no progress.
-  EXPECT_FALSE(coordinator.OnReply(first, 1).progress);
+  EXPECT_FALSE(coordinator.OnReply(first).progress);
 
   // Out of retries: the next silent period abandons the walk, and the
   // join ends with the uncovered second half named as its gap.
@@ -360,11 +357,11 @@ TEST(EnvelopeCoordinatorTest, TimerRelaunchesFromFrontier) {
 }
 
 TEST(EnvelopeCoordinatorTest, ExtendingDuplicateRepaysRetry) {
-  EnvelopeOptions options;
-  options.fanout = 1;
+  cost::MigrateBatching batching;
+  batching.fanout = 1;
   pgrid::KeyRange range = triple::AttrRange("age");
   EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, range,
-                                  {Binding{}}, options, /*walk_retries=*/1,
+                                  {Binding{}}, batching, /*walk_retries=*/1,
                                   pgrid::kKeyBits, 13);
   auto fleet = coordinator.Launch();
   auto mid = pgrid::SplitRange(range, 2, pgrid::kKeyBits);
@@ -379,7 +376,7 @@ TEST(EnvelopeCoordinatorTest, ExtendingDuplicateRepaysRetry) {
   // The original (presumed dead) instance then delivers the segment head.
   auto head = CoverageReply(fleet[0], range.lo, mid[0].hi, {row1});
   head.kind = EnvelopeReply::Kind::kTerminal;
-  EXPECT_TRUE(coordinator.OnReply(head, 2).accepted);
+  EXPECT_TRUE(coordinator.OnReply(head).accepted);
 
   // The relaunched instance re-delivers the head extended to the whole
   // branch: its rows are dropped (no duplicates), but the race repays the
@@ -388,7 +385,7 @@ TEST(EnvelopeCoordinatorTest, ExtendingDuplicateRepaysRetry) {
   auto full = CoverageReply(outcome.envelope, range.lo, range.hi,
                             {row1, row2});
   full.kind = EnvelopeReply::Kind::kTerminal;
-  const auto race = coordinator.OnReply(full, 2);
+  const auto race = coordinator.OnReply(full);
   EXPECT_FALSE(race.accepted);
   EXPECT_TRUE(race.progress);
   EXPECT_FALSE(coordinator.done());
@@ -401,18 +398,18 @@ TEST(EnvelopeCoordinatorTest, ExtendingDuplicateRepaysRetry) {
   // The relaunch completes the tail; exactly one copy of each row.
   auto tail = CoverageReply(outcome.envelope, mid[1].lo, range.hi, {row2});
   tail.kind = EnvelopeReply::Kind::kTerminal;
-  EXPECT_TRUE(coordinator.OnReply(tail, 2).accepted);
+  EXPECT_TRUE(coordinator.OnReply(tail).accepted);
   ASSERT_TRUE(coordinator.done());
   EXPECT_TRUE(coordinator.walk_done(0, 0));
   EXPECT_EQ(coordinator.TakeResult().rows.size(), 2u);
 }
 
 TEST(EnvelopeCoordinatorTest, ResultsAreCanonicallySorted) {
-  EnvelopeOptions options;
-  options.fanout = 1;
+  cost::MigrateBatching batching;
+  batching.fanout = 1;
   pgrid::KeyRange range = triple::AttrRange("age");
   EnvelopeCoordinator coordinator(1, vql::TriplePattern{}, range,
-                                  {Binding{}}, options, /*walk_retries=*/2,
+                                  {Binding{}}, batching, /*walk_retries=*/2,
                                   pgrid::kKeyBits, 11);
   auto fleet = coordinator.Launch();
   Binding small{{"a", Value::Int(1)}};
@@ -420,7 +417,7 @@ TEST(EnvelopeCoordinatorTest, ResultsAreCanonicallySorted) {
   // A single terminal covering everything, rows in descending order.
   auto reply = CoverageReply(fleet[0], range.lo, range.hi, {big, small});
   reply.kind = EnvelopeReply::Kind::kTerminal;
-  coordinator.OnReply(reply, 1);
+  coordinator.OnReply(reply);
   ASSERT_TRUE(coordinator.done());
   auto result = coordinator.TakeResult();
   ASSERT_EQ(result.rows.size(), 2u);

@@ -1,13 +1,12 @@
-// QueryService: mutant-plan envelopes, statistics gossip and the envelope
-// codec, exercised directly (the executor-level behaviour is covered by
-// the integration suite).
+// QueryService: mutant-plan envelopes and statistics gossip, exercised
+// directly (the executor-level behaviour is covered by the integration
+// suite; the envelope codec by envelope_test.cc).
 #include "exec/query_service.h"
 
 #include <gtest/gtest.h>
 
 #include <optional>
 
-#include "exec/envelope.h"
 #include "pgrid/overlay.h"
 #include "triple/index.h"
 #include "triple/store_service.h"
@@ -44,7 +43,7 @@ class QueryServiceTest : public ::testing::Test {
                                            std::vector<Binding> left) {
     std::optional<Result<MigrateResult>> out;
     services_[via]->RunMigrateJoin(
-        pattern, std::move(left),
+        pattern, std::move(left), cost::MigrateBatching{},
         [&out](Result<MigrateResult> r) { out = std::move(r); });
     overlay_->scheduler().RunUntil([&out] { return out.has_value(); });
     if (!out.has_value()) return Status::Internal("drained");
@@ -138,12 +137,12 @@ TEST(QueryServiceCycleTest, EnvelopeRoutingCycleDeadEndsAtTheHopCap) {
   b->routing().AddRef(0, a->id(), &b->rng());
   ASSERT_FALSE(a->IsResponsible(triple::AttrRange("age").lo));
 
-  const EnvelopeOptions envelope;  // The defaults the join runs with.
+  const cost::MigrateBatching shape;  // The default shape.
   const net::TrafficStats before = overlay.transport().stats();
   const sim::SimTime start = overlay.scheduler().Now();
   std::optional<Result<MigrateResult>> out;
   services[2]->RunMigrateJoin(
-      AgePattern(), {{{"a", Value::String("p1")}}},
+      AgePattern(), {{{"a", Value::String("p1")}}}, shape,
       [&out](Result<MigrateResult> r) { out = std::move(r); });
   // Bounded: without the hop cap the envelopes never stop bouncing.
   overlay.scheduler().RunFor(kMigrateDeadline / 2);
@@ -162,7 +161,7 @@ TEST(QueryServiceCycleTest, EnvelopeRoutingCycleDeadEndsAtTheHopCap) {
   auto it = delta.per_type.find(net::MessageType::kPlanExec);
   ASSERT_NE(it, delta.per_type.end());
   const uint64_t attempts =
-      uint64_t{envelope.fanout} *
+      uint64_t{shape.fanout} *
       static_cast<uint64_t>(a->options().request_retries + 1);
   // Each attempt of each branch walk runs to the cap, and no further.
   EXPECT_EQ(it->second, attempts * 2 * pgrid::kKeyBits);
@@ -214,36 +213,6 @@ TEST_F(QueryServiceTest, GossipCarriesPeerPaths) {
   // After gossip a peer knows several paths, enabling peers-in-range
   // estimation.
   EXPECT_GT(services_[0]->catalog().peer_path_sample_size(), 3u);
-}
-
-TEST(EnvelopeCodecTest, RoundTrip) {
-  PlanEnvelope env;
-  env.initiator = 7;
-  env.pattern.subject = vql::Term::Var("a");
-  env.pattern.predicate = vql::Term::Lit(Value::String("age"));
-  env.pattern.object = vql::Term::Lit(Value::Int(30));
-  env.remaining = triple::AttrRange("age");
-  env.bindings = {{{"a", Value::String("p1")}}};
-
-  auto back = PlanEnvelope::Decode(env.Encode());
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->initiator, 7u);
-  EXPECT_EQ(back->pattern.ToString(), env.pattern.ToString());
-  EXPECT_EQ(back->remaining.lo, env.remaining.lo);
-  EXPECT_EQ(back->bindings.size(), 1u);
-}
-
-TEST(EnvelopeCodecTest, ReplyRoundTripAndCorruption) {
-  EnvelopeReply reply;
-  reply.status_code = static_cast<uint8_t>(StatusCode::kUnavailable);
-  reply.error = "stalled";
-  reply.results = {{{"x", Value::Int(1)}}};
-  auto back = EnvelopeReply::Decode(reply.Encode());
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->error, "stalled");
-
-  EXPECT_FALSE(PlanEnvelope::Decode("\x01\x02garbage").ok());
-  EXPECT_FALSE(EnvelopeReply::Decode("\xFF").ok());
 }
 
 }  // namespace
