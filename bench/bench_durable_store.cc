@@ -8,12 +8,13 @@
 //     scan pairs.
 //  2. Recovery fidelity — a 200k-entry flushed workload closed and
 //     reopened must replay byte-identically (stream checksum equality).
-//  3. Crash matrix — a mixed Apply/BulkLoad/Flush/compaction workload is
-//     killed at EVERY Env mutation point (run-file writes, manifest
+//  3. Crash matrix — a workload of owner writes (LocalStore::Write) with
+//     periodic flushes and compactions is killed at EVERY Env mutation
+//     point (memtable-log appends and syncs, run-file writes, manifest
 //     appends, syncs, deletes), power-loss is simulated, and recovery
 //     must surface no invented, duplicate, or forward-dated slot, lose no
-//     acknowledged flush, and leave no orphan run file. The gate is zero
-//     violations across the full matrix.
+//     write that returned, and leave no orphan run file or stale log.
+//     The gate is zero violations across the full matrix.
 //
 // Runs against MemEnv: hermetic, deterministic, and the fault-injection
 // hooks are what make the full kill matrix sweepable in seconds.
@@ -241,10 +242,12 @@ void OracleApply(Oracle* oracle, const pgrid::Entry& e) {
   }
 }
 
-// Mixed workload step: mostly single Applies, occasional BulkLoad bursts,
-// periodic flushes and compactions (same shape as the crash-recovery
-// property test, smaller keys so slots actually collide).
-void RunCrashWorkload(pgrid::LocalStore* store, Oracle* fed, Oracle* flushed,
+// Owner-write workload: mostly 1-entry writes, occasional bursts of 8 to
+// 31 entries, periodic flushes and compactions (same shape as the
+// crash-recovery property test, smaller keys so slots actually collide).
+// Every step goes through Write; `fed` applies every entry handed to the
+// store, `acked` every write that returned with io_status() OK.
+void RunCrashWorkload(pgrid::LocalStore* store, Oracle* fed, Oracle* acked,
                       uint64_t seed, int steps) {
   Rng rng(seed);
   for (int step = 0; step < steps; ++step) {
@@ -261,29 +264,21 @@ void RunCrashWorkload(pgrid::LocalStore* store, Oracle* fed, Oracle* flushed,
       e.deleted = rng.NextBounded(6) == 0;
       entries.push_back(std::move(e));
     }
-    if (fed != nullptr) {
-      for (const auto& e : entries) OracleApply(fed, e);
+    for (const auto& e : entries) OracleApply(fed, e);
+    store->Write(entries);
+    if (store->io_status().ok()) {
+      for (const auto& e : entries) OracleApply(acked, e);
     }
-    if (entries.size() == 1) {
-      store->Apply(entries[0]);
-    } else {
-      store->BulkLoad(std::move(entries));
-    }
-    const bool flush_step = step % 17 == 16;
-    const bool compact_step = step % 53 == 52;
-    if (flush_step) store->Flush();
-    if (compact_step) store->Compact();
-    if ((flush_step || compact_step) && store->io_status().ok() &&
-        store->memtable_size() == 0 && flushed != nullptr) {
-      *flushed = *fed;
-    }
+    if (step % 17 == 16) store->Flush();
+    if (step % 53 == 52) store->Compact();
   }
 }
 
 // Returns a violation description, or "" if the recovered store satisfies
-// the acknowledged-durability invariant and has no orphan run files.
+// the acknowledged-durability invariant and has no orphan run files and
+// no log but the live one.
 std::string CheckRecovered(MemEnv* env, const pgrid::LocalStore& recovered,
-                           const Oracle& fed, const Oracle& flushed) {
+                           const Oracle& fed, const Oracle& acked) {
   Oracle seen;
   for (const pgrid::Entry& e : recovered.GetAll()) {
     auto slot = std::make_pair(e.key.bits(), e.id);
@@ -293,7 +288,7 @@ std::string CheckRecovered(MemEnv* env, const pgrid::LocalStore& recovered,
     if (it == fed.end()) return "recovered slot never fed";
     if (e.version > it->second.version) return "forward-dated slot";
   }
-  for (const auto& [slot, e] : flushed) {
+  for (const auto& [slot, e] : acked) {
     auto it = seen.find(slot);
     if (it == seen.end()) return "acknowledged slot lost";
     if (it->second.version < e.version) return "acknowledged version lost";
@@ -301,11 +296,14 @@ std::string CheckRecovered(MemEnv* env, const pgrid::LocalStore& recovered,
   auto listing = env->ListDir("db");
   if (!listing.ok()) return "cannot list data dir";
   size_t run_files = 0;
+  size_t logs = 0;
   for (const std::string& name : listing.value()) {
     uint64_t fn = 0;
     if (pgrid::storage::ParseRunFileName(name, &fn)) ++run_files;
+    if (pgrid::storage::ParseLogFileName(name, &fn)) ++logs;
   }
   if (run_files != recovered.run_count()) return "orphan run file";
+  if (logs > 1) return "stale memtable log";
   return "";
 }
 
@@ -315,16 +313,19 @@ uint64_t g_crash_points = 0;
 void RunCrashMatrix() {
   bench::Banner(
       "D3 / crash matrix",
-      "Kill the store at every Env mutation point of a mixed workload, "
-      "simulate power loss, reopen. Gate: zero durability violations and "
-      "zero orphan run files across the full matrix.");
+      "Kill the store at every Env mutation point of an owner-write "
+      "workload, simulate power loss, reopen. Gate: zero durability "
+      "violations (a write that returned is acknowledged) and zero orphan "
+      "files across the full matrix.");
   constexpr uint64_t kSeed = 1037;
   constexpr int kSteps = 90;
   int64_t total_ops = 0;
   {
     MemEnv env;
     pgrid::LocalStore store(DiskOptions(&env, 8));
-    RunCrashWorkload(&store, nullptr, nullptr, kSeed, kSteps);
+    Oracle fed;
+    Oracle acked;
+    RunCrashWorkload(&store, &fed, &acked, kSeed, kSteps);
     if (!store.io_status().ok()) {
       std::printf("!! fault-free workload wedged\n");
       g_crash_violations = 1;
@@ -337,11 +338,11 @@ void RunCrashMatrix() {
   for (int64_t kill = 0; kill <= total_ops; ++kill) {
     MemEnv env;
     Oracle fed;
-    Oracle flushed;
+    Oracle acked;
     {
       pgrid::LocalStore store(DiskOptions(&env, 8));
       env.set_fail_after(kill);
-      RunCrashWorkload(&store, &fed, &flushed, kSeed, kSteps);
+      RunCrashWorkload(&store, &fed, &acked, kSeed, kSteps);
     }
     env.SimulateCrash();
     pgrid::LocalStore recovered(DiskOptions(&env, 8));
@@ -350,7 +351,7 @@ void RunCrashMatrix() {
     if (!recovered.io_status().ok()) {
       violation = "recovery failed: " + recovered.io_status().ToString();
     } else {
-      violation = CheckRecovered(&env, recovered, fed, flushed);
+      violation = CheckRecovered(&env, recovered, fed, acked);
     }
     if (!violation.empty()) {
       ++g_crash_violations;

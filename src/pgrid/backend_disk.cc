@@ -14,23 +14,65 @@ namespace unistore {
 namespace pgrid {
 namespace storage {
 
+namespace {
+
+bool ParseNumberedName(std::string_view name, std::string_view prefix,
+                       uint64_t* number) {
+  if (name.size() <= prefix.size() ||
+      name.compare(0, prefix.size(), prefix) != 0) {
+    return false;
+  }
+  uint64_t n = 0;
+  for (size_t i = prefix.size(); i < name.size(); ++i) {
+    if (name[i] < '0' || name[i] > '9') return false;
+    n = n * 10 + static_cast<uint64_t>(name[i] - '0');
+  }
+  *number = n;
+  return true;
+}
+
+}  // namespace
+
 std::string RunFileName(uint64_t file_number) {
   return "run-" + std::to_string(file_number);
 }
 
 bool ParseRunFileName(std::string_view name, uint64_t* file_number) {
-  constexpr std::string_view kPrefix = "run-";
-  if (name.size() <= kPrefix.size() ||
-      name.compare(0, kPrefix.size(), kPrefix) != 0) {
-    return false;
+  return ParseNumberedName(name, "run-", file_number);
+}
+
+std::string LogFileName(uint64_t log_number) {
+  return "log-" + std::to_string(log_number);
+}
+
+bool ParseLogFileName(std::string_view name, uint64_t* log_number) {
+  return ParseNumberedName(name, "log-", log_number);
+}
+
+std::string EncodeFrame(std::string_view payload) {
+  BufferWriter frame;
+  frame.Reserve(8 + payload.size());
+  frame.PutU32(static_cast<uint32_t>(payload.size()));
+  frame.PutU32(MaskedCrc32c(payload));
+  frame.PutRaw(payload);
+  return frame.Release();
+}
+
+Result<std::string_view> DecodeFrameAt(std::string_view data, size_t* pos) {
+  if (*pos == data.size()) return Status::NotFound("end of frames");
+  if (data.size() - *pos < 8) return Status::Corruption("torn frame header");
+  BufferReader fr(data.substr(*pos, 8));
+  UNISTORE_ASSIGN_OR_RETURN(uint32_t len, fr.GetU32());
+  UNISTORE_ASSIGN_OR_RETURN(uint32_t crc, fr.GetU32());
+  if (len > data.size() - *pos - 8) {
+    return Status::Corruption("torn frame body");
   }
-  uint64_t n = 0;
-  for (size_t i = kPrefix.size(); i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return false;
-    n = n * 10 + static_cast<uint64_t>(name[i] - '0');
+  const std::string_view body = data.substr(*pos + 8, len);
+  if (MaskedCrc32c(body) != crc) {
+    return Status::Corruption("frame checksum mismatch");
   }
-  *file_number = n;
-  return true;
+  *pos += 8 + len;
+  return body;
 }
 
 // ---------------------------------------------------------------------------
@@ -171,12 +213,7 @@ void DiskRunWriter::Add(const EntryView& e) {
 
 void DiskRunWriter::FlushBlock() {
   if (block_.empty()) return;
-  BufferWriter frame;
-  frame.Reserve(8 + block_.size());
-  frame.PutU32(static_cast<uint32_t>(block_.size()));
-  frame.PutU32(MaskedCrc32c(block_));
-  frame.PutRaw(block_);
-  status_ = file_->Append(frame.buffer());
+  status_ = file_->Append(EncodeFrame(block_));
   if (!status_.ok()) return;
   DiskRun::BlockMeta meta;
   meta.offset = offset_;
@@ -444,10 +481,12 @@ std::string EncodeFramed(const Record& record) {
       payload.PutVarint(record.next_file_number);
       payload.PutVarint(record.runs.size());
       for (uint64_t fn : record.runs) payload.PutVarint(fn);
+      payload.PutVarint(record.log_number);
       break;
     case kAddRun:
       payload.PutVarint(record.file_number);
       payload.PutU8(record.origin);
+      payload.PutVarint(record.log_number);
       break;
     case kReplace:
       payload.PutVarint(record.first);
@@ -455,29 +494,13 @@ std::string EncodeFramed(const Record& record) {
       payload.PutVarint(record.file_number);
       break;
   }
-  BufferWriter frame;
-  frame.Reserve(8 + payload.size());
-  frame.PutU32(static_cast<uint32_t>(payload.size()));
-  frame.PutU32(MaskedCrc32c(payload.buffer()));
-  frame.PutRaw(payload.buffer());
-  return frame.Release();
+  return EncodeFrame(payload.buffer());
 }
 
 Result<Record> DecodeFramedAt(std::string_view data, size_t* pos) {
-  if (*pos == data.size()) return Status::NotFound("end of manifest");
-  if (data.size() - *pos < 8) {
-    return Status::Corruption("torn manifest frame header");
-  }
-  BufferReader fr(data.substr(*pos, 8));
-  UNISTORE_ASSIGN_OR_RETURN(uint32_t len, fr.GetU32());
-  UNISTORE_ASSIGN_OR_RETURN(uint32_t crc, fr.GetU32());
-  if (len > data.size() - *pos - 8) {
-    return Status::Corruption("torn manifest record body");
-  }
-  const std::string_view body = data.substr(*pos + 8, len);
-  if (MaskedCrc32c(body) != crc) {
-    return Status::Corruption("manifest record checksum mismatch");
-  }
+  size_t end = *pos;
+  UNISTORE_ASSIGN_OR_RETURN(std::string_view body, DecodeFrameAt(data, &end));
+  const uint64_t len = body.size();
   BufferReader br(body);
   Record record;
   UNISTORE_ASSIGN_OR_RETURN(record.type, br.GetU8());
@@ -491,11 +514,18 @@ Result<Record> DecodeFramedAt(std::string_view data, size_t* pos) {
         UNISTORE_ASSIGN_OR_RETURN(uint64_t fn, br.GetVarint());
         record.runs.push_back(fn);
       }
+      // A manifest written before the memtable log had none to name.
+      if (!br.AtEnd()) {
+        UNISTORE_ASSIGN_OR_RETURN(record.log_number, br.GetVarint());
+      }
       break;
     }
     case kAddRun: {
       UNISTORE_ASSIGN_OR_RETURN(record.file_number, br.GetVarint());
       UNISTORE_ASSIGN_OR_RETURN(record.origin, br.GetU8());
+      if (!br.AtEnd()) {
+        UNISTORE_ASSIGN_OR_RETURN(record.log_number, br.GetVarint());
+      }
       break;
     }
     case kReplace: {
@@ -509,7 +539,7 @@ Result<Record> DecodeFramedAt(std::string_view data, size_t* pos) {
                                 static_cast<int>(record.type));
   }
   if (!br.AtEnd()) return Status::Corruption("manifest record trailing bytes");
-  *pos += 8 + len;
+  *pos = end;
   return record;
 }
 
@@ -528,6 +558,8 @@ using storage::DiskRunWriter;
 using storage::Env;
 using storage::kManifestName;
 using storage::kManifestTmpName;
+using storage::LogFileName;
+using storage::ParseLogFileName;
 using storage::ParseRunFileName;
 using storage::RunFileName;
 namespace manifest = storage::manifest;
@@ -565,6 +597,7 @@ Status DiskBackend::Recover() {
   // committing.
   std::vector<uint64_t> files;
   uint64_t recorded_next = 1;
+  uint64_t log_number = 0;
   const std::string manifest_path = PathOf(kManifestName);
   if (env_->FileExists(manifest_path)) {
     UNISTORE_ASSIGN_OR_RETURN(uint64_t size, env_->FileSize(manifest_path));
@@ -589,9 +622,11 @@ Status DiskBackend::Recover() {
         case manifest::kSnapshot:
           recorded_next = r.next_file_number;
           files = r.runs;
+          log_number = r.log_number;
           break;
         case manifest::kAddRun:
           files.push_back(r.file_number);
+          log_number = r.log_number;
           break;
         case manifest::kReplace: {
           if (r.first + r.removed > files.size()) {
@@ -629,9 +664,13 @@ Status DiskBackend::Recover() {
     runs_.push_back(std::move(run));
   }
 
+  log_number_ = log_number;
+  UNISTORE_RETURN_IF_ERROR(ReplayLog());
+
   // Re-base the manifest on a single snapshot (bounds growth to one
   // record per subsequent operation) and only then clean up: files not in
-  // the recovered set are orphans of unacknowledged operations.
+  // the recovered set are orphans of unacknowledged operations, and logs
+  // other than the live one were retired or never named.
   UNISTORE_RETURN_IF_ERROR(RewriteManifest());
 
   std::set<uint64_t> live(files.begin(), files.end());
@@ -640,7 +679,8 @@ Status DiskBackend::Recover() {
   for (const std::string& name : children) {
     uint64_t fn = 0;
     const bool orphan_run = ParseRunFileName(name, &fn) && live.count(fn) == 0;
-    if (orphan_run || name == kManifestTmpName) {
+    const bool old_log = ParseLogFileName(name, &fn) && fn != log_number_;
+    if (orphan_run || old_log || name == kManifestTmpName) {
       const Status st = env_->DeleteFile(PathOf(name));
       if (!st.ok()) {
         UNISTORE_LOG(kWarning) << "orphan cleanup " << name << ": "
@@ -658,6 +698,7 @@ Status DiskBackend::RewriteManifest() {
   snapshot.type = manifest::kSnapshot;
   snapshot.next_file_number = next_file_number_;
   for (const auto& run : runs_) snapshot.runs.push_back(run->file_number());
+  snapshot.log_number = log_number_;
 
   const std::string tmp_path = PathOf(kManifestTmpName);
   manifest_.reset();
@@ -697,6 +738,83 @@ Status DiskBackend::WriteRunFile(const std::vector<Entry>& entries,
   return Status::OK();
 }
 
+Status DiskBackend::ReplayLog() {
+  const std::string path = PathOf(LogFileName(log_number_));
+  if (!env_->FileExists(path)) return Status::OK();
+  UNISTORE_ASSIGN_OR_RETURN(uint64_t size, env_->FileSize(path));
+  UNISTORE_ASSIGN_OR_RETURN(std::unique_ptr<storage::RandomAccessFile> file,
+                            env_->NewRandomAccessFile(path));
+  std::string data;
+  UNISTORE_RETURN_IF_ERROR(file->Read(0, static_cast<size_t>(size), &data));
+  size_t pos = 0;
+  while (true) {
+    size_t end = pos;
+    Result<std::string_view> frame = storage::DecodeFrameAt(data, &end);
+    Status st = frame.status();
+    if (st.ok()) {
+      BufferReader r(*frame);
+      Result<std::vector<Entry>> entries = DecodeEntries(&r);
+      if (entries.ok() && r.AtEnd()) {
+        for (Entry& e : *entries) logged_writes_.push_back(std::move(e));
+        pos = end;
+        continue;
+      }
+      st = Status::Corruption("log frame holds no entry list");
+    }
+    if (st.code() == StatusCode::kCorruption) {
+      UNISTORE_LOG(kWarning) << "log " << path << ": discarding tail at byte "
+                             << pos << " (" << st.message() << ")";
+    }
+    break;  // Clean end (NotFound) or torn tail.
+  }
+  // With nothing intact, the first write logged truncates the file.
+  if (pos == 0) return Status::OK();
+  ++log_number_;
+  UNISTORE_ASSIGN_OR_RETURN(
+      log_, env_->NewWritableFile(PathOf(LogFileName(log_number_)), true));
+  UNISTORE_RETURN_IF_ERROR(log_->Append(std::string_view(data).substr(0, pos)));
+  return log_->Sync();
+}
+
+Status DiskBackend::LogWrite(const std::vector<Entry>& entries,
+                             size_t first) {
+  if (!io_status_.ok()) return io_status_;
+  if (first >= entries.size()) return Status::OK();
+  Status st;
+  if (log_ == nullptr) {
+    auto file =
+        env_->NewWritableFile(PathOf(LogFileName(log_number_)), true);
+    if (file.ok()) {
+      log_ = std::move(file).value();
+    } else {
+      st = file.status();
+    }
+  }
+  if (st.ok()) {
+    BufferWriter payload;
+    EntryListWriter list(entries.size() - first, &payload);
+    for (size_t i = first; i < entries.size(); ++i) list.Add(entries[i]);
+    st = log_->Append(storage::EncodeFrame(payload.buffer()));
+  }
+  if (st.ok()) st = log_->Sync();
+  if (!st.ok()) io_status_ = st;
+  return st;
+}
+
+void DiskBackend::RetireLog(uint64_t next) {
+  if (next == log_number_) return;
+  if (log_ != nullptr) {
+    log_.reset();
+    const std::string name = LogFileName(log_number_);
+    const Status st = env_->DeleteFile(PathOf(name));
+    if (!st.ok()) {
+      // The manifest no longer names it: the next recovery deletes it.
+      UNISTORE_LOG(kWarning) << "delete " << name << ": " << st.message();
+    }
+  }
+  log_number_ = next;
+}
+
 void DiskBackend::DeleteRunFile(uint64_t file_number) {
   run_crc_.erase(file_number);
   const std::string name = RunFileName(file_number);
@@ -719,11 +837,16 @@ Status DiskBackend::AppendRun(std::vector<Entry> entries, RunOrigin origin) {
     // manifest record referencing the (already synced) run file is
     // itself synced. A crash between the two leaves an orphan file that
     // recovery deletes.
+    // A flush moves the whole memtable into the run, so the same record
+    // names a new, empty log.
     manifest::Record record;
     record.type = manifest::kAddRun;
     record.file_number = fn;
     record.origin = static_cast<uint8_t>(origin);
+    record.log_number =
+        origin == RunOrigin::kFlush ? log_number_ + 1 : log_number_;
     st = AppendManifest(record);
+    if (st.ok()) RetireLog(record.log_number);
   }
   if (!st.ok()) {
     io_status_ = st;
@@ -812,7 +935,10 @@ Status DiskBackend::ResetTo(std::vector<Entry> entries) {
     snapshot.type = manifest::kSnapshot;
     snapshot.next_file_number = next_file_number_;
     if (run != nullptr) snapshot.runs.push_back(run->file_number());
+    // The rebuilt run holds the memtable too (or the store is cleared).
+    snapshot.log_number = log_number_ + 1;
     st = AppendManifest(snapshot);
+    if (st.ok()) RetireLog(snapshot.log_number);
   }
   if (!st.ok()) {
     io_status_ = st;

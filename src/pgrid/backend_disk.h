@@ -24,7 +24,9 @@
 // ([u32 len][u32 masked_crc][payload]) describing the evolution of the
 // run set; see manifest::Record. A torn or corrupt record ends replay —
 // everything before it is the recovered state (DESIGN.md § Durable
-// storage backend).
+// storage backend). The memtable log (`log-<n>`, the n the manifest
+// names) uses the same frames, each carrying one acknowledged write as
+// an entry list (EncodeEntries).
 #ifndef UNISTORE_PGRID_BACKEND_DISK_H_
 #define UNISTORE_PGRID_BACKEND_DISK_H_
 
@@ -59,6 +61,21 @@ std::string RunFileName(uint64_t file_number);
 
 /// Parses a RunFileName back to its number; false for foreign files.
 bool ParseRunFileName(std::string_view name, uint64_t* file_number);
+
+/// File name of memtable log `log_number` within the data directory.
+std::string LogFileName(uint64_t log_number);
+
+/// Parses a LogFileName back to its number; false for other files.
+bool ParseLogFileName(std::string_view name, uint64_t* log_number);
+
+/// Wraps `payload` in the [u32 len][u32 masked_crc][payload] frame of run
+/// blocks, manifest records and memtable-log writes.
+std::string EncodeFrame(std::string_view payload);
+
+/// The payload of the frame at `*pos`, advancing `*pos` past it; NotFound
+/// at the clean end of `data`, Corruption for a torn or damaged frame
+/// (`*pos` unchanged).
+Result<std::string_view> DecodeFrameAt(std::string_view data, size_t* pos);
 
 /// \brief Fixed-capacity LRU cache of decoded run-file blocks.
 ///
@@ -267,11 +284,12 @@ Status ValidateBlockPayload(std::string_view payload);
 namespace manifest {
 
 enum RecordType : uint8_t {
-  /// Full state: next_file_number + the run set (oldest first). Written
-  /// as the first record of every manifest generation; also expresses
-  /// Clear/rebuild.
+  /// Full state: next_file_number + the run set (oldest first) + the
+  /// live log. Written as the first record of every manifest generation;
+  /// also expresses Clear/rebuild.
   kSnapshot = 0,
-  /// One run appended to the set (flush / bulk load).
+  /// One run appended to the set (flush / bulk load), and the live log
+  /// after it (a flush starts a new one).
   kAddRun = 1,
   /// Runs [first, first + removed) replaced by file_number (compaction).
   kReplace = 2,
@@ -285,6 +303,7 @@ struct Record {
   uint8_t origin = 0;              // kAddRun: RunOrigin of the write.
   uint64_t first = 0;              // kReplace: oldest-first position.
   uint64_t removed = 0;            // kReplace: runs replaced.
+  uint64_t log_number = 0;         // kSnapshot / kAddRun: the live log.
 };
 
 /// Encodes the payload and wraps it in the [len][crc][payload] frame.

@@ -23,9 +23,10 @@ static_assert(LocalStoreOptions::kMaxRuns + 1 <= 16,
 // the original batch position first, so a first-wins dedup pass keeps
 // exactly the entry sequential Apply calls would have kept. Sorts an
 // index of (first key word, batch position) records with a stable LSD
-// radix sort on the word — one byte per pass, skipping bytes every word
-// shares — then orders each group of equal words by the full slot
-// comparison, and permutes the heavy Entry objects once at the end.
+// radix sort on the word — one byte per pass over only the bytes that
+// vary across the batch — then orders each group of equal words by the
+// full slot comparison, and permutes the heavy Entry objects once at the
+// end.
 void SortBatchBySlot(std::vector<Entry>* entries) {
   struct IndexKey {
     uint64_t first_word;
@@ -35,24 +36,44 @@ void SortBatchBySlot(std::vector<Entry>* entries) {
   const size_t n = e.size();
   if (n < 2) return;
   std::vector<IndexKey> order(n);
-  size_t counts[8][256] = {};
+  uint64_t any = 0;
+  uint64_t all = ~uint64_t{0};
   for (size_t i = 0; i < n; ++i) {
     const uint64_t w = e[i].key.word(0);
     order[i] = {w, static_cast<uint32_t>(i)};
-    for (size_t d = 0; d < 8; ++d) ++counts[d][(w >> (8 * d)) & 0xFF];
+    any |= w;
+    all &= w;
+  }
+  // A byte every word shares sorts nothing: its counter row is neither
+  // zeroed nor filled (a peer's keys share its path).
+  const uint64_t varying = any ^ all;
+  size_t digits[8];
+  size_t n_digits = 0;
+  for (size_t d = 0; d < 8; ++d) {
+    if (((varying >> (8 * d)) & 0xFF) != 0) digits[n_digits++] = d;
+  }
+  size_t counts[8][256];
+  for (size_t k = 0; k < n_digits; ++k) {
+    std::memset(counts[digits[k]], 0, sizeof(counts[0]));
+  }
+  for (const IndexKey& key : order) {
+    for (size_t k = 0; k < n_digits; ++k) {
+      const size_t d = digits[k];
+      ++counts[d][(key.first_word >> (8 * d)) & 0xFF];
+    }
   }
   std::vector<IndexKey> scratch(n);
-  for (size_t d = 0; d < 8; ++d) {
+  for (size_t k = 0; k < n_digits; ++k) {
+    const size_t d = digits[k];
     size_t* count = counts[d];
-    if (count[(order[0].first_word >> (8 * d)) & 0xFF] == n) continue;
     size_t at = 0;
     for (size_t b = 0; b < 256; ++b) {
       const size_t c = count[b];
       count[b] = at;
       at += c;
     }
-    for (const IndexKey& k : order) {
-      scratch[count[(k.first_word >> (8 * d)) & 0xFF]++] = k;
+    for (const IndexKey& key : order) {
+      scratch[count[(key.first_word >> (8 * d)) & 0xFF]++] = key;
     }
     order.swap(scratch);
   }
@@ -149,6 +170,11 @@ LocalStore::LocalStore(const LocalStoreOptions& options) {
     backend_ = std::make_unique<MemoryBackend>();
   }
   if (backend_->run_count() > 0) RecountFromBackend();
+  // Writes a disk store acknowledged from its memtable come back from
+  // the log, in log order, under the upsert rule.
+  for (Entry& e : backend_->TakeLoggedWrites()) {
+    if (Admit(e, FindLatest(e.key, e.id))) PutInMemtable(std::move(e));
+  }
 }
 
 LocalStore::~LocalStore() = default;
@@ -185,10 +211,13 @@ void LocalStore::RecountFromBackend() {
 }
 
 LocalStore::SlotInfo LocalStore::FindLatest(const Key& key,
-                                            std::string_view id) const {
+                                            std::string_view id,
+                                            Memtable::iterator* at) {
   SlotInfo info;
-  auto it = memtable_.find(SlotRef{key, id});
-  if (it != memtable_.end()) {
+  const SlotRef ref{key, id};
+  auto it = memtable_.lower_bound(ref);
+  if (at != nullptr) *at = it;
+  if (it != memtable_.end() && !SlotLess()(ref, it->first)) {
     info.found = true;
     info.version = it->second.version;
     info.deleted = it->second.deleted;
@@ -199,27 +228,48 @@ LocalStore::SlotInfo LocalStore::FindLatest(const Key& key,
   return info;
 }
 
-bool LocalStore::Apply(const Entry& entry) {
-  if (!io_status_.ok()) return false;  // Wedged: mutations no-op.
-  const SlotInfo cur = FindLatest(entry.key, entry.id);
-  if (cur.found && entry.version <= cur.version) return false;
+bool LocalStore::Admit(const Entry& e, const SlotInfo& cur) {
+  if (cur.found && e.version <= cur.version) return false;
   if (!cur.found) {
     ++slot_count_;
-    if (!entry.deleted) ++live_count_;
+    if (!e.deleted) ++live_count_;
   } else {
-    if (!cur.deleted && entry.deleted) --live_count_;
-    if (cur.deleted && !entry.deleted) ++live_count_;
+    if (!cur.deleted && e.deleted) --live_count_;
+    if (cur.deleted && !e.deleted) ++live_count_;
   }
   ++stats_.ingested_entries;
-  stats_.ingested_bytes += ApproxEntryBytes(entry);
-  memtable_.insert_or_assign(SlotKey(entry.key, entry.id), entry);
+  stats_.ingested_bytes += ApproxEntryBytes(e);
+  return true;
+}
+
+bool LocalStore::Apply(const Entry& entry) {
+  if (!io_status_.ok()) return false;  // Wedged: mutations no-op.
+  // One memtable descent serves the probe and the insert.
+  Memtable::iterator at;
+  if (!Admit(entry, FindLatest(entry.key, entry.id, &at))) return false;
+  PutInMemtable(entry, at);
   MaybeFlush();
   return true;
 }
 
-size_t LocalStore::BulkLoad(std::vector<Entry> entries,
-                            std::vector<Entry>* changed_out) {
-  if (entries.empty() || !io_status_.ok()) return 0;
+void LocalStore::PutInMemtable(Entry entry) {
+  const auto at = memtable_.lower_bound(SlotRef{entry.key, entry.id});
+  PutInMemtable(std::move(entry), at);
+}
+
+void LocalStore::PutInMemtable(Entry entry, Memtable::iterator at) {
+  const MemSlot slot{entry.version, entry.deleted};
+  if (at != memtable_.end() &&
+      !SlotLess()(SlotRef{entry.key, entry.id}, at->first)) {
+    at->second = slot;
+    return;
+  }
+  memtable_.emplace_hint(at, SlotKey(entry.key, std::move(entry.id)), slot);
+}
+
+size_t LocalStore::SortAndProbe(std::vector<Entry>* batch,
+                                std::vector<Entry>* changed_out) {
+  std::vector<Entry>& entries = *batch;
   SortBatchBySlot(&entries);
   // Within-batch dedup: slots arrive grouped, newest occurrence first.
   entries.erase(std::unique(entries.begin(), entries.end(),
@@ -228,50 +278,79 @@ size_t LocalStore::BulkLoad(std::vector<Entry> entries,
                             }),
                 entries.end());
 
-  // Fresh slots are compacted to the front of the batch, in slot order:
-  // entries[0, fresh) becomes the new run without another copy. Known
-  // slots go through Apply after the loop, so `changed_out` lists the
-  // fresh slots first and then the updates.
+  // Fresh slots are compacted in place to the front of the batch, so
+  // entries[0, fresh) can become a run without another copy; the known
+  // slots this batch makes newer follow them.
   size_t fresh = 0;
   std::vector<Entry> updates;
-  size_t changed = 0;
   for (size_t i = 0; i < entries.size(); ++i) {
     Entry& e = entries[i];
     const SlotInfo cur = FindLatest(e.key, e.id);
+    if (!Admit(e, cur)) continue;
     if (!cur.found) {
-      ++slot_count_;
-      if (!e.deleted) ++live_count_;
-      ++changed;
-      ++stats_.ingested_entries;
-      stats_.ingested_bytes += ApproxEntryBytes(e);
-      if (changed_out != nullptr) changed_out->push_back(e);
       if (fresh != i) entries[fresh] = std::move(e);
       ++fresh;
-    } else if (e.version > cur.version) {
-      // Known slot: preserve exact versioned-upsert semantics through
-      // the memtable path (Apply counts its own stats).
+    } else {
       updates.push_back(std::move(e));
     }
   }
-  for (Entry& e : updates) {
-    if (!Apply(e)) continue;
-    ++changed;
-    if (changed_out != nullptr) changed_out->push_back(std::move(e));
-  }
-
   entries.resize(fresh);
-  if (!entries.empty()) {
-    AppendRun(std::move(entries), static_cast<uint8_t>(RunOrigin::kBulkLoad));
-    MaybeCompact();
+  for (Entry& e : updates) entries.push_back(std::move(e));
+  if (changed_out != nullptr) {
+    changed_out->insert(changed_out->end(), entries.begin(), entries.end());
   }
+  return fresh;
+}
+
+size_t LocalStore::Write(std::vector<Entry> entries,
+                         std::vector<Entry>* changed_out) {
+  if (entries.empty() || !io_status_.ok()) return 0;
+  const size_t fresh = SortAndProbe(&entries, changed_out);
+  const size_t changed = entries.size();
+  // A batch that alone fills a memtable stores its fresh slots as a run;
+  // the rest lands in the memtable, logged first.
+  const size_t first =
+      changed < options_.memtable_flush_threshold ? 0 : fresh;
+  const Status logged = backend_->LogWrite(entries, first);
+  if (!logged.ok()) {
+    Wedge(logged);
+    return changed;
+  }
+  for (size_t i = first; i < changed; ++i) {
+    PutInMemtable(std::move(entries[i]));
+  }
+  MaybeFlush();
+  StoreFreshAsRun(std::move(entries), first);
   return changed;
+}
+
+size_t LocalStore::BulkLoad(std::vector<Entry> entries,
+                            std::vector<Entry>* changed_out) {
+  if (entries.empty() || !io_status_.ok()) return 0;
+  const size_t fresh = SortAndProbe(&entries, changed_out);
+  const size_t changed = entries.size();
+  // Known slots keep exact versioned-upsert semantics through the
+  // memtable, which flushes whenever it fills.
+  for (size_t i = fresh; i < changed; ++i) {
+    PutInMemtable(std::move(entries[i]));
+    MaybeFlush();
+  }
+  StoreFreshAsRun(std::move(entries), fresh);
+  return changed;
+}
+
+void LocalStore::StoreFreshAsRun(std::vector<Entry> entries, size_t count) {
+  entries.resize(count);
+  if (entries.empty()) return;
+  AppendRun(std::move(entries), static_cast<uint8_t>(RunOrigin::kBulkLoad));
+  MaybeCompact();
 }
 
 bool LocalStore::ScanMerged(const Key& lo, ScanBound bound,
                             const Key& bound_key, bool include_tombstones,
                             EntryVisitor visit) const {
   // One source: the memtable, iterated in slot order with views built on
-  // demand (the map stores whole Entries, not views).
+  // demand (the map stores slots, not views).
   struct Source {
     bool is_memtable = false;
     Memtable::const_iterator mem_pos;
@@ -282,7 +361,7 @@ bool LocalStore::ScanMerged(const Key& lo, ScanBound bound,
     const EntryView* head() {
       if (is_memtable) {
         if (mem_pos == mem_end) return nullptr;
-        mem_view = EntryView(mem_pos->second);
+        mem_view = ViewOf(*mem_pos);
         return &mem_view;
       }
       return run.valid() ? &run.view() : nullptr;
@@ -417,9 +496,9 @@ bool LocalStore::ScanRunById(uint64_t run_id, uint64_t start_entry,
 bool LocalStore::ScanMemtableFrom(uint64_t start_entry,
                                   EntryVisitor visit) const {
   uint64_t i = 0;
-  for (const auto& [slot, entry] : memtable_) {
+  for (const Memtable::value_type& node : memtable_) {
     if (i++ < start_entry) continue;
-    if (!visit(EntryView(entry))) break;
+    if (!visit(ViewOf(node))) break;
   }
   return true;
 }
@@ -500,11 +579,11 @@ void LocalStore::Clear() {
 }
 
 size_t LocalStore::resident_bytes() const {
-  // Rough std::map node overhead per memtable entry (three pointers,
-  // color, the SlotKey).
+  // Rough std::map node footprint per memtable slot (three pointers and
+  // the color, the SlotKey and its id bytes, the version and flag).
   size_t bytes = 0;
-  for (const auto& [slot, e] : memtable_) {
-    bytes += ApproxEntryBytes(e) + sizeof(SlotKey) + slot.second.size() +
+  for (const Memtable::value_type& node : memtable_) {
+    bytes += sizeof(Memtable::value_type) + node.first.second.size() +
              4 * sizeof(void*);
   }
   return bytes + backend_->resident_bytes();
@@ -519,10 +598,14 @@ void LocalStore::Flush() {
   if (!memtable_.empty()) {
     std::vector<Entry> entries;
     entries.reserve(memtable_.size());
-    for (auto& [slot, entry] : memtable_) {
-      entries.push_back(std::move(entry));
+    while (!memtable_.empty()) {
+      auto node = memtable_.extract(memtable_.begin());
+      Entry& e = entries.emplace_back();
+      e.key = node.key().first;
+      e.id = std::move(node.key().second);
+      e.version = node.mapped().version;
+      e.deleted = node.mapped().deleted;
     }
-    memtable_.clear();
     AppendRun(std::move(entries), static_cast<uint8_t>(RunOrigin::kFlush));
   }
   MaybeCompact();

@@ -94,13 +94,17 @@ struct LocalStoreOptions {
 /// "Bytes" are the approximate resident footprint of the entries moved
 /// (key + id + fixed overhead), not wire bytes.
 struct LocalStoreWriteStats {
-  uint64_t ingested_entries = 0;  ///< Entries accepted by Apply/BulkLoad.
+  /// Entries that changed the store, through Write, Apply or BulkLoad
+  /// (stale versions and in-batch duplicates are not counted).
+  uint64_t ingested_entries = 0;
   uint64_t ingested_bytes = 0;
   uint64_t flushed_entries = 0;   ///< Entries written by memtable flushes.
   uint64_t flushed_bytes = 0;
   uint64_t compacted_entries = 0; ///< Entries rewritten by compactions.
   uint64_t compacted_bytes = 0;
-  uint64_t bulk_loaded_entries = 0;  ///< Entries written by BulkLoad runs.
+  /// Entries written as runs by BulkLoad, or by a Write that filled a
+  /// memtable.
+  uint64_t bulk_loaded_entries = 0;
   uint64_t bulk_loaded_bytes = 0;
   uint64_t compactions = 0;       ///< Merge operations performed.
 
@@ -126,21 +130,28 @@ struct LocalStoreWriteStats {
 /// Deletions are tombstones so anti-entropy cannot resurrect them.
 ///
 /// Internally this is a miniature LSM tree (DESIGN.md § Local storage
-/// engine): Apply lands in a small mutable memtable; full memtables freeze
-/// into immutable sorted runs; runs compact under a size-tiered policy
-/// (a run merges only with newer runs of comparable total size —
-/// amortized O(log N) write amplification), bounded by `max_runs`. BulkLoad turns a pre-sorted batch directly into a run,
-/// bypassing the memtable. Because a version-ordered upsert always lands
-/// in the newest structure, reads resolve a slot to its newest occurrence
-/// (memtable, then runs newest to oldest). Tombstones survive flushes and
+/// engine). Owner writes go through Write: a batch smaller than
+/// `memtable_flush_threshold` lands in a small mutable memtable, a batch
+/// that alone fills one becomes a sorted run. Apply (one replicated
+/// entry) also lands in the memtable. Full memtables freeze into
+/// immutable sorted runs, and runs compact under a size-tiered policy (a
+/// run merges only with newer runs of comparable total size — amortized
+/// O(log N) write amplification), bounded by `max_runs`. BulkLoad turns
+/// a whole batch into a run (repair splices, join and exchange handoffs).
+/// Because a version-ordered upsert always lands in the newest
+/// structure, reads resolve a slot to its newest occurrence (memtable,
+/// then runs newest to oldest). Tombstones survive flushes and
 /// compactions.
 ///
 /// The run set itself lives behind a pluggable StorageBackend
 /// (storage_backend.h): the in-memory engine keeps the original SortedRun
 /// vector; the disk engine persists runs as checksummed block files with
-/// an append-only manifest, and a store constructed over an existing
-/// data_dir recovers its acknowledged contents. Both engines produce
-/// byte-identical scan streams for the same operation history.
+/// an append-only manifest, and logs every Write that lands in the
+/// memtable before Write returns. A store constructed over an existing
+/// data_dir recovers its acknowledged contents: the runs, then the logged
+/// writes replayed into the memtable. Both engines keep identical run
+/// sets and produce byte-identical scan streams for the same operation
+/// history.
 ///
 /// I/O failures wedge the store instead of aborting: the failed and all
 /// subsequent mutations become no-ops, io_status() reports the first
@@ -173,18 +184,32 @@ class LocalStore {
   /// fails.
   Status io_status() const;
 
-  /// Applies `entry` (insert, update or tombstone). Returns true iff the
-  /// store changed (i.e. the entry was new or newer).
+  /// Applies `entry` (insert, update or tombstone) to the memtable.
+  /// Returns true iff the store changed (i.e. the entry was new or newer).
+  /// Not logged: a replica's copy is durable once its memtable flushes.
   bool Apply(const Entry& entry);
 
-  /// \brief Bulk ingest: turns `entries` directly into a sorted run,
-  /// bypassing the per-entry memtable path.
+  /// \brief An owner write: the batch is sorted and deduplicated by slot
+  /// (highest version wins within the batch) and probed against the
+  /// store, as BulkLoad does.
   ///
-  /// The batch is sorted and deduplicated by slot (highest version wins
-  /// within the batch); entries whose slot already exists in the store
-  /// fall back to the Apply path so versioned-upsert/tombstone semantics
-  /// stay exact. Returns the number of entries that changed the store,
-  /// and appends those entries to `changed` when it is given.
+  /// When fewer entries change the store than `memtable_flush_threshold`,
+  /// they land in the memtable, and a disk store logs them as one synced
+  /// frame before returning (DESIGN.md §6b); a memtable that fills
+  /// flushes. A batch that alone fills a memtable is stored as BulkLoad
+  /// stores it. Returns the number of entries that changed the store, and
+  /// appends them to `changed` when it is given: fresh slots in slot
+  /// order, then updated slots in slot order.
+  size_t Write(std::vector<Entry> entries,
+               std::vector<Entry>* changed = nullptr);
+
+  /// \brief Bulk ingest: turns the batch's fresh slots directly into one
+  /// sorted run, bypassing the memtable.
+  ///
+  /// Sorts, deduplicates and probes like Write; entries whose slot
+  /// already exists in the store go through the memtable so
+  /// versioned-upsert/tombstone semantics stay exact. Returns and lists
+  /// the changed entries as Write does.
   size_t BulkLoad(std::vector<Entry> entries,
                   std::vector<Entry>* changed = nullptr);
 
@@ -305,15 +330,50 @@ class LocalStore {
       return c != 0 ? c < 0 : b.id < std::string_view(a.second);
     }
   };
-  using Memtable = std::map<SlotKey, Entry, SlotLess>;
+  // The memtable holds each slot once: the key and id live in the map key.
+  struct MemSlot {
+    uint64_t version = 0;
+    bool deleted = false;
+  };
+  using Memtable = std::map<SlotKey, MemSlot, SlotLess>;
+  static EntryView ViewOf(const Memtable::value_type& node) {
+    EntryView v;
+    v.key = node.first.first;
+    v.id = node.first.second;
+    v.version = node.second.version;
+    v.deleted = node.second.deleted;
+    return v;
+  }
 
-  // Newest occurrence of the slot across memtable + runs.
+  // Newest occurrence of the slot across memtable + runs. `*at`, when
+  // given, is the slot's lower bound in the memtable.
   struct SlotInfo {
     bool found = false;
     uint64_t version = 0;
     bool deleted = false;
   };
-  SlotInfo FindLatest(const Key& key, std::string_view id) const;
+  SlotInfo FindLatest(const Key& key, std::string_view id,
+                      Memtable::iterator* at = nullptr);
+
+  // Whether `e` changes a slot whose newest occurrence is `cur`; if so,
+  // counts it into the slot/live totals and the ingest stats.
+  bool Admit(const Entry& e, const SlotInfo& cur);
+
+  // The step Write and BulkLoad share: sorts `*entries` by slot, drops
+  // in-batch duplicates and entries no newer than the store's, and
+  // counts the rest into the slot/live totals and the ingest stats. On
+  // return entries[0, fresh) are new slots and entries[fresh, changed)
+  // known slots made newer, each in slot order; the vector has `changed`
+  // entries, and `changed_out` (when given) lists them in that order.
+  // Returns `fresh`.
+  size_t SortAndProbe(std::vector<Entry>* entries,
+                      std::vector<Entry>* changed_out);
+  // Memtable upsert of an entry whose slot and live counts are done;
+  // `at` is the slot's lower bound.
+  void PutInMemtable(Entry entry);
+  void PutInMemtable(Entry entry, Memtable::iterator at);
+  // Stores entries[0, count), fresh slots from SortAndProbe, as one run.
+  void StoreFreshAsRun(std::vector<Entry> entries, size_t count);
 
   enum class ScanBound { kRangeHi, kPrefix, kNone };
 

@@ -767,11 +767,7 @@ void Peer::StoreAndReplicate(std::vector<Entry> entries) {
   // hold would hand it straight back to that replica — an undamped
   // rumor cycle. Damping at the sink ends it in one hop.
   std::vector<Entry> changed;
-  if (entries.size() == 1) {
-    if (store_.Apply(entries[0])) changed = std::move(entries);
-  } else {
-    store_.BulkLoad(std::move(entries), &changed);
-  }
+  store_.Write(std::move(entries), &changed);
   PushBatchToReplicas(changed, /*informed=*/{});
 }
 

@@ -601,9 +601,8 @@ class Peer {
   void DispatchBulkInsert(KeySetRoute<BatchEntry> route, PeerId initiator,
                           uint64_t request_id, uint32_t hops,
                           BulkInsertReply* reply);
-  // Stores a group this peer serves — one entry through the memtable,
-  // more as one run — and pushes the entries that changed the store to
-  // the replicas.
+  // Stores a group this peer serves (LocalStore::Write) and pushes the
+  // entries that changed the store to the replicas.
   void StoreAndReplicate(std::vector<Entry> entries);
   // Key-set lookups: sends one request per next hop of `next` under
   // `request_id`.

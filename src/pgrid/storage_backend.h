@@ -10,8 +10,10 @@
 //   determinism oracle the disk backend is differential-tested against.
 // - DiskBackend: immutable run files + append-only manifest + block
 //   cache (backend_disk.h). A flush/bulk-load/compaction is acknowledged
-//   only after the run file AND its manifest record are synced, so a
-//   reopened store recovers exactly the acknowledged run set.
+//   only after the run file AND its manifest record are synced, and a
+//   write that lands in the memtable only after its memtable-log frame
+//   is synced, so a reopened store recovers exactly what was
+//   acknowledged.
 //
 // Interface granularity: every virtual call is per run or per operation
 // (append a run, merge a group, seek a cursor), never per entry — the
@@ -133,6 +135,21 @@ class StorageBackend {
   virtual void SeekCursor(size_t newest_first_index, const Key& lo,
                           RunCursor* cursor) const = 0;
 
+  /// Makes the owner write entries[first, end), which is about to land
+  /// in the memtable, durable before it is acknowledged. A durable
+  /// backend appends it to the memtable log as one synced frame; the next
+  /// kFlush AppendRun or ResetTo retires the log, since the memtable is
+  /// then in the run set. The in-memory backend logs nothing.
+  virtual Status LogWrite(const std::vector<Entry>& entries, size_t first) {
+    (void)entries;
+    (void)first;
+    return Status::OK();
+  }
+
+  /// The writes the memtable log held when the backend opened, in log
+  /// order, for replay into the memtable; empty after the first call.
+  virtual std::vector<Entry> TakeLoggedWrites() { return {}; }
+
   /// Summary (id, entry count, content checksum) of the run at oldest-first
   /// `index` — the unit of the anti-entropy manifest exchange. Checksums
   /// are computed lazily on first request and cached; run ids are stable
@@ -192,12 +209,13 @@ struct DiskBackendOptions {
 
 /// \brief Durable engine: run files + manifest in `data_dir`.
 ///
-/// Open() recovers the acknowledged run set: manifest records are
-/// replayed up to the first torn/corrupt record, referenced run files
-/// are opened (their footers re-validated), orphaned run files and
-/// leftover manifest rewrites are deleted, and a fresh single-snapshot
-/// manifest is written via MANIFEST.tmp + atomic rename (bounding
-/// manifest growth at one record per subsequent operation).
+/// Open() recovers the acknowledged state: manifest records are replayed
+/// up to the first torn/corrupt record, referenced run files are opened
+/// (their footers re-validated), the memtable log the manifest names is
+/// read up to its first torn frame, a fresh single-snapshot manifest is
+/// written via MANIFEST.tmp + atomic rename (bounding manifest growth at
+/// one record per subsequent operation), and orphaned run files, logs
+/// and leftover manifest rewrites are deleted.
 class DiskBackend : public StorageBackend {
  public:
   static Result<std::unique_ptr<DiskBackend>> Open(
@@ -212,6 +230,12 @@ class DiskBackend : public StorageBackend {
   Status AppendRun(std::vector<Entry> entries, RunOrigin origin) override;
   Status MergeRuns(size_t first, size_t n, MergeStats* stats) override;
   Status ResetTo(std::vector<Entry> entries) override;
+  Status LogWrite(const std::vector<Entry>& entries, size_t first) override;
+  std::vector<Entry> TakeLoggedWrites() override {
+    std::vector<Entry> out;
+    out.swap(logged_writes_);
+    return out;
+  }
   bool FindSlot(const SlotProbe& probe, uint64_t* version,
                 bool* deleted) const override;
   void SeekCursor(size_t newest_first_index, const Key& lo,
@@ -237,6 +261,13 @@ class DiskBackend : public StorageBackend {
   Status RewriteManifest();
   /// Best-effort deletion of a no-longer-referenced run file.
   void DeleteRunFile(uint64_t file_number);
+  /// Reads the live log's intact frames into logged_writes_ and moves
+  /// them to a fresh log (a frame appended behind a torn tail would never
+  /// replay).
+  Status ReplayLog();
+  /// Once a synced manifest record names log `next` as the live one: the
+  /// old log's writes are in the run set, so its file is deleted.
+  void RetireLog(uint64_t next);
 
   DiskBackendOptions options_;
   storage::Env* env_;
@@ -244,6 +275,12 @@ class DiskBackend : public StorageBackend {
   std::vector<std::shared_ptr<storage::DiskRun>> runs_;  // Oldest first.
   uint64_t next_file_number_ = 1;
   std::unique_ptr<storage::WritableFile> manifest_;
+  /// The memtable log: its number (named by the manifest, counted apart
+  /// from run file numbers), and the open file, created by the first
+  /// write it logs.
+  uint64_t log_number_ = 0;
+  std::unique_ptr<storage::WritableFile> log_;
+  std::vector<Entry> logged_writes_;  // Recovered, until taken.
   Status io_status_;  // First write-path error (wedges the backend).
   /// Lazily computed content CRCs keyed by file number; entries are
   /// dropped when the run file is deleted (runs are immutable, so a

@@ -205,6 +205,50 @@ TEST(ChurnLifecycleTest, DiskRestartReplaysManifest) {
   EXPECT_EQ(overlay.peer(1)->counters().repair_runs_fetched, 0u);
 }
 
+// An owner write is durable once acknowledged, however small: a
+// disk-backed owner with no replica to catch up from acks a 1-entry and a
+// 5-entry batch, loses power, restarts, and still serves both: both land
+// in the memtable and come back from its log.
+TEST(ChurnLifecycleTest, DiskRestartKeepsAckedMemtableWrites) {
+  MemEnv env;
+  OverlayOptions options;
+  options.seed = 12;
+  options.replication = 1;
+  options.peer.storage.backend = LocalStoreOptions::Backend::kDisk;
+  options.peer.storage.data_dir = "db";
+  options.peer.storage.env = &env;
+  Overlay overlay(options);
+  overlay.AddPeers(4);
+  overlay.BuildBalanced();
+
+  const std::vector<Entry> candidates = MakeBatch("acked", 200);
+  const PeerId owner = overlay.ResponsiblePeers(candidates[0].key).at(0);
+  std::vector<Entry> five;
+  for (size_t i = 1; i < candidates.size() && five.size() < 5; ++i) {
+    if (overlay.ResponsiblePeers(candidates[i].key).at(0) == owner) {
+      five.push_back(candidates[i]);
+    }
+  }
+  ASSERT_EQ(five.size(), 5u);
+  ASSERT_TRUE(overlay.InsertBatchSync(0, {candidates[0]}).ok());
+  ASSERT_TRUE(overlay.InsertBatchSync(0, five).ok());
+
+  env.SimulateCrash();
+  std::optional<Status> caught_up;
+  overlay.peer(owner)->Restart([&](Status s) { caught_up = std::move(s); });
+  overlay.scheduler().RunUntil([&] { return caught_up.has_value(); });
+  ASSERT_TRUE(caught_up.has_value() && caught_up->ok());
+
+  const LocalStore& store = overlay.peer(owner)->store();
+  ASSERT_TRUE(store.io_status().ok());
+  EXPECT_EQ(store.Get(candidates[0].key),
+            std::vector<Entry>{candidates[0]})
+      << "the 1-entry write was lost";
+  for (const Entry& e : five) {
+    EXPECT_EQ(store.Get(e.key), std::vector<Entry>{e}) << e.id;
+  }
+}
+
 // Restart preserves identity but not volatile state: in-flight
 // initiator-side operations of every kind fail once with Unavailable
 // instead of hanging, and no key-set state survives.

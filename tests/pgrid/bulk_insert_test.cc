@@ -267,6 +267,33 @@ TEST_F(BulkInsertTest, LargeGroupsSplitIntoChunks) {
   EXPECT_EQ(found->entries[0], big);
 }
 
+// Small owner batches land in the memtable, so runs come from full
+// memtables: 300 batches of 6 entries leave each member of the owning
+// group a few runs and almost no merges (one run per batch merges every
+// few batches, 46 times here).
+TEST_F(BulkInsertTest, SmallBatchesFillMemtablesNotRuns) {
+  Build(8, /*replication=*/2, /*loss=*/0, /*seed=*/17);
+  std::vector<Entry> all;
+  for (size_t b = 0; b < 300; ++b) {
+    std::vector<Entry> batch;
+    for (size_t i = 0; i < 6; ++i) {
+      batch.push_back(EntryUnder("01", 6 * b + i));
+    }
+    all.insert(all.end(), batch.begin(), batch.end());
+    ASSERT_TRUE(overlay_->InsertBatchSync(0, std::move(batch)).ok()) << b;
+  }
+  overlay_->scheduler().RunUntilIdle();
+  const std::vector<net::PeerId> group =
+      overlay_->ResponsiblePeers(all.front().key);
+  ASSERT_EQ(group.size(), 2u);
+  for (net::PeerId p : group) {
+    const LocalStore& store = overlay_->peer(p)->store();
+    EXPECT_EQ(store.live_size(), all.size()) << "peer " << p;
+    EXPECT_LE(store.write_stats().compactions, 2u) << "peer " << p;
+    EXPECT_LE(store.run_count(), 4u) << "peer " << p;
+  }
+}
+
 TEST_F(BulkInsertTest, DuplicatedRepliesNeverAcknowledgeALostBranch) {
   // Peer 0 ("00") sends one entry toward "01" and one toward "11"; the
   // owner of "11" is cut off for good, and every message to peer 0 arrives

@@ -146,17 +146,43 @@ void CheckRecovered(const LocalStore& recovered, const Oracle& fed,
 }
 
 // Every run file in the data dir must be referenced by the recovered
-// store (recovery deletes orphans and rewrites the manifest).
+// store (recovery deletes orphans and rewrites the manifest), and at most
+// one memtable log is left: the live one.
 void CheckNoOrphans(MemEnv* env, const LocalStore& recovered,
                     const std::string& label) {
   auto listing = env->ListDir("db");
   ASSERT_TRUE(listing.ok()) << label;
   size_t run_files = 0;
+  size_t logs = 0;
   for (const std::string& name : listing.value()) {
     uint64_t fn = 0;
     if (storage::ParseRunFileName(name, &fn)) ++run_files;
+    if (storage::ParseLogFileName(name, &fn)) ++logs;
   }
   EXPECT_EQ(run_files, recovered.run_count()) << label;
+  EXPECT_LE(logs, 1u) << label;
+}
+
+// Drives `steps` owner writes through LocalStore::Write: mostly batches
+// of 1 to 7 entries, which land in the memtable and its log, and now and
+// then one of 8 to 15 that fills a memtable (threshold 8) and becomes a
+// run; the memtable flushes, retiring its log, whenever it fills, and
+// every 29th step compacts. `fed` is as in RunWorkload; `acked` applies
+// every write that returned with io_status() OK — all of them until the
+// first wedge, since a write that returned is durable.
+void RunLoggedWorkload(LocalStore* store, Oracle* fed, Oracle* acked,
+                       uint64_t seed, int steps) {
+  Rng rng(seed);
+  for (int step = 0; step < steps; ++step) {
+    std::vector<Entry> entries = StepEntries(&rng);
+    if (entries.size() > 1) entries.resize(1 + rng.NextBounded(15));
+    for (const Entry& e : entries) OracleApply(fed, e);
+    store->Write(entries);
+    if (store->io_status().ok()) {
+      for (const Entry& e : entries) OracleApply(acked, e);
+    }
+    if (step % 29 == 28) store->Compact();
+  }
 }
 
 TEST(CrashRecoveryTest, CleanReopenMatchesOracle) {
@@ -221,6 +247,112 @@ TEST(CrashRecoveryTest, KillPointSweep) {
     ASSERT_TRUE(again.io_status().ok()) << label;
     ExpectSameEntries(again.GetAll(), first, "re-reopen " + label);
   }
+}
+
+TEST(CrashRecoveryTest, LoggedWritesSurviveAReopenWithoutAFlush) {
+  MemEnv env;
+  Oracle fed;
+  Oracle acked;
+  {
+    LocalStore store(DiskOptions(&env));
+    RunLoggedWorkload(&store, &fed, &acked, /*seed=*/5, /*steps=*/300);
+    ASSERT_TRUE(store.io_status().ok());
+    ASSERT_GT(store.memtable_size(), 0u);
+  }
+  env.SimulateCrash();
+  LocalStore reopened(DiskOptions(&env));
+  ASSERT_TRUE(reopened.io_status().ok());
+  ExpectSameEntries(reopened.GetAll(), OracleEntries(fed), "reopen");
+  EXPECT_EQ(reopened.live_size(), reopened.GetAllLive().size());
+  CheckNoOrphans(&env, reopened, "reopen");
+}
+
+// The kill-point matrix over owner writes: every log append, log sync,
+// log creation and retirement, run write and manifest record of the
+// logged workload. Every write that returned is recovered, and nothing
+// is invented, duplicated or forward-dated.
+TEST(CrashRecoveryTest, LoggedWriteKillPointSweep) {
+  int64_t total_ops = 0;
+  {
+    MemEnv env;
+    LocalStore store(DiskOptions(&env));
+    Oracle fed;
+    Oracle acked;
+    RunLoggedWorkload(&store, &fed, &acked, /*seed=*/13, /*steps=*/150);
+    ASSERT_TRUE(store.io_status().ok());
+    total_ops = env.mutation_ops();
+  }
+  ASSERT_GT(total_ops, 250);
+
+  for (int64_t kill = 0; kill <= total_ops;
+       kill = kill < 60 ? kill + 1 : kill + 3) {
+    MemEnv env;
+    Oracle fed;
+    Oracle acked;
+    {
+      LocalStore store(DiskOptions(&env));
+      env.set_fail_after(kill);
+      RunLoggedWorkload(&store, &fed, &acked, /*seed=*/13, /*steps=*/150);
+    }
+    env.SimulateCrash();
+    LocalStore recovered(DiskOptions(&env));
+    const std::string label = "kill=" + std::to_string(kill);
+    ASSERT_TRUE(recovered.io_status().ok())
+        << label << ": " << recovered.io_status().message();
+    CheckRecovered(recovered, fed, acked, label);
+    CheckNoOrphans(&env, recovered, label);
+
+    std::vector<Entry> first = recovered.GetAll();
+    LocalStore again(DiskOptions(&env));
+    ASSERT_TRUE(again.io_status().ok()) << label;
+    ExpectSameEntries(again.GetAll(), first, "re-reopen " + label);
+  }
+}
+
+// A torn frame ends the log's replay. Recovery moves the intact frames to
+// a fresh log, so a write logged after the reopen is not hidden behind
+// the tear at the next one.
+TEST(CrashRecoveryTest, TornLogTailIsDiscardedAndLaterWritesSurvive) {
+  MemEnv env;
+  Oracle fed;
+  {
+    LocalStore store(DiskOptions(&env));
+    for (int i = 0; i < 5; ++i) {
+      const Entry e = MakeEntry("0101000" + std::to_string(i % 2),
+                                "w" + std::to_string(i), 1);
+      OracleApply(&fed, e);
+      store.Write({e});
+    }
+    ASSERT_EQ(store.run_count(), 0u);
+  }
+  std::string log_name;
+  auto listing = env.ListDir("db");
+  ASSERT_TRUE(listing.ok());
+  for (const std::string& name : *listing) {
+    uint64_t n = 0;
+    if (storage::ParseLogFileName(name, &n)) log_name = name;
+  }
+  ASSERT_FALSE(log_name.empty());
+  {
+    auto file = env.NewWritableFile("db/" + log_name, /*truncate=*/false);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Append(std::string("\x40\x00\x00\x00torn", 8)).ok());
+    ASSERT_TRUE((*file)->Sync().ok());
+  }
+  {
+    LocalStore reopened(DiskOptions(&env));
+    ASSERT_TRUE(reopened.io_status().ok());
+    ExpectSameEntries(reopened.GetAll(), OracleEntries(fed), "torn log");
+    const Entry later = MakeEntry("11110000", "later", 2);
+    OracleApply(&fed, later);
+    reopened.Write({later});
+    ASSERT_TRUE(reopened.io_status().ok());
+  }
+  env.SimulateCrash();
+  LocalStore again(DiskOptions(&env));
+  ASSERT_TRUE(again.io_status().ok());
+  ExpectSameEntries(again.GetAll(), OracleEntries(fed), "after the tear");
+  CheckNoOrphans(&env, again, "after the tear");
 }
 
 // Torn final manifest record: everything before the tear recovers, the
