@@ -72,13 +72,18 @@ class BufferWriter {
   /// sees one append instead of up to ten single-byte pushes.
   void PutVarint(uint64_t v) {
     char scratch[10];
-    size_t n = 0;
-    while (v >= 0x80) {
-      scratch[n++] = static_cast<char>(static_cast<uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    scratch[n++] = static_cast<char>(v);
-    buf_.append(scratch, n);
+    buf_.append(scratch, EncodeVarint(v, scratch));
+  }
+
+  /// Replaces the one byte at `pos` with PutVarint(v)'s bytes, moving
+  /// the bytes after it when `v` takes more than one: a count written
+  /// as a one-byte placeholder before the items it counts, patched once
+  /// they are written.
+  void PatchVarint(size_t pos, uint64_t v) {
+    char scratch[10];
+    const size_t n = EncodeVarint(v, scratch);
+    if (n > 1) buf_.insert(pos + 1, n - 1, '\0');
+    std::memcpy(&buf_[pos], scratch, n);
   }
 
   /// Length-prefixed byte string. Pre-reserves the encoded size (with
@@ -97,6 +102,18 @@ class BufferWriter {
   size_t size() const { return buf_.size(); }
 
  private:
+  // Unsigned LEB128 of `v` into `out` (10 bytes of room); returns its
+  // length.
+  static size_t EncodeVarint(uint64_t v, char* out) {
+    size_t n = 0;
+    while (v >= 0x80) {
+      out[n++] = static_cast<char>(static_cast<uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    out[n++] = static_cast<char>(v);
+    return n;
+  }
+
   template <typename T>
   void PutFixed(T v) {
     char bytes[sizeof(T)];

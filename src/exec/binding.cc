@@ -34,14 +34,13 @@ Binding Merge(const Binding& a, const Binding& b) {
 
 namespace {
 
-// Unifies one pattern term with a concrete value under `binding`.
-bool UnifyTerm(const vql::Term& term, const triple::Value& actual,
-               Binding* binding) {
+// True when `term` may take `actual` under `base`: a literal equal to it,
+// a variable `base` binds to it, or a variable `base` leaves free.
+bool Admits(const vql::Term& term, const triple::Value& actual,
+            const Binding& base) {
   if (!term.is_variable) return term.literal == actual;
-  auto it = binding->find(term.variable);
-  if (it != binding->end()) return it->second == actual;
-  binding->emplace(term.variable, actual);
-  return true;
+  auto it = base.find(term.variable);
+  return it == base.end() || it->second == actual;
 }
 
 }  // namespace
@@ -51,15 +50,29 @@ std::optional<Binding> MatchPattern(const vql::TriplePattern& pattern,
                                     const std::string& attribute,
                                     const triple::Value& value,
                                     const Binding& base) {
+  const triple::Value subject = triple::Value::String(oid);
+  const triple::Value predicate = triple::Value::String(attribute);
+  const vql::Term* terms[] = {&pattern.subject, &pattern.predicate,
+                              &pattern.object};
+  const triple::Value* actual[] = {&subject, &predicate, &value};
+  // Every check runs before `base` is copied: most triples a scan hands
+  // over fail a literal or a bound variable.
+  for (int i = 0; i < 3; ++i) {
+    if (!Admits(*terms[i], *actual[i], base)) return std::nullopt;
+    // A variable repeated across positions must take equal values.
+    for (int j = 0; j < i; ++j) {
+      if (terms[i]->is_variable && terms[j]->is_variable &&
+          terms[i]->variable == terms[j]->variable &&
+          *actual[i] != *actual[j]) {
+        return std::nullopt;
+      }
+    }
+  }
   Binding binding = base;
-  if (!UnifyTerm(pattern.subject, triple::Value::String(oid), &binding)) {
-    return std::nullopt;
+  // emplace keeps the first position's value of a repeated variable.
+  for (int i = 0; i < 3; ++i) {
+    if (terms[i]->is_variable) binding.emplace(terms[i]->variable, *actual[i]);
   }
-  if (!UnifyTerm(pattern.predicate, triple::Value::String(attribute),
-                 &binding)) {
-    return std::nullopt;
-  }
-  if (!UnifyTerm(pattern.object, value, &binding)) return std::nullopt;
   return binding;
 }
 

@@ -478,23 +478,16 @@ void Executor::ExecSimilarityQGram(std::shared_ptr<PhysicalOp> node,
   for (const auto& attr : node->attributes) {
     for (const auto& gram : grams) keys[qgram::QGramKey(attr, gram)];
   }
-  store_->GetByKeys(
+  store_->GetUnionByKeys(
       std::move(keys),
-      [node, callback](const Result<triple::TripleStore::KeyTriples>& found) {
-        if (!found.ok()) {
-          callback(found.status());
+      [node, callback](const Result<std::vector<Triple>>& candidates) {
+        if (!candidates.ok()) {
+          callback(candidates.status());
           return;
         }
-        std::map<std::string, Triple> candidates;  // identity -> triple
-        for (const auto& [key, triples] : *found) {
-          for (const Triple& t : triples) candidates.emplace(t.Identity(), t);
-        }
-        std::vector<Triple> triples;
-        triples.reserve(candidates.size());
-        for (auto& [id, t] : candidates) triples.push_back(std::move(t));
         // BindTriples verifies each edist candidate with the banded edit
         // distance; the residual CONTAINS filter checks substrings.
-        callback(BindTriples(*node, triples, Binding{}));
+        callback(BindTriples(*node, *candidates, Binding{}));
       });
 }
 

@@ -792,8 +792,12 @@ Status DiskBackend::LogWrite(const std::vector<Entry>& entries,
   }
   if (st.ok()) {
     BufferWriter payload;
-    EntryListWriter list(entries.size() - first, &payload);
-    for (size_t i = first; i < entries.size(); ++i) list.Add(entries[i]);
+    EntryListWriter::Write(
+        &payload, /*keyless=*/false, [&entries, first](EntryListWriter* list) {
+          for (size_t i = first; i < entries.size(); ++i) {
+            list->Add(entries[i]);
+          }
+        });
     st = log_->Append(storage::EncodeFrame(payload.buffer()));
   }
   if (st.ok()) st = log_->Sync();

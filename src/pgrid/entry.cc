@@ -57,10 +57,15 @@ size_t SharedPrefix(std::string_view a, std::string_view b) {
 
 }  // namespace
 
-EntryListWriter::EntryListWriter(uint64_t count, BufferWriter* w,
-                                 bool keyless)
-    : w_(w), keyless_(keyless) {
-  w_->PutVarint(count);
+void EntryListWriter::Write(BufferWriter* w, bool keyless, Fill fill) {
+  EntryListWriter list(w, keyless);
+  fill(&list);
+  w->PatchVarint(list.count_at_, list.count_);
+}
+
+EntryListWriter::EntryListWriter(BufferWriter* w, bool keyless)
+    : w_(w), keyless_(keyless), count_at_(w->size()) {
+  w_->PutU8(0);
 }
 
 void EntryListWriter::Add(const EntryView& e) {
@@ -83,6 +88,7 @@ void EntryListWriter::Add(const EntryView& e) {
   w_->PutVarint(e.version);
   w_->PutBool(e.deleted);
   prev_id_.assign(e.id);
+  ++count_;
 }
 
 Result<Entry> DecodeListedEntry(BufferReader* r, const Entry* prev,
@@ -137,8 +143,9 @@ void EncodeEntries(const std::vector<Entry>& entries, BufferWriter* w,
   size_t total = VarintLength(entries.size());
   for (const Entry& e : entries) total += e.EncodedSize();
   w->Reserve(total);
-  EntryListWriter list(entries.size(), w, keyless);
-  for (const Entry& e : entries) list.Add(e);
+  EntryListWriter::Write(w, keyless, [&entries](EntryListWriter* list) {
+    for (const Entry& e : entries) list->Add(e);
+  });
 }
 
 Result<std::vector<Entry>> DecodeEntries(BufferReader* r, bool keyless) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/codec.h"
+#include "common/function_ref.h"
 #include "common/result.h"
 #include "pgrid/key.h"
 
@@ -70,10 +71,10 @@ struct EntryView {
 
 /// \brief Writes a list of entries in the front-coded wire form.
 ///
-/// The constructor writes the varint `count`; exactly `count` Add calls
-/// follow, in list order (a message may put its own fields between them).
-/// Each entry sends only what the receiver cannot rebuild from the entry
-/// before it (DESIGN.md §3):
+/// The list is a varint `count`, then the entries in list order (a
+/// message may put its own fields between them). Each entry sends only
+/// what the receiver cannot rebuild from the entry before it (DESIGN.md
+/// §3):
 ///   varint header     shared_key_bytes << 1 | (bit length == kKeyBits)
 ///   varint bit_len    only for a key that is not full-width
 ///   the packed key bytes past the shared ones
@@ -86,15 +87,28 @@ struct EntryView {
 /// list (a lookup answer, whose key the requester named) omits the first
 /// three fields. Zero-copy: Add takes a view and copies only the id, which
 /// the next entry is coded against.
+///
+/// One pass: the count goes out as a one-byte placeholder that Write
+/// patches once `fill` has added the entries, widening it in place for
+/// 128 or more. So a serving scan encodes as it visits, with no counting
+/// pass, and the bytes are those of a list whose count came first. Only
+/// Write makes a writer, so no list is left unpatched.
 class EntryListWriter {
  public:
-  EntryListWriter(uint64_t count, BufferWriter* w, bool keyless = false);
+  using Fill = FunctionRef<void(EntryListWriter*)>;
+
+  /// Appends one list to `w`; `fill` adds its entries.
+  static void Write(BufferWriter* w, bool keyless, Fill fill);
 
   void Add(const EntryView& e);
 
  private:
+  EntryListWriter(BufferWriter* w, bool keyless);
+
   BufferWriter* w_;
   bool keyless_;
+  size_t count_at_;  // Offset of the count placeholder in `w_`.
+  uint64_t count_ = 0;
   Key prev_key_;
   std::string prev_id_;  // A view's id lives only as long as its visit.
 };

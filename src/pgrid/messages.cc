@@ -202,11 +202,13 @@ Result<LookupBatchReply> LookupBatchReply::Decode(std::string_view bytes) {
 std::string BulkInsertRequest::Encode() const {
   BufferWriter w;
   w.PutU32(initiator);
-  EntryListWriter list(entries.size(), &w);
-  for (const BatchEntry& e : entries) {
-    w.PutVarint(e.slot);
-    list.Add(e.entry);
-  }
+  EntryListWriter::Write(&w, /*keyless=*/false,
+                         [this, &w](EntryListWriter* list) {
+                           for (const BatchEntry& e : entries) {
+                             w.PutVarint(e.slot);
+                             list->Add(e.entry);
+                           }
+                         });
   return w.Release();
 }
 
@@ -267,16 +269,12 @@ Result<RangeSeqRequest> RangeSeqRequest::Decode(std::string_view bytes) {
 }
 
 std::string RangeSeqReply::Encode() const {
-  return EncodeStreamed(entries.size(), [this](EntryListWriter* list) {
-    for (const Entry& e : entries) list->Add(e);
-  });
+  BufferWriter w;
+  EncodeEntries(entries, &w);
+  return EncodeStreamed(std::move(w));
 }
 
-std::string RangeSeqReply::EncodeStreamed(uint64_t count,
-                                          EntryStreamFn emit) const {
-  BufferWriter w;
-  EntryListWriter list(count, &w);
-  emit(&list);
+std::string RangeSeqReply::EncodeStreamed(BufferWriter w) const {
   w.PutBool(will_forward);
   EncodeKey(peer_path, &w);
   w.PutU8(status_code);
@@ -312,16 +310,12 @@ Result<RangeShowerRequest> RangeShowerRequest::Decode(
 }
 
 std::string RangeShowerReply::Encode() const {
-  return EncodeStreamed(entries.size(), [this](EntryListWriter* list) {
-    for (const Entry& e : entries) list->Add(e);
-  });
+  BufferWriter w;
+  EncodeEntries(entries, &w);
+  return EncodeStreamed(std::move(w));
 }
 
-std::string RangeShowerReply::EncodeStreamed(uint64_t count,
-                                             EntryStreamFn emit) const {
-  BufferWriter w;
-  EntryListWriter list(count, &w);
-  emit(&list);
+std::string RangeShowerReply::EncodeStreamed(BufferWriter w) const {
   w.PutU32(forwards);
   w.PutU32(unreachable);
   EncodeKey(peer_path, &w);

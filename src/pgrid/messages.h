@@ -23,11 +23,6 @@ namespace pgrid {
 
 using net::PeerId;
 
-/// Adds the `count` entries of a reply to its list — replies stream
-/// entries out of a LocalStore scan instead of materializing intermediate
-/// vectors (zero-copy read path, DESIGN.md § Local storage engine).
-using EntryStreamFn = FunctionRef<void(EntryListWriter*)>;
-
 /// References grouped by trie level, as shipped in exchange messages.
 struct RefsBlock {
   // refs[l] = peers referenced at level l.
@@ -171,8 +166,10 @@ struct RangeSeqReply {
 
   std::string Encode() const;
   /// Byte-identical to Encode() with `entries` holding the same sequence,
-  /// but the entries come from `emit` (ignoring the `entries` member).
-  std::string EncodeStreamed(uint64_t count, EntryStreamFn emit) const;
+  /// but the entries are the one EntryListWriter list `w` holds,
+  /// written straight from a LocalStore scan (zero-copy read path,
+  /// DESIGN.md §6); the `entries` member is ignored.
+  std::string EncodeStreamed(BufferWriter w) const;
   static Result<RangeSeqReply> Decode(std::string_view bytes);
 };
 
@@ -198,7 +195,7 @@ struct RangeShowerReply {
 
   std::string Encode() const;
   /// Streamed-entries variant of Encode() (see RangeSeqReply).
-  std::string EncodeStreamed(uint64_t count, EntryStreamFn emit) const;
+  std::string EncodeStreamed(BufferWriter w) const;
   static Result<RangeShowerReply> Decode(std::string_view bytes);
 };
 

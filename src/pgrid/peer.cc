@@ -20,21 +20,6 @@ namespace {
 
 void NoopStatus(Status) {}
 
-// Entries a scan visits. Streamed reply encoders need the varint count
-// before the entry bytes, so serving scans twice: this counting pass is
-// merge-advance only (none of the encode work), which keeps it much
-// cheaper than single-pass alternatives that back-patch a variable-width
-// count prefix into the buffer.
-template <typename ScanFn>  // void(LocalStore::EntryVisitor)
-uint64_t CountEntries(ScanFn&& scan) {
-  uint64_t count = 0;
-  scan([&count](const EntryView&) {
-    ++count;
-    return true;
-  });
-  return count;
-}
-
 // Matches entry ids against the suffixes of a lookup key: one hash of the
 // id's tail per distinct suffix length, however many suffixes share it.
 // The views alias the suffixes, which must outlive the matcher.
@@ -626,23 +611,22 @@ void Peer::HandleKeySetLookup(const Message& msg) {
     reply.advert = GroupAdvert();
     if (!reply.advert.empty()) ++counters_.hot_adverts;
   }
-  // Zero-copy serving: per key, one counting scan sizes the varint prefix
-  // and a second encodes the entries, keyless, straight into the reply
-  // buffer. No intermediate std::vector<Entry>, no per-entry heap
-  // allocation. Both scans skip the entries the key's suffixes do not ask
+  // Zero-copy serving: per key, one scan encodes the entries, keyless,
+  // straight into the reply buffer, and the list's count is patched in
+  // after it. No intermediate std::vector<Entry>, no per-entry heap
+  // allocation. The scan skips the entries the key's suffixes do not ask
   // for.
   std::string payload = reply.EncodeStreamed(
       slots, [this, &route](size_t i, BufferWriter* w) {
         const BatchKey& k = route.mine[i];
         const SuffixMatcher match(k.suffixes);
-        auto scan = [this, &k, &match](LocalStore::EntryVisitor v) {
-          ScanAsked(store_, k.key, match, v);
-        };
-        EntryListWriter list(CountEntries(scan), w, /*keyless=*/true);
-        scan([&list](const EntryView& e) {
-          list.Add(e);
-          return true;
-        });
+        EntryListWriter::Write(
+            w, /*keyless=*/true, [this, &k, &match](EntryListWriter* list) {
+              ScanAsked(store_, k.key, match, [list](const EntryView& e) {
+                list->Add(e);
+                return true;
+              });
+            });
       });
   rpc_.ReplyTo(req->initiator, msg.request_id, msg.hops,
                MessageType::kLookupReply, std::move(payload));
@@ -768,7 +752,7 @@ void Peer::StoreAndReplicate(std::vector<Entry> entries) {
   // rumor cycle. Damping at the sink ends it in one hop.
   std::vector<Entry> changed;
   store_.Write(std::move(entries), &changed);
-  PushBatchToReplicas(changed, /*informed=*/{});
+  PushBatchToReplicas(std::move(changed), /*informed=*/{});
 }
 
 void Peer::HandleBulkInsert(const Message& msg) {
@@ -792,7 +776,7 @@ void Peer::HandleBulkInsert(const Message& msg) {
 // Replica maintenance
 // ---------------------------------------------------------------------------
 
-void Peer::PushBatchToReplicas(const std::vector<Entry>& entries,
+void Peer::PushBatchToReplicas(std::vector<Entry> entries,
                                std::vector<PeerId> informed) {
   if (entries.empty()) return;
   auto is_informed = [&informed](PeerId p) {
@@ -810,27 +794,29 @@ void Peer::PushBatchToReplicas(const std::vector<Entry>& entries,
   rng_.Shuffle(&targets);
   targets.resize(std::min(options_.gossip_fanout, targets.size()));
   informed.insert(informed.end(), targets.begin(), targets.end());
-  for (PeerId target : targets) {
-    SendEntries(target, entries, /*reroute_if_foreign=*/false,
-                /*gossip=*/true, informed);
-  }
+  SendEntries(targets, std::move(entries), /*reroute_if_foreign=*/false,
+              /*gossip=*/true, std::move(informed));
 }
 
-void Peer::SendEntries(PeerId dst, std::vector<Entry> entries,
-                       bool reroute_if_foreign, bool gossip,
-                       std::vector<PeerId> informed) {
-  if (dst == id_ || entries.empty()) return;
+void Peer::SendEntries(const std::vector<PeerId>& targets,
+                       std::vector<Entry> entries, bool reroute_if_foreign,
+                       bool gossip, std::vector<PeerId> informed) {
+  if (entries.empty()) return;
   EntryBatch batch;
   batch.entries = std::move(entries);
   batch.reroute_if_foreign = reroute_if_foreign;
   batch.gossip = gossip;
   batch.informed = std::move(informed);
-  Message msg;
-  msg.type = MessageType::kReplicaPush;
-  msg.src = id_;
-  msg.dst = dst;
-  msg.payload = batch.Encode();
-  transport_->Send(std::move(msg));
+  const std::string payload = batch.Encode();
+  for (PeerId dst : targets) {
+    if (dst == id_) continue;
+    Message msg;
+    msg.type = MessageType::kReplicaPush;
+    msg.src = id_;
+    msg.dst = dst;
+    msg.payload = payload;
+    transport_->Send(std::move(msg));
+  }
 }
 
 void Peer::HandleEntryBatch(const Message& msg) {
@@ -869,7 +855,9 @@ void Peer::StoreEntryBatch(EntryBatch batch) {
   // Non-gossip handoffs (exchange data migration) land as one bulk run
   // instead of per-entry memtable churn.
   if (!mine.empty()) store_.BulkLoad(std::move(mine));
-  if (!fresh.empty()) PushBatchToReplicas(fresh, std::move(batch.informed));
+  if (!fresh.empty()) {
+    PushBatchToReplicas(std::move(fresh), std::move(batch.informed));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1321,9 +1309,14 @@ void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
   if (req.limit > 0) {
     budget = req.collected < req.limit ? req.limit - req.collected : 0;
   }
-  uint64_t count = 0;    // Entries shipped.
+  // One scan ships the entries as it charges them: into the reply's list
+  // for a remote initiator, into `reply.entries` for this peer, whose
+  // partial is consumed as a struct and becomes the caller's result.
+  const bool local = req.initiator == id_;
   uint64_t charged = 0;  // Entries charged to the limit.
-  if (budget > 0) {
+  BufferWriter w;
+  EntryListWriter::Write(&w, /*keyless=*/false, [&](EntryListWriter* list) {
+    if (budget == 0) return;
     const Key& lo = req.range.lo;
     Key last_key;  // The key the budget ran out in.
     store_.ScanRange(req.range, [&](const EntryView& e) {
@@ -1332,10 +1325,14 @@ void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
       } else if (e.key != lo && ++charged == budget) {
         last_key = e.key;
       }
-      ++count;
+      if (local) {
+        reply.entries.push_back(e.ToEntry());
+      } else {
+        list->Add(e);
+      }
       return true;
     });
-  }
+  });
 
   const uint32_t collected_now =
       req.collected + static_cast<uint32_t>(charged);
@@ -1373,34 +1370,14 @@ void Peer::ProcessRangeSeq(const RangeSeqRequest& req, uint64_t request_id,
     }
   }
 
-  if (req.initiator == id_) {
-    // Initiator-local partial: the struct is consumed directly, so the
-    // entries must be materialized (they become the caller's result).
-    reply.entries.reserve(count);
-    if (count > 0) {
-      store_.ScanRange(req.range, [&reply, count](const EntryView& e) {
-        reply.entries.push_back(e.ToEntry());
-        return reply.entries.size() < count;
-      });
-    }
+  // The forward above goes out before the reply.
+  if (local) {
     OnScanPartial(request_id, /*shower=*/false, reply.entries,
                   reply.status_code != 0, reply.will_forward);
     return;
   }
-  // Remote partial: encode the scanned entries straight into the wire
-  // buffer (byte-identical to the materialized encoding).
-  std::string payload = reply.EncodeStreamed(
-      count, [this, &req, count](EntryListWriter* list) {
-        if (count == 0) return;
-        uint64_t emitted = 0;
-        store_.ScanRange(req.range,
-                         [list, &emitted, count](const EntryView& e) {
-                           list->Add(e);
-                           return ++emitted < count;
-                         });
-      });
   rpc_.ReplyTo(req.initiator, request_id, hops, MessageType::kRangeSeqReply,
-               std::move(payload));
+               reply.EncodeStreamed(std::move(w)));
 }
 
 void Peer::HandleRangeSeq(const Message& msg) {
@@ -1464,31 +1441,30 @@ void Peer::ProcessRangeShower(const RangeShowerRequest& req,
   const bool has_local = req.range.IntersectsPrefix(path_, kKeyBits);
   const KeyRange clamped =
       has_local ? req.range.ClampToPrefix(path_, kKeyBits) : KeyRange{};
-  auto run_scan = [this, has_local, &clamped](LocalStore::EntryVisitor v) {
-    if (has_local) store_.ScanRange(clamped, v);
-  };
-  const uint64_t count = CountEntries(run_scan);
 
   if (req.initiator == id_) {
     // Initiator-local branch result: consumed as a struct, materialize.
-    reply.entries.reserve(count);
-    run_scan([&reply](const EntryView& e) {
-      reply.entries.push_back(e.ToEntry());
-      return true;
-    });
+    if (has_local) {
+      store_.ScanRange(clamped, [&reply](const EntryView& e) {
+        reply.entries.push_back(e.ToEntry());
+        return true;
+      });
+    }
     OnScanPartial(request_id, /*shower=*/true, reply.entries,
                   reply.unreachable > 0, reply.forwards);
     return;
   }
-  std::string payload =
-      reply.EncodeStreamed(count, [&run_scan](EntryListWriter* list) {
-        run_scan([list](const EntryView& e) {
-          list->Add(e);
-          return true;
-        });
-      });
+  BufferWriter w;
+  EntryListWriter::Write(&w, /*keyless=*/false, [&](EntryListWriter* list) {
+    if (!has_local) return;
+    store_.ScanRange(clamped, [list](const EntryView& e) {
+      list->Add(e);
+      return true;
+    });
+  });
   rpc_.ReplyTo(req.initiator, request_id, hops,
-               MessageType::kRangeShowerReply, std::move(payload));
+               MessageType::kRangeShowerReply,
+               reply.EncodeStreamed(std::move(w)));
 }
 
 void Peer::HandleRangeShower(const Message& msg) {
@@ -1560,7 +1536,7 @@ std::vector<Entry> Peer::LeaveGroup() {
   store_.Clear();
   if (old_entries.empty() || old_replicas.empty()) return old_entries;
   const PeerId heir = old_replicas[rng_.NextBounded(old_replicas.size())];
-  SendEntries(heir, std::move(old_entries), /*reroute_if_foreign=*/false,
+  SendEntries({heir}, std::move(old_entries), /*reroute_if_foreign=*/false,
               /*gossip=*/true, /*informed=*/{id_, heir});
   return {};
 }
@@ -1709,7 +1685,7 @@ void Peer::ApplyExchangeReply(ExchangeReply* reply, PeerId responder) {
     case ExchangeAction::kReplicate: {
       routing_.AddReplica(responder);
       // Symmetric sync: ship our state back so both replicas converge.
-      SendEntries(responder, store_.GetAll(), /*reroute_if_foreign=*/false,
+      SendEntries({responder}, store_.GetAll(), /*reroute_if_foreign=*/false,
                   /*gossip=*/false);
       break;
     }
@@ -1723,7 +1699,7 @@ void Peer::ApplyExchangeReply(ExchangeReply* reply, PeerId responder) {
       routing_.ClearReplicas();
       std::vector<Entry> foreign = store_.ExtractNotMatching(path_);
       if (!foreign.empty()) {
-        SendEntries(responder, std::move(foreign),
+        SendEntries({responder}, std::move(foreign),
                     /*reroute_if_foreign=*/true, /*gossip=*/false);
       }
       break;
@@ -1731,7 +1707,7 @@ void Peer::ApplyExchangeReply(ExchangeReply* reply, PeerId responder) {
     case ExchangeAction::kMigrateSplit:
       // Hand everything we hold to a replica of our old region (the
       // responder reroutes it when there is none), then move.
-      SendEntries(responder, LeaveGroup(), /*reroute_if_foreign=*/true,
+      SendEntries({responder}, LeaveGroup(), /*reroute_if_foreign=*/true,
                   /*gossip=*/false);
       SetPath(reply->new_initiator_path);
       break;
@@ -1836,10 +1812,8 @@ void Peer::GracefulLeave() {
   // handoff to each other.
   std::vector<PeerId> informed = replicas;
   informed.push_back(id_);
-  for (PeerId r : replicas) {
-    SendEntries(r, all, /*reroute_if_foreign=*/false, /*gossip=*/true,
-                informed);
-  }
+  SendEntries(replicas, std::move(all), /*reroute_if_foreign=*/false,
+              /*gossip=*/true, std::move(informed));
 }
 
 void Peer::JoinVia(PeerId sponsor, StatusCallback callback) {

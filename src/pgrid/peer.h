@@ -613,11 +613,13 @@ class Peer {
   // Pushes `entries` to up to gossip_fanout replicas outside `informed`
   // (the peers the push already reached); each target gets the informed
   // set extended by itself, this peer and its fellow targets.
-  void PushBatchToReplicas(const std::vector<Entry>& entries,
+  void PushBatchToReplicas(std::vector<Entry> entries,
                            std::vector<PeerId> informed);
-  void SendEntries(PeerId dst, std::vector<Entry> entries,
-                   bool reroute_if_foreign, bool gossip,
-                   std::vector<PeerId> informed = {});
+  // Sends one EntryBatch of `entries` to each of `targets` but this peer:
+  // the batch is encoded once, and every target gets the same bytes.
+  void SendEntries(const std::vector<PeerId>& targets,
+                   std::vector<Entry> entries, bool reroute_if_foreign,
+                   bool gossip, std::vector<PeerId> informed = {});
 
   net::Transport* transport_;
   PeerId id_;

@@ -27,13 +27,19 @@ std::string PostingId(std::string_view gram, std::string_view encoded) {
   return w.Release();
 }
 
-Result<Triple> DecodeEntryTriple(std::string_view id) {
+Result<std::string_view> EntryIdBody(std::string_view id) {
   if (id.size() < 2 || id[1] != '#' ||
       std::string_view("oavg").find(id[0]) == std::string_view::npos) {
     return Status::Corruption("not a triple entry id");
   }
   BufferReader r(id.substr(2));
   if (id[0] == 'g') UNISTORE_RETURN_IF_ERROR(r.GetStringView().status());
+  return id.substr(id.size() - r.remaining());
+}
+
+Result<Triple> DecodeEntryTriple(std::string_view id) {
+  UNISTORE_ASSIGN_OR_RETURN(std::string_view body, EntryIdBody(id));
+  BufferReader r(body);
   UNISTORE_ASSIGN_OR_RETURN(Triple t, Triple::Decode(&r));
   if (!r.AtEnd()) return Status::Corruption("trailing bytes in entry id");
   return t;
@@ -121,20 +127,11 @@ pgrid::Key ValueKey(const Value& value) {
 std::vector<Triple> DecodeTriples(const std::vector<pgrid::Entry>& entries) {
   std::vector<Triple> out;
   out.reserve(entries.size());
-  VisitTriples(entries, [&out](Triple&& t) {
-    out.push_back(std::move(t));
-    return true;
-  });
-  return out;
-}
-
-void VisitTriples(const std::vector<pgrid::Entry>& entries,
-                  FunctionRef<bool(Triple&&)> visit) {
   for (const auto& e : entries) {
     auto t = DecodeEntryTriple(e.id);
-    if (!t.ok()) continue;
-    if (!visit(std::move(*t))) return;
+    if (t.ok()) out.push_back(std::move(*t));
   }
+  return out;
 }
 
 }  // namespace triple

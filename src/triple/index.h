@@ -16,7 +16,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/function_ref.h"
 #include "common/result.h"
 #include "pgrid/entry.h"
 #include "pgrid/key.h"
@@ -47,6 +46,14 @@ pgrid::Key IndexKey(IndexKind kind, const Triple& triple);
 /// encoding. So an entry's slot is its triple: two distinct triples never
 /// share one, however their values round in an index key.
 std::string PostingId(std::string_view gram, std::string_view encoded);
+
+/// The body of an entry id of either layout: the bytes after its tag
+/// (and, for a posting, after its gram), which are the triple's
+/// Triple::Identity(). Two entries carry one triple exactly when their
+/// bodies are equal, so readers dedupe on these bytes as they arrived,
+/// without decoding or re-encoding. The view aliases `id`. Fails on an id
+/// of neither layout; a body that does not decode still comes back.
+Result<std::string_view> EntryIdBody(std::string_view id);
 
 /// Decodes the triple an entry id of either layout carries. Fails on any
 /// other id (foreign entries sharing the key space).
@@ -95,12 +102,6 @@ pgrid::Key ValueKey(const Value& value);
 /// Entries produced by EntriesForTriple always decode; this tolerates
 /// foreign entries sharing the key space.
 std::vector<Triple> DecodeTriples(const std::vector<pgrid::Entry>& entries);
-
-/// Visitor form of DecodeTriples: each decodable triple is handed to
-/// `visit` (by rvalue reference — take ownership with std::move) without
-/// materializing an intermediate vector. Return false to stop early.
-void VisitTriples(const std::vector<pgrid::Entry>& entries,
-                  FunctionRef<bool(Triple&&)> visit);
 
 }  // namespace triple
 }  // namespace unistore

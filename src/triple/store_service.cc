@@ -1,26 +1,53 @@
 #include "triple/store_service.h"
 
-#include <set>
+#include <algorithm>
+#include <string_view>
+#include <utility>
+
+#include "common/function_ref.h"
 
 namespace unistore {
 namespace triple {
 namespace {
 
-// Decodes `entries`, keeps the triples `keep` accepts, and dedupes by
-// Identity (first occurrence wins) — all in one pass, without the
-// intermediate decode/filter vectors of the old DecodeTriples +
-// DedupTriples pipeline.
+// An entry's id body (EntryIdBody: its triple's Identity bytes) and the
+// entry. Results dedupe on these views, sorted once: no re-encode of a
+// decoded triple and no set node per entry.
+using BodyOf = std::pair<std::string_view, const pgrid::Entry*>;
+
+void AppendBodies(const std::vector<pgrid::Entry>& entries,
+                  std::vector<BodyOf>* out) {
+  for (const pgrid::Entry& e : entries) {
+    auto body = EntryIdBody(e.id);
+    if (body.ok()) out->emplace_back(*body, &e);
+  }
+}
+
+// Decodes `entries`, keeps the triples `keep` accepts, and dedupes on the
+// id body (first occurrence wins). Copies of one triple carry one body,
+// so `keep` judges them alike and only first copies are decoded.
 std::vector<Triple> FilterDedupTriples(
     const std::vector<pgrid::Entry>& entries,
     FunctionRef<bool(const Triple&)> keep) {
+  std::vector<BodyOf> bodies;
+  bodies.reserve(entries.size());
+  AppendBodies(entries, &bodies);
+  // By body, then position: each run of equal bodies starts at its first
+  // copy.
+  std::sort(bodies.begin(), bodies.end());
+  std::vector<bool> repeat(entries.size());
+  for (size_t i = 1; i < bodies.size(); ++i) {
+    if (bodies[i].first == bodies[i - 1].first) {
+      repeat[static_cast<size_t>(bodies[i].second - entries.data())] = true;
+    }
+  }
   std::vector<Triple> out;
-  std::set<std::string> seen;
-  VisitTriples(entries, [&out, &seen, &keep](Triple&& t) {
-    if (!keep(t)) return true;
-    if (!seen.insert(t.Identity()).second) return true;
-    out.push_back(std::move(t));
-    return true;
-  });
+  out.reserve(bodies.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (repeat[i]) continue;
+    auto t = DecodeEntryTriple(entries[i].id);
+    if (t.ok() && keep(*t)) out.push_back(std::move(*t));
+  }
   return out;
 }
 
@@ -109,6 +136,38 @@ void TripleStore::GetByKeys(pgrid::KeySuffixes keys,
     KeyTriples out;
     for (const auto& [key, entries] : *result) {
       out.emplace(key, FilterDedupTriples(entries, keep_all));
+    }
+    callback(std::move(out));
+  });
+}
+
+void TripleStore::GetUnionByKeys(pgrid::KeySuffixes keys,
+                                 TriplesCallback callback) {
+  peer_->LookupBatch(std::move(keys), [callback](
+                               const Result<pgrid::LookupBatchResult>& result) {
+    if (!result.ok()) {
+      callback(result.status());
+      return;
+    }
+    size_t total = 0;
+    for (const auto& [key, entries] : *result) total += entries.size();
+    std::vector<BodyOf> bodies;
+    bodies.reserve(total);
+    for (const auto& [key, entries] : *result) AppendBodies(entries, &bodies);
+    auto by_body = [](const BodyOf& a, const BodyOf& b) {
+      return a.first < b.first;
+    };
+    auto same_body = [](const BodyOf& a, const BodyOf& b) {
+      return a.first == b.first;
+    };
+    std::sort(bodies.begin(), bodies.end(), by_body);
+    bodies.erase(std::unique(bodies.begin(), bodies.end(), same_body),
+                 bodies.end());
+    std::vector<Triple> out;
+    out.reserve(bodies.size());
+    for (const BodyOf& body : bodies) {
+      auto t = DecodeEntryTriple(body.second->id);
+      if (t.ok()) out.push_back(std::move(*t));
     }
     callback(std::move(out));
   });

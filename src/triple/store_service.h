@@ -107,6 +107,12 @@ class TripleStore {
   /// suffix set). The keys travel as one pgrid::Peer::LookupBatch walk.
   void GetByKeys(pgrid::KeySuffixes keys, KeyTriplesCallback callback);
 
+  /// The union of the triples GetByKeys finds under `keys`, each triple
+  /// once, in the order of its Triple::Identity() bytes. One key-set
+  /// lookup; the dedupe runs on the entry ids' bodies (EntryIdBody), so
+  /// only the distinct triples are decoded.
+  void GetUnionByKeys(pgrid::KeySuffixes keys, TriplesCallback callback);
+
   /// Every triple of an attribute (full attribute scan).
   void ScanAttribute(const std::string& attribute, RangeStrategy strategy,
                      TriplesCallback callback);

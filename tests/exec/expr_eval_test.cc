@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "exec/executor.h"
 #include "vql/parser.h"
 
@@ -130,6 +135,106 @@ TEST(BindingTest, RepeatedVariableMustAgree) {
       MatchPattern(p, "n1", "links", Value::String("n1"), {}).has_value());
   EXPECT_FALSE(
       MatchPattern(p, "n1", "links", Value::String("n2"), {}).has_value());
+}
+
+// Copy-then-unify: the definition MatchPattern must agree with.
+std::optional<Binding> ReferenceMatch(const vql::TriplePattern& pattern,
+                                      const std::string& oid,
+                                      const std::string& attribute,
+                                      const Value& value,
+                                      const Binding& base) {
+  Binding binding = base;
+  auto unify = [&binding](const vql::Term& term, const Value& actual) {
+    if (!term.is_variable) return term.literal == actual;
+    auto it = binding.find(term.variable);
+    if (it != binding.end()) return it->second == actual;
+    binding.emplace(term.variable, actual);
+    return true;
+  };
+  if (!unify(pattern.subject, Value::String(oid)) ||
+      !unify(pattern.predicate, Value::String(attribute)) ||
+      !unify(pattern.object, value)) {
+    return std::nullopt;
+  }
+  return binding;
+}
+
+// Equal bindings with equal value types: 1 and 1.0 compare equal but are
+// not the same binding.
+bool SameBinding(const Binding& a, const Binding& b) {
+  if (a.size() != b.size()) return false;
+  for (auto ia = a.begin(), ib = b.begin(); ia != a.end(); ++ia, ++ib) {
+    if (ia->first != ib->first || ia->second.type() != ib->second.type() ||
+        ia->second != ib->second) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(BindingTest, MatchPatternAgreesWithCopyThenUnify) {
+  // Few names and values, so literals hit, variables repeat across
+  // positions ((?x,?p,?x) and the like) and bases pre-bind them.
+  const std::vector<std::string> strings = {"a", "b"};
+  const std::vector<Value> values = {Value::String("a"), Value::String("b"),
+                                     Value::Int(1), Value::Real(1.0),
+                                     Value::Null()};
+  const std::vector<std::string> vars = {"x", "y", "p"};
+  Rng rng(2024);
+  auto pick_term = [&]() {
+    if (rng.NextBounded(2) == 0) {
+      return vql::Term::Var(vars[rng.NextBounded(vars.size())]);
+    }
+    return vql::Term::Lit(values[rng.NextBounded(values.size())]);
+  };
+  size_t matched = 0;
+  size_t repeated = 0;
+  size_t prebound = 0;
+  for (int round = 0; round < 20000; ++round) {
+    vql::TriplePattern p;
+    p.subject = pick_term();
+    p.predicate = pick_term();
+    p.object = pick_term();
+    Binding base;
+    for (const std::string& var : vars) {
+      if (rng.NextBounded(3) == 0) {
+        base.emplace(var, values[rng.NextBounded(values.size())]);
+      }
+    }
+    base.emplace("other", Value::Int(7));
+    const std::string& oid = strings[rng.NextBounded(strings.size())];
+    const std::string& attribute = strings[rng.NextBounded(strings.size())];
+    const Value& value = values[rng.NextBounded(values.size())];
+
+    const vql::Term* terms[] = {&p.subject, &p.predicate, &p.object};
+    for (int i = 0; i < 3; ++i) {
+      for (int j = i + 1; j < 3; ++j) {
+        if (terms[i]->is_variable && terms[j]->is_variable &&
+            terms[i]->variable == terms[j]->variable) {
+          if (base.count(terms[i]->variable) > 0) {
+            ++prebound;
+          } else {
+            ++repeated;
+          }
+        }
+      }
+    }
+
+    const auto want = ReferenceMatch(p, oid, attribute, value, base);
+    const auto got = MatchPattern(p, oid, attribute, value, base);
+    ASSERT_EQ(got.has_value(), want.has_value())
+        << p.ToString() << " on (" << oid << ", " << attribute << ", "
+        << value.ToDisplayString() << ") under " << BindingToString(base);
+    if (!want.has_value()) continue;
+    ++matched;
+    EXPECT_TRUE(SameBinding(*got, *want))
+        << BindingToString(*got) << " vs " << BindingToString(*want);
+  }
+  // The draw covers the cases that matter: matches, and variables that
+  // repeat free or pre-bound.
+  EXPECT_GT(matched, 1000u);
+  EXPECT_GT(repeated, 1000u);
+  EXPECT_GT(prebound, 1000u);
 }
 
 TEST(BindingTest, CodecRoundTrip) {

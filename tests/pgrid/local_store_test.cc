@@ -1040,15 +1040,98 @@ TEST(EntryCodecTest, StreamedEncodeIsByteIdentical) {
     // Streamed as a scan hands entries out: each view's id lives in a
     // buffer the next entry overwrites.
     BufferWriter streamed;
-    EntryListWriter list(entries.size(), &streamed, keyless);
-    std::string id;
-    for (const Entry& e : entries) {
-      id.assign(e.id);
-      EntryView view(e);
-      view.id = id;
-      list.Add(view);
-    }
+    EntryListWriter::Write(
+        &streamed, keyless, [&entries](EntryListWriter* list) {
+          std::string id;
+          for (const Entry& e : entries) {
+            id.assign(e.id);
+            EntryView view(e);
+            view.id = id;
+            list->Add(view);
+          }
+        });
     EXPECT_EQ(streamed.buffer(), materialized.buffer()) << keyless;
+  }
+}
+
+// A served list is encoded straight from the scan (DESIGN.md §6): the
+// writer's one id copy grows once, and patching in a two-byte count moves
+// the list inside the buffer. Nothing allocates per entry.
+TEST(EntryCodecTest, ServedListDoesNotAllocatePerEntry) {
+  LocalStore store(TinyEngine());
+  for (int i = 0; i < 300; ++i) {
+    std::string bits;
+    for (int b = 8; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
+    store.Apply(MakeEntry(bits, "a-long-entry-id-past-the-sso-" +
+                                    std::to_string(1000 + i)));
+  }
+  ASSERT_GE(store.run_count(), 1u);
+  BufferWriter w;
+  w.Reserve(64 * 1024);
+  size_t listed = 0;
+  const uint64_t allocs = CountCalls([&] {
+    EntryListWriter::Write(
+        &w, /*keyless=*/false, [&store, &listed](EntryListWriter* list) {
+          store.ScanAll([list, &listed](const EntryView& e) {
+            list->Add(e);
+            ++listed;
+            return true;
+          });
+        });
+  });
+  EXPECT_EQ(listed, 300u);
+  EXPECT_LE(allocs, 1u) << "the list writer must not allocate per entry";
+  BufferReader r(w.buffer());
+  auto back = DecodeEntries(&r);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, store.GetAll());
+}
+
+// The count is written last, over a one-byte placeholder: at every varint
+// width it must come out as PutVarint would have written it up front,
+// with the entries after it intact.
+TEST(EntryCodecTest, PatchedCountAtEveryVarintWidth) {
+  for (size_t n : {0, 1, 127, 128, 16383, 16384}) {
+    std::vector<Entry> entries;
+    entries.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      std::string bits;
+      for (int b = 15; b >= 0; --b) bits.push_back((i >> b) & 1 ? '1' : '0');
+      entries.push_back(MakeEntry(bits, "t" + std::to_string(i), i + 1,
+                                  i % 5 == 0));
+    }
+    for (bool keyless : {false, true}) {
+      SCOPED_TRACE(testing::Message() << n << " entries, keyless "
+                                      << keyless);
+      BufferWriter materialized;
+      EncodeEntries(entries, &materialized, keyless);
+      BufferWriter streamed;
+      BufferWriter count;
+      count.PutVarint(n);
+      streamed.PutRaw("head");
+      EntryListWriter::Write(
+          &streamed, keyless, [&entries](EntryListWriter* list) {
+            for (const Entry& e : entries) list->Add(EntryView(e));
+          });
+      streamed.PutRaw("tail");
+      const std::string& bytes = streamed.buffer();
+      ASSERT_GE(bytes.size(), 8 + count.size());
+      EXPECT_EQ(bytes.substr(0, 4), "head");
+      EXPECT_EQ(bytes.substr(4, count.size()), count.buffer());
+      EXPECT_EQ(bytes.substr(bytes.size() - 4), "tail");
+      EXPECT_EQ(bytes.substr(4, bytes.size() - 8), materialized.buffer());
+
+      BufferReader r(std::string_view(bytes).substr(4, bytes.size() - 8));
+      auto back = DecodeEntries(&r, keyless);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      EXPECT_TRUE(r.AtEnd());
+      ASSERT_EQ(back->size(), n);
+      for (size_t i = 0; i < n; ++i) {
+        Entry want = entries[i];
+        if (keyless) want.key = Key();
+        ASSERT_EQ((*back)[i], want) << i;
+      }
+    }
   }
 }
 

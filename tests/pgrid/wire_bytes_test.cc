@@ -154,6 +154,85 @@ TEST_F(WireBytesTest, RangeRepliesFrontCodeSortedEntries) {
       << sent << " bytes sent for " << uncoded << " bytes of entries";
 }
 
+// A served list counts its entries after writing them, widening the count
+// in place once it needs two varint bytes: lists of 128 or more entries
+// must still decode to what was stored.
+TEST_F(WireBytesTest, LongServedListsDecodeToTheStoredEntries) {
+  std::vector<Entry> under_key;
+  for (int i = 0; i < 300; ++i) {
+    Entry e;
+    e.key = OpHash("o#pub17");
+    e.id = "o#pub17#attr" + std::to_string(i);
+    e.version = 1 + static_cast<uint64_t>(i % 3);
+    under_key.push_back(std::move(e));
+  }
+  const std::vector<Entry> stored_key = Store(std::move(under_key));
+  const Key key = stored_key.front().key;
+  LookupBatchRequest lookup;
+  lookup.initiator = client_;
+  lookup.keys.push_back({0, key, {}});
+  const std::vector<net::Message> answers =
+      Ask(net::MessageType::kLookup, key, lookup.Encode());
+  ASSERT_EQ(answers.size(), 1u);
+  auto answer = LookupBatchReply::Decode(answers[0].payload);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  ASSERT_EQ(answer->answers.size(), 1u);
+  std::vector<Entry> got = answer->answers[0].entries;
+  for (Entry& e : got) e.key = key;
+  EXPECT_EQ(got, stored_key);
+
+  std::vector<Entry> in_range;
+  for (int i = 0; i < 200; ++i) {
+    Entry e;
+    const std::string value = std::to_string(1000 + i);
+    e.key = OpHash("a#year#" + value);
+    e.id = "a#pub" + std::to_string(i) + "#year#" + value;
+    in_range.push_back(std::move(e));
+  }
+  const std::vector<Entry> stored_range = Store(std::move(in_range));
+  for (const bool shower : {false, true}) {
+    SCOPED_TRACE(shower ? "shower" : "sequential");
+    const KeyRange range{stored_range.front().key, stored_range.back().key};
+    std::string payload;
+    if (shower) {
+      RangeShowerRequest req;
+      req.initiator = client_;
+      req.range = range;
+      payload = req.Encode();
+    } else {
+      RangeSeqRequest req;
+      req.initiator = client_;
+      req.range = range;
+      payload = req.Encode();
+    }
+    std::vector<Entry> scanned;
+    size_t longest = 0;
+    for (const net::Message& m :
+         Ask(shower ? net::MessageType::kRangeShower
+                    : net::MessageType::kRangeSeq,
+             range.lo, std::move(payload))) {
+      std::vector<Entry> entries;
+      if (shower) {
+        auto reply = RangeShowerReply::Decode(m.payload);
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        entries = std::move(reply->entries);
+      } else {
+        auto reply = RangeSeqReply::Decode(m.payload);
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        entries = std::move(reply->entries);
+      }
+      longest = std::max(longest, entries.size());
+      scanned.insert(scanned.end(), entries.begin(), entries.end());
+    }
+    std::sort(scanned.begin(), scanned.end(),
+              [](const Entry& a, const Entry& b) {
+                return a.key != b.key ? a.key < b.key : a.id < b.id;
+              });
+    EXPECT_EQ(scanned, stored_range);
+    EXPECT_GE(longest, 128u) << "no reply carried a two-byte count";
+  }
+}
+
 }  // namespace
 }  // namespace pgrid
 }  // namespace unistore

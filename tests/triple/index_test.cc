@@ -148,6 +148,35 @@ TEST(IndexTest, PostingIdDecodesToItsTriple) {
   }
 }
 
+// An id's body is the triple's identity under every kind, so reads
+// dedupe on the bytes that arrived.
+TEST(IndexTest, IdBodyIsTheIdentityForEveryKind) {
+  for (const Triple& t :
+       {ExampleTriple(), Triple("p1", "year", Value::Int(2006)),
+        Triple("", "", Value::Null()), Triple("o#", "a#", Value::Real(0.5))}) {
+    const std::string identity = t.Identity();
+    std::vector<std::string> ids;
+    for (const pgrid::Entry& e : EntriesForTriple(t, 1)) ids.push_back(e.id);
+    for (const std::string& gram :
+         std::vector<std::string>{"ICD", "", "\x02\x02I"}) {
+      ids.push_back(PostingId(gram, identity));
+    }
+    ASSERT_EQ(ids.size(), 6u);
+    std::string tags;
+    for (const std::string& id : ids) {
+      tags += id.substr(0, 2);
+      auto body = EntryIdBody(id);
+      ASSERT_TRUE(body.ok()) << body.status().ToString();
+      EXPECT_EQ(*body, identity) << id.substr(0, 2);
+    }
+    EXPECT_EQ(tags, "o#a#v#g#g#g#");
+  }
+  EXPECT_FALSE(EntryIdBody("x#abc").ok());
+  EXPECT_FALSE(EntryIdBody("o").ok());
+  // A posting whose gram runs past the id has no body.
+  EXPECT_FALSE(EntryIdBody(std::string("g#\x05" "ab")).ok());
+}
+
 }  // namespace
 }  // namespace triple
 }  // namespace unistore

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 
+#include "pgrid/ophash.h"
 #include "pgrid/overlay.h"
 
 namespace unistore {
@@ -51,9 +54,38 @@ class TripleStoreTest : public ::testing::Test {
     return std::move(*out);
   }
 
+  Status InsertEntriesSync(size_t via, std::vector<pgrid::Entry> entries) {
+    std::optional<Status> out;
+    stores_[via]->InsertEntries(std::move(entries),
+                                [&out](Status s) { out = std::move(s); });
+    overlay_->scheduler().RunUntil([&out] { return out.has_value(); });
+    return out.value_or(Status::Internal("drained"));
+  }
+
+  Result<TripleStore::KeyTriples> GetByKeysSync(size_t via,
+                                                pgrid::KeySuffixes keys) {
+    std::optional<Result<TripleStore::KeyTriples>> out;
+    stores_[via]->GetByKeys(std::move(keys),
+                            [&out](Result<TripleStore::KeyTriples> r) {
+                              out = std::move(r);
+                            });
+    overlay_->scheduler().RunUntil([&out] { return out.has_value(); });
+    if (!out.has_value()) return Status::Internal("drained");
+    return std::move(*out);
+  }
+
   std::unique_ptr<pgrid::Overlay> overlay_;
   std::vector<std::unique_ptr<TripleStore>> stores_;
 };
+
+// A q-gram posting: "g#", the gram, then the triple's identity.
+pgrid::Entry Posting(const pgrid::Key& key, const std::string& gram,
+                     const Triple& t) {
+  pgrid::Entry e;
+  e.key = key;
+  e.id = PostingId(gram, t.Identity());
+  return e;
+}
 
 TEST_F(TripleStoreTest, InsertAndGetByOid) {
   ASSERT_TRUE(InsertSync(0, Triple("p1", "name", Value::String("alice"))).ok());
@@ -204,6 +236,77 @@ TEST_F(TripleStoreTest, ScanAllSeesEveryTriple) {
   });
   ASSERT_TRUE(triples.ok());
   EXPECT_EQ(triples->size(), 8u);
+}
+
+// Postings of one triple under two grams whose keys coincide: reads dedupe
+// on the ids' bodies, which are equal, not on the whole ids, which are not.
+TEST_F(TripleStoreTest, TwoPostingsOfOneTripleUnderOneKeyComeBackOnce) {
+  const Triple t("p1", "title", Value::String("abcd"));
+  const Triple other("p2", "title", Value::String("abce"));
+  const pgrid::Key key = pgrid::OpHash("g#title#ab");
+  ASSERT_TRUE(InsertEntriesSync(0, {Posting(key, "abc", t),
+                                    Posting(key, "bcd", t),
+                                    Posting(key, "abc", other)})
+                  .ok());
+
+  auto by_key = GetByKeysSync(3, {{key, {}}});
+  ASSERT_TRUE(by_key.ok()) << by_key.status().ToString();
+  ASSERT_EQ(by_key->size(), 1u);
+  const std::vector<Triple>& found = by_key->begin()->second;
+  EXPECT_EQ(found.size(), 2u);
+  EXPECT_EQ(std::count(found.begin(), found.end(), t), 1);
+  EXPECT_EQ(std::count(found.begin(), found.end(), other), 1);
+
+  auto united = Collect([this, &key](TripleStore::TriplesCallback cb) {
+    stores_[3]->GetUnionByKeys({{key, {}}}, std::move(cb));
+  });
+  ASSERT_TRUE(united.ok()) << united.status().ToString();
+  EXPECT_EQ(*united, (std::vector<Triple>{t, other}));
+}
+
+// The union over several keys holds each triple once, in the order of
+// its identity bytes: the order a map from identity to triple over the
+// keys' GetByKeys answers gives.
+TEST_F(TripleStoreTest, UnionByKeysIsTheIdentityOrderedUnion) {
+  std::vector<pgrid::Key> keys;
+  for (const char* gram : {"g#t#aa", "g#t#mm", "g#t#zz", "g#t#empty"}) {
+    keys.push_back(pgrid::OpHash(gram));
+  }
+  std::vector<pgrid::Entry> postings;
+  for (int i = 0; i < 30; ++i) {
+    // Identities order by OID length, then bytes: not insertion order.
+    const Triple t("o" + std::to_string((i * 7) % 30), "t",
+                   Value::String("v" + std::to_string(i)));
+    postings.push_back(Posting(keys[static_cast<size_t>(i % 3)], "g1", t));
+    if (i % 4 == 0) {
+      postings.push_back(Posting(keys[static_cast<size_t>((i + 1) % 3)],
+                                 "g2", t));
+    }
+  }
+  // Not a triple id: dropped by both reads.
+  pgrid::Entry foreign;
+  foreign.key = keys[0];
+  foreign.id = "x#not-a-triple";
+  postings.push_back(foreign);
+  ASSERT_TRUE(InsertEntriesSync(0, postings).ok());
+
+  pgrid::KeySuffixes asked;
+  for (const pgrid::Key& key : keys) asked[key];
+  auto by_key = GetByKeysSync(5, asked);
+  ASSERT_TRUE(by_key.ok()) << by_key.status().ToString();
+  std::map<std::string, Triple> reference;
+  for (const auto& [key, triples] : *by_key) {
+    for (const Triple& t : triples) reference.emplace(t.Identity(), t);
+  }
+  std::vector<Triple> want;
+  for (const auto& [identity, t] : reference) want.push_back(t);
+  ASSERT_EQ(want.size(), 30u);
+
+  auto united = Collect([this, &asked](TripleStore::TriplesCallback cb) {
+    stores_[5]->GetUnionByKeys(asked, std::move(cb));
+  });
+  ASSERT_TRUE(united.ok()) << united.status().ToString();
+  EXPECT_EQ(*united, want);
 }
 
 }  // namespace
