@@ -193,7 +193,7 @@ DiskRunWriter::DiskRunWriter(Env* env, std::string path, size_t block_bytes,
   offset_ = kRunHeaderBytes;
 }
 
-void DiskRunWriter::Add(const EntryView& e) {
+void DiskRunWriter::Add(const EntryView& e, uint64_t slot_hash) {
   if (!status_.ok()) return;
   if (!block_.empty() && block_.size() >= block_bytes_) {
     FlushBlock();
@@ -206,7 +206,7 @@ void DiskRunWriter::Add(const EntryView& e) {
     prev_key_ = Key();
   }
   run_format::AppendRecord(&block_, prev_key_, e);
-  filter_.Add(SlotHash(e.key, e.id));
+  filter_.Add(slot_hash);
   prev_key_ = e.key;
   ++count_;
 }
@@ -723,13 +723,17 @@ Status DiskBackend::AppendManifest(const storage::manifest::Record& record) {
   return manifest_->Sync();
 }
 
-Status DiskBackend::WriteRunFile(const std::vector<Entry>& entries,
+Status DiskBackend::WriteRunFile(const RunInput& entries,
                                  uint64_t file_number,
-                                 std::shared_ptr<storage::DiskRun>* out) {
+                                 std::shared_ptr<storage::DiskRun>* out,
+                                 RunStats* stats) {
   const std::string path = PathOf(RunFileName(file_number));
   DiskRunWriter writer(env_, path, options_.block_bytes, entries.size());
-  for (const Entry& e : entries) writer.Add(EntryView(e));
+  entries.ForEachHashed(
+      [&writer](const EntryView& e, uint64_t hash) { writer.Add(e, hash); });
   UNISTORE_RETURN_IF_ERROR(writer.Finish());
+  stats->entries = static_cast<size_t>(writer.entry_count());
+  stats->bytes = writer.approx_bytes();
   UNISTORE_ASSIGN_OR_RETURN(std::unique_ptr<storage::RandomAccessFile> file,
                             env_->NewRandomAccessFile(path));
   *out = std::make_shared<DiskRun>(
@@ -830,12 +834,14 @@ void DiskBackend::DeleteRunFile(uint64_t file_number) {
   }
 }
 
-Status DiskBackend::AppendRun(std::vector<Entry> entries, RunOrigin origin) {
+Status DiskBackend::AppendRun(const RunInput& entries, RunOrigin origin,
+                              RunStats* stats) {
+  *stats = RunStats{};
   if (!io_status_.ok()) return io_status_;
-  if (entries.empty()) return Status::OK();
+  if (entries.size() == 0) return Status::OK();
   const uint64_t fn = next_file_number_++;
   std::shared_ptr<DiskRun> run;
-  Status st = WriteRunFile(entries, fn, &run);
+  Status st = WriteRunFile(entries, fn, &run, stats);
   if (st.ok()) {
     // Durability barrier: the operation is acknowledged only once the
     // manifest record referencing the (already synced) run file is
@@ -860,8 +866,8 @@ Status DiskBackend::AppendRun(std::vector<Entry> entries, RunOrigin origin) {
   return Status::OK();
 }
 
-Status DiskBackend::MergeRuns(size_t first, size_t n, MergeStats* stats) {
-  *stats = MergeStats{};
+Status DiskBackend::MergeRuns(size_t first, size_t n, RunStats* stats) {
+  *stats = RunStats{};
   if (!io_status_.ok()) return io_status_;
   if (n < 2) return Status::OK();
   if (first + n > runs_.size() || n > kMaxMergeFanIn) {
@@ -926,13 +932,14 @@ Status DiskBackend::MergeRuns(size_t first, size_t n, MergeStats* stats) {
   return Status::OK();
 }
 
-Status DiskBackend::ResetTo(std::vector<Entry> entries) {
+Status DiskBackend::ResetTo(const RunInput& entries) {
   if (!io_status_.ok()) return io_status_;
   std::shared_ptr<DiskRun> run;
   Status st;
-  if (!entries.empty()) {
+  if (entries.size() > 0) {
     const uint64_t fn = next_file_number_++;
-    st = WriteRunFile(entries, fn, &run);
+    RunStats written;
+    st = WriteRunFile(entries, fn, &run, &written);
   }
   if (st.ok()) {
     manifest::Record snapshot;

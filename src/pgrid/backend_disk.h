@@ -241,7 +241,10 @@ class DiskRunWriter {
   DiskRunWriter(Env* env, std::string path, size_t block_bytes,
                 size_t expected_entries);
 
-  void Add(const EntryView& e);  // Slots must arrive in increasing order.
+  /// Slots must arrive in increasing order. `slot_hash` is
+  /// SlotHash(e.key, e.id), for a caller that holds it already.
+  void Add(const EntryView& e, uint64_t slot_hash);
+  void Add(const EntryView& e) { Add(e, SlotHash(e.key, e.id)); }
 
   /// Flushes the last block, writes index + tail, syncs, closes.
   Status Finish();

@@ -1,7 +1,6 @@
 #include "pgrid/local_store.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.h"
 #include "pgrid/run_merge.h"
@@ -22,10 +21,8 @@ static_assert(LocalStoreOptions::kMaxRuns + 1 <= 16,
 // Sorts by slot; on slot ties the higher version first and on full ties
 // the original batch position first, so a first-wins dedup pass keeps
 // exactly the entry sequential Apply calls would have kept. Sorts an
-// index of (first key word, batch position) records with a stable LSD
-// radix sort on the word — one byte per pass over only the bytes that
-// vary across the batch — then orders each group of equal words by the
-// full slot comparison, and permutes the heavy Entry objects once at the
+// index of (first key word, batch position) records by the word radix of
+// SortByFirstKeyWord, and permutes the heavy Entry objects once at the
 // end.
 void SortBatchBySlot(std::vector<Entry>* entries) {
   struct IndexKey {
@@ -36,63 +33,23 @@ void SortBatchBySlot(std::vector<Entry>* entries) {
   const size_t n = e.size();
   if (n < 2) return;
   std::vector<IndexKey> order(n);
-  uint64_t any = 0;
-  uint64_t all = ~uint64_t{0};
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t w = e[i].key.word(0);
-    order[i] = {w, static_cast<uint32_t>(i)};
-    any |= w;
-    all &= w;
-  }
-  // A byte every word shares sorts nothing: its counter row is neither
-  // zeroed nor filled (a peer's keys share its path).
-  const uint64_t varying = any ^ all;
-  size_t digits[8];
-  size_t n_digits = 0;
-  for (size_t d = 0; d < 8; ++d) {
-    if (((varying >> (8 * d)) & 0xFF) != 0) digits[n_digits++] = d;
-  }
-  size_t counts[8][256];
-  for (size_t k = 0; k < n_digits; ++k) {
-    std::memset(counts[digits[k]], 0, sizeof(counts[0]));
-  }
-  for (const IndexKey& key : order) {
-    for (size_t k = 0; k < n_digits; ++k) {
-      const size_t d = digits[k];
-      ++counts[d][(key.first_word >> (8 * d)) & 0xFF];
-    }
+    order[i] = {e[i].key.word(0), static_cast<uint32_t>(i)};
   }
   std::vector<IndexKey> scratch(n);
-  for (size_t k = 0; k < n_digits; ++k) {
-    const size_t d = digits[k];
-    size_t* count = counts[d];
-    size_t at = 0;
-    for (size_t b = 0; b < 256; ++b) {
-      const size_t c = count[b];
-      count[b] = at;
-      at += c;
-    }
-    for (const IndexKey& key : order) {
-      scratch[count[(key.first_word >> (8 * d)) & 0xFF]++] = key;
-    }
-    order.swap(scratch);
-  }
-  for (size_t lo = 0; lo < n;) {
-    size_t hi = lo + 1;
-    while (hi < n && order[hi].first_word == order[lo].first_word) ++hi;
-    std::sort(order.begin() + lo, order.begin() + hi,
-              [&e](const IndexKey& a, const IndexKey& b) {
-                const Entry& ea = e[a.index];
-                const Entry& eb = e[b.index];
-                const int c = ea.key.Compare(eb.key);
-                if (c != 0) return c < 0;
-                const int ic = ea.id.compare(eb.id);
-                if (ic != 0) return ic < 0;
-                if (ea.version != eb.version) return ea.version > eb.version;
-                return a.index < b.index;  // Stability for exact ties.
-              });
-    lo = hi;
-  }
+  SortByFirstKeyWord(
+      order.data(), scratch.data(), n,
+      [](const IndexKey& k) { return k.first_word; },
+      [&e](const IndexKey& a, const IndexKey& b) {
+        const Entry& ea = e[a.index];
+        const Entry& eb = e[b.index];
+        const int c = ea.key.Compare(eb.key);
+        if (c != 0) return c < 0;
+        const int ic = ea.id.compare(eb.id);
+        if (ic != 0) return ic < 0;
+        if (ea.version != eb.version) return ea.version > eb.version;
+        return a.index < b.index;  // Stability for exact ties.
+      });
   std::vector<Entry> sorted;
   sorted.reserve(n);
   for (const IndexKey& k : order) {
@@ -172,8 +129,11 @@ LocalStore::LocalStore(const LocalStoreOptions& options) {
   if (backend_->run_count() > 0) RecountFromBackend();
   // Writes a disk store acknowledged from its memtable come back from
   // the log, in log order, under the upsert rule.
-  for (Entry& e : backend_->TakeLoggedWrites()) {
-    if (Admit(e, FindLatest(e.key, e.id))) PutInMemtable(std::move(e));
+  for (const Entry& e : backend_->TakeLoggedWrites()) {
+    const SlotProbe probe(e.key, e.id);
+    if (Admit(e, FindLatest(probe))) {
+      memtable_.Put(probe, e.version, e.deleted);
+    }
   }
 }
 
@@ -210,21 +170,10 @@ void LocalStore::RecountFromBackend() {
   live_count_ = live;
 }
 
-LocalStore::SlotInfo LocalStore::FindLatest(const Key& key,
-                                            std::string_view id,
-                                            Memtable::iterator* at) {
+LocalStore::SlotInfo LocalStore::FindLatest(const SlotProbe& probe) const {
   SlotInfo info;
-  const SlotRef ref{key, id};
-  auto it = memtable_.lower_bound(ref);
-  if (at != nullptr) *at = it;
-  if (it != memtable_.end() && !SlotLess()(ref, it->first)) {
-    info.found = true;
-    info.version = it->second.version;
-    info.deleted = it->second.deleted;
-    return info;
-  }
-  info.found = backend_->FindSlot(SlotProbe(key, id), &info.version,
-                                  &info.deleted);
+  info.found = memtable_.Find(probe, &info.version, &info.deleted) ||
+               backend_->FindSlot(probe, &info.version, &info.deleted);
   return info;
 }
 
@@ -244,27 +193,12 @@ bool LocalStore::Admit(const Entry& e, const SlotInfo& cur) {
 
 bool LocalStore::Apply(const Entry& entry) {
   if (!io_status_.ok()) return false;  // Wedged: mutations no-op.
-  // One memtable descent serves the probe and the insert.
-  Memtable::iterator at;
-  if (!Admit(entry, FindLatest(entry.key, entry.id, &at))) return false;
-  PutInMemtable(entry, at);
+  // One slot hash serves the memtable probe, the run filters and the put.
+  const SlotProbe probe(entry.key, entry.id);
+  if (!Admit(entry, FindLatest(probe))) return false;
+  memtable_.Put(probe, entry.version, entry.deleted);
   MaybeFlush();
   return true;
-}
-
-void LocalStore::PutInMemtable(Entry entry) {
-  const auto at = memtable_.lower_bound(SlotRef{entry.key, entry.id});
-  PutInMemtable(std::move(entry), at);
-}
-
-void LocalStore::PutInMemtable(Entry entry, Memtable::iterator at) {
-  const MemSlot slot{entry.version, entry.deleted};
-  if (at != memtable_.end() &&
-      !SlotLess()(SlotRef{entry.key, entry.id}, at->first)) {
-    at->second = slot;
-    return;
-  }
-  memtable_.emplace_hint(at, SlotKey(entry.key, std::move(entry.id)), slot);
 }
 
 size_t LocalStore::SortAndProbe(std::vector<Entry>* batch,
@@ -285,7 +219,7 @@ size_t LocalStore::SortAndProbe(std::vector<Entry>* batch,
   std::vector<Entry> updates;
   for (size_t i = 0; i < entries.size(); ++i) {
     Entry& e = entries[i];
-    const SlotInfo cur = FindLatest(e.key, e.id);
+    const SlotInfo cur = FindLatest(SlotProbe(e.key, e.id));
     if (!Admit(e, cur)) continue;
     if (!cur.found) {
       if (fresh != i) entries[fresh] = std::move(e);
@@ -316,9 +250,10 @@ size_t LocalStore::Write(std::vector<Entry> entries,
     Wedge(logged);
     return changed;
   }
-  for (size_t i = first; i < changed; ++i) {
-    PutInMemtable(std::move(entries[i]));
-  }
+  size_t id_bytes = 0;
+  for (size_t i = first; i < changed; ++i) id_bytes += entries[i].id.size();
+  memtable_.Reserve(changed - first, id_bytes);
+  for (size_t i = first; i < changed; ++i) PutInMemtable(entries[i]);
   MaybeFlush();
   StoreFreshAsRun(std::move(entries), first);
   return changed;
@@ -332,42 +267,47 @@ size_t LocalStore::BulkLoad(std::vector<Entry> entries,
   // Known slots keep exact versioned-upsert semantics through the
   // memtable, which flushes whenever it fills.
   for (size_t i = fresh; i < changed; ++i) {
-    PutInMemtable(std::move(entries[i]));
+    PutInMemtable(entries[i]);
     MaybeFlush();
   }
   StoreFreshAsRun(std::move(entries), fresh);
   return changed;
 }
 
+void LocalStore::PutInMemtable(const Entry& e) {
+  memtable_.Put(SlotProbe(e.key, e.id), e.version, e.deleted);
+}
+
 void LocalStore::StoreFreshAsRun(std::vector<Entry> entries, size_t count) {
-  entries.resize(count);
-  if (entries.empty()) return;
-  AppendRun(std::move(entries), static_cast<uint8_t>(RunOrigin::kBulkLoad));
+  if (count == 0) return;
+  AppendRun(EntryRunInput(entries.data(), count),
+            static_cast<uint8_t>(RunOrigin::kBulkLoad));
+  // The batch is in the run now: free it before a merge allocates.
+  std::vector<Entry>().swap(entries);
   MaybeCompact();
 }
 
 bool LocalStore::ScanMerged(const Key& lo, ScanBound bound,
                             const Key& bound_key, bool include_tombstones,
                             EntryVisitor visit) const {
-  // One source: the memtable, iterated in slot order with views built on
-  // demand (the map stores slots, not views).
+  // One source: the memtable, iterated by position in its slot order with
+  // views built on demand (it stores slots, not views).
   struct Source {
-    bool is_memtable = false;
-    Memtable::const_iterator mem_pos;
-    Memtable::const_iterator mem_end;
+    const Memtable* memtable = nullptr;
+    size_t mem_pos = 0;
     EntryView mem_view;
     RunCursor run;
 
     const EntryView* head() {
-      if (is_memtable) {
-        if (mem_pos == mem_end) return nullptr;
-        mem_view = ViewOf(*mem_pos);
+      if (memtable != nullptr) {
+        if (mem_pos == memtable->size()) return nullptr;
+        mem_view = memtable->ViewAt(mem_pos);
         return &mem_view;
       }
       return run.valid() ? &run.view() : nullptr;
     }
     void Advance() {
-      if (is_memtable) {
+      if (memtable != nullptr) {
         ++mem_pos;
       } else {
         run.Advance();
@@ -384,9 +324,8 @@ bool LocalStore::ScanMerged(const Key& lo, ScanBound bound,
   size_t n = 0;
 
   Source& mem = cursors[n++];
-  mem.is_memtable = true;
-  mem.mem_pos = memtable_.lower_bound(lo);
-  mem.mem_end = memtable_.end();
+  mem.memtable = &memtable_;
+  mem.mem_pos = memtable_.Seek(lo);
 
   const size_t run_count = backend_->run_count();
   for (size_t i = 0; i < run_count; ++i) {
@@ -495,10 +434,9 @@ bool LocalStore::ScanRunById(uint64_t run_id, uint64_t start_entry,
 
 bool LocalStore::ScanMemtableFrom(uint64_t start_entry,
                                   EntryVisitor visit) const {
-  uint64_t i = 0;
-  for (const Memtable::value_type& node : memtable_) {
-    if (i++ < start_entry) continue;
-    if (!visit(ViewOf(node))) break;
+  memtable_.Seek(Key());  // Puts the slots in order.
+  for (uint64_t i = start_entry; i < memtable_.size(); ++i) {
+    if (!visit(memtable_.ViewAt(i))) break;
   }
   return true;
 }
@@ -567,26 +505,19 @@ std::vector<Entry> LocalStore::ExtractNotMatching(const Key& path) {
 
 void LocalStore::Clear() {
   if (!io_status_.ok()) return;  // Wedged: mutations no-op.
-  const Status s = backend_->ResetTo({});
+  const Status s = backend_->ResetTo(EntryRunInput(nullptr, 0));
   if (!s.ok()) {
     Wedge(s);
     return;
   }
-  memtable_.clear();
+  memtable_.Clear();
   live_count_ = 0;
   slot_count_ = 0;
   stats_ = LocalStoreWriteStats{};
 }
 
 size_t LocalStore::resident_bytes() const {
-  // Rough std::map node footprint per memtable slot (three pointers and
-  // the color, the SlotKey and its id bytes, the version and flag).
-  size_t bytes = 0;
-  for (const Memtable::value_type& node : memtable_) {
-    bytes += sizeof(Memtable::value_type) + node.first.second.size() +
-             4 * sizeof(void*);
-  }
-  return bytes + backend_->resident_bytes();
+  return memtable_.resident_bytes() + backend_->resident_bytes();
 }
 
 void LocalStore::MaybeFlush() {
@@ -596,17 +527,9 @@ void LocalStore::MaybeFlush() {
 void LocalStore::Flush() {
   if (!io_status_.ok()) return;
   if (!memtable_.empty()) {
-    std::vector<Entry> entries;
-    entries.reserve(memtable_.size());
-    while (!memtable_.empty()) {
-      auto node = memtable_.extract(memtable_.begin());
-      Entry& e = entries.emplace_back();
-      e.key = node.key().first;
-      e.id = std::move(node.key().second);
-      e.version = node.mapped().version;
-      e.deleted = node.mapped().deleted;
-    }
-    AppendRun(std::move(entries), static_cast<uint8_t>(RunOrigin::kFlush));
+    // The memtable's ordered slots stream into the run builder.
+    AppendRun(memtable_, static_cast<uint8_t>(RunOrigin::kFlush));
+    memtable_.Clear();
   }
   MaybeCompact();
 }
@@ -645,7 +568,7 @@ void LocalStore::MaybeCompact() {
 
 void LocalStore::MergeRuns(size_t first, size_t n) {
   if (n < 2 || !io_status_.ok()) return;
-  MergeStats merged;
+  RunStats merged;
   const Status s = backend_->MergeRuns(first, n, &merged);
   if (!s.ok()) {
     Wedge(s);
@@ -656,13 +579,11 @@ void LocalStore::MergeRuns(size_t first, size_t n) {
   stats_.compacted_bytes += merged.bytes;
 }
 
-void LocalStore::AppendRun(std::vector<Entry> entries, uint8_t origin_raw) {
-  if (entries.empty() || !io_status_.ok()) return;
+void LocalStore::AppendRun(const RunInput& entries, uint8_t origin_raw) {
+  if (entries.size() == 0 || !io_status_.ok()) return;
   const auto origin = static_cast<RunOrigin>(origin_raw);
-  size_t bytes = 0;
-  for (const Entry& e : entries) bytes += ApproxEntryBytes(e);
-  const size_t count = entries.size();
-  const Status s = backend_->AppendRun(std::move(entries), origin);
+  RunStats written;
+  const Status s = backend_->AppendRun(entries, origin, &written);
   if (!s.ok()) {
     // The entries are lost from the run set; the wedge keeps the store
     // from diverging further. A durable backend recovers the last
@@ -672,17 +593,17 @@ void LocalStore::AppendRun(std::vector<Entry> entries, uint8_t origin_raw) {
   }
   switch (origin) {
     case RunOrigin::kFlush:
-      stats_.flushed_entries += count;
-      stats_.flushed_bytes += bytes;
+      stats_.flushed_entries += written.entries;
+      stats_.flushed_bytes += written.bytes;
       break;
     case RunOrigin::kBulkLoad:
-      stats_.bulk_loaded_entries += count;
-      stats_.bulk_loaded_bytes += bytes;
+      stats_.bulk_loaded_entries += written.entries;
+      stats_.bulk_loaded_bytes += written.bytes;
       break;
     case RunOrigin::kCompaction:
     case RunOrigin::kRebuild:
-      stats_.compacted_entries += count;
-      stats_.compacted_bytes += bytes;
+      stats_.compacted_entries += written.entries;
+      stats_.compacted_bytes += written.bytes;
       break;
   }
 }
@@ -696,12 +617,12 @@ void LocalStore::RebuildFrom(std::vector<Entry> all_slots) {
     bytes += ApproxEntryBytes(e);
   }
   const size_t slots = all_slots.size();
-  const Status s = backend_->ResetTo(std::move(all_slots));
+  const Status s = backend_->ResetTo(EntryRunInput(all_slots));
   if (!s.ok()) {
     Wedge(s);
     return;
   }
-  memtable_.clear();
+  memtable_.Clear();
   slot_count_ = slots;
   live_count_ = live;
   if (slots > 0) {

@@ -3,17 +3,15 @@
 #define UNISTORE_PGRID_LOCAL_STORE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/function_ref.h"
 #include "common/status.h"
 #include "pgrid/entry.h"
 #include "pgrid/key.h"
+#include "pgrid/memtable.h"
 #include "pgrid/run_summary.h"
 
 namespace unistore {
@@ -282,9 +280,10 @@ class LocalStore {
   /// The run-set engine (tests; e.g. downcast to MemoryBackend).
   const StorageBackend& backend() const { return *backend_; }
 
-  /// Approximate resident footprint of memtable + runs in bytes
-  /// (LocalStoreCompressionTest checks the prefix-compression savings on
-  /// this).
+  /// Approximate resident footprint of memtable + runs in bytes: the
+  /// memtable's buffers at their capacity, the runs' arenas, indexes and
+  /// filters (LocalStoreCompressionTest checks the prefix-compression
+  /// savings on this). O(runs).
   size_t resident_bytes() const;
 
   /// Cumulative write-path accounting since construction/Clear.
@@ -297,63 +296,13 @@ class LocalStore {
   void Compact();
 
  private:
-  // A slot is one logical datum: the (key, entry id) pair.
-  using SlotKey = std::pair<Key, std::string>;
-
-  // Borrowed full-slot probe key (allocation-free memtable lookups).
-  struct SlotRef {
-    const Key& key;
-    std::string_view id;
-  };
-
-  // Transparent comparator: the Key overloads compare against the key
-  // only, so scans can position at a range's lower bound without
-  // materializing a SlotKey; the SlotRef overloads compare whole slots so
-  // point probes (FindLatest, BulkLoad) skip the SlotKey materialization.
-  struct SlotLess {
-    using is_transparent = void;
-    bool operator()(const SlotKey& a, const SlotKey& b) const {
-      return a < b;
-    }
-    bool operator()(const SlotKey& a, const Key& lo) const {
-      return a.first < lo;
-    }
-    bool operator()(const Key& lo, const SlotKey& a) const {
-      return lo < a.first;
-    }
-    bool operator()(const SlotKey& a, const SlotRef& b) const {
-      const int c = a.first.Compare(b.key);
-      return c != 0 ? c < 0 : std::string_view(a.second) < b.id;
-    }
-    bool operator()(const SlotRef& b, const SlotKey& a) const {
-      const int c = b.key.Compare(a.first);
-      return c != 0 ? c < 0 : b.id < std::string_view(a.second);
-    }
-  };
-  // The memtable holds each slot once: the key and id live in the map key.
-  struct MemSlot {
-    uint64_t version = 0;
-    bool deleted = false;
-  };
-  using Memtable = std::map<SlotKey, MemSlot, SlotLess>;
-  static EntryView ViewOf(const Memtable::value_type& node) {
-    EntryView v;
-    v.key = node.first.first;
-    v.id = node.first.second;
-    v.version = node.second.version;
-    v.deleted = node.second.deleted;
-    return v;
-  }
-
-  // Newest occurrence of the slot across memtable + runs. `*at`, when
-  // given, is the slot's lower bound in the memtable.
+  // Newest occurrence of the slot across memtable + runs.
   struct SlotInfo {
     bool found = false;
     uint64_t version = 0;
     bool deleted = false;
   };
-  SlotInfo FindLatest(const Key& key, std::string_view id,
-                      Memtable::iterator* at = nullptr);
+  SlotInfo FindLatest(const SlotProbe& probe) const;
 
   // Whether `e` changes a slot whose newest occurrence is `cur`; if so,
   // counts it into the slot/live totals and the ingest stats.
@@ -368,10 +317,8 @@ class LocalStore {
   // Returns `fresh`.
   size_t SortAndProbe(std::vector<Entry>* entries,
                       std::vector<Entry>* changed_out);
-  // Memtable upsert of an entry whose slot and live counts are done;
-  // `at` is the slot's lower bound.
-  void PutInMemtable(Entry entry);
-  void PutInMemtable(Entry entry, Memtable::iterator at);
+  // Memtable upsert of an entry whose slot and live counts are done.
+  void PutInMemtable(const Entry& entry);
   // Stores entries[0, count), fresh slots from SortAndProbe, as one run.
   void StoreFreshAsRun(std::vector<Entry> entries, size_t count);
 
@@ -398,7 +345,7 @@ class LocalStore {
   void MergeRuns(size_t first, size_t n);
   // Hands sorted+deduped entries to the backend as a new run, counting
   // `origin` stats; wedges on failure.
-  void AppendRun(std::vector<Entry> entries, uint8_t origin);
+  void AppendRun(const RunInput& entries, uint8_t origin);
   void RebuildFrom(std::vector<Entry> all_slots);  // Sorted, deduped.
 
   // Records a backend failure, wedging the store.

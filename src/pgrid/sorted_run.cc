@@ -9,20 +9,23 @@ namespace pgrid {
 
 using run_format::ReadVarint;
 
-SortedRun SortedRun::Build(std::vector<Entry> entries,
-                           size_t restart_interval) {
+SortedRun SortedRun::Build(const RunInput& input, size_t restart_interval,
+                           size_t* approx_bytes) {
   // The arena's exact size, by Builder::Add's restart rule, so Finish
   // never copies the arena to drop slack.
   const size_t interval = std::max<size_t>(1, restart_interval);
   size_t bytes = 0;
+  size_t i = 0;
   Key prev_key;
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (i % interval == 0) prev_key = Key();
-    bytes += run_format::RecordSize(prev_key, EntryView(entries[i]));
-    prev_key = entries[i].key;
-  }
-  Builder builder(entries.size(), bytes, restart_interval);
-  for (const Entry& e : entries) builder.Add(EntryView(e));
+  input.ForEach([&](const EntryView& e) {
+    if (i++ % interval == 0) prev_key = Key();
+    bytes += run_format::RecordSize(prev_key, e);
+    prev_key = e.key;
+  });
+  Builder builder(input.size(), bytes, restart_interval);
+  input.ForEachHashed(
+      [&builder](const EntryView& e, uint64_t hash) { builder.Add(e, hash); });
+  if (approx_bytes != nullptr) *approx_bytes = builder.approx_bytes();
   return builder.Finish();
 }
 
@@ -35,14 +38,16 @@ SortedRun::Builder::Builder(size_t expected_entries, size_t expected_bytes,
   run_.filter_ = SlotFilter(expected_entries);
 }
 
-void SortedRun::Builder::Add(const EntryView& e) {
+void SortedRun::Builder::Add(const EntryView& e, uint64_t slot_hash) {
   approx_bytes_ += ApproxEntryBytes(e);
-  if (index_ % run_.restart_interval_ == 0) {
+  if (until_restart_ == 0) {
     run_.restarts_.push_back(static_cast<uint32_t>(run_.arena_.size()));
     prev_key_ = Key();  // A restart shares nothing.
+    until_restart_ = run_.restart_interval_;
   }
+  --until_restart_;
   run_format::AppendRecord(&run_.arena_, prev_key_, e);
-  run_.filter_.Add(SlotHash(e.key, e.id));
+  run_.filter_.Add(slot_hash);
   prev_key_ = e.key;
   ++index_;
 }

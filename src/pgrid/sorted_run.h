@@ -11,6 +11,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "pgrid/entry.h"
 #include "pgrid/key.h"
 #include "pgrid/slot_filter.h"
@@ -154,6 +155,50 @@ inline void DecodeRecord(std::string_view bytes, size_t* pos,
 
 }  // namespace run_format
 
+/// \brief Sorted, deduplicated entries on their way into one run.
+///
+/// A flush hands over the memtable's slots and a bulk load a probed
+/// batch's fresh entries, both as views, so neither is copied into Entry
+/// objects on the way. ForEachHashed adds each entry's SlotHash for the
+/// run's slot filter; the memtable holds it already, so a flushed slot is
+/// not hashed again.
+class RunInput {
+ public:
+  using Sink = FunctionRef<void(const EntryView& e)>;
+  using HashedSink = FunctionRef<void(const EntryView& e, uint64_t slot_hash)>;
+
+  virtual ~RunInput() = default;
+  virtual size_t size() const = 0;
+  /// Calls `sink` once per entry, in slot order; callable repeatedly.
+  virtual void ForEach(Sink sink) const = 0;
+  /// As ForEach, with SlotHash(e.key, e.id).
+  virtual void ForEachHashed(HashedSink sink) const = 0;
+};
+
+/// Entries [0, count) of an array sorted by slot and deduplicated.
+class EntryRunInput final : public RunInput {
+ public:
+  EntryRunInput(const Entry* entries, size_t count)
+      : entries_(entries), count_(count) {}
+  explicit EntryRunInput(const std::vector<Entry>& entries)
+      : EntryRunInput(entries.data(), entries.size()) {}
+
+  size_t size() const override { return count_; }
+  void ForEach(Sink sink) const override {
+    for (size_t i = 0; i < count_; ++i) sink(EntryView(entries_[i]));
+  }
+  void ForEachHashed(HashedSink sink) const override {
+    for (size_t i = 0; i < count_; ++i) {
+      const Entry& e = entries_[i];
+      sink(EntryView(e), SlotHash(e.key, e.id));
+    }
+  }
+
+ private:
+  const Entry* entries_;
+  size_t count_;
+};
+
 /// \brief An immutable sorted run of entries, ordered by (key, id) with
 /// one occurrence per slot.
 ///
@@ -171,9 +216,11 @@ class SortedRun {
   SortedRun() = default;
 
   /// Builds a run from entries already sorted by slot (key, id),
-  /// deduplicated.
-  static SortedRun Build(std::vector<Entry> entries,
-                         size_t restart_interval = kRestartInterval);
+  /// deduplicated. `*approx_bytes`, when given, gets the entries'
+  /// ApproxEntryBytes sum (Builder::approx_bytes).
+  static SortedRun Build(const RunInput& input,
+                         size_t restart_interval = kRestartInterval,
+                         size_t* approx_bytes = nullptr);
 
   size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
@@ -257,7 +304,10 @@ class SortedRun::Builder {
   Builder(size_t expected_entries, size_t expected_bytes,
           size_t restart_interval = kRestartInterval);
 
-  void Add(const EntryView& e);  // Slots must arrive in increasing order.
+  /// Slots must arrive in increasing order. `slot_hash` is
+  /// SlotHash(e.key, e.id), for a caller that holds it already.
+  void Add(const EntryView& e, uint64_t slot_hash);
+  void Add(const EntryView& e) { Add(e, SlotHash(e.key, e.id)); }
   SortedRun Finish();
 
   /// Approximate resident bytes of the entries added so far (the
@@ -268,6 +318,7 @@ class SortedRun::Builder {
   SortedRun run_;
   Key prev_key_;
   size_t index_ = 0;
+  size_t until_restart_ = 0;  // Entries left before the next restart.
   size_t approx_bytes_ = 0;
 };
 

@@ -22,16 +22,19 @@ size_t MemoryBackend::resident_bytes() const {
   return bytes;
 }
 
-Status MemoryBackend::AppendRun(std::vector<Entry> entries,
-                                RunOrigin /*origin*/) {
-  if (entries.empty()) return Status::OK();
-  runs_.push_back(SortedRun::Build(std::move(entries)));
+Status MemoryBackend::AppendRun(const RunInput& entries,
+                                RunOrigin /*origin*/, RunStats* stats) {
+  *stats = RunStats{};
+  if (entries.size() == 0) return Status::OK();
+  runs_.push_back(
+      SortedRun::Build(entries, SortedRun::kRestartInterval, &stats->bytes));
+  stats->entries = runs_.back().size();
   meta_.push_back(RunMeta{next_run_id_++, false, 0});
   return Status::OK();
 }
 
-Status MemoryBackend::MergeRuns(size_t first, size_t n, MergeStats* stats) {
-  *stats = MergeStats{};
+Status MemoryBackend::MergeRuns(size_t first, size_t n, RunStats* stats) {
+  *stats = RunStats{};
   if (n < 2) return Status::OK();
   if (first + n > runs_.size() || n > kMaxMergeFanIn) {
     return Status::Internal("MergeRuns group out of range: first=", first,
@@ -66,11 +69,11 @@ Status MemoryBackend::MergeRuns(size_t first, size_t n, MergeStats* stats) {
   return Status::OK();
 }
 
-Status MemoryBackend::ResetTo(std::vector<Entry> entries) {
+Status MemoryBackend::ResetTo(const RunInput& entries) {
   runs_.clear();
   meta_.clear();
-  if (!entries.empty()) {
-    runs_.push_back(SortedRun::Build(std::move(entries)));
+  if (entries.size() > 0) {
+    runs_.push_back(SortedRun::Build(entries));
     meta_.push_back(RunMeta{next_run_id_++, false, 0});
   }
   return Status::OK();

@@ -47,8 +47,9 @@ enum class RunOrigin : uint8_t {
   kRebuild = 3,
 };
 
-/// What a compaction rewrote (LocalStore's write-amplification stats).
-struct MergeStats {
+/// What a run write put down: a flush, a bulk load or a compaction
+/// (LocalStore's write-amplification stats).
+struct RunStats {
   size_t entries = 0;
   size_t bytes = 0;  // ApproxEntryBytes units.
 };
@@ -113,17 +114,19 @@ class StorageBackend {
 
   /// Appends `entries` (sorted by slot, deduplicated, non-empty) as the
   /// newest run. Durable backends return only once the run is synced AND
-  /// recorded in the manifest — the flush acknowledgement point.
-  virtual Status AppendRun(std::vector<Entry> entries, RunOrigin origin) = 0;
+  /// recorded in the manifest — the flush acknowledgement point. Fills
+  /// `*stats` with the run's volume.
+  virtual Status AppendRun(const RunInput& entries, RunOrigin origin,
+                           RunStats* stats) = 0;
 
   /// Merges runs [first, first + n) into one run placed at `first`,
   /// preserving recency order (within the group the newest run wins slot
   /// ties). Fills `*stats` with the rewrite volume.
-  virtual Status MergeRuns(size_t first, size_t n, MergeStats* stats) = 0;
+  virtual Status MergeRuns(size_t first, size_t n, RunStats* stats) = 0;
 
   /// Replaces the entire run set with one run built from `entries`
   /// (sorted, deduplicated; empty clears the store).
-  virtual Status ResetTo(std::vector<Entry> entries) = 0;
+  virtual Status ResetTo(const RunInput& entries) = 0;
 
   /// Newest-occurrence probe across all runs (newest first); each run's
   /// slot filter rules most absent slots out without a search.
@@ -171,9 +174,10 @@ class MemoryBackend : public StorageBackend {
     return runs_[index].size();
   }
   size_t resident_bytes() const override;
-  Status AppendRun(std::vector<Entry> entries, RunOrigin origin) override;
-  Status MergeRuns(size_t first, size_t n, MergeStats* stats) override;
-  Status ResetTo(std::vector<Entry> entries) override;
+  Status AppendRun(const RunInput& entries, RunOrigin origin,
+                   RunStats* stats) override;
+  Status MergeRuns(size_t first, size_t n, RunStats* stats) override;
+  Status ResetTo(const RunInput& entries) override;
   bool FindSlot(const SlotProbe& probe, uint64_t* version,
                 bool* deleted) const override;
   void SeekCursor(size_t newest_first_index, const Key& lo,
@@ -227,9 +231,10 @@ class DiskBackend : public StorageBackend {
   }
   size_t resident_bytes() const override;
   Status status() const override;
-  Status AppendRun(std::vector<Entry> entries, RunOrigin origin) override;
-  Status MergeRuns(size_t first, size_t n, MergeStats* stats) override;
-  Status ResetTo(std::vector<Entry> entries) override;
+  Status AppendRun(const RunInput& entries, RunOrigin origin,
+                   RunStats* stats) override;
+  Status MergeRuns(size_t first, size_t n, RunStats* stats) override;
+  Status ResetTo(const RunInput& entries) override;
   Status LogWrite(const std::vector<Entry>& entries, size_t first) override;
   std::vector<Entry> TakeLoggedWrites() override {
     std::vector<Entry> out;
@@ -251,9 +256,11 @@ class DiskBackend : public StorageBackend {
 
   std::string PathOf(const std::string& name) const;
   Status Recover();
-  /// Writes run-<file_number> from sorted entries and opens it.
-  Status WriteRunFile(const std::vector<Entry>& entries, uint64_t file_number,
-                      std::shared_ptr<storage::DiskRun>* out);
+  /// Writes run-<file_number> from sorted entries and opens it; `*stats`
+  /// gets the run's volume.
+  Status WriteRunFile(const RunInput& entries, uint64_t file_number,
+                      std::shared_ptr<storage::DiskRun>* out,
+                      RunStats* stats);
   /// Appends one framed record to the manifest and syncs it.
   Status AppendManifest(const storage::manifest::Record& record);
   /// Writes a fresh manifest holding only the current state via

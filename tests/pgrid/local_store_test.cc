@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 // Allocation-counting hook: the zero-copy discipline of the visitor read
@@ -12,7 +16,9 @@
 #include "common/alloc_hook.h"
 #include "common/codec.h"
 #include "common/rng.h"
+#include "pgrid/backend_env.h"
 #include "pgrid/ophash.h"
+#include "pgrid/run_summary.h"
 #include "pgrid/sorted_run.h"
 #include "pgrid/storage_backend.h"
 
@@ -412,6 +418,283 @@ TEST(LocalStoreDifferentialTest, RandomWorkloadMatchesMapModel) {
   }
 }
 
+// --- Memtable: seeded history against a slot-map model ---------------------
+
+// Reference for the memtable test: each slot's newest entry, and which
+// slots the store's documented flush rules leave in the memtable.
+class MemtableModel {
+ public:
+  using Slot = std::pair<Key, std::string>;
+
+  explicit MemtableModel(size_t threshold) : threshold_(threshold) {}
+
+  bool Apply(const Entry& e) {
+    if (!Newer(e)) return false;
+    slots_[SlotOf(e)] = e;
+    memtable_.insert(SlotOf(e));
+    MaybeFlush();
+    return true;
+  }
+
+  // Write (`write`) or BulkLoad: the batch deduplicated by slot (highest
+  // version, then first arrival), its fresh slots to a run unless a
+  // small Write puts them in the memtable, its known slots made newer
+  // always through the memtable. Returns the changed count.
+  size_t Batch(const std::vector<Entry>& batch, bool write) {
+    std::map<Slot, Entry> newest;
+    for (const Entry& e : batch) {
+      auto [it, inserted] = newest.emplace(SlotOf(e), e);
+      if (!inserted && e.version > it->second.version) it->second = e;
+    }
+    std::vector<Slot> fresh;
+    std::vector<Slot> known;
+    for (const auto& [slot, e] : newest) {
+      if (!Newer(e)) continue;
+      (slots_.count(slot) != 0 ? known : fresh).push_back(slot);
+      slots_[slot] = e;
+    }
+    const size_t changed = fresh.size() + known.size();
+    if (write) {
+      if (changed < threshold_) memtable_.insert(fresh.begin(), fresh.end());
+      memtable_.insert(known.begin(), known.end());
+      MaybeFlush();
+    } else {
+      for (const Slot& slot : known) {
+        memtable_.insert(slot);
+        MaybeFlush();
+      }
+    }
+    return changed;
+  }
+
+  void Flush() { memtable_.clear(); }
+
+  std::vector<Entry> All() const {
+    std::vector<Entry> out;
+    for (const auto& [slot, e] : slots_) out.push_back(e);
+    return out;
+  }
+  std::vector<Entry> Live(const Key& lo, const Key& hi) const {
+    std::vector<Entry> out;
+    for (const auto& [slot, e] : slots_) {
+      if (!e.deleted && lo.Compare(slot.first) <= 0 &&
+          slot.first.Compare(hi) <= 0) {
+        out.push_back(e);
+      }
+    }
+    return out;
+  }
+  std::vector<Entry> LiveUnder(const Key& prefix) const {
+    std::vector<Entry> out;
+    for (const auto& [slot, e] : slots_) {
+      if (!e.deleted && prefix.IsPrefixOf(slot.first)) out.push_back(e);
+    }
+    return out;
+  }
+  // The memtable's entries in slot order, from `start`.
+  std::vector<Entry> MemtableFrom(size_t start) const {
+    std::vector<Entry> out;
+    size_t i = 0;
+    for (const Slot& slot : memtable_) {
+      if (i++ >= start) out.push_back(slots_.at(slot));
+    }
+    return out;
+  }
+  size_t live_size() const {
+    size_t live = 0;
+    for (const auto& [slot, e] : slots_) live += e.deleted ? 0 : 1;
+    return live;
+  }
+  size_t total_size() const { return slots_.size(); }
+  size_t memtable_size() const { return memtable_.size(); }
+
+ private:
+  static Slot SlotOf(const Entry& e) { return {e.key, e.id}; }
+  bool Newer(const Entry& e) const {
+    auto it = slots_.find(SlotOf(e));
+    return it == slots_.end() || e.version > it->second.version;
+  }
+  void MaybeFlush() {
+    if (memtable_.size() >= threshold_) memtable_.clear();
+  }
+
+  size_t threshold_;
+  std::map<Slot, Entry> slots_;
+  std::set<Slot> memtable_;
+};
+
+std::vector<Entry> MemtableOf(const LocalStore& store, size_t start) {
+  std::vector<Entry> out;
+  store.ScanMemtableFrom(start, [&out](const EntryView& e) {
+    out.push_back(e.ToEntry());
+    return true;
+  });
+  return out;
+}
+
+// Writes, applies, bulk loads, tombstones, stale versions, scans between
+// writes, flushes and disk reopens, checked against MemtableModel on a
+// memory store and a MemEnv disk store fed the same history.
+TEST(LocalStoreMemtableTest, SeededHistoryMatchesSlotModel) {
+  const std::string kIds[] = {"a", "id-0042", "q#0123456789abcd",
+                              "o#an-object-id-of-thirty-two-b"};
+  for (const size_t threshold : {size_t{1}, size_t{7}, size_t{512}}) {
+    SCOPED_TRACE("memtable_flush_threshold " + std::to_string(threshold));
+    Rng rng(20261020 + threshold);
+    storage::MemEnv env;
+    LocalStoreOptions options;
+    options.memtable_flush_threshold = threshold;
+    LocalStoreOptions disk_options = options;
+    disk_options.backend = LocalStoreOptions::Backend::kDisk;
+    disk_options.data_dir = "db";
+    disk_options.env = &env;
+    disk_options.block_bytes = 256;
+    LocalStore mem(options);
+    auto disk = std::make_unique<LocalStore>(disk_options);
+    MemtableModel model(threshold);
+
+    auto random_entry = [&rng, &kIds]() {
+      std::string bits;
+      for (int b = 0; b < 9; ++b) bits += rng.NextBounded(2) ? '1' : '0';
+      return MakeEntry(bits, kIds[rng.NextBounded(4)], 1 + rng.NextBounded(6),
+                       rng.NextBounded(5) == 0);
+    };
+    auto random_key = [&rng](size_t bits) {
+      std::string s;
+      for (size_t b = 0; b < bits; ++b) s += rng.NextBounded(2) ? '1' : '0';
+      return Key::FromBits(s);
+    };
+    // Whether the memtable may hold entries no log frame holds (Apply and
+    // BulkLoad updates); a reopen would drop them, so it flushes first.
+    bool unlogged = false;
+    size_t reopens = 0;
+    size_t largest_replay = 0;
+    const size_t max_batch = threshold + threshold / 4 + 2;
+
+    for (int op = 0; op < 400; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      const uint64_t kind = rng.NextBounded(20);
+      if (kind < 6) {
+        const Entry e = random_entry();
+        const bool changed = model.Apply(e);
+        ASSERT_EQ(mem.Apply(e), changed);
+        ASSERT_EQ(disk->Apply(e), changed);
+        unlogged = unlogged || changed;
+      } else if (kind < 14) {
+        std::vector<Entry> batch(1 + rng.NextBounded(max_batch));
+        for (Entry& e : batch) e = random_entry();
+        const bool write = kind < 11;
+        const size_t changed = model.Batch(batch, write);
+        if (write) {
+          ASSERT_EQ(mem.Write(batch), changed);
+          ASSERT_EQ(disk->Write(batch), changed);
+        } else {
+          ASSERT_EQ(mem.BulkLoad(batch), changed);
+          ASSERT_EQ(disk->BulkLoad(batch), changed);
+          unlogged = true;
+        }
+      } else if (kind < 17) {
+        // A scan between writes orders only the slots new since the last.
+        Key lo = random_key(rng.NextBounded(10));
+        Key hi = random_key(9);
+        if (hi < lo) std::swap(lo, hi);
+        const Key prefix = random_key(rng.NextBounded(5));
+        for (LocalStore* store : {&mem, disk.get()}) {
+          ASSERT_EQ(store->GetRange(KeyRange{lo, hi}), model.Live(lo, hi));
+          ASSERT_EQ(store->GetByPrefix(prefix), model.LiveUnder(prefix));
+          ASSERT_EQ(store->Get(hi), model.Live(hi, hi));
+        }
+      } else if (kind < 18) {
+        model.Flush();
+        mem.Flush();
+        disk->Flush();
+      } else {
+        if (unlogged) {
+          model.Flush();
+          mem.Flush();
+          disk->Flush();
+        }
+        const size_t held = disk->memtable_size();
+        disk.reset();
+        disk = std::make_unique<LocalStore>(disk_options);
+        ASSERT_TRUE(disk->io_status().ok());
+        ASSERT_EQ(disk->memtable_size(), held) << "log replay";
+        largest_replay = std::max(largest_replay, held);
+        ++reopens;
+      }
+      if (model.memtable_size() == 0) unlogged = false;
+
+      for (LocalStore* store : {&mem, disk.get()}) {
+        ASSERT_EQ(store->live_size(), model.live_size());
+        ASSERT_EQ(store->total_size(), model.total_size());
+        ASSERT_EQ(store->memtable_size(), model.memtable_size());
+        ASSERT_EQ(MemtableOf(*store, 0), model.MemtableFrom(0));
+        const size_t start = rng.NextBounded(model.memtable_size() + 2);
+        ASSERT_EQ(MemtableOf(*store, start), model.MemtableFrom(start));
+      }
+      const std::vector<RunSummary> mem_runs = mem.RunSummaries();
+      const std::vector<RunSummary> disk_runs = disk->RunSummaries();
+      ASSERT_EQ(mem_runs.size(), disk_runs.size());
+      for (size_t i = 0; i < mem_runs.size(); ++i) {
+        EXPECT_EQ(mem_runs[i].entry_count, disk_runs[i].entry_count) << i;
+        EXPECT_EQ(mem_runs[i].checksum, disk_runs[i].checksum) << i;
+      }
+      if (op % 25 == 0) {
+        ASSERT_EQ(mem.GetAll(), model.All());
+        ASSERT_EQ(disk->GetAll(), model.All());
+      }
+    }
+    EXPECT_EQ(mem.GetAll(), model.All());
+    EXPECT_EQ(disk->GetAll(), model.All());
+    EXPECT_GT(reopens, 0u);
+    // At the largest threshold a reopen replays enough logged slots to
+    // grow the index several times over.
+    if (threshold == 512) {
+      EXPECT_GT(largest_replay, 64u);
+    }
+  }
+}
+
+// Hundreds of slots written with no scan between them join the slot
+// order of an empty memtable and of one already ordered, through Apply
+// and through Write; keys vary in every byte of their first word.
+TEST(LocalStoreMemtableTest, LongStretchesOfNewSlotsScanInOrder) {
+  LocalStoreOptions options;
+  options.memtable_flush_threshold = 1 << 20;
+  LocalStore store(options);
+  Rng rng(404);
+  std::map<std::pair<Key, std::string>, Entry> model;
+  size_t next_id = 0;
+  auto random_entry = [&rng, &next_id]() {
+    std::string bits;
+    for (int b = 0; b < 64; ++b) bits += rng.NextBounded(2) ? '1' : '0';
+    // Every fourth id repeats one under a short key prefix, so some slots
+    // share a first key word and differ further on.
+    if (next_id % 4 == 3) bits.resize(6);
+    return MakeEntry(bits, "id-" + std::to_string(next_id++ % 700));
+  };
+  for (const size_t stretch : {700, 1, 300, 600, 257, 256, 2}) {
+    SCOPED_TRACE("stretch " + std::to_string(stretch));
+    std::vector<Entry> batch;
+    for (size_t i = 0; i < stretch; ++i) {
+      const Entry e = random_entry();
+      if (model.count({e.key, e.id}) != 0) continue;
+      model[{e.key, e.id}] = e;
+      if (i % 2 == 0) {
+        ASSERT_TRUE(store.Apply(e));
+      } else {
+        batch.push_back(e);
+      }
+    }
+    ASSERT_EQ(store.Write(batch), batch.size());
+    ASSERT_EQ(store.run_count(), 0u);
+    std::vector<Entry> expected;
+    for (const auto& [slot, e] : model) expected.push_back(e);
+    ASSERT_EQ(MemtableOf(store, 0), expected);
+    ASSERT_EQ(store.GetAll(), expected);
+  }
+}
+
 // --- Options validation ----------------------------------------------------
 
 TEST(LocalStoreOptionsTest, SanitizedPassesValidKnobsThrough) {
@@ -651,8 +934,9 @@ TEST(LocalStoreCompressionTest, CompactedSharedPrefixDataShrinksByAQuarter) {
                              << "against " << uncompressed << " uncompressed";
   // Shared-prefix truncation is part of the saving: the same run with a
   // full key in every record is larger.
+  const std::vector<Entry> slots = store.GetAll();
   EXPECT_LT(store.resident_bytes(),
-            SortedRun::Build(store.GetAll(), /*restart_interval=*/1)
+            SortedRun::Build(EntryRunInput(slots), /*restart_interval=*/1)
                 .resident_bytes());
 }
 
@@ -786,7 +1070,7 @@ TEST(SortedRunTest, FindSlotFindsRecordsAfterAnOverlongKey) {
       MakeEntry(z120 + "1000000" + "1", "a", 8),
       MakeEntry(z120 + "11", "a", 9),
   };
-  const SortedRun run = SortedRun::Build(entries);
+  const SortedRun run = SortedRun::Build(EntryRunInput(entries));
   ASSERT_EQ(run.size(), entries.size());
 
   SortedRun::Cursor cursor;
@@ -838,7 +1122,7 @@ TEST(SortedRunTest, RecordSizeIsTheBytesAppendRecordWrites) {
     total += record.size();
     prev = entries[i].key;
   }
-  const SortedRun run = SortedRun::Build(entries, kInterval);
+  const SortedRun run = SortedRun::Build(EntryRunInput(entries), kInterval);
   // Seven slots fit one 64-byte filter block.
   EXPECT_EQ(run.filter().bytes(), 64u);
   EXPECT_EQ(run.resident_bytes(),

@@ -97,7 +97,7 @@ TEST(SlotFilterTest, BuiltRunsReportEverySlot) {
   for (size_t n : {1u, 7u, 51u, 52u, 1000u, 5000u}) {
     SCOPED_TRACE(n);
     const std::vector<Entry> entries = RandomSlots(&rng, n);
-    ExpectEverySlot(SortedRun::Build(entries), entries);
+    ExpectEverySlot(SortedRun::Build(EntryRunInput(entries)), entries);
   }
 }
 
@@ -109,10 +109,12 @@ TEST(SlotFilterTest, FourWayMergeReportsEverySlot) {
   std::vector<std::vector<Entry>> parts(4);
   for (const Entry& e : all) parts[rng.NextBounded(4)].push_back(e);
   MemoryBackend backend;
+  RunStats stats;
   for (const auto& part : parts) {
-    ASSERT_TRUE(backend.AppendRun(part, RunOrigin::kFlush).ok());
+    ASSERT_TRUE(
+        backend.AppendRun(EntryRunInput(part), RunOrigin::kFlush, &stats)
+            .ok());
   }
-  MergeStats stats;
   ASSERT_TRUE(backend.MergeRuns(0, 4, &stats).ok());
   ASSERT_EQ(backend.run_count(), 1u);
   ExpectEverySlot(backend.run(0), all);
@@ -122,7 +124,7 @@ TEST(SlotFilterTest, ResetAndExtractedRunsReportEverySlot) {
   Rng rng(13);
   const std::vector<Entry> all = RandomSlots(&rng, 3000);
   MemoryBackend backend;
-  ASSERT_TRUE(backend.ResetTo(all).ok());
+  ASSERT_TRUE(backend.ResetTo(EntryRunInput(all)).ok());
   ASSERT_EQ(backend.run_count(), 1u);
   ExpectEverySlot(backend.run(0), all);
 
@@ -158,11 +160,13 @@ TEST(SlotFilterTest, DiskRunsReportEverySlotAsWrittenAndReopened) {
     auto opened = DiskBackend::Open(options);
     ASSERT_TRUE(opened.ok()) << opened.status().message();
     DiskBackend& backend = *opened.value();
+    RunStats stats;
     for (const auto& part : parts) {
-      ASSERT_TRUE(backend.AppendRun(part, RunOrigin::kBulkLoad).ok());
+      ASSERT_TRUE(
+          backend.AppendRun(EntryRunInput(part), RunOrigin::kBulkLoad, &stats)
+              .ok());
     }
     ExpectBackendFindsEverySlot(backend, all);  // Filters from the writer.
-    MergeStats stats;
     ASSERT_TRUE(backend.MergeRuns(1, 3, &stats).ok());
     ASSERT_EQ(backend.run_count(), 2u);
     ExpectBackendFindsEverySlot(backend, all);  // A merged run's filter.
@@ -193,7 +197,7 @@ std::vector<std::pair<Key, std::string>> AbsentSlots(
 TEST(SlotFilterTest, FalsePositivesStayUnderTwoAndAHalfPercent) {
   Rng rng(15);
   const std::vector<Entry> entries = RandomSlots(&rng, 20000);
-  const SortedRun run = SortedRun::Build(entries);
+  const SortedRun run = SortedRun::Build(EntryRunInput(entries));
   EXPECT_EQ(run.filter().bytes(),
             (entries.size() * SlotFilter::kBitsPerEntry + 511) / 512 * 64);
   size_t maybe = 0;

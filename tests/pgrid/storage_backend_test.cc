@@ -18,6 +18,7 @@
 #include "pgrid/backend_disk.h"
 #include "pgrid/backend_env.h"
 #include "pgrid/local_store.h"
+#include "pgrid/run_merge.h"
 #include "pgrid/sorted_run.h"
 
 namespace unistore {
@@ -452,7 +453,7 @@ TEST(SharedKeyProbeTest, SortedRunFindSlotMatchesReference) {
   const std::vector<Slot> probes = SharedKeyProbes();
   for (size_t interval : {1u, 2u, 16u}) {
     SCOPED_TRACE("restart_interval " + std::to_string(interval));
-    const SortedRun run = SortedRun::Build(entries, interval);
+    const SortedRun run = SortedRun::Build(EntryRunInput(entries), interval);
     ASSERT_EQ(run.size(), entries.size());
     for (const Slot& probe : probes) {
       uint64_t version = 0;
@@ -512,6 +513,149 @@ TEST(SharedKeyProbeTest, DiskRunProbeLoadsLogarithmicBlocks) {
   EXPECT_EQ(version, 3 * (kSharedIds - 1) + 1);
   EXPECT_LE(cold.hits() + cold.misses() - loads_before, log2_blocks + 2)
       << blocks << " blocks";
+}
+
+// ---------------------------------------------------------------------------
+// MergeCursorStreams on both backends' cursors
+// ---------------------------------------------------------------------------
+
+using RunList = std::vector<std::vector<Entry>>;  // Oldest run first.
+
+Entry Bits16Entry(size_t i, const std::string& id, uint64_t version,
+                  bool deleted = false) {
+  std::string bits;
+  for (int b = 15; b >= 0; --b) bits += ((i >> b) & 1) ? '1' : '0';
+  return MakeEntry(bits, id, version, deleted);
+}
+
+// The full-scan merge: every run's entries, a newer run's occurrence
+// replacing an older one, in slot order.
+std::vector<Entry> FullScanMerge(const RunList& runs) {
+  std::map<std::pair<Key, std::string>, Entry> slots;
+  for (const std::vector<Entry>& run : runs) {
+    for (const Entry& e : run) slots[{e.key, e.id}] = e;
+  }
+  std::vector<Entry> out;
+  for (const auto& [slot, e] : slots) out.push_back(e);
+  return out;
+}
+
+// An empty run stands for a cursor that is not positioned (invalid from
+// the start); every other cursor starts at its run's first entry.
+std::vector<Entry> MergeMemoryCursors(const RunList& runs) {
+  std::vector<SortedRun> built;
+  for (const std::vector<Entry>& run : runs) {
+    built.push_back(SortedRun::Build(EntryRunInput(run)));
+  }
+  SortedRun::Cursor cursors[16];
+  for (size_t i = 0; i < runs.size(); ++i) {
+    if (!runs[i].empty()) cursors[i].Seek(&built[i], Key());
+  }
+  std::vector<Entry> out;
+  MergeCursorStreams(cursors, runs.size(), [&out](const EntryView& v) {
+    out.push_back(v.ToEntry());
+  });
+  return out;
+}
+
+std::vector<Entry> MergeDiskCursors(const RunList& runs) {
+  MemEnv env;
+  BlockCache cache(1 << 20);
+  std::vector<std::shared_ptr<DiskRun>> opened(runs.size());
+  DiskRunCursor cursors[16];
+  for (size_t i = 0; i < runs.size(); ++i) {
+    if (runs[i].empty()) continue;
+    opened[i] = WriteAndOpen(&env, "run-" + std::to_string(i), i + 1, &cache,
+                             runs[i], /*block_bytes=*/128);
+    cursors[i].Seek(opened[i].get(), Key());
+  }
+  std::vector<Entry> out;
+  MergeCursorStreams(cursors, runs.size(), [&out](const EntryView& v) {
+    out.push_back(v.ToEntry());
+  });
+  return out;
+}
+
+void ExpectMergesMatchFullScan(const RunList& runs) {
+  const std::vector<Entry> expected = FullScanMerge(runs);
+  EXPECT_EQ(MergeMemoryCursors(runs), expected) << "memory cursors";
+  EXPECT_EQ(MergeDiskCursors(runs), expected) << "disk cursors";
+}
+
+TEST(RunMergeTest, SlotTiedAcrossFourRunsKeepsTheNewest) {
+  // Slot (key 100, "s") in all four runs, each newer run a newer version;
+  // the older occurrences advance with the winner, and a second tie
+  // across three runs follows at once.
+  RunList runs(4);
+  for (size_t r = 0; r < 4; ++r) {
+    runs[r].push_back(Bits16Entry(10 * r, "before", 1));
+    runs[r].push_back(Bits16Entry(100, "s", r + 1, r == 2));
+    if (r > 0) runs[r].push_back(Bits16Entry(100, "t", 10 + r));
+    runs[r].push_back(Bits16Entry(200 + r, "after", 1));
+  }
+  ExpectMergesMatchFullScan(runs);
+  const std::vector<Entry> merged = MergeMemoryCursors(runs);
+  ASSERT_EQ(merged.size(), 10u);
+  EXPECT_EQ(merged[4], Bits16Entry(100, "s", 4));
+  EXPECT_EQ(merged[5], Bits16Entry(100, "t", 13));
+}
+
+TEST(RunMergeTest, DominantRunStreaksAroundSmallRuns) {
+  // One run of 3000 slots and three of four: long streaks of the large
+  // run, broken where a small run's slot falls between or onto its own.
+  RunList runs(4);
+  for (size_t i = 0; i < 3000; ++i) {
+    runs[0].push_back(Bits16Entry(3 * i, "big", 1, i % 11 == 0));
+  }
+  for (size_t r = 1; r < 4; ++r) {
+    for (size_t k = 0; k < 4; ++k) {
+      const size_t at = 700 * k + 97 * r;
+      // Onto a slot of the large run (an update) and between two of its
+      // slots.
+      runs[r].push_back(Bits16Entry(3 * at, "big", 1 + r));
+      runs[r].push_back(Bits16Entry(3 * at + 1, "small", r));
+    }
+  }
+  ExpectMergesMatchFullScan(runs);
+  EXPECT_EQ(MergeMemoryCursors(runs).size(), 3000u + 12u);
+}
+
+TEST(RunMergeTest, EmptyAndExhaustedCursors) {
+  // Unpositioned cursors, a cursor exhausted after its first entry, and
+  // one that only starts after every other is exhausted.
+  RunList runs(6);
+  runs[1].push_back(Bits16Entry(0, "first", 1));
+  for (size_t i = 1; i < 50; ++i) runs[2].push_back(Bits16Entry(i, "mid", 1));
+  runs[4].push_back(Bits16Entry(1000, "last", 1));
+  ExpectMergesMatchFullScan(runs);
+  EXPECT_EQ(MergeMemoryCursors(runs).size(), 51u);
+  EXPECT_TRUE(MergeMemoryCursors(RunList(3)).empty());
+  EXPECT_TRUE(MergeDiskCursors(RunList(3)).empty());
+  // A single cursor streams on its own.
+  ExpectMergesMatchFullScan(RunList{runs[2]});
+}
+
+TEST(RunMergeTest, RandomRunsMatchFullScanMerge) {
+  Rng rng(4040);
+  for (int round = 0; round < 30; ++round) {
+    RunList runs(1 + rng.NextBounded(8));
+    for (std::vector<Entry>& run : runs) {
+      // A few large runs among small and empty ones, over a key space
+      // small enough that slots tie across runs.
+      const size_t n = rng.NextBounded(4) == 0 ? 200 + rng.NextBounded(300)
+                                               : rng.NextBounded(6);
+      std::map<std::pair<size_t, std::string>, Entry> slots;
+      for (size_t i = 0; i < n; ++i) {
+        const size_t key = rng.NextBounded(400);
+        const std::string id = "id" + std::to_string(rng.NextBounded(3));
+        slots[{key, id}] = Bits16Entry(key, id, 1 + rng.NextBounded(9),
+                                       rng.NextBounded(6) == 0);
+      }
+      for (const auto& [slot, e] : slots) run.push_back(e);
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+    ExpectMergesMatchFullScan(runs);
+  }
 }
 
 // ---------------------------------------------------------------------------
